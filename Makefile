@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test race bench-smoke bench-json serve-smoke ci
+.PHONY: all vet lint build test race bench-smoke serve-smoke ci
 
 all: ci
 
@@ -32,12 +32,6 @@ race:
 # waiting for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Machine-readable kernel benchmark snapshot (BENCH_kernel.json). Not part
-# of ci: wall-clock numbers from a loaded CI box are noise; run it on a
-# quiet machine when EXPERIMENTS.md needs fresh figures.
-bench-json:
-	GO="$(GO)" bash scripts/bench_json.sh
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

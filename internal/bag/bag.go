@@ -211,7 +211,7 @@ func (c *counter) reachable(e rpq.Expr, u int) (map[int]bool, error) {
 	}
 	sc := kern.GetScratch()
 	defer kern.PutScratch(sc)
-	nodes, err := kern.Reachable(u, sc, c.m)
+	nodes, err := kern.Sweep(u, sc, c.m, pg.Plan{}, false)
 	if err != nil {
 		return nil, err
 	}

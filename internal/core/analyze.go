@@ -56,12 +56,12 @@ type AnnotatedPlan struct {
 	// Plan is the annotated tree; its root is the query's result kind.
 	Plan PlanNode `json:"plan"`
 	// Sweep is the kernel's recorded telemetry: per-level frontier sizes
-	// and direction choices, edges examined, scan strategies, per-shard
-	// and outbox volumes. Nil when no kernel sweep ran.
+	// and direction choices, edges examined, per-shard and outbox volumes.
+	// Nil when no kernel sweep ran.
 	Sweep *eval.SweepStatsSnapshot `json:"sweep,omitempty"`
 	// Mispicks lists the plan knobs whose choice the measured actuals
-	// contradicted (plan.Mispicks): "direction", "scan", "frontier",
-	// "shards". Empty means the evidence is consistent with every choice.
+	// contradicted (plan.Mispicks): "direction", "shards". Empty means the
+	// evidence is consistent with every choice.
 	Mispicks []string `json:"mispicks,omitempty"`
 }
 
@@ -98,8 +98,7 @@ func (e *Engine) noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, st
 		tr.Set(attrEstStates, formatEst(pl.plan.EstStates))
 	}
 	tr.Set(attrEstRows, formatEst(gs.plannerLazy().Stats().Estimate(pl.expr, 0)))
-	snap := ss.Snapshot()
-	if ms := pgplan.Mispicks(pl.plan, states, snap.Edges); len(ms) > 0 {
+	if ms := pgplan.Mispicks(pl.plan, states); len(ms) > 0 {
 		tr.Set(attrMispicks, strings.Join(ms, ","))
 		for _, knob := range ms {
 			e.counters.CountMispick(knob)

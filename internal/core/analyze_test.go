@@ -157,12 +157,11 @@ func TestAnalyzeFeedsFeedback(t *testing.T) {
 
 // TestAnalyzeMispickCounters: mispick audits land in the engine's runtime
 // counters. A plan forced onto two shards for a sweep far below the shard
-// cut-over is a "shards" mispick (and, below the frontier cut, a
-// "frontier" one).
+// cut-over is a "shards" mispick, and the audit's vocabulary is exactly
+// the two knobs the planner still turns.
 func TestAnalyzeMispickCounters(t *testing.T) {
-	// Clique 40: "a a*" measures 3200 product states, under both the shard
-	// (4096) and dense-frontier cut-overs — a sharded frontier plan is a
-	// double mispick there.
+	// Clique 40: "a a*" measures 3200 product states, under the shard
+	// cut-over (4096).
 	e := New(gen.Clique(40, "a"))
 	e.Parallelism = 1
 	e.Shards = 2
@@ -173,9 +172,36 @@ func TestAnalyzeMispickCounters(t *testing.T) {
 	if len(resp.Analyze.Mispicks) == 0 {
 		t.Fatal("tiny sharded sweep reported no mispicks")
 	}
+	for _, knob := range resp.Analyze.Mispicks {
+		if knob != "direction" && knob != "shards" {
+			t.Fatalf("mispick names a knob that no longer exists: %q", knob)
+		}
+	}
 	rt := e.RuntimeStats()
 	if rt.MispickShards == 0 {
 		t.Fatalf("shards mispick not counted: %+v", rt)
+	}
+}
+
+// TestAnalyzeLevelsOnPlainSweep: every sweep runs the level-synchronous
+// loop, so a plain unsharded query reports per-level telemetry too.
+func TestAnalyzeLevelsOnPlainSweep(t *testing.T) {
+	g := gen.APath(8, "a")
+	e := New(g)
+	e.Parallelism = 1
+	resp, err := e.Query(Request{Query: "a*", Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := resp.Analyze.Sweep
+	if sw == nil || len(sw.Levels) == 0 {
+		t.Fatalf("unsharded a* recorded no per-level telemetry: %+v", sw)
+	}
+	if n := int64(g.NumNodes()); sw.Sweeps != n || sw.Levels[0].Sweeps != n {
+		t.Fatalf("want one sweep per node, each expanding its seed level: %+v", sw)
+	}
+	if len(resp.Analyze.Mispicks) != 0 {
+		t.Fatalf("default plan audited as mispicked: %v", resp.Analyze.Mispicks)
 	}
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/graph"
 )
 
 // TestQueryCtxRowBudget is the §6.3 acceptance check: Figure 5's graph has
@@ -32,14 +34,15 @@ func TestQueryCtxRowBudget(t *testing.T) {
 	}
 }
 
-// TestQueryCtxDeadline runs an expensive clique query under a 50ms deadline
+// TestQueryCtxDeadline runs an expensive query under a 50ms deadline
 // and requires a prompt ErrCanceled that still unwraps to
 // context.DeadlineExceeded.
 func TestQueryCtxDeadline(t *testing.T) {
-	// clique-300 under a* a* a* takes ~600ms sequential on a fast machine —
-	// an order of magnitude past the 50ms deadline, so this cannot finish
-	// before the deadline fires.
-	e := New(gen.Clique(300, "a"))
+	// cycle-2000 under a* a* a* takes ~1s sequential on a fast machine (one
+	// node per level, so no sweep ever collapses bottom-up) — an order of
+	// magnitude past the 50ms deadline, so this cannot finish before the
+	// deadline fires.
+	e := New(gen.Cycle(2000, "a"))
 	e.Parallelism = 1
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -176,5 +179,61 @@ func TestCtxVariantsMatchClassic(t *testing.T) {
 	}
 	if len(gw) != len(ww) {
 		t.Fatalf("TwoWayPairsCtx: %d pairs, TwoWayPairs: %d", len(gw), len(ww))
+	}
+}
+
+// TestNonCtxFormsMatchCtxForms: every non-Ctx method is its Ctx form's body
+// under a nil meter, so the two agree on results and on the error taxonomy
+// — parse failures are ErrBadQuery and absent endpoints ErrUnknownNode on
+// both.
+func TestNonCtxFormsMatchCtxForms(t *testing.T) {
+	e := New(gen.BankEdgeLabeled())
+	ctx := context.Background()
+	type form func(query string, src, dst graph.NodeID) (any, error)
+	for _, tc := range []struct {
+		name       string
+		plain, ctx form
+		query      string
+		anchored   bool
+	}{
+		{"Pairs",
+			func(q string, _, _ graph.NodeID) (any, error) { return e.Pairs(q) },
+			func(q string, _, _ graph.NodeID) (any, error) { return e.PairsCtx(ctx, q) },
+			"Transfer Transfer", false},
+		{"Rows",
+			func(q string, _, _ graph.NodeID) (any, error) { return e.Rows(q) },
+			func(q string, _, _ graph.NodeID) (any, error) { return e.RowsCtx(ctx, q) },
+			"q(x,y) :- Transfer(x, y)", false},
+		{"TwoWayPairs",
+			func(q string, _, _ graph.NodeID) (any, error) { return e.TwoWayPairs(q) },
+			func(q string, _, _ graph.NodeID) (any, error) { return e.TwoWayPairsCtx(ctx, q) },
+			"Transfer ~Transfer", false},
+		{"Paths",
+			func(q string, s, d graph.NodeID) (any, error) { return e.Paths(q, s, d, eval.Shortest) },
+			func(q string, s, d graph.NodeID) (any, error) { return e.PathsCtx(ctx, q, s, d, eval.Shortest) },
+			"Transfer+", true},
+		{"Representation",
+			func(q string, s, d graph.NodeID) (any, error) { return e.Representation(q, s, d, true) },
+			func(q string, s, d graph.NodeID) (any, error) { return e.Representation(q, s, d, true) },
+			"Transfer+", true},
+	} {
+		want, err := tc.ctx(tc.query, "a3", "a1")
+		if err != nil {
+			t.Fatalf("%s: Ctx form failed: %v", tc.name, err)
+		}
+		if got, err := tc.plain(tc.query, "a3", "a1"); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: plain form (%v, %v) != Ctx form %v", tc.name, got, err, want)
+		}
+		for fname, f := range map[string]form{"plain": tc.plain, "ctx": tc.ctx} {
+			if _, err := f("(((", "a3", "a1"); !errors.Is(err, ErrBadQuery) {
+				t.Errorf("%s %s: parse failure is %v, want ErrBadQuery", tc.name, fname, err)
+			}
+			if !tc.anchored {
+				continue
+			}
+			if _, err := f(tc.query, "a3", "nowhere"); !errors.Is(err, ErrUnknownNode) {
+				t.Errorf("%s %s: absent endpoint is %v, want ErrUnknownNode", tc.name, fname, err)
+			}
+		}
 	}
 }

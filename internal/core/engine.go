@@ -6,7 +6,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,19 +15,16 @@ import (
 	"graphquery/internal/automata"
 	"graphquery/internal/cardest"
 	"graphquery/internal/crpq"
-	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
 	"graphquery/internal/gql"
 	"graphquery/internal/graph"
-	"graphquery/internal/lrpq"
 	"graphquery/internal/obs"
 	"graphquery/internal/pg"
 	pgplan "graphquery/internal/pg/plan"
 	"graphquery/internal/pmr"
 	"graphquery/internal/regular"
 	"graphquery/internal/rpq"
-	"graphquery/internal/twoway"
 )
 
 // graphState is one immutable (graph, revision) pair the engine serves
@@ -305,56 +301,21 @@ func (e *Engine) compileRPQTraced(gs *graphState, tr *obs.Trace) func(string) (r
 }
 
 // Pairs evaluates a plain RPQ to its endpoint-pair semantics ⟦R⟧_G.
+// Like the other non-Ctx forms it is the Ctx form's body under a nil meter
+// (uncancellable, no budget), so both report errors in the same taxonomy.
 func (e *Engine) Pairs(query string) ([][2]graph.NodeID, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs))
-	if err != nil {
-		return nil, err
-	}
-	var out [][2]graph.NodeID
-	for _, pr := range eval.PairsProduct(plan.product, eval.Options{Parallelism: e.Parallelism, Plan: plan.plan}) {
-		out = append(out, [2]graph.NodeID{gs.g.Node(pr[0]).ID, gs.g.Node(pr[1]).ID})
-	}
-	return out, nil
+	pairs, err := e.pairsMeter(gs, query, nil, nil)
+	return pairs, classify(err)
 }
 
 // Paths evaluates an (ℓ-)RPQ or dl-RPQ between two nodes under a mode.
 func (e *Engine) Paths(query string, src, dst graph.NodeID, mode eval.Mode) ([]PathResult, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	u, ok := gs.g.NodeIndex(src)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown node %q", src)
-	}
-	v, ok := gs.g.NodeIndex(dst)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown node %q", dst)
-	}
-	switch Detect(query) {
-	case KindCRPQ:
-		return nil, errors.New("core: CRPQ queries return rows; use Rows")
-	case KindDLRPQ:
-		expr, err := cached(e, gs, "dlrpq", query, dlrpq.Parse)
-		if err != nil {
-			return nil, err
-		}
-		pbs, err := dlrpq.EvalBetween(gs.g, expr, u, v, mode, dlrpq.Options{MaxLen: e.MaxLen, Limit: e.Limit, Counters: &e.counters})
-		if err != nil {
-			return nil, err
-		}
-		return toResults(pbs), nil
-	default:
-		expr, err := cached(e, gs, "lrpq", query, lrpq.Parse)
-		if err != nil {
-			return nil, err
-		}
-		pbs, err := lrpq.EvalBetween(gs.g, expr, u, v, mode, lrpq.Options{MaxLen: e.MaxLen, Limit: e.Limit, Counters: &e.counters})
-		if err != nil {
-			return nil, err
-		}
-		return toResults(pbs), nil
-	}
+	res, err := e.pathsMeter(gs, query, src, dst, mode, nil, nil, e.MaxLen, e.Limit)
+	return res, classify(err)
 }
 
 func toResults(pbs []gpath.PathBinding) []PathResult {
@@ -369,11 +330,8 @@ func toResults(pbs []gpath.PathBinding) []PathResult {
 func (e *Engine) Rows(query string) (*crpq.Result, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	q, err := cached(e, gs, "crpq", query, crpq.Parse)
-	if err != nil {
-		return nil, err
-	}
-	return crpq.Eval(gs.g, q, crpq.Options{AtomMaxLen: e.MaxLen, Parallelism: e.Parallelism})
+	rows, err := e.rowsMeter(gs, query, nil, nil, e.MaxLen)
+	return rows, classify(err)
 }
 
 // Representation builds a PMR for the matching paths of a plain RPQ
@@ -384,16 +342,16 @@ func (e *Engine) Representation(query string, src, dst graph.NodeID, shortestOnl
 	defer gs.acquire()()
 	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs))
 	if err != nil {
-		return nil, err
+		return nil, badQuery(err)
 	}
 	expr := plan.expr
 	u, ok := gs.g.NodeIndex(src)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown node %q", src)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
 	}
 	v, ok := gs.g.NodeIndex(dst)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown node %q", dst)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
 	if shortestOnly {
 		return pmr.ShortestFromProduct(gs.g, expr, u, v), nil
@@ -450,20 +408,8 @@ func (e *Engine) ProgramRows(program string) (*crpq.Result, error) {
 func (e *Engine) TwoWayPairs(query string) ([][2]graph.NodeID, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	expr, err := cached(e, gs, "2rpq", query, twoway.Parse)
-	if err != nil {
-		return nil, err
-	}
-	prs, err := twoway.PairsMeterOpt(gs.g, expr, nil,
-		twoway.Options{Parallelism: 1, Counters: &e.counters})
-	if err != nil {
-		return nil, err // unreachable with a nil meter
-	}
-	var out [][2]graph.NodeID
-	for _, pr := range prs {
-		out = append(out, [2]graph.NodeID{gs.g.Node(pr[0]).ID, gs.g.Node(pr[1]).ID})
-	}
-	return out, nil
+	pairs, err := e.twoWayPairsMeter(gs, query, nil, nil)
+	return pairs, classify(err)
 }
 
 // Estimate returns the predicted and actual answer counts of an RPQ (the

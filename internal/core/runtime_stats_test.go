@@ -49,7 +49,7 @@ func TestExplainPlanLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"plan:", "dir=", "scan=", "workers="} {
+	for _, sub := range []string{"plan:", "dir=", "workers="} {
 		if !strings.Contains(out, sub) {
 			t.Fatalf("Explain should include the plan line (missing %q):\n%s", sub, out)
 		}

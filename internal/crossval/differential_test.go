@@ -18,8 +18,8 @@ import (
 // (internal/pg) against slow reference oracles: straightforward map-based
 // searches that scan every edge and interpret guards symbolically, sharing
 // no code with the kernel. Every plan the planner can choose — forward,
-// backward, indexed, dense, sequential, parallel — must reproduce the
-// oracle's answer byte-for-byte on random graphs.
+// backward, sequential, parallel, sharded — must reproduce the oracle's
+// answer byte-for-byte on random graphs.
 
 type prodState struct{ n, q int }
 
@@ -134,22 +134,13 @@ func TestKernelPlansAgreeWithRPQOracle(t *testing.T) {
 		name string
 		plan pg.Plan
 	}{
-		{"forward-indexed", pg.Plan{}},
-		{"forward-dense", pg.Plan{Dense: true}},
-		{"backward-indexed", pg.Plan{Backward: true}},
-		{"backward-dense", pg.Plan{Backward: true, Dense: true}},
+		{"forward", pg.Plan{}},
+		{"backward", pg.Plan{Backward: true}},
 		{"forward-parallel", pg.Plan{Workers: 4}},
 		{"backward-parallel", pg.Plan{Backward: true, Workers: 4}},
-		// The frontier engine's plan shapes: bitset/direction-optimizing
-		// (shards ≤ 1) and sharded ×{2, 8}, over both scan strategies and
-		// both directions.
-		{"frontier", pg.Plan{Frontier: true}},
-		{"frontier-dense", pg.Plan{Frontier: true, Dense: true}},
-		{"frontier-backward", pg.Plan{Frontier: true, Backward: true}},
-		{"sharded-2", pg.Plan{Frontier: true, Shards: 2}},
-		{"sharded-8", pg.Plan{Frontier: true, Shards: 8}},
-		{"sharded-2-dense", pg.Plan{Frontier: true, Shards: 2, Dense: true}},
-		{"sharded-8-backward", pg.Plan{Frontier: true, Shards: 8, Backward: true}},
+		{"sharded-2", pg.Plan{Shards: 2}},
+		{"sharded-8", pg.Plan{Shards: 8}},
+		{"sharded-8-backward", pg.Plan{Shards: 8, Backward: true}},
 	}
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(24, 90, []string{"a", "b", "c"}, int64(trial)*31+5)

@@ -1,6 +1,6 @@
 package crossval_test
 
-// Race coverage for the sharded frontier engine: `make ci` runs this
+// Race coverage for sharded sweeps: `make ci` runs this
 // package under -race (the `race` target is `go test -race ./...`), so
 // concurrent queries forcing shards > 1 exercise the per-level shard
 // goroutines, the outbox exchange, and the frozen-frontier bottom-up reads
@@ -37,14 +37,14 @@ func TestShardedQueriesConcurrently(t *testing.T) {
 				// One shared immutable Product, every query sharded ×4: the
 				// shard goroutines of concurrent sweeps interleave freely.
 				got[i] = eval.PairsProduct(p, eval.Options{
-					Plan: pg.Plan{Frontier: true, Shards: 4, Workers: 1},
+					Plan: pg.Plan{Shards: 4, Workers: 1},
 				})
 			}(i)
 		}
 		wg.Wait()
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("%q goroutine %d: sharded result diverged from scalar reference", q, i)
+				t.Fatalf("%q goroutine %d: sharded result diverged from the unsharded one", q, i)
 			}
 		}
 	}

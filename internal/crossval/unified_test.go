@@ -25,14 +25,14 @@ import (
 
 // unifiedPlans are the three kernel configurations the acceptance bar
 // names: the sequential sweep, the parallel per-source fan-out, and the
-// sharded direction-optimizing frontier engine with two shards.
+// sweep sharded two ways.
 var unifiedPlans = []struct {
 	name string
 	opts eval.Options
 }{
 	{"sequential", eval.Options{Parallelism: 1}},
 	{"parallel", eval.Options{Parallelism: 4}},
-	{"sharded-2", eval.Options{Parallelism: 1, Plan: pg.Plan{Frontier: true, Shards: 2, Workers: 1}}},
+	{"sharded-2", eval.Options{Parallelism: 1, Plan: pg.Plan{Shards: 2, Workers: 1}}},
 }
 
 // TestGQLKernelMatchesReference: for regular GQL patterns the kernel path

@@ -53,11 +53,13 @@ func TestPairsCtxPreCanceled(t *testing.T) {
 // return ErrCanceled well before it could have finished the query. The
 // 5-second watchdog guards against a cancellation path that never fires.
 func TestPairsCtxPromptCancel(t *testing.T) {
-	// Big enough that a* a* a* over the clique product cannot finish in the
-	// cancel delay even ÷4 workers (~600ms sequential); cancellation checks
-	// run every MeterCheckInterval pops, so the return should be
-	// near-immediate once ctx fires.
-	p := mustProduct(t, gen.Clique(300, "a"), "a* a* a*")
+	// Big enough that a* a* a* cannot finish in the cancel delay even ÷4
+	// workers (~1s sequential). A long cycle, not a clique: every level
+	// discovers one node, so the sweeps never switch bottom-up and the
+	// product is walked state by state. Cancellation checks run every
+	// MeterCheckInterval states, so the return should be near-immediate
+	// once ctx fires.
+	p := mustProduct(t, gen.Cycle(2000, "a"), "a* a* a*")
 	for _, par := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -79,7 +81,7 @@ func TestPairsCtxPromptCancel(t *testing.T) {
 }
 
 func TestPairsCtxDeadline(t *testing.T) {
-	p := mustProduct(t, gen.Clique(300, "a"), "a* a* a*")
+	p := mustProduct(t, gen.Cycle(2000, "a"), "a* a* a*")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)

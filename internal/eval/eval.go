@@ -90,19 +90,14 @@ func pairsProductMeter(p *Product, opts Options, m *Meter) ([][2]int, error) {
 	if plan.Backward {
 		kern = p.backward()
 	}
-	kern.Counters().CountPlan(pg.Plan{
-		Backward: plan.Backward, Dense: plan.Dense, Workers: workers,
-		Frontier: plan.Frontier, Shards: plan.Shards,
-	})
+	kern.Counters().CountPlan(pg.Plan{Backward: plan.Backward, Workers: workers, Shards: plan.Shards})
 	pairs, err := pg.ForEach(n, workers, kern.GetScratch, kern.PutScratch, func(u int, sc *Scratch) ([][2]int, error) {
 		if !p.G.NodeAlive(u) { // tombstoned under a mutation overlay
 			return nil, nil
 		}
-		// ReachableSweep dispatches on the plan: scalar plans run the classic
-		// queue loop with emission-time rows charging (a MaxRows budget trips
-		// on row MaxRows+1, not after the whole sweep's batch), frontier
-		// plans the level-synchronous engine with the same rows accounting.
-		vs, err := kern.ReachableSweep(u, sc, m, plan)
+		// Rows are charged at emission: a MaxRows budget trips on row
+		// MaxRows+1, not after the whole sweep's batch.
+		vs, err := kern.Sweep(u, sc, m, plan, true)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +142,7 @@ func ReachableFromMeter(p *Product, src int, sc *Scratch, m *Meter) ([]int, erro
 	if sc == nil {
 		sc = p.NewScratch()
 	}
-	return p.kern.Reachable(src, sc, m)
+	return p.kern.Sweep(src, sc, m, pg.Plan{}, false)
 }
 
 func reachableFrom(p *Product, src int) []int {
@@ -214,8 +209,8 @@ type Options struct {
 	// fan-out; 0 means runtime.GOMAXPROCS(0), 1 forces the sequential path.
 	Parallelism int
 	// Plan is the evaluation strategy chosen by the cost-based planner
-	// (direction, scan mode, fan-out degree). The zero Plan is the
-	// historical default: forward, label-indexed, Parallelism workers.
+	// (direction, fan-out degree, sharding). The zero Plan is the
+	// historical default: forward, unsharded, Parallelism workers.
 	Plan pg.Plan
 	// Budget caps resources for the Ctx entry points; zero means unlimited.
 	Budget Budget

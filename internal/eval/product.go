@@ -107,7 +107,7 @@ func (p *Product) PutScratch(sc *Scratch) { p.kern.PutScratch(sc) }
 // slice aliases sc.nodes and is valid until the next call with the same
 // scratch.
 func (p *Product) reachableInto(src int, sc *Scratch) []int {
-	nodes, _ := p.kern.Reachable(src, sc, nil)
+	nodes, _ := p.kern.Sweep(src, sc, nil, pg.Plan{}, false) // nil meter: cannot fail
 	return nodes
 }
 

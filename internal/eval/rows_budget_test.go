@@ -13,12 +13,12 @@ import (
 // rows-budget bug: the old path swept a whole source first and charged
 // AddRows(len(vs)) afterwards, so a query overshot MaxRows by up to a full
 // sweep's batch. With emission-time charging the meter must stop at exactly
-// MaxRows+1 — the row that trips the budget — on every scan strategy.
+// MaxRows+1 — the row that trips the budget — on every plan shape.
 func TestRowsBudgetTripsAtEmission(t *testing.T) {
 	// Clique(10) under "a": the very first source sweep alone finds 9 rows,
 	// so a MaxRows=3 budget must trip mid-sweep, not after it.
 	const maxRows = 3
-	for _, plan := range []pg.Plan{{}, {Dense: true}, {Backward: true}} {
+	for _, plan := range []pg.Plan{{}, {Shards: 2}, {Backward: true}} {
 		p := mustProduct(t, gen.Clique(10, "a"), "a")
 		m := NewMeter(context.Background(), Budget{MaxRows: maxRows})
 		out, err := PairsProductCtx(context.Background(), p,

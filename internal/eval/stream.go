@@ -61,14 +61,11 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 		workers = Parallelism(opts.Parallelism)
 	}
 	kern := p.kern
-	kern.Counters().CountPlan(pg.Plan{
-		Backward: false, Dense: plan.Dense, Workers: workers,
-		Frontier: plan.Frontier, Shards: plan.Shards,
-	})
+	kern.Counters().CountPlan(pg.Plan{Workers: workers, Shards: plan.Shards})
 	if workers <= 1 {
-		// Sequential: the kernel's row sink feeds a reused batch buffer, so
+		// Sequential: each sweep's node list feeds a reused batch buffer, so
 		// peak memory is O(batch) on top of the sweep scratch — no per-source
-		// slice is ever materialized.
+		// pair slice is ever materialized.
 		sc := kern.GetScratch()
 		defer kern.PutScratch(sc)
 		batch := make([][2]int, 0, emitBatchRows)
@@ -76,16 +73,7 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 			if !p.G.NodeAlive(u) {
 				continue
 			}
-			src := u
-			err := kern.ReachableSweepSink(src, sc, m, plan, func(v int) error {
-				batch = append(batch, [2]int{src, v})
-				if len(batch) == cap(batch) {
-					err := emit(batch)
-					batch = batch[:0]
-					return err
-				}
-				return nil
-			})
+			vs, err := kern.Sweep(u, sc, m, plan, true)
 			if err != nil {
 				// A sweep error (budget trip, cancel, kill) only voids the
 				// erroring source: rows from completed sources are already
@@ -99,6 +87,15 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 				}
 				return err
 			}
+			for _, v := range vs {
+				batch = append(batch, [2]int{u, v})
+				if len(batch) == cap(batch) {
+					if err := emit(batch); err != nil {
+						return err
+					}
+					batch = batch[:0]
+				}
+			}
 		}
 		if len(batch) > 0 {
 			return emit(batch)
@@ -109,7 +106,7 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 		if !p.G.NodeAlive(u) {
 			return nil, nil
 		}
-		vs, err := kern.ReachableSweep(u, sc, m, plan)
+		vs, err := kern.Sweep(u, sc, m, plan, true)
 		if err != nil {
 			return nil, err
 		}

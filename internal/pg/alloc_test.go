@@ -7,40 +7,53 @@ package pg_test
 // anything in a plain build.
 
 import (
+	"runtime"
 	"testing"
 
 	"graphquery/internal/gen"
 	"graphquery/internal/pg"
+	"graphquery/internal/rpq"
 )
 
-// TestScratchPoolWarmSweepAllocs is the satellite alloc regression: a warm
-// GetScratch → sweep → PutScratch cycle must not allocate, on the scalar
-// path and on the unsharded frontier path (which runs inline, with no
-// goroutines).
+// TestScratchPoolWarmSweepAllocs is the alloc regression: a warm
+// GetScratch → sweep → PutScratch cycle must not allocate (the unsharded
+// sweep runs inline, with no goroutines).
 func TestScratchPoolWarmSweepAllocs(t *testing.T) {
 	g := gen.Clique(24, "a")
 	kern, _ := sweepKernels(t, g, "a a*")
-	for name, pl := range map[string]pg.Plan{
-		"scalar":   {},
-		"frontier": {Frontier: true, Shards: 1},
-	} {
-		// Warm the pool and every internal buffer first.
-		for i := 0; i < 3; i++ {
-			sc := kern.GetScratch()
-			if _, err := kern.ReachableSweep(0, sc, nil, pl); err != nil {
-				t.Fatal(err)
-			}
-			kern.PutScratch(sc)
+	sweep := func() {
+		sc := kern.GetScratch()
+		if _, err := kern.Sweep(0, sc, nil, pg.Plan{}, true); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			sc := kern.GetScratch()
-			if _, err := kern.ReachableSweep(0, sc, nil, pl); err != nil {
-				t.Fatal(err)
-			}
-			kern.PutScratch(sc)
-		})
-		if allocs >= 1 {
-			t.Fatalf("%s warm sweep allocates %.1f times per run, want 0", name, allocs)
-		}
+		kern.PutScratch(sc)
+	}
+	// Warm the pool and every internal buffer first.
+	for i := 0; i < 3; i++ {
+		sweep()
+	}
+	if allocs := testing.AllocsPerRun(50, sweep); allocs >= 1 {
+		t.Fatalf("warm sweep allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestFreshKernelAnchoredSweepStaysSmall pins the cold-kernel regime:
+// anchored queries compile a fresh kernel per request and sweep once from
+// the anchor, so kernel, scratch and sweep together must stay O(automaton)
+// plus bitsets — far below the per-label neighbor tables, which take about
+// a word per edge and are bought only after |N|+|E| scanned entries.
+func TestFreshKernelAnchoredSweepStaysSmall(t *testing.T) {
+	g := gen.ScaleFree(20000, 4, 1)
+	nfa := rpq.Compile(rpq.MustParse("a a"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), nil)
+	if _, err := kern.Sweep(17, kern.GetScratch(), nil, pg.Plan{}, false); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// One byte per edge is an eighth of the tables' word per edge.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(g.NumEdges()); got > limit {
+		t.Fatalf("fresh kernel + one anchored sweep allocated %d bytes, want under %d (|E| bytes)", got, limit)
 	}
 }

@@ -4,7 +4,7 @@ package pg
 // bit in a word records the word's index, so reset costs O(words written)
 // instead of O(capacity). That property is what makes scratch reuse cheap
 // for sweeps that visit a tiny corner of a huge product space — and it is
-// why the frontier engine's visited and emitted sets are bitsets, not byte
+// why the sweep loop's visited and emitted sets are bitsets, not byte
 // arrays: 64 states per cache line instead of one, cleared by replaying the
 // touched list.
 type bitset struct {

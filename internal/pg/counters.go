@@ -15,11 +15,8 @@ type Counters struct {
 	frontierPeak   atomic.Int64 // max BFS frontier length observed by any sweep
 	planForward    atomic.Int64 // sweeps run source→target
 	planBackward   atomic.Int64 // sweeps run target→source over the reversed automaton
-	planIndexed    atomic.Int64 // sweeps using the per-label CSR index
-	planDense      atomic.Int64 // sweeps scanning full adjacency lists
 	planParallel   atomic.Int64 // queries fanned out over >1 worker
 	planSequential atomic.Int64 // queries evaluated by a single worker
-	planFrontier   atomic.Int64 // queries routed through the frontier engine
 	planSharded    atomic.Int64 // queries run with >1 kernel shard
 	shardSweeps    atomic.Int64 // shard sweep loops run (P per sharded sweep)
 
@@ -28,8 +25,6 @@ type Counters struct {
 	// analyze queries feed these — they are estimate-vs-actual audit
 	// signals, not hot-path accounting.
 	mispickDirection atomic.Int64
-	mispickScan      atomic.Int64
-	mispickFrontier  atomic.Int64
 	mispickShards    atomic.Int64
 }
 
@@ -71,18 +66,10 @@ func (c *Counters) CountPlan(p Plan) {
 	} else {
 		c.planForward.Add(1)
 	}
-	if p.Dense {
-		c.planDense.Add(1)
-	} else {
-		c.planIndexed.Add(1)
-	}
 	if p.Workers > 1 {
 		c.planParallel.Add(1)
 	} else {
 		c.planSequential.Add(1)
-	}
-	if p.Frontier {
-		c.planFrontier.Add(1)
 	}
 	if p.Shards > 1 {
 		c.planSharded.Add(1)
@@ -90,9 +77,8 @@ func (c *Counters) CountPlan(p Plan) {
 }
 
 // CountMispick records one plan knob an analyze-mode query found
-// contradicted by its measured actuals. knob is one of "direction",
-// "scan", "frontier", "shards" (plan.Mispicks's vocabulary); unknown
-// values are ignored.
+// contradicted by its measured actuals. knob is "direction" or "shards"
+// (plan.Mispicks's vocabulary); unknown values are ignored.
 func (c *Counters) CountMispick(knob string) {
 	if c == nil {
 		return
@@ -100,10 +86,6 @@ func (c *Counters) CountMispick(knob string) {
 	switch knob {
 	case "direction":
 		c.mispickDirection.Add(1)
-	case "scan":
-		c.mispickScan.Add(1)
-	case "frontier":
-		c.mispickFrontier.Add(1)
 	case "shards":
 		c.mispickShards.Add(1)
 	}
@@ -126,17 +108,12 @@ type CountersSnapshot struct {
 	FrontierPeak   int64 `json:"frontier_peak"`
 	PlanForward    int64 `json:"plan_forward"`
 	PlanBackward   int64 `json:"plan_backward"`
-	PlanIndexed    int64 `json:"plan_indexed"`
-	PlanDense      int64 `json:"plan_dense"`
 	PlanParallel   int64 `json:"plan_parallel"`
 	PlanSequential int64 `json:"plan_sequential"`
-	PlanFrontier   int64 `json:"plan_frontier"`
 	PlanSharded    int64 `json:"plan_sharded"`
 	ShardSweeps    int64 `json:"shard_sweeps"`
 
 	MispickDirection int64 `json:"mispick_direction"`
-	MispickScan      int64 `json:"mispick_scan"`
-	MispickFrontier  int64 `json:"mispick_frontier"`
 	MispickShards    int64 `json:"mispick_shards"`
 }
 
@@ -151,17 +128,12 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		FrontierPeak:   c.frontierPeak.Load(),
 		PlanForward:    c.planForward.Load(),
 		PlanBackward:   c.planBackward.Load(),
-		PlanIndexed:    c.planIndexed.Load(),
-		PlanDense:      c.planDense.Load(),
 		PlanParallel:   c.planParallel.Load(),
 		PlanSequential: c.planSequential.Load(),
-		PlanFrontier:   c.planFrontier.Load(),
 		PlanSharded:    c.planSharded.Load(),
 		ShardSweeps:    c.shardSweeps.Load(),
 
 		MispickDirection: c.mispickDirection.Load(),
-		MispickScan:      c.mispickScan.Load(),
-		MispickFrontier:  c.mispickFrontier.Load(),
 		MispickShards:    c.mispickShards.Load(),
 	}
 }

@@ -3,6 +3,7 @@ package pg
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"graphquery/internal/graph"
 )
@@ -32,11 +33,14 @@ type Kernel struct {
 	accept []bool
 	trans  [][]Trans
 
-	// Frontier-engine transition tables (sweep.go), compiled lazily on the
-	// first frontier-planned sweep: ft[q] are the transitions out of q with
-	// per-label match tables, rt[q] the transitions into q.
-	sweepOnce sync.Once
-	ft, rt    [][]kTrans
+	// Sweep-loop transition tables (sweep.go): the current immutable
+	// snapshot, replaced under compileMu when a sweep first needs the
+	// reverse table or the kernel has scanned enough to buy its neighbor
+	// tables. scanned counts adjacency entries examined so far while renting.
+	tables    atomic.Pointer[sweepTables]
+	compileMu sync.Mutex
+	adjCache  map[adjKey]*labelAdj
+	scanned   atomic.Int64
 
 	// pool recycles Scratch values across sweeps (GetScratch/PutScratch),
 	// so warm queries stop reallocating O(product-states) buffers.
@@ -59,6 +63,7 @@ func NewKernel(g *graph.Graph, sem Semantics, c *Counters) *Kernel {
 		k.accept[q] = sem.Accepting(q)
 		k.trans[q] = sem.Transitions(q)
 	}
+	k.tables.Store(&sweepTables{ft: k.compile(false, false)})
 	return k
 }
 
@@ -83,36 +88,18 @@ func (k *Kernel) Unid(i int) State { return State{Node: i / k.nq, State: i % k.n
 // Accepting reports whether s is accepting.
 func (k *Kernel) Accepting(s State) bool { return k.accept[s.State] }
 
-// Scratch holds the reusable buffers of repeated single-source
-// reachability sweeps over one kernel: a visited bitmap over product
-// states, the BFS queue (which doubles as the touched list for O(visited)
-// resets), and a per-graph-node emitted bitmap. One scratch serves one
-// goroutine.
+// Scratch holds the reusable buffers of repeated single-source sweeps over
+// one kernel: the result slice and the shard set (bitset visited/emitted
+// sets and frontier queues, built on the first sweep and rebuilt only when
+// the shard count changes). One scratch serves one goroutine.
 type Scratch struct {
-	visited []bool
-	emitted []bool
-	queue   []int
-	nodes   []int
-	// rows is live only inside a ReachableRows sweep: the meter charged one
-	// row per emitted node, between dequeues. Per-row charging is what
-	// makes MaxRows exact — the amortized Tick path may overshoot the
-	// states budget by up to CheckInterval, but a rows budget trips on row
-	// MaxRows+1. The charging happens in the dequeue loop, NOT in visit:
-	// visit runs once per scanned edge and must stay under the inlining
-	// budget.
-	rows *Meter
-	// fr is the frontier engine's shard set (sweep.go), built on the first
-	// frontier-planned sweep with this scratch and reused afterwards.
-	fr *frontierState
+	nodes  []int
+	k      *Kernel
+	shards []*shard
 }
 
-// NewScratch allocates buffers sized for k.
-func (k *Kernel) NewScratch() *Scratch {
-	return &Scratch{
-		visited: make([]bool, k.NumProductStates()),
-		emitted: make([]bool, k.g.NumNodes()),
-	}
-}
+// NewScratch returns an empty scratch for k; buffers are sized on first use.
+func (k *Kernel) NewScratch() *Scratch { return &Scratch{} }
 
 // GetScratch returns a pooled scratch for k, allocating only when the pool
 // is empty. Pair with PutScratch when the sweep's result slice has been
@@ -130,220 +117,6 @@ func (k *Kernel) PutScratch(sc *Scratch) {
 	if sc != nil {
 		k.pool.Put(sc)
 	}
-}
-
-// Reachable computes all graph nodes v such that an accepting product
-// state (v, q) is reachable from (src, q₀) for some start state q₀, sorted
-// ascending. The returned slice aliases sc.nodes and is valid until the
-// next call with the same scratch. A nil meter never fails; on error the
-// scratch is still reset, so the caller may reuse it.
-//
-// This is the frontier/BFS fixpoint loop of the runtime — the single
-// amortized budget-check loop all evaluators share: every CheckInterval
-// (256) dequeued states the count is flushed to the shared meter, which
-// polls for cancellation or an exhausted states budget.
-func (k *Kernel) Reachable(src int, sc *Scratch, mt *Meter) ([]int, error) {
-	return k.reachable(src, sc, mt, false)
-}
-
-// ReachableDense is Reachable under a dense-scan plan: positive guards
-// filter full adjacency lists instead of probing the per-label index. The
-// result is identical; only the scan strategy differs.
-func (k *Kernel) ReachableDense(src int, sc *Scratch, mt *Meter) ([]int, error) {
-	return k.reachable(src, sc, mt, true)
-}
-
-// ReachableRows is Reachable with exact rows-budget accounting: every node
-// emitted into the result charges one row on mt (one AddRows call per row,
-// flushed between dequeues), so a MaxRows budget fails on row MaxRows+1
-// instead of after a whole sweep's batch. dense selects the scan strategy
-// as in ReachableDense. States remain amortized (every CheckInterval
-// dequeues) — the sweep stops within one dequeue of the first row over
-// budget.
-func (k *Kernel) ReachableRows(src int, sc *Scratch, mt *Meter, dense bool) ([]int, error) {
-	sc.rows = mt
-	defer func() { sc.rows = nil }()
-	return k.reachable(src, sc, mt, dense)
-}
-
-// ReachableRowsSink is ReachableRows with callback delivery: once the sweep
-// completes, every emitted node is handed to sink in ascending order. Rows
-// are still charged on mt at emission time inside the sweep, so the exact
-// MaxRows+1 budget trip of ReachableRows is preserved; memory stays the
-// sweep's own O(graph) scratch (the per-sweep node list is bounded by the
-// graph, not by a multi-source result). A sink error aborts delivery and is
-// returned verbatim, so streaming layers can stop early with a sentinel.
-func (k *Kernel) ReachableRowsSink(src int, sc *Scratch, mt *Meter, dense bool, sink func(node int) error) error {
-	nodes, err := k.ReachableRows(src, sc, mt, dense)
-	if err != nil {
-		return err
-	}
-	for _, v := range nodes {
-		if err := sink(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (k *Kernel) reachable(src int, sc *Scratch, mt *Meter, dense bool) ([]int, error) {
-	g := k.g
-	nq := k.nq
-	sc.queue = sc.queue[:0]
-	sc.nodes = sc.nodes[:0]
-	for _, q := range k.starts {
-		id := src*nq + q
-		if sc.visited[id] {
-			continue
-		}
-		sc.visited[id] = true
-		sc.queue = append(sc.queue, id)
-		if k.accept[q] && !sc.emitted[src] {
-			sc.emitted[src] = true
-			sc.nodes = append(sc.nodes, src)
-		}
-	}
-	var stopErr error
-	var edgesScanned, edgesReported int64
-	peak := 0
-	ticked := 0
-	charged := 0
-	head := 0
-	for ; head < len(sc.queue); head++ {
-		// Exact rows accounting (ReachableRows only): charge emissions from
-		// the previous dequeue — and the start states — one row at a time,
-		// so the meter reads exactly MaxRows+1 when the budget trips.
-		if sc.rows != nil && charged < len(sc.nodes) {
-			if charged, stopErr = chargeRows(sc, charged); stopErr != nil {
-				break
-			}
-		}
-		if mt != nil && head-ticked >= CheckInterval {
-			if stopErr = mt.Tick(int64(head - ticked)); stopErr != nil {
-				break
-			}
-			ticked = head
-			// Live-progress sampling piggybacks on the amortized tick: the
-			// hot loop gains no new branches, and an in-flight registry sees
-			// the frontier and edge counts at CheckInterval granularity.
-			mt.SweepProgress(int64(len(sc.queue)-head), edgesScanned-edgesReported)
-			edgesReported = edgesScanned
-		}
-		if f := len(sc.queue) - head; f > peak {
-			peak = f
-		}
-		cur := sc.queue[head]
-		node, state := cur/nq, cur%nq
-		trans := k.trans[state]
-		for ti := range trans {
-			t := &trans[ti]
-			if t.Negated || dense {
-				adj := g.Out(node)
-				if t.Back {
-					adj = g.In(node)
-				}
-				edgesScanned += int64(len(adj))
-				for _, ei := range adj {
-					// Positive guards filter by interned label ID (an int
-					// compare against a tiny list); only co-finite guards
-					// need the symbolic match.
-					if t.Negated {
-						if !t.Guard.Matches(g.Edge(ei).Label) {
-							continue
-						}
-					} else if !containsLabel(t.LabelIDs, g.EdgeLabelID(ei)) {
-						continue
-					}
-					e := g.Edge(ei)
-					if t.Back {
-						k.visit(e.Src, t.To, sc)
-					} else {
-						k.visit(e.Tgt, t.To, sc)
-					}
-				}
-				continue
-			}
-			// Indexed fast path, split per direction so the inner loop
-			// carries no per-edge branch.
-			to := t.To
-			if t.Back {
-				for _, lid := range t.LabelIDs {
-					adj := g.InWithLabel(node, lid)
-					edgesScanned += int64(len(adj))
-					for _, ei := range adj {
-						k.visit(g.Edge(ei).Src, to, sc)
-					}
-				}
-				continue
-			}
-			for _, lid := range t.LabelIDs {
-				adj := g.OutWithLabel(node, lid)
-				edgesScanned += int64(len(adj))
-				for _, ei := range adj {
-					k.visit(g.Edge(ei).Tgt, to, sc)
-				}
-			}
-		}
-	}
-	if stopErr == nil && sc.rows != nil && charged < len(sc.nodes) {
-		_, stopErr = chargeRows(sc, charged) // emissions of the final dequeue
-	}
-	if stopErr == nil && mt != nil && head > ticked {
-		stopErr = mt.Tick(int64(head - ticked))
-	}
-	if mt != nil {
-		mt.SweepProgress(0, edgesScanned-edgesReported) // sweep over: frontier drained
-	}
-	k.c.AddStates(int64(head))
-	k.c.AddEdges(edgesScanned)
-	k.c.ObserveFrontier(int64(peak))
-	// Analyze telemetry shares the exit accounting above: one nil check per
-	// sweep, no new branches inside the dequeue loop.
-	if ss := mt.SweepStatsSink(); ss != nil {
-		ss.RecordScalar(int64(head), edgesScanned, int64(peak), dense)
-	}
-	// Reset the bitmaps by replaying the touched lists (on error too, so
-	// the scratch stays reusable).
-	for _, id := range sc.queue {
-		sc.visited[id] = false
-	}
-	for _, v := range sc.nodes {
-		sc.emitted[v] = false
-	}
-	if stopErr != nil {
-		return nil, stopErr
-	}
-	sort.Ints(sc.nodes)
-	return sc.nodes, nil
-}
-
-// visit pushes product state (node, to) if unseen, emitting node when the
-// automaton state accepts. It runs once per scanned edge: keep it small
-// enough to inline (rows charging lives in the dequeue loop for exactly
-// this reason).
-func (k *Kernel) visit(node, to int, sc *Scratch) {
-	id := node*k.nq + to
-	if sc.visited[id] {
-		return
-	}
-	sc.visited[id] = true
-	sc.queue = append(sc.queue, id)
-	if k.accept[to] && !sc.emitted[node] {
-		sc.emitted[node] = true
-		sc.nodes = append(sc.nodes, node)
-	}
-}
-
-// chargeRows charges one row per node emitted since the last call,
-// stopping at the first budget error.
-func chargeRows(sc *Scratch, charged int) (int, error) {
-	for charged < len(sc.nodes) {
-		if err := sc.rows.AddRows(1); err != nil {
-			return charged, err
-		}
-		charged++
-	}
-	return charged, nil
 }
 
 // Distances computes BFS distances (−1 for unreached) over the product
@@ -417,7 +190,7 @@ func (k *Kernel) Distances(src int, mt *Meter) ([]int, error) {
 	k.c.AddEdges(edgesScanned)
 	k.c.ObserveFrontier(int64(peak))
 	if ss := mt.SweepStatsSink(); ss != nil {
-		ss.RecordScalar(int64(head), edgesScanned, int64(peak), false)
+		ss.RecordSweep(int64(head), edgesScanned, int64(peak))
 	}
 	if stopErr != nil {
 		return nil, stopErr
@@ -502,15 +275,4 @@ func (k *Kernel) BFS(src int) (dist, parent, parentEdge []int) {
 		}
 	}
 	return dist, parent, parentEdge
-}
-
-// containsLabel reports whether a positive guard's resolved label-ID list
-// (tiny, ascending) contains id.
-func containsLabel(ids []int, id int) bool {
-	for _, l := range ids {
-		if l == id {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,8 @@
 package pg_test
 
-// Micro-benchmarks for the kernel's two scan strategies, pinning the
-// break-even the planner's denseFraction constant encodes: on a
-// single-label clique every positive guard matches every edge, so the
-// per-label index and the dense scan visit the same edges and only the
-// per-edge overhead differs.
+// Micro-benchmark of small sweeps: all sources of a single-label clique
+// under a a*, where a sweep is a few dozen states and the loop's per-sweep
+// and per-level fixed costs are what is measured.
 
 import (
 	"fmt"
@@ -35,19 +33,10 @@ func BenchmarkKernelScan(b *testing.B) {
 	for _, k := range []int{32, 64} {
 		kern := cliqueKernel(b, k)
 		sc := kern.NewScratch()
-		b.Run(fmt.Sprintf("indexed/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for u := 0; u < k; u++ {
-					if _, err := kern.Reachable(u, sc, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("dense/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for u := 0; u < k; u++ {
-					if _, err := kern.ReachableDense(u, sc, nil); err != nil {
+					if _, err := kern.Sweep(u, sc, nil, pg.Plan{}, false); err != nil {
 						b.Fatal(err)
 					}
 				}

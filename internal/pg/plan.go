@@ -4,29 +4,21 @@ import "fmt"
 
 // Plan is the evaluation strategy for one compiled query, chosen per
 // (graph, automaton) by the cost-based planner in internal/pg/plan from
-// cardinality estimates. The zero Plan — forward, label-indexed, worker
-// count decided by Options.Parallelism — is the historical default
-// behavior, so callers that never plan lose nothing.
+// cardinality estimates. The zero Plan — forward, unsharded, worker count
+// decided by Options.Parallelism — is the historical default behavior, so
+// callers that never plan lose nothing.
 type Plan struct {
 	// Backward evaluates target→source over the reversed automaton: one
 	// sweep per target node collects its sources. Pays off when the query's
 	// last labels are much rarer than its first (the reversed frontier
 	// stays small). Results are re-sorted, so output is unchanged.
 	Backward bool
-	// Dense scans full adjacency lists (filtering by guard) instead of the
-	// per-label CSR index. Pays off when guards match most labels anyway:
-	// one contiguous scan beats several binary-searched index probes.
-	Dense bool
 	// Workers is the per-source fan-out degree; 0 defers to
 	// Options.Parallelism, 1 forces the sequential path.
 	Workers int
-	// Frontier routes sweeps through the level-synchronous frontier engine
-	// (bitset visited sets, direction-optimizing expansion) instead of the
-	// scalar queue loop. Results are identical; only throughput differs.
-	Frontier bool
-	// Shards partitions the product state space by graph node into this
-	// many shard loops with cross-shard exchange at level barriers
-	// (meaningful only with Frontier; 0 and 1 both mean unsharded).
+	// Shards partitions each sweep's product state space by graph node into
+	// this many shard loops with cross-shard exchange at level barriers
+	// (0 and 1 both mean unsharded).
 	Shards int
 	// EstStates is the planner's frontier-mass estimate for the chosen
 	// direction (product states expanded per sweep) — recorded for Explain
@@ -35,17 +27,11 @@ type Plan struct {
 }
 
 func (p Plan) String() string {
-	dir, scan, sweep := "forward", "indexed", "scalar"
+	dir := "forward"
 	if p.Backward {
 		dir = "backward"
 	}
-	if p.Dense {
-		scan = "dense"
-	}
-	if p.Frontier {
-		sweep = "frontier"
-	}
-	s := fmt.Sprintf("dir=%s scan=%s sweep=%s workers=%d", dir, scan, sweep, p.Workers)
+	s := fmt.Sprintf("dir=%s workers=%d", dir, p.Workers)
 	if p.Shards > 1 {
 		s += fmt.Sprintf(" shards=%d", p.Shards)
 	}

@@ -8,39 +8,28 @@ import (
 // mispickQErrorCut is the estimate-vs-actual q-error above which a plan's
 // cost-model inputs are considered bad enough to have corrupted the knob
 // choices derived from them. 32 is two binary orders past the coarsest
-// threshold gap in the model (the dense-vs-indexed frontier cuts differ by
-// 2^14), so estimates inside the cut could not have flipped a knob.
+// threshold gap in the model (the shard floor and the fan-out threshold
+// differ by 2^3), so estimates inside the cut could not have flipped a knob.
 const mispickQErrorCut = 32
 
 // Mispicks audits one executed plan against its measured actuals and
 // returns the knobs whose choice the evidence contradicts — the vocabulary
 // of the gq_plan_mispick_total metric family: "direction" (the cost
 // model's state estimate was off by ≥ mispickQErrorCut×, so the
-// forward/backward choice rested on bad data), "scan" (a dense plan spent
-// almost all its edge examinations on states it never discovered, where
-// the per-label index would have skipped them), "frontier" (the sweep ran
-// on the frontier engine below the cheapest cut-over, or stayed scalar
-// above the indexed one), and "shards" (a sharded sweep too light to
-// amortize its level barriers). states and edges are the query's measured
-// product states expanded and adjacency entries examined.
+// forward/backward choice rested on bad data) and "shards" (a sharded
+// sweep too light to amortize its level barriers). states is the query's
+// measured product states expanded.
 //
 // These are coarse audit heuristics, not proofs: they compare the actuals
 // against the same thresholds the planner decided with, which is exactly
 // what an estimate-vs-actual feedback loop can see. An empty result means
 // the evidence is consistent with every choice, not that each was optimal.
-func Mispicks(pl pg.Plan, states, edges int64) []string {
+func Mispicks(pl pg.Plan, states int64) []string {
 	var out []string
 	if pl.EstStates > 0 && cardest.QError(int(states), pl.EstStates) >= mispickQErrorCut {
 		out = append(out, "direction")
 	}
-	if pl.Dense && states > 0 && edges > 32*states {
-		out = append(out, "scan")
-	}
-	if (pl.Frontier && states < denseFrontierThreshold) ||
-		(!pl.Frontier && states >= frontierThreshold) {
-		out = append(out, "frontier")
-	}
-	if pl.Shards > 1 && states < shardFrontierThreshold {
+	if pl.Shards > 1 && states < shardThreshold {
 		out = append(out, "shards")
 	}
 	return out

@@ -2,8 +2,8 @@
 // runtime: given a compiled automaton and the graph's cardinality
 // statistics (internal/cardest), it chooses how the kernel should run the
 // query — evaluation direction (forward from sources vs. backward from
-// targets over the reversed automaton), scan strategy (per-label index
-// vs. dense adjacency), and parallelism degree. Every choice changes only
+// targets over the reversed automaton), parallelism degree, and whether a
+// configured shard count is worth its level barriers. Every choice changes only
 // how the answer set is computed, never the answer set itself, so a bad
 // estimate costs time, not correctness.
 package plan
@@ -28,21 +28,10 @@ const (
 	// (across all sources) before the fan-out is worth more than one
 	// worker.
 	parallelThreshold = 1 << 15
-	// frontierThreshold is the minimum estimated total product states
-	// before indexed-scan sweeps route through the level-synchronous
-	// frontier engine: per-label index probes already skip non-matching
-	// edges, so the engine's bitsets and direction switching only beat the
-	// scalar loop's inlined visit on very heavy sweeps.
-	frontierThreshold = 1 << 26
-	// denseFrontierThreshold is the (lower) frontier cut-over for dense
-	// plans: co-finite guards scan full adjacency per state, so the
-	// engine's per-label match tables and bottom-up early exit pay off far
-	// sooner than on indexed scans.
-	denseFrontierThreshold = 1 << 12
-	// shardFrontierThreshold is the minimum estimate before an engine-level
-	// shards knob actually shards the sweep — tiny sweeps would spend more
-	// on level barriers than on expansion.
-	shardFrontierThreshold = 1 << 12
+	// shardThreshold is the minimum estimate before an engine-level shards
+	// knob actually shards the sweep — tiny sweeps would spend more on
+	// level barriers than on expansion.
+	shardThreshold = 1 << 12
 )
 
 // Planner chooses kernel plans for queries over one graph. It is
@@ -64,9 +53,9 @@ func (p *Planner) Stats() *cardest.Stats { return p.stats }
 // parallelism is the caller's worker cap (0 = one per CPU); the planner
 // may lower it to 1 when the estimated work cannot amortize the pool.
 // shards is the engine's kernel-sharding knob: with shards > 1 and enough
-// estimated work, sweeps run sharded on the frontier engine with the
-// per-source fan-out lowered to one worker (the shards are the
-// parallelism, and two pools would oversubscribe the machine).
+// estimated work, sweeps run sharded with the per-source fan-out lowered
+// to one worker (the shards are the parallelism, and two pools would
+// oversubscribe the machine).
 func (p *Planner) ForNFA(a *automata.NFA, parallelism, shards int) pg.Plan {
 	n := p.stats.Nodes
 	if n == 0 || a.NumStates == 0 {
@@ -77,21 +66,13 @@ func (p *Planner) ForNFA(a *automata.NFA, parallelism, shards int) pg.Plan {
 		pl.Backward = true
 	}
 	pl.EstStates = p.sweepCost(a, pl.Backward) * float64(n)
-	pl.Dense = p.denseWins(a)
 	pl.Workers = 1
 	if pl.EstStates >= parallelThreshold {
 		pl.Workers = pg.Workers(parallelism)
 	}
-	cut := float64(frontierThreshold)
-	if pl.Dense {
-		cut = denseFrontierThreshold
-	}
-	if shards > 1 && pl.EstStates >= shardFrontierThreshold {
-		pl.Frontier = true
+	if shards > 1 && pl.EstStates >= shardThreshold {
 		pl.Shards = shards
 		pl.Workers = 1
-	} else if pl.EstStates >= cut {
-		pl.Frontier = true
 	}
 	return pl
 }
@@ -205,29 +186,6 @@ func (p *Planner) sweepCost(a *automata.NFA, backward bool) float64 {
 		mass = next
 	}
 	return total
-}
-
-// denseWins reports whether the plan should scan dense adjacency. The
-// per-label index never loses for a positive guard — it iterates a
-// precomputed contiguous edge region with no per-edge test, while the
-// dense scan pays a label lookup and compare on every edge
-// (BenchmarkKernelScan measures the dense scan ~2x slower even on a
-// single-label clique, the best possible case for it, where both
-// strategies visit exactly the same edges). So the planner marks a plan
-// dense only when every guard is co-finite: the kernel scans dense lists
-// for those transitions regardless, and the plan then records what will
-// actually run.
-func (p *Planner) denseWins(a *automata.NFA) bool {
-	seen := false
-	for q := 0; q < a.NumStates; q++ {
-		for _, t := range a.Trans[q] {
-			if !t.Guard.Negated {
-				return false
-			}
-			seen = true
-		}
-	}
-	return seen
 }
 
 // horizon mirrors cardest's default Kleene-unrolling depth: about twice

@@ -65,22 +65,6 @@ func TestPlannerKeepsForwardForSelectivePrefix(t *testing.T) {
 	}
 }
 
-func TestPlannerScanStrategy(t *testing.T) {
-	// Positive guards keep the per-label index — even when a guard matches
-	// every edge, the index visits the same edges with no per-edge test
-	// (BenchmarkKernelScan).
-	_, _, pl := compileOn(t, gen.Clique(8, "a"), "a a*")
-	if pl.Dense {
-		t.Fatalf("positive guards should use the label index, got %s", pl)
-	}
-	// An all-co-finite automaton runs on dense lists regardless; the plan
-	// records that.
-	_, _, pl = compileOn(t, gen.Random(50, 200, []string{"a", "b", "c"}, 7), "(!{a})*")
-	if !pl.Dense {
-		t.Fatalf("all-co-finite guards scan densely, got %s", pl)
-	}
-}
-
 func TestPlannerParallelismDegree(t *testing.T) {
 	// Tiny graph: the estimated work cannot amortize a worker pool.
 	expr, err := rpq.Parse("a*")
@@ -98,7 +82,7 @@ func TestPlannerParallelismDegree(t *testing.T) {
 }
 
 // TestPlannedEvaluationMatchesDefault: whatever the planner chooses, the
-// answer set is byte-identical to the historical forward-indexed path.
+// answer set is byte-identical to the default forward plan's.
 func TestPlannedEvaluationMatchesDefault(t *testing.T) {
 	queries := []string{"a", "a* b", "b a*", "(a | b)+", "!{b} a*"}
 	graphs := []*graph.Graph{

@@ -8,23 +8,18 @@ import (
 	"graphquery/internal/graph"
 )
 
-// This file is the frontier engine: the level-synchronous rebuild of the
-// kernel's reachability sweep around three composable optimizations —
-// word-packed bitset frontiers and visited sets (O(visited) clearing via
-// touched-word lists), direction-optimizing top-down/bottom-up expansion
-// à la Beamer (decided per level from frontier mass vs. unvisited mass,
-// running the reverse transition relation over the reverse CSR the graph
-// already maintains), and in-process sharding (product states partitioned
-// by graph node into P per-shard frontier loops with batched cross-shard
-// exchange at level barriers). Every combination computes the same node
-// set as the scalar loop in kernel.go, and both paths sort that set
-// ascending, so results are byte-identical — the crossval differential
-// suite holds the engines to that.
-//
-// The scalar loop stays untouched: its visit() function must remain under
-// the inlining budget (rows charging was once moved out of it for exactly
-// that reason), so the planner routes heavy sweeps here instead of
-// micro-optimizing there.
+// This file is the kernel's reachability loop — the only one: a
+// level-synchronous sweep built from three composable pieces. Word-packed
+// bitset frontiers and visited sets clear in O(visited) via touched-word
+// lists; each level expands top-down or bottom-up à la Beamer, decided at
+// the level barrier from frontier mass vs. unvisited mass, the bottom-up
+// side running the reverse transition relation over the reverse CSR the
+// graph already maintains; and product states are partitioned by graph
+// node into P shard loops with batched cross-shard exchange at the
+// barriers, P = 1 being the plain sequential sweep. Every combination
+// computes the same node set and sorts it ascending, so results are
+// byte-identical across plans — the crossval differential suite holds the
+// loop to an independent oracle on that.
 
 const (
 	// frontierAlpha is the direction-switch threshold: a level expands
@@ -34,10 +29,9 @@ const (
 	// top-down (bottom-up only pays when most states are about to be
 	// discovered anyway).
 	frontierAlpha = 8
-	// maxFrontierStates bounds the product size the frontier engine
-	// accepts: local ids are int32 and cross-shard exchange ships global
-	// ids as uint32, so anything larger falls back to the scalar loop.
-	maxFrontierStates = 1<<31 - 1
+	// maxSweepStates bounds the product size the loop accepts: local ids
+	// are int32 and cross-shard exchange ships global ids as uint32.
+	maxSweepStates = 1<<31 - 1
 	// bottomUpCheckMask amortizes cancellation polls over the bottom-up
 	// scan, which examines many states that are never discovered (and so
 	// never tick the meter): one poll every 4096 examined states.
@@ -53,26 +47,38 @@ const (
 	negIndexCut = 4
 )
 
-// kTrans is one transition compiled for the frontier engine: the guard's
-// per-label match table replaces the symbolic Guard.Matches on dense scans
-// (an array load instead of a string binary search per edge). In the
-// forward table `state` is the successor automaton state; in the reverse
-// table it is the predecessor.
+// checkSweepSize refuses products whose state ids do not fit the loop's
+// 32-bit local ids, as a states-budget error: the product is larger than
+// any sweep this kernel can account for.
+func checkSweepSize(states int) error {
+	if states > maxSweepStates {
+		return &BudgetError{Resource: "states", Limit: maxSweepStates}
+	}
+	return nil
+}
+
+// kTrans is one transition compiled for the sweep loop. In the forward
+// table `state` is the successor automaton state and `in` the transition's
+// own direction; in the reverse table `state` is the predecessor and `in`
+// is flipped, so both expansions scan with the same code.
 type kTrans struct {
-	state  int
-	back   bool
-	neg    bool
-	idx    bool   // always scan indexed, even under a dense plan
-	labels []int  // admitted label IDs, for indexed scans
-	ok     []bool // labelID → guard matches, for dense scans
-	// adjs[i] is the compiled neighbor CSR for labels[i] in this table's
-	// scan direction (nil when the graph is too large for int32 ids):
-	// neighbor node ids directly, so the indexed hot loops do no binary
-	// search, no per-edge label load, and no Edge-struct load.
+	state int
+	in    bool // scan incoming edges (neighbor = edge source)
+	// labels are the admitted label IDs, scanned through the label index.
+	labels []int
+	// ok (labelID → guard matches) is set instead of labels for a negated
+	// guard admitting more than negIndexCut labels: one filtered pass over
+	// the full adjacency list, an array load per edge instead of the
+	// symbolic Guard.Matches.
+	ok []bool
+	// adjs[i] is the compiled neighbor table for labels[i] in the scan
+	// direction; nil while the kernel still rents (see sweepTables) or when
+	// the graph is too large for int32 ids. Neighbor node ids directly, so
+	// the indexed hot loops do no binary search and no Edge-struct load.
 	adjs []*labelAdj
 }
 
-// labelAdj is one label's adjacency compiled for the sweep engine:
+// labelAdj is one label's adjacency compiled for the sweep loop:
 // to[off[v]:off[v+1]] are v's neighbor nodes through that label (with
 // multiplicity, ascending edge order) — the endpoint already resolved for
 // the direction the table serves.
@@ -81,155 +87,138 @@ type labelAdj struct {
 	to  []int32
 }
 
-// buildLabelAdj flattens one (label, direction) adjacency. rev=false walks
-// outgoing edges to their targets, rev=true incoming edges to their
-// sources. Returns nil when edge counts do not fit int32 (the engine then
-// falls back to the CSR binary-search path).
-func buildLabelAdj(g *graph.Graph, lid int, rev bool) *labelAdj {
-	n := g.NumNodes()
-	if int64(g.NumEdges()) >= int64(maxFrontierStates) {
+// adjKey names one compiled neighbor table: a label and a scan direction.
+type adjKey struct {
+	label int
+	in    bool
+}
+
+// buildLabelAdj flattens one (label, direction) adjacency: in=false files
+// the label's edges under their source, pointing at their target; in=true
+// the reverse. A stable counting sort of the label's ascending edge list,
+// so each node's neighbors keep the order the graph's label index gives
+// them. Returns nil when edge counts do not fit int32 (the loop then stays
+// on the CSR binary-search path).
+func buildLabelAdj(g *graph.Graph, key adjKey) *labelAdj {
+	if int64(g.NumEdges()) >= int64(maxSweepStates) {
 		return nil
 	}
-	la := &labelAdj{off: make([]int32, n+1)}
-	total := 0
-	for v := 0; v < n; v++ {
-		la.off[v] = int32(total)
-		if rev {
-			total += len(g.InWithLabel(v, lid))
-		} else {
-			total += len(g.OutWithLabel(v, lid))
-		}
+	at, to := g.EdgeSrc, g.EdgeTgt
+	if key.in {
+		at, to = to, at
 	}
-	la.off[n] = int32(total)
-	la.to = make([]int32, total)
-	i := 0
+	n := g.NumNodes()
+	edges := g.EdgesWithLabelID(key.label)
+	la := &labelAdj{off: make([]int32, n+1), to: make([]int32, len(edges))}
+	for _, ei := range edges {
+		la.off[at(ei)+1]++
+	}
 	for v := 0; v < n; v++ {
-		if rev {
-			for _, ei := range g.InWithLabel(v, lid) {
-				la.to[i] = int32(g.EdgeSrc(ei))
-				i++
-			}
-		} else {
-			for _, ei := range g.OutWithLabel(v, lid) {
-				la.to[i] = int32(g.EdgeTgt(ei))
-				i++
-			}
-		}
+		la.off[v+1] += la.off[v]
+	}
+	next := append([]int32(nil), la.off[:n]...)
+	for _, ei := range edges {
+		v := at(ei)
+		la.to[next[v]] = int32(to(ei))
+		next[v]++
 	}
 	return la
 }
 
-// buildSweepTables compiles the forward and reverse transition tables the
-// frontier engine runs on. Called once per kernel, lazily: only sweeps
-// planned onto the frontier engine pay for it.
-func (k *Kernel) buildSweepTables() {
-	nl := k.g.NumLabels()
-	k.ft = make([][]kTrans, k.nq)
-	k.rt = make([][]kTrans, k.nq)
-	// Compiled adjacencies are shared across transitions reading the same
-	// (label, direction); the forward table scans with the transition's
-	// direction, the reverse table against it.
-	adjCache := map[[2]int]*labelAdj{}
-	adjFor := func(labels []int, rev bool) []*labelAdj {
-		adjs := make([]*labelAdj, len(labels))
-		for i, lid := range labels {
-			key := [2]int{lid, 0}
-			if rev {
-				key[1] = 1
-			}
-			la, seen := adjCache[key]
-			if !seen {
-				la = buildLabelAdj(k.g, lid, rev)
-				adjCache[key] = la
-			}
-			adjs[i] = la
-		}
-		return adjs
+// sweepTables is one immutable compilation of the kernel's transitions.
+// A kernel starts with the forward table only and no neighbor tables, which
+// costs O(automaton): anchored queries compile a fresh kernel per request,
+// and compiling per-label neighbor tables eagerly made each of them pay
+// O(graph) before expanding a handful of states. The reverse table is added
+// when a level first runs bottom-up. The neighbor tables follow a
+// rent-or-buy rule: until the kernel's sweeps have examined |N|+|E|
+// adjacency entries through the graph's label index — about what compiling
+// costs — it keeps renting; past that point the tables are bought once and
+// every later sweep scans them.
+type sweepTables struct {
+	ft, rt    [][]kTrans
+	neighbors bool
+}
+
+// upgrade publishes and returns a snapshot that has at least the reverse
+// table (reverse) and the neighbor tables (neighbors) on top of what the
+// current one has. Concurrent sweeps keep the snapshot they loaded.
+func (k *Kernel) upgrade(reverse, neighbors bool) *sweepTables {
+	k.compileMu.Lock()
+	defer k.compileMu.Unlock()
+	cur := k.tables.Load()
+	reverse = reverse || cur.rt != nil
+	neighbors = neighbors || cur.neighbors
+	if reverse == (cur.rt != nil) && neighbors == cur.neighbors {
+		return cur
 	}
-	for q := 0; q < k.nq; q++ {
+	next := &sweepTables{ft: cur.ft, neighbors: neighbors}
+	if neighbors != cur.neighbors {
+		next.ft = k.compile(false, true)
+	}
+	if reverse {
+		next.rt = k.compile(true, neighbors)
+	}
+	k.tables.Store(next)
+	return next
+}
+
+// compile builds the forward (reverse=false) or reverse transition table.
+// With neighbors set, indexed transitions get their per-label neighbor
+// tables, built once per (label, direction) and shared through adjCache;
+// the caller holds compileMu (or is the constructor).
+func (k *Kernel) compile(reverse, neighbors bool) [][]kTrans {
+	nl := k.g.NumLabels()
+	tbl := make([][]kTrans, k.nq)
+	for q := range k.trans {
 		for ti := range k.trans[q] {
 			t := &k.trans[q][ti]
-			ok := make([]bool, nl)
-			for l := 0; l < nl; l++ {
-				ok[l] = t.Guard.Matches(k.g.LabelName(l))
+			kt := kTrans{state: t.To, in: t.Back, labels: t.LabelIDs}
+			at := q
+			if reverse {
+				kt.state, kt.in, at = q, !t.Back, t.To
 			}
-			labels := t.LabelIDs
 			if t.Negated {
-				labels = nil
-				for l := 0; l < nl; l++ {
-					if ok[l] {
-						labels = append(labels, l)
+				kt.labels = nil
+				ok := make([]bool, nl)
+				for l := range ok {
+					if ok[l] = t.Guard.Matches(k.g.LabelName(l)); ok[l] {
+						kt.labels = append(kt.labels, l)
 					}
 				}
+				if len(kt.labels) > negIndexCut {
+					kt.labels, kt.ok = nil, ok
+				}
 			}
-			kt := kTrans{back: t.Back, neg: t.Negated, labels: labels, ok: ok}
-			kt.idx = t.Negated && len(labels) <= negIndexCut
-			kt.state = t.To
-			if kt.idx || !kt.neg {
-				// Wide negated guards only ever scan dense; building their
-				// (possibly co-finite) adjacency tables would be pure waste.
-				kt.adjs = adjFor(labels, t.Back)
+			kt.adjs = make([]*labelAdj, len(kt.labels))
+			if neighbors {
+				if k.adjCache == nil {
+					k.adjCache = map[adjKey]*labelAdj{}
+				}
+				for i, lid := range kt.labels {
+					key := adjKey{lid, kt.in}
+					la, seen := k.adjCache[key]
+					if !seen {
+						la = buildLabelAdj(k.g, key)
+						k.adjCache[key] = la
+					}
+					kt.adjs[i] = la
+				}
 			}
-			k.ft[q] = append(k.ft[q], kt)
-			kt.state = q
-			if kt.idx || !kt.neg {
-				kt.adjs = adjFor(labels, !t.Back)
-			}
-			k.rt[t.To] = append(k.rt[t.To], kt)
+			tbl[at] = append(tbl[at], kt)
 		}
 	}
+	return tbl
 }
 
-// Shard is one partition of a sharded sweep: it owns the product states of
-// the graph nodes v with v mod P equal to its index, holding them in
+// shard is one partition of a sweep: it owns the product states of the
+// graph nodes v with v mod P equal to its index, holding them in
 // shard-local dense bitsets (local node v/P, local product id
-// (v/P)·nq + q). The engine drives all shards level-synchronously through
-// this interface; everything that crosses the boundary is a flat payload —
-// seed ids, per-destination outboxes of global product ids, and frozen
-// frontier bitmaps for bottom-up levels — so a later PR can put a Shard
-// behind RPC without changing the driver.
-type Shard interface {
-	// Begin arms the shard for one sweep under a meter and scan strategy.
-	Begin(mt *Meter, dense bool)
-	// Seed absorbs start states owned by this shard (global product ids).
-	Seed(ids []int)
-	// ExpandTopDown scans the current frontier's outgoing transitions,
-	// visiting local discoveries and queueing remote ones into
-	// per-destination outboxes. Returns adjacency entries examined.
-	ExpandTopDown() (edges int64, err error)
-	// ExpandBottomUp scans this shard's unvisited states for a predecessor
-	// in any shard's current frontier; peers[d] is shard d's frozen
-	// frontier bitmap for the level (read-only until the next Promote, so
-	// the concurrent reads need no locks). Discoveries stop at the first
-	// frontier predecessor found.
-	ExpandBottomUp(peers [][]uint64) (edges int64, err error)
-	// TakeOutbox returns and clears the states this shard discovered for
-	// shard dst. Each (src, dst) pair is taken exactly once per level, by
-	// dst's absorber, so the exchange is race-free without locks.
-	TakeOutbox(dst int) []uint32
-	// AbsorbRemote folds remotely discovered states (global product ids)
-	// into this shard's next frontier, deduplicating against visited.
-	AbsorbRemote(ids []uint32)
-	// NextLen returns the size of the next frontier accumulated so far.
-	NextLen() int
-	// Promote seals the level: the next frontier becomes current (building
-	// the frontier bitmap when the coming level runs bottom-up) and its
-	// size is returned.
-	Promote(buildBits bool) int
-	// FrontierBits returns the current frontier as a bitmap over local
-	// product ids — valid only after a Promote(true).
-	FrontierBits() []uint64
-	// Emitted returns the graph nodes emitted so far (global, unsorted).
-	Emitted() []int
-	// Flush forces pending meter ticks out (the sub-interval tail).
-	Flush() error
-	// Reset clears all per-sweep state, keeping capacity for reuse.
-	Reset()
-}
-
-// localShard is the in-process Shard: direct slices, no copies crossing
-// the boundary.
-type localShard struct {
+// (v/P)·nq + q). The driver runs all shards level-synchronously;
+// everything that crosses a shard boundary is a flat payload — seed ids,
+// per-destination outboxes of global product ids, and frozen frontier
+// bitmaps for bottom-up levels.
+type shard struct {
 	k    *Kernel
 	s, p int // shard index, shard count
 	nloc int // local node count: nodes v with v%p == s
@@ -245,25 +234,32 @@ type localShard struct {
 
 	vis  bitset // visited, over local product ids
 	emit bitset // emitted, over local node ids
-	frb  bitset // current frontier bitmap, rebuilt by Promote(true)
+	frb  bitset // current frontier bitmap, rebuilt by freeze
+	// peers[d] is shard d's frontier bitmap (the slice is shared by the
+	// whole shard set): unchanged from a freeze to the next promote, so
+	// the bottom-up scans read their peers' without locks.
+	peers [][]uint64
 
-	cur, next []int32    // frontier queues, local product ids
-	out       [][]uint32 // per-destination outboxes, global product ids
-	nodes     []int      // emitted graph nodes, global
+	// queue holds every discovered state (local product ids) in discovery
+	// order: queue[lo:hi] is the current frontier, queue[hi:] the next.
+	queue  []int32
+	lo, hi int
+	out    [][]uint32 // per-destination outboxes, global product ids
+	nodes  []int      // emitted graph nodes, global
 
-	dense bool
-	mt    *Meter
-	pend  int64 // discoveries since the last meter flush
+	tb   *sweepTables
+	mt   *Meter
+	pend int64 // discoveries since the last meter flush
 }
 
-func newLocalShard(k *Kernel, s, p int) *localShard {
+func newShard(k *Kernel, s, p int, peers [][]uint64) *shard {
 	nloc := (k.g.NumNodes() - s + p - 1) / p
-	sh := &localShard{
+	sh := &shard{
 		k: k, s: s, p: p, nloc: nloc,
-		vis:  newBitset(nloc * k.nq),
-		emit: newBitset(nloc),
-		frb:  newBitset(nloc * k.nq),
-		out:  make([][]uint32, p),
+		vis:   newBitset(nloc * k.nq),
+		emit:  newBitset(nloc),
+		out:   make([][]uint32, p),
+		peers: peers,
 	}
 	if p&(p-1) == 0 {
 		sh.pow2 = true
@@ -274,7 +270,7 @@ func newLocalShard(k *Kernel, s, p int) *localShard {
 }
 
 // owner returns the shard index owning graph node u.
-func (sh *localShard) owner(u int) int {
+func (sh *shard) owner(u int) int {
 	if sh.pow2 {
 		return u & sh.mask
 	}
@@ -282,69 +278,64 @@ func (sh *localShard) owner(u int) int {
 }
 
 // local returns node u's local index within its owning shard.
-func (sh *localShard) local(u int) int {
+func (sh *shard) local(u int) int {
 	if sh.pow2 {
 		return u >> sh.shift
 	}
 	return u / sh.p
 }
 
-func (sh *localShard) Begin(mt *Meter, dense bool) {
-	sh.mt = mt
-	sh.dense = dense
-	sh.pend = 0
-}
-
-// visitLocal discovers product state (v, q), owned by this shard: mark
-// visited, enqueue for the next level, emit v on first accepting hit.
-func (sh *localShard) visitLocal(v, q int) {
+// visit discovers product state (v, q). A state owned by another shard is
+// batched into the owner's outbox (deduplicated there, against the owner's
+// visited set, at the level barrier); a local one is marked visited,
+// enqueued for the next level, and emits v on its first accepting hit.
+func (sh *shard) visit(v, q int) {
+	if d := sh.owner(v); d != sh.s {
+		sh.out[d] = append(sh.out[d], uint32(v*sh.k.nq+q))
+		return
+	}
 	lv := sh.local(v)
 	li := lv*sh.k.nq + q
 	if !sh.vis.testSet(li) {
 		return
 	}
-	sh.next = append(sh.next, int32(li))
+	sh.queue = append(sh.queue, int32(li))
 	sh.pend++
 	if sh.k.accept[q] && sh.emit.testSet(lv) {
 		sh.nodes = append(sh.nodes, v)
 	}
 }
 
-// route sends a discovered state to its owner: local states are visited in
-// place, remote ones batched into the owner's outbox (deduplicated there,
-// against the owner's visited set, at the level barrier).
-func (sh *localShard) route(v, q int) {
-	if d := sh.owner(v); d != sh.s {
-		sh.out[d] = append(sh.out[d], uint32(v*sh.k.nq+q))
-		return
+// expand runs this shard's part of one level in the given direction and
+// returns the adjacency entries it examined.
+func (sh *shard) expand(bottomUp bool) (int64, error) {
+	if bottomUp {
+		return sh.expandBottomUp()
 	}
-	sh.visitLocal(v, q)
+	return sh.expandTopDown()
 }
 
-func (sh *localShard) Seed(ids []int) {
-	for _, id := range ids {
-		sh.visitLocal(id/sh.k.nq, id%sh.k.nq)
-	}
-}
-
-func (sh *localShard) ExpandTopDown() (int64, error) {
+// expandTopDown scans the current frontier's outgoing transitions, visiting
+// local discoveries and queueing remote ones into per-destination
+// outboxes.
+func (sh *shard) expandTopDown() (int64, error) {
 	k, g := sh.k, sh.k.g
 	nq, p, s := k.nq, sh.p, sh.s
 	var edges int64
-	for _, li := range sh.cur {
+	for _, li := range sh.queue[sh.lo:sh.hi] {
 		if sh.pend >= CheckInterval {
-			if err := sh.Flush(); err != nil {
+			if err := sh.flush(); err != nil {
 				return edges, err
 			}
 		}
-		v := int(li)/nq*p + s
-		q := int(li) % nq
-		ft := k.ft[q]
+		lv := int(li) / nq
+		v := lv*p + s
+		ft := sh.tb.ft[int(li)-lv*nq]
 		for ti := range ft {
 			t := &ft[ti]
-			if !t.idx && (t.neg || sh.dense) {
+			if t.ok != nil {
 				adj := g.Out(v)
-				if t.back {
+				if t.in {
 					adj = g.In(v)
 				}
 				edges += int64(len(adj))
@@ -352,34 +343,35 @@ func (sh *localShard) ExpandTopDown() (int64, error) {
 					if !t.ok[g.EdgeLabelID(ei)] {
 						continue
 					}
-					if t.back {
-						sh.route(g.EdgeSrc(ei), t.state)
+					if t.in {
+						sh.visit(g.EdgeSrc(ei), t.state)
 					} else {
-						sh.route(g.EdgeTgt(ei), t.state)
+						sh.visit(g.EdgeTgt(ei), t.state)
 					}
 				}
 				continue
 			}
-			for li, lid := range t.labels {
-				if la := t.adjs[li]; la != nil {
+			for i, lid := range t.labels {
+				if la := t.adjs[i]; la != nil {
 					tos := la.to[la.off[v]:la.off[v+1]]
 					edges += int64(len(tos))
 					for _, w := range tos {
-						sh.route(int(w), t.state)
+						sh.visit(int(w), t.state)
+					}
+					continue
+				}
+				if t.in {
+					adj := g.InWithLabel(v, lid)
+					edges += int64(len(adj))
+					for _, ei := range adj {
+						sh.visit(g.EdgeSrc(ei), t.state)
 					}
 					continue
 				}
 				adj := g.OutWithLabel(v, lid)
-				if t.back {
-					adj = g.InWithLabel(v, lid)
-				}
 				edges += int64(len(adj))
 				for _, ei := range adj {
-					if t.back {
-						sh.route(g.EdgeSrc(ei), t.state)
-					} else {
-						sh.route(g.EdgeTgt(ei), t.state)
-					}
+					sh.visit(g.EdgeTgt(ei), t.state)
 				}
 			}
 		}
@@ -387,18 +379,23 @@ func (sh *localShard) ExpandTopDown() (int64, error) {
 	return edges, nil
 }
 
-// ExpandBottomUp iterates this shard's unvisited states word by word
+// expandBottomUp iterates this shard's unvisited states word by word
 // (skipping all-visited words wholesale) and, per state, scans its
 // predecessor transitions for an edge from a state in the frozen level
 // frontier — stopping at the first hit, which is the asymmetry that makes
 // bottom-up cheap on the dense levels where nearly everything is about to
 // be discovered.
-func (sh *localShard) ExpandBottomUp(peers [][]uint64) (int64, error) {
-	k, g := sh.k, sh.k.g
+func (sh *shard) expandBottomUp() (int64, error) {
+	k, g, peers := sh.k, sh.k.g, sh.peers
 	nq, p, s := k.nq, sh.p, sh.s
 	maxID := sh.nloc * nq
 	var edges int64
 	var examined int
+	// inFrontier reports whether predecessor state (u, q) is in the level's
+	// frontier.
+	inFrontier := func(u, q int) bool {
+		return testBit(peers[sh.owner(u)], sh.local(u)*nq+q)
+	}
 	words := sh.vis.words
 	for wi := range words {
 		base := wi << 6
@@ -406,9 +403,6 @@ func (sh *localShard) ExpandBottomUp(peers [][]uint64) (int64, error) {
 			break
 		}
 		rem := ^words[wi]
-		if rem == 0 {
-			continue
-		}
 		for rem != 0 {
 			b := mathbits.TrailingZeros64(rem)
 			rem &= rem - 1
@@ -426,75 +420,70 @@ func (sh *localShard) ExpandBottomUp(peers [][]uint64) (int64, error) {
 					return edges, err
 				}
 			}
-			q := li % nq
-			rt := k.rt[q]
+			lv := li / nq
+			q := li - lv*nq
+			rt := sh.tb.rt[q]
 			if len(rt) == 0 {
 				continue
 			}
-			v := li/nq*p + s
+			v := lv*p + s
 			found := false
+		scan:
 			for ti := range rt {
 				t := &rt[ti]
-				if !t.idx && (t.neg || sh.dense) {
-					adj := g.In(v)
-					if t.back {
-						adj = g.Out(v)
+				if t.ok != nil {
+					adj := g.Out(v)
+					if t.in {
+						adj = g.In(v)
 					}
 					for _, ei := range adj {
 						edges++
 						if !t.ok[g.EdgeLabelID(ei)] {
 							continue
 						}
-						u := g.EdgeSrc(ei)
-						if t.back {
-							u = g.EdgeTgt(ei)
+						u := g.EdgeTgt(ei)
+						if t.in {
+							u = g.EdgeSrc(ei)
 						}
-						if testBit(peers[sh.owner(u)], sh.local(u)*nq+t.state) {
+						if inFrontier(u, t.state) {
 							found = true
-							break
+							break scan
 						}
 					}
-				} else {
-					for li, lid := range t.labels {
-						if la := t.adjs[li]; la != nil {
-							for _, u32 := range la.to[la.off[v]:la.off[v+1]] {
-								edges++
-								u := int(u32)
-								if testBit(peers[sh.owner(u)], sh.local(u)*nq+t.state) {
-									found = true
-									break
-								}
-							}
-						} else {
-							adj := g.InWithLabel(v, lid)
-							if t.back {
-								adj = g.OutWithLabel(v, lid)
-							}
-							for _, ei := range adj {
-								edges++
-								u := g.EdgeSrc(ei)
-								if t.back {
-									u = g.EdgeTgt(ei)
-								}
-								if testBit(peers[sh.owner(u)], sh.local(u)*nq+t.state) {
-									found = true
-									break
-								}
-							}
-						}
-						if found {
-							break
-						}
-					}
+					continue
 				}
-				if found {
-					break
+				for i, lid := range t.labels {
+					if la := t.adjs[i]; la != nil {
+						for _, u := range la.to[la.off[v]:la.off[v+1]] {
+							edges++
+							if inFrontier(int(u), t.state) {
+								found = true
+								break scan
+							}
+						}
+						continue
+					}
+					adj := g.OutWithLabel(v, lid)
+					if t.in {
+						adj = g.InWithLabel(v, lid)
+					}
+					for _, ei := range adj {
+						edges++
+						u := g.EdgeTgt(ei)
+						if t.in {
+							u = g.EdgeSrc(ei)
+						}
+						if inFrontier(u, t.state) {
+							found = true
+							break scan
+						}
+					}
 				}
 			}
 			if found {
-				sh.visitLocal(v, q)
+				sh.visit(v, q)
 				if sh.pend >= CheckInterval {
-					if err := sh.Flush(); err != nil {
+					if err := sh.flush(); err != nil {
 						return edges, err
 					}
 				}
@@ -504,37 +493,45 @@ func (sh *localShard) ExpandBottomUp(peers [][]uint64) (int64, error) {
 	return edges, nil
 }
 
-func (sh *localShard) TakeOutbox(dst int) []uint32 {
-	ids := sh.out[dst]
-	sh.out[dst] = sh.out[dst][:0]
-	return ids
-}
-
-func (sh *localShard) AbsorbRemote(ids []uint32) {
+// absorb folds the states the other shards discovered for this one (global
+// product ids, taken from column sh.s of every outbox in source order) into
+// its next frontier, deduplicating against visited. Returns states taken.
+func (sh *shard) absorb(shards []*shard) int64 {
 	nq := sh.k.nq
-	for _, id := range ids {
-		sh.visitLocal(int(id)/nq, int(id)%nq)
-	}
-}
-
-func (sh *localShard) NextLen() int { return len(sh.next) }
-
-func (sh *localShard) Promote(buildBits bool) int {
-	sh.cur, sh.next = sh.next, sh.cur[:0]
-	if buildBits {
-		sh.frb.reset()
-		for _, li := range sh.cur {
-			sh.frb.testSet(int(li))
+	var shipped int64
+	for _, from := range shards {
+		ids := from.out[sh.s]
+		from.out[sh.s] = ids[:0]
+		shipped += int64(len(ids))
+		for _, id := range ids {
+			sh.visit(int(id)/nq, int(id)%nq)
 		}
 	}
-	return len(sh.cur)
+	return shipped
 }
 
-func (sh *localShard) FrontierBits() []uint64 { return sh.frb.words }
+// promote seals the level: the next frontier becomes current and its size
+// is returned.
+func (sh *shard) promote() int {
+	sh.lo, sh.hi = sh.hi, len(sh.queue)
+	return sh.hi - sh.lo
+}
 
-func (sh *localShard) Emitted() []int { return sh.nodes }
+// freeze builds the current frontier's bitmap, for a level about to run
+// bottom-up.
+func (sh *shard) freeze() {
+	if sh.frb.words == nil {
+		sh.frb = newBitset(sh.nloc * sh.k.nq)
+		sh.peers[sh.s] = sh.frb.words
+	}
+	sh.frb.reset()
+	for _, li := range sh.queue[sh.lo:sh.hi] {
+		sh.frb.testSet(int(li))
+	}
+}
 
-func (sh *localShard) Flush() error {
+// flush forces pending meter ticks out (the sub-interval tail).
+func (sh *shard) flush() error {
 	n := sh.pend
 	if n == 0 {
 		return nil
@@ -543,85 +540,61 @@ func (sh *localShard) Flush() error {
 	return sh.mt.Tick(n)
 }
 
-func (sh *localShard) Reset() {
+// reset clears all per-sweep state, keeping capacity for reuse.
+func (sh *shard) reset() {
 	sh.vis.reset()
 	sh.emit.reset()
-	sh.frb.reset()
-	sh.cur = sh.cur[:0]
-	sh.next = sh.next[:0]
+	sh.queue, sh.lo, sh.hi = sh.queue[:0], 0, 0
 	sh.nodes = sh.nodes[:0]
 	for d := range sh.out {
 		sh.out[d] = sh.out[d][:0]
 	}
-	sh.mt = nil
+	sh.pend = 0
+	sh.mt, sh.tb = nil, nil
 }
 
-// frontierState is the per-scratch instance of the engine: the shard set
-// for one shard count, reused sweep to sweep (warm sweeps allocate
-// nothing).
-type frontierState struct {
-	p      int
-	shards []Shard
-	peers  [][]uint64
-	seeds  []int
-}
-
-// frontierFor returns the scratch's shard set for k with p shards,
-// building it on first use or when the shard count changes.
-func (sc *Scratch) frontierFor(k *Kernel, p int) *frontierState {
-	if sc.fr != nil && sc.fr.p == p {
-		return sc.fr
-	}
-	fr := &frontierState{p: p, shards: make([]Shard, p), peers: make([][]uint64, p)}
-	for s := 0; s < p; s++ {
-		fr.shards[s] = newLocalShard(k, s, p)
-	}
-	sc.fr = fr
-	return fr
-}
-
-// ReachableSweep is Reachable under a full kernel plan: scalar plans run
-// the classic queue loop (byte-identical to ReachableRows), frontier plans
-// run the level-synchronous engine — direction-optimizing and, with
-// pl.Shards > 1, sharded. Rows are charged on mt at emission, as in
-// ReachableRows. Products too large for the engine's 32-bit local ids fall
-// back to the scalar loop.
-func (k *Kernel) ReachableSweep(src int, sc *Scratch, mt *Meter, pl Plan) ([]int, error) {
-	if !pl.Frontier || k.NumProductStates() > maxFrontierStates {
-		return k.ReachableRows(src, sc, mt, pl.Dense)
-	}
-	sc.rows = mt
-	defer func() { sc.rows = nil }()
-	return k.reachableFrontier(src, sc, mt, pl)
-}
-
-// ReachableSweepSink is ReachableSweep with callback delivery, the plan-
-// aware face of ReachableRowsSink: the sweep (scalar or frontier) runs to
-// completion with emission-time rows charging, then the sorted node list is
-// handed to sink one node at a time. A sink error aborts delivery and is
-// returned verbatim.
-func (k *Kernel) ReachableSweepSink(src int, sc *Scratch, mt *Meter, pl Plan, sink func(node int) error) error {
-	nodes, err := k.ReachableSweep(src, sc, mt, pl)
-	if err != nil {
-		return err
-	}
-	for _, v := range nodes {
-		if err := sink(v); err != nil {
-			return err
+// shardsFor returns the scratch's shard set for k with p shards, building
+// it on first use or when the kernel or shard count changes; otherwise it
+// is reused sweep to sweep (warm sweeps allocate nothing).
+func (sc *Scratch) shardsFor(k *Kernel, p int) []*shard {
+	if sc.k != k || len(sc.shards) != p {
+		sc.k, sc.shards = k, make([]*shard, p)
+		peers := make([][]uint64, p)
+		for s := range sc.shards {
+			sc.shards[s] = newShard(k, s, p, peers)
 		}
 	}
-	return nil
+	return sc.shards
 }
 
-// reachableFrontier is the frontier engine's driver: seed, then alternate
+// Sweep computes all graph nodes v such that an accepting product state
+// (v, q) is reachable from (src, q₀) for some start state q₀, sorted
+// ascending. The returned slice aliases sc and is valid until the next call
+// with the same scratch. A nil meter never fails; on error the scratch is
+// still reset, so the caller may reuse it. pl.Shards > 1 partitions the
+// sweep over that many shard loops. With chargeRows set, every node
+// emitted into the result charges one row on mt, one AddRows call per row,
+// so a MaxRows budget fails with the meter reading exactly MaxRows+1
+// instead of after a whole sweep's batch.
+//
+// This is the fixpoint loop all evaluators share: seed, then alternate
 // expand / exchange / promote level barriers until the frontier drains.
+// Every CheckInterval discovered states the count is flushed to the shared
+// meter, which polls for cancellation or an exhausted states budget; rows
+// are charged and live progress reported at the first barrier after as
+// many, not at every level — a long-diameter sweep (a path graph runs one
+// state per level) would otherwise spend its time at barriers.
+//
 // Determinism: each shard's expansion order is fixed by its frontier queue
 // order, outboxes are absorbed in source-shard order, and the bottom-up
 // scan runs in local-id order — so queues, emission order, and counter
-// values are independent of goroutine scheduling; the final sort makes the
-// result byte-identical to the scalar loop in any case.
-func (k *Kernel) reachableFrontier(src int, sc *Scratch, mt *Meter, pl Plan) ([]int, error) {
-	k.sweepOnce.Do(k.buildSweepTables)
+// values are independent of goroutine scheduling, and of whether the
+// neighbor tables were already compiled.
+func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, pl Plan, chargeRows bool) ([]int, error) {
+	total := k.NumProductStates()
+	if err := checkSweepSize(total); err != nil {
+		return nil, err
+	}
 	p := pl.Shards
 	if p < 1 {
 		p = 1
@@ -629,36 +602,27 @@ func (k *Kernel) reachableFrontier(src int, sc *Scratch, mt *Meter, pl Plan) ([]
 	if n := k.g.NumNodes(); p > n && n > 0 {
 		p = n // empty shards would just idle at every barrier
 	}
-	fr := sc.frontierFor(k, p)
-	shards := fr.shards
+	shards := sc.shardsFor(k, p)
+	tb := k.tables.Load()
 	for _, sh := range shards {
-		sh.Begin(mt, pl.Dense)
+		sh.mt, sh.tb = mt, tb
 	}
 	if p > 1 {
 		k.c.addShardSweeps(int64(p))
 	}
+	var rows *Meter
+	if chargeRows {
+		rows = mt
+	}
 
-	fr.seeds = fr.seeds[:0]
+	seed := shards[src%p]
 	for _, q := range k.starts {
-		fr.seeds = append(fr.seeds, src*k.nq+q)
+		seed.visit(src, q)
 	}
-	if len(fr.seeds) > 0 {
-		shards[src%p].Seed(fr.seeds)
-	}
-
-	total := int64(k.NumProductStates())
-	visited := int64(0)
-	for _, sh := range shards {
-		visited += int64(sh.NextLen())
-	}
-	frontier := 0
-	for _, sh := range shards {
-		frontier += sh.Promote(false)
-	}
-	peak := int64(frontier)
-	charged := 0
+	frontier := seed.promote()
+	visited, peak := frontier, frontier
+	charged, unreported := 0, frontier
 	bottomUp := false
-	level := 0
 	var edges, edgesReported int64
 	var stopErr error
 	// Analyze telemetry rides the level barriers below: every quantity it
@@ -666,75 +630,87 @@ func (k *Kernel) reachableFrontier(src int, sc *Scratch, mt *Meter, pl Plan) ([]
 	// remaining unvisited mass — is already computed there, so analyze-off
 	// sweeps pay one nil check per barrier and the loops stay untouched.
 	ss := mt.SweepStatsSink()
-	for frontier > 0 {
-		levelFrontier, levelDir, levelEdges := frontier, bottomUp, edges
-		if stopErr = k.runLevel(shards, fr, bottomUp, &edges); stopErr != nil {
+	for level := 0; frontier > 0; level++ {
+		levelEdges := edges
+		if bottomUp && tb.rt == nil {
+			tb = k.upgrade(true, false)
+			for _, sh := range shards {
+				sh.tb = tb
+			}
+		}
+		// The unsharded sweep stays goroutine-free: it must not allocate
+		// when warm, and a long-diameter sweep runs one tiny level after
+		// another.
+		var ed int64
+		if p == 1 {
+			ed, stopErr = shards[0].expand(bottomUp)
+		} else {
+			ed, stopErr = runLevel(shards, bottomUp)
+		}
+		if edges += ed; stopErr != nil {
 			break
 		}
 		if !bottomUp && p > 1 {
-			shipped := exchange(shards)
-			ss.RecordOutbox(shipped)
+			ss.RecordOutbox(exchange(shards))
 		}
 		discovered := 0
 		for _, sh := range shards {
-			discovered += sh.NextLen()
+			discovered += len(sh.queue) - sh.hi
 		}
-		visited += int64(discovered)
+		visited += discovered
 		if ss != nil {
-			ss.RecordLevel(level, int64(levelFrontier), int64(discovered), edges-levelEdges, total-visited, levelDir)
+			ss.RecordLevel(level, int64(frontier), int64(discovered), edges-levelEdges, int64(total-visited), bottomUp)
 			if p > 1 {
 				for i, sh := range shards {
-					ss.RecordShardStates(i, int64(sh.NextLen()))
+					ss.RecordShardStates(i, int64(len(sh.queue)-sh.hi))
 				}
 			}
-			level++
 		}
 		// Direction for the coming level, decided at the barrier so every
 		// shard agrees (and frontier bitmaps are built only when needed).
-		bottomUp = int64(discovered)*frontierAlpha > total-visited
+		bottomUp = discovered*frontierAlpha > total-visited
 		frontier = 0
 		for _, sh := range shards {
-			frontier += sh.Promote(bottomUp)
+			frontier += sh.promote()
+			if bottomUp {
+				sh.freeze()
+			}
 		}
 		// Peak frontier is the cross-shard level sum: the level's frontier
 		// is one logical queue partitioned P ways, so per-shard maxima
-		// would under-report it (the satellite fix this PR pins by test).
-		if int64(frontier) > peak {
-			peak = int64(frontier)
+		// would under-report it.
+		if frontier > peak {
+			peak = frontier
 		}
-		if sc.rows != nil {
-			if charged, stopErr = chargeShardRows(sc.rows, shards, charged); stopErr != nil {
+		if unreported += discovered; unreported >= CheckInterval {
+			unreported = 0
+			if charged, stopErr = chargeShardRows(rows, shards, charged); stopErr != nil {
 				break
 			}
-		}
-		if mt != nil {
 			mt.SweepProgress(int64(frontier), edges-edgesReported)
 			edgesReported = edges
 		}
 	}
-	if stopErr == nil && sc.rows != nil {
-		_, stopErr = chargeShardRows(sc.rows, shards, charged) // seed emissions of a sweep with no levels
+	if stopErr == nil {
+		_, stopErr = chargeShardRows(rows, shards, charged)
 	}
 	for _, sh := range shards {
-		if err := sh.Flush(); err != nil && stopErr == nil {
+		if err := sh.flush(); err != nil && stopErr == nil {
 			stopErr = err
 		}
 	}
-	if mt != nil {
-		mt.SweepProgress(0, edges-edgesReported)
-	}
-	k.c.AddStates(visited)
+	mt.SweepProgress(0, edges-edgesReported)
+	k.c.AddStates(int64(visited))
 	k.c.AddEdges(edges)
-	k.c.ObserveFrontier(peak)
-	if ss != nil {
-		ss.RecordFrontierSweep(visited, edges, peak, pl.Dense)
+	k.c.ObserveFrontier(int64(peak))
+	ss.RecordSweep(int64(visited), edges, int64(peak))
+	if !tb.neighbors && k.scanned.Add(edges) >= int64(k.g.NumNodes()+k.g.NumEdges()) {
+		k.upgrade(false, true)
 	}
 	sc.nodes = sc.nodes[:0]
 	for _, sh := range shards {
-		sc.nodes = append(sc.nodes, sh.Emitted()...)
-	}
-	for _, sh := range shards {
-		sh.Reset()
+		sc.nodes = append(sc.nodes, sh.nodes...)
+		sh.reset()
 	}
 	if stopErr != nil {
 		return nil, stopErr
@@ -743,49 +719,30 @@ func (k *Kernel) reachableFrontier(src int, sc *Scratch, mt *Meter, pl Plan) ([]
 	return sc.nodes, nil
 }
 
-// runLevel expands every shard for one level — inline when unsharded, one
-// goroutine per shard otherwise (the level barrier is the WaitGroup).
-func (k *Kernel) runLevel(shards []Shard, fr *frontierState, bottomUp bool, edges *int64) error {
-	if bottomUp {
-		for i, sh := range shards {
-			fr.peers[i] = sh.FrontierBits()
-		}
-	}
-	// The unsharded path stays goroutine- and closure-free: it is the pure
-	// direction-optimizing sweep, and the warm path must not allocate.
-	if len(shards) == 1 {
-		var ed int64
-		var err error
-		if bottomUp {
-			ed, err = shards[0].ExpandBottomUp(fr.peers)
-		} else {
-			ed, err = shards[0].ExpandTopDown()
-		}
-		*edges += ed
-		return err
-	}
+// runLevel expands every shard for one level, one goroutine per shard
+// (the level barrier is the WaitGroup), and returns the adjacency entries
+// examined.
+func runLevel(shards []*shard, bottomUp bool) (int64, error) {
 	edgeParts := make([]int64, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh Shard) {
+		go func(i int, sh *shard) {
 			defer wg.Done()
-			if bottomUp {
-				edgeParts[i], errs[i] = sh.ExpandBottomUp(fr.peers)
-			} else {
-				edgeParts[i], errs[i] = sh.ExpandTopDown()
-			}
+			edgeParts[i], errs[i] = sh.expand(bottomUp)
 		}(i, sh)
 	}
 	wg.Wait()
+	var edges int64
+	var err error
 	for i := range shards {
-		*edges += edgeParts[i]
-		if errs[i] != nil {
-			return errs[i]
+		edges += edgeParts[i]
+		if err == nil {
+			err = errs[i]
 		}
 	}
-	return nil
+	return edges, err
 }
 
 // exchange moves every outbox to its owner at the level barrier: absorber
@@ -793,23 +750,16 @@ func (k *Kernel) runLevel(shards []Shard, fr *frontierState, bottomUp bool, edge
 // the next frontier's queue order is deterministic. Each (src, dst) cell
 // is written in the expand phase and read by exactly one absorber after
 // the barrier, so the concurrent absorbers share nothing. Returns the
-// total states shipped across shard boundaries — the per-column counts are
-// column-exclusive like the absorbers themselves, so summing them after
-// the barrier is race-free.
-func exchange(shards []Shard) int64 {
+// total states shipped across shard boundaries.
+func exchange(shards []*shard) int64 {
 	var wg sync.WaitGroup
 	shipped := make([]int64, len(shards))
-	for d := range shards {
+	for d, sh := range shards {
 		wg.Add(1)
-		go func(d int) {
+		go func(d int, sh *shard) {
 			defer wg.Done()
-			for s := range shards {
-				if ids := shards[s].TakeOutbox(d); len(ids) > 0 {
-					shipped[d] += int64(len(ids))
-					shards[d].AbsorbRemote(ids)
-				}
-			}
-		}(d)
+			shipped[d] = sh.absorb(shards)
+		}(d, sh)
 	}
 	wg.Wait()
 	total := int64(0)
@@ -820,11 +770,15 @@ func exchange(shards []Shard) int64 {
 }
 
 // chargeShardRows charges one row per node emitted since the last call
-// across all shards, stopping at the first budget error.
-func chargeShardRows(rows *Meter, shards []Shard, charged int) (int, error) {
+// across all shards, stopping at the first budget error. A nil meter
+// charges nothing.
+func chargeShardRows(rows *Meter, shards []*shard, charged int) (int, error) {
+	if rows == nil {
+		return charged, nil
+	}
 	emitted := 0
 	for _, sh := range shards {
-		emitted += len(sh.Emitted())
+		emitted += len(sh.nodes)
 	}
 	for charged < emitted {
 		if err := rows.AddRows(1); err != nil {

@@ -1,10 +1,9 @@
 package pg_test
 
-// Benchmarks for the frontier sweep engine on scale-free graphs in the
-// dense-guard regime: (!{b})* matches ~15/16 of all edges, so every plan
-// scans dense and the comparison isolates what the frontier engine buys —
-// compiled per-label ok tables, bitset visited sets, and the
-// direction-optimizing switch to bottom-up probing. The graph is built
+// Benchmarks for the sweep loop on scale-free graphs in the dense-guard
+// regime: (!{b})* matches ~15/16 of all edges, so the comparison isolates
+// what sharding buys on top of the compiled per-label tables, bitset
+// visited sets, and the direction-optimizing switch. The graph is built
 // once per process and shared across sub-benchmarks; parameters match the
 // gen catalog's scalefree-N entry (m=4, seed 42) so serving-layer numbers
 // line up with these.
@@ -38,7 +37,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 		// Fixed sources spanning the degree distribution: early nodes are
 		// the preferential-attachment hubs, late nodes are the periphery.
 		srcs := []int{0, 1, n / 2, n - 1}
-		run := func(name string, pl pg.Plan, scalar bool, mt *pg.Meter) {
+		run := func(name string, pl pg.Plan, mt *pg.Meter) {
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				sc := kern.NewScratch()
 				want := -1
@@ -46,15 +45,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					total := 0
 					for _, u := range srcs {
-						var (
-							vs  []int
-							err error
-						)
-						if scalar {
-							vs, err = kern.ReachableRows(u, sc, mt, true)
-						} else {
-							vs, err = kern.ReachableSweep(u, sc, mt, pl)
-						}
+						vs, err := kern.Sweep(u, sc, mt, pl, true)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -68,50 +59,35 @@ func BenchmarkKernelSweep(b *testing.B) {
 				}
 			})
 		}
-		run("scalar-dense", pg.Plan{}, true, nil)
-		run("frontier", pg.Plan{Frontier: true, Dense: true}, false, nil)
-		run("sharded-2", pg.Plan{Frontier: true, Dense: true, Shards: 2}, false, nil)
-		run("sharded-8", pg.Plan{Frontier: true, Dense: true, Shards: 8}, false, nil)
-		// The same sweeps with the EXPLAIN ANALYZE telemetry sink attached:
-		// recording happens only at sweep exits and level barriers, so these
-		// should sit within noise of their bare counterparts. The bare rows
-		// above double as the pinned analyze-off guard (±5% across PRs).
+		run("unsharded", pg.Plan{}, nil)
+		run("sharded-2", pg.Plan{Shards: 2}, nil)
+		run("sharded-8", pg.Plan{Shards: 8}, nil)
+		// The same sweep with the EXPLAIN ANALYZE telemetry sink attached:
+		// recording happens only at sweep exits and level barriers, so this
+		// should sit within noise of its bare counterpart.
 		ss := &pg.SweepStats{}
-		mt := pg.NewMeterAnalyze(context.Background(), pg.Budget{}, nil, ss)
-		run("analyze-scalar-dense", pg.Plan{}, true, mt)
-		run("analyze-frontier", pg.Plan{Frontier: true, Dense: true}, false, mt)
+		run("analyze", pg.Plan{}, pg.NewMeterAnalyze(context.Background(), pg.Budget{}, nil, ss))
 	}
 }
 
 // BenchmarkKernelSweepClique is the EXPERIMENTS.md clique-300 row: the
-// all-pairs a* a* a* sweep whose scalar runtime motivated the serving
-// layer's kill/timeout machinery. The clique converges in two frontier
-// levels, so the direction-optimizing engine retires almost the whole
-// product bottom-up.
+// all-pairs a* a* a* sweep. The clique converges in two levels, so the
+// direction switch retires almost the whole product bottom-up.
 func BenchmarkKernelSweepClique(b *testing.B) {
 	const k = 300
 	g := gen.Clique(k, "a")
 	kern, _ := sweepKernels(b, g, "a* a* a*")
-	run := func(name string, pl pg.Plan, scalar bool) {
+	for name, pl := range map[string]pg.Plan{"unsharded": {}, "sharded-2": {Shards: 2}} {
 		b.Run(fmt.Sprintf("%s/k=%d", name, k), func(b *testing.B) {
 			sc := kern.NewScratch()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for u := 0; u < k; u++ {
-					var err error
-					if scalar {
-						_, err = kern.ReachableRows(u, sc, nil, true)
-					} else {
-						_, err = kern.ReachableSweep(u, sc, nil, pl)
-					}
-					if err != nil {
+					if _, err := kern.Sweep(u, sc, nil, pl, true); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 		})
 	}
-	run("scalar-dense", pg.Plan{}, true)
-	run("frontier", pg.Plan{Frontier: true, Dense: true}, false)
-	run("sharded-2", pg.Plan{Frontier: true, Dense: true, Shards: 2}, false)
 }

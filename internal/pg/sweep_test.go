@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"graphquery/internal/gen"
@@ -24,13 +25,43 @@ func sweepKernels(t testing.TB, g *graph.Graph, q string) (fwd, bwd *pg.Kernel) 
 	return pg.NewKernel(g, pg.FromNFA(g, nfa), nil), pg.NewKernel(g, pg.FromNFABackward(g, nfa), nil)
 }
 
-// TestReachableSweepMatchesScalar is the frontier engine's oracle: every
-// plan shape — frontier × {1, 2, 8} shards × indexed/dense scans, forward
-// and backward automata — must produce byte-identical per-source results
-// to the scalar queue loop, on graph families covering the regimes the
-// direction switch distinguishes (dense cliques, sparse grids, scale-free
-// hubs, random multigraphs).
-func TestReachableSweepMatchesScalar(t *testing.T) {
+// succBFS is the reference the sweep loop is held to: a map-based BFS over
+// Kernel.Succ that shares no code with sweep.go.
+func succBFS(k *pg.Kernel, src int) []int {
+	seen := map[pg.State]bool{}
+	var queue []pg.State
+	visit := func(s pg.State) {
+		if !seen[s] {
+			seen[s] = true
+			queue = append(queue, s)
+		}
+	}
+	for _, q := range k.Semantics().Starts() {
+		visit(pg.State{Node: src, State: q})
+	}
+	nodes := []int{}
+	emitted := map[int]bool{}
+	for ; len(queue) > 0; queue = queue[1:] {
+		if s := queue[0]; k.Accepting(s) && !emitted[s.Node] {
+			emitted[s.Node] = true
+			nodes = append(nodes, s.Node)
+		}
+		for _, st := range k.Succ(queue[0]) {
+			visit(st.To)
+		}
+	}
+	sort.Ints(nodes)
+	return nodes
+}
+
+// TestSweepMatchesSuccBFS is the sweep loop's oracle: every plan shape —
+// {1, 2, 8} shards, forward and backward automata — must produce the
+// per-source results of the reference BFS, on graph families covering the
+// regimes the direction switch distinguishes (dense cliques, sparse grids,
+// scale-free hubs, random multigraphs). Each kernel sweeps every source, so
+// most of them cross the rent-or-buy point on the way and both table
+// states are compared.
+func TestSweepMatchesSuccBFS(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"random":    gen.Random(60, 300, []string{"a", "b"}, 5),
 		"clique":    gen.Clique(12, "a"),
@@ -42,54 +73,25 @@ func TestReachableSweepMatchesScalar(t *testing.T) {
 		for _, q := range queries {
 			fwd, bwd := sweepKernels(t, g, q)
 			for kname, kern := range map[string]*pg.Kernel{"fwd": fwd, "bwd": bwd} {
-				for _, dense := range []bool{false, true} {
+				want := make([][]int, g.NumNodes())
+				for u := range want {
+					want[u] = succBFS(kern, u)
+				}
+				for _, shards := range []int{1, 2, 8} {
 					sc := kern.NewScratch()
-					want := make([][]int, g.NumNodes())
 					for u := 0; u < g.NumNodes(); u++ {
-						vs, err := kern.ReachableRows(u, sc, nil, dense)
+						got, err := kern.Sweep(u, sc, nil, pg.Plan{Shards: shards}, true)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want[u] = append([]int(nil), vs...)
-					}
-					for _, shards := range []int{1, 2, 8} {
-						pl := pg.Plan{Frontier: true, Dense: dense, Shards: shards}
-						fsc := kern.NewScratch()
-						for u := 0; u < g.NumNodes(); u++ {
-							got, err := kern.ReachableSweep(u, fsc, nil, pl)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got, want[u]) {
-								if len(got) != 0 || len(want[u]) != 0 {
-									t.Fatalf("%s %s %s dense=%v shards=%d src=%d:\nfrontier %v\nscalar   %v",
-										gname, q, kname, dense, shards, u, got, want[u])
-								}
-							}
+						if !reflect.DeepEqual(append([]int{}, got...), want[u]) {
+							t.Fatalf("%s %s %s shards=%d src=%d:\nsweep     %v\nreference %v",
+								gname, q, kname, shards, u, got, want[u])
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestReachableSweepScalarFallback: a non-frontier plan through
-// ReachableSweep is exactly ReachableRows.
-func TestReachableSweepScalarFallback(t *testing.T) {
-	g := gen.Clique(6, "a")
-	kern, _ := sweepKernels(t, g, "a a*")
-	sc := kern.NewScratch()
-	got, err := kern.ReachableSweep(0, sc, nil, pg.Plan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := kern.ReachableRows(0, kern.NewScratch(), nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("scalar fallback: %v != %v", got, want)
 	}
 }
 
@@ -109,7 +111,7 @@ func TestFrontierPeakIsCrossShardSum(t *testing.T) {
 		c := &pg.Counters{}
 		kern := pg.NewKernel(g, pg.FromNFA(g, nfa), c)
 		sc := kern.NewScratch()
-		if _, err := kern.ReachableSweep(0, sc, nil, pg.Plan{Frontier: true, Shards: shards}); err != nil {
+		if _, err := kern.Sweep(0, sc, nil, pg.Plan{Shards: shards}, true); err != nil {
 			t.Fatal(err)
 		}
 		if peak := c.Snapshot().FrontierPeak; peak != 3 {
@@ -119,7 +121,7 @@ func TestFrontierPeakIsCrossShardSum(t *testing.T) {
 }
 
 // TestFrontierShardCounters: sharded sweeps count one sharded-plan unit of
-// P shard loops; unsharded frontier sweeps count none.
+// P shard loops; unsharded sweeps count none.
 func TestFrontierShardCounters(t *testing.T) {
 	g := gen.Clique(5, "a")
 	expr, err := rpq.Parse("a*")
@@ -130,13 +132,13 @@ func TestFrontierShardCounters(t *testing.T) {
 	c := &pg.Counters{}
 	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), c)
 	sc := kern.NewScratch()
-	if _, err := kern.ReachableSweep(0, sc, nil, pg.Plan{Frontier: true, Shards: 1}); err != nil {
+	if _, err := kern.Sweep(0, sc, nil, pg.Plan{Shards: 1}, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Snapshot().ShardSweeps; got != 0 {
 		t.Fatalf("unsharded sweep recorded %d shard sweeps", got)
 	}
-	if _, err := kern.ReachableSweep(0, sc, nil, pg.Plan{Frontier: true, Shards: 3}); err != nil {
+	if _, err := kern.Sweep(0, sc, nil, pg.Plan{Shards: 3}, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Snapshot().ShardSweeps; got != 3 {
@@ -145,41 +147,37 @@ func TestFrontierShardCounters(t *testing.T) {
 }
 
 // TestFrontierBudgetsAndCancel: budgets and cooperative cancellation keep
-// working mid-sweep on the frontier path, sharded or not.
+// working mid-sweep, sharded or not.
 func TestFrontierBudgetsAndCancel(t *testing.T) {
 	g := gen.Clique(40, "a")
 	kern, _ := sweepKernels(t, g, "a* a*")
 	for _, shards := range []int{1, 4} {
-		pl := pg.Plan{Frontier: true, Shards: shards}
+		pl := pg.Plan{Shards: shards}
 		sc := kern.NewScratch()
 
 		m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 10})
-		if _, err := kern.ReachableSweep(0, sc, m, pl); !errors.Is(err, pg.ErrBudgetExceeded) {
+		if _, err := kern.Sweep(0, sc, m, pl, true); !errors.Is(err, pg.ErrBudgetExceeded) {
 			t.Fatalf("shards=%d states budget: got %v, want ErrBudgetExceeded", shards, err)
 		}
 
 		m = pg.NewMeter(context.Background(), pg.Budget{MaxRows: 5})
-		if _, err := kern.ReachableSweep(0, sc, m, pl); !errors.Is(err, pg.ErrBudgetExceeded) {
+		if _, err := kern.Sweep(0, sc, m, pl, true); !errors.Is(err, pg.ErrBudgetExceeded) {
 			t.Fatalf("shards=%d rows budget: got %v, want ErrBudgetExceeded", shards, err)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		m = pg.NewMeter(ctx, pg.Budget{})
-		if _, err := kern.ReachableSweep(0, sc, m, pl); !errors.Is(err, pg.ErrCanceled) {
+		if _, err := kern.Sweep(0, sc, m, pl, true); !errors.Is(err, pg.ErrCanceled) {
 			t.Fatalf("shards=%d cancel: got %v, want ErrCanceled", shards, err)
 		}
 
 		// The scratch must be reusable after every error path.
-		got, err := kern.ReachableSweep(0, sc, nil, pl)
+		got, err := kern.Sweep(0, sc, nil, pl, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := kern.ReachableRows(0, kern.NewScratch(), nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := succBFS(kern, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: scratch poisoned by error paths: %v != %v", shards, got, want)
 		}
 	}
@@ -191,13 +189,9 @@ func TestFrontierScratchSurvivesShardChange(t *testing.T) {
 	g := gen.Random(50, 250, []string{"a", "b"}, 9)
 	kern, _ := sweepKernels(t, g, "(a | b)*")
 	sc := kern.NewScratch()
-	want, err := kern.ReachableRows(3, kern.NewScratch(), nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append([]int(nil), want...)
+	want := succBFS(kern, 3)
 	for _, shards := range []int{1, 4, 2, 8, 1} {
-		got, err := kern.ReachableSweep(3, sc, nil, pg.Plan{Frontier: true, Shards: shards})
+		got, err := kern.Sweep(3, sc, nil, pg.Plan{Shards: shards}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,28 +207,24 @@ func TestFrontierShardsExceedNodes(t *testing.T) {
 	g := gen.APath(3, "a")
 	kern, _ := sweepKernels(t, g, "a*")
 	sc := kern.NewScratch()
-	got, err := kern.ReachableSweep(0, sc, nil, pg.Plan{Frontier: true, Shards: 16})
+	got, err := kern.Sweep(0, sc, nil, pg.Plan{Shards: 16}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := kern.ReachableRows(0, kern.NewScratch(), nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if want := succBFS(kern, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("clamped shards: %v != %v", got, want)
 	}
 }
 
-// TestFrontierRowsBudgetExact: the frontier path charges rows at emission
-// (per level), so a MaxRows budget trips with the meter reading exactly
-// MaxRows+1 — the same exactness contract the scalar path keeps.
+// TestFrontierRowsBudgetExact: rows are charged one AddRows call per
+// emitted node, so a MaxRows budget trips with the meter reading exactly
+// MaxRows+1.
 func TestFrontierRowsBudgetExact(t *testing.T) {
 	g := gen.Clique(30, "a")
 	kern, _ := sweepKernels(t, g, "a*")
 	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 7})
 	sc := kern.NewScratch()
-	_, err := kern.ReachableSweep(0, sc, m, pg.Plan{Frontier: true})
+	_, err := kern.Sweep(0, sc, m, pg.Plan{}, true)
 	if !errors.Is(err, pg.ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -244,9 +234,9 @@ func TestFrontierRowsBudgetExact(t *testing.T) {
 }
 
 func ExamplePlan_String() {
-	fmt.Println(pg.Plan{Frontier: true, Shards: 4, Workers: 1, EstStates: 1e6})
-	fmt.Println(pg.Plan{Dense: true, Workers: 2})
+	fmt.Println(pg.Plan{Shards: 4, Workers: 1, EstStates: 1e6})
+	fmt.Println(pg.Plan{Backward: true, Workers: 2})
 	// Output:
-	// dir=forward scan=indexed sweep=frontier workers=1 shards=4 est=1000000
-	// dir=forward scan=dense sweep=scalar workers=2 est=0
+	// dir=forward workers=1 shards=4 est=1000000
+	// dir=backward workers=2 est=0
 }

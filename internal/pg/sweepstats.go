@@ -5,29 +5,26 @@ import "sync"
 // SweepStats is the analyze-mode telemetry sink of one query: when a
 // request asks for EXPLAIN ANALYZE, the serving layer mints a meter
 // carrying one of these (NewMeterAnalyze), and the kernel records what its
-// sweeps actually did — states, edges, peak frontier, scan strategy, and,
-// for the frontier engine, a per-level breakdown of the direction switch
-// plus per-shard and outbox volumes. Recording happens only at sweep exits
-// and level barriers, where the engines already aggregate their counters,
-// so the hot loops gain no new branches; an analyze-off query carries a nil
-// sink and pays only the nil checks at those sites.
+// sweeps actually did — states, edges, peak frontier, a per-level breakdown
+// of the direction switch, and per-shard and outbox volumes. Recording
+// happens only at sweep exits and level barriers, where the loop already
+// aggregates its counters, so the hot loops gain no new branches; an
+// analyze-off query carries a nil sink and pays only the nil checks at
+// those sites.
 //
 // All aggregates are order-independent (sums and counts keyed by level
 // index, maxima), so concurrent sweeps of a parallel fan-out produce the
 // same Snapshot regardless of goroutine scheduling — the property the
 // analyze determinism tests pin.
 type SweepStats struct {
-	mu             sync.Mutex
-	scalarSweeps   int64
-	frontierSweeps int64
-	denseSweeps    int64
-	indexedSweeps  int64
-	states         int64
-	edges          int64
-	peakFrontier   int64
-	outboxStates   int64
-	shardStates    []int64
-	levels         []levelAgg
+	mu           sync.Mutex
+	sweeps       int64
+	states       int64
+	edges        int64
+	peakFrontier int64
+	outboxStates int64
+	shardStates  []int64
+	levels       []levelAgg
 }
 
 // levelAgg accumulates one BFS depth across every sweep of the query.
@@ -41,44 +38,22 @@ type levelAgg struct {
 	unvisited  int64
 }
 
-// RecordScalar folds one scalar-loop sweep's exit accounting into the
-// stats. dense names the scan strategy the sweep ran.
-func (ss *SweepStats) RecordScalar(states, edges, peak int64, dense bool) {
+// RecordSweep folds one sweep's exit accounting into the stats.
+func (ss *SweepStats) RecordSweep(states, edges, peak int64) {
 	if ss == nil {
 		return
 	}
 	ss.mu.Lock()
-	ss.scalarSweeps++
-	ss.recordCommon(states, edges, peak, dense)
-	ss.mu.Unlock()
-}
-
-// RecordFrontierSweep folds one frontier-engine sweep's exit accounting
-// into the stats.
-func (ss *SweepStats) RecordFrontierSweep(states, edges, peak int64, dense bool) {
-	if ss == nil {
-		return
-	}
-	ss.mu.Lock()
-	ss.frontierSweeps++
-	ss.recordCommon(states, edges, peak, dense)
-	ss.mu.Unlock()
-}
-
-func (ss *SweepStats) recordCommon(states, edges, peak int64, dense bool) {
-	if dense {
-		ss.denseSweeps++
-	} else {
-		ss.indexedSweeps++
-	}
+	ss.sweeps++
 	ss.states += states
 	ss.edges += edges
 	if peak > ss.peakFrontier {
 		ss.peakFrontier = peak
 	}
+	ss.mu.Unlock()
 }
 
-// RecordLevel folds one frontier-engine level barrier into the per-depth
+// RecordLevel folds one level barrier into the per-depth
 // aggregates: the frontier that entered the level, the direction it ran
 // (chosen by the Beamer-style switch before the level), the adjacency
 // entries it examined, the states it discovered, and the unvisited mass
@@ -160,23 +135,19 @@ type SweepLevel struct {
 // plan tree carries. It holds only deterministic fields — counts, sums,
 // and maxima, never wall-clock — so identical runs render identical bytes.
 type SweepStatsSnapshot struct {
-	// ScalarSweeps / FrontierSweeps count sweeps by engine; DenseSweeps /
-	// IndexedSweeps count them by scan strategy.
-	ScalarSweeps   int64 `json:"scalar_sweeps"`
-	FrontierSweeps int64 `json:"frontier_sweeps"`
-	DenseSweeps    int64 `json:"dense_sweeps"`
-	IndexedSweeps  int64 `json:"indexed_sweeps"`
+	// Sweeps counts the single-source sweeps the query ran.
+	Sweeps int64 `json:"sweeps"`
 	// States / Edges are total product states expanded and adjacency
 	// entries examined; PeakFrontier is the largest single-level frontier
 	// (cross-shard sum) any sweep reached.
 	States       int64 `json:"states"`
 	Edges        int64 `json:"edges"`
 	PeakFrontier int64 `json:"peak_frontier"`
-	// Alpha is the direction-switch threshold the engine ran with, echoed
+	// Alpha is the direction-switch threshold the sweeps ran with, echoed
 	// so level rows can be audited: a level runs bottom-up when
 	// alpha·discovered > unvisited held at the previous barrier.
 	Alpha int64 `json:"alpha,omitempty"`
-	// Levels is the per-depth breakdown of frontier-engine sweeps.
+	// Levels is the per-depth breakdown of the sweeps.
 	Levels []SweepLevel `json:"levels,omitempty"`
 	// ShardStates[s] is the states discovered by shard s across sharded
 	// sweeps; OutboxStates is the total states shipped between shards at
@@ -193,16 +164,13 @@ func (ss *SweepStats) Snapshot() *SweepStatsSnapshot {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	snap := &SweepStatsSnapshot{
-		ScalarSweeps:   ss.scalarSweeps,
-		FrontierSweeps: ss.frontierSweeps,
-		DenseSweeps:    ss.denseSweeps,
-		IndexedSweeps:  ss.indexedSweeps,
-		States:         ss.states,
-		Edges:          ss.edges,
-		PeakFrontier:   ss.peakFrontier,
-		OutboxStates:   ss.outboxStates,
+		Sweeps:       ss.sweeps,
+		States:       ss.states,
+		Edges:        ss.edges,
+		PeakFrontier: ss.peakFrontier,
+		OutboxStates: ss.outboxStates,
 	}
-	if ss.frontierSweeps > 0 {
+	if len(ss.levels) > 0 {
 		snap.Alpha = frontierAlpha
 	}
 	for i, la := range ss.levels {

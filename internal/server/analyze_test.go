@@ -68,8 +68,6 @@ func TestAnalyzeMetricsAndStatz(t *testing.T) {
 	for _, want := range []string{
 		"gq_cardest_qerror_count 1",
 		`gq_plan_mispick_total{graph="clique-64",knob="direction"}`,
-		`gq_plan_mispick_total{graph="clique-64",knob="scan"}`,
-		`gq_plan_mispick_total{graph="clique-64",knob="frontier"}`,
 		`gq_plan_mispick_total{graph="clique-64",knob="shards"}`,
 		`gq_cardest_feedback_records_total{graph="clique-64"} 1`,
 		`gq_cardest_feedback_exprs{graph="clique-64"} 1`,

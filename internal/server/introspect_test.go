@@ -56,7 +56,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
 // "killed" envelope (no partial results), and the killed outcome lands in
 // /v1/queries/recent, the statz counter, and gq_killed_total.
 func TestLiveQueryObservedAndKilled(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallelism: 1}, "clique-300")
+	s, ts := newTestServer(t, Config{Parallelism: 1}, "cycle-3000")
 
 	type result struct {
 		resp *http.Response
@@ -64,7 +64,7 @@ func TestLiveQueryObservedAndKilled(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, m := postRaw(t, ts, `{"graph":"clique-300","query":"a* a* a*","timeout_ms":30000}`)
+		resp, m := postRaw(t, ts, `{"graph":"cycle-3000","query":"a* a* a*","timeout_ms":30000}`)
 		done <- result{resp, m}
 	}()
 
@@ -84,7 +84,7 @@ func TestLiveQueryObservedAndKilled(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	q := live.Queries[0]
-	if q.ID == 0 || q.Graph != "clique-300" || q.Query != "a* a* a*" {
+	if q.ID == 0 || q.Graph != "cycle-3000" || q.Query != "a* a* a*" {
 		t.Fatalf("live entry malformed: %+v", q)
 	}
 	if q.Stage == "" || q.ElapsedMS <= 0 {

@@ -70,8 +70,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			value int64
 		}{
 			{"direction", rt.MispickDirection},
-			{"scan", rt.MispickScan},
-			{"frontier", rt.MispickFrontier},
 			{"shards", rt.MispickShards},
 		} {
 			m.Sample("gq_plan_mispick_total", k.value, map[string]string{"graph": name, "knob": k.knob})
@@ -185,16 +183,10 @@ var graphFamilies = []struct {
 		func(g GraphStats) int64 { return g.Runtime.PlanForward }},
 	{"gq_runtime_plan_backward_total", "Kernel sweeps under a backward plan.", "counter",
 		func(g GraphStats) int64 { return g.Runtime.PlanBackward }},
-	{"gq_runtime_plan_indexed_total", "Kernel sweeps using the label index.", "counter",
-		func(g GraphStats) int64 { return g.Runtime.PlanIndexed }},
-	{"gq_runtime_plan_dense_total", "Kernel sweeps using dense scans.", "counter",
-		func(g GraphStats) int64 { return g.Runtime.PlanDense }},
 	{"gq_runtime_plan_parallel_total", "Kernel sweeps fanned out in parallel.", "counter",
 		func(g GraphStats) int64 { return g.Runtime.PlanParallel }},
 	{"gq_runtime_plan_sequential_total", "Kernel sweeps run sequentially.", "counter",
 		func(g GraphStats) int64 { return g.Runtime.PlanSequential }},
-	{"gq_runtime_plan_frontier_total", "Queries routed through the frontier engine.", "counter",
-		func(g GraphStats) int64 { return g.Runtime.PlanFrontier }},
 	{"gq_runtime_plan_sharded_total", "Queries run with more than one kernel shard.", "counter",
 		func(g GraphStats) int64 { return g.Runtime.PlanSharded }},
 	{"gq_runtime_shard_sweeps_total", "Shard sweep loops run by the kernel.", "counter",

@@ -235,7 +235,7 @@ func TestSlowQueryLogExactlyOneRecord(t *testing.T) {
 // handler wrote a 499 envelope; the recorder catches that.
 func Test499NoWriteAfterClientAbort(t *testing.T) {
 	s := New(Config{})
-	s.Register("big", gen.Clique(300, "a"))
+	s.Register("big", gen.Cycle(2000, "a"))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -305,7 +305,7 @@ func Test499NoWriteWhenAbortedWhileQueued(t *testing.T) {
 // superfluous-WriteHeader complaints.
 func TestClientAbortOverSocket(t *testing.T) {
 	s := New(Config{})
-	s.Register("big", gen.Clique(300, "a"))
+	s.Register("big", gen.Cycle(2000, "a"))
 	var errLog syncBuffer
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Config.ErrorLog = log.New(&errLog, "", 0)

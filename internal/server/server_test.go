@@ -120,11 +120,13 @@ func TestQueryEndpointErrors(t *testing.T) {
 }
 
 // TestQueryEndpointDeadline is the ISSUE acceptance check: a 50ms deadline
-// on an expensive clique query returns 504 within 2x the deadline.
+// on an expensive query returns 504 within 2x the deadline. The input is a
+// long cycle: one node per level, so no sweep collapses bottom-up and the
+// all-pairs query takes ~1s.
 func TestQueryEndpointDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{Parallelism: 1}, "clique-300")
+	_, ts := newTestServer(t, Config{Parallelism: 1}, "cycle-2000")
 	start := time.Now()
-	status, m := post(t, ts, `{"graph":"clique-300","query":"a* a* a*","timeout_ms":50}`)
+	status, m := post(t, ts, `{"graph":"cycle-2000","query":"a* a* a*","timeout_ms":50}`)
 	elapsed := time.Since(start)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%v)", status, m)
@@ -151,8 +153,10 @@ func TestQueryEndpointRowBudget(t *testing.T) {
 // TestQueryEndpointOverload saturates a 1-slot/1-queue server and checks
 // the third concurrent query is rejected with 429 immediately.
 func TestQueryEndpointOverload(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, Parallelism: 1}, "clique-300")
-	slow := `{"graph":"clique-300","query":"a* a* a*","timeout_ms":10000}`
+	// Each slow query holds its slot until its own 500ms deadline: the ~1s
+	// all-pairs sweep of the long cycle cannot finish sooner.
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, Parallelism: 1}, "cycle-2000")
+	slow := `{"graph":"cycle-2000","query":"a* a* a*","timeout_ms":500}`
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

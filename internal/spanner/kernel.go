@@ -75,7 +75,7 @@ func kernelFeasible(doc string, e Expr, m *pg.Meter) (bool, error) {
 	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), nil)
 	sc := kern.GetScratch()
 	defer kern.PutScratch(sc)
-	reached, err := kern.Reachable(0, sc, m)
+	reached, err := kern.Sweep(0, sc, m, pg.Plan{}, false)
 	if err != nil {
 		return false, err
 	}

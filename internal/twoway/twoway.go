@@ -401,7 +401,7 @@ func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]in
 			}
 			// Emission-time rows accounting: the budget trips on row
 			// MaxRows+1, not after the sweep's whole batch.
-			vs, err := kern.ReachableRows(u, sc, m, false)
+			vs, err := kern.Sweep(u, sc, m, pg.Plan{}, true)
 			if err != nil {
 				return nil, err
 			}
@@ -426,7 +426,7 @@ func Check(g *graph.Graph, e Expr, src, dst int) bool {
 // ReachableFrom returns all v with (src, v) ∈ ⟦R⟧_G, sorted.
 func ReachableFrom(g *graph.Graph, e Expr, src int) []int {
 	kern := Kernel(g, e, nil)
-	vs, _ := kern.Reachable(src, kern.NewScratch(), nil) // nil meter: cannot fail
+	vs, _ := kern.Sweep(src, kern.NewScratch(), nil, pg.Plan{}, false) // nil meter: cannot fail
 	return vs
 }
 

@@ -39,7 +39,7 @@ $GO build -race -o "$workdir/gqserverd" ./cmd/gqserverd
 # -slow-query 1ns makes every query an over-threshold query, so the log
 # must carry exactly one structured record per admitted query; -query-log
 # must carry one JSONL record per admitted query regardless of threshold.
-# -shards 2 routes heavy sweeps onto the sharded frontier engine, so the
+# -shards 2 shards every heavy sweep two ways, so the
 # kill/cancel flow below exercises cross-shard cancellation and the shard
 # counters must surface in /metrics and /v1/statz.
 # -query-log-max-bytes is set high enough that this run never rotates (the
@@ -167,8 +167,8 @@ echo "serve-smoke: ok: slow-query log ($slow_count records)"
 # with nonzero swept states, killable through its cancel endpoint, and
 # reported with the distinct "killed" outcome everywhere — the query's own
 # reply, /v1/queries/recent, and the query event log. The grid's all-pairs
-# a* plans onto the sharded frontier engine under -shards 2 (large product,
-# long diameter), so the kill lands mid-sweep across shard goroutines.
+# a* is planned onto two shards under -shards 2 (large product, long
+# diameter), so the kill lands mid-sweep across shard goroutines.
 kill_out="$workdir/killed.json"
 kill_hdr="$workdir/killed.hdr"
 curl -sS -D "$kill_hdr" "$base/v1/query" \
@@ -197,8 +197,8 @@ expect kill-unknown '"code":"unknown_query"' \
 grep -q '"outcome":"killed"' "$querylog" \
   || fail "query event log has no killed record"
 
-# The killed query ran on the sharded frontier engine, so the shard
-# counters must be nonzero in /metrics and present in /v1/statz.
+# The killed query ran sharded, so the shard counters must be nonzero in
+# /metrics and present in /v1/statz.
 metrics=$(curl -fsS "$base/metrics")
 expect metrics-plan-sharded 'gq_runtime_plan_sharded_total{graph="grid-50x50"}' "$metrics"
 expect metrics-shard-sweeps 'gq_runtime_shard_sweeps_total{graph="grid-50x50"}' "$metrics"
