@@ -17,6 +17,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
@@ -77,7 +78,7 @@ func BenchmarkE15_UnifiedKernel(b *testing.B) {
 					if variant.analyze {
 						ss = &eval.SweepStats{}
 					}
-					m := eval.NewMeterAnalyze(ctx, eval.Budget{}, p, ss)
+					m := pg.NewMeter(ctx, eval.Budget{}, p, ss)
 					prs, err := eval.PairsProductCtx(ctx, eval.NewProduct(tc.g, nfa),
 						eval.Options{Parallelism: 1, Meter: m})
 					if err != nil {

@@ -593,7 +593,7 @@ func BenchmarkE30_WCOJ(b *testing.B) {
 // BenchmarkE13_ParallelPairs measures the parallel per-source fan-out of
 // eval.Pairs against the sequential path on a 10k-node random graph: the
 // same product BFS per source, partitioned over a GOMAXPROCS-sized worker
-// pool with deterministic chunk-ordered merging. On a multi-core runner the
+// pool with deterministic index-ordered delivery. On a multi-core runner the
 // parallel path should approach linear speedup; on one core the two paths
 // coincide.
 func BenchmarkE13_ParallelPairs(b *testing.B) {

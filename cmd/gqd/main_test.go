@@ -53,7 +53,7 @@ func TestTracePrintsOnSuccessPath(t *testing.T) {
 	if !strings.Contains(out, "plan:") || !strings.Contains(out, "spans:") {
 		t.Errorf("-trace printed nothing on success:\n%s", out)
 	}
-	if !strings.Contains(out, "kernel=") || !strings.Contains(out, "enumerate=") {
+	if !strings.Contains(out, "parse=") || !strings.Contains(out, "kernel=") {
 		t.Errorf("spans missing pipeline stages:\n%s", out)
 	}
 }

@@ -57,7 +57,7 @@ func Count(g *graph.Graph, e rpq.Expr, src, dst int) *big.Int {
 // to the rows budget. Errors follow the standard taxonomy (pg.ErrCanceled,
 // *pg.BudgetError) and return no partial results.
 func CountCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src, dst int, b pg.Budget) (*big.Int, error) {
-	return CountMeter(g, e, src, dst, pg.NewMeter(ctx, b))
+	return CountMeter(g, e, src, dst, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // CountMeter is Count with an explicit meter (may be nil).
@@ -93,7 +93,7 @@ func TotalCount(g *graph.Graph, e rpq.Expr) *big.Int {
 // with non-zero multiplicity is charged to the rows budget, counting work
 // to the states budget. See CountCtx for the error contract.
 func TotalCountCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, b pg.Budget) (*big.Int, error) {
-	return TotalCountMeter(g, e, pg.NewMeter(ctx, b))
+	return TotalCountMeter(g, e, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // TotalCountMeter is TotalCount with an explicit meter (may be nil).

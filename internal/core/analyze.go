@@ -1,5 +1,5 @@
 // EXPLAIN ANALYZE: the annotated plan tree of one query. Request.Analyze
-// makes runQuery mint a meter carrying a pg.SweepStats sink, so the kernel
+// makes QueryStream mint a meter carrying a pg.SweepStats sink, so the kernel
 // records per-sweep and per-level telemetry at its existing exit and
 // barrier sites, and the Response gains an AnnotatedPlan: each node of the
 // plan stamped with the planner's estimate next to the measured actual,
@@ -68,8 +68,7 @@ type AnnotatedPlan struct {
 // Trace attributes the analyze path communicates through: the evaluator
 // that holds the compiled rpqPlan records its estimates there (strings,
 // deterministically formatted), and annotate reads them back when building
-// the tree. Attributes keep the dispatch signatures untouched and work
-// identically on the buffered and streaming paths.
+// the tree. Attributes keep the dispatch signatures untouched.
 const (
 	attrEstRows   = "est_rows"   // cardest answer-count estimate
 	attrEstStates = "est_states" // frontier-mass model states estimate
@@ -81,9 +80,10 @@ const (
 func formatEst(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // noteKernelActuals records the analyze-path estimates and the plan-knob
-// audit for one planned kernel sweep: called by the rpqPlan evaluators
-// (pairs, cypher, and their streaming variants) right after the kernel
-// stage, where the compiled plan and the measured states are both in hand.
+// audit for one planned kernel sweep: called by plannedPairs right after a
+// kernel stage that ran to completion, where the compiled plan and the
+// measured states are both in hand (a sweep the sink stopped early swept
+// only part of the product and is never audited).
 // ss nil (analyze off) is a no-op, so non-analyze queries pay one nil
 // check. Mispicks are counted into the engine's runtime counters — the
 // gq_plan_mispick_total source — and mirrored onto the trace for the tree.

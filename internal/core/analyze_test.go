@@ -8,11 +8,18 @@ import (
 	"graphquery/internal/gen"
 )
 
-// countingSink counts delivered rows and discards them.
-type countingSink struct{ rows int }
+// countingSink counts delivered rows and discards them; a non-zero stopAt
+// makes it refuse the row after that many, as a filled cursor page does.
+type countingSink struct{ rows, stopAt int }
 
 func (s *countingSink) Begin(kind string, columns []string) error { return nil }
-func (s *countingSink) Row(v any) error                           { s.rows++; return nil }
+func (s *countingSink) Row(v any) error {
+	if s.stopAt > 0 && s.rows == s.stopAt {
+		return ErrStopStream
+	}
+	s.rows++
+	return nil
+}
 
 // analyzeJSON runs one analyze-mode query and returns the marshaled
 // annotated plan tree.
@@ -224,5 +231,46 @@ func TestAnalyzeStreaming(t *testing.T) {
 	}
 	if resp.Analyze.Sweep == nil || resp.Analyze.Sweep.States <= 0 {
 		t.Fatalf("streamed analyze query recorded no sweep telemetry: %+v", resp.Analyze.Sweep)
+	}
+}
+
+// TestAnalyzeEarlyStopNeitherAuditsNorDeposits: a stream the sink stops
+// early (a filled cursor page) swept only part of the product, so its
+// state count must not audit the plan knobs and its row count must not be
+// recorded as the query's cardinality. The full run of the same query does
+// both.
+func TestAnalyzeEarlyStopNeitherAuditsNorDeposits(t *testing.T) {
+	// The TestAnalyzeMispickCounters setup: a full run is a "shards" mispick.
+	e := New(gen.Clique(40, "a"))
+	e.Parallelism = 1
+	e.Shards = 2
+	req := Request{Query: "a a*", Analyze: true}
+
+	sink := &countingSink{stopAt: 1}
+	resp, err := e.QueryStream(context.Background(), req, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Count() != 1 || resp.Analyze == nil {
+		t.Fatalf("early-stopped stream: count %d, analyze %v; want the one delivered row, annotated", resp.Count(), resp.Analyze)
+	}
+	if len(resp.Analyze.Mispicks) != 0 {
+		t.Errorf("partial sweep audited the plan: %v", resp.Analyze.Mispicks)
+	}
+	if rt := e.RuntimeStats(); rt.MispickDirection != 0 || rt.MispickShards != 0 {
+		t.Errorf("partial sweep counted mispicks: %+v", rt)
+	}
+	if snap := e.FeedbackStats(); snap.Records != 0 {
+		t.Errorf("partial sweep deposited feedback: %+v", snap)
+	}
+
+	if _, err := e.QueryStream(context.Background(), req, &countingSink{}); err != nil {
+		t.Fatal(err)
+	}
+	if rt := e.RuntimeStats(); rt.MispickShards == 0 {
+		t.Errorf("full run did not count its shards mispick: %+v", rt)
+	}
+	if snap := e.FeedbackStats(); snap.Records != 1 {
+		t.Errorf("full run deposited %d records, want 1", snap.Records)
 	}
 }

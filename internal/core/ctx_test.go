@@ -10,6 +10,7 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 )
 
 // TestQueryCtxRowBudget is the §6.3 acceptance check: Figure 5's graph has
@@ -127,113 +128,173 @@ func TestQueryCtxOverridesDoNotMutateEngine(t *testing.T) {
 	}
 }
 
-// TestCtxVariantsMatchClassic checks the ctx entry points return the same
-// results as the seed's non-ctx methods.
-func TestCtxVariantsMatchClassic(t *testing.T) {
+// TestQueryCtxMatchesTypedForms: every typed convenience is QueryCtx's
+// evaluator under a nil meter, so the two agree on results — and QueryCtx,
+// the ctx surface, stops each kind on a dead context, an expired deadline
+// and an exhausted budget.
+func TestQueryCtxMatchesTypedForms(t *testing.T) {
 	e := New(gen.BankEdgeLabeled())
-	ctx := context.Background()
-
-	want, err := e.Pairs("Transfer*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.PairsCtx(ctx, "Transfer*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("PairsCtx: %d pairs, Pairs: %d", len(got), len(want))
-	}
-
-	wr, err := e.Rows("q(x,y) :- Transfer(x,y), Transfer(y,x)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr, err := e.RowsCtx(ctx, "q(x,y) :- Transfer(x,y), Transfer(y,x)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gr.Rows) != len(wr.Rows) {
-		t.Fatalf("RowsCtx: %d rows, Rows: %d", len(gr.Rows), len(wr.Rows))
-	}
-
-	wp, err := e.Paths("Transfer+", "a3", "a1", eval.Shortest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := e.PathsCtx(ctx, "Transfer+", "a3", "a1", eval.Shortest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gp) != len(wp) {
-		t.Fatalf("PathsCtx: %d paths, Paths: %d", len(gp), len(wp))
-	}
-
-	ww, err := e.TwoWayPairs("~Transfer Transfer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := e.TwoWayPairsCtx(ctx, "~Transfer Transfer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gw) != len(ww) {
-		t.Fatalf("TwoWayPairsCtx: %d pairs, TwoWayPairs: %d", len(gw), len(ww))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		name  string
+		typed func() (any, error) // the typed convenience
+		req   Request             // the QueryCtx request reaching the same evaluator
+		field func(*Response) any // the Response field it fills
+	}{
+		{"Pairs",
+			func() (any, error) { return e.Pairs("Transfer*") },
+			Request{Query: "Transfer*"},
+			func(r *Response) any { return r.Pairs }},
+		{"Rows",
+			func() (any, error) { return e.Rows("q(x,y) :- Transfer(x,y)") },
+			Request{Query: "q(x,y) :- Transfer(x,y)"},
+			func(r *Response) any { return r.Rows }},
+		{"Paths",
+			func() (any, error) { return e.Paths("Transfer+", "a3", "a1", eval.Trail) },
+			Request{Query: "Transfer+", From: "a3", To: "a1", Mode: eval.Trail},
+			func(r *Response) any { return r.Paths }},
+		{"TwoWayPairs",
+			func() (any, error) { return e.TwoWayPairs("~Transfer Transfer") },
+			Request{Query: "~Transfer Transfer", Lang: "2rpq"},
+			func(r *Response) any { return r.Pairs }},
+		{"GQLMatch",
+			func() (any, error) { return e.GQLMatch("(x) -[:Transfer]-> (y)") },
+			Request{Query: "(x) -[:Transfer]-> (y)", Lang: "gql"},
+			func(r *Response) any { return r.Matches }},
+	} {
+		want, err := tc.typed()
+		if err != nil {
+			t.Fatalf("%s: typed form failed: %v", tc.name, err)
+		}
+		resp, err := e.QueryCtx(context.Background(), tc.req)
+		if err != nil {
+			t.Fatalf("%s: QueryCtx failed: %v", tc.name, err)
+		}
+		if got := tc.field(resp); !reflect.DeepEqual(got, want) || resp.Count() == 0 {
+			t.Errorf("%s: QueryCtx %v != typed form %v", tc.name, got, want)
+		}
+		if _, err := e.QueryCtx(canceled, tc.req); !errors.Is(err, eval.ErrCanceled) {
+			t.Errorf("%s: pre-canceled context: got %v, want ErrCanceled", tc.name, err)
+		}
+		if _, err := e.QueryCtx(expired, tc.req); !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: expired deadline: got %v, want ErrCanceled wrapping DeadlineExceeded", tc.name, err)
+		}
+		req := tc.req
+		req.Budget = eval.Budget{MaxRows: 1}
+		if _, err := e.QueryCtx(context.Background(), req); !errors.Is(err, eval.ErrBudgetExceeded) {
+			t.Errorf("%s: MaxRows=1: got %v, want ErrBudgetExceeded", tc.name, err)
+		}
 	}
 }
 
-// TestNonCtxFormsMatchCtxForms: every non-Ctx method is its Ctx form's body
-// under a nil meter, so the two agree on results and on the error taxonomy
-// — parse failures are ErrBadQuery and absent endpoints ErrUnknownNode on
-// both.
-func TestNonCtxFormsMatchCtxForms(t *testing.T) {
+// TestEntryPointErrorTaxonomy: every exported Engine entry point that takes
+// query text wraps a malformed query in ErrBadQuery, and every one that
+// takes endpoints wraps an absent one in ErrUnknownNode — the facade agrees
+// with the HTTP surface.
+func TestEntryPointErrorTaxonomy(t *testing.T) {
 	e := New(gen.BankEdgeLabeled())
 	ctx := context.Background()
-	type form func(query string, src, dst graph.NodeID) (any, error)
+	sink := &countingSink{}
 	for _, tc := range []struct {
-		name       string
-		plain, ctx form
-		query      string
-		anchored   bool
+		name string
+		good string
+		// call evaluates query, anchored entry points between a3 and dst.
+		call     func(query string, dst graph.NodeID) error
+		anchored bool
 	}{
-		{"Pairs",
-			func(q string, _, _ graph.NodeID) (any, error) { return e.Pairs(q) },
-			func(q string, _, _ graph.NodeID) (any, error) { return e.PairsCtx(ctx, q) },
-			"Transfer Transfer", false},
-		{"Rows",
-			func(q string, _, _ graph.NodeID) (any, error) { return e.Rows(q) },
-			func(q string, _, _ graph.NodeID) (any, error) { return e.RowsCtx(ctx, q) },
-			"q(x,y) :- Transfer(x, y)", false},
-		{"TwoWayPairs",
-			func(q string, _, _ graph.NodeID) (any, error) { return e.TwoWayPairs(q) },
-			func(q string, _, _ graph.NodeID) (any, error) { return e.TwoWayPairsCtx(ctx, q) },
-			"Transfer ~Transfer", false},
-		{"Paths",
-			func(q string, s, d graph.NodeID) (any, error) { return e.Paths(q, s, d, eval.Shortest) },
-			func(q string, s, d graph.NodeID) (any, error) { return e.PathsCtx(ctx, q, s, d, eval.Shortest) },
-			"Transfer+", true},
-		{"Representation",
-			func(q string, s, d graph.NodeID) (any, error) { return e.Representation(q, s, d, true) },
-			func(q string, s, d graph.NodeID) (any, error) { return e.Representation(q, s, d, true) },
-			"Transfer+", true},
+		{"Pairs", "Transfer+", func(q string, _ graph.NodeID) error { _, err := e.Pairs(q); return err }, false},
+		{"Rows", "q(x,y) :- Transfer(x,y)", func(q string, _ graph.NodeID) error { _, err := e.Rows(q); return err }, false},
+		{"TwoWayPairs", "~Transfer", func(q string, _ graph.NodeID) error { _, err := e.TwoWayPairs(q); return err }, false},
+		{"Explain", "Transfer+", func(q string, _ graph.NodeID) error { _, err := e.Explain(q); return err }, false},
+		{"Estimate", "Transfer+", func(q string, _ graph.NodeID) error { _, _, err := e.Estimate(q); return err }, false},
+		{"ProgramRows", "q(x,y) :- Transfer(x,y)", func(q string, _ graph.NodeID) error { _, err := e.ProgramRows(q); return err }, false},
+		{"GQLMatch", "(x) -[:Transfer]-> (y)", func(q string, _ graph.NodeID) error { _, err := e.GQLMatch(q); return err }, false},
+		{"Paths", "Transfer+", func(q string, d graph.NodeID) error { _, err := e.Paths(q, "a3", d, eval.Shortest); return err }, true},
+		{"Representation", "Transfer+", func(q string, d graph.NodeID) error { _, err := e.Representation(q, "a3", d, true); return err }, true},
+		{"Query", "Transfer+", func(q string, d graph.NodeID) error {
+			_, err := e.Query(Request{Query: q, From: "a3", To: d})
+			return err
+		}, true},
+		{"QueryCtx", "Transfer+", func(q string, d graph.NodeID) error {
+			_, err := e.QueryCtx(ctx, Request{Query: q, From: "a3", To: d})
+			return err
+		}, true},
+		{"QueryStream", "Transfer+", func(q string, d graph.NodeID) error {
+			_, err := e.QueryStream(ctx, Request{Query: q, From: "a3", To: d}, sink)
+			return err
+		}, true},
+		{"QueryCtx pmr", "Transfer+", func(q string, d graph.NodeID) error {
+			_, err := e.QueryCtx(ctx, Request{Query: q, Lang: "pmr", From: "a3", To: d, Limit: 1})
+			return err
+		}, true},
 	} {
-		want, err := tc.ctx(tc.query, "a3", "a1")
+		if err := tc.call(tc.good, "a1"); err != nil {
+			t.Errorf("%s: well-formed query failed: %v", tc.name, err)
+		}
+		if err := tc.call("(((", "a1"); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%s: malformed query is %v, want ErrBadQuery", tc.name, err)
+		}
+		if !tc.anchored {
+			continue
+		}
+		if err := tc.call(tc.good, "nowhere"); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("%s: absent endpoint is %v, want ErrUnknownNode", tc.name, err)
+		}
+	}
+}
+
+// panicSink panics on its third row: a bug in the consumer.
+type panicSink struct{ rows int }
+
+func (s *panicSink) Begin(string, []string) error { return nil }
+func (s *panicSink) Row(any) error {
+	if s.rows++; s.rows == 3 {
+		panic("sink bug")
+	}
+	return nil
+}
+
+// TestQueryStreamContainsPanic: a panic under the fan-out — on a worker
+// goroutine at Parallelism 4, on the caller's at 1 — becomes the query's
+// error, outside the client-fault taxonomy, and healthy queries running
+// beside it on the same engine complete.
+func TestQueryStreamContainsPanic(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		e := New(gen.BankEdgeLabeled())
+		e.Parallelism = par
+		want, err := e.Pairs("Transfer*")
 		if err != nil {
-			t.Fatalf("%s: Ctx form failed: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if got, err := tc.plain(tc.query, "a3", "a1"); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: plain form (%v, %v) != Ctx form %v", tc.name, got, err, want)
+		healthy := make(chan error, 1)
+		go func() {
+			for i := 0; i < 20; i++ {
+				resp, err := e.QueryCtx(context.Background(), Request{Query: "Transfer*"})
+				if err == nil && !reflect.DeepEqual(resp.Pairs, want) {
+					err = errors.New("healthy query returned a different result")
+				}
+				if err != nil {
+					healthy <- err
+					return
+				}
+			}
+			healthy <- nil
+		}()
+		for i := 0; i < 20; i++ {
+			_, err := e.QueryStream(context.Background(), Request{Query: "Transfer*"}, &panicSink{})
+			var panicked *pg.PanicError
+			if !errors.As(err, &panicked) || panicked.Value != "sink bug" || len(panicked.Stack) == 0 {
+				t.Fatalf("parallelism %d: got %v, want the recovered panic", par, err)
+			}
+			if errors.Is(err, ErrBadQuery) {
+				t.Fatalf("parallelism %d: a panic was blamed on the query: %v", par, err)
+			}
 		}
-		for fname, f := range map[string]form{"plain": tc.plain, "ctx": tc.ctx} {
-			if _, err := f("(((", "a3", "a1"); !errors.Is(err, ErrBadQuery) {
-				t.Errorf("%s %s: parse failure is %v, want ErrBadQuery", tc.name, fname, err)
-			}
-			if !tc.anchored {
-				continue
-			}
-			if _, err := f(tc.query, "a3", "nowhere"); !errors.Is(err, ErrUnknownNode) {
-				t.Errorf("%s %s: absent endpoint is %v, want ErrUnknownNode", tc.name, fname, err)
-			}
+		if err := <-healthy; err != nil {
+			t.Fatalf("parallelism %d: healthy query beside the panics: %v", par, err)
 		}
 	}
 }

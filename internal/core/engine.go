@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,6 @@ import (
 	"graphquery/internal/crpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
-	"graphquery/internal/gql"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
 	"graphquery/internal/pg"
@@ -84,9 +82,9 @@ type Engine struct {
 	// both mean unsharded; the planner still ignores the knob for sweeps
 	// too light to amortize the barriers.
 	Shards int
-	// Budget is the default per-query resource budget applied by the ctx
-	// entry points (QueryCtx, PairsCtx, ...). Zero fields are unlimited;
-	// the classic non-ctx methods ignore it entirely.
+	// Budget is the default per-query resource budget applied by QueryCtx
+	// and QueryStream. Zero fields are unlimited; the typed conveniences
+	// (Pairs, Rows, ...) ignore it entirely.
 	Budget eval.Budget
 
 	// plans caches parsed ASTs and compiled NFAs keyed by normalized query
@@ -270,18 +268,14 @@ func (e *Engine) RuntimeStats() pg.CountersSnapshot { return e.counters.Snapshot
 // aggregates surfaced in /v1/statz and /metrics.
 func (e *Engine) FeedbackStats() cardest.FeedbackSnapshot { return e.feedback.Snapshot() }
 
-func (e *Engine) compileRPQ(gs *graphState) func(string) (rpqPlan, error) {
-	return e.compileRPQTraced(gs, nil)
-}
-
-// compileRPQTraced returns the compileRPQ build function with each stage —
-// parse, Glushkov compilation + product resolution, cost-based planning —
-// recorded as a span on tr (nil: untraced, identical behavior). The spans
-// appear only on plan-cache misses, which is accurate: on a hit none of
-// this work happens. The product binds gs.g, so the cache key's revision
-// component must (and does, via cached) route each graph revision to its
-// own entry.
-func (e *Engine) compileRPQTraced(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
+// compileRPQ returns the plan-cache build function of a plain RPQ, with
+// each stage — parse, Glushkov compilation + product resolution,
+// cost-based planning — recorded as a span on tr (nil: untraced, identical
+// behavior). The spans appear only on plan-cache misses, which is
+// accurate: on a hit none of this work happens. The product binds gs.g, so
+// the cache key's revision component must (and does, via cached) route
+// each graph revision to its own entry.
+func (e *Engine) compileRPQ(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
 	return func(q string) (rpqPlan, error) {
 		sp := tr.Start("parse")
 		expr, err := rpq.Parse(q)
@@ -301,13 +295,17 @@ func (e *Engine) compileRPQTraced(gs *graphState, tr *obs.Trace) func(string) (r
 }
 
 // Pairs evaluates a plain RPQ to its endpoint-pair semantics ⟦R⟧_G.
-// Like the other non-Ctx forms it is the Ctx form's body under a nil meter
-// (uncancellable, no budget), so both report errors in the same taxonomy.
+// Like the other typed conveniences it is QueryCtx's evaluator under a nil
+// meter (uncancellable, no budget), so both report errors in the same
+// taxonomy.
 func (e *Engine) Pairs(query string) ([][2]graph.NodeID, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	pairs, err := e.pairsMeter(gs, query, nil, nil)
-	return pairs, classify(err)
+	resp, err := e.plannedPairs(gs, query, "rpq", e.compileRPQ(gs, nil), nil, nil, nil)
+	if err != nil {
+		return nil, classify(err)
+	}
+	return resp.Pairs, nil
 }
 
 // Paths evaluates an (ℓ-)RPQ or dl-RPQ between two nodes under a mode.
@@ -340,7 +338,7 @@ func (e *Engine) Rows(query string) (*crpq.Result, error) {
 func (e *Engine) Representation(query string, src, dst graph.NodeID, shortestOnly bool) (*pmr.PMR, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs))
+	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, nil))
 	if err != nil {
 		return nil, badQuery(err)
 	}
@@ -367,9 +365,9 @@ func (e *Engine) Explain(query string) (string, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
 	tr := obs.NewTrace()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQTraced(gs, tr))
+	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, tr))
 	if err != nil {
-		return "", err
+		return "", badQuery(err)
 	}
 	expr := plan.expr
 	simplified := rpq.Simplify(expr)
@@ -398,9 +396,10 @@ func (e *Engine) ProgramRows(program string) (*crpq.Result, error) {
 	defer gs.acquire()()
 	p, err := cached(e, gs, "prog", program, regular.Parse)
 	if err != nil {
-		return nil, err
+		return nil, badQuery(err)
 	}
-	return regular.Eval(gs.g, p, crpq.Options{AtomMaxLen: e.MaxLen, Parallelism: e.Parallelism})
+	res, err := regular.Eval(gs.g, p, crpq.Options{AtomMaxLen: e.MaxLen, Parallelism: e.Parallelism})
+	return res, classify(err)
 }
 
 // TwoWayPairs evaluates a two-way RPQ (inverse atoms written ~a, Remark 9)
@@ -417,9 +416,9 @@ func (e *Engine) TwoWayPairs(query string) ([][2]graph.NodeID, error) {
 func (e *Engine) Estimate(query string) (estimate float64, actual int, err error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs))
+	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, nil))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, badQuery(err)
 	}
 	stats := cardest.Collect(gs.g)
 	actual = len(eval.PairsProduct(plan.product, eval.Options{Parallelism: e.Parallelism, Plan: plan.plan}))
@@ -432,29 +431,6 @@ func (e *Engine) Estimate(query string) (estimate float64, actual int, err error
 func (e *Engine) GQLMatch(pattern string) ([]string, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	p, err := cached(e, gs, "gql", pattern, gql.ParsePattern)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := gql.EvalPattern(gs.g, p, gql.Options{MaxLen: e.MaxLen})
-	if err != nil {
-		return nil, err
-	}
-	if e.Limit > 0 && len(ms) > e.Limit {
-		ms = ms[:e.Limit]
-	}
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		line := m.Path.Format(gs.g)
-		vars := make([]string, 0, len(m.B))
-		for v := range m.B {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-		for _, v := range vars {
-			line += "  " + v + "=" + m.B[v].Format(gs.g)
-		}
-		out[i] = line
-	}
-	return out, nil
+	ms, err := e.gqlMatchesMeter(gs, pattern, nil, nil, e.MaxLen, e.Limit)
+	return ms, classify(err)
 }

@@ -120,12 +120,12 @@ func formatObject(g *graph.Graph, o graph.Object) string {
 	return string(g.Node(o.Index()).ID)
 }
 
-// compileCypherTraced parses a Cypher-fragment pattern, lowers it to its
+// compileCypher parses a Cypher-fragment pattern, lowers it to its
 // RPQ, and runs the full RPQ compilation pipeline (Glushkov, product
 // resolution, cost-based planning) — the same rpqPlan the plain-RPQ path
 // caches, so Cypher queries share the kernel, the planner, and the runtime
 // counters.
-func (e *Engine) compileCypherTraced(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
+func (e *Engine) compileCypher(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
 	return func(q string) (rpqPlan, error) {
 		sp := tr.Start("parse")
 		p, err := cypherfrag.Parse(q)
@@ -145,32 +145,6 @@ func (e *Engine) compileCypherTraced(gs *graphState, tr *obs.Trace) func(string)
 	}
 }
 
-// cypherPairsMeter evaluates a Cypher-fragment pattern to endpoint pairs on
-// the planned kernel sweep.
-func (e *Engine) cypherPairsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) ([][2]graph.NodeID, error) {
-	plan, err := cached(e, gs, "cypher", query, e.compileCypherTraced(gs, tr))
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	tr.Set("plan", plan.plan.String())
-	s0, r0 := m.States(), m.Rows()
-	sp := tr.Start("kernel")
-	prs, err := eval.PairsProductCtx(context.Background(), plan.product,
-		eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan})
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
-	if err != nil {
-		return nil, err
-	}
-	e.noteKernelActuals(gs, tr, plan, m.States()-s0, m.SweepStatsSink())
-	sp = tr.Start("enumerate")
-	defer sp.End()
-	var out [][2]graph.NodeID
-	for _, pr := range prs {
-		out = append(out, [2]graph.NodeID{gs.g.Node(pr[0]).ID, gs.g.Node(pr[1]).ID})
-	}
-	return out, nil
-}
-
 // pmrPathsMeter builds the path-multiset representation of an RPQ between
 // two nodes on the kernel and enumerates up to limit paths from it. PMR
 // enumeration is output-linear but possibly infinite (cyclic path sets), so
@@ -187,7 +161,7 @@ func (e *Engine) pmrPathsMeter(gs *graphState, query string, src, dst graph.Node
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQTraced(gs, tr))
+	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, tr))
 	if err != nil {
 		return nil, badQuery(err)
 	}

@@ -35,10 +35,11 @@ func TestQueryCtxThreadsProgress(t *testing.T) {
 	if snap.Edges == 0 {
 		t.Fatal("Progress recorded zero edges; kernel sweep must report edge scans")
 	}
-	// The last span QueryCtx opens for an RPQ is "enumerate" (after
-	// "kernel"), and the stage tracks span starts.
-	if snap.Stage != "enumerate" {
-		t.Fatalf("final stage = %q, want enumerate", snap.Stage)
+	// The last span QueryCtx opens for an RPQ is "kernel" (pairs are
+	// rendered inside it, as they leave the fan-out), and the stage tracks
+	// span starts.
+	if snap.Stage != "kernel" {
+		t.Fatalf("final stage = %q, want kernel", snap.Stage)
 	}
 }
 

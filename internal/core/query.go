@@ -20,6 +20,7 @@ import (
 	"graphquery/internal/graph"
 	"graphquery/internal/lrpq"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 	"graphquery/internal/relalg"
 	"graphquery/internal/twoway"
 )
@@ -41,15 +42,18 @@ func badQuery(err error) error {
 }
 
 // classify folds evaluation errors into the taxonomy: cancellation and
-// budget errors pass through; anything else an evaluator rejects
-// (validation, unknown constant nodes, unbounded enumeration) is the
-// client's query at fault.
+// budget errors pass through, and so does a recovered panic (the engine's
+// bug, not the client's); anything else an evaluator rejects (validation,
+// unknown constant nodes, unbounded enumeration) is the client's query at
+// fault.
 func classify(err error) error {
+	var panicked *pg.PanicError
 	if err == nil ||
 		errors.Is(err, eval.ErrCanceled) ||
 		errors.Is(err, eval.ErrBudgetExceeded) ||
 		errors.Is(err, ErrBadQuery) ||
-		errors.Is(err, ErrUnknownNode) {
+		errors.Is(err, ErrUnknownNode) ||
+		errors.As(err, &panicked) {
 		return err
 	}
 	return badQuery(err)
@@ -178,64 +182,10 @@ func (r *Response) Count() int {
 // QueryCtx evaluates one request under ctx: the single entry point of the
 // query service. Cancellation and budget violations surface as
 // eval.ErrCanceled / eval.ErrBudgetExceeded; malformed queries as
-// ErrBadQuery; unknown endpoints as ErrUnknownNode.
+// ErrBadQuery; unknown endpoints as ErrUnknownNode. It is QueryStream with
+// no sink: the typed result fields of the Response are filled instead.
 func (e *Engine) QueryCtx(ctx context.Context, req Request) (*Response, error) {
-	return e.runQuery(ctx, req, e.dispatch)
-}
-
-// runQuery is the shared driver behind QueryCtx and QueryStream: resolve
-// the request's bounds against the engine defaults, mint the query-global
-// meter, fix the graph snapshot, run the dispatch variant, and stamp the
-// response with the meter readings and trace artifacts.
-func (e *Engine) runQuery(ctx context.Context, req Request,
-	dispatch func(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int) (*Response, error)) (*Response, error) {
-	maxLen := req.MaxLen
-	if maxLen <= 0 {
-		maxLen = e.MaxLen
-	}
-	limit := req.Limit
-	if limit <= 0 {
-		limit = e.Limit
-	}
-	b := req.Budget
-	if b.MaxStates <= 0 {
-		b.MaxStates = e.Budget.MaxStates
-	}
-	if b.MaxRows <= 0 {
-		b.MaxRows = e.Budget.MaxRows
-	}
-	var ss *eval.SweepStats
-	if req.Analyze {
-		ss = &eval.SweepStats{}
-	}
-	m := eval.NewMeterAnalyze(ctx, b, req.Progress, ss)
-	tr := req.Trace
-	if tr == nil {
-		tr = obs.NewTrace()
-	}
-	// Stage sampling rides the spans the engine already records: every
-	// span opened on this trace updates req.Progress's stage.
-	tr.BindProgress(req.Progress)
-
-	// One atomic load fixes the graph snapshot for the whole query; the pin
-	// (if the graph came from a live store) keeps that snapshot accounted
-	// for until evaluation finishes, even if writers commit meanwhile.
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	resp, err := dispatch(gs, req, m, tr, maxLen, limit)
-	if err != nil {
-		return nil, classify(err)
-	}
-	resp.StatesVisited = m.States()
-	resp.RowsProduced = m.Rows()
-	resp.Plan = tr.Attr("plan")
-	resp.Spans = tr.Spans()
-	resp.G = gs.g
-	resp.GraphRev = gs.rev
-	if req.Analyze {
-		resp.Analyze = e.annotate(req, resp, tr, ss)
-	}
-	return resp, nil
+	return e.QueryStream(ctx, req, nil)
 }
 
 // Query is QueryCtx without a context, for callers that want the unified
@@ -244,11 +194,19 @@ func (e *Engine) Query(req Request) (*Response, error) {
 	return e.QueryCtx(context.Background(), req)
 }
 
-func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int) (*Response, error) {
+// dispatch is the one place a request's kind selects its evaluator. Each
+// evaluator fills its typed Response field; with a sink, the result then
+// leaves through it (streamRendered) and the fields are cleared. The two
+// planned-pairs kinds are the exception in timing only: their rows go to
+// the sink straight out of the kernel fan-out (plannedPairs), while later
+// sweeps are still running. Kind "bag" has one aggregate value and never
+// touches the sink.
+func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int, sink Sink) (*Response, error) {
 	anchored := req.From != "" || req.To != ""
+	kind := Detect(req.Query)
 	if req.Lang != "" && req.Lang != "auto" {
-		kind, ok := KindForLang(req.Lang)
-		if !ok {
+		var ok bool
+		if kind, ok = KindForLang(req.Lang); !ok {
 			return nil, badQuery(fmt.Errorf("core: unknown lang %q", req.Lang))
 		}
 		// Per-kind request schemas: only path-producing kinds accept from/to
@@ -256,132 +214,122 @@ func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Tr
 		if anchored && kind != KindPMR {
 			return nil, badQuery(fmt.Errorf("core: lang %q queries do not take from/to anchors", req.Lang))
 		}
-		switch kind {
-		case KindTwoWay:
-			pairs, err := e.twoWayPairsMeter(gs, req.Query, m, tr)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "pairs", Pairs: pairs}, nil
-		case KindGQL:
-			ms, err := e.gqlMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "matches", Matches: ms}, nil
-		case KindCoreGQL:
-			ms, err := e.coreGQLMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "matches", Matches: ms}, nil
-		case KindCypher:
-			pairs, err := e.cypherPairsMeter(gs, req.Query, m, tr)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "pairs", Pairs: pairs}, nil
-		case KindPMR:
-			if req.From == "" || req.To == "" {
-				return nil, badQuery(errors.New("core: pmr queries need both from and to"))
-			}
-			paths, err := e.pmrPathsMeter(gs, req.Query, req.From, req.To, req.Mode == eval.Shortest, m, tr, limit)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "paths", Paths: paths}, nil
-		case KindSpanner:
-			spans, err := e.spannerMeter(gs, req.Doc, req.Query, m, tr, limit)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "spans", Matches: spans}, nil
-		case KindRelAlg:
-			rel, err := e.relalgMeter(gs, req.Query, m, tr)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "relation", Rel: rel}, nil
-		case KindBag:
-			total, err := e.bagMeter(gs, req.Query, m, tr)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "bag", Bag: total}, nil
-		}
 	}
-	switch Detect(req.Query) {
+	var resp *Response
+	var err error
+	switch kind {
+	case KindTwoWay:
+		resp = &Response{Kind: "pairs"}
+		resp.Pairs, err = e.twoWayPairsMeter(gs, req.Query, m, tr)
+	case KindGQL:
+		resp = &Response{Kind: "matches"}
+		resp.Matches, err = e.gqlMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
+	case KindCoreGQL:
+		resp = &Response{Kind: "matches"}
+		resp.Matches, err = e.coreGQLMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
+	case KindCypher:
+		return e.plannedPairs(gs, req.Query, "cypher", e.compileCypher(gs, tr), m, tr, sink)
+	case KindPMR:
+		if req.From == "" || req.To == "" {
+			return nil, badQuery(errors.New("core: pmr queries need both from and to"))
+		}
+		resp = &Response{Kind: "paths"}
+		resp.Paths, err = e.pmrPathsMeter(gs, req.Query, req.From, req.To, req.Mode == eval.Shortest, m, tr, limit)
+	case KindSpanner:
+		resp = &Response{Kind: "spans"}
+		resp.Matches, err = e.spannerMeter(gs, req.Doc, req.Query, m, tr, limit)
+	case KindRelAlg:
+		resp = &Response{Kind: "relation"}
+		resp.Rel, err = e.relalgMeter(gs, req.Query, m, tr)
+	case KindBag:
+		resp = &Response{Kind: "bag"}
+		resp.Bag, err = e.bagMeter(gs, req.Query, m, tr)
 	case KindCRPQ:
 		if anchored {
 			return nil, badQuery(errors.New("core: CRPQ queries return rows; do not anchor them with from/to"))
 		}
-		rows, err := e.rowsMeter(gs, req.Query, m, tr, maxLen)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Kind: "rows", Rows: rows}, nil
-	case KindDLRPQ:
+		resp = &Response{Kind: "rows"}
+		resp.Rows, err = e.rowsMeter(gs, req.Query, m, tr, maxLen)
+	default: // KindRPQ, KindDLRPQ
 		if !anchored {
-			return nil, badQuery(errors.New("core: dl-RPQ queries need from and to endpoints"))
-		}
-		fallthrough
-	default:
-		if anchored {
-			if req.From == "" || req.To == "" {
-				return nil, badQuery(errors.New("core: path queries need both from and to"))
+			if kind == KindDLRPQ {
+				return nil, badQuery(errors.New("core: dl-RPQ queries need from and to endpoints"))
 			}
-			paths, err := e.pathsMeter(gs, req.Query, req.From, req.To, req.Mode, m, tr, maxLen, limit)
-			if err != nil {
-				return nil, err
-			}
-			return &Response{Kind: "paths", Paths: paths}, nil
+			return e.plannedPairs(gs, req.Query, "rpq", e.compileRPQ(gs, tr), m, tr, sink)
 		}
-		pairs, err := e.pairsMeter(gs, req.Query, m, tr)
-		if err != nil {
+		if req.From == "" || req.To == "" {
+			return nil, badQuery(errors.New("core: path queries need both from and to"))
+		}
+		resp = &Response{Kind: "paths"}
+		resp.Paths, err = e.pathsMeter(gs, req.Query, req.From, req.To, req.Mode, m, tr, maxLen, limit)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if sink != nil && resp.Kind != "bag" {
+		if err := streamRendered(gs.g, resp, sink); err != nil && !errors.Is(err, ErrStopStream) {
 			return nil, err
 		}
-		return &Response{Kind: "pairs", Pairs: pairs}, nil
 	}
+	return resp, nil
 }
 
-// PairsCtx is Pairs under ctx and the engine's budget.
-func (e *Engine) PairsCtx(ctx context.Context, query string) ([][2]graph.NodeID, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	pairs, err := e.pairsMeter(gs, query, eval.NewMeter(ctx, e.Budget), nil)
-	return pairs, classify(err)
-}
-
-func (e *Engine) pairsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) ([][2]graph.NodeID, error) {
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQTraced(gs, tr))
+// plannedPairs evaluates the endpoint-pair kinds that run on a planned
+// kernel sweep — plain RPQs (family "rpq") and the Cypher fragment
+// ("cypher"); family is the plan-cache namespace, compile its build
+// function, and both produce the same rpqPlan. Pairs leave the fan-out
+// (eval.PairsProductEmit) in result order while sweeps are still running
+// and are rendered to node IDs against the query's snapshot inside the
+// kernel span: appended to Response.Pairs without a sink, handed to
+// sink.Row with one — where memory per query is O(fan-out window), not
+// O(result), and a blocked sink throttles the worker pool.
+func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func(string) (rpqPlan, error), m *eval.Meter, tr *obs.Trace, sink Sink) (*Response, error) {
+	plan, err := cached(e, gs, family, query, compile)
 	if err != nil {
 		return nil, badQuery(err)
 	}
 	tr.Set("plan", plan.plan.String())
+	resp := &Response{Kind: "pairs"}
+	g := gs.g
+	emit := func(prs [][2]int) error {
+		for _, pr := range prs {
+			resp.Pairs = append(resp.Pairs, [2]graph.NodeID{g.Node(pr[0]).ID, g.Node(pr[1]).ID})
+		}
+		return nil
+	}
+	if sink != nil {
+		if err := sink.Begin("pairs", nil); err != nil {
+			if errors.Is(err, ErrStopStream) {
+				return resp, nil
+			}
+			return nil, err
+		}
+		emit = func(prs [][2]int) error {
+			for _, pr := range prs {
+				if err := sink.Row([2]string{string(g.Node(pr[0]).ID), string(g.Node(pr[1]).ID)}); err != nil {
+					return err
+				}
+				resp.Streamed++
+			}
+			return nil
+		}
+	}
 	s0, r0 := m.States(), m.Rows()
 	sp := tr.Start("kernel")
-	prs, err := eval.PairsProductCtx(context.Background(), plan.product,
-		eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan})
+	err = eval.PairsProductEmit(context.Background(), plan.product,
+		eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
 	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+	if errors.Is(err, ErrStopStream) {
+		// The sink has all it wants (a cursor page filled): the sweep is
+		// partial, so its state count must not audit the plan and its row
+		// count must not reach the feedback store.
+		return resp, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	e.noteKernelActuals(gs, tr, plan, m.States()-s0, m.SweepStatsSink())
-	sp = tr.Start("enumerate")
-	defer sp.End()
-	var out [][2]graph.NodeID
-	for _, pr := range prs {
-		out = append(out, [2]graph.NodeID{gs.g.Node(pr[0]).ID, gs.g.Node(pr[1]).ID})
-	}
-	return out, nil
-}
-
-// RowsCtx is Rows under ctx and the engine's budget.
-func (e *Engine) RowsCtx(ctx context.Context, query string) (*crpq.Result, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	rows, err := e.rowsMeter(gs, query, eval.NewMeter(ctx, e.Budget), nil, e.MaxLen)
-	return rows, classify(err)
+	return resp, nil
 }
 
 func (e *Engine) rowsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, maxLen int) (*crpq.Result, error) {
@@ -396,14 +344,6 @@ func (e *Engine) rowsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.
 	defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
 	return crpq.EvalCtx(context.Background(), gs.g, q,
 		crpq.Options{AtomMaxLen: maxLen, Parallelism: e.Parallelism, Meter: m})
-}
-
-// PathsCtx is Paths under ctx and the engine's budget.
-func (e *Engine) PathsCtx(ctx context.Context, query string, src, dst graph.NodeID, mode eval.Mode) ([]PathResult, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	res, err := e.pathsMeter(gs, query, src, dst, mode, eval.NewMeter(ctx, e.Budget), nil, e.MaxLen, e.Limit)
-	return res, classify(err)
 }
 
 func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID, mode eval.Mode, m *eval.Meter, tr *obs.Trace, maxLen, limit int) ([]PathResult, error) {
@@ -454,14 +394,6 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 				lrpq.Options{MaxLen: maxLen, Limit: limit, Meter: m, Counters: &e.counters})
 		})
 	}
-}
-
-// TwoWayPairsCtx is TwoWayPairs under ctx and the engine's budget.
-func (e *Engine) TwoWayPairsCtx(ctx context.Context, query string) ([][2]graph.NodeID, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	pairs, err := e.twoWayPairsMeter(gs, query, eval.NewMeter(ctx, e.Budget), nil)
-	return pairs, classify(err)
 }
 
 func (e *Engine) twoWayPairsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) ([][2]graph.NodeID, error) {

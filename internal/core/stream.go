@@ -1,24 +1,25 @@
-// Streaming query delivery: QueryStream is QueryCtx with a row sink.
+// Result delivery: every query leaves the engine through QueryStream.
 //
 // The paper's complexity landscape (Section 6.3 exponential-output graphs,
 // Section 6.1 bag-semantics explosion) makes the result set, not the
-// evaluation, the memory bomb — so the engine must be able to hand rows to
-// a consumer incrementally instead of materializing them. Two delivery
-// tiers exist:
+// evaluation, the memory bomb — so results are handed to a Sink row by row,
+// and "buffered" is nothing but a sink that appends (or no sink at all:
+// QueryCtx fills the typed Response fields). How early rows reach the sink
+// is a property of the evaluator, not of the dispatch:
 //
-//   - Kernel streaming (kinds "pairs" via plain RPQ and the Cypher
-//     fragment): rows flow straight out of the product-graph fan-out
+//   - Kernel tier (kind "pairs" via plain RPQ and the Cypher fragment,
+//     plannedPairs): rows flow straight out of the product-graph fan-out
 //     (eval.PairsProductEmit) while sweeps are still running. Memory per
 //     query is O(fan-out window), not O(result), and a blocked sink
-//     throttles the worker pool (backpressure).
-//   - Render streaming (paths, rows, matches, spans, relation, and pairs
-//     from the 2RPQ tier): the evaluator materializes its internal result
-//     exactly as the buffered path does, then rows are rendered and handed
-//     to the sink one at a time — delivery memory is O(row), evaluation
-//     memory stays the buffered path's.
+//     throttles the worker pool (backpressure). A backward plan degrades
+//     inside eval — collect, sort, deliver — without the engine noticing.
+//   - Render tier (paths, rows, matches, spans, relation, and pairs from
+//     the 2RPQ tier): the evaluator materializes its typed result, then
+//     streamRendered renders and hands over one row at a time — delivery
+//     memory is O(row), evaluation memory is the evaluator's.
 //
 // Kind "bag" has one aggregate value and never touches the sink; serving
-// layers detect the untouched sink and degrade to the buffered body.
+// layers read it from the Response.
 package core
 
 import (
@@ -28,16 +29,17 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 // Sink receives one query's results incrementally. Begin is called at most
 // once, after compilation and planning succeeded and before the first row,
 // naming the result kind and (for kinds "rows" and "relation") the column
-// header. Row then delivers one result element at a time, rendered exactly
-// as the buffered Response would render it: [2]string for "pairs",
-// string for "paths"/"matches"/"spans", []string for "rows"/"relation" —
-// so a streamed result is byte-identical, element for element, to the
-// buffered result fields.
+// header. Row then delivers one result element at a time, rendered to wire
+// form: [2]string for "pairs", string for "paths"/"matches"/"spans",
+// []string for "rows"/"relation". The engine is the one place typed
+// results become wire rows, so every serving format is an encoding of the
+// same row stream.
 //
 // Row may be called from evaluation worker goroutines, but calls are never
 // concurrent and are ordered (happens-before) — a Sink needs no locking of
@@ -53,97 +55,74 @@ type Sink interface {
 // without reporting an error.
 var ErrStopStream = errors.New("core: stop stream")
 
-// QueryStream evaluates one request like QueryCtx, delivering results
-// through sink instead of materializing them in the Response. The returned
-// Response carries the usual accounting (meter readings, plan, spans,
-// snapshot) with the result fields empty and Streamed set — except for
-// kind "bag", which skips the sink entirely and returns its value
-// buffered. Errors surface exactly as in QueryCtx; rows delivered to the
-// sink before the error remain delivered (the serving layer's trailer
-// protocol reports the outcome in-band).
+// QueryStream evaluates one request under ctx, delivering results through
+// sink: resolve the request's bounds against the engine defaults, mint the
+// query-global meter, fix the graph snapshot, dispatch, and stamp the
+// response with the meter readings and trace artifacts. The returned
+// Response carries that accounting with the result fields empty and
+// Streamed set — except for kind "bag", which skips the sink entirely and
+// returns its value in the Response. A nil sink means "materialize": the
+// typed result fields are filled instead (QueryCtx). Errors surface in the
+// engine taxonomy either way; rows delivered to the sink before an error
+// remain delivered (the serving layer's trailer protocol reports the
+// outcome in-band).
 func (e *Engine) QueryStream(ctx context.Context, req Request, sink Sink) (*Response, error) {
-	return e.runQuery(ctx, req, func(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int) (*Response, error) {
-		return e.dispatchStream(gs, req, m, tr, maxLen, limit, sink)
-	})
-}
+	maxLen := req.MaxLen
+	if maxLen <= 0 {
+		maxLen = e.MaxLen
+	}
+	limit := req.Limit
+	if limit <= 0 {
+		limit = e.Limit
+	}
+	b := req.Budget
+	if b.MaxStates <= 0 {
+		b.MaxStates = e.Budget.MaxStates
+	}
+	if b.MaxRows <= 0 {
+		b.MaxRows = e.Budget.MaxRows
+	}
+	var ss *eval.SweepStats
+	if req.Analyze {
+		ss = &eval.SweepStats{}
+	}
+	m := pg.NewMeter(ctx, b, req.Progress, ss)
+	tr := req.Trace
+	if tr == nil {
+		tr = obs.NewTrace()
+	}
+	// Stage sampling rides the spans the engine already records: every
+	// span opened on this trace updates req.Progress's stage.
+	tr.BindProgress(req.Progress)
 
-// dispatchStream routes one streamed request: kernel streaming for the
-// unanchored pair-producing kinds that evaluate on the product-graph
-// fan-out, render streaming for everything else, buffered for bag. Request
-// validation (anchor rules, unknown langs) is dispatch's — the fallthrough
-// path reuses it verbatim.
-func (e *Engine) dispatchStream(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int, sink Sink) (*Response, error) {
-	anchored := req.From != "" || req.To != ""
-	if !anchored {
-		switch {
-		case req.Lang == "cypher":
-			return e.streamPairs(gs, req.Query, "cypher", e.compileCypherTraced(gs, tr), m, tr, sink)
-		case req.Lang == "" || req.Lang == "auto":
-			if k := Detect(req.Query); k != KindCRPQ && k != KindDLRPQ {
-				return e.streamPairs(gs, req.Query, "rpq", e.compileRPQTraced(gs, tr), m, tr, sink)
-			}
-		}
-	}
-	resp, err := e.dispatch(gs, req, m, tr, maxLen, limit)
+	// One atomic load fixes the graph snapshot for the whole query; the pin
+	// (if the graph came from a live store) keeps that snapshot accounted
+	// for until evaluation finishes, even if writers commit meanwhile.
+	gs := e.cur.Load()
+	defer gs.acquire()()
+	resp, err := e.dispatch(gs, req, m, tr, maxLen, limit, sink)
 	if err != nil {
-		return nil, err
+		return nil, classify(err)
 	}
-	if resp.Kind == "bag" {
-		return resp, nil
-	}
-	if err := streamRendered(gs.g, resp, sink); err != nil && !errors.Is(err, ErrStopStream) {
-		return nil, err
+	resp.StatesVisited = m.States()
+	resp.RowsProduced = m.Rows()
+	resp.Plan = tr.Attr("plan")
+	resp.Spans = tr.Spans()
+	resp.G = gs.g
+	resp.GraphRev = gs.rev
+	if req.Analyze {
+		resp.Analyze = e.annotate(req, resp, tr, ss)
 	}
 	return resp, nil
 }
 
-// streamPairs is the kernel-streaming path: compile (or hit the plan
-// cache), then emit endpoint pairs straight from the product-graph fan-out,
-// rendered to node IDs against the query's snapshot. family is the plan-
-// cache namespace ("rpq" or "cypher") — both compile to the same rpqPlan,
-// so Cypher streams on the identical kernel machinery.
-func (e *Engine) streamPairs(gs *graphState, query, family string, compile func(string) (rpqPlan, error), m *eval.Meter, tr *obs.Trace, sink Sink) (*Response, error) {
-	plan, err := cached(e, gs, family, query, compile)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	tr.Set("plan", plan.plan.String())
-	if err := sink.Begin("pairs", nil); err != nil {
-		if errors.Is(err, ErrStopStream) {
-			return &Response{Kind: "pairs"}, nil
-		}
-		return nil, err
-	}
-	g := gs.g
-	n := 0
-	s0, r0 := m.States(), m.Rows()
-	sp := tr.Start("kernel")
-	err = eval.PairsProductEmit(context.Background(), plan.product,
-		eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan},
-		func(prs [][2]int) error {
-			for _, pr := range prs {
-				if err := sink.Row([2]string{string(g.Node(pr[0]).ID), string(g.Node(pr[1]).ID)}); err != nil {
-					return err
-				}
-				n++
-			}
-			return nil
-		})
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
-	if err != nil && !errors.Is(err, ErrStopStream) {
-		return nil, err
-	}
-	e.noteKernelActuals(gs, tr, plan, m.States()-s0, m.SweepStatsSink())
-	return &Response{Kind: "pairs", Streamed: n}, nil
-}
-
-// streamRendered delivers an already materialized response through the
-// sink, row by row, rendering each element exactly as the buffered serving
-// path would — one rendered row live at a time instead of a second full
-// copy of the result. The materialized fields are cleared afterwards (the
-// rows are with the consumer now) and Streamed records the delivered
-// count. Returns the first sink error, including ErrStopStream, for the
-// caller to interpret.
+// streamRendered delivers a materialized response through the sink, row by
+// row: the one place typed results of every kind are rendered to wire rows
+// (plannedPairs renders its own pairs as they leave the fan-out), one
+// rendered row live at a time. The materialized fields are cleared
+// afterwards (the rows are with the consumer now) and Streamed records the
+// delivered count. Returns the first sink error, including ErrStopStream,
+// for the caller to interpret.
 func streamRendered(g *graph.Graph, resp *Response, sink Sink) error {
 	var cols []string
 	switch resp.Kind {

@@ -29,16 +29,17 @@ func hasSpan(spans []obs.Span, name string) bool {
 }
 
 // TestQueryCtxTrace verifies the span model of §10: a cold RPQ records
-// parse → compile → plan → kernel → enumerate, a warm one skips the
-// compilation stages, the kernel span carries the meter deltas, and the
-// chosen plan line is surfaced on the Response.
+// parse → compile → plan → kernel (pairs are rendered inside the kernel
+// span, as they leave the fan-out — there is no enumerate stage), a warm
+// one skips the compilation stages, the kernel span carries the meter
+// deltas, and the chosen plan line is surfaced on the Response.
 func TestQueryCtxTrace(t *testing.T) {
 	e := New(gen.Clique(64, "a"))
 	cold, err := e.QueryCtx(context.Background(), Request{Query: "a a*"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"parse", "compile", "plan", "kernel", "enumerate"} {
+	for _, name := range []string{"parse", "compile", "plan", "kernel"} {
 		if !hasSpan(cold.Spans, name) {
 			t.Errorf("cold query missing %q span, got %v", name, spanNames(cold.Spans))
 		}

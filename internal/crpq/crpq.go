@@ -531,12 +531,11 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 }
 
 // overSources runs fn once per source node through the runtime's parallel
-// fan-out (pg.ForEach): sources are over-partitioned into contiguous
-// chunks claimed off an atomic cursor and per-chunk results concatenate in
-// chunk order, so the relation is identical to the sequential loop's. p,
-// when non-nil, supplies one reusable reachability Scratch per worker. The
+// fan-out (pg.ForEachEmit): per-source results are appended in source
+// order, so the relation is identical to the sequential loop's. p, when
+// non-nil, supplies one reusable reachability Scratch per worker. The
 // meter m, when non-nil, is polled between sources, and a first error
-// stops every worker from claiming further chunks.
+// stops every worker from claiming further sources.
 func overSources(sources []int, parallelism int, p *eval.Product, m *eval.Meter, fn func(u int, sc *eval.Scratch) ([][]OutValue, error)) ([][]OutValue, error) {
 	newScratch := func() *eval.Scratch {
 		if p == nil {
@@ -549,13 +548,22 @@ func overSources(sources []int, parallelism int, p *eval.Product, m *eval.Meter,
 			p.PutScratch(sc)
 		}
 	}
-	return pg.ForEach(len(sources), eval.Parallelism(parallelism), newScratch, putScratch,
+	var out [][]OutValue
+	err := pg.ForEachEmit(len(sources), eval.Parallelism(parallelism), newScratch, putScratch,
 		func(i int, sc *eval.Scratch) ([][]OutValue, error) {
 			if err := m.Check(); err != nil {
 				return nil, err
 			}
 			return fn(sources[i], sc)
+		},
+		func(part [][]OutValue) error {
+			out = append(out, part...)
+			return nil
 		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // evalAtomBetween dispatches to the right evaluator with the atom's mode.

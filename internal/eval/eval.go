@@ -35,21 +35,19 @@ func PairsOpt(g *graph.Graph, e rpq.Expr, opts Options) [][2]int {
 }
 
 // PairsCompiled evaluates an already compiled automaton — the entry point
-// for plan caches that skip parsing and Glushkov compilation. Source nodes
-// are partitioned into chunks evaluated by a worker pool of
-// Parallelism(opts.Parallelism) goroutines; per-chunk results are merged in
-// chunk order, so the output is byte-identical to the sequential path:
-// sorted lexicographically, because each per-source result is ascending and
-// sources are processed in ascending blocks (no final sort is needed).
+// for plan caches that skip parsing and Glushkov compilation. See
+// PairsProductEmit for the fan-out and its ordering guarantee.
 func PairsCompiled(g *graph.Graph, a *automata.NFA, opts Options) [][2]int {
 	return PairsProduct(NewProduct(g, a), opts)
 }
 
 // PairsProduct evaluates over an already graph-resolved product — the entry
 // point for engines that cache the product alongside the compiled NFA (a
-// Product is immutable, so one instance serves concurrent queries).
+// Product is immutable, so one instance serves concurrent queries). It is
+// unmetered: opts.Budget and opts.Meter are ignored, so it cannot fail.
 func PairsProduct(p *Product, opts Options) [][2]int {
-	out, _ := pairsProductMeter(p, opts, nil) // nil meter: cannot fail
+	opts.Budget, opts.Meter = Budget{}, nil
+	out, _ := PairsProductCtx(context.Background(), p, opts)
 	return out
 }
 
@@ -61,42 +59,72 @@ func PairsCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, opts Options) ([]
 	return PairsProductCtx(ctx, NewProduct(g, rpq.Compile(e)), opts)
 }
 
-// PairsProductCtx is PairsProduct under a context and budget. The meter is
-// opts.Meter when set (a serving layer sharing one meter across stages),
-// otherwise minted from ctx and opts.Budget.
+// PairsProductCtx is PairsProduct under a context and budget: the buffered
+// face of PairsProductEmit, whose emit appends. An error voids the result.
 func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, error) {
+	var out [][2]int
+	err := PairsProductEmit(ctx, p, opts, func(part [][2]int) error {
+		out = append(out, part...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PairsProductEmit is the one all-sources driver: one kernel sweep per
+// source, fanned out over pg.ForEachEmit's worker pool, every sweep
+// metered, and the pairs handed to emit in lexicographic order — each
+// per-source result is ascending and sources are delivered in ascending
+// order, so the output is byte-identical at any worker count and needs no
+// final sort. The meter is opts.Meter when set (a serving layer sharing
+// one meter across stages), otherwise minted from ctx and opts.Budget.
+// Workers share it, so a canceled context or an exhausted budget stops all
+// of them within one check interval; the pool is always joined before
+// returning.
+//
+// Delivery is incremental: emit runs while later sweeps are still going,
+// memory is bounded by the fan-out's in-flight window — O(window ×
+// per-source result), not O(total result) — and a blocked emit throttles
+// the worker pool (backpressure). Rows are charged on the meter at
+// emission time inside each sweep, so a MaxRows budget trips on row
+// MaxRows+1 and the rows of every source before the tripping one are
+// already with emit. emit is never called concurrently with itself and
+// owns the slice it is handed; its error stops evaluation and is returned
+// verbatim (serving layers use a sentinel to stop early, e.g. when a
+// cursor page is full).
+//
+// A backward plan cannot deliver incrementally: it sweeps targets on the
+// reversed kernel, so nothing is correctly ordered until every sweep has
+// finished and one global sort has restored the forward order (the two
+// directions produce the same set, so the sorted sequences are identical).
+// It collects through the same fan-out, sorts, and hands emit everything
+// at once — same order, peak memory O(total result).
+func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(pairs [][2]int) error) error {
 	m := opts.Meter
 	if m == nil {
 		m = NewMeter(ctx, opts.Budget)
 	}
-	return pairsProductMeter(p, opts, m)
-}
-
-// pairsProductMeter is the shared implementation: one kernel sweep per
-// source (or per target, under a backward plan), fanned out over
-// pg.ForEach's worker pool with deterministic chunk-ordered merge, every
-// sweep metered. Workers share the meter, so a canceled context or an
-// exhausted budget stops all of them within one check interval; the pool
-// is always joined before returning (no goroutine outlives the call, even
-// on error).
-func pairsProductMeter(p *Product, opts Options, m *Meter) ([][2]int, error) {
-	n := p.G.NumNodes()
 	plan := opts.Plan
 	workers := plan.Workers
 	if workers == 0 {
 		workers = Parallelism(opts.Parallelism)
 	}
-	kern := p.kern
+	kern, deliver := p.kern, emit
+	var collected [][2]int
 	if plan.Backward {
 		kern = p.backward()
+		deliver = func(part [][2]int) error {
+			collected = append(collected, part...)
+			return nil
+		}
 	}
 	kern.Counters().CountPlan(pg.Plan{Backward: plan.Backward, Workers: workers, Shards: plan.Shards})
-	pairs, err := pg.ForEach(n, workers, kern.GetScratch, kern.PutScratch, func(u int, sc *Scratch) ([][2]int, error) {
+	err := pg.ForEachEmit(p.G.NumNodes(), workers, kern.GetScratch, kern.PutScratch, func(u int, sc *Scratch) ([][2]int, error) {
 		if !p.G.NodeAlive(u) { // tombstoned under a mutation overlay
 			return nil, nil
 		}
-		// Rows are charged at emission: a MaxRows budget trips on row
-		// MaxRows+1, not after the whole sweep's batch.
 		vs, err := kern.Sweep(u, sc, m, plan, true)
 		if err != nil {
 			return nil, err
@@ -110,22 +138,17 @@ func pairsProductMeter(p *Product, opts Options, m *Meter) ([][2]int, error) {
 			}
 		}
 		return part, nil
+	}, deliver)
+	if err != nil || len(collected) == 0 {
+		return err
+	}
+	sort.Slice(collected, func(i, j int) bool {
+		if collected[i][0] != collected[j][0] {
+			return collected[i][0] < collected[j][0]
+		}
+		return collected[i][1] < collected[j][1]
 	})
-	if err != nil {
-		return nil, err
-	}
-	// A backward plan sweeps targets, yielding pairs grouped by v; one
-	// global sort restores the forward path's lexicographic order (the two
-	// paths produce the same set, so the sorted sequences are identical).
-	if plan.Backward {
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-	}
-	return pairs, nil
+	return emit(collected)
 }
 
 // ReachableFrom returns all v with (src, v) ∈ ⟦R⟧_G, sorted.

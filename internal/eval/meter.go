@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 
-	"graphquery/internal/obs"
 	"graphquery/internal/pg"
 )
 
@@ -43,17 +42,6 @@ var (
 // between cooperative checks; see pg.CheckInterval.
 const MeterCheckInterval = pg.CheckInterval
 
-// NewMeter builds the meter for ctx and b; see pg.NewMeter.
-func NewMeter(ctx context.Context, b Budget) *Meter { return pg.NewMeter(ctx, b) }
-
-// NewMeterProgress is NewMeter with a live-progress sink; see
-// pg.NewMeterProgress.
-func NewMeterProgress(ctx context.Context, b Budget, p *obs.Progress) *Meter {
-	return pg.NewMeterProgress(ctx, b, p)
-}
-
-// NewMeterAnalyze is NewMeterProgress with an analyze-mode telemetry sink;
-// see pg.NewMeterAnalyze.
-func NewMeterAnalyze(ctx context.Context, b Budget, p *obs.Progress, ss *SweepStats) *Meter {
-	return pg.NewMeterAnalyze(ctx, b, p, ss)
-}
+// NewMeter builds the meter for ctx and b with no progress or telemetry
+// sink; see pg.NewMeter.
+func NewMeter(ctx context.Context, b Budget) *Meter { return pg.NewMeter(ctx, b, nil, nil) }

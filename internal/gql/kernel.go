@@ -28,7 +28,7 @@ import (
 // budget. Errors follow the standard taxonomy (pg.ErrCanceled,
 // *pg.BudgetError) and return no partial results.
 func EvalPatternCtx(ctx context.Context, g *graph.Graph, p Pattern, opts Options, b pg.Budget) ([]Match, error) {
-	return EvalPatternMeter(g, p, opts, pg.NewMeter(ctx, b))
+	return EvalPatternMeter(g, p, opts, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // EvalPatternMeter is EvalPattern with an explicit meter (may be nil).
@@ -83,7 +83,7 @@ func PairsCtx(ctx context.Context, g *graph.Graph, p Pattern, opts eval.Options)
 	// Fallback: reference evaluator + projection.
 	m := opts.Meter
 	if m == nil {
-		m = pg.NewMeter(ctx, opts.Budget)
+		m = pg.NewMeter(ctx, opts.Budget, nil, nil)
 	}
 	ms, err := EvalPatternMeter(g, p, Options{MaxLen: opts.MaxLen}, m)
 	if err != nil {

@@ -1,7 +1,9 @@
 package pg
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -15,134 +17,69 @@ func Workers(p int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach is the runtime's parallel per-source fan-out with deterministic
-// merge: it runs fn(i, scratch) for every i in [0, n) and concatenates the
-// per-index results in index order, so the output is byte-identical to the
-// sequential loop regardless of worker count or scheduling.
-//
-// With workers ≤ 1 it degenerates to the plain sequential loop (no
-// goroutines, one scratch). Otherwise indexes are over-partitioned into
-// 4 chunks per worker so stragglers balance; workers claim chunks off an
-// atomic cursor, each with its own scratch from newScratch (may be nil
-// when S is unused). putScratch (may be nil) releases each worker's
-// scratch when it exits — the hook pooled scratches return through, called
-// on error paths too. The first error stops all workers at their next
-// chunk claim and is returned; the pool is always joined before returning,
-// so no goroutine outlives the call even on error. An empty total yields
-// nil.
-func ForEach[T, S any](n, workers int, newScratch func() S, putScratch func(S), fn func(i int, sc S) ([]T, error)) ([]T, error) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var sc S
-		if newScratch != nil {
-			sc = newScratch()
-			if putScratch != nil {
-				defer putScratch(sc)
-			}
-		}
-		var out []T
-		for i := 0; i < n; i++ {
-			part, err := fn(i, sc)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, part...)
-		}
-		return out, nil
-	}
-	chunks := workers * 4
-	if chunks > n {
-		chunks = n
-	}
-	size := (n + chunks - 1) / chunks
-	results := make([][]T, chunks)
-	errs := make([]error, chunks)
-	var failed atomic.Bool
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc S
-			if newScratch != nil {
-				sc = newScratch()
-				if putScratch != nil {
-					defer putScratch(sc)
-				}
-			}
-			for {
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				if c >= chunks || failed.Load() {
-					return
-				}
-				lo := c * size
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				var part []T
-				for i := lo; i < hi; i++ {
-					rows, err := fn(i, sc)
-					if err != nil {
-						errs[c] = err
-						failed.Store(true)
-						return
-					}
-					part = append(part, rows...)
-				}
-				results[c] = part
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, part := range results {
-		total += len(part)
-	}
-	if total == 0 {
-		return nil, nil // match the sequential path's nil for empty results
-	}
-	out := make([]T, 0, total)
-	for _, part := range results {
-		out = append(out, part...)
-	}
-	return out, nil
+// PanicError is a panic recovered during evaluation — a bug, reported as
+// the query's error instead of killing the process. The fan-out recovers
+// in its workers because a worker goroutine has no caller that could; the
+// serving layer builds the same error for the handler goroutine. Error
+// omits the stack (the text reaches clients); Stack is for the log.
+type PanicError struct {
+	Value any
+	Stack []byte
 }
 
-// emitWindowPerWorker bounds how many per-index results may exist finished
-// but not yet emitted, per worker: the in-flight window of ForEachEmit.
-// Workers that get this far ahead of the emit cursor park on a condition
-// variable, so a slow emit (a streaming consumer applying backpressure)
-// throttles evaluation instead of letting completed parts pile up.
-const emitWindowPerWorker = 4
+func (e *PanicError) Error() string { return fmt.Sprintf("pg: panic during evaluation: %v", e.Value) }
 
-// ForEachEmit is ForEach's streaming sibling: fn runs for every i in [0, n)
-// on a worker pool, but instead of accumulating every per-index result into
-// one merged slice, each finished part is handed to emit in strict index
-// order as soon as it (and all its predecessors) is ready. The emitted
-// sequence is therefore byte-identical to ForEach's return value, while
-// memory is bounded by the in-flight window (workers × emitWindowPerWorker
-// parts) instead of the total result.
+// recoverTo hands a panic on the deferring goroutine to report as a
+// *PanicError.
+func recoverTo(report func(error)) {
+	if r := recover(); r != nil {
+		report(&PanicError{Value: r, Stack: debug.Stack()})
+	}
+}
+
+// The fan-out's two sizes. Workers claim runs of consecutive indexes, so
+// that a graph of many cheap sources (tens of thousands of sweeps of a few
+// states each) pays the claim/deposit synchronization once per run, not
+// once per sweep — per index it costs several times such a sweep. Runs
+// start at one index and double up to emitBlock: the first part reaches
+// emit as soon as the first source is done (a streamed reply's first byte
+// does not wait for a full block), and small inputs still spread over the
+// pool. At most emitWindowPerWorker runs per worker may be claimed but not
+// yet emitted: workers that get this far ahead of the emit cursor park on a
+// condition variable, so a slow emit (a streaming consumer applying
+// backpressure) throttles evaluation instead of letting finished parts
+// pile up.
+const (
+	emitBlock           = 32
+	emitWindowPerWorker = 4
+)
+
+// ForEachEmit is the runtime's per-index fan-out with deterministic
+// delivery: fn(i, scratch) runs for every i in [0, n) on a worker pool and
+// each finished part is handed to emit in strict index order as soon as its
+// run and all earlier ones are done. The emitted sequence is therefore
+// byte-identical to the sequential loop's regardless of worker count or
+// scheduling, while memory is bounded by the in-flight window (workers ×
+// emitWindowPerWorker runs of at most emitBlock parts), not by the total
+// result. A caller that wants the whole result passes an emit that appends.
 //
-// emit is never called concurrently with itself, and its error (like fn's)
-// stops all workers at their next index claim and is returned; the pool is
-// always joined before returning. An emitted part must not be retained
-// beyond the emit call if T aliases scratch state (it does not for the
-// value types the runtime fans out). With workers ≤ 1 the call degenerates
-// to the plain sequential loop: fn, emit, repeat.
-func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(S), fn func(i int, sc S) ([]T, error), emit func(part []T) error) error {
+// Each worker takes its own scratch from newScratch (may be nil when S is
+// unused) and releases it through putScratch (may be nil) when it exits,
+// on error paths too. emit is never called concurrently with itself, and
+// empty parts never reach it. The first error — from fn, from emit, or a
+// panic in either (*PanicError) — stops all workers at their next index
+// and is returned, voiding parts not yet emitted; the pool is always
+// joined before returning, so no goroutine outlives the call. An emitted
+// part must not be retained beyond the emit call if T aliases scratch
+// state (it does not for the value types the runtime fans out). With
+// workers ≤ 1 the call degenerates to the plain sequential loop: fn, emit,
+// repeat.
+func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(S), fn func(i int, sc S) ([]T, error), emit func(part []T) error) (err error) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
+		defer recoverTo(func(e error) { err = e })
 		var sc S
 		if newScratch != nil {
 			sc = newScratch()
@@ -169,16 +106,17 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		next     int             // next index to claim
-		emitted  int             // next index to emit
-		done     = map[int][]T{} // finished parts awaiting their turn
-		emitting bool            // one worker at a time drains the ready prefix
-		failed   bool
+		nextIdx  int               // next index to claim
+		next     int               // next run to claim
+		emitted  int               // next run to emit
+		done     = map[int][][]T{} // finished runs awaiting their turn
+		emitting bool              // one worker at a time drains the ready prefix
+		failed   atomic.Bool       // set under mu; read without it between indexes
 		firstErr error
 	)
 	fail := func(err error) {
-		if !failed {
-			failed, firstErr = true, err
+		if !failed.Swap(true) {
+			firstErr = err
 		}
 		cond.Broadcast()
 	}
@@ -188,6 +126,13 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// fn and emit run with mu released, so a panic in either finds
+			// it free to take here.
+			defer recoverTo(func(e error) {
+				mu.Lock()
+				fail(e)
+				mu.Unlock()
+			})
 			var sc S
 			if newScratch != nil {
 				sc = newScratch()
@@ -198,23 +143,31 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 			for {
 				mu.Lock()
 				// The window wait is the backpressure edge: claimed-but-
-				// unemitted indexes are capped, so a blocked emit parks the
-				// whole pool within one part each.
-				for !failed && next-emitted >= window {
+				// unemitted runs are capped, so a blocked emit parks the
+				// whole pool within one run each.
+				for !failed.Load() && next-emitted >= window {
 					cond.Wait()
 				}
-				if failed || next >= n {
+				if failed.Load() || nextIdx >= n {
 					mu.Unlock()
 					return
 				}
-				i := next
-				next++
+				run, lo := next, nextIdx
+				hi := lo + min(emitBlock, lo+1, n-lo)
+				next, nextIdx = next+1, hi
 				mu.Unlock()
 
-				part, err := fn(i, sc)
+				parts := make([][]T, 0, hi-lo)
+				var err error
+				for i := lo; i < hi && err == nil && !failed.Load(); i++ {
+					var part []T
+					if part, err = fn(i, sc); len(part) > 0 {
+						parts = append(parts, part)
+					}
+				}
 
 				mu.Lock()
-				if failed {
+				if failed.Load() {
 					mu.Unlock()
 					return
 				}
@@ -223,14 +176,14 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 					mu.Unlock()
 					return
 				}
-				done[i] = part
-				// Whoever completes the emit cursor's index becomes the
-				// emitter and drains every contiguously ready part, releasing
-				// the lock around each emit call so other workers keep
+				done[run] = parts
+				// Whoever completes the emit cursor's run becomes the
+				// emitter and drains every contiguously ready run, releasing
+				// the lock around the emit calls so other workers keep
 				// computing (until the window stops them).
 				if !emitting {
-					for !failed {
-						part, ready := done[emitted]
+					for !failed.Load() {
+						parts, ready := done[emitted]
 						if !ready {
 							break
 						}
@@ -238,8 +191,10 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 						delete(done, emitted)
 						mu.Unlock()
 						var emitErr error
-						if len(part) > 0 {
-							emitErr = emit(part)
+						for _, part := range parts {
+							if emitErr = emit(part); emitErr != nil {
+								break
+							}
 						}
 						mu.Lock()
 						emitting = false

@@ -11,7 +11,7 @@
 // thread through five packages by hand: label-ID guard resolution against
 // the graph's interned label index, the frontier/BFS fixpoint loop,
 // amortized Meter/Budget cancellation checks, parallel per-source fan-out
-// with a deterministic chunk-ordered merge, witness-reconstruction hooks,
+// with deterministic index-ordered delivery, witness-reconstruction hooks,
 // and runtime counters. Future cross-cutting work (sharding, tracing, new
 // languages) lands here once.
 package pg

@@ -97,27 +97,15 @@ type Meter struct {
 	sweep *SweepStats
 }
 
-// NewMeter builds the meter for ctx and b. It returns nil — the free meter —
-// when ctx can never be canceled and b is zero, so uninstrumented callers
-// (context.Background, no budget) pay nothing.
-func NewMeter(ctx context.Context, b Budget) *Meter {
-	return NewMeterProgress(ctx, b, nil)
-}
-
-// NewMeterProgress is NewMeter with a live-progress sink: every states/rows
-// batch the meter accounts is also added to p. A non-nil p forces a non-nil
-// meter even with no deadline and no budget — progress sampling needs the
-// ticks to flow.
-func NewMeterProgress(ctx context.Context, b Budget, p *obs.Progress) *Meter {
-	return NewMeterAnalyze(ctx, b, p, nil)
-}
-
-// NewMeterAnalyze is NewMeterProgress with an analyze-mode telemetry sink:
-// the kernel records sweep and level statistics into ss at its existing
-// exit and barrier sites. A non-nil ss forces a non-nil meter — the sink
-// travels on the meter, so telemetry needs one even with no deadline, no
-// budget, and no progress.
-func NewMeterAnalyze(ctx context.Context, b Budget, p *obs.Progress, ss *SweepStats) *Meter {
+// NewMeter builds the meter for ctx and b. p, when non-nil, is the
+// live-progress sink every states/rows batch is also added to; ss, when
+// non-nil, is the analyze-mode telemetry sink the kernel records sweep and
+// level statistics into at its existing exit and barrier sites. It returns
+// nil — the free meter — when ctx can never be canceled, b is zero, and
+// both sinks are off, so uninstrumented callers (context.Background, no
+// budget) pay nothing; a sink forces a non-nil meter, because it travels
+// on it.
+func NewMeter(ctx context.Context, b Budget, p *obs.Progress, ss *SweepStats) *Meter {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"graphquery/internal/automata"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestNewMeterNil(t *testing.T) {
-	if m := pg.NewMeter(context.Background(), pg.Budget{}); m != nil {
+	if m := pg.NewMeter(context.Background(), pg.Budget{}, nil, nil); m != nil {
 		t.Fatalf("unbudgeted background meter should be nil, got %v", m)
 	}
 	var m *pg.Meter // nil meter: every operation is a no-op that succeeds
@@ -29,7 +30,7 @@ func TestNewMeterNil(t *testing.T) {
 }
 
 func TestMeterBudget(t *testing.T) {
-	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 100})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 100}, nil, nil)
 	if err := m.Tick(100); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMeterBudget(t *testing.T) {
 
 func TestMeterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := pg.NewMeter(ctx, pg.Budget{})
+	m := pg.NewMeter(ctx, pg.Budget{}, nil, nil)
 	if m == nil {
 		t.Fatal("cancellable context should yield a meter")
 	}
@@ -63,7 +64,7 @@ func TestMeterCancel(t *testing.T) {
 // CheckInterval batches plus an exact remainder, and mirrors the total
 // into the counters.
 func TestTicker(t *testing.T) {
-	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: pg.CheckInterval + 50})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: pg.CheckInterval + 50}, nil, nil)
 	var c pg.Counters
 	tick := pg.NewTicker(m, &c)
 	for i := 0; i < pg.CheckInterval+10; i++ {
@@ -95,16 +96,30 @@ func TestTicker(t *testing.T) {
 	}
 }
 
+// collect runs the fan-out with an appending emit: the buffered form every
+// whole-result caller (eval, twoway, crpq) uses.
+func collect(n, workers int, fn func(i int, _ struct{}) ([]int, error)) ([]int, error) {
+	var out []int
+	err := pg.ForEachEmit(n, workers, nil, nil, fn, func(part []int) error {
+		out = append(out, part...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestForEachDeterministic(t *testing.T) {
 	fn := func(i int, _ struct{}) ([]int, error) {
 		return []int{2 * i, 2*i + 1}, nil
 	}
-	want, err := pg.ForEach(100, 1, nil, nil, fn)
+	want, err := collect(100, 1, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 16} {
-		got, err := pg.ForEach(100, workers, nil, nil, fn)
+	for _, workers := range []int{2, 8, 16} {
+		got, err := collect(100, workers, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +132,7 @@ func TestForEachDeterministic(t *testing.T) {
 func TestForEachError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := pg.ForEach(64, workers, nil, nil, func(i int, _ struct{}) ([]int, error) {
+		_, err := collect(64, workers, func(i int, _ struct{}) ([]int, error) {
 			if i == 33 {
 				return nil, boom
 			}
@@ -130,7 +145,7 @@ func TestForEachError(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	out, err := pg.ForEach(0, 4, nil, nil, func(i int, _ struct{}) ([]int, error) {
+	out, err := collect(0, 4, func(i int, _ struct{}) ([]int, error) {
 		return []int{i}, nil
 	})
 	if err != nil || out != nil {
@@ -139,8 +154,8 @@ func TestForEachEmpty(t *testing.T) {
 }
 
 // TestForEachEmitMatchesForEach: the emitted sequence must be identical to
-// ForEach's merged return for any worker count, including with a slow
-// consumer exercising the in-flight window, and empty parts are skipped.
+// the plain sequential loop's for any worker count, including with the
+// in-flight window exercised, and empty parts are skipped.
 func TestForEachEmitMatchesForEach(t *testing.T) {
 	fn := func(i int, _ struct{}) ([]int, error) {
 		if i%7 == 0 {
@@ -148,9 +163,10 @@ func TestForEachEmitMatchesForEach(t *testing.T) {
 		}
 		return []int{3 * i, 3*i + 1}, nil
 	}
-	want, err := pg.ForEach(200, 1, nil, nil, fn)
-	if err != nil {
-		t.Fatal(err)
+	var want []int
+	for i := 0; i < 200; i++ {
+		part, _ := fn(i, struct{}{})
+		want = append(want, part...)
 	}
 	for _, workers := range []int{1, 2, 4, 16} {
 		var got []int
@@ -196,6 +212,40 @@ func TestForEachEmitErrors(t *testing.T) {
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d emit error: want boom, got %v", workers, err)
+		}
+	}
+}
+
+// TestForEachEmitPanic: a panic in fn or in emit — on a worker goroutine,
+// where nothing above could recover it, or on the caller's in the
+// sequential loop — becomes the call's error, scratches are released, and
+// the pool is joined.
+func TestForEachEmitPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, site := range []string{"fn", "emit"} {
+			var got, put atomic.Int32
+			err := pg.ForEachEmit(64, workers,
+				func() int { got.Add(1); return 0 },
+				func(int) { put.Add(1) },
+				func(i int, _ int) ([]int, error) {
+					if site == "fn" && i == 33 {
+						panic("boom")
+					}
+					return []int{i}, nil
+				},
+				func(part []int) error {
+					if site == "emit" && part[0] == 33 {
+						panic("boom")
+					}
+					return nil
+				})
+			var panicked *pg.PanicError
+			if !errors.As(err, &panicked) || panicked.Value != "boom" || len(panicked.Stack) == 0 {
+				t.Fatalf("workers=%d %s: want the recovered panic, got %v", workers, site, err)
+			}
+			if got.Load() != put.Load() {
+				t.Fatalf("workers=%d %s: %d scratches taken, %d released", workers, site, got.Load(), put.Load())
+			}
 		}
 	}
 }

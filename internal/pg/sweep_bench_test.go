@@ -66,7 +66,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 		// recording happens only at sweep exits and level barriers, so this
 		// should sit within noise of its bare counterpart.
 		ss := &pg.SweepStats{}
-		run("analyze", pg.Plan{}, pg.NewMeterAnalyze(context.Background(), pg.Budget{}, nil, ss))
+		run("analyze", pg.Plan{}, pg.NewMeter(context.Background(), pg.Budget{}, nil, ss))
 	}
 }
 

@@ -155,19 +155,19 @@ func TestFrontierBudgetsAndCancel(t *testing.T) {
 		pl := pg.Plan{Shards: shards}
 		sc := kern.NewScratch()
 
-		m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 10})
+		m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 10}, nil, nil)
 		if _, err := kern.Sweep(0, sc, m, pl, true); !errors.Is(err, pg.ErrBudgetExceeded) {
 			t.Fatalf("shards=%d states budget: got %v, want ErrBudgetExceeded", shards, err)
 		}
 
-		m = pg.NewMeter(context.Background(), pg.Budget{MaxRows: 5})
+		m = pg.NewMeter(context.Background(), pg.Budget{MaxRows: 5}, nil, nil)
 		if _, err := kern.Sweep(0, sc, m, pl, true); !errors.Is(err, pg.ErrBudgetExceeded) {
 			t.Fatalf("shards=%d rows budget: got %v, want ErrBudgetExceeded", shards, err)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		m = pg.NewMeter(ctx, pg.Budget{})
+		m = pg.NewMeter(ctx, pg.Budget{}, nil, nil)
 		if _, err := kern.Sweep(0, sc, m, pl, true); !errors.Is(err, pg.ErrCanceled) {
 			t.Fatalf("shards=%d cancel: got %v, want ErrCanceled", shards, err)
 		}
@@ -222,7 +222,7 @@ func TestFrontierShardsExceedNodes(t *testing.T) {
 func TestFrontierRowsBudgetExact(t *testing.T) {
 	g := gen.Clique(30, "a")
 	kern, _ := sweepKernels(t, g, "a*")
-	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 7})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 7}, nil, nil)
 	sc := kern.NewScratch()
 	_, err := kern.Sweep(0, sc, m, pg.Plan{}, true)
 	if !errors.Is(err, pg.ErrBudgetExceeded) {

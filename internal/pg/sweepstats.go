@@ -4,7 +4,7 @@ import "sync"
 
 // SweepStats is the analyze-mode telemetry sink of one query: when a
 // request asks for EXPLAIN ANALYZE, the serving layer mints a meter
-// carrying one of these (NewMeterAnalyze), and the kernel records what its
+// carrying one of these (NewMeter's ss), and the kernel records what its
 // sweeps actually did — states, edges, peak frontier, a per-level breakdown
 // of the direction switch, and per-shard and outbox volumes. Recording
 // happens only at sweep exits and level barriers, where the loop already

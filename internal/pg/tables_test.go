@@ -31,7 +31,7 @@ func TestSweepIdenticalAcrossTableCompilation(t *testing.T) {
 			measure := func() ([]int, CountersSnapshot, *SweepStatsSnapshot) {
 				before := c.Snapshot()
 				ss := &SweepStats{}
-				mt := NewMeterAnalyze(context.Background(), Budget{}, nil, ss)
+				mt := NewMeter(context.Background(), Budget{}, nil, ss)
 				nodes, err := k.Sweep(src, k.NewScratch(), mt, pl, true)
 				if err != nil {
 					t.Fatal(err)

@@ -96,7 +96,7 @@ func FromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
 // canceled ctx or an exhausted states budget aborts with the standard
 // taxonomy errors (pg.ErrCanceled, *pg.BudgetError).
 func FromProductCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src, dst int, b pg.Budget) (*PMR, error) {
-	return FromProductMeter(g, e, src, dst, pg.NewMeter(ctx, b))
+	return FromProductMeter(g, e, src, dst, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // FromProductMeter is FromProduct with an explicit meter (may be nil). The
@@ -219,7 +219,7 @@ func ShortestFromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
 // ShortestFromProductCtx is ShortestFromProduct under a context and budget
 // (see FromProductCtx).
 func ShortestFromProductCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src, dst int, b pg.Budget) (*PMR, error) {
-	return ShortestFromProductMeter(g, e, src, dst, pg.NewMeter(ctx, b))
+	return ShortestFromProductMeter(g, e, src, dst, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // ShortestFromProductMeter is ShortestFromProduct with an explicit meter
@@ -487,7 +487,7 @@ func (r *PMR) Enumerate(limit int) []gpath.Path {
 // each emitted path against the rows budget; errors follow the standard
 // taxonomy. On error no partial result is returned.
 func (r *PMR) EnumerateCtx(ctx context.Context, limit int, b pg.Budget) ([]gpath.Path, error) {
-	return r.EnumerateMeter(limit, pg.NewMeter(ctx, b))
+	return r.EnumerateMeter(limit, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // EnumerateMeter is Enumerate with an explicit meter (may be nil).

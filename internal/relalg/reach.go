@@ -83,7 +83,7 @@ func (q RenameQ) String() string {
 func EvalQueryCtx(ctx context.Context, g *graph.Graph, q Query, opts eval.Options) (*Relation, error) {
 	m := opts.Meter
 	if m == nil {
-		m = pg.NewMeter(ctx, opts.Budget)
+		m = pg.NewMeter(ctx, opts.Budget, nil, nil)
 		opts.Meter = m
 	}
 	tick := pg.NewTicker(m, nil)

@@ -42,6 +42,7 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 // maxRequestBytes bounds the request body a client may send.
@@ -304,15 +305,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Analyze:  req.Analyze,
 	}
 	timeout := s.timeoutFor(time.Duration(req.TimeoutMS) * time.Millisecond)
+	// One engine call for both wire formats: the sink is the NDJSON
+	// streamer, or the collector that appends rows into the buffered body.
 	var st *streamer
-	var resp *core.Response
-	var err error
+	body := &collector{}
+	var sink core.Sink = body
 	if stream {
 		st = s.newStreamer(w, qctx, tr, act.Progress, req.Graph, cur)
-		resp, err = s.evaluateStream(qctx, eng, creq, timeout, st)
-	} else {
-		resp, err = s.evaluate(qctx, eng, creq, timeout)
+		sink = st
 	}
+	resp, err := s.evaluate(qctx, eng, creq, timeout, sink)
 	elapsed := time.Since(act.Started)
 	s.latency.Observe(time.Since(arrived).Seconds())
 	if resp != nil && resp.Analyze != nil && resp.Analyze.Plan.QError > 0 {
@@ -345,6 +347,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.stats.budgetExceeded.Add(1)
 	default:
 		s.stats.errors.Add(1)
+		// A recovered panic is the engine's bug: the client gets the bare
+		// message, the operator the stack.
+		var panicked *pg.PanicError
+		if errors.As(err, &panicked) {
+			s.logger().Error("query panicked", "id", act.ID, "graph", req.Graph,
+				"query", req.Query, "panic", panicked.Value, "stack", string(panicked.Stack))
+		}
 	}
 
 	// Streamed delivery: a successful streamed query (the sink was opened)
@@ -410,9 +419,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, outcome, err.Error())
 		return
 	}
-	// A streamed request whose evaluation never touched the sink (kind
-	// "bag" has one aggregate value) degrades to the buffered body.
-	s.writeJSON(w, http.StatusOK, renderResponse(eng, req.Graph, resp, elapsed))
+	// The rows are in the collector; a streamed request whose evaluation
+	// never touched the sink (kind "bag" has one aggregate value) takes the
+	// same buffered body, with no rows in it.
+	out := &body.QueryResponse
+	out.Graph = req.Graph
+	out.Kind = resp.Kind
+	out.Count = resp.Count()
+	out.StatesVisited = resp.StatesVisited
+	out.RowsProduced = resp.RowsProduced
+	out.ElapsedMS = float64(elapsed.Microseconds()) / 1000
+	out.Analyze = resp.Analyze
+	if resp.Bag != nil {
+		out.Value = resp.Bag.String()
+	}
+	s.writeJSON(w, http.StatusOK, out)
+}
+
+// collector is the buffered face of core.Sink: Begin picks the
+// QueryResponse field group for the kind, Row appends to it. The engine
+// renders rows (core.streamRendered, plannedPairs) exactly as it does for
+// the NDJSON streamer, so the two wire formats are two encodings of one
+// row stream.
+type collector struct {
+	QueryResponse
+	lines *[]string // the string-row field Begin picked
+}
+
+func (c *collector) Begin(kind string, columns []string) error {
+	c.Columns = columns
+	switch kind {
+	case "paths":
+		c.lines = &c.Paths
+	case "matches":
+		c.lines = &c.Matches
+	case "spans":
+		c.lines = &c.Spans
+	}
+	return nil
+}
+
+func (c *collector) Row(v any) error {
+	switch row := v.(type) {
+	case [2]string:
+		c.Pairs = append(c.Pairs, row)
+	case []string:
+		c.Rows = append(c.Rows, row)
+	case string:
+		*c.lines = append(*c.lines, row)
+	}
+	return nil
 }
 
 // classifyHTTP maps the engine/eval error taxonomy to an HTTP status and
@@ -430,64 +486,6 @@ func classifyHTTP(err error) (int, string) {
 	default:
 		return http.StatusInternalServerError, "internal"
 	}
-}
-
-func renderResponse(eng *core.Engine, graphName string, resp *core.Response, elapsed time.Duration) *QueryResponse {
-	// Render against the snapshot the query evaluated on: under a live
-	// store the engine's current graph may already be a later version.
-	g := resp.G
-	if g == nil {
-		g = eng.Graph()
-	}
-	out := &QueryResponse{
-		Graph:         graphName,
-		Kind:          resp.Kind,
-		Count:         resp.Count(),
-		StatesVisited: resp.StatesVisited,
-		RowsProduced:  resp.RowsProduced,
-		ElapsedMS:     float64(elapsed.Microseconds()) / 1000,
-		Analyze:       resp.Analyze,
-	}
-	switch resp.Kind {
-	case "pairs":
-		out.Pairs = make([][2]string, len(resp.Pairs))
-		for i, pr := range resp.Pairs {
-			out.Pairs[i] = [2]string{string(pr[0]), string(pr[1])}
-		}
-	case "paths":
-		out.Paths = make([]string, len(resp.Paths))
-		for i, p := range resp.Paths {
-			out.Paths[i] = p.Format(g)
-		}
-	case "rows":
-		out.Columns = resp.Rows.Head
-		out.Rows = make([][]string, len(resp.Rows.Rows))
-		for i, row := range resp.Rows.Rows {
-			rendered := make([]string, len(row))
-			for j, v := range row {
-				rendered[j] = v.Format(g)
-			}
-			out.Rows[i] = rendered
-		}
-	case "matches":
-		out.Matches = append([]string{}, resp.Matches...)
-	case "spans":
-		out.Spans = append([]string{}, resp.Matches...)
-	case "relation":
-		out.Columns = resp.Rel.Attrs()
-		sorted := resp.Rel.Sorted()
-		out.Rows = make([][]string, len(sorted))
-		for i, t := range sorted {
-			rendered := make([]string, len(t))
-			for j, c := range t {
-				rendered[j] = c.Format(g)
-			}
-			out.Rows[i] = rendered
-		}
-	case "bag":
-		out.Value = resp.Bag.String()
-	}
-	return out
 }
 
 func strconvQuote(s string) string {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -293,6 +294,9 @@ func TestStageHistograms(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, "bank")
 	post(t, ts, `{"graph":"bank","query":"Transfer*"}`)
 	post(t, ts, `{"graph":"bank","query":"q(x,y) :- Transfer(x,y)"}`)
+	// Pairs and rows are rendered inside their kernel span; a path query
+	// is what has an enumerate stage.
+	post(t, ts, `{"graph":"bank","query":"Transfer+","from":"a3","to":"a1","mode":"shortest"}`)
 
 	m := scrapeMetrics(t, ts)
 	if got := m[`gq_stage_duration_seconds_count{stage="kernel"}`]; got < 2 {
@@ -307,5 +311,66 @@ func TestStageHistograms(t *testing.T) {
 	}
 	if total := m["gq_query_duration_seconds_sum"]; stageSum > total {
 		t.Errorf("stage sums %v exceed query wall-clock sum %v", stageSum, total)
+	}
+}
+
+// TestHandlerContainsPanic: a panic on the handler goroutine during
+// evaluation — before any row (the snapshot pin) or after rows went out
+// (its release) — is answered as the internal error class, envelope or
+// trailer, and leaves nothing behind: the slot is released, the registry
+// entry finished, the outcome counted and logged. Queries on another graph
+// run beside it undisturbed.
+func TestHandlerContainsPanic(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 2, StreamChunk: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}, "bank", "figure5-4")
+	g := s.Engine("bank").Graph()
+
+	healthy := make(chan string, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"graph":"figure5-4","query":"a*"}`))
+			if err == nil {
+				resp.Body.Close()
+			}
+			if err != nil || resp.StatusCode != http.StatusOK {
+				healthy <- fmt.Sprintf("healthy query beside the panics: %v %v", resp, err)
+				return
+			}
+		}
+		healthy <- ""
+	}()
+
+	s.Engine("bank").SetGraphPinned(g, 2, func() func() { panic("pin bug") })
+	code, m := post(t, ts, `{"graph":"bank","query":"Transfer*"}`)
+	if code != http.StatusInternalServerError || errorCode(t, m) != "internal" {
+		t.Fatalf("panic before the first row: %d %v, want 500 internal", code, m)
+	}
+
+	s.Engine("bank").SetGraphPinned(g, 3, func() func() { return func() { panic("release bug") } })
+	got := readNDJSON(t, postStream(t, ts, `{"graph":"bank","query":"Transfer*"}`))
+	if got.trailer["status"] != "error" || got.trailer["code"] != "internal" || len(got.rows) == 0 {
+		t.Fatalf("panic after rows went out: %d rows, trailer %v; want rows then an internal error trailer", len(got.rows), got.trailer)
+	}
+
+	if msg := <-healthy; msg != "" {
+		t.Fatal(msg)
+	}
+	if live := s.Registry().Live(); len(live) != 0 {
+		t.Errorf("registry still lists %d in-flight queries", len(live))
+	}
+	internal := 0
+	for _, rec := range s.Registry().Recent() {
+		if rec.Outcome == "internal" && strings.Contains(rec.Error, "panic") {
+			internal++
+		}
+	}
+	if st := s.Stats(); internal != 2 || st.Errors != 2 || st.InFlight != 0 {
+		t.Errorf("%d internal records, stats %+v; want both panics recorded and counted, nothing in flight", internal, st)
+	}
+	// Both slots are free again: two more queries are admitted at once.
+	s.Engine("bank").SetGraph(g, 4)
+	for i := 0; i < 2; i++ {
+		if code, m := post(t, ts, `{"graph":"bank","query":"Transfer*"}`); code != http.StatusOK {
+			t.Fatalf("query after the panics: %d %v", code, m)
+		}
 	}
 }

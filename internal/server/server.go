@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 	"graphquery/internal/store"
 )
 
@@ -339,16 +341,26 @@ func (s *Server) timeoutFor(requested time.Duration) time.Duration {
 	return d
 }
 
-// evaluate runs one admitted query: resolve the deadline, evaluate under
-// ctx, and account the meter readings.
-func (s *Server) evaluate(ctx context.Context, e *core.Engine, req core.Request, timeout time.Duration) (*core.Response, error) {
+// evaluate runs one admitted query — the handler's one engine call:
+// resolve the deadline, evaluate under ctx with results leaving through
+// sink, and account the meter readings. A panic on this goroutine (the
+// fan-out contains its workers' own) is recovered into an error, so the
+// handler's ordinary error path answers it — internal 500 envelope or
+// trailer, slot released, registry entry finished — instead of net/http
+// tearing down the connection with the query still registered.
+func (s *Server) evaluate(ctx context.Context, e *core.Engine, req core.Request, timeout time.Duration, sink core.Sink) (resp *core.Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, &pg.PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, timeout,
 			fmt.Errorf("%w: query deadline %v exceeded", context.DeadlineExceeded, timeout))
 		defer cancel()
 	}
-	resp, err := e.QueryCtx(ctx, req)
+	resp, err = e.QueryStream(ctx, req, sink)
 	if resp != nil {
 		s.stats.statesVisited.Add(resp.StatesVisited)
 		s.stats.rowsReturned.Add(int64(resp.Count()))

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"graphquery/internal/core"
 	"graphquery/internal/eval"
@@ -312,21 +311,4 @@ func (st *streamer) nextCursor(rev uint64) string {
 		return ""
 	}
 	return fmt.Sprintf("v%d:%d", rev, st.cur.skip+st.cur.page)
-}
-
-// evaluateStream is evaluate with delivery through a sink: same deadline
-// resolution, same accounting, core.QueryStream instead of core.QueryCtx.
-func (s *Server) evaluateStream(ctx context.Context, e *core.Engine, req core.Request, timeout time.Duration, sink core.Sink) (*core.Response, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout,
-			fmt.Errorf("%w: query deadline %v exceeded", context.DeadlineExceeded, timeout))
-		defer cancel()
-	}
-	resp, err := e.QueryStream(ctx, req, sink)
-	if resp != nil {
-		s.stats.statesVisited.Add(resp.StatesVisited)
-		s.stats.rowsReturned.Add(int64(resp.Count()))
-	}
-	return resp, err
 }

@@ -10,10 +10,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"graphquery/internal/graph"
 )
 
 // postStream sends a /v1/query with NDJSON accept and returns the raw
@@ -87,22 +90,46 @@ func readNDJSON(t *testing.T, resp *http.Response) ndjson {
 	return out
 }
 
-// streamCases is one query per streamable response kind — every kind the
-// engine produces except "bag", which has a single aggregate value and
-// degrades to the buffered body.
+// skewedGraph has many a-edges (a long cycle plus chords) and a single
+// b-edge, so the planner runs queries ending in b backward — the plan that
+// cannot deliver incrementally and degrades to collect-sort-deliver inside
+// eval.
+func skewedGraph() *graph.Graph {
+	b := graph.NewBuilder()
+	const n = 40
+	id := func(i int) graph.NodeID { return graph.NodeID(fmt.Sprintf("v%d", i)) }
+	for i := 0; i < n; i++ {
+		b.AddNode(id(i), "", nil)
+	}
+	for i := 0; i < n; i++ {
+		for j, d := range []int{1, 7, 13} {
+			b.AddEdge(graph.EdgeID(fmt.Sprintf("e%d", 3*i+j)), "a", id(i), id((i+d)%n), nil)
+		}
+	}
+	b.AddEdge("eb", "b", id(0), id(1), nil)
+	return b.MustBuild()
+}
+
+// streamCases is one query per response kind the engine produces, plus one
+// per way pairs reach the sink: the kernel fan-out (forward, and the
+// backward degrade), the Cypher family, and the render-streamed 2RPQ tier.
+// Kind "bag" has a single aggregate value and never touches the sink: a
+// streamed request for it falls through to the buffered body.
 var streamCases = []struct {
 	name string
 	kind string
 	body string
 }{
 	{"pairs-kernel", "pairs", `{"graph":"bank","query":"Transfer*"}`},
+	{"pairs-backward", "pairs", `{"graph":"skewed","query":"a* b","analyze":true}`},
 	{"pairs-cypher", "pairs", `{"graph":"bank","lang":"cypher","query":"-[:Transfer]->"}`},
 	{"pairs-2rpq", "pairs", `{"graph":"bank","lang":"2rpq","query":"Transfer ~Transfer"}`},
 	{"paths", "paths", `{"graph":"figure5-4","query":"a*","from":"s","to":"t","mode":"shortest"}`},
-	{"rows", "rows", `{"graph":"bank","query":"q(x,y) :- Transfer(x,y), Transfer(y,x)"}`},
+	{"rows", "rows", `{"graph":"bank","query":"q(x,y) :- Transfer(x,y)"}`},
 	{"matches", "matches", `{"graph":"bank","lang":"gql","query":"(x)-[:Transfer]->(y)"}`},
 	{"spans", "spans", `{"graph":"bank","lang":"spanner","doc":"aabc","query":"x{a*}y{(b|c)*}"}`},
 	{"relation", "relation", `{"graph":"bank","lang":"relalg","query":"REACH(Transfer) AS (x, y)"}`},
+	{"bag", "bag", `{"graph":"bank","lang":"bag","query":"Transfer Transfer"}`},
 }
 
 // bufferedField extracts the result array of a buffered QueryResponse for
@@ -145,7 +172,8 @@ func TestStreamMatchesBuffered(t *testing.T) {
 	}
 	for _, pl := range plans {
 		t.Run(pl.name, func(t *testing.T) {
-			_, ts := newTestServer(t, pl.cfg, "bank", "figure5-4")
+			s, ts := newTestServer(t, pl.cfg, "bank", "figure5-4")
+			s.Register("skewed", skewedGraph())
 			for _, tc := range streamCases {
 				t.Run(tc.name, func(t *testing.T) {
 					resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
@@ -157,10 +185,31 @@ func TestStreamMatchesBuffered(t *testing.T) {
 					if resp.StatusCode != http.StatusOK {
 						t.Fatalf("buffered status %d: %s", resp.StatusCode, raw)
 					}
+					if tc.kind == "bag" {
+						// The fall-through: the streamed request gets the
+						// buffered body, the same but for its elapsed time.
+						sresp := postStream(t, ts, tc.body)
+						sraw, _ := io.ReadAll(sresp.Body)
+						sresp.Body.Close()
+						if ct := sresp.Header.Get("Content-Type"); ct != "application/json" {
+							t.Fatalf("Content-Type %q, want application/json (buffered fall-through)", ct)
+						}
+						elapsed := regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
+						if got, want := elapsed.ReplaceAll(sraw, nil), elapsed.ReplaceAll(raw, nil); !bytes.Equal(got, want) {
+							t.Fatalf("streamed bag body differs:\nstream:   %s\nbuffered: %s", got, want)
+						}
+						return
+					}
+					if tc.name == "pairs-backward" && !bytes.Contains(raw, []byte("dir=backward")) {
+						t.Fatalf("the planner no longer runs this query backward: %s", raw)
+					}
 					wantRows, wantCols := bufferedField(t, raw, tc.kind)
+					if len(wantRows) == 0 {
+						t.Fatal("buffered result is empty: the case proves nothing")
+					}
 
 					got := readNDJSON(t, postStream(t, ts, tc.body))
-					if got.header["kind"] != tc.kind || got.header["graph"] != "bank" && tc.name != "paths" {
+					if got.header["kind"] != tc.kind {
 						t.Fatalf("header %v, want kind %q", got.header, tc.kind)
 					}
 					if len(got.rows) != len(wantRows) {

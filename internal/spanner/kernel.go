@@ -25,7 +25,7 @@ import (
 // capture recursion; each emitted mapping is charged to the rows budget.
 // Errors follow the standard taxonomy and return no partial results.
 func EvaluateCtx(ctx context.Context, doc string, e Expr, b pg.Budget) ([]Match, error) {
-	return EvaluateMeter(doc, e, pg.NewMeter(ctx, b))
+	return EvaluateMeter(doc, e, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // EvaluateMeter is Evaluate with an explicit meter (may be nil).

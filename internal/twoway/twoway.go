@@ -390,11 +390,12 @@ func PairsMeter(g *graph.Graph, e Expr, m *eval.Meter) ([][2]int, error) {
 }
 
 // PairsMeterOpt is PairsMeter with explicit runtime options: per-source
-// fan-out over the runtime's worker pool (deterministic chunk-ordered
-// merge, so output is identical at any parallelism) and runtime counters.
+// fan-out over the runtime's worker pool (index-ordered delivery, so output
+// is identical at any parallelism) and runtime counters.
 func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]int, error) {
 	kern := Kernel(g, e, opts.Counters)
-	return pg.ForEach(g.NumNodes(), pg.Workers(opts.Parallelism), kern.GetScratch, kern.PutScratch,
+	var out [][2]int
+	err := pg.ForEachEmit(g.NumNodes(), pg.Workers(opts.Parallelism), kern.GetScratch, kern.PutScratch,
 		func(u int, sc *pg.Scratch) ([][2]int, error) {
 			if !g.NodeAlive(u) { // tombstoned under a mutation overlay
 				return nil, nil
@@ -410,7 +411,15 @@ func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]in
 				part[i] = [2]int{u, v}
 			}
 			return part, nil
+		},
+		func(part [][2]int) error {
+			out = append(out, part...)
+			return nil
 		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Check reports whether (src, dst) ∈ ⟦R⟧_G.

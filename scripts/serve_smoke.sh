@@ -337,8 +337,19 @@ expect stream-cursor '"next_cursor":"v' "$(printf '%s\n' "$page" | tail -1)"
 # well-formed in-band "killed" trailer (the 200 is already on the wire).
 echo "serve-smoke: building streamprobe"
 $GO build -o "$workdir/streamprobe" ./scripts/streamprobe
-"$workdir/streamprobe" -mode identity -base "$base" -graph clique-200 -query 'a*' \
-  || fail "streamed rows are not byte-identical to the buffered response"
+# Identity runs once per row-bearing kind: the two wire formats are two
+# encodings of one row stream, whichever evaluator produced it.
+identity() { # identity <kind> <streamprobe query flags...>
+  local kind=$1; shift
+  "$workdir/streamprobe" -mode identity -base "$base" "$@" \
+    || fail "streamed $kind rows are not byte-identical to the buffered response"
+}
+identity pairs -graph clique-200 -query 'a*'
+identity paths -graph figure5-12 -query 'a*' -from s -to t
+identity rows -graph bank -query 'q(x,y) :- Transfer(x,y)'
+identity matches -graph bank -lang gql -query '(x)-[:Transfer]->(y)'
+identity spans -graph bank -lang spanner -doc aabc -query 'x{a*}y{(b|c)*}'
+identity relation -graph bank -lang relalg -query 'REACH(Transfer) AS (x, y)'
 "$workdir/streamprobe" -mode killstream -base "$base" -graph grid-50x50 -query 'a*' \
   || fail "mid-flight kill did not surface a killed trailer"
 echo "serve-smoke: ok: streamed delivery (header/trailer, cursor, identity, kill)"

@@ -8,6 +8,7 @@
 // Modes (-mode):
 //
 //	identity   buffered result fields == concatenated NDJSON rows, byte-exact
+//	           (any row-bearing kind: -lang / -from / -to / -doc pick it)
 //	slowheap   drain a big stream slowly; fail if server HeapAlloc exceeds -max-heap
 //	heapwatch  run a buffered query while sampling HeapAlloc; print the peak
 //	killstream open a stream, read the header, cancel via the registry,
@@ -37,18 +38,31 @@ func main() {
 	debug := flag.String("debug", "", "debug (pprof) base URL, for heap sampling")
 	graph := flag.String("graph", "bank", "graph to query")
 	query := flag.String("query", "Transfer*", "query text")
+	lang := flag.String("lang", "", "query language (default: auto-detect)")
+	from := flag.String("from", "", "source anchor of a path query")
+	to := flag.String("to", "", "target anchor of a path query")
+	doc := flag.String("doc", "", "input document of a spanner query")
 	maxHeap := flag.Int64("max-heap", 256<<20, "slowheap: fail if server HeapAlloc exceeds this")
 	flag.Parse()
+	raw, _ := json.Marshal(struct { // a struct of strings: cannot fail
+		Graph string `json:"graph"`
+		Query string `json:"query"`
+		Lang  string `json:"lang,omitempty"`
+		From  string `json:"from,omitempty"`
+		To    string `json:"to,omitempty"`
+		Doc   string `json:"doc,omitempty"`
+	}{*graph, *query, *lang, *from, *to, *doc})
+	body := string(raw)
 	var err error
 	switch *mode {
 	case "identity":
-		err = identity(*base, *graph, *query)
+		err = identity(*base, body)
 	case "slowheap":
-		err = slowheap(*base, *debug, *graph, *query, *maxHeap)
+		err = slowheap(*base, *debug, body, *maxHeap)
 	case "heapwatch":
-		err = heapwatch(*base, *debug, *graph, *query)
+		err = heapwatch(*base, *debug, body)
 	case "killstream":
-		err = killstream(*base, *graph, *query)
+		err = killstream(*base, body)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)
 	}
@@ -109,8 +123,7 @@ func readStream(resp *http.Response) ([]string, map[string]any, error) {
 
 // identity cross-validates delivery paths: the streamed rows must be
 // byte-identical to the buffered response's result-array elements.
-func identity(base, graph, query string) error {
-	body := fmt.Sprintf(`{"graph":%q,"query":%q}`, graph, query)
+func identity(base, body string) error {
 	resp, err := post(base, body, false)
 	if err != nil {
 		return err
@@ -150,8 +163,8 @@ func identity(base, graph, query string) error {
 	if trailer["status"] != "ok" {
 		return fmt.Errorf("trailer %v", trailer)
 	}
-	if len(rows) != len(want) {
-		return fmt.Errorf("streamed %d rows, buffered %d", len(rows), len(want))
+	if len(rows) != len(want) || len(rows) == 0 {
+		return fmt.Errorf("streamed %d rows, buffered %d; want the same non-zero count", len(rows), len(want))
 	}
 	for i := range rows {
 		if rows[i] != string(want[i]) {
@@ -205,7 +218,7 @@ func heapSampler(debug string) (max *atomic.Int64, stop func()) {
 // then a pause, repeatedly) so evaluation runs far ahead of the client,
 // and fails if the server's HeapAlloc ever exceeds maxHeap — the
 // backpressure bound: memory O(chunk buffer), not O(result).
-func slowheap(base, debug, graph, query string, maxHeap int64) error {
+func slowheap(base, debug, body string, maxHeap int64) error {
 	// Force a GC first so garbage from earlier requests doesn't linger in
 	// HeapAlloc and get misattributed to this stream.
 	if resp, err := http.Get(debug + "/debug/pprof/heap?gc=1"); err == nil {
@@ -213,7 +226,6 @@ func slowheap(base, debug, graph, query string, maxHeap int64) error {
 		resp.Body.Close()
 	}
 	max, stop := heapSampler(debug)
-	body := fmt.Sprintf(`{"graph":%q,"query":%q}`, graph, query)
 	resp, err := post(base, body, true)
 	if err != nil {
 		stop()
@@ -275,9 +287,8 @@ func slowheap(base, debug, graph, query string, maxHeap int64) error {
 
 // heapwatch runs one buffered query while sampling HeapAlloc — the
 // "before" column of the delivery-memory comparison. It only reports.
-func heapwatch(base, debug, graph, query string) error {
+func heapwatch(base, debug, body string) error {
 	max, stop := heapSampler(debug)
-	body := fmt.Sprintf(`{"graph":%q,"query":%q}`, graph, query)
 	resp, err := post(base, body, false)
 	if err != nil {
 		stop()
@@ -297,8 +308,7 @@ func heapwatch(base, debug, graph, query string) error {
 // killstream opens a stream, reads just the header (so the 200 and first
 // chunk are on the wire), kills the query through the registry, and
 // requires the stream to end with a well-formed "killed" error trailer.
-func killstream(base, graph, query string) error {
-	body := fmt.Sprintf(`{"graph":%q,"query":%q}`, graph, query)
+func killstream(base, body string) error {
 	resp, err := post(base, body, true)
 	if err != nil {
 		return err
