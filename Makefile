@@ -28,10 +28,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every benchmark: catches bit-rot in the harness without
-# waiting for stable timings.
+# One iteration of every benchmark — the root package's experiment rows and
+# the kernel-layer rows in internal/pg: catches bit-rot in the harnesses
+# without waiting for stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

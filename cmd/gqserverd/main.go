@@ -96,7 +96,7 @@ func main() {
 	maxLen := flag.Int("maxlen", 16, "bound on path length for mode all")
 	limit := flag.Int("limit", 0, "bound on returned paths/rows (0: unlimited)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines per query (0: one per CPU)")
-	shards := flag.Int("shards", 0, "kernel shards for heavy sweeps (0 or 1: unsharded)")
+	shards := flag.Int("shards", 0, "kernel shards for heavy single-source sweeps (0 or 1: unsharded; all-pairs batches do not shard)")
 	drain := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight queries")
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this as structured WARN records (0: off)")
 	queryLog := flag.String("query-log", "", "append one JSONL record per admitted query to this file (empty: off)")

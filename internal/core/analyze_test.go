@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphquery/internal/gen"
+	"graphquery/internal/graph"
 )
 
 // countingSink counts delivered rows and discards them; a non-zero stopAt
@@ -89,32 +90,62 @@ func TestAnalyzeAnnotatedPlan(t *testing.T) {
 
 // TestAnalyzeDeterminism: identical query + graph + plan yields a
 // byte-identical annotated plan tree across runs — under sequential,
-// parallel, and sharded-2 plans. The first run warms the plan cache (a
-// cold run records parse/compile/plan spans that warm runs skip), then
-// repeated runs must not differ in a single byte: the tree carries no
-// wall-clock and every sweep aggregate is scheduling-independent.
+// parallel, and sharded-2 plans, on a one-batch graph and on one whose
+// sources fill several batches of the kernel's all-sources loop. The first
+// run warms the plan cache (a cold run records parse/compile/plan spans that
+// warm runs skip), then repeated runs must not differ in a single byte: the
+// tree carries no wall-clock and every sweep aggregate is
+// scheduling-independent. Across worker counts the only byte that may move
+// is the plan line's workers= token, so with the line blanked the unsharded
+// trees must be identical at 1, 2 and 8 workers.
 func TestAnalyzeDeterminism(t *testing.T) {
-	g := gen.Clique(64, "a")
-	for _, tc := range []struct {
-		name                string
-		parallelism, shards int
+	for _, gc := range []struct {
+		name, query string
+		g           *graph.Graph
 	}{
-		{"sequential", 1, 0},
-		{"parallel", 4, 0},
-		{"sharded-2", 1, 2},
+		{"clique-64", "a a*", gen.Clique(64, "a")},
+		{"scalefree-300", "a b* a", gen.ScaleFree(300, 3, 7)},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := New(g)
-			e.Parallelism = tc.parallelism
-			e.Shards = tc.shards
-			analyzeJSON(t, e, "a a*") // warm the plan cache
-			want := analyzeJSON(t, e, "a a*")
-			for run := 0; run < 5; run++ {
-				if got := analyzeJSON(t, e, "a a*"); string(got) != string(want) {
-					t.Fatalf("run %d diverged:\n got %s\nwant %s", run, got, want)
+		var acrossWorkers string
+		for _, tc := range []struct {
+			name                string
+			parallelism, shards int
+		}{
+			{"sequential", 1, 0},
+			{"parallel-2", 2, 0},
+			{"parallel-8", 8, 0},
+			{"sharded-2", 1, 2},
+		} {
+			t.Run(gc.name+"/"+tc.name, func(t *testing.T) {
+				e := New(gc.g)
+				e.Parallelism = tc.parallelism
+				e.Shards = tc.shards
+				analyzeJSON(t, e, gc.query) // warm the plan cache
+				want := analyzeJSON(t, e, gc.query)
+				for run := 0; run < 5; run++ {
+					if got := analyzeJSON(t, e, gc.query); string(got) != string(want) {
+						t.Fatalf("run %d diverged:\n got %s\nwant %s", run, got, want)
+					}
 				}
-			}
-		})
+				if tc.shards > 1 {
+					return
+				}
+				var ap AnnotatedPlan
+				if err := json.Unmarshal(want, &ap); err != nil {
+					t.Fatal(err)
+				}
+				ap.Plan.Detail = ""
+				b, err := json.Marshal(ap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if acrossWorkers == "" {
+					acrossWorkers = string(b)
+				} else if string(b) != acrossWorkers {
+					t.Fatalf("tree depends on the worker count:\n got %s\nwant %s", b, acrossWorkers)
+				}
+			})
+		}
 	}
 }
 

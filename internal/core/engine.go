@@ -80,7 +80,8 @@ type Engine struct {
 	// product state space is partitioned by graph node into this many
 	// frontier loops with cross-shard exchange at level barriers. 0 and 1
 	// both mean unsharded; the planner still ignores the knob for sweeps
-	// too light to amortize the barriers.
+	// too light to amortize the barriers, and all-pairs batches (64 sources
+	// to a sweep) do not shard.
 	Shards int
 	// Budget is the default per-query resource budget applied by QueryCtx
 	// and QueryStream. Zero fields are unlimited; the typed conveniences

@@ -397,16 +397,25 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 }
 
 func (e *Engine) twoWayPairsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) ([][2]graph.NodeID, error) {
-	sp := tr.Start("parse")
-	expr, err := cached(e, gs, "2rpq", query, twoway.Parse)
-	sp.End()
+	// The compiled kernel is cached per (revision, query), like an RPQ's
+	// product: parse and compile spans appear only on plan-cache misses.
+	kern, err := cached(e, gs, "2rpq", query, func(q string) (*pg.Kernel, error) {
+		sp := tr.Start("parse")
+		expr, err := twoway.Parse(q)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		sp = tr.Start("compile")
+		defer sp.End()
+		return twoway.Kernel(gs.g, expr, &e.counters), nil
+	})
 	if err != nil {
 		return nil, badQuery(err)
 	}
 	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	prs, err := twoway.PairsMeterOpt(gs.g, expr, m,
-		twoway.Options{Parallelism: 1, Counters: &e.counters})
+	sp := tr.Start("kernel")
+	prs, err := twoway.PairsKernel(kern, m, e.Parallelism)
 	sp.Counts(m.States()-s0, m.Rows()-r0).End()
 	if err != nil {
 		return nil, err

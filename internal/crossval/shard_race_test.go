@@ -2,7 +2,7 @@ package crossval_test
 
 // Race coverage for sharded sweeps: `make ci` runs this
 // package under -race (the `race` target is `go test -race ./...`), so
-// concurrent queries forcing shards > 1 exercise the per-level shard
+// concurrent sweeps forcing shards > 1 exercise the per-level shard
 // goroutines, the outbox exchange, and the frozen-frontier bottom-up reads
 // under the detector.
 
@@ -25,20 +25,32 @@ func TestShardedQueriesConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 		nfa := rpq.Compile(expr)
-		p := eval.NewProduct(g, nfa)
-		want := eval.PairsProduct(p, eval.Options{})
+		kern := eval.NewProduct(g, nfa).Kernel()
+		sweepAll := func(pl pg.Plan) [][]int {
+			sc := kern.NewScratch()
+			out := make([][]int, g.NumNodes())
+			for u := range out {
+				vs, err := kern.Sweep(u, sc, nil, pl, false)
+				if err != nil {
+					t.Error(err)
+				}
+				out[u] = append([]int(nil), vs...)
+			}
+			return out
+		}
+		want := sweepAll(pg.Plan{})
 		const goroutines = 8
-		got := make([][][2]int, goroutines)
+		got := make([][][]int, goroutines)
 		var wg sync.WaitGroup
 		for i := 0; i < goroutines; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				// One shared immutable Product, every query sharded ×4: the
+				// One shared immutable kernel, every sweep sharded ×4: the
 				// shard goroutines of concurrent sweeps interleave freely.
-				got[i] = eval.PairsProduct(p, eval.Options{
-					Plan: pg.Plan{Shards: 4, Workers: 1},
-				})
+				// Sweep directly — the all-sources driver batches, and a
+				// batch does not shard.
+				got[i] = sweepAll(pg.Plan{Shards: 4})
 			}(i)
 		}
 		wg.Wait()

@@ -442,51 +442,53 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 
 	sameVar := !a.Src.IsConst && !a.Dst.IsConst && a.Src.Var == a.Dst.Var
 
-	// The product is shared by every source BFS of the existence fast path;
-	// it is compiled once per atom, not once per source.
-	var product *eval.Product
-	if existenceOnly && rpqExpr != nil {
-		product = eval.CompileProduct(g, rpqExpr)
+	addTuple := func(rows [][]OutValue, u, v int, mu gpath.Binding) [][]OutValue {
+		row := make([]OutValue, 0, len(attrs))
+		if !a.Src.IsConst {
+			row = append(row, OutValue{Node: u})
+		}
+		if !a.Dst.IsConst && (a.Src.IsConst || a.Dst.Var != a.Src.Var) {
+			row = append(row, OutValue{Node: v})
+		}
+		for _, z := range listVars {
+			row = append(row, OutValue{IsList: true, List: mu.Get(z)})
+		}
+		return append(rows, row)
 	}
 
-	perSource := func(u int, sc *eval.Scratch) ([][]OutValue, error) {
+	if existenceOnly && rpqExpr != nil {
+		// Existence over a plain automaton is reachability: the kernel's
+		// all-sources driver sweeps every source candidate (one product,
+		// compiled once per atom) and hands back (source, target) pairs,
+		// sources in candidate order and each source's targets ascending.
+		// A target is a destination candidate if it is the constant, or,
+		// for a variable, always: removing a node removes its edges, so a
+		// sweep from a live source reaches live nodes only.
+		dstConst := -1
+		if a.Dst.IsConst {
+			dstConst = dstCandidates[0]
+		}
+		kern := eval.CompileProduct(g, rpqExpr).Kernel()
+		var tuples [][]OutValue
+		err := kern.SweepFrom(srcCandidates, eval.Parallelism(opts.Parallelism), opts.Meter, pg.Plan{}, false,
+			func(pairs [][2]int) error {
+				before := len(tuples)
+				for _, pr := range pairs {
+					if sameVar && pr[0] != pr[1] || dstConst >= 0 && pr[1] != dstConst {
+						continue
+					}
+					tuples = addTuple(tuples, pr[0], pr[1], nil)
+				}
+				return opts.Meter.AddRows(int64(len(tuples) - before))
+			})
+		if err != nil {
+			return atomRelT{}, err
+		}
+		return atomRelT{attrs: attrs, tuples: tuples}, nil
+	}
+
+	perSource := func(u int) ([][]OutValue, error) {
 		var rows [][]OutValue
-		addTuple := func(u, v int, mu gpath.Binding) {
-			row := make([]OutValue, 0, len(attrs))
-			if !a.Src.IsConst {
-				row = append(row, OutValue{Node: u})
-			}
-			if !a.Dst.IsConst && (a.Src.IsConst || a.Dst.Var != a.Src.Var) {
-				row = append(row, OutValue{Node: v})
-			}
-			for _, z := range listVars {
-				row = append(row, OutValue{IsList: true, List: mu.Get(z)})
-			}
-			rows = append(rows, row)
-		}
-		if product != nil {
-			// One product BFS per source covers all destinations.
-			reach, err := eval.ReachableFromMeter(product, u, sc, opts.Meter)
-			if err != nil {
-				return nil, err
-			}
-			ok := map[int]bool{}
-			for _, v := range reach {
-				ok[v] = true
-			}
-			for _, v := range dstCandidates {
-				if sameVar && u != v {
-					continue
-				}
-				if ok[v] {
-					addTuple(u, v, nil)
-				}
-			}
-			if err := opts.Meter.AddRows(int64(len(rows))); err != nil {
-				return nil, err
-			}
-			return rows, nil
-		}
 		for _, v := range dstCandidates {
 			if sameVar && u != v {
 				continue
@@ -503,7 +505,7 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 			}
 			if existenceOnly {
 				if len(pbs) > 0 {
-					addTuple(u, v, nil)
+					rows = addTuple(rows, u, v, nil)
 				}
 				continue
 			}
@@ -514,13 +516,13 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 					continue
 				}
 				seen[k] = struct{}{}
-				addTuple(u, v, pb.Binding)
+				rows = addTuple(rows, u, v, pb.Binding)
 			}
 		}
 		return rows, nil
 	}
 
-	tuples, err := overSources(srcCandidates, opts.Parallelism, product, opts.Meter, perSource)
+	tuples, err := overSources(srcCandidates, opts.Parallelism, opts.Meter, perSource)
 	if err != nil {
 		return atomRelT{}, err
 	}
@@ -532,29 +534,17 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 
 // overSources runs fn once per source node through the runtime's parallel
 // fan-out (pg.ForEachEmit): per-source results are appended in source
-// order, so the relation is identical to the sequential loop's. p, when
-// non-nil, supplies one reusable reachability Scratch per worker. The
-// meter m, when non-nil, is polled between sources, and a first error
-// stops every worker from claiming further sources.
-func overSources(sources []int, parallelism int, p *eval.Product, m *eval.Meter, fn func(u int, sc *eval.Scratch) ([][]OutValue, error)) ([][]OutValue, error) {
-	newScratch := func() *eval.Scratch {
-		if p == nil {
-			return nil
-		}
-		return p.GetScratch()
-	}
-	putScratch := func(sc *eval.Scratch) {
-		if p != nil {
-			p.PutScratch(sc)
-		}
-	}
+// order, so the relation is identical to the sequential loop's. The meter
+// m, when non-nil, is polled between sources, and a first error stops
+// every worker from claiming further sources.
+func overSources(sources []int, parallelism int, m *eval.Meter, fn func(u int) ([][]OutValue, error)) ([][]OutValue, error) {
 	var out [][]OutValue
-	err := pg.ForEachEmit(len(sources), eval.Parallelism(parallelism), newScratch, putScratch,
-		func(i int, sc *eval.Scratch) ([][]OutValue, error) {
+	err := pg.ForEachEmit(len(sources), eval.Parallelism(parallelism), nil, nil,
+		func(i int, _ struct{}) ([][]OutValue, error) {
 			if err := m.Check(); err != nil {
 				return nil, err
 			}
-			return fn(sources[i], sc)
+			return fn(sources[i])
 		},
 		func(part [][]OutValue) error {
 			out = append(out, part...)

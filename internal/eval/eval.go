@@ -23,20 +23,20 @@ var ErrUnbounded = errors.New("eval: unbounded enumeration under mode all requir
 func Parallelism(p int) int { return pg.Workers(p) }
 
 // Pairs computes ⟦R⟧_G = {(u,v) | some path from u to v matches R}
-// (Section 3.1.1), via one product-graph BFS per source node. Results are
-// sorted lexicographically.
+// (Section 3.1.1), via product-graph sweeps from every source node (see
+// PairsProductEmit). Results are sorted lexicographically.
 func Pairs(g *graph.Graph, e rpq.Expr) [][2]int {
 	return PairsCompiled(g, rpq.Compile(e), Options{})
 }
 
-// PairsOpt is Pairs with explicit options (parallel per-source fan-out).
+// PairsOpt is Pairs with explicit options (the fan-out degree).
 func PairsOpt(g *graph.Graph, e rpq.Expr, opts Options) [][2]int {
 	return PairsCompiled(g, rpq.Compile(e), opts)
 }
 
 // PairsCompiled evaluates an already compiled automaton — the entry point
 // for plan caches that skip parsing and Glushkov compilation. See
-// PairsProductEmit for the fan-out and its ordering guarantee.
+// PairsProductEmit for the ordering guarantee.
 func PairsCompiled(g *graph.Graph, a *automata.NFA, opts Options) [][2]int {
 	return PairsProduct(NewProduct(g, a), opts)
 }
@@ -73,33 +73,33 @@ func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, e
 	return out, nil
 }
 
-// PairsProductEmit is the one all-sources driver: one kernel sweep per
-// source, fanned out over pg.ForEachEmit's worker pool, every sweep
-// metered, and the pairs handed to emit in lexicographic order — each
-// per-source result is ascending and sources are delivered in ascending
-// order, so the output is byte-identical at any worker count and needs no
-// final sort. The meter is opts.Meter when set (a serving layer sharing
+// PairsProductEmit evaluates all pairs through the kernel's all-sources
+// driver (pg.Kernel.SweepAll): sources swept 64 to a batch, batches fanned
+// out over the worker pool, every sweep metered, and the pairs handed to
+// emit in lexicographic order — sources ascending, each source's targets
+// ascending — so the output is byte-identical at any worker count and needs
+// no final sort. The meter is opts.Meter when set (a serving layer sharing
 // one meter across stages), otherwise minted from ctx and opts.Budget.
 // Workers share it, so a canceled context or an exhausted budget stops all
 // of them within one check interval; the pool is always joined before
 // returning.
 //
-// Delivery is incremental: emit runs while later sweeps are still going,
-// memory is bounded by the fan-out's in-flight window — O(window ×
-// per-source result), not O(total result) — and a blocked emit throttles
-// the worker pool (backpressure). Rows are charged on the meter at
-// emission time inside each sweep, so a MaxRows budget trips on row
-// MaxRows+1 and the rows of every source before the tripping one are
-// already with emit. emit is never called concurrently with itself and
-// owns the slice it is handed; its error stops evaluation and is returned
-// verbatim (serving layers use a sentinel to stop early, e.g. when a
-// cursor page is full).
+// Delivery is incremental: emit runs while later batches are still going,
+// memory is bounded by the fan-out's in-flight window — O(window × batch
+// result), not O(total result) — and a blocked emit throttles the worker
+// pool (backpressure). Rows are charged on the meter one at a time as
+// their source is delivered, so a MaxRows budget trips on row MaxRows+1
+// and the rows of every source before the tripping one are already with
+// emit. emit is never called concurrently with itself and owns the slice
+// it is handed; its error stops evaluation and is returned verbatim
+// (serving layers use a sentinel to stop early, e.g. when a cursor page is
+// full).
 //
 // A backward plan cannot deliver incrementally: it sweeps targets on the
 // reversed kernel, so nothing is correctly ordered until every sweep has
 // finished and one global sort has restored the forward order (the two
 // directions produce the same set, so the sorted sequences are identical).
-// It collects through the same fan-out, sorts, and hands emit everything
+// It collects through the same driver, sorts, and hands emit everything
 // at once — same order, peak memory O(total result).
 func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(pairs [][2]int) error) error {
 	m := opts.Meter
@@ -116,29 +116,14 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 	if plan.Backward {
 		kern = p.backward()
 		deliver = func(part [][2]int) error {
-			collected = append(collected, part...)
+			for _, pr := range part {
+				collected = append(collected, [2]int{pr[1], pr[0]})
+			}
 			return nil
 		}
 	}
 	kern.Counters().CountPlan(pg.Plan{Backward: plan.Backward, Workers: workers, Shards: plan.Shards})
-	err := pg.ForEachEmit(p.G.NumNodes(), workers, kern.GetScratch, kern.PutScratch, func(u int, sc *Scratch) ([][2]int, error) {
-		if !p.G.NodeAlive(u) { // tombstoned under a mutation overlay
-			return nil, nil
-		}
-		vs, err := kern.Sweep(u, sc, m, plan, true)
-		if err != nil {
-			return nil, err
-		}
-		part := make([][2]int, len(vs))
-		for i, v := range vs {
-			if plan.Backward {
-				part[i] = [2]int{v, u}
-			} else {
-				part[i] = [2]int{u, v}
-			}
-		}
-		return part, nil
-	}, deliver)
+	err := kern.SweepAll(workers, m, plan, true, deliver)
 	if err != nil || len(collected) == 0 {
 		return err
 	}
@@ -154,18 +139,6 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 // ReachableFrom returns all v with (src, v) ∈ ⟦R⟧_G, sorted.
 func ReachableFrom(g *graph.Graph, e rpq.Expr, src int) []int {
 	return reachableFrom(CompileProduct(g, e), src)
-}
-
-// ReachableFromMeter is ReachableFrom over a prebuilt product under a meter
-// (sc may be nil for one-shot use, or a scratch reused across calls) — the
-// building block multi-stage evaluators (crpq atom materialization) use to
-// share one cancellation/budget instrument across many BFS runs. A nil
-// meter never fails.
-func ReachableFromMeter(p *Product, src int, sc *Scratch, m *Meter) ([]int, error) {
-	if sc == nil {
-		sc = p.NewScratch()
-	}
-	return p.kern.Sweep(src, sc, m, pg.Plan{}, false)
 }
 
 func reachableFrom(p *Product, src int) []int {

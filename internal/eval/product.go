@@ -96,12 +96,6 @@ func (p *Product) Succ(s State) []Step { return p.kern.Succ(s) }
 // NewScratch allocates buffers sized for p.
 func (p *Product) NewScratch() *Scratch { return p.kern.NewScratch() }
 
-// GetScratch returns a pooled scratch for p's forward kernel.
-func (p *Product) GetScratch() *Scratch { return p.kern.GetScratch() }
-
-// PutScratch returns a scratch obtained from GetScratch to the pool.
-func (p *Product) PutScratch(sc *Scratch) { p.kern.PutScratch(sc) }
-
 // reachableInto computes all graph nodes v such that some accepting product
 // state (v, q) is reachable from (src, q₀), sorted ascending. The returned
 // slice aliases sc.nodes and is valid until the next call with the same

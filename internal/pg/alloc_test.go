@@ -37,6 +37,28 @@ func TestScratchPoolWarmSweepAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmBatchAllocatesOnlyItsResult: the batched loop's slabs, lists and
+// frontier recycle through the package's pool, so one more batch in an
+// all-sources evaluation costs exactly one allocation — its pairs.
+func TestWarmBatchAllocatesOnlyItsResult(t *testing.T) {
+	allocs := func(k int) float64 {
+		kern, _ := sweepKernels(t, gen.Clique(k, "a"), "a a*")
+		all := func() {
+			err := kern.SweepAll(1, nil, pg.Plan{}, true, func([][2]int) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			all()
+		}
+		return testing.AllocsPerRun(50, all)
+	}
+	if two, three := allocs(72), allocs(136); three-two != 1 {
+		t.Fatalf("two batches allocate %.1f times, three batches %.1f: a warm batch must allocate its result and nothing else", two, three)
+	}
+}
+
 // TestFreshKernelAnchoredSweepStaysSmall pins the cold-kernel regime:
 // anchored queries compile a fresh kernel per request and sweep once from
 // the anchor, so kernel, scratch and sweep together must stay O(automaton)

@@ -37,31 +37,25 @@ func recoverTo(report func(error)) {
 	}
 }
 
-// The fan-out's two sizes. Workers claim runs of consecutive indexes, so
-// that a graph of many cheap sources (tens of thousands of sweeps of a few
-// states each) pays the claim/deposit synchronization once per run, not
-// once per sweep — per index it costs several times such a sweep. Runs
-// start at one index and double up to emitBlock: the first part reaches
-// emit as soon as the first source is done (a streamed reply's first byte
-// does not wait for a full block), and small inputs still spread over the
-// pool. At most emitWindowPerWorker runs per worker may be claimed but not
-// yet emitted: workers that get this far ahead of the emit cursor park on a
-// condition variable, so a slow emit (a streaming consumer applying
-// backpressure) throttles evaluation instead of letting finished parts
-// pile up.
-const (
-	emitBlock           = 32
-	emitWindowPerWorker = 4
-)
+// emitWindowPerWorker bounds the fan-out's in-flight results: at most this
+// many indexes per worker may be claimed but not yet emitted. Workers that
+// get this far ahead of the emit cursor park on a condition variable, so a
+// slow emit (a streaming consumer applying backpressure) throttles
+// evaluation instead of letting finished parts pile up. Workers claim one
+// index at a time: every index the runtime fans out is heavy — a batch of
+// up to 64 sources (the all-sources driver) or a CRPQ atom's per-source
+// path enumeration — so the claim/deposit synchronization is noise, and
+// the window stays a count of indexes, not of runs of them.
+const emitWindowPerWorker = 4
 
 // ForEachEmit is the runtime's per-index fan-out with deterministic
 // delivery: fn(i, scratch) runs for every i in [0, n) on a worker pool and
-// each finished part is handed to emit in strict index order as soon as its
-// run and all earlier ones are done. The emitted sequence is therefore
+// each finished part is handed to emit in strict index order as soon as it
+// and all earlier ones are done. The emitted sequence is therefore
 // byte-identical to the sequential loop's regardless of worker count or
 // scheduling, while memory is bounded by the in-flight window (workers ×
-// emitWindowPerWorker runs of at most emitBlock parts), not by the total
-// result. A caller that wants the whole result passes an emit that appends.
+// emitWindowPerWorker parts), not by the total result. A caller that wants
+// the whole result passes an emit that appends.
 //
 // Each worker takes its own scratch from newScratch (may be nil when S is
 // unused) and releases it through putScratch (may be nil) when it exits,
@@ -106,12 +100,11 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		nextIdx  int               // next index to claim
-		next     int               // next run to claim
-		emitted  int               // next run to emit
-		done     = map[int][][]T{} // finished runs awaiting their turn
-		emitting bool              // one worker at a time drains the ready prefix
-		failed   atomic.Bool       // set under mu; read without it between indexes
+		next     int             // next index to claim
+		emitted  int             // next index to emit
+		done     = map[int][]T{} // finished parts awaiting their turn
+		emitting bool            // one worker at a time drains the ready prefix
+		failed   atomic.Bool     // set under mu; read without it between indexes
 		firstErr error
 	)
 	fail := func(err error) {
@@ -143,28 +136,20 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 			for {
 				mu.Lock()
 				// The window wait is the backpressure edge: claimed-but-
-				// unemitted runs are capped, so a blocked emit parks the
-				// whole pool within one run each.
+				// unemitted indexes are capped, so a blocked emit parks the
+				// whole pool within one index each.
 				for !failed.Load() && next-emitted >= window {
 					cond.Wait()
 				}
-				if failed.Load() || nextIdx >= n {
+				if failed.Load() || next >= n {
 					mu.Unlock()
 					return
 				}
-				run, lo := next, nextIdx
-				hi := lo + min(emitBlock, lo+1, n-lo)
-				next, nextIdx = next+1, hi
+				i := next
+				next++
 				mu.Unlock()
 
-				parts := make([][]T, 0, hi-lo)
-				var err error
-				for i := lo; i < hi && err == nil && !failed.Load(); i++ {
-					var part []T
-					if part, err = fn(i, sc); len(part) > 0 {
-						parts = append(parts, part)
-					}
-				}
+				part, err := fn(i, sc)
 
 				mu.Lock()
 				if failed.Load() {
@@ -176,14 +161,14 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 					mu.Unlock()
 					return
 				}
-				done[run] = parts
-				// Whoever completes the emit cursor's run becomes the
-				// emitter and drains every contiguously ready run, releasing
+				done[i] = part
+				// Whoever completes the emit cursor's index becomes the
+				// emitter and drains every contiguously ready part, releasing
 				// the lock around the emit calls so other workers keep
 				// computing (until the window stops them).
 				if !emitting {
 					for !failed.Load() {
-						parts, ready := done[emitted]
+						part, ready := done[emitted]
 						if !ready {
 							break
 						}
@@ -191,10 +176,8 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 						delete(done, emitted)
 						mu.Unlock()
 						var emitErr error
-						for _, part := range parts {
-							if emitErr = emit(part); emitErr != nil {
-								break
-							}
+						if len(part) > 0 {
+							emitErr = emit(part)
 						}
 						mu.Lock()
 						emitting = false

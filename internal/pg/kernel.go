@@ -190,7 +190,7 @@ func (k *Kernel) Distances(src int, mt *Meter) ([]int, error) {
 	k.c.AddEdges(edgesScanned)
 	k.c.ObserveFrontier(int64(peak))
 	if ss := mt.SweepStatsSink(); ss != nil {
-		ss.RecordSweep(int64(head), edgesScanned, int64(peak))
+		ss.RecordSweep(1, int64(head), edgesScanned, int64(peak))
 	}
 	if stopErr != nil {
 		return nil, stopErr

@@ -18,7 +18,8 @@ type Plan struct {
 	Workers int
 	// Shards partitions each sweep's product state space by graph node into
 	// this many shard loops with cross-shard exchange at level barriers
-	// (0 and 1 both mean unsharded).
+	// (0 and 1 both mean unsharded). Kernel.Sweep honours it; the batched
+	// all-sources loop does not shard.
 	Shards int
 	// EstStates is the planner's frontier-mass estimate for the chosen
 	// direction (product states expanded per sweep) — recorded for Explain

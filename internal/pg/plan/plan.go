@@ -53,9 +53,8 @@ func (p *Planner) Stats() *cardest.Stats { return p.stats }
 // parallelism is the caller's worker cap (0 = one per CPU); the planner
 // may lower it to 1 when the estimated work cannot amortize the pool.
 // shards is the engine's kernel-sharding knob: with shards > 1 and enough
-// estimated work, sweeps run sharded with the per-source fan-out lowered
-// to one worker (the shards are the parallelism, and two pools would
-// oversubscribe the machine).
+// estimated work the plan records it. Only Kernel.Sweep shards, and the
+// all-sources driver calls it for a source list of one; batches ignore it.
 func (p *Planner) ForNFA(a *automata.NFA, parallelism, shards int) pg.Plan {
 	n := p.stats.Nodes
 	if n == 0 || a.NumStates == 0 {
@@ -72,7 +71,6 @@ func (p *Planner) ForNFA(a *automata.NFA, parallelism, shards int) pg.Plan {
 	}
 	if shards > 1 && pl.EstStates >= shardThreshold {
 		pl.Shards = shards
-		pl.Workers = 1
 	}
 	return pl
 }

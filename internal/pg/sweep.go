@@ -8,7 +8,8 @@ import (
 	"graphquery/internal/graph"
 )
 
-// This file is the kernel's reachability loop — the only one: a
+// This file is the kernel's single-source reachability loop (its
+// all-sources sibling, 64 sources per machine word, is in sweepall.go): a
 // level-synchronous sweep built from three composable pieces. Word-packed
 // bitset frontiers and visited sets clear in O(visited) via touched-word
 // lists; each level expands top-down or bottom-up à la Beamer, decided at
@@ -19,7 +20,8 @@ import (
 // barriers, P = 1 being the plain sequential sweep. Every combination
 // computes the same node set and sorts it ascending, so results are
 // byte-identical across plans — the crossval differential suite holds the
-// loop to an independent oracle on that.
+// loop to an independent oracle on that, and the batched loop is in turn
+// held to this one.
 
 const (
 	// frontierAlpha is the direction-switch threshold: a level expands
@@ -47,12 +49,13 @@ const (
 	negIndexCut = 4
 )
 
-// checkSweepSize refuses products whose state ids do not fit the loop's
-// 32-bit local ids, as a states-budget error: the product is larger than
-// any sweep this kernel can account for.
-func checkSweepSize(states int) error {
-	if states > maxSweepStates {
-		return &BudgetError{Resource: "states", Limit: maxSweepStates}
+// checkSweepSize refuses products of more states than a loop's limit — for
+// Sweep, those whose state ids do not fit its 32-bit local ids — as a
+// states-budget error: the product is larger than any sweep this kernel can
+// account for.
+func checkSweepSize(states, limit int) error {
+	if states > limit {
+		return &BudgetError{Resource: "states", Limit: int64(limit)}
 	}
 	return nil
 }
@@ -577,7 +580,8 @@ func (sc *Scratch) shardsFor(k *Kernel, p int) []*shard {
 // so a MaxRows budget fails with the meter reading exactly MaxRows+1
 // instead of after a whole sweep's batch.
 //
-// This is the fixpoint loop all evaluators share: seed, then alternate
+// This is the fixpoint loop of every anchored evaluator, and the per-source
+// step of the all-sources driver for a list of one: seed, then alternate
 // expand / exchange / promote level barriers until the frontier drains.
 // Every CheckInterval discovered states the count is flushed to the shared
 // meter, which polls for cancellation or an exhausted states budget; rows
@@ -592,7 +596,7 @@ func (sc *Scratch) shardsFor(k *Kernel, p int) []*shard {
 // neighbor tables were already compiled.
 func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, pl Plan, chargeRows bool) ([]int, error) {
 	total := k.NumProductStates()
-	if err := checkSweepSize(total); err != nil {
+	if err := checkSweepSize(total, maxSweepStates); err != nil {
 		return nil, err
 	}
 	p := pl.Shards
@@ -659,7 +663,7 @@ func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, pl Plan, chargeRows bool
 		}
 		visited += discovered
 		if ss != nil {
-			ss.RecordLevel(level, int64(frontier), int64(discovered), edges-levelEdges, int64(total-visited), bottomUp)
+			ss.RecordLevel(level, 1, int64(frontier), int64(discovered), edges-levelEdges, int64(total-visited), bottomUp)
 			if p > 1 {
 				for i, sh := range shards {
 					ss.RecordShardStates(i, int64(len(sh.queue)-sh.hi))
@@ -703,7 +707,7 @@ func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, pl Plan, chargeRows bool
 	k.c.AddStates(int64(visited))
 	k.c.AddEdges(edges)
 	k.c.ObserveFrontier(int64(peak))
-	ss.RecordSweep(int64(visited), edges, int64(peak))
+	ss.RecordSweep(1, int64(visited), edges, int64(peak))
 	if !tb.neighbors && k.scanned.Add(edges) >= int64(k.g.NumNodes()+k.g.NumEdges()) {
 		k.upgrade(false, true)
 	}

@@ -17,6 +17,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
+	"graphquery/internal/rpq"
 )
 
 var scaleFreeCache sync.Map // n -> *graph.Graph
@@ -88,6 +89,94 @@ func BenchmarkKernelSweepClique(b *testing.B) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSweepAll is the kernel-layer face of the all-pairs kinds: every
+// source of one graph through the all-sources driver on one worker
+// ("batched": 64 sources per machine word share one edge scan) beside the
+// loop it replaced ("per-source": one Sweep per source, pairs built the
+// same way — what every all-pairs evaluator ran before, and still the
+// oracle the differential tests hold the batched loop to). scalefree-800
+// `a* z a` is the served benchmark's allpairs-sweep shape and clique-300
+// the dense-reachability one, where per-source sweeps switch bottom-up and
+// the batched loop never does; grid-20x20 shares moderately; path-700 and
+// cycle-2000 are the zero-sharing worst cases — every source sits on a
+// distinct node at every level, so a batch saves no scan and the rows
+// measure what the word-per-state bookkeeping costs. edges/op is adjacency
+// entries examined per all-pairs evaluation.
+func BenchmarkSweepAll(b *testing.B) {
+	z := make([]graph.Mutation, 4)
+	for i := range z {
+		z[i] = graph.Mutation{Op: graph.MutAddEdge, ID: fmt.Sprintf("z%d", i), Label: "z",
+			Src: fmt.Sprintf("n%d", i), Tgt: fmt.Sprintf("n%d", 400+i)}
+	}
+	sf, err := gen.ScaleFree(800, 4, 42).Apply(z)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sf, err = sf.Materialize(); err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name  string
+		g     *graph.Graph
+		query string
+	}{
+		{"scalefree-800", sf, "a* z a"},
+		{"clique-300", gen.Clique(300, "a"), "a* a* a*"},
+		{"grid-20x20", gen.Grid(20, 20, "a"), "a*"},
+		{"path-700", gen.APath(700, "a"), "a*"},
+		{"cycle-2000", gen.Cycle(2000, "a"), "a*"},
+	} {
+		expr, err := rpq.Parse(row.query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var c pg.Counters
+		kern := pg.NewKernel(row.g, pg.FromNFA(row.g, rpq.Compile(expr)), &c)
+		run := func(name string, all func() (int, error)) {
+			b.Run(row.name+"/"+name, func(b *testing.B) {
+				want, err := all() // also buys the neighbor tables
+				if err != nil {
+					b.Fatal(err)
+				}
+				before := c.Snapshot().EdgesScanned
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if got, err := all(); err != nil || got != want {
+						b.Fatalf("got (%d, %v), want %d pairs", got, err, want)
+					}
+				}
+				b.ReportMetric(float64(c.Snapshot().EdgesScanned-before)/float64(b.N), "edges/op")
+			})
+		}
+		run("per-source", func() (int, error) {
+			sc := kern.GetScratch()
+			defer kern.PutScratch(sc)
+			pairs := 0
+			for u := 0; u < row.g.NumNodes(); u++ {
+				vs, err := kern.Sweep(u, sc, nil, pg.Plan{}, true)
+				if err != nil {
+					return 0, err
+				}
+				part := make([][2]int, len(vs))
+				for i, v := range vs {
+					part[i] = [2]int{u, v}
+				}
+				pairs += len(part)
+			}
+			return pairs, nil
+		})
+		run("batched", func() (int, error) {
+			pairs := 0
+			err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part [][2]int) error {
+				pairs += len(part)
+				return nil
+			})
+			return pairs, err
 		})
 	}
 }

@@ -8,20 +8,27 @@ import (
 	"sort"
 	"testing"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
-// sweepKernels compiles q forward and backward over g.
-func sweepKernels(t testing.TB, g *graph.Graph, q string) (fwd, bwd *pg.Kernel) {
+// mustRPQ compiles q to its Glushkov automaton.
+func mustRPQ(t testing.TB, q string) *automata.NFA {
 	t.Helper()
 	expr, err := rpq.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nfa := rpq.Compile(expr)
+	return rpq.Compile(expr)
+}
+
+// sweepKernels compiles q forward and backward over g.
+func sweepKernels(t testing.TB, g *graph.Graph, q string) (fwd, bwd *pg.Kernel) {
+	t.Helper()
+	nfa := mustRPQ(t, q)
 	return pg.NewKernel(g, pg.FromNFA(g, nfa), nil), pg.NewKernel(g, pg.FromNFABackward(g, nfa), nil)
 }
 

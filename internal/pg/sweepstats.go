@@ -38,13 +38,16 @@ type levelAgg struct {
 	unvisited  int64
 }
 
-// RecordSweep folds one sweep's exit accounting into the stats.
-func (ss *SweepStats) RecordSweep(states, edges, peak int64) {
+// RecordSweep folds one loop exit's accounting into the stats: sweeps is
+// the number of sources the loop served — one for Kernel.Sweep, the batch
+// size for the batched loop, where states counts (source, state)
+// discoveries and peak the shared frontier's length in product states.
+func (ss *SweepStats) RecordSweep(sweeps, states, edges, peak int64) {
 	if ss == nil {
 		return
 	}
 	ss.mu.Lock()
-	ss.sweeps++
+	ss.sweeps += sweeps
 	ss.states += states
 	ss.edges += edges
 	if peak > ss.peakFrontier {
@@ -58,8 +61,11 @@ func (ss *SweepStats) RecordSweep(states, edges, peak int64) {
 // (chosen by the Beamer-style switch before the level), the adjacency
 // entries it examined, the states it discovered, and the unvisited mass
 // remaining afterwards — discovered and unvisited being exactly the alpha
-// inputs of the next level's direction decision.
-func (ss *SweepStats) RecordLevel(level int, frontier, discovered, edges, unvisited int64, bottomUp bool) {
+// inputs of the next level's direction decision. sweeps is the number of
+// sources whose frontier the level expanded: one for Kernel.Sweep; for the
+// batched loop the sources with a bit in the level's frontier, with
+// frontier, discovered and unvisited counted in (source, state) pairs.
+func (ss *SweepStats) RecordLevel(level int, sweeps, frontier, discovered, edges, unvisited int64, bottomUp bool) {
 	if ss == nil {
 		return
 	}
@@ -68,15 +74,15 @@ func (ss *SweepStats) RecordLevel(level int, frontier, discovered, edges, unvisi
 		ss.levels = append(ss.levels, levelAgg{})
 	}
 	la := &ss.levels[level]
-	la.sweeps++
+	la.sweeps += sweeps
 	la.frontier += frontier
 	la.discovered += discovered
 	la.edges += edges
 	la.unvisited += unvisited
 	if bottomUp {
-		la.bottomUp++
+		la.bottomUp += sweeps
 	} else {
-		la.topDown++
+		la.topDown += sweeps
 	}
 	ss.mu.Unlock()
 }
@@ -127,7 +133,7 @@ type SweepLevel struct {
 	BottomUp int64 `json:"bottom_up"`
 	TopDown  int64 `json:"top_down"`
 	// Unvisited is the total product states still undiscovered after this
-	// depth, summed across sweeps.
+	// depth, summed across sweeps (for a batch: across all its sources).
 	Unvisited int64 `json:"unvisited"`
 }
 
@@ -135,11 +141,15 @@ type SweepLevel struct {
 // plan tree carries. It holds only deterministic fields — counts, sums,
 // and maxima, never wall-clock — so identical runs render identical bytes.
 type SweepStatsSnapshot struct {
-	// Sweeps counts the single-source sweeps the query ran.
+	// Sweeps counts the sources the query swept from, whether one per
+	// Kernel.Sweep or up to 64 per batch of the all-sources loop.
 	Sweeps int64 `json:"sweeps"`
-	// States / Edges are total product states expanded and adjacency
-	// entries examined; PeakFrontier is the largest single-level frontier
-	// (cross-shard sum) any sweep reached.
+	// States / Edges are total product states expanded — (source, state)
+	// discoveries, the same number either loop — and adjacency entries
+	// examined, which a batch examines once for all its sources;
+	// PeakFrontier is the largest single-level frontier any sweep reached
+	// (cross-shard sum; for a batch, the product states in its shared
+	// frontier).
 	States       int64 `json:"states"`
 	Edges        int64 `json:"edges"`
 	PeakFrontier int64 `json:"peak_frontier"`

@@ -91,15 +91,18 @@ func TestSweepIdenticalAcrossTableCompilation(t *testing.T) {
 	}
 }
 
-// TestSweepSizeGuard: a product whose state ids overflow the loop's 32-bit
-// local ids is refused as a states-budget error, one state past the limit.
+// TestSweepSizeGuard: a product whose state ids overflow Sweep's 32-bit
+// local ids, or whose slabs would pass a batch's memory cap, is refused as
+// a states-budget error, one state past the limit.
 func TestSweepSizeGuard(t *testing.T) {
-	if err := checkSweepSize(maxSweepStates); err != nil {
-		t.Fatalf("product of exactly the limit refused: %v", err)
-	}
-	err := checkSweepSize(maxSweepStates + 1)
-	var be *BudgetError
-	if !errors.Is(err, ErrBudgetExceeded) || !errors.As(err, &be) || be.Resource != "states" || be.Limit != maxSweepStates {
-		t.Fatalf("got %v, want a states BudgetError at limit %d", err, maxSweepStates)
+	for _, limit := range []int{maxSweepStates, maxBatchStates} {
+		if err := checkSweepSize(limit, limit); err != nil {
+			t.Fatalf("product of exactly the limit refused: %v", err)
+		}
+		err := checkSweepSize(limit+1, limit)
+		var be *BudgetError
+		if !errors.Is(err, ErrBudgetExceeded) || !errors.As(err, &be) || be.Resource != "states" || be.Limit != int64(limit) {
+			t.Fatalf("got %v, want a states BudgetError at limit %d", err, limit)
+		}
 	}
 }

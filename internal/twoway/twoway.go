@@ -389,33 +389,26 @@ func PairsMeter(g *graph.Graph, e Expr, m *eval.Meter) ([][2]int, error) {
 	return PairsMeterOpt(g, e, m, Options{Parallelism: 1})
 }
 
-// PairsMeterOpt is PairsMeter with explicit runtime options: per-source
-// fan-out over the runtime's worker pool (index-ordered delivery, so output
-// is identical at any parallelism) and runtime counters.
+// PairsMeterOpt is PairsMeter with explicit runtime options: the fan-out
+// degree (output is identical at any parallelism) and runtime counters. It
+// compiles a kernel per call; a caller that evaluates one query repeatedly
+// compiles it once with Kernel and runs PairsKernel.
 func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]int, error) {
-	kern := Kernel(g, e, opts.Counters)
+	return PairsKernel(Kernel(g, e, opts.Counters), m, opts.Parallelism)
+}
+
+// PairsKernel evaluates the all-pairs semantics of a compiled 2RPQ kernel
+// (see Kernel) through the runtime's all-sources driver: pairs arrive
+// sources ascending, each source's targets ascending, so the output is
+// lexicographically sorted by construction. Every pair is a result row:
+// rows are charged one at a time in that order, so a MaxRows budget trips
+// on row MaxRows+1.
+func PairsKernel(kern *pg.Kernel, m *eval.Meter, parallelism int) ([][2]int, error) {
 	var out [][2]int
-	err := pg.ForEachEmit(g.NumNodes(), pg.Workers(opts.Parallelism), kern.GetScratch, kern.PutScratch,
-		func(u int, sc *pg.Scratch) ([][2]int, error) {
-			if !g.NodeAlive(u) { // tombstoned under a mutation overlay
-				return nil, nil
-			}
-			// Emission-time rows accounting: the budget trips on row
-			// MaxRows+1, not after the sweep's whole batch.
-			vs, err := kern.Sweep(u, sc, m, pg.Plan{}, true)
-			if err != nil {
-				return nil, err
-			}
-			part := make([][2]int, len(vs))
-			for i, v := range vs {
-				part[i] = [2]int{u, v}
-			}
-			return part, nil
-		},
-		func(part [][2]int) error {
-			out = append(out, part...)
-			return nil
-		})
+	err := kern.SweepAll(pg.Workers(parallelism), m, pg.Plan{}, true, func(part [][2]int) error {
+		out = append(out, part...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

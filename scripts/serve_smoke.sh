@@ -39,9 +39,10 @@ $GO build -race -o "$workdir/gqserverd" ./cmd/gqserverd
 # -slow-query 1ns makes every query an over-threshold query, so the log
 # must carry exactly one structured record per admitted query; -query-log
 # must carry one JSONL record per admitted query regardless of threshold.
-# -shards 2 shards every heavy sweep two ways, so the
-# kill/cancel flow below exercises cross-shard cancellation and the shard
-# counters must surface in /metrics and /v1/statz.
+# -shards 2 is recorded in every heavy plan, so the plan line and the
+# sharded-plan counter must surface in /metrics and /v1/statz. It changes
+# no reply: all-pairs queries run 64-source batches, which do not shard
+# (cross-shard cancellation is pinned in internal/pg's tests).
 # -query-log-max-bytes is set high enough that this run never rotates (the
 # record-count check below relies on a single file) but the rotating-writer
 # path is what every record goes through.
@@ -167,8 +168,8 @@ echo "serve-smoke: ok: slow-query log ($slow_count records)"
 # with nonzero swept states, killable through its cancel endpoint, and
 # reported with the distinct "killed" outcome everywhere — the query's own
 # reply, /v1/queries/recent, and the query event log. The grid's all-pairs
-# a* is planned onto two shards under -shards 2 (large product, long
-# diameter), so the kill lands mid-sweep across shard goroutines.
+# a* shares little (large product, long diameter), so the kill lands
+# mid-batch.
 kill_out="$workdir/killed.json"
 kill_hdr="$workdir/killed.hdr"
 curl -sS -D "$kill_hdr" "$base/v1/query" \
@@ -197,8 +198,9 @@ expect kill-unknown '"code":"unknown_query"' \
 grep -q '"outcome":"killed"' "$querylog" \
   || fail "query event log has no killed record"
 
-# The killed query ran sharded, so the shard counters must be nonzero in
-# /metrics and present in /v1/statz.
+# The killed query's plan recorded -shards 2, so the sharded-plan counter
+# must be nonzero; the shard-sweeps family must be present (it stays 0:
+# batches do not shard).
 metrics=$(curl -fsS "$base/metrics")
 expect metrics-plan-sharded 'gq_runtime_plan_sharded_total{graph="grid-50x50"}' "$metrics"
 expect metrics-shard-sweeps 'gq_runtime_shard_sweeps_total{graph="grid-50x50"}' "$metrics"
@@ -208,8 +210,8 @@ sweeps_total=$(printf '%s\n' "$metrics" \
   | sed -n 's/^gq_runtime_shard_sweeps_total{graph="grid-50x50"} \([0-9]*\)$/\1/p')
 [[ -n "$sharded_total" && "$sharded_total" -gt 0 ]] \
   || fail "killed sharded query left gq_runtime_plan_sharded_total at '$sharded_total'"
-[[ -n "$sweeps_total" && "$sweeps_total" -gt 0 ]] \
-  || fail "killed sharded query left gq_runtime_shard_sweeps_total at '$sweeps_total'"
+[[ -n "$sweeps_total" ]] \
+  || fail "gq_runtime_shard_sweeps_total{graph=\"grid-50x50\"} has no value"
 expect statz-shard-sweeps '"shard_sweeps"' "$(curl -fsS "$base/v1/statz")"
 echo "serve-smoke: ok: shard counters ($sharded_total sharded plans, $sweeps_total shard sweeps)"
 
