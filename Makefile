@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test race bench-smoke serve-smoke ci
+.PHONY: all vet lint build test race bench-smoke fuzz-smoke serve-smoke ci
 
 all: ci
 
@@ -28,11 +28,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every benchmark — the root package's experiment rows and
-# the kernel-layer rows in internal/pg: catches bit-rot in the harnesses
-# without waiting for stable timings.
+# One iteration of every benchmark — the root package's experiment rows,
+# the kernel-layer rows in internal/pg and the output-path rows in
+# internal/server: catches bit-rot in the harnesses without waiting for
+# stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/server
+
+# Ten seconds of the row encoder's fuzz target against encoding/json; the
+# committed corpus alone runs with every `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify
@@ -40,4 +46,4 @@ bench-smoke:
 serve-smoke:
 	GO="$(GO)" bash scripts/serve_smoke.sh
 
-ci: lint build test race bench-smoke serve-smoke
+ci: lint build test race bench-smoke fuzz-smoke serve-smoke

@@ -7,6 +7,7 @@ package core
 // anything in a plain build.
 
 import (
+	"context"
 	"testing"
 
 	"graphquery/internal/gen"
@@ -33,5 +34,30 @@ func TestWarmQueryAllocs(t *testing.T) {
 	// visited + emitted + queue) immediately.
 	if allocs > 60 {
 		t.Fatalf("warm cached query allocates %.0f times per run, want ≤ 60 (scratch pool not reused?)", allocs)
+	}
+}
+
+// TestStreamedPairsAllocs: a warm streamed all-pairs query allocates per
+// batch and per sink buffer, not per row. `a*` over a 200-edge path is
+// 20 301 rows in 5 batches (8 sources, then 64 at a time); when every
+// pair was boxed into a [2]string for Sink.Row the same query cost two
+// allocations a row.
+func TestStreamedPairsAllocs(t *testing.T) {
+	e := New(gen.APath(200, "a"))
+	e.Parallelism = 1
+	sink := &byteSink{}
+	run := func() {
+		sink.rows = 0
+		if _, err := e.QueryStream(context.Background(), Request{Query: "a*"}, sink); err != nil {
+			t.Fatal(err)
+		}
+		if sink.rows != 201*202/2 {
+			t.Fatalf("streamed %d rows, want %d", sink.rows, 201*202/2)
+		}
+	}
+	run()
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs > 100 {
+		t.Fatalf("warm streamed a* allocates %.0f times per run for %d rows, want ≤ 100 (O(batches), not O(rows))", allocs, sink.rows)
 	}
 }

@@ -110,7 +110,9 @@ func (e *Engine) noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, st
 // and deposits its estimate-vs-actual observation into the feedback store.
 // The tree is derived from deterministic sources only: the trace's span
 // names and meter deltas (never their timings), the plan attributes, and
-// the sweep telemetry.
+// the sweep telemetry. Accumulated spans are delivery time accounting —
+// which of them exist depends on the sink and on whether its client ever
+// blocked — so they are not plan nodes.
 func (e *Engine) annotate(req Request, resp *Response, tr *obs.Trace, ss *eval.SweepStats) *AnnotatedPlan {
 	actual := int64(resp.Count())
 	root := PlanNode{Name: resp.Kind, Detail: tr.Attr("plan"), Actual: actual}
@@ -128,6 +130,9 @@ func (e *Engine) annotate(req Request, resp *Response, tr *obs.Trace, ss *eval.S
 		}
 	}
 	for _, sp := range resp.Spans {
+		if sp.Accumulated {
+			continue
+		}
 		n := PlanNode{Name: sp.Name, Actual: sp.States, Rows: sp.Rows}
 		if sp.Name == "kernel" && hasEstStates {
 			n.Estimate = estStates

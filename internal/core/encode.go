@@ -1,0 +1,172 @@
+// The row encoder: the one place result rows become wire bytes.
+//
+// A RowBatch is a run of rows still in the evaluator's own form — index
+// pairs out of the kernel's all-sources driver, rendered lines, or cell
+// slices — and AppendJSON appends them to a buffer the sink owns, each row
+// as one JSON value. Both serving formats are these bytes: NDJSON puts a
+// newline after each row, the buffered body a comma. Nothing per row is
+// boxed, reflected over, or copied into an intermediate row type; the
+// bytes are what encoding/json (SetEscapeHTML(false)) writes for the same
+// rows, which encode_test.go and the server's differential test pin.
+package core
+
+import (
+	"time"
+	"unicode/utf8"
+
+	"graphquery/internal/graph"
+)
+
+// RowBatch is a run of result rows of one kind, not yet encoded. Exactly
+// one of pairs, lines and cells is set.
+type RowBatch struct {
+	n     int
+	g     *graph.Graph
+	pairs [][2]int             // kind "pairs": node index pairs, sorted by source
+	lines func(i int) string   // kinds "paths", "matches", "spans"
+	cells func(i int) []string // kinds "rows", "relation"
+}
+
+// Len returns the number of rows in the batch.
+func (b RowBatch) Len() int { return b.n }
+
+// AppendJSON appends rows [from, to) to dst, each as one JSON value
+// followed by sep, and returns the extended buffer. Pairs are quoted on the
+// fly from the graph's node IDs, and a run of equal sources copies its
+// `["src",` prefix from the first row of the run instead of quoting it
+// again.
+func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
+	switch {
+	case b.pairs != nil:
+		src, p0, p1 := -1, 0, 0
+		for _, pr := range b.pairs[from:to] {
+			if pr[0] != src {
+				src, p0 = pr[0], len(dst)
+				dst = append(dst, '[')
+				dst = appendJSONString(dst, string(b.g.NodeID(src)))
+				dst = append(dst, ',')
+				p1 = len(dst)
+			} else {
+				dst = append(dst, dst[p0:p1]...)
+			}
+			dst = appendJSONString(dst, string(b.g.NodeID(pr[1])))
+			dst = append(dst, ']', sep)
+		}
+	case b.lines != nil:
+		for i := from; i < to; i++ {
+			dst = appendJSONString(dst, b.lines(i))
+			dst = append(dst, sep)
+		}
+	default:
+		for i := from; i < to; i++ {
+			dst = append(dst, '[')
+			for j, c := range b.cells(i) {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendJSONString(dst, c)
+			}
+			dst = append(dst, ']', sep)
+		}
+	}
+	return dst
+}
+
+// wire returns row i in the form Sink.Row documents.
+func (b RowBatch) wire(i int) any {
+	switch {
+	case b.pairs != nil:
+		pr := b.pairs[i]
+		return [2]string{string(b.g.NodeID(pr[0])), string(b.g.NodeID(pr[1]))}
+	case b.lines != nil:
+		return b.lines(i)
+	default:
+		return b.cells(i)
+	}
+}
+
+// BatchSink is the optional fast path of a Sink, detected once per query
+// the way io.Copy detects io.ReaderFrom: a sink that has it receives whole
+// batches and encodes them into its own buffer with RowBatch.AppendJSON,
+// and its Row is never called.
+//
+// Batch consumes the batch's rows in order and returns how many it took —
+// dropped under a cursor skip or encoded; n < b.Len() only together with
+// an error (ErrStopStream when a page filled mid-batch) — and how long it
+// waited on its consumer (a full chunk channel), which the engine accounts
+// to the "stream" stage rather than to encoding. The calling and ownership
+// rules are Row's.
+type BatchSink interface {
+	Sink
+	Batch(b RowBatch) (n int, waited time.Duration, err error)
+}
+
+// rowAdapter delivers batches to a sink that has only Row, one rendered
+// row at a time. bench/ is frozen against Sink{Begin, Row(any)} (its
+// discardSink); ROADMAP item 1(a) moves it onto BatchSink and deletes this
+// adapter, RowBatch.wire and Sink.Row with it.
+type rowAdapter struct{ Sink }
+
+func (a rowAdapter) Batch(b RowBatch) (int, time.Duration, error) {
+	for i := 0; i < b.n; i++ {
+		if err := a.Row(b.wire(i)); err != nil {
+			return i, 0, err
+		}
+	}
+	return b.n, 0, nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// encoding/json writes with SetEscapeHTML(false): `"` and `\` backslashed,
+// \b \f \n \r \t by their short escapes, other control bytes below 0x20 as
+// \u00XX, each byte of invalid UTF-8 as \ufffd, U+2028 and U+2029 as
+// \u2028 and \u2029, everything else — DEL and `<>&` included — verbatim.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= ' ' && b != '"' && b != '\\' && b < utf8.RuneSelf {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}

@@ -408,8 +408,11 @@ func (e *Engine) ProgramRows(program string) (*crpq.Result, error) {
 func (e *Engine) TwoWayPairs(query string) ([][2]graph.NodeID, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	pairs, err := e.twoWayPairsMeter(gs, query, nil, nil)
-	return pairs, classify(err)
+	resp, err := e.twoWayPairs(gs, query, nil, nil, nil)
+	if err != nil {
+		return nil, classify(err)
+	}
+	return resp.Pairs, nil
 }
 
 // Estimate returns the predicted and actual answer counts of an RPQ (the

@@ -196,12 +196,13 @@ func (e *Engine) Query(req Request) (*Response, error) {
 
 // dispatch is the one place a request's kind selects its evaluator. Each
 // evaluator fills its typed Response field; with a sink, the result then
-// leaves through it (streamRendered) and the fields are cleared. The two
-// planned-pairs kinds are the exception in timing only: their rows go to
-// the sink straight out of the kernel fan-out (plannedPairs), while later
-// sweeps are still running. Kind "bag" has one aggregate value and never
-// touches the sink.
-func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int, sink Sink) (*Response, error) {
+// leaves through it (streamRendered) and the fields are cleared. The pair
+// producers are the exception: they hold node index pairs, not typed rows,
+// and deliver those themselves — plannedPairs straight out of the kernel
+// fan-out while later sweeps are still running, twoWayPairs once its sweep
+// has finished. Kind "bag" has one aggregate value and never touches the
+// sink.
+func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int, sink BatchSink) (*Response, error) {
 	anchored := req.From != "" || req.To != ""
 	kind := Detect(req.Query)
 	if req.Lang != "" && req.Lang != "auto" {
@@ -219,8 +220,7 @@ func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Tr
 	var err error
 	switch kind {
 	case KindTwoWay:
-		resp = &Response{Kind: "pairs"}
-		resp.Pairs, err = e.twoWayPairsMeter(gs, req.Query, m, tr)
+		return e.twoWayPairs(gs, req.Query, m, tr, sink)
 	case KindGQL:
 		resp = &Response{Kind: "matches"}
 		resp.Matches, err = e.gqlMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
@@ -267,23 +267,35 @@ func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Tr
 		return nil, err
 	}
 	if sink != nil && resp.Kind != "bag" {
-		if err := streamRendered(gs.g, resp, sink); err != nil && !errors.Is(err, ErrStopStream) {
+		if err := streamRendered(gs.g, resp, sink, tr); err != nil && !errors.Is(err, ErrStopStream) {
 			return nil, err
 		}
 	}
 	return resp, nil
 }
 
+// appendPairIDs renders node index pairs to ID pairs against g: the typed
+// result of the pair kinds for a caller with no sink.
+func appendPairIDs(dst [][2]graph.NodeID, g *graph.Graph, prs [][2]int) [][2]graph.NodeID {
+	for _, pr := range prs {
+		dst = append(dst, [2]graph.NodeID{g.NodeID(pr[0]), g.NodeID(pr[1])})
+	}
+	return dst
+}
+
 // plannedPairs evaluates the endpoint-pair kinds that run on a planned
 // kernel sweep — plain RPQs (family "rpq") and the Cypher fragment
 // ("cypher"); family is the plan-cache namespace, compile its build
 // function, and both produce the same rpqPlan. Pairs leave the fan-out
-// (eval.PairsProductEmit) in result order while sweeps are still running
-// and are rendered to node IDs against the query's snapshot inside the
-// kernel span: appended to Response.Pairs without a sink, handed to
-// sink.Row with one — where memory per query is O(fan-out window), not
-// O(result), and a blocked sink throttles the worker pool.
-func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func(string) (rpqPlan, error), m *eval.Meter, tr *obs.Trace, sink Sink) (*Response, error) {
+// (eval.PairsProductEmit) in result order while sweeps are still running,
+// a batch of node indexes at a time: rendered to IDs and appended to
+// Response.Pairs without a sink, handed to the sink as they are with one
+// (it quotes the IDs against the query's snapshot as it encodes) — where
+// memory per query is O(fan-out window), not O(result), and a blocked sink
+// throttles the worker pool. Delivery runs inside the kernel span's
+// interval but is not kernel time: the span is recorded without it, and
+// the delivery's own stages after it.
+func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func(string) (rpqPlan, error), m *eval.Meter, tr *obs.Trace, sink BatchSink) (*Response, error) {
 	plan, err := cached(e, gs, family, query, compile)
 	if err != nil {
 		return nil, badQuery(err)
@@ -292,11 +304,10 @@ func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func
 	resp := &Response{Kind: "pairs"}
 	g := gs.g
 	emit := func(prs [][2]int) error {
-		for _, pr := range prs {
-			resp.Pairs = append(resp.Pairs, [2]graph.NodeID{g.Node(pr[0]).ID, g.Node(pr[1]).ID})
-		}
+		resp.Pairs = appendPairIDs(resp.Pairs, g, prs)
 		return nil
 	}
+	d := delivery{out: sink}
 	if sink != nil {
 		if err := sink.Begin("pairs", nil); err != nil {
 			if errors.Is(err, ErrStopStream) {
@@ -305,20 +316,16 @@ func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func
 			return nil, err
 		}
 		emit = func(prs [][2]int) error {
-			for _, pr := range prs {
-				if err := sink.Row([2]string{string(g.Node(pr[0]).ID), string(g.Node(pr[1]).ID)}); err != nil {
-					return err
-				}
-				resp.Streamed++
-			}
-			return nil
+			return d.send(RowBatch{n: len(prs), g: g, pairs: prs})
 		}
 	}
 	s0, r0 := m.States(), m.Rows()
 	sp := tr.Start("kernel")
 	err = eval.PairsProductEmit(context.Background(), plan.product,
 		eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+	sp.Counts(m.States()-s0, m.Rows()-r0).Exclude(d.encode + d.wait).End()
+	d.record(tr)
+	resp.Streamed = d.rows
 	if errors.Is(err, ErrStopStream) {
 		// The sink has all it wants (a cursor page filled): the sweep is
 		// partial, so its state count must not audit the plan and its row
@@ -396,7 +403,11 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 	}
 }
 
-func (e *Engine) twoWayPairsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) ([][2]graph.NodeID, error) {
+// twoWayPairs evaluates a 2RPQ to endpoint pairs on its compiled kernel.
+// The sweep buffers its index pairs (twoway.PairsKernel); the "enumerate"
+// span then turns them into the result — typed ID pairs without a sink,
+// one batch for the sink's encoder with one.
+func (e *Engine) twoWayPairs(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, sink BatchSink) (*Response, error) {
 	// The compiled kernel is cached per (revision, query), like an RPQ's
 	// product: parse and compile spans appear only on plan-cache misses.
 	kern, err := cached(e, gs, "2rpq", query, func(q string) (*pg.Kernel, error) {
@@ -420,11 +431,25 @@ func (e *Engine) twoWayPairsMeter(gs *graphState, query string, m *eval.Meter, t
 	if err != nil {
 		return nil, err
 	}
+	resp := &Response{Kind: "pairs"}
 	sp = tr.Start("enumerate")
-	defer sp.End()
-	var out [][2]graph.NodeID
-	for _, pr := range prs {
-		out = append(out, [2]graph.NodeID{gs.g.Node(pr[0]).ID, gs.g.Node(pr[1]).ID})
+	if sink == nil {
+		resp.Pairs = appendPairIDs(nil, gs.g, prs)
+		sp.End()
+		return resp, nil
 	}
-	return out, nil
+	d := delivery{out: sink}
+	err = sink.Begin("pairs", nil)
+	if err == nil && len(prs) > 0 {
+		err = d.send(RowBatch{n: len(prs), g: gs.g, pairs: prs})
+	}
+	sp.Exclude(d.wait).End()
+	if d.wait > 0 {
+		tr.Add("stream", d.wait)
+	}
+	resp.Streamed = d.rows
+	if err != nil && !errors.Is(err, ErrStopStream) {
+		return nil, err
+	}
+	return resp, nil
 }

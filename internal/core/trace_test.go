@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
@@ -29,8 +31,9 @@ func hasSpan(spans []obs.Span, name string) bool {
 }
 
 // TestQueryCtxTrace verifies the span model of §10: a cold RPQ records
-// parse → compile → plan → kernel (pairs are rendered inside the kernel
-// span, as they leave the fan-out — there is no enumerate stage), a warm
+// parse → compile → plan → kernel (with no sink, pairs are rendered to IDs
+// inside the kernel span as they leave the fan-out — there is no enumerate
+// stage; TestStreamedPairsStages covers the sink), a warm
 // one skips the compilation stages, the kernel span carries the meter
 // deltas, and the chosen plan line is surfaced on the Response.
 func TestQueryCtxTrace(t *testing.T) {
@@ -115,5 +118,80 @@ func TestQueryCtxTraceOtherKinds(t *testing.T) {
 		if !hasSpan(resp.Spans, tc.want) {
 			t.Errorf("%s: missing %q span, got %v", tc.name, tc.want, spanNames(resp.Spans))
 		}
+	}
+}
+
+// slowSink is a BatchSink whose consumer is slow: every batch waits a
+// fixed time and reports it.
+type slowSink struct {
+	byteSink
+	wait time.Duration
+}
+
+func (s *slowSink) Batch(b RowBatch) (int, time.Duration, error) {
+	n, _, err := s.byteSink.Batch(b)
+	time.Sleep(s.wait)
+	return n, s.wait, err
+}
+
+// TestStreamedPairsStages: delivery interleaved with the kernel stage is
+// accounted to its own stages. Encoding is an accumulated "enumerate"
+// span, what the sink waited on its consumer an accumulated "stream" span,
+// the kernel span is recorded without either — so the three never sum
+// past the wall clock — and none of it shows in the analyze tree, which is
+// what the same query yields with no sink.
+func TestStreamedPairsStages(t *testing.T) {
+	e := New(gen.Clique(64, "a"))
+	req := Request{Query: "a*", Analyze: true}
+	if _, err := e.QueryCtx(context.Background(), req); err != nil { // warm the plan cache
+		t.Fatal(err)
+	}
+	typed, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &slowSink{wait: 2 * time.Millisecond}
+	t0 := time.Now()
+	resp, err := e.QueryStream(context.Background(), req, sink)
+	wall := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum, stream time.Duration
+	stages := map[string]bool{}
+	for _, sp := range resp.Spans {
+		sum += time.Duration(sp.DurNS)
+		stages[sp.Name] = true
+		switch sp.Name {
+		case "kernel":
+			if sp.Accumulated || sp.States == 0 {
+				t.Errorf("kernel span %+v: want a real span with the meter deltas", sp)
+			}
+		case "enumerate", "stream":
+			if !sp.Accumulated || sp.DurNS <= 0 {
+				t.Errorf("%s span %+v: want an accumulated span with time in it", sp.Name, sp)
+			}
+			if sp.Name == "stream" {
+				stream = time.Duration(sp.DurNS)
+			}
+		}
+	}
+	if !stages["kernel"] || !stages["enumerate"] || !stages["stream"] {
+		t.Fatalf("spans %v: want kernel, enumerate and stream", spanNames(resp.Spans))
+	}
+	if stream < 4*time.Millisecond { // 64 sources: a batch of 8 and one of 56
+		t.Errorf("stream stage %v, want the two batches' 2 ms waits", stream)
+	}
+	if sum > wall {
+		t.Errorf("spans sum to %v, past the query's wall clock %v: %v", sum, wall, resp.Spans)
+	}
+	names := func(ap *AnnotatedPlan) (out []string) {
+		for _, c := range ap.Plan.Children {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	if got, want := names(resp.Analyze), names(typed.Analyze); !slices.Equal(got, want) {
+		t.Errorf("analyze tree with a sink has stages %v, without %v", got, want)
 	}
 }

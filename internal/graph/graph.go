@@ -128,6 +128,10 @@ func (g *Graph) Node(i int) Node {
 	return n
 }
 
+// NodeID returns the ID of the node with dense index i — Node(i).ID without
+// the copy and the overlay property lookup, for result rendering.
+func (g *Graph) NodeID(i int) NodeID { return g.nodes[i].ID }
+
 // Edge returns the edge with dense index i.
 func (g *Graph) Edge(i int) Edge {
 	e := g.edges[i]

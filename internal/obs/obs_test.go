@@ -167,3 +167,35 @@ func TestMetricWriterExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestAccumulatedSpans: time a caller measured inside an open span and
+// handed to Trace.Add is taken out of that span by Exclude, so the two
+// never count the same nanoseconds twice.
+func TestAccumulatedSpans(t *testing.T) {
+	tr := NewTrace()
+	sp := tr.Start("kernel")
+	time.Sleep(3 * time.Millisecond)
+	sp.Exclude(2 * time.Millisecond).End()
+	tr.Add("enumerate", 2*time.Millisecond)
+	spans := tr.Spans()
+	if len(spans) != 2 || spans[0].Name != "kernel" || spans[1].Name != "enumerate" {
+		t.Fatalf("spans %v", spans)
+	}
+	if spans[0].Accumulated || !spans[1].Accumulated {
+		t.Fatalf("accumulated flags: %+v", spans)
+	}
+	if k := time.Duration(spans[0].DurNS); k < time.Millisecond {
+		t.Fatalf("kernel recorded %v of a ≥3 ms span with 2 ms excluded", k)
+	}
+	tr.Start("whole").Exclude(time.Hour).End()
+	if d := tr.Spans()[2].DurNS; d >= 0 {
+		t.Fatalf("a span with an hour excluded recorded %d ns", d)
+	}
+	if spans[1].DurNS != (2 * time.Millisecond).Nanoseconds() {
+		t.Fatalf("enumerate recorded %d ns, want the 2 ms it was handed", spans[1].DurNS)
+	}
+	var nilTrace *Trace
+	nilTrace.Add("enumerate", time.Millisecond) // nil-safe like every Trace method
+	var nilSpan *ActiveSpan
+	nilSpan.Exclude(time.Millisecond).End()
+}

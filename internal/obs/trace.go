@@ -24,12 +24,22 @@ import (
 // uses parse, compile, plan, kernel, enumerate), its start offset and
 // duration in nanoseconds, and the product states and result rows the
 // stage accounted for on the meter while it ran.
+//
+// An Accumulated span was not timed from Start to End: its duration is a
+// sum of slices the caller measured while another span was open (result
+// delivery interleaved with the kernel sweep), and that span was recorded
+// shorter by the same amount (ActiveSpan.Exclude) — so a query's spans
+// never overlap and their durations sum to at most its wall clock. Whether
+// one exists can depend on timing (a client that never blocked leaves no
+// "stream" slice), so consumers that need a deterministic stage list skip
+// them.
 type Span struct {
-	Name    string `json:"name"`
-	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
-	States  int64  `json:"states,omitempty"`
-	Rows    int64  `json:"rows,omitempty"`
+	Name        string `json:"name"`
+	StartNS     int64  `json:"start_ns"`
+	DurNS       int64  `json:"dur_ns"`
+	States      int64  `json:"states,omitempty"`
+	Rows        int64  `json:"rows,omitempty"`
+	Accumulated bool   `json:"accumulated,omitempty"`
 }
 
 func (s Span) String() string {
@@ -87,6 +97,18 @@ func (t *Trace) Start(name string) *ActiveSpan {
 	return &ActiveSpan{tr: t, name: name, begin: time.Now()}
 }
 
+// Add records an Accumulated span: d of stage name, measured by the caller
+// and ending now.
+func (t *Trace) Add(name string, d time.Duration) {
+	if t == nil {
+		return
+	}
+	sp := Span{Name: name, StartNS: (time.Since(t.t0) - d).Nanoseconds(), DurNS: d.Nanoseconds(), Accumulated: true}
+	t.mu.Lock()
+	t.spans = append(t.spans, sp)
+	t.mu.Unlock()
+}
+
 // Set records a string attribute (the engine stores the chosen plan line
 // under "plan"), overwriting any previous value for the key.
 func (t *Trace) Set(key, value string) {
@@ -131,6 +153,7 @@ type ActiveSpan struct {
 	name         string
 	begin        time.Time
 	states, rows int64
+	excluded     time.Duration
 }
 
 // Counts attaches the meter readings the span accounted for (typically
@@ -139,6 +162,16 @@ type ActiveSpan struct {
 func (s *ActiveSpan) Counts(states, rows int64) *ActiveSpan {
 	if s != nil {
 		s.states, s.rows = states, rows
+	}
+	return s
+}
+
+// Exclude takes d out of the span's recorded duration: time that passed
+// while it was open but belongs to another stage, which the caller records
+// with Trace.Add. Chainable like Counts.
+func (s *ActiveSpan) Exclude(d time.Duration) *ActiveSpan {
+	if s != nil {
+		s.excluded += d
 	}
 	return s
 }
@@ -153,7 +186,7 @@ func (s *ActiveSpan) End() {
 	sp := Span{
 		Name:    s.name,
 		StartNS: s.begin.Sub(s.tr.t0).Nanoseconds(),
-		DurNS:   now.Sub(s.begin).Nanoseconds(),
+		DurNS:   (now.Sub(s.begin) - s.excluded).Nanoseconds(),
 		States:  s.states,
 		Rows:    s.rows,
 	}

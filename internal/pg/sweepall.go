@@ -318,9 +318,10 @@ func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit
 // Every sweep ticks mt, so a canceled context or an exhausted states
 // budget stops all workers within one check interval; the pool is joined
 // before returning. With chargeRows set every pair is a result row of the
-// query and is charged on mt one row at a time — batches at delivery, in
-// order, so a MaxRows budget trips on row MaxRows+1 with every earlier
-// source already with emit; Sweep charges as it discovers. emit is never
+// query and is charged on mt — batches at delivery, in order, a whole batch
+// in one add unless it would trip the budget, that one row by row — so a
+// MaxRows budget trips on row MaxRows+1 with every earlier source already
+// with emit; Sweep charges as it discovers. emit is never
 // called concurrently with itself and owns the slice it is handed; its
 // error stops evaluation and is returned verbatim.
 func (k *Kernel) SweepFrom(sources []int, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
@@ -351,6 +352,15 @@ func (k *Kernel) sweepMany(n int, source func(int) int, workers int, mt *Meter, 
 	if chargeRows && mt != nil {
 		deliver := emit
 		emit = func(part [][2]int) error {
+			// A batch that fits under the budget is charged in one add; only
+			// the batch that would trip it is walked row by row, so the
+			// meter stops at MaxRows+1 inside the tripping source.
+			if n := int64(len(part)); mt.maxRows <= 0 || mt.rows.Load()+n <= mt.maxRows {
+				if err := mt.AddRows(n); err != nil {
+					return err
+				}
+				return deliver(part)
+			}
 			for i := range part {
 				if err := mt.AddRows(1); err != nil {
 					// The budget trips inside part[i]'s source: the sources

@@ -89,14 +89,25 @@ func (s *Server) logQuery(rec obs.CompletedQuery, elapsed time.Duration) {
 }
 
 // observeStages folds one finished query's span durations into the
-// per-stage latency histograms (gq_stage_duration_seconds).
+// per-stage latency histograms (gq_stage_duration_seconds): one sample per
+// stage the query went through, summed over the stage's spans (a streamed
+// query's "stream" stage is the slices evaluation spent blocked on the
+// chunk channel plus the final drain).
 func (s *Server) observeStages(spans []obs.Span) {
+	var dur [len(stageNames)]time.Duration
+	var seen [len(stageNames)]bool
 	for _, sp := range spans {
 		for i, name := range stageNames {
 			if sp.Name == name {
-				s.stageLatency[i].Observe(time.Duration(sp.DurNS).Seconds())
+				dur[i] += time.Duration(sp.DurNS)
+				seen[i] = true
 				break
 			}
+		}
+	}
+	for i, ok := range seen {
+		if ok {
+			s.stageLatency[i].Observe(dur[i].Seconds())
 		}
 	}
 }

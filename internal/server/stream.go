@@ -10,10 +10,15 @@
 //	{"trailer":{"status":"ok","count":…}}       trailer: outcome, counts,
 //	                                            next_cursor
 //
-// Rows are encoded into chunks of Config.StreamChunk rows; chunks travel
-// to the response writer through a bounded channel of Config.StreamBuffer
-// entries, so a slow client throttles evaluation (backpressure) instead of
-// letting results pile up — memory per query is O(chunk), not O(result).
+// The engine hands the streamer batches of rows (core.BatchSink) and the
+// streamer has the engine's row encoder append them to its chunk buffer —
+// the same bytes the buffered collector appends, with a newline where the
+// body has a comma, which is why the two formats' rows are identical. A
+// chunk is Config.StreamChunk rows; filled chunks travel to the response
+// writer through a bounded channel of Config.StreamBuffer entries and come
+// back through a free list, so a slow client throttles evaluation
+// (backpressure) instead of letting results pile up — memory per query is
+// O(chunk), not O(result).
 //
 // The error taxonomy survives mid-stream: until the first chunk is flushed
 // nothing has been written, and failures surface as the ordinary status +
@@ -26,13 +31,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"graphquery/internal/core"
 	"graphquery/internal/eval"
@@ -107,13 +111,15 @@ func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
-// streamer adapts one HTTP response to core.Sink. The evaluation side
-// (Begin/Row, called by the engine, possibly from worker goroutines but
-// never concurrently) encodes rows into a chunk buffer and hands full
-// chunks to the writer goroutine over the bounded channel; the writer owns
-// the http.ResponseWriter exclusively from the first chunk on. finish,
-// called by the handler after evaluation has fully joined, appends the
-// trailer and drains the writer.
+// streamer adapts one HTTP response to core.BatchSink. The evaluation side
+// (Begin/Batch, called by the engine, possibly from worker goroutines but
+// never concurrently) fills a chunk buffer and hands full chunks to the
+// writer goroutine over the bounded channel; the writer owns the
+// http.ResponseWriter exclusively from the first chunk on. A buffer belongs
+// to whichever side holds it: the evaluation side while filling, the
+// writer from the channel send until it puts the buffer on the free list.
+// finish, called by the handler after evaluation has fully joined, appends
+// the trailer and drains the writer.
 type streamer struct {
 	s     *Server
 	w     http.ResponseWriter
@@ -125,29 +131,25 @@ type streamer struct {
 	cur   cursorSpec
 	skip  int // remaining cursor rows to drop
 
-	began     bool // Begin was called: the query produces a streamable kind
-	started   bool // first chunk handed to the writer: the 200 is on the wire
-	rows      int  // rows delivered past the cursor skip
-	truncated bool // the sink stopped evaluation at the page bound
+	began   bool // Begin was called: the query produces a streamable kind
+	started bool // first chunk handed to the writer: the 200 is on the wire
+	rows    int  // rows delivered past the cursor skip
 
-	buf     bytes.Buffer
-	enc     *json.Encoder
+	buf     []byte // the chunk being filled
 	bufRows int
 
 	ch   chan []byte
+	free chan []byte   // written chunks, for reuse
 	dead chan struct{} // closed by the writer after a failed client write
 	done chan struct{} // closed when the writer goroutine exits
 	werr error         // the failed write's error; read only after dead/done
 }
 
 func (s *Server) newStreamer(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, prog *obs.Progress, graphName string, cur cursorSpec) *streamer {
-	st := &streamer{
+	return &streamer{
 		s: s, w: w, ctx: ctx, tr: tr, prog: prog, graph: graphName,
 		chunk: s.streamChunk(), cur: cur, skip: cur.skip,
 	}
-	st.enc = json.NewEncoder(&st.buf)
-	st.enc.SetEscapeHTML(false)
-	return st
 }
 
 func (s *Server) streamChunk() int {
@@ -166,35 +168,77 @@ func (s *Server) streamBuffer() int {
 
 // Begin implements core.Sink: the header becomes the first line of the
 // first chunk (nothing is written to the client yet).
-func (st *streamer) Begin(kind string, columns []string) error {
+func (st *streamer) Begin(kind string, columns []string) (err error) {
 	st.began = true
-	return st.enc.Encode(streamHeader{Graph: st.graph, Kind: kind, Columns: columns})
+	st.buf, err = appendJSON(st.buf, streamHeader{Graph: st.graph, Kind: kind, Columns: columns})
+	return err
 }
 
-// Row implements core.Sink: drop the cursor skip, stop at the page bound,
-// otherwise encode the row and flush the chunk when full. Each encoded row
-// uses the same encoder settings as the buffered writeJSON, so streamed
-// rows are byte-identical to the buffered response's array elements.
-func (st *streamer) Row(v any) error {
-	if st.skip > 0 {
-		st.skip--
-		return nil
+// window applies the cursor to the next n rows: rows [from, to) of them
+// are delivered — the skip drops a prefix, the page bound cuts a suffix —
+// and stop reports that the page filled with rows left over.
+func (st *streamer) window(n int) (from, to int, stop bool) {
+	from = min(st.skip, n)
+	st.skip -= from
+	to = n
+	if st.cur.active && st.cur.page > 0 {
+		if room := st.cur.page - st.rows; n-from > room {
+			to, stop = from+room, true
+		}
 	}
-	if st.cur.active && st.cur.page > 0 && st.rows >= st.cur.page {
-		st.truncated = true
+	return from, to, stop
+}
+
+// Batch implements core.BatchSink: cut the batch to the cursor window,
+// then have the engine's encoder append it to the chunk buffer a chunk's
+// worth at a time, flushing each full chunk.
+func (st *streamer) Batch(b core.RowBatch) (n int, waited time.Duration, err error) {
+	from, to, stop := st.window(b.Len())
+	for i := from; i < to; {
+		k := min(to-i, st.chunk-st.bufRows)
+		st.buf = b.AppendJSON(st.buf, i, i+k, '\n')
+		i += k
+		w, err := st.took(k)
+		waited += w
+		if err != nil {
+			return i, waited, err
+		}
+	}
+	if stop {
+		return to, waited, core.ErrStopStream
+	}
+	return b.Len(), waited, nil
+}
+
+// Row implements core.Sink for a caller that holds one rendered row; the
+// engine itself delivers through Batch.
+func (st *streamer) Row(v any) error {
+	from, to, stop := st.window(1)
+	if stop {
 		return core.ErrStopStream
 	}
-	if err := st.enc.Encode(v); err != nil {
+	if from == to {
+		return nil
+	}
+	var err error
+	if st.buf, err = appendJSON(st.buf, v); err != nil {
 		return err
 	}
-	st.rows++
-	st.bufRows++
-	st.s.stats.rowsStreamed.Add(1)
-	st.prog.AddStreamed(1)
+	_, err = st.took(1)
+	return err
+}
+
+// took accounts k rows just encoded into the chunk buffer and flushes the
+// chunk when it is full.
+func (st *streamer) took(k int) (waited time.Duration, err error) {
+	st.rows += k
+	st.bufRows += k
+	st.s.stats.rowsStreamed.Add(int64(k))
+	st.prog.AddStreamed(int64(k))
 	if st.bufRows >= st.chunk {
 		return st.flush()
 	}
-	return nil
+	return 0, nil
 }
 
 // sent reports whether any chunk reached the writer — the point of no
@@ -202,35 +246,49 @@ func (st *streamer) Row(v any) error {
 // in-band from here on.
 func (st *streamer) sent() bool { return st.started }
 
-// flush hands the buffered chunk to the writer goroutine. The bounded
-// channel is the backpressure edge: when the client reads slower than
-// evaluation produces, this send blocks and, through the kernel fan-out's
-// emit ordering, parks the evaluation workers.
-func (st *streamer) flush() error {
-	if st.buf.Len() == 0 {
-		return nil
+// flush hands the filled chunk to the writer goroutine and takes the next
+// buffer from the free list. The bounded channel is the backpressure edge:
+// when the client reads slower than evaluation produces, this send blocks
+// and, through the kernel fan-out's emit ordering, parks the evaluation
+// workers; waited is how long it blocked (no clock is read when it did
+// not).
+func (st *streamer) flush() (waited time.Duration, err error) {
+	if len(st.buf) == 0 {
+		return 0, nil
 	}
 	st.start()
-	chunk := make([]byte, st.buf.Len())
-	copy(chunk, st.buf.Bytes())
-	st.buf.Reset()
-	st.bufRows = 0
+	chunk := st.buf
+	st.buf, st.bufRows = nil, 0
 	select {
 	case <-st.dead:
-		return st.clientGone()
+		return 0, st.clientGone()
 	default:
 	}
 	select {
 	case st.ch <- chunk:
-		return nil
-	case <-st.dead:
-		return st.clientGone()
-	case <-st.ctx.Done():
-		// Deadline, client disconnect, or operator kill while blocked on a
-		// full chunk buffer: surface the cause so the taxonomy (timeout /
-		// canceled / killed) is preserved; the chunk is dropped.
-		return fmt.Errorf("%w: %w", eval.ErrCanceled, context.Cause(st.ctx))
+	default:
+		t0 := time.Now()
+		select {
+		case st.ch <- chunk:
+		case <-st.dead:
+			err = st.clientGone()
+		case <-st.ctx.Done():
+			// Deadline, client disconnect, or operator kill while blocked on
+			// a full chunk buffer: surface the cause so the taxonomy (timeout
+			// / canceled / killed) is preserved; the chunk is dropped.
+			err = fmt.Errorf("%w: %w", eval.ErrCanceled, context.Cause(st.ctx))
+		}
+		waited = time.Since(t0)
 	}
+	// The next buffer is one the writer is done with, if there is one;
+	// otherwise appending allocates it. Taken after the send, so at most
+	// StreamBuffer+2 exist: one here, StreamBuffer in the channel, one
+	// with the writer.
+	select {
+	case st.buf = <-st.free:
+	default:
+	}
+	return waited, err
 }
 
 // clientGone maps a failed response write into the cancellation taxonomy:
@@ -249,6 +307,9 @@ func (st *streamer) start() {
 	}
 	st.started = true
 	st.ch = make(chan []byte, st.s.streamBuffer())
+	// Room for every buffer there can be (see flush), so the writer's put
+	// never blocks.
+	st.free = make(chan []byte, st.s.streamBuffer()+2)
 	st.dead = make(chan struct{})
 	st.done = make(chan struct{})
 	st.w.Header().Set("Content-Type", "application/x-ndjson")
@@ -276,26 +337,26 @@ func (st *streamer) write() {
 		// the whole point of streaming — rather than at net/http's buffer
 		// boundaries.
 		_ = rc.Flush()
+		st.free <- chunk[:0]
 	}
 }
 
 // finish appends the trailer, flushes everything still buffered (on
 // success) or the trailer alone (on error), and joins the writer. Called
-// exactly once, by the handler, after evaluation returned — so no Row call
-// can race it. The delivery drain is recorded as the "stream" stage span
-// carrying the streamed-row count.
+// exactly once, by the handler, after evaluation returned — so no Batch
+// call can race it — and before the query's duration is observed, so the
+// drain is inside the wall clock its "stream" stage span breaks down. The
+// span carries the streamed-row count; time evaluation spent blocked on
+// the chunk channel was reported to the engine batch by batch and is on
+// the trace already, under the same stage name.
 func (st *streamer) finish(t streamTrailer) {
 	sp := st.tr.Start("stream")
 	if t.Status != "ok" {
-		st.buf.Reset()
-		st.bufRows = 0
+		st.buf, st.bufRows = st.buf[:0], 0
 	}
-	_ = st.enc.Encode(trailerLine{Trailer: t})
+	st.buf, _ = appendJSON(st.buf, trailerLine{Trailer: t})
 	st.start()
-	chunk := make([]byte, st.buf.Len())
-	copy(chunk, st.buf.Bytes())
-	st.buf.Reset()
-	st.ch <- chunk
+	st.ch <- st.buf
 	close(st.ch)
 	<-st.done
 	sp.Counts(0, int64(st.rows)).End()

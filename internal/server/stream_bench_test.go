@@ -2,11 +2,16 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"graphquery/internal/core"
+	"graphquery/internal/gen"
 )
 
 // BenchmarkE17_Streaming compares the two delivery paths end to end on a
@@ -57,4 +62,86 @@ func BenchmarkE17_Streaming(b *testing.B) {
 			b.SetBytes(n)
 		}
 	})
+}
+
+// discardResponse is an http.ResponseWriter that counts bytes and keeps
+// none, so the served benchmarks below time the handler — evaluate, encode,
+// chunk hand-off, Write calls — without a socket or a client behind it.
+type discardResponse struct {
+	h http.Header
+	n int64
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
+func (d *discardResponse) Flush()                      {}
+
+// BenchmarkServedPairs is the output path as a callable layer: POST
+// /v1/query for `a*` on the two big-results graphs of bench/ (path-700:
+// 246 051 rows, 3.9 MB; grid-20x20: 160 000 rows), in both reply forms,
+// through the handler in-process. The sweep is a few milliseconds of each
+// op; the rest is delivery.
+func BenchmarkServedPairs(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.LoadNamed("path-700", "grid-20x20"); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, graphName := range []string{"path-700", "grid-20x20"} {
+		for _, form := range []string{"buffered", "ndjson"} {
+			b.Run(graphName+"/"+form, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					req := httptest.NewRequest(http.MethodPost, "/v1/query",
+						strings.NewReader(`{"graph":"`+graphName+`","query":"a*"}`))
+					if form == "ndjson" {
+						req.Header.Set("Accept", "application/x-ndjson")
+					}
+					w := &discardResponse{h: http.Header{}}
+					h.ServeHTTP(w, req)
+					if w.n < 1<<20 {
+						b.Fatalf("reply of %d bytes", w.n)
+					}
+					b.SetBytes(w.n)
+				}
+			})
+		}
+	}
+}
+
+// batchKeeper is a core.BatchSink that keeps the batches it is handed,
+// unencoded.
+type batchKeeper struct{ batches []core.RowBatch }
+
+func (k *batchKeeper) Begin(string, []string) error { return nil }
+func (k *batchKeeper) Row(any) error                { return nil }
+func (k *batchKeeper) Batch(b core.RowBatch) (int, time.Duration, error) {
+	k.batches = append(k.batches, b)
+	return b.Len(), 0, nil
+}
+
+// BenchmarkEncodePairs is the row encoder alone: the pair batches of
+// path-700 `a*`, as the kernel's all-sources driver hands them over,
+// appended to one reused buffer as NDJSON rows.
+func BenchmarkEncodePairs(b *testing.B) {
+	g, err := gen.Named("path-700")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var k batchKeeper
+	if _, err := core.New(g).QueryStream(context.Background(), core.Request{Query: "a*"}, &k); err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, rb := range k.batches {
+			buf = rb.AppendJSON(buf, 0, rb.Len(), '\n')
+		}
+		b.SetBytes(int64(len(buf)))
+	}
 }

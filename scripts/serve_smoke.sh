@@ -244,7 +244,10 @@ qlog_count=$(wc -l <"$querylog")
 echo "serve-smoke: ok: query event log ($qlog_count records)"
 
 # Per-stage histograms: populated, and stage time never exceeds the
-# whole-query wall clock it is a breakdown of.
+# whole-query wall clock it is a breakdown of. This holds by construction:
+# a query's spans never overlap (delivery time is taken out of the span it
+# ran inside) and the last of them, the stream drain, ends before the
+# duration is observed.
 metrics=$(curl -fsS "$base/metrics")
 expect metrics-stage 'gq_stage_duration_seconds_count{stage="kernel"}' "$metrics"
 stage_sum=$(printf '%s\n' "$metrics" \
