@@ -29,16 +29,18 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark — the root package's experiment rows,
-# the kernel-layer rows in internal/pg and the output-path rows in
-# internal/server: catches bit-rot in the harnesses without waiting for
-# stable timings.
+# the kernel-layer rows in internal/pg, the join rows in internal/wcoj and
+# the served rows (output path, CRPQs) in internal/server: catches bit-rot
+# in the harnesses without waiting for stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/wcoj ./internal/server
 
-# Ten seconds of the row encoder's fuzz target against encoding/json; the
-# committed corpus alone runs with every `go test`.
+# Ten seconds of each fuzz target — the row encoder against encoding/json,
+# the CRPQ parser and its served evaluator against the reference; the
+# committed corpora alone run with every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/crpq
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

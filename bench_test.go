@@ -574,8 +574,12 @@ func BenchmarkE30_WCOJ(b *testing.B) {
 	for _, n := range []int{60, 120} {
 		g := gen.Random(n, 8*n, []string{"a"}, 21)
 		b.Run(fmt.Sprintf("wcoj/n=%d", n), func(b *testing.B) {
+			plan, err := crpq.Compile(g, q, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				if _, err := crpq.EvalWCOJ(g, q, crpq.Options{}); err != nil {
+				if _, err := plan.Eval(context.Background(), crpq.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -71,7 +72,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wcojRes, err := crpq.EvalWCOJ(g, tri, crpq.Options{})
+	plan, err := crpq.Compile(g, tri, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wcojRes, err := plan.Eval(context.Background(), crpq.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

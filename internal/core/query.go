@@ -339,18 +339,43 @@ func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func
 	return resp, nil
 }
 
+// rowsMeter evaluates a CRPQ on its compiled plan (crpq.Plan), cached per
+// (revision, query) like an RPQ's product, so parse and compile spans
+// appear only on plan-cache misses. Inside the kernel fragment the atom
+// sweeps are the "kernel" stage and the join, projection and ordering the
+// "enumerate" stage; a query outside it runs the reference evaluator
+// whole, under "kernel".
 func (e *Engine) rowsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, maxLen int) (*crpq.Result, error) {
-	sp := tr.Start("parse")
-	q, err := cached(e, gs, "crpq", query, crpq.Parse)
-	sp.End()
+	plan, err := cached(e, gs, "crpq", query, func(text string) (*crpq.Plan, error) {
+		sp := tr.Start("parse")
+		q, err := crpq.Parse(text)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		sp = tr.Start("compile")
+		defer sp.End()
+		return crpq.Compile(gs.g, q, &e.counters)
+	})
 	if err != nil {
 		return nil, badQuery(err)
 	}
+	opts := crpq.Options{AtomMaxLen: maxLen, Parallelism: e.Parallelism, Meter: m}
 	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
-	return crpq.EvalCtx(context.Background(), gs.g, q,
-		crpq.Options{AtomMaxLen: maxLen, Parallelism: e.Parallelism, Meter: m})
+	sp := tr.Start("kernel")
+	if !plan.OnKernel() {
+		defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
+		return plan.Eval(context.Background(), opts)
+	}
+	swept, err := plan.Sweep(opts)
+	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+	if err != nil {
+		return nil, err
+	}
+	r0 = m.Rows()
+	sp = tr.Start("enumerate")
+	defer func() { sp.Counts(0, m.Rows()-r0).End() }()
+	return swept.Join()
 }
 
 func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID, mode eval.Mode, m *eval.Meter, tr *obs.Trace, maxLen, limit int) ([]PathResult, error) {

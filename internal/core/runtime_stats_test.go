@@ -42,6 +42,24 @@ func TestRuntimeStats(t *testing.T) {
 	}
 }
 
+// TestRuntimeStatsCRPQ: a CRPQ's atom sweeps run on the plan's instrumented
+// kernels, so they show in the counters like any other sweep. (They ran on
+// counter-less products once, and /v1/statz read zero states and edges
+// after a triangle query.)
+func TestRuntimeStatsCRPQ(t *testing.T) {
+	e := New(gen.Random(30, 120, []string{"a", "b"}, 5))
+	for _, q := range []string{"q(x, y, z) :- a(x, y), a(y, z), a(z, x)", "q(y) :- a b(@v0, y)"} {
+		before := e.RuntimeStats()
+		if _, err := e.Rows(q); err != nil {
+			t.Fatal(err)
+		}
+		after := e.RuntimeStats()
+		if after.StatesExpanded <= before.StatesExpanded || after.EdgesScanned <= before.EdgesScanned {
+			t.Errorf("%s: counters did not move: %+v -> %+v", q, before, after)
+		}
+	}
+}
+
 // TestExplainPlanLine: Explain surfaces the chosen plan.
 func TestExplainPlanLine(t *testing.T) {
 	e := New(gen.Random(20, 60, []string{"a", "b"}, 2))

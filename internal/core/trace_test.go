@@ -121,6 +121,68 @@ func TestQueryCtxTraceOtherKinds(t *testing.T) {
 	}
 }
 
+// TestCRPQStages: a CRPQ inside the kernel fragment is compiled once per
+// (revision, text) and evaluated in two stages. Cold, it records parse →
+// compile → kernel (the atom sweeps: all the states, the relations' rows) →
+// enumerate (join, projection, order: the output rows); warm, a plan-cache
+// hit, only the last two; after SetGraph it compiles again. Analyze shows
+// both stages as plan nodes. A query outside the fragment runs the
+// reference whole, under kernel.
+func TestCRPQStages(t *testing.T) {
+	g := gen.Random(30, 120, []string{"a", "b"}, 5)
+	e := New(g)
+	req := Request{Query: "q(x, z) :- a(x, y), b(y, z)", Analyze: true}
+	cold, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spanNames(cold.Spans), []string{"parse", "compile", "kernel", "enumerate"}; !slices.Equal(got, want) {
+		t.Fatalf("cold spans %v, want %v", got, want)
+	}
+	hits := e.CacheStats().Hits
+	warm, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spanNames(warm.Spans), []string{"kernel", "enumerate"}; !slices.Equal(got, want) {
+		t.Fatalf("warm spans %v, want %v", got, want)
+	}
+	if got := e.CacheStats().Hits; got != hits+1 {
+		t.Errorf("plan-cache hits %d -> %d, want one more", hits, got)
+	}
+	kernel, enumerate := warm.Spans[0], warm.Spans[1]
+	if kernel.States != warm.StatesVisited || kernel.States == 0 || enumerate.States != 0 {
+		t.Errorf("states: kernel %d enumerate %d, meter %d", kernel.States, enumerate.States, warm.StatesVisited)
+	}
+	if out := int64(len(warm.Rows.Rows)); enumerate.Rows != out || kernel.Rows != warm.RowsProduced-out || out == 0 {
+		t.Errorf("rows: kernel %d enumerate %d, %d output rows of %d charged", kernel.Rows, enumerate.Rows, out, warm.RowsProduced)
+	}
+	var nodes []string
+	for _, c := range warm.Analyze.Plan.Children {
+		nodes = append(nodes, c.Name)
+	}
+	if !slices.Equal(nodes, []string{"kernel", "enumerate"}) {
+		t.Errorf("analyze nodes %v, want kernel and enumerate", nodes)
+	}
+
+	e.SetGraph(g, 2)
+	again, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasSpan(again.Spans, "compile") {
+		t.Errorf("after SetGraph: spans %v, want a compile span", spanNames(again.Spans))
+	}
+
+	outside, err := e.QueryCtx(context.Background(), Request{Query: "q(x, z) :- shortest (a^z)+(x, y)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spanNames(outside.Spans), []string{"parse", "compile", "kernel"}; !slices.Equal(got, want) {
+		t.Errorf("reference-evaluated CRPQ spans %v, want %v", got, want)
+	}
+}
+
 // slowSink is a BatchSink whose consumer is slow: every batch waits a
 // fixed time and reports it.
 type slowSink struct {

@@ -90,6 +90,17 @@ func evaluators() []evaluatorRun {
 			}
 			return len(res.Rows), err
 		}},
+		{"crpq-served", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
+			plan, err := crpq.Compile(gBig, cq, nil)
+			if err != nil {
+				return 0, err
+			}
+			res, err := plan.Eval(ctx, crpq.Options{Parallelism: par, Budget: b})
+			if res == nil {
+				return 0, err
+			}
+			return len(res.Rows), err
+		}},
 		{"gql", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
 			out, err := gql.EvalPatternCtx(ctx, gBig, gqlPat, gql.Options{}, b)
 			return len(out), err
@@ -224,6 +235,56 @@ func TestEvaluatorsMidFlightCancel(t *testing.T) {
 				t.Errorf("%s/par=%d: meter polled the context %d time(s); cancellation never observed mid-flight",
 					ev.name, par, tw.polls.Load())
 			}
+		}
+	}
+}
+
+// switchCtx is a context that reports nothing until trip hands it an error
+// to report — a cancellation or an expired deadline placed exactly between
+// two stages of an evaluation.
+type switchCtx struct {
+	err  atomic.Pointer[error]
+	done chan struct{}
+}
+
+func (c *switchCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *switchCtx) Done() <-chan struct{}       { return c.done }
+func (c *switchCtx) Value(any) any               { return nil }
+func (c *switchCtx) trip(err error)              { c.err.Store(&err) }
+func (c *switchCtx) Err() error {
+	if p := c.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// TestCRPQJoinCancel: the served CRPQ's join polls its meter, so a kill or
+// a deadline that lands once the atoms are swept — the four-cycle over a
+// 30-clique has 570 000 rows to enumerate — ends the query within one check
+// interval of candidate bindings, each of which is at most one output row.
+// (The reference's join is one uninterruptible call: it sees a cancellation
+// only after materializing every intermediate tuple.)
+func TestCRPQJoinCancel(t *testing.T) {
+	plan, err := crpq.Compile(gen.Clique(30, "a"),
+		crpq.MustParse("q(x, y, z, w) :- a(x, y), a(y, z), a(z, w), a(w, x)"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		ctx := &switchCtx{done: make(chan struct{})}
+		m := eval.NewMeter(ctx, eval.Budget{})
+		swept, err := plan.Sweep(crpq.Options{Parallelism: 1, Meter: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweptRows := m.Rows()
+		ctx.trip(cause)
+		res, err := swept.Join()
+		if res != nil || !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, cause) {
+			t.Errorf("%v mid-join: result %v, err %v; want no result and ErrCanceled wrapping the cause", cause, res != nil, err)
+		}
+		if joined := m.Rows() - sweptRows; joined > eval.MeterCheckInterval {
+			t.Errorf("%v mid-join: the join produced %d more rows; the check interval is %d", cause, joined, eval.MeterCheckInterval)
 		}
 	}
 }

@@ -89,11 +89,13 @@ func (a Atom) exprString() string {
 }
 
 func (a Atom) String() string {
-	mode := ""
-	if a.Mode != eval.All {
-		mode = a.Mode.String() + " "
+	body := fmt.Sprintf("%s(%s, %s)", a.exprString(), a.Src, a.Dst)
+	// Mode all is written out only where the parser would otherwise read
+	// the expression's first label (one named trail, say) as the mode.
+	if _, rest := cutMode(body); a.Mode != eval.All || rest != body {
+		return a.Mode.String() + " " + body
 	}
-	return fmt.Sprintf("%s%s(%s, %s)", mode, a.exprString(), a.Src, a.Dst)
+	return body
 }
 
 // Query is a (dl-)CRPQ.
@@ -322,6 +324,7 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Resu
 	}
 	out := &Result{Head: append([]string(nil), q.Head...)}
 	seen := map[string]struct{}{}
+	var keys []string // keys[i] is the key of out.Rows[i]
 	for _, t := range acc.tuples {
 		row := make([]OutValue, len(cols))
 		var kb strings.Builder
@@ -338,20 +341,23 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Resu
 			return nil, err
 		}
 		out.Rows = append(out.Rows, row)
+		keys = append(keys, kb.String())
 	}
-	sort.Slice(out.Rows, func(i, j int) bool {
-		return rowKey(out.Rows[i]) < rowKey(out.Rows[j])
-	})
+	sort.Sort(byKey{keys, out.Rows})
 	return out, nil
 }
 
-func rowKey(row []OutValue) string {
-	var b strings.Builder
-	for _, v := range row {
-		b.WriteString(v.key())
-		b.WriteByte('|')
-	}
-	return b.String()
+// byKey sorts result rows by the keys the dedup loop built for them.
+type byKey struct {
+	keys []string
+	rows [][]OutValue
+}
+
+func (s byKey) Len() int           { return len(s.keys) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }
 
 type atomRelT = struct {
@@ -416,9 +422,11 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 	if err != nil {
 		return atomRelT{}, err
 	}
-	dstCandidates, err := termCandidates(g, a.Dst)
-	if err != nil {
-		return atomRelT{}, err
+	dstConst := -1
+	if a.Dst.IsConst {
+		if dstConst, err = constNode(g, a.Dst); err != nil {
+			return atomRelT{}, err
+		}
 	}
 	listVars := a.vars()
 
@@ -464,10 +472,6 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 		// A target is a destination candidate if it is the constant, or,
 		// for a variable, always: removing a node removes its edges, so a
 		// sweep from a live source reaches live nodes only.
-		dstConst := -1
-		if a.Dst.IsConst {
-			dstConst = dstCandidates[0]
-		}
 		kern := eval.CompileProduct(g, rpqExpr).Kernel()
 		var tuples [][]OutValue
 		err := kern.SweepFrom(srcCandidates, eval.Parallelism(opts.Parallelism), opts.Meter, pg.Plan{}, false,
@@ -487,6 +491,10 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 		return atomRelT{attrs: attrs, tuples: tuples}, nil
 	}
 
+	dstCandidates, err := termCandidates(g, a.Dst)
+	if err != nil {
+		return atomRelT{}, err
+	}
 	perSource := func(u int) ([][]OutValue, error) {
 		var rows [][]OutValue
 		for _, v := range dstCandidates {
@@ -633,11 +641,20 @@ func globalShortestFilter(g *graph.Graph, a Atom, tuples [][]OutValue, attrs []s
 	return out
 }
 
+// constNode resolves a constant term to its node.
+func constNode(g *graph.Graph, t Term) (int, error) {
+	n, ok := g.NodeIndex(t.Const)
+	if !ok {
+		return 0, fmt.Errorf("crpq: unknown constant node %q", t.Const)
+	}
+	return n, nil
+}
+
 func termCandidates(g *graph.Graph, t Term) ([]int, error) {
 	if t.IsConst {
-		n, ok := g.NodeIndex(t.Const)
-		if !ok {
-			return nil, fmt.Errorf("crpq: unknown constant node %q", t.Const)
+		n, err := constNode(g, t)
+		if err != nil {
+			return nil, err
 		}
 		return []int{n}, nil
 	}

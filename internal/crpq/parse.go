@@ -119,16 +119,21 @@ func splitAtoms(s string) ([]string, error) {
 	return atoms, nil
 }
 
-func parseAtom(s string) (Atom, error) {
-	var a Atom
+// cutMode splits a leading mode keyword off an atom's text; without one
+// the mode is all and the text is returned whole.
+func cutMode(s string) (eval.Mode, string) {
 	for _, m := range []string{"shortest", "simple", "trail", "all"} {
 		if strings.HasPrefix(s, m+" ") || strings.HasPrefix(s, m+"(") || strings.HasPrefix(s, m+"\t") {
 			mode, _ := eval.ParseMode(m)
-			a.Mode = mode
-			s = strings.TrimSpace(strings.TrimPrefix(s, m))
-			break
+			return mode, strings.TrimSpace(strings.TrimPrefix(s, m))
 		}
 	}
+	return eval.All, s
+}
+
+func parseAtom(s string) (Atom, error) {
+	var a Atom
+	a.Mode, s = cutMode(s)
 	exprText, srcT, dstT, err := splitTerms(s)
 	if err != nil {
 		return Atom{}, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -204,7 +205,11 @@ func runE30(w io.Writer) error {
 		}
 		pwTime := timeSince(startPW)
 		startW := timeNow()
-		got, err := crpq.EvalWCOJ(g, q, crpq.Options{})
+		plan, err := crpq.Compile(g, q, nil)
+		if err != nil {
+			return err
+		}
+		got, err := plan.Eval(context.Background(), crpq.Options{})
 		if err != nil {
 			return err
 		}

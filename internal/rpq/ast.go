@@ -80,10 +80,14 @@ func (Epsilon) String() string { return "()" }
 
 func (l Label) String() string {
 	if needsQuote(l.Name) {
-		return "'" + strings.ReplaceAll(l.Name, "'", "\\'") + "'"
+		return "'" + labelEscaper.Replace(l.Name) + "'"
 	}
 	return l.Name
 }
+
+// labelEscaper writes a quoted label the way the lexer reads one: a
+// backslash makes the next byte literal.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
 
 func needsQuote(s string) bool {
 	if s == "" || s == "_" {

@@ -279,6 +279,14 @@ func TestStringQuoting(t *testing.T) {
 	if L("_").String() != "'_'" {
 		t.Errorf("literal underscore label must be quoted, got %q", L("_").String())
 	}
+	// The lexer reads a backslash in a quoted label as "the next byte is
+	// literal", so the printer escapes backslashes as well as quotes.
+	for _, name := range []string{`\`, `a\`, `it's`, `\'`, `a\\'b`} {
+		got, err := Parse(L(name).String())
+		if err != nil || got != L(name) {
+			t.Errorf("label %q prints as %s, which parses to %v (%v)", name, L(name), got, err)
+		}
+	}
 }
 
 func TestCompileWildcardIntoNFA(t *testing.T) {

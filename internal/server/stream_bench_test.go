@@ -111,6 +111,41 @@ func BenchmarkServedPairs(b *testing.B) {
 	}
 }
 
+// BenchmarkServedCRPQ is the CRPQ path as a callable layer: POST /v1/query
+// through the handler in-process for the four texts of bench/'s
+// cyclic-crpq workload on scalefree-800 (chain, triangle, four-cycle and
+// the `a a` triangle) and for the anchored one- and two-hop reads that are
+// the median op of short-reads, on scalefree-20000. Plans are warm: the
+// loop measures sweeps, join and delivery, not compilation.
+func BenchmarkServedCRPQ(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.LoadNamed("scalefree-800", "scalefree-20000"); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, c := range []struct{ name, graph, query string }{
+		{"chain", "scalefree-800", "q(x,y,z,w) :- b(x,y), a(y,z), b(z,w)"},
+		{"triangle", "scalefree-800", "q(x,y,z) :- a(x,y), a(y,z), a(z,x)"},
+		{"four-cycle", "scalefree-800", "q(x,y,z,w) :- a(x,y), a(y,z), a(z,w), b(w,x)"},
+		{"triangle-aa", "scalefree-800", "q(x,y,z) :- a a(x,y), a(y,z), a(z,x)"},
+		{"one-hop", "scalefree-20000", "q(y) :- a(@n100, y)"},
+		{"two-hop", "scalefree-20000", "q(y) :- a a(@n100, y)"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			body := `{"graph":"` + c.graph + `","query":"` + c.query + `"}`
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := &discardResponse{h: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+				if w.n < 64 {
+					b.Fatalf("reply of %d bytes", w.n)
+				}
+			}
+		})
+	}
+}
+
 // batchKeeper is a core.BatchSink that keeps the batches it is handed,
 // unencoded.
 type batchKeeper struct{ batches []core.RowBatch }

@@ -1,271 +1,298 @@
-// Package wcoj implements a generic worst-case-optimal join for conjunctions
-// of binary relations — the evaluation technique Section 7.1 of the paper
-// singles out ("over the last decade we have seen impressive progress on
-// worst-case optimal evaluation of conjunctive queries, with the celebrated
-// AGM bound […] for CRPQs we have seen little progress so far").
+// Package wcoj is the engine's attribute-at-a-time join over relations of
+// node indexes — the evaluation technique Section 7.1 of the paper singles
+// out ("over the last decade we have seen impressive progress on worst-case
+// optimal evaluation of conjunctive queries, with the celebrated AGM bound
+// […] for CRPQs we have seen little progress so far"), and the join behind
+// every served CRPQ inside the kernel fragment (crpq.Plan).
 //
-// The algorithm is attribute-at-a-time (Leapfrog-Triejoin style): variables
-// are bound one by one in a fixed order; at each step the candidate set for
-// the next variable is the intersection of the sorted adjacency lists of
-// every atom constrained by the already-bound variables. On cyclic joins
-// such as the triangle query R(x,y), S(y,z), T(z,x) this runs in O(N^{3/2})
-// instead of the Θ(N²) a pairwise join plan can hit.
-//
-// Package crpq uses this engine for CRPQs whose atoms carry no list
-// variables (each RPQ atom is materialized to its answer-pair relation
-// first); see crpq.EvalWCOJ.
+// A relation is what the kernel's all-sources driver hands out: (source,
+// target) pairs sorted by source then target, kept as one flat slice of
+// targets with a run offset per node. Variables are bound one at a time
+// (generic join / leapfrog): the candidates for a variable are the
+// intersection of the sorted runs of every atom whose other end is already
+// bound, so no intermediate relation is ever materialized. On cyclic joins
+// such as the triangle R(x,y), S(y,z), T(z,x) that is O(N^{3/2}) where a
+// pairwise plan can hit Θ(N²).
 package wcoj
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+
+	"graphquery/internal/pg"
 )
 
-// Rel is a binary relation over int constants with sorted indexes in both
-// directions.
-type Rel struct {
-	fwd map[int][]int // x -> sorted ys with (x, y) ∈ R
-	rev map[int][]int // y -> sorted xs with (x, y) ∈ R
-	xs  []int         // sorted distinct first components
-	ys  []int         // sorted distinct second components
+// index is one direction of a binary relation over the nodes [0, n): the
+// run of key u is vals[off[u]:off[u+1]], ascending.
+type index struct {
+	off  []int32 // n+1 offsets
+	vals []int32
 }
 
-// NewRel builds a relation from pairs (duplicates are fine).
-func NewRel(pairs [][2]int) *Rel {
-	r := &Rel{fwd: map[int][]int{}, rev: map[int][]int{}}
-	for _, p := range pairs {
-		r.fwd[p[0]] = append(r.fwd[p[0]], p[1])
-		r.rev[p[1]] = append(r.rev[p[1]], p[0])
-	}
-	for x, ys := range r.fwd {
-		sort.Ints(ys)
-		r.fwd[x] = dedupSortedInts(ys)
-		r.xs = append(r.xs, x)
-	}
-	for y, xs := range r.rev {
-		sort.Ints(xs)
-		r.rev[y] = dedupSortedInts(xs)
-		r.ys = append(r.ys, y)
-	}
-	sort.Ints(r.xs)
-	sort.Ints(r.ys)
-	return r
-}
+func (ix *index) run(u int32) []int32 { return ix.vals[ix.off[u]:ix.off[u+1]] }
 
-func dedupSortedInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
+// keys lists the nodes with a non-empty run, ascending.
+func (ix *index) keys() []int32 {
+	var out []int32
+	for u := 0; u+1 < len(ix.off); u++ {
+		if ix.off[u] != ix.off[u+1] {
+			out = append(out, int32(u))
 		}
 	}
 	return out
 }
 
-// Len returns the number of distinct pairs.
-func (r *Rel) Len() int {
-	n := 0
-	for _, ys := range r.fwd {
-		n += len(ys)
-	}
-	return n
+// Rel is a binary relation over the node indexes [0, n), built from the
+// batches of one all-sources sweep. The source-major index is the sweep's
+// own output order; the target-major one is built, by counting sort, the
+// first time a join enters the relation from its target side. A Rel
+// belongs to one evaluation and is not safe for concurrent use.
+type Rel struct {
+	fwd, rev index // rev.off is nil until byTarget builds it
+	sealed   bool
 }
 
-// Atom is one conjunct Rel(X, Y) over variables.
+// NewRel returns an empty relation over the nodes [0, n). Its offsets are
+// O(n): a relation is for an atom whose sweep visits every node as a source
+// anyway, and an atom anchored at a constant is a Set.
+func NewRel(n int) *Rel {
+	return &Rel{fwd: index{off: make([]int32, n+1)}}
+}
+
+// Append adds one batch of (source, target) pairs. Across all calls the
+// pairs must be distinct and ascending by source then target — the order
+// pg.Kernel.SweepAll delivers them in.
+func (r *Rel) Append(pairs [][2]int) {
+	r.fwd.vals = slices.Grow(r.fwd.vals, len(pairs))
+	for _, p := range pairs {
+		r.fwd.vals = append(r.fwd.vals, int32(p[1]))
+		r.fwd.off[p[0]+1]++
+	}
+}
+
+// Len returns the number of pairs.
+func (r *Rel) Len() int { return len(r.fwd.vals) }
+
+// seal turns the per-source counts Append left in the offsets into offsets.
+func (r *Rel) seal() {
+	if r.sealed {
+		return
+	}
+	r.sealed = true
+	for u := 1; u < len(r.fwd.off); u++ {
+		r.fwd.off[u] += r.fwd.off[u-1]
+	}
+}
+
+// byTarget returns the target-major index, building it on first use: one
+// counting sort over the pairs, each target's sources ascending because
+// the pairs are walked in source order.
+func (r *Rel) byTarget() *index {
+	if r.rev.off != nil {
+		return &r.rev
+	}
+	n := len(r.fwd.off) - 1
+	off := make([]int32, n+1)
+	for _, v := range r.fwd.vals {
+		off[v+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	next := slices.Clone(off[:n])
+	vals := make([]int32, len(r.fwd.vals))
+	for u := 0; u < n; u++ {
+		for _, v := range r.fwd.run(int32(u)) {
+			vals[next[v]] = int32(u)
+			next[v]++
+		}
+	}
+	r.rev = index{off: off, vals: vals}
+	return &r.rev
+}
+
+// Atom is one conjunct Rel(X, Y) over two distinct variables, numbered from
+// zero.
 type Atom struct {
 	Rel  *Rel
-	X, Y string
+	X, Y int
 }
 
-// Query is a conjunction of binary atoms.
+// Set is a unary conjunct X ∈ Vals, Vals ascending and distinct: what an
+// atom with a constant at one end, or the same variable at both, comes to
+// once its sweep has been filtered.
+type Set struct {
+	Vals []int32
+	X    int
+}
+
+// Query is a conjunction of atoms and sets over the variables [0, NumVars);
+// every variable occurs in at least one of them.
 type Query struct {
-	Atoms []Atom
+	NumVars int
+	Atoms   []Atom
+	Sets    []Set
 }
 
-// Vars returns the distinct variables in first-appearance order.
-func (q *Query) Vars() []string {
-	seen := map[string]bool{}
-	var out []string
+// constraint is one sorted list a variable's candidates are intersected
+// with: a fixed list, or the run of ix selected by the binding of from.
+type constraint struct {
+	fixed []int32
+	ix    *index
+	from  int
+}
+
+// step binds one variable: its candidates are the values in every
+// constraint's list. runs is the step's working copy of those lists, each
+// narrowed as the candidates advance.
+type step struct {
+	v    int
+	cons []constraint
+	runs [][]int32
+}
+
+// plan fixes the variable order and each step's constraints from the
+// measured relation sizes: every step extends through the smallest relation
+// that touches the bound part — a set's other end is a constant, so sets
+// touch it from the start — and, when none does (the first variable of a
+// connected component), starts in the smallest remaining relation at its
+// source end, where the index already exists. Ties go to written order, so
+// the order is a function of the query and the relations alone.
+func (q *Query) plan() []step {
 	for _, a := range q.Atoms {
-		for _, v := range []string{a.X, a.Y} {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+		a.Rel.seal()
+	}
+	bound := make([]bool, q.NumVars)
+	steps := make([]step, 0, q.NumVars)
+	for len(steps) < q.NumVars {
+		v, size := -1, 0
+		smaller := func(n int) bool { return v < 0 || n < size }
+		for _, s := range q.Sets {
+			if !bound[s.X] && smaller(len(s.Vals)) {
+				v, size = s.X, len(s.Vals)
 			}
 		}
-	}
-	return out
-}
-
-// Enumerate computes all assignments satisfying every atom, using the
-// attribute-at-a-time worst-case-optimal strategy with the given variable
-// order (every query variable must appear exactly once in order; pass nil
-// for first-appearance order). Each result maps variables to constants.
-func (q *Query) Enumerate(order []string) ([]map[string]int, error) {
-	if order == nil {
-		order = q.Vars()
-	}
-	if err := q.checkOrder(order); err != nil {
-		return nil, err
-	}
-	var out []map[string]int
-	binding := map[string]int{}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(order) {
-			row := make(map[string]int, len(binding))
-			for k, v := range binding {
-				row[k] = v
+		for _, a := range q.Atoms {
+			if bound[a.X] != bound[a.Y] && smaller(a.Rel.Len()) {
+				v, size = a.X, a.Rel.Len()
+				if bound[a.X] {
+					v = a.Y
+				}
 			}
-			out = append(out, row)
-			return
 		}
-		v := order[i]
-		candidates, ok := q.candidates(v, binding)
-		if !ok {
-			return
+		st := step{v: v}
+		if v < 0 {
+			var start *Rel
+			for _, a := range q.Atoms {
+				if !bound[a.X] && !bound[a.Y] && smaller(a.Rel.Len()) {
+					v, size, start = a.X, a.Rel.Len(), a.Rel
+				}
+			}
+			st = step{v: v, cons: []constraint{{fixed: start.fwd.keys()}}}
 		}
-		for _, c := range candidates {
-			binding[v] = c
-			rec(i + 1)
-			delete(binding, v)
+		for _, s := range q.Sets {
+			if s.X == v {
+				st.cons = append(st.cons, constraint{fixed: s.Vals})
+			}
 		}
+		for _, a := range q.Atoms {
+			switch {
+			case a.Y == v && bound[a.X]:
+				st.cons = append(st.cons, constraint{ix: &a.Rel.fwd, from: a.X})
+			case a.X == v && bound[a.Y]:
+				st.cons = append(st.cons, constraint{ix: a.Rel.byTarget(), from: a.Y})
+			}
+		}
+		st.runs = make([][]int32, len(st.cons))
+		steps = append(steps, st)
+		bound[v] = true
 	}
-	rec(0)
-	return out, nil
+	return steps
 }
 
-// Count returns the number of satisfying assignments without materializing
-// them (same traversal, counting only).
-func (q *Query) Count(order []string) (int, error) {
-	if order == nil {
-		order = q.Vars()
-	}
-	if err := q.checkOrder(order); err != nil {
-		return 0, err
-	}
-	binding := map[string]int{}
-	var rec func(i int) int
-	rec = func(i int) int {
-		if i == len(order) {
-			return 1
-		}
-		v := order[i]
-		candidates, ok := q.candidates(v, binding)
-		if !ok {
-			return 0
-		}
-		total := 0
-		for _, c := range candidates {
-			binding[v] = c
-			total += rec(i + 1)
-			delete(binding, v)
-		}
-		return total
-	}
-	return rec(0), nil
+// Enumerate calls emit with every assignment of the variables that
+// satisfies all atoms and sets, each exactly once; the slice it passes is
+// indexed by variable and reused between calls. The join runs on the
+// calling goroutine, polls m at least once per pg.CheckInterval candidate
+// values, and stops at the first error from m or emit, which it returns.
+func (q *Query) Enumerate(m *pg.Meter, emit func(binding []int32) error) error {
+	j := joiner{steps: q.plan(), binding: make([]int32, q.NumVars), m: m, emit: emit}
+	return j.bind(0)
 }
 
-func (q *Query) checkOrder(order []string) error {
-	want := q.Vars()
-	if len(order) != len(want) {
-		return fmt.Errorf("wcoj: order has %d variables, query has %d", len(order), len(want))
+type joiner struct {
+	steps   []step
+	binding []int32
+	m       *pg.Meter
+	emit    func([]int32) error
+	tried   int // candidate values since the join began
+}
+
+// bind enumerates the values of the d-th variable under the bindings of the
+// ones before it: the shortest constraint list drives and every candidate
+// is looked up in the others by galloping search from where the previous
+// candidate left off.
+func (j *joiner) bind(d int) error {
+	if d == len(j.steps) {
+		return j.emit(j.binding)
 	}
-	seen := map[string]bool{}
-	for _, v := range order {
-		if seen[v] {
-			return fmt.Errorf("wcoj: duplicate variable %q in order", v)
+	st := &j.steps[d]
+	drv := 0
+	for i, c := range st.cons {
+		st.runs[i] = c.fixed
+		if c.ix != nil {
+			st.runs[i] = c.ix.run(j.binding[c.from])
 		}
-		seen[v] = true
+		if len(st.runs[i]) < len(st.runs[drv]) {
+			drv = i
+		}
 	}
-	for _, v := range want {
-		if !seen[v] {
-			return fmt.Errorf("wcoj: query variable %q missing from order", v)
+candidates:
+	for _, c := range st.runs[drv] {
+		if j.tried++; j.tried%pg.CheckInterval == 0 {
+			if err := j.m.Check(); err != nil {
+				return err
+			}
+		}
+		for i, run := range st.runs {
+			if i == drv {
+				continue
+			}
+			k := seek(run, c)
+			if k == len(run) {
+				return nil // one list is exhausted: no later candidate is in it
+			}
+			st.runs[i] = run[k:]
+			if run[k] != c {
+				continue candidates
+			}
+		}
+		j.binding[st.v] = c
+		if err := j.bind(d + 1); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// candidates intersects the constraint lists for variable v under the
-// current partial binding. ok=false signals an empty candidate set.
-func (q *Query) candidates(v string, binding map[string]int) ([]int, bool) {
-	var lists [][]int
-	for _, a := range q.Atoms {
-		switch {
-		case a.X == v && a.Y == v:
-			// Self-loop atom: v must satisfy (v, v) ∈ R.
-			var self []int
-			for _, x := range a.Rel.xs {
-				if containsSorted(a.Rel.fwd[x], x) {
-					self = append(self, x)
-				}
-			}
-			lists = append(lists, self)
-		case a.X == v:
-			if yv, bound := binding[a.Y]; bound {
-				lists = append(lists, a.Rel.rev[yv])
-			} else {
-				lists = append(lists, a.Rel.xs)
-			}
-		case a.Y == v:
-			if xv, bound := binding[a.X]; bound {
-				lists = append(lists, a.Rel.fwd[xv])
-			} else {
-				lists = append(lists, a.Rel.ys)
-			}
-		}
+// seek returns the first index of the ascending s whose value is at least
+// v, len(s) if there is none: a galloping probe from the front, so a lookup
+// a short way in costs the logarithm of that distance, not of len(s).
+func seek(s []int32, v int32) int {
+	if len(s) == 0 || s[0] >= v {
+		return 0
 	}
-	if len(lists) == 0 {
-		return nil, false
+	lo, stride := 0, 1 // s[lo] < v
+	for lo+stride < len(s) && s[lo+stride] < v {
+		lo += stride
+		stride <<= 1
 	}
-	// Intersect starting from the smallest list (leapfrog order).
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	cur := lists[0]
-	for _, l := range lists[1:] {
-		cur = intersectSorted(cur, l)
-		if len(cur) == 0 {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-func containsSorted(s []int, v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
-}
-
-// intersectSorted intersects two sorted slices with galloping search when
-// the sizes are lopsided.
-func intersectSorted(a, b []int) []int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var out []int
-	lo := 0
-	for _, v := range a {
-		i := lo + sort.SearchInts(b[lo:], v)
-		if i < len(b) && b[i] == v {
-			out = append(out, v)
-			lo = i + 1
+	hi := min(lo+stride, len(s)) // hi == len(s) or s[hi] >= v
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); s[mid] < v {
+			lo = mid
 		} else {
-			lo = i
-		}
-		if lo >= len(b) {
-			break
+			hi = mid
 		}
 	}
-	return out
-}
-
-// Pairs returns the distinct pairs of the relation (sorted by first then
-// second component).
-func (r *Rel) Pairs() [][2]int {
-	var out [][2]int
-	for _, x := range r.xs {
-		for _, y := range r.fwd[x] {
-			out = append(out, [2]int{x, y})
-		}
-	}
-	return out
+	return hi
 }
