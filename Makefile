@@ -29,18 +29,21 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark — the root package's experiment rows,
-# the kernel-layer rows in internal/pg, the join rows in internal/wcoj and
-# the served rows (output path, CRPQs) in internal/server: catches bit-rot
-# in the harnesses without waiting for stable timings.
+# the kernel-layer rows in internal/pg, the join rows in internal/wcoj, the
+# anchored shortest-path rows in internal/lrpq and the served rows (output
+# path, CRPQs, shortest paths) in internal/server: catches bit-rot in the
+# harnesses without waiting for stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/wcoj ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/wcoj ./internal/lrpq ./internal/server
 
 # Ten seconds of each fuzz target — the row encoder against encoding/json,
-# the CRPQ parser and its served evaluator against the reference; the
-# committed corpora alone run with every `go test`.
+# the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
+# parser and shortest mode against the mode-all definition; the committed
+# corpora alone run with every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/crpq
+	$(GO) test -run '^$$' -fuzz FuzzShortest -fuzztime 10s ./internal/lrpq
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

@@ -11,7 +11,9 @@ import (
 	"runtime"
 	"testing"
 
+	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/lrpq"
 )
 
 // TestWarmQueryAllocs is the satellite alloc regression at the engine
@@ -103,4 +105,58 @@ func TestWarmCRPQAllocs(t *testing.T) {
 			t.Errorf("%s: warm query allocates %d B/op, want ≤ %d", c.name, perOp, c.maxBytes)
 		}
 	}
+}
+
+// TestWarmShortestAllocs: an anchored shortest-path query allocates what it
+// touches — the search's discoveries, the shortest-path DAG, the paths —
+// and nothing proportional to the graph. `a*` to a target five hops away
+// on the short-reads graph is bench/'s shortest op; the full product BFS it
+// replaced filled a fresh |N|·|Q| distance array per request, 915 kB. Warm,
+// the search's tables come back from the cached kernel's pool; the one-shot
+// lrpq.EvalBetween (bench/'s oracle and trace, the CRPQ reference) compiles
+// a kernel per call and still stays far under the graph's size.
+func TestWarmShortestAllocs(t *testing.T) {
+	g := gen.ScaleFree(20000, 4, 1)
+	e := New(g)
+	// n138 is five a-edges from n17 and no fewer.
+	const from, to = "n17", "n138"
+	u, v := g.MustNode(from), g.MustNode(to)
+	expr := lrpq.MustParse("a*")
+	perOp := func(run func() int) uint64 {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if n := run(); n != 5 {
+				t.Fatalf("shortest %s→%s has %d edges, want 5", from, to, n)
+			}
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	warm := perOp(func() int {
+		paths, err := e.Paths("a*", from, to, eval.Shortest)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%d paths, err %v", len(paths), err)
+		}
+		return paths[0].Path.Len()
+	})
+	if warm > 32<<10 {
+		t.Errorf("warm shortest query allocates %d B/op, want ≤ 32 kB", warm)
+	}
+	oneShot := perOp(func() int {
+		pbs, err := lrpq.EvalBetween(g, expr, u, v, eval.Shortest, lrpq.Options{})
+		if err != nil || len(pbs) == 0 {
+			t.Fatalf("%d paths, err %v", len(pbs), err)
+		}
+		return pbs[0].Path.Len()
+	})
+	if oneShot > 64<<10 {
+		t.Errorf("one-shot lrpq.EvalBetween allocates %d B/op, want ≤ 64 kB", oneShot)
+	}
+	t.Logf("warm %d B/op, one-shot %d B/op", warm, oneShot)
 }

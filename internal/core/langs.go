@@ -169,7 +169,7 @@ func (e *Engine) pmrPathsMeter(gs *graphState, query string, src, dst graph.Node
 	sp := tr.Start("kernel")
 	var r *pmr.PMR
 	if shortest {
-		r, err = pmr.ShortestFromProductMeter(gs.g, plan.expr, u, v, m)
+		r, err = pmr.ShortestFromKernel(plan.product.Kernel(), u, v, m)
 	} else {
 		r, err = pmr.FromProductMeter(gs.g, plan.expr, u, v, m)
 	}

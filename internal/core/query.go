@@ -378,6 +378,16 @@ func (e *Engine) rowsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.
 	return swept.Join()
 }
 
+// pathsMeter evaluates an anchored (ℓ-)RPQ or dl-RPQ to paths. An ℓ-RPQ runs
+// on its compiled plan (lrpq.Plan: annotated automaton and product kernel),
+// cached per (revision, query) like an RPQ's product, so parse and
+// compile spans appear only on plan-cache misses. In shortest mode the
+// search between the anchors is the "kernel" stage and the walk over the
+// shortest-path DAG, with path building, the "enumerate" stage; the plan
+// attribute records the depths at which the two sides met. The other modes
+// and dl-RPQs interleave search and path reconstruction, so one "enumerate"
+// span covers their evaluation; the meter deltas still report the product
+// states it expanded.
 func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID, mode eval.Mode, m *eval.Meter, tr *obs.Trace, maxLen, limit int) ([]PathResult, error) {
 	u, ok := gs.g.NodeIndex(src)
 	if !ok {
@@ -387,9 +397,6 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
-	// Path evaluators interleave search and path reconstruction, so one
-	// "enumerate" span covers evaluation; the meter deltas still report
-	// the product states it expanded.
 	enumerate := func(eval func() ([]gpath.PathBinding, error)) ([]PathResult, error) {
 		s0, r0 := m.States(), m.Rows()
 		sp := tr.Start("enumerate")
@@ -414,18 +421,35 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 			return dlrpq.EvalBetween(gs.g, expr, u, v, mode,
 				dlrpq.Options{MaxLen: maxLen, Limit: limit, Meter: m, Counters: &e.counters})
 		})
-	default:
+	}
+	plan, err := cached(e, gs, "lrpq", query, func(text string) (*lrpq.Plan, error) {
 		sp := tr.Start("parse")
-		expr, err := cached(e, gs, "lrpq", query, lrpq.Parse)
+		expr, err := lrpq.Parse(text)
 		sp.End()
 		if err != nil {
-			return nil, badQuery(err)
+			return nil, err
 		}
+		sp = tr.Start("compile")
+		defer sp.End()
+		return lrpq.NewPlan(gs.g, expr, &e.counters), nil
+	})
+	if err != nil {
+		return nil, badQuery(err)
+	}
+	if mode != eval.Shortest {
 		return enumerate(func() ([]gpath.PathBinding, error) {
-			return lrpq.EvalBetween(gs.g, expr, u, v, mode,
-				lrpq.Options{MaxLen: maxLen, Limit: limit, Meter: m, Counters: &e.counters})
+			return plan.Between(u, v, mode, lrpq.Options{MaxLen: maxLen, Limit: limit, Meter: m})
 		})
 	}
+	s0 := m.States()
+	sp := tr.Start("kernel")
+	meet, err := plan.Search(u, v, m)
+	sp.Counts(m.States()-s0, 0).End()
+	if err != nil {
+		return nil, err
+	}
+	tr.Set("plan", fmt.Sprintf("between fwd=%d bwd=%d", meet.Fwd, meet.Bwd))
+	return enumerate(func() ([]gpath.PathBinding, error) { return plan.Shortest(meet, limit, m) })
 }
 
 // twoWayPairs evaluates a 2RPQ to endpoint pairs on its compiled kernel.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -255,5 +256,80 @@ func TestStreamedPairsStages(t *testing.T) {
 	}
 	if got, want := names(resp.Analyze), names(typed.Analyze); !slices.Equal(got, want) {
 		t.Errorf("analyze tree with a sink has stages %v, without %v", got, want)
+	}
+}
+
+// TestShortestPathStages: an anchored ℓ-RPQ is compiled once per (revision,
+// text) — expression, annotated automaton, product kernel — and in shortest
+// mode evaluated in two stages. Cold it records parse → compile → kernel
+// (the search from both ends: all the states that are not path building) →
+// enumerate (the walk over the shortest-path DAG: the rows); warm, a
+// plan-cache hit, only the last two; after SetGraph it compiles again. The
+// plan attribute says where the two sides met, every state either stage
+// charged the meter also reached the engine's counters, and the other modes
+// still run whole under enumerate.
+func TestShortestPathStages(t *testing.T) {
+	g := gen.Grid(12, 12, "a")
+	e := New(g)
+	req := Request{Query: "a*", From: "g0_0", To: "g7_6", Mode: eval.Shortest, Limit: 5, Analyze: true}
+	cold, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spanNames(cold.Spans), []string{"parse", "compile", "kernel", "enumerate"}; !slices.Equal(got, want) {
+		t.Fatalf("cold spans %v, want %v", got, want)
+	}
+	hits, before := e.CacheStats().Hits, e.RuntimeStats()
+	warm, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spanNames(warm.Spans), []string{"kernel", "enumerate"}; !slices.Equal(got, want) {
+		t.Fatalf("warm spans %v, want %v", got, want)
+	}
+	if got := e.CacheStats().Hits; got != hits+1 {
+		t.Errorf("plan-cache hits %d -> %d, want one more", hits, got)
+	}
+	if len(warm.Paths) != 5 || warm.Paths[0].Path.Len() != 13 {
+		t.Fatalf("%d paths of length %d, want 5 of length 13", len(warm.Paths), warm.Paths[0].Path.Len())
+	}
+	kernel, enumerate := warm.Spans[0], warm.Spans[1]
+	if kernel.States == 0 || enumerate.States == 0 || kernel.States+enumerate.States != warm.StatesVisited {
+		t.Errorf("states: kernel %d + enumerate %d, meter %d", kernel.States, enumerate.States, warm.StatesVisited)
+	}
+	if kernel.Rows != 0 || enumerate.Rows != 5 || warm.RowsProduced != 5 {
+		t.Errorf("rows: kernel %d enumerate %d, meter %d; want 0, 5, 5", kernel.Rows, enumerate.Rows, warm.RowsProduced)
+	}
+	after := e.RuntimeStats()
+	if got := after.StatesExpanded - before.StatesExpanded; got != warm.StatesVisited {
+		t.Errorf("counters saw %d states, the meter %d: a side of the search is not charged to both", got, warm.StatesVisited)
+	}
+	if after.EdgesScanned == before.EdgesScanned {
+		t.Error("the search's edge scans did not reach the counters")
+	}
+	// 13 levels between them, and neither side did all of the work.
+	var fwd, bwd int
+	if n, _ := fmt.Sscanf(warm.Plan, "between fwd=%d bwd=%d", &fwd, &bwd); n != 2 || fwd+bwd != 13 || fwd == 0 || bwd == 0 {
+		t.Errorf("plan attribute %q, want the two meeting depths, summing to 13", warm.Plan)
+	}
+	if warm.Analyze.Plan.Detail != warm.Plan || warm.Analyze.Sweep.Sweeps != 1 || warm.Analyze.Sweep.States != kernel.States {
+		t.Errorf("analyze: detail %q, sweep %+v; want the plan line and one sweep of %d states", warm.Analyze.Plan.Detail, warm.Analyze.Sweep, kernel.States)
+	}
+
+	e.SetGraph(g, 2)
+	again, err := e.QueryCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasSpan(again.Spans, "compile") {
+		t.Errorf("after SetGraph: spans %v, want a compile span", spanNames(again.Spans))
+	}
+
+	trail, err := e.QueryCtx(context.Background(), Request{Query: "a*", From: "g0_0", To: "g1_1", Mode: eval.Trail, Limit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spanNames(trail.Spans), []string{"enumerate"}; !slices.Equal(got, want) || trail.Plan != "" {
+		t.Errorf("trail mode on the cached plan: spans %v plan %q, want one enumerate span and no plan line", got, trail.Plan)
 	}
 }

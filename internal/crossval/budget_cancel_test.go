@@ -46,6 +46,9 @@ type evaluatorRun struct {
 func evaluators() []evaluatorRun {
 	gBig := gen.Clique(60, "a")   // pairs evaluators: 60·nq product states per source
 	gSmall := gen.Clique(10, "a") // path enumerators: ~800 configurations anchored
+	// Shortest paths corner to corner: the search from both ends expands
+	// ~900 product states before it meets, and there are C(58, 29) answers.
+	gGrid := gen.Grid(30, 30, "a")
 	rq := rpq.MustParse("a* a*")
 	tw := twoway.MustParse("a* a*")
 	lq := lrpq.MustParse("a*")
@@ -76,6 +79,11 @@ func evaluators() []evaluatorRun {
 		{"lrpq", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
 			out, err := lrpq.EvalBetweenCtx(ctx, gSmall, lq, 0, 1, eval.All,
 				lrpq.Options{MaxLen: 4, Meter: eval.NewMeter(ctx, b)})
+			return len(out), err
+		}},
+		{"lrpq-shortest", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
+			out, err := lrpq.EvalBetweenCtx(ctx, gGrid, lq, gGrid.MustNode("g0_0"), gGrid.MustNode("g29_29"), eval.Shortest,
+				lrpq.Options{Limit: 3, Meter: eval.NewMeter(ctx, b)})
 			return len(out), err
 		}},
 		{"dlrpq", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {

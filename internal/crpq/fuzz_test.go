@@ -26,32 +26,6 @@ func fuzzGraph() *graph.Graph {
 	return b.MustBuild()
 }
 
-// positions bounds the number of Glushkov positions e compiles to once its
-// repetitions are unrolled, saturating at limit.
-func positions(e rpq.Expr, limit int) int {
-	n := 0
-	switch e := e.(type) {
-	case rpq.Label, rpq.NotIn:
-		n = 1
-	case rpq.Concat:
-		for _, p := range e.Parts {
-			n += positions(p, limit)
-		}
-	case rpq.Union:
-		for _, a := range e.Alts {
-			n += positions(a, limit)
-		}
-	case rpq.Star:
-		n = positions(e.Sub, limit)
-	case rpq.Repeat: // rpq.Desugar: Min copies and a star, or Max copies
-		n = positions(e.Sub, limit) * max(e.Min+1, e.Max)
-	}
-	if n < 0 || n > limit {
-		return limit
-	}
-	return n
-}
-
 // FuzzParse: no input panics the CRPQ parser; what parses prints to a text
 // that parses back to the same query; and when the query lies in the kernel
 // fragment (and its automata are small enough to run), the served evaluator
@@ -107,7 +81,7 @@ func FuzzParse(f *testing.F) {
 		}
 		size := 0
 		for _, a := range q.Atoms {
-			size += positions(a.RPQ, 1<<10)
+			size += rpq.Positions(a.RPQ, 1<<10)
 		}
 		if size > 64 {
 			return

@@ -76,7 +76,9 @@ func (a Atom) String() string {
 		base = "!{" + strings.Join(parts, ",") + "}"
 	}
 	if a.Var != "" {
-		return base + "^" + a.Var
+		// Quoted like a label when it is not a plain identifier: '^' reads
+		// the same token a label is.
+		return base + "^" + rpq.Label{Name: a.Var}.String()
 	}
 	return base
 }

@@ -3,7 +3,6 @@ package lrpq
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 
 	"graphquery/internal/eval"
@@ -41,34 +40,11 @@ type Options struct {
 //
 // With opts.Meter set, evaluation stops early with eval.ErrCanceled or
 // eval.ErrBudgetExceeded; without one these errors are impossible.
+//
+// This is the one-shot form: it compiles a Plan for the call and evaluates
+// on it. Callers that repeat an expression over one graph keep the Plan.
 func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	a := Compile(e)
-	m := opts.Meter
-	switch mode {
-	case eval.All:
-		if opts.MaxLen <= 0 && opts.Limit <= 0 {
-			return nil, ErrUnbounded
-		}
-		if opts.MaxLen <= 0 {
-			return runBFSLimit(g, a, src, dst, opts.Limit, m, opts.Counters)
-		}
-		return runSearch(g, a, src, dst, opts, nil, nil)
-	case eval.Shortest:
-		dist, best, err := productDistances(g, a, src, dst, m, opts.Counters)
-		if err != nil {
-			return nil, err
-		}
-		if best == -1 {
-			return nil, nil
-		}
-		return runTight(g, a, src, dst, dist, best, m, opts.Counters)
-	case eval.Simple:
-		return runSearch(g, a, src, dst, opts, map[int]struct{}{src: {}}, nil)
-	case eval.Trail:
-		return runSearch(g, a, src, dst, opts, nil, map[int]struct{}{})
-	default:
-		return nil, fmt.Errorf("lrpq: unknown mode %v", mode)
-	}
+	return NewPlan(g, e, opts.Counters).Between(src, dst, mode, opts)
 }
 
 // EvalBetweenCtx is EvalBetween under a context: when opts.Meter is unset,
@@ -283,11 +259,16 @@ func runSearchCompiled(g *graph.Graph, a *VNFA, src, dst int, opts Options,
 	return sortPBs(out, opts.Limit), nil
 }
 
+// buildPath returns the node-to-node path that leaves src along edges.
 func buildPath(g *graph.Graph, src int, edges []int) gpath.Path {
-	p := gpath.OfNode(src)
+	objs := make([]graph.Object, 1, 2*len(edges)+1)
+	objs[0] = graph.MakeNodeObject(src)
 	for _, ei := range edges {
-		next, _ := gpath.Concat(g, p, gpath.Triple(g, ei))
-		p = next
+		objs = append(objs, graph.MakeEdgeObject(ei), graph.MakeNodeObject(g.EdgeTgt(ei)))
+	}
+	p, err := gpath.New(g, objs...)
+	if err != nil {
+		panic("lrpq: search produced a broken path: " + err.Error())
 	}
 	return p
 }
@@ -304,84 +285,6 @@ func buildBinding(g *graph.Graph, edges []int, vars []string) gpath.Binding {
 		mu[vars[i]] = append(mu[vars[i]], graph.MakeEdgeObject(ei))
 	}
 	return mu
-}
-
-// productDistances computes (node, state) product distances ignoring
-// variable annotations, on the unified runtime kernel over the erased NFA
-// (annotations cannot change reachability, and VNFA state numbering is
-// preserved by Erased), plus the minimal accepting distance at dst (-1 if
-// unreachable).
-func productDistances(g *graph.Graph, a *VNFA, src, dst int, m *eval.Meter, cnt *pg.Counters) (dist []int, best int, err error) {
-	kern := pg.NewKernel(g, pg.FromNFA(g, a.Erased()), cnt)
-	dist, err = kern.Distances(src, m)
-	if err != nil {
-		return nil, -1, err
-	}
-	best = -1
-	for q := 0; q < a.NumStates; q++ {
-		i := dst*a.NumStates + q
-		if a.Accept[q] && dist[i] >= 0 && (best == -1 || dist[i] < best) {
-			best = dist[i]
-		}
-	}
-	return dist, best, nil
-}
-
-// runTight enumerates all shortest (p, µ) via tight product edges.
-func runTight(g *graph.Graph, a *VNFA, src, dst int, dist []int, best int, m *eval.Meter, cnt *pg.Counters) ([]gpath.PathBinding, error) {
-	id := func(node, state int) int { return node*a.NumStates + state }
-	seen := map[string]struct{}{}
-	var out []gpath.PathBinding
-	var edges []int
-	var vars []string
-	var stopErr error
-	tick := pg.NewTicker(m, cnt)
-	var dfs func(node, state int)
-	dfs = func(node, state int) {
-		if stopErr != nil {
-			return
-		}
-		if err := tick.Step(); err != nil {
-			stopErr = err
-			return
-		}
-		d := len(edges)
-		if d == best {
-			if node == dst && a.Accept[state] {
-				pb := gpath.PathBinding{Path: buildPath(g, src, edges), Binding: buildBinding(g, edges, vars)}
-				k := pb.Key()
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					out = append(out, pb)
-					if err := m.AddRows(1); err != nil {
-						stopErr = err
-					}
-				}
-			}
-			return
-		}
-		for _, ei := range g.Out(node) {
-			lab := g.Edge(ei).Label
-			tgt := g.Edge(ei).Tgt
-			for _, tr := range a.Trans[state] {
-				if tr.Guard.Matches(lab) && dist[id(tgt, tr.To)] == d+1 {
-					edges = append(edges, ei)
-					vars = append(vars, tr.Var)
-					dfs(tgt, tr.To)
-					edges = edges[:len(edges)-1]
-					vars = vars[:len(vars)-1]
-				}
-			}
-		}
-	}
-	dfs(src, a.Start)
-	if stopErr == nil {
-		stopErr = tick.Flush()
-	}
-	if stopErr != nil {
-		return nil, stopErr
-	}
-	return sortPBs(out, 0), nil
 }
 
 // BindingsOnPath runs the ℓ-RPQ over one fixed path and returns the distinct

@@ -43,8 +43,10 @@ type Kernel struct {
 	scanned   atomic.Int64
 
 	// pool recycles Scratch values across sweeps (GetScratch/PutScratch),
-	// so warm queries stop reallocating O(product-states) buffers.
-	pool sync.Pool
+	// so warm queries stop reallocating O(product-states) buffers; betweens
+	// does the same for the tables of Between searches (between.go).
+	pool     sync.Pool
+	betweens sync.Pool
 }
 
 // NewKernel builds a kernel over g with the given semantics; c (may be
@@ -117,85 +119,6 @@ func (k *Kernel) PutScratch(sc *Scratch) {
 	if sc != nil {
 		k.pool.Put(sc)
 	}
-}
-
-// Distances computes BFS distances (−1 for unreached) over the product
-// from src, under a meter — the distance sweep behind shortest-path modes.
-// Distance values are order-independent, so unlike BFS no expansion order
-// is imposed and no parents are recorded.
-func (k *Kernel) Distances(src int, mt *Meter) ([]int, error) {
-	g := k.g
-	dist := make([]int, k.NumProductStates())
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int
-	for _, q := range k.starts {
-		id := src*k.nq + q
-		if dist[id] == 0 {
-			continue
-		}
-		dist[id] = 0
-		queue = append(queue, id)
-	}
-	var stopErr error
-	var edgesScanned, edgesReported int64
-	peak := 0
-	ticked := 0
-	head := 0
-	for ; head < len(queue); head++ {
-		if mt != nil && head-ticked >= CheckInterval {
-			if stopErr = mt.Tick(int64(head - ticked)); stopErr != nil {
-				break
-			}
-			ticked = head
-			mt.SweepProgress(int64(len(queue)-head), edgesScanned-edgesReported)
-			edgesReported = edgesScanned
-		}
-		if f := len(queue) - head; f > peak {
-			peak = f
-		}
-		cur := queue[head]
-		node, state := cur/k.nq, cur%k.nq
-		trans := k.trans[state]
-		for ti := range trans {
-			t := &trans[ti]
-			visit := func(ei int) {
-				edgesScanned++
-				e := g.Edge(ei)
-				to := e.Tgt
-				if t.Back {
-					to = e.Src
-				}
-				id := to*k.nq + t.To
-				if dist[id] == -1 {
-					dist[id] = dist[cur] + 1
-					queue = append(queue, id)
-				}
-			}
-			if t.Back {
-				t.InEdges(g, node, visit)
-			} else {
-				t.OutEdges(g, node, visit)
-			}
-		}
-	}
-	if stopErr == nil && mt != nil && head > ticked {
-		stopErr = mt.Tick(int64(head - ticked))
-	}
-	if mt != nil {
-		mt.SweepProgress(0, edgesScanned-edgesReported)
-	}
-	k.c.AddStates(int64(head))
-	k.c.AddEdges(edgesScanned)
-	k.c.ObserveFrontier(int64(peak))
-	if ss := mt.SweepStatsSink(); ss != nil {
-		ss.RecordSweep(1, int64(head), edgesScanned, int64(peak))
-	}
-	if stopErr != nil {
-		return nil, stopErr
-	}
-	return dist, nil
 }
 
 // Succ returns the outgoing product edges of s in ascending (graph edge,

@@ -223,122 +223,67 @@ func ShortestFromProductCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src
 }
 
 // ShortestFromProductMeter is ShortestFromProduct with an explicit meter
-// (may be nil). The BFS layering is delegated to the kernel's Distances
-// sweep, which already meters itself; the tight-edge extraction that
-// follows reuses the kernel's Succ expansion.
+// (may be nil): it compiles e against g and builds on that kernel.
 func ShortestFromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*PMR, error) {
-	nfa := rpq.Compile(e)
-	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), nil)
-	nStates := nfa.NumStates
-	id := func(n, q int) int { return n*nStates + q }
-	if !g.NodeAlive(src) || !g.NodeAlive(dst) {
-		r, _ := New(g, nil, nil, nil, nil)
-		return r, nil
-	}
+	return ShortestFromKernel(pg.NewKernel(g, pg.FromNFA(g, rpq.Compile(e)), nil), src, dst, m)
+}
 
-	// BFS distances from (src, q0): the kernel's metered level sweep.
-	total := kern.NumProductStates()
-	start := id(src, nfa.Start)
-	dist, err := kern.Distances(src, m)
+// ShortestFromKernel builds the shortest-paths PMR over a compiled kernel —
+// the form a serving layer with a cached kernel calls. The kernel's search
+// between the anchors (pg.Kernel.Between, which meters itself) yields the
+// shortest-path DAG; the representation is that DAG: one node per product
+// state on a shortest path, numbered in product-state order, one edge per
+// tight product edge between two of them, in Succ order. Only the DAG's
+// states are expanded, never the product.
+func ShortestFromKernel(kern *pg.Kernel, src, dst int, m *pg.Meter) (*PMR, error) {
+	g := kern.Graph()
+	empty, _ := New(g, nil, nil, nil, nil)
+	if !g.NodeAlive(src) || !g.NodeAlive(dst) {
+		// Tombstoned endpoints have no paths; matches the Materialize()d
+		// graph, where the node does not exist at all.
+		return empty, nil
+	}
+	meet, err := kern.Between(src, dst, m)
 	if err != nil {
 		return nil, err
 	}
+	if meet.Len < 0 {
+		return empty, nil
+	}
+	ids, depths := meet.IDs(), meet.Depths()
+	gammaNode := make([]int, len(ids))
+	into := make([][]Edge, len(ids)) // into[j]: the tight edges entering state j
+	var s, t []int
 	tick := pg.NewTicker(m, kern.Counters())
-	best := -1
-	for q := 0; q < nStates; q++ {
-		i := id(dst, q)
-		if nfa.Accept[q] && dist[i] >= 0 && (best == -1 || dist[i] < best) {
-			best = dist[i]
+	for i, id := range ids {
+		st := kern.Unid(int(id))
+		gammaNode[i] = st.Node
+		if depths[i] == 0 {
+			s = append(s, i)
 		}
-	}
-	if best == -1 {
-		r, _ := New(g, nil, nil, nil, nil)
-		return r, nil
-	}
-
-	// Layered copy: node (state, d) for d = dist[state]; tight edges only;
-	// targets are accepting states at distance exactly best. Keeping one
-	// copy per state suffices because tight edges strictly increase dist.
-	remap := make(map[int]int)
-	var gammaNode []int
-	mapState := func(i int) int {
-		if j, ok := remap[i]; ok {
-			return j
-		}
-		j := len(gammaNode)
-		remap[i] = j
-		gammaNode = append(gammaNode, i/nStates)
-		return j
-	}
-	var pedges []Edge
-	// Only states that can appear on some shortest accepted path are
-	// useful: co-reachability at exact remaining distance. Compute via
-	// backward layered BFS from targets.
-	useful := make(map[int]bool)
-	var targets []int
-	for q := 0; q < nStates; q++ {
-		i := id(dst, q)
-		if nfa.Accept[q] && dist[i] == best {
-			useful[i] = true
-			targets = append(targets, i)
-		}
-	}
-	// Backward pass over tight edges.
-	revTight := make(map[int][]struct{ from, gedge int })
-	for i := 0; i < total; i++ {
-		if dist[i] == -1 || dist[i] >= best {
+		if int(depths[i]) == meet.Len {
+			t = append(t, i)
 			continue
 		}
 		if err := tick.Step(); err != nil {
 			return nil, err
 		}
-		for _, st := range kern.Succ(kern.Unid(i)) {
-			ni := id(st.To.Node, st.To.State)
-			if dist[ni] == dist[i]+1 {
-				revTight[ni] = append(revTight[ni], struct{ from, gedge int }{i, st.Edge})
+		for _, step := range kern.Succ(st) {
+			if j := meet.Index(kern.ID(step.To)); j >= 0 && depths[j] == depths[i]+1 {
+				into[j] = append(into[j], Edge{Src: i, Tgt: j, GEdge: step.Edge})
 			}
 		}
 	}
-	stack := append([]int(nil), targets...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pe := range revTight[cur] {
-			if !useful[pe.from] {
-				useful[pe.from] = true
-				stack = append(stack, pe.from)
-			}
-		}
+	// Edges go out grouped by target, then by source, then in Succ order:
+	// enumeration breaks ties in edge order, so the order is part of the
+	// representation.
+	var pedges []Edge
+	for _, es := range into {
+		pedges = append(pedges, es...)
 	}
-	// Number representation states and emit edges in product-state order:
-	// map iteration order must not leak into the representation, or two
-	// builds of the same PMR would enumerate ties differently.
-	usefulSorted := make([]int, 0, len(useful))
-	for i := range useful {
-		usefulSorted = append(usefulSorted, i)
-	}
-	sort.Ints(usefulSorted)
-	for _, i := range usefulSorted {
-		mapState(i)
-	}
-	for _, to := range usefulSorted {
-		for _, pe := range revTight[to] {
-			if useful[pe.from] {
-				pedges = append(pedges, Edge{Src: remap[pe.from], Tgt: remap[to], GEdge: pe.gedge})
-			}
-		}
-	}
-	var s, t []int
-	if j, ok := remap[start]; ok && useful[start] {
-		s = append(s, j)
-	}
-	for _, tg := range targets {
-		s2 := remap[tg]
-		t = append(t, s2)
-	}
-	r, err2 := New(g, gammaNode, pedges, s, t)
-	if err2 != nil {
-		panic("pmr: shortest construction produced invalid PMR: " + err2.Error())
+	r, err := New(g, gammaNode, pedges, s, t)
+	if err != nil {
+		panic("pmr: shortest construction produced invalid PMR: " + err.Error())
 	}
 	if err := tick.Flush(); err != nil {
 		return nil, err

@@ -278,6 +278,34 @@ func Size(e Expr) int {
 	}
 }
 
+// Positions bounds the number of Glushkov positions e compiles to once its
+// repetitions are unrolled (Desugar: Min copies and a star, or Max copies),
+// saturating at limit — what a caller checks before compiling text it did
+// not write: `a*++++++++++++` is 4 096 positions from 14 bytes.
+func Positions(e Expr, limit int) int {
+	n := 0
+	switch e := e.(type) {
+	case Label, NotIn:
+		n = 1
+	case Concat:
+		for _, p := range e.Parts {
+			n += Positions(p, limit)
+		}
+	case Union:
+		for _, a := range e.Alts {
+			n += Positions(a, limit)
+		}
+	case Star:
+		n = Positions(e.Sub, limit)
+	case Repeat:
+		n = Positions(e.Sub, limit) * max(e.Min+1, e.Max)
+	}
+	if n < 0 || n > limit {
+		return limit
+	}
+	return n
+}
+
 // Labels returns the sorted set of labels mentioned in e (including in
 // wildcard exception sets).
 func Labels(e Expr) []string {

@@ -146,6 +146,62 @@ func BenchmarkServedCRPQ(b *testing.B) {
 	}
 }
 
+// BenchmarkServedShortest is the anchored shortest-path query as a callable
+// layer: POST /v1/query through the handler in-process, plan warm. The
+// first two rows are the shortest op of bench/'s short-reads — `a*` on
+// scalefree-20000 to a target five hops away, with the `limit: 1` the
+// workload sends and without; the other two are the 4 096 shortest paths of
+// figure5-12, all of them and the first three.
+func BenchmarkServedShortest(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.LoadNamed("scalefree-20000", "figure5-12"); err != nil {
+		b.Fatal(err)
+	}
+	g, err := gen.Named("scalefree-20000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first node five a-edges from n100, by plain BFS.
+	la, _ := g.LabelID("a")
+	dist := map[int]int{g.MustNode("n100"): 0}
+	far := ""
+	for queue := []int{g.MustNode("n100")}; far == "" && len(queue) > 0; queue = queue[1:] {
+		for _, ei := range g.OutWithLabel(queue[0], la) {
+			w := g.EdgeTgt(ei)
+			if _, seen := dist[w]; seen {
+				continue
+			}
+			if dist[w] = dist[queue[0]] + 1; dist[w] == 5 {
+				far = string(g.NodeID(w))
+				break
+			}
+			queue = append(queue, w)
+		}
+	}
+	if far == "" {
+		b.Fatal("nothing five hops from n100")
+	}
+	h := s.Handler()
+	for _, c := range []struct{ name, body string }{
+		{"scalefree-20000/5-hops/limit-1", `{"graph":"scalefree-20000","query":"a*","from":"n100","to":"` + far + `","mode":"shortest","limit":1}`},
+		{"scalefree-20000/5-hops/all", `{"graph":"scalefree-20000","query":"a*","from":"n100","to":"` + far + `","mode":"shortest"}`},
+		{"figure5-12/all", `{"graph":"figure5-12","query":"(a^z)*","from":"s","to":"t","mode":"shortest"}`},
+		{"figure5-12/limit-3", `{"graph":"figure5-12","query":"(a^z)*","from":"s","to":"t","mode":"shortest","limit":3}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := &discardResponse{h: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(c.body)))
+				if w.n < 64 {
+					b.Fatalf("reply of %d bytes", w.n)
+				}
+			}
+		})
+	}
+}
+
 // batchKeeper is a core.BatchSink that keeps the batches it is handed,
 // unencoded.
 type batchKeeper struct{ batches []core.RowBatch }

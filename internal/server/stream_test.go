@@ -340,12 +340,25 @@ func TestStreamBudgetTrailer(t *testing.T) {
 	}
 }
 
+// unbufferable names a streamed reply no socket can swallow: `a*` on a
+// 3 000-node cycle is 9 M pairs, some 150 MB of NDJSON, against the few
+// megabytes a loopback connection buffers on both ends together. A client
+// that stops reading therefore leaves the query parked mid-stream behind
+// backpressure, whatever the speed of the sweep — clique-300's 1.6 MB reply
+// used to stand in for this and stopped doing so once the daemon could
+// produce all of it in under 50 ms: one run in twenty the query had
+// finished before the kill or the abort arrived.
+const (
+	unbufferable      = "cycle-3000"
+	unbufferableQuery = `{"graph":"cycle-3000","query":"a*"}`
+)
+
 // TestStreamKillTrailer: an operator kill (POST /v1/queries/{id}/cancel)
 // landing mid-stream surfaces as a well-formed "killed" error trailer on
 // the already-open 200 response.
 func TestStreamKillTrailer(t *testing.T) {
-	_, ts := newTestServer(t, Config{StreamChunk: 64, StreamBuffer: 1}, "clique-300")
-	resp := postStream(t, ts, `{"graph":"clique-300","query":"a*"}`)
+	_, ts := newTestServer(t, Config{StreamChunk: 64, StreamBuffer: 1}, unbufferable)
+	resp := postStream(t, ts, unbufferableQuery)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -355,7 +368,7 @@ func TestStreamKillTrailer(t *testing.T) {
 		t.Fatal("no X-Query-ID on streamed response")
 	}
 	// Read just the header line: the first chunk is on the wire, the rest
-	// of the 90000-pair result is parked behind backpressure.
+	// of the result is parked behind backpressure.
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatal(err)
@@ -394,8 +407,8 @@ func TestStreamKillTrailer(t *testing.T) {
 // cancel evaluation (accounted as canceled) and count a write error, never
 // wedge the handler.
 func TestStreamClientAbort(t *testing.T) {
-	s, ts := newTestServer(t, Config{StreamChunk: 16, StreamBuffer: 1}, "clique-300")
-	resp := postStream(t, ts, `{"graph":"clique-300","query":"a*"}`)
+	s, ts := newTestServer(t, Config{StreamChunk: 16, StreamBuffer: 1}, unbufferable)
+	resp := postStream(t, ts, unbufferableQuery)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
