@@ -29,12 +29,14 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark — the root package's experiment rows,
-# the kernel-layer rows in internal/pg, the join rows in internal/wcoj, the
-# anchored shortest-path rows in internal/lrpq and the served rows (output
-# path, CRPQs, shortest paths) in internal/server: catches bit-rot in the
-# harnesses without waiting for stable timings.
+# the kernel-layer rows in internal/pg, the planner row in internal/pg/plan,
+# the join rows in internal/wcoj, the anchored shortest-path rows in
+# internal/lrpq, the commit and snapshot-read rows in internal/store and the
+# served rows (output path, CRPQs, shortest paths, reads after a commit) in
+# internal/server: catches bit-rot in the harnesses without waiting for
+# stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/wcoj ./internal/lrpq ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/pg/plan ./internal/wcoj ./internal/lrpq ./internal/store ./internal/server
 
 # Ten seconds of each fuzz target — the row encoder against encoding/json,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ

@@ -524,7 +524,7 @@ func BenchmarkE26_TwoWay(b *testing.B) {
 func BenchmarkE27_Estimate(b *testing.B) {
 	g := gen.Random(400, 1600, []string{"a", "b"}, 3)
 	e := rpq.MustParse("a (a | b)* b")
-	stats := cardest.Collect(g)
+	stats := cardest.Of(g)
 	b.Run("estimate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stats.Estimate(e, 0)

@@ -3,8 +3,8 @@
 // cardinality estimation approaches for (C)RPQs"). It follows the classical
 // system-R-style independence assumptions lifted to the automaton view:
 //
-//   - per-label statistics are collected from the graph (edge counts and
-//     distinct source/target counts);
+//   - per-label edge counts come from the graph, which keeps them current
+//     under mutation (Stats is a view, not a collection pass);
 //   - an RPQ is compiled to its Glushkov automaton, and expected numbers of
 //     matching walks are propagated through automaton states as expected
 //     per-node frontier sizes, with labels treated independently;
@@ -24,64 +24,43 @@ import (
 	"graphquery/internal/rpq"
 )
 
-// Stats holds per-label graph statistics.
+// Stats is the estimator's view of one graph version's statistics: live
+// node and edge counts and, by lookup, the live edge count of a label. The
+// graph keeps all three current as mutations are applied
+// (graph.LabelEdgeCount), so taking the view costs O(1) and scans nothing —
+// a served graph is re-planned after every commit.
 type Stats struct {
 	Nodes int
-	// EdgeCount maps label → number of edges.
-	EdgeCount map[string]int
-	// DistinctSrc and DistinctTgt map label → distinct endpoint counts.
-	DistinctSrc map[string]int
-	DistinctTgt map[string]int
-	// TotalEdges is Σ EdgeCount.
+	// TotalEdges is Σ EdgeCount over the graph's labels.
 	TotalEdges int
+
+	g *graph.Graph
 }
 
-// Collect scans the graph once and builds the statistics.
-func Collect(g *graph.Graph) *Stats {
-	s := &Stats{
-		Nodes:       g.NumLiveNodes(),
-		EdgeCount:   map[string]int{},
-		DistinctSrc: map[string]int{},
-		DistinctTgt: map[string]int{},
-	}
-	srcs := map[string]map[int]struct{}{}
-	tgts := map[string]map[int]struct{}{}
-	for i := 0; i < g.NumEdges(); i++ {
-		if !g.EdgeAlive(i) { // tombstoned under a mutation overlay
-			continue
-		}
-		e := g.Edge(i)
-		s.EdgeCount[e.Label]++
-		s.TotalEdges++
-		if srcs[e.Label] == nil {
-			srcs[e.Label] = map[int]struct{}{}
-			tgts[e.Label] = map[int]struct{}{}
-		}
-		srcs[e.Label][e.Src] = struct{}{}
-		tgts[e.Label][e.Tgt] = struct{}{}
-	}
-	for l, set := range srcs {
-		s.DistinctSrc[l] = len(set)
-		s.DistinctTgt[l] = len(tgts[l])
-	}
-	return s
+// Of returns the statistics view of g.
+func Of(g *graph.Graph) Stats {
+	return Stats{Nodes: g.NumLiveNodes(), TotalEdges: g.NumLiveEdges(), g: g}
 }
 
-// guardEdges estimates the number of edges matching a symbolic guard.
-func (s *Stats) guardEdges(gd automata.Guard) float64 {
-	if !gd.Negated {
-		n := 0
-		for _, l := range gd.Labels {
-			n += s.EdgeCount[l]
-		}
-		return float64(n)
+// EdgeCount returns the number of edges carrying the label.
+func (s Stats) EdgeCount(label string) int {
+	id, ok := s.g.LabelID(label)
+	if !ok {
+		return 0
 	}
-	n := s.TotalEdges
+	return s.g.LabelEdgeCount(id)
+}
+
+// GuardEdges estimates the number of edges matching a symbolic guard — the
+// one per-step quantity the estimator and the kernel planner's cost model
+// (internal/pg/plan) are both built on.
+func (s Stats) GuardEdges(gd automata.Guard) float64 {
+	n := 0
 	for _, l := range gd.Labels {
-		n -= s.EdgeCount[l]
+		n += s.EdgeCount(l)
 	}
-	if n < 0 {
-		n = 0
+	if gd.Negated {
+		n = max(s.TotalEdges-n, 0)
 	}
 	return float64(n)
 }
@@ -89,12 +68,12 @@ func (s *Stats) guardEdges(gd automata.Guard) float64 {
 // Estimate predicts |⟦R⟧_G| — the number of answer pairs — from the
 // statistics alone. horizon bounds the Kleene unrolling (values around the
 // graph diameter work well; 0 picks a default).
-func (s *Stats) Estimate(e rpq.Expr, horizon int) float64 {
+func (s Stats) Estimate(e rpq.Expr, horizon int) float64 {
 	if s.Nodes == 0 {
 		return 0
 	}
 	if horizon <= 0 {
-		horizon = defaultHorizon(s.Nodes)
+		horizon = DefaultHorizon(s.Nodes)
 	}
 	a := rpq.Compile(rpq.Simplify(e))
 
@@ -122,7 +101,7 @@ func (s *Stats) Estimate(e rpq.Expr, horizon int) float64 {
 			for _, tr := range a.Trans[q] {
 				// Expected fan-out of one step over this guard: matching
 				// edges per node.
-				fanout := s.guardEdges(tr.Guard) / n
+				fanout := s.GuardEdges(tr.Guard) / n
 				contribution := mass * fanout
 				if contribution > 0 {
 					next[tr.To] += contribution
@@ -153,7 +132,10 @@ func (s *Stats) Estimate(e rpq.Expr, horizon int) float64 {
 	return answers
 }
 
-func defaultHorizon(nodes int) int {
+// DefaultHorizon is the depth to which Kleene cycles are unrolled when the
+// caller names none: about twice the log of the node count — the expected
+// diameter of a graph that size — floored at 4.
+func DefaultHorizon(nodes int) int {
 	h := int(math.Ceil(2 * math.Log2(float64(nodes)+1)))
 	if h < 4 {
 		h = 4
@@ -182,7 +164,7 @@ func QError(actual int, estimate float64) float64 {
 
 // Compare runs the estimator against exact evaluation for each query.
 func Compare(g *graph.Graph, queries []string) ([]Comparison, error) {
-	stats := Collect(g)
+	stats := Of(g)
 	out := make([]Comparison, 0, len(queries))
 	for _, q := range queries {
 		e, err := rpq.Parse(q)

@@ -97,7 +97,7 @@ func (e *Engine) noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, st
 	if pl.plan.EstStates > 0 {
 		tr.Set(attrEstStates, formatEst(pl.plan.EstStates))
 	}
-	tr.Set(attrEstRows, formatEst(gs.plannerLazy().Stats().Estimate(pl.expr, 0)))
+	tr.Set(attrEstRows, formatEst(cardest.Of(gs.g).Estimate(pl.expr, 0)))
 	if ms := pgplan.Mispicks(pl.plan, states); len(ms) > 0 {
 		tr.Set(attrMispicks, strings.Join(ms, ","))
 		for _, knob := range ms {

@@ -23,7 +23,8 @@ type CacheStats struct {
 }
 
 // planCache is a size-bounded LRU of compiled query plans, keyed by
-// normalized query text namespaced by query kind. It is safe for concurrent
+// normalized query text namespaced by query kind and engine knobs, one
+// graph revision's plan per key. It is safe for concurrent
 // use; a hit refreshes recency, so lookups take the write lock and only
 // stats() uses the read lock.
 type planCache struct {
@@ -36,10 +37,12 @@ type planCache struct {
 	evictions int64
 }
 
-// cacheEntry is one LRU element: the key (needed to unmap on eviction) and
-// the cached plan, an immutable parsed AST and/or compiled automaton.
+// cacheEntry is one LRU element: the key (needed to unmap on eviction), the
+// graph revision the plan was compiled against, and the cached plan, an
+// immutable parsed AST and/or compiled automaton.
 type cacheEntry struct {
 	key  string
+	rev  uint64
 	plan any
 }
 
@@ -52,48 +55,57 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // planKey normalizes a query string (collapsing all whitespace runs) and
-// namespaces it by kind, by the graph revision, and by the engine knobs
-// that shape what gets compiled: Parallelism feeds the planner's worker
-// choice, Shards its kernel-sharding decision, and MaxLen bounds
-// enumeration plans, so "a . b*" and "a.b *" share one plan while the same
-// query under different knob settings — or a 2RPQ with identical text —
-// does not. The revision matters because compiled RPQ products bind the
-// graph they were resolved against: after a live store commits a mutation
-// and swaps the engine's graph, plans for the old revision must not serve
-// the new one (they'd answer from the stale snapshot). Old-revision
-// entries age out through the LRU bound.
-func planKey(kind string, rev uint64, maxLen, parallelism, shards int, query string) string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%d\x00%s",
-		kind, rev, maxLen, parallelism, shards, strings.Join(strings.Fields(query), " "))
+// namespaces it by kind and by the engine knobs that shape what gets
+// compiled: Parallelism feeds the planner's worker choice, Shards its
+// kernel-sharding decision, and MaxLen bounds enumeration plans, so
+// "a . b*" and "a.b *" share one plan while the same query under different
+// knob settings — or a 2RPQ with identical text — does not. The graph
+// revision is deliberately not part of the key: it is kept in the entry
+// (see get), so a query text owns one slot however many commits go by.
+func planKey(kind string, maxLen, parallelism, shards int, query string) string {
+	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s",
+		kind, maxLen, parallelism, shards, strings.Join(strings.Fields(query), " "))
 }
 
-// get returns the cached plan for key and refreshes its recency.
-func (c *planCache) get(key string) (any, bool) {
+// get returns the plan cached under key if it was compiled against graph
+// revision rev, and refreshes its recency. Compiled products bind the graph
+// they were resolved against, so after a live store commits and swaps the
+// engine's graph an entry of another revision is a miss — it would answer
+// from a stale snapshot — and the rebuild replaces it in place (put).
+func (c *planCache) get(key string, rev uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry).plan, true
+		if en := el.Value.(*cacheEntry); en.rev == rev {
+			c.ll.MoveToFront(el)
+			c.hits++
+			return en.plan, true
+		}
 	}
 	c.misses++
 	return nil, false
 }
 
-// put inserts or refreshes a plan, evicting the least recently used entry
-// when over capacity.
-func (c *planCache) put(key string, plan any) {
+// put caches a plan compiled against revision rev, evicting the least
+// recently used entry when over capacity. An entry of an older revision
+// under the same key is overwritten: no later query can hit it, and it pins
+// a whole superseded graph version. An entry of a newer revision stays — the
+// caller is a reader still pinned to an old snapshot, and its plan serves
+// only itself.
+func (c *planCache) put(key string, rev uint64, plan any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
 		return
 	}
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).plan = plan
-		c.ll.MoveToFront(el)
+		if en := el.Value.(*cacheEntry); en.rev <= rev {
+			en.rev, en.plan = rev, plan
+			c.ll.MoveToFront(el)
+		}
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: plan})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, rev: rev, plan: plan})
 	c.evictOver()
 }
 
@@ -128,8 +140,9 @@ func (c *planCache) stats() CacheStats {
 	}
 }
 
-// cached returns the plan for query in the given kind namespace, keyed by
-// the graph state the caller loaded, building and caching it on a miss.
+// cached returns the plan for query in the given kind namespace compiled
+// against the graph state the caller loaded, building and caching it on a
+// miss.
 // Cached plans are immutable after construction (parsed ASTs and compiled
 // NFAs are never mutated by evaluation), so one plan may serve concurrent
 // queries.
@@ -137,8 +150,8 @@ func cached[T any](e *Engine, gs *graphState, kind, query string, build func(str
 	if e.plans == nil { // zero-value Engine: cache disabled
 		return build(query)
 	}
-	key := planKey(kind, gs.rev, e.MaxLen, e.Parallelism, e.Shards, query)
-	if v, ok := e.plans.get(key); ok {
+	key := planKey(kind, e.MaxLen, e.Parallelism, e.Shards, query)
+	if v, ok := e.plans.get(key, gs.rev); ok {
 		return v.(T), nil
 	}
 	built, err := build(query)
@@ -146,6 +159,6 @@ func cached[T any](e *Engine, gs *graphState, kind, query string, build func(str
 		var zero T
 		return zero, err
 	}
-	e.plans.put(key, built)
+	e.plans.put(key, gs.rev, built)
 	return built, nil
 }

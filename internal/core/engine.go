@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"graphquery/internal/automata"
@@ -29,9 +28,10 @@ import (
 // queries against. SetGraph replaces the whole state atomically, so a query
 // that loaded it once sees a consistent graph + planner + revision for its
 // entire run — snapshot isolation at the engine boundary even while a live
-// store commits new versions underneath. The cost-based planner is built
-// lazily per state (its statistics collection scans the graph once) and
-// cached here, so each revision plans at most once.
+// store commits new versions underneath. Nothing graph-derived is cached
+// here: planner statistics are a view over counts the graph keeps
+// (cardest.Of) and neighbor tables live on the graph's version chain, so
+// a new state costs nothing until a query compiles against it.
 type graphState struct {
 	g   *graph.Graph
 	rev uint64
@@ -41,11 +41,6 @@ type graphState struct {
 	// its release. It lets a live store account for in-flight readers of a
 	// superseded snapshot.
 	pin func() func()
-
-	// planner holds the cost-based planner for g, built lazily on the first
-	// RPQ compilation against this state.
-	plannerOnce sync.Once
-	planner     *pgplan.Planner
 }
 
 // acquire pins the state's backing snapshot and returns the release; a
@@ -55,11 +50,6 @@ func (gs *graphState) acquire() func() {
 		return func() {}
 	}
 	return gs.pin()
-}
-
-func (gs *graphState) plannerLazy() *pgplan.Planner {
-	gs.plannerOnce.Do(func() { gs.planner = pgplan.New(gs.g) })
-	return gs.planner
 }
 
 // Engine evaluates queries over a graph. The graph is swappable (SetGraph):
@@ -120,9 +110,10 @@ func (e *Engine) Graph() *graph.Graph { return e.cur.Load().g }
 func (e *Engine) GraphRev() uint64 { return e.cur.Load().rev }
 
 // SetGraph atomically replaces the graph the engine serves. rev must be
-// monotonic per engine (a live store's Rev): it namespaces the plan cache,
-// so plans compiled against an older revision — whose products hold the old
-// graph — are never replayed against the new one. In-flight queries keep
+// monotonic per engine (a live store's Rev): every cached plan carries the
+// revision it was compiled against, so plans of an older revision — whose
+// products hold the old graph — are never replayed against the new one and
+// are overwritten by its first query of the same text. In-flight queries keep
 // the state they loaded on entry and finish on the old snapshot.
 func (e *Engine) SetGraph(g *graph.Graph, rev uint64) { e.SetGraphPinned(g, rev, nil) }
 
@@ -256,7 +247,7 @@ func (e *Engine) planFor(gs *graphState, nfa *automata.NFA) pg.Plan {
 	if gs.g.NumNodes() < planMinNodes {
 		return pg.Plan{}
 	}
-	return gs.plannerLazy().ForNFA(nfa, e.Parallelism, e.Shards)
+	return pgplan.New(gs.g).ForNFA(nfa, e.Parallelism, e.Shards)
 }
 
 // RuntimeStats snapshots the unified runtime's counters: product states
@@ -274,8 +265,8 @@ func (e *Engine) FeedbackStats() cardest.FeedbackSnapshot { return e.feedback.Sn
 // cost-based planning — recorded as a span on tr (nil: untraced, identical
 // behavior). The spans appear only on plan-cache misses, which is
 // accurate: on a hit none of this work happens. The product binds gs.g, so
-// the cache key's revision component must (and does, via cached) route
-// each graph revision to its own entry.
+// the cache must (and does, via cached) serve an entry only to the graph
+// revision it was compiled against.
 func (e *Engine) compileRPQ(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
 	return func(q string) (rpqPlan, error) {
 		sp := tr.Start("parse")
@@ -424,9 +415,8 @@ func (e *Engine) Estimate(query string) (estimate float64, actual int, err error
 	if err != nil {
 		return 0, 0, badQuery(err)
 	}
-	stats := cardest.Collect(gs.g)
 	actual = len(eval.PairsProduct(plan.product, eval.Options{Parallelism: e.Parallelism, Plan: plan.plan}))
-	return stats.Estimate(plan.expr, 0), actual, nil
+	return cardest.Of(gs.g).Estimate(plan.expr, 0), actual, nil
 }
 
 // GQLMatch evaluates a GQL ASCII-art pattern (package gql: group variables,

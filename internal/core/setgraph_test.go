@@ -69,3 +69,50 @@ func TestGraphReturnsCurrent(t *testing.T) {
 		t.Fatal("Graph() != swapped graph")
 	}
 }
+
+// TestStaleRevisionPlansAreReplacedInPlace: a query text owns one plan-cache
+// slot however many revisions go by. The revision used to be part of the
+// key, so every commit left an unreachable entry behind — each holding a
+// whole superseded graph — until 256 newer inserts pushed it out.
+func TestStaleRevisionPlansAreReplacedInPlace(t *testing.T) {
+	e := New(gen.Cycle(3, "a"))
+	e.SetPlanCacheCapacity(2)
+	for rev := uint64(2); rev <= 50; rev++ {
+		n := 3 + int(rev%4)
+		e.SetGraph(gen.Cycle(n, "a"), rev)
+		for i := 0; i < 2; i++ { // a miss that replaces the old revision's plan, then a hit
+			pairs, err := e.Pairs("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pairs) != n {
+				t.Fatalf("rev %d: %d pairs, want %d (stale plan served?)", rev, len(pairs), n)
+			}
+		}
+	}
+	if s := e.CacheStats(); s.Size != 1 || s.Evictions != 0 || s.Misses != 49 || s.Hits != 49 {
+		t.Fatalf("49 revisions of one query text: %+v; want one entry, no evictions, a miss and a hit per revision", s)
+	}
+
+	// A reader still pinned to an older snapshot compiles for itself and
+	// leaves the newer revision's entry alone.
+	build := func(tag string) func(string) (string, error) {
+		return func(string) (string, error) { return tag, nil }
+	}
+	newer, older := &graphState{rev: 60}, &graphState{rev: 59}
+	for _, step := range []struct {
+		gs   *graphState
+		tag  string
+		want string
+	}{
+		{newer, "built at 60", "built at 60"},
+		{older, "built at 59", "built at 59"}, // a miss: the entry is another revision's
+		{newer, "rebuilt at 60", "built at 60"},
+		{older, "rebuilt at 59", "rebuilt at 59"},
+	} {
+		got, err := cached(e, step.gs, "test", "q", build(step.tag))
+		if err != nil || got != step.want {
+			t.Fatalf("rev %d: cached returned %q, %v; want %q", step.gs.rev, got, err, step.want)
+		}
+	}
+}

@@ -86,6 +86,11 @@ type Graph struct {
 	labelEdges []int
 	labelStart []int
 
+	// neighbors is the version chain's cache of per-label neighbor tables
+	// (neighbors.go): one value per materialized base, set by Build and
+	// shared by every version Apply derives from it.
+	neighbors *neighborTables
+
 	// ov, when non-nil, layers a mutation delta over the materialized base
 	// of this graph's version chain (see overlay.go): the dense slices above
 	// are extended past the base's length, the maps and CSR indexes remain
@@ -275,19 +280,18 @@ func (g *Graph) InWithLabel(n, labelID int) []int {
 	return g.inCSR.withLabel(g.edgeLabel, n, labelID)
 }
 
-// EdgesWithLabelID returns all edge indexes carrying the label with the
+// EdgesWithLabelID returns all live edge indexes carrying the label with the
 // given ID, ascending. The returned slice aliases the graph's index and must
-// not be modified — except on an overlay graph, where it is freshly built
-// from the base index minus tombstones plus the overlay's additions.
+// not be modified — except for a label the version chain has touched, where
+// it is freshly built from the base index minus tombstones plus the
+// overlay's additions.
 func (g *Graph) EdgesWithLabelID(labelID int) []int {
-	if g.ov == nil {
+	if g.labelEpoch(labelID) == 0 {
 		return g.labelEdges[g.labelStart[labelID]:g.labelStart[labelID+1]]
 	}
-	var out []int
+	out := make([]int, 0, g.LabelEdgeCount(labelID))
 	if labelID < len(g.labelStart)-1 {
-		base := g.labelEdges[g.labelStart[labelID]:g.labelStart[labelID+1]]
-		out = make([]int, 0, len(base)+len(g.ov.labelAdds[labelID]))
-		for _, ei := range base {
+		for _, ei := range g.labelEdges[g.labelStart[labelID]:g.labelStart[labelID+1]] {
 			if g.EdgeAlive(ei) {
 				out = append(out, ei)
 			}
@@ -512,6 +516,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g.outCSR = buildCSR(g.out, g.edgeLabel)
 	g.inCSR = buildCSR(g.in, g.edgeLabel)
 	g.labelEdges, g.labelStart = buildLabelEdges(g.edgeLabel, len(g.labels))
+	g.neighbors = &neighborTables{tables: map[neighborKey]*NeighborTable{}}
 	b.g = Graph{} // prevent reuse
 	return &g, nil
 }

@@ -19,6 +19,12 @@
 // Materialize folds a chain back into a fresh fully-indexed Graph — the
 // compaction step — leaving live elements only. It is the ONLY operation
 // that rebuilds the CSR; Apply maintains adjacency incrementally.
+//
+// What is derived from the graph survives a commit the same way. Apply keeps,
+// per label it touches, the live edge count (so planner statistics are read,
+// never collected: LabelEdgeCount) and the epoch of the label's last change
+// (labelState), which is what lets the chain's neighbor tables (neighbors.go)
+// serve every version whose edges under their label are the same.
 package graph
 
 import (
@@ -128,11 +134,28 @@ type overlay struct {
 	labelIDs  map[string]int
 	labelAdds map[int][]int
 
+	// labelStates holds, for every label whose edge set the chain has
+	// changed, that label's state on this version; a miss means the label's
+	// edges are exactly the base's.
+	labelStates map[int]labelState
+
 	liveNodes, liveEdges int
 
 	// ops counts mutations applied since the base materialization — the
 	// delta depth the store's compaction threshold watches.
 	ops int
+}
+
+// labelState is one touched label on one version: how many live edges carry
+// it — kept by addEdge / removeEdge, so statistics are never collected by a
+// scan — and the epoch at which its edge set last changed. An epoch is drawn
+// once per Apply batch from a counter the whole chain shares (neighborTables),
+// so it names that batch: two versions that agree on a label's epoch have the
+// same batch as the last one that touched the label, and therefore the same
+// edges under it — whichever of the two is older. Epoch 0 is the base.
+type labelState struct {
+	edges int
+	epoch uint64
 }
 
 func cloneIntSet(m map[int]struct{}) map[int]struct{} {
@@ -157,6 +180,9 @@ func (ov *overlay) clone() *overlay {
 		edgeProps: make(map[int]Props, len(ov.edgeProps)+1),
 		labelIDs:  make(map[string]int, len(ov.labelIDs)+1),
 		labelAdds: make(map[int][]int, len(ov.labelAdds)+1),
+
+		labelStates: make(map[int]labelState, len(ov.labelStates)+1),
+
 		liveNodes: ov.liveNodes,
 		liveEdges: ov.liveEdges,
 		ops:       ov.ops,
@@ -185,6 +211,9 @@ func (ov *overlay) clone() *overlay {
 	for k, v := range ov.labelAdds {
 		c.labelAdds[k] = v
 	}
+	for k, v := range ov.labelStates {
+		c.labelStates[k] = v
+	}
 	return c
 }
 
@@ -200,6 +229,9 @@ func newOverlay(g *Graph) *overlay {
 		edgeProps: make(map[int]Props),
 		labelIDs:  make(map[string]int),
 		labelAdds: make(map[int][]int),
+
+		labelStates: make(map[int]labelState),
+
 		liveNodes: g.NumNodes(),
 		liveEdges: g.NumEdges(),
 	}
@@ -240,6 +272,36 @@ func (g *Graph) NumLiveEdges() int {
 	return g.ov.liveEdges
 }
 
+// LabelEdgeCount returns the number of live edges carrying the label with
+// the given ID, in O(1): from the base's per-label index, or from the count
+// Apply keeps for every label the chain has touched.
+func (g *Graph) LabelEdgeCount(labelID int) int {
+	if g.ov != nil {
+		if st, ok := g.ov.labelStates[labelID]; ok {
+			return st.edges
+		}
+	}
+	return g.baseLabelEdges(labelID)
+}
+
+// baseLabelEdges is the label's edge count on the chain's base; labels first
+// seen by a mutation have none there.
+func (g *Graph) baseLabelEdges(labelID int) int {
+	if labelID+1 >= len(g.labelStart) {
+		return 0
+	}
+	return g.labelStart[labelID+1] - g.labelStart[labelID]
+}
+
+// labelEpoch returns the epoch at which the label's edge set last changed on
+// this version's history, 0 while it is the base's (see labelState).
+func (g *Graph) labelEpoch(labelID int) uint64 {
+	if g.ov == nil {
+		return 0
+	}
+	return g.ov.labelStates[labelID].epoch
+}
+
 // DeltaOps returns the number of mutations layered over the materialized
 // base of this graph's version chain — 0 for a freshly built graph. The
 // store's compactor folds the chain when this crosses its threshold.
@@ -258,6 +320,8 @@ type applier struct {
 	ov         *overlay
 	touchedOut map[int]bool
 	touchedIn  map[int]bool
+	// epoch stamps the labels this batch touches; drawn on the first touch.
+	epoch uint64
 }
 
 // Apply layers a batch of mutations over g and returns the resulting graph
@@ -368,6 +432,7 @@ func (a *applier) addEdge(m *Mutation) error {
 	a.insertRow(ti, true, ei, lid)
 	a.ov.labelAdds[lid] = append(a.ov.labelAdds[lid], ei)
 	a.ov.liveEdges++
+	a.touchLabel(lid, +1)
 	return nil
 }
 
@@ -391,6 +456,20 @@ func (a *applier) removeEdge(ei int) {
 	a.deleteRow(e.Tgt, true, ei, lid)
 	delete(a.ov.edgeProps, ei)
 	a.ov.liveEdges--
+	a.touchLabel(lid, -1)
+}
+
+// touchLabel moves label lid's live edge count by delta and stamps it with
+// this batch's epoch.
+func (a *applier) touchLabel(lid, delta int) {
+	st, ok := a.ov.labelStates[lid]
+	if !ok {
+		st.edges = a.g.baseLabelEdges(lid)
+	}
+	if a.epoch == 0 {
+		a.epoch = a.g.neighbors.epochs.Add(1)
+	}
+	a.ov.labelStates[lid] = labelState{edges: st.edges + delta, epoch: a.epoch}
 }
 
 func (a *applier) setNodeProp(m *Mutation) error {

@@ -58,7 +58,8 @@ func dumpGraph(g *Graph) string {
 	sort.Strings(labels)
 	for _, lab := range labels {
 		if ids := edgeIDList(g, g.EdgesWithLabel(lab)); ids != "" {
-			fmt.Fprintf(&b, "label %q: [%s]\n", lab, ids)
+			lid, _ := g.LabelID(lab)
+			fmt.Fprintf(&b, "label %q ×%d: [%s]\n", lab, g.LabelEdgeCount(lid), ids)
 		}
 	}
 	fmt.Fprintf(&b, "all: [%s]\n", edgeIDList(g, g.EdgesWithLabel("")))
@@ -120,6 +121,32 @@ func checkEquivalence(t *testing.T, g *Graph) {
 	got, want := dumpGraph(g), dumpGraph(m)
 	if got != want {
 		t.Fatalf("overlay view diverges from materialized rebuild:\n--- overlay ---\n%s--- materialized ---\n%s", got, want)
+	}
+	checkLabelCounts(t, g, m)
+}
+
+// checkLabelCounts holds the per-label edge counts Apply keeps to a scan of
+// the live edges, on the overlay g and on its materialized rebuild m — where
+// a label whose last edge was removed no longer exists at all.
+func checkLabelCounts(t *testing.T, g, m *Graph) {
+	t.Helper()
+	scan := map[string]int{}
+	for ei := 0; ei < g.NumEdges(); ei++ {
+		if g.EdgeAlive(ei) {
+			scan[g.edges[ei].Label]++
+		}
+	}
+	for lid, lab := range g.EdgeLabels() {
+		if got := g.LabelEdgeCount(lid); got != scan[lab] {
+			t.Fatalf("overlay LabelEdgeCount(%q) = %d, a scan of the live edges counts %d", lab, got, scan[lab])
+		}
+		mid, ok := m.LabelID(lab)
+		if ok != (scan[lab] > 0) {
+			t.Fatalf("label %q: %d live edges, yet materialized LabelID ok = %v", lab, scan[lab], ok)
+		}
+		if ok && m.LabelEdgeCount(mid) != scan[lab] {
+			t.Fatalf("materialized LabelEdgeCount(%q) = %d, want %d", lab, m.LabelEdgeCount(mid), scan[lab])
+		}
 	}
 }
 

@@ -59,11 +59,12 @@ func TestWarmBatchAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// TestFreshKernelAnchoredSweepStaysSmall pins the cold-kernel regime:
-// anchored queries compile a fresh kernel per request and sweep once from
-// the anchor, so kernel, scratch and sweep together must stay O(automaton)
-// plus bitsets — far below the per-label neighbor tables, which take about
-// a word per edge and are bought only after |N|+|E| scanned entries.
+// TestFreshKernelAnchoredSweepStaysSmall pins the cold-kernel regime: a
+// kernel compiled for one anchored read — every plan is, after a commit —
+// sweeps a handful of states from the anchor, so kernel, scratch and sweep
+// together must stay O(automaton) plus bitsets — far below the per-label
+// neighbor tables, which take about a word per edge and are built on the
+// graph's chain only out of rent such sweeps have paid (|N| + |E_label|).
 func TestFreshKernelAnchoredSweepStaysSmall(t *testing.T) {
 	g := gen.ScaleFree(20000, 4, 1)
 	nfa := rpq.Compile(rpq.MustParse("a a"))

@@ -19,6 +19,7 @@ type Counters struct {
 	planSequential atomic.Int64 // queries evaluated by a single worker
 	planSharded    atomic.Int64 // queries run with >1 kernel shard
 	shardSweeps    atomic.Int64 // shard sweep loops run (P per sharded sweep)
+	tablesBuilt    atomic.Int64 // neighbor tables built on a graph's chain at this kernel's request
 
 	// Mispick counters: analyze-mode queries whose measured actuals
 	// contradicted one of the planner's knob choices (plan.Mispicks). Only
@@ -99,6 +100,16 @@ func (c *Counters) addShardSweeps(n int64) {
 	}
 }
 
+// addNeighborTablesBuilt records one neighbor table a sweep of this kernel
+// paid for and built (graph.BuyNeighborTable). Commits that leave a label
+// alone leave its tables valid, so on a served graph this stays flat between
+// compactions once the hot labels are bought.
+func (c *Counters) addNeighborTablesBuilt() {
+	if c != nil {
+		c.tablesBuilt.Add(1)
+	}
+}
+
 // CountersSnapshot is a point-in-time copy of the counters, shaped for JSON
 // (the /v1/statz payload). Fields may be mutually torn by concurrent
 // updates but are individually exact.
@@ -112,6 +123,8 @@ type CountersSnapshot struct {
 	PlanSequential int64 `json:"plan_sequential"`
 	PlanSharded    int64 `json:"plan_sharded"`
 	ShardSweeps    int64 `json:"shard_sweeps"`
+
+	NeighborTablesBuilt int64 `json:"neighbor_tables_built"`
 
 	MispickDirection int64 `json:"mispick_direction"`
 	MispickShards    int64 `json:"mispick_shards"`
@@ -132,6 +145,8 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		PlanSequential: c.planSequential.Load(),
 		PlanSharded:    c.planSharded.Load(),
 		ShardSweeps:    c.shardSweeps.Load(),
+
+		NeighborTablesBuilt: c.tablesBuilt.Load(),
 
 		MispickDirection: c.mispickDirection.Load(),
 		MispickShards:    c.mispickShards.Load(),

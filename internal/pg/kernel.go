@@ -35,12 +35,9 @@ type Kernel struct {
 
 	// Sweep-loop transition tables (sweep.go): the current immutable
 	// snapshot, replaced under compileMu when a sweep first needs the
-	// reverse table or the kernel has scanned enough to buy its neighbor
-	// tables. scanned counts adjacency entries examined so far while renting.
+	// reverse table or the graph's chain has neighbor tables to give it.
 	tables    atomic.Pointer[sweepTables]
 	compileMu sync.Mutex
-	adjCache  map[adjKey]*labelAdj
-	scanned   atomic.Int64
 
 	// pool recycles Scratch values across sweeps (GetScratch/PutScratch),
 	// so warm queries stop reallocating O(product-states) buffers; betweens
@@ -65,7 +62,7 @@ func NewKernel(g *graph.Graph, sem Semantics, c *Counters) *Kernel {
 		k.accept[q] = sem.Accepting(q)
 		k.trans[q] = sem.Transitions(q)
 	}
-	k.tables.Store(&sweepTables{ft: k.compile(false, false)})
+	k.tables.Store(&sweepTables{ft: k.compile(false)})
 	return k
 }
 

@@ -9,8 +9,6 @@
 package plan
 
 import (
-	"math"
-
 	"graphquery/internal/automata"
 	"graphquery/internal/cardest"
 	"graphquery/internal/graph"
@@ -34,20 +32,18 @@ const (
 	shardThreshold = 1 << 12
 )
 
-// Planner chooses kernel plans for queries over one graph. It is
+// Planner chooses kernel plans for queries over one graph version. It is
 // immutable after New and safe for concurrent use.
 type Planner struct {
-	g     *graph.Graph
-	stats *cardest.Stats
+	stats cardest.Stats
 }
 
-// New collects statistics over g and returns its planner.
+// New returns the planner of g. It costs O(1) — the statistics are a view
+// over counts the graph already keeps — so callers plan where they stand
+// instead of caching a planner per revision.
 func New(g *graph.Graph) *Planner {
-	return &Planner{g: g, stats: cardest.Collect(g)}
+	return &Planner{stats: cardest.Of(g)}
 }
-
-// Stats exposes the collected per-label statistics.
-func (p *Planner) Stats() *cardest.Stats { return p.stats }
 
 // ForNFA plans the all-pairs evaluation of a compiled RPQ automaton.
 // parallelism is the caller's worker cap (0 = one per CPU); the planner
@@ -75,26 +71,6 @@ func (p *Planner) ForNFA(a *automata.NFA, parallelism, shards int) pg.Plan {
 	return pl
 }
 
-// guardEdges estimates the number of graph edges matching a guard from
-// the per-label counts (mirroring cardest's internal estimate).
-func (p *Planner) guardEdges(gd automata.Guard) float64 {
-	if !gd.Negated {
-		n := 0
-		for _, l := range gd.Labels {
-			n += p.stats.EdgeCount[l]
-		}
-		return float64(n)
-	}
-	n := p.stats.TotalEdges
-	for _, l := range gd.Labels {
-		n -= p.stats.EdgeCount[l]
-	}
-	if n < 0 {
-		n = 0
-	}
-	return float64(n)
-}
-
 // firstStepMass estimates the expected frontier arrivals of a sweep's
 // first kernel step — the per-node fan-out of the transitions leaving the
 // start states (forward) or entering the accepting states (backward).
@@ -111,10 +87,10 @@ func (p *Planner) firstStepMass(a *automata.NFA, backward bool) float64 {
 		for _, t := range a.Trans[q] {
 			if backward {
 				if a.Accept[t.To] {
-					mass += p.guardEdges(t.Guard) / n
+					mass += p.stats.GuardEdges(t.Guard) / n
 				}
 			} else if q == a.Start {
-				mass += p.guardEdges(t.Guard) / n
+				mass += p.stats.GuardEdges(t.Guard) / n
 			}
 		}
 	}
@@ -124,7 +100,7 @@ func (p *Planner) firstStepMass(a *automata.NFA, backward bool) float64 {
 // sweepCost estimates the product states one single-source kernel sweep
 // expands: expected per-state frontier mass is propagated through the
 // automaton (reversed, for a backward sweep, and seeded from the
-// accepting states) with per-step fan-out guardEdges/|N| under the
+// accepting states) with per-step fan-out GuardEdges/|N| under the
 // independence assumptions of cardest, capped at |N| distinct nodes per
 // state, for a horizon of about the graph's expected diameter.
 func (p *Planner) sweepCost(a *automata.NFA, backward bool) float64 {
@@ -146,7 +122,7 @@ func (p *Planner) sweepCost(a *automata.NFA, backward bool) float64 {
 	outs := make([][]edge, a.NumStates)
 	for q := 0; q < a.NumStates; q++ {
 		for _, t := range a.Trans[q] {
-			fan := p.guardEdges(t.Guard) / n
+			fan := p.stats.GuardEdges(t.Guard) / n
 			if backward {
 				outs[t.To] = append(outs[t.To], edge{to: q, fan: fan})
 			} else {
@@ -158,7 +134,7 @@ func (p *Planner) sweepCost(a *automata.NFA, backward bool) float64 {
 	for _, m := range mass {
 		total += m
 	}
-	for step := 0; step < horizon(p.stats.Nodes); step++ {
+	for step := 0; step < cardest.DefaultHorizon(p.stats.Nodes); step++ {
 		next := make([]float64, a.NumStates)
 		moved := false
 		for q, m := range mass {
@@ -184,14 +160,4 @@ func (p *Planner) sweepCost(a *automata.NFA, backward bool) float64 {
 		mass = next
 	}
 	return total
-}
-
-// horizon mirrors cardest's default Kleene-unrolling depth: about twice
-// the log of the node count, floored at 4.
-func horizon(nodes int) int {
-	h := int(math.Ceil(2 * math.Log2(float64(nodes)+1)))
-	if h < 4 {
-		h = 4
-	}
-	return h
 }

@@ -74,103 +74,99 @@ type kTrans struct {
 	// the full adjacency list, an array load per edge instead of the
 	// symbolic Guard.Matches.
 	ok []bool
-	// adjs[i] is the compiled neighbor table for labels[i] in the scan
-	// direction; nil while the kernel still rents (see sweepTables) or when
-	// the graph is too large for int32 ids. Neighbor node ids directly, so
-	// the indexed hot loops do no binary search and no Edge-struct load.
-	adjs []*labelAdj
-}
-
-// labelAdj is one label's adjacency compiled for the sweep loop:
-// to[off[v]:off[v+1]] are v's neighbor nodes through that label (with
-// multiplicity, ascending edge order) — the endpoint already resolved for
-// the direction the table serves.
-type labelAdj struct {
-	off []int32
-	to  []int32
-}
-
-// adjKey names one compiled neighbor table: a label and a scan direction.
-type adjKey struct {
-	label int
-	in    bool
-}
-
-// buildLabelAdj flattens one (label, direction) adjacency: in=false files
-// the label's edges under their source, pointing at their target; in=true
-// the reverse. A stable counting sort of the label's ascending edge list,
-// so each node's neighbors keep the order the graph's label index gives
-// them. Returns nil when edge counts do not fit int32 (the loop then stays
-// on the CSR binary-search path).
-func buildLabelAdj(g *graph.Graph, key adjKey) *labelAdj {
-	if int64(g.NumEdges()) >= int64(maxSweepStates) {
-		return nil
-	}
-	at, to := g.EdgeSrc, g.EdgeTgt
-	if key.in {
-		at, to = to, at
-	}
-	n := g.NumNodes()
-	edges := g.EdgesWithLabelID(key.label)
-	la := &labelAdj{off: make([]int32, n+1), to: make([]int32, len(edges))}
-	for _, ei := range edges {
-		la.off[at(ei)+1]++
-	}
-	for v := 0; v < n; v++ {
-		la.off[v+1] += la.off[v]
-	}
-	next := append([]int32(nil), la.off[:n]...)
-	for _, ei := range edges {
-		v := at(ei)
-		la.to[next[v]] = int32(to(ei))
-		next[v]++
-	}
-	return la
+	// adjs[i] is the graph's neighbor table for labels[i] in the scan
+	// direction; nil while the label is still rented (see sweepTables) or
+	// when the graph is too large for int32 ids. Neighbor node ids directly,
+	// so the indexed hot loops do no binary search and no Edge-struct load.
+	adjs []*graph.NeighborTable
 }
 
 // sweepTables is one immutable compilation of the kernel's transitions.
-// A kernel starts with the forward table only and no neighbor tables, which
-// costs O(automaton): anchored queries compile a fresh kernel per request,
-// and compiling per-label neighbor tables eagerly made each of them pay
-// O(graph) before expanding a handful of states. The reverse table is added
-// when a level first runs bottom-up. The neighbor tables follow a
-// rent-or-buy rule: until the kernel's sweeps have examined |N|+|E|
-// adjacency entries through the graph's label index — about what compiling
-// costs — it keeps renting; past that point the tables are bought once and
-// every later sweep scans them.
+// A kernel starts with the forward table only, which costs O(automaton):
+// one-shot evaluators compile a fresh kernel per call, and every cached plan
+// is compiled afresh after a commit. The reverse table is added when a level
+// first runs bottom-up or a search runs from both ends.
+//
+// Neighbor tables are not the kernel's: they belong to the graph's version
+// chain (graph.NeighborTable), which keeps at most one per (label,
+// direction) and serves it to every version whose edges under that label
+// are the ones it was built from. Compiling takes the valid tables that
+// exist — it never builds — so a kernel compiled after a commit that did not
+// touch its labels starts on the tables an earlier revision paid for. The
+// rest follows a rent-or-buy rule with no constant in it: a sweep deposits
+// what it read through the graph's label index — one per row looked up, the
+// binary search a table saves even where the row is empty, plus one per
+// entry examined — on the chain's balance (payRent), a table is built only
+// when the balance covers what building it costs, |N| + |E_label|, and the
+// cost is withdrawn.
 type sweepTables struct {
-	ft, rt    [][]kTrans
-	neighbors bool
+	ft, rt [][]kTrans
 }
 
 // upgrade publishes and returns a snapshot that has at least the reverse
-// table (reverse) and the neighbor tables (neighbors) on top of what the
-// current one has. Concurrent sweeps keep the snapshot they loaded.
-func (k *Kernel) upgrade(reverse, neighbors bool) *sweepTables {
+// table (reverse) on top of what the current one has and, with buy set, the
+// neighbor tables the chain can now give its rented slots. Concurrent sweeps
+// keep the snapshot they loaded.
+func (k *Kernel) upgrade(reverse, buy bool) *sweepTables {
 	k.compileMu.Lock()
 	defer k.compileMu.Unlock()
 	cur := k.tables.Load()
 	reverse = reverse || cur.rt != nil
-	neighbors = neighbors || cur.neighbors
-	if reverse == (cur.rt != nil) && neighbors == cur.neighbors {
+	fresh := false
+	if buy {
+		f, r := k.buy(cur.ft), k.buy(cur.rt)
+		fresh = f || r
+	}
+	if !fresh && reverse == (cur.rt != nil) {
 		return cur
 	}
-	next := &sweepTables{ft: cur.ft, neighbors: neighbors}
-	if neighbors != cur.neighbors {
-		next.ft = k.compile(false, true)
+	next := &sweepTables{ft: cur.ft, rt: cur.rt}
+	if fresh {
+		next.ft = k.compile(false)
 	}
-	if reverse {
-		next.rt = k.compile(true, neighbors)
+	if reverse && (fresh || cur.rt == nil) {
+		next.rt = k.compile(true)
 	}
 	k.tables.Store(next)
 	return next
 }
 
-// compile builds the forward (reverse=false) or reverse transition table.
-// With neighbors set, indexed transitions get their per-label neighbor
-// tables, built once per (label, direction) and shared through adjCache;
-// the caller holds compileMu (or is the constructor).
-func (k *Kernel) compile(reverse, neighbors bool) [][]kTrans {
+// buy asks the chain for a table for every slot of tbl that still scans the
+// label index — an existing one is free, a missing one is built if the
+// balance covers it — and reports whether any slot can now be filled.
+func (k *Kernel) buy(tbl [][]kTrans) (fresh bool) {
+	for q := range tbl {
+		for ti := range tbl[q] {
+			t := &tbl[q][ti]
+			for i, lid := range t.labels {
+				if t.adjs[i] != nil {
+					continue
+				}
+				la, built := k.g.BuyNeighborTable(lid, t.in)
+				if built {
+					k.c.addNeighborTablesBuilt()
+				}
+				fresh = fresh || la != nil
+			}
+		}
+	}
+	return fresh
+}
+
+// payRent settles a sweep that read rows through the label index: the rows
+// and entries it read go on the chain's balance, and once that could cover
+// a table the kernel tries to buy.
+func (k *Kernel) payRent(rented int64) {
+	if rented > 0 && k.g.PayRent(rented) {
+		k.upgrade(false, true)
+	}
+}
+
+// compile builds the forward (reverse=false) or reverse transition table,
+// giving every indexed transition the neighbor tables the graph's chain
+// holds for this version; the caller holds compileMu (or is the
+// constructor).
+func (k *Kernel) compile(reverse bool) [][]kTrans {
 	nl := k.g.NumLabels()
 	tbl := make([][]kTrans, k.nq)
 	for q := range k.trans {
@@ -193,20 +189,9 @@ func (k *Kernel) compile(reverse, neighbors bool) [][]kTrans {
 					kt.labels, kt.ok = nil, ok
 				}
 			}
-			kt.adjs = make([]*labelAdj, len(kt.labels))
-			if neighbors {
-				if k.adjCache == nil {
-					k.adjCache = map[adjKey]*labelAdj{}
-				}
-				for i, lid := range kt.labels {
-					key := adjKey{lid, kt.in}
-					la, seen := k.adjCache[key]
-					if !seen {
-						la = buildLabelAdj(k.g, key)
-						k.adjCache[key] = la
-					}
-					kt.adjs[i] = la
-				}
+			kt.adjs = make([]*graph.NeighborTable, len(kt.labels))
+			for i, lid := range kt.labels {
+				kt.adjs[i] = k.g.NeighborTable(lid, kt.in)
 			}
 			tbl[at] = append(tbl[at], kt)
 		}
@@ -250,9 +235,10 @@ type shard struct {
 	out    [][]uint32 // per-destination outboxes, global product ids
 	nodes  []int      // emitted graph nodes, global
 
-	tb   *sweepTables
-	mt   *Meter
-	pend int64 // discoveries since the last meter flush
+	tb     *sweepTables
+	mt     *Meter
+	pend   int64 // discoveries since the last meter flush
+	rented int64 // rows looked up + entries examined through the label index
 }
 
 func newShard(k *Kernel, s, p int, peers [][]uint64) *shard {
@@ -356,7 +342,7 @@ func (sh *shard) expandTopDown() (int64, error) {
 			}
 			for i, lid := range t.labels {
 				if la := t.adjs[i]; la != nil {
-					tos := la.to[la.off[v]:la.off[v+1]]
+					tos := la.Neighbors(v)
 					edges += int64(len(tos))
 					for _, w := range tos {
 						sh.visit(int(w), t.state)
@@ -366,6 +352,7 @@ func (sh *shard) expandTopDown() (int64, error) {
 				if t.in {
 					adj := g.InWithLabel(v, lid)
 					edges += int64(len(adj))
+					sh.rented += int64(len(adj)) + 1
 					for _, ei := range adj {
 						sh.visit(g.EdgeSrc(ei), t.state)
 					}
@@ -373,6 +360,7 @@ func (sh *shard) expandTopDown() (int64, error) {
 				}
 				adj := g.OutWithLabel(v, lid)
 				edges += int64(len(adj))
+				sh.rented += int64(len(adj)) + 1
 				for _, ei := range adj {
 					sh.visit(g.EdgeTgt(ei), t.state)
 				}
@@ -392,7 +380,8 @@ func (sh *shard) expandBottomUp() (int64, error) {
 	k, g, peers := sh.k, sh.k.g, sh.peers
 	nq, p, s := k.nq, sh.p, sh.s
 	maxID := sh.nloc * nq
-	var edges int64
+	var edges, rented int64
+	defer func() { sh.rented += rented }()
 	var examined int
 	// inFrontier reports whether predecessor state (u, q) is in the level's
 	// frontier.
@@ -457,7 +446,7 @@ func (sh *shard) expandBottomUp() (int64, error) {
 				}
 				for i, lid := range t.labels {
 					if la := t.adjs[i]; la != nil {
-						for _, u := range la.to[la.off[v]:la.off[v+1]] {
+						for _, u := range la.Neighbors(v) {
 							edges++
 							if inFrontier(int(u), t.state) {
 								found = true
@@ -470,8 +459,10 @@ func (sh *shard) expandBottomUp() (int64, error) {
 					if t.in {
 						adj = g.InWithLabel(v, lid)
 					}
+					rented++
 					for _, ei := range adj {
 						edges++
+						rented++
 						u := g.EdgeTgt(ei)
 						if t.in {
 							u = g.EdgeSrc(ei)
@@ -552,7 +543,7 @@ func (sh *shard) reset() {
 	for d := range sh.out {
 		sh.out[d] = sh.out[d][:0]
 	}
-	sh.pend = 0
+	sh.pend, sh.rented = 0, 0
 	sh.mt, sh.tb = nil, nil
 }
 
@@ -708,14 +699,14 @@ func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, pl Plan, chargeRows bool
 	k.c.AddEdges(edges)
 	k.c.ObserveFrontier(int64(peak))
 	ss.RecordSweep(1, int64(visited), edges, int64(peak))
-	if !tb.neighbors && k.scanned.Add(edges) >= int64(k.g.NumNodes()+k.g.NumEdges()) {
-		k.upgrade(false, true)
-	}
+	var rented int64
 	sc.nodes = sc.nodes[:0]
 	for _, sh := range shards {
 		sc.nodes = append(sc.nodes, sh.nodes...)
+		rented += sh.rented
 		sh.reset()
 	}
+	k.payRent(rented)
 	if stopErr != nil {
 		return nil, stopErr
 	}

@@ -191,7 +191,7 @@ func (k *Kernel) sweepBatch(srcs []int, b *batch, mt *Meter) ([][2]int, error) {
 	}
 
 	ss := mt.SweepStatsSink()
-	var edges, edgesReported int64
+	var edges, edgesReported, rented int64
 	var ticked, reported, levelStart int64
 	var stopErr error
 	peak := 0
@@ -239,7 +239,7 @@ sweep:
 				}
 				for i, lid := range t.labels {
 					if la := t.adjs[i]; la != nil {
-						tos := la.to[la.off[v]:la.off[v+1]]
+						tos := la.Neighbors(v)
 						edges += int64(len(tos))
 						for _, w := range tos {
 							if d := f.bits &^ seen[int(w)*nq+t.state]; d != 0 {
@@ -253,6 +253,7 @@ sweep:
 						adj = g.InWithLabel(v, lid)
 					}
 					edges += int64(len(adj))
+					rented += int64(len(adj)) + 1
 					for _, ei := range adj {
 						w := g.EdgeTgt(ei)
 						if t.in {
@@ -281,9 +282,7 @@ sweep:
 	k.c.AddEdges(edges)
 	k.c.ObserveFrontier(int64(peak))
 	ss.RecordSweep(int64(len(srcs)), b.found, edges, int64(peak))
-	if !tb.neighbors && k.scanned.Add(edges) >= int64(g.NumNodes()+g.NumEdges()) {
-		k.upgrade(false, true)
-	}
+	k.payRent(rented)
 	if stopErr != nil {
 		return nil, stopErr
 	}

@@ -191,6 +191,8 @@ var graphFamilies = []struct {
 		func(g GraphStats) int64 { return g.Runtime.PlanSharded }},
 	{"gq_runtime_shard_sweeps_total", "Shard sweep loops run by the kernel.", "counter",
 		func(g GraphStats) int64 { return g.Runtime.ShardSweeps }},
+	{"gq_runtime_neighbor_tables_built_total", "Per-label neighbor tables built on the graph's version chain; flat across commits that leave the queried labels alone.", "counter",
+		func(g GraphStats) int64 { return g.Runtime.NeighborTablesBuilt }},
 }
 
 // storeGraphFamilies are the per-graph live-store families, each one field

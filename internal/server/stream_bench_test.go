@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -234,5 +235,70 @@ func BenchmarkEncodePairs(b *testing.B) {
 			buf = rb.AppendJSON(buf, 0, rb.Len(), '\n')
 		}
 		b.SetBytes(int64(len(buf)))
+	}
+}
+
+// BenchmarkReadAfterCommit is what a commit costs the next read, as a
+// callable layer: each iteration commits one batch of the shape bench/'s
+// mixed-rw writer sends — 32 ops, 16 edges added under w, 8 of its own
+// removed, 8 node properties set — untimed, and then times one POST
+// /v1/query through the handler in-process against the revision the commit
+// made, where every plan is cold. No read uses w, so everything the plan
+// derives from the graph is as it was: `b b b` plans from statistics and
+// sweeps b's neighbor table, the one-hop CRPQ — the median op of mixed-rw —
+// compiles onto a's. Compactions run at the default threshold, every 128
+// commits, untimed; the reads after one are on a chain that has bought
+// nothing yet.
+func BenchmarkReadAfterCommit(b *testing.B) {
+	for _, c := range []struct{ name, query string }{
+		{"label-pairs", "b b b"},
+		{"one-hop", "q(y) :- a(@n100, y)"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := New(Config{Mutable: true})
+			defer s.Close()
+			if _, err := s.register("g", gen.ScaleFree(20000, 4, 1), false, true); err != nil {
+				b.Fatal(err)
+			}
+			h := s.Handler()
+			post := func(path, body string) *discardResponse {
+				w := &discardResponse{h: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				return w
+			}
+			next, live := 0, []int(nil)
+			batch := func() string {
+				var ops []string
+				for i := 0; i < 16; i++ {
+					ops = append(ops, fmt.Sprintf(`{"op":"add_edge","id":"w%d","label":"w","src":"n%d","tgt":"n%d"}`,
+						next, next*7919%20000, next*104729%20000))
+					live = append(live, next)
+					next++
+				}
+				for i := 0; i < 8; i++ {
+					ops = append(ops, fmt.Sprintf(`{"op":"remove_edge","id":"w%d"}`, live[0]))
+					live = live[1:]
+				}
+				for i := 0; i < 8; i++ {
+					ops = append(ops, fmt.Sprintf(`{"op":"set_node_prop","id":"n%d","prop":"touched","value":{"kind":"int","int":%d}}`,
+						(next+i)*31%20000, next))
+				}
+				return `{"ops":[` + strings.Join(ops, ",") + `]}`
+			}
+			query := `{"graph":"g","query":"` + c.query + `"}`
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if w := post("/v1/graphs/g/mutate", batch()); w.n < 32 {
+					b.Fatalf("mutate reply of %d bytes", w.n)
+				}
+				s.Close() // let a compaction the commit set off finish untimed
+				b.StartTimer()
+				if w := post("/v1/query", query); w.n < 64 {
+					b.Fatalf("reply of %d bytes", w.n)
+				}
+			}
+		})
 	}
 }

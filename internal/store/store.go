@@ -17,10 +17,13 @@
 // the same version, because compaction is observationally a no-op.
 //
 // Version vs revision: Version is the client-visible commit counter (used
-// by mutate-API preconditions); Rev additionally bumps on compaction and is
-// what the engine folds into its plan-cache key, because cached
-// graph-resolved products are keyed by the physical graph they were
-// resolved against.
+// by mutate-API preconditions); Rev additionally bumps on compaction and
+// names the physical graph: the engine stamps every cached plan with the Rev
+// it was compiled against and serves it to no other, because a compiled
+// product holds the graph it was resolved against. What a new Rev does not
+// throw away is what the commit did not change: label statistics are kept by
+// graph.Apply and neighbor tables live on the version chain, valid for every
+// Rev whose edges under their label are the same (DESIGN §19).
 package store
 
 import (
@@ -91,7 +94,7 @@ func New(cfg Config) *Store {
 type Snapshot struct {
 	G       *graph.Graph
 	Version uint64 // client-visible commit counter (preconditions)
-	Rev     uint64 // physical revision: commits + compactions (cache keys)
+	Rev     uint64 // physical revision: commits + compactions (stamps cached plans)
 
 	h *Handle
 }

@@ -213,6 +213,8 @@ sweeps_total=$(printf '%s\n' "$metrics" \
 [[ -n "$sweeps_total" ]] \
   || fail "gq_runtime_shard_sweeps_total{graph=\"grid-50x50\"} has no value"
 expect statz-shard-sweeps '"shard_sweeps"' "$(curl -fsS "$base/v1/statz")"
+expect metrics-neighbor-tables 'gq_runtime_neighbor_tables_built_total{graph="grid-50x50"}' "$metrics"
+expect statz-neighbor-tables '"neighbor_tables_built"' "$(curl -fsS "$base/v1/statz")"
 echo "serve-smoke: ok: shard counters ($sharded_total sharded plans, $sweeps_total shard sweeps)"
 
 # Kill a live gql query: the unified tiers ride the same in-flight
