@@ -39,11 +39,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/pg/plan ./internal/wcoj ./internal/lrpq ./internal/store ./internal/server
 
 # Ten seconds of each fuzz target — the row encoder against encoding/json,
+# the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
 # parser and shortest mode against the mode-all definition; the committed
 # corpora alone run with every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/rpq
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/crpq
 	$(GO) test -run '^$$' -fuzz FuzzShortest -fuzztime 10s ./internal/lrpq
 

@@ -145,7 +145,7 @@ func (e *Engine) annotate(req Request, resp *Response, tr *obs.Trace, ss *eval.S
 		ap.Mispicks = strings.Split(s, ",")
 	}
 	if root.Estimate > 0 || tr.Attr(attrEstRows) != "" {
-		e.feedback.Record(strings.Join(strings.Fields(req.Query), " "), root.Estimate, actual)
+		e.feedback.Record(normalizeQuery(req.Query), root.Estimate, actual)
 	}
 	return ap
 }

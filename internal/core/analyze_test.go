@@ -90,8 +90,10 @@ func TestAnalyzeAnnotatedPlan(t *testing.T) {
 
 // TestAnalyzeDeterminism: identical query + graph + plan yields a
 // byte-identical annotated plan tree across runs — under sequential,
-// parallel, and sharded-2 plans, on a one-batch graph and on one whose
-// sources fill several batches of the kernel's all-sources loop. The first
+// parallel, and sharded-2 plans, on a one-batch graph, on one whose
+// sources fill several batches of the kernel's all-sources loop, and on one
+// with enough batches, under a starred query, for the call to finish on the
+// product's condensation (the tree must say it did). The first
 // run warms the plan cache (a cold run records parse/compile/plan spans that
 // warm runs skip), then repeated runs must not differ in a single byte: the
 // tree carries no wall-clock and every sweep aggregate is
@@ -102,9 +104,11 @@ func TestAnalyzeDeterminism(t *testing.T) {
 	for _, gc := range []struct {
 		name, query string
 		g           *graph.Graph
+		condenses   bool
 	}{
-		{"clique-64", "a a*", gen.Clique(64, "a")},
-		{"scalefree-300", "a b* a", gen.ScaleFree(300, 3, 7)},
+		{"clique-64", "a a*", gen.Clique(64, "a"), false},
+		{"scalefree-300", "a b* a", gen.ScaleFree(300, 3, 7), false},
+		{"scalefree-400", "a* b a", gen.ScaleFree(400, 3, 7), true},
 	} {
 		var acrossWorkers string
 		for _, tc := range []struct {
@@ -133,6 +137,9 @@ func TestAnalyzeDeterminism(t *testing.T) {
 				var ap AnnotatedPlan
 				if err := json.Unmarshal(want, &ap); err != nil {
 					t.Fatal(err)
+				}
+				if condensed := ap.Sweep != nil && ap.Sweep.Condensed != nil; condensed != gc.condenses {
+					t.Fatalf("sweep telemetry %+v: condensed block present is %v, want %v", ap.Sweep, condensed, gc.condenses)
 				}
 				ap.Plan.Detail = ""
 				b, err := json.Marshal(ap)

@@ -54,7 +54,23 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// planKey normalizes a query string (collapsing all whitespace runs) and
+// normalizeQuery collapses runs of blanks — space, tab, newline, carriage
+// return: what every lexer in the repository skips — into one space and
+// trims them at the ends, unless the text holds a quote: inside quotes
+// blanks are data, and telling inside from outside is each language's
+// business. Everything else keeps its spelling. (strings.Fields is not this
+// function: \v, \f and U+0085 are spaces to it and label characters to the
+// RPQ lexer, so `a\vb` used to be answered from the plan of `a b`.)
+func normalizeQuery(query string) string {
+	if strings.ContainsAny(query, `'"`) {
+		return query
+	}
+	return strings.Join(strings.FieldsFunc(query, func(r rune) bool {
+		return r == ' ' || r == '\t' || r == '\n' || r == '\r'
+	}), " ")
+}
+
+// planKey normalizes a query string (normalizeQuery) and
 // namespaces it by kind and by the engine knobs that shape what gets
 // compiled: Parallelism feeds the planner's worker choice, Shards its
 // kernel-sharding decision, and MaxLen bounds enumeration plans, so
@@ -64,7 +80,7 @@ func newPlanCache(capacity int) *planCache {
 // (see get), so a query text owns one slot however many commits go by.
 func planKey(kind string, maxLen, parallelism, shards int, query string) string {
 	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s",
-		kind, maxLen, parallelism, shards, strings.Join(strings.Fields(query), " "))
+		kind, maxLen, parallelism, shards, normalizeQuery(query))
 }
 
 // get returns the plan cached under key if it was compiled against graph

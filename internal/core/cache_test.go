@@ -47,6 +47,27 @@ func TestPlanCacheHitsAndNormalization(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeyKeepsSignificantBlanks: two texts share a plan only if
+// every parser reads them alike. A vertical tab is a label to the RPQ lexer
+// and blanks inside quotes are part of the label; rpq.FuzzParse found the
+// first answered from the plan of `Transfer Transfer`.
+func TestPlanCacheKeyKeepsSignificantBlanks(t *testing.T) {
+	e := New(gen.BankEdgeLabeled())
+	want, err := e.Pairs("Transfer Transfer")
+	if err != nil || len(want) == 0 {
+		t.Fatal(want, err)
+	}
+	for _, q := range []string{"Transfer\vTransfer", "Transfer\u0085Transfer", "'Transfer Transfer'", "'Transfer  Transfer'"} {
+		got, err := e.Pairs(q)
+		if err != nil || len(got) != 0 {
+			t.Errorf("%q: (%d pairs, %v), want none: no path spells those labels", q, len(got), err)
+		}
+	}
+	if s := e.CacheStats(); s.Size != 5 || s.Hits != 0 {
+		t.Fatalf("five different queries: %+v", s)
+	}
+}
+
 func TestPlanCacheEviction(t *testing.T) {
 	e := New(gen.BankEdgeLabeled())
 	e.SetPlanCacheCapacity(2)

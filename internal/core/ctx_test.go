@@ -39,16 +39,20 @@ func TestQueryCtxRowBudget(t *testing.T) {
 // and requires a prompt ErrCanceled that still unwraps to
 // context.DeadlineExceeded.
 func TestQueryCtxDeadline(t *testing.T) {
-	// cycle-2000 under a* a* a* takes ~1s sequential on a fast machine (one
-	// node per level, so no sweep ever collapses bottom-up) — an order of
-	// magnitude past the 50ms deadline, so this cannot finish before the
-	// deadline fires.
-	e := New(gen.Cycle(2000, "a"))
+	// cycle-20000 under a{500} takes ~0.5s sequential on a fast machine — an
+	// order of magnitude past the 50ms deadline — and all of it in the
+	// kernel: the automaton is a chain, so the call stays on the level loop,
+	// a cycle shares nothing between sources, so the loop makes ten million
+	// discoveries one at a time, and only 20 000 rows come out. (A starred
+	// query on a cycle is no longer slow to sweep — it condenses — and what
+	// time it takes goes to buffering millions of rows, where no poll can
+	// land inside one growing append.)
+	e := New(gen.Cycle(20000, "a"))
 	e.Parallelism = 1
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.QueryCtx(ctx, Request{Query: "a* a* a*"})
+	_, err := e.QueryCtx(ctx, Request{Query: "a{500}"})
 	elapsed := time.Since(start)
 	if !errors.Is(err, eval.ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)

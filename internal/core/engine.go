@@ -272,6 +272,9 @@ func (e *Engine) compileRPQ(gs *graphState, tr *obs.Trace) func(string) (rpqPlan
 		sp := tr.Start("parse")
 		expr, err := rpq.Parse(q)
 		sp.End()
+		if err == nil {
+			err = rpq.CheckPositions(expr)
+		}
 		if err != nil {
 			return rpqPlan{}, err
 		}

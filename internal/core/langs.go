@@ -135,6 +135,10 @@ func (e *Engine) compileCypher(gs *graphState, tr *obs.Trace) func(string) (rpqP
 		}
 		sp = tr.Start("compile")
 		expr := cypherfrag.Compile(p)
+		if err := rpq.CheckPositions(expr); err != nil {
+			sp.End()
+			return rpqPlan{}, err
+		}
 		nfa := rpq.Compile(expr)
 		product := eval.NewProductInstrumented(gs.g, nfa, &e.counters)
 		sp.End()
@@ -253,7 +257,13 @@ func (e *Engine) relalgMeter(gs *graphState, query string, m *eval.Meter, tr *ob
 // recursion.
 func (e *Engine) bagMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) (*big.Int, error) {
 	sp := tr.Start("parse")
-	expr, err := cached(e, gs, "bag", query, rpq.Parse)
+	expr, err := cached(e, gs, "bag", query, func(text string) (rpq.Expr, error) {
+		expr, err := rpq.Parse(text)
+		if err == nil {
+			err = rpq.CheckPositions(expr)
+		}
+		return expr, err
+	})
 	sp.End()
 	if err != nil {
 		return nil, badQuery(err)

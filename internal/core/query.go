@@ -22,6 +22,7 @@ import (
 	"graphquery/internal/obs"
 	"graphquery/internal/pg"
 	"graphquery/internal/relalg"
+	"graphquery/internal/rpq"
 	"graphquery/internal/twoway"
 )
 
@@ -426,6 +427,9 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 		sp := tr.Start("parse")
 		expr, err := lrpq.Parse(text)
 		sp.End()
+		if err == nil {
+			err = rpq.CheckPositions(lrpq.Erase(expr))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -463,6 +467,9 @@ func (e *Engine) twoWayPairs(gs *graphState, query string, m *eval.Meter, tr *ob
 		sp := tr.Start("parse")
 		expr, err := twoway.Parse(q)
 		sp.End()
+		if err == nil {
+			err = twoway.CheckPositions(expr)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -143,22 +143,30 @@ var ErrInvalidQuery = errors.New("crpq: invalid query")
 //	(5) head variables appear among node or list variables.
 //
 // (Condition (1), m_i being a known mode, holds by construction of
-// eval.Mode.)
+// eval.Mode.) It also refuses an atom whose RPQ or ℓ-RPQ is larger than
+// any evaluator — the served plan or the reference — will compile
+// (rpq.CheckPositions): queries are text from outside.
 func (q *Query) Validate() error {
 	nodeVars := map[string]struct{}{}
 	for _, a := range q.Atoms {
 		n := 0
+		var size error
 		if a.RPQ != nil {
 			n++
+			size = rpq.CheckPositions(a.RPQ)
 		}
 		if a.L != nil {
 			n++
+			size = rpq.CheckPositions(lrpq.Erase(a.L))
 		}
 		if a.DL != nil {
 			n++
 		}
 		if n != 1 {
 			return fmt.Errorf("%w: atom %s must carry exactly one expression", ErrInvalidQuery, a)
+		}
+		if size != nil {
+			return fmt.Errorf("%w: atom %s: %w", ErrInvalidQuery, a, size)
 		}
 		for _, t := range []Term{a.Src, a.Dst} {
 			if !t.IsConst {

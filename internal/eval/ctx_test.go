@@ -53,13 +53,13 @@ func TestPairsCtxPreCanceled(t *testing.T) {
 // return ErrCanceled well before it could have finished the query. The
 // 5-second watchdog guards against a cancellation path that never fires.
 func TestPairsCtxPromptCancel(t *testing.T) {
-	// Big enough that a* a* a* cannot finish in the cancel delay even ÷4
-	// workers (~1s sequential). A long cycle, not a clique: every level
-	// discovers one node, so the sweeps never switch bottom-up and the
-	// product is walked state by state. Cancellation checks run every
+	// Big enough that a{500} cannot finish in the cancel delay even ÷4
+	// workers (~0.5s sequential). A long cycle under a chain automaton:
+	// sources share nothing and nothing condenses, so the product is walked
+	// one (source, state) discovery at a time. Cancellation checks run every
 	// MeterCheckInterval states, so the return should be near-immediate
 	// once ctx fires.
-	p := mustProduct(t, gen.Cycle(2000, "a"), "a* a* a*")
+	p := mustProduct(t, gen.Cycle(20000, "a"), "a{500}")
 	for _, par := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -81,7 +81,7 @@ func TestPairsCtxPromptCancel(t *testing.T) {
 }
 
 func TestPairsCtxDeadline(t *testing.T) {
-	p := mustProduct(t, gen.Cycle(2000, "a"), "a* a* a*")
+	p := mustProduct(t, gen.Cycle(20000, "a"), "a{500}")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)

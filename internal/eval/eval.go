@@ -97,10 +97,11 @@ func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, e
 //
 // A backward plan cannot deliver incrementally: it sweeps targets on the
 // reversed kernel, so nothing is correctly ordered until every sweep has
-// finished and one global sort has restored the forward order (the two
-// directions produce the same set, so the sorted sequences are identical).
-// It collects through the same driver, sorts, and hands emit everything
-// at once — same order, peak memory O(total result).
+// finished. It collects through the same driver — (target, source) pairs,
+// targets ascending, each target's sources ascending — transposes them into
+// the forward order (the two directions produce the same set, so the
+// sequences are identical) and hands emit everything at once: same order,
+// peak memory O(total result).
 func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(pairs [][2]int) error) error {
 	m := opts.Meter
 	if m == nil {
@@ -116,9 +117,7 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 	if plan.Backward {
 		kern = p.backward()
 		deliver = func(part [][2]int) error {
-			for _, pr := range part {
-				collected = append(collected, [2]int{pr[1], pr[0]})
-			}
+			collected = append(collected, part...)
 			return nil
 		}
 	}
@@ -127,13 +126,27 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 	if err != nil || len(collected) == 0 {
 		return err
 	}
-	sort.Slice(collected, func(i, j int) bool {
-		if collected[i][0] != collected[j][0] {
-			return collected[i][0] < collected[j][0]
-		}
-		return collected[i][1] < collected[j][1]
-	})
-	return emit(collected)
+	return emit(transpose(collected, p.G.NumNodes()))
+}
+
+// transpose turns (target, source) pairs ordered by target, then source,
+// into (source, target) pairs ordered by source, then target: one stable
+// counting sort on the source, no comparison — a source's targets are met
+// in ascending order, so they land in ascending order.
+func transpose(pairs [][2]int, nodes int) [][2]int {
+	next := make([]int, nodes+1)
+	for _, pr := range pairs {
+		next[pr[1]+1]++
+	}
+	for u := 1; u <= nodes; u++ {
+		next[u] += next[u-1]
+	}
+	out := make([][2]int, len(pairs))
+	for _, pr := range pairs {
+		out[next[pr[1]]] = [2]int{pr[1], pr[0]}
+		next[pr[1]]++
+	}
+	return out
 }
 
 // ReachableFrom returns all v with (src, v) ∈ ⟦R⟧_G, sorted.

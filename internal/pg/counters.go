@@ -20,6 +20,7 @@ type Counters struct {
 	planSharded    atomic.Int64 // queries run with >1 kernel shard
 	shardSweeps    atomic.Int64 // shard sweep loops run (P per sharded sweep)
 	tablesBuilt    atomic.Int64 // neighbor tables built on a graph's chain at this kernel's request
+	condensations  atomic.Int64 // all-sources calls that condensed their product (condense.go)
 
 	// Mispick counters: analyze-mode queries whose measured actuals
 	// contradicted one of the planner's knob choices (plan.Mispicks). Only
@@ -110,6 +111,14 @@ func (c *Counters) addNeighborTablesBuilt() {
 	}
 }
 
+// addCondensationBuilt records one all-sources call that built the
+// condensation of its product and finished on it.
+func (c *Counters) addCondensationBuilt() {
+	if c != nil {
+		c.condensations.Add(1)
+	}
+}
+
 // CountersSnapshot is a point-in-time copy of the counters, shaped for JSON
 // (the /v1/statz payload). Fields may be mutually torn by concurrent
 // updates but are individually exact.
@@ -125,6 +134,7 @@ type CountersSnapshot struct {
 	ShardSweeps    int64 `json:"shard_sweeps"`
 
 	NeighborTablesBuilt int64 `json:"neighbor_tables_built"`
+	CondensationsBuilt  int64 `json:"condensations_built"`
 
 	MispickDirection int64 `json:"mispick_direction"`
 	MispickShards    int64 `json:"mispick_shards"`
@@ -147,6 +157,7 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		ShardSweeps:    c.shardSweeps.Load(),
 
 		NeighborTablesBuilt: c.tablesBuilt.Load(),
+		CondensationsBuilt:  c.condensations.Load(),
 
 		MispickDirection: c.mispickDirection.Load(),
 		MispickShards:    c.mispickShards.Load(),

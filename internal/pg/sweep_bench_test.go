@@ -95,40 +95,65 @@ func BenchmarkKernelSweepClique(b *testing.B) {
 
 // BenchmarkSweepAll is the kernel-layer face of the all-pairs kinds: every
 // source of one graph through the all-sources driver on one worker
-// ("batched": 64 sources per machine word share one edge scan) beside the
-// loop it replaced ("per-source": one Sweep per source, pairs built the
+// ("batched": 64 sources per machine word share one edge scan, and a starred
+// call with enough batches finishes on the product's condensation) beside
+// the loop it replaced ("per-source": one Sweep per source, pairs built the
 // same way — what every all-pairs evaluator ran before, and still the
-// oracle the differential tests hold the batched loop to). scalefree-800
-// `a* z a` is the served benchmark's allpairs-sweep shape and clique-300
-// the dense-reachability one, where per-source sweeps switch bottom-up and
-// the batched loop never does; grid-20x20 shares moderately; path-700 and
-// cycle-2000 are the zero-sharing worst cases — every source sits on a
-// distinct node at every level, so a batch saves no scan and the rows
-// measure what the word-per-state bookkeeping costs. edges/op is adjacency
-// entries examined per all-pairs evaluation.
+// oracle the differential tests hold the driver to; left out where it
+// would take minutes). What each row measures:
+//
+//   - scalefree-800 `a* z a` is the served benchmark's allpairs-sweep shape,
+//     scalefree-20000 the same at the size of its short-reads graph: a giant
+//     strongly connected core that every batch after the first crosses in
+//     one pop instead of once per arrival level.
+//   - grid-20x20, path-700 and cycle-2000 `a*` are the big-results shapes.
+//     The level loop shares nothing on a path or a cycle — every source
+//     sits on a distinct node at every level, 246 k one-bit frontier
+//     entries a batch on the path — so these rows measured the
+//     word-per-state bookkeeping; condensed, a batch is one pass over 700
+//     components in rank order (the path) or one pop (the cycle), and the
+//     rows measure batch.pairs.
+//   - clique-300 `a* a* a*` is the dense-reachability shape and the build's
+//     worst case: every product edge is written down to find three
+//     components. It has five batches after the first, one too few to buy,
+//     and measures the level loop; clique-330 has six, buys, and must not
+//     lose to it.
+//   - sparse-star is `b*` where one edge in sixteen is a b: batch 0
+//     discovers a handful of states, the 20 000 start states alone are more
+//     than that, and the call must stay on the level loop at no cost.
+//
+// edges/op is adjacency entries examined per all-pairs evaluation — for a
+// condensed call the build's, once, plus the DAG edges each batch examined.
 func BenchmarkSweepAll(b *testing.B) {
-	z := make([]graph.Mutation, 4)
-	for i := range z {
-		z[i] = graph.Mutation{Op: graph.MutAddEdge, ID: fmt.Sprintf("z%d", i), Label: "z",
-			Src: fmt.Sprintf("n%d", i), Tgt: fmt.Sprintf("n%d", 400+i)}
-	}
-	sf, err := gen.ScaleFree(800, 4, 42).Apply(z)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if sf, err = sf.Materialize(); err != nil {
-		b.Fatal(err)
+	withZ := func(g *graph.Graph) *graph.Graph {
+		z := make([]graph.Mutation, 4)
+		for i := range z {
+			z[i] = graph.Mutation{Op: graph.MutAddEdge, ID: fmt.Sprintf("z%d", i), Label: "z",
+				Src: fmt.Sprintf("n%d", i), Tgt: fmt.Sprintf("n%d", 400+i)}
+		}
+		g, err := g.Apply(z)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g, err = g.Materialize(); err != nil {
+			b.Fatal(err)
+		}
+		return g
 	}
 	for _, row := range []struct {
-		name  string
-		g     *graph.Graph
-		query string
+		name      string
+		g         *graph.Graph
+		query     string
+		perSource bool
 	}{
-		{"scalefree-800", sf, "a* z a"},
-		{"clique-300", gen.Clique(300, "a"), "a* a* a*"},
-		{"grid-20x20", gen.Grid(20, 20, "a"), "a*"},
-		{"path-700", gen.APath(700, "a"), "a*"},
-		{"cycle-2000", gen.Cycle(2000, "a"), "a*"},
+		{"scalefree-800", withZ(gen.ScaleFree(800, 4, 42)), "a* z a", true},
+		{"clique-300", gen.Clique(300, "a"), "a* a* a*", true},
+		{"clique-330", gen.Clique(330, "a"), "a* a* a*", false},
+		{"grid-20x20", gen.Grid(20, 20, "a"), "a*", true},
+		{"path-700", gen.APath(700, "a"), "a*", true},
+		{"cycle-2000", gen.Cycle(2000, "a"), "a*", true},
+		{"sparse-star", scaleFreeGraph(20000), "b*", false},
+		{"scalefree-20000", withZ(scaleFreeGraph(20000)), "a* z a", false},
 	} {
 		expr, err := rpq.Parse(row.query)
 		if err != nil {
@@ -153,23 +178,25 @@ func BenchmarkSweepAll(b *testing.B) {
 				b.ReportMetric(float64(c.Snapshot().EdgesScanned-before)/float64(b.N), "edges/op")
 			})
 		}
-		run("per-source", func() (int, error) {
-			sc := kern.GetScratch()
-			defer kern.PutScratch(sc)
-			pairs := 0
-			for u := 0; u < row.g.NumNodes(); u++ {
-				vs, err := kern.Sweep(u, sc, nil, pg.Plan{}, true)
-				if err != nil {
-					return 0, err
+		if row.perSource {
+			run("per-source", func() (int, error) {
+				sc := kern.GetScratch()
+				defer kern.PutScratch(sc)
+				pairs := 0
+				for u := 0; u < row.g.NumNodes(); u++ {
+					vs, err := kern.Sweep(u, sc, nil, pg.Plan{}, true)
+					if err != nil {
+						return 0, err
+					}
+					part := make([][2]int, len(vs))
+					for i, v := range vs {
+						part[i] = [2]int{u, v}
+					}
+					pairs += len(part)
 				}
-				part := make([][2]int, len(vs))
-				for i, v := range vs {
-					part[i] = [2]int{u, v}
-				}
-				pairs += len(part)
-			}
-			return pairs, nil
-		})
+				return pairs, nil
+			})
+		}
 		run("batched", func() (int, error) {
 			pairs := 0
 			err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part [][2]int) error {

@@ -15,7 +15,11 @@ import (
 // et al.): per product state a word of the sources that have reached it, a
 // frontier of (state, word) entries, and one scan of a state's adjacency
 // advancing every source whose bit is in its frontier word. A single source
-// keeps running Kernel.Sweep — the loop anchored reads always ran.
+// keeps running Kernel.Sweep — the loop anchored reads always ran. The loop
+// shares a scan only between sources that reach a state in the same level;
+// a SweepAll that can afford to leaves it after its first batch for the
+// product's condensation, where there are no levels (condense.go, DESIGN
+// §20).
 
 // batchWidth is the number of sources one batched sweep carries: the bits
 // of a machine word.
@@ -45,6 +49,9 @@ type batch struct {
 	seen []uint64 // per product state: sources that have reached it
 	next []uint64 // per product state: sources that first reached it in the level being built
 	acc  []uint64 // per graph node: sources that have reached one of its accepting states
+	// pend is used by the condensed loop only (condense.go), where seen is
+	// indexed by component: a bit per component reached and not yet popped.
+	pend []uint64
 
 	touched []int32 // product states with seen != 0
 	nextIDs []int32 // product states with next != 0
@@ -76,6 +83,7 @@ func putBatch(b *batch) { batchPool.Put(b) }
 func (b *batch) reset(states, nodes int) {
 	for _, id := range b.touched {
 		b.seen[id] = 0
+		b.pend[id>>6] = 0
 	}
 	for _, id := range b.nextIDs {
 		b.next[id] = 0
@@ -85,7 +93,7 @@ func (b *batch) reset(states, nodes int) {
 	}
 	b.touched, b.nextIDs, b.hits, b.front, b.found = b.touched[:0], b.nextIDs[:0], b.hits[:0], b.front[:0], 0
 	if len(b.seen) < states {
-		b.seen, b.next = make([]uint64, states), make([]uint64, states)
+		b.seen, b.next, b.pend = make([]uint64, states), make([]uint64, states), make([]uint64, (states+63)/64)
 	}
 	if len(b.acc) < nodes {
 		b.acc = make([]uint64, nodes)
@@ -294,9 +302,17 @@ sweep:
 // byte — after a few sources' work, not 64; every later batch is full.
 const firstBatch = 8
 
-// SweepAll runs the sweep from every node of the graph; see SweepFrom.
+// SweepAll runs the sweep from every node of the graph; see SweepFrom. It is
+// the one call that may finish on the product's condensation (condense.go):
+// when the automaton has a cycle and at least minCondensedBatches batches
+// follow the first, batch 0 runs here on the level loop and is emitted
+// before the fan-out starts, and the rest of the call is condensed if the
+// build fits under what batch 0 was charged — decided once, from the
+// automaton's shape and batch 0's own count, never from timing or the
+// worker count, so the pairs, their order and every count are the same
+// either way.
 func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
-	return k.sweepMany(k.g.NumNodes(), func(i int) int { return i }, workers, mt, pl, chargeRows, emit)
+	return k.sweepMany(k.g.NumNodes(), func(i int) int { return i }, true, workers, mt, pl, chargeRows, emit)
 }
 
 // SweepFrom runs the sweep from every node of sources — none, if the list
@@ -324,12 +340,13 @@ func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit
 // called concurrently with itself and owns the slice it is handed; its
 // error stops evaluation and is returned verbatim.
 func (k *Kernel) SweepFrom(sources []int, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
-	return k.sweepMany(len(sources), func(i int) int { return sources[i] }, workers, mt, pl, chargeRows, emit)
+	return k.sweepMany(len(sources), func(i int) int { return sources[i] }, false, workers, mt, pl, chargeRows, emit)
 }
 
 // sweepMany is the all-sources driver under SweepAll and SweepFrom: the
-// sources are source(0) … source(n-1).
-func (k *Kernel) sweepMany(n int, source func(int) int, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
+// sources are source(0) … source(n-1), and all says they are every node of
+// the graph.
+func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
 	g := k.g
 	if n == 1 {
 		return ForEachEmit(1, 1, k.GetScratch, k.PutScratch, func(_ int, sc *Scratch) ([][2]int, error) {
@@ -379,24 +396,70 @@ func (k *Kernel) sweepMany(n int, source func(int) int, workers int, mt *Meter, 
 			return deliver(part)
 		}
 	}
-	// Batch 0 is sources [0, firstBatch), batch b ≥ 1 the 64 that end at
-	// firstBatch + 64b.
 	batches := 0
 	if n > 0 {
 		batches = 1 + (max(n-firstBatch, 0)+batchWidth-1)/batchWidth
 	}
-	return ForEachEmit(batches, workers, getBatch, putBatch, func(bi int, b *batch) ([][2]int, error) {
-		var srcs [batchWidth]int
-		m := 0
-		for i := max(0, firstBatch+(bi-1)*batchWidth); i < min(n, firstBatch+bi*batchWidth); i++ {
-			if u := source(i); g.NodeAlive(u) {
-				srcs[m] = u
-				m++
-			}
+	done := 0 // batches run before the fan-out
+	var cd *condensation
+	if all && batches-1 >= minCondensedBatches && k.cyclic() {
+		var err error
+		if cd, err = k.probe(n, source, mt, emit); err != nil {
+			return err
 		}
-		if m == 0 {
+		if done = 1; cd != nil {
+			defer condPool.Put(cd)
+		}
+	}
+	return ForEachEmit(batches-done, workers, getBatch, putBatch, func(bi int, b *batch) ([][2]int, error) {
+		var buf [batchWidth]int
+		srcs := k.liveSources(bi+done, n, source, &buf)
+		if len(srcs) == 0 {
 			return nil, nil
 		}
-		return k.sweepBatch(srcs[:m], b, mt)
+		if cd != nil {
+			return k.sweepCondensed(cd, srcs, b, mt)
+		}
+		return k.sweepBatch(srcs, b, mt)
 	}, emit)
+}
+
+// liveSources fills buf with the live sources of batch bi — batch 0 is
+// sources [0, firstBatch), batch b ≥ 1 the 64 that end at firstBatch + 64b —
+// and returns them.
+func (k *Kernel) liveSources(bi, n int, source func(int) int, buf *[batchWidth]int) []int {
+	m := 0
+	for i := max(0, firstBatch+(bi-1)*batchWidth); i < min(n, firstBatch+bi*batchWidth); i++ {
+		if u := source(i); k.g.NodeAlive(u) {
+			buf[m] = u
+			m++
+		}
+	}
+	return buf[:m]
+}
+
+// probe rents before the call may buy: it runs batch 0 on the level loop,
+// hands its pairs to emit — a streamed reply's first byte does not wait for
+// the build — and then tries to condense under what the batch was charged.
+// A nil condensation means the call stays on the level loop. It runs on the
+// caller's goroutine, so it contains panics the way the fan-out does.
+func (k *Kernel) probe(n int, source func(int) int, mt *Meter, emit func(pairs [][2]int) error) (cd *condensation, err error) {
+	defer recoverTo(func(e error) { cd, err = nil, e })
+	var buf [batchWidth]int
+	var charged int64
+	if srcs := k.liveSources(0, n, source, &buf); len(srcs) > 0 {
+		b := getBatch()
+		defer putBatch(b)
+		part, err := k.sweepBatch(srcs, b, mt)
+		if err != nil {
+			return nil, err
+		}
+		if len(part) > 0 {
+			if err := emit(part); err != nil {
+				return nil, err
+			}
+		}
+		charged = b.found
+	}
+	return k.condense(charged, mt)
 }

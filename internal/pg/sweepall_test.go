@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
+	"sort"
+	"strconv"
 	"testing"
 
 	"graphquery/internal/gen"
@@ -85,33 +88,139 @@ func overlayGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestSweepAllMatchesPerSourceSweep is the batched loop's differential:
-// over generated graphs × automata — forward and backward machines, a
-// two-way machine, negated guards on the indexed path (two labels admitted)
-// and on the dense-scan path (six), tombstoned sources under an overlay,
-// 800 sources — and over source lists that end inside, at and just past the
-// short first batch and a full one, the driver must hand back exactly the
-// pairs of one
+// tangle is the generated family the condensed loop is held on: blocks of
+// nodes — strongly connected ones (a cycle plus chords), DAG-shaped ones and
+// isolated nodes — joined only by edges from a block to a later one, with
+// self-loops, parallel edges and a few z edges on top. The first block is a
+// strongly connected hub, and batch 0's sources sit in it: forward they
+// reach most of the graph and discover enough to pay for a condensation,
+// backward they reach the hub only and the call stays on the level loop.
+// flipped reverses every edge, and with it which kernel buys.
+func tangle(seed int64, n int, flipped bool) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	id := func(i int) graph.NodeID { return graph.NodeID("n" + strconv.Itoa(i)) }
+	b := graph.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(id(i), "", nil)
+	}
+	edges := 0
+	add := func(u, v int) {
+		label := "a"
+		switch r := rng.Intn(20); {
+		case r == 0:
+			label = "z"
+		case r < 4:
+			label = "b"
+		}
+		if flipped {
+			u, v = v, u
+		}
+		for copies := 1 + rng.Intn(5)/4; copies > 0; copies-- { // one edge in five is doubled
+			b.AddEdge(graph.EdgeID("e"+strconv.Itoa(edges)), label, id(u), id(v), nil)
+			edges++
+		}
+	}
+	for lo := 0; lo < n; {
+		size, kind := 1+rng.Intn(40), rng.Intn(5)/2 // 0 strongly connected, 1 DAG, 2 isolated nodes
+		switch {
+		case lo == 0:
+			size, kind = 24, 0
+		case kind == 2:
+			size = 1 + size/10
+		}
+		hi := min(lo+size, n)
+		for u := lo; u < hi && kind != 2; u++ {
+			if kind == 0 {
+				add(u, lo+(u+1-lo)%(hi-lo)) // the cycle; a block of one gets a self-loop
+			}
+			for c := 1 + rng.Intn(2); c > 0 && u+1 < hi; c-- {
+				add(u, u+1+rng.Intn(hi-u-1))
+			}
+			if rng.Intn(10) == 0 {
+				add(u, u)
+			}
+		}
+		for in := 1 + rng.Intn(4); in > 0 && lo > 0 && kind != 2; in-- {
+			from := rng.Intn(lo)
+			if rng.Intn(2) == 0 {
+				from = rng.Intn(24)
+			}
+			add(from, lo+rng.Intn(hi-lo))
+		}
+		lo = hi
+	}
+	return b.MustBuild()
+}
+
+// tangleOverlay is a tangle left as an overlay: tombstoned nodes — one of
+// them a source of batch 0, one in the hub — removed edges and a few added
+// ones.
+func tangleOverlay(t *testing.T, seed int64, n int) *graph.Graph {
+	t.Helper()
+	base := tangle(seed, n, false)
+	rng := rand.New(rand.NewSource(seed))
+	muts := []graph.Mutation{
+		{Op: graph.MutRemoveNode, ID: "n3"},
+		{Op: graph.MutRemoveNode, ID: "n17"},
+		{Op: graph.MutRemoveNode, ID: "n" + strconv.Itoa(n-1)},
+	}
+	for i := 0; i < 12; i++ {
+		if e := base.Edge(rng.Intn(base.NumEdges())); e.Src != 3 && e.Src != 17 && e.Src != n-1 && e.Tgt != 3 && e.Tgt != 17 && e.Tgt != n-1 {
+			muts = append(muts, graph.Mutation{Op: graph.MutRemoveEdge, ID: string(e.ID)})
+		}
+	}
+	for i := 0; i < 6; i++ {
+		muts = append(muts, graph.Mutation{Op: graph.MutAddEdge, ID: "x" + strconv.Itoa(i), Label: "a",
+			Src: "n" + strconv.Itoa(30+rng.Intn(n-40)), Tgt: "n" + strconv.Itoa(30+rng.Intn(n-40))})
+	}
+	g, err := base.Apply(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodeAlive(3) || g.NumLiveNodes() != n-3 {
+		t.Fatalf("overlay fixture lost its tombstones: %d live nodes", g.NumLiveNodes())
+	}
+	return g
+}
+
+// TestSweepAllMatchesPerSourceSweep is the all-sources driver's
+// differential, for both loops under it. Over generated graphs × automata —
+// forward and backward machines, a two-way machine, negated guards on the
+// indexed path (two labels admitted) and on the dense-scan path (six),
+// nested stars, tombstoned sources under an overlay, 800 sources — and over
+// source lists that end inside, at and just past the short first batch and
+// a full one, the driver must hand back exactly the pairs of one
 // Kernel.Sweep per source, in the same order, having ticked exactly the
 // same states; and pairs, counters and analyze telemetry must not depend on
-// the worker count.
+// the worker count. The tangles have seven batches, so their calls come out
+// on both sides of the rent-then-buy rule (the test checks that both did):
+// a call that stayed on the level loop must match the per-source sweeps
+// level by level, one that condensed must match them level by level for
+// batch 0 and in sources and states for the rest.
 func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 	seven := []string{"a", "b", "c", "d", "e", "f", "g"}
 	queries := []string{"a*", "a b* a", "(!{b})*", "(a | b)+"}
+	cyclic := []string{"a*", "a* z a", "(a|b)* z (a|b)", "(!{b})* z a", "(a* b)* a*", "((a|z)* b*)*"}
 	graphs := []struct {
 		name    string
 		g       *graph.Graph
 		queries []string
+		twoWay  string
+		lists   bool // also run SweepFrom over prefixes of the live nodes
 	}{
-		{"random", gen.Random(60, 300, []string{"a", "b"}, 5), queries},
-		{"seven-labels", gen.Random(90, 700, seven, 3), queries},
-		{"clique", gen.Clique(12, "a"), queries},
-		{"grid", gen.Grid(9, 9, "a"), queries},
-		{"overlay", overlayGraph(t), queries},
+		{"random", gen.Random(60, 300, []string{"a", "b"}, 5), queries, "(a|~a)* b", true},
+		{"seven-labels", gen.Random(90, 700, seven, 3), queries, "(a|~a)* b", true},
+		{"clique", gen.Clique(12, "a"), queries, "(a|~a)* b", true},
+		{"grid", gen.Grid(9, 9, "a"), queries, "(a|~a)* b", true},
+		{"overlay", overlayGraph(t), queries, "(a|~a)* b", true},
 		// Here for its source count — fourteen batches, the last one short —
 		// and kept to one query: the oracle is 800 sweeps per kernel.
-		{"scalefree-800", gen.ScaleFree(800, 4, 42), []string{"a b* a"}},
+		{"scalefree-800", gen.ScaleFree(800, 4, 42), []string{"a b* a"}, "(a|~a)* b", false},
+		{"tangle", tangle(1, 340, false), cyclic, "(a|~a)* z", false},
+		{"tangle-flipped", tangle(2, 340, true), cyclic, "(a|~a)* z", false},
+		{"tangle-overlay", tangleOverlay(t, 3, 343), cyclic, "(a|~a)* z", false},
 	}
+	bought, stayed := 0, 0
 	for _, gc := range graphs {
 		g := gc.g
 		kernels := map[string]func(c *pg.Counters) *pg.Kernel{}
@@ -120,8 +229,8 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 			kernels[q+" fwd"] = func(c *pg.Counters) *pg.Kernel { return pg.NewKernel(g, pg.FromNFA(g, expr), c) }
 			kernels[q+" bwd"] = func(c *pg.Counters) *pg.Kernel { return pg.NewKernel(g, pg.FromNFABackward(g, expr), c) }
 		}
-		kernels["(a|~a)* b two-way"] = func(c *pg.Counters) *pg.Kernel {
-			return twoway.Kernel(g, twoway.MustParse("(a|~a)* b"), c)
+		kernels[gc.twoWay+" two-way"] = func(c *pg.Counters) *pg.Kernel {
+			return twoway.Kernel(g, twoway.MustParse(gc.twoWay), c)
 		}
 		var live []int
 		for u := 0; u < g.NumNodes(); u++ {
@@ -131,10 +240,13 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 		}
 		lists := [][]int{nil}
 		for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 72, 73} {
-			if n <= len(live) && len(live) < 800 {
+			if n <= len(live) && gc.lists {
 				lists = append(lists, live[:n])
 			}
 		}
+		// The live sources of batch 0: the ones a condensed call runs on the
+		// level loop.
+		batch0 := live[:sort.SearchInts(live, 8)]
 		for kname, build := range kernels {
 			for _, sources := range lists {
 				name := fmt.Sprintf("%s %s sources=%d", gc.name, kname, len(sources))
@@ -145,7 +257,7 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 
 				var first pg.CountersSnapshot
 				var firstJSON []byte
-				for _, workers := range []int{1, 2, 8} {
+				for _, workers := range []int{1, 2, 4} {
 					var c pg.Counters
 					m, ss := analyzeMeter()
 					got, err := sweepAllPairs(build(&c), sources, workers, m, pg.Plan{})
@@ -169,15 +281,31 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 					// sweep's doing.
 					counters := c.Snapshot()
 					counters.NeighborTablesBuilt = 0
+					if (snap.Condensed != nil) != (counters.CondensationsBuilt == 1) || counters.CondensationsBuilt > 1 {
+						t.Fatalf("%s workers=%d: %d condensations built, telemetry %+v", name, workers, counters.CondensationsBuilt, snap.Condensed)
+					}
 					if workers == 1 {
 						first, firstJSON = counters, js
 						// One visit is one (source, state) discovery, level by
 						// level: only edges, direction and peak may differ.
-						if snap.Sweeps != oracle.Sweeps || snap.States != oracle.States || len(snap.Levels) != len(oracle.Levels) {
+						levels := oracle
+						if cs := snap.Condensed; cs != nil {
+							bought++
+							bm, bss := analyzeMeter()
+							perSourcePairs(t, build(nil), batch0, bm)
+							levels = bss.Snapshot()
+							if sources != nil || cs.Sources != oracle.Sweeps-levels.Sweeps || cs.States <= 0 || cs.States > om.States() ||
+								cs.Components <= 0 || cs.Components > cs.States || cs.LargestComponent <= 0 {
+								t.Fatalf("%s: condensed block %+v beside %d per-source sweeps, %d of them in batch 0", name, *cs, oracle.Sweeps, levels.Sweeps)
+							}
+						} else if sources == nil && len(live) >= 329 {
+							stayed++
+						}
+						if snap.Sweeps != oracle.Sweeps || snap.States != oracle.States || len(snap.Levels) != len(levels.Levels) {
 							t.Fatalf("%s: telemetry %+v, per-source sweeps recorded %+v", name, snap, oracle)
 						}
 						for i, l := range snap.Levels {
-							if o := oracle.Levels[i]; l.Sweeps != o.Sweeps || l.Frontier != o.Frontier || l.Discovered != o.Discovered {
+							if o := levels.Levels[i]; l.Sweeps != o.Sweeps || l.Frontier != o.Frontier || l.Discovered != o.Discovered {
 								t.Fatalf("%s level %d: %+v, per-source sweeps recorded %+v", name, i, l, o)
 							}
 						}
@@ -198,6 +326,9 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+	if bought < 10 || stayed < 10 {
+		t.Fatalf("%d calls condensed, %d calls with as many batches stayed on the level loop: the generator no longer covers both sides of the rule", bought, stayed)
 	}
 }
 
@@ -252,35 +383,60 @@ func collectSources(kern *pg.Kernel, workers int, mt *pg.Meter) (sources []int, 
 // TestSweepAllRowsBudgetExact: rows are charged source by source at
 // delivery, so a MaxRows budget trips with the meter reading exactly
 // MaxRows+1 and every source before the tripping one — in an earlier batch
-// or in its own — already delivered whole, at any worker count.
+// or in its own — already delivered whole, at any worker count and whichever
+// loop the batches ran: the clique's two stay on the level loop, the cycle's
+// nine condense after the first.
 func TestSweepAllRowsBudgetExact(t *testing.T) {
-	g := gen.Clique(70, "a") // 69 rows per source, two batches
-	kern, _ := sweepKernels(t, g, "a")
-	for _, tc := range []struct{ maxRows, delivered int }{
-		{3, 0},           // inside the first source
-		{69*2 + 5, 2},    // inside the first batch
-		{69 * 8, 8},      // first row of the second batch
-		{69*65 + 68, 65}, // last row of a source in the second batch
+	for _, fx := range []struct {
+		name, query string
+		g           *graph.Graph
+		perSource   int
+		condenses   int64
+		cases       []struct{ maxRows, delivered int }
+	}{
+		{"clique-70", "a", gen.Clique(70, "a"), 69, 0, []struct{ maxRows, delivered int }{
+			{3, 0},           // inside the first source
+			{69*2 + 5, 2},    // inside the first batch
+			{69 * 8, 8},      // first row of the second batch
+			{69*65 + 68, 65}, // last row of a source in the second batch
+		}},
+		{"cycle-520", "a*", gen.Cycle(520, "a"), 520, 1, []struct{ maxRows, delivered int }{
+			{3, 0},               // inside the first source
+			{520 * 8, 8},         // first row of the first condensed batch
+			{520*75 + 519, 75},   // last row of a source in the second condensed batch
+			{520*519 + 100, 519}, // inside the last source
+		}},
 	} {
-		for _, workers := range []int{1, 4} {
-			m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: int64(tc.maxRows)}, nil, nil)
-			sources, rows, err := collectSources(kern, workers, m)
-			var be *pg.BudgetError
-			if !errors.As(err, &be) || be.Resource != "rows" {
-				t.Fatalf("MaxRows=%d workers=%d: got %v, want a rows BudgetError", tc.maxRows, workers, err)
-			}
-			if m.Rows() != int64(tc.maxRows)+1 {
-				t.Errorf("MaxRows=%d workers=%d: meter read %d rows at trip, want exactly MaxRows+1", tc.maxRows, workers, m.Rows())
-			}
-			if len(sources) != tc.delivered || rows != 69*tc.delivered {
-				t.Errorf("MaxRows=%d workers=%d: %d sources (%d rows) delivered before the trip, want %d whole sources",
-					tc.maxRows, workers, len(sources), rows, tc.delivered)
+		for _, tc := range fx.cases {
+			for _, workers := range []int{1, 4} {
+				var c pg.Counters
+				kern := pg.NewKernel(fx.g, pg.FromNFA(fx.g, mustRPQ(t, fx.query)), &c)
+				m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: int64(tc.maxRows)}, nil, nil)
+				sources, rows, err := collectSources(kern, workers, m)
+				var be *pg.BudgetError
+				if !errors.As(err, &be) || be.Resource != "rows" {
+					t.Fatalf("%s MaxRows=%d workers=%d: got %v, want a rows BudgetError", fx.name, tc.maxRows, workers, err)
+				}
+				if m.Rows() != int64(tc.maxRows)+1 {
+					t.Errorf("%s MaxRows=%d workers=%d: meter read %d rows at trip, want exactly MaxRows+1", fx.name, tc.maxRows, workers, m.Rows())
+				}
+				if len(sources) != tc.delivered || rows != fx.perSource*tc.delivered {
+					t.Errorf("%s MaxRows=%d workers=%d: %d sources (%d rows) delivered before the trip, want %d whole sources",
+						fx.name, tc.maxRows, workers, len(sources), rows, tc.delivered)
+				}
+				// A budget that trips inside batch 0 stops the call before it
+				// could buy.
+				if got, want := c.Snapshot().CondensationsBuilt, fx.condenses; tc.delivered >= 8 && got != want {
+					t.Errorf("%s MaxRows=%d workers=%d: %d condensations built, want %d", fx.name, tc.maxRows, workers, got, want)
+				}
 			}
 		}
-	}
-	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 69 * 70}, nil, nil)
-	if _, rows, err := collectSources(kern, 4, m); err != nil || rows != 69*70 {
-		t.Fatalf("budget equal to the result: (%d rows, %v), want all %d", rows, err, 69*70)
+		kern, _ := sweepKernels(t, fx.g, fx.query)
+		all := fx.perSource * fx.g.NumNodes()
+		m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: int64(all)}, nil, nil)
+		if _, rows, err := collectSources(kern, 4, m); err != nil || rows != all {
+			t.Fatalf("%s, budget equal to the result: (%d rows, %v), want all %d", fx.name, rows, err, all)
+		}
 	}
 }
 
@@ -309,36 +465,132 @@ func TestSweepAllStatesBudgetAndReuse(t *testing.T) {
 	}
 }
 
-// pollCanceled is a context that reports cancellation from its after-th
-// Err poll on: a cancel that lands at a known tick of the meter.
-type pollCanceled struct {
+// canceledWhen is a context that reports cancellation from the first Err
+// poll at which when() holds: a cancel that lands at a known point of the
+// evaluation.
+type canceledWhen struct {
 	context.Context
-	polls, after int
+	polls int
+	when  func(polls int) bool
 }
 
-func (c *pollCanceled) Done() <-chan struct{} { return make(chan struct{}) }
+func (c *canceledWhen) Done() <-chan struct{} { return make(chan struct{}) }
 
-func (c *pollCanceled) Err() error {
-	if c.polls++; c.polls >= c.after {
+func (c *canceledWhen) Err() error {
+	if c.polls++; c.when(c.polls) {
 		return context.Canceled
 	}
 	return nil
 }
 
 // TestSweepAllCancelWithinOneCheckInterval: a long cycle shares nothing, so
-// every frontier entry discovers one (source, state) pair and the meter
-// ticks every CheckInterval of them exactly; a cancel that becomes visible
-// at the third tick must stop the batch right there.
+// on the level loop every frontier entry discovers one (source, state) pair
+// and the meter ticks every CheckInterval of them exactly; a cancel that
+// becomes visible at the third tick must stop batch 0 right there. The rest
+// of the call is condensed, and there the cycle is one component: a batch
+// pops 2 000 states × 64 sources = 128 000 discoveries at once, charged in
+// CheckInterval steps, so a cancel — or a states budget — that lands three
+// intervals into the first condensed batch stops it at that tick too.
 func TestSweepAllCancelWithinOneCheckInterval(t *testing.T) {
 	g := gen.Cycle(2000, "a")
-	kern, _ := sweepKernels(t, g, "a*")
-	ctx := &pollCanceled{Context: context.Background(), after: 3}
-	m := pg.NewMeter(ctx, pg.Budget{}, nil, nil)
-	_, err := sweepAllPairs(kern, nil, 1, m, pg.Plan{})
+	const batch0 = 8 * 2001 // what the level loop charges before the call buys: per source its start state and 2 000 more
+	run := func(b pg.Budget, when func(m *pg.Meter, polls int) bool) (*pg.Meter, pg.CountersSnapshot, error) {
+		var c pg.Counters
+		kern := pg.NewKernel(g, pg.FromNFA(g, mustRPQ(t, "a*")), &c)
+		var m *pg.Meter
+		m = pg.NewMeter(&canceledWhen{Context: context.Background(), when: func(polls int) bool { return when(m, polls) }}, b, nil, nil)
+		_, err := sweepAllPairs(kern, nil, 1, m, pg.Plan{})
+		return m, c.Snapshot(), err
+	}
+
+	m, c, err := run(pg.Budget{}, func(_ *pg.Meter, polls int) bool { return polls >= 3 })
 	if !errors.Is(err, pg.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want ErrCanceled wrapping context.Canceled", err)
 	}
-	if got := m.States(); got < 3*pg.CheckInterval || got >= 4*pg.CheckInterval {
-		t.Fatalf("sweep stopped at %d states, want within one check interval of the third tick (%d)", got, 3*pg.CheckInterval)
+	if got := m.States(); got < 3*pg.CheckInterval || got >= 4*pg.CheckInterval || c.CondensationsBuilt != 0 {
+		t.Fatalf("sweep stopped at %d states with %d condensations, want within one check interval of the third tick (%d), in batch 0",
+			got, c.CondensationsBuilt, 3*pg.CheckInterval)
+	}
+
+	const landing = batch0 + 3*pg.CheckInterval
+	m, c, err = run(pg.Budget{}, func(m *pg.Meter, _ int) bool { return m.States() >= landing })
+	if !errors.Is(err, pg.ErrCanceled) || c.CondensationsBuilt != 1 {
+		t.Fatalf("got %v after %d condensations, want ErrCanceled inside a condensed batch", err, c.CondensationsBuilt)
+	}
+	if got := m.States(); got < landing || got >= landing+pg.CheckInterval {
+		t.Fatalf("condensed batch stopped at %d states, want within one check interval of %d", got, landing)
+	}
+
+	m, c, err = run(pg.Budget{MaxStates: landing}, func(*pg.Meter, int) bool { return false })
+	var be *pg.BudgetError
+	if !errors.As(err, &be) || be.Resource != "states" || c.CondensationsBuilt != 1 {
+		t.Fatalf("got %v after %d condensations, want a states BudgetError inside a condensed batch", err, c.CondensationsBuilt)
+	}
+	if got := m.States(); got <= landing || got > landing+pg.CheckInterval {
+		t.Fatalf("condensed batch stopped at %d states, want within one check interval past a budget of %d", got, landing)
+	}
+}
+
+// TestSweepAllBuildStoppedLeavesNothing: a cancel that lands inside the
+// build — after batch 0 has been emitted, three polls into numbering the
+// product — ends the call with nothing charged beyond batch 0 and nothing
+// built, and the call after it, on the same pooled scratch, is exact. So is
+// one after a panic in the consumer, which is contained whether it strikes
+// on the caller's goroutine (batch 0's emit) or under the fan-out (a
+// condensed batch's).
+func TestSweepAllBuildStoppedLeavesNothing(t *testing.T) {
+	g := gen.Cycle(2000, "a")
+	var c pg.Counters
+	kern := pg.NewKernel(g, pg.FromNFA(g, mustRPQ(t, "a*")), &c)
+	exact := func(after string) {
+		t.Helper()
+		before := c.Snapshot().CondensationsBuilt
+		rows := 0
+		err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part [][2]int) error {
+			for i, pr := range part {
+				if want := [2]int{(rows + i) / 2000, (rows + i) % 2000}; pr != want {
+					t.Fatalf("after %s: row %d is %v, want %v", after, rows+i, pr, want)
+				}
+			}
+			rows += len(part)
+			return nil
+		})
+		if err != nil || rows != 2000*2000 || c.Snapshot().CondensationsBuilt != before+1 {
+			t.Fatalf("after %s: (%d rows, %v), %d condensations; want all %d rows from a condensed call", after, rows, err,
+				c.Snapshot().CondensationsBuilt-before, 2000*2000)
+		}
+	}
+	exact("nothing")
+
+	emitted, armedAt := 0, 0
+	ctx := &canceledWhen{Context: context.Background()}
+	ctx.when = func(polls int) bool { return armedAt > 0 && polls >= armedAt+3 }
+	m := pg.NewMeter(ctx, pg.Budget{}, nil, nil)
+	err := kern.SweepAll(1, m, pg.Plan{}, true, func(part [][2]int) error {
+		emitted += len(part)
+		armedAt = ctx.polls
+		return nil
+	})
+	if !errors.Is(err, pg.ErrCanceled) || emitted != 8*2000 || m.States() != 8*2001 || c.Snapshot().CondensationsBuilt != 1 {
+		t.Fatalf("cancel inside the build: %v, %d rows emitted, %d states, %d condensations; want ErrCanceled after batch 0 alone",
+			err, emitted, m.States(), c.Snapshot().CondensationsBuilt)
+	}
+	exact("a canceled build")
+
+	for _, workers := range []int{1, 4} {
+		for _, strike := range []int{1, 3} { // batch 0's emit, a condensed batch's
+			calls := 0
+			err := kern.SweepAll(workers, nil, pg.Plan{}, true, func([][2]int) error {
+				if calls++; calls == strike {
+					panic("boom")
+				}
+				return nil
+			})
+			var panicked *pg.PanicError
+			if !errors.As(err, &panicked) || panicked.Value != "boom" || len(panicked.Stack) == 0 {
+				t.Fatalf("workers=%d, panic in emit call %d: got %v, want the recovered panic", workers, strike, err)
+			}
+			exact("a panic")
+		}
 	}
 }

@@ -25,6 +25,7 @@ type SweepStats struct {
 	outboxStates int64
 	shardStates  []int64
 	levels       []levelAgg
+	condensed    *CondensedStats // set by the first build
 }
 
 // levelAgg accumulates one BFS depth across every sweep of the query.
@@ -53,6 +54,41 @@ func (ss *SweepStats) RecordSweep(sweeps, states, edges, peak int64) {
 	if peak > ss.peakFrontier {
 		ss.peakFrontier = peak
 	}
+	ss.mu.Unlock()
+}
+
+// RecordCondensation folds one build of a product's condensation into the
+// stats: the states it numbered, the components and DAG edges it found, its
+// largest component, and the adjacency entries it examined, which join the
+// query's edges like any sweep's.
+func (ss *SweepStats) RecordCondensation(states, components, dagEdges, largest, edges int64) {
+	if ss == nil {
+		return
+	}
+	ss.mu.Lock()
+	if ss.condensed == nil {
+		ss.condensed = &CondensedStats{}
+	}
+	ss.edges += edges
+	ss.condensed.States += states
+	ss.condensed.Components += components
+	ss.condensed.DAGEdges += dagEdges
+	ss.condensed.LargestComponent = max(ss.condensed.LargestComponent, largest)
+	ss.mu.Unlock()
+}
+
+// RecordCondensedSweep is RecordSweep for a batch that ran on a
+// condensation RecordCondensation has recorded: it has no levels and no
+// frontier, and its edges are DAG edges examined.
+func (ss *SweepStats) RecordCondensedSweep(sources, states, edges int64) {
+	if ss == nil {
+		return
+	}
+	ss.mu.Lock()
+	ss.sweeps += sources
+	ss.states += states
+	ss.edges += edges
+	ss.condensed.Sources += sources
 	ss.mu.Unlock()
 }
 
@@ -137,6 +173,23 @@ type SweepLevel struct {
 	Unvisited int64 `json:"unvisited"`
 }
 
+// CondensedStats is the part of a query's all-sources work that ran on the
+// condensation of the product instead of the level loop (DESIGN §20). A
+// query with several all-pairs stages sums their builds; LargestComponent
+// is the maximum.
+type CondensedStats struct {
+	// Sources counts the sources swept on a condensation; the rest of
+	// SweepStatsSnapshot.Sweeps ran the level loop and make up Levels.
+	Sources int64 `json:"sources"`
+	// States is the product states reachable from some source, Components
+	// the strongly connected components among them, DAGEdges the distinct
+	// edges between components.
+	States           int64 `json:"states"`
+	Components       int64 `json:"components"`
+	DAGEdges         int64 `json:"dag_edges"`
+	LargestComponent int64 `json:"largest_component"`
+}
+
 // SweepStatsSnapshot is the JSON face of SweepStats: what the annotated
 // plan tree carries. It holds only deterministic fields — counts, sums,
 // and maxima, never wall-clock — so identical runs render identical bytes.
@@ -157,8 +210,14 @@ type SweepStatsSnapshot struct {
 	// so level rows can be audited: a level runs bottom-up when
 	// alpha·discovered > unvisited held at the previous barrier.
 	Alpha int64 `json:"alpha,omitempty"`
-	// Levels is the per-depth breakdown of the sweeps.
+	// Levels is the per-depth breakdown of the sweeps that ran a level
+	// loop: each row's Sweeps counts the sources it aggregates.
 	Levels []SweepLevel `json:"levels,omitempty"`
+	// Condensed is set when an all-sources call of the query condensed its
+	// product: those sources have no levels, their Edges are the build's
+	// adjacency entries once plus DAG edges per batch, and they do not
+	// enter PeakFrontier.
+	Condensed *CondensedStats `json:"condensed,omitempty"`
 	// ShardStates[s] is the states discovered by shard s across sharded
 	// sweeps; OutboxStates is the total states shipped between shards at
 	// level exchanges.
@@ -194,6 +253,10 @@ func (ss *SweepStats) Snapshot() *SweepStatsSnapshot {
 			TopDown:    la.topDown,
 			Unvisited:  la.unvisited,
 		})
+	}
+	if ss.condensed != nil {
+		condensed := *ss.condensed
+		snap.Condensed = &condensed
 	}
 	if len(ss.shardStates) > 0 {
 		snap.ShardStates = append([]int64(nil), ss.shardStates...)

@@ -6,6 +6,7 @@
 package rpq
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -281,11 +282,13 @@ func Size(e Expr) int {
 // Positions bounds the number of Glushkov positions e compiles to once its
 // repetitions are unrolled (Desugar: Min copies and a star, or Max copies),
 // saturating at limit — what a caller checks before compiling text it did
-// not write: `a*++++++++++++` is 4 096 positions from 14 bytes.
+// not write: `a*++++++++++++` is 4 096 positions from 14 bytes. ε is counted
+// as one: it becomes no automaton state, but a repetition unrolls it like
+// anything else, and `(){1,4000000000}` must not pass as empty.
 func Positions(e Expr, limit int) int {
 	n := 0
 	switch e := e.(type) {
-	case Label, NotIn:
+	case Epsilon, Label, NotIn:
 		n = 1
 	case Concat:
 		for _, p := range e.Parts {
@@ -298,12 +301,40 @@ func Positions(e Expr, limit int) int {
 	case Star:
 		n = Positions(e.Sub, limit)
 	case Repeat:
-		n = Positions(e.Sub, limit) * max(e.Min+1, e.Max)
+		// Counts are clamped first: the parser accepts any integer, and the
+		// product must not wrap.
+		n = Positions(e.Sub, limit) * max(min(e.Min, limit)+1, min(e.Max, limit))
 	}
 	if n < 0 || n > limit {
 		return limit
 	}
 	return n
+}
+
+// MaxPositions is the largest automaton, in Glushkov positions, a query that
+// arrives from outside may ask for. Compilation is quadratic in positions —
+// 512 of them under nested stars are 260 000 transitions and 30 ms, 4 096
+// are 16 million and 14 s — and every product built on the automaton is
+// |N| times as large again; hand-written queries have a few dozen.
+const MaxPositions = 512
+
+// ErrTooLarge is wrapped by the error CheckPositions returns.
+var ErrTooLarge = errors.New("rpq: expression too large")
+
+// CheckPositions is what every served path asks before it compiles text it
+// did not write: an error naming the count and the bound when e would
+// compile to more than MaxPositions positions.
+func CheckPositions(e Expr) error {
+	return PositionsError(Positions(e, 1<<30))
+}
+
+// PositionsError is CheckPositions for a count taken elsewhere — twoway has
+// its own syntax tree over the same automata.
+func PositionsError(n int) error {
+	if n <= MaxPositions {
+		return nil
+	}
+	return fmt.Errorf("%w: it unrolls to %d automaton positions, the bound is %d", ErrTooLarge, n, MaxPositions)
 }
 
 // Labels returns the sorted set of labels mentioned in e (including in

@@ -193,6 +193,8 @@ var graphFamilies = []struct {
 		func(g GraphStats) int64 { return g.Runtime.ShardSweeps }},
 	{"gq_runtime_neighbor_tables_built_total", "Per-label neighbor tables built on the graph's version chain; flat across commits that leave the queried labels alone.", "counter",
 		func(g GraphStats) int64 { return g.Runtime.NeighborTablesBuilt }},
+	{"gq_runtime_condensations_built_total", "All-pairs calls that condensed their product graph and finished on its component DAG instead of the level loop.", "counter",
+		func(g GraphStats) int64 { return g.Runtime.CondensationsBuilt }},
 }
 
 // storeGraphFamilies are the per-graph live-store families, each one field

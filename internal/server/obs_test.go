@@ -63,8 +63,9 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 // /v1/statz snapshot — the acceptance criterion that the two views of the
 // server cannot drift.
 func TestMetricsMatchesStatz(t *testing.T) {
-	_, ts := newTestServer(t, Config{}, "bank", "figure5-4")
+	_, ts := newTestServer(t, Config{}, "bank", "figure5-4", "cycle-520")
 
+	post(t, ts, `{"graph":"cycle-520","query":"a*"}`)                          // 200, nine batches: condensed after the first
 	post(t, ts, `{"graph":"bank","query":"Transfer*"}`)                        // 200
 	post(t, ts, `{"graph":"bank","query":"Transfer*"}`)                        // 200, plan-cache hit
 	post(t, ts, `{"graph":"bank","query":"((("}`)                              // 400 invalid_query
@@ -85,7 +86,8 @@ func TestMetricsMatchesStatz(t *testing.T) {
 	metrics := scrapeMetrics(t, ts)
 
 	// Sanity: the batch produced the outcomes it scripted.
-	if statz.Completed != 4 || statz.Errors != 2 || statz.BudgetExceeded != 1 {
+	if statz.Completed != 5 || statz.Errors != 2 || statz.BudgetExceeded != 1 ||
+		statz.Graphs["cycle-520"].Runtime.CondensationsBuilt != 1 || statz.Graphs["bank"].Runtime.CondensationsBuilt != 0 {
 		t.Fatalf("unexpected batch outcome: %+v", statz)
 	}
 
@@ -121,6 +123,8 @@ func TestMetricsMatchesStatz(t *testing.T) {
 			"gq_plan_cache_size":               int64(gs.Cache.Size),
 			"gq_runtime_states_expanded_total": gs.Runtime.StatesExpanded,
 			"gq_runtime_edges_scanned_total":   gs.Runtime.EdgesScanned,
+
+			"gq_runtime_condensations_built_total": gs.Runtime.CondensationsBuilt,
 		}
 		for fam, want := range graphPairs {
 			key := fmt.Sprintf("%s{graph=%q}", fam, name)

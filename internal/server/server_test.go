@@ -119,14 +119,51 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestQueryEndpointRefusesHugeAutomata: fourteen bytes of `a*++++++++++++`
+// unroll to 4 096 Glushkov positions — 16 million transitions, 14 s of
+// compilation. Every served path that compiles an RPQ refuses them as the
+// client's error, naming the count and the bound, before the compiler runs.
+func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, "bank")
+	const huge = "a*++++++++++++"
+	for _, tc := range []struct{ name, body string }{
+		{"rpq", `{"graph":"bank","query":"` + huge + `"}`},
+		{"rpq anchored", `{"graph":"bank","query":"` + huge + `","from":"a1","to":"a2","mode":"shortest"}`},
+		{"crpq atom", `{"graph":"bank","query":"q(x,y) :- Transfer(x,z), ` + huge + `(z,y)"}`},
+		{"2rpq", `{"graph":"bank","lang":"2rpq","query":"(~a)*++++++++++++"}`},
+		{"pmr", `{"graph":"bank","lang":"pmr","query":"` + huge + `","from":"a1","to":"a2","limit":1}`},
+		{"bag", `{"graph":"bank","lang":"bag","query":"` + huge + `"}`},
+		{"repeat count", `{"graph":"bank","query":"(a a a a){1,4611686018427387904}"}`},
+	} {
+		start := time.Now()
+		status, m := post(t, ts, tc.body)
+		elapsed := time.Since(start)
+		if status != http.StatusBadRequest || errorCode(t, m) != "invalid_query" {
+			t.Errorf("%s: status %d, want 400 invalid_query (%v)", tc.name, status, m)
+			continue
+		}
+		msg, _ := m["error"].(map[string]any)["message"].(string)
+		if !strings.Contains(msg, "automaton positions") || !strings.Contains(msg, "the bound is 512") {
+			t.Errorf("%s: message %q does not name the count and the bound", tc.name, msg)
+		}
+		if tc.name != "repeat count" && !strings.Contains(msg, "4096") {
+			t.Errorf("%s: message %q does not name the count", tc.name, msg)
+		}
+		if elapsed > 50*time.Millisecond {
+			t.Errorf("%s: refused after %v, want under 50ms", tc.name, elapsed)
+		}
+	}
+}
+
 // TestQueryEndpointDeadline is the ISSUE acceptance check: a 50ms deadline
 // on an expensive query returns 504 within 2x the deadline. The input is a
-// long cycle: one node per level, so no sweep collapses bottom-up and the
-// all-pairs query takes ~1s.
+// long cycle under a 500-step chain: nothing is shared between sources and
+// nothing condenses, so the all-pairs query spends ~0.5s in the kernel for
+// 20 000 rows.
 func TestQueryEndpointDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{Parallelism: 1}, "cycle-2000")
+	_, ts := newTestServer(t, Config{Parallelism: 1}, "cycle-20000")
 	start := time.Now()
-	status, m := post(t, ts, `{"graph":"cycle-2000","query":"a* a* a*","timeout_ms":50}`)
+	status, m := post(t, ts, `{"graph":"cycle-20000","query":"a{500}","timeout_ms":50}`)
 	elapsed := time.Since(start)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%v)", status, m)
@@ -153,10 +190,11 @@ func TestQueryEndpointRowBudget(t *testing.T) {
 // TestQueryEndpointOverload saturates a 1-slot/1-queue server and checks
 // the third concurrent query is rejected with 429 immediately.
 func TestQueryEndpointOverload(t *testing.T) {
-	// Each slow query holds its slot until its own 500ms deadline: the ~1s
-	// all-pairs sweep of the long cycle cannot finish sooner.
-	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, Parallelism: 1}, "cycle-2000")
-	slow := `{"graph":"cycle-2000","query":"a* a* a*","timeout_ms":500}`
+	// Each slow query holds its slot for about half a second — the all-pairs
+	// sweep of the long cycle under a 500-step chain — or until its 500ms
+	// deadline.
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, Parallelism: 1}, "cycle-20000")
+	slow := `{"graph":"cycle-20000","query":"a{500}","timeout_ms":500}`
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

@@ -17,6 +17,7 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
+	"graphquery/internal/rpq"
 )
 
 // Expr is a 2RPQ expression.
@@ -204,6 +205,39 @@ func desugar(e Expr) Expr {
 	default:
 		panic(fmt.Sprintf("twoway: unknown expression %T", e))
 	}
+}
+
+// CheckPositions is rpq.CheckPositions for a 2RPQ: the refusal a served
+// path gives before compiling an expression of more than rpq.MaxPositions
+// Glushkov positions.
+func CheckPositions(e Expr) error {
+	return rpq.PositionsError(positions(e, 1<<30))
+}
+
+// positions bounds the positions desugar leaves in e, saturating at limit
+// (see rpq.Positions).
+func positions(e Expr, limit int) int {
+	n := 0
+	switch e := e.(type) {
+	case Epsilon, Atom:
+		n = 1
+	case Concat:
+		for _, p := range e.Parts {
+			n += positions(p, limit)
+		}
+	case Union:
+		for _, a := range e.Alts {
+			n += positions(a, limit)
+		}
+	case Star:
+		n = positions(e.Sub, limit)
+	case Repeat:
+		n = positions(e.Sub, limit) * max(min(e.Min, limit)+1, min(e.Max, limit))
+	}
+	if n < 0 || n > limit {
+		return limit
+	}
+	return n
 }
 
 // TTrans is a direction-annotated NFA transition.

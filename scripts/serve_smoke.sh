@@ -215,6 +215,8 @@ sweeps_total=$(printf '%s\n' "$metrics" \
 expect statz-shard-sweeps '"shard_sweeps"' "$(curl -fsS "$base/v1/statz")"
 expect metrics-neighbor-tables 'gq_runtime_neighbor_tables_built_total{graph="grid-50x50"}' "$metrics"
 expect statz-neighbor-tables '"neighbor_tables_built"' "$(curl -fsS "$base/v1/statz")"
+expect metrics-condensations 'gq_runtime_condensations_built_total{graph="grid-50x50"}' "$metrics"
+expect statz-condensations '"condensations_built"' "$(curl -fsS "$base/v1/statz")"
 echo "serve-smoke: ok: shard counters ($sharded_total sharded plans, $sweeps_total shard sweeps)"
 
 # Kill a live gql query: the unified tiers ride the same in-flight
