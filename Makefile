@@ -11,13 +11,17 @@ all: ci
 vet:
 	$(GO) vet ./...
 
-# Static hygiene beyond vet: formatting drift and exported functions no
-# other file references (internal/ packages have no outside importers, so
-# those are dead code).
+# Static hygiene beyond vet: formatting drift, exported functions no other
+# file references (internal/ packages have no outside importers, so those
+# are dead code), and the pair representation the kernel tier left behind:
+# between a sweep and its consumers pairs are pg.Runs (DESIGN §21), and
+# [][2]int is spelled only where the library API returns it.
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	bash scripts/dead_exports.sh
+	@out="$$(grep -n -F '[][2]int' internal/crpq/plan.go $$(ls internal/pg/*.go internal/wcoj/*.go internal/core/*.go | grep -v _test.go) || true)"; \
+		if [ -n "$$out" ]; then echo "[][2]int on the kernel tier (use pg.Runs):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -30,21 +34,22 @@ race:
 
 # One iteration of every benchmark — the root package's experiment rows,
 # the kernel-layer rows in internal/pg, the planner row in internal/pg/plan,
-# the join rows in internal/wcoj, the anchored shortest-path rows in
-# internal/lrpq, the commit and snapshot-read rows in internal/store and the
+# the join rows in internal/wcoj, the CRPQ sweep-stage rows in internal/crpq,
+# the anchored shortest-path rows in internal/lrpq, the commit and snapshot-read rows in internal/store and the
 # served rows (output path, CRPQs, shortest paths, reads after a commit) in
 # internal/server: catches bit-rot in the harnesses without waiting for
 # stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/pg/plan ./internal/wcoj ./internal/lrpq ./internal/store ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/pg/plan ./internal/wcoj ./internal/crpq ./internal/lrpq ./internal/store ./internal/server
 
-# Ten seconds of each fuzz target — the row encoder against encoding/json,
-# the RPQ parser and the engine's all-pairs answer against per-source sweeps,
+# Ten seconds of each fuzz target — the row encoder against encoding/json
+# (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
 # parser and shortest mode against the mode-all definition; the committed
 # corpora alone run with every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRowBatchRuns -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/rpq
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/crpq
 	$(GO) test -run '^$$' -fuzz FuzzShortest -fuzztime 10s ./internal/lrpq

@@ -1,9 +1,9 @@
 // The row encoder: the one place result rows become wire bytes.
 //
-// A RowBatch is a run of rows still in the evaluator's own form — index
-// pairs out of the kernel's all-sources driver, rendered lines, or cell
-// slices — and AppendJSON appends them to a buffer the sink owns, each row
-// as one JSON value. Both serving formats are these bytes: NDJSON puts a
+// A RowBatch is a run of rows still in the evaluator's own form — the runs
+// of index pairs out of the kernel's all-sources driver, rendered lines, or
+// cell slices — and AppendJSON appends them to a buffer the sink owns, each
+// row as one JSON value. Both serving formats are these bytes: NDJSON puts a
 // newline after each row, the buffered body a comma. Nothing per row is
 // boxed, reflected over, or copied into an intermediate row type; the
 // bytes are what encoding/json (SetEscapeHTML(false)) writes for the same
@@ -15,16 +15,22 @@ import (
 	"unicode/utf8"
 
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 )
 
 // RowBatch is a run of result rows of one kind, not yet encoded. Exactly
-// one of pairs, lines and cells is set.
+// one of runs (with its graph), lines and cells is set.
 type RowBatch struct {
 	n     int
 	g     *graph.Graph
-	pairs [][2]int             // kind "pairs": node index pairs, sorted by source
+	runs  pg.Runs              // kind "pairs": a sweep batch as it left the kernel, row i its i-th pair
 	lines func(i int) string   // kinds "paths", "matches", "spans"
 	cells func(i int) []string // kinds "rows", "relation"
+}
+
+// pairBatch is the batch of a sweep's runs over g.
+func pairBatch(g *graph.Graph, runs pg.Runs) RowBatch {
+	return RowBatch{n: runs.Len(), g: g, runs: runs}
 }
 
 // Len returns the number of rows in the batch.
@@ -32,25 +38,27 @@ func (b RowBatch) Len() int { return b.n }
 
 // AppendJSON appends rows [from, to) to dst, each as one JSON value
 // followed by sep, and returns the extended buffer. Pairs are quoted on the
-// fly from the graph's node IDs, and a run of equal sources copies its
-// `["src",` prefix from the first row of the run instead of quoting it
-// again.
+// fly from the graph's node IDs, a run at a time: its `["src",` prefix is
+// quoted once, for the first of its rows in the window, and copied for the
+// rest.
 func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 	switch {
-	case b.pairs != nil:
-		src, p0, p1 := -1, 0, 0
-		for _, pr := range b.pairs[from:to] {
-			if pr[0] != src {
-				src, p0 = pr[0], len(dst)
-				dst = append(dst, '[')
-				dst = appendJSONString(dst, string(b.g.NodeID(src)))
-				dst = append(dst, ',')
-				p1 = len(dst)
-			} else {
-				dst = append(dst, dst[p0:p1]...)
+	case b.g != nil:
+		for i := b.runs.Find(from); from < to; i++ {
+			end := min(int(b.runs.End[i]), to)
+			p0 := len(dst)
+			dst = append(dst, '[')
+			dst = appendJSONString(dst, string(b.g.NodeID(int(b.runs.Src[i]))))
+			dst = append(dst, ',')
+			p1 := len(dst)
+			for j, v := range b.runs.Tgt[from:end] {
+				if j > 0 {
+					dst = append(dst, dst[p0:p1]...)
+				}
+				dst = appendJSONString(dst, string(b.g.NodeID(int(v))))
+				dst = append(dst, ']', sep)
 			}
-			dst = appendJSONString(dst, string(b.g.NodeID(pr[1])))
-			dst = append(dst, ']', sep)
+			from = end
 		}
 	case b.lines != nil:
 		for i := from; i < to; i++ {
@@ -75,9 +83,9 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 // wire returns row i in the form Sink.Row documents.
 func (b RowBatch) wire(i int) any {
 	switch {
-	case b.pairs != nil:
-		pr := b.pairs[i]
-		return [2]string{string(b.g.NodeID(pr[0])), string(b.g.NodeID(pr[1]))}
+	case b.g != nil:
+		src := b.runs.Src[b.runs.Find(i)]
+		return [2]string{string(b.g.NodeID(int(src))), string(b.g.NodeID(int(b.runs.Tgt[i])))}
 	case b.lines != nil:
 		return b.lines(i)
 	default:

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
 	"time"
 
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 )
 
 // jsonLine is the reference: v through a json.Encoder with the service's
@@ -37,27 +39,48 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
-// TestRowBatchAppendJSON: every window of every batch form encodes to what
-// encoding/json writes for the same rows in their Sink.Row form, under
-// both separators — including windows that start inside a run of equal
-// sources, where the `["src",` prefix must be quoted afresh.
-func TestRowBatchAppendJSON(t *testing.T) {
+// awkwardGraph has a node per way an ID can need escaping.
+func awkwardGraph() *graph.Graph {
 	b := graph.NewBuilder()
-	ids := []graph.NodeID{`a"b`, "c\\d", "\n", "<e>", "\xff", "\u2028"}
-	for _, id := range ids {
+	for _, id := range []graph.NodeID{`a"b`, "c\\d", "\n", "<e>", "\xff", "\u2028"} {
 		b.AddNode(id, "", nil)
 	}
-	g := b.MustBuild()
+	return b.MustBuild()
+}
+
+// runsOf lays rows — sorted by source — out as the runs a sweep hands over.
+func runsOf(rows [][2]int) pg.Runs {
+	var runs pg.Runs
+	for i, pr := range rows {
+		if i == 0 || pr[0] != rows[i-1][0] {
+			runs.Src, runs.End = append(runs.Src, int32(pr[0])), append(runs.End, int32(i))
+		}
+		runs.Tgt = append(runs.Tgt, int32(pr[1]))
+		runs.End[len(runs.End)-1]++
+	}
+	return runs
+}
+
+// TestRowBatchAppendJSON: every window of every batch form encodes to what
+// encoding/json writes for the same rows in their Sink.Row form, under
+// both separators — including the windows that start, end, or do both
+// inside a run, where the `["src",` prefix must be quoted afresh, and those
+// that span several runs of different lengths.
+func TestRowBatchAppendJSON(t *testing.T) {
+	g := awkwardGraph()
 	var prs [][2]int
-	for u := range ids {
-		for v := u; v < len(ids); v++ {
+	for u := 0; u < g.NumNodes(); u++ {
+		if u == 2 {
+			continue // a source with no run
+		}
+		for v := u; v < g.NumNodes(); v++ {
 			prs = append(prs, [2]int{u, v})
 		}
 	}
 	lines := []string{"", `q"`, "l\nl", "\x01"}
 	cells := [][]string{{}, {"one"}, {`a"`, "b\\", "\t"}}
 	batches := map[string]RowBatch{
-		"pairs": {n: len(prs), g: g, pairs: prs},
+		"pairs": pairBatch(g, runsOf(prs)),
 		"lines": {n: len(lines), lines: func(i int) string { return lines[i] }},
 		"cells": {n: len(cells), cells: func(i int) []string { return cells[i] }},
 	}
@@ -67,6 +90,11 @@ func TestRowBatchAppendJSON(t *testing.T) {
 				for _, sep := range []byte{'\n', ','} {
 					var want []byte
 					for i := from; i < to; i++ {
+						if name == "pairs" {
+							if got, want := rb.wire(i), [2]string{string(g.NodeID(prs[i][0])), string(g.NodeID(prs[i][1]))}; got != want {
+								t.Fatalf("pairs: row %d is %v, want %v", i, got, want)
+							}
+						}
 						line := jsonLine(t, rb.wire(i))
 						line[len(line)-1] = sep
 						want = append(want, line...)
@@ -78,6 +106,45 @@ func TestRowBatchAppendJSON(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRowBatchRuns: random runs — any number of sources, any run lengths —
+// under a random window and both separators encode to what encoding/json
+// writes for the same rows spelled out as ID pairs.
+func FuzzRowBatchRuns(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(1000))
+	f.Add(int64(2), uint16(3), uint16(4))
+	f.Add(int64(3), uint16(7), uint16(7))
+	g := awkwardGraph()
+	n := g.NumNodes()
+	f.Fuzz(func(t *testing.T, seed int64, from, to uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		var prs [][2]int
+		for u := 0; u < n; u++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			for v := 0; v < n; v++ {
+				if rng.Intn(2) == 0 {
+					prs = append(prs, [2]int{u, v})
+				}
+			}
+		}
+		rb := pairBatch(g, runsOf(prs))
+		lo := min(int(from), len(prs))
+		hi := max(lo, min(int(to), len(prs)))
+		for _, sep := range []byte{'\n', ','} {
+			var want []byte
+			for _, pr := range prs[lo:hi] {
+				line := jsonLine(t, [2]string{string(g.NodeID(pr[0])), string(g.NodeID(pr[1]))})
+				line[len(line)-1] = sep
+				want = append(want, line...)
+			}
+			if got := rb.AppendJSON(nil, lo, hi, sep); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d rows [%d:%d] of %d, sep %q:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, got, want)
+			}
+		}
+	})
 }
 
 // byteSink is a BatchSink that keeps nothing: it encodes every batch into

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"graphquery/internal/crpq"
 	"graphquery/internal/dlrpq"
@@ -275,11 +276,15 @@ func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Tr
 	return resp, nil
 }
 
-// appendPairIDs renders node index pairs to ID pairs against g: the typed
-// result of the pair kinds for a caller with no sink.
-func appendPairIDs(dst [][2]graph.NodeID, g *graph.Graph, prs [][2]int) [][2]graph.NodeID {
-	for _, pr := range prs {
-		dst = append(dst, [2]graph.NodeID{g.NodeID(pr[0]), g.NodeID(pr[1])})
+// appendPairIDs renders a sweep batch's runs to ID pairs against g: the
+// typed result of the pair kinds for a caller with no sink.
+func appendPairIDs(dst [][2]graph.NodeID, g *graph.Graph, part pg.Runs) [][2]graph.NodeID {
+	dst = slices.Grow(dst, part.Len())
+	for i, u := range part.Src {
+		src := g.NodeID(int(u))
+		for _, v := range part.Targets(i) {
+			dst = append(dst, [2]graph.NodeID{src, g.NodeID(int(v))})
+		}
 	}
 	return dst
 }
@@ -287,57 +292,68 @@ func appendPairIDs(dst [][2]graph.NodeID, g *graph.Graph, prs [][2]int) [][2]gra
 // plannedPairs evaluates the endpoint-pair kinds that run on a planned
 // kernel sweep — plain RPQs (family "rpq") and the Cypher fragment
 // ("cypher"); family is the plan-cache namespace, compile its build
-// function, and both produce the same rpqPlan. Pairs leave the fan-out
-// (eval.PairsProductEmit) in result order while sweeps are still running,
-// a batch of node indexes at a time: rendered to IDs and appended to
-// Response.Pairs without a sink, handed to the sink as they are with one
-// (it quotes the IDs against the query's snapshot as it encodes) — where
-// memory per query is O(fan-out window), not O(result), and a blocked sink
-// throttles the worker pool. Delivery runs inside the kernel span's
-// interval but is not kernel time: the span is recorded without it, and
-// the delivery's own stages after it.
+// function, and both produce the same rpqPlan — and delivers them as
+// sweptPairs does.
 func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func(string) (rpqPlan, error), m *eval.Meter, tr *obs.Trace, sink BatchSink) (*Response, error) {
 	plan, err := cached(e, gs, family, query, compile)
 	if err != nil {
 		return nil, badQuery(err)
 	}
 	tr.Set("plan", plan.plan.String())
-	resp := &Response{Kind: "pairs"}
-	g := gs.g
-	emit := func(prs [][2]int) error {
-		resp.Pairs = appendPairIDs(resp.Pairs, g, prs)
+	s0 := m.States()
+	resp, whole, err := sweptPairs(gs.g, m, tr, sink, func(emit func(pg.Runs) error) error {
+		return eval.PairsProductEmit(context.Background(), plan.product,
+			eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
+	})
+	if whole {
+		e.noteKernelActuals(gs, tr, plan, m.States()-s0, m.SweepStatsSink())
+	}
+	return resp, err
+}
+
+// sweptPairs is the delivery of every kind whose result is the pairs of one
+// all-sources sweep. Runs leave the fan-out in result order while sweeps are
+// still running, a batch of node indexes at a time: rendered to IDs and
+// appended to Response.Pairs without a sink, handed to the sink as they are
+// with one (it quotes the IDs against the query's snapshot as it encodes) —
+// where memory per query is O(fan-out window), not O(result), and a blocked
+// sink throttles the worker pool. Delivery runs inside the kernel span's
+// interval but is not kernel time: the span is recorded without it, and
+// the delivery's own stages after it. whole reports that the sweep ran to
+// its end; when a sink stopped it early (a cursor page filled) the response
+// is good but the sweep's counts describe a part of it.
+func sweptPairs(g *graph.Graph, m *eval.Meter, tr *obs.Trace, sink BatchSink, sweep func(emit func(pg.Runs) error) error) (resp *Response, whole bool, err error) {
+	resp = &Response{Kind: "pairs"}
+	emit := func(part pg.Runs) error {
+		resp.Pairs = appendPairIDs(resp.Pairs, g, part)
 		return nil
 	}
 	d := delivery{out: sink}
 	if sink != nil {
 		if err := sink.Begin("pairs", nil); err != nil {
 			if errors.Is(err, ErrStopStream) {
-				return resp, nil
+				return resp, false, nil
 			}
-			return nil, err
+			return nil, false, err
 		}
-		emit = func(prs [][2]int) error {
-			return d.send(RowBatch{n: len(prs), g: g, pairs: prs})
-		}
+		emit = func(part pg.Runs) error { return d.send(pairBatch(g, part)) }
 	}
 	s0, r0 := m.States(), m.Rows()
 	sp := tr.Start("kernel")
-	err = eval.PairsProductEmit(context.Background(), plan.product,
-		eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
+	err = sweep(emit)
 	sp.Counts(m.States()-s0, m.Rows()-r0).Exclude(d.encode + d.wait).End()
 	d.record(tr)
 	resp.Streamed = d.rows
 	if errors.Is(err, ErrStopStream) {
-		// The sink has all it wants (a cursor page filled): the sweep is
-		// partial, so its state count must not audit the plan and its row
-		// count must not reach the feedback store.
-		return resp, nil
+		// The sink has all it wants: the sweep is partial, so its state
+		// count must not audit the plan and its row count must not reach
+		// the feedback store.
+		return resp, false, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	e.noteKernelActuals(gs, tr, plan, m.States()-s0, m.SweepStatsSink())
-	return resp, nil
+	return resp, true, nil
 }
 
 // rowsMeter evaluates a CRPQ on its compiled plan (crpq.Plan), cached per
@@ -456,10 +472,8 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 	return enumerate(func() ([]gpath.PathBinding, error) { return plan.Shortest(meet, limit, m) })
 }
 
-// twoWayPairs evaluates a 2RPQ to endpoint pairs on its compiled kernel.
-// The sweep buffers its index pairs (twoway.PairsKernel); the "enumerate"
-// span then turns them into the result — typed ID pairs without a sink,
-// one batch for the sink's encoder with one.
+// twoWayPairs evaluates a 2RPQ to endpoint pairs on its compiled kernel,
+// swept from every node, and delivers them as sweptPairs does.
 func (e *Engine) twoWayPairs(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, sink BatchSink) (*Response, error) {
 	// The compiled kernel is cached per (revision, query), like an RPQ's
 	// product: parse and compile spans appear only on plan-cache misses.
@@ -480,32 +494,8 @@ func (e *Engine) twoWayPairs(gs *graphState, query string, m *eval.Meter, tr *ob
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	s0, r0 := m.States(), m.Rows()
-	sp := tr.Start("kernel")
-	prs, err := twoway.PairsKernel(kern, m, e.Parallelism)
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
-	if err != nil {
-		return nil, err
-	}
-	resp := &Response{Kind: "pairs"}
-	sp = tr.Start("enumerate")
-	if sink == nil {
-		resp.Pairs = appendPairIDs(nil, gs.g, prs)
-		sp.End()
-		return resp, nil
-	}
-	d := delivery{out: sink}
-	err = sink.Begin("pairs", nil)
-	if err == nil && len(prs) > 0 {
-		err = d.send(RowBatch{n: len(prs), g: gs.g, pairs: prs})
-	}
-	sp.Exclude(d.wait).End()
-	if d.wait > 0 {
-		tr.Add("stream", d.wait)
-	}
-	resp.Streamed = d.rows
-	if err != nil && !errors.Is(err, ErrStopStream) {
-		return nil, err
-	}
-	return resp, nil
+	resp, _, err := sweptPairs(gs.g, m, tr, sink, func(emit func(pg.Runs) error) error {
+		return kern.SweepAll(pg.Workers(e.Parallelism), m, pg.Plan{}, true, emit)
+	})
+	return resp, err
 }

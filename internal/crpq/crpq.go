@@ -483,13 +483,15 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 		kern := eval.CompileProduct(g, rpqExpr).Kernel()
 		var tuples [][]OutValue
 		err := kern.SweepFrom(srcCandidates, eval.Parallelism(opts.Parallelism), opts.Meter, pg.Plan{}, false,
-			func(pairs [][2]int) error {
+			func(part pg.Runs) error {
 				before := len(tuples)
-				for _, pr := range pairs {
-					if sameVar && pr[0] != pr[1] || dstConst >= 0 && pr[1] != dstConst {
-						continue
+				for i, src := range part.Src {
+					for _, tgt := range part.Targets(i) {
+						if sameVar && src != tgt || dstConst >= 0 && int(tgt) != dstConst {
+							continue
+						}
+						tuples = addTuple(tuples, int(src), int(tgt), nil)
 					}
-					tuples = addTuple(tuples, pr[0], pr[1], nil)
 				}
 				return opts.Meter.AddRows(int64(len(tuples) - before))
 			})

@@ -35,9 +35,10 @@ type Plan struct {
 	q *Query
 
 	// The kernel fragment's compilation; atoms is nil outside it.
-	atoms []planAtom
-	nvars int
-	head  []int // the variable number of each head column
+	atoms  []planAtom
+	sweeps []planSweep
+	nvars  int
+	head   []int // the variable number of each head column
 	// dedup is set when the head leaves a variable out: two assignments can
 	// then project to one row.
 	dedup bool
@@ -46,18 +47,31 @@ type Plan struct {
 // planAtom is one conjunct with its ends resolved: a variable number, or
 // -1 and the constant's node.
 type planAtom struct {
-	kern *pg.Kernel
-	x, y int
-	src  []int // the one source to sweep from when x is -1
-	dst  int   // the target to keep when y is -1
+	sweep int // the planSweep whose pairs it reads
+	x, y  int
+	dst   int // the target to keep when y is -1
+}
+
+// binary reports whether the atom joins two distinct variables, so that
+// every pair of its sweep is a tuple of it.
+func (a *planAtom) binary() bool { return a.x >= 0 && a.y >= 0 && a.x != a.y }
+
+// planSweep is one sweep an evaluation runs: a kernel swept from every node
+// or from one constant. Atoms over the same expression and the same kind of
+// source read the one sweep.
+type planSweep struct {
+	kern  *pg.Kernel
+	src   []int // the one source, nil for every node
+	atoms []int // the atoms reading it, in written order
+	rel   bool  // one of them is binary
 }
 
 // Compile validates q and compiles it against g: variables numbered in
 // order of first appearance, constants resolved to nodes, head columns to
-// variable numbers, and one product kernel per distinct atom expression,
+// variable numbers, one product kernel per distinct atom expression —
 // instrumented with c (may be nil) so its sweeps show in the runtime
-// counters. An unknown constant is reported here, in the words the
-// reference uses for it.
+// counters — and one sweep per distinct (kernel, source). An unknown
+// constant is reported here, in the words the reference uses for it.
 func Compile(g *graph.Graph, q *Query, c *pg.Counters) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -76,15 +90,21 @@ func Compile(g *graph.Graph, q *Query, c *pg.Counters) (*Plan, error) {
 		return v
 	}
 	kernels := map[string]*pg.Kernel{}
+	type sweepKey struct {
+		kern *pg.Kernel
+		src  int // -1 for every node
+	}
+	sweeps := map[sweepKey]int{}
 	p.atoms = make([]planAtom, len(q.Atoms))
 	for i, a := range q.Atoms {
 		pa := planAtom{x: -1, y: -1}
+		key := sweepKey{src: -1}
 		if !a.Src.IsConst {
 			pa.x = number(a.Src)
 		} else if n, err := constNode(g, a.Src); err != nil {
 			return nil, fmt.Errorf("atom %d (%s): %w", i, a, err)
 		} else {
-			pa.src = []int{n}
+			key.src = n
 		}
 		if !a.Dst.IsConst {
 			pa.y = number(a.Dst)
@@ -98,10 +118,23 @@ func Compile(g *graph.Graph, q *Query, c *pg.Counters) (*Plan, error) {
 			expr = lrpq.Erase(a.L)
 		}
 		text := expr.String()
-		if pa.kern = kernels[text]; pa.kern == nil {
-			pa.kern = eval.NewProductInstrumented(g, rpq.Compile(expr), c).Kernel()
-			kernels[text] = pa.kern
+		if key.kern = kernels[text]; key.kern == nil {
+			key.kern = eval.NewProductInstrumented(g, rpq.Compile(expr), c).Kernel()
+			kernels[text] = key.kern
 		}
+		var ok bool
+		if pa.sweep, ok = sweeps[key]; !ok {
+			pa.sweep = len(p.sweeps)
+			sweeps[key] = pa.sweep
+			sw := planSweep{kern: key.kern}
+			if key.src >= 0 {
+				sw.src = []int{key.src}
+			}
+			p.sweeps = append(p.sweeps, sw)
+		}
+		sw := &p.sweeps[pa.sweep]
+		sw.atoms = append(sw.atoms, i)
+		sw.rel = sw.rel || pa.binary()
 		p.atoms[i] = pa
 	}
 	p.nvars = len(vars)
@@ -158,64 +191,114 @@ type Swept struct {
 }
 
 // Sweep is the first stage of an evaluation inside the kernel fragment:
-// every atom, in written order, swept on its kernel under opts.Meter — from
-// its constant source, or from every node — and kept as integers in the
-// order the sweep delivers them, which is already (source, target)
-// ascending: a binary relation for two distinct variables, a sorted node
-// set when a constant target or a repeated variable filters the pairs down
-// to one variable (or when the source is the constant). Each relation is
-// charged on the meter as it is delivered, as the reference charges its
-// tuples. Nothing proportional to the graph is allocated or walked for an
-// atom whose source is a constant.
+// every distinct (kernel, source) swept once under opts.Meter — from its
+// constant, or from every node — when the first atom that reads it comes up
+// in written order, its runs (pg.Runs) kept as integers in the order the
+// sweep delivers them, which is already (source, target) ascending: one
+// binary relation shared by every atom over two distinct variables, and per
+// other atom a sorted node set — what a constant target or a repeated
+// variable leaves of the pairs, or the targets of a constant source.
+//
+// The meter is charged per atom, not per sweep: the atom that runs a sweep
+// is charged by it, states as they are visited and its tuples as they are
+// delivered, and every later atom reading the same sweep is charged the
+// same states and its own tuples in one step — what the reference, which
+// sweeps per atom, charges — so a budget trips on the same atom with the
+// same text and a reply's states and rows do not depend on what was shared.
+// The kernel's runtime counters count the sweeps that ran (DESIGN §21).
+// Nothing proportional to the graph is allocated or walked for an atom
+// whose source is a constant.
 func (p *Plan) Sweep(opts Options) (*Swept, error) {
-	m, workers := opts.Meter, eval.Parallelism(opts.Parallelism)
+	m := opts.Meter
 	s := &Swept{p: p, m: m, join: wcoj.Query{NumVars: p.nvars}}
+	outs := make([]atomOut, len(p.atoms))
+	ran := make([]*sweepOut, len(p.sweeps))
 	for i := range p.atoms {
-		a := &p.atoms[i]
-		var rel *wcoj.Rel // two distinct variables: every pair is kept
-		if a.x >= 0 && a.y >= 0 && a.x != a.y {
-			rel = wcoj.NewRel(p.g.NumNodes())
-		}
-		var vals []int32 // otherwise: the variable end of the pairs that pass
-		kept := 0
-		emit := func(pairs [][2]int) error {
-			if rel != nil {
-				rel.Append(pairs)
-				kept += len(pairs)
-				return m.AddRows(int64(len(pairs)))
-			}
-			before := kept
-			for _, pr := range pairs {
-				if a.y < 0 && pr[1] != a.dst || a.x >= 0 && a.x == a.y && pr[0] != pr[1] {
-					continue
-				}
-				kept++
-				if a.x >= 0 {
-					vals = append(vals, int32(pr[0]))
-				} else if a.y >= 0 {
-					vals = append(vals, int32(pr[1]))
-				}
-			}
-			return m.AddRows(int64(kept - before))
-		}
+		a, out := &p.atoms[i], &outs[i]
 		var err error
-		if a.x >= 0 {
-			err = a.kern.SweepAll(workers, m, pg.Plan{}, false, emit)
-		} else {
-			err = a.kern.SweepFrom(a.src, workers, m, pg.Plan{}, false, emit)
+		if sw := ran[a.sweep]; sw == nil {
+			ran[a.sweep], err = p.run(a.sweep, i, outs, m, eval.Parallelism(opts.Parallelism))
+		} else if err = m.Tick(sw.states); err == nil {
+			err = m.AddRows(int64(out.kept))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("atom %d (%s): %w", i, p.q.Atoms[i], err)
 		}
 		switch {
-		case rel != nil:
-			s.join.Atoms = append(s.join.Atoms, wcoj.Atom{Rel: rel, X: a.x, Y: a.y})
+		case a.binary():
+			s.join.Atoms = append(s.join.Atoms, wcoj.Atom{Rel: ran[a.sweep].rel, X: a.x, Y: a.y})
 		case a.x >= 0 || a.y >= 0:
-			s.join.Sets = append(s.join.Sets, wcoj.Set{Vals: vals, X: max(a.x, a.y)})
+			s.join.Sets = append(s.join.Sets, wcoj.Set{Vals: out.vals, X: max(a.x, a.y)})
 		}
-		s.empty = s.empty || kept == 0
+		s.empty = s.empty || out.kept == 0
 	}
 	return s, nil
+}
+
+// atomOut is what one atom keeps of its sweep: the number of tuples, and
+// for an atom that is not binary the variable end of each.
+type atomOut struct {
+	kept int
+	vals []int32
+}
+
+// sweepOut is one sweep that has run: what it ticked on the meter, and the
+// relation of all its pairs if a binary atom reads it.
+type sweepOut struct {
+	states int64
+	rel    *wcoj.Rel
+}
+
+// run runs sweep k on behalf of atom first, the one charged for it as it
+// goes, and fills the outs of every atom that reads it.
+func (p *Plan) run(k, first int, outs []atomOut, m *eval.Meter, workers int) (*sweepOut, error) {
+	sw := &p.sweeps[k]
+	res := &sweepOut{}
+	if sw.rel {
+		res.rel = wcoj.NewRel(p.g.NumNodes())
+	}
+	emit := func(part pg.Runs) error {
+		before := outs[first].kept
+		if res.rel != nil {
+			res.rel.Append(part)
+		}
+		for _, j := range sw.atoms {
+			a, out := &p.atoms[j], &outs[j]
+			switch {
+			case a.binary():
+				out.kept += part.Len()
+			case a.y >= 0 && a.x < 0: // every target of the constant source
+				out.kept += part.Len()
+				out.vals = append(out.vals, part.Tgt...)
+			default: // the sources that reach the constant target, or themselves
+				for i, u := range part.Src {
+					want := u
+					if a.y < 0 {
+						want = int32(a.dst)
+					}
+					if _, ok := slices.BinarySearch(part.Targets(i), want); ok {
+						out.kept++
+						if a.x >= 0 {
+							out.vals = append(out.vals, u)
+						}
+					}
+				}
+			}
+		}
+		return m.AddRows(int64(outs[first].kept - before))
+	}
+	s0 := m.States()
+	var err error
+	if sw.src == nil {
+		err = sw.kern.SweepAll(workers, m, pg.Plan{}, false, emit)
+	} else {
+		err = sw.kern.SweepFrom(sw.src, workers, m, pg.Plan{}, false, emit)
+	}
+	res.states = m.States() - s0
+	if err == nil && res.rel != nil {
+		res.rel.Seal()
+	}
+	return res, err
 }
 
 // Join is the second stage: the relations joined attribute at a time on the

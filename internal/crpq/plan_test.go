@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/lrpq"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
@@ -27,18 +29,31 @@ func served(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	return p.Eval(context.Background(), opts)
 }
 
+// agreeMaxRows bounds what one generated case may charge — every atom's
+// tuples, then the output: the draws that multiply dense relations trip it,
+// in the reference and in the served evaluator alike.
+const agreeMaxRows = 100_000
+
 // agree fails unless the served evaluator and the reference return the same
-// rows in the same order — or the same error — at Parallelism 1 and 2.
+// rows in the same order having charged their meters the same states and
+// rows — or the same error — at Parallelism 1 and 2.
 func agree(t *testing.T, name string, g *graph.Graph, q *Query) {
 	t.Helper()
-	ref, refErr := Eval(g, q, Options{AtomMaxLen: 4, Parallelism: 1})
+	budget := eval.Budget{MaxRows: agreeMaxRows}
+	rm := eval.NewMeter(context.Background(), budget)
+	ref, refErr := EvalCtx(context.Background(), g, q, Options{AtomMaxLen: 4, Parallelism: 1, Meter: rm})
 	for _, par := range []int{1, 2} {
-		got, err := served(g, q, Options{AtomMaxLen: 4, Parallelism: par})
+		m := eval.NewMeter(context.Background(), budget)
+		got, err := served(g, q, Options{AtomMaxLen: 4, Parallelism: par, Meter: m})
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: %s (parallelism %d): served error %v, reference error %v", name, q, par, err, refErr)
 		}
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%s: %s (parallelism %d): served\n%s\nreference\n%s", name, q, par, inOrder(g, got), inOrder(g, ref))
+		}
+		if err == nil && (m.States() != rm.States() || m.Rows() != rm.Rows()) {
+			t.Fatalf("%s: %s (parallelism %d): served charged %d states, %d rows; the reference %d, %d",
+				name, q, par, m.States(), m.Rows(), rm.States(), rm.Rows())
 		}
 	}
 }
@@ -61,9 +76,30 @@ func inOrder(g *graph.Graph, r *Result) string {
 // empty relation (label "none"), starred atoms whose relation holds (v, v),
 // and ℓ-RPQ atoms without list variables all come up; the head is a random
 // selection of the variables used, often dropping some (so rows need
-// dedup), sometimes none, sometimes one twice.
+// dedup), sometimes none, sometimes one twice. A query's atoms draw their
+// expressions from a pool of three, so most queries repeat one: atoms that
+// share a sweep — a self-join entering one relation from both ends, a
+// binary atom beside a filtered one, the same expression from every node
+// and from a constant — are the common case, not a hand-picked one. Beyond
+// 20 nodes only one atom of a query may be dense (a closure or the
+// wildcard, some |N|² pairs): the reference joins pairwise, unmetered, and
+// materializes every intermediate result, so two dense atoms that share no
+// variable are |N|⁴ rows of it.
 func randomQuery(rng *rand.Rand, g *graph.Graph) *Query {
-	exprs := []string{"a", "b", "a", "b", "a*", "a b", "b+", "(a|b)", "a?", "none", "_"}
+	sparse := []string{"a", "b", "a", "b", "a b", "(a|b)", "a?", "none"}
+	all := append([]string{"a*", "b+", "_"}, sparse...)
+	exprs := []string{all[rng.Intn(len(all))], all[rng.Intn(len(all))], all[rng.Intn(len(all))]}
+	dense := 0
+	expr := func() string {
+		e := exprs[rng.Intn(len(exprs))]
+		if slices.Contains(sparse, e) {
+			return e
+		}
+		if dense++; dense > 1 && g.NumNodes() > 20 {
+			return sparse[rng.Intn(len(sparse))]
+		}
+		return e
+	}
 	names := []string{"x", "y", "z", "w"}[:2+rng.Intn(3)]
 	term := func() Term {
 		if rng.Intn(7) == 0 {
@@ -74,7 +110,7 @@ func randomQuery(rng *rand.Rand, g *graph.Graph) *Query {
 	q := &Query{}
 	var used []string
 	for i := 1 + rng.Intn(4); i > 0; i-- {
-		a := Atom{RPQ: rpq.MustParse(exprs[rng.Intn(len(exprs))]), Src: term(), Dst: term()}
+		a := Atom{RPQ: rpq.MustParse(expr()), Src: term(), Dst: term()}
 		if rng.Intn(6) == 0 {
 			a.L, a.RPQ = lrpq.FromRPQ(a.RPQ), nil
 		}
@@ -136,6 +172,7 @@ func TestWCOJAgreesWithEval(t *testing.T) {
 	}
 	graphs["overlay-120"] = overlay
 
+	drawn, shared := 0, 0
 	for name, g := range graphs {
 		for _, qs := range fixed {
 			agree(t, name, g, MustParse(qs))
@@ -147,6 +184,77 @@ func TestWCOJAgreesWithEval(t *testing.T) {
 				t.Fatalf("generator drew an invalid query: %s", q)
 			}
 			agree(t, name, g, q)
+			drawn++
+			if p, err := Compile(g, q, nil); err == nil && len(p.sweeps) < len(p.atoms) {
+				shared++
+			}
+		}
+	}
+	if 4*shared < drawn {
+		t.Errorf("%d of the %d queries drawn share a sweep between atoms: the generator no longer covers sharing", shared, drawn)
+	}
+}
+
+// TestPlanSharesSweeps: an evaluation sweeps each distinct (expression,
+// every node | constant) once — the kernel counters read what those sweeps
+// cost standing alone — while the meter reads what the reference, which
+// sweeps per atom, charges; and the rows are the reference's.
+func TestPlanSharesSweeps(t *testing.T) {
+	g := gen.Random(40, 160, []string{"a", "b"}, 5)
+	type sweep struct {
+		expr string
+		src  string // "" for every node
+	}
+	for _, tc := range []struct {
+		name, query string
+		distinct    []sweep
+	}{
+		{"triangle", "q(x, y, z) :- a(x, y), a(y, z), a(z, x)", []sweep{{"a", ""}}},
+		{"four-cycle", "q(x, y, z, w) :- a(x, y), a(y, z), a(z, w), b(w, x)", []sweep{{"a", ""}, {"b", ""}}},
+		{"chain", "q(x, y, z, w) :- b(x, y), a(y, z), b(z, w)", []sweep{{"b", ""}, {"a", ""}}},
+		{"mixed", "q(x, y) :- a*(x, y), a*(y, y), a*(x, @v7), a*(@v7, y), a*(@v7, x), a*(@v9, y)",
+			[]sweep{{"a*", ""}, {"a*", "v7"}, {"a*", "v9"}}},
+	} {
+		q := MustParse(tc.query)
+		agree(t, tc.name, g, q)
+
+		var alone pg.Counters
+		for _, sw := range tc.distinct {
+			kern := eval.NewProductInstrumented(g, rpq.Compile(rpq.MustParse(sw.expr)), &alone).Kernel()
+			nothing := func(pg.Runs) error { return nil }
+			var err error
+			if sw.src == "" {
+				err = kern.SweepAll(1, nil, pg.Plan{}, false, nothing)
+			} else {
+				u, _ := g.NodeIndex(graph.NodeID(sw.src))
+				err = kern.SweepFrom([]int{u}, 1, nil, pg.Plan{}, false, nothing)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref := eval.NewMeter(context.Background(), eval.Budget{MaxRows: 1 << 40})
+		if _, err := EvalCtx(context.Background(), g, q, Options{Parallelism: 1, Meter: ref}); err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2} {
+			var c pg.Counters
+			p, err := Compile(g, q, &c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := eval.NewMeter(context.Background(), eval.Budget{MaxRows: 1 << 40})
+			if _, err := p.Eval(context.Background(), Options{Parallelism: par, Meter: m}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.Snapshot().StatesExpanded, alone.Snapshot().StatesExpanded; got != want || want == 0 {
+				t.Errorf("%s (parallelism %d): the kernels expanded %d states, the %d distinct sweeps alone %d",
+					tc.name, par, got, len(tc.distinct), want)
+			}
+			if m.States() != ref.States() || m.Rows() != ref.Rows() || m.States() <= c.Snapshot().StatesExpanded {
+				t.Errorf("%s (parallelism %d): meter reads %d states, %d rows; the reference %d, %d (the kernels expanded %d)",
+					tc.name, par, m.States(), m.Rows(), ref.States(), ref.Rows(), c.Snapshot().StatesExpanded)
+			}
 		}
 	}
 }

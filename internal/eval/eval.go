@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"slices"
 	"sort"
 
 	"graphquery/internal/automata"
@@ -60,11 +62,13 @@ func PairsCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, opts Options) ([]
 }
 
 // PairsProductCtx is PairsProduct under a context and budget: the buffered
-// face of PairsProductEmit, whose emit appends. An error voids the result.
+// face of PairsProductEmit, whose emit appends — the boundary where the
+// kernel's runs become the index pairs the library API returns. An error
+// voids the result.
 func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, error) {
 	var out [][2]int
-	err := PairsProductEmit(ctx, p, opts, func(part [][2]int) error {
-		out = append(out, part...)
+	err := PairsProductEmit(ctx, p, opts, func(part pg.Runs) error {
+		out = AppendPairs(out, part)
 		return nil
 	})
 	if err != nil {
@@ -73,36 +77,46 @@ func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, e
 	return out, nil
 }
 
+// AppendPairs appends the (source, target) pairs of part to dst, in order.
+func AppendPairs(dst [][2]int, part pg.Runs) [][2]int {
+	dst = slices.Grow(dst, part.Len())
+	for i, u := range part.Src {
+		for _, v := range part.Targets(i) {
+			dst = append(dst, [2]int{int(u), int(v)})
+		}
+	}
+	return dst
+}
+
 // PairsProductEmit evaluates all pairs through the kernel's all-sources
 // driver (pg.Kernel.SweepAll): sources swept 64 to a batch, batches fanned
 // out over the worker pool, every sweep metered, and the pairs handed to
-// emit in lexicographic order — sources ascending, each source's targets
-// ascending — so the output is byte-identical at any worker count and needs
-// no final sort. The meter is opts.Meter when set (a serving layer sharing
-// one meter across stages), otherwise minted from ctx and opts.Budget.
-// Workers share it, so a canceled context or an exhausted budget stops all
-// of them within one check interval; the pool is always joined before
-// returning.
+// emit as runs (pg.Runs) in lexicographic order — sources ascending, each
+// source's targets ascending — so the output is byte-identical at any
+// worker count and needs no final sort. The meter is opts.Meter when set (a
+// serving layer sharing one meter across stages), otherwise minted from ctx
+// and opts.Budget. Workers share it, so a canceled context or an exhausted
+// budget stops all of them within one check interval; the pool is always
+// joined before returning.
 //
 // Delivery is incremental: emit runs while later batches are still going,
 // memory is bounded by the fan-out's in-flight window — O(window × batch
 // result), not O(total result) — and a blocked emit throttles the worker
-// pool (backpressure). Rows are charged on the meter one at a time as
-// their source is delivered, so a MaxRows budget trips on row MaxRows+1
-// and the rows of every source before the tripping one are already with
-// emit. emit is never called concurrently with itself and owns the slice
-// it is handed; its error stops evaluation and is returned verbatim
-// (serving layers use a sentinel to stop early, e.g. when a cursor page is
-// full).
+// pool (backpressure). Rows are charged on the meter as their batch is
+// delivered, so a MaxRows budget trips on row MaxRows+1 and the rows of
+// every source before the tripping one are already with emit. emit is never
+// called concurrently with itself and owns the runs it is handed; its error
+// stops evaluation and is returned verbatim (serving layers use a sentinel
+// to stop early, e.g. when a cursor page is full).
 //
 // A backward plan cannot deliver incrementally: it sweeps targets on the
 // reversed kernel, so nothing is correctly ordered until every sweep has
-// finished. It collects through the same driver — (target, source) pairs,
-// targets ascending, each target's sources ascending — transposes them into
-// the forward order (the two directions produce the same set, so the
-// sequences are identical) and hands emit everything at once: same order,
-// peak memory O(total result).
-func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(pairs [][2]int) error) error {
+// finished. It collects through the same driver — a run per target, targets
+// ascending, each target's sources ascending — transposes them into the
+// forward order (the two directions produce the same set, so the sequences
+// are identical) and hands emit everything at once: same order, peak memory
+// O(total result).
+func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(pg.Runs) error) error {
 	m := opts.Meter
 	if m == nil {
 		m = NewMeter(ctx, opts.Budget)
@@ -113,38 +127,59 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 		workers = Parallelism(opts.Parallelism)
 	}
 	kern, deliver := p.kern, emit
-	var collected [][2]int
+	var collected []pg.Runs
+	pairs := 0
 	if plan.Backward {
 		kern = p.backward()
-		deliver = func(part [][2]int) error {
-			collected = append(collected, part...)
+		deliver = func(part pg.Runs) error {
+			if pairs += part.Len(); pairs > math.MaxInt32 { // more than one Runs can hold
+				return &pg.BudgetError{Resource: "rows", Limit: math.MaxInt32}
+			}
+			collected = append(collected, part)
 			return nil
 		}
 	}
 	kern.Counters().CountPlan(pg.Plan{Backward: plan.Backward, Workers: workers, Shards: plan.Shards})
 	err := kern.SweepAll(workers, m, plan, true, deliver)
-	if err != nil || len(collected) == 0 {
+	if err != nil || pairs == 0 {
 		return err
 	}
-	return emit(transpose(collected, p.G.NumNodes()))
+	return emit(transpose(collected, pairs, p.G.NumNodes()))
 }
 
-// transpose turns (target, source) pairs ordered by target, then source,
-// into (source, target) pairs ordered by source, then target: one stable
-// counting sort on the source, no comparison — a source's targets are met
-// in ascending order, so they land in ascending order.
-func transpose(pairs [][2]int, nodes int) [][2]int {
-	next := make([]int, nodes+1)
-	for _, pr := range pairs {
-		next[pr[1]+1]++
+// transpose turns runs of (target, sources), targets ascending, into runs
+// of (source, targets), sources ascending: one stable counting sort on the
+// source, no comparison — a source's targets are met in ascending order,
+// so they land in ascending order.
+func transpose(parts []pg.Runs, pairs, nodes int) pg.Runs {
+	next := make([]int32, nodes+1)
+	for _, part := range parts {
+		for _, u := range part.Tgt {
+			next[u+1]++
+		}
 	}
+	k := 0
 	for u := 1; u <= nodes; u++ {
+		if next[u] > 0 {
+			k++
+		}
 		next[u] += next[u-1]
 	}
-	out := make([][2]int, len(pairs))
-	for _, pr := range pairs {
-		out[next[pr[1]]] = [2]int{pr[1], pr[0]}
-		next[pr[1]]++
+	out := pg.NewRuns(k, pairs)
+	k = 0
+	for u := 0; u < nodes; u++ {
+		if next[u+1] > next[u] {
+			out.Src[k], out.End[k] = int32(u), next[u+1]
+			k++
+		}
+	}
+	for _, part := range parts {
+		for i, t := range part.Src {
+			for _, u := range part.Targets(i) {
+				out.Tgt[next[u]] = t
+				next[u]++
+			}
+		}
 	}
 	return out
 }

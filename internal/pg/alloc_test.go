@@ -39,23 +39,40 @@ func TestScratchPoolWarmSweepAllocs(t *testing.T) {
 
 // TestWarmBatchAllocatesOnlyItsResult: the batched loop's slabs, lists and
 // frontier recycle through the package's pool, so one more batch in an
-// all-sources evaluation costs exactly one allocation — its pairs.
+// all-sources evaluation costs its result and nothing else — the runs, four
+// bytes a pair plus a header of two words per source, in at most two
+// allocations. (158 nodes make that batch's result 40 960 bytes, a whole
+// number of pages: the allocator rounds a large object up to one, which on
+// another size would be counted against the batch.)
 func TestWarmBatchAllocatesOnlyItsResult(t *testing.T) {
-	allocs := func(k int) float64 {
-		kern, _ := sweepKernels(t, gen.Clique(k, "a"), "a a*")
-		all := func() {
-			err := kern.SweepAll(1, nil, pg.Plan{}, true, func([][2]int) error { return nil })
+	const nodes = 158
+	kern, _ := sweepKernels(t, gen.Clique(nodes, "a"), "a a*")
+	cost := func(sources int) (allocs, bytes float64) {
+		srcs := make([]int, sources)
+		for i := range srcs {
+			srcs[i] = i
+		}
+		from := func() {
+			err := kern.SweepFrom(srcs, 1, nil, pg.Plan{}, true, func(pg.Runs) error { return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 3; i++ {
-			all()
+			from()
 		}
-		return testing.AllocsPerRun(50, all)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, from)
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one more
 	}
-	if two, three := allocs(72), allocs(136); three-two != 1 {
-		t.Fatalf("two batches allocate %.1f times, three batches %.1f: a warm batch must allocate its result and nothing else", two, three)
+	twoAllocs, twoBytes := cost(72)      // batches of 8 and 64 sources
+	threeAllocs, threeBytes := cost(136) // and one more of 64
+	const pairs = 64 * nodes
+	if n, b := threeAllocs-twoAllocs, threeBytes-twoBytes; n < 1 || n > 2 || b > 4*pairs+1024 {
+		t.Fatalf("a warm batch of %d pairs allocates %.1f times, %.0f bytes; want at most 2 times, %d bytes", pairs, n, b, 4*pairs+1024)
 	}
 }
 

@@ -379,8 +379,7 @@ func (cd *condensation) dag(k *Kernel, mt *Meter) error {
 }
 
 // sweepCondensed is sweepBatch on the condensation: the same sources, the
-// same pairs in the same order, the same states charged. The batch's seen
-// slab is indexed by component rank, and pend — a bitmap over ranks walked
+// same runs, the same states charged. The batch's seen slab is indexed by component rank, and pend — a bitmap over ranks walked
 // by a forward cursor — holds the components a source has reached and that
 // have not been popped. Every DAG edge points to a higher rank, so a
 // component is popped once, after every word that will ever reach it has
@@ -389,7 +388,7 @@ func (cd *condensation) dag(k *Kernel, mt *Meter) error {
 // in steps of CheckInterval, so cancellation and the states budget land
 // within one interval however large the component. Edges are DAG edges
 // examined.
-func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, b *batch, mt *Meter) ([][2]int, error) {
+func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, b *batch, mt *Meter) (Runs, error) {
 	b.reset(len(cd.size), k.g.NumNodes())
 	seen, pend := b.seen, b.pend[:(len(cd.size)+63)/64]
 	nq := k.nq
@@ -461,7 +460,7 @@ sweep:
 	k.c.AddEdges(edges)
 	mt.SweepStatsSink().RecordCondensedSweep(int64(len(srcs)), b.found, edges)
 	if stopErr != nil {
-		return nil, stopErr
+		return Runs{}, stopErr
 	}
-	return b.pairs(srcs), nil
+	return b.runs(srcs, k.g.NumNodes(), b.dense(k.g.NumNodes()))
 }

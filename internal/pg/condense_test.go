@@ -3,6 +3,7 @@ package pg
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -48,15 +49,15 @@ func TestCondenseStopsAtChargedStates(t *testing.T) {
 	k := NewKernel(g, FromNFA(g, nfa), &c)
 
 	m := NewMeter(context.Background(), Budget{MaxStates: 1 << 40}, nil, nil)
-	var got [][2]int
-	if err := k.SweepAll(1, m, Plan{}, true, func(part [][2]int) error { got = append(got, part...); return nil }); err != nil {
+	got := 0
+	if err := k.SweepAll(1, m, Plan{}, true, func(part Runs) error { got += part.Len(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Snapshot().CondensationsBuilt; n != 0 {
 		t.Fatalf("%d condensations built from 648 charged states for a product of 1 200", n)
 	}
-	if want := int64(40*81 + 360*721); m.States() != want || len(got) != 40*40+360*360 {
-		t.Fatalf("level loop after the stopped build: %d states, %d pairs; want %d, %d", m.States(), len(got), want, 40*40+360*360)
+	if want := int64(40*81 + 360*721); m.States() != want || got != 40*40+360*360 {
+		t.Fatalf("level loop after the stopped build: %d states, %d pairs; want %d, %d", m.States(), got, want, 40*40+360*360)
 	}
 
 	cd := getCondensation()
@@ -119,14 +120,14 @@ func TestCondensedBatchSlabsClearOnEntry(t *testing.T) {
 	if len(b.touched) == 0 || !slices.ContainsFunc(b.pend, func(w uint64) bool { return w != 0 }) {
 		t.Fatal("the stopped batch left nothing behind: the fixture no longer tests the reset")
 	}
-	if got, err := k.sweepCondensed(cd, srcs, b, nil); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("condensed batch on a dirty slab: (%d pairs, %v), want %d", len(got), err, len(want))
+	if got, err := k.sweepCondensed(cd, srcs, b, nil); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("condensed batch on a dirty slab: (%d pairs, %v), want %d", got.Len(), err, want.Len())
 	}
 	if _, err := k.sweepCondensed(cd, srcs, b, NewMeter(context.Background(), Budget{MaxStates: 2 * CheckInterval}, nil, nil)); err == nil {
 		t.Fatal("second stop did not trip")
 	}
-	if got, err := k.sweepBatch(srcs, b, nil); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("level-loop batch on a dirty slab: (%d pairs, %v), want %d", len(got), err, len(want))
+	if got, err := k.sweepBatch(srcs, b, nil); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("level-loop batch on a dirty slab: (%d pairs, %v), want %d", got.Len(), err, want.Len())
 	}
 }
 
@@ -139,7 +140,7 @@ func TestStatesBudgetBoundsTheBuild(t *testing.T) {
 	var c Counters
 	k := NewKernel(g, FromNFA(g, rpq.Compile(rpq.MustParse("a*"))), &c)
 	m := NewMeter(context.Background(), Budget{MaxStates: 1000}, nil, nil)
-	err := k.SweepAll(1, m, Plan{}, true, func([][2]int) error { return nil })
+	err := k.SweepAll(1, m, Plan{}, true, func(Runs) error { return nil })
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "states" {
 		t.Fatalf("got %v, want a states BudgetError", err)

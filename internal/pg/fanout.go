@@ -59,16 +59,16 @@ const emitWindowPerWorker = 4
 //
 // Each worker takes its own scratch from newScratch (may be nil when S is
 // unused) and releases it through putScratch (may be nil) when it exits,
-// on error paths too. emit is never called concurrently with itself, and
-// empty parts never reach it. The first error — from fn, from emit, or a
+// on error paths too. emit is never called concurrently with itself; it sees
+// every part, empty ones too. The first error — from fn, from emit, or a
 // panic in either (*PanicError) — stops all workers at their next index
 // and is returned, voiding parts not yet emitted; the pool is always
 // joined before returning, so no goroutine outlives the call. An emitted
-// part must not be retained beyond the emit call if T aliases scratch
+// part must not be retained beyond the emit call if P aliases scratch
 // state (it does not for the value types the runtime fans out). With
 // workers ≤ 1 the call degenerates to the plain sequential loop: fn, emit,
 // repeat.
-func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(S), fn func(i int, sc S) ([]T, error), emit func(part []T) error) (err error) {
+func ForEachEmit[P, S any](n, workers int, newScratch func() S, putScratch func(S), fn func(i int, sc S) (P, error), emit func(part P) error) (err error) {
 	if workers > n {
 		workers = n
 	}
@@ -86,9 +86,6 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 			if err != nil {
 				return err
 			}
-			if len(part) == 0 {
-				continue
-			}
 			if err := emit(part); err != nil {
 				return err
 			}
@@ -100,11 +97,11 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		next     int             // next index to claim
-		emitted  int             // next index to emit
-		done     = map[int][]T{} // finished parts awaiting their turn
-		emitting bool            // one worker at a time drains the ready prefix
-		failed   atomic.Bool     // set under mu; read without it between indexes
+		next     int           // next index to claim
+		emitted  int           // next index to emit
+		done     = map[int]P{} // finished parts awaiting their turn
+		emitting bool          // one worker at a time drains the ready prefix
+		failed   atomic.Bool   // set under mu; read without it between indexes
 		firstErr error
 	)
 	fail := func(err error) {
@@ -175,10 +172,7 @@ func ForEachEmit[T, S any](n, workers int, newScratch func() S, putScratch func(
 						emitting = true
 						delete(done, emitted)
 						mu.Unlock()
-						var emitErr error
-						if len(part) > 0 {
-							emitErr = emit(part)
-						}
+						emitErr := emit(part)
 						mu.Lock()
 						emitting = false
 						if emitErr != nil {

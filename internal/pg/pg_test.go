@@ -155,11 +155,12 @@ func TestForEachEmpty(t *testing.T) {
 
 // TestForEachEmitMatchesForEach: the emitted sequence must be identical to
 // the plain sequential loop's for any worker count, including with the
-// in-flight window exercised, and empty parts are skipped.
+// in-flight window exercised, and every part — empty ones too — reaches emit,
+// once.
 func TestForEachEmitMatchesForEach(t *testing.T) {
 	fn := func(i int, _ struct{}) ([]int, error) {
 		if i%7 == 0 {
-			return nil, nil // empty parts never reach emit
+			return nil, nil
 		}
 		return []int{3 * i, 3*i + 1}, nil
 	}
@@ -170,15 +171,14 @@ func TestForEachEmitMatchesForEach(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 16} {
 		var got []int
+		calls := 0
 		err := pg.ForEachEmit(200, workers, nil, nil, fn, func(part []int) error {
-			if len(part) == 0 {
-				t.Fatal("empty part emitted")
-			}
+			calls++
 			got = append(got, part...)
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if err != nil || calls != 200 {
+			t.Fatalf("workers=%d: %v after %d emits, want all 200", workers, err, calls)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: emitted %v != %v", workers, got, want)

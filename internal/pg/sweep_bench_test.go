@@ -188,19 +188,19 @@ func BenchmarkSweepAll(b *testing.B) {
 					if err != nil {
 						return 0, err
 					}
-					part := make([][2]int, len(vs))
+					part := pg.NewRuns(1, len(vs))
 					for i, v := range vs {
-						part[i] = [2]int{u, v}
+						part.Tgt[i] = int32(v)
 					}
-					pairs += len(part)
+					pairs += part.Len()
 				}
 				return pairs, nil
 			})
 		}
 		run("batched", func() (int, error) {
 			pairs := 0
-			err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part [][2]int) error {
-				pairs += len(part)
+			err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part pg.Runs) error {
+				pairs += part.Len()
 				return nil
 			})
 			return pairs, err

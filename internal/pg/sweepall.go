@@ -1,18 +1,20 @@
 package pg
 
 import (
+	"math"
 	mathbits "math/bits"
 	"slices"
 	"sync"
 )
 
 // This file is the all-sources side of the kernel: the one driver every
-// all-pairs evaluator runs (SweepAll for eval's planned pairs and twoway,
-// SweepFrom for crpq's existence atoms), and the batched loop under it. An
-// all-pairs query is one reachability sweep per source, and the sources
-// share almost all of their edge scans; the batched loop runs up to 64 of
-// them at once, one bit of a machine word each (multi-source BFS à la Then
-// et al.): per product state a word of the sources that have reached it, a
+// all-pairs evaluator runs (SweepAll for eval's planned pairs, twoway and
+// the atoms of a crpq.Plan, SweepFrom for an atom anchored at a constant and
+// for the reference crpq evaluator's existence atoms), the Runs it hands out
+// (runs.go), and the batched loop under it. An all-pairs query is one
+// reachability sweep per source, and the sources share almost all of their
+// edge scans; the batched loop runs up to 64 of them at once, one bit of a
+// machine word each (multi-source BFS à la Then et al.): per product state a word of the sources that have reached it, a
 // frontier of (state, word) entries, and one scan of a state's adjacency
 // advancing every source whose bit is in its frontier word. A single source
 // keeps running Kernel.Sweep — the loop anchored reads always ran. The loop
@@ -137,42 +139,81 @@ func (b *batch) promote() (active uint64) {
 	return active
 }
 
-// pairs renders the batch's result: for each source in order, its targets
-// ascending, as (source, target) pairs in one freshly allocated slice — the
-// only allocation of a warm batch. Walking the hit nodes in ascending order
-// and dealing each to the sources in its word yields every source's targets
-// already sorted, so one sort of the distinct hit nodes replaces a sort per
-// source.
-func (b *batch) pairs(srcs []int) [][2]int {
-	slices.Sort(b.hits)
+// denseHits is the share of the graph's nodes a batch must have hit for runs
+// to find them by walking the acc slab instead of sorting the hit list: the
+// walk reads a word per node and compares nothing, the sort costs some tens
+// of nanoseconds per hit, so below one node in denseHits the list is cheaper.
+const denseHits = 16
+
+// dense reports whether the batch hit enough of the graph's nodes for runs
+// to walk the slab. It is a property of the input — how many distinct nodes
+// the batch's sources reach — so the same call takes the same way every
+// time, on any machine.
+func (b *batch) dense(nodes int) bool { return len(b.hits) >= nodes/denseHits }
+
+// runs renders the batch's result: for each source in order that reached
+// anything, its targets ascending, in one freshly allocated Runs — the only
+// allocation of a warm batch. Meeting the hit nodes in ascending order and
+// dealing each to the sources in its word yields every source's targets
+// already sorted. dense says how they are met: by walking the acc slab from
+// node 0 up, or by sorting the hit list — so that a batch that reached a
+// handful of nodes does not pay O(|N|). The runs are the same either way.
+func (b *batch) runs(srcs []int, nodes int, dense bool) (Runs, error) {
 	var off [batchWidth + 1]int
 	for _, v := range b.hits {
 		for w := b.acc[v]; w != 0; w &= w - 1 {
 			off[mathbits.TrailingZeros64(w)+1]++
 		}
 	}
+	k := 0
 	for i := range srcs {
+		if off[i+1] > 0 {
+			k++
+		}
 		off[i+1] += off[i]
 	}
-	if off[len(srcs)] == 0 {
-		return nil
+	total := off[len(srcs)]
+	if total == 0 {
+		return Runs{}, nil
 	}
-	out := make([][2]int, off[len(srcs)])
+	if total > math.MaxInt32 { // more pairs than a run's int32 offsets address
+		return Runs{}, &BudgetError{Resource: "rows", Limit: math.MaxInt32}
+	}
+	out := NewRuns(k, total)
+	k = 0
+	for i, u := range srcs {
+		if off[i+1] > off[i] {
+			out.Src[k], out.End[k] = int32(u), int32(off[i+1])
+			k++
+		}
+	}
+	tgt := out.Tgt
+	if dense {
+		for v, w := range b.acc[:nodes] {
+			for ; w != 0; w &= w - 1 {
+				i := mathbits.TrailingZeros64(w)
+				tgt[off[i]] = int32(v)
+				off[i]++
+			}
+		}
+		return out, nil
+	}
+	slices.Sort(b.hits)
 	for _, v := range b.hits {
 		for w := b.acc[v]; w != 0; w &= w - 1 {
 			i := mathbits.TrailingZeros64(w)
-			out[off[i]] = [2]int{srcs[i], int(v)}
+			tgt[off[i]] = v
 			off[i]++
 		}
 	}
-	return out
+	return out, nil
 }
 
 // sweepBatch runs the sweep from every node of srcs (at most batchWidth,
-// distinct) at once and returns, for each in order, its (source, target)
-// pairs with targets ascending — what len(srcs) calls of Sweep would
-// return, concatenated. The loop is level-synchronous and top-down only,
-// sequential, and allocates nothing but its result when b is warm.
+// distinct) at once and returns, for each in order, its run of ascending
+// targets — what len(srcs) calls of Sweep would return. The loop is
+// level-synchronous and top-down only, sequential, and allocates nothing but
+// its result when b is warm.
 //
 // One state "visit" is one (source, state) discovery: the meter ticks the
 // popcount of every word of newly arrived sources, so a query's states
@@ -181,10 +222,10 @@ func (b *batch) pairs(srcs []int) [][2]int {
 // entries examined, once per scan however many sources it advanced — the
 // number batching exists to shrink. Cancellation and the states budget are
 // polled every CheckInterval discoveries, as in Sweep.
-func (k *Kernel) sweepBatch(srcs []int, b *batch, mt *Meter) ([][2]int, error) {
+func (k *Kernel) sweepBatch(srcs []int, b *batch, mt *Meter) (Runs, error) {
 	total := k.NumProductStates()
 	if err := checkSweepSize(total, maxBatchStates); err != nil {
-		return nil, err
+		return Runs{}, err
 	}
 	g, nq := k.g, k.nq
 	b.reset(total, g.NumNodes())
@@ -292,9 +333,9 @@ sweep:
 	ss.RecordSweep(int64(len(srcs)), b.found, edges, int64(peak))
 	k.payRent(rented)
 	if stopErr != nil {
-		return nil, stopErr
+		return Runs{}, stopErr
 	}
-	return b.pairs(srcs), nil
+	return b.runs(srcs, g.NumNodes(), b.dense(g.NumNodes()))
 }
 
 // firstBatch is the number of sources in a sweep's first batch. It is
@@ -311,16 +352,16 @@ const firstBatch = 8
 // automaton's shape and batch 0's own count, never from timing or the
 // worker count, so the pairs, their order and every count are the same
 // either way.
-func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
+func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
 	return k.sweepMany(k.g.NumNodes(), func(i int) int { return i }, true, workers, mt, pl, chargeRows, emit)
 }
 
 // SweepFrom runs the sweep from every node of sources — none, if the list
 // is empty — tombstoned nodes skipped, and hands emit the (source, target)
-// pairs: sources in the order given, each source's targets ascending, a
-// call carrying one or more whole sources. Distinct ascending sources
-// therefore arrive in lexicographic order with no final sort, and the
-// sequence is byte-identical at any worker count.
+// pairs as Runs: sources in the order given, each source's targets
+// ascending, a call carrying one or more whole sources and never none.
+// Distinct ascending sources therefore arrive in lexicographic order with
+// no final sort, and the sequence is byte-identical at any worker count.
 //
 // Sources run up to 64 to a batch through the batched loop (the first
 // batch is firstBatch sources), batches fanned out over ForEachEmit's pool
@@ -334,67 +375,69 @@ func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit
 // budget stops all workers within one check interval; the pool is joined
 // before returning. With chargeRows set every pair is a result row of the
 // query and is charged on mt — batches at delivery, in order, a whole batch
-// in one add unless it would trip the budget, that one row by row — so a
-// MaxRows budget trips on row MaxRows+1 with every earlier source already
-// with emit; Sweep charges as it discovers. emit is never
-// called concurrently with itself and owns the slice it is handed; its
-// error stops evaluation and is returned verbatim.
-func (k *Kernel) SweepFrom(sources []int, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
+// in one add unless it would trip the budget, that one up to the tripping
+// row — so a MaxRows budget trips on row MaxRows+1 with every earlier source
+// already with emit; Sweep charges as it discovers. emit is never called
+// concurrently with itself and owns the Runs it is handed; its error stops
+// evaluation and is returned verbatim.
+func (k *Kernel) SweepFrom(sources []int, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
 	return k.sweepMany(len(sources), func(i int) int { return sources[i] }, false, workers, mt, pl, chargeRows, emit)
 }
 
 // sweepMany is the all-sources driver under SweepAll and SweepFrom: the
 // sources are source(0) … source(n-1), and all says they are every node of
 // the graph.
-func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(pairs [][2]int) error) error {
-	g := k.g
-	if n == 1 {
-		return ForEachEmit(1, 1, k.GetScratch, k.PutScratch, func(_ int, sc *Scratch) ([][2]int, error) {
-			u := source(0)
-			if !g.NodeAlive(u) {
-				return nil, nil
-			}
-			vs, err := k.Sweep(u, sc, mt, pl, chargeRows)
-			if err != nil {
-				return nil, err
-			}
-			part := make([][2]int, len(vs))
-			for j, v := range vs {
-				part[j] = [2]int{u, v}
-			}
-			return part, nil
-		}, emit)
-	}
-	if chargeRows && mt != nil {
+func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
+	if chargeRows && mt != nil && n != 1 { // a single source's Sweep charges its own rows
 		deliver := emit
-		emit = func(part [][2]int) error {
-			// A batch that fits under the budget is charged in one add; only
-			// the batch that would trip it is walked row by row, so the
-			// meter stops at MaxRows+1 inside the tripping source.
-			if n := int64(len(part)); mt.maxRows <= 0 || mt.rows.Load()+n <= mt.maxRows {
+		emit = func(part Runs) error {
+			// A batch that fits under the budget is charged in one add; the
+			// batch that would trip it is charged up to the tripping row, so
+			// the meter stops at MaxRows+1 inside the tripping source.
+			left := mt.maxRows - mt.rows.Load()
+			if n := int64(part.Len()); mt.maxRows <= 0 || n <= left {
 				if err := mt.AddRows(n); err != nil {
 					return err
 				}
 				return deliver(part)
 			}
-			for i := range part {
-				if err := mt.AddRows(1); err != nil {
-					// The budget trips inside part[i]'s source: the sources
-					// before it are whole and within budget.
-					whole := i
-					for whole > 0 && part[whole-1][0] == part[i][0] {
-						whole--
-					}
-					if whole > 0 {
-						if err := deliver(part[:whole]); err != nil {
-							return err
-						}
-					}
+			left = max(left, 0)
+			err := mt.AddRows(left + 1)
+			// The budget trips inside the source of row left: the sources
+			// before it are whole and within budget.
+			if whole := part.Head(part.Find(int(left))); whole.Len() > 0 {
+				if err := deliver(whole); err != nil {
 					return err
 				}
 			}
-			return deliver(part)
+			return err
 		}
+	}
+	nonEmpty := emit
+	emit = func(part Runs) error {
+		if part.Len() == 0 {
+			return nil
+		}
+		return nonEmpty(part)
+	}
+	if n == 1 {
+		return ForEachEmit(1, 1, k.GetScratch, k.PutScratch, func(_ int, sc *Scratch) (Runs, error) {
+			u := source(0)
+			if !k.g.NodeAlive(u) {
+				return Runs{}, nil
+			}
+			vs, err := k.Sweep(u, sc, mt, pl, chargeRows)
+			if err != nil || len(vs) == 0 {
+				return Runs{}, err
+			}
+			// vs aliases the scratch; the run is emit's to keep.
+			part := NewRuns(1, len(vs))
+			part.Src[0], part.End[0] = int32(u), int32(len(vs))
+			for j, v := range vs {
+				part.Tgt[j] = int32(v)
+			}
+			return part, nil
+		}, emit)
 	}
 	batches := 0
 	if n > 0 {
@@ -411,11 +454,11 @@ func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, m
 			defer condPool.Put(cd)
 		}
 	}
-	return ForEachEmit(batches-done, workers, getBatch, putBatch, func(bi int, b *batch) ([][2]int, error) {
+	return ForEachEmit(batches-done, workers, getBatch, putBatch, func(bi int, b *batch) (Runs, error) {
 		var buf [batchWidth]int
 		srcs := k.liveSources(bi+done, n, source, &buf)
 		if len(srcs) == 0 {
-			return nil, nil
+			return Runs{}, nil
 		}
 		if cd != nil {
 			return k.sweepCondensed(cd, srcs, b, mt)
@@ -443,7 +486,7 @@ func (k *Kernel) liveSources(bi, n int, source func(int) int, buf *[batchWidth]i
 // the build — and then tries to condense under what the batch was charged.
 // A nil condensation means the call stays on the level loop. It runs on the
 // caller's goroutine, so it contains panics the way the fan-out does.
-func (k *Kernel) probe(n int, source func(int) int, mt *Meter, emit func(pairs [][2]int) error) (cd *condensation, err error) {
+func (k *Kernel) probe(n int, source func(int) int, mt *Meter, emit func(Runs) error) (cd *condensation, err error) {
 	defer recoverTo(func(e error) { cd, err = nil, e })
 	var buf [batchWidth]int
 	var charged int64
@@ -454,10 +497,8 @@ func (k *Kernel) probe(n int, source func(int) int, mt *Meter, emit func(pairs [
 		if err != nil {
 			return nil, err
 		}
-		if len(part) > 0 {
-			if err := emit(part); err != nil {
-				return nil, err
-			}
+		if err := emit(part); err != nil {
+			return nil, err
 		}
 		charged = b.found
 	}

@@ -44,12 +44,31 @@ func perSourcePairs(t *testing.T, kern *pg.Kernel, sources []int, mt *pg.Meter) 
 	return out
 }
 
+// appendPairs spells part's runs out as (source, target) pairs, holding it
+// to what the driver promises of every Runs it emits: at least one run, none
+// empty, each one's targets strictly ascending.
+func appendPairs(dst [][2]int, part pg.Runs) [][2]int {
+	if len(part.Src) == 0 || len(part.End) != len(part.Src) || int(part.End[len(part.End)-1]) != part.Len() {
+		panic(fmt.Sprintf("malformed runs: %d sources, ends %v, %d targets", len(part.Src), part.End, part.Len()))
+	}
+	for i, u := range part.Src {
+		tgts := part.Targets(i)
+		if len(tgts) == 0 || !slices.IsSorted(tgts) || len(slices.Compact(slices.Clone(tgts))) != len(tgts) {
+			panic(fmt.Sprintf("run of source %d: targets %v, want some, strictly ascending", u, tgts))
+		}
+		for _, v := range tgts {
+			dst = append(dst, [2]int{int(u), int(v)})
+		}
+	}
+	return dst
+}
+
 // sweepAllPairs collects the driver's pairs: SweepAll for a nil source list
 // (every node, as in perSourcePairs), SweepFrom otherwise.
 func sweepAllPairs(kern *pg.Kernel, sources []int, workers int, mt *pg.Meter, pl pg.Plan) ([][2]int, error) {
 	var out [][2]int
-	emit := func(part [][2]int) error {
-		out = append(out, part...)
+	emit := func(part pg.Runs) error {
+		out = appendPairs(out, part)
 		return nil
 	}
 	if sources == nil {
@@ -355,7 +374,7 @@ func TestSweepFromEmptyList(t *testing.T) {
 	kern, _ := sweepKernels(t, gen.Clique(12, "a"), "a*")
 	for _, sources := range [][]int{nil, {}} {
 		m := pg.NewMeter(context.Background(), pg.Budget{}, nil, nil)
-		err := kern.SweepFrom(sources, 2, m, pg.Plan{}, true, func(part [][2]int) error {
+		err := kern.SweepFrom(sources, 2, m, pg.Plan{}, true, func(part pg.Runs) error {
 			t.Fatalf("empty source list emitted %v", part)
 			return nil
 		})
@@ -368,13 +387,11 @@ func TestSweepFromEmptyList(t *testing.T) {
 // collectSources runs the driver under mt and returns the sources whose
 // pairs reached emit, in order, with the row count.
 func collectSources(kern *pg.Kernel, workers int, mt *pg.Meter) (sources []int, rows int, err error) {
-	err = kern.SweepAll(workers, mt, pg.Plan{}, true, func(part [][2]int) error {
-		for _, pr := range part {
-			if len(sources) == 0 || sources[len(sources)-1] != pr[0] {
-				sources = append(sources, pr[0])
-			}
+	err = kern.SweepAll(workers, mt, pg.Plan{}, true, func(part pg.Runs) error {
+		for _, u := range part.Src {
+			sources = append(sources, int(u))
 		}
-		rows += len(part)
+		rows += part.Len()
 		return nil
 	})
 	return sources, rows, err
@@ -546,13 +563,13 @@ func TestSweepAllBuildStoppedLeavesNothing(t *testing.T) {
 		t.Helper()
 		before := c.Snapshot().CondensationsBuilt
 		rows := 0
-		err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part [][2]int) error {
-			for i, pr := range part {
+		err := kern.SweepAll(1, nil, pg.Plan{}, true, func(part pg.Runs) error {
+			for i, pr := range appendPairs(nil, part) {
 				if want := [2]int{(rows + i) / 2000, (rows + i) % 2000}; pr != want {
 					t.Fatalf("after %s: row %d is %v, want %v", after, rows+i, pr, want)
 				}
 			}
-			rows += len(part)
+			rows += part.Len()
 			return nil
 		})
 		if err != nil || rows != 2000*2000 || c.Snapshot().CondensationsBuilt != before+1 {
@@ -566,8 +583,8 @@ func TestSweepAllBuildStoppedLeavesNothing(t *testing.T) {
 	ctx := &canceledWhen{Context: context.Background()}
 	ctx.when = func(polls int) bool { return armedAt > 0 && polls >= armedAt+3 }
 	m := pg.NewMeter(ctx, pg.Budget{}, nil, nil)
-	err := kern.SweepAll(1, m, pg.Plan{}, true, func(part [][2]int) error {
-		emitted += len(part)
+	err := kern.SweepAll(1, m, pg.Plan{}, true, func(part pg.Runs) error {
+		emitted += part.Len()
 		armedAt = ctx.polls
 		return nil
 	})
@@ -580,7 +597,7 @@ func TestSweepAllBuildStoppedLeavesNothing(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, strike := range []int{1, 3} { // batch 0's emit, a condensed batch's
 			calls := 0
-			err := kern.SweepAll(workers, nil, pg.Plan{}, true, func([][2]int) error {
+			err := kern.SweepAll(workers, nil, pg.Plan{}, true, func(pg.Runs) error {
 				if calls++; calls == strike {
 					panic("boom")
 				}

@@ -158,9 +158,11 @@ func kernelFor(g *graph.Graph, q string, c *Counters) *Kernel {
 func sweepAnswers(g *graph.Graph, q string, c *Counters) ([]string, error) {
 	k := kernelFor(g, q, c)
 	var out []string
-	err := k.SweepAll(1, nil, Plan{}, false, func(prs [][2]int) error {
-		for _, pr := range prs {
-			out = append(out, string(g.NodeID(pr[0]))+" "+string(g.NodeID(pr[1])))
+	err := k.SweepAll(1, nil, Plan{}, false, func(part Runs) error {
+		for i, u := range part.Src {
+			for _, v := range part.Targets(i) {
+				out = append(out, string(g.NodeID(int(u)))+" "+string(g.NodeID(int(v))))
+			}
 		}
 		return nil
 	})
@@ -211,7 +213,7 @@ func TestTablesSharedAlongChain(t *testing.T) {
 	v0 := gen.ScaleFree(300, 3, 5)
 	k0 := kernelFor(v0, q, c)
 	for i := 0; i < 2 && rentedSlots(k0) > 0; i++ {
-		if err := k0.SweepAll(1, nil, Plan{}, false, func([][2]int) error { return nil }); err != nil {
+		if err := k0.SweepAll(1, nil, Plan{}, false, func(Runs) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +365,7 @@ func TestMeteringAlikeOnRentedAndSharedTables(t *testing.T) {
 	nfa := rpq.Compile(rpq.MustParse(q))
 	shared := gen.ScaleFree(1500, 3, 4)
 	buyer := NewKernel(shared, FromNFA(shared, nfa), nil)
-	if err := buyer.SweepAll(1, nil, Plan{}, false, func([][2]int) error { return nil }); err != nil {
+	if err := buyer.SweepAll(1, nil, Plan{}, false, func(Runs) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
@@ -390,7 +392,7 @@ func TestMeteringAlikeOnRentedAndSharedTables(t *testing.T) {
 			mt := NewMeter(tc.ctx, tc.budget, nil, nil)
 			var err error
 			if batched {
-				err = k.SweepAll(1, mt, Plan{}, true, func([][2]int) error { return nil })
+				err = k.SweepAll(1, mt, Plan{}, true, func(Runs) error { return nil })
 			} else {
 				_, err = k.Sweep(11, k.NewScratch(), mt, Plan{}, true)
 			}
@@ -418,7 +420,7 @@ func TestSparseDirtyLabelIsBoughtBack(t *testing.T) {
 	nfa := rpq.Compile(rpq.MustParse("a* z"))
 	sweepAll := func(k *Kernel) {
 		t.Helper()
-		if err := k.SweepAll(1, nil, Plan{}, false, func([][2]int) error { return nil }); err != nil {
+		if err := k.SweepAll(1, nil, Plan{}, false, func(Runs) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

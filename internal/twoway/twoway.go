@@ -426,7 +426,8 @@ func PairsMeter(g *graph.Graph, e Expr, m *eval.Meter) ([][2]int, error) {
 // PairsMeterOpt is PairsMeter with explicit runtime options: the fan-out
 // degree (output is identical at any parallelism) and runtime counters. It
 // compiles a kernel per call; a caller that evaluates one query repeatedly
-// compiles it once with Kernel and runs PairsKernel.
+// compiles it once with Kernel and runs PairsKernel — or, to have the pairs
+// as they are found rather than collected, the kernel's SweepAll.
 func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]int, error) {
 	return PairsKernel(Kernel(g, e, opts.Counters), m, opts.Parallelism)
 }
@@ -434,13 +435,14 @@ func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]in
 // PairsKernel evaluates the all-pairs semantics of a compiled 2RPQ kernel
 // (see Kernel) through the runtime's all-sources driver: pairs arrive
 // sources ascending, each source's targets ascending, so the output is
-// lexicographically sorted by construction. Every pair is a result row:
-// rows are charged one at a time in that order, so a MaxRows budget trips
-// on row MaxRows+1.
+// lexicographically sorted by construction. Every pair is a result row,
+// charged in that order, so a MaxRows budget trips on row MaxRows+1. It is
+// the collecting face of that driver for the library API: the runs become
+// index pairs here.
 func PairsKernel(kern *pg.Kernel, m *eval.Meter, parallelism int) ([][2]int, error) {
 	var out [][2]int
-	err := kern.SweepAll(pg.Workers(parallelism), m, pg.Plan{}, true, func(part [][2]int) error {
-		out = append(out, part...)
+	err := kern.SweepAll(pg.Workers(parallelism), m, pg.Plan{}, true, func(part pg.Runs) error {
+		out = eval.AppendPairs(out, part)
 		return nil
 	})
 	if err != nil {

@@ -11,19 +11,20 @@ import (
 
 // BenchmarkJoin is the join alone, over pre-swept relations: the four
 // shapes of bench/'s cyclic-crpq workload on scalefree-800, each iteration
-// building its relations from the kept sweep output (offsets, and whatever
+// building its relations — one per distinct expression, as crpq.Plan does —
+// from the kept sweep output (the exact-size copy, offsets, and whatever
 // target-major index the order needs) and enumerating every assignment.
-// The sweeps that produce the pairs are outside the loop.
+// The sweeps that produce the runs are outside the loop.
 func BenchmarkJoin(b *testing.B) {
 	g, err := gen.Named("scalefree-800")
 	if err != nil {
 		b.Fatal(err)
 	}
-	swept := map[string][][2]int{}
+	swept := map[string][]pg.Runs{}
 	for _, expr := range []string{"a", "b", "a a"} {
 		kern := eval.CompileProduct(g, rpq.MustParse(expr)).Kernel()
-		err := kern.SweepAll(1, nil, pg.Plan{}, false, func(pairs [][2]int) error {
-			swept[expr] = append(swept[expr], pairs...)
+		err := kern.SweepAll(1, nil, pg.Plan{}, false, func(part pg.Runs) error {
+			swept[expr] = append(swept[expr], part)
 			return nil
 		})
 		if err != nil {
@@ -48,9 +49,17 @@ func BenchmarkJoin(b *testing.B) {
 			rows := 0
 			for i := 0; i < b.N; i++ {
 				q := &Query{}
+				rels := map[string]*Rel{}
 				for _, a := range c.atoms {
-					r := NewRel(g.NumNodes())
-					r.Append(swept[a.expr])
+					r := rels[a.expr]
+					if r == nil {
+						r = NewRel(g.NumNodes())
+						for _, part := range swept[a.expr] {
+							r.Append(part)
+						}
+						r.Seal()
+						rels[a.expr] = r
+					}
 					q.Atoms = append(q.Atoms, Atom{r, a.x, a.y})
 					q.NumVars = max(q.NumVars, a.x+1, a.y+1)
 				}

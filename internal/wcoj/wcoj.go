@@ -42,13 +42,16 @@ func (ix *index) keys() []int32 {
 }
 
 // Rel is a binary relation over the node indexes [0, n), built from the
-// batches of one all-sources sweep. The source-major index is the sweep's
-// own output order; the target-major one is built, by counting sort, the
-// first time a join enters the relation from its target side. A Rel
-// belongs to one evaluation and is not safe for concurrent use.
+// batches of one all-sources sweep: Append per batch, then Seal. The
+// source-major index is the sweep's own output order; the target-major one
+// is built, by counting sort, the first time a join enters the relation
+// from its target side. A Rel belongs to one evaluation — whose atoms over
+// the same expression all join on the one Rel, from either end — and is not
+// safe for concurrent use.
 type Rel struct {
 	fwd, rev index // rev.off is nil until byTarget builds it
-	sealed   bool
+	parts    []pg.Runs
+	n        int
 }
 
 // NewRel returns an empty relation over the nodes [0, n). Its offsets are
@@ -58,26 +61,30 @@ func NewRel(n int) *Rel {
 	return &Rel{fwd: index{off: make([]int32, n+1)}}
 }
 
-// Append adds one batch of (source, target) pairs. Across all calls the
-// pairs must be distinct and ascending by source then target — the order
+// Append adds one batch of runs, which the relation keeps until Seal. Across
+// all calls the sources must be distinct and ascending — the order
 // pg.Kernel.SweepAll delivers them in.
-func (r *Rel) Append(pairs [][2]int) {
-	r.fwd.vals = slices.Grow(r.fwd.vals, len(pairs))
-	for _, p := range pairs {
-		r.fwd.vals = append(r.fwd.vals, int32(p[1]))
-		r.fwd.off[p[0]+1]++
-	}
+func (r *Rel) Append(part pg.Runs) {
+	r.parts = append(r.parts, part)
+	r.n += part.Len()
 }
 
 // Len returns the number of pairs.
-func (r *Rel) Len() int { return len(r.fwd.vals) }
+func (r *Rel) Len() int { return r.n }
 
-// seal turns the per-source counts Append left in the offsets into offsets.
-func (r *Rel) seal() {
-	if r.sealed {
-		return
+// Seal ends the appends and must precede the first join: it moves the
+// batches into the index, their targets copied, a batch at a time, into one
+// slice of exactly the relation's size, and a run's length written at its
+// source, then summed into offsets.
+func (r *Rel) Seal() {
+	r.fwd.vals = make([]int32, 0, r.n)
+	for _, part := range r.parts {
+		r.fwd.vals = append(r.fwd.vals, part.Tgt...)
+		for i, u := range part.Src {
+			r.fwd.off[u+1] = int32(len(part.Targets(i)))
+		}
 	}
-	r.sealed = true
+	r.parts = nil
 	for u := 1; u < len(r.fwd.off); u++ {
 		r.fwd.off[u] += r.fwd.off[u-1]
 	}
@@ -158,9 +165,6 @@ type step struct {
 // source end, where the index already exists. Ties go to written order, so
 // the order is a function of the query and the relations alone.
 func (q *Query) plan() []step {
-	for _, a := range q.Atoms {
-		a.Rel.seal()
-	}
 	bound := make([]bool, q.NumVars)
 	steps := make([]step, 0, q.NumVars)
 	for len(steps) < q.NumVars {

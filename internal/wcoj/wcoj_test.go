@@ -23,10 +23,28 @@ func relOf(n int, pairs ...[2]int) *Rel {
 		for k < len(ps) && ps[k][0] == ps[k-1][0] {
 			k++ // a batch carries whole sources
 		}
-		r.Append(ps[:k])
+		r.Append(runsOf(ps[:k]))
 		ps = ps[k:]
 	}
+	r.Seal()
 	return r
+}
+
+// runsOf is one batch of sorted, distinct pairs as the runs a sweep hands
+// out.
+func runsOf(ps [][2]int) pg.Runs {
+	var part pg.Runs
+	for i, p := range ps {
+		if i == 0 || p[0] != ps[i-1][0] {
+			part.Src, part.End = append(part.Src, int32(p[0])), append(part.End, 0)
+		}
+		part.Tgt = append(part.Tgt, int32(p[1]))
+		part.End[len(part.End)-1]++
+	}
+	for i := 1; i < len(part.End); i++ {
+		part.End[i] += part.End[i-1]
+	}
+	return part
 }
 
 // rows collects the assignments of q, sorted.
@@ -202,7 +220,6 @@ func TestRelLen(t *testing.T) {
 	if r.Len() != 4 {
 		t.Errorf("Len = %d, want 4", r.Len())
 	}
-	r.seal()
 	if got := r.fwd.run(0); !slices.Equal(got, []int32{1, 3}) {
 		t.Errorf("targets of 0 = %v, want [1 3]", got)
 	}
