@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test race bench-smoke fuzz-smoke serve-smoke ci
+.PHONY: all vet lint build test race bench-smoke fuzz-smoke serve-smoke profile-served ci
 
 all: ci
 
@@ -15,13 +15,17 @@ vet:
 # file references (internal/ packages have no outside importers, so those
 # are dead code), and the pair representation the kernel tier left behind:
 # between a sweep and its consumers pairs are pg.Runs (DESIGN §21), and
-# [][2]int is spelled only where the library API returns it.
+# [][2]int is spelled only where the library API returns it. The all-sources
+# driver meets a batch's hits in order through a bitmap (DESIGN §22): a sort
+# in internal/pg/sweepall.go is the per-batch cost that was deleted.
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	bash scripts/dead_exports.sh
 	@out="$$(grep -n -F '[][2]int' internal/crpq/plan.go $$(ls internal/pg/*.go internal/wcoj/*.go internal/core/*.go | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "[][2]int on the kernel tier (use pg.Runs):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n -E 'slices\.Sort|sort\.' internal/pg/sweepall.go || true)"; \
+		if [ -n "$$out" ]; then echo "a sort in the all-sources driver (hits are met through the batch's bitmap):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -33,6 +37,7 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark — the root package's experiment rows,
+# Build and its quoted-ID arena in internal/graph,
 # the kernel-layer rows in internal/pg, the planner row in internal/pg/plan,
 # the join rows in internal/wcoj, the CRPQ sweep-stage rows in internal/crpq,
 # the anchored shortest-path rows in internal/lrpq, the commit and snapshot-read rows in internal/store and the
@@ -40,7 +45,7 @@ race:
 # internal/server: catches bit-rot in the harnesses without waiting for
 # stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pg ./internal/pg/plan ./internal/wcoj ./internal/crpq ./internal/lrpq ./internal/store ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/graph ./internal/pg ./internal/pg/plan ./internal/wcoj ./internal/crpq ./internal/lrpq ./internal/store ./internal/server
 
 # Ten seconds of each fuzz target — the row encoder against encoding/json
 # (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
@@ -59,5 +64,13 @@ fuzz-smoke:
 # graceful shutdown drains an in-flight query.
 serve-smoke:
 	GO="$(GO)" bash scripts/serve_smoke.sh
+
+# Where a served workload's daemon CPU goes: start gqserverd with graph W and
+# -debug-addr, replay the request bodies of file Q in a closed loop for 15 s,
+# and print the top of a 10 s CPU profile taken inside it, e.g.
+#   make profile-served W=scalefree-20000 Q=scripts/short_reads.jsonl
+# (a 20-op block in the mix of bench/'s short-reads).
+profile-served:
+	GO="$(GO)" bash scripts/profile_served.sh "$(W)" "$(Q)"
 
 ci: lint build test race bench-smoke fuzz-smoke serve-smoke

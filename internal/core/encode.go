@@ -12,7 +12,6 @@ package core
 
 import (
 	"time"
-	"unicode/utf8"
 
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
@@ -37,10 +36,11 @@ func pairBatch(g *graph.Graph, runs pg.Runs) RowBatch {
 func (b RowBatch) Len() int { return b.n }
 
 // AppendJSON appends rows [from, to) to dst, each as one JSON value
-// followed by sep, and returns the extended buffer. Pairs are quoted on the
-// fly from the graph's node IDs, a run at a time: its `["src",` prefix is
-// quoted once, for the first of its rows in the window, and copied for the
-// rest.
+// followed by sep, and returns the extended buffer. A pair's two names are
+// copied from the literals the graph quoted when it was built
+// (graph.AppendNodeIDJSON; only a node an overlay added since is escaped
+// here), a run at a time: its `["src",` prefix is written once, for the first
+// of its rows in the window, and copied for the rest.
 func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 	switch {
 	case b.g != nil:
@@ -48,21 +48,21 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 			end := min(int(b.runs.End[i]), to)
 			p0 := len(dst)
 			dst = append(dst, '[')
-			dst = appendJSONString(dst, string(b.g.NodeID(int(b.runs.Src[i]))))
+			dst = b.g.AppendNodeIDJSON(dst, int(b.runs.Src[i]))
 			dst = append(dst, ',')
 			p1 := len(dst)
 			for j, v := range b.runs.Tgt[from:end] {
 				if j > 0 {
 					dst = append(dst, dst[p0:p1]...)
 				}
-				dst = appendJSONString(dst, string(b.g.NodeID(int(v))))
+				dst = b.g.AppendNodeIDJSON(dst, int(v))
 				dst = append(dst, ']', sep)
 			}
 			from = end
 		}
 	case b.lines != nil:
 		for i := from; i < to; i++ {
-			dst = appendJSONString(dst, b.lines(i))
+			dst = graph.AppendJSONString(dst, b.lines(i))
 			dst = append(dst, sep)
 		}
 	default:
@@ -72,7 +72,7 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 				if j > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendJSONString(dst, c)
+				dst = graph.AppendJSONString(dst, c)
 			}
 			dst = append(dst, ']', sep)
 		}
@@ -122,59 +122,4 @@ func (a rowAdapter) Batch(b RowBatch) (int, time.Duration, error) {
 		}
 	}
 	return b.n, 0, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, byte for byte what
-// encoding/json writes with SetEscapeHTML(false): `"` and `\` backslashed,
-// \b \f \n \r \t by their short escapes, other control bytes below 0x20 as
-// \u00XX, each byte of invalid UTF-8 as \ufffd, U+2028 and U+2029 as
-// \u2028 and \u2029, everything else — DEL and `<>&` included — verbatim.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b >= ' ' && b != '"' && b != '\\' && b < utf8.RuneSelf {
-			i++
-			continue
-		}
-		if b < utf8.RuneSelf {
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xf])
-			start = i + size
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

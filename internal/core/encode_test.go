@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,9 +33,9 @@ func FuzzAppendJSONString(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		got := append(appendJSONString([]byte("x"), s), '\n')
+		got := append(graph.AppendJSONString([]byte("x"), s), '\n')
 		if want := jsonLine(t, s); !bytes.Equal(got[1:], want) || got[0] != 'x' {
-			t.Fatalf("appendJSONString(%q) = %q, encoding/json writes %q", s, got[1:], want)
+			t.Fatalf("AppendJSONString(%q) = %q, encoding/json writes %q", s, got[1:], want)
 		}
 	})
 }
@@ -108,16 +109,46 @@ func TestRowBatchAppendJSON(t *testing.T) {
 	}
 }
 
+// namedGraph is a graph whose nodes are the distinct names in names, split
+// at '|': the first half built into the base — quoted into its arena — and
+// the rest added by an overlay, which the encoder must quote itself.
+func namedGraph(t testing.TB, names string) *graph.Graph {
+	t.Helper()
+	seen := map[string]bool{}
+	var ids []string
+	for _, id := range strings.Split(names, "|") {
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	b := graph.NewBuilder()
+	var added []graph.Mutation
+	for i, id := range ids {
+		if i <= len(ids)/2 || id == "" { // Apply refuses the empty ID; Build takes it
+			b.AddNode(graph.NodeID(id), "", nil)
+		} else {
+			added = append(added, graph.Mutation{Op: graph.MutAddNode, ID: id})
+		}
+	}
+	g, err := b.MustBuild().Apply(added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // FuzzRowBatchRuns: random runs — any number of sources, any run lengths —
-// under a random window and both separators encode to what encoding/json
-// writes for the same rows spelled out as ID pairs.
+// over nodes the fuzzer named, some in the base's arena and some added by an
+// overlay, under a random window and both separators encode to what
+// encoding/json writes for the same rows spelled out as ID pairs.
 func FuzzRowBatchRuns(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(1000))
-	f.Add(int64(2), uint16(3), uint16(4))
-	f.Add(int64(3), uint16(7), uint16(7))
-	g := awkwardGraph()
-	n := g.NumNodes()
-	f.Fuzz(func(t *testing.T, seed int64, from, to uint16) {
+	f.Add(int64(1), uint16(0), uint16(1000), `a"b|c\\d|`+"\n|<e>|\xff|\u2028")
+	f.Add(int64(2), uint16(3), uint16(4), "n0|n1|n2|n3|n4|n5|n6")
+	f.Add(int64(3), uint16(7), uint16(7), "|x|"+"\x00"+"|\u2029|q\"")
+	f.Fuzz(func(t *testing.T, seed int64, from, to uint16, names string) {
+		g := namedGraph(t, names)
+		n := g.NumNodes()
 		rng := rand.New(rand.NewSource(seed))
 		var prs [][2]int
 		for u := 0; u < n; u++ {

@@ -91,6 +91,11 @@ type Graph struct {
 	// shared by every version Apply derives from it.
 	neighbors *neighborTables
 
+	// quoted holds the IDs of the base's nodes as JSON string literals
+	// (quoted.go): built by Build, shared down the chain the same way, and
+	// never written afterwards.
+	quoted quotedIDs
+
 	// ov, when non-nil, layers a mutation delta over the materialized base
 	// of this graph's version chain (see overlay.go): the dense slices above
 	// are extended past the base's length, the maps and CSR indexes remain
@@ -134,7 +139,8 @@ func (g *Graph) Node(i int) Node {
 }
 
 // NodeID returns the ID of the node with dense index i — Node(i).ID without
-// the copy and the overlay property lookup, for result rendering.
+// the copy and the overlay property lookup. Rows bound for the wire take
+// AppendNodeIDJSON instead.
 func (g *Graph) NodeID(i int) NodeID { return g.nodes[i].ID }
 
 // Edge returns the edge with dense index i.
@@ -477,8 +483,8 @@ func (b *Builder) AddEdge(id EdgeID, label string, src, tgt NodeID, props Props)
 }
 
 // Build finalizes the graph, computing adjacency indexes: the dense out/in
-// lists, the interned label numbering, and the label-indexed CSR adjacency.
-// The Builder must not be used afterwards.
+// lists, the interned label numbering, the label-indexed CSR adjacency and
+// the nodes' IDs as JSON literals. The Builder must not be used afterwards.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -517,6 +523,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g.inCSR = buildCSR(g.in, g.edgeLabel)
 	g.labelEdges, g.labelStart = buildLabelEdges(g.edgeLabel, len(g.labels))
 	g.neighbors = &neighborTables{tables: map[neighborKey]*NeighborTable{}}
+	g.quoted = quoteIDs(g.nodes)
 	b.g = Graph{} // prevent reuse
 	return &g, nil
 }

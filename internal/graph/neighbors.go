@@ -41,6 +41,10 @@ type NeighborTable struct {
 // own.
 func (t *NeighborTable) Neighbors(v int) []int32 { return t.to[t.off[v]:t.off[v+1]] }
 
+// Degree returns len(Neighbors(v)) from the offsets alone: what a scan over
+// many nodes that only asks whether each has a neighbor reads, in order.
+func (t *NeighborTable) Degree(v int) int { return int(t.off[v+1] - t.off[v]) }
+
 type neighborKey struct {
 	label int
 	in    bool

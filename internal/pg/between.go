@@ -140,7 +140,7 @@ func (k *Kernel) Between(src, dst int, mt *Meter) (*Meet, error) {
 	k.c.AddStates(b.states)
 	k.c.AddEdges(b.edges)
 	k.c.ObserveFrontier(int64(b.peak))
-	mt.SweepStatsSink().RecordSweep(1, b.states, b.edges, int64(b.peak))
+	mt.SweepStatsSink().RecordSweep(1, 0, b.states, b.edges, int64(b.peak))
 	if err != nil {
 		return nil, err
 	}

@@ -379,17 +379,19 @@ func (cd *condensation) dag(k *Kernel, mt *Meter) error {
 }
 
 // sweepCondensed is sweepBatch on the condensation: the same sources, the
-// same runs, the same states charged. The batch's seen slab is indexed by component rank, and pend — a bitmap over ranks walked
-// by a forward cursor — holds the components a source has reached and that
-// have not been popped. Every DAG edge points to a higher rank, so a
+// same runs, the same states charged, idle sources included. The batch's
+// seen slab is indexed by component rank, and pend — a bitmap over ranks
+// walked by a forward cursor — holds the components a source has reached and
+// that have not been popped. Every DAG edge points to a higher rank, so a
 // component is popped once, after every word that will ever reach it has
 // arrived; popping it charges popcount(word) × size (source, state)
 // discoveries — what the level loop counts for the same states one by one —
 // in steps of CheckInterval, so cancellation and the states budget land
 // within one interval however large the component. Edges are DAG edges
 // examined.
-func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, b *batch, mt *Meter) (Runs, error) {
+func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, idle int64, b *batch, mt *Meter) (Runs, error) {
 	b.reset(len(cd.size), k.g.NumNodes())
+	stopErr := b.charge(idle*int64(len(k.idleStarts)), mt)
 	seen, pend := b.seen, b.pend[:(len(cd.size)+63)/64]
 	nq := k.nq
 	lo := len(pend)
@@ -406,10 +408,9 @@ func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, b *batch, mt *Mete
 	}
 	pending := int64(len(b.touched))
 
-	var edges, edgesReported, ticked, reported int64
-	var stopErr error
-sweep:
-	for wi := lo; wi < len(pend); {
+	var edges, edgesReported int64
+	reported := b.found
+	for wi := lo; wi < len(pend) && stopErr == nil; {
 		w := pend[wi]
 		if w == 0 {
 			wi++
@@ -419,16 +420,8 @@ sweep:
 		c := wi<<6 | mathbits.TrailingZeros64(w)
 		pending--
 		s := seen[c]
-		for n := int64(mathbits.OnesCount64(s)) * int64(cd.size[c]); n > 0; {
-			step := min(n, CheckInterval-(b.found-ticked))
-			b.found += step
-			n -= step
-			if b.found-ticked >= CheckInterval {
-				if stopErr = mt.Tick(b.found - ticked); stopErr != nil {
-					break sweep
-				}
-				ticked = b.found
-			}
+		if stopErr = b.charge(int64(mathbits.OnesCount64(s))*int64(cd.size[c]), mt); stopErr != nil {
+			break
 		}
 		succ := cd.succ[cd.succOff[c]:cd.succOff[c+1]]
 		edges += int64(len(succ))
@@ -441,10 +434,7 @@ sweep:
 			seen[to] |= s
 		}
 		for _, v := range cd.accNode[cd.accOff[c]:cd.accOff[c+1]] {
-			if b.acc[v] == 0 {
-				b.hits = append(b.hits, v)
-			}
-			b.acc[v] |= s
+			b.accept(int(v), s)
 		}
 		if b.found-reported >= CheckInterval {
 			reported = b.found
@@ -453,14 +443,14 @@ sweep:
 		}
 	}
 	if stopErr == nil {
-		stopErr = mt.Tick(b.found - ticked)
+		stopErr = mt.Tick(b.found - b.ticked)
 	}
 	mt.SweepProgress(0, edges-edgesReported)
 	k.c.AddStates(b.found)
 	k.c.AddEdges(edges)
-	mt.SweepStatsSink().RecordCondensedSweep(int64(len(srcs)), b.found, edges)
+	mt.SweepStatsSink().RecordCondensedSweep(int64(len(srcs))+idle, idle, b.found, edges)
 	if stopErr != nil {
 		return Runs{}, stopErr
 	}
-	return b.runs(srcs, k.g.NumNodes(), b.dense(k.g.NumNodes()))
+	return b.runs(srcs)
 }

@@ -108,25 +108,25 @@ func TestCondensedBatchSlabsClearOnEntry(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = 100 + i
 	}
-	want, err := k.sweepBatch(srcs, &batch{}, nil)
+	want, err := k.sweepBatch(k.tables.Load(), srcs, 0, &batch{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := &batch{}
 	stopped := NewMeter(context.Background(), Budget{MaxStates: 2 * CheckInterval}, nil, nil)
-	if _, err := k.sweepCondensed(cd, srcs, b, stopped); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := k.sweepCondensed(cd, srcs, 0, b, stopped); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want the states budget to stop the batch", err)
 	}
 	if len(b.touched) == 0 || !slices.ContainsFunc(b.pend, func(w uint64) bool { return w != 0 }) {
 		t.Fatal("the stopped batch left nothing behind: the fixture no longer tests the reset")
 	}
-	if got, err := k.sweepCondensed(cd, srcs, b, nil); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := k.sweepCondensed(cd, srcs, 0, b, nil); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("condensed batch on a dirty slab: (%d pairs, %v), want %d", got.Len(), err, want.Len())
 	}
-	if _, err := k.sweepCondensed(cd, srcs, b, NewMeter(context.Background(), Budget{MaxStates: 2 * CheckInterval}, nil, nil)); err == nil {
+	if _, err := k.sweepCondensed(cd, srcs, 0, b, NewMeter(context.Background(), Budget{MaxStates: 2 * CheckInterval}, nil, nil)); err == nil {
 		t.Fatal("second stop did not trip")
 	}
-	if got, err := k.sweepBatch(srcs, b, nil); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := k.sweepBatch(k.tables.Load(), srcs, 0, b, nil); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("level-loop batch on a dirty slab: (%d pairs, %v), want %d", got.Len(), err, want.Len())
 	}
 }

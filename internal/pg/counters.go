@@ -21,6 +21,7 @@ type Counters struct {
 	shardSweeps    atomic.Int64 // shard sweep loops run (P per sharded sweep)
 	tablesBuilt    atomic.Int64 // neighbor tables built on a graph's chain at this kernel's request
 	condensations  atomic.Int64 // all-sources calls that condensed their product (condense.go)
+	batchesRun     atomic.Int64 // batches of the all-sources driver that swept at least one source
 
 	// Mispick counters: analyze-mode queries whose measured actuals
 	// contradicted one of the planner's knob choices (plan.Mispicks). Only
@@ -119,6 +120,14 @@ func (c *Counters) addCondensationBuilt() {
 	}
 }
 
+// addBatchRun records one batch of the all-sources driver that had a source
+// to sweep: a window whose sources were all idle is charged, not run.
+func (c *Counters) addBatchRun() {
+	if c != nil {
+		c.batchesRun.Add(1)
+	}
+}
+
 // CountersSnapshot is a point-in-time copy of the counters, shaped for JSON
 // (the /v1/statz payload). Fields may be mutually torn by concurrent
 // updates but are individually exact.
@@ -135,6 +144,7 @@ type CountersSnapshot struct {
 
 	NeighborTablesBuilt int64 `json:"neighbor_tables_built"`
 	CondensationsBuilt  int64 `json:"condensations_built"`
+	BatchesRun          int64 `json:"batches_run"`
 
 	MispickDirection int64 `json:"mispick_direction"`
 	MispickShards    int64 `json:"mispick_shards"`
@@ -158,6 +168,7 @@ func (c *Counters) Snapshot() CountersSnapshot {
 
 		NeighborTablesBuilt: c.tablesBuilt.Load(),
 		CondensationsBuilt:  c.condensations.Load(),
+		BatchesRun:          c.batchesRun.Load(),
 
 		MispickDirection: c.mispickDirection.Load(),
 		MispickShards:    c.mispickShards.Load(),

@@ -1,6 +1,7 @@
 package pg
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,6 +33,11 @@ type Kernel struct {
 	starts []int
 	accept []bool
 	trans  [][]Trans
+	// idleStarts is what the sweep of a source that examines no edge
+	// discovers — the distinct start states — when none of them accepts, so
+	// that such a sweep finds nothing; nil when one does, and no source is
+	// idle (sweepall.go).
+	idleStarts []int
 
 	// Sweep-loop transition tables (sweep.go): the current immutable
 	// snapshot, replaced under compileMu when a sweep first needs the
@@ -62,7 +68,16 @@ func NewKernel(g *graph.Graph, sem Semantics, c *Counters) *Kernel {
 		k.accept[q] = sem.Accepting(q)
 		k.trans[q] = sem.Transitions(q)
 	}
-	k.tables.Store(&sweepTables{ft: k.compile(false)})
+	for _, q := range k.starts {
+		if k.accept[q] {
+			k.idleStarts = nil
+			break
+		}
+		if !slices.Contains(k.idleStarts, q) {
+			k.idleStarts = append(k.idleStarts, q)
+		}
+	}
+	k.tables.Store(k.newTables(k.compile(false), nil))
 	return k
 }
 

@@ -101,6 +101,19 @@ type kTrans struct {
 // cost is withdrawn.
 type sweepTables struct {
 	ft, rt [][]kTrans
+	// idle is what the all-sources driver reads of ft to tell whether a source
+	// can leave its start states, idleRent what one that cannot owes for the
+	// reading (sweepall.go).
+	idle     []idleProbe
+	idleRent int64
+}
+
+// newTables wraps a forward and a reverse table (nil until needed) as one
+// snapshot.
+func (k *Kernel) newTables(ft, rt [][]kTrans) *sweepTables {
+	tb := &sweepTables{ft: ft, rt: rt}
+	tb.idle, tb.idleRent = k.idleProbes(ft)
+	return tb
 }
 
 // upgrade publishes and returns a snapshot that has at least the reverse
@@ -120,13 +133,14 @@ func (k *Kernel) upgrade(reverse, buy bool) *sweepTables {
 	if !fresh && reverse == (cur.rt != nil) {
 		return cur
 	}
-	next := &sweepTables{ft: cur.ft, rt: cur.rt}
+	ft, rt := cur.ft, cur.rt
 	if fresh {
-		next.ft = k.compile(false)
+		ft = k.compile(false)
 	}
-	if reverse && (fresh || cur.rt == nil) {
-		next.rt = k.compile(true)
+	if reverse && (fresh || rt == nil) {
+		rt = k.compile(true)
 	}
+	next := k.newTables(ft, rt)
 	k.tables.Store(next)
 	return next
 }
@@ -698,7 +712,7 @@ func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, pl Plan, chargeRows bool
 	k.c.AddStates(int64(visited))
 	k.c.AddEdges(edges)
 	k.c.ObserveFrontier(int64(peak))
-	ss.RecordSweep(1, int64(visited), edges, int64(peak))
+	ss.RecordSweep(1, 0, int64(visited), edges, int64(peak))
 	var rented int64
 	sc.nodes = sc.nodes[:0]
 	for _, sh := range shards {

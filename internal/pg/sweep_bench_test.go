@@ -106,6 +106,7 @@ func BenchmarkKernelSweepClique(b *testing.B) {
 //     scalefree-20000 the same at the size of its short-reads graph: a giant
 //     strongly connected core that every batch after the first crosses in
 //     one pop instead of once per arrival level.
+//
 //   - grid-20x20, path-700 and cycle-2000 `a*` are the big-results shapes.
 //     The level loop shares nothing on a path or a cycle — every source
 //     sits on a distinct node at every level, 246 k one-bit frontier
@@ -113,17 +114,25 @@ func BenchmarkKernelSweepClique(b *testing.B) {
 //     word-per-state bookkeeping; condensed, a batch is one pass over 700
 //     components in rank order (the path) or one pop (the cycle), and the
 //     rows measure batch.pairs.
+//
 //   - clique-300 `a* a* a*` is the dense-reachability shape and the build's
 //     worst case: every product edge is written down to find three
 //     components. It has five batches after the first, one too few to buy,
 //     and measures the level loop; clique-330 has six, buys, and must not
 //     lose to it.
+//
 //   - sparse-star is `b*` where one edge in sixteen is a b: batch 0
 //     discovers a handful of states, the 20 000 start states alone are more
 //     than that, and the call must stay on the level loop at no cost.
 //
+//   - label-pairs is `b b b` on the same graph, the selective all-pairs text of
+//     short-reads: three nodes in four have no b edge, are charged their start
+//     state and never seeded, and the rest run 64 to a batch — batches/op
+//     reads 76 where one batch per 64 nodes was 313.
+//
 // edges/op is adjacency entries examined per all-pairs evaluation — for a
-// condensed call the build's, once, plus the DAG edges each batch examined.
+// condensed call the build's, once, plus the DAG edges each batch examined;
+// batches/op is the batches that had a source to sweep.
 func BenchmarkSweepAll(b *testing.B) {
 	withZ := func(g *graph.Graph) *graph.Graph {
 		z := make([]graph.Mutation, 4)
@@ -153,6 +162,7 @@ func BenchmarkSweepAll(b *testing.B) {
 		{"path-700", gen.APath(700, "a"), "a*", true},
 		{"cycle-2000", gen.Cycle(2000, "a"), "a*", true},
 		{"sparse-star", scaleFreeGraph(20000), "b*", false},
+		{"label-pairs", scaleFreeGraph(20000), "b b b", false},
 		{"scalefree-20000", withZ(scaleFreeGraph(20000)), "a* z a", false},
 	} {
 		expr, err := rpq.Parse(row.query)
@@ -167,7 +177,7 @@ func BenchmarkSweepAll(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				before := c.Snapshot().EdgesScanned
+				before := c.Snapshot()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -175,7 +185,11 @@ func BenchmarkSweepAll(b *testing.B) {
 						b.Fatalf("got (%d, %v), want %d pairs", got, err, want)
 					}
 				}
-				b.ReportMetric(float64(c.Snapshot().EdgesScanned-before)/float64(b.N), "edges/op")
+				after := c.Snapshot()
+				b.ReportMetric(float64(after.EdgesScanned-before.EdgesScanned)/float64(b.N), "edges/op")
+				if name == "batched" {
+					b.ReportMetric(float64(after.BatchesRun-before.BatchesRun)/float64(b.N), "batches/op")
+				}
 			})
 		}
 		if row.perSource {

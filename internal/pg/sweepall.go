@@ -3,25 +3,30 @@ package pg
 import (
 	"math"
 	mathbits "math/bits"
-	"slices"
 	"sync"
+
+	"graphquery/internal/graph"
 )
 
 // This file is the all-sources side of the kernel: the one driver every
 // all-pairs evaluator runs (SweepAll for eval's planned pairs, twoway and
 // the atoms of a crpq.Plan, SweepFrom for an atom anchored at a constant and
 // for the reference crpq evaluator's existence atoms), the Runs it hands out
-// (runs.go), and the batched loop under it. An all-pairs query is one
-// reachability sweep per source, and the sources share almost all of their
-// edge scans; the batched loop runs up to 64 of them at once, one bit of a
-// machine word each (multi-source BFS à la Then et al.): per product state a word of the sources that have reached it, a
-// frontier of (state, word) entries, and one scan of a state's adjacency
-// advancing every source whose bit is in its frontier word. A single source
-// keeps running Kernel.Sweep — the loop anchored reads always ran. The loop
-// shares a scan only between sources that reach a state in the same level;
-// a SweepAll that can afford to leaves it after its first batch for the
-// product's condensation, where there are no levels (condense.go, DESIGN
-// §20).
+// (runs.go), and the batched loop under it. An all-pairs answer is one
+// reachability set per source, and the driver spends on a source what its
+// set takes to find (DESIGN §22). A source that no transition out of a start
+// state has an edge at has an empty one, known from the adjacency offsets
+// alone: it is charged what its sweep would have been and never seeded. The
+// sources that do move share almost all of their edge scans, so the batched
+// loop runs up to 64 of them at once, one bit of a machine word each
+// (multi-source BFS à la Then et al.): per product state a word of the
+// sources that have reached it, a frontier of (state, word) entries, and one
+// scan of a state's adjacency advancing every source whose bit is in its
+// frontier word. A single source keeps running Kernel.Sweep — the loop
+// anchored reads always ran. The loop shares a scan only between sources
+// that reach a state in the same level; a SweepAll that can afford to
+// leaves it after its first batch for the product's condensation, where
+// there are no levels (condense.go, DESIGN §20).
 
 // batchWidth is the number of sources one batched sweep carries: the bits
 // of a machine word.
@@ -36,9 +41,10 @@ type frontEntry struct {
 
 // batch holds the buffers of one batched sweep. The slabs are flat words —
 // nothing for the garbage collector to trace — and every nonzero entry of
-// one is named by a list (touched, nextIDs, hits), so clearing costs
-// O(touched), not O(|N|·|Q|): an all-pairs query over a large graph is
-// hundreds of batches that may each die after a handful of states.
+// one is named by a list (touched, nextIDs) or, for acc, by the hit bitmap,
+// so clearing costs O(touched), not O(|N|·|Q|): an all-pairs query over a
+// large graph is hundreds of batches that may each die after a handful of
+// states.
 //
 // The price is memory: 16 bytes per product state plus 8 per node, per
 // worker, where Sweep's bitsets take 2 bits per state — 72 MB for a
@@ -55,12 +61,19 @@ type batch struct {
 	// indexed by component: a bit per component reached and not yet popped.
 	pend []uint64
 
+	// The hit bitmap names the nodes with acc != 0 so that runs can meet them
+	// in ascending order without a sort and without reading a word per node:
+	// hit has a bit per node, hitSum a bit per word of hit.
+	hit    []uint64
+	hitSum []uint64
+
 	touched []int32 // product states with seen != 0
 	nextIDs []int32 // product states with next != 0
-	hits    []int32 // graph nodes with acc != 0
+	hits    []int32 // drainHits' output: hit nodes ascending, acc still set
 	front   []frontEntry
 
-	found int64 // (source, state) discoveries so far
+	found  int64 // (source, state) discoveries so far
+	ticked int64 // of them, on the meter
 }
 
 // maxBatchStates bounds the product a batch accepts, so that its slabs stay
@@ -90,15 +103,16 @@ func (b *batch) reset(states, nodes int) {
 	for _, id := range b.nextIDs {
 		b.next[id] = 0
 	}
-	for _, v := range b.hits {
+	for _, v := range b.drainHits() {
 		b.acc[v] = 0
 	}
-	b.touched, b.nextIDs, b.hits, b.front, b.found = b.touched[:0], b.nextIDs[:0], b.hits[:0], b.front[:0], 0
+	b.touched, b.nextIDs, b.hits, b.front, b.found, b.ticked = b.touched[:0], b.nextIDs[:0], b.hits[:0], b.front[:0], 0, 0
 	if len(b.seen) < states {
 		b.seen, b.next, b.pend = make([]uint64, states), make([]uint64, states), make([]uint64, (states+63)/64)
 	}
 	if len(b.acc) < nodes {
-		b.acc = make([]uint64, nodes)
+		words := (nodes + 63) / 64
+		b.acc, b.hit, b.hitSum = make([]uint64, nodes), make([]uint64, words), make([]uint64, (words+63)/64)
 	}
 }
 
@@ -118,11 +132,60 @@ func (b *batch) discover(id, v int, d uint64, accepting bool) {
 	b.next[id] |= d
 	b.found += int64(mathbits.OnesCount64(d))
 	if accepting {
-		if b.acc[v] == 0 {
-			b.hits = append(b.hits, int32(v))
-		}
-		b.acc[v] |= d
+		b.accept(v, d)
 	}
+}
+
+// accept gives the sources in d node v as a target. The bitmap is marked
+// before the slab is written, summary first, so it covers acc whatever
+// interrupts the sweep.
+func (b *batch) accept(v int, d uint64) {
+	if b.acc[v] == 0 {
+		b.hitSum[v>>12] |= 1 << uint(v>>6&63)
+		b.hit[v>>6] |= 1 << uint(v&63)
+	}
+	b.acc[v] |= d
+}
+
+// drainHits empties the hit bitmap onto the end of b.hits — the hit nodes in
+// ascending order — and returns the list: O(|N|/4096 + hits), a summary word
+// per 4 096 nodes and a word per 64 that were hit. acc is left as it is; the
+// list now names its nonzero entries.
+func (b *batch) drainHits() []int32 {
+	for si, sum := range b.hitSum {
+		if sum == 0 {
+			continue
+		}
+		b.hitSum[si] = 0
+		for ; sum != 0; sum &= sum - 1 {
+			wi := si<<6 | mathbits.TrailingZeros64(sum)
+			w := b.hit[wi]
+			b.hit[wi] = 0
+			for ; w != 0; w &= w - 1 {
+				b.hits = append(b.hits, int32(wi<<6|mathbits.TrailingZeros64(w)))
+			}
+		}
+	}
+	return b.hits
+}
+
+// charge counts n (source, state) discoveries that took no scan to make — the
+// start states of idle sources, a popped component's states — in steps of
+// CheckInterval, so cancellation and the states budget land within one
+// interval however many there are.
+func (b *batch) charge(n int64, mt *Meter) error {
+	for n > 0 {
+		step := min(n, max(CheckInterval-(b.found-b.ticked), 0))
+		b.found += step
+		n -= step
+		if b.found-b.ticked >= CheckInterval {
+			if err := mt.Tick(b.found - b.ticked); err != nil {
+				return err
+			}
+			b.ticked = b.found
+		}
+	}
+	return nil
 }
 
 // promote turns the level just built into the current frontier and returns
@@ -139,28 +202,17 @@ func (b *batch) promote() (active uint64) {
 	return active
 }
 
-// denseHits is the share of the graph's nodes a batch must have hit for runs
-// to find them by walking the acc slab instead of sorting the hit list: the
-// walk reads a word per node and compares nothing, the sort costs some tens
-// of nanoseconds per hit, so below one node in denseHits the list is cheaper.
-const denseHits = 16
-
-// dense reports whether the batch hit enough of the graph's nodes for runs
-// to walk the slab. It is a property of the input — how many distinct nodes
-// the batch's sources reach — so the same call takes the same way every
-// time, on any machine.
-func (b *batch) dense(nodes int) bool { return len(b.hits) >= nodes/denseHits }
-
 // runs renders the batch's result: for each source in order that reached
 // anything, its targets ascending, in one freshly allocated Runs — the only
-// allocation of a warm batch. Meeting the hit nodes in ascending order and
-// dealing each to the sources in its word yields every source's targets
-// already sorted. dense says how they are met: by walking the acc slab from
-// node 0 up, or by sorting the hit list — so that a batch that reached a
-// handful of nodes does not pay O(|N|). The runs are the same either way.
-func (b *batch) runs(srcs []int, nodes int, dense bool) (Runs, error) {
+// allocation of a warm batch. The hit nodes are met in ascending order —
+// drained from the bitmap, so nothing is compared and nothing is read per
+// node of the graph — and each is dealt to the sources in its word, which
+// yields every source's targets already sorted. acc is cleared as it is
+// dealt.
+func (b *batch) runs(srcs []int) (Runs, error) {
+	hits := b.drainHits()
 	var off [batchWidth + 1]int
-	for _, v := range b.hits {
+	for _, v := range hits {
 		for w := b.acc[v]; w != 0; w &= w - 1 {
 			off[mathbits.TrailingZeros64(w)+1]++
 		}
@@ -188,32 +240,25 @@ func (b *batch) runs(srcs []int, nodes int, dense bool) (Runs, error) {
 		}
 	}
 	tgt := out.Tgt
-	if dense {
-		for v, w := range b.acc[:nodes] {
-			for ; w != 0; w &= w - 1 {
-				i := mathbits.TrailingZeros64(w)
-				tgt[off[i]] = int32(v)
-				off[i]++
-			}
-		}
-		return out, nil
-	}
-	slices.Sort(b.hits)
-	for _, v := range b.hits {
+	for _, v := range hits {
 		for w := b.acc[v]; w != 0; w &= w - 1 {
 			i := mathbits.TrailingZeros64(w)
 			tgt[off[i]] = v
 			off[i]++
 		}
+		b.acc[v] = 0
 	}
+	b.hits = hits[:0]
 	return out, nil
 }
 
 // sweepBatch runs the sweep from every node of srcs (at most batchWidth,
-// distinct) at once and returns, for each in order, its run of ascending
-// targets — what len(srcs) calls of Sweep would return. The loop is
-// level-synchronous and top-down only, sequential, and allocates nothing but
-// its result when b is warm.
+// distinct, none of them idle) at once and returns, for each in order, its
+// run of ascending targets — what len(srcs) calls of Sweep would return —
+// having first charged the idle sources of the batch's window what theirs
+// would have cost: the start states, no edges, the rent of the lookups that
+// found their rows empty. The loop is level-synchronous and top-down only,
+// sequential, and allocates nothing but its result when b is warm.
 //
 // One state "visit" is one (source, state) discovery: the meter ticks the
 // popcount of every word of newly arrived sources, so a query's states
@@ -222,14 +267,23 @@ func (b *batch) runs(srcs []int, nodes int, dense bool) (Runs, error) {
 // entries examined, once per scan however many sources it advanced — the
 // number batching exists to shrink. Cancellation and the states budget are
 // polled every CheckInterval discoveries, as in Sweep.
-func (k *Kernel) sweepBatch(srcs []int, b *batch, mt *Meter) (Runs, error) {
+func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, mt *Meter) (Runs, error) {
 	total := k.NumProductStates()
 	if err := checkSweepSize(total, maxBatchStates); err != nil {
 		return Runs{}, err
 	}
 	g, nq := k.g, k.nq
 	b.reset(total, g.NumNodes())
-	tb := k.tables.Load()
+	ss := mt.SweepStatsSink()
+	stopErr := b.charge(idle*int64(len(k.idleStarts)), mt)
+	idleStates := b.found
+	peak := 0
+	if idle > 0 {
+		// Level 0 of the sweeps that were not run: the start states enter,
+		// nothing is examined, nothing is discovered.
+		ss.RecordLevel(0, idle, idleStates, 0, 0, idle*int64(total)-idleStates, false)
+		peak = len(k.idleStarts)
+	}
 	seen := b.seen
 	for i, u := range srcs {
 		for _, q := range k.starts {
@@ -239,13 +293,11 @@ func (k *Kernel) sweepBatch(srcs []int, b *batch, mt *Meter) (Runs, error) {
 		}
 	}
 
-	ss := mt.SweepStatsSink()
-	var edges, edgesReported, rented int64
-	var ticked, reported, levelStart int64
-	var stopErr error
-	peak := 0
+	var edges, edgesReported int64
+	reported, levelStart := idleStates, idleStates
+	rented := idle * tb.idleRent
 sweep:
-	for level := 0; ; level++ {
+	for level := 0; stopErr == nil; level++ {
 		active := b.promote()
 		if len(b.front) == 0 {
 			break
@@ -255,11 +307,11 @@ sweep:
 		levelStart = b.found
 		levelEdges := edges
 		for _, f := range b.front {
-			if b.found-ticked >= CheckInterval {
-				if stopErr = mt.Tick(b.found - ticked); stopErr != nil {
+			if b.found-b.ticked >= CheckInterval {
+				if stopErr = mt.Tick(b.found - b.ticked); stopErr != nil {
 					break sweep
 				}
-				ticked = b.found
+				b.ticked = b.found
 			}
 			v := int(f.id) / nq
 			ft := tb.ft[int(f.id)-v*nq]
@@ -316,7 +368,7 @@ sweep:
 			}
 		}
 		ss.RecordLevel(level, int64(mathbits.OnesCount64(active)), frontier, b.found-levelStart,
-			edges-levelEdges, int64(len(srcs))*int64(total)-b.found, false)
+			edges-levelEdges, int64(len(srcs))*int64(total)-(b.found-idleStates), false)
 		if b.found-reported >= CheckInterval {
 			reported = b.found
 			mt.SweepProgress(int64(len(b.nextIDs)), edges-edgesReported)
@@ -324,24 +376,187 @@ sweep:
 		}
 	}
 	if stopErr == nil {
-		stopErr = mt.Tick(b.found - ticked)
+		stopErr = mt.Tick(b.found - b.ticked)
 	}
 	mt.SweepProgress(0, edges-edgesReported)
 	k.c.AddStates(b.found)
 	k.c.AddEdges(edges)
 	k.c.ObserveFrontier(int64(peak))
-	ss.RecordSweep(int64(len(srcs)), b.found, edges, int64(peak))
+	ss.RecordSweep(int64(len(srcs))+idle, idle, b.found, edges, int64(peak))
 	k.payRent(rented)
 	if stopErr != nil {
 		return Runs{}, stopErr
 	}
-	return b.runs(srcs, g.NumNodes(), b.dense(g.NumNodes()))
+	return b.runs(srcs)
 }
 
-// firstBatch is the number of sources in a sweep's first batch. It is
+// idleProbe is one lookup of the idle test: a transition out of a start
+// state, for one of its labels.
+type idleProbe struct {
+	adj   *graph.NeighborTable // the label's table in the scan direction; nil while it is rented
+	label int                  // the label's ID; -1 for a guard transition, which examines every edge in its direction
+	in    bool
+}
+
+// idleProbes lists what the idle test reads under the forward table ft, and
+// what an idle source owes for it: one row looked up through the label index
+// per slot still rented, the rent the sweep's own lookup pays for a row it
+// finds empty.
+func (k *Kernel) idleProbes(ft [][]kTrans) (probes []idleProbe, rent int64) {
+	for _, q := range k.idleStarts {
+		for ti := range ft[q] {
+			t := &ft[q][ti]
+			if t.ok != nil {
+				probes = append(probes, idleProbe{label: -1, in: t.in})
+				continue
+			}
+			for i, lid := range t.labels {
+				probes = append(probes, idleProbe{adj: t.adjs[i], label: lid, in: t.in})
+				if t.adjs[i] == nil {
+					rent++
+				}
+			}
+		}
+	}
+	return probes, rent
+}
+
+// mark sets bit i of moving for every source i the probe finds an edge at. A
+// probe with a table reads nothing but its offsets, in order when the
+// sources are; one without reads the rows the sweep's own lookup would.
+func (p *idleProbe) mark(sl *sourceList, moving []uint64) {
+	g := sl.k.g
+	for i := 0; i < sl.n; i++ {
+		u := sl.at(i)
+		var d int
+		if p.adj != nil {
+			d = p.adj.Degree(u)
+		} else {
+			d = len(p.row(g, u))
+		}
+		// No branch on d: which sources move is as good as random.
+		var bit uint64
+		if d != 0 {
+			bit = 1
+		}
+		moving[i>>6] |= bit << uint(i&63)
+	}
+}
+
+// row is what the probe reads at v while its label has no table.
+func (p *idleProbe) row(g *graph.Graph, v int) []int {
+	switch {
+	case p.label >= 0 && p.in:
+		return g.InWithLabel(v, p.label)
+	case p.label >= 0:
+		return g.OutWithLabel(v, p.label)
+	case p.in:
+		return g.In(v)
+	}
+	return g.Out(v)
+}
+
+// firstBatch is the number of sources in a sweep's first window. It is
 // short so that the first pairs reach emit — a streamed reply's first
-// byte — after a few sources' work, not 64; every later batch is full.
+// byte — after a few sources' work, not 64.
 const firstBatch = 8
+
+// sourceList is the sources of one all-sources call, cut into the windows
+// its batches take. When no source can be idle — a start state accepts — the
+// windows are fixed: the first firstBatch sources, then batchWidth at a time.
+// Otherwise cut finds the sources that move — those some transition out of a
+// start state has an edge at; a sweep from any other examines nothing and
+// finds nothing, and a tombstoned node has no edges, so one that moves is
+// live — and packs them: the first window is the same, and every later one
+// runs on until it holds batchWidth sources that move, taking the idle ones
+// between and after them along, so a batch carries a full word of sweeps
+// however few of the graph's nodes start one.
+type sourceList struct {
+	k       *Kernel
+	n       int
+	sources []int    // source i is sources[i]; nil: node i
+	moving  []uint64 // bit i says source i moves; nil: no source can be idle
+	ends    []int32  // window b ends before source ends[b]
+}
+
+func (sl *sourceList) at(i int) int {
+	if sl.sources == nil {
+		return i
+	}
+	return sl.sources[i]
+}
+
+// cut marks the sources that move, one pass over the sources per probe, and
+// cuts the windows: a bit a source and an int32 a window.
+func (sl *sourceList) cut() {
+	k, n := sl.k, sl.n
+	if n == 0 {
+		return
+	}
+	if len(k.idleStarts) == 0 {
+		sl.ends = make([]int32, 0, 2+max(n-firstBatch, 0)/batchWidth)
+		sl.ends = append(sl.ends, int32(min(firstBatch, n)))
+		for end := firstBatch; end < n; {
+			end = min(end+batchWidth, n)
+			sl.ends = append(sl.ends, int32(end))
+		}
+		return
+	}
+	sl.moving = make([]uint64, (n+63)/64)
+	tb := k.tables.Load()
+	for i := range tb.idle {
+		tb.idle[i].mark(sl, sl.moving)
+	}
+	held := 0
+	for _, w := range sl.moving {
+		held += mathbits.OnesCount64(w)
+	}
+	sl.ends = make([]int32, 0, 2+held/batchWidth)
+	sl.ends = append(sl.ends, int32(min(firstBatch, n)))
+	held = 0
+	for wi, w := range sl.moving {
+		if wi == 0 {
+			w &^= 1<<firstBatch - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			if held == batchWidth {
+				sl.ends = append(sl.ends, int32(wi<<6|mathbits.TrailingZeros64(w)))
+				held = 0
+			}
+			held++
+		}
+	}
+	if n > firstBatch {
+		sl.ends = append(sl.ends, int32(n))
+	}
+}
+
+// scan fills buf with the sources of window bi that a batch must run — the
+// live ones that move — and counts the live ones that are idle.
+func (sl *sourceList) scan(bi int, buf *[batchWidth]int) (srcs []int, idle int64) {
+	lo, hi := 0, int(sl.ends[bi])
+	if bi > 0 {
+		lo = int(sl.ends[bi-1])
+	}
+	g := sl.k.g
+	tombstones := g.NumLiveNodes() != g.NumNodes()
+	m := 0
+	for i := lo; i < hi; i++ {
+		u := sl.at(i)
+		switch {
+		case sl.moving != nil && sl.moving[i>>6]>>uint(i&63)&1 != 0:
+			buf[m] = u
+			m++
+		case tombstones && !g.NodeAlive(u):
+		case sl.moving != nil:
+			idle++
+		default:
+			buf[m] = u
+			m++
+		}
+	}
+	return buf[:m], idle
+}
 
 // SweepAll runs the sweep from every node of the graph; see SweepFrom. It is
 // the one call that may finish on the product's condensation (condense.go):
@@ -353,7 +568,7 @@ const firstBatch = 8
 // worker count, so the pairs, their order and every count are the same
 // either way.
 func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
-	return k.sweepMany(k.g.NumNodes(), func(i int) int { return i }, true, workers, mt, pl, chargeRows, emit)
+	return k.sweepMany(sourceList{k: k, n: k.g.NumNodes()}, true, workers, mt, pl, chargeRows, emit)
 }
 
 // SweepFrom runs the sweep from every node of sources — none, if the list
@@ -363,13 +578,14 @@ func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit
 // Distinct ascending sources therefore arrive in lexicographic order with
 // no final sort, and the sequence is byte-identical at any worker count.
 //
-// Sources run up to 64 to a batch through the batched loop (the first
-// batch is firstBatch sources), batches fanned out over ForEachEmit's pool
-// of workers, one batch per claim, so memory in flight is bounded in
-// sources (workers × emitWindowPerWorker batches) and a blocked emit
-// throttles the pool. A batch is sequential and unsharded: pl.Shards is
-// not consulted. A single source has nothing to share and runs
-// Kernel.Sweep under pl.
+// The sources are cut into windows (sourceList) and each window is one
+// batch: its idle sources are charged, the rest — at most 64, in the first
+// window firstBatch — run through the batched loop, batches fanned out over
+// ForEachEmit's pool of workers, one batch per claim, so memory in flight is
+// bounded (workers × emitWindowPerWorker batches) and a blocked emit
+// throttles the pool. A batch is sequential and unsharded: pl.Shards is not
+// consulted. A single source has nothing to share and runs Kernel.Sweep
+// under pl.
 //
 // Every sweep ticks mt, so a canceled context or an exhausted states
 // budget stops all workers within one check interval; the pool is joined
@@ -381,13 +597,13 @@ func (k *Kernel) SweepAll(workers int, mt *Meter, pl Plan, chargeRows bool, emit
 // concurrently with itself and owns the Runs it is handed; its error stops
 // evaluation and is returned verbatim.
 func (k *Kernel) SweepFrom(sources []int, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
-	return k.sweepMany(len(sources), func(i int) int { return sources[i] }, false, workers, mt, pl, chargeRows, emit)
+	return k.sweepMany(sourceList{k: k, n: len(sources), sources: sources}, false, workers, mt, pl, chargeRows, emit)
 }
 
-// sweepMany is the all-sources driver under SweepAll and SweepFrom: the
-// sources are source(0) … source(n-1), and all says they are every node of
-// the graph.
-func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
+// sweepMany is the all-sources driver under SweepAll and SweepFrom; all says
+// the sources are every node of the graph.
+func (k *Kernel) sweepMany(sl sourceList, all bool, workers int, mt *Meter, pl Plan, chargeRows bool, emit func(Runs) error) error {
+	n := sl.n
 	if chargeRows && mt != nil && n != 1 { // a single source's Sweep charges its own rows
 		deliver := emit
 		emit = func(part Runs) error {
@@ -422,7 +638,7 @@ func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, m
 	}
 	if n == 1 {
 		return ForEachEmit(1, 1, k.GetScratch, k.PutScratch, func(_ int, sc *Scratch) (Runs, error) {
-			u := source(0)
+			u := sl.at(0)
 			if !k.g.NodeAlive(u) {
 				return Runs{}, nil
 			}
@@ -439,15 +655,13 @@ func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, m
 			return part, nil
 		}, emit)
 	}
-	batches := 0
-	if n > 0 {
-		batches = 1 + (max(n-firstBatch, 0)+batchWidth-1)/batchWidth
-	}
+	sl.cut()
+	batches := len(sl.ends)
 	done := 0 // batches run before the fan-out
 	var cd *condensation
 	if all && batches-1 >= minCondensedBatches && k.cyclic() {
 		var err error
-		if cd, err = k.probe(n, source, mt, emit); err != nil {
+		if cd, err = k.probe(&sl, mt, emit); err != nil {
 			return err
 		}
 		if done = 1; cd != nil {
@@ -455,30 +669,23 @@ func (k *Kernel) sweepMany(n int, source func(int) int, all bool, workers int, m
 		}
 	}
 	return ForEachEmit(batches-done, workers, getBatch, putBatch, func(bi int, b *batch) (Runs, error) {
-		var buf [batchWidth]int
-		srcs := k.liveSources(bi+done, n, source, &buf)
-		if len(srcs) == 0 {
-			return Runs{}, nil
-		}
-		if cd != nil {
-			return k.sweepCondensed(cd, srcs, b, mt)
-		}
-		return k.sweepBatch(srcs, b, mt)
+		return k.runBatch(&sl, bi+done, cd, b, mt)
 	}, emit)
 }
 
-// liveSources fills buf with the live sources of batch bi — batch 0 is
-// sources [0, firstBatch), batch b ≥ 1 the 64 that end at firstBatch + 64b —
-// and returns them.
-func (k *Kernel) liveSources(bi, n int, source func(int) int, buf *[batchWidth]int) []int {
-	m := 0
-	for i := max(0, firstBatch+(bi-1)*batchWidth); i < min(n, firstBatch+bi*batchWidth); i++ {
-		if u := source(i); k.g.NodeAlive(u) {
-			buf[m] = u
-			m++
-		}
+// runBatch runs window bi of sl: on the condensation when the call has
+// one, on the level loop otherwise.
+func (k *Kernel) runBatch(sl *sourceList, bi int, cd *condensation, b *batch, mt *Meter) (Runs, error) {
+	var buf [batchWidth]int
+	tb := k.tables.Load()
+	srcs, idle := sl.scan(bi, &buf)
+	if len(srcs) > 0 {
+		k.c.addBatchRun()
 	}
-	return buf[:m]
+	if cd != nil {
+		return k.sweepCondensed(cd, srcs, idle, b, mt)
+	}
+	return k.sweepBatch(tb, srcs, idle, b, mt)
 }
 
 // probe rents before the call may buy: it runs batch 0 on the level loop,
@@ -486,21 +693,16 @@ func (k *Kernel) liveSources(bi, n int, source func(int) int, buf *[batchWidth]i
 // the build — and then tries to condense under what the batch was charged.
 // A nil condensation means the call stays on the level loop. It runs on the
 // caller's goroutine, so it contains panics the way the fan-out does.
-func (k *Kernel) probe(n int, source func(int) int, mt *Meter, emit func(Runs) error) (cd *condensation, err error) {
+func (k *Kernel) probe(sl *sourceList, mt *Meter, emit func(Runs) error) (cd *condensation, err error) {
 	defer recoverTo(func(e error) { cd, err = nil, e })
-	var buf [batchWidth]int
-	var charged int64
-	if srcs := k.liveSources(0, n, source, &buf); len(srcs) > 0 {
-		b := getBatch()
-		defer putBatch(b)
-		part, err := k.sweepBatch(srcs, b, mt)
-		if err != nil {
-			return nil, err
-		}
-		if err := emit(part); err != nil {
-			return nil, err
-		}
-		charged = b.found
+	b := getBatch()
+	defer putBatch(b)
+	part, err := k.runBatch(sl, 0, nil, b, mt)
+	if err != nil {
+		return nil, err
 	}
-	return k.condense(charged, mt)
+	if err := emit(part); err != nil {
+		return nil, err
+	}
+	return k.condense(b.found, mt)
 }

@@ -18,8 +18,11 @@ import (
 )
 
 // perSourcePairs is the oracle the all-sources driver is held to: one
-// Kernel.Sweep per live source, pairs built source by source.
-func perSourcePairs(t *testing.T, kern *pg.Kernel, sources []int, mt *pg.Meter) [][2]int {
+// Kernel.Sweep per live source, pairs built source by source. idle counts the
+// sweeps that examined no adjacency entry and found nothing — the sources the
+// driver is allowed not to run — when the kernel has counters to read that
+// off.
+func perSourcePairs(t *testing.T, kern *pg.Kernel, sources []int, mt *pg.Meter) (out [][2]int, idle int64) {
 	t.Helper()
 	g := kern.Graph()
 	if sources == nil {
@@ -27,21 +30,24 @@ func perSourcePairs(t *testing.T, kern *pg.Kernel, sources []int, mt *pg.Meter) 
 			sources = append(sources, u)
 		}
 	}
-	var out [][2]int
 	sc := kern.NewScratch()
 	for _, u := range sources {
 		if !g.NodeAlive(u) {
 			continue
 		}
+		before := kern.Counters().Snapshot().EdgesScanned
 		vs, err := kern.Sweep(u, sc, mt, pg.Plan{}, true)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(vs) == 0 && kern.Counters() != nil && kern.Counters().Snapshot().EdgesScanned == before {
+			idle++
 		}
 		for _, v := range vs {
 			out = append(out, [2]int{u, v})
 		}
 	}
-	return out
+	return out, idle
 }
 
 // appendPairs spells part's runs out as (source, target) pairs, holding it
@@ -202,6 +208,84 @@ func tangleOverlay(t *testing.T, seed int64, n int) *graph.Graph {
 	return g
 }
 
+// rareLabels is the family the idle rule is held on: seven labels, so that a
+// negated guard scans densely (it admits six, more than the kernel indexes),
+// c on about one edge in twenty, half the nodes with no out-edge at all, an
+// eighth with b edges only — idle under `c …`, not under `!{b} …`, which
+// examines their edges and matches none — and the rest with a few edges of
+// any label.
+func rareLabels(seed int64, n int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	id := func(i int) graph.NodeID { return graph.NodeID("n" + strconv.Itoa(i)) }
+	b := graph.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(id(i), "", nil)
+	}
+	edges := 0
+	add := func(label string, u int) {
+		b.AddEdge(graph.EdgeID("e"+strconv.Itoa(edges)), label, id(u), id(rng.Intn(n)), nil)
+		edges++
+	}
+	for u := 0; u < n; u++ {
+		switch r := rng.Intn(8); {
+		case r < 4:
+		case r == 4:
+			for c := 1 + rng.Intn(2); c > 0; c-- {
+				add("b", u)
+			}
+		default:
+			for c := 1 + rng.Intn(3); c > 0; c-- {
+				label := string(rune('a' + rng.Intn(7)))
+				if label == "c" && rng.Intn(3) != 0 {
+					label = "a"
+				}
+				add(label, u)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// rareLabelsOverlay is a rareLabels graph left as an overlay that moved
+// sources across the idle rule under b: a node lost its only b edge (idle
+// now), a node without edges gained its first (it moves now), a node with a b
+// edge is tombstoned. b's epoch has moved, so its neighbor tables are gone
+// and the driver reads rows through the label index until rent buys new ones.
+func rareLabelsOverlay(t *testing.T, seed int64, n int) *graph.Graph {
+	t.Helper()
+	base := rareLabels(seed, n)
+	lb, _ := base.LabelID("b")
+	var loses, gains, dies int = -1, -1, -1
+	for u := 10; u < n; u++ {
+		bs := base.OutWithLabel(u, lb)
+		switch {
+		case loses < 0 && len(bs) == 1 && base.OutDegree(u) == 1:
+			loses = u
+		case gains < 0 && base.OutDegree(u) == 0:
+			gains = u
+		case dies < 0 && u != loses && len(bs) == 2:
+			dies = u
+		}
+	}
+	if loses < 0 || gains < 0 || dies < 0 {
+		t.Fatalf("overlay fixture: no node to lose (%d), gain (%d) or die (%d)", loses, gains, dies)
+	}
+	name := func(u int) string { return "n" + strconv.Itoa(u) }
+	g, err := base.Apply([]graph.Mutation{
+		{Op: graph.MutRemoveEdge, ID: string(base.Edge(base.OutWithLabel(loses, lb)[0]).ID)},
+		{Op: graph.MutAddEdge, ID: "first-b", Label: "b", Src: name(gains), Tgt: name(5)},
+		{Op: graph.MutRemoveNode, ID: name(dies)},
+		{Op: graph.MutRemoveNode, ID: name(2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.OutDegree(loses) != 0 || g.OutDegree(gains) != 1 || g.NodeAlive(dies) || g.NeighborTable(lb, false) != nil {
+		t.Fatal("overlay fixture did not move its sources across the idle rule")
+	}
+	return g
+}
+
 // TestSweepAllMatchesPerSourceSweep is the all-sources driver's
 // differential, for both loops under it. Over generated graphs × automata —
 // forward and backward machines, a two-way machine, negated guards on the
@@ -215,11 +299,18 @@ func tangleOverlay(t *testing.T, seed int64, n int) *graph.Graph {
 // on both sides of the rent-then-buy rule (the test checks that both did):
 // a call that stayed on the level loop must match the per-source sweeps
 // level by level, one that condensed must match them level by level for
-// batch 0 and in sources and states for the rest.
+// batch 0 and in sources and states for the rest. The rare-label graphs are
+// there for the sources the driver charges without running (idle_sources
+// must count exactly the per-source sweeps that examined nothing and found
+// nothing): a start state that accepts, so nothing is idle; a rare first
+// label, forward and — flipped — as the last; a union start; a guard first,
+// under which a node whose edges all fail it is not idle; an inverse first
+// step; and sources an overlay moved across the rule.
 func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 	seven := []string{"a", "b", "c", "d", "e", "f", "g"}
 	queries := []string{"a*", "a b* a", "(!{b})*", "(a | b)+"}
 	cyclic := []string{"a*", "a* z a", "(a|b)* z (a|b)", "(!{b})* z a", "(a* b)* a*", "((a|z)* b*)*"}
+	rare := []string{"a*", "c a*", "b a*", "(a|b) c", "!{b} a*", "b b b"}
 	graphs := []struct {
 		name    string
 		g       *graph.Graph
@@ -238,8 +329,10 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 		{"tangle", tangle(1, 340, false), cyclic, "(a|~a)* z", false},
 		{"tangle-flipped", tangle(2, 340, true), cyclic, "(a|~a)* z", false},
 		{"tangle-overlay", tangleOverlay(t, 3, 343), cyclic, "(a|~a)* z", false},
+		{"rare-labels", rareLabels(4, 260), rare, "~c (a|~a)*", true},
+		{"rare-labels-overlay", rareLabelsOverlay(t, 5, 260), rare, "~b (a|~a)*", true},
 	}
-	bought, stayed := 0, 0
+	bought, stayed, idled := 0, 0, int64(0)
 	for _, gc := range graphs {
 		g := gc.g
 		kernels := map[string]func(c *pg.Counters) *pg.Kernel{}
@@ -271,8 +364,12 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 				name := fmt.Sprintf("%s %s sources=%d", gc.name, kname, len(sources))
 				var oc pg.Counters
 				om, oss := analyzeMeter()
-				want := perSourcePairs(t, build(&oc), sources, om)
+				want, wantIdle := perSourcePairs(t, build(&oc), sources, om)
 				oracle := oss.Snapshot()
+				if len(sources) == 1 {
+					wantIdle = 0 // a list of one runs Kernel.Sweep
+				}
+				idled += wantIdle
 
 				var first pg.CountersSnapshot
 				var firstJSON []byte
@@ -320,8 +417,8 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 						} else if sources == nil && len(live) >= 329 {
 							stayed++
 						}
-						if snap.Sweeps != oracle.Sweeps || snap.States != oracle.States || len(snap.Levels) != len(levels.Levels) {
-							t.Fatalf("%s: telemetry %+v, per-source sweeps recorded %+v", name, snap, oracle)
+						if snap.Sweeps != oracle.Sweeps || snap.States != oracle.States || len(snap.Levels) != len(levels.Levels) || snap.IdleSources != wantIdle {
+							t.Fatalf("%s: telemetry %+v, per-source sweeps recorded %+v, %d of them idle", name, snap, oracle, wantIdle)
 						}
 						for i, l := range snap.Levels {
 							if o := levels.Levels[i]; l.Sweeps != o.Sweeps || l.Frontier != o.Frontier || l.Discovered != o.Discovered {
@@ -349,6 +446,65 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 	if bought < 10 || stayed < 10 {
 		t.Fatalf("%d calls condensed, %d calls with as many batches stayed on the level loop: the generator no longer covers both sides of the rule", bought, stayed)
 	}
+	if idled < 10000 {
+		t.Fatalf("%d idle sources over the whole run: the generators no longer exercise the idle rule", idled)
+	}
+}
+
+// TestIdleSourcesChargedNotSwept pins what the idle rule is for. On
+// scalefree-20000 one edge in sixteen is a b, so under `b b b` three nodes in
+// four have no edge to take: they are charged their start state and the
+// batches pack the rest, 64 to a word — a quarter of the batches one per 64
+// nodes made — while the meter reads what 20 000 sweeps read. A states budget
+// smaller than the idle charge alone trips as it always did.
+func TestIdleSourcesChargedNotSwept(t *testing.T) {
+	g, err := gen.Named("scalefree-20000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, _ := g.LabelID("b")
+	moving := 0
+	for u := 0; u < g.NumNodes(); u++ {
+		if len(g.OutWithLabel(u, lb)) > 0 {
+			moving++
+		}
+	}
+	const states = 28850 // what one Kernel.Sweep per node charges, and what the parent commit's 313 batches charged
+	for _, workers := range []int{1, 4} {
+		var c pg.Counters
+		kern := pg.NewKernel(g, pg.FromNFA(g, mustRPQ(t, "b b b")), &c)
+		m, ss := analyzeMeter()
+		pairs, err := sweepAllPairs(kern, nil, workers, m, pg.Plan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := ss.Snapshot()
+		if m.States() != states || c.Snapshot().StatesExpanded != states || snap.States != states || snap.Sweeps != 20000 {
+			t.Errorf("workers=%d: meter %d, counter %d, telemetry %d states over %d sweeps; want %d over 20000",
+				workers, m.States(), c.Snapshot().StatesExpanded, snap.States, snap.Sweeps, states)
+		}
+		if int(snap.IdleSources) != 20000-moving || moving > 5000 {
+			t.Errorf("workers=%d: %d idle sources, want %d (%d nodes have a b edge)", workers, snap.IdleSources, 20000-moving, moving)
+		}
+		if got, limit := c.Snapshot().BatchesRun, int64((moving+63)/64+1); got > limit || got == 0 {
+			t.Errorf("workers=%d: %d batches run for %d sources that move, want at most %d", workers, got, moving, limit)
+		}
+		if len(pairs) == 0 || int64(len(pairs)) != m.Rows() {
+			t.Errorf("workers=%d: %d pairs, %d rows charged", workers, len(pairs), m.Rows())
+		}
+	}
+
+	var c pg.Counters
+	kern := pg.NewKernel(g, pg.FromNFA(g, mustRPQ(t, "b b b")), &c)
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1000}, nil, nil)
+	_, err = sweepAllPairs(kern, nil, 1, m, pg.Plan{})
+	var be *pg.BudgetError
+	if !errors.As(err, &be) || err.Error() != "eval: states budget exceeded (limit 1000)" {
+		t.Fatalf("got %v, want the states budget error", err)
+	}
+	if m.States() <= 1000 || m.States() > 1000+pg.CheckInterval {
+		t.Errorf("budget of 1000 states tripped at %d, want within one check interval past it", m.States())
+	}
 }
 
 // TestSweepAllSharesEdgeScans pins what batching is for: on a graph whose
@@ -358,7 +514,7 @@ func TestSweepAllSharesEdgeScans(t *testing.T) {
 	g := gen.ScaleFree(800, 4, 42)
 	expr := mustRPQ(t, "a* b a")
 	var oc, c pg.Counters
-	want := perSourcePairs(t, pg.NewKernel(g, pg.FromNFA(g, expr), &oc), nil, nil)
+	want, _ := perSourcePairs(t, pg.NewKernel(g, pg.FromNFA(g, expr), &oc), nil, nil)
 	got, err := sweepAllPairs(pg.NewKernel(g, pg.FromNFA(g, expr), &c), nil, 1, nil, pg.Plan{})
 	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("(%d pairs, %v), want %d pairs", len(got), err, len(want))
@@ -462,7 +618,7 @@ func TestSweepAllRowsBudgetExact(t *testing.T) {
 func TestSweepAllStatesBudgetAndReuse(t *testing.T) {
 	g := gen.Clique(40, "a")
 	kern, _ := sweepKernels(t, g, "a* a*")
-	want := perSourcePairs(t, kern, nil, nil)
+	want, _ := perSourcePairs(t, kern, nil, nil)
 	for _, workers := range []int{1, 4} {
 		m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 300}, nil, nil)
 		_, err := sweepAllPairs(kern, nil, workers, m, pg.Plan{})

@@ -19,6 +19,7 @@ import "sync"
 type SweepStats struct {
 	mu           sync.Mutex
 	sweeps       int64
+	idleSources  int64
 	states       int64
 	edges        int64
 	peakFrontier int64
@@ -40,15 +41,17 @@ type levelAgg struct {
 }
 
 // RecordSweep folds one loop exit's accounting into the stats: sweeps is
-// the number of sources the loop served — one for Kernel.Sweep, the batch
-// size for the batched loop, where states counts (source, state)
-// discoveries and peak the shared frontier's length in product states.
-func (ss *SweepStats) RecordSweep(sweeps, states, edges, peak int64) {
+// the number of sources the loop served — one for Kernel.Sweep; for the
+// batched loop the live sources of the batch's window, idle of which it
+// charged without running, where states counts (source, state) discoveries
+// and peak the shared frontier's length in product states.
+func (ss *SweepStats) RecordSweep(sweeps, idle, states, edges, peak int64) {
 	if ss == nil {
 		return
 	}
 	ss.mu.Lock()
 	ss.sweeps += sweeps
+	ss.idleSources += idle
 	ss.states += states
 	ss.edges += edges
 	if peak > ss.peakFrontier {
@@ -80,12 +83,13 @@ func (ss *SweepStats) RecordCondensation(states, components, dagEdges, largest, 
 // RecordCondensedSweep is RecordSweep for a batch that ran on a
 // condensation RecordCondensation has recorded: it has no levels and no
 // frontier, and its edges are DAG edges examined.
-func (ss *SweepStats) RecordCondensedSweep(sources, states, edges int64) {
+func (ss *SweepStats) RecordCondensedSweep(sources, idle, states, edges int64) {
 	if ss == nil {
 		return
 	}
 	ss.mu.Lock()
 	ss.sweeps += sources
+	ss.idleSources += idle
 	ss.states += states
 	ss.edges += edges
 	ss.condensed.Sources += sources
@@ -196,7 +200,12 @@ type CondensedStats struct {
 type SweepStatsSnapshot struct {
 	// Sweeps counts the sources the query swept from, whether one per
 	// Kernel.Sweep or up to 64 per batch of the all-sources loop.
-	Sweeps int64 `json:"sweeps"`
+	// IdleSources is how many of them the all-sources driver did not run:
+	// no transition out of a start state had an edge at them, so it charged
+	// them the sweep they would have been — their start states, in States
+	// and in level 0 — and left them out of its batches.
+	Sweeps      int64 `json:"sweeps"`
+	IdleSources int64 `json:"idle_sources,omitempty"`
 	// States / Edges are total product states expanded — (source, state)
 	// discoveries, the same number either loop — and adjacency entries
 	// examined, which a batch examines once for all its sources;
@@ -234,6 +243,7 @@ func (ss *SweepStats) Snapshot() *SweepStatsSnapshot {
 	defer ss.mu.Unlock()
 	snap := &SweepStatsSnapshot{
 		Sweeps:       ss.sweeps,
+		IdleSources:  ss.idleSources,
 		States:       ss.states,
 		Edges:        ss.edges,
 		PeakFrontier: ss.peakFrontier,

@@ -78,37 +78,50 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
 func (d *discardResponse) Flush()                      {}
 
-// BenchmarkServedPairs is the output path as a callable layer: POST
-// /v1/query for `a*` on the two big-results graphs of bench/ (path-700:
-// 246 051 rows, 3.9 MB; grid-20x20: 160 000 rows), in both reply forms,
-// through the handler in-process. The sweep is a few milliseconds of each
-// op; the rest is delivery.
+// BenchmarkServedPairs is the all-pairs reply as a callable layer: POST
+// /v1/query through the handler in-process. The first four rows are the
+// output path — `a*` on the two big-results graphs of bench/ (path-700:
+// 246 051 rows, 3.9 MB; grid-20x20: 160 000 rows), in both reply forms: the
+// sweep is a few milliseconds of each op, the rest is delivery. The last two
+// are the label-pairs class of short-reads on scalefree-20000, two thirds of
+// that workload's daemon CPU: `b b b` (three nodes in four have no b edge to
+// start on, ~1 200 rows) and cypher `-[:b]->-[:a]->` (the same idle sources,
+// ~44 000 rows).
 func BenchmarkServedPairs(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
-	if err := s.LoadNamed("path-700", "grid-20x20"); err != nil {
+	if err := s.LoadNamed("path-700", "grid-20x20", "scalefree-20000"); err != nil {
 		b.Fatal(err)
 	}
 	h := s.Handler()
-	for _, graphName := range []string{"path-700", "grid-20x20"} {
-		for _, form := range []string{"buffered", "ndjson"} {
-			b.Run(graphName+"/"+form, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					req := httptest.NewRequest(http.MethodPost, "/v1/query",
-						strings.NewReader(`{"graph":"`+graphName+`","query":"a*"}`))
-					if form == "ndjson" {
-						req.Header.Set("Accept", "application/x-ndjson")
-					}
-					w := &discardResponse{h: http.Header{}}
-					h.ServeHTTP(w, req)
-					if w.n < 1<<20 {
-						b.Fatalf("reply of %d bytes", w.n)
-					}
-					b.SetBytes(w.n)
+	const big, labelPairs = 1 << 20, 16 << 10
+	for _, c := range []struct {
+		name, body string
+		ndjson     bool
+		atLeast    int64
+	}{
+		{"path-700/buffered", `{"graph":"path-700","query":"a*"}`, false, big},
+		{"path-700/ndjson", `{"graph":"path-700","query":"a*"}`, true, big},
+		{"grid-20x20/buffered", `{"graph":"grid-20x20","query":"a*"}`, false, big},
+		{"grid-20x20/ndjson", `{"graph":"grid-20x20","query":"a*"}`, true, big},
+		{"scalefree-20000/b b b", `{"graph":"scalefree-20000","query":"b b b"}`, false, labelPairs},
+		{"scalefree-20000/cypher -[:b]->-[:a]->", `{"graph":"scalefree-20000","lang":"cypher","query":"-[:b]->-[:a]->"}`, false, labelPairs},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(c.body))
+				if c.ndjson {
+					req.Header.Set("Accept", "application/x-ndjson")
 				}
-			})
-		}
+				w := &discardResponse{h: http.Header{}}
+				h.ServeHTTP(w, req)
+				if w.n < c.atLeast {
+					b.Fatalf("reply of %d bytes", w.n)
+				}
+				b.SetBytes(w.n)
+			}
+		})
 	}
 }
 

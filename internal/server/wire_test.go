@@ -58,6 +58,27 @@ func nastyGraph(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// nastyOverlay is nastyGraph(n) with its last six nodes and their edges
+// added by a mutation batch: the base's arena holds the literals of the
+// others, these six are quoted row by row.
+func nastyOverlay(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	var muts []graph.Mutation
+	for i := n - 6; i < n; i++ {
+		muts = append(muts, graph.Mutation{Op: graph.MutAddNode, ID: nastyID(i), Label: "N", Props: graph.Props{"s": graph.Str(nastyID(i + 7))}})
+	}
+	for i := n - 7; i+1 < n; i++ {
+		muts = append(muts,
+			graph.Mutation{Op: graph.MutAddEdge, ID: "e" + nastyID(i), Label: "a", Src: nastyID(i), Tgt: nastyID(i + 1)},
+			graph.Mutation{Op: graph.MutAddEdge, ID: "f" + nastyID(i), Label: "b", Src: nastyID(i + 1), Tgt: nastyID(0)})
+	}
+	g, err := nastyGraph(n - 6).Apply(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 var elapsedRE = regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
 
 func maskElapsed(b []byte) []byte { return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ms":0`)) }
@@ -171,8 +192,15 @@ func (s *rowOnlySink) Row(v any) error              { refEncode(s.t, &s.buf, v);
 func TestWireBytesMatchEncodingJSON(t *testing.T) {
 	const graphName = `g<"&>` + "\u2028"
 	const n = 90 // batches of 8, 64 and 18 sources
+	t.Run("overlay", func(t *testing.T) { wireBytesMatch(t, graphName, n, nastyOverlay(t, n)) })
+	wireBytesMatch(t, graphName, n, nastyGraph(n))
+}
+
+// wireBytesMatch holds every reply over g — a nastyGraph(n), built or left as
+// an overlay — to encoding/json.
+func wireBytesMatch(t *testing.T, graphName string, n int, g *graph.Graph) {
 	s := New(Config{Parallelism: 1, StreamChunk: 7})
-	eng := s.Register(graphName, nastyGraph(n))
+	eng := s.Register(graphName, g)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
