@@ -50,7 +50,8 @@ bench-smoke:
 # Ten seconds of each fuzz target — the row encoder against encoding/json
 # (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
-# parser and shortest mode against the mode-all definition; the committed
+# parser and shortest mode against the mode-all definition, the relalg and
+# spanner parsers' round trips and compile bounds; the committed
 # corpora alone run with every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
@@ -58,6 +59,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/rpq
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/crpq
 	$(GO) test -run '^$$' -fuzz FuzzShortest -fuzztime 10s ./internal/lrpq
+	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/relalg
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/spanner
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

@@ -44,8 +44,8 @@
 // -query-log-keep old files; -debug-addr 127.0.0.1:6060 serves
 // net/http/pprof on a separate listener. "analyze": true on POST /v1/query
 // returns the annotated plan tree (per-node estimate vs actual with
-// q-errors, per-level sweep telemetry) and feeds the per-graph cardinality
-// feedback store surfaced in /v1/statz and /metrics.
+// q-errors, per-level sweep telemetry) and adds its root q-error to the
+// gq_cardest_qerror histogram in /metrics.
 //
 // Live introspection: GET /v1/queries lists in-flight queries with their
 // live progress (stage, product states, frontier), GET /v1/queries/recent

@@ -12,12 +12,10 @@ package core
 
 import (
 	"strconv"
-	"strings"
 
 	"graphquery/internal/cardest"
 	"graphquery/internal/eval"
 	"graphquery/internal/obs"
-	pgplan "graphquery/internal/pg/plan"
 )
 
 // PlanNode is one node of the annotated plan tree: a stage or operator
@@ -51,17 +49,13 @@ type PlanNode struct {
 }
 
 // AnnotatedPlan is the analyze-mode payload of a Response: the annotated
-// plan tree plus the kernel's sweep telemetry and the plan-knob audit.
+// plan tree plus the kernel's sweep telemetry.
 type AnnotatedPlan struct {
 	// Plan is the annotated tree; its root is the query's result kind.
 	Plan PlanNode `json:"plan"`
 	// Sweep is the kernel's recorded telemetry: per-level frontier sizes
 	// and direction choices, edges examined. Nil when no kernel sweep ran.
 	Sweep *eval.SweepStatsSnapshot `json:"sweep,omitempty"`
-	// Mispicks lists the plan knobs whose choice the measured actuals
-	// contradicted (plan.Mispicks): "direction". Empty means the
-	// evidence is consistent with every choice.
-	Mispicks []string `json:"mispicks,omitempty"`
 }
 
 // Trace attributes the analyze path communicates through: the evaluator
@@ -71,22 +65,19 @@ type AnnotatedPlan struct {
 const (
 	attrEstRows   = "est_rows"   // cardest answer-count estimate
 	attrEstStates = "est_states" // frontier-mass model states estimate
-	attrMispicks  = "mispicks"   // comma-joined plan.Mispicks verdicts
 )
 
 // formatEst renders an estimate deterministically for a trace attribute
 // (shortest round-trip form, the same rendering encoding/json uses).
 func formatEst(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// noteKernelActuals records the analyze-path estimates and the plan-knob
-// audit for one planned kernel sweep: called by plannedPairs right after a
-// kernel stage that ran to completion, where the compiled plan and the
-// measured states are both in hand (a sweep the sink stopped early swept
-// only part of the product and is never audited).
-// ss nil (analyze off) is a no-op, so non-analyze queries pay one nil
-// check. Mispicks are counted into the engine's runtime counters — the
-// gq_plan_mispick_total source — and mirrored onto the trace for the tree.
-func (e *Engine) noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, states int64, ss *eval.SweepStats) {
+// noteKernelActuals records the analyze-path estimates of one planned
+// kernel sweep: called by plannedPairs right after a kernel stage that ran
+// to completion (a sweep the sink stopped early swept only part of the
+// product, so its counts would be q-errors of nothing and it carries no
+// estimate). ss nil (analyze off) is a no-op, so non-analyze queries pay
+// one nil check.
+func noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, ss *eval.SweepStats) {
 	if ss == nil {
 		return
 	}
@@ -97,22 +88,15 @@ func (e *Engine) noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, st
 		tr.Set(attrEstStates, formatEst(pl.plan.EstStates))
 	}
 	tr.Set(attrEstRows, formatEst(cardest.Of(gs.g).Estimate(pl.expr, 0)))
-	if ms := pgplan.Mispicks(pl.plan, states); len(ms) > 0 {
-		tr.Set(attrMispicks, strings.Join(ms, ","))
-		for _, knob := range ms {
-			e.counters.CountMispick(knob)
-		}
-	}
 }
 
-// annotate builds the AnnotatedPlan of one completed analyze-mode query
-// and deposits its estimate-vs-actual observation into the feedback store.
+// annotate builds the AnnotatedPlan of one completed analyze-mode query.
 // The tree is derived from deterministic sources only: the trace's span
 // names and meter deltas (never their timings), the plan attributes, and
 // the sweep telemetry. Accumulated spans are delivery time accounting —
 // which of them exist depends on the sink and on whether its client ever
 // blocked — so they are not plan nodes.
-func (e *Engine) annotate(req Request, resp *Response, tr *obs.Trace, ss *eval.SweepStats) *AnnotatedPlan {
+func annotate(resp *Response, tr *obs.Trace, ss *eval.SweepStats) *AnnotatedPlan {
 	actual := int64(resp.Count())
 	root := PlanNode{Name: resp.Kind, Detail: tr.Attr("plan"), Actual: actual}
 	if s := tr.Attr(attrEstRows); s != "" {
@@ -139,12 +123,5 @@ func (e *Engine) annotate(req Request, resp *Response, tr *obs.Trace, ss *eval.S
 		}
 		root.Children = append(root.Children, n)
 	}
-	ap := &AnnotatedPlan{Plan: root, Sweep: ss.Snapshot()}
-	if s := tr.Attr(attrMispicks); s != "" {
-		ap.Mispicks = strings.Split(s, ",")
-	}
-	if root.Estimate > 0 || tr.Attr(attrEstRows) != "" {
-		e.feedback.Record(normalizeQuery(req.Query), root.Estimate, actual)
-	}
-	return ap
+	return &AnnotatedPlan{Plan: root, Sweep: ss.Snapshot()}
 }

@@ -68,12 +68,7 @@ func TestAnalyzeAnnotatedPlan(t *testing.T) {
 	if root.Estimate <= 0 || root.QError < 1 {
 		t.Fatalf("root estimate/q-error missing: est=%g q=%g", root.Estimate, root.QError)
 	}
-	var kernel *PlanNode
-	for i := range root.Children {
-		if root.Children[i].Name == "kernel" {
-			kernel = &root.Children[i]
-		}
-	}
+	kernel := kernelNode(root)
 	if kernel == nil {
 		t.Fatalf("no kernel stage in children: %+v", root.Children)
 	}
@@ -164,60 +159,43 @@ func TestAnalyzeOff(t *testing.T) {
 	if resp.Analyze != nil {
 		t.Fatalf("analyze-off response has an annotated plan: %+v", resp.Analyze)
 	}
-	if snap := e.FeedbackStats(); snap.Records != 0 {
-		t.Fatalf("analyze-off query deposited feedback: %+v", snap)
-	}
 }
 
-// TestAnalyzeFeedsFeedback: every analyze-mode query deposits its
-// estimate-vs-actual observation into the engine's feedback store, keyed
-// by whitespace-normalized query text.
-func TestAnalyzeFeedsFeedback(t *testing.T) {
-	e := New(gen.Clique(64, "a"))
-	e.Parallelism = 1
-	for i := 0; i < 3; i++ {
-		if _, err := e.Query(Request{Query: "a  a*", Analyze: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := e.FeedbackStats()
-	if snap.Records != 3 || snap.Exprs != 1 {
-		t.Fatalf("want 3 records of 1 expr, got %+v", snap)
-	}
-	if snap.MeanQError < 1 || snap.MaxQError < 1 {
-		t.Fatalf("q-error aggregates below 1: %+v", snap)
-	}
-	if len(snap.Worst) != 1 || snap.Worst[0].Expr != "a a*" {
-		t.Fatalf("worst list should hold the normalized expression: %+v", snap.Worst)
-	}
-	if snap.Worst[0].Actual <= 0 || snap.Worst[0].Estimate <= 0 {
-		t.Fatalf("worst entry lost its observation: %+v", snap.Worst[0])
-	}
-}
-
-// mispickCycle is a real direction mispick: on a 1000-node a-cycle the
+// mispickCycle is a badly estimated sweep: on a 1000-node a-cycle the
 // planner estimates "a a*" at 21 000 product states and the sweeps expand
-// 1 002 000 — a q-error near 48, past the audit's cut of 32.
+// 1 002 000 — a q-error near 48.
 func mispickCycle() (*Engine, Request) {
 	e := New(gen.Cycle(1000, "a"))
 	e.Parallelism = 1
 	return e, Request{Query: "a a*", Analyze: true}
 }
 
-// TestAnalyzeMispickCounters: mispick audits land in the engine's runtime
-// counters, and the audit's vocabulary is exactly the one knob the planner
-// still turns.
-func TestAnalyzeMispickCounters(t *testing.T) {
+// kernelNode returns the kernel stage of an annotated tree, or nil.
+func kernelNode(root PlanNode) *PlanNode {
+	for i := range root.Children {
+		if root.Children[i].Name == "kernel" {
+			return &root.Children[i]
+		}
+	}
+	return nil
+}
+
+// TestAnalyzeKernelQError: a badly estimated sweep shows as such in the
+// tree — the kernel node carries the planner's states estimate and a
+// q-error past 32 — and the root carries the q-error the server observes
+// into gq_cardest_qerror.
+func TestAnalyzeKernelQError(t *testing.T) {
 	e, req := mispickCycle()
 	resp, err := e.Query(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Analyze.Mispicks; len(got) != 1 || got[0] != "direction" {
-		t.Fatalf("mispicks %v, want [direction]", got)
+	k := kernelNode(resp.Analyze.Plan)
+	if k == nil || k.Estimate != 21000 || k.QError < 32 {
+		t.Fatalf("kernel node %+v, want estimate 21000 and q_error ≥ 32", k)
 	}
-	if rt := e.RuntimeStats(); rt.MispickDirection != 1 {
-		t.Fatalf("direction mispick counted %d times, want 1: %+v", rt.MispickDirection, rt)
+	if root := resp.Analyze.Plan; root.Estimate <= 0 || root.QError < 1 {
+		t.Fatalf("root estimate/q-error missing: est=%g q=%g", root.Estimate, root.QError)
 	}
 }
 
@@ -237,9 +215,6 @@ func TestAnalyzeLevelsOnPlainSweep(t *testing.T) {
 	}
 	if n := int64(g.NumNodes()); sw.Sweeps != n || sw.Levels[0].Sweeps != n {
 		t.Fatalf("want one sweep per node, each expanding its seed level: %+v", sw)
-	}
-	if len(resp.Analyze.Mispicks) != 0 {
-		t.Fatalf("default plan audited as mispicked: %v", resp.Analyze.Mispicks)
 	}
 }
 
@@ -265,14 +240,12 @@ func TestAnalyzeStreaming(t *testing.T) {
 	}
 }
 
-// TestAnalyzeEarlyStopNeitherAuditsNorDeposits: a stream the sink stops
-// early (a filled cursor page) swept only part of the product, so its
-// state count must not audit the plan knobs and its row count must not be
-// recorded as the query's cardinality. The full run of the same query does
-// both.
-func TestAnalyzeEarlyStopNeitherAuditsNorDeposits(t *testing.T) {
-	// The TestAnalyzeMispickCounters setup: a full run is a "direction"
-	// mispick.
+// TestAnalyzeEarlyStopCarriesNoEstimate: a stream the sink stops early (a
+// filled cursor page) swept only part of the product, so neither its row
+// count nor its state count is set against the planner's estimates: the
+// root and the kernel node carry no estimate and no q-error. The full run
+// of the same query carries both.
+func TestAnalyzeEarlyStopCarriesNoEstimate(t *testing.T) {
 	e, req := mispickCycle()
 
 	sink := &countingSink{stopAt: 1}
@@ -283,23 +256,23 @@ func TestAnalyzeEarlyStopNeitherAuditsNorDeposits(t *testing.T) {
 	if resp.Count() != 1 || resp.Analyze == nil {
 		t.Fatalf("early-stopped stream: count %d, analyze %v; want the one delivered row, annotated", resp.Count(), resp.Analyze)
 	}
-	if len(resp.Analyze.Mispicks) != 0 {
-		t.Errorf("partial sweep audited the plan: %v", resp.Analyze.Mispicks)
+	root := resp.Analyze.Plan
+	if root.Estimate != 0 || root.QError != 0 {
+		t.Errorf("partial sweep estimated its root: est=%g q=%g", root.Estimate, root.QError)
 	}
-	if rt := e.RuntimeStats(); rt.MispickDirection != 0 {
-		t.Errorf("partial sweep counted mispicks: %+v", rt)
-	}
-	if snap := e.FeedbackStats(); snap.Records != 0 {
-		t.Errorf("partial sweep deposited feedback: %+v", snap)
+	if k := kernelNode(root); k == nil || k.Estimate != 0 || k.QError != 0 {
+		t.Errorf("partial sweep's kernel node %+v, want one with no estimate", k)
 	}
 
-	if _, err := e.QueryStream(context.Background(), req, &countingSink{}); err != nil {
+	resp, err = e.QueryStream(context.Background(), req, &countingSink{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rt := e.RuntimeStats(); rt.MispickDirection != 1 {
-		t.Errorf("full run did not count its direction mispick: %+v", rt)
+	root = resp.Analyze.Plan
+	if root.Estimate <= 0 || root.QError < 1 {
+		t.Errorf("full run's root carries no estimate: est=%g q=%g", root.Estimate, root.QError)
 	}
-	if snap := e.FeedbackStats(); snap.Records != 1 {
-		t.Errorf("full run deposited %d records, want 1", snap.Records)
+	if k := kernelNode(root); k == nil || k.Estimate <= 0 || k.QError < 1 {
+		t.Errorf("full run's kernel node %+v, want an estimate and a q-error", k)
 	}
 }

@@ -79,19 +79,12 @@ type Engine struct {
 	// statistics across every query this engine evaluates; RuntimeStats
 	// snapshots it for /v1/statz.
 	counters pg.Counters
-
-	// feedback is the estimate-vs-actual record store analyze-mode queries
-	// deposit into (cardest.Feedback): per-expression decayed q-errors the
-	// planner-v2 calibration work consumes. It survives graph swaps — the
-	// decay, not a reset, ages out observations made against superseded
-	// statistics. Nil on a zero-value Engine (recording is then a no-op).
-	feedback *cardest.Feedback
 }
 
 // New returns an engine over g with a default enumeration bound and plan
 // cache.
 func New(g *graph.Graph) *Engine {
-	e := &Engine{MaxLen: 16, plans: newPlanCache(defaultPlanCacheCap), feedback: cardest.NewFeedback()}
+	e := &Engine{MaxLen: 16, plans: newPlanCache(defaultPlanCacheCap)}
 	e.cur.Store(&graphState{g: g, rev: 1})
 	return e
 }
@@ -247,11 +240,6 @@ func (e *Engine) planFor(gs *graphState, nfa *automata.NFA) pg.Plan {
 // expanded, edges scanned, peak frontier, and plan choices, cumulative
 // over every query this engine has evaluated.
 func (e *Engine) RuntimeStats() pg.CountersSnapshot { return e.counters.Snapshot() }
-
-// FeedbackStats snapshots the estimate-vs-actual feedback store fed by
-// analyze-mode queries — per-expression decayed q-errors and the global
-// aggregates surfaced in /v1/statz and /metrics.
-func (e *Engine) FeedbackStats() cardest.FeedbackSnapshot { return e.feedback.Snapshot() }
 
 // compileRPQ returns the plan-cache build function of a plain RPQ, with
 // each stage — parse, Glushkov compilation + product resolution,

@@ -202,6 +202,11 @@ func (e *Engine) spannerMeter(gs *graphState, doc, query string, m *eval.Meter, 
 	sp := tr.Start("parse")
 	expr, err := cached(e, gs, "spanner", query, spanner.Parse)
 	sp.End()
+	if err == nil {
+		// The compiled size depends on the document, so the bound is asked
+		// per request, not once per cached parse.
+		err = spanner.CheckPositions(doc, expr)
+	}
 	if err != nil {
 		return nil, badQuery(err)
 	}

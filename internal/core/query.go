@@ -300,13 +300,12 @@ func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func
 		return nil, badQuery(err)
 	}
 	tr.Set("plan", plan.plan.String())
-	s0 := m.States()
 	resp, whole, err := sweptPairs(gs.g, m, tr, sink, func(emit func(pg.Runs) error) error {
 		return eval.PairsProductEmit(context.Background(), plan.product,
 			eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
 	})
 	if whole {
-		e.noteKernelActuals(gs, tr, plan, m.States()-s0, m.SweepStatsSink())
+		noteKernelActuals(gs, tr, plan, m.SweepStatsSink())
 	}
 	return resp, err
 }
@@ -345,9 +344,8 @@ func sweptPairs(g *graph.Graph, m *eval.Meter, tr *obs.Trace, sink BatchSink, sw
 	d.record(tr)
 	resp.Streamed = d.rows
 	if errors.Is(err, ErrStopStream) {
-		// The sink has all it wants: the sweep is partial, so its state
-		// count must not audit the plan and its row count must not reach
-		// the feedback store.
+		// The sink has all it wants: the sweep is partial, so its counts
+		// must not be set against the plan's estimates.
 		return resp, false, nil
 	}
 	if err != nil {

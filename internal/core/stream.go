@@ -126,7 +126,7 @@ func (e *Engine) QueryStream(ctx context.Context, req Request, sink Sink) (*Resp
 	resp.G = gs.g
 	resp.GraphRev = gs.rev
 	if req.Analyze {
-		resp.Analyze = e.annotate(req, resp, tr, ss)
+		resp.Analyze = annotate(resp, tr, ss)
 	}
 	return resp, nil
 }

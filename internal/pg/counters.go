@@ -20,12 +20,6 @@ type Counters struct {
 	tablesBuilt    atomic.Int64 // neighbor tables built on a graph's chain at this kernel's request
 	condensations  atomic.Int64 // all-sources calls that condensed their product (condense.go)
 	batchesRun     atomic.Int64 // batches of the all-sources driver that swept at least one source
-
-	// Mispick counters: analyze-mode queries whose measured actuals
-	// contradicted one of the planner's knob choices (plan.Mispicks). Only
-	// analyze queries feed these — they are estimate-vs-actual audit
-	// signals, not hot-path accounting.
-	mispickDirection atomic.Int64
 }
 
 // AddStates records n expanded product states (or search configurations).
@@ -73,15 +67,6 @@ func (c *Counters) CountPlan(p Plan) {
 	}
 }
 
-// CountMispick records one plan knob an analyze-mode query found
-// contradicted by its measured actuals. knob is "direction", plan.Mispicks's
-// one word; unknown values are ignored.
-func (c *Counters) CountMispick(knob string) {
-	if c != nil && knob == "direction" {
-		c.mispickDirection.Add(1)
-	}
-}
-
 // addNeighborTablesBuilt records one neighbor table a sweep of this kernel
 // paid for and built (graph.BuyNeighborTable). Commits that leave a label
 // alone leave its tables valid, so on a served graph this stays flat between
@@ -123,8 +108,6 @@ type CountersSnapshot struct {
 	NeighborTablesBuilt int64 `json:"neighbor_tables_built"`
 	CondensationsBuilt  int64 `json:"condensations_built"`
 	BatchesRun          int64 `json:"batches_run"`
-
-	MispickDirection int64 `json:"mispick_direction"`
 }
 
 // Snapshot reads the counters. A nil receiver yields the zero snapshot.
@@ -144,7 +127,5 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		NeighborTablesBuilt: c.tablesBuilt.Load(),
 		CondensationsBuilt:  c.condensations.Load(),
 		BatchesRun:          c.batchesRun.Load(),
-
-		MispickDirection: c.mispickDirection.Load(),
 	}
 }

@@ -17,8 +17,9 @@ type Plan struct {
 	// Options.Parallelism, 1 forces the sequential path.
 	Workers int
 	// EstStates is the planner's frontier-mass estimate for the chosen
-	// direction (product states expanded per sweep) — recorded for Explain
-	// output and the plan-selection table in EXPERIMENTS.md.
+	// direction (product states expanded, summed over all sources). It sets
+	// Workers and is printed in the plan line and as the estimate of
+	// analyze's kernel node.
 	EstStates float64
 }
 

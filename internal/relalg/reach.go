@@ -339,6 +339,9 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if err != nil {
 			return nil, p.errf("in REACH: %v", err)
 		}
+		if err := rpq.CheckPositions(e); err != nil {
+			return nil, fmt.Errorf("relalg: in REACH: %w", err)
+		}
 		if !p.keyword("AS") {
 			return nil, p.errf("expected AS after REACH(...)")
 		}
@@ -439,7 +442,8 @@ func (p *queryParser) parseAtom() (Query, error) {
 
 // balanced consumes up to (and including) the ')' matching an already-
 // consumed '(' and returns the text between, honoring nested parens and
-// single-quoted rpq labels.
+// single-quoted rpq labels, inside which a backslash makes the next byte
+// literal as the rpq lexer reads it.
 func (p *queryParser) balanced() (string, error) {
 	start := p.pos
 	depth := 1
@@ -448,6 +452,9 @@ func (p *queryParser) balanced() (string, error) {
 		case '\'':
 			p.pos++
 			for p.pos < len(p.src) && p.src[p.pos] != '\'' {
+				if p.src[p.pos] == '\\' {
+					p.pos++
+				}
 				p.pos++
 			}
 			if p.pos >= len(p.src) {

@@ -82,7 +82,7 @@ type QueryRequest struct {
 	// Analyze turns on EXPLAIN ANALYZE mode: the response's "analyze" field
 	// carries the annotated plan tree — per-node planner estimate vs
 	// measured actual with q-errors — plus the kernel's per-level sweep
-	// telemetry and the plan-knob mispick audit.
+	// telemetry.
 	Analyze bool `json:"analyze,omitempty"`
 	// Stream requests chunked NDJSON delivery — equivalent to sending
 	// Accept: application/x-ndjson.

@@ -58,43 +58,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Plan mispicks: one family under {graph,knob}, knob being the one audited
-	// plan knob, direction. It is rendered for every graph (zeros included)
-	// so dashboards see stable series from the first scrape.
-	m.Family("gq_plan_mispick_total",
-		"Plan-knob choices contradicted by measured actuals, from analyze-mode audits.", "counter")
-	for _, name := range names {
-		m.Sample("gq_plan_mispick_total", st.Graphs[name].Runtime.MispickDirection,
-			map[string]string{"graph": name, "knob": "direction"})
-	}
-
-	// Cardinality-feedback aggregates: the decayed estimate-vs-actual record
-	// store each engine accumulates from analyze-mode queries.
-	m.Family("gq_cardest_feedback_records_total",
-		"Estimate-vs-actual observations deposited by analyze-mode queries.", "counter")
-	for _, name := range names {
-		m.Sample("gq_cardest_feedback_records_total", st.Graphs[name].Feedback.Records,
-			map[string]string{"graph": name})
-	}
-	m.Family("gq_cardest_feedback_exprs",
-		"Distinct expressions tracked by the cardinality feedback store.", "gauge")
-	for _, name := range names {
-		m.Sample("gq_cardest_feedback_exprs", int64(st.Graphs[name].Feedback.Exprs),
-			map[string]string{"graph": name})
-	}
-	m.Family("gq_cardest_feedback_mean_qerror",
-		"Decayed geometric-mean q-error of cardinality estimates.", "gauge")
-	for _, name := range names {
-		m.SampleFloat("gq_cardest_feedback_mean_qerror", st.Graphs[name].Feedback.MeanQError,
-			map[string]string{"graph": name})
-	}
-	m.Family("gq_cardest_feedback_max_qerror",
-		"Largest q-error a cardinality estimate ever reached.", "gauge")
-	for _, name := range names {
-		m.SampleFloat("gq_cardest_feedback_max_qerror", st.Graphs[name].Feedback.MaxQError,
-			map[string]string{"graph": name})
-	}
-
 	// Live-store families: the aggregate counters, then per-graph status
 	// under a graph label — all from the same Stats() snapshot, so they
 	// match /v1/statz's "store" object exactly.

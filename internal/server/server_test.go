@@ -133,6 +133,8 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"2rpq", `{"graph":"bank","lang":"2rpq","query":"(~a)*++++++++++++"}`},
 		{"pmr", `{"graph":"bank","lang":"pmr","query":"` + huge + `","from":"a1","to":"a2","limit":1}`},
 		{"bag", `{"graph":"bank","lang":"bag","query":"` + huge + `"}`},
+		{"relalg", `{"graph":"bank","lang":"relalg","query":"REACH(` + huge + `) AS (x, y)"}`},
+		{"spanner", `{"graph":"bank","lang":"spanner","query":"x{` + huge + `}","doc":"aaaa"}`},
 		{"repeat count", `{"graph":"bank","query":"(a a a a){1,4611686018427387904}"}`},
 	} {
 		start := time.Now()

@@ -3,7 +3,6 @@ package server
 import (
 	"sync/atomic"
 
-	"graphquery/internal/cardest"
 	"graphquery/internal/core"
 	"graphquery/internal/pg"
 	"graphquery/internal/store"
@@ -82,10 +81,6 @@ type GraphStats struct {
 	Edges   int                 `json:"edges"`
 	Cache   core.CacheStats     `json:"cache"`
 	Runtime pg.CountersSnapshot `json:"runtime"`
-	// Feedback is the engine's estimate-vs-actual cardinality store,
-	// accumulated from analyze-mode queries (q-error aggregates plus the
-	// worst-estimated expressions).
-	Feedback cardest.FeedbackSnapshot `json:"feedback"`
 }
 
 // Stats snapshots the server's counters and per-graph plan-cache stats.
@@ -115,11 +110,10 @@ func (s *Server) Stats() ServerStats {
 	for name, e := range s.engines {
 		g := e.Graph()
 		st.Graphs[name] = GraphStats{
-			Nodes:    g.NumNodes(),
-			Edges:    g.NumEdges(),
-			Cache:    e.CacheStats(),
-			Runtime:  e.RuntimeStats(),
-			Feedback: e.FeedbackStats(),
+			Nodes:   g.NumNodes(),
+			Edges:   g.NumEdges(),
+			Cache:   e.CacheStats(),
+			Runtime: e.RuntimeStats(),
 		}
 	}
 	s.mu.RUnlock()

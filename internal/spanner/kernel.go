@@ -133,6 +133,8 @@ func Erase(doc string, e Expr) rpq.Expr {
 			return rpq.Alt(alts...)
 		case StarE:
 			return rpq.Kleene(lower(n.Sub))
+		case PlusE:
+			return rpq.PlusOf(lower(n.Sub))
 		case Capture:
 			return lower(n.Sub)
 		default:
@@ -140,6 +142,53 @@ func Erase(doc string, e Expr) rpq.Expr {
 		}
 	}
 	return lower(e)
+}
+
+// CheckPositions is rpq.CheckPositions(Erase(doc, e)) counted on e itself:
+// what a served spanner asks before it compiles text it did not write. The
+// erasure is not built to be measured — a '.' or a class erases to one label
+// per document byte it accepts, so its size is the query's times up to 256.
+func CheckPositions(doc string, e Expr) error {
+	// Counts saturate at limit, and a sum stops there, so the walk is
+	// bounded however long the text; below it the count is exact.
+	const limit = 1 << 16
+	alphabet := distinctBytes(doc)
+	var count func(Expr) int
+	sum := func(es []Expr) (n int) {
+		for _, e := range es {
+			if n += count(e); n >= limit {
+				break
+			}
+		}
+		return n
+	}
+	count = func(e Expr) int {
+		n := 1
+		switch e := e.(type) {
+		case Any:
+			n = max(len(alphabet), 1)
+		case ClassFn:
+			n = 0
+			for _, c := range alphabet {
+				if e.Fn(c) {
+					n++
+				}
+			}
+			n = max(n, 1)
+		case ConcatE:
+			n = sum(e.Parts)
+		case UnionE:
+			n = sum(e.Alts)
+		case StarE:
+			n = count(e.Sub)
+		case PlusE:
+			n = 2 * count(e.Sub)
+		case Capture:
+			n = count(e.Sub)
+		}
+		return min(n, limit)
+	}
+	return rpq.PositionsError(count(e))
 }
 
 func distinctBytes(doc string) []byte {

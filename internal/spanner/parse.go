@@ -39,6 +39,9 @@ func MustParse(input string) Expr {
 type spanParser struct {
 	src string
 	pos int
+	// lit ends an identifier run already found not to name a capture: its
+	// bytes are literals, and the run is scanned once, not once per byte.
+	lit int
 }
 
 func (p *spanParser) errf(format string, args ...any) error {
@@ -123,6 +126,9 @@ func (p *spanParser) parseAtom() (Expr, error) {
 			return Char{C: ch}, nil
 		}
 		return nil, p.errf("dangling '\\'")
+	case p.pos < p.lit:
+		p.pos++
+		return Char{C: c}, nil
 	case isIdentByte(c):
 		// Maximal identifier run followed by '{' is a capture variable;
 		// otherwise a single literal byte.
@@ -143,6 +149,7 @@ func (p *spanParser) parseAtom() (Expr, error) {
 			p.pos++
 			return Cap(name, sub), nil
 		}
+		p.lit = end
 		p.pos++
 		return Char{C: c}, nil
 	case c == '*' || c == '+' || c == '{':

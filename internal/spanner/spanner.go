@@ -71,6 +71,10 @@ type UnionE struct{ Alts []Expr }
 // StarE is e*.
 type StarE struct{ Sub Expr }
 
+// PlusE is e⁺, which runs as e e*. It is a node of its own so that a
+// formula's size stays linear in its text: `a*++++` names its operand once.
+type PlusE struct{ Sub Expr }
+
 // Capture is x{e}: matches e and binds variable X to the matched span.
 type Capture struct {
 	X   string
@@ -84,18 +88,43 @@ func (EpsilonE) isExpr() {}
 func (ConcatE) isExpr()  {}
 func (UnionE) isExpr()   {}
 func (StarE) isExpr()    {}
+func (PlusE) isExpr()    {}
 func (Capture) isExpr()  {}
 
-func (e Char) String() string    { return string(e.C) }
+// String renders the byte so that Parse reads it back: the bytes the
+// syntax uses are escaped with a backslash.
+func (e Char) String() string {
+	s := string([]byte{e.C})
+	if strings.Contains(`\()|*+{}.`, s) {
+		return `\` + s
+	}
+	return s
+}
 func (Any) String() string       { return "." }
 func (e ClassFn) String() string { return e.Name }
-func (EpsilonE) String() string  { return "ε" }
+func (EpsilonE) String() string  { return "()" }
 func (e ConcatE) String() string {
-	parts := make([]string, len(e.Parts))
-	for i, p := range e.Parts {
-		parts[i] = p.String()
+	var b strings.Builder
+	for _, p := range e.Parts {
+		s := p.String()
+		// A capture right after an identifier byte would read that byte as
+		// part of its name.
+		if b.Len() > 0 && isIdentByte(b.String()[b.Len()-1]) && startsCapture(s) {
+			s = "(" + s + ")"
+		}
+		b.WriteString(s)
 	}
-	return strings.Join(parts, "")
+	return b.String()
+}
+
+// startsCapture reports whether s begins the way Parse reads a capture: an
+// identifier run followed by '{'.
+func startsCapture(s string) bool {
+	i := 0
+	for i < len(s) && isIdentByte(s[i]) {
+		i++
+	}
+	return i > 0 && i < len(s) && s[i] == '{'
 }
 func (e UnionE) String() string {
 	parts := make([]string, len(e.Alts))
@@ -105,6 +134,7 @@ func (e UnionE) String() string {
 	return "(" + strings.Join(parts, "|") + ")"
 }
 func (e StarE) String() string   { return "(" + e.Sub.String() + ")*" }
+func (e PlusE) String() string   { return "(" + e.Sub.String() + ")+" }
 func (e Capture) String() string { return e.X + "{" + e.Sub.String() + "}" }
 
 // Constructors.
@@ -162,7 +192,7 @@ func Alt(alts ...Expr) Expr {
 func Star(e Expr) Expr { return StarE{Sub: e} }
 
 // Plus returns e⁺.
-func Plus(e Expr) Expr { return Seq(e, StarE{Sub: e}) }
+func Plus(e Expr) Expr { return PlusE{Sub: e} }
 
 // Cap returns x{e}.
 func Cap(x string, e Expr) Expr { return Capture{X: x, Sub: e} }
@@ -185,6 +215,8 @@ func Vars(e Expr) []string {
 				walk(a)
 			}
 		case StarE:
+			walk(n.Sub)
+		case PlusE:
 			walk(n.Sub)
 		}
 	}
@@ -229,6 +261,9 @@ func Extract(doc string, e Expr) []Match {
 // every pg.CheckInterval), so cancellation and budgets land inside the
 // recursion, not just between top-level calls.
 func evalMeter(doc string, e Expr, pos int, t *pg.Ticker) ([]partial, error) {
+	if p, ok := e.(PlusE); ok {
+		e = ConcatE{Parts: []Expr{p.Sub, StarE{Sub: p.Sub}}}
+	}
 	if err := t.Step(); err != nil {
 		return nil, err
 	}
