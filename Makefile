@@ -68,11 +68,14 @@ fuzz-smoke:
 serve-smoke:
 	GO="$(GO)" bash scripts/serve_smoke.sh
 
-# Where a served workload's daemon CPU goes: start gqserverd with graph W and
-# -debug-addr, replay the request bodies of file Q in a closed loop for 15 s,
-# and print the top of a 10 s CPU profile taken inside it, e.g.
+# Where a served workload's daemon CPU goes: start gqserverd with graph W (or
+# a comma-separated list of graphs) and -debug-addr, replay the request
+# bodies of file Q in a closed loop for 15 s, and print the top of a 10 s
+# CPU profile taken inside it, e.g.
 #   make profile-served W=scalefree-20000 Q=scripts/short_reads.jsonl
-# (a 20-op block in the mix of bench/'s short-reads).
+#   (a 20-op block in the mix of bench/'s short-reads), or
+#   make profile-served W=path-700,grid-20x20 Q=scripts/big_results.jsonl
+#   (the five ops of bench/'s big-results, "stream": true for the NDJSON ones).
 profile-served:
 	GO="$(GO)" bash scripts/profile_served.sh "$(W)" "$(Q)"
 

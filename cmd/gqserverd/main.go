@@ -17,8 +17,9 @@
 // "stream": true in the body) delivers results as chunked NDJSON — a
 // header line, one row per line, and a final trailer record carrying the
 // outcome and counts — so a result set never has to fit in server memory
-// and a slow client throttles evaluation (backpressure). -stream-chunk
-// sets the rows per flushed chunk, -stream-buffer the chunks in flight.
+// and a slow client throttles evaluation (backpressure). Chunks are cut by
+// bytes — the first at 4 KiB, each later one at twice the one before, up to
+// 64 KiB; -stream-buffer sets the chunks in flight.
 // A "cursor" field pages the stream: "start" plus a limit yields page one
 // and a next_cursor token in the trailer.
 //
@@ -106,7 +107,6 @@ func main() {
 	mutable := flag.Bool("mutable", false, "enable the write surface: POST /v1/graphs, mutate, delete")
 	compactThreshold := flag.Int("compact-threshold", 0, "delta-log depth that triggers background compaction (0: default; negative: never)")
 	maxLoadBytes := flag.Int64("max-load-bytes", 0, "largest POST /v1/graphs body accepted (0: default 32MiB)")
-	streamChunk := flag.Int("stream-chunk", 0, "rows per flushed NDJSON chunk on streamed queries (0: default 256)")
 	streamBuffer := flag.Int("stream-buffer", 0, "chunks buffered between evaluation and a slow streaming client (0: default 4)")
 	flag.Parse()
 
@@ -142,7 +142,6 @@ func main() {
 		Mutable:          *mutable,
 		CompactThreshold: *compactThreshold,
 		MaxLoadBytes:     *maxLoadBytes,
-		StreamChunk:      *streamChunk,
 		StreamBuffer:     *streamBuffer,
 	})
 	defer srv.Close()

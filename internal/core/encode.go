@@ -35,17 +35,27 @@ func pairBatch(g *graph.Graph, runs pg.Runs) RowBatch {
 // Len returns the number of rows in the batch.
 func (b RowBatch) Len() int { return b.n }
 
-// AppendJSON appends rows [from, to) to dst, each as one JSON value
-// followed by sep, and returns the extended buffer. A pair's two names are
-// copied from the literals the graph quoted when it was built
-// (graph.AppendNodeIDJSON; only a node an overlay added since is escaped
-// here), a run at a time: its `["src",` prefix is written once, for the first
-// of its rows in the window, and copied for the rest.
-func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
+// AppendJSON appends rows from `from` on, each as one JSON value followed
+// by sep, until row `to` or until dst has reached limit bytes, and returns
+// the extended buffer and the first row it did not append. The first row is
+// appended whatever the limit, so every call with from < to makes progress;
+// every later row is appended only while len(dst) < limit, so dst ends at
+// most one row past the limit — a sink that leaves a row's worth of room
+// past the limit in its buffer never has append regrow it.
+//
+// A pair's two names are copied from the literals the graph quoted when it
+// was built (graph.AppendNodeIDJSON; only a node an overlay added since is
+// escaped here), a run at a time: its `["src",` prefix is written once, for
+// the first of its rows in the call, and copied for the rest.
+func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte, limit int) ([]byte, int) {
+	first := from
 	switch {
 	case b.g != nil:
 		for i := b.runs.Find(from); from < to; i++ {
 			end := min(int(b.runs.End[i]), to)
+			if from > first && len(dst) >= limit {
+				return dst, from
+			}
 			p0 := len(dst)
 			dst = append(dst, '[')
 			dst = b.g.AppendNodeIDJSON(dst, int(b.runs.Src[i]))
@@ -53,6 +63,9 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 			p1 := len(dst)
 			for j, v := range b.runs.Tgt[from:end] {
 				if j > 0 {
+					if len(dst) >= limit {
+						return dst, from + j
+					}
 					dst = append(dst, dst[p0:p1]...)
 				}
 				dst = b.g.AppendNodeIDJSON(dst, int(v))
@@ -61,14 +74,20 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 			from = end
 		}
 	case b.lines != nil:
-		for i := from; i < to; i++ {
-			dst = graph.AppendJSONString(dst, b.lines(i))
+		for ; from < to; from++ {
+			if from > first && len(dst) >= limit {
+				return dst, from
+			}
+			dst = graph.AppendJSONString(dst, b.lines(from))
 			dst = append(dst, sep)
 		}
 	default:
-		for i := from; i < to; i++ {
+		for ; from < to; from++ {
+			if from > first && len(dst) >= limit {
+				return dst, from
+			}
 			dst = append(dst, '[')
-			for j, c := range b.cells(i) {
+			for j, c := range b.cells(from) {
 				if j > 0 {
 					dst = append(dst, ',')
 				}
@@ -77,7 +96,7 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte) []byte {
 			dst = append(dst, ']', sep)
 		}
 	}
-	return dst
+	return dst, from
 }
 
 // wire returns row i in the form Sink.Row documents.

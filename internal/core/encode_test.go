@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,11 +63,42 @@ func runsOf(rows [][2]int) pg.Runs {
 	return runs
 }
 
+// appendCut encodes rows [from, to) of rb the way a sink filling fixed-size
+// buffers does — in calls cut at limit bytes, each on a buffer that starts
+// with pre — and holds every call to the rows' reference lines: it appended
+// the rows it says it did, at least one, and stopped at the first row that
+// reached the limit. It returns the calls' rows, concatenated.
+func appendCut(t testing.TB, rb RowBatch, lines [][]byte, from, to int, sep byte, pre []byte, limit int) []byte {
+	t.Helper()
+	var out []byte
+	for from < to {
+		got, next := rb.AppendJSON(append([]byte(nil), pre...), from, to, sep, limit)
+		if next <= from || next > to {
+			t.Fatalf("rows [%d:%d] at limit %d: the call stopped at row %d", from, to, limit, next)
+		}
+		want := append([]byte(nil), pre...)
+		for _, line := range lines[from:next] {
+			want = append(want, line...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("rows [%d:%d] at limit %d, sep %q:\n got %q\nwant %q", from, next, limit, sep, got, want)
+		}
+		before := len(got) - len(lines[next-1])
+		if next < to && len(got) < limit || next-1 > from && before >= limit {
+			t.Fatalf("rows [%d:%d] at limit %d: %d bytes, %d before the last row", from, next, limit, len(got), before)
+		}
+		out = append(out, got[len(pre):]...)
+		from = next
+	}
+	return out
+}
+
 // TestRowBatchAppendJSON: every window of every batch form encodes to what
 // encoding/json writes for the same rows in their Sink.Row form, under
 // both separators — including the windows that start, end, or do both
 // inside a run, where the `["src",` prefix must be quoted afresh, and those
-// that span several runs of different lengths.
+// that span several runs of different lengths — whole, and cut at byte
+// limits that stop it after every row, mid-run, or not at all.
 func TestRowBatchAppendJSON(t *testing.T) {
 	g := awkwardGraph()
 	var prs [][2]int
@@ -86,22 +118,29 @@ func TestRowBatchAppendJSON(t *testing.T) {
 		"cells": {n: len(cells), cells: func(i int) []string { return cells[i] }},
 	}
 	for name, rb := range batches {
-		for from := 0; from <= rb.Len(); from++ {
-			for to := from; to <= rb.Len(); to++ {
-				for _, sep := range []byte{'\n', ','} {
-					var want []byte
-					for i := from; i < to; i++ {
-						if name == "pairs" {
-							if got, want := rb.wire(i), [2]string{string(g.NodeID(prs[i][0])), string(g.NodeID(prs[i][1]))}; got != want {
-								t.Fatalf("pairs: row %d is %v, want %v", i, got, want)
+		for _, sep := range []byte{'\n', ','} {
+			lines := make([][]byte, rb.Len())
+			for i := range lines {
+				if name == "pairs" {
+					if got, want := rb.wire(i), [2]string{string(g.NodeID(prs[i][0])), string(g.NodeID(prs[i][1]))}; got != want {
+						t.Fatalf("pairs: row %d is %v, want %v", i, got, want)
+					}
+				}
+				lines[i] = jsonLine(t, rb.wire(i))
+				lines[i][len(lines[i])-1] = sep
+			}
+			for from := 0; from <= rb.Len(); from++ {
+				for to := from; to <= rb.Len(); to++ {
+					want := bytes.Join(lines[from:to], nil)
+					if got, next := rb.AppendJSON(nil, from, to, sep, math.MaxInt); !bytes.Equal(got, want) || next != to {
+						t.Fatalf("%s[%d:%d] sep %q: stopped at %d\n got %q\nwant %q", name, from, to, sep, next, got, want)
+					}
+					for _, limit := range []int{0, 1, 17, 40, 96} {
+						for _, pre := range [][]byte{nil, []byte("{\"head\":1}\n")} {
+							if got := appendCut(t, rb, lines, from, to, sep, pre, limit); !bytes.Equal(got, want) {
+								t.Fatalf("%s[%d:%d] sep %q at limit %d:\n got %q\nwant %q", name, from, to, sep, limit, got, want)
 							}
 						}
-						line := jsonLine(t, rb.wire(i))
-						line[len(line)-1] = sep
-						want = append(want, line...)
-					}
-					if got := rb.AppendJSON(nil, from, to, sep); !bytes.Equal(got, want) {
-						t.Fatalf("%s[%d:%d] sep %q:\n got %q\nwant %q", name, from, to, sep, got, want)
 					}
 				}
 			}
@@ -141,12 +180,14 @@ func namedGraph(t testing.TB, names string) *graph.Graph {
 // FuzzRowBatchRuns: random runs — any number of sources, any run lengths —
 // over nodes the fuzzer named, some in the base's arena and some added by an
 // overlay, under a random window and both separators encode to what
-// encoding/json writes for the same rows spelled out as ID pairs.
+// encoding/json writes for the same rows spelled out as ID pairs, whole and
+// in calls cut at a random byte limit.
 func FuzzRowBatchRuns(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(1000), `a"b|c\\d|`+"\n|<e>|\xff|\u2028")
-	f.Add(int64(2), uint16(3), uint16(4), "n0|n1|n2|n3|n4|n5|n6")
-	f.Add(int64(3), uint16(7), uint16(7), "|x|"+"\x00"+"|\u2029|q\"")
-	f.Fuzz(func(t *testing.T, seed int64, from, to uint16, names string) {
+	f.Add(int64(1), uint16(0), uint16(1000), uint16(64), `a"b|c\\d|`+"\n|<e>|\xff|\u2028")
+	f.Add(int64(2), uint16(3), uint16(4), uint16(0), "n0|n1|n2|n3|n4|n5|n6")
+	f.Add(int64(3), uint16(7), uint16(7), uint16(4096), "|x|"+"\x00"+"|\u2029|q\"")
+	f.Add(int64(4), uint16(1), uint16(500), uint16(30), "n0|n1|n2|n3|n4|n5|n6|n7|n8|n9|n10|n11")
+	f.Fuzz(func(t *testing.T, seed int64, from, to, limit uint16, names string) {
 		g := namedGraph(t, names)
 		n := g.NumNodes()
 		rng := rand.New(rand.NewSource(seed))
@@ -165,14 +206,17 @@ func FuzzRowBatchRuns(f *testing.F) {
 		lo := min(int(from), len(prs))
 		hi := max(lo, min(int(to), len(prs)))
 		for _, sep := range []byte{'\n', ','} {
-			var want []byte
-			for _, pr := range prs[lo:hi] {
-				line := jsonLine(t, [2]string{string(g.NodeID(pr[0])), string(g.NodeID(pr[1]))})
-				line[len(line)-1] = sep
-				want = append(want, line...)
+			lines := make([][]byte, len(prs))
+			for i, pr := range prs {
+				lines[i] = jsonLine(t, [2]string{string(g.NodeID(pr[0])), string(g.NodeID(pr[1]))})
+				lines[i][len(lines[i])-1] = sep
 			}
-			if got := rb.AppendJSON(nil, lo, hi, sep); !bytes.Equal(got, want) {
+			want := bytes.Join(lines[lo:hi], nil)
+			if got, _ := rb.AppendJSON(nil, lo, hi, sep, math.MaxInt); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d rows [%d:%d] of %d, sep %q:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, got, want)
+			}
+			if got := appendCut(t, rb, lines, lo, hi, sep, nil, int(limit)); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d rows [%d:%d] of %d, sep %q at limit %d:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, limit, got, want)
 			}
 		}
 	})
@@ -188,7 +232,7 @@ type byteSink struct {
 func (s *byteSink) Begin(string, []string) error { return nil }
 func (s *byteSink) Row(any) error                { panic("a BatchSink is never handed single rows") }
 func (s *byteSink) Batch(b RowBatch) (int, time.Duration, error) {
-	s.buf = b.AppendJSON(s.buf[:0], 0, b.Len(), '\n')
+	s.buf, _ = b.AppendJSON(s.buf[:0], 0, b.Len(), '\n', math.MaxInt)
 	s.rows += b.Len()
 	return b.Len(), 0, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"graphquery/internal/rpq"
 )
 
 // Parse parses the textual ℓ-RPQ syntax, which extends the RPQ syntax of
@@ -75,9 +77,11 @@ func (t tok) String() string {
 }
 
 type parser struct {
-	src string
-	pos int
-	tok tok
+	src   string
+	pos   int
+	tok   tok
+	depth int // groups open around the current token
+	nest  int // groups and repetitions on the deepest path of the expression parsed last
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -159,20 +163,22 @@ func (p *parser) parseUnion() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	alts := []Expr{first}
+	alts, nest := []Expr{first}, p.nest
 	for p.tok.kind == tPipe {
 		p.next()
 		e, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		alts = append(alts, e)
+		alts, nest = append(alts, e), max(nest, p.nest)
 	}
+	p.nest = nest
 	return Alt(alts...), nil
 }
 
 func (p *parser) parseConcat() (Expr, error) {
 	var parts []Expr
+	nest := 0
 	for {
 		switch p.tok.kind {
 		case tIdent, tUnder, tBangBrace, tLParen:
@@ -180,13 +186,14 @@ func (p *parser) parseConcat() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, e)
+			parts, nest = append(parts, e), max(nest, p.nest)
 		case tDot:
 			p.next()
 		default:
 			if len(parts) == 0 {
 				return nil, p.errorf("expected expression, got %s", p.tok)
 			}
+			p.nest = nest
 			return Seq(parts...), nil
 		}
 	}
@@ -197,7 +204,11 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for nest := p.nest; ; nest++ {
+		if nest > rpq.MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
+		}
+		p.nest = nest
 		switch p.tok.kind {
 		case tStar:
 			e = Kleene(e)
@@ -268,6 +279,7 @@ func (p *parser) parseAtom() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.nest = 0
 		return Atom{Name: name, Var: v}, nil
 	case tUnder:
 		p.next()
@@ -275,6 +287,7 @@ func (p *parser) parseAtom() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.nest = 0
 		return Atom{Wild: true, Var: v}, nil
 	case tBangBrace:
 		p.next()
@@ -299,11 +312,17 @@ func (p *parser) parseAtom() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.nest = 0
 		return Atom{Wild: true, Except: set, Var: v}, nil
 	case tLParen:
+		if p.depth++; p.depth > rpq.MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		}
 		p.next()
 		if p.tok.kind == tRParen {
 			p.next()
+			p.depth--
+			p.nest = 1
 			return Eps(), nil
 		}
 		e, err := p.parseUnion()
@@ -314,6 +333,8 @@ func (p *parser) parseAtom() (Expr, error) {
 			return nil, p.errorf("expected ')', got %s", p.tok)
 		}
 		p.next()
+		p.depth--
+		p.nest++
 		return e, nil
 	default:
 		return nil, p.errorf("expected expression, got %s", p.tok)

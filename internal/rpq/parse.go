@@ -37,6 +37,17 @@ func Parse(input string) (Expr, error) {
 	return e, nil
 }
 
+// MaxNesting bounds how deep a served query text may nest: how many groups
+// and repetitions lie on one path from the root of its syntax tree to a
+// leaf — parentheses and postfix operators in the RPQ-family parsers (rpq,
+// lrpq, twoway), groups, captures and postfix operators in spanner
+// formulas. Each level is a frame of every recursive pass over the tree,
+// parsing included, so a 1 MB body of '(' or of '+' would cost hundreds of
+// megabytes of goroutine stack. A parser refuses a group that opens past
+// the bound before descending into it, and a repetition that wraps a
+// subtree already at the bound.
+const MaxNesting = 1000
+
 // MustParse parses or panics; for tests and examples with known-good inputs.
 func MustParse(input string) Expr {
 	e, err := Parse(input)
@@ -82,9 +93,11 @@ func (t token) String() string {
 }
 
 type parser struct {
-	src string
-	pos int
-	tok token
+	src   string
+	pos   int
+	tok   token
+	depth int // groups open around the current token
+	nest  int // groups and repetitions on the deepest path of the expression parsed last
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -203,20 +216,22 @@ func (p *parser) parseUnion() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	alts := []Expr{first}
+	alts, nest := []Expr{first}, p.nest
 	for p.tok.kind == tokPipe {
 		p.next()
 		e, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		alts = append(alts, e)
+		alts, nest = append(alts, e), max(nest, p.nest)
 	}
+	p.nest = nest
 	return Alt(alts...), nil
 }
 
 func (p *parser) parseConcat() (Expr, error) {
 	var parts []Expr
+	nest := 0
 	for {
 		switch p.tok.kind {
 		case tokLabel, tokUnder, tokBangBrace, tokLParen:
@@ -224,13 +239,14 @@ func (p *parser) parseConcat() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, e)
+			parts, nest = append(parts, e), max(nest, p.nest)
 		case tokDot:
 			p.next() // optional explicit concatenation dot
 		default:
 			if len(parts) == 0 {
 				return nil, p.errorf("expected expression, got %s", p.tok)
 			}
+			p.nest = nest
 			return Seq(parts...), nil
 		}
 	}
@@ -241,7 +257,11 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for nest := p.nest; ; nest++ {
+		if nest > MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, MaxNesting)
+		}
+		p.nest = nest
 		switch p.tok.kind {
 		case tokStar:
 			e = Kleene(e)
@@ -294,9 +314,11 @@ func (p *parser) parseAtom() (Expr, error) {
 		}
 		e := L(p.tok.text)
 		p.next()
+		p.nest = 0
 		return e, nil
 	case tokUnder:
 		p.next()
+		p.nest = 0
 		return Any(), nil
 	case tokBangBrace:
 		p.next()
@@ -317,11 +339,17 @@ func (p *parser) parseAtom() (Expr, error) {
 			return nil, p.errorf("expected '}' closing wildcard set, got %s", p.tok)
 		}
 		p.next()
+		p.nest = 0
 		return Not(set...), nil
 	case tokLParen:
+		if p.depth++; p.depth > MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, MaxNesting)
+		}
 		p.next()
 		if p.tok.kind == tokRParen { // "()" is ε
 			p.next()
+			p.depth--
+			p.nest = 1
 			return Eps(), nil
 		}
 		e, err := p.parseUnion()
@@ -332,6 +360,8 @@ func (p *parser) parseAtom() (Expr, error) {
 			return nil, p.errorf("expected ')', got %s", p.tok)
 		}
 		p.next()
+		p.depth--
+		p.nest++
 		return e, nil
 	default:
 		return nil, p.errorf("expected expression, got %s", p.tok)

@@ -177,18 +177,27 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	s.writeBody(w, status, body)
 }
 
-// writeBody writes one buffered body in one Write. Once the status header
-// is out a connection failure cannot change the outcome anymore — but it
-// is not silently dropped either: it is logged and counted in the
-// write_errors stat, so truncated responses are visible to operators.
-// (Streamed responses have the stronger in-band trailer protocol; this
-// closes the buffered path.)
-func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
+// writeBody writes one buffered body, given as the segments it was built
+// in, under a Content-Length: one Write per segment, in order. Once the
+// status header is out a connection failure cannot change the outcome
+// anymore — but it is not silently dropped either: it is logged and counted
+// in the write_errors stat, so truncated responses are visible to
+// operators. (Streamed responses have the stronger in-band trailer
+// protocol; this closes the buffered path.)
+func (s *Server) writeBody(w http.ResponseWriter, status int, body ...[]byte) {
+	n := 0
+	for _, seg := range body {
+		n += len(seg)
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		s.stats.writeErrors.Add(1)
-		s.logger().Warn("response write failed", "status", status, "err", err)
+	for _, seg := range body {
+		if _, err := w.Write(seg); err != nil {
+			s.stats.writeErrors.Add(1)
+			s.logger().Warn("response write failed", "status", status, "err", err)
+			return
+		}
 	}
 }
 
@@ -333,12 +342,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// One engine call for both wire formats: the sink is the NDJSON
 	// streamer, or the collector that appends rows into the buffered body.
 	var st *streamer
-	body := collectors.Get().(*collector)
-	*body = collector{graph: req.Graph, buf: body.buf[:0]}
-	defer collectors.Put(body)
+	body := &collector{graph: req.Graph}
+	defer body.release()
 	var sink core.Sink = body
 	if stream {
 		st = s.newStreamer(w, qctx, tr, act.Progress, req.Graph, cur)
+		defer st.release()
 		sink = st
 	}
 	resp, err := s.evaluate(qctx, eng, creq, timeout, sink)
@@ -456,33 +465,52 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.stats.writeErrors.Add(1)
 		s.logger().Warn("response encode failed", "status", http.StatusOK, "err", err)
 	}
-	s.writeBody(w, http.StatusOK, out)
+	s.writeBody(w, http.StatusOK, out...)
+}
+
+// Reply bodies, buffered and streamed, are built in segments: fixed-size
+// buffers from one pool, each filled to segSize bytes and written whole. A
+// grown buffer would cost, per reply, allocating, zeroing and copying a
+// multiple of the body's size; a segment is filled once and goes back to the
+// pool after its Write. The row encoder stops one row past the limit it is
+// given (core.RowBatch.AppendJSON), so a segment carries segSlack bytes of
+// room past segSize for that row: filling a segment never regrows it. A
+// row longer than the slack does, and the regrown buffer is not pooled.
+const (
+	segSize  = 64 << 10
+	segSlack = 4 << 10
+	segCap   = segSize + segSlack
+)
+
+var segPool = sync.Pool{New: func() any { return new([segCap]byte) }}
+
+// newSeg takes an empty segment from the pool.
+func newSeg() []byte { return segPool.Get().(*[segCap]byte)[:0] }
+
+// freeSeg returns a segment to the pool once nothing reads it any more; a
+// nil or regrown buffer is left to the garbage collector.
+func freeSeg(b []byte) {
+	if cap(b) == segCap {
+		segPool.Put((*[segCap]byte)(b[:segCap]))
+	}
 }
 
 // collector is the buffered face of core.BatchSink: it builds the
-// QueryResponse body in place. Begin writes the body's head and opens the
-// row array of the kind's field, Batch has the engine's row encoder append
-// rows to it — the bytes the NDJSON streamer gets, with a comma where a
-// line ends — and finish closes the array and appends the tail. Head and
-// tail come from encoding/json over the two structs below, which are
-// QueryResponse minus its row fields, so the body is byte for byte what
-// encoding the whole QueryResponse gives without ever holding the rows as
-// Go values.
+// QueryResponse body in place, in segments. Begin writes the body's head
+// and opens the row array of the kind's field, Batch has the engine's row
+// encoder append rows to it — the bytes the NDJSON streamer gets, with a
+// comma where a line ends — and finish closes the array and appends the
+// tail. Head and tail come from encoding/json over the two structs below,
+// which are QueryResponse minus its row fields, so the body is byte for byte
+// what encoding the whole QueryResponse gives without ever holding the rows
+// as Go values.
 type collector struct {
 	graph string
-	buf   []byte
-	open  int // len(buf) before the row array was opened: an empty result cuts back to here
-	n     int // rows appended
+	segs  [][]byte // filled segments, in order
+	buf   []byte   // the segment being filled; nil before Begin
+	open  int      // len(buf) before the row array was opened: an empty result cuts back to here
+	n     int      // rows appended
 }
-
-// collectors recycles collectors for their buffers. A multi-megabyte body
-// grown from nothing by append's 1.25× steps allocates, zeroes and copies
-// five times its final size — most of a large buffered reply's cost — and
-// with so little live heap beside it, that much garbage per reply sets the
-// collector's pace. (A list of fixed-size segments avoids the regrowth
-// without holding anything between requests; measured on big-results it
-// served 63 ops/s against 71, at 31 MB peak RSS against 45.)
-var collectors = sync.Pool{New: func() any { return new(collector) }}
 
 // bodyHead is what a QueryResponse encodes before its row field.
 type bodyHead struct {
@@ -502,7 +530,7 @@ type bodyTail struct {
 }
 
 func (c *collector) Begin(kind string, columns []string) error {
-	head, err := appendJSON(c.buf, bodyHead{Graph: c.graph, Kind: kind, Columns: columns})
+	head, err := appendJSON(newSeg(), bodyHead{Graph: c.graph, Kind: kind, Columns: columns})
 	if err != nil {
 		return err
 	}
@@ -517,7 +545,10 @@ func (c *collector) Begin(kind string, columns []string) error {
 }
 
 func (c *collector) Batch(b core.RowBatch) (int, time.Duration, error) {
-	c.buf = b.AppendJSON(c.buf, 0, b.Len(), ',')
+	for i := 0; i < b.Len(); {
+		c.buf, i = b.AppendJSON(c.buf, i, b.Len(), ',', segSize)
+		c.cut()
+	}
 	c.n += b.Len()
 	return b.Len(), 0, nil
 }
@@ -532,20 +563,34 @@ func (c *collector) Row(v any) error {
 	row[len(row)-1] = ','
 	c.buf = row
 	c.n++
+	c.cut()
 	return nil
 }
 
-// finish completes the body for a successful query.
-func (c *collector) finish(resp *core.Response, elapsed time.Duration) ([]byte, error) {
-	if len(c.buf) == 0 {
+// cut moves on to a fresh segment once the one being filled is full.
+func (c *collector) cut() {
+	if len(c.buf) >= segSize {
+		c.segs = append(c.segs, c.buf)
+		c.buf = newSeg()
+	}
+}
+
+// finish completes the body for a successful query and returns its
+// segments; they stay the collector's until release.
+func (c *collector) finish(resp *core.Response, elapsed time.Duration) ([][]byte, error) {
+	if c.buf == nil {
 		if err := c.Begin(resp.Kind, nil); err != nil {
 			return nil, err
 		}
 	}
-	if c.n == 0 {
+	switch {
+	case c.n == 0:
 		c.buf = c.buf[:c.open] // omitempty
-	} else {
+	case len(c.buf) > 0:
 		c.buf[len(c.buf)-1] = ']'
+	default: // the last row's comma ends the segment before
+		last := c.segs[len(c.segs)-1]
+		last[len(last)-1] = ']'
 	}
 	tail := bodyTail{
 		Count:         resp.Count(),
@@ -563,8 +608,16 @@ func (c *collector) finish(resp *core.Response, elapsed time.Duration) ([]byte, 
 		return nil, err
 	}
 	out[at] = ',' // the tail's own '{'
-	c.buf = out   // so the pool keeps the buffer this body grew to
-	return out, nil
+	c.segs, c.buf = append(c.segs, out), nil
+	return c.segs, nil
+}
+
+// release returns the body's segments to the pool.
+func (c *collector) release() {
+	for _, seg := range c.segs {
+		freeSeg(seg)
+	}
+	freeSeg(c.buf)
 }
 
 // classifyHTTP maps the engine/eval error taxonomy to an HTTP status and

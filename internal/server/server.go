@@ -86,10 +86,6 @@ type Config struct {
 	// MaxLoadBytes bounds the POST /v1/graphs request body; larger loads
 	// are rejected with 413 too_large (0: defaultMaxLoadBytes).
 	MaxLoadBytes int64
-	// StreamChunk is the NDJSON chunk granularity of streamed queries: the
-	// response flushes to the client every StreamChunk rows
-	// (0: defaultStreamChunk).
-	StreamChunk int
 	// StreamBuffer is the backpressure window of streamed queries, in
 	// chunks: at most StreamBuffer encoded chunks sit between evaluation
 	// and a slow client before the evaluation workers block
@@ -98,11 +94,6 @@ type Config struct {
 }
 
 const defaultMaxConcurrent = 16
-
-// defaultStreamChunk rows per NDJSON chunk: large enough to amortize the
-// per-chunk channel hop and TCP flush, small enough that first-row latency
-// and per-query buffering stay low.
-const defaultStreamChunk = 256
 
 // defaultStreamBuffer chunks in flight between evaluation and the client.
 const defaultStreamBuffer = 4
@@ -152,6 +143,11 @@ type Server struct {
 
 	// logMu serializes JSONL writes to cfg.QueryLog.
 	logMu sync.Mutex
+
+	// chunkBytes, when set, cuts every NDJSON chunk at this many bytes
+	// instead of at firstChunk doubling to segSize: tests set it to put
+	// chunk boundaries a row or a few apart.
+	chunkBytes int
 }
 
 // stageNames are the engine's evaluation stages, in pipeline order — the

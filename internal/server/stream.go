@@ -11,14 +11,17 @@
 //	                                            next_cursor
 //
 // The engine hands the streamer batches of rows (core.BatchSink) and the
-// streamer has the engine's row encoder append them to its chunk buffer —
-// the same bytes the buffered collector appends, with a newline where the
-// body has a comma, which is why the two formats' rows are identical. A
-// chunk is Config.StreamChunk rows; filled chunks travel to the response
-// writer through a bounded channel of Config.StreamBuffer entries and come
-// back through a free list, so a slow client throttles evaluation
-// (backpressure) instead of letting results pile up — memory per query is
-// O(chunk), not O(result).
+// streamer has the engine's row encoder append them to its chunk — the same
+// bytes the buffered collector appends, with a newline where the body has a
+// comma, which is why the two formats' rows are identical. A chunk is one
+// segment of the pool the buffered body is built from (segSize), cut by
+// bytes: the first at firstChunk, so the first rows leave early, and each
+// later one at twice the limit of the one before, up to the whole segment.
+// Filled chunks travel to the response writer through a bounded channel of
+// Config.StreamBuffer entries, and the writer returns each to the pool after
+// its Write, so a slow client throttles evaluation (backpressure) instead of
+// letting results pile up — memory per query is at most StreamBuffer+2
+// segments, not O(result).
 //
 // The error taxonomy survives mid-stream: until the first chunk is flushed
 // nothing has been written, and failures surface as the ordinary status +
@@ -111,13 +114,17 @@ func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
+// firstChunk is the byte limit of a stream's first chunk — about 256 pair
+// rows, so the first rows leave as early as a small reply's would.
+const firstChunk = 4 << 10
+
 // streamer adapts one HTTP response to core.BatchSink. The evaluation side
 // (Begin/Batch, called by the engine, possibly from worker goroutines but
-// never concurrently) fills a chunk buffer and hands full chunks to the
-// writer goroutine over the bounded channel; the writer owns the
-// http.ResponseWriter exclusively from the first chunk on. A buffer belongs
+// never concurrently) fills a chunk and hands full chunks to the writer
+// goroutine over the bounded channel; the writer owns the
+// http.ResponseWriter exclusively from the first chunk on. A chunk belongs
 // to whichever side holds it: the evaluation side while filling, the
-// writer from the channel send until it puts the buffer on the free list.
+// writer from the channel send until it returns the segment to the pool.
 // finish, called by the handler after evaluation has fully joined, appends
 // the trailer and drains the writer.
 type streamer struct {
@@ -127,7 +134,6 @@ type streamer struct {
 	tr    *obs.Trace
 	prog  *obs.Progress
 	graph string
-	chunk int
 	cur   cursorSpec
 	skip  int // remaining cursor rows to drop
 
@@ -135,28 +141,24 @@ type streamer struct {
 	started bool // first chunk handed to the writer: the 200 is on the wire
 	rows    int  // rows delivered past the cursor skip
 
-	buf     []byte // the chunk being filled
-	bufRows int
+	buf   []byte // the chunk being filled: a segment
+	limit int    // the byte count at which buf is flushed
 
 	ch   chan []byte
-	free chan []byte   // written chunks, for reuse
 	dead chan struct{} // closed by the writer after a failed client write
 	done chan struct{} // closed when the writer goroutine exits
 	werr error         // the failed write's error; read only after dead/done
 }
 
 func (s *Server) newStreamer(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, prog *obs.Progress, graphName string, cur cursorSpec) *streamer {
+	limit := firstChunk
+	if s.chunkBytes > 0 {
+		limit = s.chunkBytes
+	}
 	return &streamer{
 		s: s, w: w, ctx: ctx, tr: tr, prog: prog, graph: graphName,
-		chunk: s.streamChunk(), cur: cur, skip: cur.skip,
+		cur: cur, skip: cur.skip, limit: limit,
 	}
-}
-
-func (s *Server) streamChunk() int {
-	if s.cfg.StreamChunk > 0 {
-		return s.cfg.StreamChunk
-	}
-	return defaultStreamChunk
 }
 
 func (s *Server) streamBuffer() int {
@@ -170,7 +172,7 @@ func (s *Server) streamBuffer() int {
 // first chunk (nothing is written to the client yet).
 func (st *streamer) Begin(kind string, columns []string) (err error) {
 	st.began = true
-	st.buf, err = appendJSON(st.buf, streamHeader{Graph: st.graph, Kind: kind, Columns: columns})
+	st.buf, err = appendJSON(newSeg(), streamHeader{Graph: st.graph, Kind: kind, Columns: columns})
 	return err
 }
 
@@ -190,15 +192,15 @@ func (st *streamer) window(n int) (from, to int, stop bool) {
 }
 
 // Batch implements core.BatchSink: cut the batch to the cursor window,
-// then have the engine's encoder append it to the chunk buffer a chunk's
-// worth at a time, flushing each full chunk.
+// then have the engine's encoder append it to the chunk up to the chunk's
+// byte limit at a time, flushing each full chunk.
 func (st *streamer) Batch(b core.RowBatch) (n int, waited time.Duration, err error) {
 	from, to, stop := st.window(b.Len())
 	for i := from; i < to; {
-		k := min(to-i, st.chunk-st.bufRows)
-		st.buf = b.AppendJSON(st.buf, i, i+k, '\n')
-		i += k
-		w, err := st.took(k)
+		var next int
+		st.buf, next = b.AppendJSON(st.buf, i, to, '\n', st.limit)
+		w, err := st.took(next - i)
+		i = next
 		waited += w
 		if err != nil {
 			return i, waited, err
@@ -228,14 +230,13 @@ func (st *streamer) Row(v any) error {
 	return err
 }
 
-// took accounts k rows just encoded into the chunk buffer and flushes the
-// chunk when it is full.
+// took accounts k rows just encoded into the chunk and flushes the chunk
+// when it has reached its limit.
 func (st *streamer) took(k int) (waited time.Duration, err error) {
 	st.rows += k
-	st.bufRows += k
 	st.s.stats.rowsStreamed.Add(int64(k))
 	st.prog.AddStreamed(int64(k))
-	if st.bufRows >= st.chunk {
+	if len(st.buf) >= st.limit {
 		return st.flush()
 	}
 	return 0, nil
@@ -247,18 +248,16 @@ func (st *streamer) took(k int) (waited time.Duration, err error) {
 func (st *streamer) sent() bool { return st.started }
 
 // flush hands the filled chunk to the writer goroutine and takes the next
-// buffer from the free list. The bounded channel is the backpressure edge:
+// segment from the pool. The bounded channel is the backpressure edge:
 // when the client reads slower than evaluation produces, this send blocks
 // and, through the kernel fan-out's emit ordering, parks the evaluation
 // workers; waited is how long it blocked (no clock is read when it did
-// not).
+// not). A chunk that could not be sent is dropped, and its segment is
+// the one refilled.
 func (st *streamer) flush() (waited time.Duration, err error) {
-	if len(st.buf) == 0 {
-		return 0, nil
-	}
 	st.start()
 	chunk := st.buf
-	st.buf, st.bufRows = nil, 0
+	st.buf = chunk[:0]
 	select {
 	case <-st.dead:
 		return 0, st.clientGone()
@@ -271,24 +270,22 @@ func (st *streamer) flush() (waited time.Duration, err error) {
 		select {
 		case st.ch <- chunk:
 		case <-st.dead:
-			err = st.clientGone()
+			return time.Since(t0), st.clientGone()
 		case <-st.ctx.Done():
 			// Deadline, client disconnect, or operator kill while blocked on
-			// a full chunk buffer: surface the cause so the taxonomy (timeout
-			// / canceled / killed) is preserved; the chunk is dropped.
-			err = fmt.Errorf("%w: %w", eval.ErrCanceled, context.Cause(st.ctx))
+			// a full chunk channel: surface the cause so the taxonomy (timeout
+			// / canceled / killed) is preserved.
+			return time.Since(t0), fmt.Errorf("%w: %w", eval.ErrCanceled, context.Cause(st.ctx))
 		}
 		waited = time.Since(t0)
 	}
-	// The next buffer is one the writer is done with, if there is one;
-	// otherwise appending allocates it. Taken after the send, so at most
-	// StreamBuffer+2 exist: one here, StreamBuffer in the channel, one
-	// with the writer.
-	select {
-	case st.buf = <-st.free:
-	default:
+	// Taken after the send, so at most StreamBuffer+2 segments exist: one
+	// here, StreamBuffer in the channel, one with the writer.
+	st.buf = newSeg()
+	if st.s.chunkBytes == 0 {
+		st.limit = min(2*st.limit, segSize)
 	}
-	return waited, err
+	return waited, nil
 }
 
 // clientGone maps a failed response write into the cancellation taxonomy:
@@ -307,9 +304,6 @@ func (st *streamer) start() {
 	}
 	st.started = true
 	st.ch = make(chan []byte, st.s.streamBuffer())
-	// Room for every buffer there can be (see flush), so the writer's put
-	// never blocks.
-	st.free = make(chan []byte, st.s.streamBuffer()+2)
 	st.dead = make(chan struct{})
 	st.done = make(chan struct{})
 	st.w.Header().Set("Content-Type", "application/x-ndjson")
@@ -322,22 +316,23 @@ func (st *streamer) write() {
 	rc := http.NewResponseController(st.w)
 	failed := false
 	for chunk := range st.ch {
-		if failed {
-			continue // keep draining so flush never blocks on a dead client
+		// After a failed write, keep draining so flush never blocks on a
+		// dead client.
+		if !failed {
+			if _, err := st.w.Write(chunk); err != nil {
+				st.werr = err
+				st.s.stats.writeErrors.Add(1)
+				st.s.logger().Warn("stream write failed", "graph", st.graph, "err", err)
+				failed = true
+				close(st.dead)
+			} else {
+				// Flush per chunk so the client sees rows as they are
+				// produced — the whole point of streaming — rather than at
+				// net/http's buffer boundaries.
+				_ = rc.Flush()
+			}
 		}
-		if _, err := st.w.Write(chunk); err != nil {
-			st.werr = err
-			st.s.stats.writeErrors.Add(1)
-			st.s.logger().Warn("stream write failed", "graph", st.graph, "err", err)
-			failed = true
-			close(st.dead)
-			continue
-		}
-		// Flush per chunk so the client sees rows as they are produced —
-		// the whole point of streaming — rather than at net/http's buffer
-		// boundaries.
-		_ = rc.Flush()
-		st.free <- chunk[:0]
+		freeSeg(chunk)
 	}
 }
 
@@ -352,15 +347,21 @@ func (st *streamer) write() {
 func (st *streamer) finish(t streamTrailer) {
 	sp := st.tr.Start("stream")
 	if t.Status != "ok" {
-		st.buf, st.bufRows = st.buf[:0], 0
+		st.buf = st.buf[:0]
 	}
 	st.buf, _ = appendJSON(st.buf, trailerLine{Trailer: t})
 	st.start()
 	st.ch <- st.buf
+	st.buf = nil
 	close(st.ch)
 	<-st.done
 	sp.Counts(0, int64(st.rows)).End()
 }
+
+// release returns the chunk still being filled to the pool: that of a
+// query that failed before its first chunk went out. Every chunk sent is
+// the writer's to return.
+func (st *streamer) release() { freeSeg(st.buf) }
 
 // nextCursor returns the resume token for the page after this one, or ""
 // when paging is off or the page did not fill. The token pins the graph

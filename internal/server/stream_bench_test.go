@@ -5,9 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,15 +81,43 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
 func (d *discardResponse) Flush()                      {}
 
+// countingListener counts the Write calls made on every connection it
+// accepts: what a reply costs the socket.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
 // BenchmarkServedPairs is the all-pairs reply as a callable layer: POST
 // /v1/query through the handler in-process. The first four rows are the
 // output path — `a*` on the two big-results graphs of bench/ (path-700:
 // 246 051 rows, 3.9 MB; grid-20x20: 160 000 rows), in both reply forms: the
-// sweep is a few milliseconds of each op, the rest is delivery. The last two
-// are the label-pairs class of short-reads on scalefree-20000, two thirds of
-// that workload's daemon CPU: `b b b` (three nodes in four have no b edge to
-// start on, ~1 200 rows) and cypher `-[:b]->-[:a]->` (the same idle sources,
-// ~44 000 rows).
+// sweep is a few milliseconds of each op, the rest is delivery. Each has a
+// /socket twin that sends the same request over loopback to a server whose
+// connections count their Write calls, and reads the whole reply: it
+// reports writes/op, which the in-process row, writing to a sink that keeps
+// nothing, cannot see. The last two are the label-pairs class of
+// short-reads on scalefree-20000, two thirds of that workload's daemon CPU:
+// `b b b` (three nodes in four have no b edge to start on, ~1 200 rows) and
+// cypher `-[:b]->-[:a]->` (the same idle sources, ~44 000 rows).
 func BenchmarkServedPairs(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
@@ -121,6 +152,39 @@ func BenchmarkServedPairs(b *testing.B) {
 				}
 				b.SetBytes(w.n)
 			}
+		})
+		if c.atLeast < big {
+			continue
+		}
+		b.Run(c.name+"/socket", func(b *testing.B) {
+			var writes atomic.Int64
+			ts := httptest.NewUnstartedServer(h)
+			ts.Listener = countingListener{ts.Listener, &writes}
+			ts.Start()
+			defer ts.Close()
+			hc := ts.Client()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", strings.NewReader(c.body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c.ndjson {
+					req.Header.Set("Accept", "application/x-ndjson")
+				}
+				resp, err := hc.Do(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || n < c.atLeast {
+					b.Fatalf("reply of %d bytes: %v", n, err)
+				}
+				b.SetBytes(n)
+			}
+			b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/op")
 		})
 	}
 }
@@ -245,7 +309,7 @@ func BenchmarkEncodePairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
 		for _, rb := range k.batches {
-			buf = rb.AppendJSON(buf, 0, rb.Len(), '\n')
+			buf, _ = rb.AppendJSON(buf, 0, rb.Len(), '\n', math.MaxInt)
 		}
 		b.SetBytes(int64(len(buf)))
 	}

@@ -166,12 +166,13 @@ func TestStreamMatchesBuffered(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sequential", Config{Parallelism: 1, StreamChunk: 3}},
-		{"parallel", Config{StreamChunk: 3}},
+		{"sequential", Config{Parallelism: 1}},
+		{"parallel", Config{}},
 	}
 	for _, pl := range plans {
 		t.Run(pl.name, func(t *testing.T) {
 			s, ts := newTestServer(t, pl.cfg, "bank", "figure5-4")
+			s.chunkBytes = 32 // a chunk every few rows
 			s.Register("skewed", skewedGraph())
 			for _, tc := range streamCases {
 				t.Run(tc.name, func(t *testing.T) {
@@ -263,7 +264,8 @@ func TestStreamBagDegradesToBuffered(t *testing.T) {
 // cursor error taxonomy: cursor without streaming (400), malformed token
 // (400), revision mismatch (409 cursor_stale).
 func TestStreamCursorPagination(t *testing.T) {
-	_, ts := newTestServer(t, Config{StreamChunk: 2}, "bank")
+	s, ts := newTestServer(t, Config{}, "bank")
+	s.chunkBytes = 24 // a chunk every two rows
 
 	full := readNDJSON(t, postStream(t, ts, `{"graph":"bank","query":"Transfer*"}`))
 	if len(full.rows) < 4 {
@@ -318,11 +320,12 @@ func TestStreamCursorPagination(t *testing.T) {
 // budget_exceeded outcome must arrive as the in-band error trailer, after
 // the rows that fit the budget.
 func TestStreamBudgetTrailer(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallelism: 1, StreamChunk: 1}, "path-100")
+	s, ts := newTestServer(t, Config{Parallelism: 1}, "path-100")
+	s.chunkBytes = 1 // every row is a chunk of its own
 	// Sequential sweep over path-100 (101 nodes): source v0 yields 101
 	// rows, v1 yields 100 — a 250-row budget delivers both (201 rows, each
-	// flushed immediately at chunk 1) and trips inside v2's sweep, whose
-	// rows are voided.
+	// flushed immediately as a chunk of its own) and trips inside v2's
+	// sweep, whose rows are voided.
 	resp := postStream(t, ts, `{"graph":"path-100","query":"a*","max_rows":250}`)
 	got := readNDJSON(t, resp)
 	if got.trailer["status"] != "error" || got.trailer["code"] != "budget_exceeded" {
@@ -356,7 +359,8 @@ const (
 // landing mid-stream surfaces as a well-formed "killed" error trailer on
 // the already-open 200 response.
 func TestStreamKillTrailer(t *testing.T) {
-	_, ts := newTestServer(t, Config{StreamChunk: 64, StreamBuffer: 1}, unbufferable)
+	s, ts := newTestServer(t, Config{StreamBuffer: 1}, unbufferable)
+	s.chunkBytes = 1 << 10
 	resp := postStream(t, ts, unbufferableQuery)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -406,7 +410,8 @@ func TestStreamKillTrailer(t *testing.T) {
 // cancel evaluation (accounted as canceled) and count a write error, never
 // wedge the handler.
 func TestStreamClientAbort(t *testing.T) {
-	s, ts := newTestServer(t, Config{StreamChunk: 16, StreamBuffer: 1}, unbufferable)
+	s, ts := newTestServer(t, Config{StreamBuffer: 1}, unbufferable)
+	s.chunkBytes = 256
 	resp := postStream(t, ts, unbufferableQuery)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -427,6 +432,63 @@ func TestStreamClientAbort(t *testing.T) {
 			t.Fatalf("abort not accounted: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// writeRecorder is an http.ResponseWriter that keeps the body and the size
+// of every Write.
+type writeRecorder struct {
+	h      http.Header
+	writes []int
+	body   bytes.Buffer
+}
+
+func (r *writeRecorder) Header() http.Header { return r.h }
+func (r *writeRecorder) WriteHeader(int)     {}
+func (r *writeRecorder) Flush()              {}
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, len(p))
+	return r.body.Write(p)
+}
+
+// TestStreamChunksCutByBytes: with the defaults, a streamed reply leaves in
+// chunks of one Write each, cut by bytes — the first at firstChunk, each
+// later one at twice the limit of the one before, up to segSize. A chunk
+// ends at most one row past its limit, and only the last, which carries
+// the trailer, ends short of it.
+func TestStreamChunksCutByBytes(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.LoadNamed("path-700"); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"graph":"path-700","query":"a*"}`))
+	req.Header.Set("Accept", "application/x-ndjson")
+	w := &writeRecorder{h: http.Header{}}
+	s.Handler().ServeHTTP(w, req)
+
+	lines := bytes.SplitAfter(w.body.Bytes(), []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty split after the trailer's newline
+	// 701 nodes, each reaching itself and every node after it.
+	if n := len(lines) - 2; n != 701*702/2 {
+		t.Fatalf("%d rows, want %d", n, 701*702/2)
+	}
+	row := 0
+	for _, line := range lines[1 : len(lines)-1] {
+		row = max(row, len(line))
+	}
+	last := len(w.writes) - 1
+	w.writes[last] -= len(lines[len(lines)-1]) // the trailer is not a row
+	limit := firstChunk
+	for i, n := range w.writes {
+		if n >= limit+row || i < last && n < limit {
+			t.Fatalf("chunk %d of %d holds %d bytes of rows at limit %d; rows are up to %d bytes (chunks: %v)",
+				i, len(w.writes), n, limit, row, w.writes)
+		}
+		limit = min(2*limit, segSize)
+	}
+	if len(w.writes) < 10 {
+		t.Fatalf("%d chunks: %v", len(w.writes), w.writes)
 	}
 }
 

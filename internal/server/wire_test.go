@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"graphquery/internal/core"
@@ -193,13 +195,52 @@ func TestWireBytesMatchEncodingJSON(t *testing.T) {
 	const graphName = `g<"&>` + "\u2028"
 	const n = 90 // batches of 8, 64 and 18 sources
 	t.Run("overlay", func(t *testing.T) { wireBytesMatch(t, graphName, n, nastyOverlay(t, n)) })
+	t.Run("path-700", wireBytesManySegments)
 	wireBytesMatch(t, graphName, n, nastyGraph(n))
+}
+
+// wireBytesManySegments: the buffered reply to path-700 `a*` — 246 051 rows,
+// 3.9 MB — is built in dozens of segments, and is still byte for byte what
+// encoding/json writes, under a Content-Length that counts all of it.
+func wireBytesManySegments(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.LoadNamed("path-700"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	typed, err := s.Engine("path-700").QueryCtx(ctx, core.Request{Query: "a*"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"graph":"path-700","query":"a*"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d err %v", resp.StatusCode, err)
+	}
+	if len(raw) < 10*segSize {
+		t.Fatalf("a body of %d bytes fills fewer than ten segments", len(raw))
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+		t.Fatalf("Content-Length %q for a body of %d bytes", cl, len(raw))
+	}
+	if got, want := maskElapsed(raw), maskElapsed(refBody(t, "path-700", typed)); !bytes.Equal(got, want) {
+		t.Fatalf("body of %d bytes differs from the %d encoding/json writes", len(got), len(want))
+	}
 }
 
 // wireBytesMatch holds every reply over g — a nastyGraph(n), built or left as
 // an overlay — to encoding/json.
 func wireBytesMatch(t *testing.T, graphName string, n int, g *graph.Graph) {
-	s := New(Config{Parallelism: 1, StreamChunk: 7})
+	s := New(Config{Parallelism: 1})
+	s.chunkBytes = 200 // a chunk every few rows, cut mid-batch and mid-source
 	eng := s.Register(graphName, g)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -257,7 +298,11 @@ func wireBytesMatch(t *testing.T, graphName string, n int, g *graph.Graph) {
 				if err != nil || resp.StatusCode != http.StatusOK {
 					t.Fatalf("status %d err %v: %s", resp.StatusCode, err, raw)
 				}
-				return resp.Header.Get("Content-Type"), raw
+				ct := resp.Header.Get("Content-Type")
+				if cl := resp.Header.Get("Content-Length"); ct == "application/json" && cl != strconv.Itoa(len(raw)) {
+					t.Fatalf("Content-Length %q for a body of %d bytes", cl, len(raw))
+				}
+				return ct, raw
 			}
 			same := func(what string, got, want []byte) {
 				t.Helper()

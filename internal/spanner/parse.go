@@ -1,6 +1,10 @@
 package spanner
 
-import "fmt"
+import (
+	"fmt"
+
+	"graphquery/internal/rpq"
+)
 
 // Parse reads the textual form of a regex formula — the same syntax String
 // renders:
@@ -41,7 +45,29 @@ type spanParser struct {
 	pos int
 	// lit ends an identifier run already found not to name a capture: its
 	// bytes are literals, and the run is scanned once, not once per byte.
-	lit int
+	lit   int
+	depth int // groups and captures open around pos
+	nest  int // groups, captures and repetitions on the deepest path of the formula parsed last
+}
+
+// tooDeep is the refusal of a formula that nests past rpq.MaxNesting.
+func (p *spanParser) tooDeep(nest int) error {
+	return p.errf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
+}
+
+// open enters one more group or capture, refusing it past rpq.MaxNesting;
+// close leaves it once its closing byte is read.
+func (p *spanParser) open() error {
+	if p.depth++; p.depth > rpq.MaxNesting {
+		return p.tooDeep(p.depth)
+	}
+	return nil
+}
+
+func (p *spanParser) close() {
+	p.pos++
+	p.depth--
+	p.nest++
 }
 
 func (p *spanParser) errf(format string, args ...any) error {
@@ -53,27 +79,30 @@ func (p *spanParser) parseUnion() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	alts := []Expr{first}
+	alts, nest := []Expr{first}, p.nest
 	for p.pos < len(p.src) && p.src[p.pos] == '|' {
 		p.pos++
 		next, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		alts = append(alts, next)
+		alts, nest = append(alts, next), max(nest, p.nest)
 	}
+	p.nest = nest
 	return Alt(alts...), nil
 }
 
 func (p *spanParser) parseConcat() (Expr, error) {
 	var parts []Expr
+	nest := 0
 	for p.pos < len(p.src) && p.src[p.pos] != '|' && p.src[p.pos] != ')' && p.src[p.pos] != '}' {
 		f, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, f)
+		parts, nest = append(parts, f), max(nest, p.nest)
 	}
+	p.nest = nest
 	return Seq(parts...), nil
 }
 
@@ -82,7 +111,14 @@ func (p *spanParser) parseFactor() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.pos < len(p.src) {
+	for nest := p.nest; ; nest++ {
+		if nest > rpq.MaxNesting {
+			return nil, p.tooDeep(nest)
+		}
+		p.nest = nest
+		if p.pos == len(p.src) {
+			return atom, nil
+		}
 		switch p.src[p.pos] {
 		case '*':
 			p.pos++
@@ -94,13 +130,16 @@ func (p *spanParser) parseFactor() (Expr, error) {
 			return atom, nil
 		}
 	}
-	return atom, nil
 }
 
 func (p *spanParser) parseAtom() (Expr, error) {
 	c := p.src[p.pos]
+	p.nest = 0 // a leaf's; a group or capture counts its own
 	switch {
 	case c == '(':
+		if err := p.open(); err != nil {
+			return nil, err
+		}
 		p.pos++
 		e, err := p.parseUnion()
 		if err != nil {
@@ -109,7 +148,7 @@ func (p *spanParser) parseAtom() (Expr, error) {
 		if p.pos >= len(p.src) || p.src[p.pos] != ')' {
 			return nil, p.errf("expected ')'")
 		}
-		p.pos++
+		p.close()
 		return e, nil
 	case c == '.':
 		p.pos++
@@ -138,6 +177,9 @@ func (p *spanParser) parseAtom() (Expr, error) {
 		}
 		if end < len(p.src) && p.src[end] == '{' {
 			name := p.src[p.pos:end]
+			if err := p.open(); err != nil {
+				return nil, err
+			}
 			p.pos = end + 1
 			sub, err := p.parseUnion()
 			if err != nil {
@@ -146,7 +188,7 @@ func (p *spanParser) parseAtom() (Expr, error) {
 			if p.pos >= len(p.src) || p.src[p.pos] != '}' {
 				return nil, p.errf("expected '}' closing capture %s", name)
 			}
-			p.pos++
+			p.close()
 			return Cap(name, sub), nil
 		}
 		p.lit = end

@@ -558,9 +558,11 @@ func (t tok) String() string {
 }
 
 type parser struct {
-	src string
-	pos int
-	tok tok
+	src   string
+	pos   int
+	tok   tok
+	depth int // groups open around the current token
+	nest  int // groups and repetitions on the deepest path of the expression parsed last
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -621,20 +623,22 @@ func (p *parser) parseUnion() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	alts := []Expr{first}
+	alts, nest := []Expr{first}, p.nest
 	for p.tok.kind == tPipe {
 		p.next()
 		e, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		alts = append(alts, e)
+		alts, nest = append(alts, e), max(nest, p.nest)
 	}
+	p.nest = nest
 	return Alt(alts...), nil
 }
 
 func (p *parser) parseConcat() (Expr, error) {
 	var parts []Expr
+	nest := 0
 	for {
 		switch p.tok.kind {
 		case tIdent, tUnder, tBangBrace, tLParen, tTilde:
@@ -642,11 +646,12 @@ func (p *parser) parseConcat() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, e)
+			parts, nest = append(parts, e), max(nest, p.nest)
 		default:
 			if len(parts) == 0 {
 				return nil, p.errorf("expected expression, got %s", p.tok)
 			}
+			p.nest = nest
 			return Seq(parts...), nil
 		}
 	}
@@ -657,7 +662,11 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for nest := p.nest; ; nest++ {
+		if nest > rpq.MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
+		}
+		p.nest = nest
 		switch p.tok.kind {
 		case tStar:
 			e = Kleene(e)
@@ -712,9 +721,11 @@ func (p *parser) parseAtom() (Expr, error) {
 	case tIdent:
 		a := Atom{Name: p.tok.text, Inverse: inverse}
 		p.next()
+		p.nest = 0
 		return a, nil
 	case tUnder:
 		p.next()
+		p.nest = 0
 		return Atom{Wild: true, Inverse: inverse}, nil
 	case tBangBrace:
 		p.next()
@@ -735,14 +746,20 @@ func (p *parser) parseAtom() (Expr, error) {
 			return nil, p.errorf("expected '}', got %s", p.tok)
 		}
 		p.next()
+		p.nest = 0
 		return Atom{Wild: true, Except: set, Inverse: inverse}, nil
 	case tLParen:
 		if inverse {
 			return nil, p.errorf("'~' applies to atoms, not groups")
 		}
+		if p.depth++; p.depth > rpq.MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		}
 		p.next()
 		if p.tok.kind == tRParen {
 			p.next()
+			p.depth--
+			p.nest = 1
 			return Epsilon{}, nil
 		}
 		e, err := p.parseUnion()
@@ -753,6 +770,8 @@ func (p *parser) parseAtom() (Expr, error) {
 			return nil, p.errorf("expected ')', got %s", p.tok)
 		}
 		p.next()
+		p.depth--
+		p.nest++
 		return e, nil
 	default:
 		return nil, p.errorf("expected atom, got %s", p.tok)

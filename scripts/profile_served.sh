@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # profile_served.sh — where a served workload's daemon CPU goes.
 #
-#   scripts/profile_served.sh <named graph> <file of request bodies>
+#   scripts/profile_served.sh <named graphs> <file of request bodies>
+#   scripts/profile_served.sh scalefree-20000 scripts/short_reads.jsonl
+#   scripts/profile_served.sh path-700,grid-20x20 scripts/big_results.jsonl
 #
-# Builds gqserverd, starts it with the graph and -debug-addr, replays the
-# bodies (one POST /v1/query JSON object a line; their "graph" must name the
-# graph) from two closed-loop clients for 15 s — each sends the file's
+# Builds gqserverd, starts it with the graphs (one catalog name, or several
+# separated by commas) and -debug-addr, replays the bodies (one POST
+# /v1/query JSON object a line; their "graph" must name one of the graphs)
+# from two closed-loop clients for 15 s — each sends the file's
 # bodies in order over one keep-alive connection and starts over — pulls a
 # 10 s CPU profile from inside that window and prints `pprof -top -cum` to
 # 25 lines. bench/ measures the same daemon from outside but cannot pass
@@ -14,8 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GO=${GO:-go}
-graph=${1:?usage: profile_served.sh <named graph> <file of request bodies>}
-bodies=${2:?usage: profile_served.sh <named graph> <file of request bodies>}
+graph=${1:?usage: profile_served.sh <named graphs, comma-separated> <file of request bodies>}
+bodies=${2:?usage: profile_served.sh <named graphs, comma-separated> <file of request bodies>}
 [[ -r "$bodies" ]] || { echo "profile-served: cannot read $bodies" >&2; exit 1; }
 
 workdir=$(mktemp -d)
