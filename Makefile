@@ -51,8 +51,9 @@ bench-smoke:
 # (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
 # parser and shortest mode against the mode-all definition, the relalg and
-# spanner parsers' round trips and compile bounds; the committed
-# corpora alone run with every `go test`.
+# spanner parsers' round trips and compile bounds, the Cypher-fragment
+# parser's round trip and time; the committed corpora alone run with every
+# `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRowBatchRuns -fuzztime 10s ./internal/core
@@ -61,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzShortest -fuzztime 10s ./internal/lrpq
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/relalg
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/spanner
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cypherfrag
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify
@@ -76,7 +78,9 @@ serve-smoke:
 #   (a 20-op block in the mix of bench/'s short-reads), or
 #   make profile-served W=path-700,grid-20x20 Q=scripts/big_results.jsonl
 #   (the five ops of bench/'s big-results, "stream": true for the NDJSON ones).
+# KEEP=dir keeps the profile and the daemon binary there (cpu.pprof,
+# gqserverd) for `go tool pprof -list`.
 profile-served:
-	GO="$(GO)" bash scripts/profile_served.sh "$(W)" "$(Q)"
+	GO="$(GO)" bash scripts/profile_served.sh "$(W)" "$(Q)" $(if $(KEEP),"$(KEEP)")
 
 ci: lint build test race bench-smoke fuzz-smoke serve-smoke

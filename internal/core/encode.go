@@ -41,12 +41,15 @@ func (b RowBatch) Len() int { return b.n }
 // appended whatever the limit, so every call with from < to makes progress;
 // every later row is appended only while len(dst) < limit, so dst ends at
 // most one row past the limit — a sink that leaves a row's worth of room
-// past the limit in its buffer never has append regrow it.
+// past the limit in its buffer never has append regrow it. Bytes of dst's
+// spare capacity past the returned length may be overwritten: a pair row's
+// prefix and name are each stored as one 16-byte word when they fit it, and
+// the word's tail may run past the row.
 //
 // A pair's two names are copied from the literals the graph quoted when it
-// was built (graph.AppendNodeIDJSON; only a node an overlay added since is
+// was built (graph.QuotedNodeID; only a node an overlay added since is
 // escaped here), a run at a time: its `["src",` prefix is written once, for
-// the first of its rows in the call, and copied for the rest.
+// the first of its rows in the call, and copied for the rest (appendRun).
 func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte, limit int) ([]byte, int) {
 	first := from
 	switch {
@@ -60,18 +63,14 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte, limit int) ([]b
 			dst = append(dst, '[')
 			dst = b.g.AppendNodeIDJSON(dst, int(b.runs.Src[i]))
 			dst = append(dst, ',')
-			p1 := len(dst)
-			for j, v := range b.runs.Tgt[from:end] {
-				if j > 0 {
-					if len(dst) >= limit {
-						return dst, from + j
-					}
-					dst = append(dst, dst[p0:p1]...)
-				}
-				dst = b.g.AppendNodeIDJSON(dst, int(v))
-				dst = append(dst, ']', sep)
+			p := len(dst) - p0
+			dst = b.g.AppendNodeIDJSON(dst, int(b.runs.Tgt[from]))
+			dst = append(dst, ']', sep)
+			var n int
+			dst, n = appendRun(b.g, dst, p0, p, b.runs.Tgt[from+1:end], sep, limit)
+			if from += 1 + n; from < end {
+				return dst, from
 			}
-			from = end
 		}
 	case b.lines != nil:
 		for ; from < to; from++ {
@@ -97,6 +96,74 @@ func (b RowBatch) AppendJSON(dst []byte, from, to int, sep byte, limit int) ([]b
 		}
 	}
 	return dst, from
+}
+
+// word is the width of the store a pair row's prefix and name are written
+// with when they fit it: the arena's padding, so a word loaded from any
+// literal stays in bounds.
+const word = graph.QuotePad
+
+// appendRun appends a row for each target in tgts — the run's prefix, the p
+// bytes at dst[p0:], then the target's literal, `]` and sep — while
+// len(dst) < limit, and returns dst and how many rows it appended: the rows
+// storeRows can store, and between them, one at a time, a row whose target
+// an overlay added or for which dst has no rowRoom, appended.
+func appendRun(g *graph.Graph, dst []byte, p0, p int, tgts []int32, sep byte, limit int) ([]byte, int) {
+	for j := 0; ; j++ {
+		var k int
+		dst, k = storeRows(g, dst, p0, p, tgts[j:], sep, limit)
+		if j += k; j == len(tgts) || len(dst) >= limit {
+			return dst, j
+		}
+		dst = append(dst, dst[p0:p0+p]...)
+		dst = g.AppendNodeIDJSON(dst, int(tgts[j]))
+		dst = append(dst, ']', sep)
+	}
+}
+
+// storeRows stores appendRun's rows while len(dst) < limit, the arena holds
+// the target and dst's spare capacity has rowRoom for the row, and returns
+// dst and how many rows it stored: the prefix read back from the run's first
+// row at dst[p0:] (a row's room past it covers the prefix's word), then the
+// target's literal from the arena, each by putWord. The loop makes no call
+// but a long name's copy, so it keeps its state in registers.
+func storeRows(g *graph.Graph, dst []byte, p0, p int, tgts []int32, sep byte, limit int) ([]byte, int) {
+	pre := dst[p0 : p0+p]
+	for j, v := range tgts {
+		n := len(dst)
+		lit, ok := g.QuotedNodeID(int(v))
+		if n >= limit || !ok || rowRoom(p, len(lit)) > cap(dst)-n {
+			return dst, j
+		}
+		w := dst[n:cap(dst)]
+		putWord(w, pre)
+		putWord(w[p:], lit)
+		m := p + len(lit)
+		w[m], w[m+1] = ']', sep
+		dst = dst[:n+m+2]
+	}
+	return dst, len(tgts)
+}
+
+// rowRoom is the spare capacity storeRows needs for a pair row whose prefix
+// is p bytes and whose target's literal l: the prefix, then the literal's
+// word or the literal with `]` and sep, whichever reaches further. The
+// prefix's own word ends before that.
+func rowRoom(p, l int) int {
+	return p + max(word, l+2)
+}
+
+// putWord copies src to the start of dst: a src of up to a word in one
+// 16-byte assignment, which reads past src's end, so src must have the
+// capacity, and writes past it, so dst must have the room; a longer one
+// with copy. The bytes a word carries past src's end are garbage: the rest
+// of the row overwrites them, or they lie past its end.
+func putWord(dst, src []byte) {
+	if len(src) > word {
+		copy(dst, src)
+		return
+	}
+	*(*[word]byte)(dst) = *(*[word]byte)(src[:word])
 }
 
 // wire returns row i in the form Sink.Row documents.

@@ -63,16 +63,25 @@ func runsOf(rows [][2]int) pg.Runs {
 	return runs
 }
 
+// spareBuf returns pre in a buffer with spare bytes of capacity past it, each
+// 0xFF — a byte no JSON row holds, so a row that picked one up shows, and so
+// does a row stored past its end.
+func spareBuf(pre []byte, spare int) []byte {
+	buf := bytes.Repeat([]byte{0xFF}, len(pre)+spare)
+	return buf[:copy(buf, pre)]
+}
+
 // appendCut encodes rows [from, to) of rb the way a sink filling fixed-size
 // buffers does — in calls cut at limit bytes, each on a buffer that starts
-// with pre — and holds every call to the rows' reference lines: it appended
-// the rows it says it did, at least one, and stopped at the first row that
-// reached the limit. It returns the calls' rows, concatenated.
-func appendCut(t testing.TB, rb RowBatch, lines [][]byte, from, to int, sep byte, pre []byte, limit int) []byte {
+// with pre and has spare bytes of capacity past it — and holds every call
+// to the rows' reference lines: it appended the rows it says it did, at
+// least one, and stopped at the first row that reached the limit. It
+// returns the calls' rows, concatenated.
+func appendCut(t testing.TB, rb RowBatch, lines [][]byte, from, to int, sep byte, pre []byte, spare, limit int) []byte {
 	t.Helper()
 	var out []byte
 	for from < to {
-		got, next := rb.AppendJSON(append([]byte(nil), pre...), from, to, sep, limit)
+		got, next := rb.AppendJSON(spareBuf(pre, spare), from, to, sep, limit)
 		if next <= from || next > to {
 			t.Fatalf("rows [%d:%d] at limit %d: the call stopped at row %d", from, to, limit, next)
 		}
@@ -137,8 +146,10 @@ func TestRowBatchAppendJSON(t *testing.T) {
 					}
 					for _, limit := range []int{0, 1, 17, 40, 96} {
 						for _, pre := range [][]byte{nil, []byte("{\"head\":1}\n")} {
-							if got := appendCut(t, rb, lines, from, to, sep, pre, limit); !bytes.Equal(got, want) {
-								t.Fatalf("%s[%d:%d] sep %q at limit %d:\n got %q\nwant %q", name, from, to, sep, limit, got, want)
+							for _, spare := range []int{0, 4096} {
+								if got := appendCut(t, rb, lines, from, to, sep, pre, spare, limit); !bytes.Equal(got, want) {
+									t.Fatalf("%s[%d:%d] sep %q at limit %d, %d spare:\n got %q\nwant %q", name, from, to, sep, limit, spare, got, want)
+								}
 							}
 						}
 					}
@@ -187,6 +198,10 @@ func FuzzRowBatchRuns(f *testing.F) {
 	f.Add(int64(2), uint16(3), uint16(4), uint16(0), "n0|n1|n2|n3|n4|n5|n6")
 	f.Add(int64(3), uint16(7), uint16(7), uint16(4096), "|x|"+"\x00"+"|\u2029|q\"")
 	f.Add(int64(4), uint16(1), uint16(500), uint16(30), "n0|n1|n2|n3|n4|n5|n6|n7|n8|n9|n10|n11")
+	// Literals a byte short of, at, and a byte past one and two 16-byte
+	// words, plain, escaped and multibyte, on both sides of the overlay.
+	f.Add(int64(5), uint16(0), uint16(4000), uint16(0), strings.Join(wordWidthIDs(), "|"))
+	f.Add(int64(6), uint16(5), uint16(300), uint16(100), strings.Join(wordWidthIDs()[3:], "|"))
 	f.Fuzz(func(t *testing.T, seed int64, from, to, limit uint16, names string) {
 		g := namedGraph(t, names)
 		n := g.NumNodes()
@@ -212,14 +227,138 @@ func FuzzRowBatchRuns(f *testing.F) {
 				lines[i][len(lines[i])-1] = sep
 			}
 			want := bytes.Join(lines[lo:hi], nil)
-			if got, _ := rb.AppendJSON(nil, lo, hi, sep, math.MaxInt); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d rows [%d:%d] of %d, sep %q:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, got, want)
-			}
-			if got := appendCut(t, rb, lines, lo, hi, sep, nil, int(limit)); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d rows [%d:%d] of %d, sep %q at limit %d:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, limit, got, want)
+			for _, spare := range []int{0, 4096} {
+				if got, _ := rb.AppendJSON(spareBuf(nil, spare), lo, hi, sep, math.MaxInt); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d rows [%d:%d] of %d, sep %q, %d spare:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, spare, got, want)
+				}
+				if got := appendCut(t, rb, lines, lo, hi, sep, nil, spare, int(limit)); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d rows [%d:%d] of %d, sep %q at limit %d, %d spare:\n got %q\nwant %q", seed, lo, hi, len(prs), sep, limit, spare, got, want)
+				}
 			}
 		}
 	})
+}
+
+// wordWidthIDs are IDs whose JSON literals (quotes included) are 1, 15, 16,
+// 17, 31, 32, 33 and 40 bytes long, or as close above as the spelling
+// allows: plain, with escapes, with multibyte runes; the IDs of those byte
+// lengths, plain; and the empty ID.
+func wordWidthIDs() []string {
+	seen := map[string]bool{}
+	var ids []string
+	add := func(id string) {
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	add("")
+	for _, n := range []int{1, 15, 16, 17, 31, 32, 33, 40} {
+		add(strings.Repeat("x", n))
+		for _, motif := range []string{"", `"\`, "\x01\n", "é€😀", " <&>"} {
+			id := motif
+			for len(graph.AppendJSONString(nil, id)) < n {
+				id += "x"
+			}
+			add(id)
+		}
+	}
+	return ids
+}
+
+// TestRowBatchWordPath: pair rows over literals of every width around one
+// and two 16-byte words — sources whose `["src",` prefix fits one word and
+// sources whose prefix does not, each in the base's arena and added by an
+// overlay, against every target — encode to what encoding/json writes,
+// whole and cut at byte limits that stop mid-run, on a buffer with ample
+// spare capacity (later rows take the word path) and with none (rows are
+// appended). Then, deterministically, each later row on a buffer with
+// exactly rowRoom spare bytes for it is stored in words without regrowing
+// the buffer, and with one byte less is appended: the buffer is regrown or
+// nothing past the row is touched.
+func TestRowBatchWordPath(t *testing.T) {
+	ids := wordWidthIDs()
+	b := graph.NewBuilder()
+	for _, id := range ids {
+		b.AddNode(graph.NodeID(id), "", nil)
+	}
+	g, err := b.MustBuild().Apply([]graph.Mutation{
+		{Op: graph.MutAddNode, ID: "o"},
+		{Op: graph.MutAddNode, ID: "over\"lay-node-with-a-long-name"},
+		{Op: graph.MutAddNode, ID: strings.Repeat("€", 5)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, base := g.NumNodes(), len(ids)
+	line := func(u, v int, sep byte) []byte {
+		l := jsonLine(t, [2]string{string(g.NodeID(u)), string(g.NodeID(v))})
+		l[len(l)-1] = sep
+		return l
+	}
+	prefixLen := func(u int) int { return len(graph.AppendJSONString(nil, string(g.NodeID(u)))) + 2 }
+	// A short and a long prefix from the arena, then from the overlay.
+	srcs := []int{1, base - 1, base, base + 1}
+	for i, u := range srcs {
+		if p := prefixLen(u); p > 16 != (i%2 == 1) {
+			t.Fatalf("source %d has a %d-byte prefix", u, p)
+		}
+	}
+	var prs [][2]int
+	for _, u := range srcs {
+		for v := 0; v < n; v++ {
+			prs = append(prs, [2]int{u, v})
+		}
+	}
+	rb := pairBatch(g, runsOf(prs))
+	for _, sep := range []byte{'\n', ','} {
+		lines := make([][]byte, len(prs))
+		for i, pr := range prs {
+			lines[i] = line(pr[0], pr[1], sep)
+		}
+		for _, spare := range []int{0, 1 << 16} {
+			want := bytes.Join(lines, nil)
+			if got, next := rb.AppendJSON(spareBuf(nil, spare), 0, len(prs), sep, math.MaxInt); !bytes.Equal(got, want) || next != len(prs) {
+				t.Fatalf("sep %q, %d spare: stopped at %d\n got %q\nwant %q", sep, spare, next, got, want)
+			}
+			want = bytes.Join(lines[3:len(prs)-2], nil)
+			for _, limit := range []int{1, 50, 333, 1000} {
+				if got := appendCut(t, rb, lines, 3, len(prs)-2, sep, []byte("{}"), spare, limit); !bytes.Equal(got, want) {
+					t.Fatalf("sep %q at limit %d, %d spare:\n got %q\nwant %q", sep, limit, spare, got, want)
+				}
+			}
+		}
+
+		pre := []byte("{\"head\":1}\n")
+		for _, u := range srcs {
+			p := prefixLen(u)
+			for v := 0; v < base; v++ { // targets the arena holds
+				lit, _ := g.QuotedNodeID(v)
+				rows := pairBatch(g, runsOf([][2]int{{u, 0}, {u, v}}))
+				head := line(u, 0, sep)
+				wantRows := append(append(append([]byte(nil), pre...), head...), line(u, v, sep)...)
+				room := rowRoom(p, len(lit))
+				for _, less := range []int{0, 1} {
+					buf := spareBuf(pre, len(head)+room-less)
+					got, next := rows.AppendJSON(buf, 0, 2, sep, math.MaxInt)
+					if next != 2 || !bytes.Equal(got, wantRows) {
+						t.Fatalf("source %d, target %d, room %d-%d: stopped at %d\n got %q\nwant %q", u, v, room, less, next, got, wantRows)
+					}
+					kept := &got[0] == &buf[0]
+					past := got[len(got):cap(got)]
+					touched := bytes.Count(past, []byte{0xFF}) != len(past)
+					switch {
+					case less == 0 && !kept:
+						t.Errorf("source %d, target %d: a row with exactly its room regrew the buffer", u, v)
+					case less == 0 && len(lit) <= word && room > p+len(lit)+2 && !touched:
+						t.Errorf("source %d, target %d: a row with exactly its room was not stored in words", u, v)
+					case less == 1 && kept && touched:
+						t.Errorf("source %d, target %d: a row one byte short of its room wrote past its end", u, v)
+					}
+				}
+			}
+		}
+	}
 }
 
 // byteSink is a BatchSink that keeps nothing: it encodes every batch into

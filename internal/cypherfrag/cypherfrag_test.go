@@ -111,6 +111,28 @@ func TestProposition22WitnessesSeparate(t *testing.T) {
 	check(UnionPat{Left: Edge("a"), Right: StarOf("a")})
 }
 
+// TestParseNestingBound: union groups nest up to rpq.MaxNesting deep, and
+// one more is refused with the depth and the bound named, as soon as the
+// parser reaches it — half a million open parentheses included.
+func TestParseNestingBound(t *testing.T) {
+	nested := func(depth int) string {
+		p := "-[:a]->"
+		for i := 0; i < depth; i++ {
+			p = "(" + p + " + -[:b]->)"
+		}
+		return p
+	}
+	if _, err := Parse(nested(rpq.MaxNesting)); err != nil {
+		t.Fatalf("%d groups deep: %v", rpq.MaxNesting, err)
+	}
+	for _, text := range []string{nested(rpq.MaxNesting + 1), strings.Repeat("(", 500000)} {
+		_, err := Parse(text)
+		if err == nil || !strings.Contains(err.Error(), "nest 1001 deep") || !strings.Contains(err.Error(), "the bound is 1000") {
+			t.Errorf("%d bytes past the bound: %v", len(text), err)
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	s := Concat(Edge("a", "b"), StarOf("c")).String()
 	if !strings.Contains(s, "a|b") || !strings.Contains(s, "(c)*") {

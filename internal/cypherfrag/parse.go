@@ -3,6 +3,8 @@ package cypherfrag
 import (
 	"fmt"
 	"strings"
+
+	"graphquery/internal/rpq"
 )
 
 // Parse reads the textual form of a Cypher-fragment pattern — the same
@@ -38,8 +40,9 @@ func MustParse(input string) Pattern {
 }
 
 type fragParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // union groups open around the current position
 }
 
 func (p *fragParser) errf(format string, args ...any) error {
@@ -80,7 +83,11 @@ func (p *fragParser) parseConcat() (Pattern, error) {
 func (p *fragParser) parseAtom() (Pattern, error) {
 	p.ws()
 	if strings.HasPrefix(p.src[p.pos:], "(") {
-		// (π₁ + π₂): union group.
+		// (π₁ + π₂): union group, refused past rpq.MaxNesting before the
+		// parser descends into it.
+		if p.depth++; p.depth > rpq.MaxNesting {
+			return nil, p.errf("groups nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		}
 		p.pos++
 		left, err := p.parseConcat()
 		if err != nil {
@@ -100,6 +107,7 @@ func (p *fragParser) parseAtom() (Pattern, error) {
 			return nil, p.errf("expected ')'")
 		}
 		p.pos++
+		p.depth--
 		return UnionPat{Left: left, Right: right}, nil
 	}
 	if !strings.HasPrefix(p.src[p.pos:], "-[:") {

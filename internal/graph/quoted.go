@@ -17,12 +17,18 @@ import (
 // would pay for every later one; eagerly it costs one pass over the names.
 
 // quotedIDs is the arena: node v's literal, quotes included, is
-// buf[off[v]:off[v+1]]. A graph whose literals would not fit int32 offsets
-// has none (off is nil) and quotes every node on the fly.
+// buf[off[v]:off[v+1]], and QuotePad zero bytes follow the last one, so a
+// QuotePad-byte load from the start of any literal — or from any offset
+// inside one — stays in bounds. A graph whose literals would not fit int32
+// offsets has none (off is nil) and quotes every node on the fly.
 type quotedIDs struct {
 	buf []byte
 	off []int32
 }
+
+// QuotePad is the width of the word a caller of QuotedNodeID may load past
+// a literal: the arena's padding past its last one.
+const QuotePad = 16
 
 // quoteIDs builds the arena for nodes.
 func quoteIDs(nodes []Node) quotedIDs {
@@ -33,7 +39,7 @@ func quoteIDs(nodes []Node) quotedIDs {
 	if size > math.MaxInt32 {
 		return quotedIDs{}
 	}
-	q := quotedIDs{buf: make([]byte, 0, size), off: make([]int32, len(nodes)+1)}
+	q := quotedIDs{buf: make([]byte, 0, size+QuotePad), off: make([]int32, len(nodes)+1)}
 	for i := range nodes {
 		q.buf = AppendJSONString(q.buf, string(nodes[i].ID))
 		if len(q.buf) > math.MaxInt32 { // escapes grew it past the estimate
@@ -41,15 +47,31 @@ func quoteIDs(nodes []Node) quotedIDs {
 		}
 		q.off[i+1] = int32(len(q.buf))
 	}
+	q.buf = append(q.buf, make([]byte, QuotePad)...)
 	return q
+}
+
+// QuotedNodeID returns the JSON string literal of the node with dense index
+// i — the bytes AppendNodeIDJSON copies — from the arena Build quoted it
+// into, with at least QuotePad readable bytes past its end (cap(lit) ≥
+// len(lit)+QuotePad), so the literal can be copied in whole QuotePad-byte
+// words. The bytes are shared by every version of the chain and must not
+// be written. ok is false for a node the arena does not hold: one an
+// overlay added since, or any node of a graph too large for an arena.
+func (g *Graph) QuotedNodeID(i int) (lit []byte, ok bool) {
+	off := g.quoted.off
+	if i+1 >= len(off) {
+		return nil, false
+	}
+	return g.quoted.buf[off[i] : off[i+1] : off[i+1]+QuotePad], true
 }
 
 // AppendNodeIDJSON appends the ID of the node with dense index i to dst as a
 // JSON string literal — AppendJSONString(dst, string(g.NodeID(i))), copied
 // from the arena Build quoted it into when i is a node of the chain's base.
 func (g *Graph) AppendNodeIDJSON(dst []byte, i int) []byte {
-	if off := g.quoted.off; i+1 < len(off) {
-		return append(dst, g.quoted.buf[off[i]:off[i+1]]...)
+	if lit, ok := g.QuotedNodeID(i); ok {
+		return append(dst, lit...)
 	}
 	return AppendJSONString(dst, string(g.nodes[i].ID))
 }

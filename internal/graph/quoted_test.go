@@ -43,11 +43,13 @@ func holdsLiteral(t *testing.T, g *Graph, v int) {
 }
 
 // TestQuotedIDsMatchEscaper: Build lays every node's ID out as the JSON
-// literal the escaper writes for it, which is what encoding/json writes; the
-// arena is the base's — Apply hands it down untouched, Materialize builds a
-// new one — and a node an overlay added, which it does not hold, is quoted on
-// the fly, also on two versions forked from one parent that each added a
-// different node at the same index.
+// literal the escaper writes for it, which is what encoding/json writes,
+// followed by QuotePad zero bytes, and QuotedNodeID hands each literal out
+// with that padding readable past its end; the arena is the base's — Apply
+// hands it down untouched, Materialize builds a new one — and a node an
+// overlay added, which it does not hold, is quoted on the fly, also on two
+// versions forked from one parent that each added a different node at the
+// same index.
 func TestQuotedIDsMatchEscaper(t *testing.T) {
 	b := NewBuilder()
 	for _, id := range awkwardIDs {
@@ -56,13 +58,21 @@ func TestQuotedIDsMatchEscaper(t *testing.T) {
 	b.AddEdge("e", "a", awkwardIDs[0], awkwardIDs[1], nil)
 	base := b.MustBuild()
 	n := base.NumNodes()
-	if len(base.quoted.off) != n+1 || int(base.quoted.off[n]) != len(base.quoted.buf) {
-		t.Fatalf("arena holds %d offsets over %d bytes for %d nodes", len(base.quoted.off), len(base.quoted.buf), n)
+	q := base.quoted
+	if len(q.off) != n+1 || int(q.off[n])+QuotePad != len(q.buf) {
+		t.Fatalf("arena holds %d offsets over %d bytes for %d nodes", len(q.off), len(q.buf), n)
+	}
+	if pad := q.buf[q.off[n]:]; !bytes.Equal(pad, make([]byte, QuotePad)) {
+		t.Fatalf("the arena's padding is %q", pad)
 	}
 	for v := 0; v < n; v++ {
 		holdsLiteral(t, base, v)
-		if lit := base.quoted.buf[base.quoted.off[v]:base.quoted.off[v+1]]; !bytes.Equal(lit, jsonString(t, string(awkwardIDs[v]))) {
+		want := jsonString(t, string(awkwardIDs[v]))
+		if lit := q.buf[q.off[v]:q.off[v+1]]; !bytes.Equal(lit, want) {
 			t.Errorf("node %d: arena holds %q", v, lit)
+		}
+		if lit, ok := base.QuotedNodeID(v); !ok || !bytes.Equal(lit, want) || cap(lit) < len(lit)+QuotePad {
+			t.Errorf("node %d: QuotedNodeID = %q (cap %d), %v", v, lit, cap(lit), ok)
 		}
 	}
 
@@ -88,6 +98,9 @@ func TestQuotedIDsMatchEscaper(t *testing.T) {
 		}
 		for v := 0; v < g.NumNodes(); v++ {
 			holdsLiteral(t, g, v) // tombstoned nodes keep their name and their literal
+		}
+		if _, ok := g.QuotedNodeID(n); ok {
+			t.Error("QuotedNodeID hands out a literal for a node an overlay added")
 		}
 	}
 	if string(left.NodeID(n)) != `left"1` || string(right.NodeID(n)) != "right\n2" {

@@ -41,37 +41,71 @@ func sameRuns(a, b Runs) bool {
 
 // TestBatchRunsAscending: a batch meets its hit nodes in ascending order by
 // draining a two-level bitmap, never by sorting and never by reading a word
-// per node. On hand-made hit sets — one hit, hits in the last word only, a
-// node count that is no multiple of 64 or of 4 096, every node hit, marks
-// made in descending and in random order, the same batch value reused from
-// case to case — runs must equal the sort oracle and leave acc and the bitmap
-// clear; on real sweeps (a clique, where every node is hit, and sparse-star,
-// where a handful of 20 000 are), run on a batch a states budget had just
-// stopped mid-sweep, it must equal one Kernel.Sweep per source.
+// per node, and counts each source's targets in byte lanes. On hand-made hit
+// sets — one hit, hits in the last word only, a node count that is no
+// multiple of 64 or of 4 096, every node hit, marks made in descending and
+// in random order, acc words of 1–7, 8 and 64 sources, more than the 255
+// dense hit nodes a lane counts before it is flushed, the same batch value
+// reused from case to case — runs must equal the sort oracle and leave acc
+// and the bitmap clear; on real sweeps (a clique, where every node is hit,
+// and sparse-star, where a handful of 20 000 are), run on a batch a states
+// budget had just stopped mid-sweep, it must equal one Kernel.Sweep per
+// source.
 func TestBatchRunsAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := &batch{}
+	// bits returns a word of k distinct random bits below width.
+	bits := func(k, width int) (w uint64) {
+		for _, i := range rng.Perm(width)[:k] {
+			w |= 1 << uint(i)
+		}
+		return w
+	}
 	for _, fx := range []struct {
 		name  string
 		nodes int
 		hits  func(nodes int) []int
+		width int                    // sources in the batch; 0: 1–64 at random
+		word  func(width int) uint64 // each hit node's acc word; nil: one to three random marks
 	}{
-		{"one hit", 5000, func(int) []int { return []int{4097} }},
-		{"node 0 only", 64, func(int) []int { return []int{0} }},
-		{"last word only", 2*4096 + 70, func(n int) []int { return []int{n - 1, n - 3, n - 70} }},
-		{"last summary bit", 4096 + 1, func(n int) []int { return []int{n - 1} }},
-		{"130 nodes, all hit", 130, func(n int) []int { return rng.Perm(n) }},
-		{"descending marks", 9000, func(n int) []int { return []int{8999, 8191, 4096, 4095, 64, 63, 1} }},
-		{"random tenth", 20000, func(n int) []int { return rng.Perm(n)[:n/10] }},
-		{"nothing hit", 300, func(int) []int { return nil }},
+		{"one hit", 5000, func(int) []int { return []int{4097} }, 0, nil},
+		{"node 0 only", 64, func(int) []int { return []int{0} }, 0, nil},
+		{"last word only", 2*4096 + 70, func(n int) []int { return []int{n - 1, n - 3, n - 70} }, 0, nil},
+		{"last summary bit", 4096 + 1, func(n int) []int { return []int{n - 1} }, 0, nil},
+		{"130 nodes, all hit", 130, func(n int) []int { return rng.Perm(n) }, 0, nil},
+		{"descending marks", 9000, func(n int) []int { return []int{8999, 8191, 4096, 4095, 64, 63, 1} }, 0, nil},
+		{"random tenth", 20000, func(n int) []int { return rng.Perm(n)[:n/10] }, 0, nil},
+		{"nothing hit", 300, func(int) []int { return nil }, 0, nil},
+		{"1-7 sources a word", 3000, func(n int) []int { return rng.Perm(n)[:n/3] }, batchWidth,
+			func(width int) uint64 { return bits(1+rng.Intn(7), width) }},
+		{"8 sources a word", 3000, func(n int) []int { return rng.Perm(n)[:n/2] }, batchWidth,
+			func(width int) uint64 { return bits(8, width) }},
+		{"one byte lane full", 2000, func(n int) []int { return rng.Perm(n)[:700] }, batchWidth,
+			func(int) uint64 { return 0xff << (8 * uint(rng.Intn(8))) }},
+		{"64 sources a word, 300 nodes", 300, func(n int) []int { return rng.Perm(n) }, batchWidth,
+			func(int) uint64 { return ^uint64(0) }},
+		{"64 sources a word, 1 000 of 9 000 nodes", 9000, func(n int) []int { return rng.Perm(n)[:1000] }, batchWidth,
+			func(int) uint64 { return ^uint64(0) }},
+		{"dense and sparse mixed, 37 sources", 5000, func(n int) []int { return rng.Perm(n)[:2000] }, 37,
+			func(width int) uint64 { return bits([]int{1, 8, width}[rng.Intn(3)], width) }},
 	} {
-		srcs := make([]int, 1+rng.Intn(batchWidth))
+		width := fx.width
+		if width == 0 {
+			width = 1 + rng.Intn(batchWidth)
+		}
+		srcs := make([]int, width)
 		for i := range srcs {
 			srcs[i] = 1000 + 3*i
 		}
 		b.reset(fx.nodes, fx.nodes)
 		acc := map[int]uint64{}
 		for _, v := range fx.hits(fx.nodes) {
+			if fx.word != nil {
+				d := fx.word(width)
+				b.accept(v, d)
+				acc[v] |= d
+				continue
+			}
 			for marks := 1 + rng.Intn(3); marks > 0; marks-- { // a node is hit again by later arrivals
 				d := uint64(1) << uint(rng.Intn(len(srcs)))
 				if rng.Intn(4) == 0 {

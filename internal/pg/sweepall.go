@@ -202,21 +202,61 @@ func (b *batch) promote() (active uint64) {
 	return active
 }
 
+// byteLanes[x] spreads the eight bits of x over the eight bytes of a word:
+// byte j is bit j of x. Adding byteLanes[byte t of w] to a word counts, in
+// its byte j, the words w with bit 8t+j set — eight counters a lookup.
+var byteLanes = func() (t [256]uint64) {
+	for x := range t {
+		for j := 0; j < 8; j++ {
+			t[x] |= uint64(x>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
+
+// laneFlush is how many words the byte lanes count before they are flushed:
+// a one-byte counter holds 255.
+const laneFlush = 255
+
+// countTargets adds to off[i+1] the number of hit nodes whose acc word has
+// bit i set — each source's target count — in byte lanes: eight table
+// lookups a hit node whatever its popcount, into eight words of eight
+// one-byte counters, flushed every laneFlush nodes.
+func (b *batch) countTargets(hits []int32, off *[batchWidth + 1]int) {
+	for len(hits) > 0 {
+		chunk := hits[:min(len(hits), laneFlush)]
+		hits = hits[len(chunk):]
+		var l0, l1, l2, l3, l4, l5, l6, l7 uint64
+		for _, v := range chunk {
+			w := b.acc[v]
+			l0 += byteLanes[uint8(w)]
+			l1 += byteLanes[uint8(w>>8)]
+			l2 += byteLanes[uint8(w>>16)]
+			l3 += byteLanes[uint8(w>>24)]
+			l4 += byteLanes[uint8(w>>32)]
+			l5 += byteLanes[uint8(w>>40)]
+			l6 += byteLanes[uint8(w>>48)]
+			l7 += byteLanes[uint8(w>>56)]
+		}
+		for t, l := range [8]uint64{l0, l1, l2, l3, l4, l5, l6, l7} {
+			for j := 0; j < 8; j++ {
+				off[8*t+j+1] += int(uint8(l >> (8 * j)))
+			}
+		}
+	}
+}
+
 // runs renders the batch's result: for each source in order that reached
 // anything, its targets ascending, in one freshly allocated Runs — the only
 // allocation of a warm batch. The hit nodes are met in ascending order —
 // drained from the bitmap, so nothing is compared and nothing is read per
-// node of the graph — and each is dealt to the sources in its word, which
-// yields every source's targets already sorted. acc is cleared as it is
-// dealt.
+// node of the graph — counted per source (countTargets), and each is dealt
+// to the sources in its word, which yields every source's targets already
+// sorted. acc is cleared as it is dealt.
 func (b *batch) runs(srcs []int) (Runs, error) {
 	hits := b.drainHits()
 	var off [batchWidth + 1]int
-	for _, v := range hits {
-		for w := b.acc[v]; w != 0; w &= w - 1 {
-			off[mathbits.TrailingZeros64(w)+1]++
-		}
-	}
+	b.countTargets(hits, &off)
 	k := 0
 	for i := range srcs {
 		if off[i+1] > 0 {

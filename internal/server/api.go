@@ -476,6 +476,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // given (core.RowBatch.AppendJSON), so a segment carries segSlack bytes of
 // room past segSize for that row: filling a segment never regrows it. A
 // row longer than the slack does, and the regrown buffer is not pooled.
+// The encoder stores pair rows in 16-byte words that may run past the last
+// row into the segment's spare capacity; a segment belongs to one sink
+// until it is written, so nothing else reads those bytes.
 const (
 	segSize  = 64 << 10
 	segSlack = 4 << 10

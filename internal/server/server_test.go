@@ -163,6 +163,7 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"bag deep", deep(`{"graph":"bank","lang":"bag","query":"%s"}`), nesting},
 		{"relalg deep", deep(`{"graph":"bank","lang":"relalg","query":"REACH(%s) AS (x, y)"}`), nesting},
 		{"spanner deep", deep(`{"graph":"bank","lang":"spanner","query":"%s","doc":"aaaa"}`), nesting},
+		{"cypher deep", deep(`{"graph":"bank","lang":"cypher","query":"%s"}`), nesting},
 	} {
 		start := time.Now()
 		status, m := post(t, ts, tc.body)

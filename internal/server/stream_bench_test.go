@@ -16,6 +16,7 @@ import (
 
 	"graphquery/internal/core"
 	"graphquery/internal/gen"
+	"graphquery/internal/graph"
 )
 
 // BenchmarkE17_Streaming compares the two delivery paths end to end on a
@@ -292,26 +293,48 @@ func (k *batchKeeper) Batch(b core.RowBatch) (int, time.Duration, error) {
 }
 
 // BenchmarkEncodePairs is the row encoder alone: the pair batches of
-// path-700 `a*`, as the kernel's all-sources driver hands them over,
-// appended to one reused buffer as NDJSON rows.
+// path-700 `a*` (246 051 rows), as the kernel's all-sources driver hands
+// them over, appended to one reused buffer as NDJSON rows, in ns/row. The
+// path-700 row has the catalog's names (`"v123"`: every literal and row
+// prefix fits one 16-byte word); the 36-byte-ids row is the same path with
+// 36-byte names, so literals and prefixes pass one word and are copied.
 func BenchmarkEncodePairs(b *testing.B) {
-	g, err := gen.Named("path-700")
-	if err != nil {
-		b.Fatal(err)
+	long := graph.NewBuilder()
+	id := func(i int) graph.NodeID { return graph.NodeID(fmt.Sprintf("%08d-0000-4000-8000-%012d", i, i)) }
+	for i := 0; i <= 700; i++ {
+		long.AddNode(id(i), "", nil)
 	}
-	var k batchKeeper
-	if _, err := core.New(g).QueryStream(context.Background(), core.Request{Query: "a*"}, &k); err != nil {
-		b.Fatal(err)
+	for i := 1; i <= 700; i++ {
+		long.AddEdge(graph.EdgeID(fmt.Sprint("e", i)), "a", id(i-1), id(i), nil)
 	}
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		for _, rb := range k.batches {
-			buf, _ = rb.AppendJSON(buf, 0, rb.Len(), '\n', math.MaxInt)
-		}
-		b.SetBytes(int64(len(buf)))
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"path-700", gen.APath(700, "a")},
+		{"path-700/36-byte-ids", long.MustBuild()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var k batchKeeper
+			if _, err := core.New(c.g).QueryStream(context.Background(), core.Request{Query: "a*"}, &k); err != nil {
+				b.Fatal(err)
+			}
+			rows := 0
+			for _, rb := range k.batches {
+				rows += rb.Len()
+			}
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for _, rb := range k.batches {
+					buf, _ = rb.AppendJSON(buf, 0, rb.Len(), '\n', math.MaxInt)
+				}
+				b.SetBytes(int64(len(buf)))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # profile_served.sh — where a served workload's daemon CPU goes.
 #
-#   scripts/profile_served.sh <named graphs> <file of request bodies>
+#   scripts/profile_served.sh <named graphs> <file of request bodies> [keep dir]
 #   scripts/profile_served.sh scalefree-20000 scripts/short_reads.jsonl
-#   scripts/profile_served.sh path-700,grid-20x20 scripts/big_results.jsonl
+#   scripts/profile_served.sh path-700,grid-20x20 scripts/big_results.jsonl /tmp/big-results
 #
 # Builds gqserverd, starts it with the graphs (one catalog name, or several
 # separated by commas) and -debug-addr, replays the bodies (one POST
@@ -12,14 +12,23 @@
 # bodies in order over one keep-alive connection and starts over — pulls a
 # 10 s CPU profile from inside that window and prints `pprof -top -cum` to
 # 25 lines. bench/ measures the same daemon from outside but cannot pass
-# -debug-addr; this is the inside view an issue is sized with.
+# -debug-addr; this is the inside view an issue is sized with. Given a third
+# argument, a directory, it keeps the profile and the daemon binary there as
+# cpu.pprof and gqserverd, so that `go tool pprof -list <func> gqserverd
+# cpu.pprof` reads the same profile line by line; a relative directory is
+# taken from where the script was called.
 set -euo pipefail
+keep=${3:-}
+[[ -z "$keep" || "$keep" == /* ]] || keep="$PWD/$keep"
 cd "$(dirname "$0")/.."
 
 GO=${GO:-go}
-graph=${1:?usage: profile_served.sh <named graphs, comma-separated> <file of request bodies>}
-bodies=${2:?usage: profile_served.sh <named graphs, comma-separated> <file of request bodies>}
+graph=${1:?usage: profile_served.sh <named graphs, comma-separated> <file of request bodies> [keep dir]}
+bodies=${2:?usage: profile_served.sh <named graphs, comma-separated> <file of request bodies> [keep dir]}
 [[ -r "$bodies" ]] || { echo "profile-served: cannot read $bodies" >&2; exit 1; }
+if [[ -n "$keep" ]]; then
+  mkdir -p "$keep" || { echo "profile-served: cannot make $keep" >&2; exit 1; }
+fi
 
 workdir=$(mktemp -d)
 pids=()
@@ -71,3 +80,7 @@ curl -fsS -o "$workdir/cpu.pprof" "$dbg/debug/pprof/profile?seconds=10"
 replays=$(($(wc -l <"$workdir/replays") - before))
 echo "profile-served: $graph, $n bodies from $bodies, 10 s of CPU inside a 15 s closed loop of two clients: $((replays * n)) queries answered while profiling"
 $GO tool pprof -top -cum -nodecount=25 "$workdir/gqserverd" "$workdir/cpu.pprof" 2>/dev/null | tail -n +2 | head -n 31
+if [[ -n "$keep" ]]; then
+  cp "$workdir/gqserverd" "$workdir/cpu.pprof" "$keep/"
+  echo "profile-served: kept $keep/gqserverd and $keep/cpu.pprof"
+fi
