@@ -17,7 +17,11 @@ vet:
 # between a sweep and its consumers pairs are pg.Runs (DESIGN §21), and
 # [][2]int is spelled only where the library API returns it. The all-sources
 # driver meets a batch's hits in order through a bitmap (DESIGN §22): a sort
-# in internal/pg/sweepall.go is the per-batch cost that was deleted.
+# in internal/pg/sweepall.go is the per-batch cost that was deleted. An
+# evaluator is stopped one way, through the pg.Meter it is handed (DESIGN §8):
+# none of the language tiers below imports "context" outside its tests.
+METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
+
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -26,6 +30,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "[][2]int on the kernel tier (use pg.Runs):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n -E 'slices\.Sort|sort\.' internal/pg/sweepall.go || true)"; \
 		if [ -n "$$out" ]; then echo "a sort in the all-sources driver (hits are met through the batch's bitmap):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n -F '"context"' $$(ls $(METERED_TIERS:%=internal/%/*.go) | grep -v _test.go) || true)"; \
+		if [ -n "$$out" ]; then echo "an evaluator takes a context (stop it through the pg.Meter it is handed):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

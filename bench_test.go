@@ -190,16 +190,18 @@ func BenchmarkE16_ProductEval(b *testing.B) {
 }
 
 // BenchmarkE16_UnifiedTiers measures each upper language tier through its
-// kernel-unified ctx entry point on one shared workload per tier — the
+// kernel-unified entry point, under the meter a served query would hand it
+// (here: no budget, a context that is never canceled), on one shared
+// workload per tier — the
 // pre/post-unification comparison rows of EXPERIMENTS.md and the
 // regression guard of scripts/bench_json.sh.
 func BenchmarkE16_UnifiedTiers(b *testing.B) {
-	ctx := context.Background()
+	m := pg.NewMeter(context.Background(), pg.Budget{}, nil, nil)
 	g := gen.Random(200, 800, []string{"a", "b"}, 42)
 	cyp := cypherfrag.Concat(cypherfrag.Edge("a"), cypherfrag.StarOf("a", "b"))
 	b.Run("cypher/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cypherfrag.PairsCtx(ctx, g, cyp, eval.Options{}); err != nil {
+			if _, err := cypherfrag.Pairs(g, cyp, eval.Options{Meter: m}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -214,7 +216,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 		gql.Node("y"))
 	b.Run("gql/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gql.PairsCtx(ctx, g, gqlPat, eval.Options{MaxLen: 4}); err != nil {
+			if _, err := gql.Pairs(g, gqlPat, eval.Options{MaxLen: 4, Meter: m}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -233,7 +235,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 		coregql.Node("y"))
 	b.Run("coregql/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := coregql.PairsCtx(ctx, g, corePat, eval.Options{MaxLen: 3}); err != nil {
+			if _, err := coregql.Pairs(g, corePat, eval.Options{MaxLen: 3, Meter: m}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -250,11 +252,11 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 	pmrExpr := rpq.MustParse("a (a | b)*")
 	b.Run("pmr/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := pmr.FromProductCtx(ctx, g, pmrExpr, 0, 1, pg.Budget{})
+			r, err := pmr.FromProductMeter(g, pmrExpr, 0, 1, m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := r.EnumerateCtx(ctx, 100, pg.Budget{}); err != nil {
+			if _, err := r.EnumerateMeter(100, m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,7 +272,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 		spanner.Cap("y", spanner.Star(spanner.Lit("ab"))))
 	b.Run("spanner/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := spanner.EvaluateCtx(ctx, doc, spanExpr, pg.Budget{}); err != nil {
+			if _, err := spanner.EvaluateMeter(doc, spanExpr, m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -285,7 +287,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 	b.Run("relalg/kernel", func(b *testing.B) {
 		q := relalg.MustParseQuery("REACH(a*) AS (x, y) JOIN REACH(b) AS (y, z)")
 		for i := 0; i < b.N; i++ {
-			if _, err := relalg.EvalQueryCtx(ctx, g, q, eval.Options{}); err != nil {
+			if _, err := relalg.EvalQuery(g, q, eval.Options{Meter: m}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -294,7 +296,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 	bagExpr := rpq.MustParse("a*")
 	b.Run("bag/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bag.TotalCountCtx(ctx, gc, bagExpr, pg.Budget{}); err != nil {
+			if _, err := bag.TotalCountMeter(gc, bagExpr, m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -579,7 +581,7 @@ func BenchmarkE30_WCOJ(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.Eval(context.Background(), crpq.Options{}); err != nil {
+				if _, err := plan.Eval(crpq.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -76,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wcojRes, err := plan.Eval(context.Background(), crpq.Options{})
+	wcojRes, err := plan.Eval(crpq.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

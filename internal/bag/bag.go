@@ -12,18 +12,17 @@
 // queries in milliseconds.
 //
 // The counting operators stay tier-local, but the reachability questions
-// inside them route through the product-graph kernel (this PR's tentpole
-// for the bag tier): count(u, v, e) > 0 exactly when (u, v) ∈ ⟦e⟧ under set
-// semantics — multiplicities are nonnegative, and any witnessing node
-// sequence shortens to a duplicate-free one by cycle removal — so the
-// kernel's reachable sets prune the star recursion soundly, and SetCount is
-// the kernel's pair count outright. The Ctx/Meter entry points inherit
-// budgets and amortized cancellation through the same Ticker discipline as
-// the other tiers.
+// inside them route through the product-graph kernel: count(u, v, e) > 0
+// exactly when (u, v) ∈ ⟦e⟧ under set semantics — multiplicities are
+// nonnegative, and any witnessing node sequence shortens to a
+// duplicate-free one by cycle removal — so the kernel's reachable sets
+// prune the star recursion soundly, and SetCountKernel is the kernel's pair
+// count outright. The Meter entry points
+// are stopped and charged through the same Ticker discipline as the other
+// tiers.
 package bag
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 
@@ -52,15 +51,10 @@ func Count(g *graph.Graph, e rpq.Expr, src, dst int) *big.Int {
 	return out
 }
 
-// CountCtx is Count under a context and budget: counting work is charged to
-// the states budget (amortized every pg.CheckInterval), the produced answer
-// to the rows budget. Errors follow the standard taxonomy (pg.ErrCanceled,
-// *pg.BudgetError) and return no partial results.
-func CountCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src, dst int, b pg.Budget) (*big.Int, error) {
-	return CountMeter(g, e, src, dst, pg.NewMeter(ctx, b, nil, nil))
-}
-
-// CountMeter is Count with an explicit meter (may be nil).
+// CountMeter is Count with an explicit meter (may be nil): counting work is
+// charged to the states budget (amortized every pg.CheckInterval), the
+// produced answer to the rows budget. Errors follow the standard taxonomy
+// (pg.ErrCanceled, *pg.BudgetError) and return no partial results.
 func CountMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*big.Int, error) {
 	// Dead endpoints answer as on the Materialize()d graph: zero ways.
 	if !g.NodeAlive(src) || !g.NodeAlive(dst) {
@@ -89,14 +83,10 @@ func TotalCount(g *graph.Graph, e rpq.Expr) *big.Int {
 	return out
 }
 
-// TotalCountCtx is TotalCount under a context and budget: each (u, v) pair
-// with non-zero multiplicity is charged to the rows budget, counting work
-// to the states budget. See CountCtx for the error contract.
-func TotalCountCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, b pg.Budget) (*big.Int, error) {
-	return TotalCountMeter(g, e, pg.NewMeter(ctx, b, nil, nil))
-}
-
-// TotalCountMeter is TotalCount with an explicit meter (may be nil).
+// TotalCountMeter is TotalCount with an explicit meter (may be nil): each
+// (u, v) pair with non-zero multiplicity is charged to the rows budget,
+// counting work to the states budget. See CountMeter for the error
+// contract.
 func TotalCountMeter(g *graph.Graph, e rpq.Expr, m *pg.Meter) (*big.Int, error) {
 	tick := pg.NewTicker(m, nil)
 	c := newCounter(g, m, &tick)
@@ -152,13 +142,13 @@ func SetCount(g *graph.Graph, e rpq.Expr) int {
 	return n
 }
 
-// SetCountCtx is the kernel-backed SetCount: by the count-positivity lemma
-// (count(u, v, e) > 0 ⟺ (u, v) ∈ ⟦e⟧), the set-semantics answer count is
-// exactly the kernel's pair count — no bag recursion at all. opts carries
-// plan, parallelism, budgets, and meter; each pair is charged to the rows
-// budget by the kernel sweep.
-func SetCountCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, opts eval.Options) (int, error) {
-	pairs, err := eval.PairsCtx(ctx, g, e, opts)
+// SetCountKernel is the kernel-backed SetCount: by the count-positivity
+// lemma (count(u, v, e) > 0 ⟺ (u, v) ∈ ⟦e⟧), the set-semantics answer count
+// is exactly the kernel's pair count — no bag recursion at all. opts carries
+// plan, parallelism and meter; each pair is charged to the rows budget by
+// the kernel sweep.
+func SetCountKernel(g *graph.Graph, e rpq.Expr, opts eval.Options) (int, error) {
+	pairs, err := eval.PairsProduct(eval.CompileProduct(g, e), opts)
 	if err != nil {
 		return 0, err
 	}

@@ -399,7 +399,8 @@ func (e *Engine) Estimate(query string) (estimate float64, actual int, err error
 	if err != nil {
 		return 0, 0, badQuery(err)
 	}
-	actual = len(eval.PairsProduct(plan.product, eval.Options{Parallelism: e.Parallelism, Plan: plan.plan}))
+	pairs, _ := eval.PairsProduct(plan.product, eval.Options{Parallelism: e.Parallelism, Plan: plan.plan}) // no meter: cannot fail
+	actual = len(pairs)
 	return cardest.Of(gs.g).Estimate(plan.expr, 0), actual, nil
 }
 

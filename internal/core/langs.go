@@ -1,16 +1,14 @@
-// Engine entry points for the unified upper language tiers (this PR's
-// tentpole at the serving layer): GQL and CoreGQL patterns, Cypher-fragment
-// path patterns, PMR enumeration, document spanners, relational algebra
-// over reachability atoms, and bag-semantics counting all dispatch through
-// QueryCtx like the classic kinds — one meter threaded through every stage,
-// parse results in the plan cache, spans on the trace — so each tier
-// inherits deadlines, budgets, live progress, and cooperative kill from the
-// same machinery.
+// Engine entry points for the unified upper language tiers: GQL and
+// CoreGQL patterns, Cypher-fragment path patterns, PMR enumeration,
+// document spanners, relational algebra over reachability atoms, and
+// bag-semantics counting all dispatch through QueryCtx like the classic
+// kinds — one meter threaded through every stage, parse results in the
+// plan cache, spans on the trace — so each tier inherits deadlines,
+// budgets, live progress, and cooperative kill from the same machinery.
 
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -39,7 +37,7 @@ func (e *Engine) gqlMatchesMeter(gs *graphState, query string, m *eval.Meter, tr
 	}
 	s0, r0 := m.States(), m.Rows()
 	sp = tr.Start("kernel")
-	ms, err := gql.EvalPatternMeter(gs.g, p, gql.Options{MaxLen: maxLen}, m)
+	ms, err := gql.EvalPattern(gs.g, p, gql.Options{MaxLen: maxLen, Meter: m})
 	sp.Counts(m.States()-s0, m.Rows()-r0).End()
 	if err != nil {
 		return nil, err
@@ -87,7 +85,7 @@ func (e *Engine) coreGQLMatchesMeter(gs *graphState, query string, m *eval.Meter
 	}
 	s0, r0 := m.States(), m.Rows()
 	sp = tr.Start("kernel")
-	ms, err := coregql.EvalPatternMeter(gs.g, p, coregql.Options{MaxLen: maxLen}, m)
+	ms, err := coregql.EvalPattern(gs.g, p, coregql.Options{MaxLen: maxLen, Meter: m})
 	sp.Counts(m.States()-s0, m.Rows()-r0).End()
 	if err != nil {
 		return nil, err
@@ -253,8 +251,7 @@ func (e *Engine) relalgMeter(gs *graphState, query string, m *eval.Meter, tr *ob
 	s0, r0 := m.States(), m.Rows()
 	sp = tr.Start("kernel")
 	defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
-	return relalg.EvalQueryCtx(context.Background(), gs.g, q,
-		eval.Options{Parallelism: e.Parallelism, Meter: m})
+	return relalg.EvalQuery(gs.g, q, eval.Options{Parallelism: e.Parallelism, Meter: m})
 }
 
 // bagMeter computes the bag-semantics total answer count of an RPQ — the

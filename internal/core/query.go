@@ -301,7 +301,7 @@ func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func
 	}
 	tr.Set("plan", plan.plan.String())
 	resp, whole, err := sweptPairs(gs.g, m, tr, sink, func(emit func(pg.Runs) error) error {
-		return eval.PairsProductEmit(context.Background(), plan.product,
+		return eval.PairsProductEmit(plan.product,
 			eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
 	})
 	if whole {
@@ -380,7 +380,7 @@ func (e *Engine) rowsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.
 	sp := tr.Start("kernel")
 	if !plan.OnKernel() {
 		defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
-		return plan.Eval(context.Background(), opts)
+		return plan.Eval(opts)
 	}
 	swept, err := plan.Sweep(opts)
 	sp.Counts(m.States()-s0, m.Rows()-r0).End()

@@ -5,7 +5,9 @@
 // up combinatorially, so a service must stop a run and say precisely why)
 // — these tests pin the contract every evaluator must honor: an exhausted
 // budget or a canceled context yields the taxonomy error and NO partial
-// result slice, under sequential and parallel plans alike.
+// result slice, under sequential and parallel plans alike. Every evaluator
+// is stopped the one way a served query stops it: through the meter it is
+// handed, built here by pg.NewMeter from each case's context and budget.
 package crossval_test
 
 import (
@@ -25,6 +27,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/gql"
 	"graphquery/internal/lrpq"
+	"graphquery/internal/pg"
 	"graphquery/internal/pmr"
 	"graphquery/internal/relalg"
 	"graphquery/internal/rpq"
@@ -32,15 +35,15 @@ import (
 	"graphquery/internal/twoway"
 )
 
-// evaluatorRun is one evaluator under one fixed workload, reporting how
-// many results it produced alongside the error. The workloads are sized so
+// evaluatorRun is one evaluator under one fixed workload and meter,
+// reporting how many results it produced alongside the error. The workloads are sized so
 // every evaluator expands well over one meter check interval of states and
 // produces at least two results — tight budgets therefore always trip
 // mid-evaluation, never before or after it.
 type evaluatorRun struct {
 	name        string
 	parallelism []int // worker degrees to exercise; 1 is the sequential plan
-	run         func(ctx context.Context, b eval.Budget, par int) (int, error)
+	run         func(m *pg.Meter, par int) (int, error)
 }
 
 func evaluators() []evaluatorRun {
@@ -56,8 +59,8 @@ func evaluators() []evaluatorRun {
 	cq := crpq.MustParse("q(x, y) :- a* a*(x, y)")
 	gBag := gen.Clique(6, "a") // bag counting: ~2k recursion steps per pair
 
-	// The unified upper tiers, each through its ctx-aware kernel entry
-	// point. Workloads follow the same sizing rule as above.
+	// The unified upper tiers, each through its metered kernel entry point.
+	// Workloads follow the same sizing rule as above.
 	gqlPat := gql.Concat(gql.Node("x"), gql.AnonEdgeL("a"), gql.Node("y"))
 	corePat := coregql.Concat(coregql.Node("x"), coregql.AnonEdge(), coregql.Node("y"))
 	cyPat := cypherfrag.Concat(cypherfrag.StarOf("a"), cypherfrag.StarOf("a"))
@@ -68,76 +71,74 @@ func evaluators() []evaluatorRun {
 		spanner.Cap("y", spanner.Star(spanner.Lit("a"))))
 	raQuery := relalg.MustParseQuery("REACH(a* a*) AS (x, y)")
 	return []evaluatorRun{
-		{"eval", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := eval.PairsCtx(ctx, gBig, rq, eval.Options{Parallelism: par, Budget: b})
+		{"eval", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
+			out, err := eval.PairsProduct(eval.CompileProduct(gBig, rq), eval.Options{Parallelism: par, Meter: m})
 			return len(out), err
 		}},
-		{"twoway", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := twoway.PairsMeterOpt(gBig, tw, eval.NewMeter(ctx, b), twoway.Options{Parallelism: par})
+		{"twoway", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
+			out, err := twoway.PairsMeterOpt(gBig, tw, m, twoway.Options{Parallelism: par})
 			return len(out), err
 		}},
-		{"lrpq", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := lrpq.EvalBetweenCtx(ctx, gSmall, lq, 0, 1, eval.All,
-				lrpq.Options{MaxLen: 4, Meter: eval.NewMeter(ctx, b)})
+		{"lrpq", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := lrpq.EvalBetween(gSmall, lq, 0, 1, eval.All, lrpq.Options{MaxLen: 4, Meter: m})
 			return len(out), err
 		}},
-		{"lrpq-shortest", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := lrpq.EvalBetweenCtx(ctx, gGrid, lq, gGrid.MustNode("g0_0"), gGrid.MustNode("g29_29"), eval.Shortest,
-				lrpq.Options{Limit: 3, Meter: eval.NewMeter(ctx, b)})
+		{"lrpq-shortest", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := lrpq.EvalBetween(gGrid, lq, gGrid.MustNode("g0_0"), gGrid.MustNode("g29_29"), eval.Shortest,
+				lrpq.Options{Limit: 3, Meter: m})
 			return len(out), err
 		}},
-		{"dlrpq", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := dlrpq.EvalBetweenCtx(ctx, gSmall, dq, 0, 1, eval.All,
-				dlrpq.Options{MaxLen: 4, Meter: eval.NewMeter(ctx, b)})
+		{"dlrpq", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := dlrpq.EvalBetween(gSmall, dq, 0, 1, eval.All, dlrpq.Options{MaxLen: 4, Meter: m})
 			return len(out), err
 		}},
-		{"crpq", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			res, err := crpq.EvalCtx(ctx, gBig, cq, crpq.Options{Parallelism: par, Budget: b})
+		{"crpq", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
+			res, err := crpq.Eval(gBig, cq, crpq.Options{Parallelism: par, Meter: m})
 			if res == nil {
 				return 0, err
 			}
 			return len(res.Rows), err
 		}},
-		{"crpq-served", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
+		{"crpq-served", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
 			plan, err := crpq.Compile(gBig, cq, nil)
 			if err != nil {
 				return 0, err
 			}
-			res, err := plan.Eval(ctx, crpq.Options{Parallelism: par, Budget: b})
+			res, err := plan.Eval(crpq.Options{Parallelism: par, Meter: m})
 			if res == nil {
 				return 0, err
 			}
 			return len(res.Rows), err
 		}},
-		{"gql", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := gql.EvalPatternCtx(ctx, gBig, gqlPat, gql.Options{}, b)
+		{"gql", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := gql.EvalPattern(gBig, gqlPat, gql.Options{Meter: m})
 			return len(out), err
 		}},
-		{"coregql", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := coregql.EvalPatternCtx(ctx, gBig, corePat, coregql.Options{}, b)
+		{"coregql", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := coregql.EvalPattern(gBig, corePat, coregql.Options{Meter: m})
 			return len(out), err
 		}},
-		{"cypher", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := cypherfrag.PairsCtx(ctx, gBig, cyPat, eval.Options{Parallelism: par, Budget: b})
+		{"cypher", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
+			out, err := cypherfrag.Pairs(gBig, cyPat, eval.Options{Parallelism: par, Meter: m})
 			return len(out), err
 		}},
-		{"pmr", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := pmrRep.EnumerateCtx(ctx, 200, b)
+		{"pmr", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := pmrRep.EnumerateMeter(200, m)
 			return len(out), err
 		}},
-		{"spanner", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			out, err := spanner.EvaluateCtx(ctx, doc, spanExpr, b)
+		{"spanner", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			out, err := spanner.EvaluateMeter(doc, spanExpr, m)
 			return len(out), err
 		}},
-		{"relalg", []int{1, 4}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			rel, err := relalg.EvalQueryCtx(ctx, gBig, raQuery, eval.Options{Parallelism: par, Budget: b})
+		{"relalg", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
+			rel, err := relalg.EvalQuery(gBig, raQuery, eval.Options{Parallelism: par, Meter: m})
 			if rel == nil {
 				return 0, err
 			}
 			return rel.Len(), err
 		}},
-		{"bag", []int{1}, func(ctx context.Context, b eval.Budget, par int) (int, error) {
-			total, err := bag.TotalCountCtx(ctx, gBag, rpq.MustParse("a*"), b)
+		{"bag", []int{1}, func(m *pg.Meter, par int) (int, error) {
+			total, err := bag.TotalCountMeter(gBag, rpq.MustParse("a*"), m)
 			if total == nil {
 				return 0, err
 			}
@@ -153,15 +154,15 @@ func evaluators() []evaluatorRun {
 func TestEvaluatorsBudgetNoPartialResults(t *testing.T) {
 	budgets := []struct {
 		resource string
-		budget   eval.Budget
+		budget   pg.Budget
 	}{
-		{"states", eval.Budget{MaxStates: 8}},
-		{"rows", eval.Budget{MaxRows: 1}},
+		{"states", pg.Budget{MaxStates: 8}},
+		{"rows", pg.Budget{MaxRows: 1}},
 	}
 	for _, ev := range evaluators() {
 		for _, par := range ev.parallelism {
 			for _, bc := range budgets {
-				n, err := ev.run(context.Background(), bc.budget, par)
+				n, err := ev.run(pg.NewMeter(context.Background(), bc.budget, nil, nil), par)
 				if !errors.Is(err, eval.ErrBudgetExceeded) {
 					t.Errorf("%s/par=%d/%s: got %v, want ErrBudgetExceeded", ev.name, par, bc.resource, err)
 					continue
@@ -186,7 +187,7 @@ func TestEvaluatorsPreCanceledContext(t *testing.T) {
 		for _, par := range ev.parallelism {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			n, err := ev.run(ctx, eval.Budget{}, par)
+			n, err := ev.run(pg.NewMeter(ctx, pg.Budget{}, nil, nil), par)
 			if !errors.Is(err, eval.ErrCanceled) {
 				t.Errorf("%s/par=%d: got %v, want ErrCanceled", ev.name, par, err)
 			}
@@ -232,7 +233,7 @@ func TestEvaluatorsMidFlightCancel(t *testing.T) {
 	for _, ev := range evaluators() {
 		for _, par := range ev.parallelism {
 			tw := newTripwire()
-			n, err := ev.run(tw, eval.Budget{}, par)
+			n, err := ev.run(pg.NewMeter(tw, pg.Budget{}, nil, nil), par)
 			if !errors.Is(err, eval.ErrCanceled) {
 				t.Errorf("%s/par=%d: got %v, want ErrCanceled", ev.name, par, err)
 			}
@@ -280,7 +281,7 @@ func TestCRPQJoinCancel(t *testing.T) {
 	}
 	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
 		ctx := &switchCtx{done: make(chan struct{})}
-		m := eval.NewMeter(ctx, eval.Budget{})
+		m := pg.NewMeter(ctx, pg.Budget{}, nil, nil)
 		swept, err := plan.Sweep(crpq.Options{Parallelism: 1, Meter: m})
 		if err != nil {
 			t.Fatal(err)

@@ -150,7 +150,10 @@ func TestKernelPlansAgreeWithRPQOracle(t *testing.T) {
 			want := oracleRPQPairs(g, nfa)
 			p := eval.NewProduct(g, nfa)
 			for _, pc := range plans {
-				got := eval.PairsProduct(p, eval.Options{Plan: pc.plan})
+				got, err := eval.PairsProduct(p, eval.Options{Plan: pc.plan})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d query %q plan %s: kernel %v != oracle %v",
 						trial, q, pc.name, got, want)

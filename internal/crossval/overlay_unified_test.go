@@ -8,7 +8,6 @@
 package crossval_test
 
 import (
-	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -20,7 +19,6 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/gql"
 	"graphquery/internal/graph"
-	"graphquery/internal/pg"
 	"graphquery/internal/pmr"
 	"graphquery/internal/relalg"
 	"graphquery/internal/rpq"
@@ -70,13 +68,13 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	ctx := context.Background()
+	m := roomyMeter()
 
 	check("gql", func(g *graph.Graph) (any, error) {
 		p := gql.Concat(gql.Node("x"),
 			gql.Star(gql.Concat(gql.AnonNode(), gql.AnonEdgeL("a"), gql.AnonNode())),
 			gql.Node("y"))
-		prs, err := gql.PairsCtx(ctx, g, p, eval.Options{MaxLen: 3})
+		prs, err := gql.Pairs(g, p, eval.Options{MaxLen: 3, Meter: m})
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +84,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		// A non-regular pattern (repeated variable) takes the metered
 		// reference evaluator — the dense-loop alive skips under test.
 		p := gql.Concat(gql.Node("x"), gql.AnonEdgeL("a"), gql.Node("x"))
-		ms, err := gql.EvalPatternCtx(ctx, g, p, gql.Options{}, pg.Budget{})
+		ms, err := gql.EvalPattern(g, p, gql.Options{Meter: m})
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +99,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		p := coregql.Concat(coregql.Node("x"),
 			coregql.Star(coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode())),
 			coregql.Node("y"))
-		prs, err := coregql.PairsCtx(ctx, g, p, eval.Options{MaxLen: 2})
+		prs, err := coregql.Pairs(g, p, eval.Options{MaxLen: 2, Meter: m})
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +107,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 	})
 	check("cypher", func(g *graph.Graph) (any, error) {
 		p := cypherfrag.Concat(cypherfrag.Edge("a"), cypherfrag.StarOf("b", "c"))
-		prs, err := cypherfrag.PairsCtx(ctx, g, p, eval.Options{})
+		prs, err := cypherfrag.Pairs(g, p, eval.Options{Meter: m})
 		if err != nil {
 			return nil, err
 		}
@@ -121,11 +119,11 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatal("anchor nodes missing")
 		}
-		rep, err := pmr.FromProductCtx(ctx, g, rpq.MustParse("a (a | b)*"), s, d, pg.Budget{})
+		rep, err := pmr.FromProductMeter(g, rpq.MustParse("a (a | b)*"), s, d, m)
 		if err != nil {
 			return nil, err
 		}
-		paths, err := rep.EnumerateCtx(ctx, 40, pg.Budget{})
+		paths, err := rep.EnumerateMeter(40, m)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +136,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 	})
 	check("relalg", func(g *graph.Graph) (any, error) {
 		q := relalg.MustParseQuery("REACH(a*) AS (x, y) JOIN REACH(b) AS (y, z)")
-		rel, err := relalg.EvalQueryCtx(ctx, g, q, eval.Options{})
+		rel, err := relalg.EvalQuery(g, q, eval.Options{Meter: m})
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +152,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		return rows, nil
 	})
 	check("bag-total", func(g *graph.Graph) (any, error) {
-		n, err := bag.TotalCountCtx(ctx, g, rpq.MustParse("a b"), pg.Budget{})
+		n, err := bag.TotalCountMeter(g, rpq.MustParse("a b"), m)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +171,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 				if !g.NodeAlive(v) {
 					continue
 				}
-				n, err := bag.CountCtx(ctx, g, e, u, v, pg.Budget{})
+				n, err := bag.CountMeter(g, e, u, v, m)
 				if err != nil {
 					return nil, err
 				}
@@ -185,7 +183,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		return out, nil
 	})
 	check("bag-set", func(g *graph.Graph) (any, error) {
-		n, err := bag.SetCountCtx(ctx, g, rpq.MustParse("a* b"), eval.Options{})
+		n, err := bag.SetCountKernel(g, rpq.MustParse("a* b"), eval.Options{Meter: m})
 		if err != nil {
 			return nil, err
 		}

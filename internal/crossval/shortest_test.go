@@ -274,7 +274,7 @@ func TestShortestLimitOnFigure5(t *testing.T) {
 
 	g = gen.Figure5(40)
 	s, d = g.MustNode("s"), g.MustNode("t")
-	m := eval.NewMeter(context.Background(), eval.Budget{MaxStates: 4000})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 4000}, nil, nil)
 	head, err = lrpq.EvalBetween(g, e, s, d, eval.Shortest, lrpq.Options{Limit: 3, Meter: m})
 	if err != nil {
 		t.Fatalf("figure5-40 limit 3 under a 4000-state budget: %v", err)
@@ -330,7 +330,7 @@ func TestShortestSearchIsMetered(t *testing.T) {
 	var counters pg.Counters
 	plan := lrpq.NewPlan(g, lrpq.MustParse("a*"), &counters)
 
-	m := eval.NewMeter(context.Background(), eval.Budget{MaxStates: 1 << 40})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1 << 40}, nil, nil)
 	meet, err := plan.Search(u, v, m)
 	if err != nil || meet.Len != 78 || meet.Fwd == 0 || meet.Bwd == 0 {
 		t.Fatalf("search: %+v, err %v; want length 78 with both sides expanded", meet, err)
@@ -341,7 +341,7 @@ func TestShortestSearchIsMetered(t *testing.T) {
 	}
 
 	const budget = 300
-	m = eval.NewMeter(context.Background(), eval.Budget{MaxStates: budget})
+	m = pg.NewMeter(context.Background(), pg.Budget{MaxStates: budget}, nil, nil)
 	meet, err = plan.Search(u, v, m)
 	var be *eval.BudgetError
 	if meet != nil || !errors.As(err, &be) || be.Resource != "states" {
@@ -350,14 +350,14 @@ func TestShortestSearchIsMetered(t *testing.T) {
 	if got := m.States(); got <= budget || got > budget+eval.MeterCheckInterval {
 		t.Errorf("budget %d tripped at %d states; want within one check interval past it", budget, got)
 	}
-	r, err := pmr.ShortestFromProductCtx(context.Background(), g, rpq.MustParse("a*"), u, v, eval.Budget{MaxStates: budget})
+	r, err := pmr.ShortestFromProductMeter(g, rpq.MustParse("a*"), u, v, pg.NewMeter(context.Background(), pg.Budget{MaxStates: budget}, nil, nil))
 	if r != nil || !errors.Is(err, eval.ErrBudgetExceeded) {
 		t.Errorf("shortest PMR under the same budget: result %v, err %v", r != nil, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m = eval.NewMeter(ctx, eval.Budget{})
+	m = pg.NewMeter(ctx, pg.Budget{}, nil, nil)
 	meet, err = plan.Search(u, v, m)
 	if meet != nil || !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("search under a cancelled context: result %v, err %v", meet != nil, err)

@@ -23,6 +23,13 @@ import (
 	"graphquery/internal/spanner"
 )
 
+// roomyMeter is a meter whose budgets no workload here reaches: the
+// metered entry points run their charging paths, and must answer exactly
+// what the unmetered ones do.
+func roomyMeter() *pg.Meter {
+	return pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1 << 40, MaxRows: 1 << 40}, nil, nil)
+}
+
 // unifiedPlans are the kernel configurations the acceptance bar names: the
 // sequential sweep and the parallel per-source fan-out.
 var unifiedPlans = []struct {
@@ -66,8 +73,8 @@ func TestGQLKernelMatchesReference(t *testing.T) {
 			want := gql.ProjectPairs(g, ms)
 			for _, pl := range unifiedPlans {
 				opts := pl.opts
-				opts.MaxLen = tc.maxLen
-				got, err := gql.PairsCtx(context.Background(), g, tc.p, opts)
+				opts.MaxLen, opts.Meter = tc.maxLen, roomyMeter()
+				got, err := gql.Pairs(g, tc.p, opts)
 				if err != nil {
 					t.Fatalf("trial %d %s/%s: %v", trial, tc.name, pl.name, err)
 				}
@@ -112,8 +119,8 @@ func TestCoreGQLKernelMatchesReference(t *testing.T) {
 			want := coregql.ProjectPairs(g, ms)
 			for _, pl := range unifiedPlans {
 				opts := pl.opts
-				opts.MaxLen = tc.maxLen
-				got, err := coregql.PairsCtx(context.Background(), g, tc.p, opts)
+				opts.MaxLen, opts.Meter = tc.maxLen, roomyMeter()
+				got, err := coregql.Pairs(g, tc.p, opts)
 				if err != nil {
 					t.Fatalf("trial %d %s/%s: %v", trial, tc.name, pl.name, err)
 				}
@@ -126,7 +133,7 @@ func TestCoreGQLKernelMatchesReference(t *testing.T) {
 }
 
 // TestCypherKernelMatchesReference: the Cypher fragment compiles to an RPQ;
-// its ctx-aware kernel entry must reproduce the plain unmetered evaluation
+// its metered kernel entry must reproduce the plain unmetered evaluation
 // under every plan.
 func TestCypherKernelMatchesReference(t *testing.T) {
 	pats := []struct {
@@ -143,7 +150,9 @@ func TestCypherKernelMatchesReference(t *testing.T) {
 		for _, tc := range pats {
 			want := eval.Pairs(g, cypherfrag.Compile(tc.p))
 			for _, pl := range unifiedPlans {
-				got, err := cypherfrag.PairsCtx(context.Background(), g, tc.p, pl.opts)
+				opts := pl.opts
+				opts.Meter = roomyMeter()
+				got, err := cypherfrag.Pairs(g, tc.p, opts)
 				if err != nil {
 					t.Fatalf("trial %d %s/%s: %v", trial, tc.name, pl.name, err)
 				}
@@ -167,12 +176,12 @@ func TestPMRCtxMatchesLegacy(t *testing.T) {
 			for s := 0; s < 3; s++ {
 				for d := 3; d < 6; d++ {
 					legacy := pmr.FromProduct(g, e, s, d)
-					got, err := pmr.FromProductCtx(context.Background(), g, e, s, d, pg.Budget{})
+					got, err := pmr.FromProductMeter(g, e, s, d, roomyMeter())
 					if err != nil {
 						t.Fatalf("trial %d %q (%d,%d): %v", trial, q, s, d, err)
 					}
 					wantPaths := legacy.Enumerate(50)
-					gotPaths, err := got.EnumerateCtx(context.Background(), 50, pg.Budget{})
+					gotPaths, err := got.EnumerateMeter(50, roomyMeter())
 					if err != nil {
 						t.Fatalf("trial %d %q (%d,%d): enumerate: %v", trial, q, s, d, err)
 					}
@@ -181,7 +190,7 @@ func TestPMRCtxMatchesLegacy(t *testing.T) {
 					}
 
 					legacyS := pmr.ShortestFromProduct(g, e, s, d)
-					gotS, err := pmr.ShortestFromProductCtx(context.Background(), g, e, s, d, pg.Budget{})
+					gotS, err := pmr.ShortestFromProductMeter(g, e, s, d, roomyMeter())
 					if err != nil {
 						t.Fatalf("trial %d %q (%d,%d): shortest: %v", trial, q, s, d, err)
 					}
@@ -212,7 +221,7 @@ func TestSpannerCtxMatchesLegacy(t *testing.T) {
 	for _, doc := range docs {
 		for _, tc := range exprs {
 			want := spanner.Evaluate(doc, tc.e)
-			got, err := spanner.EvaluateCtx(context.Background(), doc, tc.e, pg.Budget{})
+			got, err := spanner.EvaluateMeter(doc, tc.e, roomyMeter())
 			if err != nil {
 				t.Fatalf("%q/%s: %v", doc, tc.name, err)
 			}
@@ -233,7 +242,7 @@ func TestBagCtxMatchesLegacy(t *testing.T) {
 		for _, q := range exprs {
 			e := rpq.MustParse(q)
 			wantTotal := bag.TotalCount(g, e)
-			gotTotal, err := bag.TotalCountCtx(context.Background(), g, e, pg.Budget{})
+			gotTotal, err := bag.TotalCountMeter(g, e, roomyMeter())
 			if err != nil {
 				t.Fatalf("trial %d %q: total: %v", trial, q, err)
 			}
@@ -243,7 +252,7 @@ func TestBagCtxMatchesLegacy(t *testing.T) {
 			for u := 0; u < g.NumNodes(); u++ {
 				for v := 0; v < g.NumNodes(); v++ {
 					want := bag.Count(g, e, u, v)
-					got, err := bag.CountCtx(context.Background(), g, e, u, v, pg.Budget{})
+					got, err := bag.CountMeter(g, e, u, v, roomyMeter())
 					if err != nil {
 						t.Fatalf("trial %d %q (%d,%d): %v", trial, q, u, v, err)
 					}
@@ -254,7 +263,9 @@ func TestBagCtxMatchesLegacy(t *testing.T) {
 			}
 			wantSet := bag.SetCount(g, e)
 			for _, pl := range unifiedPlans {
-				gotSet, err := bag.SetCountCtx(context.Background(), g, e, pl.opts)
+				opts := pl.opts
+				opts.Meter = roomyMeter()
+				gotSet, err := bag.SetCountKernel(g, e, opts)
 				if err != nil {
 					t.Fatalf("trial %d %q/%s: set: %v", trial, q, pl.name, err)
 				}
@@ -302,7 +313,9 @@ func TestRelAlgKernelMatchesReference(t *testing.T) {
 		for _, tc := range cases {
 			q := relalg.MustParseQuery(tc.query)
 			for _, pl := range unifiedPlans {
-				got, err := relalg.EvalQueryCtx(context.Background(), g, q, pl.opts)
+				opts := pl.opts
+				opts.Meter = roomyMeter()
+				got, err := relalg.EvalQuery(g, q, opts)
 				if err != nil {
 					t.Fatalf("trial %d %q/%s: %v", trial, tc.query, pl.name, err)
 				}

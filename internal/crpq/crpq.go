@@ -271,28 +271,29 @@ type Options struct {
 	// materialization; 0 means one per available CPU, 1 forces the
 	// sequential path. Output is identical either way.
 	Parallelism int
-	// Budget caps per-query resources for EvalCtx; zero means unlimited.
-	// MaxRows counts materialized tuples (atom relations and output rows),
-	// since atom materialization is where combinatorial blowup happens.
-	Budget eval.Budget
-	// Meter, when non-nil, overrides ctx+Budget: the shared instrument a
-	// serving layer threads through every atom of one query.
+	// Meter stops and charges evaluation: the shared instrument a serving
+	// layer threads through every atom of one query. Its rows budget counts
+	// materialized tuples (atom relations and output rows), since atom
+	// materialization is where combinatorial blowup happens. Nil means
+	// unmetered.
 	Meter *eval.Meter
 }
 
-// Eval computes q(G) (set semantics). It validates the query first.
-func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
-	return EvalCtx(context.Background(), g, q, opts)
-}
-
-// EvalCtx is Eval under a context and the budget carried by opts: atom
-// materialization (including its parallel per-source fan-out) checks the
-// shared meter cooperatively, so a canceled context or an exhausted budget
-// stops every worker and surfaces eval.ErrCanceled / eval.ErrBudgetExceeded.
+// EvalCtx is Eval with the meter minted from ctx, with no budget, when
+// opts.Meter is nil. No evaluator calls it — each is stopped only through
+// the meter it is handed — but the benchmark harness does.
 func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	if opts.Meter == nil {
-		opts.Meter = eval.NewMeter(ctx, opts.Budget)
+		opts.Meter = eval.NewMeter(ctx, eval.Budget{})
 	}
+	return Eval(g, q, opts)
+}
+
+// Eval computes q(G) (set semantics). It validates the query first. Atom
+// materialization (including its parallel per-source fan-out) checks
+// opts.Meter cooperatively, so a canceled context or an exhausted budget
+// stops every worker and surfaces eval.ErrCanceled / eval.ErrBudgetExceeded.
+func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

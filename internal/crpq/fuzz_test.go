@@ -1,7 +1,6 @@
 package crpq
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -82,7 +81,7 @@ func FuzzParse(f *testing.F) {
 		var got *Result
 		plan, err := Compile(g, q, nil)
 		if err == nil {
-			got, err = plan.Eval(context.Background(), Options{Parallelism: 1})
+			got, err = plan.Eval(Options{Parallelism: 1})
 		}
 		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%q: served (%v, %v), reference (%v, %v)", text, got, err, ref, refErr)

@@ -1,7 +1,6 @@
 package crpq
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -13,8 +12,8 @@ import (
 	"graphquery/internal/wcoj"
 )
 
-// Plan is a CRPQ compiled against one graph: the served evaluator. Eval and
-// EvalCtx stay what they are — the string-keyed, pairwise-joined reference
+// Plan is a CRPQ compiled against one graph: the served evaluator. Eval
+// stays what it is — the string-keyed, pairwise-joined reference
 // that tests and the benchmark's oracle compare against — and a Plan
 // computes the same Result, row for row and in the same order, on
 // kernel-native data: each atom's relation is the integer pairs its kernel
@@ -164,15 +163,11 @@ func onKernel(q *Query) bool {
 func (p *Plan) OnKernel() bool { return p.atoms != nil }
 
 // Eval computes q(G) for the plan's query and graph: Sweep then Join inside
-// the kernel fragment, EvalCtx outside it. The meter is opts.Meter when
-// set, otherwise minted from ctx and opts.Budget, as for EvalCtx; errors
-// are EvalCtx's.
-func (p *Plan) Eval(ctx context.Context, opts Options) (*Result, error) {
-	if opts.Meter == nil {
-		opts.Meter = eval.NewMeter(ctx, opts.Budget)
-	}
+// the kernel fragment, the package-level Eval outside it, both under
+// opts.Meter; errors are the package-level Eval's.
+func (p *Plan) Eval(opts Options) (*Result, error) {
 	if !p.OnKernel() {
-		return EvalCtx(ctx, p.g, p.q, opts)
+		return Eval(p.g, p.q, opts)
 	}
 	s, err := p.Sweep(opts)
 	if err != nil {

@@ -26,7 +26,7 @@ func served(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Eval(context.Background(), opts)
+	return p.Eval(opts)
 }
 
 // agreeMaxRows bounds what one generated case may charge — every atom's
@@ -39,11 +39,11 @@ const agreeMaxRows = 100_000
 // rows — or the same error — at Parallelism 1 and 2.
 func agree(t *testing.T, name string, g *graph.Graph, q *Query) {
 	t.Helper()
-	budget := eval.Budget{MaxRows: agreeMaxRows}
-	rm := eval.NewMeter(context.Background(), budget)
-	ref, refErr := EvalCtx(context.Background(), g, q, Options{AtomMaxLen: 4, Parallelism: 1, Meter: rm})
+	budget := pg.Budget{MaxRows: agreeMaxRows}
+	rm := pg.NewMeter(context.Background(), budget, nil, nil)
+	ref, refErr := Eval(g, q, Options{AtomMaxLen: 4, Parallelism: 1, Meter: rm})
 	for _, par := range []int{1, 2} {
-		m := eval.NewMeter(context.Background(), budget)
+		m := pg.NewMeter(context.Background(), budget, nil, nil)
 		got, err := served(g, q, Options{AtomMaxLen: 4, Parallelism: par, Meter: m})
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: %s (parallelism %d): served error %v, reference error %v", name, q, par, err, refErr)
@@ -233,8 +233,8 @@ func TestPlanSharesSweeps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref := eval.NewMeter(context.Background(), eval.Budget{MaxRows: 1 << 40})
-		if _, err := EvalCtx(context.Background(), g, q, Options{Parallelism: 1, Meter: ref}); err != nil {
+		ref := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 1 << 40}, nil, nil)
+		if _, err := Eval(g, q, Options{Parallelism: 1, Meter: ref}); err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{1, 2} {
@@ -243,8 +243,8 @@ func TestPlanSharesSweeps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := eval.NewMeter(context.Background(), eval.Budget{MaxRows: 1 << 40})
-			if _, err := p.Eval(context.Background(), Options{Parallelism: par, Meter: m}); err != nil {
+			m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 1 << 40}, nil, nil)
+			if _, err := p.Eval(Options{Parallelism: par, Meter: m}); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := c.Snapshot().StatesExpanded, alone.Snapshot().StatesExpanded; got != want || want == 0 {
@@ -343,7 +343,7 @@ func TestPlanBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := eval.NewMeter(context.Background(), eval.Budget{MaxRows: 1 << 40})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 1 << 40}, nil, nil)
 	if _, err := served(g, q, Options{Meter: m}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestPlanBudgets(t *testing.T) {
 	if len(free.Rows) == 0 || total <= int64(len(free.Rows)) {
 		t.Fatalf("%d output rows of %d charged: the case does not cover both trips", len(free.Rows), total)
 	}
-	for _, b := range []eval.Budget{
+	for _, b := range []pg.Budget{
 		{MaxRows: 1},                             // inside the first atom's delivery
 		{MaxRows: total - int64(len(free.Rows))}, // on the first output row
 		{MaxRows: total - 1},                     // on the last output row
@@ -359,12 +359,12 @@ func TestPlanBudgets(t *testing.T) {
 		{MaxStates: 8},                           // inside the first sweep
 	} {
 		for _, par := range []int{1, 2} {
-			ref, refErr := EvalCtx(context.Background(), g, q, Options{Parallelism: par, Budget: b})
+			ref, refErr := Eval(g, q, Options{Parallelism: par, Meter: pg.NewMeter(context.Background(), b, nil, nil)})
 			p, err := Compile(g, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.Eval(context.Background(), Options{Parallelism: par, Budget: b})
+			got, err := p.Eval(Options{Parallelism: par, Meter: pg.NewMeter(context.Background(), b, nil, nil)})
 			if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(got, ref) {
 				t.Errorf("budget %+v parallelism %d: served (%d rows, %v), reference (%d rows, %v)",
 					b, par, rowCount(got), err, rowCount(ref), refErr)
@@ -396,7 +396,7 @@ func TestPlanConcurrentEval(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				got, err := p.Eval(context.Background(), Options{Parallelism: 2})
+				got, err := p.Eval(Options{Parallelism: 2})
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent Eval: err %v, %d rows, want %d", err, rowCount(got), len(want.Rows))
 					return

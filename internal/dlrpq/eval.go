@@ -1,7 +1,6 @@
 package dlrpq
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -335,16 +334,6 @@ func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Opti
 	default:
 		return nil, fmt.Errorf("dlrpq: unknown mode %v", mode)
 	}
-}
-
-// EvalBetweenCtx is EvalBetween under a context: when opts.Meter is unset,
-// one is minted from ctx (with no budget) so cancellation reaches the
-// configuration search.
-func EvalBetweenCtx(ctx context.Context, g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	if opts.Meter == nil {
-		opts.Meter = eval.NewMeter(ctx, eval.Budget{})
-	}
-	return EvalBetween(g, e, src, dst, mode, opts)
 }
 
 // Eval enumerates ⟦R⟧_G unanchored (all endpoints), requiring MaxLen.

@@ -9,8 +9,16 @@ import (
 
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
+
+// under is opts with the meter a serving layer would hand the evaluator
+// for ctx and b.
+func under(ctx context.Context, b Budget, opts Options) Options {
+	opts.Meter = pg.NewMeter(ctx, b, nil, nil)
+	return opts
+}
 
 func mustProduct(t *testing.T, g *graph.Graph, query string) *Product {
 	t.Helper()
@@ -38,12 +46,17 @@ func TestPairsCtxPreCanceled(t *testing.T) {
 			p := mustProduct(t, tc.build(), tc.query)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := PairsProductCtx(ctx, p, Options{Parallelism: par})
+			_, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: par}))
 			if !errors.Is(err, ErrCanceled) {
 				t.Errorf("%s/par=%d: pre-canceled ctx: got %v, want ErrCanceled", tc.name, par, err)
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s/par=%d: cause context.Canceled not preserved: %v", tc.name, par, err)
+			}
+			// The context-taking shim mints the same meter when it is
+			// handed none.
+			if _, err := PairsProductCtx(ctx, p, Options{Parallelism: par}); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s/par=%d: PairsProductCtx under a pre-canceled ctx: got %v", tc.name, par, err)
 			}
 		}
 	}
@@ -64,7 +77,7 @@ func TestPairsCtxPromptCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := PairsProductCtx(ctx, p, Options{Parallelism: par})
+			_, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: par}))
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)
@@ -86,7 +99,7 @@ func TestPairsCtxDeadline(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := PairsProductCtx(ctx, p, Options{Parallelism: 2})
+		_, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: 2}))
 		done <- err
 	}()
 	select {
@@ -107,8 +120,7 @@ func TestPairsCtxBudgets(t *testing.T) {
 		for _, tc := range ctxCases {
 			p := mustProduct(t, tc.build(), tc.query)
 
-			_, err := PairsProductCtx(context.Background(), p,
-				Options{Parallelism: par, Budget: Budget{MaxStates: 50}})
+			_, err := PairsProduct(p, under(context.Background(), Budget{MaxStates: 50}, Options{Parallelism: par}))
 			if !errors.Is(err, ErrBudgetExceeded) {
 				t.Errorf("%s/par=%d: MaxStates: got %v, want ErrBudgetExceeded", tc.name, par, err)
 			}
@@ -117,8 +129,7 @@ func TestPairsCtxBudgets(t *testing.T) {
 				t.Errorf("%s/par=%d: MaxStates: got %v, want *BudgetError{states}", tc.name, par, err)
 			}
 
-			_, err = PairsProductCtx(context.Background(), p,
-				Options{Parallelism: par, Budget: Budget{MaxRows: 3}})
+			_, err = PairsProduct(p, under(context.Background(), Budget{MaxRows: 3}, Options{Parallelism: par}))
 			if !errors.Is(err, ErrBudgetExceeded) {
 				t.Errorf("%s/par=%d: MaxRows: got %v, want ErrBudgetExceeded", tc.name, par, err)
 			}
@@ -135,9 +146,12 @@ func TestPairsCtxMatchesPairs(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		for _, tc := range ctxCases {
 			p := mustProduct(t, tc.build(), tc.query)
-			want := PairsProduct(p, Options{Parallelism: par})
-			got, err := PairsProductCtx(context.Background(), p,
-				Options{Parallelism: par, Budget: Budget{MaxStates: 1 << 40, MaxRows: 1 << 40}})
+			want, err := PairsProduct(p, Options{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s/par=%d: unmetered: %v", tc.name, par, err)
+			}
+			got, err := PairsProduct(p, under(context.Background(),
+				Budget{MaxStates: 1 << 40, MaxRows: 1 << 40}, Options{Parallelism: par}))
 			if err != nil {
 				t.Fatalf("%s/par=%d: %v", tc.name, par, err)
 			}
@@ -162,11 +176,11 @@ func TestPairsCtxNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := PairsProductCtx(ctx, p, Options{Parallelism: 4}); !errors.Is(err, ErrCanceled) {
+		if _, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: 4})); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("iteration %d: got %v, want ErrCanceled", i, err)
 		}
 	}
-	// Workers are joined before PairsProductCtx returns, so only unrelated
+	// Workers are joined before PairsProduct returns, so only unrelated
 	// runtime goroutines should move the count; allow slack and retry
 	// briefly for scheduler noise.
 	deadline := time.Now().Add(2 * time.Second)

@@ -37,37 +37,25 @@ func PairsOpt(g *graph.Graph, e rpq.Expr, opts Options) [][2]int {
 }
 
 // PairsCompiled evaluates an already compiled automaton — the entry point
-// for plan caches that skip parsing and Glushkov compilation. See
+// for plan caches that skip parsing and Glushkov compilation. It is
+// unmetered (opts.Meter is ignored), so it cannot fail. See
 // PairsProductEmit for the ordering guarantee.
 func PairsCompiled(g *graph.Graph, a *automata.NFA, opts Options) [][2]int {
-	return PairsProduct(NewProduct(g, a), opts)
+	opts.Meter = nil
+	out, _ := PairsProduct(NewProduct(g, a), opts)
+	return out
 }
 
 // PairsProduct evaluates over an already graph-resolved product — the entry
 // point for engines that cache the product alongside the compiled NFA (a
 // Product is immutable, so one instance serves concurrent queries). It is
-// unmetered: opts.Budget and opts.Meter are ignored, so it cannot fail.
-func PairsProduct(p *Product, opts Options) [][2]int {
-	opts.Budget, opts.Meter = Budget{}, nil
-	out, _ := PairsProductCtx(context.Background(), p, opts)
-	return out
-}
-
-// PairsCtx is PairsOpt under a context and the budget carried by opts: the
-// cooperative-cancellation entry point for serving layers. It returns
-// ErrCanceled (wrapping the context cause) when ctx is canceled mid-search
-// and ErrBudgetExceeded when opts.Budget is exhausted.
-func PairsCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, opts Options) ([][2]int, error) {
-	return PairsProductCtx(ctx, NewProduct(g, rpq.Compile(e)), opts)
-}
-
-// PairsProductCtx is PairsProduct under a context and budget: the buffered
-// face of PairsProductEmit, whose emit appends — the boundary where the
-// kernel's runs become the index pairs the library API returns. An error
-// voids the result.
-func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, error) {
+// the buffered face of PairsProductEmit, whose emit appends — the boundary
+// where the kernel's runs become the index pairs the library API returns.
+// opts.Meter stops and charges it; with a nil meter it cannot fail. An
+// error voids the result.
+func PairsProduct(p *Product, opts Options) ([][2]int, error) {
 	var out [][2]int
-	err := PairsProductEmit(ctx, p, opts, func(part pg.Runs) error {
+	err := PairsProductEmit(p, opts, func(part pg.Runs) error {
 		out = AppendPairs(out, part)
 		return nil
 	})
@@ -75,6 +63,16 @@ func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, e
 		return nil, err
 	}
 	return out, nil
+}
+
+// PairsProductCtx is PairsProduct with the meter minted from ctx, with no
+// budget, when opts.Meter is nil. No evaluator calls it — each is stopped
+// only through the meter it is handed — but the benchmark harness does.
+func PairsProductCtx(ctx context.Context, p *Product, opts Options) ([][2]int, error) {
+	if opts.Meter == nil {
+		opts.Meter = NewMeter(ctx, Budget{})
+	}
+	return PairsProduct(p, opts)
 }
 
 // AppendPairs appends the (source, target) pairs of part to dst, in order.
@@ -93,11 +91,10 @@ func AppendPairs(dst [][2]int, part pg.Runs) [][2]int {
 // out over the worker pool, every sweep metered, and the pairs handed to
 // emit as runs (pg.Runs) in lexicographic order — sources ascending, each
 // source's targets ascending — so the output is byte-identical at any
-// worker count and needs no final sort. The meter is opts.Meter when set (a
-// serving layer sharing one meter across stages), otherwise minted from ctx
-// and opts.Budget. Workers share it, so a canceled context or an exhausted
-// budget stops all of them within one check interval; the pool is always
-// joined before returning.
+// worker count and needs no final sort. Every sweep is charged to
+// opts.Meter (nil: unmetered); workers share it, so a canceled context or an
+// exhausted budget stops all of them within one check interval; the pool is
+// always joined before returning.
 //
 // Delivery is incremental: emit runs while later batches are still going,
 // memory is bounded by the fan-out's in-flight window — O(window × batch
@@ -116,11 +113,7 @@ func AppendPairs(dst [][2]int, part pg.Runs) [][2]int {
 // forward order (the two directions produce the same set, so the sequences
 // are identical) and hands emit everything at once: same order, peak memory
 // O(total result).
-func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(pg.Runs) error) error {
-	m := opts.Meter
-	if m == nil {
-		m = NewMeter(ctx, opts.Budget)
-	}
+func PairsProductEmit(p *Product, opts Options, emit func(pg.Runs) error) error {
 	plan := opts.Plan
 	workers := plan.Workers
 	if workers == 0 {
@@ -140,7 +133,7 @@ func PairsProductEmit(ctx context.Context, p *Product, opts Options, emit func(p
 		}
 	}
 	kern.Counters().CountPlan(pg.Plan{Backward: plan.Backward, Workers: workers})
-	err := kern.SweepAll(workers, m, true, deliver)
+	err := kern.SweepAll(workers, opts.Meter, true, deliver)
 	if err != nil || pairs == 0 {
 		return err
 	}
@@ -247,7 +240,7 @@ type Options struct {
 	// MaxLen bounds path length (number of edges); 0 means unbounded.
 	MaxLen int
 	// Limit bounds the number of returned paths; 0 means unlimited.
-	// Exceeding Limit truncates; exceeding Budget.MaxRows errors.
+	// Exceeding Limit truncates; exceeding the meter's rows budget errors.
 	Limit int
 	// Parallelism caps the number of worker goroutines used by per-source
 	// fan-out; 0 means runtime.GOMAXPROCS(0), 1 forces the sequential path.
@@ -256,11 +249,10 @@ type Options struct {
 	// (direction, fan-out degree). The zero Plan is the historical
 	// default: forward, Parallelism workers.
 	Plan pg.Plan
-	// Budget caps resources for the Ctx entry points; zero means unlimited.
-	Budget Budget
-	// Meter, when non-nil, overrides ctx+Budget in the Ctx entry points: the
-	// live instrument a serving layer threads through every stage of one
-	// query so cancellation and budgets are enforced query-globally.
+	// Meter stops and charges the pair evaluators: the live instrument a
+	// serving layer threads through every stage of one query so
+	// cancellation and budgets are enforced query-globally. Nil means
+	// unmetered.
 	Meter *Meter
 }
 

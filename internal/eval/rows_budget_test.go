@@ -20,9 +20,8 @@ func TestRowsBudgetTripsAtEmission(t *testing.T) {
 	const maxRows = 3
 	for _, plan := range []pg.Plan{{}, {Backward: true}} {
 		p := mustProduct(t, gen.Clique(10, "a"), "a")
-		m := NewMeter(context.Background(), Budget{MaxRows: maxRows})
-		out, err := PairsProductCtx(context.Background(), p,
-			Options{Parallelism: 1, Meter: m, Plan: plan})
+		m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: maxRows}, nil, nil)
+		out, err := PairsProduct(p, Options{Parallelism: 1, Meter: m, Plan: plan})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("plan %+v: got (%v, %v), want ErrBudgetExceeded", plan, out, err)
 		}
@@ -44,8 +43,8 @@ func TestRowsBudgetTripsAtEmission(t *testing.T) {
 func TestRowsBudgetExactBoundarySucceeds(t *testing.T) {
 	g := gen.Clique(4, "a") // "a" yields 4·3 = 12 pairs
 	p := mustProduct(t, g, "a")
-	m := NewMeter(context.Background(), Budget{MaxRows: 12})
-	out, err := PairsProductCtx(context.Background(), p, Options{Parallelism: 1, Meter: m})
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 12}, nil, nil)
+	out, err := PairsProduct(p, Options{Parallelism: 1, Meter: m})
 	if err != nil {
 		t.Fatalf("budget == result size errored: %v", err)
 	}

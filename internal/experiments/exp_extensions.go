@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -209,7 +208,7 @@ func runE30(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		got, err := plan.Eval(context.Background(), crpq.Options{})
+		got, err := plan.Eval(crpq.Options{})
 		if err != nil {
 			return err
 		}

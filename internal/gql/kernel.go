@@ -1,70 +1,31 @@
-// Kernel unification of GQL patterns (this PR's tentpole for the gql
-// tier): the pure path-finding core of a pattern — its regular skeleton
-// over edge labels — compiles to an NFA and runs on the product-graph
-// kernel, inheriting amortized cancellation, budgets, live progress, the
-// cost-based planner, and the direction-optimizing sweep. What stays
-// tier-local is exactly what is not regular: bindings, group variables,
-// WHERE conditions, node-label tests, and repeated-variable joins. PairsCtx routes regular patterns through the kernel and falls
-// back to the (metered) reference evaluator otherwise; the two paths are
-// byte-identical on their common domain, which crossval enforces.
 package gql
 
 import (
-	"context"
 	"sort"
 
 	"graphquery/internal/automata"
 	"graphquery/internal/coregql"
 	"graphquery/internal/eval"
 	"graphquery/internal/graph"
-	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
-// EvalPatternCtx is EvalPattern under a context and budget: every
-// candidate the evaluator considers is charged to the states budget
-// (amortized every pg.CheckInterval), each final match to the rows
-// budget. Errors follow the standard taxonomy (pg.ErrCanceled,
-// *pg.BudgetError) and return no partial results.
-func EvalPatternCtx(ctx context.Context, g *graph.Graph, p Pattern, opts Options, b pg.Budget) ([]Match, error) {
-	return EvalPatternMeter(g, p, opts, pg.NewMeter(ctx, b, nil, nil))
-}
+// A regular pattern's path finding runs on the product-graph kernel: its
+// skeleton over edge labels compiles to an NFA. What stays tier-local is
+// what is not regular — bindings, group variables, WHERE conditions,
+// node-label tests and repeated-variable joins — so Pairs falls back to
+// EvalPattern for those; the two paths are byte-identical on their common
+// domain, which crossval enforces.
 
-// EvalPatternMeter is EvalPattern with an explicit meter (may be nil).
-func EvalPatternMeter(g *graph.Graph, p Pattern, opts Options, m *pg.Meter) ([]Match, error) {
-	if hasUnbounded(p) && opts.MaxLen <= 0 {
-		return nil, ErrUnbounded
-	}
-	tick := pg.NewTicker(m, nil)
-	opts.tick = &tick
-	ms, err := evalRec(g, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := tick.Flush(); err != nil {
-		return nil, err
-	}
-	if err := m.AddRows(int64(len(ms))); err != nil {
-		return nil, err
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Path.Len() != ms[j].Path.Len() {
-			return ms[i].Path.Len() < ms[j].Path.Len()
-		}
-		return ms[i].key() < ms[j].key()
-	})
-	return ms, nil
-}
-
-// PairsCtx computes the endpoint pairs of the pattern's match set —
+// Pairs computes the endpoint pairs of the pattern's match set —
 // {(src(ρ), tgt(ρ)) | ρ matches π} as sorted, deduplicated (u,v) index
 // pairs. Regular patterns run entirely on the product-graph kernel
-// (opts.Plan, opts.Parallelism, budgets, and meter all apply); patterns
+// (opts.Plan, opts.Parallelism and opts.Meter apply); patterns
 // whose semantics are not captured by their skeleton fall back to the
 // metered match evaluator plus endpoint projection. opts.MaxLen bounds
 // path length in both paths — the kernel one via a length-unrolled
 // automaton, so the two agree exactly.
-func PairsCtx(ctx context.Context, g *graph.Graph, p Pattern, opts eval.Options) ([][2]int, error) {
+func Pairs(g *graph.Graph, p Pattern, opts eval.Options) ([][2]int, error) {
 	if Regular(p) {
 		e, err := Skeleton(p)
 		if err == nil {
@@ -76,15 +37,11 @@ func PairsCtx(ctx context.Context, g *graph.Graph, p Pattern, opts eval.Options)
 				nfa = BoundLength(nfa, opts.MaxLen)
 			}
 			prod := eval.NewProductInstrumented(g, nfa, nil)
-			return eval.PairsProductCtx(ctx, prod, opts)
+			return eval.PairsProduct(prod, opts)
 		}
 	}
 	// Fallback: reference evaluator + projection.
-	m := opts.Meter
-	if m == nil {
-		m = pg.NewMeter(ctx, opts.Budget, nil, nil)
-	}
-	ms, err := EvalPatternMeter(g, p, Options{MaxLen: opts.MaxLen}, m)
+	ms, err := EvalPattern(g, p, Options{MaxLen: opts.MaxLen, Meter: opts.Meter})
 	if err != nil {
 		return nil, err
 	}

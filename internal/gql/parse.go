@@ -8,6 +8,7 @@ import (
 
 	"graphquery/internal/coregql"
 	"graphquery/internal/graph"
+	"graphquery/internal/rpq"
 )
 
 // ParsePattern parses GQL's ASCII-art pattern syntax, the notation used
@@ -91,10 +92,11 @@ func (t ptok) String() string {
 }
 
 type pparser struct {
-	src  string
-	pos  int
-	tok  ptok
-	save []ptok
+	src   string
+	pos   int
+	tok   ptok
+	save  []ptok
+	depth int // groups open around the current token
 }
 
 func (p *pparser) errorf(format string, args ...any) error {
@@ -319,7 +321,11 @@ func (p *pparser) parseParenElement() (Pattern, error) {
 		p.next()
 		return NodeL("", label), nil
 	}
-	// Group: parse a full pattern, optional WHERE, then ')'.
+	// Group: parse a full pattern, optional WHERE, then ')' — refused past
+	// rpq.MaxNesting before the parser descends into it.
+	if p.depth++; p.depth > rpq.MaxNesting {
+		return nil, p.errorf("groups nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+	}
 	sub, err := p.parseUnion()
 	if err != nil {
 		return nil, err
@@ -336,6 +342,7 @@ func (p *pparser) parseParenElement() (Pattern, error) {
 		return nil, p.errorf("expected ')', got %s", p.tok)
 	}
 	p.next()
+	p.depth--
 	return sub, nil
 }
 

@@ -1,10 +1,13 @@
 package gql
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
+	"graphquery/internal/rpq"
 )
 
 func TestParsePatternBasics(t *testing.T) {
@@ -157,5 +160,28 @@ func TestParsedUnionPartialBindings(t *testing.T) {
 	}
 	if !domains["x"] || !domains["y"] {
 		t.Errorf("expected both branch variables, got %v", domains)
+	}
+}
+
+// TestParsePatternNestingBound: groups nest at most rpq.MaxNesting deep. A
+// pattern one group past the bound is refused, and so is half a megabyte of
+// '(' — as soon as the parser reaches the bound, not after descending
+// through all of it.
+func TestParsePatternNestingBound(t *testing.T) {
+	nested := func(depth int) string {
+		return strings.Repeat("(", depth) + "()-[:a]->()" + strings.Repeat(")", depth)
+	}
+	if _, err := ParsePattern(nested(rpq.MaxNesting)); err != nil {
+		t.Fatalf("%d groups deep: %v", rpq.MaxNesting, err)
+	}
+	for _, text := range []string{nested(rpq.MaxNesting + 1), strings.Repeat("(", 1<<19)} {
+		start := time.Now()
+		_, err := ParsePattern(text)
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%d bytes past the bound: refused after %v, want under 100ms", len(text), took)
+		}
+		if err == nil || !strings.Contains(err.Error(), "nest 1001 deep") || !strings.Contains(err.Error(), "the bound is 1000") {
+			t.Errorf("%d bytes past the bound: %v", len(text), err)
+		}
 	}
 }

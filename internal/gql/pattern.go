@@ -223,17 +223,14 @@ var ErrMixedBinding = errors.New("gql: variable bound as both element and list")
 type Options struct {
 	MaxLen int
 
-	// tick, when set, meters every candidate the evaluator considers
-	// (EvalPatternMeter wires it); the zero Options meters nothing.
-	tick *pg.Ticker
-}
+	// Meter stops and charges evaluation: every candidate the evaluator
+	// considers is charged to its states budget (amortized every
+	// pg.CheckInterval), each final match to its rows budget. Nil means
+	// unmetered.
+	Meter *pg.Meter
 
-// step charges one unit of evaluator work against the meter, if any.
-func (o Options) step() error {
-	if o.tick == nil {
-		return nil
-	}
-	return o.tick.Step()
+	// tick is EvalPattern's ticker on Meter, which every candidate steps.
+	tick *pg.Ticker
 }
 
 // EvalPattern computes the match set of π on g under GQL group-variable
@@ -243,8 +240,16 @@ func EvalPattern(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 	if hasUnbounded(p) && opts.MaxLen <= 0 {
 		return nil, ErrUnbounded
 	}
+	tick := pg.NewTicker(opts.Meter, nil)
+	opts.tick = &tick
 	ms, err := evalRec(g, p, opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := tick.Flush(); err != nil {
+		return nil, err
+	}
+	if err := opts.Meter.AddRows(int64(len(ms))); err != nil {
 		return nil, err
 	}
 	sort.Slice(ms, func(i, j int) bool {
@@ -290,7 +295,7 @@ func evalRec(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 	case NodeP:
 		var out []Match
 		for i := 0; i < g.NumNodes(); i++ {
-			if err := opts.step(); err != nil {
+			if err := opts.tick.Step(); err != nil {
 				return nil, err
 			}
 			if !g.NodeAlive(i) {
@@ -309,7 +314,7 @@ func evalRec(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 	case EdgeP:
 		var out []Match
 		for e := 0; e < g.NumEdges(); e++ {
-			if err := opts.step(); err != nil {
+			if err := opts.tick.Step(); err != nil {
 				return nil, err
 			}
 			if !g.EdgeAlive(e) {
@@ -354,7 +359,7 @@ func evalRec(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 		}
 		var out []Match
 		for _, m := range ms {
-			if err := opts.step(); err != nil {
+			if err := opts.tick.Step(); err != nil {
 				return nil, err
 			}
 			if holdsOnSingletons(g, n.Cond, m.B) {
@@ -397,7 +402,7 @@ func concatMatches(g *graph.Graph, left, right []Match, opts Options) ([]Match, 
 			continue
 		}
 		for _, rm := range bySrc[t] {
-			if err := opts.step(); err != nil {
+			if err := opts.tick.Step(); err != nil {
 				return nil, err
 			}
 			if opts.MaxLen > 0 && lm.Path.Len()+rm.Path.Len() > opts.MaxLen {
@@ -474,7 +479,7 @@ func evalRepeat(g *graph.Graph, n RepeatP, opts Options) ([]Match, error) {
 
 	level := make([]Match, 0, g.NumNodes())
 	for i := 0; i < g.NumNodes(); i++ {
-		if err := opts.step(); err != nil {
+		if err := opts.tick.Step(); err != nil {
 			return nil, err
 		}
 		if !g.NodeAlive(i) {

@@ -177,9 +177,6 @@ func PlusOf(e Expr) Expr { return Repeat{Sub: e, Min: 1, Max: -1} }
 // Opt returns R?.
 func Opt(e Expr) Expr { return Repeat{Sub: e, Min: 0, Max: 1} }
 
-// Times returns R{n}.
-func Times(e Expr, n int) Expr { return Repeat{Sub: e, Min: n, Max: n} }
-
 // Vars returns Var(R): the sorted set of list variables occurring in e.
 func Vars(e Expr) []string {
 	set := map[string]struct{}{}

@@ -1,7 +1,6 @@
 package lrpq
 
 import (
-	"context"
 	"errors"
 	"sort"
 
@@ -45,16 +44,6 @@ type Options struct {
 // on it. Callers that repeat an expression over one graph keep the Plan.
 func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
 	return NewPlan(g, e, opts.Counters).Between(src, dst, mode, opts)
-}
-
-// EvalBetweenCtx is EvalBetween under a context: when opts.Meter is unset,
-// one is minted from ctx (with no budget) so cancellation reaches the
-// enumeration loops.
-func EvalBetweenCtx(ctx context.Context, g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	if opts.Meter == nil {
-		opts.Meter = eval.NewMeter(ctx, eval.Budget{})
-	}
-	return EvalBetween(g, e, src, dst, mode, opts)
 }
 
 // Eval enumerates ⟦R⟧_G from every source node, bounded by opts (the raw

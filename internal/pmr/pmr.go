@@ -16,7 +16,6 @@
 package pmr
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -91,15 +90,10 @@ func FromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
 	return r
 }
 
-// FromProductCtx is FromProduct under a context and budget: construction
-// work is metered every pg.CheckInterval product-state expansions, so a
-// canceled ctx or an exhausted states budget aborts with the standard
-// taxonomy errors (pg.ErrCanceled, *pg.BudgetError).
-func FromProductCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src, dst int, b pg.Budget) (*PMR, error) {
-	return FromProductMeter(g, e, src, dst, pg.NewMeter(ctx, b, nil, nil))
-}
-
-// FromProductMeter is FromProduct with an explicit meter (may be nil). The
+// FromProductMeter is FromProduct with an explicit meter (may be nil):
+// construction work is charged every pg.CheckInterval product-state
+// expansions, so a canceled context or an exhausted states budget aborts
+// with the standard taxonomy errors (pg.ErrCanceled, *pg.BudgetError). The
 // product expansion is the kernel's: Succ order and state packing are
 // exactly pg.Kernel's, so the construction is byte-identical to the
 // pre-kernel evaluator while inheriting its cancellation discipline.
@@ -214,12 +208,6 @@ func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*P
 func ShortestFromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
 	r, _ := ShortestFromProductMeter(g, e, src, dst, nil)
 	return r
-}
-
-// ShortestFromProductCtx is ShortestFromProduct under a context and budget
-// (see FromProductCtx).
-func ShortestFromProductCtx(ctx context.Context, g *graph.Graph, e rpq.Expr, src, dst int, b pg.Budget) (*PMR, error) {
-	return ShortestFromProductMeter(g, e, src, dst, pg.NewMeter(ctx, b, nil, nil))
 }
 
 // ShortestFromProductMeter is ShortestFromProduct with an explicit meter
@@ -427,15 +415,10 @@ func (r *PMR) Enumerate(limit int) []gpath.Path {
 	return out
 }
 
-// EnumerateCtx is Enumerate under a context and budget: expansion steps
-// count against the states budget (amortized every pg.CheckInterval) and
-// each emitted path against the rows budget; errors follow the standard
-// taxonomy. On error no partial result is returned.
-func (r *PMR) EnumerateCtx(ctx context.Context, limit int, b pg.Budget) ([]gpath.Path, error) {
-	return r.EnumerateMeter(limit, pg.NewMeter(ctx, b, nil, nil))
-}
-
-// EnumerateMeter is Enumerate with an explicit meter (may be nil).
+// EnumerateMeter is Enumerate with an explicit meter (may be nil):
+// expansion steps count against the states budget (amortized every
+// pg.CheckInterval) and each emitted path against the rows budget; errors
+// follow the standard taxonomy. On error no partial result is returned.
 func (r *PMR) EnumerateMeter(limit int, m *pg.Meter) ([]gpath.Path, error) {
 	if limit <= 0 {
 		return nil, nil

@@ -1,7 +1,6 @@
 package relalg
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"unicode"
@@ -13,11 +12,11 @@ import (
 )
 
 // This file routes the algebra's reachability atoms through the
-// product-graph kernel (this PR's tentpole for the relalg tier): REACH(e)
-// AS (x, y) is the binary relation {(u, v) | some e-path u ⇝ v}, computed
-// by eval.PairsCtx on the kernel — so the atom inherits budgets, amortized
-// cancellation, the cost-based planner, and the direction-optimizing sweep
-// — while the set operators (JOIN, UNION, DIFF, projection, renaming) stay
+// product-graph kernel: REACH(e) AS (x, y) is the binary relation
+// {(u, v) | some e-path u ⇝ v}, computed by eval.PairsProduct on the
+// kernel — so the atom inherits the meter's amortized cancellation and
+// budgets, the cost-based planner, and the direction-optimizing sweep —
+// while the set operators (JOIN, UNION, DIFF, projection, renaming) stay
 // tier-local, metered per tuple through the same Ticker discipline.
 
 // Query is a relational-algebra query over reachability atoms.
@@ -75,35 +74,30 @@ func (q RenameQ) String() string {
 	return "RENAME(" + q.Sub.String() + "; " + q.From + " -> " + q.To + ")"
 }
 
-// EvalQueryCtx evaluates the query under a context and budget. Every
+// EvalQuery evaluates the query under opts.Meter (nil: unmetered). Every
 // reachability atom runs on the product-graph kernel with opts applied
-// (Plan, Parallelism, MaxLen, Budget/Meter); set-operator work is charged
-// per tuple to the states budget, and each final tuple to the rows budget.
-// Errors follow the standard taxonomy and return no partial results.
-func EvalQueryCtx(ctx context.Context, g *graph.Graph, q Query, opts eval.Options) (*Relation, error) {
-	m := opts.Meter
-	if m == nil {
-		m = pg.NewMeter(ctx, opts.Budget, nil, nil)
-		opts.Meter = m
-	}
-	tick := pg.NewTicker(m, nil)
-	rel, err := evalQuery(ctx, g, q, opts, &tick)
+// (Plan, Parallelism, Meter); set-operator work is charged per tuple to the
+// states budget, and each final tuple to the rows budget. Errors follow the
+// standard taxonomy and return no partial results.
+func EvalQuery(g *graph.Graph, q Query, opts eval.Options) (*Relation, error) {
+	tick := pg.NewTicker(opts.Meter, nil)
+	rel, err := evalQuery(g, q, opts, &tick)
 	if err != nil {
 		return nil, err
 	}
 	if err := tick.Flush(); err != nil {
 		return nil, err
 	}
-	if err := m.AddRows(int64(rel.Len())); err != nil {
+	if err := opts.Meter.AddRows(int64(rel.Len())); err != nil {
 		return nil, err
 	}
 	return rel, nil
 }
 
-func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relation, error) {
+func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relation, error) {
 	switch n := q.(type) {
 	case ReachQ:
-		pairs, err := eval.PairsCtx(ctx, g, n.Expr, opts)
+		pairs, err := eval.PairsProduct(eval.CompileProduct(g, n.Expr), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +115,7 @@ func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, 
 		}
 		return rel, nil
 	case JoinQ:
-		l, r, err := evalPair(ctx, g, n.Left, n.Right, opts, t)
+		l, r, err := evalPair(g, n.Left, n.Right, opts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +125,7 @@ func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, 
 		}
 		return out, tickPer(t, out.Len())
 	case UnionQ:
-		l, r, err := evalPair(ctx, g, n.Left, n.Right, opts, t)
+		l, r, err := evalPair(g, n.Left, n.Right, opts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +135,7 @@ func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, 
 		}
 		return out, tickPer(t, out.Len())
 	case DiffQ:
-		l, r, err := evalPair(ctx, g, n.Left, n.Right, opts, t)
+		l, r, err := evalPair(g, n.Left, n.Right, opts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +145,7 @@ func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, 
 		}
 		return out, tickPer(t, out.Len())
 	case ProjectQ:
-		sub, err := evalQuery(ctx, g, n.Sub, opts, t)
+		sub, err := evalQuery(g, n.Sub, opts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +155,7 @@ func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, 
 		}
 		return out, tickPer(t, out.Len())
 	case RenameQ:
-		sub, err := evalQuery(ctx, g, n.Sub, opts, t)
+		sub, err := evalQuery(g, n.Sub, opts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -175,12 +169,12 @@ func evalQuery(ctx context.Context, g *graph.Graph, q Query, opts eval.Options, 
 	}
 }
 
-func evalPair(ctx context.Context, g *graph.Graph, left, right Query, opts eval.Options, t *pg.Ticker) (*Relation, *Relation, error) {
-	l, err := evalQuery(ctx, g, left, opts, t)
+func evalPair(g *graph.Graph, left, right Query, opts eval.Options, t *pg.Ticker) (*Relation, *Relation, error) {
+	l, err := evalQuery(g, left, opts, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := evalQuery(ctx, g, right, opts, t)
+	r, err := evalQuery(g, right, opts, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,8 +226,18 @@ func MustParseQuery(input string) Query {
 }
 
 type queryParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // groups open around the current position
+}
+
+// open enters a group — a PROJECT, a RENAME or a parenthesized query —
+// refused past rpq.MaxNesting before the parser descends into it.
+func (p *queryParser) open() error {
+	if p.depth++; p.depth > rpq.MaxNesting {
+		return p.errf("groups nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+	}
+	return nil
 }
 
 func (p *queryParser) errf(format string, args ...any) error {
@@ -370,6 +374,9 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if err := p.expect('('); err != nil {
 			return nil, err
 		}
+		if err := p.open(); err != nil {
+			return nil, err
+		}
 		sub, err := p.parseQuery()
 		if err != nil {
 			return nil, err
@@ -394,9 +401,13 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return ProjectQ{Sub: sub, Attrs: attrs}, nil
 	case p.keyword("RENAME"):
 		if err := p.expect('('); err != nil {
+			return nil, err
+		}
+		if err := p.open(); err != nil {
 			return nil, err
 		}
 		sub, err := p.parseQuery()
@@ -422,11 +433,15 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return RenameQ{Sub: sub, From: from, To: to}, nil
 	default:
 		p.ws()
 		if p.pos < len(p.src) && p.src[p.pos] == '(' {
 			p.pos++
+			if err := p.open(); err != nil {
+				return nil, err
+			}
 			sub, err := p.parseQuery()
 			if err != nil {
 				return nil, err
@@ -434,6 +449,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 			if err := p.expect(')'); err != nil {
 				return nil, err
 			}
+			p.depth--
 			return sub, nil
 		}
 		return nil, p.errf("expected REACH, PROJECT, RENAME, or (")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphquery/internal/graph"
+	"graphquery/internal/rpq"
 )
 
 func rel(t *testing.T, attrs []string, tuples ...[]Cell) *Relation {
@@ -188,5 +189,33 @@ func TestSortedAndFormat(t *testing.T) {
 	out2 := r.Format(nil)
 	if !strings.Contains(out2, "node#0") {
 		t.Errorf("nil-graph Format: %s", out2)
+	}
+}
+
+// TestParseQueryNestingBound: parenthesized queries, PROJECTs and RENAMEs
+// nest at most rpq.MaxNesting deep; one more, or half a megabyte of '(', is
+// refused once the parser reaches the bound.
+func TestParseQueryNestingBound(t *testing.T) {
+	const reach = "REACH(a) AS (x, y)"
+	groups := func(depth int) string {
+		return strings.Repeat("(", depth) + reach + strings.Repeat(")", depth)
+	}
+	projects := func(depth int) string {
+		return strings.Repeat("PROJECT(", depth) + reach + strings.Repeat("; x)", depth)
+	}
+	renames := func(depth int) string {
+		return strings.Repeat("RENAME(", depth) + reach + strings.Repeat("; x -> x)", depth)
+	}
+	for _, nested := range []func(int) string{groups, projects, renames} {
+		if _, err := ParseQuery(nested(rpq.MaxNesting)); err != nil {
+			t.Fatalf("%d deep: %v", rpq.MaxNesting, err)
+		}
+		text := nested(rpq.MaxNesting + 1)
+		if _, err := ParseQuery(text); err == nil || !strings.Contains(err.Error(), "nest 1001 deep") {
+			t.Errorf("%.20s… one past the bound: %v", text, err)
+		}
+	}
+	if _, err := ParseQuery(strings.Repeat("(", 1<<19)); err == nil || !strings.Contains(err.Error(), "the bound is 1000") {
+		t.Errorf("half a megabyte of '(': %v", err)
 	}
 }

@@ -201,9 +201,6 @@ func PlusOf(e Expr) Expr { return Repeat{Sub: e, Min: 1, Max: -1} }
 // Opt returns R? = R{0,1}.
 func Opt(e Expr) Expr { return Repeat{Sub: e, Min: 0, Max: 1} }
 
-// Times returns R{n} = R{n,n}.
-func Times(e Expr, n int) Expr { return Repeat{Sub: e, Min: n, Max: n} }
-
 // Between returns R{min,max}; max < 0 means unbounded.
 func Between(e Expr, min, max int) Expr { return Repeat{Sub: e, Min: min, Max: max} }
 

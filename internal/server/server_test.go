@@ -134,12 +134,13 @@ func TestQueryEndpointErrors(t *testing.T) {
 func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, "bank")
 	const huge = "a*++++++++++++"
-	// deep fills the %s of a request body with `a` under as many nested
-	// groups as bring the body to maxRequestBytes.
-	deep := func(body string) string {
-		k := (maxRequestBytes - len(body) + len("%s") - len("a")) / 2
-		return fmt.Sprintf(body, strings.Repeat("(", k)+"a"+strings.Repeat(")", k))
+	// deepOf fills the %s of a request body with q under as many nested
+	// groups as bring the body to maxRequestBytes; deep puts `a` there.
+	deepOf := func(body, q string) string {
+		k := (maxRequestBytes - len(body) + len("%s") - len(q)) / 2
+		return fmt.Sprintf(body, strings.Repeat("(", k)+q+strings.Repeat(")", k))
 	}
+	deep := func(body string) string { return deepOf(body, "a") }
 	positions := []string{"automaton positions", "4096", "the bound is 512"}
 	nesting := []string{"nest 1001 deep", "the bound is 1000"}
 	for _, tc := range []struct {
@@ -162,6 +163,9 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"pmr deep", deep(`{"graph":"bank","lang":"pmr","query":"%s","from":"a1","to":"a2","limit":1}`), nesting},
 		{"bag deep", deep(`{"graph":"bank","lang":"bag","query":"%s"}`), nesting},
 		{"relalg deep", deep(`{"graph":"bank","lang":"relalg","query":"REACH(%s) AS (x, y)"}`), nesting},
+		{"relalg groups deep", deepOf(`{"graph":"bank","lang":"relalg","query":"%s"}`, "REACH(a) AS (x, y)"), nesting},
+		{"gql deep", deepOf(`{"graph":"bank","lang":"gql","query":"%s"}`, "()-[:a]->()"), nesting},
+		{"coregql deep", deepOf(`{"graph":"bank","lang":"coregql","query":"%s"}`, "()-->()"), nesting},
 		{"spanner deep", deep(`{"graph":"bank","lang":"spanner","query":"%s","doc":"aaaa"}`), nesting},
 		{"cypher deep", deep(`{"graph":"bank","lang":"cypher","query":"%s"}`), nesting},
 	} {

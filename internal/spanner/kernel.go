@@ -1,7 +1,6 @@
 package spanner
 
 import (
-	"context"
 	"fmt"
 
 	"graphquery/internal/graph"
@@ -19,16 +18,12 @@ import (
 // sweep; only when feasible does the capture-propagating recursion run,
 // itself metered through the same Ticker discipline.
 
-// EvaluateCtx is Evaluate under a context and budget. The kernel runs the
-// erased-RPQ feasibility sweep first (charged to the states budget), so
-// infeasible documents are rejected in O(|doc|·|A|) without touching the
-// capture recursion; each emitted mapping is charged to the rows budget.
-// Errors follow the standard taxonomy and return no partial results.
-func EvaluateCtx(ctx context.Context, doc string, e Expr, b pg.Budget) ([]Match, error) {
-	return EvaluateMeter(doc, e, pg.NewMeter(ctx, b, nil, nil))
-}
-
-// EvaluateMeter is Evaluate with an explicit meter (may be nil).
+// EvaluateMeter is Evaluate with an explicit meter (may be nil). The kernel
+// runs the erased-RPQ feasibility sweep first (charged to the states
+// budget), so infeasible documents are rejected in O(|doc|·|A|) without
+// touching the capture recursion; each emitted mapping is charged to the
+// rows budget. Errors follow the standard taxonomy and return no partial
+// results.
 func EvaluateMeter(doc string, e Expr, m *pg.Meter) ([]Match, error) {
 	feasible, err := kernelFeasible(doc, e, m)
 	if err != nil {

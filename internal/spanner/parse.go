@@ -31,15 +31,6 @@ func Parse(input string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse for tests and literals; it panics on error.
-func MustParse(input string) Expr {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type spanParser struct {
 	src string
 	pos int

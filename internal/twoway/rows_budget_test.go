@@ -7,6 +7,7 @@ import (
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/pg"
 )
 
 // TestPairsMeterRowsBudgetExact is the 2RPQ side of the emission-time
@@ -20,8 +21,8 @@ func TestPairsMeterRowsBudgetExact(t *testing.T) {
 	}
 	const maxRows = 3
 	// Clique(10): the first source sweep alone yields 9 rows.
-	m := eval.NewMeter(context.Background(), eval.Budget{MaxRows: maxRows})
-	out, evalErr := PairsMeter(gen.Clique(10, "a"), e, m)
+	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: maxRows}, nil, nil)
+	out, evalErr := PairsMeterOpt(gen.Clique(10, "a"), e, m, Options{Parallelism: 1})
 	if !errors.Is(evalErr, eval.ErrBudgetExceeded) {
 		t.Fatalf("got (%v, %v), want ErrBudgetExceeded", out, evalErr)
 	}

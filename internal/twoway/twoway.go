@@ -8,7 +8,6 @@
 package twoway
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"unicode"
@@ -131,9 +130,6 @@ func childString(e Expr, parent int) string {
 }
 
 // Constructors.
-
-// L returns the forward atom a.
-func L(a string) Expr { return Atom{Name: a} }
 
 // Seq returns a concatenation.
 func Seq(parts ...Expr) Expr {
@@ -404,28 +400,14 @@ type Options struct {
 // final sort: sources are merged ascending and each per-source result is
 // ascending, so it is lexicographically sorted by construction.
 func Pairs(g *graph.Graph, e Expr) [][2]int {
-	out, _ := PairsMeter(g, e, nil) // nil meter: cannot fail
+	out, _ := PairsMeterOpt(g, e, nil, Options{Parallelism: 1}) // nil meter: cannot fail
 	return out
 }
 
-// PairsCtx is Pairs under a context and budget: evaluation stops with
-// eval.ErrCanceled when ctx is canceled mid-search and with
-// eval.ErrBudgetExceeded when b is exhausted.
-func PairsCtx(ctx context.Context, g *graph.Graph, e Expr, b eval.Budget) ([][2]int, error) {
-	return PairsMeter(g, e, eval.NewMeter(ctx, b))
-}
-
-// PairsMeter is Pairs under a shared meter (nil means unlimited) — the
-// entry point for serving layers that thread one instrument through every
-// stage of a query. Evaluation is sequential; use PairsMeterOpt for
-// parallel fan-out and counters.
-func PairsMeter(g *graph.Graph, e Expr, m *eval.Meter) ([][2]int, error) {
-	return PairsMeterOpt(g, e, m, Options{Parallelism: 1})
-}
-
-// PairsMeterOpt is PairsMeter with explicit runtime options: the fan-out
-// degree (output is identical at any parallelism) and runtime counters. It
-// compiles a kernel per call; a caller that evaluates one query repeatedly
+// PairsMeterOpt is Pairs under a shared meter (nil means unlimited) —
+// evaluation stops with eval.ErrCanceled or eval.ErrBudgetExceeded — with
+// explicit runtime options: the fan-out degree (output is identical at any
+// parallelism) and runtime counters. It compiles a kernel per call; a caller that evaluates one query repeatedly
 // compiles it once with Kernel and runs PairsKernel — or, to have the pairs
 // as they are found rather than collected, the kernel's SweepAll.
 func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]int, error) {
