@@ -19,8 +19,12 @@ vet:
 # driver meets a batch's hits in order through a bitmap (DESIGN §22): a sort
 # in internal/pg/sweepall.go is the per-batch cost that was deleted. An
 # evaluator is stopped one way, through the pg.Meter it is handed (DESIGN §8):
-# none of the language tiers below imports "context" outside its tests.
+# none of the language tiers below imports "context" outside its tests. The
+# RPQ tower shares one regular-expression core (DESIGN §23): Glushkov's
+# first/last/follow construction is written once, in GLUSHKOV_CORE, and a
+# tier that declares a follow table or a nullable flag of its own has copied it.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
+GLUSHKOV_CORE := internal/automata/regex.go
 
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -32,6 +36,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a sort in the all-sources driver (hits are met through the batch's bitmap):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n -F '"context"' $$(ls $(METERED_TIERS:%=internal/%/*.go) | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "an evaluator takes a context (stop it through the pg.Meter it is handed):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '(follow|nullable)[[:space:]]+(\[\]\[\]int|bool)' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path $(GLUSHKOV_CORE)) || true)"; \
+		if [ -n "$$out" ]; then echo "a second Glushkov construction (compile through automata.Glushkov):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -57,8 +63,8 @@ bench-smoke:
 # (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
 # parser and shortest mode against the mode-all definition, the relalg and
-# spanner parsers' round trips and compile bounds, the Cypher-fragment
-# parser's round trip and time; the committed corpora alone run with every
+# spanner parsers' round trips and compile bounds, the Cypher-fragment and
+# 2RPQ parsers' round trips and time; the committed corpora alone run with every
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
@@ -69,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/relalg
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/spanner
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cypherfrag
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/twoway
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

@@ -86,12 +86,7 @@ type Transition struct {
 
 // NFA is an ε-free nondeterministic finite automaton (Q, Σ, δ, q₀, F) with
 // symbolic guards. States are 0..NumStates-1.
-type NFA struct {
-	NumStates int
-	Start     int
-	Accept    []bool
-	Trans     [][]Transition // indexed by source state
-}
+type NFA Automaton[Transition]
 
 // NewNFA allocates an NFA with n states, start state start, and no
 // transitions or accepting states.

@@ -427,7 +427,13 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 		return nil, badQuery(errors.New("core: CRPQ queries return rows; use Rows"))
 	case KindDLRPQ:
 		sp := tr.Start("parse")
-		expr, err := cached(e, gs, "dlrpq", query, dlrpq.Parse)
+		expr, err := cached(e, gs, "dlrpq", query, func(text string) (dlrpq.Expr, error) {
+			expr, err := dlrpq.Parse(text)
+			if err == nil {
+				err = rpq.CheckPositions(expr)
+			}
+			return expr, err
+		})
 		sp.End()
 		if err != nil {
 			return nil, badQuery(err)
@@ -442,7 +448,7 @@ func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID,
 		expr, err := lrpq.Parse(text)
 		sp.End()
 		if err == nil {
-			err = rpq.CheckPositions(lrpq.Erase(expr))
+			err = rpq.CheckPositions(expr)
 		}
 		if err != nil {
 			return nil, err
@@ -480,7 +486,7 @@ func (e *Engine) twoWayPairs(gs *graphState, query string, m *eval.Meter, tr *ob
 		expr, err := twoway.Parse(q)
 		sp.End()
 		if err == nil {
-			err = twoway.CheckPositions(expr)
+			err = rpq.CheckPositions(expr)
 		}
 		if err != nil {
 			return nil, err

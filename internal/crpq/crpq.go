@@ -143,8 +143,8 @@ var ErrInvalidQuery = errors.New("crpq: invalid query")
 //	(5) head variables appear among node or list variables.
 //
 // (Condition (1), m_i being a known mode, holds by construction of
-// eval.Mode.) It also refuses an atom whose RPQ or ℓ-RPQ is larger than
-// any evaluator — the served plan or the reference — will compile
+// eval.Mode.) It also refuses an atom whose RPQ, ℓ-RPQ or dl-RPQ is larger
+// than any evaluator — the served plan or the reference — will compile
 // (rpq.CheckPositions): queries are text from outside.
 func (q *Query) Validate() error {
 	nodeVars := map[string]struct{}{}
@@ -157,10 +157,11 @@ func (q *Query) Validate() error {
 		}
 		if a.L != nil {
 			n++
-			size = rpq.CheckPositions(lrpq.Erase(a.L))
+			size = rpq.CheckPositions(a.L)
 		}
 		if a.DL != nil {
 			n++
+			size = rpq.CheckPositions(a.DL)
 		}
 		if n != 1 {
 			return fmt.Errorf("%w: atom %s must carry exactly one expression", ErrInvalidQuery, a)

@@ -18,10 +18,9 @@
 package dlrpq
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/graph"
 )
 
@@ -86,39 +85,32 @@ type Atom struct {
 	Test *Test
 }
 
-// Expr is a node of the dl-RPQ AST.
-type Expr interface {
-	fmt.Stringer
-	isExpr()
+// lang is the dl-RPQ tag type: round and square brackets are taken by
+// atoms, so groups are braces, and ε is written "eps".
+type lang struct{}
+
+func (lang) Notation() automata.Notation {
+	return automata.Notation{Open: "{", Close: "}", Epsilon: "eps"}
 }
 
-// Epsilon is ε (matches without consuming an object).
-type Epsilon struct{}
+// Expr is a node of the dl-RPQ AST. Everything but the atom is the
+// regular-expression core the RPQ tower shares (package automata).
+type Expr = automata.Expr[lang]
 
-// Concat is R₁·…·Rₙ.
-type Concat struct{ Parts []Expr }
+type (
+	// Epsilon is ε (matches without consuming an object).
+	Epsilon = automata.Epsilon[lang]
+	// Concat is R₁·…·Rₙ.
+	Concat = automata.Concat[lang]
+	// Union is R₁+…+Rₙ.
+	Union = automata.Alternation[lang]
+	// Star is R*.
+	Star = automata.Star[lang]
+	// Repeat is R{Min,Max}; Max < 0 means unbounded.
+	Repeat = automata.Repeat[lang]
+)
 
-// Union is R₁+…+Rₙ.
-type Union struct{ Alts []Expr }
-
-// Star is R*.
-type Star struct{ Sub Expr }
-
-// Repeat is R{Min,Max}; Max < 0 means unbounded.
-type Repeat struct {
-	Sub Expr
-	Min int
-	Max int
-}
-
-func (Epsilon) isExpr() {}
-func (Atom) isExpr()    {}
-func (Concat) isExpr()  {}
-func (Union) isExpr()   {}
-func (Star) isExpr()    {}
-func (Repeat) isExpr()  {}
-
-func (Epsilon) String() string { return "eps" }
+func (Atom) Language() lang { return lang{} }
 
 func (a Atom) String() string {
 	var inner string
@@ -145,200 +137,27 @@ func (a Atom) String() string {
 	return "(" + inner + ")"
 }
 
-func (c Concat) String() string {
-	parts := make([]string, len(c.Parts))
-	for i, p := range c.Parts {
-		parts[i] = childString(p, 2)
-	}
-	return strings.Join(parts, " ")
-}
-
-func (u Union) String() string {
-	parts := make([]string, len(u.Alts))
-	for i, a := range u.Alts {
-		parts[i] = childString(a, 2)
-	}
-	return strings.Join(parts, " | ")
-}
-
-func (s Star) String() string { return childString(s.Sub, 3) + "*" }
-
-func (r Repeat) String() string {
-	sub := childString(r.Sub, 3)
-	switch {
-	case r.Min == 0 && r.Max == 1:
-		return sub + "?"
-	case r.Min == 1 && r.Max < 0:
-		return sub + "+"
-	case r.Max < 0:
-		return fmt.Sprintf("%s{%d,}", sub, r.Min)
-	case r.Min == r.Max:
-		return fmt.Sprintf("%s{%d}", sub, r.Min)
-	default:
-		return fmt.Sprintf("%s{%d,%d}", sub, r.Min, r.Max)
-	}
-}
-
-func childString(e Expr, parent int) string {
-	var prec int
-	switch e.(type) {
-	case Epsilon, Atom, Star, Repeat:
-		prec = 3
-	case Concat:
-		prec = 2
-	case Union:
-		prec = 1
-	}
-	s := e.String()
-	if prec < parent {
-		return "{" + s + "}"
-	}
-	return s
-}
-
-// Constructors.
-
-// Seq returns the concatenation of parts.
-func Seq(parts ...Expr) Expr {
-	switch len(parts) {
-	case 0:
-		return Epsilon{}
-	case 1:
-		return parts[0]
-	default:
-		return Concat{Parts: parts}
-	}
-}
-
-// Alt returns the disjunction of alternatives.
-func Alt(alts ...Expr) Expr {
-	switch len(alts) {
-	case 0:
-		panic("dlrpq: Alt needs at least one alternative")
-	case 1:
-		return alts[0]
-	default:
-		return Union{Alts: alts}
-	}
-}
-
-// Kleene returns R*.
-func Kleene(e Expr) Expr { return Star{Sub: e} }
-
-// PlusOf returns R⁺.
-func PlusOf(e Expr) Expr { return Repeat{Sub: e, Min: 1, Max: -1} }
-
-// Opt returns R?.
-func Opt(e Expr) Expr { return Repeat{Sub: e, Min: 0, Max: 1} }
-
 // Vars returns the sorted list variables of e (Var(R)).
 func Vars(e Expr) []string {
-	set := map[string]struct{}{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Atom:
-			if n.Var != "" && n.Test == nil {
-				set[n.Var] = struct{}{}
-			}
-		case Concat:
-			for _, p := range n.Parts {
-				walk(p)
-			}
-		case Union:
-			for _, a := range n.Alts {
-				walk(a)
-			}
-		case Star:
-			walk(n.Sub)
-		case Repeat:
-			walk(n.Sub)
+	return automata.Names(e, func(e Expr) []string {
+		if a := e.(Atom); a.Test == nil && a.Var != "" {
+			return []string{a.Var}
 		}
-	}
-	walk(e)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+		return nil
+	})
 }
 
 // DataVars returns the sorted data variables of e (the x's of ETests).
 func DataVars(e Expr) []string {
-	set := map[string]struct{}{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Atom:
-			if n.Test != nil {
-				if n.Test.Assign {
-					set[n.Test.AssignVar] = struct{}{}
-				} else if !n.Test.UseConst {
-					set[n.Test.CmpVar] = struct{}{}
-				}
-			}
-		case Concat:
-			for _, p := range n.Parts {
-				walk(p)
-			}
-		case Union:
-			for _, a := range n.Alts {
-				walk(a)
-			}
-		case Star:
-			walk(n.Sub)
-		case Repeat:
-			walk(n.Sub)
+	return automata.Names(e, func(e Expr) []string {
+		switch t := e.(Atom).Test; {
+		case t == nil:
+			return nil
+		case t.Assign:
+			return []string{t.AssignVar}
+		case !t.UseConst:
+			return []string{t.CmpVar}
 		}
-	}
-	walk(e)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Desugar expands Repeat into the core grammar.
-func Desugar(e Expr) Expr {
-	switch n := e.(type) {
-	case Epsilon, Atom:
-		return e
-	case Concat:
-		parts := make([]Expr, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = Desugar(p)
-		}
-		return Concat{Parts: parts}
-	case Union:
-		alts := make([]Expr, len(n.Alts))
-		for i, a := range n.Alts {
-			alts[i] = Desugar(a)
-		}
-		return Union{Alts: alts}
-	case Star:
-		return Star{Sub: Desugar(n.Sub)}
-	case Repeat:
-		sub := Desugar(n.Sub)
-		var parts []Expr
-		for i := 0; i < n.Min; i++ {
-			parts = append(parts, sub)
-		}
-		switch {
-		case n.Max < 0:
-			parts = append(parts, Star{Sub: sub})
-		case n.Max < n.Min:
-			panic(fmt.Sprintf("dlrpq: invalid repetition {%d,%d}", n.Min, n.Max))
-		default:
-			opt := Union{Alts: []Expr{Epsilon{}, sub}}
-			for i := n.Min; i < n.Max; i++ {
-				parts = append(parts, opt)
-			}
-		}
-		return Seq(parts...)
-	default:
-		panic(fmt.Sprintf("dlrpq: unknown expression type %T", e))
-	}
+		return nil
+	})
 }

@@ -1,6 +1,6 @@
 package dlrpq
 
-import "fmt"
+import "graphquery/internal/automata"
 
 // ATrans is a transition of an atom automaton: consuming one atom moves to
 // state To.
@@ -13,104 +13,11 @@ type ATrans struct {
 // the finite-state skeleton of the register automaton used for evaluation:
 // states track the regular structure, while value assignments ν (the
 // registers) live in the evaluation configurations.
-type ANFA struct {
-	NumStates int
-	Start     int
-	Accept    []bool
-	Trans     [][]ATrans
-}
+type ANFA automata.Automaton[ATrans]
 
 // Compile builds the atom automaton of e via the Glushkov construction.
 func Compile(e Expr) *ANFA {
-	core := Desugar(e)
-	g := &aglushkov{}
-	info := g.analyze(core)
-	a := &ANFA{
-		NumStates: len(g.positions) + 1,
-		Start:     0,
-		Accept:    make([]bool, len(g.positions)+1),
-		Trans:     make([][]ATrans, len(g.positions)+1),
-	}
-	if info.nullable {
-		a.Accept[0] = true
-	}
-	add := func(from, pos int) {
-		a.Trans[from] = append(a.Trans[from], ATrans{Atom: g.positions[pos], To: pos + 1})
-	}
-	for _, p := range info.first {
-		add(0, p)
-	}
-	for p, follows := range g.follow {
-		for _, q := range follows {
-			add(p+1, q)
-		}
-	}
-	for _, p := range info.last {
-		a.Accept[p+1] = true
-	}
-	return a
-}
-
-type aglushkov struct {
-	positions []Atom
-	follow    [][]int
-}
-
-type ainfo struct {
-	nullable bool
-	first    []int
-	last     []int
-}
-
-func (g *aglushkov) analyze(e Expr) ainfo {
-	switch n := e.(type) {
-	case Epsilon:
-		return ainfo{nullable: true}
-	case Atom:
-		g.positions = append(g.positions, n)
-		g.follow = append(g.follow, nil)
-		p := len(g.positions) - 1
-		return ainfo{first: []int{p}, last: []int{p}}
-	case Concat:
-		if len(n.Parts) == 0 {
-			return ainfo{nullable: true}
-		}
-		acc := g.analyze(n.Parts[0])
-		for _, part := range n.Parts[1:] {
-			next := g.analyze(part)
-			for _, l := range acc.last {
-				g.follow[l] = append(g.follow[l], next.first...)
-			}
-			merged := ainfo{nullable: acc.nullable && next.nullable}
-			merged.first = append(merged.first, acc.first...)
-			if acc.nullable {
-				merged.first = append(merged.first, next.first...)
-			}
-			merged.last = append(merged.last, next.last...)
-			if next.nullable {
-				merged.last = append(merged.last, acc.last...)
-			}
-			acc = merged
-		}
-		return acc
-	case Union:
-		var out ainfo
-		for _, alt := range n.Alts {
-			ai := g.analyze(alt)
-			out.nullable = out.nullable || ai.nullable
-			out.first = append(out.first, ai.first...)
-			out.last = append(out.last, ai.last...)
-		}
-		return out
-	case Star:
-		si := g.analyze(n.Sub)
-		for _, l := range si.last {
-			g.follow[l] = append(g.follow[l], si.first...)
-		}
-		return ainfo{nullable: true, first: si.first, last: si.last}
-	case Repeat:
-		panic("dlrpq: Compile requires desugared input (internal error)")
-	default:
-		panic(fmt.Sprintf("dlrpq: unknown expression type %T", e))
-	}
+	return (*ANFA)(automata.Glushkov(e, func(a Expr, to int) ATrans {
+		return ATrans{Atom: a.(Atom), To: to}
+	}))
 }

@@ -2,11 +2,13 @@ package dlrpq
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
+	"graphquery/internal/rpq"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -28,6 +30,9 @@ func TestParseAndString(t *testing.T) {
 		{"(a) | [b]", "(a) | [b]"},
 		{"[a]{2,3}", "[a]{2,3}"},
 		{"eps", "eps"},
+		{"{(a) | [b]}*", "{(a) | [b]}*"},
+		{"{(a) [b]}{2,3} eps", "{(a) [b]}{2,3} eps"},
+		{"{(a)|{[b](c)}+}? [d]", "{(a) | {[b] (c)}+}? [d]"},
 	}
 	for _, tc := range tests {
 		e, err := Parse(tc.in)
@@ -370,5 +375,28 @@ func TestShortestNoMatch(t *testing.T) {
 	res, err := EvalBetween(g, MustParse("() [b] ()"), 0, 1, eval.Shortest, Options{})
 	if err != nil || res != nil {
 		t.Errorf("no match: res=%v err=%v", res, err)
+	}
+}
+
+// TestParseNestingBound: brace groups and repetitions nest up to
+// rpq.MaxNesting deep, counted as package rpq's parser counts them, and one
+// more is refused with the depth and the bound named — 200 000 open braces
+// included, which parsed, and were accepted, before the bound.
+func TestParseNestingBound(t *testing.T) {
+	groups := func(depth int) string {
+		return strings.Repeat("{", depth) + "[a]" + strings.Repeat("}", depth)
+	}
+	stars := func(depth int) string { return "[a]" + strings.Repeat("*", depth) }
+	mixed := func(depth int) string { return strings.Repeat("{", depth/2) + "[a]" + strings.Repeat("}*", depth/2) }
+	for _, text := range []string{groups(rpq.MaxNesting), stars(rpq.MaxNesting), mixed(rpq.MaxNesting)} {
+		if _, err := Parse(text); err != nil {
+			t.Fatalf("%d bytes at the bound: %v", len(text), err)
+		}
+	}
+	for _, text := range []string{groups(rpq.MaxNesting + 1), stars(rpq.MaxNesting + 1), mixed(rpq.MaxNesting + 2), strings.Repeat("{", 200000)} {
+		_, err := Parse(text)
+		if err == nil || !strings.Contains(err.Error(), "deep; the bound is 1000") {
+			t.Errorf("%d bytes past the bound: %v", len(text), err)
+		}
 	}
 }

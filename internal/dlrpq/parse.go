@@ -6,7 +6,9 @@ import (
 	"strings"
 	"unicode"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/graph"
+	"graphquery/internal/rpq"
 )
 
 // Parse parses the textual dl-RPQ syntax. Atoms are written in GQL-flavored
@@ -85,10 +87,12 @@ func (t tok) String() string {
 }
 
 type parser struct {
-	src  string
-	pos  int
-	tok  tok
-	save []tok // pushback stack for one-token lookahead
+	src   string
+	pos   int
+	tok   tok
+	save  []tok // pushback stack for one-token lookahead
+	depth int   // groups open around the current token
+	nest  int   // groups and repetitions on the deepest path of the expression parsed last
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -198,36 +202,32 @@ func (p *parser) parseUnion() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	alts := []Expr{first}
+	alts, nest := []Expr{first}, p.nest
 	for p.tok.kind == tPipe {
 		p.next()
 		e, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		alts = append(alts, e)
+		alts, nest = append(alts, e), max(nest, p.nest)
 	}
-	return Alt(alts...), nil
+	p.nest = nest
+	return automata.Alt(alts...), nil
 }
 
 func (p *parser) parseConcat() (Expr, error) {
 	var parts []Expr
+	nest := 0
 	for {
 		switch p.tok.kind {
-		case tLParen, tLBrack:
-			e, err := p.parsePostfix()
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, e)
-		case tLBrace:
-			// Grouping braces at factor position (repeat braces only appear
+		case tLParen, tLBrack, tLBrace:
+			// A brace at factor position groups (repeat braces only appear
 			// in postfix position, handled by parsePostfix).
 			e, err := p.parsePostfix()
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, e)
+			parts, nest = append(parts, e), max(nest, p.nest)
 		case tIdent:
 			if p.tok.text == "eps" {
 				p.next()
@@ -239,7 +239,8 @@ func (p *parser) parseConcat() (Expr, error) {
 			if len(parts) == 0 {
 				return nil, p.errorf("expected expression, got %s", p.tok)
 			}
-			return Seq(parts...), nil
+			p.nest = nest
+			return automata.Seq(parts...), nil
 		}
 	}
 }
@@ -249,16 +250,21 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	// Groups and repetitions are bounded as in package rpq's parser.
+	for nest := p.nest; ; nest++ {
+		if nest > rpq.MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
+		}
+		p.nest = nest
 		switch p.tok.kind {
 		case tStar:
-			e = Kleene(e)
+			e = Star{Sub: e}
 			p.next()
 		case tPlus:
-			e = PlusOf(e)
+			e = Repeat{Sub: e, Min: 1, Max: -1}
 			p.next()
 		case tQuest:
-			e = Opt(e)
+			e = Repeat{Sub: e, Min: 0, Max: 1}
 			p.next()
 		case tLBrace:
 			if p.peek().kind != tNumber {
@@ -296,21 +302,18 @@ func (p *parser) parsePostfix() (Expr, error) {
 
 func (p *parser) parseFactor() (Expr, error) {
 	switch p.tok.kind {
-	case tLParen:
-		p.next()
-		a, err := p.parseAtomContent(false, tRParen)
-		if err != nil {
-			return nil, err
+	case tLParen, tLBrack:
+		edge, close := p.tok.kind == tLBrack, tRParen
+		if edge {
+			close = tRBrack
 		}
-		return a, nil
-	case tLBrack:
 		p.next()
-		a, err := p.parseAtomContent(true, tRBrack)
-		if err != nil {
-			return nil, err
-		}
-		return a, nil
+		p.nest = 0
+		return p.parseAtomContent(edge, close)
 	case tLBrace:
+		if p.depth++; p.depth > rpq.MaxNesting {
+			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		}
 		p.next()
 		e, err := p.parseUnion()
 		if err != nil {
@@ -320,6 +323,8 @@ func (p *parser) parseFactor() (Expr, error) {
 			return nil, p.errorf("expected '}', got %s", p.tok)
 		}
 		p.next()
+		p.depth--
+		p.nest++
 		return e, nil
 	default:
 		return nil, p.errorf("expected atom or group, got %s", p.tok)

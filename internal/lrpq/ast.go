@@ -6,25 +6,39 @@
 // Following the paper's design principle of compatibility with automata,
 // expressions compile to variable-annotated NFAs (the document-spanner
 // construction), which makes ⟦R{2}⟧ = ⟦R·R⟧ hold by definition — exactly
-// the property that fails for GQL group variables (Example 1).
+// the property that fails for GQL group variables (Example 1). Everything
+// but the atom is the regular-expression core the RPQ tower shares: the
+// nodes and the construction of package automata, the parser of package
+// rpq.
 package lrpq
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
+	"graphquery/internal/automata"
 	"graphquery/internal/rpq"
 )
 
-// Expr is a node of the ℓ-RPQ AST.
-type Expr interface {
-	fmt.Stringer
-	isExpr()
+// lang is the ℓ-RPQ tag type; ℓ-RPQs are written like RPQs.
+type lang struct{}
+
+func (lang) Notation() automata.Notation {
+	return automata.Notation{Open: "(", Close: ")", Epsilon: "()"}
 }
 
-// Epsilon is ε.
-type Epsilon struct{}
+// Expr is a node of the ℓ-RPQ AST.
+type Expr = automata.Expr[lang]
+
+type (
+	// Epsilon is ε.
+	Epsilon = automata.Epsilon[lang]
+	// Concat is R₁·…·Rₙ.
+	Concat = automata.Concat[lang]
+	// Union is R₁+…+Rₙ.
+	Union = automata.Alternation[lang]
+	// Star is R*.
+	Star = automata.Star[lang]
+	// Repeat is R{Min,Max}; Max < 0 means unbounded.
+	Repeat = automata.Repeat[lang]
+)
 
 // Atom matches one edge. If Wild is false it requires label Name; if Wild is
 // true it matches any label not in Except (the !S wildcard; empty Except is
@@ -36,279 +50,65 @@ type Atom struct {
 	Var    string
 }
 
-// Concat is R₁·…·Rₙ.
-type Concat struct{ Parts []Expr }
-
-// Union is R₁+…+Rₙ.
-type Union struct{ Alts []Expr }
-
-// Star is R*.
-type Star struct{ Sub Expr }
-
-// Repeat is R{Min,Max}; Max < 0 means unbounded.
-type Repeat struct {
-	Sub Expr
-	Min int
-	Max int
-}
-
-func (Epsilon) isExpr() {}
-func (Atom) isExpr()    {}
-func (Concat) isExpr()  {}
-func (Union) isExpr()   {}
-func (Star) isExpr()    {}
-func (Repeat) isExpr()  {}
-
-func (Epsilon) String() string { return "()" }
+func (Atom) Language() lang { return lang{} }
 
 func (a Atom) String() string {
-	var base string
-	switch {
-	case !a.Wild:
-		base = rpq.Label{Name: a.Name}.String()
-	case len(a.Except) == 0:
-		base = "_"
-	default:
-		parts := make([]string, len(a.Except))
-		for i, s := range a.Except {
-			parts[i] = rpq.Label{Name: s}.String()
-		}
-		base = "!{" + strings.Join(parts, ",") + "}"
-	}
-	if a.Var != "" {
-		// Quoted like a label when it is not a plain identifier: '^' reads
-		// the same token a label is.
-		return base + "^" + rpq.Label{Name: a.Var}.String()
-	}
-	return base
+	return syntax.Format(rpq.Base{Name: a.Name, Wild: a.Wild, Except: a.Except, Suffix: a.Var})
 }
 
-func (c Concat) String() string {
-	parts := make([]string, len(c.Parts))
-	for i, p := range c.Parts {
-		parts[i] = childString(p, 2)
+// syntax reads an ℓ-RPQ: the RPQ syntax with an annotation ^z that may
+// follow a label, '_', or a '!{…}' wildcard.
+var syntax = rpq.Syntax[lang]{Name: "lrpq", Suffix: '^', Atom: func(a rpq.Base) Expr {
+	return Atom{Name: a.Name, Wild: a.Wild, Except: a.Except, Var: a.Suffix}
+}}
+
+// Parse parses the textual ℓ-RPQ syntax, which extends the RPQ syntax of
+// package rpq with variable annotations on atoms:
+//
+//	(Transfer^z)* isBlocked
+//	(a a^z | a^z a)*
+//	_^z  !{a,b}^w
+func Parse(input string) (Expr, error) { return syntax.Parse(input) }
+
+// MustParse parses or panics.
+func MustParse(input string) Expr {
+	e, err := Parse(input)
+	if err != nil {
+		panic(err)
 	}
-	return strings.Join(parts, " ")
+	return e
 }
-
-func (u Union) String() string {
-	parts := make([]string, len(u.Alts))
-	for i, a := range u.Alts {
-		parts[i] = childString(a, 2)
-	}
-	return strings.Join(parts, " | ")
-}
-
-func (s Star) String() string { return childString(s.Sub, 3) + "*" }
-
-func (r Repeat) String() string {
-	sub := childString(r.Sub, 3)
-	switch {
-	case r.Min == 0 && r.Max == 1:
-		return sub + "?"
-	case r.Min == 1 && r.Max < 0:
-		return sub + "+"
-	case r.Max < 0:
-		return fmt.Sprintf("%s{%d,}", sub, r.Min)
-	case r.Min == r.Max:
-		return fmt.Sprintf("%s{%d}", sub, r.Min)
-	default:
-		return fmt.Sprintf("%s{%d,%d}", sub, r.Min, r.Max)
-	}
-}
-
-// childString parenthesizes children whose operator precedence is lower
-// than the parent context (union = 1, concatenation = 2, postfix/atoms = 3).
-func childString(e Expr, parent int) string {
-	var prec int
-	switch e.(type) {
-	case Epsilon, Atom, Star, Repeat:
-		prec = 3
-	case Concat:
-		prec = 2
-	case Union:
-		prec = 1
-	}
-	s := e.String()
-	if prec < parent {
-		return "(" + s + ")"
-	}
-	return s
-}
-
-// Constructors.
-
-// Eps returns ε.
-func Eps() Expr { return Epsilon{} }
 
 // L returns the plain atom for label a.
 func L(a string) Expr { return Atom{Name: a} }
 
-// Seq returns the concatenation of parts.
-func Seq(parts ...Expr) Expr {
-	switch len(parts) {
-	case 0:
-		return Epsilon{}
-	case 1:
-		return parts[0]
-	default:
-		return Concat{Parts: parts}
-	}
-}
-
-// Alt returns the disjunction of alternatives.
-func Alt(alts ...Expr) Expr {
-	switch len(alts) {
-	case 0:
-		panic("lrpq: Alt needs at least one alternative")
-	case 1:
-		return alts[0]
-	default:
-		return Union{Alts: alts}
-	}
-}
-
-// Kleene returns R*.
-func Kleene(e Expr) Expr { return Star{Sub: e} }
-
-// PlusOf returns R⁺.
-func PlusOf(e Expr) Expr { return Repeat{Sub: e, Min: 1, Max: -1} }
-
-// Opt returns R?.
-func Opt(e Expr) Expr { return Repeat{Sub: e, Min: 0, Max: 1} }
-
 // Vars returns Var(R): the sorted set of list variables occurring in e.
 func Vars(e Expr) []string {
-	set := map[string]struct{}{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Atom:
-			if n.Var != "" {
-				set[n.Var] = struct{}{}
-			}
-		case Concat:
-			for _, p := range n.Parts {
-				walk(p)
-			}
-		case Union:
-			for _, a := range n.Alts {
-				walk(a)
-			}
-		case Star:
-			walk(n.Sub)
-		case Repeat:
-			walk(n.Sub)
+	return automata.Names(e, func(a Expr) []string {
+		if v := a.(Atom).Var; v != "" {
+			return []string{v}
 		}
-	}
-	walk(e)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Desugar expands Repeat into the core grammar.
-func Desugar(e Expr) Expr {
-	switch n := e.(type) {
-	case Epsilon, Atom:
-		return e
-	case Concat:
-		parts := make([]Expr, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = Desugar(p)
-		}
-		return Concat{Parts: parts}
-	case Union:
-		alts := make([]Expr, len(n.Alts))
-		for i, a := range n.Alts {
-			alts[i] = Desugar(a)
-		}
-		return Union{Alts: alts}
-	case Star:
-		return Star{Sub: Desugar(n.Sub)}
-	case Repeat:
-		sub := Desugar(n.Sub)
-		var parts []Expr
-		for i := 0; i < n.Min; i++ {
-			parts = append(parts, sub)
-		}
-		switch {
-		case n.Max < 0:
-			parts = append(parts, Star{Sub: sub})
-		case n.Max < n.Min:
-			panic(fmt.Sprintf("lrpq: invalid repetition {%d,%d}", n.Min, n.Max))
-		default:
-			opt := Union{Alts: []Expr{Epsilon{}, sub}}
-			for i := n.Min; i < n.Max; i++ {
-				parts = append(parts, opt)
-			}
-		}
-		return Seq(parts...)
-	default:
-		panic(fmt.Sprintf("lrpq: unknown expression type %T", e))
-	}
+		return nil
+	})
 }
 
 // Erase removes all variable annotations, yielding the underlying plain RPQ.
 func Erase(e Expr) rpq.Expr {
-	switch n := e.(type) {
-	case Epsilon:
-		return rpq.Eps()
-	case Atom:
-		if n.Wild {
-			return rpq.Not(n.Except...)
+	return automata.Map(e, func(e Expr) rpq.Expr {
+		a := e.(Atom)
+		if a.Wild {
+			return rpq.Not(a.Except...)
 		}
-		return rpq.L(n.Name)
-	case Concat:
-		parts := make([]rpq.Expr, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = Erase(p)
-		}
-		return rpq.Seq(parts...)
-	case Union:
-		alts := make([]rpq.Expr, len(n.Alts))
-		for i, a := range n.Alts {
-			alts[i] = Erase(a)
-		}
-		return rpq.Alt(alts...)
-	case Star:
-		return rpq.Kleene(Erase(n.Sub))
-	case Repeat:
-		return rpq.Between(Erase(n.Sub), n.Min, n.Max)
-	default:
-		panic(fmt.Sprintf("lrpq: unknown expression type %T", e))
-	}
+		return rpq.L(a.Name)
+	})
 }
 
 // FromRPQ lifts a plain RPQ into an ℓ-RPQ with no variables.
 func FromRPQ(e rpq.Expr) Expr {
-	switch n := e.(type) {
-	case rpq.Epsilon:
-		return Eps()
-	case rpq.Label:
-		return L(n.Name)
-	case rpq.NotIn:
-		return Atom{Wild: true, Except: append([]string(nil), n.Set...)}
-	case rpq.Concat:
-		parts := make([]Expr, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = FromRPQ(p)
+	return automata.Map(e, func(e rpq.Expr) Expr {
+		if w, ok := e.(rpq.NotIn); ok {
+			return Atom{Wild: true, Except: append([]string(nil), w.Set...)}
 		}
-		return Seq(parts...)
-	case rpq.Union:
-		alts := make([]Expr, len(n.Alts))
-		for i, a := range n.Alts {
-			alts[i] = FromRPQ(a)
-		}
-		return Alt(alts...)
-	case rpq.Star:
-		return Kleene(FromRPQ(n.Sub))
-	case rpq.Repeat:
-		return Repeat{Sub: FromRPQ(n.Sub), Min: n.Min, Max: n.Max}
-	default:
-		panic(fmt.Sprintf("lrpq: unknown rpq expression type %T", e))
-	}
+		return L(e.(rpq.Label).Name)
+	})
 }

@@ -1,10 +1,6 @@
 package lrpq
 
-import (
-	"fmt"
-
-	"graphquery/internal/automata"
-)
+import "graphquery/internal/automata"
 
 // VTransition is a variable-annotated NFA transition: it consumes one edge
 // matching Guard and, if Var is non-empty, appends that edge to Var's list.
@@ -19,123 +15,21 @@ type VTransition struct {
 // (not states), the translation from expressions is the plain Glushkov
 // construction and preserves all regular identities, in particular
 // ⟦R{2}⟧ = ⟦R·R⟧ (Section 3.1.4).
-type VNFA struct {
-	NumStates int
-	Start     int
-	Accept    []bool
-	Trans     [][]VTransition
-}
+type VNFA automata.Automaton[VTransition]
 
 // Compile builds the Glushkov automaton of an ℓ-RPQ with annotated
 // positions.
 func Compile(e Expr) *VNFA {
-	core := Desugar(e)
-	g := &vglushkov{}
-	info := g.analyze(core)
-	a := &VNFA{
-		NumStates: len(g.positions) + 1,
-		Start:     0,
-		Accept:    make([]bool, len(g.positions)+1),
-		Trans:     make([][]VTransition, len(g.positions)+1),
-	}
-	if info.nullable {
-		a.Accept[0] = true
-	}
-	addT := func(from, pos int) {
-		p := g.positions[pos]
-		a.Trans[from] = append(a.Trans[from], VTransition{Guard: p.guard, Var: p.varName, To: pos + 1})
-	}
-	for _, p := range info.first {
-		addT(0, p)
-	}
-	for p, follows := range g.follow {
-		for _, q := range follows {
-			addT(p+1, q)
-		}
-	}
-	for _, p := range info.last {
-		a.Accept[p+1] = true
-	}
-	return a
-}
-
-type vposition struct {
-	guard   automata.Guard
-	varName string
-}
-
-type vglushkov struct {
-	positions []vposition
-	follow    [][]int
-}
-
-type vinfo struct {
-	nullable bool
-	first    []int
-	last     []int
-}
-
-func (g *vglushkov) newPos(p vposition) int {
-	g.positions = append(g.positions, p)
-	g.follow = append(g.follow, nil)
-	return len(g.positions) - 1
-}
-
-func (g *vglushkov) analyze(e Expr) vinfo {
-	switch n := e.(type) {
-	case Epsilon:
-		return vinfo{nullable: true}
-	case Atom:
+	return (*VNFA)(automata.Glushkov(e, func(e Expr, to int) VTransition {
+		a := e.(Atom)
 		var guard automata.Guard
-		if n.Wild {
-			guard = automata.GuardNotIn(n.Except...)
+		if a.Wild {
+			guard = automata.GuardNotIn(a.Except...)
 		} else {
-			guard = automata.GuardLabel(n.Name)
+			guard = automata.GuardLabel(a.Name)
 		}
-		p := g.newPos(vposition{guard: guard, varName: n.Var})
-		return vinfo{first: []int{p}, last: []int{p}}
-	case Concat:
-		if len(n.Parts) == 0 {
-			return vinfo{nullable: true}
-		}
-		acc := g.analyze(n.Parts[0])
-		for _, part := range n.Parts[1:] {
-			next := g.analyze(part)
-			for _, l := range acc.last {
-				g.follow[l] = append(g.follow[l], next.first...)
-			}
-			merged := vinfo{nullable: acc.nullable && next.nullable}
-			merged.first = append(merged.first, acc.first...)
-			if acc.nullable {
-				merged.first = append(merged.first, next.first...)
-			}
-			merged.last = append(merged.last, next.last...)
-			if next.nullable {
-				merged.last = append(merged.last, acc.last...)
-			}
-			acc = merged
-		}
-		return acc
-	case Union:
-		var out vinfo
-		for _, alt := range n.Alts {
-			ai := g.analyze(alt)
-			out.nullable = out.nullable || ai.nullable
-			out.first = append(out.first, ai.first...)
-			out.last = append(out.last, ai.last...)
-		}
-		return out
-	case Star:
-		si := g.analyze(n.Sub)
-		for _, l := range si.last {
-			g.follow[l] = append(g.follow[l], si.first...)
-		}
-		return vinfo{nullable: true, first: si.first, last: si.last}
-	case Repeat:
-		panic("lrpq: Compile requires desugared input (internal error)")
-	default:
-		panic(fmt.Sprintf("lrpq: unknown expression type %T", e))
-	}
+		return VTransition{Guard: guard, Var: a.Var, To: to}
+	}))
 }
 
 // Erased returns the plain NFA obtained by dropping variable annotations;

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,14 @@ func TestQueryEndpointSuccess(t *testing.T) {
 		t.Fatalf("2rpq: status %d, %v", status, m)
 	}
 
+	// 2RPQ text is read like RPQ text: quoted labels, and '.' between
+	// the factors of a concatenation.
+	_, want := post(t, ts, `{"graph":"bank","query":"owner ~owner","lang":"2rpq"}`)
+	status, m = post(t, ts, `{"graph":"bank","query":"'owner'.~'owner'","lang":"2rpq"}`)
+	if status != http.StatusOK || len(want["pairs"].([]any)) == 0 || !reflect.DeepEqual(m["pairs"], want["pairs"]) {
+		t.Fatalf("quoted 2rpq: status %d, %v, want the pairs of owner ~owner, %v", status, m, want)
+	}
+
 	status, m = post(t, ts, `{"graph":"bank","query":"(Transfer^z)+","from":"a3","to":"a1","mode":"shortest"}`)
 	if status != http.StatusOK || m["kind"] != "paths" {
 		t.Fatalf("lrpq: status %d, %v", status, m)
@@ -141,6 +150,11 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		return fmt.Sprintf(body, strings.Repeat("(", k)+q+strings.Repeat(")", k))
 	}
 	deep := func(body string) string { return deepOf(body, "a") }
+	// deepBraces is deep for dl-RPQs, whose groups are braces.
+	deepBraces := func(body string) string {
+		k := (maxRequestBytes - len(body) + len("%s") - len("[a]")) / 2
+		return fmt.Sprintf(body, strings.Repeat("{", k)+"[a]"+strings.Repeat("}", k))
+	}
 	positions := []string{"automaton positions", "4096", "the bound is 512"}
 	nesting := []string{"nest 1001 deep", "the bound is 1000"}
 	for _, tc := range []struct {
@@ -155,11 +169,14 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"bag", `{"graph":"bank","lang":"bag","query":"` + huge + `"}`, positions},
 		{"relalg", `{"graph":"bank","lang":"relalg","query":"REACH(` + huge + `) AS (x, y)"}`, positions},
 		{"spanner", `{"graph":"bank","lang":"spanner","query":"x{` + huge + `}","doc":"aaaa"}`, positions},
+		{"dlrpq huge", `{"graph":"bank","query":"{[a]*}{4000}","from":"a1","to":"a2"}`, []string{"automaton positions", "4001", "the bound is 512"}},
+		{"crpq dl-atom huge", `{"graph":"bank","query":"q(x,y) :- Transfer(x,z), {[a]*}{4000}(z,y)"}`, []string{"automaton positions", "4001", "the bound is 512"}},
 		{"repeat count", `{"graph":"bank","query":"(a a a a){1,4611686018427387904}"}`, []string{"automaton positions", "the bound is 512"}},
 		{"rpq deep", deep(`{"graph":"bank","query":"%s"}`), nesting},
 		{"rpq anchored deep", deep(`{"graph":"bank","query":"%s","from":"a1","to":"a2","mode":"shortest"}`), nesting},
 		{"crpq atom deep", deep(`{"graph":"bank","query":"q(x,y) :- Transfer(x,z), %s(z,y)"}`), nesting},
 		{"2rpq deep", deep(`{"graph":"bank","lang":"2rpq","query":"%s"}`), nesting},
+		{"dlrpq deep", deepBraces(`{"graph":"bank","query":"%s","from":"a1","to":"a2"}`), nesting},
 		{"pmr deep", deep(`{"graph":"bank","lang":"pmr","query":"%s","from":"a1","to":"a2","limit":1}`), nesting},
 		{"bag deep", deep(`{"graph":"bank","lang":"bag","query":"%s"}`), nesting},
 		{"relalg deep", deep(`{"graph":"bank","lang":"relalg","query":"REACH(%s) AS (x, y)"}`), nesting},

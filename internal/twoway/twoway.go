@@ -8,10 +8,6 @@
 package twoway
 
 import (
-	"fmt"
-	"strings"
-	"unicode"
-
 	"graphquery/internal/automata"
 	"graphquery/internal/eval"
 	"graphquery/internal/graph"
@@ -19,14 +15,28 @@ import (
 	"graphquery/internal/rpq"
 )
 
-// Expr is a 2RPQ expression.
-type Expr interface {
-	fmt.Stringer
-	isExpr()
+// lang is the 2RPQ tag type; 2RPQs are written like RPQs.
+type lang struct{}
+
+func (lang) Notation() automata.Notation {
+	return automata.Notation{Open: "(", Close: ")", Epsilon: "()"}
 }
 
-// Epsilon is ε.
-type Epsilon struct{}
+// Expr is a 2RPQ expression.
+type Expr = automata.Expr[lang]
+
+type (
+	// Epsilon is ε.
+	Epsilon = automata.Epsilon[lang]
+	// Concat is R₁·…·Rₙ.
+	Concat = automata.Concat[lang]
+	// Union is R₁+…+Rₙ.
+	Union = automata.Alternation[lang]
+	// Star is R*.
+	Star = automata.Star[lang]
+	// Repeat is R{Min,Max}; Max < 0 means ∞.
+	Repeat = automata.Repeat[lang]
+)
 
 // Atom matches one edge: forwards (src→tgt) by default, backwards
 // (tgt→src) when Inverse is set. Wild atoms match any label outside Except.
@@ -37,203 +47,29 @@ type Atom struct {
 	Inverse bool
 }
 
-// Concat is R₁·…·Rₙ.
-type Concat struct{ Parts []Expr }
-
-// Union is R₁+…+Rₙ.
-type Union struct{ Alts []Expr }
-
-// Star is R*.
-type Star struct{ Sub Expr }
-
-// Repeat is R{Min,Max}; Max < 0 means ∞.
-type Repeat struct {
-	Sub Expr
-	Min int
-	Max int
-}
-
-func (Epsilon) isExpr() {}
-func (Atom) isExpr()    {}
-func (Concat) isExpr()  {}
-func (Union) isExpr()   {}
-func (Star) isExpr()    {}
-func (Repeat) isExpr()  {}
-
-func (Epsilon) String() string { return "()" }
+func (Atom) Language() lang { return lang{} }
 
 func (a Atom) String() string {
-	var base string
-	switch {
-	case a.Wild && len(a.Except) == 0:
-		base = "_"
-	case a.Wild:
-		base = "!{" + strings.Join(a.Except, ",") + "}"
-	default:
-		base = a.Name
-	}
-	if a.Inverse {
-		return "~" + base
-	}
-	return base
+	return syntax.Format(rpq.Base{Name: a.Name, Wild: a.Wild, Except: a.Except, Prefixed: a.Inverse})
 }
 
-func (c Concat) String() string {
-	parts := make([]string, len(c.Parts))
-	for i, p := range c.Parts {
-		parts[i] = childString(p, 2)
+// syntax reads a 2RPQ: the RPQ syntax with a '~' prefix for inverse atoms
+// (~a, ~_, ~!{a,b}).
+var syntax = rpq.Syntax[lang]{Name: "twoway", Prefix: '~', Atom: func(a rpq.Base) Expr {
+	return Atom{Name: a.Name, Wild: a.Wild, Except: a.Except, Inverse: a.Prefixed}
+}}
+
+// Parse parses the 2RPQ syntax: the RPQ syntax of package rpq, quoted
+// labels and all, plus a '~' prefix for inverse atoms.
+func Parse(input string) (Expr, error) { return syntax.Parse(input) }
+
+// MustParse parses or panics.
+func MustParse(input string) Expr {
+	e, err := Parse(input)
+	if err != nil {
+		panic(err)
 	}
-	return strings.Join(parts, " ")
-}
-
-func (u Union) String() string {
-	parts := make([]string, len(u.Alts))
-	for i, a := range u.Alts {
-		parts[i] = childString(a, 2)
-	}
-	return strings.Join(parts, " | ")
-}
-
-func (s Star) String() string { return childString(s.Sub, 3) + "*" }
-
-func (r Repeat) String() string {
-	sub := childString(r.Sub, 3)
-	switch {
-	case r.Min == 0 && r.Max == 1:
-		return sub + "?"
-	case r.Min == 1 && r.Max < 0:
-		return sub + "+"
-	case r.Max < 0:
-		return fmt.Sprintf("%s{%d,}", sub, r.Min)
-	case r.Min == r.Max:
-		return fmt.Sprintf("%s{%d}", sub, r.Min)
-	default:
-		return fmt.Sprintf("%s{%d,%d}", sub, r.Min, r.Max)
-	}
-}
-
-func childString(e Expr, parent int) string {
-	var prec int
-	switch e.(type) {
-	case Epsilon, Atom, Star, Repeat:
-		prec = 3
-	case Concat:
-		prec = 2
-	case Union:
-		prec = 1
-	}
-	s := e.String()
-	if prec < parent {
-		return "(" + s + ")"
-	}
-	return s
-}
-
-// Constructors.
-
-// Seq returns a concatenation.
-func Seq(parts ...Expr) Expr {
-	switch len(parts) {
-	case 0:
-		return Epsilon{}
-	case 1:
-		return parts[0]
-	default:
-		return Concat{Parts: parts}
-	}
-}
-
-// Alt returns a disjunction.
-func Alt(alts ...Expr) Expr {
-	switch len(alts) {
-	case 0:
-		panic("twoway: Alt needs at least one alternative")
-	case 1:
-		return alts[0]
-	default:
-		return Union{Alts: alts}
-	}
-}
-
-// Kleene returns R*.
-func Kleene(e Expr) Expr { return Star{Sub: e} }
-
-// PlusOf returns R⁺.
-func PlusOf(e Expr) Expr { return Repeat{Sub: e, Min: 1, Max: -1} }
-
-// desugar expands Repeat nodes.
-func desugar(e Expr) Expr {
-	switch n := e.(type) {
-	case Epsilon, Atom:
-		return e
-	case Concat:
-		parts := make([]Expr, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = desugar(p)
-		}
-		return Concat{Parts: parts}
-	case Union:
-		alts := make([]Expr, len(n.Alts))
-		for i, a := range n.Alts {
-			alts[i] = desugar(a)
-		}
-		return Union{Alts: alts}
-	case Star:
-		return Star{Sub: desugar(n.Sub)}
-	case Repeat:
-		sub := desugar(n.Sub)
-		var parts []Expr
-		for i := 0; i < n.Min; i++ {
-			parts = append(parts, sub)
-		}
-		switch {
-		case n.Max < 0:
-			parts = append(parts, Star{Sub: sub})
-		case n.Max < n.Min:
-			panic(fmt.Sprintf("twoway: invalid repetition {%d,%d}", n.Min, n.Max))
-		default:
-			opt := Union{Alts: []Expr{Epsilon{}, sub}}
-			for i := n.Min; i < n.Max; i++ {
-				parts = append(parts, opt)
-			}
-		}
-		return Seq(parts...)
-	default:
-		panic(fmt.Sprintf("twoway: unknown expression %T", e))
-	}
-}
-
-// CheckPositions is rpq.CheckPositions for a 2RPQ: the refusal a served
-// path gives before compiling an expression of more than rpq.MaxPositions
-// Glushkov positions.
-func CheckPositions(e Expr) error {
-	return rpq.PositionsError(positions(e, 1<<30))
-}
-
-// positions bounds the positions desugar leaves in e, saturating at limit
-// (see rpq.Positions).
-func positions(e Expr, limit int) int {
-	n := 0
-	switch e := e.(type) {
-	case Epsilon, Atom:
-		n = 1
-	case Concat:
-		for _, p := range e.Parts {
-			n += positions(p, limit)
-		}
-	case Union:
-		for _, a := range e.Alts {
-			n += positions(a, limit)
-		}
-	case Star:
-		n = positions(e.Sub, limit)
-	case Repeat:
-		n = positions(e.Sub, limit) * max(min(e.Min, limit)+1, min(e.Max, limit))
-	}
-	if n < 0 || n > limit {
-		return limit
-	}
-	return n
+	return e
 }
 
 // TTrans is a direction-annotated NFA transition.
@@ -245,116 +81,20 @@ type TTrans struct {
 
 // TNFA is the two-way automaton: an NFA whose transitions carry a
 // traversal direction.
-type TNFA struct {
-	NumStates int
-	Start     int
-	Accept    []bool
-	Trans     [][]TTrans
-}
+type TNFA automata.Automaton[TTrans]
 
 // Compile builds the Glushkov automaton with direction annotations.
 func Compile(e Expr) *TNFA {
-	core := desugar(e)
-	g := &tglushkov{}
-	info := g.analyze(core)
-	a := &TNFA{
-		NumStates: len(g.positions) + 1,
-		Start:     0,
-		Accept:    make([]bool, len(g.positions)+1),
-		Trans:     make([][]TTrans, len(g.positions)+1),
-	}
-	if info.nullable {
-		a.Accept[0] = true
-	}
-	add := func(from, pos int) {
-		p := g.positions[pos]
-		a.Trans[from] = append(a.Trans[from], TTrans{Guard: p.guard, Back: p.back, To: pos + 1})
-	}
-	for _, p := range info.first {
-		add(0, p)
-	}
-	for p, follows := range g.follow {
-		for _, q := range follows {
-			add(p+1, q)
-		}
-	}
-	for _, p := range info.last {
-		a.Accept[p+1] = true
-	}
-	return a
-}
-
-type tposition struct {
-	guard automata.Guard
-	back  bool
-}
-
-type tglushkov struct {
-	positions []tposition
-	follow    [][]int
-}
-
-type tinfo struct {
-	nullable bool
-	first    []int
-	last     []int
-}
-
-func (g *tglushkov) analyze(e Expr) tinfo {
-	switch n := e.(type) {
-	case Epsilon:
-		return tinfo{nullable: true}
-	case Atom:
+	return (*TNFA)(automata.Glushkov(e, func(e Expr, to int) TTrans {
+		a := e.(Atom)
 		var guard automata.Guard
-		if n.Wild {
-			guard = automata.GuardNotIn(n.Except...)
+		if a.Wild {
+			guard = automata.GuardNotIn(a.Except...)
 		} else {
-			guard = automata.GuardLabel(n.Name)
+			guard = automata.GuardLabel(a.Name)
 		}
-		g.positions = append(g.positions, tposition{guard: guard, back: n.Inverse})
-		g.follow = append(g.follow, nil)
-		p := len(g.positions) - 1
-		return tinfo{first: []int{p}, last: []int{p}}
-	case Concat:
-		if len(n.Parts) == 0 {
-			return tinfo{nullable: true}
-		}
-		acc := g.analyze(n.Parts[0])
-		for _, part := range n.Parts[1:] {
-			next := g.analyze(part)
-			for _, l := range acc.last {
-				g.follow[l] = append(g.follow[l], next.first...)
-			}
-			merged := tinfo{nullable: acc.nullable && next.nullable}
-			merged.first = append(merged.first, acc.first...)
-			if acc.nullable {
-				merged.first = append(merged.first, next.first...)
-			}
-			merged.last = append(merged.last, next.last...)
-			if next.nullable {
-				merged.last = append(merged.last, acc.last...)
-			}
-			acc = merged
-		}
-		return acc
-	case Union:
-		var out tinfo
-		for _, alt := range n.Alts {
-			ai := g.analyze(alt)
-			out.nullable = out.nullable || ai.nullable
-			out.first = append(out.first, ai.first...)
-			out.last = append(out.last, ai.last...)
-		}
-		return out
-	case Star:
-		si := g.analyze(n.Sub)
-		for _, l := range si.last {
-			g.follow[l] = append(g.follow[l], si.first...)
-		}
-		return tinfo{nullable: true, first: si.first, last: si.last}
-	default:
-		panic(fmt.Sprintf("twoway: unexpected %T after desugar", e))
-	}
+		return TTrans{Guard: guard, Back: a.Inverse, To: to}
+	}))
 }
 
 // machineFor resolves a compiled TNFA against g into a runtime machine:
@@ -477,293 +217,4 @@ func Witness(g *graph.Graph, e Expr, src, dst int) ([]int, bool) {
 		seq[i], seq[j] = seq[j], seq[i]
 	}
 	return seq, true
-}
-
-// Parse parses the 2RPQ syntax: the RPQ syntax of package rpq plus a '~'
-// prefix for inverse atoms (~a, ~_, ~!{a,b}).
-func Parse(input string) (Expr, error) {
-	p := &parser{src: input}
-	p.next()
-	if p.tok.kind == tEOF {
-		return nil, p.errorf("empty expression")
-	}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tEOF {
-		return nil, p.errorf("unexpected %s", p.tok)
-	}
-	return e, nil
-}
-
-// MustParse parses or panics.
-func MustParse(input string) Expr {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-type tkind int
-
-const (
-	tEOF tkind = iota
-	tIdent
-	tNumber
-	tPipe
-	tStar
-	tPlus
-	tQuest
-	tLParen
-	tRParen
-	tLBrace
-	tRBrace
-	tComma
-	tTilde
-	tBangBrace
-	tUnder
-)
-
-type tok struct {
-	kind tkind
-	text string
-	pos  int
-}
-
-func (t tok) String() string {
-	if t.kind == tEOF {
-		return "end of input"
-	}
-	return fmt.Sprintf("%q", t.text)
-}
-
-type parser struct {
-	src   string
-	pos   int
-	tok   tok
-	depth int // groups open around the current token
-	nest  int // groups and repetitions on the deepest path of the expression parsed last
-}
-
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("twoway: parse error at offset %d: %s", p.tok.pos, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) next() {
-	for p.pos < len(p.src) && strings.ContainsRune(" \t\n\r", rune(p.src[p.pos])) {
-		p.pos++
-	}
-	start := p.pos
-	if p.pos >= len(p.src) {
-		p.tok = tok{kind: tEOF, pos: start}
-		return
-	}
-	c := p.src[p.pos]
-	single := map[byte]tkind{
-		'|': tPipe, '*': tStar, '+': tPlus, '?': tQuest,
-		'(': tLParen, ')': tRParen, '{': tLBrace, '}': tRBrace,
-		',': tComma, '~': tTilde,
-	}
-	if k, ok := single[c]; ok {
-		p.pos++
-		p.tok = tok{k, string(c), start}
-		return
-	}
-	switch {
-	case c == '!' && p.pos+1 < len(p.src) && p.src[p.pos+1] == '{':
-		p.pos += 2
-		p.tok = tok{tBangBrace, "!{", start}
-	case c >= '0' && c <= '9':
-		for p.pos < len(p.src) && p.src[p.pos] >= '0' && p.src[p.pos] <= '9' {
-			p.pos++
-		}
-		p.tok = tok{tNumber, p.src[start:p.pos], start}
-	case c == '_' || unicode.IsLetter(rune(c)) || c >= 0x80:
-		for p.pos < len(p.src) {
-			r := rune(p.src[p.pos])
-			if r < 0x80 && r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-				break
-			}
-			p.pos++
-		}
-		text := p.src[start:p.pos]
-		if text == "_" {
-			p.tok = tok{tUnder, "_", start}
-			return
-		}
-		p.tok = tok{tIdent, text, start}
-	default:
-		p.tok = tok{tIdent, string(c), start}
-		p.pos++
-	}
-}
-
-func (p *parser) parseUnion() (Expr, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	alts, nest := []Expr{first}, p.nest
-	for p.tok.kind == tPipe {
-		p.next()
-		e, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts, nest = append(alts, e), max(nest, p.nest)
-	}
-	p.nest = nest
-	return Alt(alts...), nil
-}
-
-func (p *parser) parseConcat() (Expr, error) {
-	var parts []Expr
-	nest := 0
-	for {
-		switch p.tok.kind {
-		case tIdent, tUnder, tBangBrace, tLParen, tTilde:
-			e, err := p.parsePostfix()
-			if err != nil {
-				return nil, err
-			}
-			parts, nest = append(parts, e), max(nest, p.nest)
-		default:
-			if len(parts) == 0 {
-				return nil, p.errorf("expected expression, got %s", p.tok)
-			}
-			p.nest = nest
-			return Seq(parts...), nil
-		}
-	}
-}
-
-func (p *parser) parsePostfix() (Expr, error) {
-	e, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for nest := p.nest; ; nest++ {
-		if nest > rpq.MaxNesting {
-			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
-		}
-		p.nest = nest
-		switch p.tok.kind {
-		case tStar:
-			e = Kleene(e)
-			p.next()
-		case tPlus:
-			e = PlusOf(e)
-			p.next()
-		case tQuest:
-			e = Repeat{Sub: e, Min: 0, Max: 1}
-			p.next()
-		case tLBrace:
-			p.next()
-			if p.tok.kind != tNumber {
-				return nil, p.errorf("expected repetition count, got %s", p.tok)
-			}
-			min := atoi(p.tok.text)
-			p.next()
-			max := min
-			if p.tok.kind == tComma {
-				p.next()
-				switch p.tok.kind {
-				case tNumber:
-					max = atoi(p.tok.text)
-					p.next()
-				case tRBrace:
-					max = -1
-				default:
-					return nil, p.errorf("expected upper bound or '}', got %s", p.tok)
-				}
-			}
-			if p.tok.kind != tRBrace {
-				return nil, p.errorf("expected '}', got %s", p.tok)
-			}
-			if max >= 0 && max < min {
-				return nil, p.errorf("invalid repetition {%d,%d}", min, max)
-			}
-			p.next()
-			e = Repeat{Sub: e, Min: min, Max: max}
-		default:
-			return e, nil
-		}
-	}
-}
-
-func (p *parser) parseAtom() (Expr, error) {
-	inverse := false
-	if p.tok.kind == tTilde {
-		inverse = true
-		p.next()
-	}
-	switch p.tok.kind {
-	case tIdent:
-		a := Atom{Name: p.tok.text, Inverse: inverse}
-		p.next()
-		p.nest = 0
-		return a, nil
-	case tUnder:
-		p.next()
-		p.nest = 0
-		return Atom{Wild: true, Inverse: inverse}, nil
-	case tBangBrace:
-		p.next()
-		var set []string
-		for {
-			if p.tok.kind != tIdent {
-				return nil, p.errorf("expected label in wildcard set, got %s", p.tok)
-			}
-			set = append(set, p.tok.text)
-			p.next()
-			if p.tok.kind == tComma {
-				p.next()
-				continue
-			}
-			break
-		}
-		if p.tok.kind != tRBrace {
-			return nil, p.errorf("expected '}', got %s", p.tok)
-		}
-		p.next()
-		p.nest = 0
-		return Atom{Wild: true, Except: set, Inverse: inverse}, nil
-	case tLParen:
-		if inverse {
-			return nil, p.errorf("'~' applies to atoms, not groups")
-		}
-		if p.depth++; p.depth > rpq.MaxNesting {
-			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
-		}
-		p.next()
-		if p.tok.kind == tRParen {
-			p.next()
-			p.depth--
-			p.nest = 1
-			return Epsilon{}, nil
-		}
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tRParen {
-			return nil, p.errorf("expected ')', got %s", p.tok)
-		}
-		p.next()
-		p.depth--
-		p.nest++
-		return e, nil
-	default:
-		return nil, p.errorf("expected atom, got %s", p.tok)
-	}
-}
-
-func atoi(s string) int {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		n = n*10 + int(s[i]-'0')
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package twoway
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -20,6 +21,15 @@ func TestParseAndString(t *testing.T) {
 		{"~!{a,b}", "~!{a,b}"},
 		{"a{2,3}", "a{2,3}"},
 		{"~a+", "~a+"},
+		// Read like RPQ text: quoted labels, '.' between factors, and
+		// repetition counts past the int range saturating (the position
+		// bound then refuses them; TestParseReadsLikeRPQ).
+		{"'has-part'", "'has-part'"},
+		{"~'has part' b", "~'has part' b"},
+		{"a.b", "a b"},
+		{"a{18446744073709551617}", "a{9223372036854775807}"},
+		// Characters only another tier defines are one-character labels.
+		{"a^b", "a '^' b"},
 	}
 	for _, tc := range tests {
 		e, err := Parse(tc.in)
@@ -38,10 +48,36 @@ func TestParseAndString(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "~", "~(a)", "a{2,1}", "(a", "|", "!{"} {
+	for _, in := range []string{"", "~", "~(a)", "a{2,1}", "(a", "|", "!{", "!a", "~!a"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) should fail", in)
 		}
+	}
+}
+
+// TestParseReadsLikeRPQ: a 2RPQ without '~' is read exactly as the RPQ of
+// the same text — the two share one lexer and parser — so the four texts
+// the 2RPQ lexer once read apart from rpq.Parse now read alike.
+func TestParseReadsLikeRPQ(t *testing.T) {
+	for _, in := range []string{"'has-part'", "a.b", "!a", "a{18446744073709551617}", "'a b'* | !{'c,d',e}", "a\vb"} {
+		want, werr := rpq.Parse(in)
+		got, err := Parse(in)
+		if (err != nil) != (werr != nil) {
+			t.Errorf("Parse(%q): error %v, rpq.Parse: %v", in, err, werr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if got.String() != want.String() {
+			t.Errorf("Parse(%q) = %q, rpq.Parse gives %q", in, got, want)
+		}
+		if (rpq.CheckPositions(got) != nil) != (rpq.CheckPositions(want) != nil) {
+			t.Errorf("%q: the position bound treats the 2RPQ and the RPQ differently", in)
+		}
+	}
+	if err := rpq.CheckPositions(MustParse("a{18446744073709551617}")); !errors.Is(err, rpq.ErrTooLarge) {
+		t.Errorf("a{18446744073709551617}: %v, want the position bound's refusal", err)
 	}
 }
 
