@@ -23,8 +23,12 @@ vet:
 # RPQ tower shares one regular-expression core (DESIGN §23): Glushkov's
 # first/last/follow construction is written once, in GLUSHKOV_CORE, and a
 # tier that declares a follow table or a nullable flag of its own has copied it.
+# The pattern tiers are regular expressions on that core too: a struct with
+# both a Left and a Right field in one of them is a binary chain node the
+# shared n-ary Concat and Alternation replace.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
+PATTERN_TIERS := gql coregql cypherfrag
 
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -38,6 +42,10 @@ lint: vet
 		if [ -n "$$out" ]; then echo "an evaluator takes a context (stop it through the pg.Meter it is handed):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '(follow|nullable)[[:space:]]+(\[\]\[\]int|bool)' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path $(GLUSHKOV_CORE)) || true)"; \
 		if [ -n "$$out" ]; then echo "a second Glushkov construction (compile through automata.Glushkov):"; echo "$$out"; exit 1; fi
+	@out="$$(awk '/struct[[:space:]]*\{/ { at = FILENAME ":" FNR; l = r = 0 } \
+		at && /(^|[{,;[:space:]])Left[,;[:space:]]/ { l = 1 } at && /(^|[{,;[:space:]])Right[,;[:space:]]/ { r = 1 } \
+		at && l && r { print at; at = "" } /\}/ { at = "" }' $$(ls $(PATTERN_TIERS:%=internal/%/*.go) | grep -v _test.go))"; \
+		if [ -n "$$out" ]; then echo "a binary pattern node (chains are automata.Concat and automata.Alternation):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -63,8 +71,8 @@ bench-smoke:
 # (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
 # parser and shortest mode against the mode-all definition, the relalg and
-# spanner parsers' round trips and compile bounds, the Cypher-fragment and
-# 2RPQ parsers' round trips and time; the committed corpora alone run with every
+# spanner parsers' round trips and compile bounds, the Cypher-fragment, gql
+# and 2RPQ parsers' round trips and time; the committed corpora alone run with every
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
@@ -75,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/relalg
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/spanner
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cypherfrag
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/gql
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/twoway
 
 # End-to-end check of the query daemon: build gqserverd under -race, start

@@ -227,7 +227,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gql.ProjectPairs(g, ms)
+			coregql.ProjectPairs(g, ms)
 		}
 	})
 	corePat := coregql.Concat(coregql.Node("x"),

@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,7 +54,7 @@ func (a *NFA) Determinize() *DFA {
 func (a *NFA) DeterminizeOver(universe []string) *DFA {
 	labels := append([]string(nil), universe...)
 	sort.Strings(labels)
-	labels = dedupSorted(labels)
+	labels = slices.Compact(labels)
 	// A representative concrete label for the "other" class: fresh w.r.t.
 	// both the universe and all co-finite guard exception sets.
 	other := freshLabel(labels, a)
@@ -352,32 +353,52 @@ func (d *DFA) Minimize() *DFA {
 	return out
 }
 
-// Equivalent reports whether two NFAs recognize the same language, by
-// determinizing both over a shared minterm universe and checking that the
-// symmetric difference is empty via a product walk.
+// Equivalent reports whether two NFAs recognize the same language: no word
+// lies in their symmetric difference (Distinguish).
 func Equivalent(a, b *NFA) bool {
-	universe := append(a.MentionedLabels(), b.MentionedLabels()...)
+	_, differ := Distinguish(a, b, append(a.MentionedLabels(), b.MentionedLabels()...), "")
+	return !differ
+}
+
+// Distinguish returns a shortest word in the symmetric difference of L(a)
+// and L(b), found by a breadth-first walk of the product of the two DFAs
+// determinized over universe (which must hold every label either
+// mentions); a label outside universe is written as other. ok is false when
+// the languages are equal.
+func Distinguish(a, b *NFA, universe []string, other string) (word []string, ok bool) {
 	da := a.DeterminizeOver(universe)
 	db := b.DeterminizeOver(universe)
-	cols := len(da.Labels) + 1
 	type pair struct{ p, q int }
-	seen := map[pair]struct{}{{da.Start, db.Start}: {}}
-	stack := []pair{{da.Start, db.Start}}
-	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	type crumb struct {
+		prev pair
+		sym  string
+		has  bool
+	}
+	from := map[pair]crumb{{da.Start, db.Start}: {}}
+	queue := []pair{{da.Start, db.Start}}
+	for len(queue) > 0 {
+		pr := queue[0]
+		queue = queue[1:]
 		if da.Accept[pr.p] != db.Accept[pr.q] {
-			return false
+			for c := from[pr]; c.has; c = from[c.prev] {
+				word = append(word, c.sym)
+			}
+			slices.Reverse(word)
+			return word, true
 		}
-		for c := 0; c < cols; c++ {
+		for c := range da.Next[pr.p] {
 			np := pair{da.Next[pr.p][c], db.Next[pr.q][c]}
-			if _, ok := seen[np]; !ok {
-				seen[np] = struct{}{}
-				stack = append(stack, np)
+			if _, seen := from[np]; !seen {
+				sym := other
+				if c < len(da.Labels) {
+					sym = da.Labels[c]
+				}
+				from[np] = crumb{prev: pr, sym: sym, has: true}
+				queue = append(queue, np)
 			}
 		}
 	}
-	return true
+	return nil, false
 }
 
 // itoa is a tiny allocation-light integer renderer for subset keys.

@@ -13,6 +13,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,7 +36,7 @@ func GuardAny() Guard { return Guard{Negated: true} }
 func GuardNotIn(labels ...string) Guard {
 	ls := append([]string(nil), labels...)
 	sort.Strings(ls)
-	ls = dedupSorted(ls)
+	ls = slices.Compact(ls)
 	return Guard{Negated: true, Labels: ls}
 }
 
@@ -43,18 +44,8 @@ func GuardNotIn(labels ...string) Guard {
 func GuardIn(labels ...string) Guard {
 	ls := append([]string(nil), labels...)
 	sort.Strings(ls)
-	ls = dedupSorted(ls)
+	ls = slices.Compact(ls)
 	return Guard{Labels: ls}
-}
-
-func dedupSorted(ls []string) []string {
-	out := ls[:0]
-	for i, l := range ls {
-		if i == 0 || l != ls[i-1] {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Matches reports whether the guard accepts label a.
@@ -357,7 +348,7 @@ func guardIntersect(g, h Guard) (Guard, bool) {
 	default: // both negated: !S ∩ !T = !(S ∪ T), always non-empty (alphabet infinite)
 		union := append(append([]string(nil), g.Labels...), h.Labels...)
 		sort.Strings(union)
-		return Guard{Negated: true, Labels: dedupSorted(union)}, true
+		return Guard{Negated: true, Labels: slices.Compact(union)}, true
 	}
 }
 

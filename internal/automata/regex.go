@@ -14,8 +14,10 @@ import (
 // Glushkov's construction. A language supplies only its atoms (DESIGN §23).
 
 // Notation is how a language writes the nodes every regular expression
-// has: the brackets that group a subexpression, and ε.
-type Notation struct{ Open, Close, Epsilon string }
+// has: the brackets that group a subexpression, ε, and the separators
+// between the parts of a concatenation and between the alternatives of a
+// union.
+type Notation struct{ Open, Close, Epsilon, Seq, Or string }
 
 // Language is the constraint on a language's tag type L, the type argument
 // of its expressions: the tag names the language, so that no node of one
@@ -60,11 +62,11 @@ func (Repeat[L]) Language() L      { var l L; return l }
 
 func (e Epsilon[L]) String() string { return e.Language().Notation().Epsilon }
 
-func (c Concat[L]) String() string { return join(c.Parts, " ") }
+func (c Concat[L]) String() string { return join(c.Parts, c.Language().Notation().Seq) }
 
 // Children of a union render at concatenation level, so a concatenation
 // under a union needs no brackets.
-func (u Alternation[L]) String() string { return join(u.Alts, " | ") }
+func (u Alternation[L]) String() string { return join(u.Alts, u.Language().Notation().Or) }
 
 func (s Star[L]) String() string { return operand(s.Sub, 3) + "*" }
 
@@ -186,7 +188,11 @@ func unroll[L Language](r Repeat[L]) Expr[L] {
 // labels, or the variables, an expression mentions.
 func Names[L Language](e Expr[L], f func(atom Expr[L]) []string) []string {
 	set := map[string]struct{}{}
-	atoms(e, func(a Expr[L]) {
+	Walk(e, func(a Expr[L]) {
+		switch a.(type) {
+		case Epsilon[L], Concat[L], Alternation[L], Star[L], Repeat[L]:
+			return
+		}
 		for _, s := range f(a) {
 			set[s] = struct{}{}
 		}
@@ -199,24 +205,23 @@ func Names[L Language](e Expr[L], f func(atom Expr[L]) []string) []string {
 	return out
 }
 
-// atoms calls f on every atom of e, left to right.
-func atoms[L Language](e Expr[L], f func(Expr[L])) {
+// Walk calls f on e and on every node below it, left to right, parents
+// first. A language's own nodes are leaves to it.
+func Walk[L Language](e Expr[L], f func(Expr[L])) {
+	f(e)
 	switch n := e.(type) {
-	case Epsilon[L]:
 	case Concat[L]:
 		for _, p := range n.Parts {
-			atoms(p, f)
+			Walk(p, f)
 		}
 	case Alternation[L]:
 		for _, a := range n.Alts {
-			atoms(a, f)
+			Walk(a, f)
 		}
 	case Star[L]:
-		atoms(n.Sub, f)
+		Walk(n.Sub, f)
 	case Repeat[L]:
-		atoms(n.Sub, f)
-	default:
-		f(e)
+		Walk(n.Sub, f)
 	}
 }
 

@@ -2,6 +2,8 @@ package coregql
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"graphquery/internal/graph"
 )
@@ -69,14 +71,30 @@ func (Not) isCondition()     {}
 
 func (c PropCmp) String() string {
 	if c.UseConst {
-		rhs := c.Const.String()
-		if c.Const.Kind() == graph.KindString {
-			rhs = "'" + rhs + "'"
-		}
-		return fmt.Sprintf("%s.%s %s %s", c.X, c.K, c.Op, rhs)
+		return fmt.Sprintf("%s.%s %s %s", c.X, c.K, c.Op, literal(c.Const))
 	}
 	return fmt.Sprintf("%s.%s %s %s.%s", c.X, c.K, c.Op, c.Y, c.K2)
 }
+
+// literal writes a constant the way the gql condition lexer reads one: a
+// string quoted, its quotes and backslashes escaped, and a float in
+// positional notation with a decimal point.
+func literal(v graph.Value) string {
+	switch v.Kind() {
+	case graph.KindString:
+		return "'" + literalEscaper.Replace(v.String()) + "'"
+	case graph.KindFloat:
+		f, _ := v.Numeric()
+		s := strconv.FormatFloat(f, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
+	}
+	return v.String()
+}
+
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
 
 func (c LabelIs) String() string { return fmt.Sprintf("%s(%s)", c.Label, c.X) }
 func (c And) String() string     { return "(" + c.L.String() + " AND " + c.R.String() + ")" }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
@@ -25,10 +28,53 @@ type Options struct {
 	// pg.CheckInterval), each final match to its rows budget. Nil means
 	// unmetered.
 	Meter *pg.Meter
-
-	// tick is EvalPattern's ticker on Meter, which every candidate steps.
-	tick *pg.Ticker
 }
+
+// Elem is what the match enumerator asks of a node or edge atom of a
+// pattern language of the GQL family: whether it matches an edge (else a
+// node), the label it tests ("" for any), and the variable it binds (""
+// for none).
+type Elem interface {
+	Elem() (edge bool, label, v string)
+}
+
+// Where is what the enumerator asks of the one node the GQL family adds
+// to regular expressions, π⟨θ⟩ (GQL's π WHERE θ): its subpattern and its
+// condition.
+type Where[L automata.Language] interface {
+	Where() (automata.Expr[L], Condition)
+}
+
+// Algebra is how a pattern language of the GQL family binds variables, B
+// being its binding type. Everything else of the Figure 4 semantics —
+// which paths match, how they compose, when iteration stops — is the
+// enumerator's, shared by every language.
+type Algebra[B any] interface {
+	// Bind is the binding an atom that matched element o makes: v ↦ o, or
+	// the empty binding when v is "".
+	Bind(v string, o graph.Object) B
+	// Join is µ₁ ⋈ µ₂ for the bindings of two composed paths: ok is false
+	// when they disagree; an error means the pattern is ill-formed.
+	Join(a, b B) (joined B, ok bool, err error)
+	// Iterate is what a repetition makes of a binding of its body.
+	Iterate(b B) B
+	// Holds reads the condition θ on a binding.
+	Holds(g *graph.Graph, c Condition, b B) bool
+	// Key identifies a binding: matches are deduplicated and ordered by
+	// their path's key and their binding's.
+	Key(b B) string
+}
+
+// MatchOf is one match of a pattern whose language binds variables to
+// values of type B: a node-to-node path and a binding.
+type MatchOf[B any] struct {
+	Path    gpath.Path
+	Binding B
+}
+
+// Match is one element of ⟦π⟧_G: a node-to-node path and a binding of free
+// variables to graph elements.
+type Match = MatchOf[map[string]graph.Object]
 
 // EvalPattern computes ⟦π⟧_G per Figure 4, as a deduplicated set of
 // matches ordered by path length then keys.
@@ -36,12 +82,89 @@ func EvalPattern(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 	if err := Validate(p); err != nil {
 		return nil, err
 	}
-	if hasUnboundedRepeat(p) && opts.MaxLen <= 0 {
+	if opts.MaxLen <= 0 && Unbounded(p) {
 		return nil, ErrUnbounded
 	}
+	return Enumerate(g, p, erasing{}, opts)
+}
+
+// erasing is CoreGQL's binding algebra: bindings are maps to single
+// elements, joined on agreement, and repetition erases them (the µ∅ of
+// Figure 4, which is FV(π^{n..m}) = ∅).
+type erasing struct{}
+
+func (erasing) Bind(v string, o graph.Object) map[string]graph.Object {
+	b := map[string]graph.Object{}
+	if v != "" {
+		b[v] = o
+	}
+	return b
+}
+
+// Join reports µ₁ ~ µ₂ and returns µ₁ ⋈ µ₂.
+func (erasing) Join(a, b map[string]graph.Object) (map[string]graph.Object, bool, error) {
+	for v, o := range a {
+		if o2, shared := b[v]; shared && o != o2 {
+			return nil, false, nil
+		}
+	}
+	out := make(map[string]graph.Object, len(a)+len(b))
+	for v, o := range a {
+		out[v] = o
+	}
+	for v, o := range b {
+		out[v] = o
+	}
+	return out, true, nil
+}
+
+func (erasing) Iterate(map[string]graph.Object) map[string]graph.Object {
+	return map[string]graph.Object{}
+}
+
+func (erasing) Holds(g *graph.Graph, c Condition, b map[string]graph.Object) bool {
+	return c.Holds(g, b)
+}
+
+func (erasing) Key(b map[string]graph.Object) string { return KeyOf(b, ObjectKey) }
+
+// KeyOf is the key of a binding whose values have keys: its variables in
+// order, each with its value's key.
+func KeyOf[V any](b map[string]V, key func(V) string) string {
+	vars := make([]string, 0, len(b))
+	for v := range b {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var sb strings.Builder
+	for _, v := range vars {
+		sb.WriteString(v)
+		sb.WriteByte('=')
+		sb.WriteString(key(b[v]))
+		sb.WriteByte(';')
+	}
+	return sb.String()
+}
+
+// ObjectKey is the key of a bound element: N or E, then its index.
+func ObjectKey(o graph.Object) string {
+	if o.IsEdge() {
+		return "E" + strconv.Itoa(o.Index())
+	}
+	return "N" + strconv.Itoa(o.Index())
+}
+
+// Enumerate computes the match set of p on g under the binding algebra
+// alg, deduplicated and ordered by path length then keys. The parts of a
+// concatenation and the branches of a union are evaluated and joined left
+// to right. Every candidate is charged to opts.Meter's states budget and
+// every final match to its rows budget; opts.MaxLen bounds the length of
+// composed paths, and an unbounded repetition iterates until a level adds
+// no new match (callers refuse the patterns where that never happens).
+func Enumerate[L automata.Language, B any](g *graph.Graph, p automata.Expr[L], alg Algebra[B], opts Options) ([]MatchOf[B], error) {
 	tick := pg.NewTicker(opts.Meter, nil)
-	opts.tick = &tick
-	ms, err := evalRec(g, p, opts)
+	en := &enumerator[L, B]{g: g, alg: alg, maxLen: opts.MaxLen, tick: &tick}
+	ms, err := en.eval(p)
 	if err != nil {
 		return nil, err
 	}
@@ -55,31 +178,27 @@ func EvalPattern(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
 		if ms[i].Path.Len() != ms[j].Path.Len() {
 			return ms[i].Path.Len() < ms[j].Path.Len()
 		}
-		return ms[i].key() < ms[j].key()
+		return en.key(ms[i]) < en.key(ms[j])
 	})
 	return ms, nil
 }
 
-func hasUnboundedRepeat(p Pattern) bool {
-	switch n := p.(type) {
-	case ConcatPat:
-		return hasUnboundedRepeat(n.Left) || hasUnboundedRepeat(n.Right)
-	case UnionPat:
-		return hasUnboundedRepeat(n.Left) || hasUnboundedRepeat(n.Right)
-	case RepeatPat:
-		return n.Max < 0 || hasUnboundedRepeat(n.Sub)
-	case CondPat:
-		return hasUnboundedRepeat(n.Sub)
-	default:
-		return false
-	}
+type enumerator[L automata.Language, B any] struct {
+	g      *graph.Graph
+	alg    Algebra[B]
+	maxLen int
+	tick   *pg.Ticker // steps once per candidate
 }
 
-func dedup(ms []Match) []Match {
+func (en *enumerator[L, B]) key(m MatchOf[B]) string {
+	return m.Path.Key() + "|" + en.alg.Key(m.Binding)
+}
+
+func (en *enumerator[L, B]) dedup(ms []MatchOf[B]) []MatchOf[B] {
 	seen := map[string]struct{}{}
 	out := ms[:0]
 	for _, m := range ms {
-		k := m.key()
+		k := en.key(m)
 		if _, dup := seen[k]; dup {
 			continue
 		}
@@ -89,186 +208,173 @@ func dedup(ms []Match) []Match {
 	return out
 }
 
-func evalRec(g *graph.Graph, p Pattern, opts Options) ([]Match, error) {
+func (en *enumerator[L, B]) eval(p automata.Expr[L]) ([]MatchOf[B], error) {
 	switch n := p.(type) {
-	case NodePat:
-		out := make([]Match, 0, g.NumNodes())
-		for i := 0; i < g.NumNodes(); i++ {
-			if err := opts.tick.Step(); err != nil {
-				return nil, err
+	case automata.Concat[L]:
+		out, err := en.eval(n.Parts[0])
+		for _, part := range n.Parts[1:] {
+			if err != nil {
+				break
 			}
-			if !g.NodeAlive(i) {
-				continue
+			var right []MatchOf[B]
+			if right, err = en.eval(part); err == nil {
+				out, err = en.join(out, right)
 			}
-			b := map[string]graph.Object{}
-			if n.Var != "" {
-				b[n.Var] = graph.MakeNodeObject(i)
-			}
-			out = append(out, Match{Path: gpath.OfNode(i), Binding: b})
 		}
-		return out, nil
-	case EdgePat:
-		out := make([]Match, 0, g.NumEdges())
-		for e := 0; e < g.NumEdges(); e++ {
-			if err := opts.tick.Step(); err != nil {
-				return nil, err
+		return out, err
+	case automata.Alternation[L]:
+		out, err := en.eval(n.Alts[0])
+		for _, alt := range n.Alts[1:] {
+			if err != nil {
+				break
 			}
-			if !g.EdgeAlive(e) {
-				continue
+			var right []MatchOf[B]
+			if right, err = en.eval(alt); err == nil {
+				out = en.dedup(append(out, right...))
 			}
-			b := map[string]graph.Object{}
-			if n.Var != "" {
-				b[n.Var] = graph.MakeEdgeObject(e)
-			}
-			out = append(out, Match{Path: gpath.Triple(g, e), Binding: b})
 		}
-		return out, nil
-	case ConcatPat:
-		left, err := evalRec(g, n.Left, opts)
+		return out, err
+	case automata.Star[L]:
+		return en.repeat(n.Sub, 0, -1)
+	case automata.Repeat[L]:
+		return en.repeat(n.Sub, n.Min, n.Max)
+	case Where[L]:
+		sub, cond := n.Where()
+		ms, err := en.eval(sub)
 		if err != nil {
 			return nil, err
 		}
-		right, err := evalRec(g, n.Right, opts)
-		if err != nil {
-			return nil, err
-		}
-		joined, err := concatMatches(g, left, right, opts)
-		if err != nil {
-			return nil, err
-		}
-		return dedup(joined), nil
-	case UnionPat:
-		out, err := evalRec(g, n.Left, opts)
-		if err != nil {
-			return nil, err
-		}
-		right, err := evalRec(g, n.Right, opts)
-		if err != nil {
-			return nil, err
-		}
-		return dedup(append(out, right...)), nil
-	case RepeatPat:
-		return evalRepeat(g, n, opts)
-	case CondPat:
-		ms, err := evalRec(g, n.Sub, opts)
-		if err != nil {
-			return nil, err
-		}
-		var out []Match
+		var out []MatchOf[B]
 		for _, m := range ms {
-			if err := opts.tick.Step(); err != nil {
+			if err := en.tick.Step(); err != nil {
 				return nil, err
 			}
-			if n.Cond.Holds(g, m.Binding) {
+			if en.alg.Holds(en.g, cond, m.Binding) {
 				out = append(out, m)
 			}
 		}
 		return out, nil
+	case Elem:
+		return en.elems(n.Elem())
 	default:
-		panic(fmt.Sprintf("coregql: unknown pattern %T", p))
+		return nil, fmt.Errorf("coregql: unknown pattern %T", p)
 	}
 }
 
-// concatMatches joins two match sets: paths must compose node-to-node
-// (tgt(p₁) = src(p₂)) and bindings must be compatible.
-func concatMatches(g *graph.Graph, left, right []Match, opts Options) ([]Match, error) {
-	// Bucket right-hand matches by source node.
-	bySrc := map[int][]Match{}
+// elems matches the single-node paths of the live nodes, or the one-edge
+// paths of the live edges, labelled label ("" for any), binding each
+// element to v.
+func (en *enumerator[L, B]) elems(edge bool, label, v string) ([]MatchOf[B], error) {
+	g := en.g
+	n := g.NumNodes()
+	if edge {
+		n = g.NumEdges()
+	}
+	out := make([]MatchOf[B], 0, n)
+	for i := 0; i < n; i++ {
+		if err := en.tick.Step(); err != nil {
+			return nil, err
+		}
+		switch {
+		case !edge && g.NodeAlive(i) && (label == "" || g.Node(i).Label == label):
+			out = append(out, MatchOf[B]{Path: gpath.OfNode(i), Binding: en.alg.Bind(v, graph.MakeNodeObject(i))})
+		case edge && g.EdgeAlive(i) && (label == "" || g.Edge(i).Label == label):
+			out = append(out, MatchOf[B]{Path: gpath.Triple(g, i), Binding: en.alg.Bind(v, graph.MakeEdgeObject(i))})
+		}
+	}
+	return out, nil
+}
+
+// join composes two match sets node to node (tgt(p₁) = src(p₂)), keeping
+// the pairs whose bindings join and whose path fits MaxLen.
+func (en *enumerator[L, B]) join(left, right []MatchOf[B]) ([]MatchOf[B], error) {
+	g := en.g
+	bySrc := map[int][]MatchOf[B]{}
 	for _, m := range right {
 		if s, ok := m.Path.Src(g); ok {
 			bySrc[s] = append(bySrc[s], m)
 		}
 	}
-	var out []Match
+	var out []MatchOf[B]
 	for _, lm := range left {
 		t, ok := lm.Path.Tgt(g)
 		if !ok {
 			continue
 		}
 		for _, rm := range bySrc[t] {
-			if err := opts.tick.Step(); err != nil {
+			if err := en.tick.Step(); err != nil {
 				return nil, err
 			}
-			if opts.MaxLen > 0 && lm.Path.Len()+rm.Path.Len() > opts.MaxLen {
+			if en.maxLen > 0 && lm.Path.Len()+rm.Path.Len() > en.maxLen {
 				continue
 			}
-			b, compatible := joinBindings(lm.Binding, rm.Binding)
-			if !compatible {
+			b, ok, err := en.alg.Join(lm.Binding, rm.Binding)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				continue
 			}
 			joined, ok := gpath.Concat(g, lm.Path, rm.Path)
 			if !ok {
 				continue
 			}
-			out = append(out, Match{Path: joined, Binding: b})
+			out = append(out, MatchOf[B]{Path: joined, Binding: b})
 		}
 	}
-	return out, nil
+	return en.dedup(out), nil
 }
 
-// evalRepeat implements ⟦π^{n..m}⟧ of Figure 4: iterated node-to-node
-// composition with the bindings erased (µ∅), which is exactly the
-// free-variable erasure FV(π^{n..m}) = ∅.
-func evalRepeat(g *graph.Graph, n RepeatPat, opts Options) ([]Match, error) {
-	base, err := evalRec(g, n.Sub, opts)
+// repeat implements ⟦π^{n..m}⟧ of Figure 4: iterated node-to-node
+// composition of the body's matches, their bindings made what the algebra
+// makes of an iteration.
+func (en *enumerator[L, B]) repeat(sub automata.Expr[L], min, max int) ([]MatchOf[B], error) {
+	base, err := en.eval(sub)
 	if err != nil {
 		return nil, err
 	}
-	// Erase bindings of the base before iterating (Figure 4 uses only the
-	// paths of the subpattern).
-	erased := make([]Match, len(base))
+	unit := make([]MatchOf[B], len(base))
 	for i, m := range base {
-		erased[i] = Match{Path: m.Path, Binding: map[string]graph.Object{}}
+		unit[i] = MatchOf[B]{Path: m.Path, Binding: en.alg.Iterate(m.Binding)}
 	}
-	erased = dedup(erased)
+	unit = en.dedup(unit)
 
-	// ⟦π⟧⁰: single-node paths.
-	level := make([]Match, 0, g.NumNodes())
-	for i := 0; i < g.NumNodes(); i++ {
-		if err := opts.tick.Step(); err != nil {
-			return nil, err
-		}
-		if !g.NodeAlive(i) {
-			continue
-		}
-		level = append(level, Match{Path: gpath.OfNode(i), Binding: map[string]graph.Object{}})
+	// ⟦π⟧⁰: the single-node paths, binding nothing.
+	level, err := en.elems(false, "", "")
+	if err != nil {
+		return nil, err
 	}
-	var out []Match
-	if n.Min == 0 {
+	var out []MatchOf[B]
+	if min == 0 {
 		out = append(out, level...)
 	}
-	// seen tracks every path produced at any level; once a level introduces
-	// nothing new, no later level can either (extensions depend only on the
-	// path), so unbounded iteration may stop.
+	// seen tracks every match produced at any level; once a level introduces
+	// nothing new, no later level can either, so unbounded iteration may
+	// stop.
 	seen := map[string]struct{}{}
 	for _, m := range level {
-		seen[m.key()] = struct{}{}
+		seen[en.key(m)] = struct{}{}
 	}
-	for j := 1; n.Max < 0 || j <= n.Max; j++ {
-		joined, err := concatMatches(g, level, erased, opts)
-		if err != nil {
+	for j := 1; max < 0 || j <= max; j++ {
+		if level, err = en.join(level, unit); err != nil {
 			return nil, err
 		}
-		level = dedup(joined)
-		if j >= n.Min {
+		if j >= min {
 			out = append(out, level...)
 		}
 		anyFresh := false
 		for _, m := range level {
-			k := m.key()
+			k := en.key(m)
 			if _, dup := seen[k]; !dup {
 				seen[k] = struct{}{}
 				anyFresh = true
 			}
 		}
-		if n.Max < 0 && !anyFresh {
-			break // fixpoint under the MaxLen bound
-		}
-		if len(level) == 0 {
+		if max < 0 && !anyFresh || len(level) == 0 {
 			break
 		}
 	}
-	return dedup(out), nil
+	return en.dedup(out), nil
 }
 
 // Output computes the pattern-with-output relation ⟦π_Ω⟧_G of Section
@@ -288,7 +394,7 @@ func Output(g *graph.Graph, p Pattern, omega []string, opts Options) (*relalg.Re
 		t := make([]relalg.Cell, len(omega))
 		ok := true
 		for i, item := range omega {
-			varName, prop := splitOmega(item)
+			varName, prop, _ := strings.Cut(item, ".")
 			o, bound := m.Binding[varName]
 			if !bound {
 				ok = false
@@ -317,13 +423,4 @@ func Output(g *graph.Graph, p Pattern, omega []string, opts Options) (*relalg.Re
 		}
 	}
 	return rel, nil
-}
-
-func splitOmega(item string) (varName, prop string) {
-	for i := 0; i < len(item); i++ {
-		if item[i] == '.' {
-			return item[:i], item[i+1:]
-		}
-	}
-	return item, ""
 }

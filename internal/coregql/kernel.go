@@ -10,24 +10,31 @@ import (
 )
 
 // A regular pattern's path finding runs on the product-graph kernel: its
-// skeleton, where every edge atom is label-free, compiles to an NFA.
-// Bindings, conditions and repeated-variable joins stay tier-local, so
-// Pairs falls back to EvalPattern for those; the two paths are
-// byte-identical on their common domain, which crossval enforces.
+// skeleton over edge labels compiles to an NFA. What stays tier-local is
+// what is not regular — bindings, group variables, conditions, node-label
+// tests and repeated-variable joins — so Pairs falls back to the match
+// enumerator for those; the two paths are byte-identical on their common
+// domain, which crossval enforces. Everything here serves every pattern
+// language of the GQL family: CoreGQL, and GQL (package gql).
 
 // Pairs computes the endpoint pairs of the pattern's match set —
 // {(src(ρ), tgt(ρ)) | ρ matches π} as sorted, deduplicated (u,v) index
 // pairs. Regular patterns run entirely on the product-graph kernel
-// (opts.Plan, opts.Parallelism and opts.Meter apply); patterns
-// whose semantics exceed their skeleton fall back to the metered match
+// (opts.Plan, opts.Parallelism and opts.Meter apply); patterns whose
+// semantics exceed their skeleton fall back to the metered match
 // evaluator plus endpoint projection. opts.MaxLen bounds path length in
 // both paths — the kernel one via a length-unrolled automaton, so the two
 // agree exactly.
 func Pairs(g *graph.Graph, p Pattern, opts eval.Options) ([][2]int, error) {
-	if Regular(p) {
-		if hasUnboundedRepeat(p) && opts.MaxLen <= 0 {
-			return nil, ErrUnbounded
-		}
+	return PairsOf(g, p, opts, EvalPattern)
+}
+
+// PairsOf is Pairs for a pattern of any language of the GQL family, match
+// being that language's evaluator. A regular pattern that repeats without
+// bound and has no MaxLen is left to match, which refuses it.
+func PairsOf[L automata.Language, B any](g *graph.Graph, p automata.Expr[L], opts eval.Options,
+	match func(*graph.Graph, automata.Expr[L], Options) ([]MatchOf[B], error)) ([][2]int, error) {
+	if Regular(p) && (opts.MaxLen > 0 || !Unbounded(p)) {
 		nfa := rpq.Compile(Skeleton(p))
 		if opts.MaxLen > 0 {
 			nfa = automata.BoundLength(nfa, opts.MaxLen)
@@ -35,8 +42,7 @@ func Pairs(g *graph.Graph, p Pattern, opts eval.Options) ([][2]int, error) {
 		prod := eval.NewProductInstrumented(g, nfa, nil)
 		return eval.PairsProduct(prod, opts)
 	}
-	// Fallback: reference evaluator + projection.
-	ms, err := EvalPattern(g, p, Options{MaxLen: opts.MaxLen, Meter: opts.Meter})
+	ms, err := match(g, p, Options{MaxLen: opts.MaxLen, Meter: opts.Meter})
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +50,7 @@ func Pairs(g *graph.Graph, p Pattern, opts eval.Options) ([][2]int, error) {
 }
 
 // ProjectPairs projects matches onto sorted, deduplicated endpoint pairs.
-func ProjectPairs(g *graph.Graph, ms []Match) [][2]int {
+func ProjectPairs[B any](g *graph.Graph, ms []MatchOf[B]) [][2]int {
 	seen := map[[2]int]struct{}{}
 	var out [][2]int
 	for _, m := range ms {
@@ -70,71 +76,79 @@ func ProjectPairs(g *graph.Graph, ms []Match) [][2]int {
 }
 
 // Regular reports whether the pattern's match set is determined by its
-// regular skeleton: no conditions and no variable occurring twice (a
-// repeated variable is an equality join the skeleton cannot see). CoreGQL
-// atoms carry no labels, so every remaining pattern is skeleton-faithful.
-func Regular(p Pattern) bool {
+// regular skeleton over edge labels: no conditions, no node-label tests,
+// and no variable occurring twice (a repeated singleton variable is an
+// equality join the skeleton cannot see). Variables occurring once never
+// constrain the path set.
+func Regular[L automata.Language](p automata.Expr[L]) bool {
 	counts := map[string]int{}
 	regular := true
-	var walk func(Pattern)
-	walk = func(p Pattern) {
-		switch n := p.(type) {
-		case NodePat:
-			if n.Var != "" {
-				counts[n.Var]++
-			}
-		case EdgePat:
-			if n.Var != "" {
-				counts[n.Var]++
-			}
-		case ConcatPat:
-			walk(n.Left)
-			walk(n.Right)
-		case UnionPat:
-			walk(n.Left)
-			walk(n.Right)
-		case RepeatPat:
-			walk(n.Sub)
-		case CondPat:
+	walk(p, func(n automata.Expr[L]) {
+		switch n := n.(type) {
+		case Where[L]:
 			regular = false
-		default:
-			regular = false
+		case Elem:
+			edge, label, v := n.Elem()
+			if !edge && label != "" {
+				regular = false
+			}
+			if v != "" {
+				counts[v]++
+			}
 		}
-	}
-	walk(p)
-	if !regular {
-		return false
-	}
+	})
 	for _, c := range counts {
 		if c > 1 {
 			return false
 		}
 	}
-	return true
+	return regular
 }
 
-// Skeleton lowers a pattern to the RPQ of its path language: node patterns
-// are ε, edge patterns match any single edge, and concatenation, union, and
-// repetition map structurally. Total on Regular patterns; CondPat lowers to
-// its subpattern's skeleton (an over-approximation — gate on Regular).
-func Skeleton(p Pattern) rpq.Expr {
-	switch n := p.(type) {
-	case NodePat:
-		return rpq.Eps()
-	case EdgePat:
-		return rpq.Any()
-	case ConcatPat:
-		return rpq.Seq(Skeleton(n.Left), Skeleton(n.Right))
-	case UnionPat:
-		return rpq.Alt(Skeleton(n.Left), Skeleton(n.Right))
-	case RepeatPat:
-		if n.Min == 0 && n.Max < 0 {
-			return rpq.Kleene(Skeleton(n.Sub))
+// Unbounded reports whether the pattern repeats something without bound.
+func Unbounded[L automata.Language](p automata.Expr[L]) bool {
+	unbounded := false
+	walk(p, func(n automata.Expr[L]) {
+		switch n := n.(type) {
+		case automata.Star[L]:
+			unbounded = true
+		case automata.Repeat[L]:
+			unbounded = unbounded || n.Max < 0
 		}
-		return rpq.Between(Skeleton(n.Sub), n.Min, n.Max)
-	case CondPat:
-		return Skeleton(n.Sub)
-	default:
-		return rpq.Eps()
-	}
+	})
+	return unbounded
+}
+
+// walk calls f on p and on every subpattern of it, a condition's included.
+func walk[L automata.Language](p automata.Expr[L], f func(automata.Expr[L])) {
+	automata.Walk(p, func(n automata.Expr[L]) {
+		f(n)
+		if w, ok := n.(Where[L]); ok {
+			sub, _ := w.Where()
+			walk(sub, f)
+		}
+	})
+}
+
+// Skeleton lowers a pattern to the RPQ of its path language: node atoms
+// are ε, edge atoms their label (or any label), a condition its
+// subpattern's skeleton, and concatenation, union and repetition map
+// structurally. It is the path language exactly on Regular patterns and
+// over-approximates it elsewhere; either way it has a position for every
+// node and edge atom, which is what the served compile bound counts.
+func Skeleton[L automata.Language](p automata.Expr[L]) rpq.Expr {
+	return automata.Map(p, func(a automata.Expr[L]) rpq.Expr {
+		if f, ok := a.(Where[L]); ok {
+			sub, _ := f.Where()
+			return Skeleton(sub)
+		}
+		switch edge, label, _ := a.(Elem).Elem(); {
+		case !edge:
+			return rpq.Eps()
+		case label == "":
+			return rpq.Any()
+		default:
+			return rpq.L(label)
+		}
+	})
 }

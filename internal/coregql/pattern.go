@@ -13,6 +13,12 @@
 // repetition erases free variables (FV(π^{n..m}) = ∅), which is the
 // normal-form discipline that keeps outputs flat — and the root cause of
 // the Example 1 phenomenon that π^{2..2} ≢ ππ when π contains variables.
+//
+// A pattern is a regular expression over node and edge atoms: concatenation,
+// union and repetition are the shared nodes of package automata, and π⟨θ⟩
+// is the one node the GQL family adds (DESIGN §23). The Figure 4 match
+// enumerator here is the only one: GQL's group-variable semantics (package
+// gql) is the same enumerator run with another binding algebra.
 package coregql
 
 import (
@@ -20,15 +26,21 @@ import (
 	"sort"
 	"strings"
 
-	"graphquery/internal/gpath"
-	"graphquery/internal/graph"
+	"graphquery/internal/automata"
 )
 
-// Pattern is a CoreGQL pattern π.
-type Pattern interface {
-	fmt.Stringer
-	isPattern()
+// lang is the CoreGQL tag type: patterns are written in the paper's
+// notation, with + for union.
+type lang struct{}
+
+func (lang) Notation() automata.Notation {
+	return automata.Notation{Open: "(", Close: ")", Epsilon: "()", Seq: " ", Or: " + "}
 }
+
+// Pattern is a CoreGQL pattern π: its concatenations, unions and
+// repetitions are automata.Concat, automata.Alternation, automata.Star and
+// automata.Repeat of this language, its atoms NodePat and EdgePat.
+type Pattern = automata.Expr[lang]
 
 // NodePat is (x); the variable is optional ("" for anonymous).
 type NodePat struct{ Var string }
@@ -36,33 +48,20 @@ type NodePat struct{ Var string }
 // EdgePat is -x->; the variable is optional.
 type EdgePat struct{ Var string }
 
-// ConcatPat is π₁ π₂ (node-to-node composition with a join on compatible
-// bindings).
-type ConcatPat struct{ Left, Right Pattern }
-
-// UnionPat is π₁ + π₂; both sides must have the same free variables
-// (CoreGQL's no-nulls discipline).
-type UnionPat struct{ Left, Right Pattern }
-
-// RepeatPat is π^{Min..Max}; Max < 0 means ∞.
-type RepeatPat struct {
-	Sub Pattern
-	Min int
-	Max int
-}
-
 // CondPat is π⟨θ⟩.
 type CondPat struct {
 	Sub  Pattern
 	Cond Condition
 }
 
-func (NodePat) isPattern()   {}
-func (EdgePat) isPattern()   {}
-func (ConcatPat) isPattern() {}
-func (UnionPat) isPattern()  {}
-func (RepeatPat) isPattern() {}
-func (CondPat) isPattern()   {}
+func (NodePat) Language() lang { return lang{} }
+func (EdgePat) Language() lang { return lang{} }
+func (CondPat) Language() lang { return lang{} }
+
+func (p NodePat) Elem() (bool, string, string) { return false, "", p.Var }
+func (p EdgePat) Elem() (bool, string, string) { return true, "", p.Var }
+
+func (p CondPat) Where() (Pattern, Condition) { return p.Sub, p.Cond }
 
 func (p NodePat) String() string { return "(" + p.Var + ")" }
 func (p EdgePat) String() string {
@@ -70,18 +69,6 @@ func (p EdgePat) String() string {
 		return "-->"
 	}
 	return "-" + p.Var + "->"
-}
-func (p ConcatPat) String() string { return p.Left.String() + " " + p.Right.String() }
-func (p UnionPat) String() string  { return "(" + p.Left.String() + " + " + p.Right.String() + ")" }
-func (p RepeatPat) String() string {
-	switch {
-	case p.Min == 0 && p.Max < 0:
-		return "(" + p.Sub.String() + ")*"
-	case p.Max < 0:
-		return fmt.Sprintf("(%s){%d..inf}", p.Sub, p.Min)
-	default:
-		return fmt.Sprintf("(%s){%d..%d}", p.Sub, p.Min, p.Max)
-	}
 }
 func (p CondPat) String() string { return "(" + p.Sub.String() + ")<" + p.Cond.String() + ">" }
 
@@ -98,31 +85,24 @@ func Edge(x string) Pattern { return EdgePat{Var: x} }
 func AnonEdge() Pattern { return EdgePat{} }
 
 // Concat chains patterns left to right.
-func Concat(ps ...Pattern) Pattern {
-	if len(ps) == 0 {
-		panic("coregql: Concat needs at least one pattern")
-	}
-	out := ps[0]
-	for _, p := range ps[1:] {
-		out = ConcatPat{Left: out, Right: p}
-	}
-	return out
-}
+func Concat(ps ...Pattern) Pattern { return automata.Seq(ps...) }
 
 // Union returns π₁ + π₂.
-func Union(a, b Pattern) Pattern { return UnionPat{Left: a, Right: b} }
+func Union(a, b Pattern) Pattern { return automata.Alt(a, b) }
 
 // Repeat returns π^{min..max}; max < 0 means ∞.
-func Repeat(p Pattern, min, max int) Pattern { return RepeatPat{Sub: p, Min: min, Max: max} }
+func Repeat(p Pattern, min, max int) Pattern {
+	return automata.Repeat[lang]{Sub: p, Min: min, Max: max}
+}
 
 // Star returns π^{0..∞}.
-func Star(p Pattern) Pattern { return RepeatPat{Sub: p, Min: 0, Max: -1} }
+func Star(p Pattern) Pattern { return automata.Star[lang]{Sub: p} }
 
 // Filter returns π⟨θ⟩.
 func Filter(p Pattern, c Condition) Pattern { return CondPat{Sub: p, Cond: c} }
 
 // FreeVars computes FV(π) per Section 4.1.1: repetition erases variables,
-// union requires both sides to agree (checked by Validate).
+// union requires every branch to agree (checked by Validate).
 func FreeVars(p Pattern) []string {
 	set := map[string]struct{}{}
 	collectFV(p, set)
@@ -144,43 +124,49 @@ func collectFV(p Pattern, set map[string]struct{}) {
 		if n.Var != "" {
 			set[n.Var] = struct{}{}
 		}
-	case ConcatPat:
-		collectFV(n.Left, set)
-		collectFV(n.Right, set)
-	case UnionPat:
-		collectFV(n.Left, set) // FV(π₁+π₂) = FV(π₁) (= FV(π₂))
-	case RepeatPat:
-		// FV(π^{n..m}) = ∅: repetition erases variables.
+	case automata.Concat[lang]:
+		for _, part := range n.Parts {
+			collectFV(part, set)
+		}
+	case automata.Alternation[lang]:
+		collectFV(n.Alts[0], set) // FV(π₁+π₂) = FV(π₁) (= FV(π₂))
 	case CondPat:
 		collectFV(n.Sub, set)
 	}
+	// FV(π^{n..m}) = ∅: repetition erases variables.
 }
 
-// Validate checks the well-formedness constraints: in every union both
-// sides have identical free variables, repetition bounds are sane, and
+// Validate checks the well-formedness constraints: in every union all
+// branches have identical free variables, repetition bounds are sane, and
 // conditions only mention variables free in their subpattern.
 func Validate(p Pattern) error {
 	switch n := p.(type) {
 	case NodePat, EdgePat:
 		return nil
-	case ConcatPat:
-		if err := Validate(n.Left); err != nil {
-			return err
-		}
-		return Validate(n.Right)
-	case UnionPat:
-		if err := Validate(n.Left); err != nil {
-			return err
-		}
-		if err := Validate(n.Right); err != nil {
-			return err
-		}
-		l, r := FreeVars(n.Left), FreeVars(n.Right)
-		if strings.Join(l, ",") != strings.Join(r, ",") {
-			return fmt.Errorf("coregql: union branches have different free variables %v vs %v (nulls are not allowed)", l, r)
+	case automata.Concat[lang]:
+		for _, part := range n.Parts {
+			if err := Validate(part); err != nil {
+				return err
+			}
 		}
 		return nil
-	case RepeatPat:
+	case automata.Alternation[lang]:
+		for i, alt := range n.Alts {
+			if err := Validate(alt); err != nil {
+				return err
+			}
+			if i == 0 {
+				continue
+			}
+			l, r := FreeVars(n.Alts[0]), FreeVars(alt)
+			if strings.Join(l, ",") != strings.Join(r, ",") {
+				return fmt.Errorf("coregql: union branches have different free variables %v vs %v (nulls are not allowed)", l, r)
+			}
+		}
+		return nil
+	case automata.Star[lang]:
+		return Validate(n.Sub)
+	case automata.Repeat[lang]:
 		if n.Min < 0 || (n.Max >= 0 && n.Max < n.Min) {
 			return fmt.Errorf("coregql: invalid repetition bounds {%d..%d}", n.Min, n.Max)
 		}
@@ -202,48 +188,4 @@ func Validate(p Pattern) error {
 	default:
 		return fmt.Errorf("coregql: unknown pattern %T", p)
 	}
-}
-
-// Match is one element of ⟦π⟧_G: a node-to-node path and a binding of free
-// variables to graph elements.
-type Match struct {
-	Path    gpath.Path
-	Binding map[string]graph.Object
-}
-
-func bindingKey(b map[string]graph.Object) string {
-	vars := make([]string, 0, len(b))
-	for v := range b {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	var sb strings.Builder
-	for _, v := range vars {
-		o := b[v]
-		if o.IsEdge() {
-			fmt.Fprintf(&sb, "%s=E%d;", v, o.Index())
-		} else {
-			fmt.Fprintf(&sb, "%s=N%d;", v, o.Index())
-		}
-	}
-	return sb.String()
-}
-
-func (m Match) key() string { return m.Path.Key() + "|" + bindingKey(m.Binding) }
-
-// compatible reports µ₁ ~ µ₂ and returns µ₁ ⋈ µ₂.
-func joinBindings(a, b map[string]graph.Object) (map[string]graph.Object, bool) {
-	for v, o := range a {
-		if o2, shared := b[v]; shared && o != o2 {
-			return nil, false
-		}
-	}
-	out := make(map[string]graph.Object, len(a)+len(b))
-	for v, o := range a {
-		out[v] = o
-	}
-	for v, o := range b {
-		out[v] = o
-	}
-	return out, true
 }

@@ -63,14 +63,14 @@ func TestGQLKernelMatchesReference(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(30, 90, []string{"a", "b", "c"}, int64(trial)*17+3)
 		for _, tc := range pats {
-			if !gql.Regular(tc.p) {
+			if !coregql.Regular(tc.p) {
 				t.Fatalf("pattern %s must be regular for the kernel path", tc.name)
 			}
 			ms, err := gql.EvalPattern(g, tc.p, gql.Options{MaxLen: tc.maxLen})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := gql.ProjectPairs(g, ms)
+			want := coregql.ProjectPairs(g, ms)
 			for _, pl := range unifiedPlans {
 				opts := pl.opts
 				opts.MaxLen, opts.Meter = tc.maxLen, roomyMeter()

@@ -90,7 +90,7 @@ type Atom struct {
 type lang struct{}
 
 func (lang) Notation() automata.Notation {
-	return automata.Notation{Open: "{", Close: "}", Epsilon: "eps"}
+	return automata.Notation{Open: "{", Close: "}", Epsilon: "eps", Seq: " ", Or: " | "}
 }
 
 // Expr is a node of the dl-RPQ AST. Everything but the atom is the

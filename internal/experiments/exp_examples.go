@@ -146,7 +146,7 @@ func runE04(w io.Writer) error {
 	t := newTable("match path", "x binding")
 	for _, m := range ms {
 		if m.Path.Len() == 4 {
-			t.add(m.Path.Format(g), m.B["x"].Format(g))
+			t.add(m.Path.Format(g), m.Binding["x"].Format(g))
 		}
 	}
 	t.write(w)

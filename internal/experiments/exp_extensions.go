@@ -65,14 +65,14 @@ func runE25(w io.Writer) error {
 		}
 		rows := map[string]struct{}{}
 		for _, m := range ms {
-			vars := make([]string, 0, len(m.B))
-			for v := range m.B {
+			vars := make([]string, 0, len(m.Binding))
+			for v := range m.Binding {
 				vars = append(vars, v)
 			}
 			sort.Strings(vars)
 			var b strings.Builder
 			for _, v := range vars {
-				b.WriteString(v + "=" + m.B[v].Format(g) + ";")
+				b.WriteString(v + "=" + m.Binding[v].Format(g) + ";")
 			}
 			rows[b.String()] = struct{}{}
 		}

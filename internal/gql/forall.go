@@ -32,9 +32,9 @@ func ForAllOnPath(g *graph.Graph, p gpath.Path, inner Pattern, theta coregql.Con
 		// copied into the linearization, so evaluating θ on lin with the
 		// lin bindings is equivalent — but mapping back keeps θ's label
 		// tests faithful to the original too.
-		flat := make(map[string]graph.Object, len(m.B))
+		flat := make(map[string]graph.Object, len(m.Binding))
 		ok := true
-		for v, val := range m.B {
+		for v, val := range m.Binding {
 			if val.IsList {
 				ok = false // θ over group variables is not defined
 				break

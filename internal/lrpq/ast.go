@@ -21,7 +21,7 @@ import (
 type lang struct{}
 
 func (lang) Notation() automata.Notation {
-	return automata.Notation{Open: "(", Close: ")", Epsilon: "()"}
+	return automata.Notation{Open: "(", Close: ")", Epsilon: "()", Seq: " ", Or: " | "}
 }
 
 // Expr is a node of the ℓ-RPQ AST.

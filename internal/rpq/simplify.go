@@ -1,6 +1,9 @@
 package rpq
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Simplify applies language-preserving algebraic rewrites bottom-up until a
 // fixpoint. This is the "automata-aware" rewriting the paper advocates in
@@ -30,7 +33,7 @@ func simplifyOnce(e Expr) Expr {
 	case NotIn:
 		set := append([]string(nil), n.Set...)
 		sort.Strings(set)
-		return NotIn{Set: dedupStrings(set)}
+		return NotIn{Set: slices.Compact(set)}
 	case Concat:
 		var parts []Expr
 		for _, p := range n.Parts {
@@ -108,14 +111,4 @@ func simplifyOnce(e Expr) Expr {
 	default:
 		return e
 	}
-}
-
-func dedupStrings(ls []string) []string {
-	out := ls[:0]
-	for i, l := range ls {
-		if i == 0 || l != ls[i-1] {
-			out = append(out, l)
-		}
-	}
-	return out
 }
