@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
@@ -248,5 +253,77 @@ func TestEngineGQLMatch(t *testing.T) {
 	}
 	if _, err := e.GQLMatch("-["); err == nil {
 		t.Error("bad pattern should fail")
+	}
+}
+
+// TestParseGQLPositionsBound: a served gql or coregql pattern whose
+// skeleton unrolls past rpq.MaxPositions positions — node and edge atoms,
+// repetitions unrolled, a condition's subpattern included — is refused
+// before it is evaluated; a megabyte-long concatenation or union is refused
+// by the parser at its 513th part, within 100ms.
+func TestParseGQLPositionsBound(t *testing.T) {
+	for _, text := range []string{"(()-[:a]->()){169}", strings.Repeat("-->", rpq.MaxPositions), "((x) WHERE x.k = 1){511}"} {
+		if _, err := parseGQL(text); err != nil {
+			t.Errorf("%.40q: %v", text, err)
+		}
+	}
+	unrolls := func(n int) string { return fmt.Sprintf("it unrolls to %d automaton positions, the bound is 512", n) }
+	row := "a row of 513 parts compiles to at least as many automaton positions, the bound is 512"
+	for _, tc := range []struct {
+		text, want string
+	}{
+		{"(()-[:a]->()){171}", unrolls(516)},
+		{"(()-[:a]->()){4000}", unrolls(12003)},
+		{"((x) WHERE x.k = 1){512}", unrolls(513)},
+		{"(x){100}(y){100}{100}", unrolls(10302)},
+		{strings.Repeat("-[:a]->", 1<<17), row},
+		{"(x)" + strings.Repeat(" | (x)", 1<<17), row},
+		{strings.Repeat("((x)-->)", 1<<16), row},
+	} {
+		start := time.Now()
+		_, err := parseGQL(tc.text)
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%.40q: refused after %v, want under 100ms", tc.text, took)
+		}
+		if want := tc.want; !errors.Is(err, rpq.ErrTooLarge) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%.40q: %v, want %q", tc.text, err, want)
+		}
+	}
+}
+
+// TestGQLNonASCIINames: the gql lexer reads UTF-8, so a letter outside
+// ASCII starts a name and any other character is a one-character name:
+// such patterns match as their ASCII renamings do, served under both
+// pattern languages.
+func TestGQLNonASCIINames(t *testing.T) {
+	e := New(gen.BankEdgeLabeled())
+	for _, lang := range []string{"gql", "coregql"} {
+		for _, tc := range []struct {
+			text, ascii string
+			names       []string // old, new pairs
+		}{
+			{"(é)-[ü:Transfer]->(ÿ)", "(x)-[y:Transfer]->(z)", []string{"  x=", "  é=", "  y=", "  ü=", "  z=", "  ÿ="}},
+			{"(©)-[:Transfer]->()-->(Ω)", "(a)-[:Transfer]->()-->(b)", []string{"  a=", "  ©=", "  b=", "  Ω="}},
+		} {
+			text, ascii := tc.text, tc.ascii
+			if lang == "coregql" {
+				text, ascii = strings.ReplaceAll(text, ":Transfer", ""), strings.ReplaceAll(ascii, ":Transfer", "")
+			}
+			got, err := e.QueryCtx(context.Background(), Request{Query: text, Lang: lang})
+			if err != nil {
+				t.Fatalf("%s %s: %v", lang, text, err)
+			}
+			want, err := e.QueryCtx(context.Background(), Request{Query: ascii, Lang: lang})
+			if err != nil {
+				t.Fatalf("%s %s: %v", lang, ascii, err)
+			}
+			renamed := strings.NewReplacer(tc.names...)
+			for i := range want.Matches {
+				want.Matches[i] = renamed.Replace(want.Matches[i])
+			}
+			if len(got.Matches) == 0 || !slices.Equal(got.Matches, want.Matches) {
+				t.Errorf("%s %s: %d matches %q, want %q", lang, text, len(got.Matches), got.Matches, want.Matches)
+			}
+		}
 	}
 }
