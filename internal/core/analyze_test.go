@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"graphquery/internal/gen"
@@ -274,5 +275,45 @@ func TestAnalyzeEarlyStopCarriesNoEstimate(t *testing.T) {
 	}
 	if k := kernelNode(root); k == nil || k.Estimate <= 0 || k.QError < 1 {
 		t.Errorf("full run's kernel node %+v, want an estimate and a q-error", k)
+	}
+}
+
+// TestAnalyzeWarmCondensation: the first analyzed all-pairs call that
+// condenses rents batch 0 on the level loop and then builds; every later
+// call on the cached plan runs all of its sources on the condensation the
+// first one kept. The warm tree reports that condensation — the same
+// states, components, DAG edges and largest component — with every source in
+// its block, no levels, no frontier, and no build among its edges, while
+// the answer, the states and the sweep count stay the cold call's.
+func TestAnalyzeWarmCondensation(t *testing.T) {
+	e := New(gen.ScaleFree(400, 3, 7))
+	e.Parallelism = 2
+	run := func() (*AnnotatedPlan, int) {
+		resp, err := e.Query(Request{Query: "a* b a", Analyze: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Analyze == nil || resp.Analyze.Sweep == nil || resp.Analyze.Sweep.Condensed == nil {
+			t.Fatalf("no condensed sweep telemetry: %+v", resp.Analyze)
+		}
+		return resp.Analyze, resp.Count()
+	}
+	cold, coldRows := run()
+	warm, warmRows := run()
+	cs, ws := cold.Sweep, warm.Sweep
+	if len(cs.Levels) == 0 || cs.PeakFrontier == 0 || cs.Condensed.Sources >= cs.Sweeps {
+		t.Fatalf("cold call: %+v (condensed %+v), want batch 0 on the level loop", cs, *cs.Condensed)
+	}
+	kept := *cs.Condensed
+	kept.Sources = cs.Sweeps
+	if *ws.Condensed != kept || len(ws.Levels) != 0 || ws.PeakFrontier != 0 || ws.Alpha != 0 {
+		t.Fatalf("warm call: %+v (condensed %+v), want every source on the kept condensation %+v", ws, *ws.Condensed, kept)
+	}
+	if warmRows != coldRows || ws.Sweeps != cs.Sweeps || ws.States != cs.States || ws.Edges >= cs.Edges {
+		t.Fatalf("warm call: %d rows, %d sweeps, %d states, %d edges; cold: %d, %d, %d, %d",
+			warmRows, ws.Sweeps, ws.States, ws.Edges, coldRows, cs.Sweeps, cs.States, cs.Edges)
+	}
+	if again, _ := run(); !reflect.DeepEqual(again.Sweep, ws) {
+		t.Fatalf("second warm call: %+v, first read %+v", again.Sweep, ws)
 	}
 }

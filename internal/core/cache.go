@@ -60,14 +60,30 @@ func newPlanCache(capacity int) *planCache {
 // blanks are data, and telling inside from outside is each language's
 // business. Everything else keeps its spelling. (strings.Fields is not this
 // function: \v, \f and U+0085 are spaces to it and label characters to the
-// RPQ lexer, so `a\vb` used to be answered from the plan of `a b`.)
+// RPQ lexer, so `a\vb` used to be answered from the plan of `a b`.) The
+// blanks are ASCII, so one pass over the bytes finds them: the key of a
+// 1 MiB body costs one copy of it, however many blanks it holds, and a text
+// the parser refuses early is refused in time.
 func normalizeQuery(query string) string {
 	if strings.ContainsAny(query, `'"`) {
 		return query
 	}
-	return strings.Join(strings.FieldsFunc(query, func(r rune) bool {
-		return r == ' ' || r == '\t' || r == '\n' || r == '\r'
-	}), " ")
+	var b strings.Builder
+	b.Grow(len(query))
+	blank := false // blanks were skipped since the last byte written
+	for i := 0; i < len(query); i++ {
+		switch c := query[i]; c {
+		case ' ', '\t', '\n', '\r':
+			blank = b.Len() > 0
+		default:
+			if blank {
+				b.WriteByte(' ')
+				blank = false
+			}
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
 }
 
 // planKey normalizes a query string (normalizeQuery) and namespaces it by

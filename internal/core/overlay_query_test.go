@@ -125,3 +125,51 @@ func sortPairs(prs [][2]graph.NodeID, err error) (any, error) {
 	sort.Strings(out)
 	return out, nil
 }
+
+// TestCondensationKeptPerRevision: an all-pairs query that condenses its
+// product keeps the condensation on the cached plan's kernel, so repeating
+// it builds nothing; a new graph revision compiles a new kernel, whose first
+// call builds again — over the overlay, tombstones and all — and answers
+// what the materialized graph answers.
+func TestCondensationKeptPerRevision(t *testing.T) {
+	const q = "a* b a"
+	base := gen.ScaleFree(400, 3, 7)
+	e := New(base)
+	e.Parallelism = 2
+	built := func() int64 { return e.RuntimeStats().CondensationsBuilt }
+	for run := 0; run < 3; run++ {
+		if _, err := e.Pairs(q); err != nil {
+			t.Fatal(err)
+		}
+		if n := built(); n != 1 {
+			t.Fatalf("run %d on one revision: %d condensations built, want 1", run, n)
+		}
+	}
+
+	over, err := base.Apply([]graph.Mutation{
+		{Op: graph.MutRemoveNode, ID: "n5"},
+		{Op: graph.MutAddEdge, ID: "z0", Label: "a", Src: "n1", Tgt: "n300"},
+		{Op: graph.MutAddEdge, ID: "z1", Label: "b", Src: "n300", Tgt: "n2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := over.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := sortPairs(New(mat).Pairs(q))
+	e.SetGraph(over, e.GraphRev()+1)
+	for run := 0; run < 3; run++ {
+		got, err := sortPairs(e.Pairs(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d on the new revision: the overlay's answer differs from the materialized graph's", run)
+		}
+		if n := built(); n != 2 {
+			t.Fatalf("run %d on the new revision: %d condensations built, want one more than the first revision's", run, n)
+		}
+	}
+}

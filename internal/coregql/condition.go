@@ -54,11 +54,12 @@ type LabelIs struct {
 // HasLabel returns the condition ℓ(x).
 func HasLabel(x, label string) Condition { return LabelIs{X: x, Label: label} }
 
-// And is θ ∧ θ'.
-type And struct{ L, R Condition }
+// And is θ₁ ∧ … ∧ θₙ: a chain of conjuncts is one flat node, so holding
+// and printing it recurse once, however long it is.
+type And []Condition
 
-// Or is θ ∨ θ'.
-type Or struct{ L, R Condition }
+// Or is θ₁ ∨ … ∨ θₙ, flat like And.
+type Or []Condition
 
 // Not is ¬θ.
 type Not struct{ Sub Condition }
@@ -97,9 +98,23 @@ func literal(v graph.Value) string {
 var literalEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
 
 func (c LabelIs) String() string { return fmt.Sprintf("%s(%s)", c.Label, c.X) }
-func (c And) String() string     { return "(" + c.L.String() + " AND " + c.R.String() + ")" }
-func (c Or) String() string      { return "(" + c.L.String() + " OR " + c.R.String() + ")" }
+func (c And) String() string     { return join(c, " AND ") }
+func (c Or) String() string      { return join(c, " OR ") }
 func (c Not) String() string     { return "NOT " + c.Sub.String() }
+
+// join prints a chain's terms between parentheses, sep between each two.
+func join(terms []Condition, sep string) string {
+	var sb strings.Builder
+	sb.WriteByte('(')
+	for i, c := range terms {
+		if i > 0 {
+			sb.WriteString(sep)
+		}
+		sb.WriteString(c.String())
+	}
+	sb.WriteByte(')')
+	return sb.String()
+}
 
 // Holds implements Condition.
 func (c PropCmp) Holds(g *graph.Graph, b map[string]graph.Object) bool {
@@ -138,12 +153,22 @@ func (c LabelIs) Holds(g *graph.Graph, b map[string]graph.Object) bool {
 
 // Holds implements Condition.
 func (c And) Holds(g *graph.Graph, b map[string]graph.Object) bool {
-	return c.L.Holds(g, b) && c.R.Holds(g, b)
+	for _, t := range c {
+		if !t.Holds(g, b) {
+			return false
+		}
+	}
+	return true
 }
 
 // Holds implements Condition.
 func (c Or) Holds(g *graph.Graph, b map[string]graph.Object) bool {
-	return c.L.Holds(g, b) || c.R.Holds(g, b)
+	for _, t := range c {
+		if t.Holds(g, b) {
+			return true
+		}
+	}
+	return false
 }
 
 // Holds implements Condition.
@@ -162,12 +187,19 @@ func condVars(c Condition) []string {
 	case LabelIs:
 		return []string{n.X}
 	case And:
-		return append(condVars(n.L), condVars(n.R)...)
+		return chainVars(n)
 	case Or:
-		return append(condVars(n.L), condVars(n.R)...)
+		return chainVars(n)
 	case Not:
 		return condVars(n.Sub)
 	default:
 		return nil
 	}
+}
+
+func chainVars(terms []Condition) (vs []string) {
+	for _, c := range terms {
+		vs = append(vs, condVars(c)...)
+	}
+	return vs
 }

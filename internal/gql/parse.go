@@ -431,46 +431,52 @@ func (p *pparser) parseVarLabel(closeKind ptkind, close string) (varName, label 
 	return varName, label, nil
 }
 
-// Condition grammar: or-expr of and-exprs of (possibly negated) atoms.
+// Condition grammar: or-expr of and-exprs of (possibly negated) atoms. A
+// chain of ORs or of ANDs is one flat node of at most rpq.MaxPositions terms
+// (rpq.PartsError), and a NOT counts toward rpq.MaxNesting like a group, so
+// what Holds and String recurse through is bounded by the nesting bound, not
+// by the text's length.
 func (p *pparser) parseCondition() (coregql.Condition, error) {
-	left, err := p.parseCondAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == ptOr {
-		p.next()
-		right, err := p.parseCondAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = coregql.Or{L: left, R: right}
-	}
-	return left, nil
+	return p.parseChain(ptOr, p.parseCondAnd, func(ts []coregql.Condition) coregql.Condition { return coregql.Or(ts) })
 }
 
 func (p *pparser) parseCondAnd() (coregql.Condition, error) {
-	left, err := p.parseCondAtom()
-	if err != nil {
-		return nil, err
+	return p.parseChain(ptAnd, p.parseCondAtom, func(ts []coregql.Condition) coregql.Condition { return coregql.And(ts) })
+}
+
+// parseChain reads term (sep term)* and returns the one term, or the chain
+// of them as node.
+func (p *pparser) parseChain(sep ptkind, term func() (coregql.Condition, error), node func([]coregql.Condition) coregql.Condition) (coregql.Condition, error) {
+	first, err := term()
+	if err != nil || p.tok.kind != sep {
+		return first, err
 	}
-	for p.tok.kind == ptAnd {
+	terms := []coregql.Condition{first}
+	for p.tok.kind == sep {
 		p.next()
-		right, err := p.parseCondAtom()
+		if err := p.parts(len(terms) + 1); err != nil {
+			return nil, err
+		}
+		t, err := term()
 		if err != nil {
 			return nil, err
 		}
-		left = coregql.And{L: left, R: right}
+		terms = append(terms, t)
 	}
-	return left, nil
+	return node(terms), nil
 }
 
 func (p *pparser) parseCondAtom() (coregql.Condition, error) {
 	if p.tok.kind == ptNot {
+		if p.depth++; p.depth > rpq.MaxNesting {
+			return nil, p.errorf("groups and negations nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		}
 		p.next()
 		sub, err := p.parseCondAtom()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return coregql.Not{Sub: sub}, nil
 	}
 	if p.tok.kind == ptLParen {

@@ -243,6 +243,40 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConditionChainsAreBounded: an AND or OR chain is one flat node of at
+// most rpq.MaxPositions terms, printed as it was written, and every NOT
+// counts toward rpq.MaxNesting with the groups around it — the pattern's own
+// parentheses are the first.
+func TestConditionChainsAreBounded(t *testing.T) {
+	g := gen.BankProperty()
+	for _, op := range []string{" AND ", " OR "} {
+		chain := func(n int) string {
+			return "((x) WHERE " + strings.Repeat("x.owner = 'Mike'"+op, n-1) + "x.owner = 'Mike')"
+		}
+		p, err := ParsePattern(chain(rpq.MaxPositions))
+		if err != nil {
+			t.Fatalf("%d terms of%s: %v", rpq.MaxPositions, op, err)
+		}
+		_, cond := p.(CondP).Where()
+		if want := "(" + strings.Repeat("x.owner = 'Mike'"+op, rpq.MaxPositions-1) + "x.owner = 'Mike')"; cond.String() != want {
+			t.Fatalf("%d terms of%s print as %.80q…, want one flat chain", rpq.MaxPositions, op, cond)
+		}
+		if ms, err := EvalPattern(g, p, Options{}); err != nil || len(ms) != 1 {
+			t.Fatalf("%d terms of%s: %d matches (%v), want Mike's account", rpq.MaxPositions, op, len(ms), err)
+		}
+		if _, err := ParsePattern(chain(rpq.MaxPositions + 1)); !errors.Is(err, rpq.ErrTooLarge) || !strings.Contains(err.Error(), "513 parts") {
+			t.Fatalf("%d terms of%s: got %v, want a row of 513 parts refused", rpq.MaxPositions+1, op, err)
+		}
+	}
+	negated := func(n int) string { return "((x) WHERE " + strings.Repeat("NOT ", n) + "x.owner = 'Mike')" }
+	if _, err := ParsePattern(negated(rpq.MaxNesting - 1)); err != nil {
+		t.Fatalf("%d NOTs in a group: %v", rpq.MaxNesting-1, err)
+	}
+	if _, err := ParsePattern(negated(rpq.MaxNesting)); err == nil || !strings.Contains(err.Error(), "nest 1001 deep") {
+		t.Fatalf("%d NOTs in a group: got %v, want it refused past the nesting bound", rpq.MaxNesting, err)
+	}
+}
+
 // TestStringLinear: a long chain prints in time linear in its length — a
 // left-deep chain of binary nodes printed 100 000 edges in 16 s.
 func TestStringLinear(t *testing.T) {

@@ -3,35 +3,56 @@ package pg
 import (
 	"math"
 	mathbits "math/bits"
+	"slices"
 	"sync"
 )
 
 // This file is the second way an all-sources call can finish (DESIGN §20).
 // An all-pairs answer is reachability in the product G × A, and all states
 // of one strongly connected component of the product have the same answer;
-// so a call that has enough batches left condenses the reachable product
-// once — components numbered in topological order, the DAG between them in
-// CSR form — and every later batch walks that DAG in rank order, one word
-// of sources per component, each component exactly once. The condensation
-// is built per call in pooled scratch and returned to the pool when the
-// call ends: nothing is kept on the kernel, the plan or the graph.
+// so the product reachable from every live node is condensed once —
+// components numbered in topological order, the DAG between them in CSR
+// form — and every batch walks that DAG in rank order, one word of sources
+// per component, each component exactly once. The condensation is a
+// function of the graph revision and the automaton, which is what a kernel
+// is: the first SweepAll that buys it builds it in pooled scratch, keeps
+// what the batches read on the kernel (Kernel.condensed), and returns the
+// scratch to the pool; every later SweepAll on the kernel runs all of its
+// batches on it.
 
 // minCondensedBatches is the number of batches that must remain after batch
 // 0 for a call to consider condensing. The build scans every reachable
 // product edge once, writes it down and walks it twice more; its worst case
 // is a clique, where a level-loop batch scans each edge about once and a
 // condensed batch costs nothing, and there it pays for itself when six
-// batches follow (BenchmarkSweepAll: clique-300 has five left and stays on
-// the level loop, clique-330 has six and must not lose).
+// batches follow (BenchmarkSweepAll's cold rows: clique-300 has five left
+// and stays on the level loop, clique-330 has six and must not lose).
 const minCondensedBatches = 6
 
-// condensation is the condensed reachable product of one call. The build
-// numbers reached product states densely (ids), so apart from num — the one
-// slab over the whole product, cleared by replaying ids like a batch's —
-// every array is sized by what was reached. After the build only num, comp
-// and the per-component arrays are read, by every worker, and never
-// written.
+// condensation is the condensed reachable product of one kernel, reduced to
+// what sweepCondensed reads: per source the ranks its start states enter,
+// and per rank the component's size, successors and accepting nodes. It is
+// built once, published on the kernel, and then read by every worker of
+// every call and never written.
 type condensation struct {
+	starts  []int32 // starts[u*len(k.starts)+j]: rank of (u, k.starts[j]); unset for a tombstoned u
+	size    []int32 // states in the component
+	succOff []int32
+	succ    []int32 // successor ranks, deduplicated; every one higher than its component's
+	accOff  []int32
+	accNode []int32 // graph nodes with an accepting state in the component (may repeat)
+
+	states  int64 // product states reachable from some source
+	largest int32
+}
+
+// condScratch is the working state of one build. The build numbers reached
+// product states densely (ids), so apart from num — the one slab over the
+// whole product, cleared by replaying ids like a batch's — every array is
+// sized by what was reached. None of it outlives the build: freeze copies
+// what the batches read into a condensation, and the scratch goes back to
+// condPool.
+type condScratch struct {
 	num []int32 // per product state: 1 + its number, 0 if not reached
 	ids []int32 // number → product state, in numbering order
 	off []int32 // adj[off[i]:off[i+1]] are the successors of number i
@@ -48,11 +69,11 @@ type condensation struct {
 
 	// The component DAG, by rank: every edge points to a higher rank.
 	comp    []int32 // per number: its component's rank
-	size    []int32 // states in the component
+	size    []int32
 	succOff []int32
-	succ    []int32 // successor ranks, deduplicated
+	succ    []int32
 	accOff  []int32
-	accNode []int32 // graph nodes with an accepting state in the component (may repeat)
+	accNode []int32
 	mark    []int32 // succ deduplication: last rank that listed this one, plus one
 
 	limit   int   // states the build may number
@@ -65,13 +86,13 @@ type tarjanFrame struct {
 	v, next int32 // number, cursor into adj
 }
 
-var condPool sync.Pool // of *condensation
+var condPool sync.Pool // of *condScratch
 
-func getCondensation() *condensation {
-	if cd, ok := condPool.Get().(*condensation); ok {
-		return cd
+func getCondScratch() *condScratch {
+	if cs, ok := condPool.Get().(*condScratch); ok {
+		return cs
 	}
-	return &condensation{}
+	return &condScratch{}
 }
 
 // grow returns s with length n, reusing its array when it is large enough;
@@ -83,11 +104,12 @@ func grow(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// cyclic reports whether the automaton, as resolved against the graph, has
+// hasCycle reports whether the automaton, as resolved against the graph, has
 // a cycle reachable from its start states. Without one the product is a DAG
 // no deeper than the automaton: a batch scans a state at most that many
-// times and there is nothing to collapse.
-func (k *Kernel) cyclic() bool {
+// times and there is nothing to collapse. NewKernel asks once and keeps the
+// answer (Kernel.cyclic).
+func (k *Kernel) hasCycle() bool {
 	color := make([]uint8, k.nq) // 0 unseen, 1 on the current path, 2 done
 	for _, q := range k.starts {
 		if color[q] == 0 && k.cycleFrom(q, color) {
@@ -121,64 +143,106 @@ func (k *Kernel) cycleFrom(q int, color []uint8) bool {
 // than metered work already done, a states budget bounds the build as it
 // bounds the sweep, and the choice depends on counts only. The meter is
 // polled every CheckInterval states; an error leaves nothing behind.
+//
+// A complete build is published on the kernel for every later call. Cold
+// calls that race each build one; the first to publish wins, and the others
+// run on the winner's, which is the same condensation.
 func (k *Kernel) condense(charged int64, mt *Meter) (*condensation, error) {
 	if int64(k.g.NumLiveNodes())*int64(len(k.starts)) > charged {
 		return nil, nil // the roots alone are more than was charged
 	}
-	cd := getCondensation()
-	ok, err := cd.build(k, int(min(charged, int64(k.NumProductStates()))), mt)
-	k.payRent(cd.rented)
+	cs := getCondScratch()
+	defer condPool.Put(cs)
+	ok, err := cs.build(k, int(min(charged, int64(k.NumProductStates()))), mt)
+	k.payRent(cs.rented)
 	if !ok || err != nil {
-		condPool.Put(cd)
 		return nil, err
 	}
-	k.c.addCondensationBuilt()
-	k.c.AddEdges(cd.edges)
-	mt.SweepStatsSink().RecordCondensation(int64(len(cd.ids)), int64(len(cd.size)), int64(len(cd.succ)), int64(cd.largest), cd.edges)
+	cd := cs.freeze(k)
+	if k.condensed.CompareAndSwap(nil, cd) {
+		k.c.addCondensationBuilt()
+	} else {
+		cd = k.condensed.Load()
+	}
+	k.c.AddEdges(cs.edges)
+	cd.record(mt, cs.edges)
 	return cd, nil
+}
+
+// record reports the condensation a call runs on to its analyze sink, with
+// the adjacency entries the call examined building it: none when it was
+// kept from an earlier call.
+func (cd *condensation) record(mt *Meter, edges int64) {
+	mt.SweepStatsSink().RecordCondensation(cd.states, int64(len(cd.size)), int64(len(cd.succ)), int64(cd.largest), edges)
+}
+
+// freeze copies out of a complete build what the batches read, each array
+// at its exact length: the DAG by rank, and, in place of num and comp, the
+// rank every source's start states enter.
+func (cs *condScratch) freeze(k *Kernel) *condensation {
+	nq, ns := k.nq, len(k.starts)
+	cd := &condensation{
+		starts:  make([]int32, k.g.NumNodes()*ns),
+		size:    slices.Clone(cs.size),
+		succOff: slices.Clone(cs.succOff),
+		succ:    slices.Clone(cs.succ),
+		accOff:  slices.Clone(cs.accOff),
+		accNode: slices.Clone(cs.accNode),
+		states:  int64(len(cs.ids)),
+		largest: cs.largest,
+	}
+	for u := 0; u < k.g.NumNodes(); u++ {
+		if !k.g.NodeAlive(u) {
+			continue
+		}
+		for j, q := range k.starts {
+			cd.starts[u*ns+j] = cs.comp[cs.num[u*nq+q]-1]
+		}
+	}
+	return cd
 }
 
 // build runs the three passes — reach, Tarjan, DAG — and reports whether
 // the condensation is complete: false when numbering would pass limit.
-func (cd *condensation) build(k *Kernel, limit int, mt *Meter) (bool, error) {
-	for _, id := range cd.ids {
-		cd.num[id] = 0
+func (cs *condScratch) build(k *Kernel, limit int, mt *Meter) (bool, error) {
+	for _, id := range cs.ids {
+		cs.num[id] = 0
 	}
-	cd.ids, cd.adj, cd.limit, cd.edges, cd.rented, cd.largest = cd.ids[:0], cd.adj[:0], limit, 0, 0, 0
-	if total := k.NumProductStates(); len(cd.num) < total {
-		cd.num = make([]int32, total)
+	cs.ids, cs.adj, cs.limit, cs.edges, cs.rented, cs.largest = cs.ids[:0], cs.adj[:0], limit, 0, 0, 0
+	if total := k.NumProductStates(); len(cs.num) < total {
+		cs.num = make([]int32, total)
 	}
-	if ok, err := cd.reach(k, mt); !ok || err != nil {
+	if ok, err := cs.reach(k, mt); !ok || err != nil {
 		return false, err
 	}
-	if err := cd.tarjan(mt); err != nil {
+	if err := cs.tarjan(mt); err != nil {
 		return false, err
 	}
-	return true, cd.dag(k, mt)
+	return true, cs.dag(k, mt)
 }
 
 // number returns the number of product state id, giving it the next one if
 // it is new; ok is false when that would pass the limit. The list append
 // precedes the slab write it names, so ids covers num whatever stops the
 // build.
-func (cd *condensation) number(id int) (n int32, ok bool) {
-	if n = cd.num[id]; n == 0 {
-		if len(cd.ids) >= cd.limit {
+func (cs *condScratch) number(id int) (n int32, ok bool) {
+	if n = cs.num[id]; n == 0 {
+		if len(cs.ids) >= cs.limit {
 			return 0, false
 		}
-		cd.ids = append(cd.ids, int32(id))
-		n = int32(len(cd.ids))
-		cd.num[id] = n
+		cs.ids = append(cs.ids, int32(id))
+		n = int32(len(cs.ids))
+		cs.num[id] = n
 	}
 	return n - 1, true
 }
 
 // link writes product state id down as a successor of the state being
 // scanned, numbering it if it is new; false when that would pass the limit.
-func (cd *condensation) link(id int) bool {
-	n, ok := cd.number(id)
+func (cs *condScratch) link(id int) bool {
+	n, ok := cs.number(id)
 	if ok {
-		cd.adj = append(cd.adj, n)
+		cs.adj = append(cs.adj, n)
 	}
 	return ok
 }
@@ -187,7 +251,7 @@ func (cd *condensation) link(id int) bool {
 // node and records its successors, scanning each state's adjacency once
 // through the same three paths as sweepBatch: dense ok table, bought
 // neighbor table, rented label index.
-func (cd *condensation) reach(k *Kernel, mt *Meter) (bool, error) {
+func (cs *condScratch) reach(k *Kernel, mt *Meter) (bool, error) {
 	g, nq := k.g, k.nq
 	tb := k.tables.Load()
 	for u := 0; u < g.NumNodes(); u++ {
@@ -195,19 +259,19 @@ func (cd *condensation) reach(k *Kernel, mt *Meter) (bool, error) {
 			continue
 		}
 		for _, q := range k.starts {
-			if _, ok := cd.number(u*nq + q); !ok {
+			if _, ok := cs.number(u*nq + q); !ok {
 				return false, nil
 			}
 		}
 	}
-	cd.off = append(cd.off[:0], 0)
-	for i := 0; i < len(cd.ids); i++ {
+	cs.off = append(cs.off[:0], 0)
+	for i := 0; i < len(cs.ids); i++ {
 		if i%CheckInterval == 0 {
 			if err := mt.Check(); err != nil {
 				return false, err
 			}
 		}
-		id := int(cd.ids[i])
+		id := int(cs.ids[i])
 		v := id / nq
 		ft := tb.ft[id-v*nq]
 		for ti := range ft {
@@ -217,7 +281,7 @@ func (cd *condensation) reach(k *Kernel, mt *Meter) (bool, error) {
 				if t.in {
 					adj = g.In(v)
 				}
-				cd.edges += int64(len(adj))
+				cs.edges += int64(len(adj))
 				for _, ei := range adj {
 					if !t.ok[g.EdgeLabelID(ei)] {
 						continue
@@ -226,7 +290,7 @@ func (cd *condensation) reach(k *Kernel, mt *Meter) (bool, error) {
 					if t.in {
 						w = g.EdgeSrc(ei)
 					}
-					if !cd.link(w*nq + t.state) {
+					if !cs.link(w*nq + t.state) {
 						return false, nil
 					}
 				}
@@ -235,9 +299,9 @@ func (cd *condensation) reach(k *Kernel, mt *Meter) (bool, error) {
 			for li, lid := range t.labels {
 				if la := t.adjs[li]; la != nil {
 					tos := la.Neighbors(v)
-					cd.edges += int64(len(tos))
+					cs.edges += int64(len(tos))
 					for _, w := range tos {
-						if !cd.link(int(w)*nq + t.state) {
+						if !cs.link(int(w)*nq + t.state) {
 							return false, nil
 						}
 					}
@@ -247,23 +311,23 @@ func (cd *condensation) reach(k *Kernel, mt *Meter) (bool, error) {
 				if t.in {
 					adj = g.InWithLabel(v, lid)
 				}
-				cd.edges += int64(len(adj))
-				cd.rented += int64(len(adj)) + 1
+				cs.edges += int64(len(adj))
+				cs.rented += int64(len(adj)) + 1
 				for _, ei := range adj {
 					w := g.EdgeTgt(ei)
 					if t.in {
 						w = g.EdgeSrc(ei)
 					}
-					if !cd.link(w*nq + t.state) {
+					if !cs.link(w*nq + t.state) {
 						return false, nil
 					}
 				}
 			}
 		}
-		if len(cd.adj) > math.MaxInt32 {
+		if len(cs.adj) > math.MaxInt32 {
 			return false, nil // offsets are int32
 		}
-		cd.off = append(cd.off, int32(len(cd.adj)))
+		cs.off = append(cs.off, int32(len(cs.adj)))
 	}
 	return true, nil
 }
@@ -276,26 +340,26 @@ const closed = math.MaxInt32
 // iteratively. Components close in reverse topological order — one closes
 // only after everything it reaches — and comp holds the closing order until
 // dag turns it into ranks.
-func (cd *condensation) tarjan(mt *Meter) error {
-	r := len(cd.ids)
-	cd.idx, cd.low, cd.comp = grow(cd.idx, r), grow(cd.low, r), grow(cd.comp, r)
-	clear(cd.idx)
-	cd.stack, cd.frames, cd.order, cd.first = cd.stack[:0], cd.frames[:0], cd.order[:0], cd.first[:0]
-	idx, low, off, adj := cd.idx, cd.low, cd.off, cd.adj
+func (cs *condScratch) tarjan(mt *Meter) error {
+	r := len(cs.ids)
+	cs.idx, cs.low, cs.comp = grow(cs.idx, r), grow(cs.low, r), grow(cs.comp, r)
+	clear(cs.idx)
+	cs.stack, cs.frames, cs.order, cs.first = cs.stack[:0], cs.frames[:0], cs.order[:0], cs.first[:0]
+	idx, low, off, adj := cs.idx, cs.low, cs.off, cs.adj
 	var counter int32
 	push := func(v int32) {
 		counter++
 		idx[v], low[v] = counter, counter
-		cd.stack = append(cd.stack, v)
-		cd.frames = append(cd.frames, tarjanFrame{v, off[v]})
+		cs.stack = append(cs.stack, v)
+		cs.frames = append(cs.frames, tarjanFrame{v, off[v]})
 	}
 	for root := int32(0); int(root) < r; root++ {
 		if idx[root] != 0 {
 			continue
 		}
 		push(root)
-		for len(cd.frames) > 0 {
-			f := &cd.frames[len(cd.frames)-1]
+		for len(cs.frames) > 0 {
+			f := &cs.frames[len(cs.frames)-1]
 			v := f.v
 			if f.next < off[v+1] {
 				w := adj[f.next]
@@ -312,22 +376,22 @@ func (cd *condensation) tarjan(mt *Meter) error {
 				}
 				continue
 			}
-			cd.frames = cd.frames[:len(cd.frames)-1]
+			cs.frames = cs.frames[:len(cs.frames)-1]
 			if low[v] == idx[v] {
-				t := int32(len(cd.first))
-				cd.first = append(cd.first, int32(len(cd.order)))
+				t := int32(len(cs.first))
+				cs.first = append(cs.first, int32(len(cs.order)))
 				for {
-					w := cd.stack[len(cd.stack)-1]
-					cd.stack = cd.stack[:len(cd.stack)-1]
-					cd.order = append(cd.order, w)
-					cd.comp[w], idx[w] = t, closed
+					w := cs.stack[len(cs.stack)-1]
+					cs.stack = cs.stack[:len(cs.stack)-1]
+					cs.order = append(cs.order, w)
+					cs.comp[w], idx[w] = t, closed
 					if w == v {
 						break
 					}
 				}
 			}
-			if len(cd.frames) > 0 {
-				if p := cd.frames[len(cd.frames)-1].v; low[v] < low[p] {
+			if len(cs.frames) > 0 {
+				if p := cs.frames[len(cs.frames)-1].v; low[v] < low[p] {
 					low[p] = low[v]
 				}
 			}
@@ -340,16 +404,16 @@ func (cd *condensation) tarjan(mt *Meter) error {
 // closed is rank 0, so every edge between components points to a higher
 // rank — and lists, per rank, the component's size, its distinct successor
 // ranks and the graph nodes of its accepting states.
-func (cd *condensation) dag(k *Kernel, mt *Meter) error {
-	r, c := len(cd.ids), len(cd.first)
-	cd.first = append(cd.first, int32(r))
-	for v := range cd.comp {
-		cd.comp[v] = int32(c-1) - cd.comp[v]
+func (cs *condScratch) dag(k *Kernel, mt *Meter) error {
+	r, c := len(cs.ids), len(cs.first)
+	cs.first = append(cs.first, int32(r))
+	for v := range cs.comp {
+		cs.comp[v] = int32(c-1) - cs.comp[v]
 	}
-	cd.size, cd.mark = grow(cd.size, c), grow(cd.mark, c)
-	clear(cd.mark)
-	cd.succOff, cd.accOff = append(cd.succOff[:0], 0), append(cd.accOff[:0], 0)
-	cd.succ, cd.accNode = cd.succ[:0], cd.accNode[:0]
+	cs.size, cs.mark = grow(cs.size, c), grow(cs.mark, c)
+	clear(cs.mark)
+	cs.succOff, cs.accOff = append(cs.succOff[:0], 0), append(cs.accOff[:0], 0)
+	cs.succ, cs.accNode = cs.succ[:0], cs.accNode[:0]
 	nq := k.nq
 	for rank := 0; rank < c; rank++ {
 		if rank%CheckInterval == 0 {
@@ -358,22 +422,22 @@ func (cd *condensation) dag(k *Kernel, mt *Meter) error {
 			}
 		}
 		t := c - 1 - rank
-		members := cd.order[cd.first[t]:cd.first[t+1]]
-		cd.size[rank] = int32(len(members))
-		cd.largest = max(cd.largest, int32(len(members)))
+		members := cs.order[cs.first[t]:cs.first[t+1]]
+		cs.size[rank] = int32(len(members))
+		cs.largest = max(cs.largest, int32(len(members)))
 		for _, v := range members {
-			for _, w := range cd.adj[cd.off[v]:cd.off[v+1]] {
-				if to := cd.comp[w]; int(to) != rank && cd.mark[to] != int32(rank)+1 {
-					cd.mark[to] = int32(rank) + 1
-					cd.succ = append(cd.succ, to)
+			for _, w := range cs.adj[cs.off[v]:cs.off[v+1]] {
+				if to := cs.comp[w]; int(to) != rank && cs.mark[to] != int32(rank)+1 {
+					cs.mark[to] = int32(rank) + 1
+					cs.succ = append(cs.succ, to)
 				}
 			}
-			if id := int(cd.ids[v]); k.accept[id%nq] {
-				cd.accNode = append(cd.accNode, int32(id/nq))
+			if id := int(cs.ids[v]); k.accept[id%nq] {
+				cs.accNode = append(cs.accNode, int32(id/nq))
 			}
 		}
-		cd.succOff = append(cd.succOff, int32(len(cd.succ)))
-		cd.accOff = append(cd.accOff, int32(len(cd.accNode)))
+		cs.succOff = append(cs.succOff, int32(len(cs.succ)))
+		cs.accOff = append(cs.accOff, int32(len(cs.accNode)))
 	}
 	return nil
 }
@@ -393,11 +457,10 @@ func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, idle int64, b *bat
 	b.reset(len(cd.size), k.g.NumNodes())
 	stopErr := b.charge(idle*int64(len(k.idleStarts)), mt)
 	seen, pend := b.seen, b.pend[:(len(cd.size)+63)/64]
-	nq := k.nq
+	ns := len(k.starts)
 	lo := len(pend)
 	for i, u := range srcs {
-		for _, q := range k.starts {
-			c := cd.comp[cd.num[u*nq+q]-1]
+		for _, c := range cd.starts[u*ns : (u+1)*ns] {
 			if seen[c] == 0 {
 				b.touched = append(b.touched, c)
 				pend[c>>6] |= 1 << uint(c&63)

@@ -60,7 +60,7 @@ func TestCondenseStopsAtChargedStates(t *testing.T) {
 		t.Fatalf("level loop after the stopped build: %d states, %d pairs; want %d, %d", m.States(), got, want, 40*40+360*360)
 	}
 
-	cd := getCondensation()
+	cd := getCondScratch()
 	for _, limit := range []int{399, 400, 648, 1199} {
 		ok, err := cd.build(k, limit, nil)
 		if ok || err != nil || len(cd.ids) > limit {
@@ -70,7 +70,7 @@ func TestCondenseStopsAtChargedStates(t *testing.T) {
 	if ok, err := cd.build(k, 1200, nil); !ok || err != nil {
 		t.Fatalf("limit 1200 on the stopped scratch: (%v, %v), want the whole condensation", ok, err)
 	}
-	fresh := &condensation{}
+	fresh := &condScratch{}
 	if ok, err := fresh.build(k, 1200, nil); !ok || err != nil {
 		t.Fatal(ok, err)
 	}
@@ -100,10 +100,11 @@ func TestCondensedBatchSlabsClearOnEntry(t *testing.T) {
 	g := gen.ScaleFree(400, 3, 5)
 	nfa := rpq.Compile(rpq.MustParse("a* b a*"))
 	k := NewKernel(g, FromNFA(g, nfa), nil)
-	cd := &condensation{}
-	if ok, err := cd.build(k, k.NumProductStates(), nil); !ok || err != nil {
+	cs := &condScratch{}
+	if ok, err := cs.build(k, k.NumProductStates(), nil); !ok || err != nil {
 		t.Fatal(ok, err)
 	}
+	cd := cs.freeze(k)
 	srcs := make([]int, batchWidth)
 	for i := range srcs {
 		srcs[i] = 100 + i

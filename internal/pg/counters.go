@@ -18,7 +18,7 @@ type Counters struct {
 	planParallel   atomic.Int64 // queries fanned out over >1 worker
 	planSequential atomic.Int64 // queries evaluated by a single worker
 	tablesBuilt    atomic.Int64 // neighbor tables built on a graph's chain at this kernel's request
-	condensations  atomic.Int64 // all-sources calls that condensed their product (condense.go)
+	condensations  atomic.Int64 // product condensations built and kept on a kernel (condense.go)
 	batchesRun     atomic.Int64 // batches of the all-sources driver that swept at least one source
 }
 
@@ -77,8 +77,8 @@ func (c *Counters) addNeighborTablesBuilt() {
 	}
 }
 
-// addCondensationBuilt records one all-sources call that built the
-// condensation of its product and finished on it.
+// addCondensationBuilt records one condensation of a product that an
+// all-sources call built and published on its kernel.
 func (c *Counters) addCondensationBuilt() {
 	if c != nil {
 		c.condensations.Add(1)

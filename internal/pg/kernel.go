@@ -38,12 +38,20 @@ type Kernel struct {
 	// that such a sweep finds nothing; nil when one does, and no source is
 	// idle (sweepall.go).
 	idleStarts []int
+	// cyclic says the automaton has a cycle reachable from a start state
+	// (hasCycle): only then can an all-sources call condense its product.
+	cyclic bool
 
 	// Sweep-loop transition tables (sweep.go): the current immutable
 	// snapshot, replaced under compileMu when a sweep first needs the
 	// reverse table or the graph's chain has neighbor tables to give it.
 	tables    atomic.Pointer[sweepTables]
 	compileMu sync.Mutex
+
+	// condensed is the product's condensation, published by the first
+	// SweepAll that builds one and read by every later call (condense.go);
+	// nil until then.
+	condensed atomic.Pointer[condensation]
 
 	// pool recycles Scratch values across sweeps (GetScratch/PutScratch),
 	// so warm queries stop reallocating O(product-states) buffers; betweens
@@ -77,6 +85,7 @@ func NewKernel(g *graph.Graph, sem Semantics, c *Counters) *Kernel {
 			k.idleStarts = append(k.idleStarts, q)
 		}
 	}
+	k.cyclic = k.hasCycle()
 	k.tables.Store(k.newTables(k.compile(false), nil))
 	return k
 }

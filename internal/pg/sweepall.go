@@ -25,8 +25,9 @@ import (
 // frontier word. A single source keeps running Kernel.Sweep — the loop
 // anchored reads always ran. The loop shares a scan only between sources
 // that reach a state in the same level; a SweepAll that can afford to
-// leaves it after its first batch for the product's condensation, where
-// there are no levels (condense.go, DESIGN §20).
+// runs on the product's condensation instead, where there are no levels:
+// after its first batch on a cold kernel, from the first batch on once the
+// kernel keeps one (condense.go, DESIGN §20).
 
 // batchWidth is the number of sources one batched sweep carries: the bits
 // of a machine word.
@@ -599,14 +600,15 @@ func (sl *sourceList) scan(bi int, buf *[batchWidth]int) (srcs []int, idle int64
 }
 
 // SweepAll runs the sweep from every node of the graph; see SweepFrom. It is
-// the one call that may finish on the product's condensation (condense.go):
+// the one call that may run on the product's condensation (condense.go):
 // when the automaton has a cycle and at least minCondensedBatches batches
-// follow the first, batch 0 runs here on the level loop and is emitted
-// before the fan-out starts, and the rest of the call is condensed if the
-// build fits under what batch 0 was charged — decided once, from the
-// automaton's shape and batch 0's own count, never from timing or the
-// worker count, so the pairs, their order and every count are the same
-// either way.
+// follow the first, a call on a kernel that keeps a condensation runs every
+// batch on it; otherwise batch 0 runs here on the level loop and is emitted
+// before the fan-out starts, and the rest of the call is condensed — and the
+// condensation kept — if the build fits under what batch 0 was charged.
+// That is decided from the automaton's shape and batch 0's own count, never
+// from timing or the worker count, so the pairs, their order and every count
+// are the same either way.
 func (k *Kernel) SweepAll(workers int, mt *Meter, chargeRows bool, emit func(Runs) error) error {
 	return k.sweepMany(sourceList{k: k, n: k.g.NumNodes()}, true, workers, mt, chargeRows, emit)
 }
@@ -698,13 +700,15 @@ func (k *Kernel) sweepMany(sl sourceList, all bool, workers int, mt *Meter, char
 	batches := len(sl.ends)
 	done := 0 // batches run before the fan-out
 	var cd *condensation
-	if all && batches-1 >= minCondensedBatches && k.cyclic() {
-		var err error
-		if cd, err = k.probe(&sl, mt, emit); err != nil {
-			return err
-		}
-		if done = 1; cd != nil {
-			defer condPool.Put(cd)
+	if all && batches-1 >= minCondensedBatches && k.cyclic {
+		if cd = k.condensed.Load(); cd != nil {
+			cd.record(mt, 0)
+		} else {
+			var err error
+			if cd, err = k.probe(&sl, mt, emit); err != nil {
+				return err
+			}
+			done = 1
 		}
 	}
 	return ForEachEmit(batches-done, workers, getBatch, putBatch, func(bi int, b *batch) (Runs, error) {
@@ -727,11 +731,12 @@ func (k *Kernel) runBatch(sl *sourceList, bi int, cd *condensation, b *batch, mt
 	return k.sweepBatch(tb, srcs, idle, b, mt)
 }
 
-// probe rents before the call may buy: it runs batch 0 on the level loop,
-// hands its pairs to emit — a streamed reply's first byte does not wait for
-// the build — and then tries to condense under what the batch was charged.
-// A nil condensation means the call stays on the level loop. It runs on the
-// caller's goroutine, so it contains panics the way the fan-out does.
+// probe rents before a cold kernel's call may buy: it runs batch 0 on the
+// level loop, hands its pairs to emit — a streamed reply's first byte does
+// not wait for the build — and then tries to condense under what the batch
+// was charged. A nil condensation means the call stays on the level loop. It
+// runs on the caller's goroutine, so it contains panics the way the fan-out
+// does; a panic leaves nothing published.
 func (k *Kernel) probe(sl *sourceList, mt *Meter, emit func(Runs) error) (cd *condensation, err error) {
 	defer recoverTo(func(e error) { cd, err = nil, e })
 	b := getBatch()

@@ -701,34 +701,46 @@ func TestSweepAllCancelWithinOneCheckInterval(t *testing.T) {
 // TestSweepAllBuildStoppedLeavesNothing: a cancel that lands inside the
 // build — after batch 0 has been emitted, three polls into numbering the
 // product — ends the call with nothing charged beyond batch 0 and nothing
-// built, and the call after it, on the same pooled scratch, is exact. So is
-// one after a panic in the consumer, which is contained whether it strikes
-// on the caller's goroutine (batch 0's emit) or under the fan-out (a
-// condensed batch's).
+// built or kept; the next call on that kernel, on the same pooled scratch,
+// builds once and is exact, and the one after it runs on what that call
+// kept and is exact. So is every call after a panic in the consumer, which
+// is contained whether it strikes on the caller's goroutine (a cold call's
+// batch 0 emit, before the build) or under the fan-out (a condensed batch's,
+// after it): the cold call builds and keeps exactly when the panic strikes
+// after the build, and a call on a kept condensation builds nothing.
 func TestSweepAllBuildStoppedLeavesNothing(t *testing.T) {
 	g := gen.Cycle(2000, "a")
 	var c pg.Counters
-	kern := pg.NewKernel(g, pg.FromNFA(g, mustRPQ(t, "a*")), &c)
-	exact := func(after string) {
+	fresh := func() *pg.Kernel { return pg.NewKernel(g, pg.FromNFA(g, mustRPQ(t, "a*")), &c) }
+	exact := func(kern *pg.Kernel, after string, builds int64) {
 		t.Helper()
 		before := c.Snapshot().CondensationsBuilt
 		rows := 0
 		err := kern.SweepAll(1, nil, true, func(part pg.Runs) error {
-			for i, pr := range appendPairs(nil, part) {
-				if want := [2]int{(rows + i) / 2000, (rows + i) % 2000}; pr != want {
-					t.Fatalf("after %s: row %d is %v, want %v", after, rows+i, pr, want)
+			// Row r is (r / 2000, r % 2000): every source reaches the whole
+			// cycle, and a call carries whole sources.
+			for i, u := range part.Src {
+				tgts := part.Targets(i)
+				if int(u) != rows/2000 || len(tgts) != 2000 {
+					t.Fatalf("after %s: row %d starts a run of %d targets from %d, want 2000 from %d", after, rows, len(tgts), u, rows/2000)
 				}
+				for v, got := range tgts {
+					if int(got) != v {
+						t.Fatalf("after %s: row %d is (%d, %d), want (%d, %d)", after, rows+v, u, got, u, v)
+					}
+				}
+				rows += len(tgts)
 			}
-			rows += part.Len()
 			return nil
 		})
-		if err != nil || rows != 2000*2000 || c.Snapshot().CondensationsBuilt != before+1 {
-			t.Fatalf("after %s: (%d rows, %v), %d condensations; want all %d rows from a condensed call", after, rows, err,
-				c.Snapshot().CondensationsBuilt-before, 2000*2000)
+		if err != nil || rows != 2000*2000 || c.Snapshot().CondensationsBuilt != before+builds {
+			t.Fatalf("after %s: (%d rows, %v), %d condensations built; want all %d rows and %d built", after, rows, err,
+				c.Snapshot().CondensationsBuilt-before, 2000*2000, builds)
 		}
 	}
-	exact("nothing")
+	exact(fresh(), "nothing", 1)
 
+	kern := fresh()
 	emitted, armedAt := 0, 0
 	ctx := &canceledWhen{Context: context.Background()}
 	ctx.when = func(polls int) bool { return armedAt > 0 && polls >= armedAt+3 }
@@ -742,22 +754,122 @@ func TestSweepAllBuildStoppedLeavesNothing(t *testing.T) {
 		t.Fatalf("cancel inside the build: %v, %d rows emitted, %d states, %d condensations; want ErrCanceled after batch 0 alone",
 			err, emitted, m.States(), c.Snapshot().CondensationsBuilt)
 	}
-	exact("a canceled build")
+	exact(kern, "a canceled build", 1)
+	exact(kern, "a kept condensation", 0)
 
 	for _, workers := range []int{1, 4} {
 		for _, strike := range []int{1, 3} { // batch 0's emit, a condensed batch's
-			calls := 0
-			err := kern.SweepAll(workers, nil, true, func(pg.Runs) error {
-				if calls++; calls == strike {
-					panic("boom")
+			kern := fresh()
+			for _, warm := range []bool{false, true} {
+				calls := 0
+				err := kern.SweepAll(workers, nil, true, func(pg.Runs) error {
+					if calls++; calls == strike {
+						panic("boom")
+					}
+					return nil
+				})
+				var panicked *pg.PanicError
+				if !errors.As(err, &panicked) || panicked.Value != "boom" || len(panicked.Stack) == 0 {
+					t.Fatalf("workers=%d warm=%v, panic in emit call %d: got %v, want the recovered panic", workers, warm, strike, err)
 				}
-				return nil
-			})
-			var panicked *pg.PanicError
-			if !errors.As(err, &panicked) || panicked.Value != "boom" || len(panicked.Stack) == 0 {
-				t.Fatalf("workers=%d, panic in emit call %d: got %v, want the recovered panic", workers, strike, err)
+				builds := int64(0)
+				if !warm && strike == 1 {
+					builds = 1
+				}
+				exact(kern, "a panic", builds)
 			}
-			exact("a panic")
 		}
+	}
+}
+
+// TestSweepAllKeepsTheCondensation: the first call that buys a condensation
+// keeps it on the kernel, and every later call runs all of its batches on
+// it — batch 0 included, with no probe and no build — at any worker count.
+// Ten warm calls build nothing more, and each hands back exactly the pairs
+// and charges exactly the states of one Kernel.Sweep per source and of a
+// call on a fresh kernel. Their analyze telemetry reports the kept
+// condensation with no levels: every source is counted in the condensed
+// block, and the edges are the DAG edges the batches walked, without the
+// build's or batch 0's.
+func TestSweepAllKeepsTheCondensation(t *testing.T) {
+	for _, fx := range []struct {
+		name, query string
+		g           *graph.Graph
+	}{
+		{"cycle-520", "a*", gen.Cycle(520, "a")},
+		{"scalefree-400", "a* b a", gen.ScaleFree(400, 3, 7)},
+		{"tangle-overlay", "a*", tangleOverlay(t, 3, 343)},
+	} {
+		expr := mustRPQ(t, fx.query)
+		build := func(c *pg.Counters) *pg.Kernel { return pg.NewKernel(fx.g, pg.FromNFA(fx.g, expr), c) }
+		om, _ := analyzeMeter()
+		want, _ := perSourcePairs(t, build(nil), nil, om)
+
+		var c pg.Counters
+		kern := build(&c)
+		cm, css := analyzeMeter()
+		got, err := sweepAllPairs(kern, nil, 1, cm)
+		cold := css.Snapshot()
+		if err != nil || !slices.Equal(got, want) || cm.States() != om.States() {
+			t.Fatalf("%s cold: (%d pairs, %v), %d states; per-source sweeps read %d pairs, %d states", fx.name, len(got), err, cm.States(), len(want), om.States())
+		}
+		if c.Snapshot().CondensationsBuilt != 1 || cold.Condensed == nil || len(cold.Levels) == 0 {
+			t.Fatalf("%s cold: %d condensations built, telemetry %+v; the fixture no longer condenses", fx.name, c.Snapshot().CondensationsBuilt, cold)
+		}
+		for call := 0; call < 10; call++ {
+			workers := []int{1, 4}[call%2]
+			m, ss := analyzeMeter()
+			got, err := sweepAllPairs(kern, nil, workers, m)
+			if err != nil || !slices.Equal(got, want) || m.States() != om.States() || m.Rows() != om.Rows() {
+				t.Fatalf("%s warm call %d workers=%d: (%d pairs, %v), %d states, %d rows; want %d pairs, %d states, %d rows",
+					fx.name, call, workers, len(got), err, m.States(), m.Rows(), len(want), om.States(), om.Rows())
+			}
+			if n := c.Snapshot().CondensationsBuilt; n != 1 {
+				t.Fatalf("%s warm call %d: %d condensations built, want the first one kept", fx.name, call, n)
+			}
+			warm := ss.Snapshot()
+			cs, kept := warm.Condensed, *cold.Condensed
+			kept.Sources = cold.Sweeps
+			if cs == nil || *cs != kept || len(warm.Levels) != 0 || warm.PeakFrontier != 0 || warm.Alpha != 0 ||
+				warm.Sweeps != cold.Sweeps || warm.States != cold.States || warm.IdleSources != cold.IdleSources || warm.Edges >= cold.Edges {
+				t.Fatalf("%s warm call %d: telemetry %+v (condensed %+v); the cold call read %+v (condensed %+v)", fx.name, call, warm, cs, cold, *cold.Condensed)
+			}
+		}
+	}
+}
+
+// TestSweepAllConcurrentColdCallsKeepOne: cold calls that race on one kernel
+// may each build, but one condensation is published and counted, and every
+// call — the ones that lost, and the ones after — is exact.
+func TestSweepAllConcurrentColdCallsKeepOne(t *testing.T) {
+	g := gen.ScaleFree(400, 3, 7)
+	expr := mustRPQ(t, "a* b a")
+	want, _ := perSourcePairs(t, pg.NewKernel(g, pg.FromNFA(g, expr), nil), nil, nil)
+	var c pg.Counters
+	kern := pg.NewKernel(g, pg.FromNFA(g, expr), &c)
+	const callers = 6
+	results := make(chan error, callers)
+	start := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		go func() {
+			<-start
+			got, err := sweepAllPairs(kern, nil, 1+i%2, nil)
+			if err == nil && !slices.Equal(got, want) {
+				err = fmt.Errorf("%d pairs, want %d", len(got), len(want))
+			}
+			results <- err
+		}()
+	}
+	close(start)
+	for i := 0; i < callers; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("concurrent cold call: %v", err)
+		}
+	}
+	if got, err := sweepAllPairs(kern, nil, 2, nil); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("call after the race: (%d pairs, %v), want %d", len(got), err, len(want))
+	}
+	if n := c.Snapshot().CondensationsBuilt; n != 1 {
+		t.Fatalf("%d condensations published by %d racing cold calls and one warm one, want 1", n, callers)
 	}
 }

@@ -23,7 +23,7 @@ type SweepStats struct {
 	edges        int64
 	peakFrontier int64
 	levels       []levelAgg
-	condensed    *CondensedStats // set by the first build
+	condensed    *CondensedStats // set by the first condensation a call runs on
 }
 
 // levelAgg accumulates one BFS depth across every sweep of the query.
@@ -57,10 +57,11 @@ func (ss *SweepStats) RecordSweep(sweeps, idle, states, edges, peak int64) {
 	ss.mu.Unlock()
 }
 
-// RecordCondensation folds one build of a product's condensation into the
-// stats: the states it numbered, the components and DAG edges it found, its
-// largest component, and the adjacency entries it examined, which join the
-// query's edges like any sweep's.
+// RecordCondensation folds the condensation one all-sources call runs on
+// into the stats: the states it numbers, its components, DAG edges and
+// largest component, and the adjacency entries the call examined building
+// it, which join the query's edges like any sweep's — none when the call
+// runs on a condensation an earlier call kept on the kernel.
 func (ss *SweepStats) RecordCondensation(states, components, dagEdges, largest, edges int64) {
 	if ss == nil {
 		return
@@ -78,8 +79,8 @@ func (ss *SweepStats) RecordCondensation(states, components, dagEdges, largest, 
 }
 
 // RecordCondensedSweep is RecordSweep for a batch that ran on a
-// condensation RecordCondensation has recorded: it has no levels and no
-// frontier, and its edges are DAG edges examined.
+// condensation RecordCondensation has recorded for its call: it has no
+// levels and no frontier, and its edges are DAG edges examined.
 func (ss *SweepStats) RecordCondensedSweep(sources, idle, states, edges int64) {
 	if ss == nil {
 		return
@@ -150,8 +151,8 @@ type SweepLevel struct {
 
 // CondensedStats is the part of a query's all-sources work that ran on the
 // condensation of the product instead of the level loop (DESIGN §20). A
-// query with several all-pairs stages sums their builds; LargestComponent
-// is the maximum.
+// query with several all-pairs stages sums their condensations;
+// LargestComponent is the maximum.
 type CondensedStats struct {
 	// Sources counts the sources swept on a condensation; the rest of
 	// SweepStatsSnapshot.Sweeps ran the level loop and make up Levels.
@@ -192,10 +193,11 @@ type SweepStatsSnapshot struct {
 	// Levels is the per-depth breakdown of the sweeps that ran a level
 	// loop: each row's Sweeps counts the sources it aggregates.
 	Levels []SweepLevel `json:"levels,omitempty"`
-	// Condensed is set when an all-sources call of the query condensed its
-	// product: those sources have no levels, their Edges are the build's
-	// adjacency entries once plus DAG edges per batch, and they do not
-	// enter PeakFrontier.
+	// Condensed is set when an all-sources call of the query ran on its
+	// product's condensation: those sources have no levels, their Edges are
+	// DAG edges per batch — plus the build's adjacency entries on the call
+	// that built it; a later call runs on the one the kernel kept, batch 0
+	// included — and they do not enter PeakFrontier.
 	Condensed *CondensedStats `json:"condensed,omitempty"`
 }
 

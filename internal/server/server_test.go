@@ -161,6 +161,12 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		k := (maxRequestBytes - len(body) + len("%s") - len(q)) / len(unit)
 		return fmt.Sprintf(body, q+strings.Repeat(unit, k))
 	}
+	// chain fills the %s of a request body with head, as many copies of
+	// unit as bring the body to maxRequestBytes, and tail.
+	chain := func(body, head, unit, tail string) string {
+		k := (maxRequestBytes - len(body) + len("%s") - len(head) - len(tail)) / len(unit)
+		return fmt.Sprintf(body, head+strings.Repeat(unit, k)+tail)
+	}
 	positions := []string{"automaton positions", "4096", "the bound is 512"}
 	tooLarge := []string{"automaton positions", "the bound is 512"}
 	nesting := []string{"nest 1001 deep", "the bound is 1000"}
@@ -198,6 +204,9 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"gql chain", fill(`{"graph":"bank","lang":"gql","query":"%s"}`, "", "-[:a]->"), tooLarge},
 		{"coregql chain", fill(`{"graph":"bank","lang":"coregql","query":"%s"}`, "", "-->"), tooLarge},
 		{"cypher chain", fill(`{"graph":"bank","lang":"cypher","query":"%s"}`, "", "-[:a]->"), tooLarge},
+		{"gql AND chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE x.k = 1", " AND x.k = 1", ")"), []string{"513 parts", "the bound is 512"}},
+		{"gql OR chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE x.k = 1", " OR x.k = 1", ")"), []string{"513 parts", "the bound is 512"}},
+		{"gql NOT chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE ", "NOT ", "x.k = 1)"), nesting},
 		{"gql empty iteration", `{"graph":"bank","lang":"gql","query":"(x)*"}`, []string{"zero-length path that binds a variable"}},
 		{"gql empty iteration in a union", `{"graph":"bank","lang":"gql","query":"((x) | -[e]->)*"}`, []string{"zero-length path that binds a variable"}},
 	} {
