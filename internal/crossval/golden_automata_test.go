@@ -18,6 +18,7 @@ import (
 	"graphquery/internal/dlrpq"
 	"graphquery/internal/lrpq"
 	"graphquery/internal/rpq"
+	"graphquery/internal/spanner"
 	"graphquery/internal/twoway"
 )
 
@@ -51,6 +52,10 @@ var goldenTexts = []string{
 // goldenCorpora are the packages whose fuzz corpora feed the golden file.
 var goldenCorpora = []string{"rpq", "lrpq", "crpq", "cypherfrag"}
 
+// goldenSpannerDoc is the document spanner formulas are erased over: word
+// bytes and others, among them every byte the corpus formulas escape.
+const goldenSpannerDoc = "ab,c_9 (x.*)\\"
+
 // TestGoldenAutomata pins the automaton every RPQ-family compiler builds
 // for a fixed set of texts: state count, accept set and every transition
 // in order (in full up to 24 transitions, and always as a SHA-256 of the
@@ -59,7 +64,9 @@ var goldenCorpora = []string{"rpq", "lrpq", "crpq", "cypherfrag"}
 // of their tier; whatever parses and stays within rpq.MaxPositions is
 // pinned. A 2RPQ is pinned only for a text with no quote, no '.' and no '!'
 // outside "!{": the 2RPQ lexer read those characters differently before it
-// became the RPQ lexer.
+// became the RPQ lexer. Last come the spanner formulas of the README and of
+// spanner's fuzz corpus, each pinned as the automaton of its erasure over
+// goldenSpannerDoc.
 func TestGoldenAutomata(t *testing.T) {
 	texts := append([]string(nil), goldenTexts...)
 	for _, pkg := range goldenCorpora {
@@ -72,10 +79,7 @@ func TestGoldenAutomata(t *testing.T) {
 			continue
 		}
 		seen[text] = true
-		head := strconv.Quote(text)
-		if len(head) > 80 {
-			head = fmt.Sprintf("%s… (%d bytes, sha256 %x)", head[:60], len(text), sha256.Sum256([]byte(text)))
-		}
+		head := goldenHead(text)
 		if e, err := rpq.Parse(text); err == nil && rpq.CheckPositions(e) == nil {
 			pinNFA(&b, "rpq "+head, rpq.Compile(e))
 		}
@@ -107,6 +111,17 @@ func TestGoldenAutomata(t *testing.T) {
 			}
 		}
 	}
+	for _, text := range append([]string{"x{a*}y{(b|c)*}"}, spannerFormulas(t)...) {
+		if seen["spanner "+text] {
+			continue
+		}
+		seen["spanner "+text] = true
+		if e, err := spanner.Parse(text); err == nil {
+			if er := spanner.Erase(goldenSpannerDoc, e); rpq.CheckPositions(er) == nil {
+				pinNFA(&b, "spanner "+goldenHead(text), rpq.Compile(er))
+			}
+		}
+	}
 	want, err := os.ReadFile(filepath.Join("testdata", "automata.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +137,43 @@ func TestGoldenAutomata(t *testing.T) {
 		}
 	}
 	t.Fatalf("automata differ from testdata/automata.golden in length: %d lines, want %d", len(gl), len(wl))
+}
+
+// goldenHead is the name a text is pinned under: quoted, and cut to a
+// digest when long.
+func goldenHead(text string) string {
+	head := strconv.Quote(text)
+	if len(head) > 80 {
+		head = fmt.Sprintf("%s… (%d bytes, sha256 %x)", head[:60], len(text), sha256.Sum256([]byte(text)))
+	}
+	return head
+}
+
+// spannerFormulas returns the formulas of spanner's committed fuzz corpus:
+// the first of the two strings of each file (the second is its document).
+func spannerFormulas(t *testing.T) []string {
+	files, err := filepath.Glob(filepath.Join("..", "spanner", "testdata", "fuzz", "FuzzParse", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "string(") && strings.HasSuffix(line, ")") {
+				s, err := strconv.Unquote(line[len("string(") : len(line)-1])
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				out = append(out, s)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // corpusTexts returns the string inputs of the Fuzz functions in dir: the
