@@ -25,7 +25,10 @@ vet:
 # tier that declares a follow table or a nullable flag of its own has copied it.
 # The pattern tiers are regular expressions on that core too: a struct with
 # both a Left and a Right field in one of them is a binary chain node the
-# shared n-ary Concat and Alternation replace.
+# shared n-ary Concat and Alternation replace. So are spanner formulas, and
+# no non-test file outside internal/automata declares a Parts [] or Alts []
+# field: that is a tier's own concatenation or union, which the shared
+# nodes replace.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -46,6 +49,8 @@ lint: vet
 		at && /(^|[{,;[:space:]])Left[,;[:space:]]/ { l = 1 } at && /(^|[{,;[:space:]])Right[,;[:space:]]/ { r = 1 } \
 		at && l && r { print at; at = "" } /\}/ { at = "" }' $$(ls $(PATTERN_TIERS:%=internal/%/*.go) | grep -v _test.go))"; \
 		if [ -n "$$out" ]; then echo "a binary pattern node (chains are automata.Concat and automata.Alternation):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '(^|[{;[:space:]])(Parts|Alts)[[:space:]]+\[\]' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/automata/*') || true)"; \
+		if [ -n "$$out" ]; then echo "a tier's own concatenation or union (use automata.Concat and automata.Alternation):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -71,8 +76,8 @@ bench-smoke:
 # (strings, then windows of pair runs), the RPQ parser and the engine's all-pairs answer against per-source sweeps,
 # the CRPQ parser and its served evaluator against the reference, the ℓ-RPQ
 # parser and shortest mode against the mode-all definition, the relalg and
-# spanner parsers' round trips and compile bounds, the Cypher-fragment, gql
-# and 2RPQ parsers' round trips and time; the committed corpora alone run with every
+# spanner parsers' round trips and compile bounds, the Cypher-fragment, gql,
+# 2RPQ and dl-RPQ parsers' round trips and time; the committed corpora alone run with every
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/core
@@ -85,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cypherfrag
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/gql
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/twoway
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/dlrpq
 
 # End-to-end check of the query daemon: build gqserverd under -race, start
 # it on a random port, curl every endpoint and error class, then verify

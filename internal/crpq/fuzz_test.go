@@ -28,10 +28,7 @@ func fuzzGraph() *graph.Graph {
 // that parses back to the same query; and when the query lies in the kernel
 // fragment (Parse itself refuses automata too large to run: Validate), the
 // served evaluator returns exactly what the reference returns on fuzzGraph,
-// or fails with the same error. The round trip is not asked of queries with a dl-RPQ
-// atom: package dlrpq prints for people (ε as "eps", labels and string
-// constants unquoted, floats with an exponent sign its lexer does not read),
-// which is for that parser's own fuzz target to pin down.
+// or fails with the same error.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		// bench/'s cyclic-crpq texts and the two anchored reads of short-reads
@@ -60,11 +57,6 @@ func FuzzParse(f *testing.F) {
 		q, err := Parse(text)
 		if err != nil {
 			return
-		}
-		for _, a := range q.Atoms {
-			if a.DL != nil {
-				return
-			}
 		}
 		printed := q.String()
 		back, err := Parse(printed)

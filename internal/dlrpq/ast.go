@@ -54,19 +54,55 @@ func VarTest(pname string, op graph.CompareOp, x string) Test {
 	return Test{Prop: pname, Op: op, CmpVar: x}
 }
 
+// String writes the test so that Parse reads it back: names are quoted
+// when they are not identifiers, and constants are written as the lexer
+// reads them.
 func (t Test) String() string {
 	if t.Assign {
-		return t.AssignVar + " := " + t.Prop
+		return t.AssignVar + " := " + quoteName(t.Prop)
 	}
+	rhs := t.CmpVar
 	if t.UseConst {
-		c := t.Const.String()
-		if t.Const.Kind() == graph.KindString {
-			c = "'" + c + "'"
-		}
-		return t.Prop + " " + t.Op.String() + " " + c
+		rhs = constant(t.Const)
 	}
-	return t.Prop + " " + t.Op.String() + " " + t.CmpVar
+	return quoteName(t.Prop) + " " + t.Op.String() + " " + rhs
 }
+
+// constant writes a test's constant: a string quoted, and a float with a
+// '.' or an exponent, so that it reads back as a float.
+func constant(c graph.Value) string {
+	s := c.String()
+	switch c.Kind() {
+	case graph.KindString:
+		return quote(s)
+	case graph.KindFloat:
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+	}
+	return s
+}
+
+// quoteName writes a label or property name bare when the lexer reads it as
+// one identifier, and quoted otherwise.
+func quoteName(s string) string {
+	if s == "" || s == "_" {
+		return quote(s)
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= 0x80 || i > 0 && c >= '0' && c <= '9') {
+			return quote(s)
+		}
+	}
+	return s
+}
+
+// quote writes s as a string token: a backslash makes the next byte
+// literal.
+func quote(s string) string { return "'" + quoteEscaper.Replace(s) + "'" }
+
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
 
 // Atom matches a single object: a node when Edge is false — rendered (…) —
 // or an edge when Edge is true — rendered […]. The content is either a
@@ -123,10 +159,12 @@ func (a Atom) String() string {
 		inner = "_"
 	case a.Wild:
 		parts := make([]string, len(a.Except))
-		copy(parts, a.Except)
+		for i, l := range a.Except {
+			parts[i] = quoteName(l)
+		}
 		inner = "!{" + strings.Join(parts, ",") + "}"
 	default:
-		inner = a.Name
+		inner = quoteName(a.Name)
 	}
 	if a.Var != "" && a.Test == nil {
 		inner += "^" + a.Var

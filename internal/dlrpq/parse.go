@@ -165,6 +165,10 @@ func (p *parser) next() {
 		for p.pos < len(p.src) && (p.src[p.pos] >= '0' && p.src[p.pos] <= '9' || p.src[p.pos] == '.' ||
 			p.src[p.pos] == 'e' || p.src[p.pos] == 'E') {
 			p.pos++
+			// An exponent may be signed, as graph.Value writes one.
+			if e := p.src[p.pos-1]; (e == 'e' || e == 'E') && p.pos < len(p.src) && (p.src[p.pos] == '+' || p.src[p.pos] == '-') {
+				p.pos++
+			}
 		}
 		p.tok = tok{tNumber, p.src[start:p.pos], start}
 	case c == '_' || unicode.IsLetter(rune(c)) || c >= 0x80:
@@ -220,6 +224,11 @@ func (p *parser) parseConcat() (Expr, error) {
 	nest := 0
 	for {
 		switch p.tok.kind {
+		case tIdent:
+			if p.tok.text != "eps" {
+				return nil, p.errorf("bare label %q: node atoms need (…), edge atoms […]", p.tok.text)
+			}
+			fallthrough
 		case tLParen, tLBrack, tLBrace:
 			// A brace at factor position groups (repeat braces only appear
 			// in postfix position, handled by parsePostfix).
@@ -228,13 +237,6 @@ func (p *parser) parseConcat() (Expr, error) {
 				return nil, err
 			}
 			parts, nest = append(parts, e), max(nest, p.nest)
-		case tIdent:
-			if p.tok.text == "eps" {
-				p.next()
-				parts = append(parts, Epsilon{})
-				continue
-			}
-			return nil, p.errorf("bare label %q: node atoms need (…), edge atoms […]", p.tok.text)
 		default:
 			if len(parts) == 0 {
 				return nil, p.errorf("expected expression, got %s", p.tok)
@@ -310,6 +312,10 @@ func (p *parser) parseFactor() (Expr, error) {
 		p.next()
 		p.nest = 0
 		return p.parseAtomContent(edge, close)
+	case tIdent: // "eps", the one identifier parseConcat lets through
+		p.next()
+		p.nest = 0
+		return Epsilon{}, nil
 	case tLBrace:
 		if p.depth++; p.depth > rpq.MaxNesting {
 			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)

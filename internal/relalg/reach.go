@@ -200,7 +200,10 @@ func tickPer(t *pg.Ticker, n int) error {
 //	       | '(' query ')'
 //
 // The rpq inside REACH uses the rpq package syntax (labels, '|', '*', '_',
-// …). Keywords are case-sensitive. Example:
+// …). Keywords are case-sensitive. Every atom compiles and sweeps its own
+// product, so the bound is on the query: the REACH atoms together may
+// compile to at most rpq.MaxPositions positions, refused as the parser
+// reads past it. Example:
 //
 //	REACH(Transfer*) AS (x, y) JOIN REACH(Owns) AS (y, z)
 func ParseQuery(input string) (Query, error) {
@@ -226,9 +229,10 @@ func MustParseQuery(input string) Query {
 }
 
 type queryParser struct {
-	src   string
-	pos   int
-	depth int // groups open around the current position
+	src       string
+	pos       int
+	depth     int // groups open around the current position
+	positions int // automaton positions of the REACH atoms read so far
 }
 
 // open enters a group — a PROJECT, a RENAME or a parenthesized query —
@@ -343,8 +347,9 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if err != nil {
 			return nil, p.errf("in REACH: %v", err)
 		}
-		if err := rpq.CheckPositions(e); err != nil {
-			return nil, fmt.Errorf("relalg: in REACH: %w", err)
+		p.positions += rpq.Positions(e, 1<<30)
+		if err := rpq.PositionsError(p.positions); err != nil {
+			return nil, fmt.Errorf("relalg: in the REACH atoms: %w", err)
 		}
 		if !p.keyword("AS") {
 			return nil, p.errf("expected AS after REACH(...)")

@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -217,5 +218,24 @@ func TestParseQueryNestingBound(t *testing.T) {
 	}
 	if _, err := ParseQuery(strings.Repeat("(", 1<<19)); err == nil || !strings.Contains(err.Error(), "the bound is 1000") {
 		t.Errorf("half a megabyte of '(': %v", err)
+	}
+}
+
+// TestParseQueryPositionsBound: the bound on automaton positions is on the
+// whole query, not on each REACH atom — 512 spread over four atoms are
+// accepted, and one more atom of one position is refused, whichever
+// operator joins it.
+func TestParseQueryPositionsBound(t *testing.T) {
+	atom := "REACH(" + strings.Repeat("a ", 128) + ") AS (x, y)"
+	full := strings.Repeat(atom+" UNION ", 3) + atom
+	if _, err := ParseQuery(full); err != nil {
+		t.Fatalf("512 positions over four atoms: %v", err)
+	}
+	for _, op := range []string{"UNION", "JOIN", "DIFF"} {
+		text := full + " " + op + " REACH(b) AS (x, y)"
+		_, err := ParseQuery(text)
+		if !errors.Is(err, rpq.ErrTooLarge) || !strings.Contains(err.Error(), "513 automaton positions") {
+			t.Errorf("513 positions, the last after %s: %v", op, err)
+		}
 	}
 }

@@ -122,9 +122,6 @@ func Alt(alts ...Expr) Expr { return automata.Alt(alts...) }
 // Kleene returns R*.
 func Kleene(e Expr) Expr { return Star{Sub: e} }
 
-// PlusOf returns R⁺ = R{1,∞}.
-func PlusOf(e Expr) Expr { return Repeat{Sub: e, Min: 1, Max: -1} }
-
 // Between returns R{min,max}; max < 0 means unbounded.
 func Between(e Expr, min, max int) Expr { return Repeat{Sub: e, Min: min, Max: max} }
 

@@ -204,6 +204,10 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"gql chain", fill(`{"graph":"bank","lang":"gql","query":"%s"}`, "", "-[:a]->"), tooLarge},
 		{"coregql chain", fill(`{"graph":"bank","lang":"coregql","query":"%s"}`, "", "-->"), tooLarge},
 		{"cypher chain", fill(`{"graph":"bank","lang":"cypher","query":"%s"}`, "", "-[:a]->"), tooLarge},
+		{"spanner chain", fill(`{"graph":"bank","lang":"spanner","query":"%s","doc":"aaaa"}`, "", "a"), []string{"513 parts", "the bound is 512"}},
+		{"relalg UNION chain", fill(`{"graph":"bank","lang":"relalg","query":"%s"}`, "REACH(a) AS (x, y)", " UNION REACH(a) AS (x, y)"), tooLarge},
+		{"relalg JOIN chain", fill(`{"graph":"bank","lang":"relalg","query":"%s"}`, "REACH(a) AS (x, y)", " JOIN REACH(a) AS (y, z)"), tooLarge},
+		{"relalg DIFF chain", fill(`{"graph":"bank","lang":"relalg","query":"%s"}`, "REACH(a) AS (x, y)", " DIFF REACH(a) AS (x, y)"), tooLarge},
 		{"gql AND chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE x.k = 1", " AND x.k = 1", ")"), []string{"513 parts", "the bound is 512"}},
 		{"gql OR chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE x.k = 1", " OR x.k = 1", ")"), []string{"513 parts", "the bound is 512"}},
 		{"gql NOT chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE ", "NOT ", "x.k = 1)"), nesting},

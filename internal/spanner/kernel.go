@@ -3,6 +3,7 @@ package spanner
 import (
 	"fmt"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
@@ -104,45 +105,28 @@ func LineGraph(doc string) *graph.Graph {
 func Erase(doc string, e Expr) rpq.Expr {
 	alphabet := distinctBytes(doc)
 	var lower func(Expr) rpq.Expr
-	lower = func(e Expr) rpq.Expr {
-		switch n := e.(type) {
-		case EpsilonE:
-			return rpq.Eps()
+	lower = func(a Expr) rpq.Expr {
+		switch n := a.(type) {
 		case Char:
 			return rpq.L(string(n.C))
 		case Any:
 			return byteDisj(alphabet, func(byte) bool { return true })
 		case ClassFn:
 			return byteDisj(alphabet, n.Fn)
-		case ConcatE:
-			parts := make([]rpq.Expr, len(n.Parts))
-			for i, p := range n.Parts {
-				parts[i] = lower(p)
-			}
-			return rpq.Seq(parts...)
-		case UnionE:
-			alts := make([]rpq.Expr, len(n.Alts))
-			for i, a := range n.Alts {
-				alts[i] = lower(a)
-			}
-			return rpq.Alt(alts...)
-		case StarE:
-			return rpq.Kleene(lower(n.Sub))
-		case PlusE:
-			return rpq.PlusOf(lower(n.Sub))
 		case Capture:
-			return lower(n.Sub)
+			return automata.Map(n.Sub, lower)
 		default:
-			panic(fmt.Sprintf("spanner: unknown expression %T", e))
+			panic(fmt.Sprintf("spanner: unknown expression %T", a))
 		}
 	}
-	return lower(e)
+	return automata.Map(e, lower)
 }
 
 // CheckPositions is rpq.CheckPositions(Erase(doc, e)) counted on e itself:
 // what a served spanner asks before it compiles text it did not write. The
 // erasure is not built to be measured — a '.' or a class erases to one label
 // per document byte it accepts, so its size is the query's times up to 256.
+// A repetition counts as rpq.Positions counts it.
 func CheckPositions(doc string, e Expr) error {
 	// Counts saturate at limit, and a sum stops there, so the walk is
 	// bounded however long the text; below it the count is exact.
@@ -170,14 +154,14 @@ func CheckPositions(doc string, e Expr) error {
 				}
 			}
 			n = max(n, 1)
-		case ConcatE:
+		case automata.Concat[lang]:
 			n = sum(e.Parts)
-		case UnionE:
+		case automata.Alternation[lang]:
 			n = sum(e.Alts)
-		case StarE:
+		case automata.Star[lang]:
 			n = count(e.Sub)
-		case PlusE:
-			n = 2 * count(e.Sub)
+		case automata.Repeat[lang]:
+			n = count(e.Sub) * max(min(e.Min, limit)+1, min(e.Max, limit))
 		case Capture:
 			n = count(e.Sub)
 		}

@@ -18,7 +18,9 @@ import (
 //
 // Concatenation is juxtaposition. An identifier immediately followed by
 // '{' is a capture variable; otherwise identifier characters are literal
-// bytes.
+// bytes. A text nesting groups and repetitions past rpq.MaxNesting, or with
+// a concatenation or union of more than rpq.MaxPositions parts
+// (rpq.PartsError), is refused as soon as the parser gets there.
 func Parse(input string) (Expr, error) {
 	p := &spanParser{src: input}
 	e, err := p.parseUnion()
@@ -65,6 +67,14 @@ func (p *spanParser) errf(format string, args ...any) error {
 	return fmt.Errorf("spanner: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
 }
 
+// parts refuses a row of n parts past rpq.MaxPositions.
+func (p *spanParser) parts(n int) error {
+	if err := rpq.PartsError(n); err != nil {
+		return fmt.Errorf("spanner: parse error at offset %d: %w", p.pos, err)
+	}
+	return nil
+}
+
 func (p *spanParser) parseUnion() (Expr, error) {
 	first, err := p.parseConcat()
 	if err != nil {
@@ -78,6 +88,9 @@ func (p *spanParser) parseUnion() (Expr, error) {
 			return nil, err
 		}
 		alts, nest = append(alts, next), max(nest, p.nest)
+		if err := p.parts(len(alts)); err != nil {
+			return nil, err
+		}
 	}
 	p.nest = nest
 	return Alt(alts...), nil
@@ -92,6 +105,9 @@ func (p *spanParser) parseConcat() (Expr, error) {
 			return nil, err
 		}
 		parts, nest = append(parts, f), max(nest, p.nest)
+		if err := p.parts(len(parts)); err != nil {
+			return nil, err
+		}
 	}
 	p.nest = nest
 	return Seq(parts...), nil

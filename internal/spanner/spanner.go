@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/pg"
 )
 
@@ -40,11 +41,20 @@ func (m Match) key() string {
 	return b.String()
 }
 
-// Expr is a regex formula with capture variables.
-type Expr interface {
-	fmt.Stringer
-	isExpr()
+// lang is the spanner tag type: a formula groups with round brackets,
+// writes ε as "()" and juxtaposes the parts of a concatenation.
+type lang struct{}
+
+func (lang) Notation() automata.Notation {
+	return automata.Notation{Open: "(", Close: ")", Epsilon: "()", Seq: "", Or: "|"}
 }
+
+// Expr is a regex formula with capture variables: a regular expression
+// over the byte atoms Char, Any and ClassFn, on the core the RPQ tower
+// shares (package automata), with one node of its own, Capture. e⁺ is the
+// core's Repeat{1,∞}, one node, so that a formula's size stays linear in
+// its text: `a*++++` names its operand once.
+type Expr = automata.Expr[lang]
 
 // Char matches one literal byte.
 type Char struct{ C byte }
@@ -59,37 +69,18 @@ type ClassFn struct {
 	Fn   func(byte) bool
 }
 
-// EpsilonE matches the empty string.
-type EpsilonE struct{}
-
-// ConcatE is e₁·…·eₙ.
-type ConcatE struct{ Parts []Expr }
-
-// UnionE is e₁+…+eₙ.
-type UnionE struct{ Alts []Expr }
-
-// StarE is e*.
-type StarE struct{ Sub Expr }
-
-// PlusE is e⁺, which runs as e e*. It is a node of its own so that a
-// formula's size stays linear in its text: `a*++++` names its operand once.
-type PlusE struct{ Sub Expr }
-
-// Capture is x{e}: matches e and binds variable X to the matched span.
+// Capture is x{e}: matches e and binds variable X to the matched span. It
+// is to the core what a list variable is to an ℓ-RPQ's atoms: it marks
+// positions and leaves the language alone (Section 6.3).
 type Capture struct {
 	X   string
 	Sub Expr
 }
 
-func (Char) isExpr()     {}
-func (Any) isExpr()      {}
-func (ClassFn) isExpr()  {}
-func (EpsilonE) isExpr() {}
-func (ConcatE) isExpr()  {}
-func (UnionE) isExpr()   {}
-func (StarE) isExpr()    {}
-func (PlusE) isExpr()    {}
-func (Capture) isExpr()  {}
+func (Char) Language() lang    { return lang{} }
+func (Any) Language() lang     { return lang{} }
+func (ClassFn) Language() lang { return lang{} }
+func (Capture) Language() lang { return lang{} }
 
 // String renders the byte so that Parse reads it back: the bytes the
 // syntax uses are escaped with a backslash.
@@ -102,48 +93,15 @@ func (e Char) String() string {
 }
 func (Any) String() string       { return "." }
 func (e ClassFn) String() string { return e.Name }
-func (EpsilonE) String() string  { return "()" }
-func (e ConcatE) String() string {
-	var b strings.Builder
-	for _, p := range e.Parts {
-		s := p.String()
-		// A capture right after an identifier byte would read that byte as
-		// part of its name.
-		if b.Len() > 0 && isIdentByte(b.String()[b.Len()-1]) && startsCapture(s) {
-			s = "(" + s + ")"
-		}
-		b.WriteString(s)
-	}
-	return b.String()
-}
 
-// startsCapture reports whether s begins the way Parse reads a capture: an
-// identifier run followed by '{'.
-func startsCapture(s string) bool {
-	i := 0
-	for i < len(s) && isIdentByte(s[i]) {
-		i++
-	}
-	return i > 0 && i < len(s) && s[i] == '{'
-}
-func (e UnionE) String() string {
-	parts := make([]string, len(e.Alts))
-	for i, a := range e.Alts {
-		parts[i] = a.String()
-	}
-	return "(" + strings.Join(parts, "|") + ")"
-}
-func (e StarE) String() string   { return "(" + e.Sub.String() + ")*" }
-func (e PlusE) String() string   { return "(" + e.Sub.String() + ")+" }
-func (e Capture) String() string { return e.X + "{" + e.Sub.String() + "}" }
+// String brackets the capture: right after an identifier byte, x{…} would
+// read that byte as part of its name.
+func (e Capture) String() string { return "(" + e.X + "{" + e.Sub.String() + "})" }
 
 // Constructors.
 
 // Lit returns the concatenation of literal bytes of s.
 func Lit(s string) Expr {
-	if len(s) == 0 {
-		return EpsilonE{}
-	}
 	parts := make([]Expr, len(s))
 	for i := 0; i < len(s); i++ {
 		parts[i] = Char{C: s[i]}
@@ -158,75 +116,31 @@ func Dot() Expr { return Any{} }
 func Class(name string, fn func(byte) bool) Expr { return ClassFn{Name: name, Fn: fn} }
 
 // Word matches a single word byte [A-Za-z0-9_].
-func Word() Expr {
-	return Class("\\w", func(c byte) bool {
-		return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-	})
-}
+func Word() Expr { return Class("\\w", isIdentByte) }
 
 // Seq returns the concatenation.
-func Seq(parts ...Expr) Expr {
-	switch len(parts) {
-	case 0:
-		return EpsilonE{}
-	case 1:
-		return parts[0]
-	default:
-		return ConcatE{Parts: parts}
-	}
-}
+func Seq(parts ...Expr) Expr { return automata.Seq(parts...) }
 
 // Alt returns the disjunction.
-func Alt(alts ...Expr) Expr {
-	switch len(alts) {
-	case 0:
-		panic("spanner: Alt needs at least one alternative")
-	case 1:
-		return alts[0]
-	default:
-		return UnionE{Alts: alts}
-	}
-}
+func Alt(alts ...Expr) Expr { return automata.Alt(alts...) }
 
 // Star returns e*.
-func Star(e Expr) Expr { return StarE{Sub: e} }
+func Star(e Expr) Expr { return automata.Star[lang]{Sub: e} }
 
 // Plus returns e⁺.
-func Plus(e Expr) Expr { return PlusE{Sub: e} }
+func Plus(e Expr) Expr { return automata.Repeat[lang]{Sub: e, Min: 1, Max: -1} }
 
 // Cap returns x{e}.
 func Cap(x string, e Expr) Expr { return Capture{X: x, Sub: e} }
 
 // Vars returns the sorted capture variables of e.
 func Vars(e Expr) []string {
-	set := map[string]struct{}{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Capture:
-			set[n.X] = struct{}{}
-			walk(n.Sub)
-		case ConcatE:
-			for _, p := range n.Parts {
-				walk(p)
-			}
-		case UnionE:
-			for _, a := range n.Alts {
-				walk(a)
-			}
-		case StarE:
-			walk(n.Sub)
-		case PlusE:
-			walk(n.Sub)
+	return automata.Names(e, func(a Expr) []string {
+		if c, ok := a.(Capture); ok {
+			return append([]string{c.X}, Vars(c.Sub)...)
 		}
-	}
-	walk(e)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+		return nil
+	})
 }
 
 // partial is an intermediate result: the end position reached and the
@@ -259,16 +173,17 @@ func Extract(doc string, e Expr) []Match {
 // evalMeter is the capture-propagating recursion, metered: every partial
 // considered ticks the shared Ticker (amortized against the states budget
 // every pg.CheckInterval), so cancellation and budgets land inside the
-// recursion, not just between top-level calls.
+// recursion, not just between top-level calls. A repetition runs as its
+// unrolling: e⁺ as e e*.
 func evalMeter(doc string, e Expr, pos int, t *pg.Ticker) ([]partial, error) {
-	if p, ok := e.(PlusE); ok {
-		e = ConcatE{Parts: []Expr{p.Sub, StarE{Sub: p.Sub}}}
+	if _, ok := e.(automata.Repeat[lang]); ok {
+		e = automata.Unroll(e)
 	}
 	if err := t.Step(); err != nil {
 		return nil, err
 	}
 	switch n := e.(type) {
-	case EpsilonE:
+	case automata.Epsilon[lang]:
 		return []partial{{end: pos, m: Match{}}}, nil
 	case Char:
 		if pos < len(doc) && doc[pos] == n.C {
@@ -285,7 +200,7 @@ func evalMeter(doc string, e Expr, pos int, t *pg.Ticker) ([]partial, error) {
 			return []partial{{end: pos + 1, m: Match{}}}, nil
 		}
 		return nil, nil
-	case ConcatE:
+	case automata.Concat[lang]:
 		cur := []partial{{end: pos, m: Match{}}}
 		for _, part := range n.Parts {
 			var next []partial
@@ -311,7 +226,7 @@ func evalMeter(doc string, e Expr, pos int, t *pg.Ticker) ([]partial, error) {
 			}
 		}
 		return cur, nil
-	case UnionE:
+	case automata.Alternation[lang]:
 		var out []partial
 		for _, a := range n.Alts {
 			ds, err := evalMeter(doc, a, pos, t)
@@ -321,7 +236,7 @@ func evalMeter(doc string, e Expr, pos int, t *pg.Ticker) ([]partial, error) {
 			out = append(out, ds...)
 		}
 		return dedupPartials(out), nil
-	case StarE:
+	case automata.Star[lang]:
 		out := []partial{{end: pos, m: Match{}}}
 		frontier := out
 		seen := map[string]struct{}{outKey(out[0]): {}}

@@ -1,8 +1,11 @@
 package spanner
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"graphquery/internal/rpq"
 )
 
 func TestEvaluateWholeDocument(t *testing.T) {
@@ -82,7 +85,7 @@ func TestCaptureConflictsPruned(t *testing.T) {
 
 func TestStarTermination(t *testing.T) {
 	// (ε|a)* must terminate despite the nullable alternative.
-	e := Star(Alt(EpsilonE{}, Lit("a")))
+	e := Star(Alt(Lit(""), Lit("a")))
 	ms := Evaluate("aaaa", e)
 	if len(ms) != 1 {
 		t.Errorf("matches = %d, want 1", len(ms))
@@ -120,7 +123,7 @@ func TestBruteForceAgreement(t *testing.T) {
 }
 
 func TestVarsAndString(t *testing.T) {
-	e := Seq(Cap("b", Lit("x")), Alt(Cap("a", Dot()), EpsilonE{}))
+	e := Seq(Cap("b", Lit("x")), Alt(Cap("a", Dot()), Lit("")))
 	vars := Vars(e)
 	if len(vars) != 2 || vars[0] != "a" || vars[1] != "b" {
 		t.Errorf("Vars = %v", vars)
@@ -136,5 +139,23 @@ func TestEmptyDocument(t *testing.T) {
 	}
 	if ms := Evaluate("", Lit("a")); len(ms) != 0 {
 		t.Errorf("a on empty doc: %d", len(ms))
+	}
+}
+
+// TestParsePartsBound: a concatenation or a union of rpq.MaxPositions parts
+// parses; one more is refused as too large, naming the count, before the
+// parser reads the rest of the text.
+func TestParsePartsBound(t *testing.T) {
+	for _, row := range []func(n int) string{
+		func(n int) string { return strings.Repeat("a", n) },
+		func(n int) string { return strings.Repeat("a|", n-1) + "a" },
+	} {
+		if _, err := Parse(row(rpq.MaxPositions)); err != nil {
+			t.Errorf("%.8s… of %d parts: %v", row(2), rpq.MaxPositions, err)
+		}
+		_, err := Parse(row(1 << 19))
+		if !errors.Is(err, rpq.ErrTooLarge) || !strings.Contains(err.Error(), "513 parts") {
+			t.Errorf("%.8s… of 2^19 parts: %v", row(2), err)
+		}
 	}
 }
