@@ -28,7 +28,12 @@ vet:
 # shared n-ary Concat and Alternation replace. So are spanner formulas, and
 # no non-test file outside internal/automata declares a Parts [] or Alts []
 # field: that is a tier's own concatenation or union, which the shared
-# nodes replace.
+# nodes replace. Their texts are read once too, by rpq.Read: a dialect
+# brings a lexer and its atoms, and the reader counts nesting — so outside
+# internal/rpq no non-test file compares a count with rpq.MaxNesting. A
+# construct a dialect reads itself counts through the reader (Nested, Enter).
+# relalg's query algebra, JOIN/UNION/DIFF/PROJECT/RENAME, is not a regular
+# expression and counts its own groups.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -51,6 +56,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a binary pattern node (chains are automata.Concat and automata.Alternation):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '(^|[{;[:space:]])(Parts|Alts)[[:space:]]+\[\]' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/automata/*') || true)"; \
 		if [ -n "$$out" ]; then echo "a tier's own concatenation or union (use automata.Concat and automata.Alternation):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '[<>]=?[[:space:]]*rpq\.MaxNesting|rpq\.MaxNesting[[:space:]]*[<>]' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/rpq/*' ! -path 'internal/relalg/*') || true)"; \
+		if [ -n "$$out" ]; then echo "a dialect counting its own nesting (read through rpq.Read):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

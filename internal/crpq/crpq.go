@@ -132,6 +132,29 @@ func (q *Query) nodeVars() []string {
 	return out
 }
 
+// addPositions adds the automaton positions of a's expression to *total,
+// refusing a when it alone, or the atoms up to it together, pass
+// rpq.MaxPositions: every atom compiles an automaton of its own.
+func addPositions(total *int, a Atom) error {
+	var n int
+	switch {
+	case a.RPQ != nil:
+		n = rpq.Positions(a.RPQ, 1<<30)
+	case a.L != nil:
+		n = rpq.Positions(a.L, 1<<30)
+	default:
+		n = rpq.Positions(a.DL, 1<<30)
+	}
+	if err := rpq.PositionsError(n); err != nil {
+		return fmt.Errorf("%w: atom %s: %w", ErrInvalidQuery, a, err)
+	}
+	*total += n
+	if err := rpq.PositionsError(*total); err != nil {
+		return fmt.Errorf("%w: the atoms up to %s together: %w", ErrInvalidQuery, a, err)
+	}
+	return nil
+}
+
 // ErrInvalidQuery wraps all well-formedness violations.
 var ErrInvalidQuery = errors.New("crpq: invalid query")
 
@@ -148,26 +171,23 @@ var ErrInvalidQuery = errors.New("crpq: invalid query")
 // (rpq.CheckPositions): queries are text from outside.
 func (q *Query) Validate() error {
 	nodeVars := map[string]struct{}{}
+	positions := 0
 	for _, a := range q.Atoms {
 		n := 0
-		var size error
 		if a.RPQ != nil {
 			n++
-			size = rpq.CheckPositions(a.RPQ)
 		}
 		if a.L != nil {
 			n++
-			size = rpq.CheckPositions(a.L)
 		}
 		if a.DL != nil {
 			n++
-			size = rpq.CheckPositions(a.DL)
 		}
 		if n != 1 {
 			return fmt.Errorf("%w: atom %s must carry exactly one expression", ErrInvalidQuery, a)
 		}
-		if size != nil {
-			return fmt.Errorf("%w: atom %s: %w", ErrInvalidQuery, a, size)
+		if err := addPositions(&positions, a); err != nil {
+			return err
 		}
 		for _, t := range []Term{a.Src, a.Dst} {
 			if !t.IsConst {

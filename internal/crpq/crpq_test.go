@@ -199,6 +199,31 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParsePositionsBound: a query's atoms together may compile to
+// rpq.MaxPositions automaton positions — 512 spread over several atoms
+// parse — and one more is refused as too large, naming the count, whether
+// it is read or built in code; a megabyte of atoms is refused at the one
+// that passes the bound.
+func TestParsePositionsBound(t *testing.T) {
+	atoms := func(n int, expr string) string {
+		return "q(x, y) :- " + strings.TrimSuffix(strings.Repeat(expr+"(x, y), ", n), ", ")
+	}
+	if _, err := Parse(atoms(4, "a{127}")); err != nil {
+		t.Fatalf("512 positions over four atoms: %v", err)
+	}
+	for _, text := range []string{atoms(3, "a{127}") + ", a{128}(x, y)", atoms(1<<16, "a")} {
+		_, err := Parse(text)
+		if !errors.Is(err, rpq.ErrTooLarge) || !strings.Contains(err.Error(), "513 automaton positions") {
+			t.Errorf("%.40q… of %d bytes: %v", text, len(text), err)
+		}
+	}
+	q := MustParse(atoms(4, "a{127}"))
+	q.Atoms = append(q.Atoms, q.Atoms[0])
+	if err := q.Validate(); !errors.Is(err, rpq.ErrTooLarge) {
+		t.Errorf("640 positions built in code: %v", err)
+	}
+}
+
 func TestParseModes(t *testing.T) {
 	q := MustParse("q(x, y) :- trail (a|b)*(x, y), simple c+(y, x), all d(x, x)")
 	if q.Atoms[0].Mode != eval.Trail || q.Atoms[1].Mode != eval.Simple || q.Atoms[2].Mode != eval.All {

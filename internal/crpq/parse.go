@@ -16,6 +16,7 @@ import (
 //	q(x) :- trail (a|b)* (x, @v3)
 //	q(z) :- () {[Transfer][amount < 4500000] ()}+ (x, y), Transfer(y, x)
 //
+// The atoms together may compile to at most rpq.MaxPositions positions.
 // Each atom is an optional mode keyword (shortest, simple, trail, all),
 // followed by an expression, followed by the endpoint pair "(t1, t2)".
 // Terms are variables or @-prefixed constant node IDs. Expressions
@@ -36,9 +37,15 @@ func Parse(input string) (*Query, error) {
 		return nil, err
 	}
 	q := &Query{Head: head}
+	positions := 0
 	for _, at := range atoms {
 		a, err := parseAtom(strings.TrimSpace(at))
 		if err != nil {
+			return nil, err
+		}
+		// Refused as read: a megabyte of atoms stops at the one that
+		// takes their positions past the bound.
+		if err := addPositions(&positions, a); err != nil {
 			return nil, err
 		}
 		q.Atoms = append(q.Atoms, a)

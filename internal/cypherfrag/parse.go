@@ -23,15 +23,7 @@ import (
 // rpq.MaxPositions parts (rpq.PartsError), is refused as soon as the parser
 // gets there.
 func Parse(input string) (Pattern, error) {
-	p := &fragParser{src: input}
-	alts, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.pos < len(p.src) {
-		return nil, p.errf("trailing input %q", p.src[p.pos:])
-	}
-	return automata.Alt(alts...), nil
+	return rpq.Read[lang](&fragParser{src: input}, rpq.TokEnd)
 }
 
 // MustParse is Parse for tests and literals; it panics on error.
@@ -43,98 +35,69 @@ func MustParse(input string) Pattern {
 	return p
 }
 
+// fragParser is the fragment's lexer, read by rpq.Read: its atoms are the
+// two edge forms and the union group, whose body the reader reads
+// (Nested); '+' separates alternatives.
 type fragParser struct {
-	src   string
-	pos   int
-	depth int // union groups open around the current position
+	src string
+	pos int
 }
 
-func (p *fragParser) errf(format string, args ...any) error {
-	return fmt.Errorf("cypherfrag: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
+func (p *fragParser) Errorf(format string, args ...any) error {
+	return fmt.Errorf("cypherfrag: parse error at offset %d: "+format, append([]any{p.pos}, args...)...)
 }
 
-// parts refuses a row of n parts past rpq.MaxPositions.
-func (p *fragParser) parts(n int) error {
-	if err := rpq.PartsError(n); err != nil {
-		return fmt.Errorf("cypherfrag: parse error at offset %d: %w", p.pos, err)
+func (p *fragParser) Got() string {
+	if p.pos >= len(p.src) {
+		return "end of input"
 	}
-	return nil
+	return fmt.Sprintf("%q", p.src[p.pos:p.pos+1])
 }
 
-func (p *fragParser) ws() {
+func (p *fragParser) Peek() rpq.Token {
 	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t') {
 		p.pos++
 	}
+	switch {
+	case p.pos == len(p.src):
+		return rpq.TokEnd
+	case p.src[p.pos] == '+':
+		return rpq.TokOr
+	case p.src[p.pos] == ')':
+		return rpq.TokClose
+	}
+	return rpq.TokAtom
 }
 
-// parseUnion reads concatenations separated by '+', up to the end of the
-// input or a ')'.
-func (p *fragParser) parseUnion() ([]Pattern, error) {
-	var alts []Pattern
-	for {
-		alt, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, alt)
-		if err := p.parts(len(alts)); err != nil {
-			return nil, err
-		}
-		if p.pos >= len(p.src) || p.src[p.pos] != '+' {
-			return alts, nil
-		}
+// Skip consumes the '+' or ')' ahead.
+func (p *fragParser) Skip() { p.pos++ }
+
+// Count is never asked for: the fragment has no counts.
+func (p *fragParser) Count() (int, int, error) { return 0, 0, p.Errorf("unexpected count") }
+
+func (p *fragParser) Empty(bool) bool { return false }
+
+func (p *fragParser) Atom(r *rpq.Reader[lang]) (Pattern, error) {
+	if p.src[p.pos] == '(' {
+		// (π₁ + π₂ + …): a union group of two branches or more.
 		p.pos++
-	}
-}
-
-// parseConcat handles juxtaposition: a sequence of atoms or parenthesized
-// unions.
-func (p *fragParser) parseConcat() (Pattern, error) {
-	var parts []Pattern
-	for {
-		p.ws()
-		if p.pos >= len(p.src) || p.src[p.pos] == '+' || p.src[p.pos] == ')' {
-			break
-		}
-		atom, err := p.parseAtom()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, atom)
-		if err := p.parts(len(parts)); err != nil {
-			return nil, err
-		}
-	}
-	if len(parts) == 0 {
-		return nil, p.errf("expected a pattern")
-	}
-	return automata.Seq(parts...), nil
-}
-
-func (p *fragParser) parseAtom() (Pattern, error) {
-	if strings.HasPrefix(p.src[p.pos:], "(") {
-		// (π₁ + π₂ + …): union group, refused past rpq.MaxNesting before the
-		// parser descends into it.
-		if p.depth++; p.depth > rpq.MaxNesting {
-			return nil, p.errf("groups nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
-		}
-		p.pos++
-		alts, err := p.parseUnion()
+		alts, err := r.Nested(1, func() error {
+			if p.Peek() != rpq.TokClose {
+				return p.Errorf("expected ')'")
+			}
+			p.pos++
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		if len(alts) < 2 {
-			return nil, p.errf("expected '+' in union group")
+			return nil, p.Errorf("expected '+' in union group")
 		}
-		if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-			return nil, p.errf("expected ')'")
-		}
-		p.pos++
-		p.depth--
 		return automata.Alt(alts...), nil
 	}
 	if !strings.HasPrefix(p.src[p.pos:], "-[:") {
-		return nil, p.errf("expected '-[:' or '('")
+		return nil, p.Errorf("expected '-[:' or '('")
 	}
 	p.pos += len("-[:")
 	starred := false
@@ -146,7 +109,7 @@ func (p *fragParser) parseAtom() (Pattern, error) {
 	for {
 		l := p.ident()
 		if l == "" {
-			return nil, p.errf("expected a label")
+			return nil, p.Errorf("expected a label")
 		}
 		labels = append(labels, l)
 		if p.pos < len(p.src) && p.src[p.pos] == '|' {
@@ -157,12 +120,12 @@ func (p *fragParser) parseAtom() (Pattern, error) {
 	}
 	if starred {
 		if !strings.HasPrefix(p.src[p.pos:], ")*") {
-			return nil, p.errf("expected ')*' after starred disjunction")
+			return nil, p.Errorf("expected ')*' after starred disjunction")
 		}
 		p.pos += len(")*")
 	}
 	if !strings.HasPrefix(p.src[p.pos:], "]->") {
-		return nil, p.errf("expected ']->'")
+		return nil, p.Errorf("expected ']->'")
 	}
 	p.pos += len("]->")
 	if starred {

@@ -59,6 +59,8 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "(", "(a", "[a", "a", "(a))", "(x :=)", "(date >)",
 		"(a^)", "{(a)", "[a]{3,1}", "(!{)", "(a) |",
+		// a count is digits: no sign, no fraction
+		"[a]{2,-1}", "[a]{-2}", "(x){-1}", "[a]{2.5}",
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

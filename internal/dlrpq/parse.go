@@ -6,7 +6,6 @@ import (
 	"strings"
 	"unicode"
 
-	"graphquery/internal/automata"
 	"graphquery/internal/graph"
 	"graphquery/internal/rpq"
 )
@@ -26,17 +25,7 @@ import (
 func Parse(input string) (Expr, error) {
 	p := &parser{src: input}
 	p.next()
-	if p.tok.kind == tEOF {
-		return nil, p.errorf("empty expression")
-	}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tEOF {
-		return nil, p.errorf("unexpected %s", p.tok)
-	}
-	return e, nil
+	return rpq.Read[lang](p, rpq.TokEnd)
 }
 
 // MustParse parses or panics.
@@ -86,17 +75,76 @@ func (t tok) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// parser is the dl-RPQ lexer, read by rpq.Read: its atoms are the
+// bracketed (…) and […] and "eps", its groups are braces, and a brace
+// followed by a number opens a count instead.
 type parser struct {
-	src   string
-	pos   int
-	tok   tok
-	save  []tok // pushback stack for one-token lookahead
-	depth int   // groups open around the current token
-	nest  int   // groups and repetitions on the deepest path of the expression parsed last
+	src  string
+	pos  int
+	tok  tok
+	save []tok // pushback stack for one-token lookahead
 }
 
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("dlrpq: parse error at offset %d: %s", p.tok.pos, fmt.Sprintf(format, args...))
+func (p *parser) Errorf(format string, args ...any) error {
+	return fmt.Errorf("dlrpq: parse error at offset %d: "+format, append([]any{p.tok.pos}, args...)...)
+}
+
+func (p *parser) Got() string { return p.tok.String() }
+
+func (p *parser) Skip() { p.next() }
+
+func (p *parser) Empty(bool) bool { return false }
+
+func (p *parser) Peek() rpq.Token {
+	switch p.tok.kind {
+	case tEOF:
+		return rpq.TokEnd
+	case tIdent, tLParen, tLBrack:
+		return rpq.TokAtom
+	case tLBrace:
+		if next := p.peek(); next.kind == tNumber && next.text[0] != '-' {
+			return rpq.TokCount
+		}
+		return rpq.TokOpen
+	case tRBrace:
+		return rpq.TokClose
+	case tPipe:
+		return rpq.TokOr
+	case tStar:
+		return rpq.TokStar
+	case tPlus:
+		return rpq.TokPlus
+	case tQuest:
+		return rpq.TokQuest
+	}
+	return rpq.TokOther
+}
+
+func (p *parser) Count() (int, int, error) {
+	min, max, n, err := rpq.ScanCount(p.src[p.tok.pos:])
+	if err != nil {
+		return 0, 0, p.Errorf("%v", err)
+	}
+	p.pos, p.save = p.tok.pos+n, nil
+	p.next()
+	return min, max, nil
+}
+
+func (p *parser) Atom(*rpq.Reader[lang]) (Expr, error) {
+	switch p.tok.kind {
+	case tIdent:
+		if p.tok.text != "eps" {
+			return nil, p.Errorf("bare label %q: node atoms need (…), edge atoms […]", p.tok.text)
+		}
+		p.next()
+		return Epsilon{}, nil
+	case tLBrack:
+		p.next()
+		return p.parseAtomContent(true, tRBrack)
+	default:
+		p.next()
+		return p.parseAtomContent(false, tRParen)
+	}
 }
 
 func (p *parser) next() {
@@ -201,142 +249,6 @@ func (p *parser) peek() tok {
 	return peeked
 }
 
-func (p *parser) parseUnion() (Expr, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	alts, nest := []Expr{first}, p.nest
-	for p.tok.kind == tPipe {
-		p.next()
-		e, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts, nest = append(alts, e), max(nest, p.nest)
-	}
-	p.nest = nest
-	return automata.Alt(alts...), nil
-}
-
-func (p *parser) parseConcat() (Expr, error) {
-	var parts []Expr
-	nest := 0
-	for {
-		switch p.tok.kind {
-		case tIdent:
-			if p.tok.text != "eps" {
-				return nil, p.errorf("bare label %q: node atoms need (…), edge atoms […]", p.tok.text)
-			}
-			fallthrough
-		case tLParen, tLBrack, tLBrace:
-			// A brace at factor position groups (repeat braces only appear
-			// in postfix position, handled by parsePostfix).
-			e, err := p.parsePostfix()
-			if err != nil {
-				return nil, err
-			}
-			parts, nest = append(parts, e), max(nest, p.nest)
-		default:
-			if len(parts) == 0 {
-				return nil, p.errorf("expected expression, got %s", p.tok)
-			}
-			p.nest = nest
-			return automata.Seq(parts...), nil
-		}
-	}
-}
-
-func (p *parser) parsePostfix() (Expr, error) {
-	e, err := p.parseFactor()
-	if err != nil {
-		return nil, err
-	}
-	// Groups and repetitions are bounded as in package rpq's parser.
-	for nest := p.nest; ; nest++ {
-		if nest > rpq.MaxNesting {
-			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
-		}
-		p.nest = nest
-		switch p.tok.kind {
-		case tStar:
-			e = Star{Sub: e}
-			p.next()
-		case tPlus:
-			e = Repeat{Sub: e, Min: 1, Max: -1}
-			p.next()
-		case tQuest:
-			e = Repeat{Sub: e, Min: 0, Max: 1}
-			p.next()
-		case tLBrace:
-			if p.peek().kind != tNumber {
-				return e, nil // grouping brace: new factor, not a repeat
-			}
-			p.next() // consume '{'
-			min, _ := strconv.Atoi(p.tok.text)
-			p.next()
-			max := min
-			if p.tok.kind == tComma {
-				p.next()
-				switch p.tok.kind {
-				case tNumber:
-					max, _ = strconv.Atoi(p.tok.text)
-					p.next()
-				case tRBrace:
-					max = -1
-				default:
-					return nil, p.errorf("expected upper bound or '}', got %s", p.tok)
-				}
-			}
-			if p.tok.kind != tRBrace {
-				return nil, p.errorf("expected '}', got %s", p.tok)
-			}
-			if max >= 0 && max < min {
-				return nil, p.errorf("invalid repetition {%d,%d}", min, max)
-			}
-			p.next()
-			e = Repeat{Sub: e, Min: min, Max: max}
-		default:
-			return e, nil
-		}
-	}
-}
-
-func (p *parser) parseFactor() (Expr, error) {
-	switch p.tok.kind {
-	case tLParen, tLBrack:
-		edge, close := p.tok.kind == tLBrack, tRParen
-		if edge {
-			close = tRBrack
-		}
-		p.next()
-		p.nest = 0
-		return p.parseAtomContent(edge, close)
-	case tIdent: // "eps", the one identifier parseConcat lets through
-		p.next()
-		p.nest = 0
-		return Epsilon{}, nil
-	case tLBrace:
-		if p.depth++; p.depth > rpq.MaxNesting {
-			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
-		}
-		p.next()
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tRBrace {
-			return nil, p.errorf("expected '}', got %s", p.tok)
-		}
-		p.next()
-		p.depth--
-		p.nest++
-		return e, nil
-	default:
-		return nil, p.errorf("expected atom or group, got %s", p.tok)
-	}
-}
-
 // parseAtomContent parses the inside of (…) or […]; close is the expected
 // closing token kind.
 func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
@@ -346,7 +258,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 	}
 	expectClose := func() error {
 		if p.tok.kind != close {
-			return p.errorf("expected %q, got %s", closeText, p.tok)
+			return p.Errorf("expected %q, got %s", closeText, p.tok)
 		}
 		p.next()
 		return nil
@@ -370,7 +282,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 		var set []string
 		for {
 			if p.tok.kind != tIdent && p.tok.kind != tString {
-				return nil, p.errorf("expected label in wildcard set, got %s", p.tok)
+				return nil, p.Errorf("expected label in wildcard set, got %s", p.tok)
 			}
 			set = append(set, p.tok.text)
 			p.next()
@@ -381,7 +293,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 			break
 		}
 		if p.tok.kind != tRBrace {
-			return nil, p.errorf("expected '}' closing wildcard set, got %s", p.tok)
+			return nil, p.Errorf("expected '}' closing wildcard set, got %s", p.tok)
 		}
 		p.next()
 		v, err := p.varSuffix()
@@ -399,11 +311,11 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 		switch p.tok.kind {
 		case tAssign: // x := pname
 			if isString {
-				return nil, p.errorf("data variable must be an identifier")
+				return nil, p.Errorf("data variable must be an identifier")
 			}
 			p.next()
 			if p.tok.kind != tIdent && p.tok.kind != tString {
-				return nil, p.errorf("expected property name after ':=', got %s", p.tok)
+				return nil, p.Errorf("expected property name after ':=', got %s", p.tok)
 			}
 			prop := p.tok.text
 			p.next()
@@ -415,7 +327,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 		case tOp: // pname op (c | x)
 			op, err := graph.ParseOp(p.tok.text)
 			if err != nil {
-				return nil, p.errorf("%v", err)
+				return nil, p.Errorf("%v", err)
 			}
 			p.next()
 			var t Test
@@ -423,7 +335,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 			case tNumber:
 				v, err := parseNumber(p.tok.text)
 				if err != nil {
-					return nil, p.errorf("%v", err)
+					return nil, p.Errorf("%v", err)
 				}
 				t = ConstTest(name, op, v)
 			case tString:
@@ -440,7 +352,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 					t = VarTest(name, op, p.tok.text)
 				}
 			default:
-				return nil, p.errorf("expected comparison right-hand side, got %s", p.tok)
+				return nil, p.Errorf("expected comparison right-hand side, got %s", p.tok)
 			}
 			p.next()
 			if err := expectClose(); err != nil {
@@ -450,7 +362,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 		case tCaret:
 			p.next()
 			if p.tok.kind != tIdent {
-				return nil, p.errorf("expected variable after '^', got %s", p.tok)
+				return nil, p.Errorf("expected variable after '^', got %s", p.tok)
 			}
 			v := p.tok.text
 			p.next()
@@ -465,7 +377,7 @@ func (p *parser) parseAtomContent(edge bool, close tkind) (Expr, error) {
 			return Atom{Edge: edge, Name: name}, nil
 		}
 	default:
-		return nil, p.errorf("expected atom content, got %s", p.tok)
+		return nil, p.Errorf("expected atom content, got %s", p.tok)
 	}
 }
 
@@ -475,7 +387,7 @@ func (p *parser) varSuffix() (string, error) {
 	}
 	p.next()
 	if p.tok.kind != tIdent {
-		return "", p.errorf("expected variable after '^', got %s", p.tok)
+		return "", p.Errorf("expected variable after '^', got %s", p.tok)
 	}
 	v := p.tok.text
 	p.next()

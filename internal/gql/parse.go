@@ -34,17 +34,7 @@ import (
 func ParsePattern(input string) (Pattern, error) {
 	p := &pparser{src: input}
 	p.next()
-	if p.tok.kind == ptEOF {
-		return nil, p.errorf("empty pattern")
-	}
-	pat, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != ptEOF {
-		return nil, p.errorf("unexpected %s", p.tok)
-	}
-	return pat, nil
+	return rpq.Read[lang](p, rpq.TokEnd)
 }
 
 // MustParsePattern parses or panics.
@@ -97,17 +87,57 @@ func (t ptok) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// pparser is the pattern lexer, read by rpq.Read. Its atoms are nodes,
+// edges and groups: a '(' opens a node pattern or a group that may end in
+// a WHERE, so a group is an atom whose body the reader reads (Nested).
 type pparser struct {
-	src   string
-	pos   int
-	tok   ptok
-	save  []ptok
-	depth int // groups open around the current token
-	nest  int // groups and repetitions on the deepest path of the pattern parsed last
+	src  string
+	pos  int
+	tok  ptok
+	save []ptok
+	r    *rpq.Reader[lang] // the reader of the pattern, for a condition's depth
 }
 
-func (p *pparser) errorf(format string, args ...any) error {
-	return fmt.Errorf("gql: parse error at offset %d: %s", p.tok.pos, fmt.Sprintf(format, args...))
+func (p *pparser) Errorf(format string, args ...any) error {
+	return fmt.Errorf("gql: parse error at offset %d: "+format, append([]any{p.tok.pos}, args...)...)
+}
+
+func (p *pparser) Got() string { return p.tok.String() }
+
+func (p *pparser) Skip() { p.next() }
+
+func (p *pparser) Empty(bool) bool { return false }
+
+func (p *pparser) Peek() rpq.Token {
+	switch p.tok.kind {
+	case ptEOF:
+		return rpq.TokEnd
+	case ptLParen, ptEdgeOpen, ptBareEdge:
+		return rpq.TokAtom
+	case ptRParen:
+		return rpq.TokClose
+	case ptPipe:
+		return rpq.TokOr
+	case ptStar:
+		return rpq.TokStar
+	case ptPlus:
+		return rpq.TokPlus
+	case ptQuest:
+		return rpq.TokQuest
+	case ptLBrace:
+		return rpq.TokCount
+	}
+	return rpq.TokOther
+}
+
+func (p *pparser) Count() (int, int, error) {
+	min, max, n, err := rpq.ScanCount(p.src[p.tok.pos:])
+	if err != nil {
+		return 0, 0, p.Errorf("%v", err)
+	}
+	p.pos, p.save = p.tok.pos+n, nil
+	p.next()
+	return min, max, nil
 }
 
 func (p *pparser) next() {
@@ -222,83 +252,21 @@ func (p *pparser) peek() ptok {
 	return peeked
 }
 
-func (p *pparser) parseUnion() (Pattern, error) {
-	first, err := p.parseSeq()
-	if err != nil {
-		return nil, err
-	}
-	alts, nest := []Pattern{first}, p.nest
-	for p.tok.kind == ptPipe {
-		p.next()
-		alt, err := p.parseSeq()
-		if err != nil {
-			return nil, err
-		}
-		alts, nest = append(alts, alt), max(nest, p.nest)
-		if err := p.parts(len(alts)); err != nil {
-			return nil, err
-		}
-	}
-	p.nest = nest
-	return automata.Alt(alts...), nil
-}
-
-func (p *pparser) parseSeq() (Pattern, error) {
-	var parts []Pattern
-	nest := 0
-	for {
-		switch p.tok.kind {
-		case ptLParen, ptEdgeOpen, ptBareEdge:
-			el, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			parts, nest = append(parts, el), max(nest, p.nest)
-			if err := p.parts(len(parts)); err != nil {
-				return nil, err
-			}
-		default:
-			if len(parts) == 0 {
-				return nil, p.errorf("expected pattern element, got %s", p.tok)
-			}
-			p.nest = nest
-			return automata.Seq(parts...), nil
-		}
-	}
-}
-
-func (p *pparser) parseElement() (Pattern, error) {
-	var el Pattern
-	p.nest = 0 // a node or an edge; a group counts itself
+func (p *pparser) Atom(r *rpq.Reader[lang]) (Pattern, error) {
 	switch p.tok.kind {
 	case ptBareEdge:
 		p.next()
-		el = AnonEdge()
+		return AnonEdge(), nil
 	case ptEdgeOpen:
 		p.next()
 		varName, label, err := p.parseVarLabel(ptEdgeClose, "edge close")
 		if err != nil {
 			return nil, err
 		}
-		el = EdgeP{Var: varName, Label: label}
-	case ptLParen:
-		var err error
-		el, err = p.parseParenElement()
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, p.errorf("expected element, got %s", p.tok)
+		return EdgeP{Var: varName, Label: label}, nil
 	}
-	return p.parsePostfix(el)
-}
-
-// parts refuses a row of n parts past rpq.MaxPositions.
-func (p *pparser) parts(n int) error {
-	if err := rpq.PartsError(n); err != nil {
-		return fmt.Errorf("gql: parse error at offset %d: %w", p.tok.pos, err)
-	}
-	return nil
+	p.r = r
+	return p.parseParenElement()
 }
 
 // parseParenElement handles the node-vs-group ambiguity of '(': a node
@@ -310,7 +278,7 @@ func (p *pparser) parseParenElement() (Pattern, error) {
 	// an identifier.
 	if k := p.tok.kind; k == ptRParen || k == ptColon || k == ptIdent {
 		if k := p.peek().kind; p.tok.kind == ptIdent && k != ptRParen && k != ptColon {
-			return nil, p.errorf("unexpected %q inside '(' (node patterns are (x) or (x:L))", p.tok.text)
+			return nil, p.Errorf("unexpected %q inside '(' (node patterns are (x) or (x:L))", p.tok.text)
 		}
 		v, label, err := p.parseVarLabel(ptRParen, "')' after node label")
 		if err != nil {
@@ -318,95 +286,30 @@ func (p *pparser) parseParenElement() (Pattern, error) {
 		}
 		return NodeP{Var: v, Label: label}, nil
 	}
-	// Group: parse a full pattern, optional WHERE, then ')' — refused past
-	// rpq.MaxNesting before the parser descends into it.
-	if p.depth++; p.depth > rpq.MaxNesting {
-		return nil, p.errorf("groups nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
-	}
-	sub, err := p.parseUnion()
+	// Group: a full pattern, an optional WHERE, then ')'.
+	var cond coregql.Condition
+	alts, err := p.r.Nested(1, func() error {
+		if p.tok.kind == ptWhere {
+			p.next()
+			var err error
+			if cond, err = p.parseCondition(); err != nil {
+				return err
+			}
+		}
+		if p.tok.kind != ptRParen {
+			return p.Errorf("expected ')', got %s", p.tok)
+		}
+		p.next()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind == ptWhere {
-		p.next()
-		cond, err := p.parseCondition()
-		if err != nil {
-			return nil, err
-		}
+	sub := automata.Alt(alts...)
+	if cond != nil {
 		sub = Where(sub, cond)
 	}
-	if p.tok.kind != ptRParen {
-		return nil, p.errorf("expected ')', got %s", p.tok)
-	}
-	p.next()
-	p.depth--
-	p.nest++
 	return sub, nil
-}
-
-// parsePostfix reads the repetitions after an element. Each counts as a
-// level of nesting, as in rpq: one that wraps a subtree already at
-// rpq.MaxNesting is refused.
-func (p *pparser) parsePostfix(el Pattern) (Pattern, error) {
-	for nest := p.nest; ; nest++ {
-		if nest > rpq.MaxNesting {
-			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
-		}
-		p.nest = nest
-		switch p.tok.kind {
-		case ptStar:
-			el = Star(el)
-			p.next()
-		case ptPlus, ptQuest, ptLBrace:
-			min, max, err := p.parseCount()
-			if err != nil {
-				return nil, err
-			}
-			el = Repeat(el, min, max)
-		default:
-			return el, nil
-		}
-	}
-}
-
-// parseCount reads the bounds of a repetition: '+', '?', or {n}, {n,} or
-// {n,m}.
-func (p *pparser) parseCount() (min, max int, err error) {
-	switch p.tok.kind {
-	case ptPlus:
-		p.next()
-		return 1, -1, nil
-	case ptQuest:
-		p.next()
-		return 0, 1, nil
-	}
-	p.next()
-	if p.tok.kind != ptNumber || strings.HasPrefix(p.tok.text, "-") {
-		return 0, 0, p.errorf("expected repetition count, got %s", p.tok)
-	}
-	min, _ = strconv.Atoi(p.tok.text)
-	p.next()
-	max = min
-	if p.tok.kind == ptComma {
-		p.next()
-		switch {
-		case p.tok.kind == ptNumber && !strings.HasPrefix(p.tok.text, "-"):
-			max, _ = strconv.Atoi(p.tok.text)
-			p.next()
-		case p.tok.kind == ptRBrace:
-			max = -1
-		default:
-			return 0, 0, p.errorf("expected upper bound or '}', got %s", p.tok)
-		}
-	}
-	if p.tok.kind != ptRBrace {
-		return 0, 0, p.errorf("expected '}', got %s", p.tok)
-	}
-	if max >= 0 && max < min {
-		return 0, 0, p.errorf("invalid repetition {%d,%d}", min, max)
-	}
-	p.next()
-	return min, max, nil
 }
 
 // parseVarLabel parses "[var][:label]" up to the closing token, named
@@ -419,13 +322,13 @@ func (p *pparser) parseVarLabel(closeKind ptkind, close string) (varName, label 
 	if p.tok.kind == ptColon {
 		p.next()
 		if p.tok.kind != ptIdent {
-			return "", "", p.errorf("expected label after ':', got %s", p.tok)
+			return "", "", p.Errorf("expected label after ':', got %s", p.tok)
 		}
 		label = p.tok.text
 		p.next()
 	}
 	if p.tok.kind != closeKind {
-		return "", "", p.errorf("expected %s, got %s", close, p.tok)
+		return "", "", p.Errorf("expected %s, got %s", close, p.tok)
 	}
 	p.next()
 	return varName, label, nil
@@ -454,8 +357,8 @@ func (p *pparser) parseChain(sep ptkind, term func() (coregql.Condition, error),
 	terms := []coregql.Condition{first}
 	for p.tok.kind == sep {
 		p.next()
-		if err := p.parts(len(terms) + 1); err != nil {
-			return nil, err
+		if err := rpq.PartsError(len(terms) + 1); err != nil {
+			return nil, p.Errorf("%w", err)
 		}
 		t, err := term()
 		if err != nil {
@@ -468,20 +371,20 @@ func (p *pparser) parseChain(sep ptkind, term func() (coregql.Condition, error),
 
 func (p *pparser) parseCondAtom() (coregql.Condition, error) {
 	if p.tok.kind == ptNot {
-		if p.depth++; p.depth > rpq.MaxNesting {
-			return nil, p.errorf("groups and negations nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		if err := p.r.Enter(); err != nil {
+			return nil, err
 		}
 		p.next()
 		sub, err := p.parseCondAtom()
 		if err != nil {
 			return nil, err
 		}
-		p.depth--
+		p.r.Leave()
 		return coregql.Not{Sub: sub}, nil
 	}
 	if p.tok.kind == ptLParen {
-		if p.depth++; p.depth > rpq.MaxNesting {
-			return nil, p.errorf("groups nest %d deep; the bound is %d", p.depth, rpq.MaxNesting)
+		if err := p.r.Enter(); err != nil {
+			return nil, err
 		}
 		p.next()
 		c, err := p.parseCondition()
@@ -489,14 +392,14 @@ func (p *pparser) parseCondAtom() (coregql.Condition, error) {
 			return nil, err
 		}
 		if p.tok.kind != ptRParen {
-			return nil, p.errorf("expected ')' in condition, got %s", p.tok)
+			return nil, p.Errorf("expected ')' in condition, got %s", p.tok)
 		}
 		p.next()
-		p.depth--
+		p.r.Leave()
 		return c, nil
 	}
 	if p.tok.kind != ptIdent {
-		return nil, p.errorf("expected condition, got %s", p.tok)
+		return nil, p.Errorf("expected condition, got %s", p.tok)
 	}
 	x := p.tok.text
 	p.next()
@@ -504,38 +407,38 @@ func (p *pparser) parseCondAtom() (coregql.Condition, error) {
 	if p.tok.kind == ptLParen {
 		p.next()
 		if p.tok.kind != ptIdent {
-			return nil, p.errorf("expected variable in label test, got %s", p.tok)
+			return nil, p.Errorf("expected variable in label test, got %s", p.tok)
 		}
 		v := p.tok.text
 		p.next()
 		if p.tok.kind != ptRParen {
-			return nil, p.errorf("expected ')' in label test, got %s", p.tok)
+			return nil, p.Errorf("expected ')' in label test, got %s", p.tok)
 		}
 		p.next()
 		return coregql.HasLabel(v, x), nil
 	}
 	if p.tok.kind != ptDot {
-		return nil, p.errorf("expected '.' after %q in condition", x)
+		return nil, p.Errorf("expected '.' after %q in condition", x)
 	}
 	p.next()
 	if p.tok.kind != ptIdent {
-		return nil, p.errorf("expected property name, got %s", p.tok)
+		return nil, p.Errorf("expected property name, got %s", p.tok)
 	}
 	k := p.tok.text
 	p.next()
 	if p.tok.kind != ptOp {
-		return nil, p.errorf("expected comparison operator, got %s", p.tok)
+		return nil, p.Errorf("expected comparison operator, got %s", p.tok)
 	}
 	op, err := graph.ParseOp(p.tok.text)
 	if err != nil {
-		return nil, p.errorf("%v", err)
+		return nil, p.Errorf("%v", err)
 	}
 	p.next()
 	switch p.tok.kind {
 	case ptNumber:
 		v, perr := parseNumberValue(p.tok.text)
 		if perr != nil {
-			return nil, p.errorf("%v", perr)
+			return nil, p.Errorf("%v", perr)
 		}
 		p.next()
 		return coregql.CmpConst(x, k, op, v), nil
@@ -554,17 +457,17 @@ func (p *pparser) parseCondAtom() (coregql.Condition, error) {
 			case "false":
 				return coregql.CmpConst(x, k, op, graph.Bool(false)), nil
 			}
-			return nil, p.errorf("expected '.' after %q in condition", y)
+			return nil, p.Errorf("expected '.' after %q in condition", y)
 		}
 		p.next()
 		if p.tok.kind != ptIdent {
-			return nil, p.errorf("expected property name, got %s", p.tok)
+			return nil, p.Errorf("expected property name, got %s", p.tok)
 		}
 		k2 := p.tok.text
 		p.next()
 		return coregql.Cmp(x, k, op, y, k2), nil
 	default:
-		return nil, p.errorf("expected comparison right-hand side, got %s", p.tok)
+		return nil, p.Errorf("expected comparison right-hand side, got %s", p.tok)
 	}
 }
 

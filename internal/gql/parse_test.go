@@ -45,6 +45,8 @@ func TestParsePatternErrors(t *testing.T) {
 		"", "(", "(x", "(x:)", "-[", "-[z", "-[z:a]",
 		"(x){2,1}", "(x)-[z:a]->(y) WHERE", "((x) WHERE q.k < )",
 		"(x y)", "{2}",
+		// a count is digits: no sign, no fraction
+		"(x){-1}", "(x){2.5}",
 	}
 	for _, in := range bad {
 		if _, err := ParsePattern(in); err == nil {

@@ -339,13 +339,13 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if err := p.expect('('); err != nil {
 			return nil, err
 		}
-		src, err := p.balanced()
+		e, end, err := rpq.ParseIn(p.src, p.pos)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("relalg: in REACH: %w", err)
 		}
-		e, err := rpq.Parse(src)
-		if err != nil {
-			return nil, p.errf("in REACH: %v", err)
+		p.pos = end
+		if err := p.expect(')'); err != nil {
+			return nil, err
 		}
 		p.positions += rpq.Positions(e, 1<<30)
 		if err := rpq.PositionsError(p.positions); err != nil {
@@ -459,39 +459,4 @@ func (p *queryParser) parseAtom() (Query, error) {
 		}
 		return nil, p.errf("expected REACH, PROJECT, RENAME, or (")
 	}
-}
-
-// balanced consumes up to (and including) the ')' matching an already-
-// consumed '(' and returns the text between, honoring nested parens and
-// single-quoted rpq labels, inside which a backslash makes the next byte
-// literal as the rpq lexer reads it.
-func (p *queryParser) balanced() (string, error) {
-	start := p.pos
-	depth := 1
-	for p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case '\'':
-			p.pos++
-			for p.pos < len(p.src) && p.src[p.pos] != '\'' {
-				if p.src[p.pos] == '\\' {
-					p.pos++
-				}
-				p.pos++
-			}
-			if p.pos >= len(p.src) {
-				return "", p.errf("unterminated quoted label")
-			}
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				out := p.src[start:p.pos]
-				p.pos++
-				return out, nil
-			}
-		}
-		p.pos++
-	}
-	return "", p.errf("unbalanced parentheses")
 }

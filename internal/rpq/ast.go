@@ -2,9 +2,11 @@
 // expression AST over edge labels with the !S wildcards of Remark 11, a
 // parser for a textual syntax, algebraic simplification, and the Glushkov
 // translation to ε-free NFAs that underpins the product-construction
-// evaluation of Section 6.2. Its parser (Syntax) and its position bound
-// (CheckPositions, MaxNesting) serve the languages above it in the tower
-// too: 2RPQs and ℓ-RPQs are read by the same parser with their own atoms.
+// evaluation of Section 6.2. Its reader (Read) and its bounds
+// (CheckPositions, PartsError, MaxNesting) serve every regular-expression
+// dialect of the tree: 2RPQs and ℓ-RPQs are read with the same lexer and
+// their own atoms (Syntax), dl-RPQs, patterns and spanner formulas with
+// lexers of their own.
 package rpq
 
 import (
@@ -217,9 +219,9 @@ func PositionsError(n int) error {
 	return fmt.Errorf("%w: it unrolls to %d automaton positions, the bound is %d", ErrTooLarge, n, MaxPositions)
 }
 
-// PartsError is what a pattern parser asks as it reads a concatenation or
-// union: each part compiles to at least one position, so a row of more
-// than MaxPositions parts is one CheckPositions would refuse, found without
+// PartsError is what Read asks as it reads a concatenation or union: each
+// part compiles to at least one position, so a row of more than
+// MaxPositions parts is one CheckPositions would refuse, found without
 // reading the rest of the text.
 func PartsError(n int) error {
 	if n <= MaxPositions {

@@ -2,7 +2,6 @@ package rpq
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"unicode"
 
@@ -35,11 +34,9 @@ var syntax = Syntax[lang]{Name: "rpq", Atom: func(a Base) Expr {
 
 // MaxNesting bounds how deep a served query text may nest: how many groups
 // and repetitions lie on one path from the root of its syntax tree to a
-// leaf — parentheses and postfix operators in the RPQ-family parsers (rpq,
-// lrpq, twoway), braces and postfix operators in dl-RPQs, groups, captures
-// and postfix operators in spanner formulas. Each level is a frame of every
-// recursive pass over the tree, parsing included, so a 1 MB body of '(' or
-// of '+' would cost hundreds of megabytes of goroutine stack. A parser
+// leaf, in every dialect Read reads. Each level is a frame of every
+// recursive pass over the tree, reading included, so a 1 MB body of '(' or
+// of '+' would cost hundreds of megabytes of goroutine stack. The reader
 // refuses a group that opens past the bound before descending into it, and
 // a repetition that wraps a subtree already at the bound.
 const MaxNesting = 1000
@@ -54,8 +51,8 @@ func MustParse(input string) Expr {
 }
 
 // Syntax is a language written in the RPQ text syntax — RPQs, 2RPQs and
-// ℓ-RPQs. The grammar, its lexer, its nesting bound and the printing of
-// atoms are shared; what a language adds is its atoms: the marks it allows
+// ℓ-RPQs. The lexer and the printing of atoms are shared, and the text is
+// read by Read; what a language adds is its atoms: the marks it allows
 // around a base atom (a label, '_' or '!{…}'), and the node it builds from
 // what was read. A mark character a language does not define is a
 // one-character label, as any other punctuation is.
@@ -77,20 +74,23 @@ type Base struct {
 
 // Parse parses input in the language's text syntax.
 func (s *Syntax[L]) Parse(input string) (automata.Expr[L], error) {
-	p := &parser[L]{lexer: lexer{src: input, prefix: s.Prefix, suffix: s.Suffix}, syntax: s}
-	p.next()
-	if p.tok.kind == tokEOF {
-		return nil, p.errorf("empty expression")
-	}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errorf("unexpected %s", p.tok)
-	}
-	return e, nil
+	e, _, err := s.read(input, 0, TokEnd)
+	return e, err
 }
+
+// read reads src from offset at up to the token stop, and returns the
+// offset of that token.
+func (s *Syntax[L]) read(src string, at int, stop Token) (automata.Expr[L], int, error) {
+	p := &parser[L]{lexer: lexer{src: src, pos: at, prefix: s.Prefix, suffix: s.Suffix}, syntax: s}
+	p.next()
+	e, err := Read[L](p, stop)
+	return e, p.tok.pos, err
+}
+
+// ParseIn reads an RPQ in place, from offset at of src up to the ')' it
+// did not open or the end of src, and returns the offset where it stopped;
+// a caller that brackets RPQs in a syntax of its own reads them so.
+func ParseIn(src string, at int) (Expr, int, error) { return syntax.read(src, at, TokClose) }
 
 // Format prints a base atom the way Parse reads it back: labels quoted
 // when they are not identifiers, and the language's marks around it.
@@ -272,113 +272,60 @@ func isIdentPart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
+// parser is the lexer as the reader drives it, with the language's atoms.
 type parser[L automata.Language] struct {
 	lexer
 	syntax *Syntax[L]
-	depth  int // groups open around the current token
-	nest   int // groups and repetitions on the deepest path of the expression parsed last
 }
 
-func (p *parser[L]) errorf(format string, args ...any) error {
-	return fmt.Errorf("%s: parse error at offset %d: %s", p.syntax.Name, p.tok.pos, fmt.Sprintf(format, args...))
+func (p *parser[L]) Peek() Token {
+	switch p.tok.kind {
+	case tokEOF:
+		return TokEnd
+	case tokLabel, tokUnder, tokBangBrace, tokPrefix:
+		return TokAtom
+	case tokLParen:
+		return TokOpen
+	case tokRParen:
+		return TokClose
+	case tokPipe:
+		return TokOr
+	case tokStar:
+		return TokStar
+	case tokPlus:
+		return TokPlus
+	case tokQuest:
+		return TokQuest
+	case tokLBrace:
+		return TokCount
+	case tokDot:
+		return TokSep
+	}
+	return TokOther
 }
 
-func (p *parser[L]) parseUnion() (automata.Expr[L], error) {
-	first, err := p.parseConcat()
+func (p *parser[L]) Skip() { p.next() }
+
+func (p *parser[L]) Count() (int, int, error) {
+	min, max, n, err := ScanCount(p.src[p.tok.pos:])
 	if err != nil {
-		return nil, err
+		return 0, 0, p.Errorf("%v", err)
 	}
-	alts, nest := []automata.Expr[L]{first}, p.nest
-	for p.tok.kind == tokPipe {
-		p.next()
-		e, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts, nest = append(alts, e), max(nest, p.nest)
-	}
-	p.nest = nest
-	return automata.Alt(alts...), nil
+	p.pos = p.tok.pos + n
+	p.next()
+	return min, max, nil
 }
 
-func (p *parser[L]) parseConcat() (automata.Expr[L], error) {
-	var parts []automata.Expr[L]
-	nest := 0
-	for {
-		switch p.tok.kind {
-		case tokLabel, tokUnder, tokBangBrace, tokLParen, tokPrefix:
-			e, err := p.parsePostfix()
-			if err != nil {
-				return nil, err
-			}
-			parts, nest = append(parts, e), max(nest, p.nest)
-		case tokDot:
-			p.next() // optional explicit concatenation dot
-		default:
-			if len(parts) == 0 {
-				return nil, p.errorf("expected expression, got %s", p.tok)
-			}
-			p.nest = nest
-			return automata.Seq(parts...), nil
-		}
-	}
+// Empty: "()" is ε, and no other empty row is.
+func (p *parser[L]) Empty(group bool) bool { return group }
+
+func (p *parser[L]) Errorf(format string, args ...any) error {
+	return fmt.Errorf("%s: parse error at offset %d: "+format, append([]any{p.syntax.Name, p.tok.pos}, args...)...)
 }
 
-func (p *parser[L]) parsePostfix() (automata.Expr[L], error) {
-	e, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for nest := p.nest; ; nest++ {
-		if nest > MaxNesting {
-			return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", nest, MaxNesting)
-		}
-		p.nest = nest
-		switch p.tok.kind {
-		case tokStar:
-			e = automata.Star[L]{Sub: e}
-			p.next()
-		case tokPlus:
-			e = automata.Repeat[L]{Sub: e, Min: 1, Max: -1}
-			p.next()
-		case tokQuest:
-			e = automata.Repeat[L]{Sub: e, Min: 0, Max: 1}
-			p.next()
-		case tokLBrace:
-			p.next()
-			if p.tok.kind != tokNumber {
-				return nil, p.errorf("expected repetition count, got %s", p.tok)
-			}
-			min, _ := strconv.Atoi(p.tok.text)
-			p.next()
-			max := min
-			if p.tok.kind == tokComma {
-				p.next()
-				switch p.tok.kind {
-				case tokNumber:
-					max, _ = strconv.Atoi(p.tok.text)
-					p.next()
-				case tokRBrace:
-					max = -1
-				default:
-					return nil, p.errorf("expected upper bound or '}', got %s", p.tok)
-				}
-			}
-			if p.tok.kind != tokRBrace {
-				return nil, p.errorf("expected '}', got %s", p.tok)
-			}
-			if max >= 0 && max < min {
-				return nil, p.errorf("invalid repetition {%d,%d}", min, max)
-			}
-			p.next()
-			e = automata.Repeat[L]{Sub: e, Min: min, Max: max}
-		default:
-			return e, nil
-		}
-	}
-}
+func (p *parser[L]) Got() string { return p.tok.String() }
 
-func (p *parser[L]) parseAtom() (automata.Expr[L], error) {
+func (p *parser[L]) Atom(*Reader[L]) (automata.Expr[L], error) {
 	var a Base
 	if p.tok.kind == tokPrefix {
 		a.Prefixed = true
@@ -387,7 +334,7 @@ func (p *parser[L]) parseAtom() (automata.Expr[L], error) {
 	switch p.tok.kind {
 	case tokLabel:
 		if p.tok.text == "!" {
-			return nil, p.errorf("'!' must be followed by '{'")
+			return nil, p.Errorf("'!' must be followed by '{'")
 		}
 		a.Name = p.tok.text
 		p.next()
@@ -399,7 +346,7 @@ func (p *parser[L]) parseAtom() (automata.Expr[L], error) {
 		p.next()
 		for {
 			if p.tok.kind != tokLabel {
-				return nil, p.errorf("expected label in wildcard set, got %s", p.tok)
+				return nil, p.Errorf("expected label in wildcard set, got %s", p.tok)
 			}
 			a.Except = append(a.Except, p.tok.text)
 			p.next()
@@ -410,50 +357,21 @@ func (p *parser[L]) parseAtom() (automata.Expr[L], error) {
 			break
 		}
 		if p.tok.kind != tokRBrace {
-			return nil, p.errorf("expected '}' closing wildcard set, got %s", p.tok)
+			return nil, p.Errorf("expected '}' closing wildcard set, got %s", p.tok)
 		}
 		p.next()
 	case tokLParen:
-		if a.Prefixed {
-			return nil, p.errorf("'%c' applies to atoms, not groups", p.syntax.Prefix)
-		}
-		return p.parseGroup()
+		return nil, p.Errorf("'%c' applies to atoms, not groups", p.syntax.Prefix)
 	default:
-		return nil, p.errorf("expected expression, got %s", p.tok)
+		return nil, p.Errorf("expected expression, got %s", p.tok)
 	}
 	if p.tok.kind == tokSuffix {
 		p.next()
 		if p.tok.kind != tokLabel {
-			return nil, p.errorf("expected variable name after '%c', got %s", p.syntax.Suffix, p.tok)
+			return nil, p.Errorf("expected variable name after '%c', got %s", p.syntax.Suffix, p.tok)
 		}
 		a.Suffix = p.tok.text
 		p.next()
 	}
-	p.nest = 0
 	return p.syntax.Atom(a), nil
-}
-
-// parseGroup parses '(' expr? ')', the current token being '('.
-func (p *parser[L]) parseGroup() (automata.Expr[L], error) {
-	if p.depth++; p.depth > MaxNesting {
-		return nil, p.errorf("groups and repetitions nest %d deep; the bound is %d", p.depth, MaxNesting)
-	}
-	p.next()
-	if p.tok.kind == tokRParen { // "()" is ε
-		p.next()
-		p.depth--
-		p.nest = 1
-		return automata.Epsilon[L]{}, nil
-	}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tokRParen {
-		return nil, p.errorf("expected ')', got %s", p.tok)
-	}
-	p.next()
-	p.depth--
-	p.nest++
-	return e, nil
 }

@@ -211,6 +211,8 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"gql AND chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE x.k = 1", " AND x.k = 1", ")"), []string{"513 parts", "the bound is 512"}},
 		{"gql OR chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE x.k = 1", " OR x.k = 1", ")"), []string{"513 parts", "the bound is 512"}},
 		{"gql NOT chain", chain(`{"graph":"bank","lang":"gql","query":"%s"}`, "((x) WHERE ", "NOT ", "x.k = 1)"), nesting},
+		{"crpq chain", fill(`{"graph":"bank","query":"%s"}`, "q(x, y) :- a(x, y)", ", a(x, y)"), tooLarge},
+		{"dlrpq negative count", `{"graph":"bank","query":"[a]{2,-1}","from":"a1","to":"a2"}`, []string{"repetition count"}},
 		{"gql empty iteration", `{"graph":"bank","lang":"gql","query":"(x)*"}`, []string{"zero-length path that binds a variable"}},
 		{"gql empty iteration in a union", `{"graph":"bank","lang":"gql","query":"((x) | -[e]->)*"}`, []string{"zero-length path that binds a variable"}},
 	} {

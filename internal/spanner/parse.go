@@ -22,141 +22,64 @@ import (
 // a concatenation or union of more than rpq.MaxPositions parts
 // (rpq.PartsError), is refused as soon as the parser gets there.
 func Parse(input string) (Expr, error) {
-	p := &spanParser{src: input}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.pos < len(p.src) {
-		return nil, p.errf("trailing input %q", p.src[p.pos:])
-	}
-	return e, nil
+	return rpq.Read[lang](&spanParser{src: input}, rpq.TokEnd)
 }
 
+// spanParser is the formula lexer, read by rpq.Read. Every byte but the
+// operators is an atom or starts one; a capture is an atom whose body the
+// reader reads (Nested), and it counts as the two levels it prints as,
+// (x{…}). An empty row is ε.
 type spanParser struct {
 	src string
 	pos int
 	// lit ends an identifier run already found not to name a capture: its
 	// bytes are literals, and the run is scanned once, not once per byte.
-	lit   int
-	depth int // groups and captures open around pos
-	nest  int // groups, captures and repetitions on the deepest path of the formula parsed last
+	lit int
 }
 
-// tooDeep is the refusal of a formula that nests past rpq.MaxNesting.
-func (p *spanParser) tooDeep(nest int) error {
-	return p.errf("groups and repetitions nest %d deep; the bound is %d", nest, rpq.MaxNesting)
+func (p *spanParser) Errorf(format string, args ...any) error {
+	return fmt.Errorf("spanner: parse error at offset %d: "+format, append([]any{p.pos}, args...)...)
 }
 
-// open enters one more group or capture, refusing it past rpq.MaxNesting;
-// close leaves it once its closing byte is read.
-func (p *spanParser) open() error {
-	if p.depth++; p.depth > rpq.MaxNesting {
-		return p.tooDeep(p.depth)
+func (p *spanParser) Got() string {
+	if p.pos == len(p.src) {
+		return "end of input"
 	}
-	return nil
+	return fmt.Sprintf("%q", p.src[p.pos:p.pos+1])
 }
 
-func (p *spanParser) close() {
-	p.pos++
-	p.depth--
-	p.nest++
-}
-
-func (p *spanParser) errf(format string, args ...any) error {
-	return fmt.Errorf("spanner: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-// parts refuses a row of n parts past rpq.MaxPositions.
-func (p *spanParser) parts(n int) error {
-	if err := rpq.PartsError(n); err != nil {
-		return fmt.Errorf("spanner: parse error at offset %d: %w", p.pos, err)
+func (p *spanParser) Peek() rpq.Token {
+	if p.pos == len(p.src) {
+		return rpq.TokEnd
 	}
-	return nil
+	switch p.src[p.pos] {
+	case '(':
+		return rpq.TokOpen
+	case ')':
+		return rpq.TokClose
+	case '|':
+		return rpq.TokOr
+	case '*':
+		return rpq.TokStar
+	case '+':
+		return rpq.TokPlus
+	case '{', '}':
+		return rpq.TokOther
+	}
+	return rpq.TokAtom
 }
 
-func (p *spanParser) parseUnion() (Expr, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	alts, nest := []Expr{first}, p.nest
-	for p.pos < len(p.src) && p.src[p.pos] == '|' {
-		p.pos++
-		next, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts, nest = append(alts, next), max(nest, p.nest)
-		if err := p.parts(len(alts)); err != nil {
-			return nil, err
-		}
-	}
-	p.nest = nest
-	return Alt(alts...), nil
-}
+// Skip consumes the one-byte token ahead.
+func (p *spanParser) Skip() { p.pos++ }
 
-func (p *spanParser) parseConcat() (Expr, error) {
-	var parts []Expr
-	nest := 0
-	for p.pos < len(p.src) && p.src[p.pos] != '|' && p.src[p.pos] != ')' && p.src[p.pos] != '}' {
-		f, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		parts, nest = append(parts, f), max(nest, p.nest)
-		if err := p.parts(len(parts)); err != nil {
-			return nil, err
-		}
-	}
-	p.nest = nest
-	return Seq(parts...), nil
-}
+// Count is never asked for: a formula has no counts.
+func (p *spanParser) Count() (int, int, error) { return 0, 0, p.Errorf("unexpected count") }
 
-func (p *spanParser) parseFactor() (Expr, error) {
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for nest := p.nest; ; nest++ {
-		if nest > rpq.MaxNesting {
-			return nil, p.tooDeep(nest)
-		}
-		p.nest = nest
-		if p.pos == len(p.src) {
-			return atom, nil
-		}
-		switch p.src[p.pos] {
-		case '*':
-			p.pos++
-			atom = Star(atom)
-		case '+':
-			p.pos++
-			atom = Plus(atom)
-		default:
-			return atom, nil
-		}
-	}
-}
+func (p *spanParser) Empty(bool) bool { return true }
 
-func (p *spanParser) parseAtom() (Expr, error) {
+func (p *spanParser) Atom(r *rpq.Reader[lang]) (Expr, error) {
 	c := p.src[p.pos]
-	p.nest = 0 // a leaf's; a group or capture counts its own
 	switch {
-	case c == '(':
-		if err := p.open(); err != nil {
-			return nil, err
-		}
-		p.pos++
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-			return nil, p.errf("expected ')'")
-		}
-		p.close()
-		return e, nil
 	case c == '.':
 		p.pos++
 		return Dot(), nil
@@ -171,7 +94,7 @@ func (p *spanParser) parseAtom() (Expr, error) {
 			p.pos += 2
 			return Char{C: ch}, nil
 		}
-		return nil, p.errf("dangling '\\'")
+		return nil, p.Errorf("dangling '\\'")
 	case p.pos < p.lit:
 		p.pos++
 		return Char{C: c}, nil
@@ -184,25 +107,22 @@ func (p *spanParser) parseAtom() (Expr, error) {
 		}
 		if end < len(p.src) && p.src[end] == '{' {
 			name := p.src[p.pos:end]
-			if err := p.open(); err != nil {
-				return nil, err
-			}
 			p.pos = end + 1
-			sub, err := p.parseUnion()
+			alts, err := r.Nested(2, func() error {
+				if p.pos >= len(p.src) || p.src[p.pos] != '}' {
+					return p.Errorf("expected '}' closing capture %s", name)
+				}
+				p.pos++
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			if p.pos >= len(p.src) || p.src[p.pos] != '}' {
-				return nil, p.errf("expected '}' closing capture %s", name)
-			}
-			p.close()
-			return Cap(name, sub), nil
+			return Cap(name, Alt(alts...)), nil
 		}
 		p.lit = end
 		p.pos++
 		return Char{C: c}, nil
-	case c == '*' || c == '+' || c == '{':
-		return nil, p.errf("unexpected %q", string(c))
 	default:
 		// Any other byte (space, punctuation) is a literal.
 		p.pos++

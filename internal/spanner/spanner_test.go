@@ -159,3 +159,26 @@ func TestParsePartsBound(t *testing.T) {
 		}
 	}
 }
+
+// TestParseCaptureNesting: a capture counts as the two levels it prints as,
+// (x{…}), so what parses prints to a text that parses: 500 nested captures
+// do, and 501 are refused, bracketed or not.
+func TestParseCaptureNesting(t *testing.T) {
+	nested := func(n int) string { return strings.Repeat("x{", n) + "a" + strings.Repeat("}", n) }
+	e, err := Parse(nested(rpq.MaxNesting / 2))
+	if err != nil {
+		t.Fatalf("%d captures: %v", rpq.MaxNesting/2, err)
+	}
+	if back, err := Parse(e.String()); err != nil || back.String() != e.String() {
+		t.Errorf("%d captures print as a text that reads back as %v, %v", rpq.MaxNesting/2, back, err)
+	}
+	for _, text := range []string{nested(rpq.MaxNesting/2 + 1), "(" + nested(rpq.MaxNesting/2+1) + ")"} {
+		if _, err := Parse(text); err == nil || !strings.Contains(err.Error(), "the bound is 1000") {
+			t.Errorf("%.12s… of %d captures: %v", text, rpq.MaxNesting/2+1, err)
+		}
+	}
+	// A group around a capture alone is the capture's own brackets.
+	if _, err := Parse(strings.Repeat("(x{", rpq.MaxNesting/2) + "a" + strings.Repeat("})", rpq.MaxNesting/2)); err != nil {
+		t.Errorf("%d bracketed captures: %v", rpq.MaxNesting/2, err)
+	}
+}
