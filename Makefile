@@ -33,10 +33,15 @@ vet:
 # internal/rpq no non-test file compares a count with rpq.MaxNesting. A
 # construct a dialect reads itself counts through the reader (Nested, Enter).
 # relalg's query algebra, JOIN/UNION/DIFF/PROJECT/RENAME, is not a regular
-# expression and counts its own groups.
+# expression and counts its own groups. The served kinds are one table, in
+# KIND_TABLE, one row per language (DESIGN §14): a case on a Kind constant, a
+# comparison with one, or a case on a result-kind literal ("pairs", "paths",
+# "rows", "matches", "spans", "relation", "bag") in another non-test file of
+# internal/core or internal/server is a second kind switch.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
+KIND_TABLE := internal/core/kinds.go
 
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -58,6 +63,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a tier's own concatenation or union (use automata.Concat and automata.Alternation):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '[<>]=?[[:space:]]*rpq\.MaxNesting|rpq\.MaxNesting[[:space:]]*[<>]' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/rpq/*' ! -path 'internal/relalg/*') || true)"; \
 		if [ -n "$$out" ]; then echo "a dialect counting its own nesting (read through rpq.Read):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE 'case[[:space:]]+Kind|[!=]=[[:space:]]*Kind|case[^:]*"(pairs|paths|rows|matches|spans|relation|bag)"' $$(ls internal/core/*.go internal/server/*.go | grep -v _test.go | grep -vxF $(KIND_TABLE)) || true)"; \
+		if [ -n "$$out" ]; then echo "a second kind switch (look the kind up in $(KIND_TABLE)):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -61,7 +61,7 @@ type AnnotatedPlan struct {
 // Trace attributes the analyze path communicates through: the evaluator
 // that holds the compiled rpqPlan records its estimates there (strings,
 // deterministically formatted), and annotate reads them back when building
-// the tree. Attributes keep the dispatch signatures untouched.
+// the tree. Attributes keep the evaluator signatures untouched.
 const (
 	attrEstRows   = "est_rows"   // cardest answer-count estimate
 	attrEstStates = "est_states" // frontier-mass model states estimate
@@ -72,7 +72,7 @@ const (
 func formatEst(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // noteKernelActuals records the analyze-path estimates of one planned
-// kernel sweep: called by plannedPairs right after a kernel stage that ran
+// kernel sweep: called by rpqPairs right after a kernel stage that ran
 // to completion (a sweep the sink stopped early swept only part of the
 // product, so its counts would be q-errors of nothing and it carries no
 // estimate). ss nil (analyze off) is a no-op, so non-analyze queries pay

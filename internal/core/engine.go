@@ -128,71 +128,6 @@ func (e *Engine) SetPlanCacheCapacity(n int) {
 	e.plans.resize(n)
 }
 
-// QueryKind classifies a query string.
-type QueryKind int
-
-// The query kinds the engine dispatches. The first three are auto-detected
-// from the query text; the rest are selected explicitly via Request.Lang
-// (see KindForLang).
-const (
-	KindCRPQ    QueryKind = iota // contains ":-"
-	KindDLRPQ                    // contains atom brackets or data tests
-	KindRPQ                      // plain regular path query (ℓ-RPQ if it has ^vars)
-	KindTwoWay                   // two-way RPQ → pairs (lang "2rpq")
-	KindGQL                      // GQL ASCII-art pattern → matches (lang "gql")
-	KindCoreGQL                  // CoreGQL fragment → matches (lang "coregql")
-	KindCypher                   // Cypher-fragment pattern → pairs (lang "cypher")
-	KindPMR                      // path-representation enumeration → paths (lang "pmr")
-	KindSpanner                  // document spanner over Doc → spans (lang "spanner")
-	KindRelAlg                   // algebra over REACH atoms → relation (lang "relalg")
-	KindBag                      // bag-semantics answer count → bag (lang "bag")
-)
-
-// KindForLang resolves an explicit Request.Lang to its query kind. ok is
-// false for unknown values; "" and "auto" mean auto-detection and resolve
-// nothing here.
-func KindForLang(lang string) (QueryKind, bool) {
-	switch lang {
-	case "2rpq":
-		return KindTwoWay, true
-	case "gql":
-		return KindGQL, true
-	case "coregql":
-		return KindCoreGQL, true
-	case "cypher":
-		return KindCypher, true
-	case "pmr":
-		return KindPMR, true
-	case "spanner":
-		return KindSpanner, true
-	case "relalg":
-		return KindRelAlg, true
-	case "bag":
-		return KindBag, true
-	default:
-		return 0, false
-	}
-}
-
-// Detect classifies a query string: CRPQs contain ":-", dl-RPQs contain
-// bracketed atoms or data tests, everything else parses as an (ℓ-)RPQ.
-func Detect(q string) QueryKind {
-	if strings.Contains(q, ":-") {
-		return KindCRPQ
-	}
-	for i := 0; i < len(q); i++ {
-		switch q[i] {
-		case '[', '=', '<', '>':
-			return KindDLRPQ
-		case ':':
-			if i+1 < len(q) && q[i+1] == '=' {
-				return KindDLRPQ
-			}
-		}
-	}
-	return KindRPQ
-}
-
 // PathResult is one path answer with its list-variable bindings.
 type PathResult struct {
 	Path    gpath.Path
@@ -241,33 +176,28 @@ func (e *Engine) planFor(gs *graphState, nfa *automata.NFA) pg.Plan {
 // over every query this engine has evaluated.
 func (e *Engine) RuntimeStats() pg.CountersSnapshot { return e.counters.Snapshot() }
 
-// compileRPQ returns the plan-cache build function of a plain RPQ, with
-// each stage — parse, Glushkov compilation + product resolution,
-// cost-based planning — recorded as a span on tr (nil: untraced, identical
-// behavior). The spans appear only on plan-cache misses, which is
-// accurate: on a hit none of this work happens. The product binds gs.g, so
-// the cache must (and does, via cached) serve an entry only to the graph
-// revision it was compiled against.
-func (e *Engine) compileRPQ(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
-	return func(q string) (rpqPlan, error) {
-		sp := tr.Start("parse")
-		expr, err := rpq.Parse(q)
-		sp.End()
-		if err == nil {
-			err = rpq.CheckPositions(expr)
-		}
-		if err != nil {
-			return rpqPlan{}, err
-		}
-		sp = tr.Start("compile")
-		nfa := rpq.Compile(expr)
-		product := eval.NewProductInstrumented(gs.g, nfa, &e.counters)
-		sp.End()
-		sp = tr.Start("plan")
-		plan := e.planFor(gs, nfa)
-		sp.End()
-		return rpqPlan{expr: expr, nfa: nfa, product: product, plan: plan}, nil
+// planRPQ returns a plain RPQ's plan from the cache's "rpq" family, read
+// as the RPQ row reads it, for the library calls that inspect a plan
+// rather than serve it; tr (nil: untraced) receives the stages of a miss.
+func (e *Engine) planRPQ(gs *graphState, tr *obs.Trace, query string) (rpqPlan, error) {
+	x := &run{e: e, gs: gs, tr: tr}
+	p, err := cached(e, gs, "rpq", query, func(text string) (rpqPlan, error) { return readRPQ(x, text) })
+	if err != nil {
+		return rpqPlan{}, badQuery(err)
 	}
+	return p, nil
+}
+
+// typed serves req as kind k on the current graph under the engine's
+// MaxLen and Limit, with no meter, trace or sink: the typed conveniences
+// below, which read the Response's typed fields. anchored says the caller
+// asks for paths between req.From and req.To.
+func (e *Engine) typed(k QueryKind, req Request, anchored bool) (*Response, error) {
+	gs := e.cur.Load()
+	defer gs.acquire()()
+	x := &run{e: e, gs: gs, req: req, maxLen: e.MaxLen, limit: e.Limit, anchored: anchored}
+	resp, err := x.serve(k)
+	return resp, classify(err)
 }
 
 // Pairs evaluates a plain RPQ to its endpoint-pair semantics ⟦R⟧_G.
@@ -275,37 +205,29 @@ func (e *Engine) compileRPQ(gs *graphState, tr *obs.Trace) func(string) (rpqPlan
 // meter (uncancellable, no budget), so both report errors in the same
 // taxonomy.
 func (e *Engine) Pairs(query string) ([][2]graph.NodeID, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	resp, err := e.plannedPairs(gs, query, "rpq", e.compileRPQ(gs, nil), nil, nil, nil)
+	resp, err := e.typed(KindRPQ, Request{Query: query}, false)
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return resp.Pairs, nil
 }
 
 // Paths evaluates an (ℓ-)RPQ or dl-RPQ between two nodes under a mode.
 func (e *Engine) Paths(query string, src, dst graph.NodeID, mode eval.Mode) ([]PathResult, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	res, err := e.pathsMeter(gs, query, src, dst, mode, nil, nil, e.MaxLen, e.Limit)
-	return res, classify(err)
-}
-
-func toResults(pbs []gpath.PathBinding) []PathResult {
-	out := make([]PathResult, len(pbs))
-	for i, pb := range pbs {
-		out[i] = PathResult{Path: pb.Path, Binding: pb.Binding}
+	resp, err := e.typed(Detect(query), Request{Query: query, From: src, To: dst, Mode: mode}, true)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return resp.Paths, nil
 }
 
 // Rows evaluates a (dl-)CRPQ and renders its output tuples.
 func (e *Engine) Rows(query string) (*crpq.Result, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	rows, err := e.rowsMeter(gs, query, nil, nil, e.MaxLen)
-	return rows, classify(err)
+	resp, err := e.typed(KindCRPQ, Request{Query: query}, false)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Rows, nil
 }
 
 // Representation builds a PMR for the matching paths of a plain RPQ
@@ -314,23 +236,18 @@ func (e *Engine) Rows(query string) (*crpq.Result, error) {
 func (e *Engine) Representation(query string, src, dst graph.NodeID, shortestOnly bool) (*pmr.PMR, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, nil))
+	plan, err := e.planRPQ(gs, nil, query)
 	if err != nil {
-		return nil, badQuery(err)
+		return nil, err
 	}
-	expr := plan.expr
-	u, ok := gs.g.NodeIndex(src)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
-	}
-	v, ok := gs.g.NodeIndex(dst)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
+	x := &run{gs: gs, req: Request{From: src, To: dst}, anchored: true}
+	if err := x.resolveAnchors(); err != nil {
+		return nil, err
 	}
 	if shortestOnly {
-		return pmr.ShortestFromProduct(gs.g, expr, u, v), nil
+		return pmr.ShortestFromProduct(gs.g, plan.expr, x.u, x.v), nil
 	}
-	return pmr.FromProduct(gs.g, expr, u, v), nil
+	return pmr.FromProduct(gs.g, plan.expr, x.u, x.v), nil
 }
 
 // Explain reports the compiled automaton's size and ambiguity for an RPQ —
@@ -341,9 +258,9 @@ func (e *Engine) Explain(query string) (string, error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
 	tr := obs.NewTrace()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, tr))
+	plan, err := e.planRPQ(gs, tr, query)
 	if err != nil {
-		return "", badQuery(err)
+		return "", err
 	}
 	expr := plan.expr
 	simplified := rpq.Simplify(expr)
@@ -381,11 +298,9 @@ func (e *Engine) ProgramRows(program string) (*crpq.Result, error) {
 // TwoWayPairs evaluates a two-way RPQ (inverse atoms written ~a, Remark 9)
 // to its endpoint-pair semantics.
 func (e *Engine) TwoWayPairs(query string) ([][2]graph.NodeID, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	resp, err := e.twoWayPairs(gs, query, nil, nil, nil)
+	resp, err := e.typed(KindTwoWay, Request{Query: query}, false)
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return resp.Pairs, nil
 }
@@ -395,9 +310,9 @@ func (e *Engine) TwoWayPairs(query string) ([][2]graph.NodeID, error) {
 func (e *Engine) Estimate(query string) (estimate float64, actual int, err error) {
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, nil))
+	plan, err := e.planRPQ(gs, nil, query)
 	if err != nil {
-		return 0, 0, badQuery(err)
+		return 0, 0, err
 	}
 	pairs, _ := eval.PairsProduct(plan.product, eval.Options{Parallelism: e.Parallelism, Plan: plan.plan}) // no meter: cannot fail
 	actual = len(pairs)
@@ -408,8 +323,9 @@ func (e *Engine) Estimate(query string) (estimate float64, actual int, err error
 // partial bindings — the practice-side semantics of Examples 1 and 2) and
 // renders its matches.
 func (e *Engine) GQLMatch(pattern string) ([]string, error) {
-	gs := e.cur.Load()
-	defer gs.acquire()()
-	ms, err := e.gqlMatchesMeter(gs, pattern, nil, nil, e.MaxLen, e.Limit)
-	return ms, classify(err)
+	resp, err := e.typed(KindGQL, Request{Query: pattern}, false)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Matches, nil
 }

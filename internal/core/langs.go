@@ -1,16 +1,14 @@
-// Engine entry points for the unified upper language tiers: GQL and
-// CoreGQL patterns, Cypher-fragment path patterns, PMR enumeration,
+// Readers and evaluators of the upper language tiers' rows (kinds.go): GQL
+// and CoreGQL patterns, Cypher-fragment path patterns, PMR enumeration,
 // document spanners, relational algebra over reachability atoms, and
-// bag-semantics counting all dispatch through QueryCtx like the classic
-// kinds — one meter threaded through every stage, parse results in the
-// plan cache, spans on the trace — so each tier inherits deadlines,
-// budgets, live progress, and cooperative kill from the same machinery.
+// bag-semantics counting are served like the classic kinds — one meter
+// threaded through every stage, plans in the plan cache, spans on the
+// trace — so each tier inherits deadlines, budgets, live progress, and
+// cooperative kill from the same machinery.
 
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math/big"
 	"sort"
 
@@ -18,61 +16,52 @@ import (
 	"graphquery/internal/coregql"
 	"graphquery/internal/cypherfrag"
 	"graphquery/internal/eval"
+	"graphquery/internal/gpath"
 	"graphquery/internal/gql"
 	"graphquery/internal/graph"
-	"graphquery/internal/obs"
 	"graphquery/internal/pmr"
 	"graphquery/internal/relalg"
 	"graphquery/internal/rpq"
 	"graphquery/internal/spanner"
 )
 
-// gqlMatchesMeter evaluates a GQL pattern to rendered matches.
-func (e *Engine) gqlMatchesMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, maxLen, limit int) ([]string, error) {
-	sp := tr.Start("parse")
-	p, err := cached(e, gs, "gql", query, parseGQL)
-	sp.End()
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	ms, err := gql.EvalPattern(gs.g, p, gql.Options{MaxLen: maxLen, Meter: m})
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+// gqlMatches evaluates a GQL pattern to rendered matches.
+func gqlMatches(x *run, p gql.Pattern) (*Response, error) {
+	g := x.gs.g
+	ms, err := stage(x, "kernel", func() ([]gql.Match, error) {
+		return gql.EvalPattern(g, p, gql.Options{MaxLen: x.maxLen, Meter: x.m})
+	})
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Start("enumerate")
-	defer sp.End()
-	return renderMatches(gs.g, ms, limit, func(v gql.BindVal) string { return v.Format(gs.g) }), nil
+	return x.lines(stage(x, "enumerate", func() ([]string, error) {
+		return renderMatches(g, ms, x.limit, func(v gql.BindVal) string { return v.Format(g) }), nil
+	}))
 }
 
-// coreGQLMatchesMeter evaluates the CoreGQL fragment of a GQL pattern: the
-// surface syntax is shared with gql, lowered onto coregql's label-free
-// atoms (patterns outside the fragment are rejected as bad queries).
-func (e *Engine) coreGQLMatchesMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, maxLen, limit int) ([]string, error) {
-	sp := tr.Start("parse")
-	p, err := cached(e, gs, "coregql", query, func(q string) (coregql.Pattern, error) {
-		gp, err := parseGQL(q)
-		if err != nil {
-			return nil, err
-		}
-		return gql.ToCore(gp)
-	})
-	sp.End()
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	ms, err := coregql.EvalPattern(gs.g, p, coregql.Options{MaxLen: maxLen, Meter: m})
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+// parseCoreGQL reads the CoreGQL fragment of a GQL pattern: the surface
+// syntax is shared with gql, lowered onto coregql's label-free atoms
+// (patterns outside the fragment are refused as bad queries).
+func parseCoreGQL(text string) (coregql.Pattern, error) {
+	gp, err := parseGQL(text)
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Start("enumerate")
-	defer sp.End()
-	return renderMatches(gs.g, ms, limit, gs.g.ObjectID), nil
+	return gql.ToCore(gp)
+}
+
+// coreGQLMatches evaluates a CoreGQL pattern to rendered matches.
+func coreGQLMatches(x *run, p coregql.Pattern) (*Response, error) {
+	g := x.gs.g
+	ms, err := stage(x, "kernel", func() ([]coregql.Match, error) {
+		return coregql.EvalPattern(g, p, coregql.Options{MaxLen: x.maxLen, Meter: x.m})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x.lines(stage(x, "enumerate", func() ([]string, error) {
+		return renderMatches(g, ms, x.limit, g.ObjectID), nil
+	}))
 }
 
 // parseGQL parses a served GQL pattern and refuses one whose skeleton would
@@ -111,105 +100,64 @@ func renderMatches[V any](g *graph.Graph, ms []coregql.MatchOf[map[string]V], li
 	return out
 }
 
-// compileCypher parses a Cypher-fragment pattern, lowers it to its
-// RPQ, and runs the full RPQ compilation pipeline (Glushkov, product
-// resolution, cost-based planning) — the same rpqPlan the plain-RPQ path
-// caches, so Cypher queries share the kernel, the planner, and the runtime
-// counters.
-func (e *Engine) compileCypher(gs *graphState, tr *obs.Trace) func(string) (rpqPlan, error) {
-	return func(q string) (rpqPlan, error) {
-		sp := tr.Start("parse")
-		p, err := cypherfrag.Parse(q)
-		sp.End()
+// readCypher reads a Cypher-fragment pattern, lowered to its RPQ, and runs
+// the plain RPQ's compilation (Glushkov, product resolution, cost-based
+// planning) — the same rpqPlan, so Cypher queries share the kernel, the
+// planner, and the runtime counters with RPQs.
+func readCypher(x *run, text string) (rpqPlan, error) {
+	return x.planRPQ(reader(bounded(func(text string) (rpq.Expr, error) {
+		p, err := cypherfrag.Parse(text)
 		if err != nil {
-			return rpqPlan{}, err
+			return nil, err
 		}
-		sp = tr.Start("compile")
-		expr := cypherfrag.Compile(p)
-		if err := rpq.CheckPositions(expr); err != nil {
-			sp.End()
-			return rpqPlan{}, err
-		}
-		nfa := rpq.Compile(expr)
-		product := eval.NewProductInstrumented(gs.g, nfa, &e.counters)
-		sp.End()
-		sp = tr.Start("plan")
-		plan := e.planFor(gs, nfa)
-		sp.End()
-		return rpqPlan{expr: expr, nfa: nfa, product: product, plan: plan}, nil
-	}
+		return cypherfrag.Compile(p), nil
+	}))(x, text))
 }
 
-// pmrPathsMeter builds the path-multiset representation of an RPQ between
-// two nodes on the kernel and enumerates up to limit paths from it. PMR
-// enumeration is output-linear but possibly infinite (cyclic path sets), so
-// the limit is mandatory.
-func (e *Engine) pmrPathsMeter(gs *graphState, query string, src, dst graph.NodeID, shortest bool, m *eval.Meter, tr *obs.Trace, limit int) ([]PathResult, error) {
-	if limit <= 0 {
-		return nil, badQuery(errors.New("core: pmr queries need a limit > 0 (path sets may be infinite)"))
-	}
-	u, ok := gs.g.NodeIndex(src)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
-	}
-	v, ok := gs.g.NodeIndex(dst)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
-	}
-	plan, err := cached(e, gs, "rpq", query, e.compileRPQ(gs, tr))
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	s0, r0 := m.States(), m.Rows()
-	sp := tr.Start("kernel")
-	var r *pmr.PMR
-	if shortest {
-		r, err = pmr.ShortestFromKernel(plan.product.Kernel(), u, v, m)
-	} else {
-		r, err = pmr.FromProductMeter(gs.g, plan.expr, u, v, m)
-	}
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+// pmrPaths builds the path-multiset representation of an RPQ between the
+// anchors on the kernel — of all paths, or of the shortest ones — and
+// enumerates up to limit paths from it. PMR enumeration is output-linear
+// but possibly infinite (cyclic path sets), so the limit is mandatory
+// (pathSet).
+func pmrPaths(x *run, p rpqPlan) (*Response, error) {
+	r, err := stage(x, "kernel", func() (*pmr.PMR, error) {
+		if x.req.Mode == eval.Shortest {
+			return pmr.ShortestFromKernel(p.product.Kernel(), x.u, x.v, x.m)
+		}
+		return pmr.FromProductMeter(x.gs.g, p.expr, x.u, x.v, x.m)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s0, r0 = m.States(), m.Rows()
-	sp = tr.Start("enumerate")
-	paths, err := r.EnumerateMeter(limit, m)
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
-	if err != nil {
-		return nil, err
-	}
+	paths, err := stage(x, "enumerate", func() ([]gpath.Path, error) { return r.EnumerateMeter(x.limit, x.m) })
 	out := make([]PathResult, len(paths))
-	for i, p := range paths {
-		out[i] = PathResult{Path: p}
+	for i, path := range paths {
+		out[i] = PathResult{Path: path}
 	}
-	return out, nil
+	return x.paths(out, err)
 }
 
-// spannerMeter evaluates a document spanner over req.Doc: the kernel
-// answers feasibility on the document's line graph, then the capture
-// recursion runs metered. Matches render as sorted var=[start,end⟩ lines.
-func (e *Engine) spannerMeter(gs *graphState, doc, query string, m *eval.Meter, tr *obs.Trace, limit int) ([]string, error) {
-	sp := tr.Start("parse")
-	expr, err := cached(e, gs, "spanner", query, spanner.Parse)
-	sp.End()
-	if err == nil {
-		// The compiled size depends on the document, so the bound is asked
-		// per request, not once per cached parse.
-		err = spanner.CheckPositions(doc, expr)
-	}
-	if err != nil {
+// spannerSpans evaluates a document spanner over the request's Doc: the
+// kernel answers feasibility on the document's line graph, then the
+// capture recursion runs metered. Matches render as sorted var=[start,end⟩
+// lines.
+func spannerSpans(x *run, expr spanner.Expr) (*Response, error) {
+	doc := x.req.Doc
+	// The compiled size depends on the document, so the bound is asked
+	// per request, not once per cached parse.
+	if err := spanner.CheckPositions(doc, expr); err != nil {
 		return nil, badQuery(err)
 	}
-	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	ms, err := spanner.EvaluateMeter(doc, expr, m)
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
+	ms, err := stage(x, "kernel", func() ([]spanner.Match, error) { return spanner.EvaluateMeter(doc, expr, x.m) })
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Start("enumerate")
-	defer sp.End()
+	return x.lines(stage(x, "enumerate", func() ([]string, error) { return renderSpans(ms, x.limit), nil }))
+}
+
+// renderSpans renders the first limit spanner matches (all when limit <=
+// 0), each as its var=span pairs in variable order.
+func renderSpans(ms []spanner.Match, limit int) []string {
 	if limit > 0 && len(ms) > limit {
 		ms = ms[:limit]
 	}
@@ -229,42 +177,28 @@ func (e *Engine) spannerMeter(gs *graphState, doc, query string, m *eval.Meter, 
 		}
 		out[i] = line
 	}
-	return out, nil
+	return out
 }
 
-// relalgMeter evaluates a relational-algebra query whose REACH atoms run on
-// the kernel.
-func (e *Engine) relalgMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) (*relalg.Relation, error) {
-	sp := tr.Start("parse")
-	q, err := cached(e, gs, "relalg", query, relalg.ParseQuery)
-	sp.End()
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
-	return relalg.EvalQuery(gs.g, q, eval.Options{Parallelism: e.Parallelism, Meter: m})
-}
-
-// bagMeter computes the bag-semantics total answer count of an RPQ — the
-// Section 6.1 explosion quantity — with the kernel pruning the star
-// recursion.
-func (e *Engine) bagMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace) (*big.Int, error) {
-	sp := tr.Start("parse")
-	expr, err := cached(e, gs, "bag", query, func(text string) (rpq.Expr, error) {
-		expr, err := rpq.Parse(text)
-		if err == nil {
-			err = rpq.CheckPositions(expr)
-		}
-		return expr, err
+// relalgRelation evaluates a relational-algebra query whose REACH atoms run
+// on the kernel; its tuples are delivered in their canonical order.
+func relalgRelation(x *run, q relalg.Query) (*Response, error) {
+	rel, err := stage(x, "kernel", func() (*relalg.Relation, error) {
+		return relalg.EvalQuery(x.gs.g, q, eval.Options{Parallelism: x.e.Parallelism, Meter: x.m})
 	})
-	sp.End()
 	if err != nil {
-		return nil, badQuery(err)
+		return nil, err
 	}
-	s0, r0 := m.States(), m.Rows()
-	sp = tr.Start("kernel")
-	defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
-	return bag.TotalCountMeter(gs.g, expr, m)
+	return x.rendered(&Response{Rel: rel}, rel.Attrs(), func(g *graph.Graph) RowBatch { return cellBatch(g, rel.Sorted()) })
+}
+
+// bagCount computes the bag-semantics total answer count of an RPQ — the
+// Section 6.1 explosion quantity — with the kernel pruning the star
+// recursion. It has one aggregate value and never touches the sink.
+func bagCount(x *run, expr rpq.Expr) (*Response, error) {
+	n, err := stage(x, "kernel", func() (*big.Int, error) { return bag.TotalCountMeter(x.gs.g, expr, x.m) })
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Bag: n}, nil
 }

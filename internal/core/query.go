@@ -14,6 +14,7 @@ import (
 	"math/big"
 	"slices"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/crpq"
 	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
@@ -67,12 +68,9 @@ type Request struct {
 	// Query is the query text; its language is auto-detected (Detect)
 	// unless Lang overrides it.
 	Query string
-	// Lang selects the language explicitly: "" or "auto" auto-detects among
-	// the classic kinds; "2rpq" (two-way RPQ → pairs), "gql" (GQL pattern →
-	// matches), "coregql" (CoreGQL fragment → matches), "cypher" (Cypher
-	// fragment → pairs), "pmr" (path representation → paths), "spanner"
-	// (document spanner over Doc → spans), "relalg" (algebra over REACH
-	// atoms → relation), and "bag" (bag-semantics count → bag) force a tier.
+	// Lang names the row of the table of served kinds (kinds.go) that
+	// serves the query: "" or "auto" detects one of the classic kinds in the
+	// text; anything else must be a row's lang.
 	Lang string
 	// Doc is the input document for spanner queries; ignored elsewhere.
 	Doc string
@@ -107,9 +105,8 @@ type Request struct {
 
 // Response is the union result of QueryCtx, discriminated by Kind.
 type Response struct {
-	// Kind names the result shape: "pairs" (rpq/2rpq/cypher), "paths"
-	// (anchored rpq/ℓ-rpq/dl-rpq, pmr), "rows" (crpq), "matches" (gql,
-	// coregql), "spans" (spanner), "relation" (relalg), or "bag" (bag).
+	// Kind is the result kind of the row that served the query (kinds.go);
+	// it names the one result field below that is filled.
 	Kind  string
 	Pairs [][2]graph.NodeID
 	Paths []PathResult
@@ -151,34 +148,24 @@ type Response struct {
 	GraphRev uint64
 }
 
-// Count returns the number of results regardless of kind. For responses
-// whose rows were streamed through a Sink the materialized fields are
-// empty and the streamed-row count is the answer.
+// Count returns the number of results regardless of kind: the rows
+// streamed through a Sink, or else those of the one typed field filled (a
+// bag is one aggregate answer).
 func (r *Response) Count() int {
 	if r.Streamed > 0 {
 		return r.Streamed
 	}
-	switch r.Kind {
-	case "pairs":
-		return len(r.Pairs)
-	case "paths":
-		return len(r.Paths)
-	case "rows":
-		if r.Rows != nil {
-			return len(r.Rows.Rows)
-		}
-	case "matches", "spans":
-		return len(r.Matches)
-	case "relation":
-		if r.Rel != nil {
-			return r.Rel.Len()
-		}
-	case "bag":
-		if r.Bag != nil {
-			return 1 // one aggregate answer
-		}
+	n := len(r.Pairs) + len(r.Paths) + len(r.Matches)
+	if r.Rows != nil {
+		n += len(r.Rows.Rows)
 	}
-	return 0
+	if r.Rel != nil {
+		n += r.Rel.Len()
+	}
+	if r.Bag != nil {
+		n++
+	}
+	return n
 }
 
 // QueryCtx evaluates one request under ctx: the single entry point of the
@@ -196,84 +183,105 @@ func (e *Engine) Query(req Request) (*Response, error) {
 	return e.QueryCtx(context.Background(), req)
 }
 
-// dispatch is the one place a request's kind selects its evaluator. Each
-// evaluator fills its typed Response field; with a sink, the result then
-// leaves through it (streamRendered) and the fields are cleared. The pair
-// producers are the exception: they hold node index pairs, not typed rows,
-// and deliver those themselves — plannedPairs straight out of the kernel
-// fan-out while later sweeps are still running, twoWayPairs once its sweep
-// has finished. Kind "bag" has one aggregate value and never touches the
-// sink.
-func (e *Engine) dispatch(gs *graphState, req Request, m *eval.Meter, tr *obs.Trace, maxLen, limit int, sink BatchSink) (*Response, error) {
-	anchored := req.From != "" || req.To != ""
-	kind := Detect(req.Query)
-	if req.Lang != "" && req.Lang != "auto" {
-		var ok bool
-		if kind, ok = KindForLang(req.Lang); !ok {
-			return nil, badQuery(fmt.Errorf("core: unknown lang %q", req.Lang))
-		}
-		// Per-kind request schemas: only path-producing kinds accept from/to
-		// anchors; pmr requires them.
-		if anchored && kind != KindPMR {
-			return nil, badQuery(fmt.Errorf("core: lang %q queries do not take from/to anchors", req.Lang))
-		}
+// run is one request being served: what every row's reader and evaluator
+// is handed.
+type run struct {
+	e             *Engine
+	gs            *graphState // the snapshot the whole query runs on
+	req           Request
+	m             *eval.Meter
+	tr            *obs.Trace
+	maxLen, limit int      // the request's bounds, engine defaults applied
+	anchored      bool     // the request asks for paths between from and to
+	u, v          int      // from and to as node indexes, once resolveAnchors ran
+	result        string   // the Kind of the Response, set from the row serving the request
+	d             delivery // to the query's sink; d.out is nil without one
+}
+
+// resolveAnchors looks up an anchored request's from and to.
+func (x *run) resolveAnchors() error {
+	if !x.anchored {
+		return nil
 	}
-	var resp *Response
-	var err error
-	switch kind {
-	case KindTwoWay:
-		return e.twoWayPairs(gs, req.Query, m, tr, sink)
-	case KindGQL:
-		resp = &Response{Kind: "matches"}
-		resp.Matches, err = e.gqlMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
-	case KindCoreGQL:
-		resp = &Response{Kind: "matches"}
-		resp.Matches, err = e.coreGQLMatchesMeter(gs, req.Query, m, tr, maxLen, limit)
-	case KindCypher:
-		return e.plannedPairs(gs, req.Query, "cypher", e.compileCypher(gs, tr), m, tr, sink)
-	case KindPMR:
-		if req.From == "" || req.To == "" {
-			return nil, badQuery(errors.New("core: pmr queries need both from and to"))
+	var ok bool
+	if x.u, ok = x.gs.g.NodeIndex(x.req.From); !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownNode, x.req.From)
+	}
+	if x.v, ok = x.gs.g.NodeIndex(x.req.To); !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownNode, x.req.To)
+	}
+	return nil
+}
+
+// stage runs f as the named stage of x — parse, compile, plan, kernel or
+// enumerate — and is the one place core opens a span: it records the
+// states and rows the meter took across f, and leaves out of the span's
+// time what the sink spent on rows meanwhile, which the delivery records as
+// its own stages.
+func stage[T any](x *run, name string, f func() (T, error)) (T, error) {
+	s0, r0, d0 := x.m.States(), x.m.Rows(), x.d.encode+x.d.wait
+	sp := x.tr.Start(name)
+	v, err := f()
+	sp.Counts(x.m.States()-s0, x.m.Rows()-r0).Exclude(x.d.encode + x.d.wait - d0).End()
+	return v, err
+}
+
+// reader makes parse a row's reader: the "parse" stage.
+func reader[P any](parse func(string) (P, error)) func(*run, string) (P, error) {
+	return func(x *run, text string) (P, error) {
+		return stage(x, "parse", func() (P, error) { return parse(text) })
+	}
+}
+
+// bounded is the parse of a dialect whose text is one regular expression
+// (whose nesting bound is rpq.Read's) with the position bound.
+func bounded[L automata.Language](parse func(string) (automata.Expr[L], error)) func(string) (automata.Expr[L], error) {
+	return func(text string) (automata.Expr[L], error) {
+		expr, err := parse(text)
+		if err == nil {
+			err = rpq.CheckPositions(expr)
 		}
-		resp = &Response{Kind: "paths"}
-		resp.Paths, err = e.pmrPathsMeter(gs, req.Query, req.From, req.To, req.Mode == eval.Shortest, m, tr, limit)
-	case KindSpanner:
-		resp = &Response{Kind: "spans"}
-		resp.Matches, err = e.spannerMeter(gs, req.Doc, req.Query, m, tr, limit)
-	case KindRelAlg:
-		resp = &Response{Kind: "relation"}
-		resp.Rel, err = e.relalgMeter(gs, req.Query, m, tr)
-	case KindBag:
-		resp = &Response{Kind: "bag"}
-		resp.Bag, err = e.bagMeter(gs, req.Query, m, tr)
-	case KindCRPQ:
-		if anchored {
-			return nil, badQuery(errors.New("core: CRPQ queries return rows; do not anchor them with from/to"))
-		}
-		resp = &Response{Kind: "rows"}
-		resp.Rows, err = e.rowsMeter(gs, req.Query, m, tr, maxLen)
-	default: // KindRPQ, KindDLRPQ
-		if !anchored {
-			if kind == KindDLRPQ {
-				return nil, badQuery(errors.New("core: dl-RPQ queries need from and to endpoints"))
+		return expr, err
+	}
+}
+
+// sweptPairs is the delivery of every kind whose result is the pairs of one
+// all-sources sweep. Runs leave the fan-out in result order while sweeps are
+// still running, a batch of node indexes at a time: rendered to IDs and
+// appended to Response.Pairs without a sink, handed to the sink as they are
+// with one (it quotes the IDs against the query's snapshot as it encodes) —
+// where memory per query is O(fan-out window), not O(result), and a blocked
+// sink throttles the worker pool. Delivery runs inside the kernel stage but
+// is not kernel time (stage). whole reports that the sweep ran to its end;
+// when a sink stopped it early (a cursor page filled) the response is good
+// but the sweep's counts describe a part of it.
+func (x *run) sweptPairs(sweep func(emit func(pg.Runs) error) error) (resp *Response, whole bool, err error) {
+	resp = &Response{}
+	g := x.gs.g
+	emit := func(part pg.Runs) error {
+		resp.Pairs = appendPairIDs(resp.Pairs, g, part)
+		return nil
+	}
+	if x.d.out != nil {
+		if err := x.d.out.Begin(x.result, nil); err != nil {
+			if errors.Is(err, ErrStopStream) {
+				return resp, false, nil
 			}
-			return e.plannedPairs(gs, req.Query, "rpq", e.compileRPQ(gs, tr), m, tr, sink)
+			return nil, false, err
 		}
-		if req.From == "" || req.To == "" {
-			return nil, badQuery(errors.New("core: path queries need both from and to"))
-		}
-		resp = &Response{Kind: "paths"}
-		resp.Paths, err = e.pathsMeter(gs, req.Query, req.From, req.To, req.Mode, m, tr, maxLen, limit)
+		emit = func(part pg.Runs) error { return x.d.send(pairBatch(g, part)) }
+	}
+	_, err = stage(x, "kernel", func() (any, error) { return nil, sweep(emit) })
+	resp.Streamed = x.d.rows
+	if errors.Is(err, ErrStopStream) {
+		// The sink has all it wants: the sweep is partial, so its counts
+		// must not be set against the plan's estimates.
+		return resp, false, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if sink != nil && resp.Kind != "bag" {
-		if err := streamRendered(gs.g, resp, sink, tr); err != nil && !errors.Is(err, ErrStopStream) {
-			return nil, err
-		}
-	}
-	return resp, nil
+	return resp, true, nil
 }
 
 // appendPairIDs renders a sweep batch's runs to ID pairs against g: the
@@ -289,217 +297,187 @@ func appendPairIDs(dst [][2]graph.NodeID, g *graph.Graph, part pg.Runs) [][2]gra
 	return dst
 }
 
-// plannedPairs evaluates the endpoint-pair kinds that run on a planned
-// kernel sweep — plain RPQs (family "rpq") and the Cypher fragment
-// ("cypher"); family is the plan-cache namespace, compile its build
-// function, and both produce the same rpqPlan — and delivers them as
-// sweptPairs does.
-func (e *Engine) plannedPairs(gs *graphState, query, family string, compile func(string) (rpqPlan, error), m *eval.Meter, tr *obs.Trace, sink BatchSink) (*Response, error) {
-	plan, err := cached(e, gs, family, query, compile)
-	if err != nil {
-		return nil, badQuery(err)
+// rendered is the delivery of every other kind, which has materialized its
+// typed result in resp: with a sink, one batch whose rows batch renders
+// against the query's snapshot inside the encoder, one row live at a time,
+// and a Response left with only the count of rows the sink took; with
+// none, resp as it is.
+func (x *run) rendered(resp *Response, columns []string, batch func(g *graph.Graph) RowBatch) (*Response, error) {
+	if x.d.out == nil {
+		return resp, nil
 	}
-	tr.Set("plan", plan.plan.String())
-	resp, whole, err := sweptPairs(gs.g, m, tr, sink, func(emit func(pg.Runs) error) error {
-		return eval.PairsProductEmit(plan.product,
-			eval.Options{Parallelism: e.Parallelism, Meter: m, Plan: plan.plan}, emit)
+	err := x.d.out.Begin(x.result, columns)
+	if b := batch(x.gs.g); err == nil && b.n > 0 {
+		err = x.d.send(b)
+	}
+	if err != nil && !errors.Is(err, ErrStopStream) {
+		return nil, err
+	}
+	*resp = Response{Streamed: x.d.rows}
+	return resp, nil
+}
+
+// paths delivers path results, each row its Format.
+func (x *run) paths(ps []PathResult, err error) (*Response, error) {
+	if err != nil {
+		return nil, err
+	}
+	return x.rendered(&Response{Paths: ps}, nil, func(g *graph.Graph) RowBatch {
+		return RowBatch{n: len(ps), lines: func(i int) string { return ps[i].Format(g) }}
+	})
+}
+
+// lines delivers rendered result lines: matches or spans.
+func (x *run) lines(ls []string, err error) (*Response, error) {
+	if err != nil {
+		return nil, err
+	}
+	return x.rendered(&Response{Matches: ls}, nil, func(*graph.Graph) RowBatch {
+		return RowBatch{n: len(ls), lines: func(i int) string { return ls[i] }}
+	})
+}
+
+// cellBatch renders rows of cells, each cell by its Format against g.
+func cellBatch[C interface{ Format(*graph.Graph) string }](g *graph.Graph, rows [][]C) RowBatch {
+	return RowBatch{n: len(rows), cells: func(i int) []string {
+		rendered := make([]string, len(rows[i]))
+		for j, c := range rows[i] {
+			rendered[j] = c.Format(g)
+		}
+		return rendered
+	}}
+}
+
+// readRPQ reads a plain RPQ to its plan: parse, then compile — Glushkov
+// and the product resolved against the graph — then cost-based planning,
+// each a stage. The product binds the snapshot's graph, so the cache must
+// (and does, via cached) serve the plan only to the revision it was
+// compiled against.
+func readRPQ(x *run, text string) (rpqPlan, error) {
+	return x.planRPQ(reader(bounded(rpq.Parse))(x, text))
+}
+
+// planRPQ compiles and plans an RPQ read by its row's reader.
+func (x *run) planRPQ(expr rpq.Expr, err error) (rpqPlan, error) {
+	if err != nil {
+		return rpqPlan{}, err
+	}
+	p, _ := stage(x, "compile", func() (rpqPlan, error) {
+		nfa := rpq.Compile(expr)
+		return rpqPlan{expr: expr, nfa: nfa, product: eval.NewProductInstrumented(x.gs.g, nfa, &x.e.counters)}, nil
+	})
+	p.plan, _ = stage(x, "plan", func() (pg.Plan, error) { return x.e.planFor(x.gs, p.nfa), nil })
+	return p, nil
+}
+
+// rpqPairs sweeps an RPQ plan from every node — plain RPQs and the Cypher
+// fragment — and delivers the pairs as sweptPairs does.
+func rpqPairs(x *run, p rpqPlan) (*Response, error) {
+	x.tr.Set("plan", p.plan.String())
+	resp, whole, err := x.sweptPairs(func(emit func(pg.Runs) error) error {
+		return eval.PairsProductEmit(p.product,
+			eval.Options{Parallelism: x.e.Parallelism, Meter: x.m, Plan: p.plan}, emit)
 	})
 	if whole {
-		noteKernelActuals(gs, tr, plan, m.SweepStatsSink())
+		noteKernelActuals(x.gs, x.tr, p, x.m.SweepStatsSink())
 	}
 	return resp, err
 }
 
-// sweptPairs is the delivery of every kind whose result is the pairs of one
-// all-sources sweep. Runs leave the fan-out in result order while sweeps are
-// still running, a batch of node indexes at a time: rendered to IDs and
-// appended to Response.Pairs without a sink, handed to the sink as they are
-// with one (it quotes the IDs against the query's snapshot as it encodes) —
-// where memory per query is O(fan-out window), not O(result), and a blocked
-// sink throttles the worker pool. Delivery runs inside the kernel span's
-// interval but is not kernel time: the span is recorded without it, and
-// the delivery's own stages after it. whole reports that the sweep ran to
-// its end; when a sink stopped it early (a cursor page filled) the response
-// is good but the sweep's counts describe a part of it.
-func sweptPairs(g *graph.Graph, m *eval.Meter, tr *obs.Trace, sink BatchSink, sweep func(emit func(pg.Runs) error) error) (resp *Response, whole bool, err error) {
-	resp = &Response{Kind: "pairs"}
-	emit := func(part pg.Runs) error {
-		resp.Pairs = appendPairIDs(resp.Pairs, g, part)
-		return nil
-	}
-	d := delivery{out: sink}
-	if sink != nil {
-		if err := sink.Begin("pairs", nil); err != nil {
-			if errors.Is(err, ErrStopStream) {
-				return resp, false, nil
-			}
-			return nil, false, err
-		}
-		emit = func(part pg.Runs) error { return d.send(pairBatch(g, part)) }
-	}
-	s0, r0 := m.States(), m.Rows()
-	sp := tr.Start("kernel")
-	err = sweep(emit)
-	sp.Counts(m.States()-s0, m.Rows()-r0).Exclude(d.encode + d.wait).End()
-	d.record(tr)
-	resp.Streamed = d.rows
-	if errors.Is(err, ErrStopStream) {
-		// The sink has all it wants: the sweep is partial, so its counts
-		// must not be set against the plan's estimates.
-		return resp, false, nil
-	}
+// readTwoWay reads a 2RPQ to its compiled kernel.
+func readTwoWay(x *run, text string) (*pg.Kernel, error) {
+	expr, err := reader(bounded(twoway.Parse))(x, text)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return resp, true, nil
+	return stage(x, "compile", func() (*pg.Kernel, error) { return twoway.Kernel(x.gs.g, expr, &x.e.counters), nil })
 }
 
-// rowsMeter evaluates a CRPQ on its compiled plan (crpq.Plan), cached per
-// (revision, query) like an RPQ's product, so parse and compile spans
-// appear only on plan-cache misses. Inside the kernel fragment the atom
+// twoWayPairs sweeps a 2RPQ's kernel from every node and delivers the
+// pairs as sweptPairs does.
+func twoWayPairs(x *run, k *pg.Kernel) (*Response, error) {
+	resp, _, err := x.sweptPairs(func(emit func(pg.Runs) error) error {
+		return k.SweepAll(pg.Workers(x.e.Parallelism), x.m, true, emit)
+	})
+	return resp, err
+}
+
+// readCRPQ reads a CRPQ to its compiled plan (crpq.Plan).
+func readCRPQ(x *run, text string) (*crpq.Plan, error) {
+	q, err := reader(crpq.Parse)(x, text)
+	if err != nil {
+		return nil, err
+	}
+	return stage(x, "compile", func() (*crpq.Plan, error) { return crpq.Compile(x.gs.g, q, &x.e.counters) })
+}
+
+// crpqRows evaluates a CRPQ plan. Inside the kernel fragment the atom
 // sweeps are the "kernel" stage and the join, projection and ordering the
 // "enumerate" stage; a query outside it runs the reference evaluator
 // whole, under "kernel".
-func (e *Engine) rowsMeter(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, maxLen int) (*crpq.Result, error) {
-	plan, err := cached(e, gs, "crpq", query, func(text string) (*crpq.Plan, error) {
-		sp := tr.Start("parse")
-		q, err := crpq.Parse(text)
-		sp.End()
-		if err != nil {
-			return nil, err
+func crpqRows(x *run, p *crpq.Plan) (*Response, error) {
+	opts := crpq.Options{AtomMaxLen: x.maxLen, Parallelism: x.e.Parallelism, Meter: x.m}
+	var res *crpq.Result
+	var err error
+	if !p.OnKernel() {
+		res, err = stage(x, "kernel", func() (*crpq.Result, error) { return p.Eval(opts) })
+	} else {
+		var swept *crpq.Swept
+		if swept, err = stage(x, "kernel", func() (*crpq.Swept, error) { return p.Sweep(opts) }); err == nil {
+			res, err = stage(x, "enumerate", swept.Join)
 		}
-		sp = tr.Start("compile")
-		defer sp.End()
-		return crpq.Compile(gs.g, q, &e.counters)
-	})
-	if err != nil {
-		return nil, badQuery(err)
 	}
-	opts := crpq.Options{AtomMaxLen: maxLen, Parallelism: e.Parallelism, Meter: m}
-	s0, r0 := m.States(), m.Rows()
-	sp := tr.Start("kernel")
-	if !plan.OnKernel() {
-		defer func() { sp.Counts(m.States()-s0, m.Rows()-r0).End() }()
-		return plan.Eval(opts)
-	}
-	swept, err := plan.Sweep(opts)
-	sp.Counts(m.States()-s0, m.Rows()-r0).End()
 	if err != nil {
 		return nil, err
 	}
-	r0 = m.Rows()
-	sp = tr.Start("enumerate")
-	defer func() { sp.Counts(0, m.Rows()-r0).End() }()
-	return swept.Join()
+	return x.rendered(&Response{Rows: res}, res.Head, func(g *graph.Graph) RowBatch { return cellBatch(g, res.Rows) })
 }
 
-// pathsMeter evaluates an anchored (ℓ-)RPQ or dl-RPQ to paths. An ℓ-RPQ runs
-// on its compiled plan (lrpq.Plan: annotated automaton and product kernel),
-// cached per (revision, query) like an RPQ's product, so parse and
-// compile spans appear only on plan-cache misses. In shortest mode the
-// search between the anchors is the "kernel" stage and the walk over the
+// readLRPQ reads an anchored (ℓ-)RPQ to its plan (lrpq.Plan: annotated
+// automaton and product kernel).
+func readLRPQ(x *run, text string) (*lrpq.Plan, error) {
+	expr, err := reader(bounded(lrpq.Parse))(x, text)
+	if err != nil {
+		return nil, err
+	}
+	return stage(x, "compile", func() (*lrpq.Plan, error) { return lrpq.NewPlan(x.gs.g, expr, &x.e.counters), nil })
+}
+
+// lrpqPaths evaluates an ℓ-RPQ plan between the anchors. In shortest mode
+// the search between them is the "kernel" stage and the walk over the
 // shortest-path DAG, with path building, the "enumerate" stage; the plan
 // attribute records the depths at which the two sides met. The other modes
-// and dl-RPQs interleave search and path reconstruction, so one "enumerate"
-// span covers their evaluation; the meter deltas still report the product
-// states it expanded.
-func (e *Engine) pathsMeter(gs *graphState, query string, src, dst graph.NodeID, mode eval.Mode, m *eval.Meter, tr *obs.Trace, maxLen, limit int) ([]PathResult, error) {
-	u, ok := gs.g.NodeIndex(src)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
+// interleave search and path reconstruction, so one "enumerate" stage
+// covers their evaluation.
+func lrpqPaths(x *run, p *lrpq.Plan) (*Response, error) {
+	if x.req.Mode != eval.Shortest {
+		return x.paths(pathResults(stage(x, "enumerate", func() ([]gpath.PathBinding, error) {
+			return p.Between(x.u, x.v, x.req.Mode, lrpq.Options{MaxLen: x.maxLen, Limit: x.limit, Meter: x.m})
+		})))
 	}
-	v, ok := gs.g.NodeIndex(dst)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
-	}
-	enumerate := func(eval func() ([]gpath.PathBinding, error)) ([]PathResult, error) {
-		s0, r0 := m.States(), m.Rows()
-		sp := tr.Start("enumerate")
-		pbs, err := eval()
-		sp.Counts(m.States()-s0, m.Rows()-r0).End()
-		if err != nil {
-			return nil, err
-		}
-		return toResults(pbs), nil
-	}
-	switch Detect(query) {
-	case KindCRPQ:
-		return nil, badQuery(errors.New("core: CRPQ queries return rows; use Rows"))
-	case KindDLRPQ:
-		sp := tr.Start("parse")
-		expr, err := cached(e, gs, "dlrpq", query, func(text string) (dlrpq.Expr, error) {
-			expr, err := dlrpq.Parse(text)
-			if err == nil {
-				err = rpq.CheckPositions(expr)
-			}
-			return expr, err
-		})
-		sp.End()
-		if err != nil {
-			return nil, badQuery(err)
-		}
-		return enumerate(func() ([]gpath.PathBinding, error) {
-			return dlrpq.EvalBetween(gs.g, expr, u, v, mode,
-				dlrpq.Options{MaxLen: maxLen, Limit: limit, Meter: m, Counters: &e.counters})
-		})
-	}
-	plan, err := cached(e, gs, "lrpq", query, func(text string) (*lrpq.Plan, error) {
-		sp := tr.Start("parse")
-		expr, err := lrpq.Parse(text)
-		sp.End()
-		if err == nil {
-			err = rpq.CheckPositions(expr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sp = tr.Start("compile")
-		defer sp.End()
-		return lrpq.NewPlan(gs.g, expr, &e.counters), nil
-	})
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	if mode != eval.Shortest {
-		return enumerate(func() ([]gpath.PathBinding, error) {
-			return plan.Between(u, v, mode, lrpq.Options{MaxLen: maxLen, Limit: limit, Meter: m})
-		})
-	}
-	s0 := m.States()
-	sp := tr.Start("kernel")
-	meet, err := plan.Search(u, v, m)
-	sp.Counts(m.States()-s0, 0).End()
+	meet, err := stage(x, "kernel", func() (*pg.Meet, error) { return p.Search(x.u, x.v, x.m) })
 	if err != nil {
 		return nil, err
 	}
-	tr.Set("plan", fmt.Sprintf("between fwd=%d bwd=%d", meet.Fwd, meet.Bwd))
-	return enumerate(func() ([]gpath.PathBinding, error) { return plan.Shortest(meet, limit, m) })
+	x.tr.Set("plan", fmt.Sprintf("between fwd=%d bwd=%d", meet.Fwd, meet.Bwd))
+	return x.paths(pathResults(stage(x, "enumerate", func() ([]gpath.PathBinding, error) {
+		return p.Shortest(meet, x.limit, x.m)
+	})))
 }
 
-// twoWayPairs evaluates a 2RPQ to endpoint pairs on its compiled kernel,
-// swept from every node, and delivers them as sweptPairs does.
-func (e *Engine) twoWayPairs(gs *graphState, query string, m *eval.Meter, tr *obs.Trace, sink BatchSink) (*Response, error) {
-	// The compiled kernel is cached per (revision, query), like an RPQ's
-	// product: parse and compile spans appear only on plan-cache misses.
-	kern, err := cached(e, gs, "2rpq", query, func(q string) (*pg.Kernel, error) {
-		sp := tr.Start("parse")
-		expr, err := twoway.Parse(q)
-		sp.End()
-		if err == nil {
-			err = rpq.CheckPositions(expr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sp = tr.Start("compile")
-		defer sp.End()
-		return twoway.Kernel(gs.g, expr, &e.counters), nil
-	})
-	if err != nil {
-		return nil, badQuery(err)
+// dlrpqPaths evaluates a dl-RPQ between the anchors; search and path
+// reconstruction interleave, under one "enumerate" stage.
+func dlrpqPaths(x *run, expr dlrpq.Expr) (*Response, error) {
+	return x.paths(pathResults(stage(x, "enumerate", func() ([]gpath.PathBinding, error) {
+		return dlrpq.EvalBetween(x.gs.g, expr, x.u, x.v, x.req.Mode,
+			dlrpq.Options{MaxLen: x.maxLen, Limit: x.limit, Meter: x.m, Counters: &x.e.counters})
+	})))
+}
+
+func pathResults(pbs []gpath.PathBinding, err error) ([]PathResult, error) {
+	out := make([]PathResult, len(pbs))
+	for i, pb := range pbs {
+		out[i] = PathResult{Path: pb.Path, Binding: pb.Binding}
 	}
-	resp, _, err := sweptPairs(gs.g, m, tr, sink, func(emit func(pg.Runs) error) error {
-		return kern.SweepAll(pg.Workers(e.Parallelism), m, true, emit)
-	})
-	return resp, err
+	return out, err
 }

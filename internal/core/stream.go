@@ -7,20 +7,20 @@
 // every kind and both serving formats), and "buffered" is nothing but a
 // sink that keeps appending (or no sink at all: QueryCtx fills the typed
 // Response fields). How early rows reach the sink is a property of the
-// evaluator, not of the dispatch:
+// row's evaluator (kinds.go), not of the table:
 //
-//   - Kernel tier (kind "pairs" via plain RPQ and the Cypher fragment,
-//     plannedPairs): each batch of index pairs goes to the sink straight
-//     out of the product-graph fan-out (eval.PairsProductEmit) while later
-//     sweeps are still running. Memory per query is O(fan-out window), not
-//     O(result), and a blocked sink throttles the worker pool
-//     (backpressure). A backward plan degrades inside eval — collect,
-//     sort, deliver — without the engine noticing.
-//   - Render tier (paths, rows, matches, spans, relation, and pairs from
-//     the 2RPQ tier): the evaluator materializes its typed result, then
-//     hands it over as one batch whose rows are rendered inside the
-//     encoder — delivery memory is O(row) plus the sink's buffer,
-//     evaluation memory is the evaluator's.
+//   - Kernel tier (kind "pairs": plain RPQs, the Cypher fragment and 2RPQs,
+//     run.sweptPairs): each batch of index pairs goes to the sink straight
+//     out of the all-sources fan-out while later sweeps are still running.
+//     Memory per query is O(fan-out window), not O(result), and a blocked
+//     sink throttles the worker pool (backpressure). A backward plan
+//     degrades inside eval — collect, sort, deliver — without the engine
+//     noticing.
+//   - Render tier (paths, rows, matches, spans, relation, run.rendered):
+//     the evaluator materializes its typed result, then hands it over as
+//     one batch whose rows are rendered inside the encoder — delivery
+//     memory is O(row) plus the sink's buffer, evaluation memory is the
+//     evaluator's.
 //
 // Kind "bag" has one aggregate value and never touches the sink; serving
 // layers read it from the Response.
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"graphquery/internal/eval"
-	"graphquery/internal/graph"
 	"graphquery/internal/obs"
 	"graphquery/internal/pg"
 )
@@ -65,8 +64,9 @@ var ErrStopStream = errors.New("core: stop stream")
 
 // QueryStream evaluates one request under ctx, delivering results through
 // sink: resolve the request's bounds against the engine defaults, mint the
-// query-global meter, fix the graph snapshot, dispatch, and stamp the
-// response with the meter readings and trace artifacts. The returned
+// query-global meter, fix the graph snapshot, serve the request's row of
+// the table of served kinds, and stamp the response with the meter
+// readings and trace artifacts. The returned
 // Response carries that accounting with the result fields empty and
 // Streamed set — except for kind "bag", which skips the sink entirely and
 // returns its value in the Response. A nil sink means "materialize": the
@@ -108,14 +108,15 @@ func (e *Engine) QueryStream(ctx context.Context, req Request, sink Sink) (*Resp
 	// for until evaluation finishes, even if writers commit meanwhile.
 	gs := e.cur.Load()
 	defer gs.acquire()()
-	var out BatchSink
+	x := &run{e: e, gs: gs, req: req, m: m, tr: tr, maxLen: maxLen, limit: limit,
+		anchored: req.From != "" || req.To != ""}
 	if sink != nil {
 		var ok bool
-		if out, ok = sink.(BatchSink); !ok {
-			out = rowAdapter{sink}
+		if x.d.out, ok = sink.(BatchSink); !ok {
+			x.d.out = rowAdapter{sink}
 		}
 	}
-	resp, err := e.dispatch(gs, req, m, tr, maxLen, limit, out)
+	resp, err := x.dispatch()
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -160,57 +161,4 @@ func (d *delivery) record(tr *obs.Trace) {
 	if d.wait > 0 {
 		tr.Add("stream", d.wait)
 	}
-}
-
-// streamRendered delivers a materialized response through the sink as one
-// batch: the rows of every kind but "pairs" (whose two producers deliver
-// their own index pairs) are rendered against the query's snapshot inside
-// the encoder, one row live at a time. The materialized fields are cleared
-// afterwards (the rows are with the consumer now) and Streamed records the
-// delivered count. Returns the first sink error, including ErrStopStream,
-// for the caller to interpret.
-func streamRendered(g *graph.Graph, resp *Response, out BatchSink, tr *obs.Trace) error {
-	var cols []string
-	var b RowBatch
-	switch resp.Kind {
-	case "paths":
-		paths := resp.Paths
-		b = RowBatch{n: len(paths), lines: func(i int) string { return paths[i].Format(g) }}
-	case "matches", "spans":
-		lines := resp.Matches
-		b = RowBatch{n: len(lines), lines: func(i int) string { return lines[i] }}
-	case "rows":
-		if resp.Rows != nil {
-			cols = resp.Rows.Head
-			rows := resp.Rows.Rows
-			b = RowBatch{n: len(rows), cells: func(i int) []string {
-				rendered := make([]string, len(rows[i]))
-				for j, v := range rows[i] {
-					rendered[j] = v.Format(g)
-				}
-				return rendered
-			}}
-		}
-	case "relation":
-		if resp.Rel != nil {
-			cols = resp.Rel.Attrs()
-			tuples := resp.Rel.Sorted()
-			b = RowBatch{n: len(tuples), cells: func(i int) []string {
-				rendered := make([]string, len(tuples[i]))
-				for j, c := range tuples[i] {
-					rendered[j] = c.Format(g)
-				}
-				return rendered
-			}}
-		}
-	}
-	err := out.Begin(resp.Kind, cols)
-	d := delivery{out: out}
-	if err == nil && b.n > 0 {
-		err = d.send(b)
-	}
-	d.record(tr)
-	resp.Streamed = d.rows
-	resp.Paths, resp.Rows, resp.Matches, resp.Rel = nil, nil, nil, nil
-	return err
 }

@@ -58,10 +58,8 @@ const statusClientClosedRequest = 499
 type QueryRequest struct {
 	Graph string `json:"graph"`
 	Query string `json:"query"`
-	// Lang: "" or "auto" detects among the classic kinds; explicit values
-	// force a tier: "2rpq" (pairs), "gql" and "coregql" (matches), "cypher"
-	// (pairs), "pmr" (paths; needs from/to and a limit), "spanner" (spans
-	// over doc), "relalg" (relation), "bag" (bag count).
+	// Lang names the language: core.Request.Lang, a row of the engine's
+	// table of served kinds.
 	Lang string `json:"lang,omitempty"`
 	// Doc is the input document for spanner queries.
 	Doc string `json:"doc,omitempty"`

@@ -172,6 +172,7 @@ func New(cfg Config) *Server {
 		qerror:   obs.NewHistogram(qErrorBuckets()),
 		registry: obs.NewRegistry(cfg.Recent),
 	}
+	s.stats.kinds = make([]atomic.Int64, len(kindNames))
 	s.store = store.New(store.Config{
 		CompactThreshold: cfg.CompactThreshold,
 		OnSwap:           s.onStoreSwap,

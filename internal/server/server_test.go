@@ -8,10 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"graphquery/internal/core"
 )
 
 func newTestServer(t *testing.T, cfg Config, graphs ...string) (*Server, *httptest.Server) {
@@ -116,6 +119,8 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"unknown graph", `{"graph":"nope","query":"a"}`, http.StatusNotFound, "unknown_graph"},
 		{"parse error", `{"graph":"bank","query":"((("}`, http.StatusBadRequest, "invalid_query"},
 		{"unknown node", `{"graph":"bank","query":"Transfer","from":"nope","to":"a1"}`, http.StatusBadRequest, "invalid_query"},
+		{"pmr simple", `{"graph":"bank","lang":"pmr","query":"Transfer*","from":"a1","to":"a3","limit":4,"mode":"simple"}`, http.StatusBadRequest, "invalid_query"},
+		{"pmr trail", `{"graph":"bank","lang":"pmr","query":"Transfer*","from":"a1","to":"a3","limit":4,"mode":"trail"}`, http.StatusBadRequest, "invalid_query"},
 	}
 	for _, tc := range cases {
 		status, m := post(t, ts, tc.body)
@@ -137,11 +142,13 @@ func TestQueryEndpointErrors(t *testing.T) {
 // The rows named "deep" are a second bound on the same parsers: a query
 // whose groups nest past rpq.MaxNesting, padded to a whole request body
 // (1 MiB) of parentheses, is refused as soon as the parser reaches the
-// bound, without descending through the rest. (Under the race detector,
-// decoding that body alone takes longer than the 50 ms a refusal is given,
-// so there the deep rows are not timed.)
+// bound, without descending through the rest.
+//
+// No refused text is evaluated: across the whole table the engine's kernel
+// counters stay where they were. Every lang of the engine's table of served
+// kinds has a row for each bound.
 func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
-	_, ts := newTestServer(t, Config{}, "bank")
+	s, ts := newTestServer(t, Config{}, "bank")
 	const huge = "a*++++++++++++"
 	// deepOf fills the %s of a request body with q under as many nested
 	// groups as bring the body to maxRequestBytes; deep puts `a` there.
@@ -170,7 +177,7 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 	positions := []string{"automaton positions", "4096", "the bound is 512"}
 	tooLarge := []string{"automaton positions", "the bound is 512"}
 	nesting := []string{"nest 1001 deep", "the bound is 1000"}
-	for _, tc := range []struct {
+	rows := []struct {
 		name, body string
 		want       []string // what the message names
 	}{
@@ -215,10 +222,25 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 		{"dlrpq negative count", `{"graph":"bank","query":"[a]{2,-1}","from":"a1","to":"a2"}`, []string{"repetition count"}},
 		{"gql empty iteration", `{"graph":"bank","lang":"gql","query":"(x)*"}`, []string{"zero-length path that binds a variable"}},
 		{"gql empty iteration in a union", `{"graph":"bank","lang":"gql","query":"((x) | -[e]->)*"}`, []string{"zero-length path that binds a variable"}},
-	} {
-		start := time.Now()
+	}
+	bounded := map[string][]string{} // lang → the bounds its rows name
+	for _, tc := range rows {
+		var req QueryRequest
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		bounded[req.Lang] = append(bounded[req.Lang], tc.want...)
+	}
+	for _, lang := range core.Langs() {
+		for _, bound := range []string{"the bound is 512", "the bound is 1000"} {
+			if !slices.Contains(bounded[lang], bound) {
+				t.Errorf("lang %q has no row naming %q", lang, bound)
+			}
+		}
+	}
+	before := s.Stats().Graphs["bank"].Runtime
+	for _, tc := range rows {
 		status, m := post(t, ts, tc.body)
-		elapsed := time.Since(start)
 		if status != http.StatusBadRequest || errorCode(t, m) != "invalid_query" {
 			t.Errorf("%s: status %d, want 400 invalid_query (%v)", tc.name, status, m)
 			continue
@@ -229,14 +251,11 @@ func TestQueryEndpointRefusesHugeAutomata(t *testing.T) {
 				t.Errorf("%s: message %q does not name %q", tc.name, msg, want)
 			}
 		}
-		if elapsed > 50*time.Millisecond && !(raceDetector && len(tc.body) > 1<<10) {
-			t.Errorf("%s: refused after %v, want under 50ms", tc.name, elapsed)
-		}
+	}
+	if after := s.Stats().Graphs["bank"].Runtime; after.StatesExpanded != before.StatesExpanded || after.EdgesScanned != before.EdgesScanned {
+		t.Errorf("refused texts were evaluated: kernel counters %+v -> %+v", before, after)
 	}
 }
-
-// raceDetector reports a -race build (see race_test.go).
-var raceDetector bool
 
 // TestQueryEndpointDeadline is the ISSUE acceptance check: a 50ms deadline
 // on an expensive query returns 504 within 2x the deadline. The input is a

@@ -31,12 +31,12 @@ type counters struct {
 	// kinds counts completed (200) queries by response kind, indexed like
 	// kindNames — the /v1/statz "kinds" object and the gq_queries_total
 	// metric family.
-	kinds [len(kindNames)]atomic.Int64
+	kinds []atomic.Int64
 }
 
-// kindNames are the response kinds the engine produces, the label values of
-// gq_queries_total{kind=...}.
-var kindNames = [...]string{"pairs", "paths", "rows", "matches", "spans", "relation", "bag"}
+// kindNames are the response kinds the engine produces, read from its table
+// of served kinds: the label values of gq_queries_total{kind=...}.
+var kindNames = core.ResultKinds()
 
 // countKind accounts one completed query under its response kind.
 func (c *counters) countKind(kind string) {
@@ -65,8 +65,7 @@ type ServerStats struct {
 	RowsStreamed   int64 `json:"rows_streamed"`
 	WriteErrors    int64 `json:"write_errors"`
 
-	// Kinds counts completed queries by response kind ("pairs", "paths",
-	// "rows", "matches", "spans", "relation", "bag").
+	// Kinds counts completed queries by response kind (core.ResultKinds).
 	Kinds map[string]int64 `json:"kinds"`
 
 	Graphs map[string]GraphStats `json:"graphs"`
