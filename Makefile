@@ -117,7 +117,9 @@ serve-smoke:
 # bodies of file Q in a closed loop for 15 s, and print the top of a 10 s
 # CPU profile taken inside it, e.g.
 #   make profile-served W=scalefree-20000 Q=scripts/short_reads.jsonl
-#   (a 20-op block in the mix of bench/'s short-reads), or
+#   (a 20-op block in the mix of bench/'s short-reads),
+#   make profile-served W=scalefree-20000 Q=scripts/label_pairs.jsonl
+#   (its label-pairs class alone: `b b b` and the cypher `-[:b]->-[:a]->`), or
 #   make profile-served W=path-700,grid-20x20 Q=scripts/big_results.jsonl
 #   (the five ops of bench/'s big-results, "stream": true for the NDJSON ones).
 # KEEP=dir keeps the profile and the daemon binary there (cpu.pprof,

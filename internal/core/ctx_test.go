@@ -45,10 +45,11 @@ func TestQueryCtxDeadline(t *testing.T) {
 	// automaton is a chain, so the call does not condense, and each batch
 	// re-scans all 160 000 edges at every one of its 200 levels. The product
 	// is small (80 400 states, 1.3 MB of batch slabs), and that is the point:
-	// a batch allocates its slabs, 16 bytes per product state, before its
-	// first poll, and that allocation cannot poll. cycle-20000 under a{500}
-	// (10 M states) spent 73–99 ms there when the heap's pages had gone back
-	// to the OS, so a deadline test on it measured the page allocator. (A
+	// a batch that moves onto its flat slabs allocates them, 16 bytes per
+	// product state, between two polls, and that allocation cannot poll. On
+	// cycle-20000 under a{500} (10 M states) a slab allocation spent 73–99 ms
+	// when the heap's pages had gone back to the OS, so a deadline test there
+	// measured the page allocator. (A
 	// starred query is no good either: it condenses, and what time it takes
 	// goes to buffering millions of rows, where no poll can land inside one
 	// growing append.)

@@ -8,9 +8,11 @@ package pg_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphquery/internal/gen"
+	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
@@ -37,42 +39,104 @@ func TestScratchPoolWarmSweepAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmBatchAllocatesOnlyItsResult: the batched loop's slabs, lists and
-// frontier recycle through the package's pool, so one more batch in an
-// all-sources evaluation costs its result and nothing else — the runs, four
-// bytes a pair plus a header of two words per source, in at most two
-// allocations. (158 nodes make that batch's result 40 960 bytes, a whole
-// number of pages: the allocator rounds a large object up to one, which on
-// another size would be counted against the batch.)
+// TestWarmBatchAllocatesOnlyItsResult: the batched loop's map, slabs,
+// lists and frontier recycle through the package's pool, so one more batch
+// in an all-sources evaluation costs its result and nothing else — the
+// runs, four bytes a pair plus a header of two words per source, in at most
+// two allocations — whether it moves onto the flat slabs (the clique) or
+// stays on the compact map (the path). (158 nodes make the clique batch's
+// result 40 960 bytes, a whole number of pages: the allocator rounds a
+// large object up to one, which on another size would be counted against
+// the batch.)
 func TestWarmBatchAllocatesOnlyItsResult(t *testing.T) {
-	const nodes = 158
-	kern, _ := sweepKernels(t, gen.Clique(nodes, "a"), "a a*")
-	cost := func(sources int) (allocs, bytes float64) {
-		srcs := make([]int, sources)
+	// testing.AllocsPerRun runs at GOMAXPROCS 1, and a change of GOMAXPROCS
+	// drops the batch pool's per-P caches: set it here, so that the calls
+	// inside the window get the warm batch the warm-up left, not a fresh one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, fx := range []struct {
+		name  string
+		g     *graph.Graph
+		query string
+		pairs int  // of the third window's 64 sources
+		flat  bool // whether that batch moves onto the flat slabs
+	}{
+		{"clique-158", gen.Clique(158, "a"), "a a*", 64 * 158, true},
+		{"path-300", gen.APath(300, "a"), "a a", 64, false},
+	} {
+		kern, _ := sweepKernels(t, fx.g, fx.query)
+		cost := func(sources int) (allocs, bytes float64) {
+			srcs := make([]int, sources)
+			for i := range srcs {
+				srcs[i] = i
+			}
+			from := func() {
+				err := kern.SweepFrom(srcs, 1, nil, true, func(pg.Runs) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				from()
+			}
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs = testing.AllocsPerRun(runs, from)
+			runtime.ReadMemStats(&after)
+			return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one more
+		}
+		twoAllocs, twoBytes := cost(72)      // batches of 8 and 64 sources
+		threeAllocs, threeBytes := cost(136) // and one more of 64
+		if n, b := threeAllocs-twoAllocs, threeBytes-twoBytes; n < 1 || n > 2 || b > float64(4*fx.pairs+1024) {
+			t.Fatalf("%s: a warm batch of %d pairs allocates %.1f times, %.0f bytes; want at most 2 times, %d bytes", fx.name, fx.pairs, n, b, 4*fx.pairs+1024)
+		}
+		// Checked after the measurement: these sweeps pay rent, which would
+		// move the kernel's purchase of a neighbor table into its window.
+		srcs := make([]int, 136)
 		for i := range srcs {
 			srcs[i] = i
 		}
-		from := func() {
-			err := kern.SweepFrom(srcs, 1, nil, true, func(pg.Runs) error { return nil })
-			if err != nil {
-				t.Fatal(err)
-			}
+		if flatAt, _, err := pg.BatchShapes(kern, srcs); err != nil || len(flatAt) != 3 || (flatAt[2] >= 0) != fx.flat {
+			t.Fatalf("%s: windows moved onto the flat slabs at %v (%v): the fixture no longer has its side", fx.name, flatAt, err)
 		}
-		for i := 0; i < 3; i++ {
-			from()
-		}
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, from)
-		runtime.ReadMemStats(&after)
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one more
 	}
-	twoAllocs, twoBytes := cost(72)      // batches of 8 and 64 sources
-	threeAllocs, threeBytes := cost(136) // and one more of 64
-	const pairs = 64 * nodes
-	if n, b := threeAllocs-twoAllocs, threeBytes-twoBytes; n < 1 || n > 2 || b > 4*pairs+1024 {
-		t.Fatalf("a warm batch of %d pairs allocates %.1f times, %.0f bytes; want at most 2 times, %d bytes", pairs, n, b, 4*pairs+1024)
+}
+
+// TestSparseBatchAllocatesNoStateArray: a batch pays for the product states
+// it touches, not for the product. Eleven b steps on ScaleFree(20000) are a
+// 12-state automaton — 240 000 product states, 3.8 MB of flat slabs — and a
+// batch of 64 sources that have a b edge touches a few hundred of them. Drawn
+// from an empty pool (two collections empty it), that batch must allocate
+// fewer bytes than the product has states: acc's word per node and what it
+// touched, and no array with an entry per product state.
+func TestSparseBatchAllocatesNoStateArray(t *testing.T) {
+	g := gen.ScaleFree(20000, 4, 42)
+	kern, _ := sweepKernels(t, g, "b b b b b b b b b b b")
+	lb, _ := g.LabelID("b")
+	var srcs []int
+	for u := 0; len(srcs) < 64; u++ {
+		if len(g.OutWithLabel(u, lb)) > 0 {
+			srcs = append(srcs, u)
+		}
+	}
+	sweep := func() {
+		if err := kern.SweepFrom(srcs, 1, nil, true, func(pg.Runs) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // rents or buys the kernel's tables
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sweep()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(kern.NumProductStates()); got >= limit {
+		t.Fatalf("a sparse batch from an empty pool allocated %d bytes, want under %d (a byte per product state)", got, limit)
+	}
+	// Checked after the measurement, whose rent these sweeps would move.
+	if flatAt, _, err := pg.BatchShapes(kern, srcs); err != nil || slices.ContainsFunc(flatAt, func(at int) bool { return at >= 0 }) {
+		t.Fatalf("windows moved onto the flat slabs at %v (%v): the fixture is not sparse", flatAt, err)
 	}
 }
 

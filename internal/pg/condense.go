@@ -454,7 +454,7 @@ func (cs *condScratch) dag(k *Kernel, mt *Meter) error {
 // within one interval however large the component. Edges are DAG edges
 // examined.
 func (k *Kernel) sweepCondensed(cd *condensation, srcs []int, idle int64, b *batch, mt *Meter) (Runs, error) {
-	b.reset(len(cd.size), k.g.NumNodes())
+	b.reset(condensedLoop, len(cd.size), k.g.NumNodes())
 	stopErr := b.charge(idle*int64(len(k.idleStarts)), mt)
 	seen, pend := b.seen, b.pend[:(len(cd.size)+63)/64]
 	ns := len(k.starts)

@@ -97,7 +97,7 @@ func TestBatchRunsAscending(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = 1000 + 3*i
 		}
-		b.reset(fx.nodes, fx.nodes)
+		b.reset(levelLoop, fx.nodes, fx.nodes)
 		acc := map[int]uint64{}
 		for _, v := range fx.hits(fx.nodes) {
 			if fx.word != nil {

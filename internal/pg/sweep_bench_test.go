@@ -129,7 +129,10 @@ func BenchmarkKernelSweepClique(b *testing.B) {
 //   - label-pairs is `b b b` on the same graph, the selective all-pairs text of
 //     short-reads: three nodes in four have no b edge, are charged their start
 //     state and never seeded, and the rest run 64 to a batch — batches/op
-//     reads 76 where one batch per 64 nodes was 313.
+//     reads 68 where one batch per 64 nodes was 313. label-pairs-ba is `b a`,
+//     the automaton of short-reads' cypher text `-[:b]->-[:a]->`. A batch of
+//     either touches a few hundred product states and stays on its compact
+//     map; the rows above it go onto the flat slabs within a level or two.
 //
 // edges/op is adjacency entries examined per all-pairs evaluation — for a
 // cold condensed call batch 0's and the build's, plus the DAG edges each
@@ -165,6 +168,7 @@ func BenchmarkSweepAll(b *testing.B) {
 		{"cycle-2000", gen.Cycle(2000, "a"), "a*", true},
 		{"sparse-star", scaleFreeGraph(20000), "b*", false},
 		{"label-pairs", scaleFreeGraph(20000), "b b b", false},
+		{"label-pairs-ba", scaleFreeGraph(20000), "b a", false},
 		{"scalefree-20000", withZ(scaleFreeGraph(20000)), "a* z a", false},
 	} {
 		expr, err := rpq.Parse(row.query)

@@ -40,23 +40,43 @@ type frontEntry struct {
 	bits uint64
 }
 
-// batch holds the buffers of one batched sweep. The slabs are flat words —
-// nothing for the garbage collector to trace — and every nonzero entry of
-// one is named by a list (touched, nextIDs) or, for acc, by the hit bitmap,
-// so clearing costs O(touched), not O(|N|·|Q|): an all-pairs query over a
+// batch holds the buffers of one batched sweep. Its words are flat —
+// nothing for the garbage collector to trace — and every nonzero one is
+// named by a list (touched, nextIDs) or, for acc, by the hit bitmap, so
+// clearing costs O(touched), not O(|N|·|Q|): an all-pairs query over a
 // large graph is hundreds of batches that may each die after a handful of
 // states.
 //
-// The price is memory: 16 bytes per product state plus 8 per node, per
-// worker, where Sweep's bitsets take 2 bits per state — 72 MB for a
-// 1M-node × 4-state product. maxBatchStates caps it. Batches recycle
+// The level loop keeps a state's seen and next words where its footprint is
+// what the batch touched, not the product: the states it discovers are
+// numbered in discovery order — touched[l] is the product state of local
+// number l — their words live at l in lseen and lnext, and tab, an
+// open-addressing table, maps a product state to l+1. Most batches of a
+// selective query touch a few hundred states and so work in a few kB. A
+// batch that comes to hold more than half the product's states, where the
+// map is no longer smaller than a word per state, moves its words onto the
+// flat seen and next slabs — 16 bytes per product state, allocated the
+// first time a batch needs them — and finishes there; flatAt records the
+// level it moved at. A batch whose last level-loop sweep ended that way
+// starts on the slabs (open). acc stays a word per node.
+//
+// The price of the flat slabs is memory: 16 bytes per product state plus 8
+// per node, per worker, where Sweep's bitsets take 2 bits per state — 72 MB
+// for a 1M-node × 4-state product. maxBatchStates caps it. At the switch
+// the map, then about as large as the slabs, is still held beside them
+// (DESIGN §12 has the peak). Batches recycle
 // through a package-wide pool rather than a kernel's: a kernel lives only
 // as long as its graph revision, so a per-kernel pool would buy every slab
 // again after every commit. The pool is a sync.Pool, so the collector
 // frees slabs that sit idle across two cycles.
 type batch struct {
-	seen []uint64 // per product state: sources that have reached it
-	next []uint64 // per product state: sources that first reached it in the level being built
+	tab   []uint64 // the level loop's map: product state << 32 | local number + 1; 0 is empty
+	shift uint     // the table's hash shift: 32 - log2(len(tab))
+	lseen []uint64 // per local number: sources that have reached its state
+	lnext []uint64 // per local number: sources that first reached it in the level being built
+
+	seen []uint64 // per product state, once flat: sources that have reached it
+	next []uint64 // per product state, once flat: sources that first reached it in the level being built
 	acc  []uint64 // per graph node: sources that have reached one of its accepting states
 	// pend is used by the condensed loop only (condense.go), where seen is
 	// indexed by component: a bit per component reached and not yet popped.
@@ -68,18 +88,31 @@ type batch struct {
 	hit    []uint64
 	hitSum []uint64
 
-	touched []int32 // product states with seen != 0
-	nextIDs []int32 // product states with next != 0
+	touched []int32 // states with a nonzero seen word, in discovery order: the level loop's product states, the condensed loop's components
+	nextIDs []int32 // states with a nonzero next word: local numbers while compact, product states once flat
 	hits    []int32 // drainHits' output: hit nodes ascending, acc still set
 	front   []frontEntry
+
+	loop   loopKind // the loop that last used the batch, whose words reset clears
+	flatAt int      // the level at which the level loop moved onto seen and next; -1 while compact
+	held   int      // the states the last level-loop sweep on the batch touched
 
 	found  int64 // (source, state) discoveries so far
 	ticked int64 // of them, on the meter
 }
 
-// maxBatchStates bounds the product a batch accepts, so that its slabs stay
-// under 4 GiB per worker. Larger products are refused as a states-budget
-// error, like maxSweepStates.
+// loopKind names the loop a batch last ran.
+type loopKind uint8
+
+const (
+	noLoop loopKind = iota
+	levelLoop
+	condensedLoop
+)
+
+// maxBatchStates bounds the product a batch accepts, so that its flat slabs
+// stay under 4 GiB per worker. Larger products are refused as a
+// states-budget error, like maxSweepStates.
 const maxBatchStates = 1 << 28
 
 var batchPool sync.Pool // of *batch
@@ -93,23 +126,37 @@ func getBatch() *batch {
 
 func putBatch(b *batch) { batchPool.Put(b) }
 
-// reset clears whatever the previous sweep left — it may have ended in an
-// error or a panic, so clearing happens on entry, not on exit — and sizes
-// the slabs for a product of the given dimensions.
-func (b *batch) reset(states, nodes int) {
-	for _, id := range b.touched {
-		b.seen[id] = 0
-		b.pend[id>>6] = 0
-	}
-	for _, id := range b.nextIDs {
-		b.next[id] = 0
+// reset clears what the loop that last used the batch wrote — it may have
+// ended in an error or a panic, so clearing happens on entry, not on exit —
+// and records that loop now uses it. It sizes acc for nodes and, for the
+// condensed loop, seen and pend for states components; the level loop's
+// table is sized by open, its flat slabs by goFlat.
+func (b *batch) reset(loop loopKind, states, nodes int) {
+	switch b.loop {
+	case condensedLoop:
+		for _, c := range b.touched {
+			b.seen[c] = 0
+			b.pend[c>>6] = 0
+		}
+	case levelLoop:
+		b.held = len(b.touched)
+		if b.flatAt < 0 { // the map is cut below, and its table cleared by open
+			break
+		}
+		for _, id := range b.touched {
+			b.seen[id] = 0
+		}
+		for _, id := range b.nextIDs {
+			b.next[id] = 0
+		}
 	}
 	for _, v := range b.drainHits() {
 		b.acc[v] = 0
 	}
 	b.touched, b.nextIDs, b.hits, b.front, b.found, b.ticked = b.touched[:0], b.nextIDs[:0], b.hits[:0], b.front[:0], 0, 0
-	if len(b.seen) < states {
-		b.seen, b.next, b.pend = make([]uint64, states), make([]uint64, states), make([]uint64, (states+63)/64)
+	b.lseen, b.lnext, b.loop, b.flatAt = b.lseen[:0], b.lnext[:0], loop, -1
+	if loop == condensedLoop {
+		b.seen, b.pend = grown(b.seen, states), grown(b.pend, (states+63)/64)
 	}
 	if len(b.acc) < nodes {
 		words := (nodes + 63) / 64
@@ -117,11 +164,119 @@ func (b *batch) reset(states, nodes int) {
 	}
 }
 
-// discover records that the sources in d — none of which had reached it —
-// now reach product state id = (v, q): they join its seen word and the next
-// level's frontier, count one state each, and, if q accepts, gain v as a
-// target. Every list append precedes the slab write it names, so the lists
-// cover the slabs whatever interrupts the sweep.
+// grown returns s if it has n words, else n fresh zero words.
+func grown(s []uint64, n int) []uint64 {
+	if len(s) < n {
+		return make([]uint64, n)
+	}
+	return s
+}
+
+// open sizes the level loop's table for a batch that seeds the given number
+// of states and says whether the batch should start on the flat slabs
+// instead. The batches of one call are alike, so a batch starts where the
+// last level-loop sweep on it ended: on the slabs if that sweep held more
+// than half of a product of states states; otherwise on a table with room
+// for twice what it held or twice the seeded states, whichever is more — a
+// power of two, not rebuilt at every doubling on the way there.
+func (b *batch) open(seeded, states int) (flat bool) {
+	held := b.held
+	if 2*held > states {
+		flat, held = true, 0
+	}
+	b.rehash(1 << mathbits.Len(uint(max(2*max(seeded, held)-1, 1))))
+	return flat
+}
+
+// rehash clears the table at size slots, a power of two — in the capacity it
+// has when that suffices — and enters every state touched so far.
+func (b *batch) rehash(size int) {
+	if cap(b.tab) >= size {
+		b.tab = b.tab[:size]
+		clear(b.tab)
+	} else {
+		b.tab = make([]uint64, size)
+	}
+	b.shift = uint(33 - mathbits.Len(uint(size)))
+	for l, id := range b.touched {
+		s := int(uint32(id) * 0x9e3779b9 >> b.shift)
+		for b.tab[s] != 0 {
+			s = (s + 1) & (size - 1)
+		}
+		b.tab[s] = uint64(id)<<32 | uint64(l+1)
+	}
+}
+
+// find looks product state id up in the compact map: its slot, and its
+// local number, or -1 and the empty slot where it goes.
+func (b *batch) find(id int) (s int, l int32) {
+	s = int(uint32(id) * 0x9e3779b9 >> b.shift)
+	for e := b.tab[s]; e != 0; e = b.tab[s] {
+		if e>>32 == uint64(id) {
+			return s, int32(e) - 1
+		}
+		s = (s + 1) & (len(b.tab) - 1)
+	}
+	return s, -1
+}
+
+// enter numbers product state id = (v, q), which find placed at slot s, and
+// discovers it for the sources in d. The table doubles once it is more than
+// half full.
+func (b *batch) enter(s, id, v int, d uint64, accepting bool) {
+	l := int32(len(b.touched))
+	b.touched = append(b.touched, int32(id))
+	b.lseen = append(b.lseen, d)
+	b.lnext = append(b.lnext, d)
+	b.nextIDs = append(b.nextIDs, l)
+	b.tab[s] = uint64(id)<<32 | uint64(l+1)
+	b.found += int64(mathbits.OnesCount64(d))
+	if accepting {
+		b.accept(v, d)
+	}
+	if 2*len(b.touched) > len(b.tab) {
+		b.rehash(2 * len(b.tab))
+	}
+}
+
+// gain discovers the state of local number l, node v, for the sources in d,
+// none of which had reached it.
+func (b *batch) gain(l int32, v int, d uint64, accepting bool) {
+	b.lseen[l] |= d
+	if b.lnext[l] == 0 {
+		b.nextIDs = append(b.nextIDs, l)
+	}
+	b.lnext[l] |= d
+	b.found += int64(mathbits.OnesCount64(d))
+	if accepting {
+		b.accept(v, d)
+	}
+}
+
+// goFlat moves the level loop's words from the compact map onto the flat
+// slabs of a product of states states, at the given level. flatAt is set
+// before the first slab write and every state written is named by touched
+// and, once its entry is renamed from local number to product state, by
+// nextIDs, so the lists cover the slabs whatever interrupts the move.
+func (b *batch) goFlat(states, level int) {
+	b.seen, b.next = grown(b.seen, states), grown(b.next, states)
+	b.flatAt = level
+	for l, id := range b.touched {
+		b.seen[id] = b.lseen[l]
+	}
+	for i, l := range b.nextIDs {
+		id := b.touched[l]
+		b.nextIDs[i] = id
+		b.next[id] = b.lnext[l]
+	}
+}
+
+// discover records, once the level loop is flat, that the sources in d —
+// none of which had reached it — now reach product state id = (v, q): they
+// join its seen word and the next level's frontier, count one state each,
+// and, if q accepts, gain v as a target. Every list append precedes the
+// slab write it names, so the lists cover the slabs whatever interrupts the
+// sweep.
 func (b *batch) discover(id, v int, d uint64, accepting bool) {
 	if b.seen[id] == 0 {
 		b.touched = append(b.touched, int32(id))
@@ -193,11 +348,20 @@ func (b *batch) charge(n int64, mt *Meter) error {
 // the sources that have a state in it.
 func (b *batch) promote() (active uint64) {
 	b.front = b.front[:0]
-	for _, id := range b.nextIDs {
-		bits := b.next[id]
-		b.next[id] = 0
-		active |= bits
-		b.front = append(b.front, frontEntry{id, bits})
+	if b.flatAt >= 0 {
+		for _, id := range b.nextIDs {
+			bits := b.next[id]
+			b.next[id] = 0
+			active |= bits
+			b.front = append(b.front, frontEntry{id, bits})
+		}
+	} else {
+		for _, l := range b.nextIDs {
+			bits := b.lnext[l]
+			b.lnext[l] = 0
+			active |= bits
+			b.front = append(b.front, frontEntry{b.touched[l], bits})
+		}
 	}
 	b.nextIDs = b.nextIDs[:0]
 	return active
@@ -299,7 +463,11 @@ func (b *batch) runs(srcs []int) (Runs, error) {
 // having first charged the idle sources of the batch's window what theirs
 // would have cost: the start states, no edges, the rent of the lookups that
 // found their rows empty. The loop is level-synchronous and top-down only,
-// sequential, and allocates nothing but its result when b is warm.
+// sequential, and allocates nothing but its result when b is warm. It runs
+// on the compact map until that holds more than half the product's states —
+// checked between frontier entries — and on the flat slabs from there on
+// (from the start, if the last level-loop sweep on b ended there):
+// scanCompact and scanFlat are the same scan over the two.
 //
 // One state "visit" is one (source, state) discovery: the meter ticks the
 // popcount of every word of newly arrived sources, so a query's states
@@ -313,8 +481,8 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 	if err := checkSweepSize(total, maxBatchStates); err != nil {
 		return Runs{}, err
 	}
-	g, nq := k.g, k.nq
-	b.reset(total, g.NumNodes())
+	nq := k.nq
+	b.reset(levelLoop, total, k.g.NumNodes())
 	ss := mt.SweepStatsSink()
 	stopErr := b.charge(idle*int64(len(k.idleStarts)), mt)
 	idleStates := b.found
@@ -325,19 +493,24 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 		ss.RecordLevel(0, idle, idleStates, 0, 0, idle*int64(total)-idleStates, false)
 		peak = len(k.idleStarts)
 	}
-	seen := b.seen
+	flat := b.open(len(srcs)*len(k.starts), total)
 	for i, u := range srcs {
 		for _, q := range k.starts {
-			if d := uint64(1) << uint(i) &^ seen[u*nq+q]; d != 0 {
-				b.discover(u*nq+q, u, d, k.accept[q])
+			bit := uint64(1) << uint(i)
+			if s, l := b.find(u*nq + q); l < 0 {
+				b.enter(s, u*nq+q, u, bit, k.accept[q])
+			} else if d := bit &^ b.lseen[l]; d != 0 {
+				b.gain(l, u, d, k.accept[q])
 			}
 		}
 	}
+	if flat {
+		b.goFlat(total, 0)
+	}
 
-	var edges, edgesReported int64
+	var sc levelScan
 	reported, levelStart := idleStates, idleStates
-	rented := idle * tb.idleRent
-sweep:
+	sc.rented = idle * tb.idleRent
 	for level := 0; stopErr == nil; level++ {
 		active := b.promote()
 		if len(b.front) == 0 {
@@ -346,89 +519,201 @@ sweep:
 		peak = max(peak, len(b.front))
 		frontier := b.found - levelStart // what the previous level discovered
 		levelStart = b.found
-		levelEdges := edges
-		for _, f := range b.front {
-			if b.found-b.ticked >= CheckInterval {
-				if stopErr = mt.Tick(b.found - b.ticked); stopErr != nil {
-					break sweep
-				}
-				b.ticked = b.found
-			}
-			v := int(f.id) / nq
-			ft := tb.ft[int(f.id)-v*nq]
-			for ti := range ft {
-				t := &ft[ti]
-				accepting := k.accept[t.state]
-				if t.ok != nil {
-					adj := g.Out(v)
-					if t.in {
-						adj = g.In(v)
-					}
-					edges += int64(len(adj))
-					for _, ei := range adj {
-						if !t.ok[g.EdgeLabelID(ei)] {
-							continue
-						}
-						w := g.EdgeTgt(ei)
-						if t.in {
-							w = g.EdgeSrc(ei)
-						}
-						if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
-							b.discover(w*nq+t.state, w, d, accepting)
-						}
-					}
-					continue
-				}
-				for i, lid := range t.labels {
-					if la := t.adjs[i]; la != nil {
-						tos := la.Neighbors(v)
-						edges += int64(len(tos))
-						for _, w := range tos {
-							if d := f.bits &^ seen[int(w)*nq+t.state]; d != 0 {
-								b.discover(int(w)*nq+t.state, int(w), d, accepting)
-							}
-						}
-						continue
-					}
-					adj := g.OutWithLabel(v, lid)
-					if t.in {
-						adj = g.InWithLabel(v, lid)
-					}
-					edges += int64(len(adj))
-					rented += int64(len(adj)) + 1
-					for _, ei := range adj {
-						w := g.EdgeTgt(ei)
-						if t.in {
-							w = g.EdgeSrc(ei)
-						}
-						if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
-							b.discover(w*nq+t.state, w, d, accepting)
-						}
-					}
-				}
+		levelEdges := sc.edges
+		for i := 0; i < len(b.front) && stopErr == nil; {
+			if b.flatAt < 0 {
+				i, stopErr = k.scanCompact(tb, b, i, level, total, mt, &sc)
+			} else {
+				i, stopErr = k.scanFlat(tb, b, i, mt, &sc)
 			}
 		}
+		if stopErr != nil {
+			break
+		}
 		ss.RecordLevel(level, int64(mathbits.OnesCount64(active)), frontier, b.found-levelStart,
-			edges-levelEdges, int64(len(srcs))*int64(total)-(b.found-idleStates), false)
+			sc.edges-levelEdges, int64(len(srcs))*int64(total)-(b.found-idleStates), false)
 		if b.found-reported >= CheckInterval {
 			reported = b.found
-			mt.SweepProgress(int64(len(b.nextIDs)), edges-edgesReported)
-			edgesReported = edges
+			mt.SweepProgress(int64(len(b.nextIDs)), sc.edges-sc.edgesReported)
+			sc.edgesReported = sc.edges
 		}
 	}
 	if stopErr == nil {
 		stopErr = mt.Tick(b.found - b.ticked)
 	}
-	mt.SweepProgress(0, edges-edgesReported)
+	mt.SweepProgress(0, sc.edges-sc.edgesReported)
 	k.c.AddStates(b.found)
-	k.c.AddEdges(edges)
+	k.c.AddEdges(sc.edges)
 	k.c.ObserveFrontier(int64(peak))
-	ss.RecordSweep(int64(len(srcs))+idle, idle, b.found, edges, int64(peak))
-	k.payRent(rented)
+	ss.RecordSweep(int64(len(srcs))+idle, idle, b.found, sc.edges, int64(peak))
+	k.payRent(sc.rented)
 	if stopErr != nil {
 		return Runs{}, stopErr
 	}
 	return b.runs(srcs)
+}
+
+// levelScan is what the level loop's scans count: adjacency entries
+// examined, of them reported to the meter, and rows looked up through the
+// label index.
+type levelScan struct {
+	edges, edgesReported, rented int64
+}
+
+// poll ticks the meter once CheckInterval discoveries have piled up since
+// the last tick. The scans call it between frontier entries.
+func (b *batch) poll(mt *Meter) error {
+	if b.found-b.ticked >= CheckInterval {
+		if err := mt.Tick(b.found - b.ticked); err != nil {
+			return err
+		}
+		b.ticked = b.found
+	}
+	return nil
+}
+
+// scanCompact expands the frontier from entry i on the compact map and
+// returns where it stopped: at the end of the frontier, at an error from the
+// meter, or at the entry before which the map held more than half of the
+// product's total states — having moved the batch onto the flat slabs.
+func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt *Meter, sc *levelScan) (int, error) {
+	g, nq := k.g, k.nq
+	for ; i < len(b.front); i++ {
+		if 2*len(b.touched) > total {
+			b.goFlat(total, level)
+			return i, nil
+		}
+		if err := b.poll(mt); err != nil {
+			return i, err
+		}
+		f := b.front[i]
+		v := int(f.id) / nq
+		ft := tb.ft[int(f.id)-v*nq]
+		for ti := range ft {
+			t := &ft[ti]
+			accepting := k.accept[t.state]
+			if t.ok != nil {
+				adj := g.Out(v)
+				if t.in {
+					adj = g.In(v)
+				}
+				sc.edges += int64(len(adj))
+				for _, ei := range adj {
+					if !t.ok[g.EdgeLabelID(ei)] {
+						continue
+					}
+					w := g.EdgeTgt(ei)
+					if t.in {
+						w = g.EdgeSrc(ei)
+					}
+					if s, l := b.find(w*nq + t.state); l < 0 {
+						b.enter(s, w*nq+t.state, w, f.bits, accepting)
+					} else if d := f.bits &^ b.lseen[l]; d != 0 {
+						b.gain(l, w, d, accepting)
+					}
+				}
+				continue
+			}
+			for li, lid := range t.labels {
+				if la := t.adjs[li]; la != nil {
+					tos := la.Neighbors(v)
+					sc.edges += int64(len(tos))
+					for _, w := range tos {
+						if s, l := b.find(int(w)*nq + t.state); l < 0 {
+							b.enter(s, int(w)*nq+t.state, int(w), f.bits, accepting)
+						} else if d := f.bits &^ b.lseen[l]; d != 0 {
+							b.gain(l, int(w), d, accepting)
+						}
+					}
+					continue
+				}
+				adj := g.OutWithLabel(v, lid)
+				if t.in {
+					adj = g.InWithLabel(v, lid)
+				}
+				sc.edges += int64(len(adj))
+				sc.rented += int64(len(adj)) + 1
+				for _, ei := range adj {
+					w := g.EdgeTgt(ei)
+					if t.in {
+						w = g.EdgeSrc(ei)
+					}
+					if s, l := b.find(w*nq + t.state); l < 0 {
+						b.enter(s, w*nq+t.state, w, f.bits, accepting)
+					} else if d := f.bits &^ b.lseen[l]; d != 0 {
+						b.gain(l, w, d, accepting)
+					}
+				}
+			}
+		}
+	}
+	return i, nil
+}
+
+// scanFlat is scanCompact on the flat slabs, from entry i to the end of the
+// frontier or an error from the meter.
+func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *levelScan) (int, error) {
+	g, nq, seen := k.g, k.nq, b.seen
+	for ; i < len(b.front); i++ {
+		if err := b.poll(mt); err != nil {
+			return i, err
+		}
+		f := b.front[i]
+		v := int(f.id) / nq
+		ft := tb.ft[int(f.id)-v*nq]
+		for ti := range ft {
+			t := &ft[ti]
+			accepting := k.accept[t.state]
+			if t.ok != nil {
+				adj := g.Out(v)
+				if t.in {
+					adj = g.In(v)
+				}
+				sc.edges += int64(len(adj))
+				for _, ei := range adj {
+					if !t.ok[g.EdgeLabelID(ei)] {
+						continue
+					}
+					w := g.EdgeTgt(ei)
+					if t.in {
+						w = g.EdgeSrc(ei)
+					}
+					if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
+						b.discover(w*nq+t.state, w, d, accepting)
+					}
+				}
+				continue
+			}
+			for li, lid := range t.labels {
+				if la := t.adjs[li]; la != nil {
+					tos := la.Neighbors(v)
+					sc.edges += int64(len(tos))
+					for _, w := range tos {
+						if d := f.bits &^ seen[int(w)*nq+t.state]; d != 0 {
+							b.discover(int(w)*nq+t.state, int(w), d, accepting)
+						}
+					}
+					continue
+				}
+				adj := g.OutWithLabel(v, lid)
+				if t.in {
+					adj = g.InWithLabel(v, lid)
+				}
+				sc.edges += int64(len(adj))
+				sc.rented += int64(len(adj)) + 1
+				for _, ei := range adj {
+					w := g.EdgeTgt(ei)
+					if t.in {
+						w = g.EdgeSrc(ei)
+					}
+					if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
+						b.discover(w*nq+t.state, w, d, accepting)
+					}
+				}
+			}
+		}
+	}
+	return i, nil
 }
 
 // idleProbe is one lookup of the idle test: a transition out of a start
@@ -573,30 +858,50 @@ func (sl *sourceList) cut() {
 }
 
 // scan fills buf with the sources of window bi that a batch must run — the
-// live ones that move — and counts the live ones that are idle.
+// live ones that move — and counts the live ones that are idle. The window
+// is read a word of moving at a time: its set bits are the sources to run,
+// and, since a source that moves is live, the idle ones are the live ones
+// less those. Only a graph with tombstones is asked which nodes are live.
 func (sl *sourceList) scan(bi int, buf *[batchWidth]int) (srcs []int, idle int64) {
 	lo, hi := 0, int(sl.ends[bi])
 	if bi > 0 {
 		lo = int(sl.ends[bi-1])
 	}
 	g := sl.k.g
-	tombstones := g.NumLiveNodes() != g.NumNodes()
+	live := hi - lo
+	if g.NumLiveNodes() != g.NumNodes() {
+		live = 0
+		for i := lo; i < hi; i++ {
+			if u := sl.at(i); g.NodeAlive(u) {
+				if sl.moving == nil {
+					buf[live] = u
+				}
+				live++
+			}
+		}
+	} else if sl.moving == nil {
+		for i := lo; i < hi; i++ {
+			buf[i-lo] = sl.at(i)
+		}
+	}
+	if sl.moving == nil {
+		return buf[:live], 0
+	}
 	m := 0
-	for i := lo; i < hi; i++ {
-		u := sl.at(i)
-		switch {
-		case sl.moving != nil && sl.moving[i>>6]>>uint(i&63)&1 != 0:
-			buf[m] = u
-			m++
-		case tombstones && !g.NodeAlive(u):
-		case sl.moving != nil:
-			idle++
-		default:
-			buf[m] = u
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		w := sl.moving[wi]
+		if wi == lo>>6 {
+			w &^= 1<<uint(lo&63) - 1
+		}
+		if end := hi - wi<<6; end < 64 {
+			w &= 1<<uint(end) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			buf[m] = sl.at(wi<<6 | mathbits.TrailingZeros64(w))
 			m++
 		}
 	}
-	return buf[:m], idle
+	return buf[:m], int64(live - m)
 }
 
 // SweepAll runs the sweep from every node of the graph; see SweepFrom. It is

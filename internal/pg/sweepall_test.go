@@ -286,6 +286,78 @@ func rareLabelsOverlay(t *testing.T, seed int64, n int) *graph.Graph {
 	return g
 }
 
+// hubTail is the family the level loop's two sides are held on: node 0 is a
+// hub with an a edge to every other node, and the rest is a sparse tail of
+// chains, a few b edges among them. A chain ends nowhere, at the hub — so
+// the sources upstream reach everything a few levels on — or at the head
+// of a later chain, so that a batch's reach grows chain by chain. A batch
+// that holds the hub, or sources next to a chain into it, moves onto the
+// flat slabs at level 0, 1 or later; one whose chains never reach it stays
+// on the compact map, whose table doubles as the chains add states.
+func hubTail(seed int64, n int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	id := func(i int) graph.NodeID { return graph.NodeID("n" + strconv.Itoa(i)) }
+	b := graph.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(id(i), "", nil)
+	}
+	edges := 0
+	add := func(label string, u, v int) {
+		b.AddEdge(graph.EdgeID("e"+strconv.Itoa(edges)), label, id(u), id(v), nil)
+		edges++
+	}
+	for v := 1; v < n; v++ {
+		add("a", 0, v)
+	}
+	for lo := 1; lo < n; {
+		hi := min(lo+4+rng.Intn(40), n)
+		for u := lo; u+1 < hi; u++ {
+			label := "a"
+			if rng.Intn(6) == 0 {
+				label = "b"
+			}
+			add(label, u, u+1)
+			if rng.Intn(12) == 0 {
+				add("b", u, lo+rng.Intn(hi-lo))
+			}
+		}
+		switch r := rng.Intn(8); {
+		case r == 0:
+			add("a", hi-1, 0)
+		case r < 4 && hi < n:
+			add("a", hi-1, hi+rng.Intn(min(120, n-hi)))
+		}
+		lo = hi
+	}
+	return b.MustBuild()
+}
+
+// hubTailOverlay is a hubTail left as an overlay: tombstoned nodes — one
+// of them a source of batch 0, one inside a chain — a removed edge out of
+// the hub and a few added edges.
+func hubTailOverlay(t *testing.T, seed int64, n int) *graph.Graph {
+	t.Helper()
+	base := hubTail(seed, n)
+	rng := rand.New(rand.NewSource(seed))
+	muts := []graph.Mutation{
+		{Op: graph.MutRemoveNode, ID: "n5"},
+		{Op: graph.MutRemoveNode, ID: "n" + strconv.Itoa(n/2)},
+		{Op: graph.MutRemoveEdge, ID: string(base.Edge(base.Out(0)[n/3]).ID)},
+	}
+	for i := 0; i < 6; i++ {
+		muts = append(muts, graph.Mutation{Op: graph.MutAddEdge, ID: "x" + strconv.Itoa(i), Label: "a",
+			Src: "n" + strconv.Itoa(10+rng.Intn(n-20)), Tgt: "n" + strconv.Itoa(10+rng.Intn(n-20))})
+	}
+	g, err := base.Apply(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodeAlive(5) || g.NumLiveNodes() != n-2 {
+		t.Fatalf("overlay fixture lost its tombstones: %d live nodes", g.NumLiveNodes())
+	}
+	return g
+}
+
 // TestSweepAllMatchesPerSourceSweep is the all-sources driver's
 // differential, for both loops under it. Over generated graphs × automata —
 // forward and backward machines, a two-way machine, negated guards on the
@@ -305,34 +377,47 @@ func rareLabelsOverlay(t *testing.T, seed int64, n int) *graph.Graph {
 // nothing): a start state that accepts, so nothing is idle; a rare first
 // label, forward and — flipped — as the last; a union start; a guard first,
 // under which a node whose edges all fail it is not idle; an inverse first
-// step; and sources an overlay moved across the rule.
+// step; and sources an overlay moved across the rule. The hub-tail graphs
+// are there for the level loop's two sides: their batches stay on the
+// compact map, or move onto the flat slabs at level 0, at level 1 or later,
+// and one table doubles several times on the way; over every live node,
+// where no call condenses, the test checks that each of these happened.
+// Every call runs at 1, 2, 4 and 8 workers.
 func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 	seven := []string{"a", "b", "c", "d", "e", "f", "g"}
 	queries := []string{"a*", "a b* a", "(!{b})*", "(a | b)+"}
 	cyclic := []string{"a*", "a* z a", "(a|b)* z (a|b)", "(!{b})* z a", "(a* b)* a*", "((a|z)* b*)*"}
 	rare := []string{"a*", "c a*", "b a*", "(a|b) c", "!{b} a*", "b b b"}
+	hub := []string{"a*", "a a* b", "(a|b) a"}
 	graphs := []struct {
 		name    string
 		g       *graph.Graph
 		queries []string
 		twoWay  string
 		lists   bool // also run SweepFrom over prefixes of the live nodes
+		shapes  bool // also run SweepFrom over every live node, and count the level loop's two sides
 	}{
-		{"random", gen.Random(60, 300, []string{"a", "b"}, 5), queries, "(a|~a)* b", true},
-		{"seven-labels", gen.Random(90, 700, seven, 3), queries, "(a|~a)* b", true},
-		{"clique", gen.Clique(12, "a"), queries, "(a|~a)* b", true},
-		{"grid", gen.Grid(9, 9, "a"), queries, "(a|~a)* b", true},
-		{"overlay", overlayGraph(t), queries, "(a|~a)* b", true},
+		{"random", gen.Random(60, 300, []string{"a", "b"}, 5), queries, "(a|~a)* b", true, false},
+		{"seven-labels", gen.Random(90, 700, seven, 3), queries, "(a|~a)* b", true, false},
+		{"clique", gen.Clique(12, "a"), queries, "(a|~a)* b", true, false},
+		{"grid", gen.Grid(9, 9, "a"), queries, "(a|~a)* b", true, false},
+		{"overlay", overlayGraph(t), queries, "(a|~a)* b", true, false},
 		// Here for its source count — fourteen batches, the last one short —
 		// and kept to one query: the oracle is 800 sweeps per kernel.
-		{"scalefree-800", gen.ScaleFree(800, 4, 42), []string{"a b* a"}, "(a|~a)* b", false},
-		{"tangle", tangle(1, 340, false), cyclic, "(a|~a)* z", false},
-		{"tangle-flipped", tangle(2, 340, true), cyclic, "(a|~a)* z", false},
-		{"tangle-overlay", tangleOverlay(t, 3, 343), cyclic, "(a|~a)* z", false},
-		{"rare-labels", rareLabels(4, 260), rare, "~c (a|~a)*", true},
-		{"rare-labels-overlay", rareLabelsOverlay(t, 5, 260), rare, "~b (a|~a)*", true},
+		{"scalefree-800", gen.ScaleFree(800, 4, 42), []string{"a b* a"}, "(a|~a)* b", false, false},
+		{"tangle", tangle(1, 340, false), cyclic, "(a|~a)* z", false, false},
+		{"tangle-flipped", tangle(2, 340, true), cyclic, "(a|~a)* z", false, false},
+		{"tangle-overlay", tangleOverlay(t, 3, 343), cyclic, "(a|~a)* z", false, false},
+		{"rare-labels", rareLabels(4, 260), rare, "~c (a|~a)*", true, false},
+		{"rare-labels-overlay", rareLabelsOverlay(t, 5, 260), rare, "~b (a|~a)*", true, false},
+		{"hub-tail", hubTail(6, 900), hub, "(a|~a)* b", true, true},
+		{"hub-tail-overlay", hubTailOverlay(t, 7, 900), hub, "(a|~a)* b", true, true},
 	}
 	bought, stayed, idled := 0, 0, int64(0)
+	// sides counts the hub-tail batches that stayed on the compact map and
+	// those that moved onto the flat slabs at level 0, at level 1 and later.
+	var sides [4]int
+	mostDoublings := 0
 	for _, gc := range graphs {
 		g := gc.g
 		kernels := map[string]func(c *pg.Counters) *pg.Kernel{}
@@ -356,6 +441,9 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 				lists = append(lists, live[:n])
 			}
 		}
+		if gc.shapes {
+			lists = append(lists, live)
+		}
 		// The live sources of batch 0: the ones a condensed call runs on the
 		// level loop.
 		batch0 := live[:sort.SearchInts(live, 8)]
@@ -373,7 +461,7 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 
 				var first pg.CountersSnapshot
 				var firstJSON []byte
-				for _, workers := range []int{1, 2, 4} {
+				for _, workers := range []int{1, 2, 4, 8} {
 					var c pg.Counters
 					m, ss := analyzeMeter()
 					got, err := sweepAllPairs(build(&c), sources, workers, m)
@@ -417,6 +505,17 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 						} else if sources == nil && len(live) >= 329 {
 							stayed++
 						}
+						if gc.shapes && snap.Condensed == nil && len(sources) != 1 {
+							// The call ran every window on the level loop: these.
+							flatAt, doublings, err := pg.BatchShapes(build(nil), sources)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i, at := range flatAt {
+								sides[min(at+1, 3)]++
+								mostDoublings = max(mostDoublings, doublings[i])
+							}
+						}
 						if snap.Sweeps != oracle.Sweeps || snap.States != oracle.States || len(snap.Levels) != len(levels.Levels) || snap.IdleSources != wantIdle {
 							t.Fatalf("%s: telemetry %+v, per-source sweeps recorded %+v, %d of them idle", name, snap, oracle, wantIdle)
 						}
@@ -442,6 +541,11 @@ func TestSweepAllMatchesPerSourceSweep(t *testing.T) {
 	}
 	if idled < 10000 {
 		t.Fatalf("%d idle sources over the whole run: the generators no longer exercise the idle rule", idled)
+	}
+	t.Logf("hub-tail batches: %d compact, %d flat at level 0, %d at level 1, %d later; most doublings %d", sides[0], sides[1], sides[2], sides[3], mostDoublings)
+	if slices.Contains(sides[:], 0) || mostDoublings < 3 {
+		t.Fatalf("hub-tail batches: %d compact, %d flat at level 0, %d at level 1, %d later; a table doubled at most %d times: the generator no longer covers both sides of the switch",
+			sides[0], sides[1], sides[2], sides[3], mostDoublings)
 	}
 }
 
