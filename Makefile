@@ -37,7 +37,9 @@ vet:
 # KIND_TABLE, one row per language (DESIGN §14): a case on a Kind constant, a
 # comparison with one, or a case on a result-kind literal ("pairs", "paths",
 # "rows", "matches", "spans", "relation", "bag") in another non-test file of
-# internal/core or internal/server is a second kind switch.
+# internal/core or internal/server is a second kind switch. eval.Budget,
+# eval.NewMeter and eval.PairsProductCtx exist only for the benchmark
+# harness: outside bench/ and internal/eval a file names pg's meter itself.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -65,6 +67,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a dialect counting its own nesting (read through rpq.Read):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE 'case[[:space:]]+Kind|[!=]=[[:space:]]*Kind|case[^:]*"(pairs|paths|rows|matches|spans|relation|bag)"' $$(ls internal/core/*.go internal/server/*.go | grep -v _test.go | grep -vxF $(KIND_TABLE)) || true)"; \
 		if [ -n "$$out" ]; then echo "a second kind switch (look the kind up in $(KIND_TABLE)):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE 'eval\.(Budget|NewMeter|PairsProductCtx)\b' $$(find . -name '*.go' ! -path './bench/*' ! -path './internal/eval/*') || true)"; \
+		if [ -n "$$out" ]; then echo "the benchmark harness's meter names outside bench/ (use pg.Budget and pg.NewMeter):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -74,12 +74,12 @@ func BenchmarkE15_UnifiedKernel(b *testing.B) {
 					if variant.prog {
 						p = &obs.Progress{}
 					}
-					var ss *eval.SweepStats
+					var ss *pg.SweepStats
 					if variant.analyze {
-						ss = &eval.SweepStats{}
+						ss = &pg.SweepStats{}
 					}
-					m := pg.NewMeter(ctx, eval.Budget{}, p, ss)
-					prs, err := eval.PairsProductCtx(ctx, eval.NewProduct(tc.g, nfa),
+					m := pg.NewMeter(ctx, pg.Budget{}, p, ss)
+					prs, err := eval.PairsProduct(eval.NewProduct(tc.g, nfa),
 						eval.Options{Parallelism: 1, Meter: m})
 					if err != nil {
 						b.Fatal(err)

@@ -325,7 +325,7 @@ func BenchmarkE17_PMRvsEnum(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("enumerate/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				paths, err := eval.Paths(g, expr, s, t, eval.Shortest, eval.Options{})
+				paths, err := lrpq.EvalBetween(g, lrpq.MustParse("a*"), s, t, eval.Shortest, lrpq.Options{})
 				if err != nil || len(paths) != 1<<uint(n) {
 					b.Fatalf("enumerated %d (err %v)", len(paths), err)
 				}
@@ -337,26 +337,26 @@ func BenchmarkE17_PMRvsEnum(b *testing.B) {
 // BenchmarkE19_Modes contrasts polynomial shortest-path existence with the
 // NP-hard simple-path existence on an adversarial bidirectional grid.
 func BenchmarkE19_Modes(b *testing.B) {
-	expr := rpq.MustParse("a+")
 	grid := gen.Grid(4, 4, "a")
+	plan := lrpq.NewPlan(grid, lrpq.MustParse("a+"), nil)
 	src, dst := 0, grid.NumNodes()-1
 	b.Run("shortest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !eval.ExistsMode(grid, expr, src, dst, eval.Shortest) {
+			if meet, _ := plan.Search(src, dst, nil); meet.Len < 0 {
 				b.Fatal("should exist")
 			}
 		}
 	})
 	b.Run("simple-exists", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !eval.ExistsMode(grid, expr, src, dst, eval.Simple) {
+			if res, _ := plan.Between(src, dst, eval.Simple, lrpq.Options{Limit: 1}); len(res) == 0 {
 				b.Fatal("should exist")
 			}
 		}
 	})
 	b.Run("simple-enumerate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			paths, err := eval.Paths(grid, expr, src, dst, eval.Simple, eval.Options{})
+			paths, err := plan.Between(src, dst, eval.Simple, lrpq.Options{})
 			if err != nil || len(paths) == 0 {
 				b.Fatal("expected simple paths")
 			}
@@ -365,9 +365,9 @@ func BenchmarkE19_Modes(b *testing.B) {
 	// Practice-like sparse graph: trails are cheap.
 	social := gen.Social(300, 7)
 	b.Run("social-trail", func(b *testing.B) {
-		e2 := rpq.MustParse("(knows | follows)+")
+		plan := lrpq.NewPlan(social, lrpq.MustParse("(knows | follows)+"), nil)
 		for i := 0; i < b.N; i++ {
-			eval.ExistsMode(social, e2, 0, social.NumNodes()-1, eval.Trail)
+			plan.Between(0, social.NumNodes()-1, eval.Trail, lrpq.Options{Limit: 1})
 		}
 	})
 }
@@ -407,14 +407,15 @@ func BenchmarkE22_Automata(b *testing.B) {
 	}
 }
 
-// BenchmarkE23_KShortest measures k-shortest walk enumeration delay.
+// BenchmarkE23_KShortest measures k-shortest walk enumeration delay: the
+// first k paths of the PMR over the product, shortest first.
 func BenchmarkE23_KShortest(b *testing.B) {
 	g := gen.Random(200, 800, []string{"a"}, 11)
 	expr := rpq.MustParse("a+")
 	for _, k := range []int{10, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := eval.KShortestWalks(g, expr, 0, 1, k); len(got) == 0 {
+				if got := pmr.FromProduct(g, expr, 0, 1).Enumerate(k); len(got) == 0 {
 					b.Fatal("expected walks")
 				}
 			}

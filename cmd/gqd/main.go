@@ -32,6 +32,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 func main() {
@@ -183,7 +184,7 @@ func runOnce(ctx context.Context, eng *core.Engine, query, from, to, modeStr str
 		Analyze: analyzeQueries,
 	})
 	if err != nil {
-		if errors.Is(err, eval.ErrCanceled) {
+		if errors.Is(err, pg.ErrCanceled) {
 			return errors.New("canceled (interrupt received before the query finished)")
 		}
 		return err

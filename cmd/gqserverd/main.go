@@ -79,9 +79,9 @@ import (
 	"syscall"
 	"time"
 
-	"graphquery/internal/eval"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 	"graphquery/internal/server"
 )
 
@@ -131,7 +131,7 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		MaxConcurrent:    *maxConcurrent,
 		MaxQueue:         *maxQueue,
-		DefaultBudget:    eval.Budget{MaxStates: *maxStates, MaxRows: *maxRows},
+		DefaultBudget:    pg.Budget{MaxStates: *maxStates, MaxRows: *maxRows},
 		MaxLen:           *maxLen,
 		Limit:            *limit,
 		Parallelism:      *parallelism,

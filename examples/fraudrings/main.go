@@ -14,6 +14,7 @@ import (
 	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/graph"
+	"graphquery/internal/lrpq"
 	"graphquery/internal/pmr"
 	"graphquery/internal/rpq"
 )
@@ -95,12 +96,12 @@ func main() {
 	// account back to itself of length ≥ 4.
 	fmt.Println("\ntransfer rings through acc0 (trail mode):")
 	acc0 := g.MustNode("acc0")
-	rings, err := eval.Paths(g, rpq.MustParse("Transfer{4,6}"), acc0, acc0, eval.Trail, eval.Options{Limit: 3})
+	rings, err := lrpq.EvalBetween(g, lrpq.MustParse("Transfer{4,6}"), acc0, acc0, eval.Trail, lrpq.Options{Limit: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range rings {
-		fmt.Printf("  %s\n", p.Format(g))
+	for _, r := range rings {
+		fmt.Printf("  %s\n", r.Path.Format(g))
 	}
 
 	// 3. Evidence sets as PMRs (Section 6.4): all transfer paths between

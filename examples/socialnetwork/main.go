@@ -13,7 +13,7 @@ import (
 	"graphquery/internal/crpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
-	"graphquery/internal/rpq"
+	"graphquery/internal/graph"
 )
 
 func main() {
@@ -24,8 +24,17 @@ func main() {
 	// 1. Reachability with a wildcard RPQ (Remark 11): who can p150 reach
 	// through any mix of relationships? (knows-edges point from newer to
 	// older members, so late joiners reach far.)
-	reach := eval.ReachableFrom(g, rpq.MustParse("_*"), g.MustNode("p150"))
-	fmt.Printf("p150 reaches %d people through any relationship chain\n", len(reach))
+	pairs, err := eng.Pairs("_*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	reach := 0
+	for _, pr := range pairs {
+		if pr[0] == "p150" {
+			reach++
+		}
+	}
+	fmt.Printf("p150 reaches %d people through any relationship chain\n", reach)
 
 	// 2. A CRPQ join (Section 3.1.2): mutual-follow pairs.
 	q := crpq.MustParse("q(x, y) :- follows(x, y), follows(y, x)")
@@ -56,23 +65,21 @@ func main() {
 	// 4. Simple vs all paths (Section 6.3 path modes): cycles in the
 	// knows graph inflate the unrestricted count; simple mode excludes
 	// them. Endpoints come from the first knows-edge for robustness.
-	var src, dst int
+	var src, dst graph.NodeID
 	for i := 0; i < g.NumEdges(); i++ {
 		if e := g.Edge(i); e.Label == "knows" {
-			src, dst = e.Src, e.Tgt
+			src, dst = g.Node(e.Src).ID, g.Node(e.Tgt).ID
 			break
 		}
 	}
-	simple, err := eval.Paths(g, rpq.MustParse("(knows | follows){1,4}"),
-		src, dst, eval.Simple, eval.Options{})
+	simple, err := eng.Paths("(knows | follows){1,4}", src, dst, eval.Simple)
 	if err != nil {
 		log.Fatal(err)
 	}
-	all, err := eval.Paths(g, rpq.MustParse("(knows | follows){1,4}"),
-		src, dst, eval.All, eval.Options{MaxLen: 4})
+	all, err := eng.Paths("(knows | follows){1,4}", src, dst, eval.All)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npaths %s → %s up to length 4: %d total, %d simple\n",
-		g.Node(src).ID, g.Node(dst).ID, len(all), len(simple))
+		src, dst, len(all), len(simple))
 }

@@ -14,8 +14,8 @@ import (
 	"strconv"
 
 	"graphquery/internal/cardest"
-	"graphquery/internal/eval"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 // PlanNode is one node of the annotated plan tree: a stage or operator
@@ -55,7 +55,7 @@ type AnnotatedPlan struct {
 	Plan PlanNode `json:"plan"`
 	// Sweep is the kernel's recorded telemetry: per-level frontier sizes
 	// and direction choices, edges examined. Nil when no kernel sweep ran.
-	Sweep *eval.SweepStatsSnapshot `json:"sweep,omitempty"`
+	Sweep *pg.SweepStatsSnapshot `json:"sweep,omitempty"`
 }
 
 // Trace attributes the analyze path communicates through: the evaluator
@@ -77,7 +77,7 @@ func formatEst(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // product, so its counts would be q-errors of nothing and it carries no
 // estimate). ss nil (analyze off) is a no-op, so non-analyze queries pay
 // one nil check.
-func noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, ss *eval.SweepStats) {
+func noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, ss *pg.SweepStats) {
 	if ss == nil {
 		return
 	}
@@ -96,7 +96,7 @@ func noteKernelActuals(gs *graphState, tr *obs.Trace, pl rpqPlan, ss *eval.Sweep
 // the sweep telemetry. Accumulated spans are delivery time accounting —
 // which of them exist depends on the sink and on whether its client ever
 // blocked — so they are not plan nodes.
-func annotate(resp *Response, tr *obs.Trace, ss *eval.SweepStats) *AnnotatedPlan {
+func annotate(resp *Response, tr *obs.Trace, ss *pg.SweepStats) *AnnotatedPlan {
 	actual := int64(resp.Count())
 	root := PlanNode{Name: resp.Kind, Detail: tr.Attr("plan"), Actual: actual}
 	if s := tr.Attr(attrEstRows); s != "" {

@@ -25,12 +25,12 @@ func TestQueryCtxRowBudget(t *testing.T) {
 		Query:  "a*",
 		From:   "s",
 		To:     "t",
-		Budget: eval.Budget{MaxRows: 100},
+		Budget: pg.Budget{MaxRows: 100},
 	})
-	if !errors.Is(err, eval.ErrBudgetExceeded) {
+	if !errors.Is(err, pg.ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
-	var be *eval.BudgetError
+	var be *pg.BudgetError
 	if !errors.As(err, &be) || be.Resource != "rows" || be.Limit != 100 {
 		t.Fatalf("got %v, want *BudgetError{rows, 100}", err)
 	}
@@ -61,7 +61,7 @@ func TestQueryCtxDeadline(t *testing.T) {
 	start := time.Now()
 	_, err := e.QueryCtx(ctx, Request{Query: "a{200}", Trace: tr})
 	elapsed := time.Since(start)
-	if !errors.Is(err, eval.ErrCanceled) {
+	if !errors.Is(err, pg.ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -78,7 +78,7 @@ func TestQueryCtxDispatch(t *testing.T) {
 	e := New(gen.BankEdgeLabeled())
 	ctx := context.Background()
 
-	resp, err := e.QueryCtx(ctx, Request{Query: "Transfer*", Budget: eval.Budget{MaxStates: 1 << 30}})
+	resp, err := e.QueryCtx(ctx, Request{Query: "Transfer*", Budget: pg.Budget{MaxStates: 1 << 30}})
 	if err != nil || resp.Kind != "pairs" || len(resp.Pairs) == 0 {
 		t.Fatalf("RPQ: resp=%+v err=%v, want pairs", resp, err)
 	}
@@ -130,11 +130,11 @@ func TestQueryCtxOverridesDoNotMutateEngine(t *testing.T) {
 	e.Limit = 3
 	if _, err := e.QueryCtx(context.Background(), Request{
 		Query: "a*", From: "s", To: "t", MaxLen: 4, Limit: 1,
-		Budget: eval.Budget{MaxStates: 1 << 30},
+		Budget: pg.Budget{MaxStates: 1 << 30},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if e.MaxLen != 7 || e.Limit != 3 || e.Budget != (eval.Budget{}) {
+	if e.MaxLen != 7 || e.Limit != 3 || e.Budget != (pg.Budget{}) {
 		t.Fatalf("engine mutated by request overrides: MaxLen=%d Limit=%d Budget=%+v", e.MaxLen, e.Limit, e.Budget)
 	}
 }
@@ -187,15 +187,15 @@ func TestQueryCtxMatchesTypedForms(t *testing.T) {
 		if got := tc.field(resp); !reflect.DeepEqual(got, want) || resp.Count() == 0 {
 			t.Errorf("%s: QueryCtx %v != typed form %v", tc.name, got, want)
 		}
-		if _, err := e.QueryCtx(canceled, tc.req); !errors.Is(err, eval.ErrCanceled) {
+		if _, err := e.QueryCtx(canceled, tc.req); !errors.Is(err, pg.ErrCanceled) {
 			t.Errorf("%s: pre-canceled context: got %v, want ErrCanceled", tc.name, err)
 		}
-		if _, err := e.QueryCtx(expired, tc.req); !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := e.QueryCtx(expired, tc.req); !errors.Is(err, pg.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: expired deadline: got %v, want ErrCanceled wrapping DeadlineExceeded", tc.name, err)
 		}
 		req := tc.req
-		req.Budget = eval.Budget{MaxRows: 1}
-		if _, err := e.QueryCtx(context.Background(), req); !errors.Is(err, eval.ErrBudgetExceeded) {
+		req.Budget = pg.Budget{MaxRows: 1}
+		if _, err := e.QueryCtx(context.Background(), req); !errors.Is(err, pg.ErrBudgetExceeded) {
 			t.Errorf("%s: MaxRows=1: got %v, want ErrBudgetExceeded", tc.name, err)
 		}
 	}

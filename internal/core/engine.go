@@ -69,7 +69,7 @@ type Engine struct {
 	// Budget is the default per-query resource budget applied by QueryCtx
 	// and QueryStream. Zero fields are unlimited; the typed conveniences
 	// (Pairs, Rows, ...) ignore it entirely.
-	Budget eval.Budget
+	Budget pg.Budget
 
 	// plans caches parsed ASTs and compiled NFAs keyed by normalized query
 	// text × query kind, so repeated queries skip parse + Glushkov.

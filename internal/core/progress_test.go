@@ -6,9 +6,9 @@ import (
 	"sync"
 	"testing"
 
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 // TestQueryCtxThreadsProgress: a Request.Progress reaches the kernel through
@@ -92,7 +92,7 @@ func TestConcurrentQueriesIndependentProgress(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if !errors.Is(err1, eval.ErrCanceled) {
+	if !errors.Is(err1, pg.ErrCanceled) {
 		t.Fatalf("query 1 (canceled ctx) err = %v, want ErrCanceled", err1)
 	}
 	if err2 != nil {

@@ -1,5 +1,5 @@
 // Context-aware query entry points: the serving surface of the engine.
-// Every method here threads one eval.Meter through all evaluation stages of
+// Every method here threads one pg.Meter through all evaluation stages of
 // a query, so cooperative cancellation (client disconnect, deadline) and
 // per-query resource budgets (product states visited, result rows) are
 // enforced query-globally — the requirement the paper's Propositions 22–24
@@ -29,8 +29,8 @@ import (
 )
 
 // The engine-level error taxonomy. Serving layers map these to client
-// errors (bad request, unknown node), while eval.ErrCanceled and
-// eval.ErrBudgetExceeded pass through untouched and map to timeout/
+// errors (bad request, unknown node), while pg.ErrCanceled and
+// pg.ErrBudgetExceeded pass through untouched and map to timeout/
 // overload responses.
 var (
 	// ErrBadQuery wraps parse and validation failures: the query text
@@ -52,8 +52,8 @@ func badQuery(err error) error {
 func classify(err error) error {
 	var panicked *pg.PanicError
 	if err == nil ||
-		errors.Is(err, eval.ErrCanceled) ||
-		errors.Is(err, eval.ErrBudgetExceeded) ||
+		errors.Is(err, pg.ErrCanceled) ||
+		errors.Is(err, pg.ErrBudgetExceeded) ||
 		errors.Is(err, ErrBadQuery) ||
 		errors.Is(err, ErrUnknownNode) ||
 		errors.As(err, &panicked) {
@@ -83,7 +83,7 @@ type Request struct {
 	MaxLen, Limit int
 	// Budget overrides the engine's per-query budget field-by-field when
 	// its fields are > 0.
-	Budget eval.Budget
+	Budget pg.Budget
 	// Trace, when set, receives the query's evaluation spans and plan
 	// attribute. Serving layers supply one so span timings and the plan
 	// line survive even when the query errs (timeout, exhausted budget)
@@ -170,7 +170,7 @@ func (r *Response) Count() int {
 
 // QueryCtx evaluates one request under ctx: the single entry point of the
 // query service. Cancellation and budget violations surface as
-// eval.ErrCanceled / eval.ErrBudgetExceeded; malformed queries as
+// pg.ErrCanceled / pg.ErrBudgetExceeded; malformed queries as
 // ErrBadQuery; unknown endpoints as ErrUnknownNode. It is QueryStream with
 // no sink: the typed result fields of the Response are filled instead.
 func (e *Engine) QueryCtx(ctx context.Context, req Request) (*Response, error) {
@@ -189,7 +189,7 @@ type run struct {
 	e             *Engine
 	gs            *graphState // the snapshot the whole query runs on
 	req           Request
-	m             *eval.Meter
+	m             *pg.Meter
 	tr            *obs.Trace
 	maxLen, limit int      // the request's bounds, engine defaults applied
 	anchored      bool     // the request asks for paths between from and to

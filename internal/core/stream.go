@@ -31,7 +31,6 @@ import (
 	"errors"
 	"time"
 
-	"graphquery/internal/eval"
 	"graphquery/internal/obs"
 	"graphquery/internal/pg"
 )
@@ -90,9 +89,9 @@ func (e *Engine) QueryStream(ctx context.Context, req Request, sink Sink) (*Resp
 	if b.MaxRows <= 0 {
 		b.MaxRows = e.Budget.MaxRows
 	}
-	var ss *eval.SweepStats
+	var ss *pg.SweepStats
 	if req.Analyze {
-		ss = &eval.SweepStats{}
+		ss = &pg.SweepStats{}
 	}
 	m := pg.NewMeter(ctx, b, req.Progress, ss)
 	tr := req.Trace

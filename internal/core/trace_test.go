@@ -12,6 +12,7 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 func spanNames(spans []obs.Span) []string {
@@ -84,10 +85,10 @@ func TestQueryCtxTraceSurvivesError(t *testing.T) {
 	tr := obs.NewTrace()
 	_, err := e.QueryCtx(context.Background(), Request{
 		Query:  "a a*",
-		Budget: eval.Budget{MaxStates: 64},
+		Budget: pg.Budget{MaxStates: 64},
 		Trace:  tr,
 	})
-	if !errors.Is(err, eval.ErrBudgetExceeded) {
+	if !errors.Is(err, pg.ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
 	if !hasSpan(tr.Spans(), "kernel") {

@@ -163,11 +163,11 @@ func TestEvaluatorsBudgetNoPartialResults(t *testing.T) {
 		for _, par := range ev.parallelism {
 			for _, bc := range budgets {
 				n, err := ev.run(pg.NewMeter(context.Background(), bc.budget, nil, nil), par)
-				if !errors.Is(err, eval.ErrBudgetExceeded) {
+				if !errors.Is(err, pg.ErrBudgetExceeded) {
 					t.Errorf("%s/par=%d/%s: got %v, want ErrBudgetExceeded", ev.name, par, bc.resource, err)
 					continue
 				}
-				var be *eval.BudgetError
+				var be *pg.BudgetError
 				if !errors.As(err, &be) || be.Resource != bc.resource {
 					t.Errorf("%s/par=%d/%s: got %v, want *BudgetError{%s}", ev.name, par, bc.resource, err, bc.resource)
 				}
@@ -188,7 +188,7 @@ func TestEvaluatorsPreCanceledContext(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			n, err := ev.run(pg.NewMeter(ctx, pg.Budget{}, nil, nil), par)
-			if !errors.Is(err, eval.ErrCanceled) {
+			if !errors.Is(err, pg.ErrCanceled) {
 				t.Errorf("%s/par=%d: got %v, want ErrCanceled", ev.name, par, err)
 			}
 			if !errors.Is(err, context.Canceled) {
@@ -234,7 +234,7 @@ func TestEvaluatorsMidFlightCancel(t *testing.T) {
 		for _, par := range ev.parallelism {
 			tw := newTripwire()
 			n, err := ev.run(pg.NewMeter(tw, pg.Budget{}, nil, nil), par)
-			if !errors.Is(err, eval.ErrCanceled) {
+			if !errors.Is(err, pg.ErrCanceled) {
 				t.Errorf("%s/par=%d: got %v, want ErrCanceled", ev.name, par, err)
 			}
 			if n != 0 {
@@ -289,11 +289,11 @@ func TestCRPQJoinCancel(t *testing.T) {
 		sweptRows := m.Rows()
 		ctx.trip(cause)
 		res, err := swept.Join()
-		if res != nil || !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, cause) {
+		if res != nil || !errors.Is(err, pg.ErrCanceled) || !errors.Is(err, cause) {
 			t.Errorf("%v mid-join: result %v, err %v; want no result and ErrCanceled wrapping the cause", cause, res != nil, err)
 		}
-		if joined := m.Rows() - sweptRows; joined > eval.MeterCheckInterval {
-			t.Errorf("%v mid-join: the join produced %d more rows; the check interval is %d", cause, joined, eval.MeterCheckInterval)
+		if joined := m.Rows() - sweptRows; joined > pg.CheckInterval {
+			t.Errorf("%v mid-join: the join produced %d more rows; the check interval is %d", cause, joined, pg.CheckInterval)
 		}
 	}
 }

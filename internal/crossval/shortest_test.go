@@ -1,10 +1,11 @@
 // Shortest paths between two anchors: the meet-in-the-middle search of
 // pg.Kernel.Between and the DAG walk of lrpq.Plan.Shortest against two
-// oracles that share no code with them — eval.Paths' shortest enumeration
-// on Kernel.BFS for expressions without variables, and the definition
-// itself (mode all up to the answer's length, filtered to minimal length)
-// for expressions with list variables. Rows and order must both agree, at
-// every limit.
+// oracles that share no code with them — the walk oracle of modes_test.go
+// (every walk whose label word the automaton accepts, cut to minimal
+// length) for expressions without variables, and mode all up to that
+// length, filtered to minimal length, for expressions with list variables;
+// a claim of no path at all is held to a single-source kernel sweep. Rows
+// and order must both agree, at every limit.
 package crossval_test
 
 import (
@@ -12,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,6 +64,12 @@ func shortestByDefinition(t *testing.T, g *graph.Graph, e lrpq.Expr, u, v, lengt
 	return out
 }
 
+// reach is every node a sweep of kern from u reaches in an accepting state.
+func reach(kern *pg.Kernel, u int) []int {
+	vs, _ := kern.Sweep(u, kern.NewScratch(), nil, false) // nil meter: cannot fail
+	return vs
+}
+
 // checkShortest compares the served evaluator with both oracles on one
 // (graph, expression, pair), at every limit.
 func checkShortest(t *testing.T, g *graph.Graph, text string, u, v int) {
@@ -72,9 +80,20 @@ func checkShortest(t *testing.T, g *graph.Graph, text string, u, v int) {
 	if err != nil {
 		t.Fatalf("%s %d→%d: %v", text, u, v, err)
 	}
-	erased, err := eval.Paths(g, lrpq.Erase(e), u, v, eval.Shortest, eval.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Oracle (i) needs a bound: the claimed length. A shorter accepted walk
+	// shows up under it and wins the cut; a claim of no path at all is
+	// checked by a kernel sweep from the source.
+	nfa := rpq.Compile(lrpq.Erase(e))
+	var erased []gpath.Path
+	if len(full) > 0 {
+		walks := walkOracle(g, nfa, u, v, full[0].Path.Len(), nil)
+		for _, p := range walks { // sorted by length first
+			if p.Len() == walks[0].Len() {
+				erased = append(erased, p)
+			}
+		}
+	} else if kern := eval.NewProduct(g, nfa).Kernel(); slices.Contains(reach(kern, u), v) {
+		t.Fatalf("%s %d→%d: no shortest path, but a sweep from %d reaches %d", text, u, v, u, v)
 	}
 	var want []gpath.PathBinding
 	if len(lrpq.Vars(e)) == 0 {
@@ -97,18 +116,11 @@ func checkShortest(t *testing.T, g *graph.Graph, text string, u, v int) {
 		if fmt.Sprint(formatPBs(g, cut)) != fmt.Sprint(exp[:k]) {
 			t.Fatalf("%s %d→%d limit %d: got %v, want the first %d of %v", text, u, v, limit, formatPBs(g, cut), k, exp)
 		}
-		if len(lrpq.Vars(e)) == 0 {
-			// Oracle (i) truncates by itself; hold it to the same prefix.
-			ref, _ := eval.Paths(g, lrpq.Erase(e), u, v, eval.Shortest, eval.Options{Limit: limit})
-			if len(ref) != k {
-				t.Fatalf("%s %d→%d limit %d: eval.Paths returned %d paths, want %d", text, u, v, limit, len(ref), k)
-			}
-		}
 	}
 	// The shortest PMR is built from the same DAG: it must hold exactly the
 	// distinct paths of the answer (it counts runs, so the comparison needs
 	// an automaton with one run per path).
-	if nfa := rpq.Compile(lrpq.Erase(e)); len(lrpq.Vars(e)) == 0 && nfa.IsUnambiguous() {
+	if len(lrpq.Vars(e)) == 0 && nfa.IsUnambiguous() {
 		kern := eval.NewProduct(g, nfa).Kernel()
 		r, err := pmr.ShortestFromKernel(kern, u, v, nil)
 		if err != nil {
@@ -336,22 +348,22 @@ func TestShortestSearchIsMetered(t *testing.T) {
 		t.Fatalf("search: %+v, err %v; want length 78 with both sides expanded", meet, err)
 	}
 	full := m.States()
-	if got := counters.Snapshot().StatesExpanded; got != full || full < 4*eval.MeterCheckInterval {
+	if got := counters.Snapshot().StatesExpanded; got != full || full < 4*pg.CheckInterval {
 		t.Fatalf("meter charged %d states, counters %d; want them equal and several check intervals", full, got)
 	}
 
 	const budget = 300
 	m = pg.NewMeter(context.Background(), pg.Budget{MaxStates: budget}, nil, nil)
 	meet, err = plan.Search(u, v, m)
-	var be *eval.BudgetError
+	var be *pg.BudgetError
 	if meet != nil || !errors.As(err, &be) || be.Resource != "states" {
 		t.Fatalf("search under a %d-state budget: result %v, err %v; want a states budget error", budget, meet != nil, err)
 	}
-	if got := m.States(); got <= budget || got > budget+eval.MeterCheckInterval {
+	if got := m.States(); got <= budget || got > budget+pg.CheckInterval {
 		t.Errorf("budget %d tripped at %d states; want within one check interval past it", budget, got)
 	}
 	r, err := pmr.ShortestFromProductMeter(g, rpq.MustParse("a*"), u, v, pg.NewMeter(context.Background(), pg.Budget{MaxStates: budget}, nil, nil))
-	if r != nil || !errors.Is(err, eval.ErrBudgetExceeded) {
+	if r != nil || !errors.Is(err, pg.ErrBudgetExceeded) {
 		t.Errorf("shortest PMR under the same budget: result %v, err %v", r != nil, err)
 	}
 
@@ -359,11 +371,11 @@ func TestShortestSearchIsMetered(t *testing.T) {
 	cancel()
 	m = pg.NewMeter(ctx, pg.Budget{}, nil, nil)
 	meet, err = plan.Search(u, v, m)
-	if meet != nil || !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, context.Canceled) {
+	if meet != nil || !errors.Is(err, pg.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("search under a cancelled context: result %v, err %v", meet != nil, err)
 	}
-	if got := m.States(); got > eval.MeterCheckInterval {
-		t.Errorf("cancelled search expanded %d states; the check interval is %d", got, eval.MeterCheckInterval)
+	if got := m.States(); got > pg.CheckInterval {
+		t.Errorf("cancelled search expanded %d states; the check interval is %d", got, pg.CheckInterval)
 	}
 }
 

@@ -297,7 +297,7 @@ type Options struct {
 	// materialized tuples (atom relations and output rows), since atom
 	// materialization is where combinatorial blowup happens. Nil means
 	// unmetered.
-	Meter *eval.Meter
+	Meter *pg.Meter
 }
 
 // EvalCtx is Eval with the meter minted from ctx, with no budget, when
@@ -305,7 +305,7 @@ type Options struct {
 // the meter it is handed — but the benchmark harness does.
 func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	if opts.Meter == nil {
-		opts.Meter = eval.NewMeter(ctx, eval.Budget{})
+		opts.Meter = pg.NewMeter(ctx, pg.Budget{}, nil, nil)
 	}
 	return Eval(g, q, opts)
 }
@@ -313,7 +313,7 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Resu
 // Eval computes q(G) (set semantics). It validates the query first. Atom
 // materialization (including its parallel per-source fan-out) checks
 // opts.Meter cooperatively, so a canceled context or an exhausted budget
-// stops every worker and surfaces eval.ErrCanceled / eval.ErrBudgetExceeded.
+// stops every worker and surfaces pg.ErrCanceled / pg.ErrBudgetExceeded.
 func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -504,7 +504,7 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 		// sweep from a live source reaches live nodes only.
 		kern := eval.CompileProduct(g, rpqExpr).Kernel()
 		var tuples [][]OutValue
-		err := kern.SweepFrom(srcCandidates, eval.Parallelism(opts.Parallelism), opts.Meter, false,
+		err := kern.SweepFrom(srcCandidates, pg.Workers(opts.Parallelism), opts.Meter, false,
 			func(part pg.Runs) error {
 				before := len(tuples)
 				for i, src := range part.Src {
@@ -577,9 +577,9 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 // order, so the relation is identical to the sequential loop's. The meter
 // m, when non-nil, is polled between sources, and a first error stops
 // every worker from claiming further sources.
-func overSources(sources []int, parallelism int, m *eval.Meter, fn func(u int) ([][]OutValue, error)) ([][]OutValue, error) {
+func overSources(sources []int, parallelism int, m *pg.Meter, fn func(u int) ([][]OutValue, error)) ([][]OutValue, error) {
 	var out [][]OutValue
-	err := pg.ForEachEmit(len(sources), eval.Parallelism(parallelism), nil, nil,
+	err := pg.ForEachEmit(len(sources), pg.Workers(parallelism), nil, nil,
 		func(i int, _ struct{}) ([][]OutValue, error) {
 			if err := m.Check(); err != nil {
 				return nil, err

@@ -180,7 +180,7 @@ func (p *Plan) Eval(opts Options) (*Result, error) {
 // stages.
 type Swept struct {
 	p     *Plan
-	m     *eval.Meter
+	m     *pg.Meter
 	join  wcoj.Query
 	empty bool // some atom matched nothing, so the query does not either
 }
@@ -212,7 +212,7 @@ func (p *Plan) Sweep(opts Options) (*Swept, error) {
 		a, out := &p.atoms[i], &outs[i]
 		var err error
 		if sw := ran[a.sweep]; sw == nil {
-			ran[a.sweep], err = p.run(a.sweep, i, outs, m, eval.Parallelism(opts.Parallelism))
+			ran[a.sweep], err = p.run(a.sweep, i, outs, m, pg.Workers(opts.Parallelism))
 		} else if err = m.Tick(sw.states); err == nil {
 			err = m.AddRows(int64(out.kept))
 		}
@@ -246,7 +246,7 @@ type sweepOut struct {
 
 // run runs sweep k on behalf of atom first, the one charged for it as it
 // goes, and fills the outs of every atom that reads it.
-func (p *Plan) run(k, first int, outs []atomOut, m *eval.Meter, workers int) (*sweepOut, error) {
+func (p *Plan) run(k, first int, outs []atomOut, m *pg.Meter, workers int) (*sweepOut, error) {
 	sw := &p.sweeps[k]
 	res := &sweepOut{}
 	if sw.rel {

@@ -369,7 +369,7 @@ func TestPlanBudgets(t *testing.T) {
 				t.Errorf("budget %+v parallelism %d: served (%d rows, %v), reference (%d rows, %v)",
 					b, par, rowCount(got), err, rowCount(ref), refErr)
 			}
-			if wantErr := b.MaxStates > 0 || b.MaxRows < total; wantErr != errors.Is(err, eval.ErrBudgetExceeded) {
+			if wantErr := b.MaxStates > 0 || b.MaxRows < total; wantErr != errors.Is(err, pg.ErrBudgetExceeded) {
 				t.Errorf("budget %+v: err = %v, want a budget error: %v", b, err, wantErr)
 			}
 		}

@@ -290,6 +290,12 @@ func TestModes(t *testing.T) {
 	if len(shortest) != 1 || shortest[0].Path.Len() != 1 {
 		t.Errorf("shortest: %d results", len(shortest))
 	}
+	// From a node to itself the shortest match of a nullable expression is
+	// the empty path, however many cycles run through the node.
+	self, err := EvalBetween(g, MustParse("() {[a]()}*"), u, u, eval.Shortest, Options{})
+	if err != nil || len(self) != 1 || self[0].Path.Len() != 0 {
+		t.Errorf("shortest u→u: %d results (err %v), want the empty path", len(self), err)
+	}
 }
 
 func TestEvalUnanchored(t *testing.T) {

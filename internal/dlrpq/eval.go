@@ -22,8 +22,8 @@ type Options struct {
 	Limit  int
 	// Meter, when non-nil, enforces cooperative cancellation and per-query
 	// resource budgets across the configuration search; with a nil meter
-	// evaluation never returns eval.ErrCanceled/eval.ErrBudgetExceeded.
-	Meter *eval.Meter
+	// evaluation never returns pg.ErrCanceled/pg.ErrBudgetExceeded.
+	Meter *pg.Meter
 	// Counters, when non-nil, receives runtime statistics (configurations
 	// expanded) from the search loops.
 	Counters *pg.Counters
@@ -307,17 +307,15 @@ func endpointOK(g *graph.Graph, cfg config, dst int) bool {
 // paths are found.
 func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
 	a := Compile(e)
+	var flags searchFlags
 	switch mode {
 	case eval.All:
 		if opts.MaxLen <= 0 && opts.Limit <= 0 {
 			return nil, ErrUnbounded
 		}
-		if opts.MaxLen <= 0 {
-			// Limit-only: iteratively deepen until enough results or the
-			// search space is exhausted at the configuration level.
-			return deepen(g, a, src, dst, opts.Limit, opts.Meter, opts.Counters)
+		if opts.MaxLen > 0 {
+			return search(g, a, src, dst, opts, 0)
 		}
-		return search(g, a, src, dst, opts, 0)
 	case eval.Shortest:
 		best, reachable, err := shortestDistance(g, a, src, dst, opts.Meter, opts.Counters)
 		if err != nil {
@@ -326,14 +324,19 @@ func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Opti
 		if !reachable {
 			return nil, nil
 		}
-		return search(g, a, src, dst, Options{MaxLen: best, Limit: opts.Limit, Meter: opts.Meter, Counters: opts.Counters}, flagExact)
+		opts.MaxLen = best
+		return search(g, a, src, dst, opts, flagExact)
 	case eval.Simple:
-		return search(g, a, src, dst, opts, modeSimple)
+		flags = modeSimple
 	case eval.Trail:
-		return search(g, a, src, dst, opts, modeTrail)
+		flags = modeTrail
 	default:
 		return nil, fmt.Errorf("dlrpq: unknown mode %v", mode)
 	}
+	if opts.Limit <= 0 {
+		return search(g, a, src, dst, opts, flags)
+	}
+	return deepen(g, a, src, dst, opts, flags)
 }
 
 // Eval enumerates ⟦R⟧_G unanchored (all endpoints), requiring MaxLen.
@@ -341,12 +344,7 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 	if opts.MaxLen <= 0 {
 		return nil, ErrUnbounded
 	}
-	a := Compile(e)
-	out, _, err := searchAnchor(g, a, -1, -1, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	return sortPBs(out, opts.Limit), nil
+	return search(g, Compile(e), -1, -1, opts, 0)
 }
 
 type searchFlags int
@@ -362,14 +360,15 @@ func search(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFla
 	if err != nil {
 		return nil, err
 	}
-	return sortPBs(out, opts.Limit), nil
+	return head(out, opts)
 }
 
 // searchAnchor is the core DFS over configurations. src = -1 means any
 // start; dst = -1 means any end. truncated reports whether some branch was
 // cut by the MaxLen bound (i.e. deeper results may exist). Budget checks
 // run through the runtime's Ticker — one step per configuration expansion
-// — and the meter is charged one row per emitted result.
+// — and without a limit the meter is charged one row per emitted result
+// (under a limit, head charges the rows kept).
 func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, bool, error) {
 	m := opts.Meter
 	tick := pg.NewTicker(m, opts.Counters)
@@ -384,7 +383,6 @@ func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags sea
 	}
 	usedNodes := map[int]struct{}{}
 	usedEdges := map[int]struct{}{}
-	limitHit := false
 	truncated := false
 	var stopErr error
 
@@ -405,19 +403,15 @@ func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags sea
 		if _, dup := seen[k]; !dup {
 			seen[k] = struct{}{}
 			out = append(out, pb)
-			if err := m.AddRows(1); err != nil {
-				stopErr = err
-				return
-			}
-			if opts.Limit > 0 && len(out) >= opts.Limit && flags&(modeSimple|modeTrail) != 0 {
-				limitHit = true
+			if opts.Limit <= 0 {
+				stopErr = m.AddRows(1)
 			}
 		}
 	}
 
 	var dfs func(cfg config, edgesUsed int, sinceEdge map[string]struct{})
 	dfs = func(cfg config, edgesUsed int, sinceEdge map[string]struct{}) {
-		if limitHit || stopErr != nil {
+		if stopErr != nil {
 			return
 		}
 		if err := tick.Step(); err != nil {
@@ -433,14 +427,15 @@ func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags sea
 		}
 		for _, m := range successors(g, mach, cfg, src) {
 			if m.cost > 0 {
-				if opts.MaxLen > 0 && edgesUsed+1 > opts.MaxLen {
-					truncated = true
-					continue
-				}
 				if flags&modeTrail != 0 {
 					if _, used := usedEdges[m.appObj.Index()]; used {
 						continue
 					}
+				}
+				// flagExact bounds by MaxLen even at 0: the empty path.
+				if (opts.MaxLen > 0 || flags&flagExact != 0) && edgesUsed+1 > opts.MaxLen {
+					truncated = true
+					continue
 				}
 			}
 			if m.appended && m.appObj.IsNode() && flags&modeSimple != 0 {
@@ -516,7 +511,7 @@ func cloneSet(s map[string]struct{}) map[string]struct{} {
 // len(p) of any result from src to dst. reachable is false when there is
 // none. This is the register-automaton product search of Section 6.4: the
 // configuration space is finite because ν ranges over the active domain.
-func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *eval.Meter, cnt *pg.Counters) (int, bool, error) {
+func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *pg.Meter, cnt *pg.Counters) (int, bool, error) {
 	type qitem struct {
 		cfg  config
 		dist int
@@ -568,39 +563,41 @@ func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *eval.Meter, cnt 
 	return best, true, nil
 }
 
-// deepen implements Limit-only mode-all enumeration by iterative deepening
-// on path length, stopping when the limit is reached or the search space is
-// exhausted (no branch hit the depth bound). Re-searched configurations are
-// re-charged to the meter: the repeated work is real work.
-func deepen(g *graph.Graph, a *ANFA, src, dst, limit int, m *eval.Meter, cnt *pg.Counters) ([]gpath.PathBinding, error) {
-	for maxLen := 1; ; maxLen *= 2 {
-		res, truncated, err := searchAnchor(g, a, src, dst, Options{MaxLen: maxLen, Meter: m, Counters: cnt}, 0)
+// deepen answers a query with a limit in mode simple, in mode trail, or in
+// mode all bounded by the limit alone. It doubles the length bound — never
+// past opts.MaxLen when that is set — until the results found reach the
+// limit or the bound cut no branch. Every result no longer than the bound is
+// found under it, and results are ordered by length first, so the head of
+// what it found is the head of the unlimited answer. Each pass is charged
+// its configurations on the meter again: the repeated work is real work.
+func deepen(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
+	for bound := 1; ; bound *= 2 {
+		pass := opts
+		if pass.MaxLen <= 0 || bound < pass.MaxLen {
+			pass.MaxLen = bound
+		}
+		res, truncated, err := searchAnchor(g, a, src, dst, pass, flags)
 		if err != nil {
 			return nil, err
 		}
-		res = sortPBs(res, 0)
-		if len(res) >= limit {
-			return res[:limit], nil
-		}
-		if !truncated {
-			return res, nil
+		if len(res) >= opts.Limit || !truncated || pass.MaxLen == opts.MaxLen {
+			return head(res, opts)
 		}
 	}
 }
 
-func sortPBs(pbs []gpath.PathBinding, limit int) []gpath.PathBinding {
-	sort.Slice(pbs, func(i, j int) bool {
-		pi, pj := pbs[i], pbs[j]
-		if pi.Path.Len() != pj.Path.Len() {
-			return pi.Path.Len() < pj.Path.Len()
-		}
-		if ki, kj := pi.Path.Key(), pj.Path.Key(); ki != kj {
-			return ki < kj
-		}
-		return pi.Binding.Key() < pj.Binding.Key()
-	})
-	if limit > 0 && len(pbs) > limit {
-		pbs = pbs[:limit]
+// head puts results in result order (gpath.SortResults) and keeps the
+// first opts.Limit of them (0: all). A search under a limit charges no rows
+// as it finds them, since it may find more than it keeps: head charges the
+// ones kept.
+func head(pbs []gpath.PathBinding, opts Options) ([]gpath.PathBinding, error) {
+	gpath.SortResults(pbs)
+	if opts.Limit <= 0 {
+		return pbs, nil
 	}
-	return pbs
+	pbs = pbs[:min(opts.Limit, len(pbs))]
+	if err := opts.Meter.AddRows(int64(len(pbs))); err != nil {
+		return nil, err
+	}
+	return pbs, nil
 }

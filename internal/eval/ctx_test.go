@@ -46,9 +46,9 @@ func TestPairsCtxPreCanceled(t *testing.T) {
 			p := mustProduct(t, tc.build(), tc.query)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: par}))
-			if !errors.Is(err, ErrCanceled) {
-				t.Errorf("%s/par=%d: pre-canceled ctx: got %v, want ErrCanceled", tc.name, par, err)
+			_, err := PairsProduct(p, under(ctx, pg.Budget{}, Options{Parallelism: par}))
+			if !errors.Is(err, pg.ErrCanceled) {
+				t.Errorf("%s/par=%d: pre-canceled ctx: got %v, want pg.ErrCanceled", tc.name, par, err)
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s/par=%d: cause context.Canceled not preserved: %v", tc.name, par, err)
@@ -63,29 +63,29 @@ func TestPairsCtxPreCanceled(t *testing.T) {
 }
 
 // TestPairsCtxPromptCancel cancels mid-BFS and requires the evaluator to
-// return ErrCanceled well before it could have finished the query. The
+// return pg.ErrCanceled well before it could have finished the query. The
 // 5-second watchdog guards against a cancellation path that never fires.
 func TestPairsCtxPromptCancel(t *testing.T) {
 	// Big enough that a{500} cannot finish in the cancel delay even ÷4
 	// workers (~0.5s sequential). A long cycle under a chain automaton:
 	// sources share nothing and nothing condenses, so the product is walked
 	// one (source, state) discovery at a time. Cancellation checks run every
-	// MeterCheckInterval states, so the return should be near-immediate
+	// pg.CheckInterval states, so the return should be near-immediate
 	// once ctx fires.
 	p := mustProduct(t, gen.Cycle(20000, "a"), "a{500}")
 	for _, par := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: par}))
+			_, err := PairsProduct(p, under(ctx, pg.Budget{}, Options{Parallelism: par}))
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 		select {
 		case err := <-done:
-			if !errors.Is(err, ErrCanceled) {
-				t.Errorf("par=%d: got %v, want ErrCanceled", par, err)
+			if !errors.Is(err, pg.ErrCanceled) {
+				t.Errorf("par=%d: got %v, want pg.ErrCanceled", par, err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("par=%d: evaluator ignored cancellation for 5s", par)
@@ -99,13 +99,13 @@ func TestPairsCtxDeadline(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: 2}))
+		_, err := PairsProduct(p, under(ctx, pg.Budget{}, Options{Parallelism: 2}))
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Errorf("got %v, want ErrCanceled", err)
+		if !errors.Is(err, pg.ErrCanceled) {
+			t.Errorf("got %v, want pg.ErrCanceled", err)
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("deadline cause not preserved: %v", err)
@@ -120,21 +120,21 @@ func TestPairsCtxBudgets(t *testing.T) {
 		for _, tc := range ctxCases {
 			p := mustProduct(t, tc.build(), tc.query)
 
-			_, err := PairsProduct(p, under(context.Background(), Budget{MaxStates: 50}, Options{Parallelism: par}))
-			if !errors.Is(err, ErrBudgetExceeded) {
-				t.Errorf("%s/par=%d: MaxStates: got %v, want ErrBudgetExceeded", tc.name, par, err)
+			_, err := PairsProduct(p, under(context.Background(), pg.Budget{MaxStates: 50}, Options{Parallelism: par}))
+			if !errors.Is(err, pg.ErrBudgetExceeded) {
+				t.Errorf("%s/par=%d: MaxStates: got %v, want pg.ErrBudgetExceeded", tc.name, par, err)
 			}
-			var be *BudgetError
+			var be *pg.BudgetError
 			if !errors.As(err, &be) || be.Resource != "states" {
-				t.Errorf("%s/par=%d: MaxStates: got %v, want *BudgetError{states}", tc.name, par, err)
+				t.Errorf("%s/par=%d: MaxStates: got %v, want *pg.BudgetError{states}", tc.name, par, err)
 			}
 
-			_, err = PairsProduct(p, under(context.Background(), Budget{MaxRows: 3}, Options{Parallelism: par}))
-			if !errors.Is(err, ErrBudgetExceeded) {
-				t.Errorf("%s/par=%d: MaxRows: got %v, want ErrBudgetExceeded", tc.name, par, err)
+			_, err = PairsProduct(p, under(context.Background(), pg.Budget{MaxRows: 3}, Options{Parallelism: par}))
+			if !errors.Is(err, pg.ErrBudgetExceeded) {
+				t.Errorf("%s/par=%d: MaxRows: got %v, want pg.ErrBudgetExceeded", tc.name, par, err)
 			}
 			if !errors.As(err, &be) || be.Resource != "rows" {
-				t.Errorf("%s/par=%d: MaxRows: got %v, want *BudgetError{rows}", tc.name, par, err)
+				t.Errorf("%s/par=%d: MaxRows: got %v, want *pg.BudgetError{rows}", tc.name, par, err)
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func TestPairsCtxMatchesPairs(t *testing.T) {
 				t.Fatalf("%s/par=%d: unmetered: %v", tc.name, par, err)
 			}
 			got, err := PairsProduct(p, under(context.Background(),
-				Budget{MaxStates: 1 << 40, MaxRows: 1 << 40}, Options{Parallelism: par}))
+				pg.Budget{MaxStates: 1 << 40, MaxRows: 1 << 40}, Options{Parallelism: par}))
 			if err != nil {
 				t.Fatalf("%s/par=%d: %v", tc.name, par, err)
 			}
@@ -176,8 +176,8 @@ func TestPairsCtxNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := PairsProduct(p, under(ctx, Budget{}, Options{Parallelism: 4})); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("iteration %d: got %v, want ErrCanceled", i, err)
+		if _, err := PairsProduct(p, under(ctx, pg.Budget{}, Options{Parallelism: 4})); !errors.Is(err, pg.ErrCanceled) {
+			t.Fatalf("iteration %d: got %v, want pg.ErrCanceled", i, err)
 		}
 	}
 	// Workers are joined before PairsProduct returns, so only unrelated

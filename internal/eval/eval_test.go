@@ -1,12 +1,12 @@
 package eval
 
 import (
-	"errors"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
@@ -43,341 +43,76 @@ func TestPairsTransferStar(t *testing.T) {
 	}
 }
 
+// TestCheckAndReachable asks ⟦R⟧_G about single pairs and single
+// sources: membership of (src, dst) and the targets of src.
 func TestCheckAndReachable(t *testing.T) {
 	g := gen.BankEdgeLabeled()
-	mike, rebecca := g.MustNode("a3"), g.MustNode("a5")
-	if !Check(g, rpq.MustParse("Transfer"), mike, rebecca) {
+	has := func(expr string, u, v graph.NodeID) bool {
+		return slices.Contains(Pairs(g, rpq.MustParse(expr)), [2]int{g.MustNode(u), g.MustNode(v)})
+	}
+	if !has("Transfer", "a3", "a5") {
 		t.Error("direct transfer a3→a5 (t7) exists")
 	}
-	if Check(g, rpq.MustParse("owner"), mike, rebecca) {
+	if has("owner", "a3", "a5") {
 		t.Error("no owner edge a3→a5")
 	}
 	// Example 13 (q2's path atom): Transfer·Transfer? reaches a5 from a4 in 2.
-	if !Check(g, rpq.MustParse("Transfer Transfer?"), g.MustNode("a4"), rebecca) {
+	if !has("Transfer Transfer?", "a4", "a5") {
 		t.Error("a4 →t9→ a6 →t10→ a5 matches Transfer·Transfer?")
 	}
-	reach := ReachableFrom(g, rpq.MustParse("owner"), mike)
+	var reach []int
+	for _, pr := range Pairs(g, rpq.MustParse("owner")) {
+		if pr[0] == g.MustNode("a3") {
+			reach = append(reach, pr[1])
+		}
+	}
 	if len(reach) != 1 || reach[0] != g.MustNode("Mike") {
 		t.Errorf("owner-reachable from a3 = %v, want [Mike]", reach)
 	}
 }
 
-func TestWitnessShortest(t *testing.T) {
-	g := gen.BankEdgeLabeled()
-	p, ok := Witness(g, rpq.MustParse("Transfer+"), g.MustNode("a3"), g.MustNode("a5"))
-	if !ok {
-		t.Fatal("no witness")
-	}
-	if got := p.Format(g); got != "path(a3, t7, a5)" {
-		t.Errorf("witness = %s, want path(a3, t7, a5)", got)
-	}
-	if _, ok := Witness(g, rpq.MustParse("owner owner"), 0, 1); ok {
-		t.Error("no owner·owner path should exist")
-	}
-	// ε-witness: src = dst with Transfer*.
-	p, ok = Witness(g, rpq.MustParse("Transfer*"), g.MustNode("a1"), g.MustNode("a1"))
-	if !ok || p.Len() != 0 {
-		t.Errorf("ε witness: %v %v", p, ok)
-	}
-}
-
-func TestPathsShortestFigure5(t *testing.T) {
-	// Figure 5: exactly 2ⁿ shortest paths from s to t.
-	for n := 1; n <= 8; n++ {
-		g := gen.Figure5(n)
-		paths, err := Paths(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"), Shortest, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 1 << n; len(paths) != want {
-			t.Errorf("n=%d: shortest paths = %d, want %d", n, len(paths), want)
-		}
-		for _, p := range paths {
-			if p.Len() != n {
-				t.Errorf("n=%d: path of length %d in shortest set", n, p.Len())
-			}
-		}
-	}
-}
-
-func TestPathsAllBounded(t *testing.T) {
-	g := gen.Cycle(3, "a")
-	v0 := g.MustNode("v0")
-	paths, err := Paths(g, rpq.MustParse("a*"), v0, v0, All, Options{MaxLen: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lengths 0, 3, 6, 9.
-	if len(paths) != 4 {
-		t.Fatalf("paths = %d, want 4", len(paths))
-	}
-	for i, want := range []int{0, 3, 6, 9} {
-		if paths[i].Len() != want {
-			t.Errorf("path %d length = %d, want %d", i, paths[i].Len(), want)
-		}
-	}
-}
-
-func TestPathsAllUnboundedError(t *testing.T) {
-	g := gen.Cycle(3, "a")
-	if _, err := Paths(g, rpq.MustParse("a*"), 0, 0, All, Options{}); !errors.Is(err, ErrUnbounded) {
-		t.Errorf("err = %v, want ErrUnbounded", err)
-	}
-}
-
-func TestPathsAllLimitOnly(t *testing.T) {
-	g := gen.Cycle(3, "a")
-	paths, err := Paths(g, rpq.MustParse("a*"), 0, 0, All, Options{Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 3 {
-		t.Fatalf("paths = %d, want 3 (limit)", len(paths))
-	}
-	for i, want := range []int{0, 3, 6} {
-		if paths[i].Len() != want {
-			t.Errorf("path %d length = %d, want %d (shortest-first)", i, paths[i].Len(), want)
-		}
-	}
-}
-
-func TestPathsSimpleAndTrail(t *testing.T) {
-	// Graph: u →e1→ v →e2→ u  plus  u →e3→ w; from u to w:
-	// simple paths: e3 only (length 1); trails may loop once: e1·e2·e3.
-	g := graph.NewBuilder().
-		AddNode("u", "", nil).AddNode("v", "", nil).AddNode("w", "", nil).
-		AddEdge("e1", "a", "u", "v", nil).
-		AddEdge("e2", "a", "v", "u", nil).
-		AddEdge("e3", "a", "u", "w", nil).
-		MustBuild()
-	u, w := g.MustNode("u"), g.MustNode("w")
-	simple, err := Paths(g, rpq.MustParse("a*"), u, w, Simple, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(simple) != 1 || simple[0].Len() != 1 {
-		t.Errorf("simple paths = %v, want just u→w", len(simple))
-	}
-	trails, err := Paths(g, rpq.MustParse("a*"), u, w, Trail, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trails) != 2 {
-		t.Errorf("trails = %d, want 2 (direct and around the 2-cycle)", len(trails))
-	}
-	for _, p := range trails {
-		if !p.IsTrail() {
-			t.Errorf("non-trail returned: %s", p.Format(g))
-		}
-	}
-}
-
-func TestPathsSimpleRespectsExpr(t *testing.T) {
-	// Only even-length a-paths: (aa)* from u to w on the same graph has no
-	// simple match (the only simple path has length 1).
-	g := graph.NewBuilder().
-		AddNode("u", "", nil).AddNode("v", "", nil).AddNode("w", "", nil).
-		AddEdge("e1", "a", "u", "v", nil).
-		AddEdge("e2", "a", "v", "u", nil).
-		AddEdge("e3", "a", "u", "w", nil).
-		MustBuild()
-	simple, err := Paths(g, rpq.MustParse("(a a)*"), g.MustNode("u"), g.MustNode("w"), Simple, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(simple) != 0 {
-		t.Errorf("simple (aa)* paths = %d, want 0", len(simple))
-	}
-	// But as a trail, e1·e2·e3 would be length 3 (odd): still none.
-	trails, _ := Paths(g, rpq.MustParse("(a a)*"), g.MustNode("u"), g.MustNode("w"), Trail, Options{})
-	if len(trails) != 0 {
-		t.Errorf("trail (aa)* paths = %d, want 0", len(trails))
-	}
-}
-
-func TestCountMatchingPaths(t *testing.T) {
-	// Figure 5 with n stages: 2ⁿ a-paths s→t of length n.
-	g := gen.Figure5(6)
-	got := CountMatchingPaths(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"), 6)
-	if got.Int64() != 64 {
-		t.Errorf("count = %v, want 64", got)
-	}
-	// Cycle of 3: paths v0→v0 with length ≤ 7 have lengths 0, 3, 6.
-	c := gen.Cycle(3, "a")
-	got = CountMatchingPaths(c, rpq.MustParse("a*"), 0, 0, 7)
-	if got.Int64() != 3 {
-		t.Errorf("cycle count = %v, want 3", got)
-	}
-	// An ambiguous expression must still count paths, not runs.
-	amb := rpq.MustParse("a a* | a* a")
-	p4 := gen.APath(3, "a")
-	got = CountMatchingPaths(p4, amb, p4.MustNode("v0"), p4.MustNode("v3"), 5)
-	if got.Int64() != 1 {
-		t.Errorf("ambiguous-expression count = %v, want 1 (single path)", got)
-	}
-}
-
-func TestCountMatchesEnumeration(t *testing.T) {
-	// Cross-check CountMatchingPaths against Paths(All) on random graphs.
-	rng := rand.New(rand.NewSource(5))
-	exprs := []string{"a*", "(a b)*", "a (a | b)*", "(a a)*"}
-	for trial := 0; trial < 20; trial++ {
-		g := gen.Random(4, 7, []string{"a", "b"}, int64(trial)*77+1)
-		e := rpq.MustParse(exprs[rng.Intn(len(exprs))])
-		src, dst := rng.Intn(4), rng.Intn(4)
-		const maxLen = 5
-		paths, err := Paths(g, e, src, dst, All, Options{MaxLen: maxLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := CountMatchingPaths(g, e, src, dst, maxLen)
-		if count.Int64() != int64(len(paths)) {
-			t.Errorf("trial %d: count = %v, enumerated = %d (expr %s, %d→%d)",
-				trial, count, len(paths), e, src, dst)
-		}
-	}
-}
-
-func TestKShortestWalks(t *testing.T) {
-	g := gen.Cycle(3, "a")
-	walks := KShortestWalks(g, rpq.MustParse("a*"), 0, 0, 4)
-	if len(walks) != 4 {
-		t.Fatalf("walks = %d, want 4", len(walks))
-	}
-	for i, want := range []int{0, 3, 6, 9} {
-		if walks[i].Len() != want {
-			t.Errorf("walk %d length = %d, want %d", i, walks[i].Len(), want)
-		}
-	}
-	// Lengths must be nondecreasing on a branching graph too.
-	f := gen.Figure5(3)
-	walks = KShortestWalks(f, rpq.MustParse("a*"), f.MustNode("s"), f.MustNode("t"), 8)
-	if len(walks) != 8 {
-		t.Fatalf("figure5 walks = %d, want 8", len(walks))
-	}
-	for i := 1; i < len(walks); i++ {
-		if walks[i].Len() < walks[i-1].Len() {
-			t.Error("walk lengths must be nondecreasing")
-		}
-	}
-}
-
-func TestExistsMode(t *testing.T) {
-	g := graph.NewBuilder().
-		AddNode("u", "", nil).AddNode("v", "", nil).
-		AddEdge("e1", "a", "u", "v", nil).
-		AddEdge("e2", "a", "v", "u", nil).
-		MustBuild()
-	u := g.MustNode("u")
-	// A length-4 a-path u→u exists as a walk but not as a trail or simple path.
-	e4 := rpq.MustParse("a a a a")
-	if !ExistsMode(g, e4, u, u, All) {
-		t.Error("walk of length 4 exists")
-	}
-	if ExistsMode(g, e4, u, u, Trail) {
-		t.Error("no trail of length 4 (only 2 edges)")
-	}
-	if ExistsMode(g, e4, u, u, Simple) {
-		t.Error("no simple path of length 4")
-	}
-	e2 := rpq.MustParse("a a")
-	if !ExistsMode(g, e2, u, u, Trail) {
-		t.Error("e1·e2 is a trail u→u")
-	}
-	if ExistsMode(g, e2, u, u, Simple) {
-		t.Error("u→v→u repeats u: not simple")
-	}
-}
-
 // TestSoundnessAndCompleteness cross-checks the product evaluation against a
-// brute-force path enumeration on small random graphs: every brute-force
-// match must be found (completeness up to the brute-force bound), and every
-// witness returned must actually match (soundness).
+// brute-force walk enumeration on small random graphs: a pair is in ⟦R⟧_G
+// iff some walk between them has a label word R matches. The walks are cut
+// where they meet a node in a state of the expression's DFA they met it in
+// before — the extensions are the same — so every walk that matters is
+// tried, and the two answers must be equal.
 func TestSoundnessAndCompleteness(t *testing.T) {
 	exprs := []string{"a*", "a b", "(a|b)+", "(a a)*", "!{a}*", "a _ b?"}
 	for trial := 0; trial < 15; trial++ {
 		g := gen.Random(4, 6, []string{"a", "b"}, int64(trial)*13+7)
 		for _, es := range exprs {
 			e := rpq.MustParse(es)
-			// Brute force: all endpoint pairs with a matching path ≤ 6 edges.
+			dfa := rpq.Compile(e).Determinize()
 			brute := map[[2]int]bool{}
-			var dfs func(start, cur int, word []string)
-			dfs = func(start, cur int, word []string) {
-				if rpq.Matches(e, word) {
-					brute[[2]int{start, cur}] = true
-				}
-				if len(word) == 6 {
-					return
-				}
-				for _, ei := range g.Out(cur) {
-					dfs(start, g.Edge(ei).Tgt, append(word, g.Edge(ei).Label))
-				}
-			}
 			for u := 0; u < g.NumNodes(); u++ {
-				dfs(u, u, nil)
+				met := map[[2]int]bool{}
+				var walk func(cur, q int, word []string)
+				walk = func(cur, q int, word []string) {
+					if met[[2]int{cur, q}] {
+						return
+					}
+					met[[2]int{cur, q}] = true
+					if rpq.Matches(e, word) {
+						brute[[2]int{u, cur}] = true
+					}
+					for _, ei := range g.Out(cur) {
+						lab := g.Edge(ei).Label
+						walk(g.Edge(ei).Tgt, dfa.Step(q, lab), append(word, lab))
+					}
+				}
+				walk(u, dfa.Start, nil)
 			}
 			got := map[[2]int]bool{}
 			for _, pr := range Pairs(g, e) {
 				got[pr] = true
+				if !brute[pr] {
+					t.Fatalf("trial %d expr %s: pair %v has no matching walk", trial, es, pr)
+				}
 			}
 			for pr := range brute {
 				if !got[pr] {
 					t.Fatalf("trial %d expr %s: missing pair %v", trial, es, pr)
-				}
-			}
-			// Soundness: every returned pair has a witness whose label word
-			// matches the expression.
-			for pr := range got {
-				w, ok := Witness(g, e, pr[0], pr[1])
-				if !ok {
-					t.Fatalf("trial %d expr %s: pair %v has no witness", trial, es, pr)
-				}
-				if !rpq.Matches(e, w.ELab(g)) {
-					t.Fatalf("trial %d expr %s: witness %s does not match", trial, es, w.Format(g))
-				}
-				if s, _ := w.Src(g); w.Len() > 0 && s != pr[0] {
-					t.Fatalf("witness starts at wrong node")
-				}
-			}
-		}
-	}
-}
-
-func TestShortestEnumerationMatchesFilteredAll(t *testing.T) {
-	// On random graphs, Shortest = the minimal-length slice of All.
-	for trial := 0; trial < 10; trial++ {
-		g := gen.Random(4, 7, []string{"a", "b"}, int64(trial)*31+3)
-		e := rpq.MustParse("(a|b)+")
-		for src := 0; src < g.NumNodes(); src++ {
-			for dst := 0; dst < g.NumNodes(); dst++ {
-				all, err := Paths(g, e, src, dst, All, Options{MaxLen: 5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				short, err := Paths(g, e, src, dst, Shortest, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(all) == 0 {
-					// No path within the bound; Shortest may still find a
-					// longer one — skip the comparison.
-					continue
-				}
-				min := all[0].Len()
-				var wantKeys []string
-				for _, p := range all {
-					if p.Len() == min {
-						wantKeys = append(wantKeys, p.Key())
-					}
-				}
-				if len(short) != len(wantKeys) {
-					t.Fatalf("trial %d %d→%d: shortest = %d paths, want %d",
-						trial, src, dst, len(short), len(wantKeys))
-				}
-				for i, p := range short {
-					if p.Key() != wantKeys[i] {
-						t.Fatalf("trial %d: shortest path mismatch", trial)
-					}
 				}
 			}
 		}
@@ -390,15 +125,11 @@ func TestProductStateAccessors(t *testing.T) {
 	if p.NumStates() != g.NumNodes()*p.A.NumStates {
 		t.Error("NumStates mismatch")
 	}
-	s := p.Start(0)
-	if s.Node != 0 || s.State != p.A.Start {
-		t.Error("Start wrong")
-	}
-	if p.id(p.unid(5)) != 5 {
+	kern := p.Kernel()
+	if kern.ID(kern.Unid(5)) != 5 {
 		t.Error("id/unid roundtrip failed")
 	}
-	steps := p.Succ(s)
-	if len(steps) == 0 {
+	if len(kern.Succ(pg.State{Node: 0, State: p.A.Start})) == 0 {
 		t.Error("expected successors from start")
 	}
 }

@@ -1,11 +1,14 @@
-// Package eval implements RPQ evaluation over edge-labeled and property
-// graphs using the product construction of Section 6.2: the graph and an
-// NFA for the expression are traversed in parallel, reducing query
-// answering to reachability in the product graph G×. On top of the product
-// it provides path witnesses, enumeration of matching paths under the path
-// modes of Section 3.1.5 (all / shortest / simple / trail), matching-path
-// counting via unambiguous automata, and k-shortest enumeration (Section
-// 6.4 / Eppstein's problem).
+// Package eval holds what the RPQ evaluators share: the product
+// construction of Section 6.2 — the graph and an NFA for the expression
+// traversed in parallel, so that query answering is reachability in the
+// product graph G× — the path modes of Section 3.1.5 (all / shortest /
+// simple / trail) that the anchored path evaluators take, and the
+// all-pairs answer ⟦R⟧_G, swept over the product by the kernel's
+// all-sources driver and handed out as runs or index pairs.
+//
+// Paths themselves are enumerated elsewhere, once per mode: lrpq.Plan
+// between two anchors, dlrpq for data tests, and pmr for counting and
+// enumerating a path multiset representation.
 package eval
 
 import "fmt"

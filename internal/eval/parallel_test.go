@@ -83,7 +83,7 @@ func selfLoopGraph(t *testing.T) *graph.Graph {
 
 func TestPairsMatchesLegacySemantics(t *testing.T) {
 	// Pairs (the convenience wrapper) must agree with an explicitly
-	// sequential run and with the per-source ReachableFrom contract.
+	// sequential run and with one kernel sweep per source.
 	g := gen.Random(30, 150, []string{"x", "y"}, 5)
 	expr, err := rpq.Parse("x y*")
 	if err != nil {
@@ -93,13 +93,16 @@ func TestPairsMatchesLegacySemantics(t *testing.T) {
 	if got := Pairs(g, expr); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Pairs = %v, want %v", got, want)
 	}
+	kern := CompileProduct(g, expr).Kernel()
+	sc := kern.NewScratch()
 	var fromReach [][2]int
 	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range ReachableFrom(g, expr, u) {
+		vs, _ := kern.Sweep(u, sc, nil, false) // nil meter: cannot fail
+		for _, v := range vs {
 			fromReach = append(fromReach, [2]int{u, v})
 		}
 	}
 	if !reflect.DeepEqual(fromReach, want) {
-		t.Fatalf("per-source ReachableFrom disagrees with Pairs")
+		t.Fatalf("per-source sweeps disagree with Pairs")
 	}
 }

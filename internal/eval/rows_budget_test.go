@@ -22,10 +22,10 @@ func TestRowsBudgetTripsAtEmission(t *testing.T) {
 		p := mustProduct(t, gen.Clique(10, "a"), "a")
 		m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: maxRows}, nil, nil)
 		out, err := PairsProduct(p, Options{Parallelism: 1, Meter: m, Plan: plan})
-		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("plan %+v: got (%v, %v), want ErrBudgetExceeded", plan, out, err)
+		if !errors.Is(err, pg.ErrBudgetExceeded) {
+			t.Fatalf("plan %+v: got (%v, %v), want pg.ErrBudgetExceeded", plan, out, err)
 		}
-		var be *BudgetError
+		var be *pg.BudgetError
 		if !errors.As(err, &be) || be.Resource != "rows" || be.Limit != maxRows {
 			t.Fatalf("plan %+v: got %v, want rows BudgetError with limit %d", plan, err, maxRows)
 		}

@@ -9,6 +9,9 @@ import (
 	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/graph"
+	"graphquery/internal/lrpq"
+	"graphquery/internal/pmr"
 	"graphquery/internal/rpq"
 	"graphquery/internal/spanner"
 )
@@ -65,13 +68,13 @@ func runE16(w io.Writer) error {
 
 	// Counting via unambiguous automata, validated on Figure 5.
 	g := gen.Figure5(10)
-	count := eval.CountMatchingPaths(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"), 10)
+	count, _ := pmr.FromProduct(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t")).Cardinality()
 	fmt.Fprintf(w, "  Figure-5(10) path count via unambiguous product: %s (expected 1024)\n", count)
 	return nil
 }
 
 func runE19(w io.Writer) error {
-	expr := rpq.MustParse("(a | knows | follows)+")
+	expr := lrpq.MustParse("(a | knows | follows)+")
 	t := newTable("graph", "mode", "exists src→dst", "time")
 	// Practice-like: preferential-attachment social graph. knows-edges
 	// point from newer members to older ones, so late → early is the
@@ -82,15 +85,31 @@ func runE19(w io.Writer) error {
 	grid := gen.Grid(5, 5, "a")
 	gSrc, gDst := 0, grid.NumNodes()-1
 
-	for _, mode := range []eval.Mode{eval.Shortest, eval.Trail, eval.Simple} {
-		start := time.Now()
-		ok := eval.ExistsMode(social, expr, sSrc, sDst, mode)
-		t.add("social(300)", mode, ok, time.Since(start).Round(time.Microsecond))
+	// Existence under shortest is the product search between the anchors;
+	// under simple and trail it is the first result of the restricted
+	// search (the NP-complete problem of Section 6.3).
+	exists := func(g *graph.Graph, src, dst int, mode eval.Mode) (bool, error) {
+		plan := lrpq.NewPlan(g, expr, nil)
+		if mode == eval.Shortest {
+			meet, err := plan.Search(src, dst, nil)
+			return err == nil && meet.Len >= 0, err
+		}
+		res, err := plan.Between(src, dst, mode, lrpq.Options{Limit: 1})
+		return len(res) > 0, err
 	}
-	for _, mode := range []eval.Mode{eval.Shortest, eval.Trail, eval.Simple} {
-		start := time.Now()
-		ok := eval.ExistsMode(grid, expr, gSrc, gDst, mode)
-		t.add("grid(5×5)", mode, ok, time.Since(start).Round(time.Microsecond))
+	for _, c := range []struct {
+		name     string
+		g        *graph.Graph
+		src, dst int
+	}{{"social(300)", social, sSrc, sDst}, {"grid(5×5)", grid, gSrc, gDst}} {
+		for _, mode := range []eval.Mode{eval.Shortest, eval.Trail, eval.Simple} {
+			start := time.Now()
+			ok, err := exists(c.g, c.src, c.dst, mode)
+			if err != nil {
+				return err
+			}
+			t.add(c.name, mode, ok, time.Since(start).Round(time.Microsecond))
+		}
 	}
 	t.write(w)
 
@@ -99,7 +118,7 @@ func runE19(w io.Writer) error {
 	for _, k := range []int{3, 4} {
 		g := gen.Grid(k, k, "a")
 		start := time.Now()
-		paths, err := eval.Paths(g, rpq.MustParse("a+"), 0, g.NumNodes()-1, eval.Simple, eval.Options{})
+		paths, err := lrpq.NewPlan(g, lrpq.MustParse("a+"), nil).Between(0, g.NumNodes()-1, eval.Simple, lrpq.Options{})
 		if err != nil {
 			return err
 		}
@@ -169,7 +188,7 @@ func runE23(w io.Writer) error {
 	t := newTable("k", "answers", "total time", "per-answer")
 	for _, k := range []int{1, 10, 100, 500} {
 		start := time.Now()
-		walks := eval.KShortestWalks(g, rpq.MustParse("a+"), 0, 1, k)
+		walks := pmr.FromProduct(g, rpq.MustParse("a+"), 0, 1).Enumerate(k)
 		el := time.Since(start)
 		per := time.Duration(0)
 		if len(walks) > 0 {

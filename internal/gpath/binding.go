@@ -155,3 +155,18 @@ type PathBinding struct {
 
 // Key returns a canonical deduplication key for the pair.
 func (pb PathBinding) Key() string { return pb.Path.Key() + "|" + pb.Binding.Key() }
+
+// SortResults puts (p, µ) results in the order the path evaluators answer
+// in: by path length, then path key, then binding key.
+func SortResults(pbs []PathBinding) {
+	sort.Slice(pbs, func(i, j int) bool {
+		pi, pj := pbs[i], pbs[j]
+		if pi.Path.Len() != pj.Path.Len() {
+			return pi.Path.Len() < pj.Path.Len()
+		}
+		if ki, kj := pi.Path.Key(), pj.Path.Key(); ki != kj {
+			return ki < kj
+		}
+		return pi.Binding.Key() < pj.Binding.Key()
+	})
+}

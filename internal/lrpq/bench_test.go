@@ -9,6 +9,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 )
 
 // hopsFrom returns every node's distance from src over edges labelled lab
@@ -85,7 +86,7 @@ func BenchmarkBetween(b *testing.B) {
 		for _, form := range []string{"plan", "oneshot"} {
 			b.Run(fmt.Sprintf("%s/%s", c.name, form), func(b *testing.B) {
 				b.ReportAllocs()
-				m := eval.NewMeter(context.Background(), eval.Budget{MaxStates: 1 << 40})
+				m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1 << 40}, nil, nil)
 				opts := Options{Limit: c.limit, Meter: m}
 				for i := 0; i < b.N; i++ {
 					var pbs []gpath.PathBinding

@@ -2,7 +2,6 @@ package lrpq
 
 import (
 	"errors"
-	"sort"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
@@ -10,9 +9,9 @@ import (
 	"graphquery/internal/pg"
 )
 
-// ErrUnbounded mirrors eval.ErrUnbounded for ℓ-RPQ enumeration: ⟦R⟧_G can be
-// infinite (Section 6.3 "Path and List Variables"), so mode all requires a
-// bound.
+// ErrUnbounded is returned for an enumeration in mode all with neither
+// MaxLen nor Limit: ⟦R⟧_G can be infinite (Section 6.3 "Path and List
+// Variables"), so mode all requires a bound.
 var ErrUnbounded = errors.New("lrpq: unbounded enumeration under mode all requires MaxLen or Limit")
 
 // Options bound result enumeration.
@@ -22,7 +21,7 @@ type Options struct {
 	// Meter, when non-nil, enforces cooperative cancellation and per-query
 	// resource budgets (product states visited, result rows) — shared by a
 	// serving layer across all stages of one query.
-	Meter *eval.Meter
+	Meter *pg.Meter
 	// Counters (may be nil) receives runtime counters (states expanded
 	// by the search loops and kernel sweeps).
 	Counters *pg.Counters
@@ -37,8 +36,11 @@ type Options struct {
 // then path key, then binding key. Distinct bindings over the same path are
 // distinct results.
 //
-// With opts.Meter set, evaluation stops early with eval.ErrCanceled or
-// eval.ErrBudgetExceeded; without one these errors are impossible.
+// With opts.Limit set the answer is the first Limit results of the
+// unlimited answer, in every mode.
+//
+// With opts.Meter set, evaluation stops early with pg.ErrCanceled or
+// pg.ErrBudgetExceeded; without one these errors are impossible.
 //
 // This is the one-shot form: it compiles a Plan for the call and evaluates
 // on it. Callers that repeat an expression over one graph keep the Plan.
@@ -59,161 +61,104 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 		if !g.NodeAlive(src) { // tombstoned under a mutation overlay
 			continue
 		}
-		res, err := runSearchCompiled(g, a, src, -1, opts, nil, nil)
+		res, _, err := search(g, a, src, -1, eval.All, opts)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, res...)
 	}
-	return sortPBs(out, opts.Limit), nil
+	return head(out, opts)
 }
 
-// runBFSLimit enumerates (p, µ) shortest-first until limit results, for
-// mode-all queries bounded only by Limit. Breadth-first layering guarantees
-// termination and nondecreasing path lengths. Budget checks run through the
-// runtime's Ticker (as in all search loops of this package).
-func runBFSLimit(g *graph.Graph, a *VNFA, src, dst, limit int, m *eval.Meter, cnt *pg.Counters) ([]gpath.PathBinding, error) {
-	type cfg struct {
-		node, state int
-		edges       []int
-		vars        []string
-	}
-	queue := []cfg{{node: src, state: a.Start}}
-	seen := map[string]struct{}{}
-	var out []gpath.PathBinding
-	tick := pg.NewTicker(m, cnt)
-	for len(queue) > 0 && len(out) < limit {
-		if err := tick.Step(); err != nil {
+// deepen answers a query with a limit in mode simple, in mode trail, or in
+// mode all bounded by the limit alone. It doubles the length bound — never
+// past opts.MaxLen when that is set — until the rows found reach the limit
+// or the bound cut no branch. Every row no longer than the bound is found
+// under it, and rows are ordered by length first, so the head of what it
+// found is the head of the unlimited answer. Each pass is charged its
+// states on the meter again: the repeated work is real work.
+func deepen(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
+	for bound := 1; ; bound *= 2 {
+		pass := opts
+		if pass.MaxLen <= 0 || bound < pass.MaxLen {
+			pass.MaxLen = bound
+		}
+		res, cut, err := search(g, a, src, dst, mode, pass)
+		if err != nil {
 			return nil, err
 		}
-		c := queue[0]
-		queue = queue[1:]
-		if a.Accept[c.state] && (dst == -1 || c.node == dst) {
-			pb := gpath.PathBinding{Path: buildPath(g, src, c.edges), Binding: buildBinding(g, c.edges, c.vars)}
-			k := pb.Key()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				out = append(out, pb)
-				if err := m.AddRows(1); err != nil {
-					return nil, err
-				}
-				if len(out) == limit {
-					break
-				}
-			}
-		}
-		for _, ei := range g.Out(c.node) {
-			lab := g.Edge(ei).Label
-			for _, tr := range a.Trans[c.state] {
-				if tr.Guard.Matches(lab) {
-					ne := make([]int, len(c.edges)+1)
-					copy(ne, c.edges)
-					ne[len(c.edges)] = ei
-					nv := make([]string, len(c.vars)+1)
-					copy(nv, c.vars)
-					nv[len(c.vars)] = tr.Var
-					queue = append(queue, cfg{node: g.Edge(ei).Tgt, state: tr.To, edges: ne, vars: nv})
-				}
-			}
+		if len(res) >= opts.Limit || !cut || pass.MaxLen == opts.MaxLen {
+			return head(res, opts)
 		}
 	}
-	if err := tick.Flush(); err != nil {
+}
+
+// head puts rows in result order (gpath.SortResults) and keeps the first
+// opts.Limit of them (0: all). A search under a limit charges no rows as it
+// finds them, since it may find more than it keeps: head charges the ones
+// kept.
+func head(pbs []gpath.PathBinding, opts Options) ([]gpath.PathBinding, error) {
+	gpath.SortResults(pbs)
+	if opts.Limit <= 0 {
+		return pbs, nil
+	}
+	pbs = pbs[:min(opts.Limit, len(pbs))]
+	if err := opts.Meter.AddRows(int64(len(pbs))); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return pbs, nil
 }
 
-func sortPBs(pbs []gpath.PathBinding, limit int) []gpath.PathBinding {
-	sort.Slice(pbs, func(i, j int) bool {
-		pi, pj := pbs[i], pbs[j]
-		if pi.Path.Len() != pj.Path.Len() {
-			return pi.Path.Len() < pj.Path.Len()
-		}
-		if ki, kj := pi.Path.Key(), pj.Path.Key(); ki != kj {
-			return ki < kj
-		}
-		return pi.Binding.Key() < pj.Binding.Key()
-	})
-	if limit > 0 && len(pbs) > limit {
-		pbs = pbs[:limit]
-	}
-	return pbs
-}
-
-// runSearch enumerates (p, µ) by DFS over the annotated product. dst = -1
-// accepts any endpoint. usedNodes non-nil enforces simple paths; usedEdges
-// non-nil enforces trails.
-func runSearch(g *graph.Graph, a *VNFA, src, dst int, opts Options,
-	usedNodes, usedEdges map[int]struct{}) ([]gpath.PathBinding, error) {
-	return runSearchCompiled(g, a, src, dst, opts, usedNodes, usedEdges)
-}
-
-func runSearchCompiled(g *graph.Graph, a *VNFA, src, dst int, opts Options,
-	usedNodes, usedEdges map[int]struct{}) ([]gpath.PathBinding, error) {
-
+// search enumerates (p, µ) by DFS over the annotated product, from src to
+// dst (-1: any endpoint), in mode all, simple (no node twice) or trail (no
+// edge twice), up to opts.MaxLen edges (0: unbounded). cut reports whether
+// the bound stopped a branch that had a step left to take. Every expanded
+// configuration is a step on opts.Meter; without a limit every distinct
+// result is a row on it as it is found.
+func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options) (out []gpath.PathBinding, cut bool, err error) {
 	m := opts.Meter
+	var usedNodes, usedEdges map[int]struct{}
+	switch mode {
+	case eval.Simple:
+		usedNodes = map[int]struct{}{src: {}}
+	case eval.Trail:
+		usedEdges = map[int]struct{}{}
+	}
 	seen := map[string]struct{}{}
-	var out []gpath.PathBinding
 	var edges []int
 	var vars []string // variable per traversed edge ("" for none)
-	limitHit := false
-	var stopErr error
 	tick := pg.NewTicker(m, opts.Counters)
 
-	restricted := usedNodes != nil || usedEdges != nil
-
-	emit := func(node int) {
-		p := buildPath(g, src, edges)
-		mu := buildBinding(g, edges, vars)
-		pb := gpath.PathBinding{Path: p, Binding: mu}
-		k := pb.Key()
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, pb)
-			if err := m.AddRows(1); err != nil {
-				stopErr = err
-				return
-			}
-			if opts.Limit > 0 && len(out) >= opts.Limit && restricted {
-				limitHit = true
-			}
-		}
-	}
-
-	var dfs func(node, state int)
-	dfs = func(node, state int) {
-		if limitHit || stopErr != nil {
-			return
-		}
+	var dfs func(node, state int) error
+	dfs = func(node, state int) error {
 		if err := tick.Step(); err != nil {
-			stopErr = err
-			return
+			return err
 		}
 		if a.Accept[state] && (dst == -1 || node == dst) {
-			emit(node)
-			if stopErr != nil {
-				return
+			pb := gpath.PathBinding{Path: buildPath(g, src, edges), Binding: buildBinding(g, edges, vars)}
+			if k := pb.Key(); !has(seen, k) {
+				seen[k] = struct{}{}
+				out = append(out, pb)
+				if opts.Limit <= 0 {
+					if err := m.AddRows(1); err != nil {
+						return err
+					}
+				}
 			}
-		}
-		if opts.MaxLen > 0 && len(edges) == opts.MaxLen {
-			return
 		}
 		for _, ei := range g.Out(node) {
-			lab := g.Edge(ei).Label
-			if usedEdges != nil {
-				if _, used := usedEdges[ei]; used {
-					continue
-				}
-			}
 			tgt := g.Edge(ei).Tgt
-			if usedNodes != nil {
-				if _, used := usedNodes[tgt]; used {
-					continue
-				}
+			if has(usedEdges, ei) || has(usedNodes, tgt) {
+				continue
 			}
+			lab := g.Edge(ei).Label
 			for _, tr := range a.Trans[state] {
 				if !tr.Guard.Matches(lab) {
 					continue
+				}
+				if opts.MaxLen > 0 && len(edges) == opts.MaxLen {
+					cut = true
+					return nil
 				}
 				if usedEdges != nil {
 					usedEdges[ei] = struct{}{}
@@ -223,29 +168,31 @@ func runSearchCompiled(g *graph.Graph, a *VNFA, src, dst int, opts Options,
 				}
 				edges = append(edges, ei)
 				vars = append(vars, tr.Var)
-				dfs(tgt, tr.To)
+				err := dfs(tgt, tr.To)
 				edges = edges[:len(edges)-1]
 				vars = vars[:len(vars)-1]
-				if usedEdges != nil {
-					delete(usedEdges, ei)
-				}
-				if usedNodes != nil {
-					delete(usedNodes, tgt)
+				delete(usedEdges, ei)
+				delete(usedNodes, tgt)
+				if err != nil {
+					return err
 				}
 			}
 		}
+		return nil
 	}
-	dfs(src, a.Start)
-	if stopErr == nil {
-		stopErr = tick.Flush()
+	if err := dfs(src, a.Start); err != nil {
+		return nil, false, err
 	}
-	if stopErr != nil {
-		return nil, stopErr
+	if err := tick.Flush(); err != nil {
+		return nil, false, err
 	}
-	if restricted {
-		return sortPBs(out, 0), nil
-	}
-	return sortPBs(out, opts.Limit), nil
+	return out, cut, nil
+}
+
+// has reports whether set holds k; a nil set holds nothing.
+func has[K comparable](set map[K]struct{}, k K) bool {
+	_, ok := set[k]
+	return ok
 }
 
 // buildPath returns the node-to-node path that leaves src along edges.

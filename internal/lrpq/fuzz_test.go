@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
@@ -36,7 +38,8 @@ func fuzzGraph() *graph.Graph {
 // pairs of fuzzGraph, shortest mode returns exactly what the definition
 // gives — every (p, µ) of mode all no longer than the shortest distance,
 // cut down to minimal length — in the same order, and with limit 2 its
-// first two; where it returns nothing, eval.Check finds no path either. Both sides run under a states budget; a pair whose answer or
+// first two; where it returns nothing, a kernel sweep from the source does
+// not reach the target either. Both sides run under a states budget; a pair whose answer or
 // whose oracle outgrows it ((a|b){30} has 2³⁰ shortest paths) is skipped.
 func FuzzShortest(f *testing.F) {
 	for _, s := range []string{
@@ -76,13 +79,15 @@ func FuzzShortest(f *testing.F) {
 			return
 		}
 		plan := NewPlan(g, e, nil)
-		budget := func(states int64) *eval.Meter {
-			return eval.NewMeter(context.Background(), eval.Budget{MaxStates: states})
+		kern := pg.NewKernel(g, pg.FromNFA(g, rpq.Compile(erased)), nil)
+		sc := kern.NewScratch()
+		budget := func(states int64) *pg.Meter {
+			return pg.NewMeter(context.Background(), pg.Budget{MaxStates: states}, nil, nil)
 		}
 		for u := 0; u < g.NumNodes(); u++ {
 			for v := 0; v < g.NumNodes(); v++ {
 				got, err := plan.Between(u, v, eval.Shortest, Options{Meter: budget(2000)})
-				if errors.Is(err, eval.ErrBudgetExceeded) {
+				if errors.Is(err, pg.ErrBudgetExceeded) {
 					continue
 				}
 				if err != nil {
@@ -90,11 +95,11 @@ func FuzzShortest(f *testing.F) {
 				}
 				// The definition needs a bound: the claimed distance. A
 				// shorter accepted path shows up under it and wins the cut;
-				// a claim of no path at all is checked on Kernel.BFS.
+				// a claim of no path at all is checked by a kernel sweep.
 				var want []gpath.PathBinding
 				if len(got) > 0 {
 					all, err := plan.Between(u, v, eval.All, Options{MaxLen: max(got[0].Path.Len(), 1), Meter: budget(20000)})
-					if errors.Is(err, eval.ErrBudgetExceeded) {
+					if errors.Is(err, pg.ErrBudgetExceeded) {
 						continue
 					}
 					if err != nil {
@@ -105,7 +110,7 @@ func FuzzShortest(f *testing.F) {
 							want = append(want, pb)
 						}
 					}
-				} else if eval.Check(g, erased, u, v) {
+				} else if reached, _ := kern.Sweep(u, sc, nil, false); slices.Contains(reached, v) {
 					t.Fatalf("%q %d→%d: no shortest path, but the pair is in the expression's answer", text, u, v)
 				}
 				if format(got) != format(want) {

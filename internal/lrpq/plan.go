@@ -60,34 +60,36 @@ func NewPlan(g *graph.Graph, e Expr, c *pg.Counters) *Plan {
 func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
 	opts.Counters = p.kern.Counters()
 	switch mode {
-	case eval.All:
-		if opts.MaxLen <= 0 && opts.Limit <= 0 {
-			return nil, ErrUnbounded
-		}
-		if opts.MaxLen <= 0 {
-			return runBFSLimit(p.g, p.a, src, dst, opts.Limit, opts.Meter, opts.Counters)
-		}
-		return runSearch(p.g, p.a, src, dst, opts, nil, nil)
 	case eval.Shortest:
 		meet, err := p.Search(src, dst, opts.Meter)
 		if err != nil {
 			return nil, err
 		}
 		return p.Shortest(meet, opts.Limit, opts.Meter)
-	case eval.Simple:
-		return runSearch(p.g, p.a, src, dst, opts, map[int]struct{}{src: {}}, nil)
-	case eval.Trail:
-		return runSearch(p.g, p.a, src, dst, opts, nil, map[int]struct{}{})
+	case eval.All:
+		if opts.MaxLen <= 0 && opts.Limit <= 0 {
+			return nil, ErrUnbounded
+		}
+	case eval.Simple, eval.Trail:
 	default:
 		return nil, fmt.Errorf("lrpq: unknown mode %v", mode)
 	}
+	if opts.Limit > 0 && (mode != eval.All || opts.MaxLen <= 0) {
+		return deepen(p.g, p.a, src, dst, mode, opts)
+	}
+	// Nothing to cut, or mode all's own bound: one search holds the head.
+	out, _, err := search(p.g, p.a, src, dst, mode, opts)
+	if err != nil {
+		return nil, err
+	}
+	return head(out, opts)
 }
 
 // Search is the first half of a shortest-mode query: the kernel's search
 // between the two anchors (pg.Kernel.Between), metered by m. Shortest turns
 // its result into the answer; a serving layer that accounts the two stages
 // separately calls them one after the other.
-func (p *Plan) Search(src, dst int, m *eval.Meter) (*pg.Meet, error) {
+func (p *Plan) Search(src, dst int, m *pg.Meter) (*pg.Meet, error) {
 	return p.kern.Between(src, dst, m)
 }
 
@@ -107,7 +109,7 @@ func (p *Plan) Search(src, dst int, m *eval.Meter) (*pg.Meet, error) {
 // the set of automaton configurations the edges so far allow — the state,
 // and which variable took which edge — so one path is visited once and all
 // its bindings come out together.
-func (p *Plan) Shortest(meet *pg.Meet, limit int, m *eval.Meter) ([]gpath.PathBinding, error) {
+func (p *Plan) Shortest(meet *pg.Meet, limit int, m *pg.Meter) ([]gpath.PathBinding, error) {
 	if meet.Len < 0 {
 		return nil, nil
 	}
@@ -132,7 +134,7 @@ type shortestWalk struct {
 	p     *Plan
 	meet  *pg.Meet
 	limit int
-	m     *eval.Meter
+	m     *pg.Meter
 	tick  pg.Ticker
 
 	edges  []int       // the path walked so far

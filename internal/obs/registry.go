@@ -9,7 +9,7 @@ import (
 )
 
 // ErrKilled is the cancellation cause an operator kill delivers: the query
-// ends through the normal cooperative-cancellation path (eval.ErrCanceled
+// ends through the normal cooperative-cancellation path (pg.ErrCanceled
 // taxonomy, no partial results), but serving layers can tell an admin kill
 // from a client disconnect with errors.Is and report a distinct "killed"
 // outcome.

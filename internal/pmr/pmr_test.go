@@ -7,6 +7,7 @@ import (
 	"graphquery/internal/gen"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/lrpq"
 	"graphquery/internal/rpq"
 )
 
@@ -100,6 +101,17 @@ func TestFromProductFigure5(t *testing.T) {
 		if r.Size() > 8*(n+1) {
 			t.Errorf("n=%d: PMR size %d not linear in n", n, r.Size())
 		}
+		if n <= 3 { // enumeration meets each of the 2ⁿ paths once, shortest first
+			ps := r.Enumerate(1 << n)
+			if len(ps) != 1<<n {
+				t.Errorf("n=%d: enumerated %d paths, want %d", n, len(ps), 1<<n)
+			}
+			for i := 1; i < len(ps); i++ {
+				if ps[i].Len() < ps[i-1].Len() {
+					t.Errorf("n=%d: path lengths must be nondecreasing", n)
+				}
+			}
+		}
 	}
 }
 
@@ -168,41 +180,65 @@ func TestShortestEmptyWhenUnreachable(t *testing.T) {
 	}
 }
 
-// TestSPathsAgreesWithEval cross-checks PMR enumeration against direct
-// evaluation on random graphs.
+// TestSPathsAgreesWithEval cross-checks PMR enumeration and counting
+// against the anchored path evaluator in mode all on random graphs: the
+// paths of length ≤ 4 agree, and where the set is finite its cardinality is
+// the number of paths the evaluator enumerates.
 func TestSPathsAgreesWithEval(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := gen.Random(4, 6, []string{"a", "b"}, int64(trial)*101+9)
-		e := rpq.MustParse("(a|b) a*")
-		for src := 0; src < g.NumNodes(); src++ {
-			for dst := 0; dst < g.NumNodes(); dst++ {
-				r := FromProduct(g, e, src, dst)
-				want, err := eval.Paths(g, e, src, dst, eval.All, eval.Options{MaxLen: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Every evaluated path must be contained in the PMR.
-				for _, p := range want {
-					if !r.Contains(p) {
-						t.Fatalf("trial %d: path %s missing from PMR", trial, p.Format(g))
+		for _, text := range []string{"(a|b) a*", "a*", "(a b)*", "a b", "(a|b) (a|b)?"} {
+			e := rpq.MustParse(text)
+			ae := lrpq.FromRPQ(e)
+			for src := 0; src < g.NumNodes(); src++ {
+				for dst := 0; dst < g.NumNodes(); dst++ {
+					r := FromProduct(g, e, src, dst)
+					want := paths(t, g, ae, src, dst, 4)
+					// Every evaluated path must be contained in the PMR.
+					for _, p := range want {
+						if !r.Contains(p) {
+							t.Fatalf("trial %d %s: path %s missing from PMR", trial, text, p.Format(g))
+						}
 					}
-				}
-				// Every enumerated PMR path of length ≤ 4 must be in want.
-				wantKeys := map[string]bool{}
-				for _, p := range want {
-					wantKeys[p.Key()] = true
-				}
-				for _, p := range r.Enumerate(200) {
-					if p.Len() > 4 {
-						continue
+					// Every enumerated PMR path of length ≤ 4 must be in want.
+					wantKeys := map[string]bool{}
+					for _, p := range want {
+						wantKeys[p.Key()] = true
 					}
-					if !wantKeys[p.Key()] {
-						t.Fatalf("trial %d: PMR enumerated spurious path %s", trial, p.Format(g))
+					it := r.Iterate()
+					for p, ok := it.Next(); ok && p.Len() <= 4; p, ok = it.Next() {
+						if !wantKeys[p.Key()] {
+							t.Fatalf("trial %d %s: PMR enumerated spurious path %s", trial, text, p.Format(g))
+						}
+					}
+					// A finite set: the evaluator finds as many paths as the
+					// count, and none longer than the PMR's longest.
+					if count, infinite := r.Cardinality(); !infinite && count.Sign() > 0 {
+						ps := r.Enumerate(int(count.Int64()))
+						all := paths(t, g, ae, src, dst, ps[len(ps)-1].Len()+1)
+						if count.Int64() != int64(len(all)) {
+							t.Fatalf("trial %d %s %d→%d: cardinality %v, enumerated %d", trial, text, src, dst, count, len(all))
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// paths is every path from src to dst of length ≤ maxLen matching e, by
+// the anchored evaluator in mode all.
+func paths(t *testing.T, g *graph.Graph, e lrpq.Expr, src, dst, maxLen int) []gpath.Path {
+	t.Helper()
+	pbs, err := lrpq.EvalBetween(g, e, src, dst, eval.All, lrpq.Options{MaxLen: maxLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]gpath.Path, len(pbs))
+	for i, pb := range pbs {
+		out[i] = pb.Path
+	}
+	return out
 }
 
 func TestContainsRejectsEmptyAndForeign(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"graphquery/internal/core"
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/pg"
 	"graphquery/internal/relalg"
 	"graphquery/internal/rpq"
 )
@@ -40,7 +40,7 @@ func oversized(q relalg.Query) bool {
 func FuzzParseQuery(f *testing.F) {
 	engine := core.New(gen.Cycle(3, "a"))
 	engine.Parallelism = 1
-	engine.Budget = eval.Budget{MaxStates: 64}
+	engine.Budget = pg.Budget{MaxStates: 64}
 	f.Fuzz(func(t *testing.T, text string) {
 		q, err := relalg.ParseQuery(text)
 		tooLarge := errors.Is(err, rpq.ErrTooLarge)

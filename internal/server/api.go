@@ -331,7 +331,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Mode:     mode,
 		MaxLen:   req.MaxLen,
 		Limit:    limit,
-		Budget:   eval.Budget{MaxStates: req.MaxStates, MaxRows: req.MaxRows},
+		Budget:   pg.Budget{MaxStates: req.MaxStates, MaxRows: req.MaxRows},
 		Trace:    tr,
 		Progress: act.Progress,
 		Analyze:  req.Analyze,
@@ -625,11 +625,11 @@ func (c *collector) release() {
 // error code.
 func classifyHTTP(err error) (int, string) {
 	switch {
-	case errors.Is(err, eval.ErrBudgetExceeded):
+	case errors.Is(err, pg.ErrBudgetExceeded):
 		return http.StatusUnprocessableEntity, "budget_exceeded"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "timeout"
-	case errors.Is(err, eval.ErrCanceled), errors.Is(err, context.Canceled):
+	case errors.Is(err, pg.ErrCanceled), errors.Is(err, context.Canceled):
 		return statusClientClosedRequest, "canceled"
 	case errors.Is(err, core.ErrBadQuery), errors.Is(err, core.ErrUnknownNode):
 		return http.StatusBadRequest, "invalid_query"

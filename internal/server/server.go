@@ -7,7 +7,7 @@
 // landscape: evaluation cost for the languages the engine implements can be
 // exponential in the query or output (Propositions 22–24, Example 28), so a
 // multi-tenant service must bound each query's resources — wall-clock via
-// context deadlines, memory/work via eval.Budget — and bound its own
+// context deadlines, memory/work via pg.Budget — and bound its own
 // concurrency via an admission limiter rather than letting load fan out
 // into unbounded goroutines.
 package server
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"graphquery/internal/core"
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
 	"graphquery/internal/obs"
@@ -51,7 +50,7 @@ type Config struct {
 	MaxQueue int
 	// DefaultBudget is the per-query resource budget; requests may
 	// override it field-by-field. Zero fields are unlimited.
-	DefaultBudget eval.Budget
+	DefaultBudget pg.Budget
 	// MaxLen / Limit / Parallelism seed the per-graph engines (0: engine
 	// defaults).
 	MaxLen, Limit, Parallelism int

@@ -42,8 +42,8 @@ import (
 	"time"
 
 	"graphquery/internal/core"
-	"graphquery/internal/eval"
 	"graphquery/internal/obs"
+	"graphquery/internal/pg"
 )
 
 // streamHeader is the first line of a streamed response.
@@ -275,7 +275,7 @@ func (st *streamer) flush() (waited time.Duration, err error) {
 			// Deadline, client disconnect, or operator kill while blocked on
 			// a full chunk channel: surface the cause so the taxonomy (timeout
 			// / canceled / killed) is preserved.
-			return time.Since(t0), fmt.Errorf("%w: %w", eval.ErrCanceled, context.Cause(st.ctx))
+			return time.Since(t0), fmt.Errorf("%w: %w", pg.ErrCanceled, context.Cause(st.ctx))
 		}
 		waited = time.Since(t0)
 	}
@@ -292,7 +292,7 @@ func (st *streamer) flush() (waited time.Duration, err error) {
 // the client is not reading anymore, so evaluation stops through the same
 // ErrCanceled path as a disconnect detected by the request context.
 func (st *streamer) clientGone() error {
-	return fmt.Errorf("%w: client write failed: %w", eval.ErrCanceled, st.werr)
+	return fmt.Errorf("%w: client write failed: %w", pg.ErrCanceled, st.werr)
 }
 
 // start launches the writer goroutine on the first chunk. From here on the

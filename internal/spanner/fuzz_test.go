@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"graphquery/internal/core"
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 	"graphquery/internal/spanner"
 )
@@ -21,7 +21,7 @@ import (
 // capture recursion that blows up stays cheap.
 func FuzzParse(f *testing.F) {
 	engine := core.New(gen.Cycle(3, "a"))
-	engine.Budget = eval.Budget{MaxStates: 4096}
+	engine.Budget = pg.Budget{MaxStates: 4096}
 	f.Fuzz(func(t *testing.T, text, doc string) {
 		e, err := spanner.Parse(text)
 		if err != nil {

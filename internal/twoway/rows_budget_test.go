@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/pg"
 )
@@ -23,7 +22,7 @@ func TestPairsMeterRowsBudgetExact(t *testing.T) {
 	// Clique(10): the first source sweep alone yields 9 rows.
 	m := pg.NewMeter(context.Background(), pg.Budget{MaxRows: maxRows}, nil, nil)
 	out, evalErr := PairsMeterOpt(gen.Clique(10, "a"), e, m, Options{Parallelism: 1})
-	if !errors.Is(evalErr, eval.ErrBudgetExceeded) {
+	if !errors.Is(evalErr, pg.ErrBudgetExceeded) {
 		t.Fatalf("got (%v, %v), want ErrBudgetExceeded", out, evalErr)
 	}
 	if out != nil {

@@ -145,12 +145,12 @@ func Pairs(g *graph.Graph, e Expr) [][2]int {
 }
 
 // PairsMeterOpt is Pairs under a shared meter (nil means unlimited) —
-// evaluation stops with eval.ErrCanceled or eval.ErrBudgetExceeded — with
+// evaluation stops with pg.ErrCanceled or pg.ErrBudgetExceeded — with
 // explicit runtime options: the fan-out degree (output is identical at any
 // parallelism) and runtime counters. It compiles a kernel per call; a caller that evaluates one query repeatedly
 // compiles it once with Kernel and runs PairsKernel — or, to have the pairs
 // as they are found rather than collected, the kernel's SweepAll.
-func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]int, error) {
+func PairsMeterOpt(g *graph.Graph, e Expr, m *pg.Meter, opts Options) ([][2]int, error) {
 	return PairsKernel(Kernel(g, e, opts.Counters), m, opts.Parallelism)
 }
 
@@ -161,7 +161,7 @@ func PairsMeterOpt(g *graph.Graph, e Expr, m *eval.Meter, opts Options) ([][2]in
 // charged in that order, so a MaxRows budget trips on row MaxRows+1. It is
 // the collecting face of that driver for the library API: the runs become
 // index pairs here.
-func PairsKernel(kern *pg.Kernel, m *eval.Meter, parallelism int) ([][2]int, error) {
+func PairsKernel(kern *pg.Kernel, m *pg.Meter, parallelism int) ([][2]int, error) {
 	var out [][2]int
 	err := kern.SweepAll(pg.Workers(parallelism), m, true, func(part pg.Runs) error {
 		out = eval.AppendPairs(out, part)
@@ -171,23 +171,6 @@ func PairsKernel(kern *pg.Kernel, m *eval.Meter, parallelism int) ([][2]int, err
 		return nil, err
 	}
 	return out, nil
-}
-
-// Check reports whether (src, dst) ∈ ⟦R⟧_G.
-func Check(g *graph.Graph, e Expr, src, dst int) bool {
-	for _, v := range ReachableFrom(g, e, src) {
-		if v == dst {
-			return true
-		}
-	}
-	return false
-}
-
-// ReachableFrom returns all v with (src, v) ∈ ⟦R⟧_G, sorted.
-func ReachableFrom(g *graph.Graph, e Expr, src int) []int {
-	kern := Kernel(g, e, nil)
-	vs, _ := kern.Sweep(src, kern.NewScratch(), nil, false) // nil meter: cannot fail
-	return vs
 }
 
 // Witness returns one shortest two-way walk (as the visited node sequence —

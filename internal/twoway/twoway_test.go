@@ -3,6 +3,7 @@ package twoway
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphquery/internal/eval"
@@ -105,16 +106,23 @@ func TestCoOwnedAccounts(t *testing.T) {
 	}
 }
 
+// reachFrom returns all v with (src, v) ∈ ⟦e⟧_G, sorted: one kernel sweep.
+func reachFrom(g *graph.Graph, e Expr, src int) []int {
+	kern := Kernel(g, e, nil)
+	vs, _ := kern.Sweep(src, kern.NewScratch(), nil, false) // nil meter: cannot fail
+	return vs
+}
+
 func TestInverseReachability(t *testing.T) {
 	// On a directed path, ~a walks backwards.
 	g := gen.APath(3, "a")
 	v3 := g.MustNode("v3")
-	reach := ReachableFrom(g, MustParse("~a+"), v3)
+	reach := reachFrom(g, MustParse("~a+"), v3)
 	if len(reach) != 3 {
 		t.Errorf("backward reach from v3 = %d nodes, want 3", len(reach))
 	}
 	// Mixed: (a | ~a)* reaches everything on a connected graph.
-	reach = ReachableFrom(g, MustParse("(a | ~a)*"), g.MustNode("v1"))
+	reach = reachFrom(g, MustParse("(a | ~a)*"), g.MustNode("v1"))
 	if len(reach) != 4 {
 		t.Errorf("undirected closure = %d nodes, want 4", len(reach))
 	}
@@ -126,7 +134,7 @@ func TestCheckAndWitness(t *testing.T) {
 	// Person-to-person: ~owner walks from Mike to his account, Transfer+
 	// to one of Megan's accounts, owner up to Megan.
 	e := MustParse("~owner Transfer+ owner")
-	if !Check(g, e, mike, megan) {
+	if !slices.Contains(reachFrom(g, e, mike), megan) {
 		t.Fatal("Mike should connect to Megan through transfers")
 	}
 	seq, ok := Witness(g, e, mike, megan)
@@ -136,7 +144,7 @@ func TestCheckAndWitness(t *testing.T) {
 	if seq[0] != mike || seq[len(seq)-1] != megan {
 		t.Error("witness endpoints wrong")
 	}
-	if Check(g, MustParse("owner"), mike, megan) {
+	if slices.Contains(reachFrom(g, MustParse("owner"), mike), megan) {
 		t.Error("no forward owner edge from Mike")
 	}
 }
@@ -186,12 +194,12 @@ func reverse(g *graph.Graph) *graph.Graph {
 func TestWildcardInverse(t *testing.T) {
 	g := gen.BankEdgeLabeled()
 	// ~_ from Megan: anything pointing at Megan (owner edges from a1, a2).
-	reach := ReachableFrom(g, MustParse("~_"), g.MustNode("Megan"))
+	reach := reachFrom(g, MustParse("~_"), g.MustNode("Megan"))
 	if len(reach) != 2 {
 		t.Errorf("~_ from Megan = %d, want 2 (a1, a2)", len(reach))
 	}
 	// ~!{owner} from Megan: nothing (only owner edges point at people).
-	reach = ReachableFrom(g, MustParse("~!{owner}"), g.MustNode("Megan"))
+	reach = reachFrom(g, MustParse("~!{owner}"), g.MustNode("Megan"))
 	if len(reach) != 0 {
 		t.Errorf("~!{owner} from Megan = %d, want 0", len(reach))
 	}
