@@ -97,8 +97,15 @@ func FromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
 // product expansion is the kernel's: Succ order and state packing are
 // exactly pg.Kernel's, so the construction is byte-identical to the
 // pre-kernel evaluator while inheriting its cancellation discipline.
+//
+// An ambiguous automaton is determinized first (Section 6.2): with at most
+// one accepting run per word, distinct representation paths have distinct
+// images, so Cardinality counts paths rather than runs.
 func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*PMR, error) {
 	nfa := rpq.Compile(e)
+	if !nfa.IsUnambiguous() {
+		nfa = nfa.Determinize().ToNFA()
+	}
 	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), nil)
 	nStates := nfa.NumStates
 	total := kern.NumProductStates()
@@ -280,15 +287,13 @@ func ShortestFromKernel(kern *pg.Kernel, src, dst int, m *pg.Meter) (*PMR, error
 }
 
 // Cardinality returns the number of paths in SPaths(r); infinite reports
-// whether the set is infinite (a cycle lies on some S→T path). Paths are
-// counted as γ-images with deduplication (set semantics): distinct
-// representation paths with the same image count once; for exact dedup the
-// count falls back to bounded enumeration when small, and to the DAG path
-// count otherwise (which is an upper bound only if γ is non-injective on
-// useful states; the constructions in this package produce at most one
-// useful state per (graph position, automaton state), so in practice
-// distinct representation paths have distinct images whenever the
-// underlying automaton is unambiguous).
+// whether the set is infinite (a cycle lies on some S→T path). The count is
+// the number of S→T representation paths (a DAG path count), which is the
+// number of paths in SPaths(r) when distinct representation paths have
+// distinct images: the constructions in this package produce at most one
+// useful state per (graph position, automaton state), and FromProduct runs
+// an unambiguous automaton, so there it is exact. On a PMR whose γ merges
+// representation paths it is an upper bound.
 func (r *PMR) Cardinality() (count *big.Int, infinite bool) {
 	useful := r.usefulStates()
 	// Cycle detection within useful subgraph.
