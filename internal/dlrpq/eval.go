@@ -360,15 +360,14 @@ func search(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFla
 	if err != nil {
 		return nil, err
 	}
-	return head(out, opts)
+	return gpath.Head(out, opts.Limit), nil
 }
 
 // searchAnchor is the core DFS over configurations. src = -1 means any
 // start; dst = -1 means any end. truncated reports whether some branch was
 // cut by the MaxLen bound (i.e. deeper results may exist). Budget checks
 // run through the runtime's Ticker — one step per configuration expansion
-// — and without a limit the meter is charged one row per emitted result
-// (under a limit, head charges the rows kept).
+// — and the meter is charged one row per emitted result.
 func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, bool, error) {
 	m := opts.Meter
 	tick := pg.NewTicker(m, opts.Counters)
@@ -403,9 +402,7 @@ func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags sea
 		if _, dup := seen[k]; !dup {
 			seen[k] = struct{}{}
 			out = append(out, pb)
-			if opts.Limit <= 0 {
-				stopErr = m.AddRows(1)
-			}
+			stopErr = m.AddRows(1)
 		}
 	}
 
@@ -564,40 +561,13 @@ func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *pg.Meter, cnt *p
 }
 
 // deepen answers a query with a limit in mode simple, in mode trail, or in
-// mode all bounded by the limit alone. It doubles the length bound — never
-// past opts.MaxLen when that is set — until the results found reach the
-// limit or the bound cut no branch. Every result no longer than the bound is
-// found under it, and results are ordered by length first, so the head of
-// what it found is the head of the unlimited answer. Each pass is charged
-// its configurations on the meter again: the repeated work is real work.
+// mode all bounded by the limit alone (gpath.Deepen). Each pass is charged
+// its configurations and rows on the meter again: the repeated work is real
+// work.
 func deepen(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
-	for bound := 1; ; bound *= 2 {
+	return gpath.Deepen(opts.Limit, opts.MaxLen, func(bound int) ([]gpath.PathBinding, bool, error) {
 		pass := opts
-		if pass.MaxLen <= 0 || bound < pass.MaxLen {
-			pass.MaxLen = bound
-		}
-		res, truncated, err := searchAnchor(g, a, src, dst, pass, flags)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) >= opts.Limit || !truncated || pass.MaxLen == opts.MaxLen {
-			return head(res, opts)
-		}
-	}
-}
-
-// head puts results in result order (gpath.SortResults) and keeps the
-// first opts.Limit of them (0: all). A search under a limit charges no rows
-// as it finds them, since it may find more than it keeps: head charges the
-// ones kept.
-func head(pbs []gpath.PathBinding, opts Options) ([]gpath.PathBinding, error) {
-	gpath.SortResults(pbs)
-	if opts.Limit <= 0 {
-		return pbs, nil
-	}
-	pbs = pbs[:min(opts.Limit, len(pbs))]
-	if err := opts.Meter.AddRows(int64(len(pbs))); err != nil {
-		return nil, err
-	}
-	return pbs, nil
+		pass.MaxLen = bound
+		return searchAnchor(g, a, src, dst, pass, flags)
+	})
 }

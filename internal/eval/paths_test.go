@@ -43,10 +43,12 @@ func exists(t *testing.T, g *graph.Graph, expr string, src, dst int, mode eval.M
 
 // countUpTo is the number of paths from src to dst of length ≤ maxLen that
 // match e, read off the PMR: its cardinality when the set is finite and no
-// longer than maxLen, otherwise its shortest-first enumeration up to maxLen.
+// longer than maxLen and e's automaton is unambiguous (Section 6.2: one
+// accepting run per path, so the PMR counts paths, not runs), otherwise its
+// shortest-first enumeration up to maxLen, which lists each path once.
 func countUpTo(g *graph.Graph, e rpq.Expr, src, dst, maxLen int) *big.Int {
 	r := pmr.FromProduct(g, e, src, dst)
-	if count, infinite := r.Cardinality(); !infinite {
+	if count, infinite := r.Cardinality(); !infinite && rpq.Compile(e).IsUnambiguous() {
 		ps := r.Enumerate(int(count.Int64()))
 		if len(ps) == 0 || ps[len(ps)-1].Len() <= maxLen {
 			return count

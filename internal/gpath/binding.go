@@ -170,3 +170,34 @@ func SortResults(pbs []PathBinding) {
 		return pi.Binding.Key() < pj.Binding.Key()
 	})
 }
+
+// Head puts results in result order (SortResults) and keeps the first
+// limit of them (limit ≤ 0: all).
+func Head(pbs []PathBinding, limit int) []PathBinding {
+	SortResults(pbs)
+	if limit > 0 && len(pbs) > limit {
+		pbs = pbs[:limit]
+	}
+	return pbs
+}
+
+// Deepen answers a query under a limit by iterative deepening. pass(bound)
+// returns every result of length ≤ bound and whether the bound cut a branch
+// that might lead to more. Deepen doubles the bound, never past maxLen when
+// that is set (> 0), until the results reach limit or nothing was cut, and
+// returns their Head. Results are ordered by length first, so that head is
+// the head of the unlimited answer.
+func Deepen(limit, maxLen int, pass func(bound int) ([]PathBinding, bool, error)) ([]PathBinding, error) {
+	for bound := 1; ; bound *= 2 {
+		if maxLen > 0 && bound > maxLen {
+			bound = maxLen
+		}
+		res, cut, err := pass(bound)
+		if err != nil {
+			return nil, err
+		}
+		if len(res) >= limit || !cut || bound == maxLen {
+			return Head(res, limit), nil
+		}
+	}
+}

@@ -67,54 +67,26 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 		}
 		out = append(out, res...)
 	}
-	return head(out, opts)
+	return gpath.Head(out, opts.Limit), nil
 }
 
 // deepen answers a query with a limit in mode simple, in mode trail, or in
-// mode all bounded by the limit alone. It doubles the length bound — never
-// past opts.MaxLen when that is set — until the rows found reach the limit
-// or the bound cut no branch. Every row no longer than the bound is found
-// under it, and rows are ordered by length first, so the head of what it
-// found is the head of the unlimited answer. Each pass is charged its
-// states on the meter again: the repeated work is real work.
+// mode all bounded by the limit alone (gpath.Deepen). Each pass is charged
+// its states and rows on the meter again: the repeated work is real work.
 func deepen(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	for bound := 1; ; bound *= 2 {
+	return gpath.Deepen(opts.Limit, opts.MaxLen, func(bound int) ([]gpath.PathBinding, bool, error) {
 		pass := opts
-		if pass.MaxLen <= 0 || bound < pass.MaxLen {
-			pass.MaxLen = bound
-		}
-		res, cut, err := search(g, a, src, dst, mode, pass)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) >= opts.Limit || !cut || pass.MaxLen == opts.MaxLen {
-			return head(res, opts)
-		}
-	}
-}
-
-// head puts rows in result order (gpath.SortResults) and keeps the first
-// opts.Limit of them (0: all). A search under a limit charges no rows as it
-// finds them, since it may find more than it keeps: head charges the ones
-// kept.
-func head(pbs []gpath.PathBinding, opts Options) ([]gpath.PathBinding, error) {
-	gpath.SortResults(pbs)
-	if opts.Limit <= 0 {
-		return pbs, nil
-	}
-	pbs = pbs[:min(opts.Limit, len(pbs))]
-	if err := opts.Meter.AddRows(int64(len(pbs))); err != nil {
-		return nil, err
-	}
-	return pbs, nil
+		pass.MaxLen = bound
+		return search(g, a, src, dst, mode, pass)
+	})
 }
 
 // search enumerates (p, µ) by DFS over the annotated product, from src to
 // dst (-1: any endpoint), in mode all, simple (no node twice) or trail (no
 // edge twice), up to opts.MaxLen edges (0: unbounded). cut reports whether
-// the bound stopped a branch that had a step left to take. Every expanded
-// configuration is a step on opts.Meter; without a limit every distinct
-// result is a row on it as it is found.
+// the bound stopped a branch that had an edge and a transition left. Every expanded
+// configuration is a step on opts.Meter, and every distinct result a row on
+// it as it is found.
 func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options) (out []gpath.PathBinding, cut bool, err error) {
 	m := opts.Meter
 	var usedNodes, usedEdges map[int]struct{}
@@ -139,12 +111,14 @@ func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options)
 			if k := pb.Key(); !has(seen, k) {
 				seen[k] = struct{}{}
 				out = append(out, pb)
-				if opts.Limit <= 0 {
-					if err := m.AddRows(1); err != nil {
-						return err
-					}
+				if err := m.AddRows(1); err != nil {
+					return err
 				}
 			}
+		}
+		if opts.MaxLen > 0 && len(edges) == opts.MaxLen {
+			cut = cut || len(a.Trans[state]) > 0 && len(g.Out(node)) > 0
+			return nil
 		}
 		for _, ei := range g.Out(node) {
 			tgt := g.Edge(ei).Tgt
@@ -155,10 +129,6 @@ func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options)
 			for _, tr := range a.Trans[state] {
 				if !tr.Guard.Matches(lab) {
 					continue
-				}
-				if opts.MaxLen > 0 && len(edges) == opts.MaxLen {
-					cut = true
-					return nil
 				}
 				if usedEdges != nil {
 					usedEdges[ei] = struct{}{}

@@ -1,14 +1,15 @@
 package lrpq
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -216,71 +217,6 @@ func TestEvalBetweenModes(t *testing.T) {
 	if len(all) != 3 { // lengths 1, 3, 5
 		t.Errorf("all ≤5: %d results, want 3", len(all))
 	}
-
-	// Result counts per mode on the same graph and on u ⇄ v alone: simple
-	// paths may not revisit u, trails may not reuse an edge, and the
-	// expression still has to match ((a a)* wants an even length).
-	cycle := graph.NewBuilder().
-		AddNode("u", "", nil).AddNode("v", "", nil).
-		AddEdge("e1", "a", "u", "v", nil).
-		AddEdge("e2", "a", "v", "u", nil).
-		MustBuild()
-	for _, c := range []struct {
-		g                   *graph.Graph
-		expr, from, to      string
-		all, simple, trails int
-	}{
-		{g, "a*", "u", "w", 3, 1, 2},
-		{g, "(a a)*", "u", "w", 0, 0, 0},
-		{cycle, "a a a a", "u", "u", 1, 0, 0},
-		{cycle, "a a", "u", "u", 1, 0, 1},
-	} {
-		src, dst := c.g.MustNode(graph.NodeID(c.from)), c.g.MustNode(graph.NodeID(c.to))
-		for mode, want := range map[eval.Mode]int{eval.All: c.all, eval.Simple: c.simple, eval.Trail: c.trails} {
-			got, err := EvalBetween(c.g, MustParse(c.expr), src, dst, mode, Options{MaxLen: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != want {
-				t.Errorf("%s %s→%s %v: %d results, want %d", c.expr, c.from, c.to, mode, len(got), want)
-			}
-			for _, pb := range got {
-				if mode == eval.Simple && !pb.Path.IsSimple() || mode == eval.Trail && !pb.Path.IsTrail() {
-					t.Errorf("%s %v: %s breaks the mode", c.expr, mode, pb.Path.Format(c.g))
-				}
-			}
-		}
-	}
-
-	// Figure 5: exactly 2ⁿ shortest paths from s to t, all of length n.
-	for n := 1; n <= 8; n++ {
-		f := gen.Figure5(n)
-		paths, err := EvalBetween(f, MustParse("a*"), f.MustNode("s"), f.MustNode("t"), eval.Shortest, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(paths) != 1<<n {
-			t.Errorf("figure5-%d: %d shortest paths, want %d", n, len(paths), 1<<n)
-		}
-		for _, pb := range paths {
-			if pb.Path.Len() != n {
-				t.Errorf("figure5-%d: path of length %d in the shortest set", n, pb.Path.Len())
-			}
-		}
-	}
-
-	// The shortest a3→a5 transfer chain is the direct one, and a nullable
-	// expression's shortest path from a node to itself is the empty one.
-	bank := gen.BankEdgeLabeled()
-	for _, c := range []struct{ expr, from, to, want string }{
-		{"Transfer+", "a3", "a5", "path(a3, t7, a5)"},
-		{"Transfer*", "a1", "a1", "path(a1)"},
-	} {
-		got, err := EvalBetween(bank, MustParse(c.expr), bank.MustNode(graph.NodeID(c.from)), bank.MustNode(graph.NodeID(c.to)), eval.Shortest, Options{})
-		if err != nil || len(got) != 1 || got[0].Path.Format(bank) != c.want {
-			t.Errorf("%s %s→%s: %v (err %v), want %s", c.expr, c.from, c.to, got, err, c.want)
-		}
-	}
 }
 
 func TestEvalBetweenLimitOnly(t *testing.T) {
@@ -300,22 +236,27 @@ func TestEvalBetweenLimitOnly(t *testing.T) {
 			t.Errorf("result %d |z| = %d, want %d", i, got, want)
 		}
 	}
-	// Without variables, bounded by the limit alone or by the length alone:
-	// the paths round the cycle, shortest first.
+}
+
+// TestLimitChargesRowsFound: under a limit the meter is charged every row a
+// search finds, not only the rows the answer keeps, so a rows budget still
+// bounds the search. Round the 3-cycle, mode all with MaxLen 9 finds 4 rows
+// to keep 1; deepening to limit 3 finds 1, 1, 2 and 3 rows on its passes at
+// bounds 1, 2, 4 and 8.
+func TestLimitChargesRowsFound(t *testing.T) {
+	g := gen.Cycle(3, "a")
 	for _, c := range []struct {
 		opts Options
-		want []int
-	}{{Options{Limit: 3}, []int{0, 3, 6}}, {Options{MaxLen: 9}, []int{0, 3, 6, 9}}} {
-		pbs, err := EvalBetween(g, MustParse("a*"), 0, 0, eval.All, c.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var lens []int
-		for _, pb := range pbs {
-			lens = append(lens, pb.Path.Len())
-		}
-		if fmt.Sprint(lens) != fmt.Sprint(c.want) {
-			t.Errorf("%+v: lengths %v, want %v", c.opts, lens, c.want)
+		rows int64
+	}{{Options{MaxLen: 9, Limit: 1}, 4}, {Options{Limit: 3}, 7}} {
+		for _, budget := range []int64{c.rows - 1, c.rows} {
+			opts := c.opts
+			opts.Meter = pg.NewMeter(context.Background(), pg.Budget{MaxRows: budget}, nil, nil)
+			_, err := EvalBetween(g, MustParse("a*"), 0, 0, eval.All, opts)
+			if over := budget < c.rows; errors.Is(err, pg.ErrBudgetExceeded) != over {
+				t.Errorf("MaxLen %d, limit %d, MaxRows %d: err = %v, want a budget error: %v",
+					c.opts.MaxLen, c.opts.Limit, budget, err, over)
+			}
 		}
 	}
 }

@@ -82,7 +82,7 @@ func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.Path
 	if err != nil {
 		return nil, err
 	}
-	return head(out, opts)
+	return gpath.Head(out, opts.Limit), nil
 }
 
 // Search is the first half of a shortest-mode query: the kernel's search

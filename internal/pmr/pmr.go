@@ -97,15 +97,8 @@ func FromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
 // product expansion is the kernel's: Succ order and state packing are
 // exactly pg.Kernel's, so the construction is byte-identical to the
 // pre-kernel evaluator while inheriting its cancellation discipline.
-//
-// An ambiguous automaton is determinized first (Section 6.2): with at most
-// one accepting run per word, distinct representation paths have distinct
-// images, so Cardinality counts paths rather than runs.
 func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*PMR, error) {
 	nfa := rpq.Compile(e)
-	if !nfa.IsUnambiguous() {
-		nfa = nfa.Determinize().ToNFA()
-	}
 	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), nil)
 	nStates := nfa.NumStates
 	total := kern.NumProductStates()
@@ -291,9 +284,11 @@ func ShortestFromKernel(kern *pg.Kernel, src, dst int, m *pg.Meter) (*PMR, error
 // the number of S→T representation paths (a DAG path count), which is the
 // number of paths in SPaths(r) when distinct representation paths have
 // distinct images: the constructions in this package produce at most one
-// useful state per (graph position, automaton state), and FromProduct runs
-// an unambiguous automaton, so there it is exact. On a PMR whose γ merges
-// representation paths it is an upper bound.
+// useful state per (graph position, automaton state), so the count is exact
+// when the automaton has at most one accepting run per word (Section 6.2).
+// For an ambiguous expression FromProduct's representation paths are its
+// accepting runs, and the count is an upper bound (Enumerate and Iterate
+// list each path once).
 func (r *PMR) Cardinality() (count *big.Int, infinite bool) {
 	useful := r.usefulStates()
 	// Cycle detection within useful subgraph.
