@@ -40,6 +40,9 @@ vet:
 # internal/core or internal/server is a second kind switch. eval.Budget,
 # eval.NewMeter and eval.PairsProductCtx exist only for the benchmark
 # harness: outside bench/ and internal/eval a file names pg's meter itself.
+# A PMR is built on the product kernel it is handed (DESIGN §18), the one a
+# serving layer's plan cache holds, never on an automaton compiled for it:
+# no non-test file of internal/pmr imports internal/rpq.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -69,6 +72,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a second kind switch (look the kind up in $(KIND_TABLE)):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE 'eval\.(Budget|NewMeter|PairsProductCtx)\b' $$(find . -name '*.go' ! -path './bench/*' ! -path './internal/eval/*') || true)"; \
 		if [ -n "$$out" ]; then echo "the benchmark harness's meter names outside bench/ (use pg.Budget and pg.NewMeter):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n -F '"graphquery/internal/rpq"' $$(ls internal/pmr/*.go | grep -v _test.go) || true)"; \
+		if [ -n "$$out" ]; then echo "internal/pmr compiles an expression (build the PMR on the kernel it is handed):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -249,21 +249,16 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 			coregql.ProjectPairs(g, ms)
 		}
 	})
-	pmrExpr := rpq.MustParse("a (a | b)*")
+	pmrKernel := eval.CompileProduct(g, rpq.MustParse("a (a | b)*")).Kernel()
 	b.Run("pmr/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := pmr.FromProductMeter(g, pmrExpr, 0, 1, m)
+			r, err := pmr.FromKernel(pmrKernel, 0, 1, m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := r.EnumerateMeter(100, m); err != nil {
+			if _, err := r.Enumerate(100, m); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("pmr/reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pmr.FromProduct(g, pmrExpr, 0, 1).Enumerate(100)
 		}
 	})
 	doc := strings.Repeat("ab", 40)
@@ -317,7 +312,10 @@ func BenchmarkE17_PMRvsEnum(b *testing.B) {
 		s, t := g.MustNode("s"), g.MustNode("t")
 		b.Run(fmt.Sprintf("pmr/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := pmr.ShortestFromProduct(g, expr, s, t)
+				r, err := pmr.ShortestFromKernel(eval.CompileProduct(g, expr).Kernel(), s, t, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if c, _ := r.Cardinality(); c.Int64() != 1<<uint(n) {
 					b.Fatal("wrong cardinality")
 				}
@@ -415,8 +413,12 @@ func BenchmarkE23_KShortest(b *testing.B) {
 	for _, k := range []int{10, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := pmr.FromProduct(g, expr, 0, 1).Enumerate(k); len(got) == 0 {
-					b.Fatal("expected walks")
+				r, err := pmr.FromKernel(eval.CompileProduct(g, expr).Kernel(), 0, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got, err := r.Enumerate(k, nil); err != nil || len(got) == 0 {
+					b.Fatalf("expected walks (err %v)", err)
 				}
 			}
 		})

@@ -314,7 +314,12 @@ func repl(eng *core.Engine) {
 			} else {
 				fmt.Printf("PMR: size %d, %s path(s); first 5:\n", r.Size(), count)
 			}
-			for _, p := range r.Enumerate(5) {
+			paths, err := r.Enumerate(5, nil)
+			if err != nil {
+				fmt.Println("error:", err)
+				continue
+			}
+			for _, p := range paths {
 				fmt.Println(" ", p.Format(g))
 			}
 		case "paths":

@@ -106,7 +106,10 @@ func main() {
 
 	// 3. Evidence sets as PMRs (Section 6.4): all transfer paths between
 	// acc0 and muleD, represented without enumeration.
-	r := pmr.FromProduct(g, rpq.MustParse("Transfer+"), acc0, g.MustNode("muleD"))
+	r, err := pmr.FromKernel(eval.CompileProduct(g, rpq.MustParse("Transfer+")).Kernel(), acc0, g.MustNode("muleD"), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	count, infinite := r.Cardinality()
 	if infinite {
 		fmt.Printf("\nacc0 → muleD evidence: infinitely many transfer paths, PMR size %d\n", r.Size())
@@ -114,7 +117,11 @@ func main() {
 		fmt.Printf("\nacc0 → muleD evidence: %s transfer paths, PMR size %d\n", count, r.Size())
 	}
 	fmt.Println("sample evidence paths:")
-	for _, p := range r.Enumerate(3) {
+	evidence, err := r.Enumerate(3, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range evidence {
 		fmt.Printf("  %s\n", p.Format(g))
 	}
 }

@@ -244,10 +244,11 @@ func (e *Engine) Representation(query string, src, dst graph.NodeID, shortestOnl
 	if err := x.resolveAnchors(); err != nil {
 		return nil, err
 	}
+	build := pmr.FromKernel
 	if shortestOnly {
-		return pmr.ShortestFromProduct(gs.g, plan.expr, x.u, x.v), nil
+		build = pmr.ShortestFromKernel
 	}
-	return pmr.FromProduct(gs.g, plan.expr, x.u, x.v), nil
+	return build(plan.product.Kernel(), x.u, x.v, nil)
 }
 
 // Explain reports the compiled automaton's size and ambiguity for an RPQ —

@@ -115,21 +115,20 @@ func readCypher(x *run, text string) (rpqPlan, error) {
 }
 
 // pmrPaths builds the path-multiset representation of an RPQ between the
-// anchors on the kernel — of all paths, or of the shortest ones — and
-// enumerates up to limit paths from it. PMR enumeration is output-linear
+// anchors on the plan's kernel — of all paths, or of the shortest ones —
+// and enumerates up to limit paths from it. PMR enumeration is output-linear
 // but possibly infinite (cyclic path sets), so the limit is mandatory
 // (pathSet).
 func pmrPaths(x *run, p rpqPlan) (*Response, error) {
-	r, err := stage(x, "kernel", func() (*pmr.PMR, error) {
-		if x.req.Mode == eval.Shortest {
-			return pmr.ShortestFromKernel(p.product.Kernel(), x.u, x.v, x.m)
-		}
-		return pmr.FromProductMeter(x.gs.g, p.expr, x.u, x.v, x.m)
-	})
+	build := pmr.FromKernel
+	if x.req.Mode == eval.Shortest {
+		build = pmr.ShortestFromKernel
+	}
+	r, err := stage(x, "kernel", func() (*pmr.PMR, error) { return build(p.product.Kernel(), x.u, x.v, x.m) })
 	if err != nil {
 		return nil, err
 	}
-	paths, err := stage(x, "enumerate", func() ([]gpath.Path, error) { return r.EnumerateMeter(x.limit, x.m) })
+	paths, err := stage(x, "enumerate", func() ([]gpath.Path, error) { return r.Enumerate(x.limit, x.m) })
 	out := make([]PathResult, len(paths))
 	for i, path := range paths {
 		out[i] = PathResult{Path: path}

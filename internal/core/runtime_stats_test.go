@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -57,6 +58,34 @@ func TestRuntimeStatsCRPQ(t *testing.T) {
 		if after.StatesExpanded <= before.StatesExpanded || after.EdgesScanned <= before.EdgesScanned {
 			t.Errorf("%s: counters did not move: %+v -> %+v", q, before, after)
 		}
+	}
+}
+
+// TestRuntimeStatsPMR: a pmr query in mode all builds on the plan's
+// instrumented kernel, so the states its construction expands show in the
+// counters — as many as the construction charged the meter (the
+// enumeration's steps are the representation's, not the kernel's).
+func TestRuntimeStatsPMR(t *testing.T) {
+	e := New(gen.Random(30, 120, []string{"a", "b"}, 5))
+	before := e.RuntimeStats()
+	// A cancelable context gives the query a meter to read.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resp, err := e.QueryCtx(ctx, Request{Lang: "pmr", Query: "a (a|b)*", From: "v0", To: "v1", Limit: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Paths) == 0 {
+		t.Fatal("pmr query found no paths")
+	}
+	var built int64
+	for _, sp := range resp.Spans {
+		if sp.Name == "kernel" {
+			built = sp.States
+		}
+	}
+	if got := e.RuntimeStats().StatesExpanded - before.StatesExpanded; got == 0 || got != built {
+		t.Errorf("pmr construction: counters moved %d states, the kernel stage charged %d", got, built)
 	}
 }
 

@@ -64,7 +64,10 @@ func evaluators() []evaluatorRun {
 	gqlPat := gql.Concat(gql.Node("x"), gql.AnonEdgeL("a"), gql.Node("y"))
 	corePat := coregql.Concat(coregql.Node("x"), coregql.AnonEdge(), coregql.Node("y"))
 	cyPat := cypherfrag.Concat(cypherfrag.StarOf("a"), cypherfrag.StarOf("a"))
-	pmrRep := pmr.FromProduct(gSmall, rpq.MustParse("a*"), 0, 1)
+	pmrRep, err := pmr.FromKernel(eval.CompileProduct(gSmall, rpq.MustParse("a*")).Kernel(), 0, 1, nil)
+	if err != nil {
+		panic(err) // impossible without a meter
+	}
 	doc := strings.Repeat("a", 60)
 	spanExpr := spanner.Seq(
 		spanner.Cap("x", spanner.Star(spanner.Lit("a"))),
@@ -123,7 +126,7 @@ func evaluators() []evaluatorRun {
 			return len(out), err
 		}},
 		{"pmr", []int{1}, func(m *pg.Meter, par int) (int, error) {
-			out, err := pmrRep.EnumerateMeter(200, m)
+			out, err := pmrRep.Enumerate(200, m)
 			return len(out), err
 		}},
 		{"spanner", []int{1}, func(m *pg.Meter, par int) (int, error) {

@@ -119,11 +119,11 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatal("anchor nodes missing")
 		}
-		rep, err := pmr.FromProductMeter(g, rpq.MustParse("a (a | b)*"), s, d, m)
+		rep, err := pmr.FromKernel(eval.CompileProduct(g, rpq.MustParse("a (a | b)*")).Kernel(), s, d, m)
 		if err != nil {
 			return nil, err
 		}
-		paths, err := rep.EnumerateMeter(40, m)
+		paths, err := rep.Enumerate(40, m)
 		if err != nil {
 			return nil, err
 		}

@@ -310,12 +310,19 @@ func TestShortestLimitOnFigure5(t *testing.T) {
 // README's example, node for node and edge for edge.
 func TestShortestPMRUnchanged(t *testing.T) {
 	g := gen.Figure5(3)
-	r := pmr.ShortestFromProduct(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"))
+	r, err := pmr.ShortestFromKernel(eval.CompileProduct(g, rpq.MustParse("a*")).Kernel(), g.MustNode("s"), g.MustNode("t"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.NumNodes() != 4 || len(r.Edges) != 6 || len(r.S) != 1 || len(r.T) != 1 {
 		t.Fatalf("figure5-3 shortest PMR: %d nodes, %d edges, S %v, T %v", r.NumNodes(), len(r.Edges), r.S, r.T)
 	}
+	paths, err := r.Enumerate(100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
-	for _, p := range r.Enumerate(100) {
+	for _, p := range paths {
 		got = append(got, p.Format(g))
 	}
 	want := []string{
@@ -362,7 +369,7 @@ func TestShortestSearchIsMetered(t *testing.T) {
 	if got := m.States(); got <= budget || got > budget+pg.CheckInterval {
 		t.Errorf("budget %d tripped at %d states; want within one check interval past it", budget, got)
 	}
-	r, err := pmr.ShortestFromProductMeter(g, rpq.MustParse("a*"), u, v, pg.NewMeter(context.Background(), pg.Budget{MaxStates: budget}, nil, nil))
+	r, err := pmr.ShortestFromKernel(eval.CompileProduct(g, rpq.MustParse("a*")).Kernel(), u, v, pg.NewMeter(context.Background(), pg.Budget{MaxStates: budget}, nil, nil))
 	if r != nil || !errors.Is(err, pg.ErrBudgetExceeded) {
 		t.Errorf("shortest PMR under the same budget: result %v, err %v", r != nil, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"graphquery/internal/cypherfrag"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/gpath"
 	"graphquery/internal/gql"
 	"graphquery/internal/pg"
 	"graphquery/internal/pmr"
@@ -164,38 +165,42 @@ func TestCypherKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPMRCtxMatchesLegacy: the metered PMR constructors build the same
-// representation as the legacy unmetered ones — identical enumerations,
-// identical cardinalities — for both the full and shortest-path variants.
+// TestPMRCtxMatchesLegacy: a meter changes nothing but the accounting —
+// both PMR constructors build the same representation with one as without
+// one — and Enumerate lists the head of what the iterator yields, for both
+// the full and the shortest-path representations.
 func TestPMRCtxMatchesLegacy(t *testing.T) {
 	exprs := []string{"a*", "a* b*", "(a | b) c*"}
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(20, 60, []string{"a", "b", "c"}, int64(trial)*31+13)
 		for _, q := range exprs {
-			e := rpq.MustParse(q)
+			kern := eval.CompileProduct(g, rpq.MustParse(q)).Kernel()
 			for s := 0; s < 3; s++ {
 				for d := 3; d < 6; d++ {
-					legacy := pmr.FromProduct(g, e, s, d)
-					got, err := pmr.FromProductMeter(g, e, s, d, roomyMeter())
-					if err != nil {
-						t.Fatalf("trial %d %q (%d,%d): %v", trial, q, s, d, err)
-					}
-					wantPaths := legacy.Enumerate(50)
-					gotPaths, err := got.EnumerateMeter(50, roomyMeter())
-					if err != nil {
-						t.Fatalf("trial %d %q (%d,%d): enumerate: %v", trial, q, s, d, err)
-					}
-					if !reflect.DeepEqual(gotPaths, wantPaths) {
-						t.Fatalf("trial %d %q (%d,%d): ctx enumeration diverged", trial, q, s, d)
-					}
-
-					legacyS := pmr.ShortestFromProduct(g, e, s, d)
-					gotS, err := pmr.ShortestFromProductMeter(g, e, s, d, roomyMeter())
-					if err != nil {
-						t.Fatalf("trial %d %q (%d,%d): shortest: %v", trial, q, s, d, err)
-					}
-					if !reflect.DeepEqual(gotS.Enumerate(50), legacyS.Enumerate(50)) {
-						t.Fatalf("trial %d %q (%d,%d): shortest enumeration diverged", trial, q, s, d)
+					for _, build := range []struct {
+						name string
+						f    func(*pg.Kernel, int, int, *pg.Meter) (*pmr.PMR, error)
+					}{{"all", pmr.FromKernel}, {"shortest", pmr.ShortestFromKernel}} {
+						bare, err1 := build.f(kern, s, d, nil)
+						got, err2 := build.f(kern, s, d, roomyMeter())
+						if err1 != nil || err2 != nil {
+							t.Fatalf("trial %d %q (%d,%d) %s: %v, %v", trial, q, s, d, build.name, err1, err2)
+						}
+						if !reflect.DeepEqual(got, bare) {
+							t.Fatalf("trial %d %q (%d,%d) %s: the metered build differs", trial, q, s, d, build.name)
+						}
+						gotPaths, err := got.Enumerate(50, roomyMeter())
+						if err != nil {
+							t.Fatalf("trial %d %q (%d,%d) %s: enumerate: %v", trial, q, s, d, build.name, err)
+						}
+						var wantPaths []gpath.Path
+						it := bare.Iterate(nil)
+						for p, ok, _ := it.Next(); ok && len(wantPaths) < 50; p, ok, _ = it.Next() {
+							wantPaths = append(wantPaths, p)
+						}
+						if !reflect.DeepEqual(gotPaths, wantPaths) {
+							t.Fatalf("trial %d %q (%d,%d) %s: Enumerate is not the iterator's head", trial, q, s, d, build.name)
+						}
 					}
 				}
 			}

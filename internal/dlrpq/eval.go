@@ -563,9 +563,10 @@ func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *pg.Meter, cnt *p
 // deepen answers a query with a limit in mode simple, in mode trail, or in
 // mode all bounded by the limit alone (gpath.Deepen). Each pass is charged
 // its configurations and rows on the meter again: the repeated work is real
-// work.
+// work. The search's configurations carry register values, so no state
+// count bounds a run that cannot be shortened: Deepen gets none.
 func deepen(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
-	return gpath.Deepen(opts.Limit, opts.MaxLen, func(bound int) ([]gpath.PathBinding, bool, error) {
+	return gpath.Deepen(opts.Limit, opts.MaxLen, 0, func(bound int) ([]gpath.PathBinding, bool, error) {
 		pass := opts
 		pass.MaxLen = bound
 		return searchAnchor(g, a, src, dst, pass, flags)

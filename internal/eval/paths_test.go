@@ -47,19 +47,37 @@ func exists(t *testing.T, g *graph.Graph, expr string, src, dst int, mode eval.M
 // accepting run per path, so the PMR counts paths, not runs), otherwise its
 // shortest-first enumeration up to maxLen, which lists each path once.
 func countUpTo(g *graph.Graph, e rpq.Expr, src, dst, maxLen int) *big.Int {
-	r := pmr.FromProduct(g, e, src, dst)
+	r := representation(g, e, src, dst)
 	if count, infinite := r.Cardinality(); !infinite && rpq.Compile(e).IsUnambiguous() {
-		ps := r.Enumerate(int(count.Int64()))
+		ps := shortestFirst(r, int(count.Int64()))
 		if len(ps) == 0 || ps[len(ps)-1].Len() <= maxLen {
 			return count
 		}
 	}
 	n := int64(0)
-	it := r.Iterate()
-	for p, ok := it.Next(); ok && p.Len() <= maxLen; p, ok = it.Next() {
+	it := r.Iterate(nil)
+	for p, ok, _ := it.Next(); ok && p.Len() <= maxLen; p, ok, _ = it.Next() {
 		n++
 	}
 	return big.NewInt(n)
+}
+
+// representation is the PMR of every path from src to dst matching e.
+func representation(g *graph.Graph, e rpq.Expr, src, dst int) *pmr.PMR {
+	r, err := pmr.FromKernel(eval.CompileProduct(g, e).Kernel(), src, dst, nil)
+	if err != nil {
+		panic(err) // impossible without a meter
+	}
+	return r
+}
+
+// shortestFirst is the first limit paths of r's shortest-first listing.
+func shortestFirst(r *pmr.PMR, limit int) []gpath.Path {
+	ps, err := r.Enumerate(limit, nil)
+	if err != nil {
+		panic(err)
+	}
+	return ps
 }
 
 // twoCycle is u ⇄ v plus u → w, all edges labelled a: from u to w the only
@@ -221,7 +239,7 @@ func TestCountMatchesEnumeration(t *testing.T) {
 
 func TestKShortestWalks(t *testing.T) {
 	g := gen.Cycle(3, "a")
-	walks := pmr.FromProduct(g, rpq.MustParse("a*"), 0, 0).Enumerate(4)
+	walks := shortestFirst(representation(g, rpq.MustParse("a*"), 0, 0), 4)
 	if len(walks) != 4 {
 		t.Fatalf("walks = %d, want 4", len(walks))
 	}
@@ -232,7 +250,7 @@ func TestKShortestWalks(t *testing.T) {
 	}
 	// Lengths must be nondecreasing on a branching graph too.
 	f := gen.Figure5(3)
-	walks = pmr.FromProduct(f, rpq.MustParse("a*"), f.MustNode("s"), f.MustNode("t")).Enumerate(8)
+	walks = shortestFirst(representation(f, rpq.MustParse("a*"), f.MustNode("s"), f.MustNode("t")), 8)
 	if len(walks) != 8 {
 		t.Fatalf("figure5 walks = %d, want 8", len(walks))
 	}

@@ -68,14 +68,18 @@ func runE17(w io.Writer) error {
 		g := gen.Figure5(n)
 		s, tt := g.MustNode("s"), g.MustNode("t")
 		start := time.Now()
-		r := pmr.ShortestFromProduct(g, rpq.MustParse("a*"), s, tt)
+		r, err := pmr.ShortestFromKernel(eval.CompileProduct(g, rpq.MustParse("a*")).Kernel(), s, tt, nil)
+		if err != nil {
+			return err
+		}
 		count, _ := r.Cardinality()
 		buildTime := time.Since(start)
 
 		start = time.Now()
-		enumerated := len(r.Enumerate(1 << uint(n)))
+		if _, err := r.Enumerate(1<<uint(n), nil); err != nil {
+			return err
+		}
 		enumTime := time.Since(start)
-		_ = enumerated
 		t.add(n, count.String(), r.Size(), buildTime.Round(time.Microsecond), enumTime.Round(time.Microsecond))
 	}
 	t.write(w)
@@ -118,8 +122,12 @@ func runE21(w io.Writer) error {
 	t.add("PMR size", r.Size())
 	t.add("represented path set infinite", infinite)
 	t.write(w)
+	cycles, err := r.Enumerate(3, nil)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "  first cycles:")
-	for _, p := range r.Enumerate(3) {
+	for _, p := range cycles {
 		fmt.Fprintf(w, "    %s\n", p.Format(g))
 	}
 	return nil

@@ -68,7 +68,11 @@ func runE16(w io.Writer) error {
 
 	// Counting via unambiguous automata, validated on Figure 5.
 	g := gen.Figure5(10)
-	count, _ := pmr.FromProduct(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t")).Cardinality()
+	r, err := pmr.FromKernel(eval.CompileProduct(g, rpq.MustParse("a*")).Kernel(), g.MustNode("s"), g.MustNode("t"), nil)
+	if err != nil {
+		return err
+	}
+	count, _ := r.Cardinality()
 	fmt.Fprintf(w, "  Figure-5(10) path count via unambiguous product: %s (expected 1024)\n", count)
 	return nil
 }
@@ -188,7 +192,14 @@ func runE23(w io.Writer) error {
 	t := newTable("k", "answers", "total time", "per-answer")
 	for _, k := range []int{1, 10, 100, 500} {
 		start := time.Now()
-		walks := pmr.FromProduct(g, rpq.MustParse("a+"), 0, 1).Enumerate(k)
+		r, err := pmr.FromKernel(eval.CompileProduct(g, rpq.MustParse("a+")).Kernel(), 0, 1, nil)
+		if err != nil {
+			return err
+		}
+		walks, err := r.Enumerate(k, nil)
+		if err != nil {
+			return err
+		}
 		el := time.Since(start)
 		per := time.Duration(0)
 		if len(walks) > 0 {

@@ -187,7 +187,13 @@ func Head(pbs []PathBinding, limit int) []PathBinding {
 // that is set (> 0), until the results reach limit or nothing was cut, and
 // returns their Head. Results are ordered by length first, so that head is
 // the head of the unlimited answer.
-func Deepen(limit, maxLen int, pass func(bound int) ([]PathBinding, bool, error)) ([]PathBinding, error) {
+//
+// states is the number P of states the search's runs go through (0: not
+// known). Cutting the loop out of a run longer than P leaves a run at most
+// P shorter, so once a bound b ≥ P, a pass at 2b that finds no more results
+// than the pass at b ends the search even when the bound cut a branch.
+func Deepen(limit, maxLen, states int, pass func(bound int) ([]PathBinding, bool, error)) ([]PathBinding, error) {
+	last := -1 // results of the pass at the last bound ≥ states
 	for bound := 1; ; bound *= 2 {
 		if maxLen > 0 && bound > maxLen {
 			bound = maxLen
@@ -196,8 +202,11 @@ func Deepen(limit, maxLen int, pass func(bound int) ([]PathBinding, bool, error)
 		if err != nil {
 			return nil, err
 		}
-		if len(res) >= limit || !cut || bound == maxLen {
+		if len(res) >= limit || !cut || bound == maxLen || len(res) == last {
 			return Head(res, limit), nil
+		}
+		if states > 0 && bound >= states {
+			last = len(res)
 		}
 	}
 }

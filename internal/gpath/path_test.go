@@ -282,3 +282,25 @@ func TestPathKeyAndFormat(t *testing.T) {
 		t.Errorf("empty Format = %q", got)
 	}
 }
+
+// TestFromEdges: the path along a chain of edges is the one New validates,
+// the empty chain is the source alone, and a broken chain panics.
+func TestFromEdges(t *testing.T) {
+	g := testGraph(t)
+	a1, a2, a3 := g.MustNode("a1"), g.MustNode("a2"), g.MustNode("a3")
+	t0, t1, t5 := g.MustEdge("t0"), g.MustEdge("t1"), g.MustEdge("t5")
+	want := mustPath(t, g, graph.MakeNodeObject(a1), graph.MakeEdgeObject(t0), graph.MakeNodeObject(a1),
+		graph.MakeEdgeObject(t1), graph.MakeNodeObject(a3), graph.MakeEdgeObject(t5), graph.MakeNodeObject(a2))
+	if got := FromEdges(g, a1, []int{t0, t1, t5}); !got.Equal(want) {
+		t.Errorf("FromEdges = %s, want %s", got.Format(g), want.Format(g))
+	}
+	if got := FromEdges(g, a3, nil); !got.Equal(OfNode(a3)) {
+		t.Errorf("FromEdges with no edges = %s, want path(a3)", got.Format(g))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FromEdges of a broken chain did not panic")
+		}
+	}()
+	FromEdges(g, a1, []int{t1, t1})
+}

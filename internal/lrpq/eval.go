@@ -73,11 +73,13 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 // deepen answers a query with a limit in mode simple, in mode trail, or in
 // mode all bounded by the limit alone (gpath.Deepen). Each pass is charged
 // its states and rows on the meter again: the repeated work is real work.
-func deepen(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	return gpath.Deepen(opts.Limit, opts.MaxLen, func(bound int) ([]gpath.PathBinding, bool, error) {
+// A run goes through the product states of k, which end a search whose
+// answer is shorter than the limit.
+func deepen(k *pg.Kernel, a *VNFA, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
+	return gpath.Deepen(opts.Limit, opts.MaxLen, k.NumProductStates(), func(bound int) ([]gpath.PathBinding, bool, error) {
 		pass := opts
 		pass.MaxLen = bound
-		return search(g, a, src, dst, mode, pass)
+		return search(k.Graph(), a, src, dst, mode, pass)
 	})
 }
 
@@ -107,7 +109,7 @@ func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options)
 			return err
 		}
 		if a.Accept[state] && (dst == -1 || node == dst) {
-			pb := gpath.PathBinding{Path: buildPath(g, src, edges), Binding: buildBinding(g, edges, vars)}
+			pb := gpath.PathBinding{Path: gpath.FromEdges(g, src, edges), Binding: buildBinding(g, edges, vars)}
 			if k := pb.Key(); !has(seen, k) {
 				seen[k] = struct{}{}
 				out = append(out, pb)
@@ -163,20 +165,6 @@ func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options)
 func has[K comparable](set map[K]struct{}, k K) bool {
 	_, ok := set[k]
 	return ok
-}
-
-// buildPath returns the node-to-node path that leaves src along edges.
-func buildPath(g *graph.Graph, src int, edges []int) gpath.Path {
-	objs := make([]graph.Object, 1, 2*len(edges)+1)
-	objs[0] = graph.MakeNodeObject(src)
-	for _, ei := range edges {
-		objs = append(objs, graph.MakeEdgeObject(ei), graph.MakeNodeObject(g.EdgeTgt(ei)))
-	}
-	p, err := gpath.New(g, objs...)
-	if err != nil {
-		panic("lrpq: search produced a broken path: " + err.Error())
-	}
-	return p
 }
 
 func buildBinding(g *graph.Graph, edges []int, vars []string) gpath.Binding {

@@ -3,6 +3,7 @@ package lrpq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"graphquery/internal/eval"
@@ -257,6 +258,42 @@ func TestLimitChargesRowsFound(t *testing.T) {
 				t.Errorf("MaxLen %d, limit %d, MaxRows %d: err = %v, want a budget error: %v",
 					c.opts.MaxLen, c.opts.Limit, budget, err, over)
 			}
+		}
+	}
+}
+
+// TestLimitOnlyFiniteAnswerEnds: mode all bounded by a limit alone ends
+// when the answer has fewer results than the limit, although a cycle the
+// length bound keeps cutting is reachable from the source: the a-loop on u,
+// which never leads to w. The budget only turns a search that would not end
+// into a failure.
+func TestLimitOnlyFiniteAnswerEnds(t *testing.T) {
+	g := graph.NewBuilder().
+		AddNode("u", "", nil).AddNode("w", "", nil).
+		AddEdge("loop", "a", "u", "u", nil).
+		AddEdge("uw", "b", "u", "w", nil).
+		MustBuild()
+	for _, c := range []struct {
+		expr  string
+		limit int
+		want  []string
+	}{
+		{"a*", 1, nil},
+		{"a* | b", 5, []string{"path(u, uw, w)"}},
+	} {
+		m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1 << 20}, nil, nil)
+		res, err := EvalBetween(g, MustParse(c.expr), g.MustNode("u"), g.MustNode("w"), eval.All,
+			Options{Limit: c.limit, Meter: m})
+		if err != nil {
+			t.Errorf("%s, limit %d: %v", c.expr, c.limit, err)
+			continue
+		}
+		var got []string
+		for _, pb := range res {
+			got = append(got, pb.Path.Format(g))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s, limit %d: %v, want %v", c.expr, c.limit, got, c.want)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.Path
 		return nil, fmt.Errorf("lrpq: unknown mode %v", mode)
 	}
 	if opts.Limit > 0 && (mode != eval.All || opts.MaxLen <= 0) {
-		return deepen(p.g, p.a, src, dst, mode, opts)
+		return deepen(p.kern, p.a, src, dst, mode, opts)
 	}
 	// Nothing to cut, or mode all's own bound: one search holds the head.
 	out, _, err := search(p.g, p.a, src, dst, mode, opts)
@@ -241,7 +241,7 @@ func (w *shortestWalk) walk(node, d int) error {
 // edge, hence the comparison by key.
 func (w *shortestWalk) emit() error {
 	g := w.p.g
-	path := buildPath(g, w.meet.Src, w.edges)
+	path := gpath.FromEdges(g, w.meet.Src, w.edges)
 	last := len(w.levels) - 1
 	vars := make([]string, last)
 	mus := make([]gpath.Binding, 0, len(w.levels[last].seqs))

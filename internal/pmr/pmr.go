@@ -9,21 +9,22 @@
 //	SPaths(R) = { γ(ρ) | ρ is a path from S to T in R }.
 //
 // Per the paper's position, this package treats PMRs under set semantics.
-// The central constructions are FromProduct (all matching paths of an RPQ,
-// possibly an infinite language, in O(|G|·|A|) space) and
-// ShortestFromProduct (exactly the shortest matching paths, a DAG), plus
-// cardinality, membership, and output-linear-delay enumeration.
+// The two constructions build on a compiled product kernel (pg.Kernel):
+// FromKernel (all matching paths, possibly an infinite language, in
+// O(|G|·|A|) space) and ShortestFromKernel (exactly the shortest matching
+// paths, a DAG). On a representation: cardinality, membership, and one
+// output-linear-delay enumerator (Iterate; Enumerate collects from it).
 package pmr
 
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
-	"graphquery/internal/rpq"
 )
 
 // Edge is a PMR edge: an edge of the representation graph together with its
@@ -45,7 +46,8 @@ type PMR struct {
 	// S and T are the source and target PMR node sets (sorted).
 	S, T []int
 
-	out [][]int // PMR node -> indexes into Edges
+	out    [][]int // PMR node -> indexes into Edges
+	useful []bool  // PMR node -> reachable from S and co-reachable to T
 }
 
 // New assembles and validates a PMR: γ must be a homomorphism, i.e. for
@@ -71,6 +73,7 @@ func New(g *graph.Graph, gammaNode []int, edges []Edge, s, t []int) (*PMR, error
 		}
 		r.out[e.Src] = append(r.out[e.Src], i)
 	}
+	r.useful = r.usefulStates()
 	return r, nil
 }
 
@@ -80,41 +83,38 @@ func (r *PMR) NumNodes() int { return len(r.GammaNode) }
 // Size returns |N| + |E|, the space measure used in E17.
 func (r *PMR) Size() int { return len(r.GammaNode) + len(r.Edges) }
 
-// FromProduct builds a PMR representing the set of all node-to-node paths
-// from src to dst in g that match the RPQ e. The PMR is the useful part of
-// the product graph G × N_R (Section 6.4: "PMRs are closely related to the
-// product graph"), so its size is O(|G|·|A|) even when the path set is
-// infinite.
-func FromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
-	r, _ := FromProductMeter(g, e, src, dst, nil)
-	return r
-}
-
-// FromProductMeter is FromProduct with an explicit meter (may be nil):
-// construction work is charged every pg.CheckInterval product-state
-// expansions, so a canceled context or an exhausted states budget aborts
-// with the standard taxonomy errors (pg.ErrCanceled, *pg.BudgetError). The
-// product expansion is the kernel's: Succ order and state packing are
-// exactly pg.Kernel's, so the construction is byte-identical to the
-// pre-kernel evaluator while inheriting its cancellation discipline.
-func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*PMR, error) {
-	nfa := rpq.Compile(e)
-	kern := pg.NewKernel(g, pg.FromNFA(g, nfa), nil)
-	nStates := nfa.NumStates
+// FromKernel builds a PMR representing the set of all node-to-node paths
+// from src to dst in the kernel's graph that match its automaton. The PMR is
+// the useful part of the product graph G × N_R (Section 6.4: "PMRs are
+// closely related to the product graph"), so its size is O(|G|·|A|) even
+// when the path set is infinite: one node per product state both reachable
+// from (src, a start state) and co-reachable to (dst, an accepting state),
+// numbered in product-state order, one edge per distinct product edge
+// between two of them, in the order a depth-first walk in Succ order finds
+// them. Construction work is charged on m (may be nil) every
+// pg.CheckInterval product-state expansions, and on the kernel's counters.
+func FromKernel(kern *pg.Kernel, src, dst int, m *pg.Meter) (*PMR, error) {
+	g := kern.Graph()
+	nq := kern.Semantics().NumStates()
 	total := kern.NumProductStates()
-	id := func(n, q int) int { return n*nStates + q }
+	id := func(n, q int) int { return kern.ID(pg.State{Node: n, State: q}) }
 	if !g.NodeAlive(src) || !g.NodeAlive(dst) {
 		// Tombstoned endpoints have no paths; matches the Materialize()d
 		// graph, where the node does not exist at all.
-		r, _ := New(g, nil, nil, nil, nil)
-		return r, nil
+		return New(g, nil, nil, nil, nil)
 	}
 	tick := pg.NewTicker(m, kern.Counters())
 
-	// Forward reachability from (src, q0).
+	// Forward reachability from the start states at src.
 	reach := make([]bool, total)
-	stack := []int{id(src, nfa.Start)}
-	reach[stack[0]] = true
+	var stack []int
+	for _, q := range kern.Semantics().Starts() {
+		if i := id(src, q); !reach[i] {
+			reach[i] = true
+			stack = append(stack, i)
+		}
+	}
+	starts := append([]int(nil), stack...)
 	type pedge struct{ from, to, gedge int }
 	var edges []pedge
 	for len(stack) > 0 {
@@ -124,7 +124,7 @@ func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*P
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, st := range kern.Succ(kern.Unid(cur)) {
-			ni := id(st.To.Node, st.To.State)
+			ni := kern.ID(st.To)
 			edges = append(edges, pedge{cur, ni, st.Edge})
 			if !reach[ni] {
 				reach[ni] = true
@@ -132,19 +132,20 @@ func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*P
 			}
 		}
 	}
-	// Backward reachability from accepting (dst, q).
+	// Backward reachability from the accepting states at dst.
 	rev := make(map[int][]int)
 	for _, pe := range edges {
 		rev[pe.to] = append(rev[pe.to], pe.from)
 	}
 	coreach := make([]bool, total)
-	stack = stack[:0]
-	for q := 0; q < nStates; q++ {
-		if nfa.Accept[q] && reach[id(dst, q)] {
-			coreach[id(dst, q)] = true
-			stack = append(stack, id(dst, q))
+	var ends []int
+	for q := 0; q < nq; q++ {
+		if i := id(dst, q); kern.Accepting(pg.State{Node: dst, State: q}) && reach[i] {
+			coreach[i] = true
+			ends = append(ends, i)
 		}
 	}
+	stack = append(stack[:0], ends...)
 	for len(stack) > 0 {
 		if err := tick.Step(); err != nil {
 			return nil, err
@@ -166,7 +167,7 @@ func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*P
 	for i := 0; i < total; i++ {
 		if keep(i) {
 			remap[i] = len(gammaNode)
-			gammaNode = append(gammaNode, i/nStates)
+			gammaNode = append(gammaNode, kern.Unid(i).Node)
 		}
 	}
 	var pedges []Edge
@@ -182,14 +183,14 @@ func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*P
 		}
 	}
 	var s, t []int
-	if i, ok := remap[id(src, nfa.Start)]; ok {
-		s = append(s, i)
+	for _, i := range starts {
+		if j, ok := remap[i]; ok {
+			s = append(s, j)
+		}
 	}
-	for q := 0; q < nStates; q++ {
-		if nfa.Accept[q] {
-			if i, ok := remap[id(dst, q)]; ok {
-				t = append(t, i)
-			}
+	for _, i := range ends {
+		if j, ok := remap[i]; ok {
+			t = append(t, j)
 		}
 	}
 	r, err := New(g, gammaNode, pedges, s, t)
@@ -202,22 +203,9 @@ func FromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*P
 	return r, nil
 }
 
-// ShortestFromProduct builds a PMR representing exactly the shortest
-// matching paths from src to dst (the shortest-mode preprocessing of
-// PathFinder-style engines discussed in Section 6.4). The result is a DAG.
-func ShortestFromProduct(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
-	r, _ := ShortestFromProductMeter(g, e, src, dst, nil)
-	return r
-}
-
-// ShortestFromProductMeter is ShortestFromProduct with an explicit meter
-// (may be nil): it compiles e against g and builds on that kernel.
-func ShortestFromProductMeter(g *graph.Graph, e rpq.Expr, src, dst int, m *pg.Meter) (*PMR, error) {
-	return ShortestFromKernel(pg.NewKernel(g, pg.FromNFA(g, rpq.Compile(e)), nil), src, dst, m)
-}
-
-// ShortestFromKernel builds the shortest-paths PMR over a compiled kernel —
-// the form a serving layer with a cached kernel calls. The kernel's search
+// ShortestFromKernel builds the PMR of exactly the shortest matching paths
+// from src to dst (the shortest-mode preprocessing of PathFinder-style
+// engines discussed in Section 6.4); the result is a DAG. The kernel's search
 // between the anchors (pg.Kernel.Between, which meters itself) yields the
 // shortest-path DAG; the representation is that DAG: one node per product
 // state on a shortest path, numbered in product-state order, one edge per
@@ -286,11 +274,11 @@ func ShortestFromKernel(kern *pg.Kernel, src, dst int, m *pg.Meter) (*PMR, error
 // distinct images: the constructions in this package produce at most one
 // useful state per (graph position, automaton state), so the count is exact
 // when the automaton has at most one accepting run per word (Section 6.2).
-// For an ambiguous expression FromProduct's representation paths are its
-// accepting runs, and the count is an upper bound (Enumerate and Iterate
-// list each path once).
+// For an ambiguous expression FromKernel's representation paths are its
+// accepting runs, and the count is an upper bound (Iterate lists each path
+// once).
 func (r *PMR) Cardinality() (count *big.Int, infinite bool) {
-	useful := r.usefulStates()
+	useful := r.useful
 	// Cycle detection within useful subgraph.
 	color := make([]int, r.NumNodes()) // 0 white, 1 gray, 2 black
 	var cyclic bool
@@ -406,96 +394,26 @@ func (r *PMR) usefulStates() []bool {
 	return useful
 }
 
-// Enumerate yields up to limit distinct paths of SPaths(r) in order of
-// nondecreasing length. Because enumeration walks only useful states, every
-// partial path extends to a result — the property behind output-linear
-// delay (Section 6.4).
-func (r *PMR) Enumerate(limit int) []gpath.Path {
-	out, _ := r.EnumerateMeter(limit, nil)
-	return out
-}
-
-// EnumerateMeter is Enumerate with an explicit meter (may be nil):
-// expansion steps count against the states budget (amortized every
-// pg.CheckInterval) and each emitted path against the rows budget; errors
-// follow the standard taxonomy. On error no partial result is returned.
-func (r *PMR) EnumerateMeter(limit int, m *pg.Meter) ([]gpath.Path, error) {
-	if limit <= 0 {
-		return nil, nil
-	}
-	tick := pg.NewTicker(m, nil)
-	useful := r.usefulStates()
-	inT := map[int]bool{}
-	for _, t := range r.T {
-		inT[t] = true
-	}
-	type partial struct {
-		node  int
-		edges []int // graph edge indexes
-	}
-	var queue []partial
-	seenStart := map[int]bool{}
-	for _, s := range r.S {
-		if useful[s] && !seenStart[s] {
-			seenStart[s] = true
-			queue = append(queue, partial{node: s})
-		}
-	}
-	seen := map[string]struct{}{}
+// Enumerate returns up to limit distinct paths of SPaths(r) in order of
+// nondecreasing length: the first limit paths of Iterate(m). On error no
+// partial result is returned.
+func (r *PMR) Enumerate(limit int, m *pg.Meter) ([]gpath.Path, error) {
+	it := r.Iterate(m)
 	var out []gpath.Path
-	for len(queue) > 0 && len(out) < limit {
-		if err := tick.Step(); err != nil {
+	for len(out) < limit {
+		p, ok, err := it.Next()
+		if err != nil {
 			return nil, err
 		}
-		cur := queue[0]
-		queue = queue[1:]
-		if inT[cur.node] {
-			p := r.imagePath(cur)
-			k := p.Key()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				if err := m.AddRows(1); err != nil {
-					return nil, err
-				}
-				out = append(out, p)
-				if len(out) == limit {
-					break
-				}
-			}
+		if !ok {
+			break
 		}
-		for _, ei := range r.out[cur.node] {
-			e := r.Edges[ei]
-			if !useful[e.Tgt] {
-				continue
-			}
-			ext := make([]int, len(cur.edges)+1)
-			copy(ext, cur.edges)
-			ext[len(cur.edges)] = e.GEdge
-			queue = append(queue, partial{node: e.Tgt, edges: ext})
-		}
+		out = append(out, p)
 	}
-	if err := tick.Flush(); err != nil {
+	if err := it.Flush(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// imagePath renders a partial's γ-image as a node-to-node path. The start
-// node is recovered from the first edge (or the final node for the empty
-// path — partial.node, since no edges were taken).
-func (r *PMR) imagePath(p struct {
-	node  int
-	edges []int
-}) gpath.Path {
-	if len(p.edges) == 0 {
-		return gpath.OfNode(r.GammaNode[p.node])
-	}
-	out := gpath.OfNode(r.G.Edge(p.edges[0]).Src)
-	for _, ge := range p.edges {
-		next, _ := gpath.Concat(r.G, out, gpath.Triple(r.G, ge))
-		out = next
-	}
-	return out
 }
 
 // Contains reports whether the node-to-node path p belongs to SPaths(r),
@@ -537,40 +455,48 @@ func (r *PMR) Contains(p gpath.Path) bool {
 }
 
 // Iterator yields SPaths(r) lazily, one path per Next call, in
-// nondecreasing length order. Because the walk is restricted to useful
-// states, every partial path extends to an output — the structural property
-// behind the output-linear-delay enumeration results of Section 6.4: the
-// work between two Next calls is proportional to the size of the path
-// produced, not to the number of dead ends.
+// nondecreasing length order, by a breadth-first walk over representation
+// paths from S. Because the walk is restricted to useful states, every
+// partial path extends to an output — the structural property behind the
+// output-linear-delay enumeration results of Section 6.4: the work between
+// two Next calls is proportional to the size of the path produced, not to
+// the number of dead ends.
 type Iterator struct {
-	r      *PMR
-	useful []bool
-	inT    map[int]bool
-	queue  []iterItem
-	seen   map[string]struct{}
+	r    *PMR
+	m    *pg.Meter
+	tick pg.Ticker
+	inT  []bool
+	// walk holds every partial path the walk has reached, each one edge
+	// past its parent; walk[head:] is the breadth-first queue.
+	walk  []partial
+	head  int
+	edges []int // scratch: the graph edges of the partial being emitted
+	seen  map[string]struct{}
 }
 
-type iterItem struct {
-	node  int
-	edges []int
-}
+// partial is a representation path: the PMR node reached over the PMR
+// edge edge (-1 at a start) from the walk's partial at index parent.
+type partial struct{ node, edge, parent int }
 
-// Iterate returns a fresh iterator over SPaths(r).
-func (r *PMR) Iterate() *Iterator {
+// Iterate returns a fresh iterator over SPaths(r). Each partial path it
+// takes off its queue is one step on m (may be nil), charged every
+// pg.CheckInterval and by Flush, and each path it returns one row.
+func (r *PMR) Iterate(m *pg.Meter) *Iterator {
 	it := &Iterator{
-		r:      r,
-		useful: r.usefulStates(),
-		inT:    map[int]bool{},
-		seen:   map[string]struct{}{},
+		r:    r,
+		m:    m,
+		tick: pg.NewTicker(m, nil),
+		inT:  make([]bool, r.NumNodes()),
+		seen: map[string]struct{}{},
 	}
 	for _, t := range r.T {
 		it.inT[t] = true
 	}
 	started := map[int]bool{}
 	for _, s := range r.S {
-		if it.useful[s] && !started[s] {
+		if r.useful[s] && !started[s] {
 			started[s] = true
-			it.queue = append(it.queue, iterItem{node: s})
+			it.walk = append(it.walk, partial{node: s, edge: -1, parent: -1})
 		}
 	}
 	return it
@@ -578,35 +504,53 @@ func (r *PMR) Iterate() *Iterator {
 
 // Next returns the next path; ok is false when the (possibly infinite)
 // enumeration is exhausted. For infinite SPaths, Next never returns
-// ok=false — callers decide when to stop.
-func (it *Iterator) Next() (gpath.Path, bool) {
-	for len(it.queue) > 0 {
-		cur := it.queue[0]
-		it.queue = it.queue[1:]
+// ok=false — callers decide when to stop. err is the meter's verdict
+// (cancellation, an exhausted budget).
+func (it *Iterator) Next() (p gpath.Path, ok bool, err error) {
+	for it.head < len(it.walk) {
+		if err := it.tick.Step(); err != nil {
+			return gpath.Path{}, false, err
+		}
+		at := it.head
+		it.head++
+		node := it.walk[at].node
 		// Extend first so the frontier keeps breadth-first length order.
-		for _, ei := range it.r.out[cur.node] {
-			e := it.r.Edges[ei]
-			if !it.useful[e.Tgt] {
-				continue
-			}
-			ext := make([]int, len(cur.edges)+1)
-			copy(ext, cur.edges)
-			ext[len(cur.edges)] = e.GEdge
-			it.queue = append(it.queue, iterItem{node: e.Tgt, edges: ext})
-		}
-		if it.inT[cur.node] {
-			p := it.r.imagePath(struct {
-				node  int
-				edges []int
-			}{cur.node, cur.edges})
-			k := p.Key()
-			if _, dup := it.seen[k]; !dup {
-				it.seen[k] = struct{}{}
-				return p, true
+		for _, ei := range it.r.out[node] {
+			if to := it.r.Edges[ei].Tgt; it.r.useful[to] {
+				it.walk = append(it.walk, partial{node: to, edge: ei, parent: at})
 			}
 		}
+		if !it.inT[node] {
+			continue
+		}
+		p := it.image(at)
+		k := p.Key()
+		if _, dup := it.seen[k]; dup {
+			continue
+		}
+		it.seen[k] = struct{}{}
+		if err := it.m.AddRows(1); err != nil {
+			return gpath.Path{}, false, err
+		}
+		return p, true, nil
 	}
-	return gpath.Path{}, false
+	return gpath.Path{}, false, nil
+}
+
+// Flush charges the meter the steps not yet charged; call it when done
+// with the iterator.
+func (it *Iterator) Flush() error { return it.tick.Flush() }
+
+// image renders the γ-image of the walk's partial at as a node-to-node
+// path.
+func (it *Iterator) image(at int) gpath.Path {
+	r := it.r
+	it.edges = it.edges[:0]
+	for ; it.walk[at].edge >= 0; at = it.walk[at].parent {
+		it.edges = append(it.edges, r.Edges[it.walk[at].edge].GEdge)
+	}
+	slices.Reverse(it.edges)
+	return gpath.FromEdges(r.G, r.GammaNode[it.walk[at].node], it.edges)
 }
 
 // Union returns a PMR representing SPaths(a) ∪ SPaths(b): the disjoint

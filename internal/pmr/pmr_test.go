@@ -60,7 +60,7 @@ func TestMikeCyclesPMR(t *testing.T) {
 		t.Error("cycle language must be infinite")
 	}
 	// Enumerate the first three: lengths 0, 3, 6.
-	paths := r.Enumerate(3)
+	paths := first(r, 3)
 	if len(paths) != 3 {
 		t.Fatalf("enumerated %d, want 3", len(paths))
 	}
@@ -90,7 +90,7 @@ func TestFromProductFigure5(t *testing.T) {
 	// represents 2ⁿ paths.
 	for n := 1; n <= 12; n++ {
 		g := gen.Figure5(n)
-		r := FromProduct(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"))
+		r := allOf(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"))
 		count, infinite := r.Cardinality()
 		if infinite {
 			t.Fatalf("n=%d: finite path set misreported as infinite", n)
@@ -106,11 +106,11 @@ func TestFromProductFigure5(t *testing.T) {
 
 func TestFromProductInfinite(t *testing.T) {
 	g := gen.Cycle(3, "a")
-	r := FromProduct(g, rpq.MustParse("a*"), 0, 0)
+	r := allOf(g, rpq.MustParse("a*"), 0, 0)
 	if _, infinite := r.Cardinality(); !infinite {
 		t.Error("a* on a cycle from v0 to v0 is infinite")
 	}
-	paths := r.Enumerate(4)
+	paths := first(r, 4)
 	if len(paths) != 4 {
 		t.Fatalf("enumerate: %d", len(paths))
 	}
@@ -123,12 +123,12 @@ func TestFromProductInfinite(t *testing.T) {
 
 func TestFromProductEmptyLanguage(t *testing.T) {
 	g := gen.APath(2, "a")
-	r := FromProduct(g, rpq.MustParse("b"), g.MustNode("v0"), g.MustNode("v2"))
+	r := allOf(g, rpq.MustParse("b"), g.MustNode("v0"), g.MustNode("v2"))
 	count, infinite := r.Cardinality()
 	if infinite || count.Sign() != 0 {
 		t.Errorf("no b-paths: count = %v, infinite = %v", count, infinite)
 	}
-	if got := r.Enumerate(5); len(got) != 0 {
+	if got := first(r, 5); len(got) != 0 {
 		t.Errorf("enumerated %d from empty set", len(got))
 	}
 }
@@ -136,7 +136,7 @@ func TestFromProductEmptyLanguage(t *testing.T) {
 func TestShortestFromProduct(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		g := gen.Figure5(n)
-		r := ShortestFromProduct(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"))
+		r := shortestOf(g, rpq.MustParse("a*"), g.MustNode("s"), g.MustNode("t"))
 		count, infinite := r.Cardinality()
 		if infinite {
 			t.Fatalf("shortest PMR must be a DAG")
@@ -147,14 +147,14 @@ func TestShortestFromProduct(t *testing.T) {
 	}
 	// On a cycle, there is exactly one shortest v0→v0 path: the empty one.
 	g := gen.Cycle(3, "a")
-	r := ShortestFromProduct(g, rpq.MustParse("a*"), 0, 0)
+	r := shortestOf(g, rpq.MustParse("a*"), 0, 0)
 	count, infinite := r.Cardinality()
 	if infinite || count.Int64() != 1 {
 		t.Errorf("shortest on cycle: count = %v, infinite = %v; want 1, false", count, infinite)
 	}
 	// With a+ the shortest v0→v0 path is the full 3-cycle.
-	r = ShortestFromProduct(g, rpq.MustParse("a+"), 0, 0)
-	paths := r.Enumerate(10)
+	r = shortestOf(g, rpq.MustParse("a+"), 0, 0)
+	paths := first(r, 10)
 	if len(paths) != 1 || paths[0].Len() != 3 {
 		t.Errorf("shortest a+ cycle: %d paths", len(paths))
 	}
@@ -162,7 +162,7 @@ func TestShortestFromProduct(t *testing.T) {
 
 func TestShortestEmptyWhenUnreachable(t *testing.T) {
 	g := gen.APath(2, "a")
-	r := ShortestFromProduct(g, rpq.MustParse("a"), g.MustNode("v2"), g.MustNode("v0"))
+	r := shortestOf(g, rpq.MustParse("a"), g.MustNode("v2"), g.MustNode("v0"))
 	count, infinite := r.Cardinality()
 	if infinite || count.Sign() != 0 {
 		t.Errorf("unreachable: count = %v, infinite = %v", count, infinite)
@@ -181,7 +181,7 @@ func TestSPathsAgreesWithEval(t *testing.T) {
 			ae := lrpq.FromRPQ(e)
 			for src := 0; src < g.NumNodes(); src++ {
 				for dst := 0; dst < g.NumNodes(); dst++ {
-					r := FromProduct(g, e, src, dst)
+					r := allOf(g, e, src, dst)
 					want := paths(t, g, ae, src, dst, 4)
 					// Every evaluated path must be contained in the PMR.
 					for _, p := range want {
@@ -194,8 +194,8 @@ func TestSPathsAgreesWithEval(t *testing.T) {
 					for _, p := range want {
 						wantKeys[p.Key()] = true
 					}
-					it := r.Iterate()
-					for p, ok := it.Next(); ok && p.Len() <= 4; p, ok = it.Next() {
+					it := r.Iterate(nil)
+					for p, ok, _ := it.Next(); ok && p.Len() <= 4; p, ok, _ = it.Next() {
 						if !wantKeys[p.Key()] {
 							t.Fatalf("trial %d %s: PMR enumerated spurious path %s", trial, text, p.Format(g))
 						}
@@ -203,7 +203,7 @@ func TestSPathsAgreesWithEval(t *testing.T) {
 					// A finite set: the evaluator finds as many paths as the
 					// count, and none longer than the PMR's longest.
 					if count, infinite := r.Cardinality(); !infinite && count.Sign() > 0 {
-						ps := r.Enumerate(int(count.Int64()))
+						ps := first(r, int(count.Int64()))
 						all := paths(t, g, ae, src, dst, ps[len(ps)-1].Len()+1)
 						if count.Int64() != int64(len(all)) {
 							t.Fatalf("trial %d %s %d→%d: cardinality %v, enumerated %d", trial, text, src, dst, count, len(all))
@@ -213,6 +213,34 @@ func TestSPathsAgreesWithEval(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allOf is FromKernel on the product of g and e, without a meter.
+func allOf(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
+	r, err := FromKernel(eval.CompileProduct(g, e).Kernel(), src, dst, nil)
+	if err != nil {
+		panic(err) // impossible without a meter
+	}
+	return r
+}
+
+// shortestOf is ShortestFromKernel on the product of g and e, without a
+// meter.
+func shortestOf(g *graph.Graph, e rpq.Expr, src, dst int) *PMR {
+	r, err := ShortestFromKernel(eval.CompileProduct(g, e).Kernel(), src, dst, nil)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// first is Enumerate without a meter.
+func first(r *PMR, limit int) []gpath.Path {
+	ps, err := r.Enumerate(limit, nil)
+	if err != nil {
+		panic(err)
+	}
+	return ps
 }
 
 // paths is every path from src to dst of length ≤ maxLen matching e, by
@@ -232,7 +260,7 @@ func paths(t *testing.T, g *graph.Graph, e lrpq.Expr, src, dst, maxLen int) []gp
 
 func TestContainsRejectsEmptyAndForeign(t *testing.T) {
 	g := gen.APath(1, "a")
-	r := FromProduct(g, rpq.MustParse("a"), g.MustNode("v0"), g.MustNode("v1"))
+	r := allOf(g, rpq.MustParse("a"), g.MustNode("v0"), g.MustNode("v1"))
 	if r.Contains(gpath.Path{}) {
 		t.Error("empty path is not in L(a)")
 	}
@@ -246,11 +274,11 @@ func TestContainsRejectsEmptyAndForeign(t *testing.T) {
 
 func TestIterator(t *testing.T) {
 	g := gen.Cycle(3, "a")
-	r := FromProduct(g, rpq.MustParse("a*"), 0, 0)
-	it := r.Iterate()
+	r := allOf(g, rpq.MustParse("a*"), 0, 0)
+	it := r.Iterate(nil)
 	var lengths []int
 	for i := 0; i < 4; i++ {
-		p, ok := it.Next()
+		p, ok, _ := it.Next()
 		if !ok {
 			t.Fatalf("iterator ended early at %d", i)
 		}
@@ -263,11 +291,11 @@ func TestIterator(t *testing.T) {
 	}
 	// Finite language: iterator terminates.
 	f := gen.Figure5(3)
-	rf := FromProduct(f, rpq.MustParse("a*"), f.MustNode("s"), f.MustNode("t"))
-	itf := rf.Iterate()
+	rf := allOf(f, rpq.MustParse("a*"), f.MustNode("s"), f.MustNode("t"))
+	itf := rf.Iterate(nil)
 	count := 0
 	for {
-		if _, ok := itf.Next(); !ok {
+		if _, ok, _ := itf.Next(); !ok {
 			break
 		}
 		count++
@@ -276,10 +304,10 @@ func TestIterator(t *testing.T) {
 		t.Errorf("finite iteration produced %d paths, want 8", count)
 	}
 	// Iterator agrees with Enumerate.
-	want := rf.Enumerate(8)
-	itf2 := rf.Iterate()
+	want := first(rf, 8)
+	itf2 := rf.Iterate(nil)
 	for i := 0; i < len(want); i++ {
-		p, ok := itf2.Next()
+		p, ok, _ := itf2.Next()
 		if !ok || p.Key() != want[i].Key() {
 			t.Fatalf("iterator diverges from Enumerate at %d", i)
 		}
@@ -288,8 +316,8 @@ func TestIterator(t *testing.T) {
 
 func TestIteratorEmpty(t *testing.T) {
 	g := gen.APath(2, "a")
-	r := FromProduct(g, rpq.MustParse("b"), 0, 1)
-	if _, ok := r.Iterate().Next(); ok {
+	r := allOf(g, rpq.MustParse("b"), 0, 1)
+	if _, ok, _ := r.Iterate(nil).Next(); ok {
 		t.Error("empty language should yield nothing")
 	}
 }
@@ -297,8 +325,8 @@ func TestIteratorEmpty(t *testing.T) {
 func TestUnionPMR(t *testing.T) {
 	g := gen.BankEdgeLabeled()
 	a3, a5, a4 := g.MustNode("a3"), g.MustNode("a5"), g.MustNode("a4")
-	r1 := FromProduct(g, rpq.MustParse("Transfer"), a3, a5)
-	r2 := FromProduct(g, rpq.MustParse("Transfer"), a3, a4)
+	r1 := allOf(g, rpq.MustParse("Transfer"), a3, a5)
+	r2 := allOf(g, rpq.MustParse("Transfer"), a3, a4)
 	u, err := Union(r1, r2)
 	if err != nil {
 		t.Fatal(err)
@@ -311,14 +339,34 @@ func TestUnionPMR(t *testing.T) {
 	if count.Int64() != 2 {
 		t.Errorf("union cardinality = %v, want 2", count)
 	}
-	paths := u.Enumerate(10)
+	paths := first(u, 10)
 	if len(paths) != 2 {
 		t.Errorf("union enumerated %d", len(paths))
 	}
 	// Union over different graphs is rejected.
 	other := gen.APath(1, "a")
-	r3 := FromProduct(other, rpq.MustParse("a"), 0, 1)
+	r3 := allOf(other, rpq.MustParse("a"), 0, 1)
 	if _, err := Union(r1, r3); err == nil {
 		t.Error("cross-graph union should fail")
+	}
+}
+
+// TestEnumerateAllocsLinear: a path of n edges is built once, its 2n+1
+// objects in one slice, and the walk to it keeps one entry per partial
+// path, so Enumerate(1) of a* along a 400-edge path allocates a number of
+// objects linear in 400 with a small constant — not one path copy per
+// edge.
+func TestEnumerateAllocsLinear(t *testing.T) {
+	const n = 400
+	g := gen.APath(n, "a")
+	r := allOf(g, rpq.MustParse("a*"), g.MustNode("v0"), g.MustNode("v400"))
+	allocs := testing.AllocsPerRun(5, func() {
+		if ps := first(r, 1); len(ps) != 1 || ps[0].Len() != n {
+			t.Fatalf("enumerated %d paths", len(ps))
+		}
+	})
+	t.Logf("Enumerate(1): %.0f allocations", allocs)
+	if allocs >= 2*n {
+		t.Errorf("Enumerate(1) of a %d-edge path allocates %.0f objects, want < %d", n, allocs, 2*n)
 	}
 }
