@@ -43,6 +43,11 @@ vet:
 # A PMR is built on the product kernel it is handed (DESIGN §18), the one a
 # serving layer's plan cache holds, never on an automaton compiled for it:
 # no non-test file of internal/pmr imports internal/rpq.
+# A language of the GQL family has one evaluator, its match enumerator
+# (DESIGN §14): a served regular pattern runs as the Cypher fragment does, as
+# an RPQ on the plan cache's kernel — so no non-test file of the
+# PATTERN_TIERS imports internal/eval, whose pair evaluators would be a
+# second path to a pattern's answer.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -74,6 +79,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "the benchmark harness's meter names outside bench/ (use pg.Budget and pg.NewMeter):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n -F '"graphquery/internal/rpq"' $$(ls internal/pmr/*.go | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "internal/pmr compiles an expression (build the PMR on the kernel it is handed):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n -F '"graphquery/internal/eval"' $$(ls $(PATTERN_TIERS:%=internal/%/*.go) | grep -v _test.go) || true)"; \
+		if [ -n "$$out" ]; then echo "a pattern tier evaluates through internal/eval (its one evaluator is the match enumerator):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -37,7 +37,7 @@ func BenchmarkE15_UnifiedKernel(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			want := -1
 			for i := 0; i < b.N; i++ {
-				prs := eval.PairsCompiled(tc.g, nfa, eval.Options{Parallelism: 1})
+				prs, _ := eval.PairsProduct(eval.NewProduct(tc.g, nfa), eval.Options{Parallelism: 1})
 				if want == -1 {
 					want = len(prs)
 				} else if len(prs) != want {

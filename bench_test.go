@@ -189,23 +189,16 @@ func BenchmarkE16_ProductEval(b *testing.B) {
 	}
 }
 
-// BenchmarkE16_UnifiedTiers measures each upper language tier through its
-// kernel-unified entry point, under the meter a served query would hand it
-// (here: no budget, a context that is never canceled), on one shared
-// workload per tier — the
-// pre/post-unification comparison rows of EXPERIMENTS.md and the
-// regression guard of scripts/bench_json.sh.
+// BenchmarkE16_UnifiedTiers measures each upper language tier on one shared
+// workload per tier — the comparison rows of EXPERIMENTS.md. A tier with a
+// kernel entry point runs it under the meter a served query would hand it
+// (here: no budget, a context that is never canceled); the GQL family has
+// one evaluator each, its match enumerator, and the Cypher fragment runs as
+// the RPQ it compiles to.
 func BenchmarkE16_UnifiedTiers(b *testing.B) {
 	m := pg.NewMeter(context.Background(), pg.Budget{}, nil, nil)
 	g := gen.Random(200, 800, []string{"a", "b"}, 42)
 	cyp := cypherfrag.Concat(cypherfrag.Edge("a"), cypherfrag.StarOf("a", "b"))
-	b.Run("cypher/kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cypherfrag.Pairs(g, cyp, eval.Options{Meter: m}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("cypher/reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eval.Pairs(g, cypherfrag.Compile(cyp))
@@ -214,39 +207,21 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 	gqlPat := gql.Concat(gql.Node("x"),
 		gql.Star(gql.Concat(gql.AnonNode(), gql.AnonEdgeL("a"), gql.AnonNode())),
 		gql.Node("y"))
-	b.Run("gql/kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gql.Pairs(g, gqlPat, eval.Options{MaxLen: 4, Meter: m}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("gql/reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ms, err := gql.EvalPattern(g, gqlPat, gql.Options{MaxLen: 4})
-			if err != nil {
+			if _, err := gql.EvalPattern(g, gqlPat, gql.Options{MaxLen: 4}); err != nil {
 				b.Fatal(err)
 			}
-			coregql.ProjectPairs(g, ms)
 		}
 	})
 	corePat := coregql.Concat(coregql.Node("x"),
 		coregql.Star(coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode())),
 		coregql.Node("y"))
-	b.Run("coregql/kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := coregql.Pairs(g, corePat, eval.Options{MaxLen: 3, Meter: m}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("coregql/reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ms, err := coregql.EvalPattern(g, corePat, coregql.Options{MaxLen: 3})
-			if err != nil {
+			if _, err := coregql.EvalPattern(g, corePat, coregql.Options{MaxLen: 3}); err != nil {
 				b.Fatal(err)
 			}
-			coregql.ProjectPairs(g, ms)
 		}
 	})
 	pmrKernel := eval.CompileProduct(g, rpq.MustParse("a (a | b)*")).Kernel()
@@ -622,7 +597,7 @@ func BenchmarkE13_ParallelPairs(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				prs := eval.PairsCompiled(g, nfa, eval.Options{Parallelism: cfg.parallelism})
+				prs, _ := eval.PairsProduct(eval.NewProduct(g, nfa), eval.Options{Parallelism: cfg.parallelism})
 				if want == 0 {
 					want = len(prs)
 				} else if len(prs) != want {

@@ -420,28 +420,3 @@ func (a *NFA) String() string {
 	}
 	return b.String()
 }
-
-// BoundLength unrolls the automaton against a length counter: state (q, ℓ)
-// means "in q with ℓ symbols of budget left", so the bounded automaton
-// accepts exactly the words of a's language with length ≤ maxLen. Language
-// tiers use this to reproduce an evaluator-side MaxLen bound bit for bit on
-// the product-graph kernel.
-func BoundLength(a *NFA, maxLen int) *NFA {
-	width := maxLen + 1
-	id := func(q, l int) int { return q*width + l }
-	out := NewNFA(a.NumStates*width, id(a.Start, maxLen))
-	for q := 0; q < a.NumStates; q++ {
-		for l := 0; l < width; l++ {
-			if a.Accept[q] {
-				out.SetAccept(id(q, l))
-			}
-			if l == 0 {
-				continue
-			}
-			for _, t := range a.Trans[q] {
-				out.AddTransition(id(q, l), t.Guard, id(t.To, l-1))
-			}
-		}
-	}
-	return out
-}

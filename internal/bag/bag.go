@@ -16,17 +16,14 @@
 // exactly when (u, v) ∈ ⟦e⟧ under set semantics — multiplicities are
 // nonnegative, and any witnessing node sequence shortens to a
 // duplicate-free one by cycle removal — so the kernel's reachable sets
-// prune the star recursion soundly, and SetCountKernel is the kernel's pair
-// count outright. The Meter entry points
-// are stopped and charged through the same Ticker discipline as the other
-// tiers.
+// prune the star recursion soundly. The Meter entry points are stopped and
+// charged through the same Ticker discipline as the other tiers.
 package bag
 
 import (
 	"fmt"
 	"math/big"
 
-	"graphquery/internal/eval"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
@@ -140,19 +137,6 @@ func SetCount(g *graph.Graph, e rpq.Expr) int {
 		}
 	}
 	return n
-}
-
-// SetCountKernel is the kernel-backed SetCount: by the count-positivity
-// lemma (count(u, v, e) > 0 ⟺ (u, v) ∈ ⟦e⟧), the set-semantics answer count
-// is exactly the kernel's pair count — no bag recursion at all. opts carries
-// plan, parallelism and meter; each pair is charged to the rows budget by
-// the kernel sweep.
-func SetCountKernel(g *graph.Graph, e rpq.Expr, opts eval.Options) (int, error) {
-	pairs, err := eval.PairsProduct(eval.CompileProduct(g, e), opts)
-	if err != nil {
-		return 0, err
-	}
-	return len(pairs), nil
 }
 
 type counter struct {

@@ -1,6 +1,7 @@
 // Budget and cancellation conformance across the independent evaluators —
 // the original five plus every tier unified onto the product-graph kernel
-// (gql, coregql, cypher, pmr, spanner, relalg, bag). The serving layer
+// (gql, coregql, pmr, spanner, relalg, bag; the Cypher fragment runs as the
+// RPQ it compiles to, the eval row). The serving layer
 // promises one error taxonomy (Section 6.1/6.3: evaluation cost can blow
 // up combinatorially, so a service must stop a run and say precisely why)
 // — these tests pin the contract every evaluator must honor: an exhausted
@@ -21,7 +22,6 @@ import (
 	"graphquery/internal/bag"
 	"graphquery/internal/coregql"
 	"graphquery/internal/crpq"
-	"graphquery/internal/cypherfrag"
 	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
@@ -63,7 +63,6 @@ func evaluators() []evaluatorRun {
 	// Workloads follow the same sizing rule as above.
 	gqlPat := gql.Concat(gql.Node("x"), gql.AnonEdgeL("a"), gql.Node("y"))
 	corePat := coregql.Concat(coregql.Node("x"), coregql.AnonEdge(), coregql.Node("y"))
-	cyPat := cypherfrag.Concat(cypherfrag.StarOf("a"), cypherfrag.StarOf("a"))
 	pmrRep, err := pmr.FromKernel(eval.CompileProduct(gSmall, rpq.MustParse("a*")).Kernel(), 0, 1, nil)
 	if err != nil {
 		panic(err) // impossible without a meter
@@ -119,10 +118,6 @@ func evaluators() []evaluatorRun {
 		}},
 		{"coregql", []int{1}, func(m *pg.Meter, par int) (int, error) {
 			out, err := coregql.EvalPattern(gBig, corePat, coregql.Options{Meter: m})
-			return len(out), err
-		}},
-		{"cypher", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
-			out, err := cypherfrag.Pairs(gBig, cyPat, eval.Options{Parallelism: par, Meter: m})
 			return len(out), err
 		}},
 		{"pmr", []int{1}, func(m *pg.Meter, par int) (int, error) {

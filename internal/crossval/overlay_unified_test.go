@@ -74,11 +74,11 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		p := gql.Concat(gql.Node("x"),
 			gql.Star(gql.Concat(gql.AnonNode(), gql.AnonEdgeL("a"), gql.AnonNode())),
 			gql.Node("y"))
-		prs, err := gql.Pairs(g, p, eval.Options{MaxLen: 3, Meter: m})
+		ms, err := gql.EvalPattern(g, p, gql.Options{MaxLen: 3, Meter: m})
 		if err != nil {
 			return nil, err
 		}
-		return renderPairs(g, prs), nil
+		return renderPairs(g, projectPairs(g, ms)), nil
 	})
 	check("gql-fallback", func(g *graph.Graph) (any, error) {
 		// A non-regular pattern (repeated variable) takes the metered
@@ -99,15 +99,15 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		p := coregql.Concat(coregql.Node("x"),
 			coregql.Star(coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode())),
 			coregql.Node("y"))
-		prs, err := coregql.Pairs(g, p, eval.Options{MaxLen: 2, Meter: m})
+		ms, err := coregql.EvalPattern(g, p, coregql.Options{MaxLen: 2, Meter: m})
 		if err != nil {
 			return nil, err
 		}
-		return renderPairs(g, prs), nil
+		return renderPairs(g, projectPairs(g, ms)), nil
 	})
 	check("cypher", func(g *graph.Graph) (any, error) {
 		p := cypherfrag.Concat(cypherfrag.Edge("a"), cypherfrag.StarOf("b", "c"))
-		prs, err := cypherfrag.Pairs(g, p, eval.Options{Meter: m})
+		prs, err := eval.PairsProduct(eval.CompileProduct(g, cypherfrag.Compile(p)), eval.Options{Meter: m})
 		if err != nil {
 			return nil, err
 		}
@@ -183,10 +183,6 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 		return out, nil
 	})
 	check("bag-set", func(g *graph.Graph) (any, error) {
-		n, err := bag.SetCountKernel(g, rpq.MustParse("a* b"), eval.Options{Meter: m})
-		if err != nil {
-			return nil, err
-		}
-		return n, nil
+		return bag.SetCount(g, rpq.MustParse("a* b")), nil
 	})
 }

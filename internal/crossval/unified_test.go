@@ -6,17 +6,21 @@
 package crossval_test
 
 import (
+	"cmp"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphquery/internal/bag"
+	"graphquery/internal/core"
 	"graphquery/internal/coregql"
 	"graphquery/internal/cypherfrag"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/gpath"
 	"graphquery/internal/gql"
+	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/pmr"
 	"graphquery/internal/relalg"
@@ -41,46 +45,68 @@ var unifiedPlans = []struct {
 	{"parallel", eval.Options{Parallelism: 4}},
 }
 
-// TestGQLKernelMatchesReference: for regular GQL patterns the kernel path
-// (skeleton RPQ on the product graph, length-bounded by NFA unrolling)
-// projects exactly the endpoint pairs of the reference pattern evaluator.
+// projectPairs projects matches onto sorted, deduplicated endpoint pairs:
+// the pair answer of a pattern's match set.
+func projectPairs[B any](g *graph.Graph, ms []coregql.MatchOf[B]) [][2]int {
+	seen := map[[2]int]bool{}
+	var out [][2]int
+	for _, m := range ms {
+		s, ok1 := m.Path.Src(g)
+		t, ok2 := m.Path.Tgt(g)
+		if pr := [2]int{s, t}; ok1 && ok2 && !seen[pr] {
+			seen[pr] = true
+			out = append(out, pr)
+		}
+	}
+	slices.SortFunc(out, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return out
+}
+
+// skeletonPairs is the kernel's answer to a regular pattern: the pairs of
+// its skeleton RPQ (coregql.Skeleton) under one plan and a roomy meter.
+func skeletonPairs(t *testing.T, g *graph.Graph, e rpq.Expr, opts eval.Options) [][2]int {
+	t.Helper()
+	opts.Meter = roomyMeter()
+	out, err := eval.PairsProduct(eval.CompileProduct(g, e), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGQLKernelMatchesReference: a regular GQL pattern without unbounded
+// repetition (coregql.Regular) is its skeleton RPQ: the enumerator's
+// matches project onto exactly the kernel's pairs of coregql.Skeleton,
+// under every plan.
 func TestGQLKernelMatchesReference(t *testing.T) {
 	pats := []struct {
-		name   string
-		p      gql.Pattern
-		maxLen int
+		name string
+		p    gql.Pattern
 	}{
-		{"edge", gql.Concat(gql.Node("x"), gql.AnonEdgeL("a"), gql.Node("y")), 0},
-		{"star", gql.Concat(gql.Node("x"),
-			gql.Star(gql.Concat(gql.AnonNode(), gql.AnonEdgeL("a"), gql.AnonNode())),
-			gql.Node("y")), 3},
+		{"edge", gql.Concat(gql.Node("x"), gql.AnonEdgeL("a"), gql.Node("y"))},
 		{"union", gql.Union(
 			gql.Concat(gql.AnonNode(), gql.AnonEdgeL("a"), gql.AnonNode()),
-			gql.Concat(gql.AnonNode(), gql.AnonEdgeL("b"), gql.AnonNode(), gql.AnonEdgeL("c"), gql.AnonNode())), 0},
+			gql.Concat(gql.AnonNode(), gql.AnonEdgeL("b"), gql.AnonNode(), gql.AnonEdgeL("c"), gql.AnonNode()))},
 		{"repeat", gql.Concat(gql.Node("x"),
 			gql.Repeat(gql.Concat(gql.AnonNode(), gql.AnonEdgeL("b"), gql.AnonNode()), 1, 2),
-			gql.Node("y")), 0},
+			gql.Node("y"))},
 	}
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(30, 90, []string{"a", "b", "c"}, int64(trial)*17+3)
 		for _, tc := range pats {
-			if !coregql.Regular(tc.p) {
-				t.Fatalf("pattern %s must be regular for the kernel path", tc.name)
+			if !coregql.Regular(tc.p) || coregql.Unbounded(tc.p) {
+				t.Fatalf("pattern %s must be regular and bounded", tc.name)
 			}
-			ms, err := gql.EvalPattern(g, tc.p, gql.Options{MaxLen: tc.maxLen})
+			ms, err := gql.EvalPattern(g, tc.p, gql.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := coregql.ProjectPairs(g, ms)
+			got := projectPairs(g, ms)
 			for _, pl := range unifiedPlans {
-				opts := pl.opts
-				opts.MaxLen, opts.Meter = tc.maxLen, roomyMeter()
-				got, err := gql.Pairs(g, tc.p, opts)
-				if err != nil {
-					t.Fatalf("trial %d %s/%s: %v", trial, tc.name, pl.name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %s/%s: kernel %v, reference %v", trial, tc.name, pl.name, got, want)
+				if want := skeletonPairs(t, g, coregql.Skeleton(tc.p), pl.opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %s/%s: enumerator %v, kernel %v", trial, tc.name, pl.name, got, want)
 				}
 			}
 		}
@@ -88,54 +114,44 @@ func TestGQLKernelMatchesReference(t *testing.T) {
 }
 
 // TestCoreGQLKernelMatchesReference: same contract for CoreGQL, whose
-// regular fragment (no conditions, no repeated variables) compiles to a
-// label-free skeleton RPQ.
+// regular fragment (no conditions, no repeated variables) has a label-free
+// skeleton RPQ.
 func TestCoreGQLKernelMatchesReference(t *testing.T) {
 	pats := []struct {
-		name   string
-		p      coregql.Pattern
-		maxLen int
+		name string
+		p    coregql.Pattern
 	}{
-		{"edge", coregql.Concat(coregql.Node("x"), coregql.AnonEdge(), coregql.Node("y")), 0},
-		{"star", coregql.Concat(coregql.Node("x"),
-			coregql.Star(coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode())),
-			coregql.Node("y")), 3},
+		{"edge", coregql.Concat(coregql.Node("x"), coregql.AnonEdge(), coregql.Node("y"))},
 		{"union", coregql.Union(
 			coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode()),
-			coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode())), 0},
+			coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode()))},
 		{"repeat", coregql.Concat(coregql.Node("x"),
 			coregql.Repeat(coregql.Concat(coregql.AnonNode(), coregql.AnonEdge(), coregql.AnonNode()), 1, 2),
-			coregql.Node("y")), 0},
+			coregql.Node("y"))},
 	}
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(30, 90, []string{"a", "b", "c"}, int64(trial)*23+7)
 		for _, tc := range pats {
-			if !coregql.Regular(tc.p) {
-				t.Fatalf("pattern %s must be regular for the kernel path", tc.name)
+			if !coregql.Regular(tc.p) || coregql.Unbounded(tc.p) {
+				t.Fatalf("pattern %s must be regular and bounded", tc.name)
 			}
-			ms, err := coregql.EvalPattern(g, tc.p, coregql.Options{MaxLen: tc.maxLen})
+			ms, err := coregql.EvalPattern(g, tc.p, coregql.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := coregql.ProjectPairs(g, ms)
+			got := projectPairs(g, ms)
 			for _, pl := range unifiedPlans {
-				opts := pl.opts
-				opts.MaxLen, opts.Meter = tc.maxLen, roomyMeter()
-				got, err := coregql.Pairs(g, tc.p, opts)
-				if err != nil {
-					t.Fatalf("trial %d %s/%s: %v", trial, tc.name, pl.name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %s/%s: kernel %v, reference %v", trial, tc.name, pl.name, got, want)
+				if want := skeletonPairs(t, g, coregql.Skeleton(tc.p), pl.opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %s/%s: enumerator %v, kernel %v", trial, tc.name, pl.name, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestCypherKernelMatchesReference: the Cypher fragment compiles to an RPQ;
-// its metered kernel entry must reproduce the plain unmetered evaluation
-// under every plan.
+// TestCypherKernelMatchesReference: the served cypher row answers a
+// fragment pattern with exactly the plain evaluation of the RPQ it
+// compiles to, under every plan.
 func TestCypherKernelMatchesReference(t *testing.T) {
 	pats := []struct {
 		name string
@@ -149,16 +165,19 @@ func TestCypherKernelMatchesReference(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(30, 90, []string{"a", "b", "c"}, int64(trial)*29+5)
 		for _, tc := range pats {
-			want := eval.Pairs(g, cypherfrag.Compile(tc.p))
+			var want [][2]graph.NodeID
+			for _, pr := range eval.Pairs(g, cypherfrag.Compile(tc.p)) {
+				want = append(want, [2]graph.NodeID{g.Node(pr[0]).ID, g.Node(pr[1]).ID})
+			}
 			for _, pl := range unifiedPlans {
-				opts := pl.opts
-				opts.Meter = roomyMeter()
-				got, err := cypherfrag.Pairs(g, tc.p, opts)
+				e := core.New(g)
+				e.Parallelism = pl.opts.Parallelism
+				resp, err := e.Query(core.Request{Lang: "cypher", Query: tc.p.String()})
 				if err != nil {
 					t.Fatalf("trial %d %s/%s: %v", trial, tc.name, pl.name, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %s/%s: kernel %v, reference %v", trial, tc.name, pl.name, got, want)
+				if !reflect.DeepEqual(resp.Pairs, want) {
+					t.Fatalf("trial %d %s/%s: served %v, reference %v", trial, tc.name, pl.name, resp.Pairs, want)
 				}
 			}
 		}
@@ -239,7 +258,8 @@ func TestSpannerCtxMatchesLegacy(t *testing.T) {
 
 // TestBagCtxMatchesLegacy: bag-semantics counting with the kernel
 // feasibility pruning agrees exactly with the legacy enumeration — per
-// pair, in total, and for the kernel-computed set-semantics cardinality.
+// pair and in total — and the set-semantics cardinality is the kernel's
+// pair count (count(u, v, e) > 0 exactly when (u, v) ∈ ⟦e⟧).
 func TestBagCtxMatchesLegacy(t *testing.T) {
 	exprs := []string{"a", "a b", "a*", "(a | b)*"}
 	for trial := 0; trial < 4; trial++ {
@@ -266,16 +286,10 @@ func TestBagCtxMatchesLegacy(t *testing.T) {
 					}
 				}
 			}
-			wantSet := bag.SetCount(g, e)
+			gotSet := bag.SetCount(g, e)
 			for _, pl := range unifiedPlans {
-				opts := pl.opts
-				opts.Meter = roomyMeter()
-				gotSet, err := bag.SetCountKernel(g, e, opts)
-				if err != nil {
-					t.Fatalf("trial %d %q/%s: set: %v", trial, q, pl.name, err)
-				}
-				if gotSet != wantSet {
-					t.Fatalf("trial %d %q/%s: set %d, legacy %d", trial, q, pl.name, gotSet, wantSet)
+				if wantSet := len(skeletonPairs(t, g, e, pl.opts)); gotSet != wantSet {
+					t.Fatalf("trial %d %q/%s: set %d, kernel pairs %d", trial, q, pl.name, gotSet, wantSet)
 				}
 			}
 		}

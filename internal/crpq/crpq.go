@@ -319,11 +319,7 @@ func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 		return nil, err
 	}
 	// Evaluate each atom to a relation over (src-var?, dst-var?, list vars).
-	type atomRel struct {
-		attrs  []string // variable names, in column order
-		tuples [][]OutValue
-	}
-	rels := make([]atomRel, len(q.Atoms))
+	rels := make([]atomRelT, len(q.Atoms))
 	for i, a := range q.Atoms {
 		rel, err := evalAtom(g, a, opts)
 		if err != nil {
@@ -331,14 +327,24 @@ func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 		}
 		rels[i] = rel
 	}
-	// Fold with hash joins on shared node variables.
-	acc := atomRel{attrs: nil, tuples: [][]OutValue{{}}}
+	return joinProject(rels, q.Head, opts.Meter)
+}
+
+// joinProject folds the atom relations with hash joins on shared node
+// variables and projects the head, deduplicated and sorted. Every output
+// row is charged to m's rows budget; the join and the projection poll m
+// every pg.CheckInterval tuples, so a cancel or a deadline stops them
+// mid-relation.
+func joinProject(rels []atomRelT, head []string, m *pg.Meter) (*Result, error) {
+	acc := atomRelT{attrs: nil, tuples: [][]OutValue{{}}}
 	for _, r := range rels {
-		acc = joinRels(acc, r)
+		var err error
+		if acc, err = joinRels(acc, r, m); err != nil {
+			return nil, err
+		}
 	}
-	// Project the head.
-	cols := make([]int, len(q.Head))
-	for i, x := range q.Head {
+	cols := make([]int, len(head))
+	for i, x := range head {
 		cols[i] = -1
 		for j, a := range acc.attrs {
 			if a == x {
@@ -349,13 +355,18 @@ func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 		if cols[i] == -1 {
 			// Head variable bound by an atom but absent from results (no
 			// tuples): yields the empty result.
-			return &Result{Head: append([]string(nil), q.Head...)}, nil
+			return &Result{Head: append([]string(nil), head...)}, nil
 		}
 	}
-	out := &Result{Head: append([]string(nil), q.Head...)}
+	out := &Result{Head: append([]string(nil), head...)}
 	seen := map[string]struct{}{}
 	var keys []string // keys[i] is the key of out.Rows[i]
-	for _, t := range acc.tuples {
+	for n, t := range acc.tuples {
+		if n%pg.CheckInterval == 0 {
+			if err := m.Check(); err != nil {
+				return nil, err
+			}
+		}
 		row := make([]OutValue, len(cols))
 		var kb strings.Builder
 		for i, c := range cols {
@@ -367,7 +378,7 @@ func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 			continue
 		}
 		seen[kb.String()] = struct{}{}
-		if err := opts.Meter.AddRows(1); err != nil {
+		if err := m.AddRows(1); err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, row)
@@ -395,8 +406,9 @@ type atomRelT = struct {
 	tuples [][]OutValue
 }
 
-// joinRels natural-joins two variable relations on shared attributes.
-func joinRels(a, b atomRelT) atomRelT {
+// joinRels natural-joins two variable relations on shared attributes,
+// polling m every pg.CheckInterval output tuples.
+func joinRels(a, b atomRelT, m *pg.Meter) (atomRelT, error) {
 	shared := [][2]int{}
 	extra := []int{}
 	outAttrs := append([]string(nil), a.attrs...)
@@ -440,10 +452,15 @@ func joinRels(a, b atomRelT) atomRelT {
 			for _, c := range extra {
 				row = append(row, bt[c])
 			}
+			if len(outTuples)%pg.CheckInterval == 0 {
+				if err := m.Check(); err != nil {
+					return atomRelT{}, err
+				}
+			}
 			outTuples = append(outTuples, row)
 		}
 	}
-	return atomRelT{attrs: outAttrs, tuples: outTuples}
+	return atomRelT{attrs: outAttrs, tuples: outTuples}, nil
 }
 
 // evalAtom computes the atom's relation over its variables.

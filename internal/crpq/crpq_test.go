@@ -1,6 +1,7 @@
 package crpq
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/lrpq"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
 
@@ -287,5 +289,40 @@ func TestResultFormatSorted(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	if len(lines) != 3 || lines[0] != "a2" || lines[1] != "a4" || lines[2] != "a5" {
 		t.Errorf("Format should be sorted:\n%s", out)
+	}
+}
+
+// TestJoinProjectPollsMeter: the reference join and its head projection
+// poll the meter as they go, so a canceled query stops with pg.ErrCanceled
+// and no rows however large the intermediate join is, and a poll records
+// nothing on the meter.
+func TestJoinProjectPollsMeter(t *testing.T) {
+	const n = 40 // 40 × 40 = 1 600 joined tuples, well over pg.CheckInterval
+	left := atomRelT{attrs: []string{"x", "y"}}
+	right := atomRelT{attrs: []string{"y", "z"}}
+	for i := 0; i < n; i++ {
+		left.tuples = append(left.tuples, []OutValue{{Node: i}, {Node: 0}})
+		right.tuples = append(right.tuples, []OutValue{{Node: 0}, {Node: i}})
+	}
+	if n*n <= pg.CheckInterval {
+		t.Fatal("the join must outgrow one check interval")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := pg.NewMeter(ctx, pg.Budget{}, nil, nil)
+	if _, err := joinRels(left, right, m); !errors.Is(err, pg.ErrCanceled) {
+		t.Fatalf("join: err = %v, want ErrCanceled", err)
+	}
+	res, err := joinProject([]atomRelT{left, right}, []string{"x", "z"}, m)
+	if !errors.Is(err, pg.ErrCanceled) || res != nil {
+		t.Fatalf("joinProject: %v, %v; want ErrCanceled and no result", res, err)
+	}
+	if m.States() != 0 || m.Rows() != 0 {
+		t.Fatalf("polls recorded states %d, rows %d", m.States(), m.Rows())
+	}
+	live := pg.NewMeter(context.Background(), pg.Budget{MaxRows: 1 << 20}, nil, nil)
+	res, err = joinProject([]atomRelT{left, right}, []string{"x", "z"}, live)
+	if err != nil || len(res.Rows) != n*n || live.Rows() != n*n || live.States() != 0 {
+		t.Fatalf("live meter: err %v, %d rows, meter rows %d states %d", err, len(res.Rows), live.Rows(), live.States())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"graphquery/internal/automata"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
@@ -15,21 +14,14 @@ import (
 // (Section 3.1.1), via product-graph sweeps from every source node (see
 // PairsProductEmit). Results are sorted lexicographically.
 func Pairs(g *graph.Graph, e rpq.Expr) [][2]int {
-	return PairsCompiled(g, rpq.Compile(e), Options{})
+	return PairsOpt(g, e, Options{})
 }
 
-// PairsOpt is Pairs with explicit options (the fan-out degree).
+// PairsOpt is Pairs with explicit options (the fan-out degree). It is
+// unmetered (opts.Meter is ignored), so it cannot fail.
 func PairsOpt(g *graph.Graph, e rpq.Expr, opts Options) [][2]int {
-	return PairsCompiled(g, rpq.Compile(e), opts)
-}
-
-// PairsCompiled evaluates an already compiled automaton — the entry point
-// for plan caches that skip parsing and Glushkov compilation. It is
-// unmetered (opts.Meter is ignored), so it cannot fail. See
-// PairsProductEmit for the ordering guarantee.
-func PairsCompiled(g *graph.Graph, a *automata.NFA, opts Options) [][2]int {
 	opts.Meter = nil
-	out, _ := PairsProduct(NewProduct(g, a), opts)
+	out, _ := PairsProduct(CompileProduct(g, e), opts)
 	return out
 }
 
@@ -166,9 +158,6 @@ func transpose(parts []pg.Runs, pairs, nodes int) pg.Runs {
 
 // Options bound evaluation resources.
 type Options struct {
-	// MaxLen bounds the path length (number of edges) of the pattern
-	// evaluators that take these options; 0 means unbounded.
-	MaxLen int
 	// Parallelism caps the number of worker goroutines used by per-source
 	// fan-out; 0 means runtime.GOMAXPROCS(0), 1 forces the sequential path.
 	Parallelism int

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"graphquery/internal/coregql"
@@ -42,15 +43,15 @@ func runE13(w io.Writer) error {
 		t.add("equivalent pattern found", "none (consistent with Prop. 22)")
 	}
 	t.write(w)
-	// Show a few witnesses.
+	// Show a few witnesses: the first candidates in sorted order.
 	fmt.Fprintln(w, "  sample refutations (candidate ⇒ separating word):")
-	n := 0
-	for pat, word := range res.Witnesses {
-		fmt.Fprintf(w, "    %-28s ⇒ %q\n", pat, strings.Join(word, ""))
-		n++
-		if n == 4 {
-			break
-		}
+	pats := make([]string, 0, len(res.Witnesses))
+	for pat := range res.Witnesses {
+		pats = append(pats, pat)
+	}
+	slices.Sort(pats)
+	for _, pat := range pats[:min(4, len(pats))] {
+		fmt.Fprintf(w, "    %-28s ⇒ %q\n", pat, strings.Join(res.Witnesses[pat], ""))
 	}
 	// Semantic demonstration: on a 5-edge path, (aa)* keeps only the
 	// even-distance pairs; a* (the closest fragment expression) keeps all.

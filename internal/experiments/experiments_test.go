@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"graphquery/internal/cypherfrag"
+	"graphquery/internal/rpq"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -77,5 +82,35 @@ func TestSpotChecks(t *testing.T) {
 	}
 	if !strings.Contains(out, "path(a3, t7, a5, t4, a1, t1, a3, t7, a5)") {
 		t.Errorf("E20 should report the cyclic two-cheap path:\n%s", out)
+	}
+}
+
+// TestE13Reproducible: E13 prints the same sample refutations on every run,
+// the four smallest candidates in sorted order.
+func TestE13Reproducible(t *testing.T) {
+	var a, b bytes.Buffer
+	if err := Run(&a, "E13"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(&b, "E13"); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("two runs of E13 differ:\n%s\n---\n%s", a.String(), b.String())
+	}
+	res := cypherfrag.SearchEquivalent(rpq.MustParse("(a a)*"), []string{"a"}, 9)
+	pats := make([]string, 0, len(res.Witnesses))
+	for pat := range res.Witnesses {
+		pats = append(pats, pat)
+	}
+	slices.Sort(pats)
+	if len(pats) < 4 {
+		t.Fatalf("only %d refuted candidates", len(pats))
+	}
+	_, listed, _ := strings.Cut(a.String(), "sample refutations (candidate ⇒ separating word):\n")
+	for i, line := range strings.SplitN(listed, "\n", 5)[:4] {
+		if want := fmt.Sprintf("    %-28s ⇒ %q", pats[i], strings.Join(res.Witnesses[pats[i]], "")); line != want {
+			t.Fatalf("refutation %d reads %q, want %q", i+1, line, want)
+		}
 	}
 }

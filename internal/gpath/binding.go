@@ -1,7 +1,8 @@
 package gpath
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,15 +42,7 @@ func (l List) Equal(m List) bool {
 
 // Key returns a canonical string for deduplication.
 func (l List) Key() string {
-	var b strings.Builder
-	for _, o := range l {
-		if o.IsEdge() {
-			fmt.Fprintf(&b, "E%d.", o.Index())
-		} else {
-			fmt.Fprintf(&b, "N%d.", o.Index())
-		}
-	}
-	return b.String()
+	return string(appendKey(make([]byte, 0, 8*len(l)), l))
 }
 
 // Format renders the list with external IDs, e.g. "list(t2, t3)".
@@ -126,15 +119,14 @@ func (m Binding) Vars() []string {
 // Key returns a canonical string for deduplication (set semantics over
 // (path, binding) pairs).
 func (m Binding) Key() string {
-	vs := m.Vars()
-	var b strings.Builder
-	for _, z := range vs {
-		b.WriteString(z)
-		b.WriteByte('=')
-		b.WriteString(m[z].Key())
-		b.WriteByte(';')
+	var b []byte
+	for _, z := range m.Vars() {
+		b = append(b, z...)
+		b = append(b, '=')
+		b = appendKey(b, m[z])
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Format renders the binding with external IDs, e.g. "{z ↦ list(t2, t3)}".
@@ -157,18 +149,24 @@ type PathBinding struct {
 func (pb PathBinding) Key() string { return pb.Path.Key() + "|" + pb.Binding.Key() }
 
 // SortResults puts (p, µ) results in the order the path evaluators answer
-// in: by path length, then path key, then binding key.
+// in: by path length, then path key, then binding key. Each result's keys
+// are built once, before the sort.
 func SortResults(pbs []PathBinding) {
-	sort.Slice(pbs, func(i, j int) bool {
-		pi, pj := pbs[i], pbs[j]
-		if pi.Path.Len() != pj.Path.Len() {
-			return pi.Path.Len() < pj.Path.Len()
-		}
-		if ki, kj := pi.Path.Key(), pj.Path.Key(); ki != kj {
-			return ki < kj
-		}
-		return pi.Binding.Key() < pj.Binding.Key()
+	type keyed struct {
+		pb            PathBinding
+		path, binding string
+	}
+	ks := make([]keyed, len(pbs))
+	for i, pb := range pbs {
+		ks[i] = keyed{pb, pb.Path.Key(), pb.Binding.Key()}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.pb.Path.Len(), b.pb.Path.Len()),
+			strings.Compare(a.path, b.path), strings.Compare(a.binding, b.binding))
 	})
+	for i := range ks {
+		pbs[i] = ks[i].pb
+	}
 }
 
 // Head puts results in result order (SortResults) and keeps the first

@@ -14,6 +14,7 @@ package gpath
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"graphquery/internal/graph"
@@ -253,16 +254,21 @@ func (p Path) Edges() []int {
 
 // Key returns a canonical string identifying the object sequence, for use as
 // a deduplication map key (set semantics).
-func (p Path) Key() string {
-	var b strings.Builder
-	for _, o := range p.objs {
+func (p Path) Key() string { return List(p.objs).Key() }
+
+// appendKey appends the key of an object sequence to b: each object as its
+// kind, E or N, its index and a dot.
+func appendKey(b []byte, objs []graph.Object) []byte {
+	for _, o := range objs {
 		if o.IsEdge() {
-			fmt.Fprintf(&b, "E%d.", o.Index())
+			b = append(b, 'E')
 		} else {
-			fmt.Fprintf(&b, "N%d.", o.Index())
+			b = append(b, 'N')
 		}
+		b = strconv.AppendInt(b, int64(o.Index()), 10)
+		b = append(b, '.')
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports whether p and q are the same object sequence.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"graphquery/internal/coregql"
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
@@ -467,8 +466,7 @@ func TestNodesEdgesOf(t *testing.T) {
 // TestErrEmptyIteration: an unbounded repetition whose body matches a
 // zero-length path that binds a variable has infinitely many matches — each
 // iteration lengthens a group list, never the path — and is refused
-// whatever MaxLen is — by Pairs too, though (x)* is regular and its pairs
-// would fit the kernel. Bodies that bind nothing on a zero-length match,
+// whatever MaxLen is. Bodies that bind nothing on a zero-length match,
 // and bounded repetitions, still evaluate, and CoreGQL, which erases what a
 // repetition binds, still evaluates the same texts.
 func TestErrEmptyIteration(t *testing.T) {
@@ -476,9 +474,6 @@ func TestErrEmptyIteration(t *testing.T) {
 	for _, text := range []string{"(x)*", "((x) | -[e]->)*", "((x){2})*", "(x)+", "(y)((x)(()-->())?)*"} {
 		if _, err := EvalPattern(g, MustParsePattern(text), Options{MaxLen: 3}); !errors.Is(err, ErrEmptyIteration) {
 			t.Errorf("%s: err = %v, want ErrEmptyIteration", text, err)
-		}
-		if _, err := Pairs(g, MustParsePattern(text), eval.Options{MaxLen: 3}); !errors.Is(err, ErrEmptyIteration) {
-			t.Errorf("%s: Pairs err = %v, want ErrEmptyIteration", text, err)
 		}
 		core, err := ToCore(MustParsePattern(text))
 		if err != nil {

@@ -5,22 +5,7 @@ import (
 
 	"graphquery/internal/automata"
 	"graphquery/internal/coregql"
-	"graphquery/internal/eval"
-	"graphquery/internal/graph"
 )
-
-// Pairs computes the endpoint pairs of the pattern's match set —
-// {(src(ρ), tgt(ρ)) | ρ matches π} as sorted, deduplicated (u,v) index
-// pairs: on the product-graph kernel when the pattern is regular
-// (coregql.Regular), else from EvalPattern's matches (coregql.PairsOf).
-// A pattern EvalPattern refuses with ErrEmptyIteration is refused on both
-// paths: its match set is infinite.
-func Pairs(g *graph.Graph, p Pattern, opts eval.Options) ([][2]int, error) {
-	if infinite, _, _ := emptyIterations(p); infinite {
-		return nil, ErrEmptyIteration
-	}
-	return coregql.PairsOf(g, p, opts, EvalPattern)
-}
 
 // ToCore lowers a gql pattern onto the CoreGQL fragment (Section 4's
 // design kernel): CoreGQL has no label atoms, so patterns using them are

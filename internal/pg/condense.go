@@ -154,7 +154,7 @@ func (k *Kernel) condense(charged int64, mt *Meter) (*condensation, error) {
 	cs := getCondScratch()
 	defer condPool.Put(cs)
 	ok, err := cs.build(k, int(min(charged, int64(k.NumProductStates()))), mt)
-	k.payRent(cs.rented)
+	k.payRent(cs.rented, err)
 	if !ok || err != nil {
 		return nil, err
 	}

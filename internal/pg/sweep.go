@@ -31,10 +31,11 @@ const (
 	// maxSweepStates bounds the product size the loop accepts: its queue
 	// holds product ids as int32.
 	maxSweepStates = 1<<31 - 1
-	// bottomUpCheckMask amortizes cancellation polls over the bottom-up
-	// scan, which examines many states that are never discovered (and so
-	// never tick the meter): one poll every 4096 examined states.
-	bottomUpCheckMask = 1<<12 - 1
+	// scanCheckMask amortizes cancellation polls over the work that
+	// never ticks the meter — states examined but not discovered: one poll
+	// every 4096 states the bottom-up scan examines, and one every 4096
+	// adjacency entries a top-down scan examines between its ticks.
+	scanCheckMask = 1<<12 - 1
 	// negIndexCut: a negated guard admitting at most this many labels runs
 	// on the label-indexed CSR instead of a dense scan. The ok table names
 	// the admitted set at compile time, so a co-finite guard like !{b} over
@@ -166,9 +167,11 @@ func (k *Kernel) buy(tbl [][]kTrans) (fresh bool) {
 
 // payRent settles a sweep that read rows through the label index: the rows
 // and entries it read go on the chain's balance, and once that could cover
-// a table the kernel tries to buy.
-func (k *Kernel) payRent(rented int64) {
-	if rented > 0 && k.g.PayRent(rented) {
+// a table the kernel tries to buy — unless the sweep was stopped (stop is
+// its error): building a table then would only delay the stopped query's
+// return, and the balance keeps the deposit for the next sweep to buy with.
+func (k *Kernel) payRent(rented int64, stop error) {
+	if rented > 0 && k.g.PayRent(rented) && stop == nil {
 		k.upgrade(false, true)
 	}
 }
@@ -272,10 +275,16 @@ func (sw *sweep) expand(bottomUp bool) (int64, error) {
 func (sw *sweep) expandTopDown() (int64, error) {
 	k, g := sw.k, sw.k.g
 	nq := k.nq
-	var edges int64
+	var edges, polled int64
 	for _, id := range sw.queue[sw.lo:sw.hi] {
 		if sw.pend >= CheckInterval {
+			polled = edges
 			if err := sw.flush(); err != nil {
+				return edges, err
+			}
+		} else if edges-polled > scanCheckMask {
+			polled = edges
+			if err := sw.mt.Check(); err != nil {
 				return edges, err
 			}
 		}
@@ -360,7 +369,7 @@ func (sw *sweep) expandBottomUp() (int64, error) {
 			if words[wi]&(uint64(1)<<uint(b)) != 0 {
 				continue
 			}
-			if examined++; examined&bottomUpCheckMask == 0 {
+			if examined++; examined&scanCheckMask == 0 {
 				if err := sw.mt.Check(); err != nil {
 					return edges, err
 				}
@@ -586,7 +595,7 @@ func (k *Kernel) Sweep(src int, sc *Scratch, mt *Meter, chargeRows bool) ([]int,
 	ss.RecordSweep(1, 0, int64(visited), edges, int64(peak))
 	nodes, rented := sw.nodes, sw.rented
 	sw.reset()
-	k.payRent(rented)
+	k.payRent(rented, stopErr)
 	if stopErr != nil {
 		return nil, stopErr
 	}

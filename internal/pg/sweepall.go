@@ -475,7 +475,8 @@ func (b *batch) runs(srcs []int) (Runs, error) {
 // per-source sweeps would have made them. Edges are counted as adjacency
 // entries examined, once per scan however many sources it advanced — the
 // number batching exists to shrink. Cancellation and the states budget are
-// polled every CheckInterval discoveries, as in Sweep.
+// polled every CheckInterval discoveries or 4 096 adjacency entries, as in
+// Sweep.
 func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, mt *Meter) (Runs, error) {
 	total := k.NumProductStates()
 	if err := checkSweepSize(total, maxBatchStates); err != nil {
@@ -546,7 +547,7 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 	k.c.AddEdges(sc.edges)
 	k.c.ObserveFrontier(int64(peak))
 	ss.RecordSweep(int64(len(srcs))+idle, idle, b.found, sc.edges, int64(peak))
-	k.payRent(sc.rented)
+	k.payRent(sc.rented, stopErr)
 	if stopErr != nil {
 		return Runs{}, stopErr
 	}
@@ -554,20 +555,27 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 }
 
 // levelScan is what the level loop's scans count: adjacency entries
-// examined, of them reported to the meter, and rows looked up through the
-// label index.
+// examined, of them reported to the meter and of them examined by the last
+// poll, and rows looked up through the label index.
 type levelScan struct {
-	edges, edgesReported, rented int64
+	edges, edgesReported, polled, rented int64
 }
 
 // poll ticks the meter once CheckInterval discoveries have piled up since
-// the last tick. The scans call it between frontier entries.
-func (b *batch) poll(mt *Meter) error {
+// the last tick, and else checks it once more than scanCheckMask
+// adjacency entries have been examined since the last poll: a level that
+// rediscovers nothing ticks nothing. The scans call it between frontier
+// entries.
+func (b *batch) poll(mt *Meter, sc *levelScan) error {
 	if b.found-b.ticked >= CheckInterval {
+		sc.polled = sc.edges
 		if err := mt.Tick(b.found - b.ticked); err != nil {
 			return err
 		}
 		b.ticked = b.found
+	} else if sc.edges-sc.polled > scanCheckMask {
+		sc.polled = sc.edges
+		return mt.Check()
 	}
 	return nil
 }
@@ -583,7 +591,7 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 			b.goFlat(total, level)
 			return i, nil
 		}
-		if err := b.poll(mt); err != nil {
+		if err := b.poll(mt, sc); err != nil {
 			return i, err
 		}
 		f := b.front[i]
@@ -655,7 +663,7 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *levelScan) (int, error) {
 	g, nq, seen := k.g, k.nq, b.seen
 	for ; i < len(b.front); i++ {
-		if err := b.poll(mt); err != nil {
+		if err := b.poll(mt, sc); err != nil {
 			return i, err
 		}
 		f := b.front[i]

@@ -17,10 +17,12 @@
 package pmr
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"slices"
 	"sort"
+	"strconv"
 
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
@@ -268,15 +270,13 @@ func ShortestFromKernel(kern *pg.Kernel, src, dst int, m *pg.Meter) (*PMR, error
 }
 
 // Cardinality returns the number of paths in SPaths(r); infinite reports
-// whether the set is infinite (a cycle lies on some S→T path). The count is
-// the number of S→T representation paths (a DAG path count), which is the
-// number of paths in SPaths(r) when distinct representation paths have
-// distinct images: the constructions in this package produce at most one
-// useful state per (graph position, automaton state), so the count is exact
-// when the automaton has at most one accepting run per word (Section 6.2).
-// For an ambiguous expression FromKernel's representation paths are its
-// accepting runs, and the count is an upper bound (Iterate lists each path
-// once).
+// whether the set is infinite (a cycle lies on some S→T path). Paths, not
+// representation paths, are counted: for an ambiguous expression several
+// representation paths (accepting runs) share one image, so the count runs
+// on the representation determinized by its image — over the sets of
+// useful nodes that one graph-edge sequence reaches together, built only as
+// far as the count visits them. Where every such set holds one node, as for
+// an unambiguous expression (Section 6.2), it is the DAG path count.
 func (r *PMR) Cardinality() (count *big.Int, infinite bool) {
 	useful := r.useful
 	// Cycle detection within useful subgraph.
@@ -307,40 +307,93 @@ func (r *PMR) Cardinality() (count *big.Int, infinite bool) {
 	if cyclic {
 		return nil, true
 	}
-	// Acyclic: count distinct images by DAG DP over representation paths;
-	// dedup via enumeration when feasible is handled by callers/tests.
-	memo := make([]*big.Int, r.NumNodes())
-	inT := map[int]bool{}
+	c := imageCount{r: r, inT: make([]bool, r.NumNodes()), one: make([]*big.Int, r.NumNodes()), many: map[string]*big.Int{}}
 	for _, t := range r.T {
-		inT[t] = true
+		c.inT[t] = true
 	}
-	var countFrom func(n int) *big.Int
-	countFrom = func(n int) *big.Int {
-		if memo[n] != nil {
-			return memo[n]
-		}
-		total := new(big.Int)
-		if inT[n] {
-			total.SetInt64(1)
-		}
-		memo[n] = total // safe: DAG
-		for _, ei := range r.out[n] {
-			to := r.Edges[ei].Tgt
-			if useful[to] {
-				total.Add(total, countFrom(to))
+	// A path starts at γ of its first node: the useful sources with one
+	// image start one set.
+	starts := map[int][]int{}
+	var images []int
+	for _, s := range r.S {
+		if useful[s] {
+			v := r.GammaNode[s]
+			if starts[v] == nil {
+				images = append(images, v)
 			}
+			starts[v] = append(starts[v], s)
 		}
-		return total
 	}
 	sum := new(big.Int)
-	seenStart := map[int]bool{}
-	for _, s := range r.S {
-		if useful[s] && !seenStart[s] {
-			seenStart[s] = true
-			sum.Add(sum, countFrom(s))
-		}
+	for _, v := range images {
+		sum.Add(sum, c.count(slices.Compact(starts[v])))
 	}
 	return sum, false
+}
+
+// imageCount counts the distinct images of the paths from a set of useful
+// nodes to T, memoized per set: by node for a set of one, by its sorted
+// members otherwise. The useful part is acyclic when it runs, so the sets
+// a count reaches form a DAG.
+type imageCount struct {
+	r    *PMR
+	inT  []bool
+	one  []*big.Int
+	many map[string]*big.Int
+}
+
+// count counts from set, sorted and duplicate-free: one for the
+// zero-length path if set holds a target, plus, per graph edge leaving set,
+// the count from the set of useful nodes that edge leads to.
+func (c *imageCount) count(set []int) *big.Int {
+	var key string
+	if len(set) == 1 {
+		if n := c.one[set[0]]; n != nil {
+			return n
+		}
+	} else {
+		var b []byte
+		for _, n := range set {
+			b = strconv.AppendInt(append(b, ','), int64(n), 10)
+		}
+		key = string(b)
+		if n, ok := c.many[key]; ok {
+			return n
+		}
+	}
+	total := new(big.Int)
+	var steps []Edge
+	for _, n := range set {
+		if c.inT[n] {
+			total.SetInt64(1)
+		}
+		for _, ei := range c.r.out[n] {
+			if e := c.r.Edges[ei]; c.r.useful[e.Tgt] {
+				steps = append(steps, e)
+			}
+		}
+	}
+	slices.SortFunc(steps, func(a, b Edge) int { return cmp.Or(a.GEdge-b.GEdge, a.Tgt-b.Tgt) })
+	for lo := 0; lo < len(steps); {
+		hi := lo + 1
+		for hi < len(steps) && steps[hi].GEdge == steps[lo].GEdge {
+			hi++
+		}
+		next := make([]int, 0, hi-lo)
+		for _, e := range steps[lo:hi] {
+			if len(next) == 0 || next[len(next)-1] != e.Tgt {
+				next = append(next, e.Tgt)
+			}
+		}
+		total.Add(total, c.count(next))
+		lo = hi
+	}
+	if len(set) == 1 {
+		c.one[set[0]] = total
+	} else {
+		c.many[key] = total
+	}
+	return total
 }
 
 // usefulStates marks nodes both reachable from S and co-reachable to T.

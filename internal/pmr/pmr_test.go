@@ -370,3 +370,39 @@ func TestEnumerateAllocsLinear(t *testing.T) {
 		t.Errorf("Enumerate(1) of a %d-edge path allocates %.0f objects, want < %d", n, allocs, 2*n)
 	}
 }
+
+// TestCardinalityCountsPathsNotRuns: for an ambiguous expression one path
+// has several accepting runs, and the count is of paths. On a 3-edge
+// a-path, a a* | a* a matches v0→v3 along one path by two runs.
+func TestCardinalityCountsPathsNotRuns(t *testing.T) {
+	g := gen.APath(3, "a")
+	r := allOf(g, rpq.MustParse("a a* | a* a"), g.MustNode("v0"), g.MustNode("v3"))
+	if count, infinite := r.Cardinality(); infinite || count.Int64() != 1 {
+		t.Fatalf("Cardinality = %v (infinite %v), want 1", count, infinite)
+	}
+}
+
+// TestCardinalityMatchesEnumerateAmbiguous: on small random graphs, for
+// ambiguous expressions with finite path sets, Cardinality is the number
+// of paths Enumerate lists.
+func TestCardinalityMatchesEnumerateAmbiguous(t *testing.T) {
+	exprs := []string{"a? a? a", "(a | b) (a | b) | a a", "a{1,2} a{1,2}", "(a | a b) (b | b a)?", "a b? | a (b | c)?"}
+	for trial := 0; trial < 4; trial++ {
+		g := gen.Random(7, 18, []string{"a", "b", "c"}, int64(trial)*43+11)
+		for _, text := range exprs {
+			e := rpq.MustParse(text)
+			for src := 0; src < g.NumNodes(); src++ {
+				for dst := 0; dst < g.NumNodes(); dst++ {
+					r := allOf(g, e, src, dst)
+					count, infinite := r.Cardinality()
+					if infinite {
+						t.Fatalf("trial %d %s %d→%d: a bounded expression reads infinite", trial, text, src, dst)
+					}
+					if n := len(first(r, 1<<20)); count.Int64() != int64(n) {
+						t.Fatalf("trial %d %s %d→%d: cardinality %v, Enumerate lists %d", trial, text, src, dst, count, n)
+					}
+				}
+			}
+		}
+	}
+}
