@@ -48,6 +48,12 @@ vet:
 # an RPQ on the plan cache's kernel — so no non-test file of the
 # PATTERN_TIERS imports internal/eval, whose pair evaluators would be a
 # second path to a pattern's answer.
+# A served plan is handed its product kernel (DESIGN §7): core builds one per
+# (graph revision, RPQ expression) and keeps it in its kernel cache, so a
+# kernel that internal/lrpq/plan.go, internal/crpq/plan.go or a non-test file
+# of internal/relalg builds — pg.NewKernel, or eval's product constructors —
+# is a second kernel of the same product, with its own condensation and
+# reverse tables.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -81,6 +87,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "internal/pmr compiles an expression (build the PMR on the kernel it is handed):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n -F '"graphquery/internal/eval"' $$(ls $(PATTERN_TIERS:%=internal/%/*.go) | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "a pattern tier evaluates through internal/eval (its one evaluator is the match enumerator):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE 'pg\.NewKernel|eval\.(NewProduct|CompileProduct)' internal/lrpq/plan.go internal/crpq/plan.go $$(ls internal/relalg/*.go | grep -v _test.go) || true)"; \
+		if [ -n "$$out" ]; then echo "a served plan builds its own kernel (take the one it is handed):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

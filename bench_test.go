@@ -257,7 +257,7 @@ func BenchmarkE16_UnifiedTiers(b *testing.B) {
 	b.Run("relalg/kernel", func(b *testing.B) {
 		q := relalg.MustParseQuery("REACH(a*) AS (x, y) JOIN REACH(b) AS (y, z)")
 		for i := 0; i < b.N; i++ {
-			if _, err := relalg.EvalQuery(g, q, eval.Options{Meter: m}); err != nil {
+			if _, err := relalg.EvalQuery(q, eval.Options{Meter: m}, func(e rpq.Expr) *eval.Product { return eval.CompileProduct(g, e) }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -311,7 +311,8 @@ func BenchmarkE17_PMRvsEnum(b *testing.B) {
 // NP-hard simple-path existence on an adversarial bidirectional grid.
 func BenchmarkE19_Modes(b *testing.B) {
 	grid := gen.Grid(4, 4, "a")
-	plan := lrpq.NewPlan(grid, lrpq.MustParse("a+"), nil)
+	aplus := lrpq.MustParse("a+")
+	plan := lrpq.NewPlan(eval.CompileProduct(grid, lrpq.Erase(aplus)).Kernel(), aplus)
 	src, dst := 0, grid.NumNodes()-1
 	b.Run("shortest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -338,7 +339,8 @@ func BenchmarkE19_Modes(b *testing.B) {
 	// Practice-like sparse graph: trails are cheap.
 	social := gen.Social(300, 7)
 	b.Run("social-trail", func(b *testing.B) {
-		plan := lrpq.NewPlan(social, lrpq.MustParse("(knows | follows)+"), nil)
+		e := lrpq.MustParse("(knows | follows)+")
+		plan := lrpq.NewPlan(eval.CompileProduct(social, lrpq.Erase(e)).Kernel(), e)
 		for i := 0; i < b.N; i++ {
 			plan.Between(0, social.NumNodes()-1, eval.Trail, lrpq.Options{Limit: 1})
 		}
@@ -554,7 +556,7 @@ func BenchmarkE30_WCOJ(b *testing.B) {
 	for _, n := range []int{60, 120} {
 		g := gen.Random(n, 8*n, []string{"a"}, 21)
 		b.Run(fmt.Sprintf("wcoj/n=%d", n), func(b *testing.B) {
-			plan, err := crpq.Compile(g, q, nil)
+			plan, err := crpq.Compile(g, q, func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() })
 			if err != nil {
 				b.Fatal(err)
 			}

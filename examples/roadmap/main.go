@@ -13,7 +13,9 @@ import (
 
 	"graphquery/internal/cardest"
 	"graphquery/internal/crpq"
+	"graphquery/internal/eval"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 	"graphquery/internal/regular"
 	"graphquery/internal/rpq"
 	"graphquery/internal/twoway"
@@ -71,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := crpq.Compile(g, tri, nil)
+	plan, err := crpq.Compile(g, tri, func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() })
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -416,26 +416,6 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// ToNFA converts the DFA back to an NFA with symbolic guards: column i
-// becomes a transition guarded by Labels[i], and the "other" column becomes
-// a co-finite guard !Labels. The result is deterministic, hence unambiguous.
-func (d *DFA) ToNFA() *NFA {
-	a := NewNFA(d.NumStates(), d.Start)
-	for q := 0; q < d.NumStates(); q++ {
-		if d.Accept[q] {
-			a.SetAccept(q)
-		}
-		for c, to := range d.Next[q] {
-			if c < len(d.Labels) {
-				a.AddTransition(q, GuardLabel(d.Labels[c]), to)
-			} else {
-				a.AddTransition(q, GuardNotIn(d.Labels...), to)
-			}
-		}
-	}
-	return a
-}
-
 // Canonical returns a canonical string for the language of the DFA,
 // obtained by minimizing and BFS-renumbering the result: two DFAs over the
 // same label universe have equal Canonical strings iff their languages are

@@ -7,9 +7,15 @@ import (
 	"sync"
 )
 
-// defaultPlanCacheCap is the number of compiled plans an Engine retains by
-// default. Plans are small (an AST plus an NFA), so a few hundred entries
-// cover realistic multi-query workloads without measurable memory cost.
+// defaultPlanCacheCap is the number of entries an Engine retains by
+// default, in its plan cache and in its kernel cache alike. A plan is a
+// parsed query with its automaton and label tables; a kernel cache entry is
+// one RPQ expression's product with one graph revision, and it holds what
+// its sweeps kept: the condensation of the reachable product (DESIGN §20,
+// O(reachable product)), the reversed kernel of backward plans and the
+// pooled batch scratch. The plans hold kernels too, so an entry's size is
+// not bounded by the text it is keyed by (ROADMAP item 17: a cache sized in
+// bytes).
 const defaultPlanCacheCap = 256
 
 // CacheStats is a snapshot of the compiled-plan cache counters — the
@@ -22,11 +28,13 @@ type CacheStats struct {
 	Capacity  int   // maximum entries retained
 }
 
-// planCache is a size-bounded LRU of compiled query plans, keyed by
-// normalized query text namespaced by query kind and engine knobs, one
-// graph revision's plan per key. It is safe for concurrent
-// use; a hit refreshes recency, so lookups take the write lock and only
-// stats() uses the read lock.
+// planCache is a size-bounded LRU of values compiled against one graph
+// revision, one revision's value per key. An Engine keeps two: its plan
+// cache, keyed by normalized query text namespaced by query kind and engine
+// knobs (planKey), and its kernel cache, keyed by an RPQ expression's
+// printed text (run.product). It is safe for concurrent use; a hit
+// refreshes recency, so lookups take the write lock and only stats() uses
+// the read lock.
 type planCache struct {
 	mu        sync.RWMutex
 	capacity  int
@@ -38,8 +46,8 @@ type planCache struct {
 }
 
 // cacheEntry is one LRU element: the key (needed to unmap on eviction), the
-// graph revision the plan was compiled against, and the cached plan, an
-// immutable parsed AST and/or compiled automaton.
+// graph revision the value was compiled against, and the cached value: a
+// plan or a product.
 type cacheEntry struct {
 	key  string
 	rev  uint64
@@ -171,25 +179,30 @@ func (c *planCache) stats() CacheStats {
 	}
 }
 
-// cached returns the plan for query in the given kind namespace compiled
-// against the graph state the caller loaded, building and caching it on a
-// miss.
-// Cached plans are immutable after construction (parsed ASTs and compiled
-// NFAs are never mutated by evaluation), so one plan may serve concurrent
-// queries.
-func cached[T any](e *Engine, gs *graphState, kind, query string, build func(string) (T, error)) (T, error) {
-	if e.plans == nil { // zero-value Engine: cache disabled
-		return build(query)
+// through returns the value c holds under key for revision rev, building
+// and caching it on a miss. Cached values are immutable after construction
+// (parsed ASTs, compiled NFAs and plans are never mutated by evaluation, and
+// a kernel's kept state is internally synchronized), so one value may serve
+// concurrent queries. A nil cache — a zero-value Engine's — builds every
+// time.
+func through[T any](c *planCache, key string, rev uint64, build func() (T, error)) (T, error) {
+	if c == nil {
+		return build()
 	}
-	key := planKey(kind, e.MaxLen, e.Parallelism, query)
-	if v, ok := e.plans.get(key, gs.rev); ok {
+	if v, ok := c.get(key, rev); ok {
 		return v.(T), nil
 	}
-	built, err := build(query)
-	if err != nil {
-		var zero T
-		return zero, err
+	built, err := build()
+	if err == nil {
+		c.put(key, rev, built)
 	}
-	e.plans.put(key, gs.rev, built)
-	return built, nil
+	return built, err
+}
+
+// cached returns the plan for query in the given kind namespace compiled
+// against the graph state the caller loaded, building and caching it in the
+// plan cache on a miss.
+func cached[T any](e *Engine, gs *graphState, kind, query string, build func(string) (T, error)) (T, error) {
+	return through(e.plans, planKey(kind, e.MaxLen, e.Parallelism, query), gs.rev,
+		func() (T, error) { return build(query) })
 }

@@ -71,9 +71,13 @@ type Engine struct {
 	// (Pairs, Rows, ...) ignore it entirely.
 	Budget pg.Budget
 
-	// plans caches parsed ASTs and compiled NFAs keyed by normalized query
+	// plans caches parsed ASTs and compiled plans keyed by normalized query
 	// text × query kind, so repeated queries skip parse + Glushkov.
 	plans *planCache
+	// kernels caches the product of each RPQ expression a served plan runs
+	// on, keyed by its printed text, one per graph revision (run.product),
+	// at the plan cache's capacity; CacheStats counts plans only.
+	kernels *planCache
 
 	// counters aggregates the unified runtime's work and plan-choice
 	// statistics across every query this engine evaluates; RuntimeStats
@@ -84,7 +88,7 @@ type Engine struct {
 // New returns an engine over g with a default enumeration bound and plan
 // cache.
 func New(g *graph.Graph) *Engine {
-	e := &Engine{MaxLen: 16, plans: newPlanCache(defaultPlanCacheCap)}
+	e := &Engine{MaxLen: 16, plans: newPlanCache(defaultPlanCacheCap), kernels: newPlanCache(defaultPlanCacheCap)}
 	e.cur.Store(&graphState{g: g, rev: 1})
 	return e
 }
@@ -118,14 +122,16 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.plans.stats()
 }
 
-// SetPlanCacheCapacity bounds the plan cache to n entries, evicting the
-// least recently used immediately if shrinking; n ≤ 0 disables caching.
+// SetPlanCacheCapacity bounds the plan cache, and the kernel cache with
+// it, to n entries each, evicting the least recently used immediately if
+// shrinking; n ≤ 0 disables caching.
 func (e *Engine) SetPlanCacheCapacity(n int) {
 	if e.plans == nil {
-		e.plans = newPlanCache(n)
+		e.plans, e.kernels = newPlanCache(n), newPlanCache(n)
 		return
 	}
 	e.plans.resize(n)
+	e.kernels.resize(n)
 }
 
 // PathResult is one path answer with its list-variable bindings.
@@ -143,15 +149,15 @@ func (r PathResult) Format(g *graph.Graph) string {
 }
 
 // rpqPlan is the cached compilation product of a plain RPQ: its parsed
-// expression, Glushkov NFA, the product with the engine's graph (the
-// guards resolved against the label index), and the kernel plan the
-// cost-based planner chose for it. All four are immutable, so a cached
-// plan serves concurrent queries. The plan snapshots e.Parallelism at
-// compile time; the knob is part of the cache key, so changing it routes
-// queries to a freshly planned entry rather than a stale one.
+// expression, its product with the engine's graph from the kernel cache
+// (the Glushkov NFA, its guards resolved against the label index), and the
+// kernel plan the cost-based planner chose for it. All three are
+// immutable, so a cached plan serves concurrent queries. The plan
+// snapshots e.Parallelism at compile time; the knob is part of the cache
+// key, so changing it routes queries to a freshly planned entry rather
+// than a stale one.
 type rpqPlan struct {
 	expr    rpq.Expr
-	nfa     *automata.NFA
 	product *eval.Product
 	plan    pg.Plan
 }

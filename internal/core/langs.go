@@ -180,10 +180,11 @@ func renderSpans(ms []spanner.Match, limit int) []string {
 }
 
 // relalgRelation evaluates a relational-algebra query whose REACH atoms run
-// on the kernel; its tuples are delivered in their canonical order.
+// on their expressions' kernels from the kernel cache; its tuples are
+// delivered in their canonical order.
 func relalgRelation(x *run, q relalg.Query) (*Response, error) {
 	rel, err := stage(x, "kernel", func() (*relalg.Relation, error) {
-		return relalg.EvalQuery(x.gs.g, q, eval.Options{Parallelism: x.e.Parallelism, Meter: x.m})
+		return relalg.EvalQuery(q, eval.Options{Parallelism: x.e.Parallelism, Meter: x.m}, x.product)
 	})
 	if err != nil {
 		return nil, err

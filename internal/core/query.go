@@ -348,11 +348,27 @@ func cellBatch[C interface{ Format(*graph.Graph) string }](g *graph.Graph, rows 
 	}}
 }
 
-// readRPQ reads a plain RPQ to its plan: parse, then compile — Glushkov
-// and the product resolved against the graph — then cost-based planning,
-// each a stage. The product binds the snapshot's graph, so the cache must
-// (and does, via cached) serve the plan only to the revision it was
-// compiled against.
+// product returns the product of expr's Glushkov automaton with the
+// query's snapshot, instrumented with the engine's runtime counters: the one
+// place a served kernel is built. It is kept in the kernel cache under
+// expr's printed text, one per (revision, text), so every plan that runs
+// expr on a revision — the rpq, cypher and pmr rows' plan, the anchored
+// ℓ-RPQ plan (on the erased expression), CRPQ atoms and relalg REACH atoms —
+// runs on the one kernel, its condensation and its reversed kernel. The
+// product binds the snapshot's graph, so the cache serves it only to the
+// revision it was built against.
+func (x *run) product(expr rpq.Expr) *eval.Product {
+	p, _ := through(x.e.kernels, expr.String(), x.gs.rev, func() (*eval.Product, error) {
+		return eval.NewProductInstrumented(x.gs.g, rpq.Compile(expr), &x.e.counters), nil
+	})
+	return p
+}
+
+// kernel is product's forward kernel: what the CRPQ plan's atoms sweep.
+func (x *run) kernel(expr rpq.Expr) *pg.Kernel { return x.product(expr).Kernel() }
+
+// readRPQ reads a plain RPQ to its plan: parse, then compile — the product
+// with the graph — then cost-based planning, each a stage.
 func readRPQ(x *run, text string) (rpqPlan, error) {
 	return x.planRPQ(reader(bounded(rpq.Parse))(x, text))
 }
@@ -362,11 +378,8 @@ func (x *run) planRPQ(expr rpq.Expr, err error) (rpqPlan, error) {
 	if err != nil {
 		return rpqPlan{}, err
 	}
-	p, _ := stage(x, "compile", func() (rpqPlan, error) {
-		nfa := rpq.Compile(expr)
-		return rpqPlan{expr: expr, nfa: nfa, product: eval.NewProductInstrumented(x.gs.g, nfa, &x.e.counters)}, nil
-	})
-	p.plan, _ = stage(x, "plan", func() (pg.Plan, error) { return x.e.planFor(x.gs, p.nfa), nil })
+	p, _ := stage(x, "compile", func() (rpqPlan, error) { return rpqPlan{expr: expr, product: x.product(expr)}, nil })
+	p.plan, _ = stage(x, "plan", func() (pg.Plan, error) { return x.e.planFor(x.gs, p.product.A), nil })
 	return p, nil
 }
 
@@ -408,7 +421,7 @@ func readCRPQ(x *run, text string) (*crpq.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stage(x, "compile", func() (*crpq.Plan, error) { return crpq.Compile(x.gs.g, q, &x.e.counters) })
+	return stage(x, "compile", func() (*crpq.Plan, error) { return crpq.Compile(x.gs.g, q, x.kernel) })
 }
 
 // crpqRows evaluates a CRPQ plan. Inside the kernel fragment the atom
@@ -434,13 +447,13 @@ func crpqRows(x *run, p *crpq.Plan) (*Response, error) {
 }
 
 // readLRPQ reads an anchored (ℓ-)RPQ to its plan (lrpq.Plan: annotated
-// automaton and product kernel).
+// automaton on the kernel of the erased expression).
 func readLRPQ(x *run, text string) (*lrpq.Plan, error) {
 	expr, err := reader(bounded(lrpq.Parse))(x, text)
 	if err != nil {
 		return nil, err
 	}
-	return stage(x, "compile", func() (*lrpq.Plan, error) { return lrpq.NewPlan(x.gs.g, expr, &x.e.counters), nil })
+	return stage(x, "compile", func() (*lrpq.Plan, error) { return lrpq.NewPlan(x.kernel(lrpq.Erase(expr)), expr), nil })
 }
 
 // lrpqPaths evaluates an ℓ-RPQ plan between the anchors. In shortest mode

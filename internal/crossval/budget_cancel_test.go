@@ -102,7 +102,7 @@ func evaluators() []evaluatorRun {
 			return len(res.Rows), err
 		}},
 		{"crpq-served", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
-			plan, err := crpq.Compile(gBig, cq, nil)
+			plan, err := crpq.Compile(gBig, cq, kernels(gBig))
 			if err != nil {
 				return 0, err
 			}
@@ -129,7 +129,7 @@ func evaluators() []evaluatorRun {
 			return len(out), err
 		}},
 		{"relalg", []int{1, 4}, func(m *pg.Meter, par int) (int, error) {
-			rel, err := relalg.EvalQuery(gBig, raQuery, eval.Options{Parallelism: par, Meter: m})
+			rel, err := relalg.EvalQuery(raQuery, eval.Options{Parallelism: par, Meter: m}, products(gBig))
 			if rel == nil {
 				return 0, err
 			}
@@ -272,8 +272,8 @@ func (c *switchCtx) Err() error {
 // (The reference's join is one uninterruptible call: it sees a cancellation
 // only after materializing every intermediate tuple.)
 func TestCRPQJoinCancel(t *testing.T) {
-	plan, err := crpq.Compile(gen.Clique(30, "a"),
-		crpq.MustParse("q(x, y, z, w) :- a(x, y), a(y, z), a(z, w), a(w, x)"), nil)
+	g := gen.Clique(30, "a")
+	plan, err := crpq.Compile(g, crpq.MustParse("q(x, y, z, w) :- a(x, y), a(y, z), a(z, w), a(w, x)"), kernels(g))
 	if err != nil {
 		t.Fatal(err)
 	}

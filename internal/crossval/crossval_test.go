@@ -15,8 +15,26 @@ import (
 	"graphquery/internal/gql"
 	"graphquery/internal/graph"
 	"graphquery/internal/lrpq"
+	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
+
+// products hands out a fresh product with g per expression: what the
+// engine's kernel cache hands a relalg query, without the cache.
+func products(g *graph.Graph) func(rpq.Expr) *eval.Product {
+	return func(e rpq.Expr) *eval.Product { return eval.CompileProduct(g, e) }
+}
+
+// kernels is products' forward kernels: what a CRPQ plan's atoms sweep.
+func kernels(g *graph.Graph) func(rpq.Expr) *pg.Kernel {
+	return func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() }
+}
+
+// lrpqPlan is lrpq.NewPlan on a fresh product kernel of the erased
+// expression, instrumented with c (may be nil).
+func lrpqPlan(g *graph.Graph, e lrpq.Expr, c *pg.Counters) *lrpq.Plan {
+	return lrpq.NewPlan(eval.NewProductInstrumented(g, rpq.Compile(lrpq.Erase(e)), c).Kernel(), e)
+}
 
 // TestDlRPQAgreesWithLRPQ: a dl-RPQ using only label atoms (no tests)
 // denotes the same node-to-node paths as the corresponding ℓ-RPQ.

@@ -128,7 +128,7 @@ func formatWalks(g *graph.Graph, ps []gpath.Path) []string {
 
 // modeEvaluators are the two anchored path evaluators under test.
 func modeEvaluators(g *graph.Graph, rpqText, dlText string) map[string]func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {
-	plan := lrpq.NewPlan(g, lrpq.MustParse(rpqText), nil)
+	plan := lrpqPlan(g, lrpq.MustParse(rpqText), nil)
 	dl := dlrpq.MustParse(dlText)
 	return map[string]func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error){
 		"lrpq": func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {

@@ -136,7 +136,7 @@ func TestOverlayUnifiedTiersMatchMaterialized(t *testing.T) {
 	})
 	check("relalg", func(g *graph.Graph) (any, error) {
 		q := relalg.MustParseQuery("REACH(a*) AS (x, y) JOIN REACH(b) AS (y, z)")
-		rel, err := relalg.EvalQuery(g, q, eval.Options{Meter: m})
+		rel, err := relalg.EvalQuery(q, eval.Options{Meter: m}, products(g))
 		if err != nil {
 			return nil, err
 		}

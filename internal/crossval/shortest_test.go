@@ -75,7 +75,7 @@ func reach(kern *pg.Kernel, u int) []int {
 func checkShortest(t *testing.T, g *graph.Graph, text string, u, v int) {
 	t.Helper()
 	e := lrpq.MustParse(text)
-	plan := lrpq.NewPlan(g, e, nil)
+	plan := lrpqPlan(g, e, nil)
 	full, err := plan.Between(u, v, eval.Shortest, lrpq.Options{})
 	if err != nil {
 		t.Fatalf("%s %d→%d: %v", text, u, v, err)
@@ -347,7 +347,7 @@ func TestShortestSearchIsMetered(t *testing.T) {
 	g := gen.Grid(40, 40, "a")
 	u, v := g.MustNode("g0_0"), g.MustNode("g39_39")
 	var counters pg.Counters
-	plan := lrpq.NewPlan(g, lrpq.MustParse("a*"), &counters)
+	plan := lrpqPlan(g, lrpq.MustParse("a*"), &counters)
 
 	m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1 << 40}, nil, nil)
 	meet, err := plan.Search(u, v, m)
@@ -396,7 +396,7 @@ func TestShortestConcurrentOnOnePlan(t *testing.T) {
 	e := lrpq.MustParse("(a^z | b)* a")
 	n := g.NumNodes()
 	want := make([]string, n)
-	seq := lrpq.NewPlan(g, e, nil)
+	seq := lrpqPlan(g, e, nil)
 	for v := range want {
 		pbs, err := seq.Between(0, v, eval.Shortest, lrpq.Options{Limit: 4})
 		if err != nil {
@@ -404,7 +404,7 @@ func TestShortestConcurrentOnOnePlan(t *testing.T) {
 		}
 		want[v] = fmt.Sprint(formatPBs(g, pbs))
 	}
-	plan := lrpq.NewPlan(g, e, nil)
+	plan := lrpqPlan(g, e, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -334,7 +334,7 @@ func TestRelAlgKernelMatchesReference(t *testing.T) {
 			for _, pl := range unifiedPlans {
 				opts := pl.opts
 				opts.Meter = roomyMeter()
-				got, err := relalg.EvalQuery(g, q, opts)
+				got, err := relalg.EvalQuery(q, opts, products(g))
 				if err != nil {
 					t.Fatalf("trial %d %q/%s: %v", trial, tc.query, pl.name, err)
 				}

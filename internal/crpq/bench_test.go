@@ -23,7 +23,7 @@ func BenchmarkPlanSweep(b *testing.B) {
 		{"triangle-aa", "q(x,y,z) :- a a(x,y), a(y,z), a(z,x)"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			p, err := Compile(g, MustParse(c.query), nil)
+			p, err := Compile(g, MustParse(c.query), kernels(g, nil))
 			if err != nil {
 				b.Fatal(err)
 			}

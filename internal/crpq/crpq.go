@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"graphquery/internal/dlrpq"
@@ -228,11 +229,22 @@ type OutValue struct {
 	List   gpath.List
 }
 
-func (v OutValue) key() string {
+// appendKey appends the value's key to b: N and the node index, or L and
+// the list's key.
+func (v OutValue) appendKey(b []byte) []byte {
 	if v.IsList {
-		return "L" + v.List.Key()
+		return append(append(b, 'L'), v.List.Key()...)
 	}
-	return fmt.Sprintf("N%d", v.Node)
+	return strconv.AppendInt(append(b, 'N'), int64(v.Node), 10)
+}
+
+// appendRowKey appends to b the key of t's cells at cols, each followed by
+// a '|'.
+func appendRowKey(b []byte, t []OutValue, cols []int) []byte {
+	for _, c := range cols {
+		b = append(t[c].appendKey(b), '|')
+	}
+	return b
 }
 
 // Format renders the value with external IDs.
@@ -361,28 +373,28 @@ func joinProject(rels []atomRelT, head []string, m *pg.Meter) (*Result, error) {
 	out := &Result{Head: append([]string(nil), head...)}
 	seen := map[string]struct{}{}
 	var keys []string // keys[i] is the key of out.Rows[i]
+	var buf []byte
 	for n, t := range acc.tuples {
 		if n%pg.CheckInterval == 0 {
 			if err := m.Check(); err != nil {
 				return nil, err
 			}
 		}
-		row := make([]OutValue, len(cols))
-		var kb strings.Builder
-		for i, c := range cols {
-			row[i] = t[c]
-			kb.WriteString(row[i].key())
-			kb.WriteByte('|')
-		}
-		if _, dup := seen[kb.String()]; dup {
+		buf = appendRowKey(buf[:0], t, cols)
+		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		seen[kb.String()] = struct{}{}
+		key := string(buf)
+		seen[key] = struct{}{}
 		if err := m.AddRows(1); err != nil {
 			return nil, err
 		}
+		row := make([]OutValue, len(cols))
+		for i, c := range cols {
+			row[i] = t[c]
+		}
 		out.Rows = append(out.Rows, row)
-		keys = append(keys, kb.String())
+		keys = append(keys, key)
 	}
 	sort.Sort(byKey{keys, out.Rows})
 	return out, nil
@@ -426,26 +438,23 @@ func joinRels(a, b atomRelT, m *pg.Meter) (atomRelT, error) {
 			outAttrs = append(outAttrs, attr)
 		}
 	}
-	mk := func(t []OutValue, cols []int) string {
-		var sb strings.Builder
-		for _, p := range cols {
-			sb.WriteString(t[p].key())
-			sb.WriteByte('|')
-		}
-		return sb.String()
-	}
 	aCols := make([]int, len(shared))
 	bCols := make([]int, len(shared))
 	for i, p := range shared {
 		aCols[i], bCols[i] = p[0], p[1]
 	}
+	// Each key is built once, into buf; a probe allocates nothing.
+	var buf []byte
 	buckets := map[string][]int{}
 	for i, t := range b.tuples {
-		buckets[mk(t, bCols)] = append(buckets[mk(t, bCols)], i)
+		buf = appendRowKey(buf[:0], t, bCols)
+		k := string(buf)
+		buckets[k] = append(buckets[k], i)
 	}
 	var outTuples [][]OutValue
 	for _, t := range a.tuples {
-		for _, bi := range buckets[mk(t, aCols)] {
+		buf = appendRowKey(buf[:0], t, aCols)
+		for _, bi := range buckets[string(buf)] {
 			bt := b.tuples[bi]
 			row := make([]OutValue, 0, len(outAttrs))
 			row = append(row, t...)

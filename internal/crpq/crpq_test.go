@@ -8,6 +8,8 @@ import (
 
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
+	"graphquery/internal/gpath"
+	"graphquery/internal/graph"
 	"graphquery/internal/lrpq"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
@@ -324,5 +326,19 @@ func TestJoinProjectPollsMeter(t *testing.T) {
 	res, err = joinProject([]atomRelT{left, right}, []string{"x", "z"}, live)
 	if err != nil || len(res.Rows) != n*n || live.Rows() != n*n || live.States() != 0 {
 		t.Fatalf("live meter: err %v, %d rows, meter rows %d states %d", err, len(res.Rows), live.Rows(), live.States())
+	}
+}
+
+// TestRowKeyBytes pins the reference join's key of a row: per cell N and
+// the node index, or L and the list's key, then '|' — the bytes byKey
+// orders result rows by.
+func TestRowKeyBytes(t *testing.T) {
+	row := []OutValue{
+		{Node: 12},
+		{IsList: true, List: gpath.List{graph.MakeEdgeObject(3), graph.MakeNodeObject(40)}},
+		{Node: 0},
+	}
+	if got, want := string(appendRowKey([]byte("x"), row, []int{2, 0, 1})), "xN0|N12|LE3.N40.|"; got != want {
+		t.Fatalf("row key %q, want %q", got, want)
 	}
 }

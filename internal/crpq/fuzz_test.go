@@ -71,7 +71,7 @@ func FuzzParse(f *testing.F) {
 		}
 		ref, refErr := Eval(g, q, Options{Parallelism: 1})
 		var got *Result
-		plan, err := Compile(g, q, nil)
+		plan, err := Compile(g, q, kernels(g, nil))
 		if err == nil {
 			got, err = plan.Eval(Options{Parallelism: 1})
 		}

@@ -27,7 +27,7 @@ import (
 // reference; the query's shape decides, nothing else does.
 //
 // A Plan is immutable and serves concurrent evaluations; it binds its graph
-// (constants resolved, kernels built over it), so it is valid for that
+// (constants resolved, atoms on kernels over it), so it is valid for that
 // graph revision only.
 type Plan struct {
 	g *graph.Graph
@@ -67,11 +67,12 @@ type planSweep struct {
 
 // Compile validates q and compiles it against g: variables numbered in
 // order of first appearance, constants resolved to nodes, head columns to
-// variable numbers, one product kernel per distinct atom expression —
-// instrumented with c (may be nil) so its sweeps show in the runtime
-// counters — and one sweep per distinct (kernel, source). An unknown
-// constant is reported here, in the words the reference uses for it.
-func Compile(g *graph.Graph, q *Query, c *pg.Counters) (*Plan, error) {
+// variable numbers, each distinct atom expression on its product kernel
+// with g, which kernel is asked for once per expression (a serving layer
+// hands out its cached one, whose counters receive the sweeps), and one
+// sweep per distinct (kernel, source). An unknown constant is reported
+// here, in the words the reference uses for it.
+func Compile(g *graph.Graph, q *Query, kernel func(rpq.Expr) *pg.Kernel) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func Compile(g *graph.Graph, q *Query, c *pg.Counters) (*Plan, error) {
 		}
 		text := expr.String()
 		if key.kern = kernels[text]; key.kern == nil {
-			key.kern = eval.NewProductInstrumented(g, rpq.Compile(expr), c).Kernel()
+			key.kern = kernel(expr)
 			kernels[text] = key.kern
 		}
 		var ok bool

@@ -19,10 +19,17 @@ import (
 	"graphquery/internal/rpq"
 )
 
+// kernels hands out a fresh product kernel with g per expression,
+// instrumented with c (may be nil): what the engine's kernel cache hands a
+// plan, without the cache.
+func kernels(g *graph.Graph, c *pg.Counters) func(rpq.Expr) *pg.Kernel {
+	return func(e rpq.Expr) *pg.Kernel { return eval.NewProductInstrumented(g, rpq.Compile(e), c).Kernel() }
+}
+
 // served evaluates q the way the engine serves it: compiled to a Plan, then
 // Eval.
 func served(g *graph.Graph, q *Query, opts Options) (*Result, error) {
-	p, err := Compile(g, q, nil)
+	p, err := Compile(g, q, kernels(g, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +192,7 @@ func TestWCOJAgreesWithEval(t *testing.T) {
 			}
 			agree(t, name, g, q)
 			drawn++
-			if p, err := Compile(g, q, nil); err == nil && len(p.sweeps) < len(p.atoms) {
+			if p, err := Compile(g, q, kernels(g, nil)); err == nil && len(p.sweeps) < len(p.atoms) {
 				shared++
 			}
 		}
@@ -239,7 +246,7 @@ func TestPlanSharesSweeps(t *testing.T) {
 		}
 		for _, par := range []int{1, 2} {
 			var c pg.Counters
-			p, err := Compile(g, q, &c)
+			p, err := Compile(g, q, kernels(g, &c))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +310,7 @@ func TestWCOJEligibility(t *testing.T) {
 		"q(x) :- Transfer(x, y), trail owner(y, z)", // one atom is enough
 	}
 	for _, qs := range outside {
-		p, err := Compile(g, MustParse(qs), nil)
+		p, err := Compile(g, MustParse(qs), kernels(g, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +320,7 @@ func TestWCOJEligibility(t *testing.T) {
 		agree(t, "bank", g, MustParse(qs))
 	}
 	inside := &Query{Head: []string{"x"}, Atoms: []Atom{{L: lrpq.MustParse("Transfer Transfer"), Src: V("x"), Dst: V("y")}}}
-	if p, err := Compile(g, inside, nil); err != nil || !p.OnKernel() {
+	if p, err := Compile(g, inside, kernels(g, nil)); err != nil || !p.OnKernel() {
 		t.Errorf("ℓ-RPQ atom without list variables: on kernel %v, err %v", p.OnKernel(), err)
 	}
 }
@@ -360,7 +367,7 @@ func TestPlanBudgets(t *testing.T) {
 	} {
 		for _, par := range []int{1, 2} {
 			ref, refErr := Eval(g, q, Options{Parallelism: par, Meter: pg.NewMeter(context.Background(), b, nil, nil)})
-			p, err := Compile(g, q, nil)
+			p, err := Compile(g, q, kernels(g, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +389,7 @@ func TestPlanBudgets(t *testing.T) {
 func TestPlanConcurrentEval(t *testing.T) {
 	g := gen.Random(40, 160, []string{"a", "b"}, 5)
 	q := MustParse("q(x, z) :- a(x, y), b(y, z), a*(z, @v7)")
-	p, err := Compile(g, q, nil)
+	p, err := Compile(g, q, kernels(g, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +427,7 @@ func TestOrderKey(t *testing.T) {
 	idx := []int32{0, 1, 2, 9, 10, 11, 12, 19, 20, 99, 100, 101, 109, 110, 120, 999, 1000, 1234, 12345, 1 << 20, 1<<31 - 1}
 	for _, a := range idx {
 		for _, b := range idx {
-			want := strings.Compare(OutValue{Node: int(a)}.key()+"|", OutValue{Node: int(b)}.key()+"|")
+			want := strings.Compare(string(OutValue{Node: int(a)}.appendKey(nil))+"|", string(OutValue{Node: int(b)}.appendKey(nil))+"|")
 			got := 0
 			if ka, kb := orderKey(a), orderKey(b); ka < kb {
 				got = -1

@@ -93,7 +93,7 @@ func runE19(w io.Writer) error {
 	// under simple and trail it is the first result of the restricted
 	// search (the NP-complete problem of Section 6.3).
 	exists := func(g *graph.Graph, src, dst int, mode eval.Mode) (bool, error) {
-		plan := lrpq.NewPlan(g, expr, nil)
+		plan := lrpq.NewPlan(eval.CompileProduct(g, lrpq.Erase(expr)).Kernel(), expr)
 		if mode == eval.Shortest {
 			meet, err := plan.Search(src, dst, nil)
 			return err == nil && meet.Len >= 0, err
@@ -122,7 +122,7 @@ func runE19(w io.Writer) error {
 	for _, k := range []int{3, 4} {
 		g := gen.Grid(k, k, "a")
 		start := time.Now()
-		paths, err := lrpq.NewPlan(g, lrpq.MustParse("a+"), nil).Between(0, g.NumNodes()-1, eval.Simple, lrpq.Options{})
+		paths, err := lrpq.EvalBetween(g, lrpq.MustParse("a+"), 0, g.NumNodes()-1, eval.Simple, lrpq.Options{})
 		if err != nil {
 			return err
 		}

@@ -8,9 +8,11 @@ import (
 
 	"graphquery/internal/cardest"
 	"graphquery/internal/crpq"
+	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/gql"
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 	"graphquery/internal/regular"
 	"graphquery/internal/rpq"
 	"graphquery/internal/twoway"
@@ -204,7 +206,7 @@ func runE30(w io.Writer) error {
 		}
 		pwTime := timeSince(startPW)
 		startW := timeNow()
-		plan, err := crpq.Compile(g, q, nil)
+		plan, err := crpq.Compile(g, q, func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() })
 		if err != nil {
 			return err
 		}

@@ -82,7 +82,7 @@ func BenchmarkBetween(b *testing.B) {
 	}
 	for _, c := range cases {
 		e := MustParse(c.expr)
-		plan := NewPlan(c.g, e, nil)
+		plan := newPlan(c.g, e)
 		for _, form := range []string{"plan", "oneshot"} {
 			b.Run(fmt.Sprintf("%s/%s", c.name, form), func(b *testing.B) {
 				b.ReportAllocs()

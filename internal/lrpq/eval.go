@@ -22,9 +22,6 @@ type Options struct {
 	// resource budgets (product states visited, result rows) — shared by a
 	// serving layer across all stages of one query.
 	Meter *pg.Meter
-	// Counters (may be nil) receives runtime counters (states expanded
-	// by the search loops and kernel sweeps).
-	Counters *pg.Counters
 }
 
 // EvalBetween computes m(σ_{u,v}(⟦R⟧_G)) — the path bindings between fixed
@@ -42,10 +39,11 @@ type Options struct {
 // With opts.Meter set, evaluation stops early with pg.ErrCanceled or
 // pg.ErrBudgetExceeded; without one these errors are impossible.
 //
-// This is the one-shot form: it compiles a Plan for the call and evaluates
-// on it. Callers that repeat an expression over one graph keep the Plan.
+// This is the one-shot form: it builds the product kernel of Erase(e) and a
+// Plan on it for the call. Callers that repeat an expression over one graph
+// keep the Plan.
 func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	return NewPlan(g, e, opts.Counters).Between(src, dst, mode, opts)
+	return NewPlan(eval.CompileProduct(g, Erase(e)).Kernel(), e).Between(src, dst, mode, opts)
 }
 
 // Eval enumerates ⟦R⟧_G from every source node, bounded by opts (the raw
@@ -61,7 +59,7 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 		if !g.NodeAlive(src) { // tombstoned under a mutation overlay
 			continue
 		}
-		res, _, err := search(g, a, src, -1, eval.All, opts)
+		res, _, err := search(g, a, src, -1, eval.All, opts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +77,7 @@ func deepen(k *pg.Kernel, a *VNFA, src, dst int, mode eval.Mode, opts Options) (
 	return gpath.Deepen(opts.Limit, opts.MaxLen, k.NumProductStates(), func(bound int) ([]gpath.PathBinding, bool, error) {
 		pass := opts
 		pass.MaxLen = bound
-		return search(k.Graph(), a, src, dst, mode, pass)
+		return search(k.Graph(), a, src, dst, mode, pass, k.Counters())
 	})
 }
 
@@ -87,9 +85,9 @@ func deepen(k *pg.Kernel, a *VNFA, src, dst int, mode eval.Mode, opts Options) (
 // dst (-1: any endpoint), in mode all, simple (no node twice) or trail (no
 // edge twice), up to opts.MaxLen edges (0: unbounded). cut reports whether
 // the bound stopped a branch that had an edge and a transition left. Every expanded
-// configuration is a step on opts.Meter, and every distinct result a row on
-// it as it is found.
-func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options) (out []gpath.PathBinding, cut bool, err error) {
+// configuration is a step on opts.Meter, and on c (may be nil), and every
+// distinct result a row on the meter as it is found.
+func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options, c *pg.Counters) (out []gpath.PathBinding, cut bool, err error) {
 	m := opts.Meter
 	var usedNodes, usedEdges map[int]struct{}
 	switch mode {
@@ -101,7 +99,7 @@ func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options)
 	seen := map[string]struct{}{}
 	var edges []int
 	var vars []string // variable per traversed edge ("" for none)
-	tick := pg.NewTicker(m, opts.Counters)
+	tick := pg.NewTicker(m, c)
 
 	var dfs func(node, state int) error
 	dfs = func(node, state int) error {

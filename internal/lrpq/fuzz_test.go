@@ -78,7 +78,7 @@ func FuzzShortest(f *testing.F) {
 		if rpq.Positions(erased, 1<<10) > 64 {
 			return
 		}
-		plan := NewPlan(g, e, nil)
+		plan := newPlan(g, e)
 		kern := pg.NewKernel(g, pg.FromNFA(g, rpq.Compile(erased)), nil)
 		sc := kern.NewScratch()
 		budget := func(states int64) *pg.Meter {

@@ -4,14 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"graphquery/internal/automata"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
 	"graphquery/internal/pg"
+	"graphquery/internal/rpq"
 )
+
+// newPlan is NewPlan on a fresh product kernel of the erased expression.
+func newPlan(g *graph.Graph, e Expr) *Plan {
+	return NewPlan(eval.CompileProduct(g, Erase(e)).Kernel(), e)
+}
 
 func TestParseAndString(t *testing.T) {
 	tests := []struct{ in, want string }{
@@ -320,6 +328,32 @@ func TestErasedAgreesWithEval(t *testing.T) {
 		t.Error("erased (Transfer)+ must reject ε")
 	}
 	_ = g
+}
+
+// TestErasedIsGlushkovOfErase: the automaton of the erased expression is
+// the erased automaton, state for state and transition for transition, so
+// a plan's annotated states index the product kernel that a serving layer
+// keeps for Erase(e).
+func TestErasedIsGlushkovOfErase(t *testing.T) {
+	for _, text := range []string{
+		"a*", "(Transfer^z)+", "(a a^z | a^z a)*", "(Transfer^z)* isBlocked",
+		"(a|b)*", "a b* a", "!{b}* b", "a{2,4}", "(a|a)* b?", "(a^x | b^y)* a",
+		"(a^z | a)* b^y", "_^z _", "(a* b*)*", "() | a", "'a b'^'0 z'", "!{a,b}^w{2,}",
+	} {
+		e := MustParse(text)
+		want, got := Compile(e).Erased(), rpq.Compile(Erase(e))
+		if got.NumStates != want.NumStates || got.Start != want.Start || !slices.Equal(got.Accept, want.Accept) {
+			t.Fatalf("%s: %d states from %d accepting %v; erased: %d from %d accepting %v",
+				text, got.NumStates, got.Start, got.Accept, want.NumStates, want.Start, want.Accept)
+		}
+		for q := range want.Trans {
+			if !slices.EqualFunc(got.Trans[q], want.Trans[q], func(a, b automata.Transition) bool {
+				return a.To == b.To && a.Guard.Negated == b.Guard.Negated && slices.Equal(a.Guard.Labels, b.Guard.Labels)
+			}) {
+				t.Fatalf("%s: state %d goes %v; erased: %v", text, q, got.Trans[q], want.Trans[q])
+			}
+		}
+	}
 }
 
 func itoa(i int) string {

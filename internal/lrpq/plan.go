@@ -12,11 +12,12 @@ import (
 
 // Plan is an ℓ-RPQ compiled against one graph: its variable-annotated
 // automaton, the automaton's transitions resolved against the graph's label
-// numbering, and the product kernel over the erased automaton that
+// numbering, and the product kernel of the erased expression that
 // shortest-mode queries search on (annotations cannot change reachability,
-// and Erased keeps the state numbering). A Plan is immutable and serves
-// concurrent queries; a serving layer caches one per (graph revision, query
-// text), EvalBetween builds one per call.
+// and the Glushkov automaton of Erase(e) is Compile(e).Erased(), state for
+// state). A Plan is immutable and serves concurrent queries; a serving
+// layer caches one per (graph revision, query text) on the kernel it keeps
+// for the erased expression, EvalBetween builds both per call.
 type Plan struct {
 	g     *graph.Graph
 	a     *VNFA
@@ -31,12 +32,12 @@ type step struct {
 	ok []bool // label ID → the guard admits it
 }
 
-// NewPlan compiles e against g; c (may be nil) receives the runtime
-// counters of every query evaluated on the plan.
-func NewPlan(g *graph.Graph, e Expr, c *pg.Counters) *Plan {
-	a := Compile(e)
-	p := &Plan{g: g, a: a, steps: make([][]step, a.NumStates),
-		kern: pg.NewKernel(g, pg.FromNFA(g, a.Erased()), c)}
+// NewPlan compiles e against the graph of k, the product kernel of
+// Erase(e); k's counters receive the work of every query evaluated on the
+// plan.
+func NewPlan(k *pg.Kernel, e Expr) *Plan {
+	a, g := Compile(e), k.Graph()
+	p := &Plan{g: g, a: a, kern: k, steps: make([][]step, a.NumStates)}
 	// Every transition into a Glushkov position carries the position's
 	// guard, so one label table per target state serves them all.
 	oks := make([][]bool, a.NumStates)
@@ -56,9 +57,7 @@ func NewPlan(g *graph.Graph, e Expr, c *pg.Counters) *Plan {
 }
 
 // Between computes m(σ_{src,dst}(⟦R⟧_G)) on the plan; see EvalBetween.
-// opts.Counters is ignored: the plan's own counters receive the work.
 func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	opts.Counters = p.kern.Counters()
 	switch mode {
 	case eval.Shortest:
 		meet, err := p.Search(src, dst, opts.Meter)
@@ -78,7 +77,7 @@ func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.Path
 		return deepen(p.kern, p.a, src, dst, mode, opts)
 	}
 	// Nothing to cut, or mode all's own bound: one search holds the head.
-	out, _, err := search(p.g, p.a, src, dst, mode, opts)
+	out, _, err := search(p.g, p.a, src, dst, mode, opts, p.kern.Counters())
 	if err != nil {
 		return nil, err
 	}

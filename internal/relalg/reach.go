@@ -6,7 +6,6 @@ import (
 	"unicode"
 
 	"graphquery/internal/eval"
-	"graphquery/internal/graph"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 )
@@ -75,13 +74,15 @@ func (q RenameQ) String() string {
 }
 
 // EvalQuery evaluates the query under opts.Meter (nil: unmetered). Every
-// reachability atom runs on the product-graph kernel with opts applied
-// (Plan, Parallelism, Meter); set-operator work is charged per tuple to the
-// states budget, and each final tuple to the rows budget. Errors follow the
-// standard taxonomy and return no partial results.
-func EvalQuery(g *graph.Graph, q Query, opts eval.Options) (*Relation, error) {
+// reachability atom runs on the product of its expression with the graph,
+// which product is asked for (a serving layer hands out its cached one),
+// with opts applied (Plan, Parallelism, Meter); set-operator work is
+// charged per tuple to the states budget, and each final tuple to the rows
+// budget. Errors follow the standard taxonomy and return no partial
+// results.
+func EvalQuery(q Query, opts eval.Options, product func(rpq.Expr) *eval.Product) (*Relation, error) {
 	tick := pg.NewTicker(opts.Meter, nil)
-	rel, err := evalQuery(g, q, opts, &tick)
+	rel, err := evalQuery(q, opts, product, &tick)
 	if err != nil {
 		return nil, err
 	}
@@ -94,10 +95,10 @@ func EvalQuery(g *graph.Graph, q Query, opts eval.Options) (*Relation, error) {
 	return rel, nil
 }
 
-func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relation, error) {
+func evalQuery(q Query, opts eval.Options, product func(rpq.Expr) *eval.Product, t *pg.Ticker) (*Relation, error) {
 	switch n := q.(type) {
 	case ReachQ:
-		pairs, err := eval.PairsProduct(eval.CompileProduct(g, n.Expr), opts)
+		pairs, err := eval.PairsProduct(product(n.Expr), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +116,7 @@ func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relat
 		}
 		return rel, nil
 	case JoinQ:
-		l, r, err := evalPair(g, n.Left, n.Right, opts, t)
+		l, r, err := evalPair(n.Left, n.Right, opts, product, t)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +126,7 @@ func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relat
 		}
 		return out, tickPer(t, out.Len())
 	case UnionQ:
-		l, r, err := evalPair(g, n.Left, n.Right, opts, t)
+		l, r, err := evalPair(n.Left, n.Right, opts, product, t)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +136,7 @@ func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relat
 		}
 		return out, tickPer(t, out.Len())
 	case DiffQ:
-		l, r, err := evalPair(g, n.Left, n.Right, opts, t)
+		l, r, err := evalPair(n.Left, n.Right, opts, product, t)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +146,7 @@ func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relat
 		}
 		return out, tickPer(t, out.Len())
 	case ProjectQ:
-		sub, err := evalQuery(g, n.Sub, opts, t)
+		sub, err := evalQuery(n.Sub, opts, product, t)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +156,7 @@ func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relat
 		}
 		return out, tickPer(t, out.Len())
 	case RenameQ:
-		sub, err := evalQuery(g, n.Sub, opts, t)
+		sub, err := evalQuery(n.Sub, opts, product, t)
 		if err != nil {
 			return nil, err
 		}
@@ -169,12 +170,12 @@ func evalQuery(g *graph.Graph, q Query, opts eval.Options, t *pg.Ticker) (*Relat
 	}
 }
 
-func evalPair(g *graph.Graph, left, right Query, opts eval.Options, t *pg.Ticker) (*Relation, *Relation, error) {
-	l, err := evalQuery(g, left, opts, t)
+func evalPair(left, right Query, opts eval.Options, product func(rpq.Expr) *eval.Product, t *pg.Ticker) (*Relation, *Relation, error) {
+	l, err := evalQuery(left, opts, product, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := evalQuery(g, right, opts, t)
+	r, err := evalQuery(right, opts, product, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -200,8 +201,8 @@ func tickPer(t *pg.Ticker, n int) error {
 //	       | '(' query ')'
 //
 // The rpq inside REACH uses the rpq package syntax (labels, '|', '*', '_',
-// …). Keywords are case-sensitive. Every atom compiles and sweeps its own
-// product, so the bound is on the query: the REACH atoms together may
+// …). Keywords are case-sensitive. Every atom sweeps the product of its
+// own expression, so the bound is on the query: the REACH atoms together may
 // compile to at most rpq.MaxPositions positions, refused as the parser
 // reads past it. Example:
 //

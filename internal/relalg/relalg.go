@@ -128,9 +128,6 @@ func (r *Relation) Arity() int { return len(r.attrs) }
 // Len returns the number of (distinct) tuples.
 func (r *Relation) Len() int { return len(r.tuples) }
 
-// Tuple returns tuple i.
-func (r *Relation) Tuple(i int) []Cell { return r.tuples[i] }
-
 // Col resolves an attribute to its column index.
 func (r *Relation) Col(attr string) (int, bool) {
 	i, ok := r.index[attr]
