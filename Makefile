@@ -54,6 +54,11 @@ vet:
 # of internal/relalg builds — pg.NewKernel, or eval's product constructors —
 # is a second kernel of the same product, with its own condensation and
 # reverse tables.
+# A node's edges in one direction are one row (DESIGN §7): its region of the
+# label-sorted CSR, or its overlay row once a commit has touched it. A
+# [][]int in a non-test file of internal/graph is a second per-node adjacency
+# index, which every build would pay for and every commit would have to keep
+# in step with the first.
 METERED_TIERS := gql coregql cypherfrag spanner pmr bag twoway lrpq dlrpq relalg
 GLUSHKOV_CORE := internal/automata/regex.go
 PATTERN_TIERS := gql coregql cypherfrag
@@ -89,6 +94,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a pattern tier evaluates through internal/eval (its one evaluator is the match enumerator):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE 'pg\.NewKernel|eval\.(NewProduct|CompileProduct)' internal/lrpq/plan.go internal/crpq/plan.go $$(ls internal/relalg/*.go | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "a served plan builds its own kernel (take the one it is handed):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n -F '[][]int' $$(ls internal/graph/*.go | grep -v _test.go) || true)"; \
+		if [ -n "$$out" ]; then echo "a second per-node adjacency index in internal/graph (a node's edges are its CSR region or overlay row):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -269,8 +269,8 @@ func (c *switchCtx) Err() error {
 // a deadline that lands once the atoms are swept — the four-cycle over a
 // 30-clique has 570 000 rows to enumerate — ends the query within one check
 // interval of candidate bindings, each of which is at most one output row.
-// (The reference's join is one uninterruptible call: it sees a cancellation
-// only after materializing every intermediate tuple.)
+// (The reference's join polls its meter too, every pg.CheckInterval tuples
+// it joins or projects: crpq.TestJoinProjectPollsMeter.)
 func TestCRPQJoinCancel(t *testing.T) {
 	g := gen.Clique(30, "a")
 	plan, err := crpq.Compile(g, crpq.MustParse("q(x, y, z, w) :- a(x, y), a(y, z), a(z, w), a(w, x)"), kernels(g))

@@ -161,7 +161,7 @@ func edgeGuard(a Atom) automata.Guard {
 // against one graph through the shared runtime — the dl-RPQ instantiation
 // of pg's guard resolution. A positive guard carries the graph's label ID
 // so candidate edges come from the per-label index; wildcard and test
-// atoms become co-finite guards filtering dense lists. ok is false when a
+// atoms become co-finite guards filtering whole rows. ok is false when a
 // named label does not occur in the graph at all: that transition can
 // never consume an edge there.
 type anfaMachine struct {
@@ -216,7 +216,7 @@ func successors(g *graph.Graph, mach *anfaMachine, cfg config, anchor int) []mov
 				candidates = []int{cfg.obj.Index()}
 			default: // last object is an edge: the node must be its target
 				appended = true
-				candidates = []int{g.Edge(cfg.obj.Index()).Tgt}
+				candidates = []int{g.EdgeTgt(cfg.obj.Index())}
 			}
 			for _, n := range candidates {
 				o := graph.MakeNodeObject(n)
@@ -293,7 +293,7 @@ func endpointOK(g *graph.Graph, cfg config, dst int) bool {
 	if cfg.obj.IsNode() {
 		return cfg.obj.Index() == dst
 	}
-	return g.Edge(cfg.obj.Index()).Tgt == dst
+	return g.EdgeTgt(cfg.obj.Index()) == dst
 }
 
 // EvalBetween computes m(σ_{u,v}(⟦R⟧_G)): the (p, µ) results whose path runs

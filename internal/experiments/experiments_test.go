@@ -83,6 +83,19 @@ func TestSpotChecks(t *testing.T) {
 	if !strings.Contains(out, "path(a3, t7, a5, t4, a1, t1, a3, t7, a5)") {
 		t.Errorf("E20 should report the cyclic two-cheap path:\n%s", out)
 	}
+	// Example 17: shortest is applied per (y1, y2) pair, so both rows are in
+	// the answer; applied once over all pairs, the length-2 row is not.
+	buf.Reset()
+	if err := Run(&buf, "E06"); err != nil {
+		t.Fatal(err)
+	}
+	out = buf.String()
+	if !strings.Contains(out, "Jay,Rebecca,list(t10) present: true; Mike,Megan,list(t7, t4) present: true") {
+		t.Errorf("E06 should report both per-pair shortest rows:\n%s", out)
+	}
+	if !strings.Contains(out, "Mike,Megan row survives: false") {
+		t.Errorf("E06's global-shortest ablation should drop the Mike, Megan row:\n%s", out)
+	}
 }
 
 // TestE13Reproducible: E13 prints the same sample refutations on every run,

@@ -65,20 +65,17 @@ type Graph struct {
 	nodeByID map[NodeID]int
 	edgeByID map[EdgeID]int
 
-	out [][]int // node index -> indexes of outgoing edges
-	in  [][]int // node index -> indexes of incoming edges
-
 	labels  []string       // sorted distinct edge labels; the slice index is the label ID
 	labelID map[string]int // interned edge label -> dense label ID
 
 	edgeLabel []int // edge index -> label ID
 
-	// Label-indexed CSR adjacency (Section 6.2 evaluation support): flat
-	// per-node edge lists grouped by label ID, so that automaton transition
-	// guards can be intersected against exactly the matching edges instead
-	// of scanning the full out/in lists.
-	outCSR csr
-	inCSR  csr
+	// Label-indexed CSR adjacency, one per direction (dirOut, dirIn): the
+	// graph's only per-node index of its edges (Section 6.2 evaluation
+	// support). A node's row is its region, sorted by (label ID, edge index),
+	// so a transition guard is intersected against exactly the matching edges
+	// by one binary search (labelRun).
+	adj [2]csr
 
 	// Global per-label edge index: labelEdges holds all edge indexes grouped
 	// by label ID (ascending within each group); labelStart[l]..labelStart[l+1]
@@ -112,13 +109,31 @@ type csr struct {
 	start []int
 }
 
-// withLabel returns the sub-slice of node n's region whose edges carry the
-// given label ID, located by binary search on the label-sorted region.
-func (c *csr) withLabel(edgeLabel []int, n, labelID int) []int {
-	region := c.edges[c.start[n]:c.start[n+1]]
-	lo := sort.Search(len(region), func(i int) bool { return edgeLabel[region[i]] >= labelID })
-	hi := lo + sort.Search(len(region)-lo, func(i int) bool { return edgeLabel[region[lo+i]] > labelID })
-	return region[lo:hi]
+// The two directions of adjacency: a node's row in direction dirOut holds
+// the edges leaving it, in direction dirIn the edges entering it.
+const (
+	dirOut = 0
+	dirIn  = 1
+)
+
+// row returns node n's edges in direction d, in (label ID, edge index)
+// order: the overlay's row once the version chain has touched the node, its
+// CSR region otherwise. Every adjacency read goes through it.
+func (g *Graph) row(n, d int) []int {
+	if g.ov != nil {
+		if r, ok := g.ov.rows[d][n]; ok {
+			return r
+		}
+	}
+	c := &g.adj[d]
+	return c.edges[c.start[n]:c.start[n+1]]
+}
+
+// labelRun locates the [lo, hi) run of label lid inside a row.
+func (g *Graph) labelRun(row []int, lid int) (lo, hi int) {
+	lo = sort.Search(len(row), func(i int) bool { return g.edgeLabel[row[i]] >= lid })
+	hi = lo + sort.Search(len(row)-lo, func(i int) bool { return g.edgeLabel[row[lo+i]] > lid })
+	return lo, hi
 }
 
 // NumNodes returns |N|.
@@ -202,29 +217,14 @@ func (g *Graph) MustEdge(id EdgeID) int {
 	return i
 }
 
-// Out returns the indexes of edges leaving node n. The returned slice must
-// not be modified. On an overlay graph, rows of touched nodes come back in
-// (label ID, edge index) order — the CSR region order — rather than pure
-// ascending edge order.
-func (g *Graph) Out(n int) []int {
-	if g.ov != nil {
-		if r, ok := g.ov.outRows[n]; ok {
-			return r
-		}
-	}
-	return g.out[n]
-}
+// Out returns the indexes of edges leaving node n, in (label ID, edge
+// index) order on every version of the graph. The returned slice must not
+// be modified.
+func (g *Graph) Out(n int) []int { return g.row(n, dirOut) }
 
-// In returns the indexes of edges entering node n. The returned slice must
-// not be modified; see Out on ordering.
-func (g *Graph) In(n int) []int {
-	if g.ov != nil {
-		if r, ok := g.ov.inRows[n]; ok {
-			return r
-		}
-	}
-	return g.in[n]
-}
+// In returns the indexes of edges entering node n, in the order Out
+// documents. The returned slice must not be modified.
+func (g *Graph) In(n int) []int { return g.row(n, dirIn) }
 
 // OutDegree returns the number of edges leaving node n.
 func (g *Graph) OutDegree(n int) int { return len(g.Out(n)) }
@@ -261,29 +261,17 @@ func (g *Graph) LabelName(id int) string { return g.labels[id] }
 func (g *Graph) EdgeLabelID(ei int) int { return g.edgeLabel[ei] }
 
 // OutWithLabel returns the indexes of edges leaving node n whose label has
-// the given ID, in ascending edge-index order. The returned slice aliases
-// the graph's CSR index (or the overlay's row) and must not be modified.
-func (g *Graph) OutWithLabel(n, labelID int) []int {
-	if g.ov != nil {
-		if row, ok := g.ov.outRows[n]; ok {
-			run := labelRun(row, g.edgeLabel, labelID)
-			return row[run[0]:run[1]]
-		}
-	}
-	return g.outCSR.withLabel(g.edgeLabel, n, labelID)
-}
+// the given ID, in ascending edge-index order: the label's run of Out(n).
+// The returned slice aliases the graph's row and must not be modified.
+func (g *Graph) OutWithLabel(n, labelID int) []int { return g.withLabel(n, dirOut, labelID) }
 
-// InWithLabel returns the indexes of edges entering node n whose label has
-// the given ID, in ascending edge-index order. The returned slice aliases
-// the graph's CSR index (or the overlay's row) and must not be modified.
-func (g *Graph) InWithLabel(n, labelID int) []int {
-	if g.ov != nil {
-		if row, ok := g.ov.inRows[n]; ok {
-			run := labelRun(row, g.edgeLabel, labelID)
-			return row[run[0]:run[1]]
-		}
-	}
-	return g.inCSR.withLabel(g.edgeLabel, n, labelID)
+// InWithLabel is OutWithLabel over the edges entering node n.
+func (g *Graph) InWithLabel(n, labelID int) []int { return g.withLabel(n, dirIn, labelID) }
+
+func (g *Graph) withLabel(n, d, labelID int) []int {
+	row := g.row(n, d)
+	lo, hi := g.labelRun(row, labelID)
+	return row[lo:hi]
 }
 
 // EdgesWithLabelID returns all live edge indexes carrying the label with the
@@ -482,22 +470,18 @@ func (b *Builder) AddEdge(id EdgeID, label string, src, tgt NodeID, props Props)
 	return b
 }
 
-// Build finalizes the graph, computing adjacency indexes: the dense out/in
-// lists, the interned label numbering, the label-indexed CSR adjacency and
-// the nodes' IDs as JSON literals. The Builder must not be used afterwards.
+// Build finalizes the graph, computing its indexes: the interned label
+// numbering, the per-label edge index, the label-indexed CSR adjacency in
+// both directions and the nodes' IDs as JSON literals. The Builder must not
+// be used afterwards.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	g := b.g
-	g.out = make([][]int, len(g.nodes))
-	g.in = make([][]int, len(g.nodes))
 	labelSet := make(map[string]struct{})
 	for ei := range g.edges {
-		e := &g.edges[ei]
-		g.out[e.Src] = append(g.out[e.Src], ei)
-		g.in[e.Tgt] = append(g.in[e.Tgt], ei)
-		labelSet[e.Label] = struct{}{}
+		labelSet[g.edges[ei].Label] = struct{}{}
 	}
 	g.labels = make([]string, 0, len(labelSet))
 	for l := range labelSet {
@@ -519,55 +503,45 @@ func (b *Builder) Build() (*Graph, error) {
 		e.Label = g.labels[id]
 		g.edgeLabel[ei] = id
 	}
-	g.outCSR = buildCSR(g.out, g.edgeLabel)
-	g.inCSR = buildCSR(g.in, g.edgeLabel)
-	g.labelEdges, g.labelStart = buildLabelEdges(g.edgeLabel, len(g.labels))
+	g.labelStart, g.labelEdges = fileByKey(len(g.labels), len(g.edges), g.EdgeLabelID, identity)
+	// Filing the label index, which lists edges by (label ID, edge index),
+	// under each edge's endpoint keeps that order inside every region.
+	byLabel := func(i int) int { return g.labelEdges[i] }
+	for d, end := range [2]func(ei int) int{dirOut: g.EdgeSrc, dirIn: g.EdgeTgt} {
+		endOf := func(i int) int { return end(g.labelEdges[i]) }
+		g.adj[d].start, g.adj[d].edges = fileByKey(len(g.nodes), len(g.edges), endOf, byLabel)
+	}
 	g.neighbors = &neighborTables{tables: map[neighborKey]*NeighborTable{}}
 	g.quoted = quoteIDs(g.nodes)
 	b.g = Graph{} // prevent reuse
 	return &g, nil
 }
 
-// buildCSR flattens per-node edge lists into CSR form, sorting each node's
-// region by (label ID, edge index). The incoming lists are already in
-// ascending edge order, so a stable sort by label preserves that tiebreak.
-func buildCSR(adj [][]int, edgeLabel []int) csr {
-	total := 0
-	for _, l := range adj {
-		total += len(l)
+// fileByKey files items 0..m-1 under the key at(i) ∈ [0, n) of each by a
+// stable counting sort: the values val(i) of the items keyed v are
+// vals[off[v]:off[v+1]], in item order. Build files its edges under their
+// labels (the label index), then that index under each edge's endpoint (the
+// CSR regions); a neighbor table files one label's edges under one
+// endpoint, pointing at the other.
+func fileByKey[T int | int32](n, m int, at func(i int) int, val func(i int) T) (off, vals []T) {
+	off = make([]T, n+1)
+	for i := 0; i < m; i++ {
+		off[at(i)+1]++
 	}
-	c := csr{edges: make([]int, 0, total), start: make([]int, len(adj)+1)}
-	for n, l := range adj {
-		c.start[n] = len(c.edges)
-		region := append(c.edges, l...)
-		seg := region[len(c.edges):]
-		sort.SliceStable(seg, func(i, j int) bool {
-			return edgeLabel[seg[i]] < edgeLabel[seg[j]]
-		})
-		c.edges = region
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
 	}
-	c.start[len(adj)] = len(c.edges)
-	return c
+	vals = make([]T, m)
+	next := append([]T(nil), off[:n]...)
+	for i := 0; i < m; i++ {
+		v := at(i)
+		vals[next[v]] = val(i)
+		next[v]++
+	}
+	return off, vals
 }
 
-// buildLabelEdges groups all edge indexes by label ID (counting sort, so
-// each group is ascending).
-func buildLabelEdges(edgeLabel []int, numLabels int) (edges, start []int) {
-	start = make([]int, numLabels+1)
-	for _, id := range edgeLabel {
-		start[id+1]++
-	}
-	for l := 0; l < numLabels; l++ {
-		start[l+1] += start[l]
-	}
-	edges = make([]int, len(edgeLabel))
-	fill := append([]int(nil), start[:numLabels]...)
-	for ei, id := range edgeLabel {
-		edges[fill[id]] = ei
-		fill[id]++
-	}
-	return edges, start
-}
+func identity(i int) int { return i }
 
 // MustBuild is Build that panics on error; for tests, examples, and
 // generators of known-valid graphs.

@@ -30,32 +30,74 @@ func randomGraph(t *testing.T, n, m int, labels []string, seed int64) *Graph {
 	return g
 }
 
+// TestLabelIndexMatchesDenseLists holds every adjacency read — Out, In,
+// OutWithLabel, InWithLabel — to an oracle that shares no index with the
+// CSR or the overlay's rows: a scan of the live edge list by endpoint and
+// label, in (label ID, edge index) order. It runs on a built graph and on
+// overlays that tombstone nodes, remove and add edges, and add a label
+// first seen after the build (whose ID sorts after the base's, though its
+// name sorts first).
 func TestLabelIndexMatchesDenseLists(t *testing.T) {
-	labels := []string{"a", "b", "c", "knows"}
-	g := randomGraph(t, 40, 300, labels, 7)
-	if g.NumLabels() == 0 {
-		t.Fatal("expected labels")
+	g := randomGraph(t, 40, 300, []string{"a", "b", "c", "knows"}, 7)
+	checkRowsAgainstScan(t, "built", g)
+
+	v1, err := g.Apply([]Mutation{
+		{Op: MutRemoveNode, ID: "v3"},
+		{Op: MutRemoveNode, ID: "v17"},
+		{Op: MutRemoveEdge, ID: "e10"},
+		{Op: MutRemoveEdge, ID: "e11"},
+		{Op: MutAddEdge, ID: "x0", Label: "b", Src: "v1", Tgt: "v2"},
+		{Op: MutAddEdge, ID: "x1", Label: "0new", Src: "v1", Tgt: "v1"},
+		{Op: MutAddNode, ID: "w0"},
+		{Op: MutAddEdge, ID: "x2", Label: "a", Src: "w0", Tgt: "v1"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkRowsAgainstScan(t, "overlay", v1)
+	v2, err := v1.Apply([]Mutation{
+		{Op: MutRemoveEdge, ID: "x0"},
+		{Op: MutAddEdge, ID: "x3", Label: "0new", Src: "v2", Tgt: "w0"},
+		{Op: MutAddEdge, ID: "x4", Label: "knows", Src: "v1", Tgt: "v5"},
+		{Op: MutRemoveNode, ID: "v5"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRowsAgainstScan(t, "second overlay", v2)
+	checkRowsAgainstScan(t, "first overlay after the second", v1)
+}
+
+func checkRowsAgainstScan(t *testing.T, name string, g *Graph) {
+	t.Helper()
 	for n := 0; n < g.NumNodes(); n++ {
+		var wantOut, wantIn []int
 		for id := 0; id < g.NumLabels(); id++ {
-			lab := g.LabelName(id)
-			var wantOut, wantIn []int
-			for _, ei := range g.Out(n) {
-				if g.Edge(ei).Label == lab {
-					wantOut = append(wantOut, ei)
+			var out, in []int
+			for ei := 0; ei < g.NumEdges(); ei++ {
+				if !g.EdgeAlive(ei) || g.EdgeLabelID(ei) != id {
+					continue
+				}
+				if g.EdgeSrc(ei) == n {
+					out = append(out, ei)
+				}
+				if g.EdgeTgt(ei) == n {
+					in = append(in, ei)
 				}
 			}
-			for _, ei := range g.In(n) {
-				if g.Edge(ei).Label == lab {
-					wantIn = append(wantIn, ei)
-				}
+			if got := g.OutWithLabel(n, id); !equalInts(got, out) {
+				t.Fatalf("%s: OutWithLabel(%d, %q) = %v, want %v", name, n, g.LabelName(id), got, out)
 			}
-			if got := g.OutWithLabel(n, id); !equalInts(got, wantOut) {
-				t.Fatalf("OutWithLabel(%d, %q) = %v, want %v", n, lab, got, wantOut)
+			if got := g.InWithLabel(n, id); !equalInts(got, in) {
+				t.Fatalf("%s: InWithLabel(%d, %q) = %v, want %v", name, n, g.LabelName(id), got, in)
 			}
-			if got := g.InWithLabel(n, id); !equalInts(got, wantIn) {
-				t.Fatalf("InWithLabel(%d, %q) = %v, want %v", n, lab, got, wantIn)
-			}
+			wantOut, wantIn = append(wantOut, out...), append(wantIn, in...)
+		}
+		if got := g.Out(n); !equalInts(got, wantOut) {
+			t.Fatalf("%s: Out(%d) = %v, want %v", name, n, got, wantOut)
+		}
+		if got := g.In(n); !equalInts(got, wantIn) {
+			t.Fatalf("%s: In(%d) = %v, want %v", name, n, got, wantIn)
 		}
 	}
 }

@@ -128,28 +128,17 @@ func (g *Graph) BuyNeighborTable(labelID int, in bool) (t *NeighborTable, built 
 }
 
 // buildNeighborTable files the label's live edges under their source,
-// pointing at their target (in: the reverse): a stable counting sort of the
-// label's ascending edge list, so each node's neighbors keep the order the
-// label index gives them.
+// pointing at their target (in: the reverse), by the stable counting sort
+// that files the CSR (fileByKey), so each node's neighbors keep the
+// ascending order the label index gives them.
 func buildNeighborTable(g *Graph, labelID int, in bool) *NeighborTable {
-	n := g.NumNodes()
-	edges := g.EdgesWithLabelID(labelID)
-	t := &NeighborTable{off: make([]int32, n+1), to: make([]int32, len(edges)), epoch: g.labelEpoch(labelID)}
 	at, to := g.EdgeSrc, g.EdgeTgt
 	if in {
 		at, to = to, at
 	}
-	for _, ei := range edges {
-		t.off[at(ei)+1]++
-	}
-	for v := 0; v < n; v++ {
-		t.off[v+1] += t.off[v]
-	}
-	next := append([]int32(nil), t.off[:n]...)
-	for _, ei := range edges {
-		v := at(ei)
-		t.to[next[v]] = int32(to(ei))
-		next[v]++
-	}
-	return t
+	edges := g.EdgesWithLabelID(labelID)
+	off, tos := fileByKey(g.NumNodes(), len(edges),
+		func(i int) int { return at(edges[i]) },
+		func(i int) int32 { return int32(to(edges[i])) })
+	return &NeighborTable{off: off, to: tos, epoch: g.labelEpoch(labelID)}
 }

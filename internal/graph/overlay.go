@@ -115,12 +115,11 @@ type overlay struct {
 	deadNodes map[int]struct{}
 	deadEdges map[int]struct{}
 
-	// outRows / inRows hold the effective adjacency rows of every node the
-	// chain has touched (and every added node), sorted by (label ID, edge
-	// index) exactly like a CSR region so the withLabel binary search works
-	// unchanged. A miss falls through to the base CSR region.
-	outRows map[int][]int
-	inRows  map[int][]int
+	// rows holds, per direction (dirOut, dirIn), the row of every node the
+	// chain has touched (and every added node), in the base CSR's
+	// (label ID, edge index) order. A miss falls through to the base CSR
+	// region (Graph.row).
+	rows [2]map[int][]int
 
 	// nodeProps / edgeProps override whole property maps (set-prop clones
 	// the effective map, so base property maps are never written).
@@ -174,8 +173,6 @@ func (ov *overlay) clone() *overlay {
 		edgeIDs:   make(map[EdgeID]int, len(ov.edgeIDs)+1),
 		deadNodes: cloneIntSet(ov.deadNodes),
 		deadEdges: cloneIntSet(ov.deadEdges),
-		outRows:   make(map[int][]int, len(ov.outRows)+1),
-		inRows:    make(map[int][]int, len(ov.inRows)+1),
 		nodeProps: make(map[int]Props, len(ov.nodeProps)+1),
 		edgeProps: make(map[int]Props, len(ov.edgeProps)+1),
 		labelIDs:  make(map[string]int, len(ov.labelIDs)+1),
@@ -193,11 +190,11 @@ func (ov *overlay) clone() *overlay {
 	for k, v := range ov.edgeIDs {
 		c.edgeIDs[k] = v
 	}
-	for k, v := range ov.outRows {
-		c.outRows[k] = v
-	}
-	for k, v := range ov.inRows {
-		c.inRows[k] = v
+	for d, rows := range ov.rows {
+		c.rows[d] = make(map[int][]int, len(rows)+1)
+		for k, v := range rows {
+			c.rows[d][k] = v
+		}
 	}
 	for k, v := range ov.nodeProps {
 		c.nodeProps[k] = v
@@ -223,8 +220,7 @@ func newOverlay(g *Graph) *overlay {
 		edgeIDs:   make(map[EdgeID]int),
 		deadNodes: make(map[int]struct{}),
 		deadEdges: make(map[int]struct{}),
-		outRows:   make(map[int][]int),
-		inRows:    make(map[int][]int),
+		rows:      [2]map[int][]int{make(map[int][]int), make(map[int][]int)},
 		nodeProps: make(map[int]Props),
 		edgeProps: make(map[int]Props),
 		labelIDs:  make(map[string]int),
@@ -316,10 +312,9 @@ func (g *Graph) DeltaOps() int {
 // construction plus per-batch copy-on-write tracking, so a row cloned once
 // in this batch can be edited in place for the rest of it.
 type applier struct {
-	g          *Graph
-	ov         *overlay
-	touchedOut map[int]bool
-	touchedIn  map[int]bool
+	g       *Graph
+	ov      *overlay
+	touched [2]map[int]bool // per direction, the rows this batch owns
 	// epoch stamps the labels this batch touches; drawn on the first touch.
 	epoch uint64
 }
@@ -339,7 +334,7 @@ func (g *Graph) Apply(muts []Mutation) (*Graph, error) {
 	} else {
 		ng.ov = g.ov.clone()
 	}
-	a := &applier{g: ng, ov: ng.ov, touchedOut: map[int]bool{}, touchedIn: map[int]bool{}}
+	a := &applier{g: ng, ov: ng.ov, touched: [2]map[int]bool{{}, {}}}
 	for i := range muts {
 		if err := a.apply(&muts[i]); err != nil {
 			return nil, fmt.Errorf("graph: mutation %d (%s %q): %w", i, muts[i].Op, muts[i].ID, err)
@@ -378,8 +373,8 @@ func (a *applier) addNode(m *Mutation) error {
 	idx := len(a.g.nodes)
 	a.g.nodes = append(a.g.nodes, Node{ID: id, Label: m.Label, Props: m.Props.clone()})
 	a.ov.nodeIDs[id] = idx
-	a.setRow(idx, false, nil)
-	a.setRow(idx, true, nil)
+	a.setRow(idx, dirOut, nil)
+	a.setRow(idx, dirIn, nil)
 	a.ov.liveNodes++
 	return nil
 }
@@ -400,8 +395,8 @@ func (a *applier) removeNode(m *Mutation) error {
 	}
 	a.ov.deadNodes[idx] = struct{}{}
 	a.ov.nodeIDs[NodeID(m.ID)] = -1
-	a.setRow(idx, false, nil)
-	a.setRow(idx, true, nil)
+	a.setRow(idx, dirOut, nil)
+	a.setRow(idx, dirIn, nil)
 	delete(a.ov.nodeProps, idx)
 	a.ov.liveNodes--
 	return nil
@@ -428,8 +423,8 @@ func (a *applier) addEdge(m *Mutation) error {
 	a.g.edges = append(a.g.edges, Edge{ID: id, Label: label, Src: si, Tgt: ti, Props: m.Props.clone()})
 	a.g.edgeLabel = append(a.g.edgeLabel, lid)
 	a.ov.edgeIDs[id] = ei
-	a.insertRow(si, false, ei, lid)
-	a.insertRow(ti, true, ei, lid)
+	a.insertRow(si, dirOut, ei, lid)
+	a.insertRow(ti, dirIn, ei, lid)
 	a.ov.labelAdds[lid] = append(a.ov.labelAdds[lid], ei)
 	a.ov.liveEdges++
 	a.touchLabel(lid, +1)
@@ -452,8 +447,8 @@ func (a *applier) removeEdge(ei int) {
 	a.ov.deadEdges[ei] = struct{}{}
 	a.ov.edgeIDs[e.ID] = -1
 	lid := a.g.edgeLabel[ei]
-	a.deleteRow(e.Src, false, ei, lid)
-	a.deleteRow(e.Tgt, true, ei, lid)
+	a.deleteRow(e.Src, dirOut, ei, lid)
+	a.deleteRow(e.Tgt, dirIn, ei, lid)
 	delete(a.ov.edgeProps, ei)
 	a.ov.liveEdges--
 	a.touchLabel(lid, -1)
@@ -532,78 +527,45 @@ func (a *applier) ensureLabel(label string) (int, string) {
 	return id, label
 }
 
-// setRow publishes row as node n's effective adjacency in one direction and
-// marks it owned by this batch.
-func (a *applier) setRow(n int, in bool, row []int) {
-	if in {
-		a.ov.inRows[n] = row
-		a.touchedIn[n] = true
-	} else {
-		a.ov.outRows[n] = row
-		a.touchedOut[n] = true
-	}
+// setRow publishes row as node n's row in direction d and marks it owned
+// by this batch.
+func (a *applier) setRow(n, d int, row []int) {
+	a.ov.rows[d][n] = row
+	a.touched[d][n] = true
 }
 
-// mutableRow returns node n's effective row, cloned the first time this
-// batch touches it so ancestor versions keep their own copy.
-func (a *applier) mutableRow(n int, in bool) []int {
-	rows, touched := a.ov.outRows, a.touchedOut
-	if in {
-		rows, touched = a.ov.inRows, a.touchedIn
+// mutableRow returns node n's row in direction d, cloned the first time
+// this batch touches it so ancestor versions keep their own copy.
+func (a *applier) mutableRow(n, d int) []int {
+	if a.touched[d][n] {
+		return a.ov.rows[d][n]
 	}
-	if touched[n] {
-		return rows[n]
-	}
-	var src []int
-	if r, ok := rows[n]; ok {
-		src = r
-	} else {
-		// Base CSR region: already (label ID, edge index)-sorted.
-		c := &a.g.outCSR
-		if in {
-			c = &a.g.inCSR
-		}
-		src = c.edges[c.start[n]:c.start[n+1]]
-	}
-	clone := append(make([]int, 0, len(src)+1), src...)
-	if in {
-		a.ov.inRows[n] = clone
-		a.touchedIn[n] = true
-	} else {
-		a.ov.outRows[n] = clone
-		a.touchedOut[n] = true
-	}
-	return clone
+	src := a.g.row(n, d)
+	row := append(make([]int, 0, len(src)+1), src...)
+	a.setRow(n, d, row)
+	return row
 }
 
 // insertRow splices edge ei (label lid) into node n's row at its
 // (label ID, edge index)-sorted position. ei is always the largest edge
 // index in the graph, so it lands at the end of its label's run.
-func (a *applier) insertRow(n int, in bool, ei, lid int) {
-	row := a.mutableRow(n, in)
-	pos := sort.Search(len(row), func(i int) bool { return a.g.edgeLabel[row[i]] > lid })
+func (a *applier) insertRow(n, d, ei, lid int) {
+	row := a.mutableRow(n, d)
+	_, pos := a.g.labelRun(row, lid)
 	row = append(row, 0)
 	copy(row[pos+1:], row[pos:])
 	row[pos] = ei
-	a.setRow(n, in, row)
+	a.setRow(n, d, row)
 }
 
 // deleteRow removes edge ei (label lid) from node n's row, preserving
 // order. The edge is known to be present.
-func (a *applier) deleteRow(n int, in bool, ei, lid int) {
-	row := a.mutableRow(n, in)
-	run := labelRun(row, a.g.edgeLabel, lid)
-	i := run[0] + sort.SearchInts(row[run[0]:run[1]], ei)
+func (a *applier) deleteRow(n, d, ei, lid int) {
+	row := a.mutableRow(n, d)
+	lo, hi := a.g.labelRun(row, lid)
+	i := lo + sort.SearchInts(row[lo:hi], ei)
 	copy(row[i:], row[i+1:])
-	a.setRow(n, in, row[:len(row)-1])
-}
-
-// labelRun locates the [lo, hi) run of label lid inside a
-// (label ID, edge index)-sorted row — the same search csr.withLabel does.
-func labelRun(row, edgeLabel []int, lid int) [2]int {
-	lo := sort.Search(len(row), func(i int) bool { return edgeLabel[row[i]] >= lid })
-	hi := lo + sort.Search(len(row)-lo, func(i int) bool { return edgeLabel[row[lo+i]] > lid })
-	return [2]int{lo, hi}
+	a.setRow(n, d, row[:len(row)-1])
 }
 
 // Materialize folds the version chain into a fresh fully-indexed Graph

@@ -126,42 +126,67 @@ func TestQuotedIDsMatchEscaper(t *testing.T) {
 	holdsLiteral(t, grown, 0)
 }
 
+// shapedBuilder fills a Builder with the short-reads graph's shape at the
+// given size: out edges from every node but the first to earlier nodes,
+// every sixteenth labeled b, the rest a.
+func shapedBuilder(nodes, out int) *Builder {
+	id := func(i int) NodeID { return NodeID("n" + strconv.Itoa(i)) }
+	bd := NewBuilder()
+	for i := 0; i < nodes; i++ {
+		bd.AddNode(id(i), "", nil)
+	}
+	e := 0
+	for i := 1; i < nodes; i++ {
+		for j := 0; j < out; j++ {
+			label := "a"
+			if e%16 == 0 {
+				label = "b"
+			}
+			bd.AddEdge(EdgeID("e"+strconv.Itoa(e)), label, id(i), id((i*7919+j*104729)%i), nil)
+			e++
+		}
+	}
+	return bd
+}
+
+// TestBuildAllocs: Build files every index by counting sorts into slices
+// sized up front, so what it allocates does not grow with the graph — a
+// per-node list or a per-node sort would.
+func TestBuildAllocs(t *testing.T) {
+	allocs := func(nodes int) float64 {
+		const runs = 2
+		builders := make([]*Builder, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range builders {
+			builders[i] = shapedBuilder(nodes, 4)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			builders[0].MustBuild()
+			builders = builders[1:]
+		})
+	}
+	small, large := allocs(2000), allocs(20000)
+	if small != large {
+		t.Fatalf("Build allocates %v times at 2 000 nodes and %v at 20 000", small, large)
+	}
+}
+
 // BenchmarkBuild is what Build costs on the short-reads graph's shape
 // (scalefree-20000: 20 000 nodes, 79 990 edges), the quoted-ID arena
 // included; quote-ids is that part alone.
 func BenchmarkBuild(b *testing.B) {
 	const nodes, out = 20000, 4
-	id := func(i int) NodeID { return NodeID("n" + strconv.Itoa(i)) }
-	fill := func() *Builder {
-		bd := NewBuilder()
-		for i := 0; i < nodes; i++ {
-			bd.AddNode(id(i), "", nil)
-		}
-		e := 0
-		for i := 1; i < nodes; i++ {
-			for j := 0; j < out; j++ {
-				label := "a"
-				if e%16 == 0 {
-					label = "b"
-				}
-				bd.AddEdge(EdgeID("e"+strconv.Itoa(e)), label, id(i), id((i*7919+j*104729)%i), nil)
-				e++
-			}
-		}
-		return bd
-	}
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			bd := fill()
+			bd := shapedBuilder(nodes, out)
 			b.StartTimer()
 			if g := bd.MustBuild(); g.NumNodes() != nodes {
 				b.Fatal(g.NumNodes())
 			}
 		}
 	})
-	g := fill().MustBuild()
+	g := shapedBuilder(nodes, out).MustBuild()
 	b.Run("quote-ids", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

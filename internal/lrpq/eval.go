@@ -121,11 +121,11 @@ func search(g *graph.Graph, a *VNFA, src, dst int, mode eval.Mode, opts Options,
 			return nil
 		}
 		for _, ei := range g.Out(node) {
-			tgt := g.Edge(ei).Tgt
+			tgt := g.EdgeTgt(ei)
 			if has(usedEdges, ei) || has(usedNodes, tgt) {
 				continue
 			}
-			lab := g.Edge(ei).Label
+			lab := g.LabelName(g.EdgeLabelID(ei))
 			for _, tr := range a.Trans[state] {
 				if !tr.Guard.Matches(lab) {
 					continue
@@ -192,7 +192,7 @@ func BindingsOnPath(g *graph.Graph, e Expr, p gpath.Path) []gpath.Binding {
 	}
 	cur := []cfg{{state: a.Start}}
 	for _, ei := range edges {
-		lab := g.Edge(ei).Label
+		lab := g.LabelName(g.EdgeLabelID(ei))
 		var next []cfg
 		for _, c := range cur {
 			for _, tr := range a.Trans[c.state] {

@@ -171,9 +171,9 @@ func (k *Kernel) Succ(s State) []Step {
 	})
 	out := make([]Step, len(cands))
 	for i, c := range cands {
-		to := g.Edge(c.edge).Tgt
+		to := g.EdgeTgt(c.edge)
 		if c.back == 1 {
-			to = g.Edge(c.edge).Src
+			to = g.EdgeSrc(c.edge)
 		}
 		out[i] = Step{Edge: c.edge, To: State{Node: to, State: c.to}}
 	}

@@ -29,7 +29,7 @@ import (
 // symbolic form and filter a dense scan.
 type ResolvedGuard struct {
 	LabelIDs []int          // label IDs matched by a positive guard
-	Negated  bool           // co-finite guard: scan dense lists, filter by Guard
+	Negated  bool           // co-finite guard: scan whole rows, filter by Guard
 	Guard    automata.Guard // the symbolic guard (used by negated and dense scans)
 }
 
@@ -50,13 +50,14 @@ func Resolve(g *graph.Graph, gd automata.Guard) (ResolvedGuard, bool) {
 }
 
 // OutEdges visits the out-edges of node matching the guard: positive
-// guards probe the per-label CSR index, co-finite guards filter the dense
-// list. Edge order is per-label ascending (positive) or globally ascending
-// (negated) — exactly the orders the pre-unification evaluators produced.
+// guards probe the per-label CSR index, co-finite guards filter the node's
+// whole row. Either way edges come label by label, each label's ascending:
+// in the guard's label order (positive) or in label ID order, the order of
+// graph.Out (negated).
 func (rg *ResolvedGuard) OutEdges(g *graph.Graph, node int, visit func(ei int)) {
 	if rg.Negated {
 		for _, ei := range g.Out(node) {
-			if rg.Guard.Matches(g.Edge(ei).Label) {
+			if rg.Guard.Matches(g.LabelName(g.EdgeLabelID(ei))) {
 				visit(ei)
 			}
 		}
@@ -73,7 +74,7 @@ func (rg *ResolvedGuard) OutEdges(g *graph.Graph, node int, visit func(ei int)) 
 func (rg *ResolvedGuard) InEdges(g *graph.Graph, node int, visit func(ei int)) {
 	if rg.Negated {
 		for _, ei := range g.In(node) {
-			if rg.Guard.Matches(g.Edge(ei).Label) {
+			if rg.Guard.Matches(g.LabelName(g.EdgeLabelID(ei))) {
 				visit(ei)
 			}
 		}
@@ -92,7 +93,7 @@ func (rg *ResolvedGuard) InEdges(g *graph.Graph, node int, visit func(ei int)) {
 func (rg *ResolvedGuard) Edges(g *graph.Graph, visit func(ei int)) {
 	if rg.Negated {
 		for ei := 0; ei < g.NumEdges(); ei++ {
-			if g.EdgeAlive(ei) && rg.Guard.Matches(g.Edge(ei).Label) {
+			if g.EdgeAlive(ei) && rg.Guard.Matches(g.LabelName(g.EdgeLabelID(ei))) {
 				visit(ei)
 			}
 		}

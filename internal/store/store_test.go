@@ -144,12 +144,15 @@ func TestCompactionFoldsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The tenth commit starts the background compaction, which may publish
+	// before this goroutine reads the handle again: pre is the committed,
+	// uncompacted version the commit returned.
+	var pre *Snapshot
 	for i := 0; i < 10; i++ {
-		if _, err := h.Mutate([]graph.Mutation{addEdgeMut(i, "v0", "v1")}, 0); err != nil {
+		if pre, err = h.Mutate([]graph.Mutation{addEdgeMut(i, "v0", "v1")}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pre := h.Snapshot()
 	want := dump(t, pre.G)
 	s.Close() // wait for the background compaction
 
