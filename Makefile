@@ -54,6 +54,13 @@ vet:
 # of internal/relalg builds — pg.NewKernel, or eval's product constructors —
 # is a second kernel of the same product, with its own condensation and
 # reverse tables.
+# Every served CRPQ joins one way (DESIGN §17): crpq.Plan, whose atoms are
+# kernel sweeps or tier plans and whose join is wcoj. The package-level
+# crpq.Eval is the oracle — the pairwise, string-keyed join that crossval,
+# the fuzzer and the benchmark's oracle check the plan against — so
+# internal/crpq/plan.go, a non-test file of internal/core and one of
+# internal/regular never call it: a query sent there would be answered by
+# the evaluator it is checked against.
 # A node's edges in one direction are one row (DESIGN §7): its region of the
 # label-sorted CSR, or its overlay row once a commit has touched it. A
 # [][]int in a non-test file of internal/graph is a second per-node adjacency
@@ -94,6 +101,9 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a pattern tier evaluates through internal/eval (its one evaluator is the match enumerator):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE 'pg\.NewKernel|eval\.(NewProduct|CompileProduct)' internal/lrpq/plan.go internal/crpq/plan.go $$(ls internal/relalg/*.go | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "a served plan builds its own kernel (take the one it is handed):"; echo "$$out"; exit 1; fi
+	@out="$$( (grep -nE '(^|[^.[:alnum:]_])Eval(Ctx)?\(' internal/crpq/plan.go | grep -vE '^[0-9]+:[[:space:]]*(//|func \()'; \
+		grep -nE 'crpq\.Eval(Ctx)?\(' $$(ls internal/core/*.go internal/regular/*.go | grep -v _test.go)) || true)"; \
+		if [ -n "$$out" ]; then echo "a served or regular CRPQ sent to the reference crpq.Eval (compile it: crpq.Compile, Plan.Eval):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n -F '[][]int' $$(ls internal/graph/*.go | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "a second per-node adjacency index in internal/graph (a node's edges are its CSR region or overlay row):"; echo "$$out"; exit 1; fi
 

@@ -13,9 +13,7 @@ import (
 
 	"graphquery/internal/cardest"
 	"graphquery/internal/crpq"
-	"graphquery/internal/eval"
 	"graphquery/internal/graph"
-	"graphquery/internal/pg"
 	"graphquery/internal/regular"
 	"graphquery/internal/rpq"
 	"graphquery/internal/twoway"
@@ -73,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := crpq.Compile(g, tri, func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() })
+	plan, err := crpq.Compile(g, tri, crpq.Kernels(g))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 
 	// 2. A CRPQ join (Section 3.1.2): mutual-follow pairs.
 	q := crpq.MustParse("q(x, y) :- follows(x, y), follows(y, x)")
-	rows, err := crpq.Eval(g, q, crpq.Options{})
+	rows, err := crpq.EvalPlan(g, q, crpq.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

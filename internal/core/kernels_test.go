@@ -14,21 +14,23 @@ import (
 // oneExpression is an RPQ on a graph, with two anchors a path of it joins.
 type oneExpression struct {
 	name, expr, cypher string
+	listed             string // expr with a list variable z: an ℓ-RPQ whose erasure is expr
 	g                  func() *graph.Graph
 	from, to           graph.NodeID
 	condenses          bool // an all-pairs sweep of expr buys the condensation
 }
 
 var oneExpressions = []oneExpression{
-	{"random-40", "a*", "-[:(a)*]->",
+	{"random-40", "a*", "-[:(a)*]->", "(a^z)*",
 		func() *graph.Graph { return gen.Random(40, 120, []string{"a", "b"}, 3) }, "v0", "v7", false},
-	{"scalefree-400", "a* b b b a", "-[:(a)*]->-[:b]->-[:b]->-[:b]->-[:a]->",
+	{"scalefree-400", "a* b b b a", "-[:(a)*]->-[:b]->-[:b]->-[:b]->-[:a]->", "(a^z)* b b b a",
 		func() *graph.Graph { return gen.ScaleFree(400, 3, 7) }, "n0", "n3", true},
 }
 
 // requests serves the expression in every form the engine has for it: as
 // a PMR, as pairs, through the Cypher fragment, as anchored shortest paths,
-// as a CRPQ atom and as a relalg REACH atom.
+// as a CRPQ atom, as a relalg REACH atom, and as a CRPQ tier atom that
+// binds a list variable.
 func (c oneExpression) requests() []Request {
 	return []Request{
 		{Lang: "pmr", Query: c.expr, From: c.from, To: c.to, Mode: eval.Shortest, Limit: 3},
@@ -37,6 +39,7 @@ func (c oneExpression) requests() []Request {
 		{Query: c.expr, From: c.from, To: c.to, Mode: eval.Shortest},
 		{Query: "q(x, y) :- " + c.expr + "(x, y)"},
 		{Lang: "relalg", Query: "REACH(" + c.expr + ") AS (x, y)"},
+		{Query: "q(y, z) :- shortest " + c.listed + "(@" + string(c.from) + ", y)"},
 	}
 }
 
@@ -89,13 +92,14 @@ func TestOneKernelPerExpression(t *testing.T) {
 					t.Fatalf("%+v: no results", req)
 				}
 			}
-			// pmr and pairs share the rpq plan; the four other plans each
-			// asked for the kernel once and were handed the one cached.
-			if st := e.kernels.stats(); st.Misses != 1 || st.Hits != 4 || st.Size != 1 {
-				t.Fatalf("kernel cache after serving %s six ways: %+v; want 1 miss, 4 hits, 1 entry", c.expr, st)
+			// pmr and pairs share the rpq plan; the five other plans each
+			// asked for the kernel once and were handed the one cached — the
+			// list-variable atom's lrpq.Plan on its erased expression too.
+			if st := e.kernels.stats(); st.Misses != 1 || st.Hits != 5 || st.Size != 1 {
+				t.Fatalf("kernel cache after serving %s seven ways: %+v; want 1 miss, 5 hits, 1 entry", c.expr, st)
 			}
-			if plans := e.CacheStats(); plans.Size != 5 {
-				t.Fatalf("plan cache holds %d plans, want 5", plans.Size)
+			if plans := e.CacheStats(); plans.Size != 6 {
+				t.Fatalf("plan cache holds %d plans, want 6", plans.Size)
 			}
 			if built, want := e.RuntimeStats().CondensationsBuilt, map[bool]int64{true: 1}[c.condenses]; built != want {
 				t.Fatalf("%d condensations built, want %d", built, want)
@@ -125,7 +129,7 @@ func TestOneKernelPerExpression(t *testing.T) {
 	}
 }
 
-// TestSharedKernelConcurrentReplies: the six forms of an expression served
+// TestSharedKernelConcurrentReplies: the seven forms of an expression served
 // concurrently on one engine — so on one kernel, whichever of them builds
 // its kept state — answer what they answer one at a time on an engine of
 // their own, meter readings included.

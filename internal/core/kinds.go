@@ -14,7 +14,6 @@ import (
 	"slices"
 	"strings"
 
-	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/relalg"
 	"graphquery/internal/rpq"
@@ -61,7 +60,7 @@ type kind struct {
 var kinds = [...]kind{
 	KindRPQ: {"", "pairs", eitherAnchors,
 		eitherWay(planned("lrpq", readLRPQ, lrpqPaths), planned("rpq", readRPQ, rpqPairs))},
-	KindDLRPQ:   {"", "paths", bothAnchors, planned("dlrpq", reader(bounded(dlrpq.Parse)), dlrpqPaths)},
+	KindDLRPQ:   {"", "paths", bothAnchors, planned("dlrpq", readDLRPQ, dlrpqPaths)},
 	KindCRPQ:    {"", "rows", noAnchors, planned("crpq", readCRPQ, crpqRows)},
 	KindTwoWay:  {"2rpq", "pairs", noAnchors, planned("2rpq", readTwoWay, twoWayPairs)},
 	KindGQL:     {"gql", "matches", noAnchors, planned("gql", reader(parseGQL), gqlMatches)},

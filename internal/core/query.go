@@ -424,22 +424,15 @@ func readCRPQ(x *run, text string) (*crpq.Plan, error) {
 	return stage(x, "compile", func() (*crpq.Plan, error) { return crpq.Compile(x.gs.g, q, x.kernel) })
 }
 
-// crpqRows evaluates a CRPQ plan. Inside the kernel fragment the atom
-// sweeps are the "kernel" stage and the join, projection and ordering the
-// "enumerate" stage; a query outside it runs the reference evaluator
-// whole, under "kernel".
+// crpqRows evaluates a CRPQ plan: the atoms' sweeps and tier plans are the
+// "kernel" stage, the join, projection and ordering the "enumerate" stage.
 func crpqRows(x *run, p *crpq.Plan) (*Response, error) {
 	opts := crpq.Options{AtomMaxLen: x.maxLen, Parallelism: x.e.Parallelism, Meter: x.m}
-	var res *crpq.Result
-	var err error
-	if !p.OnKernel() {
-		res, err = stage(x, "kernel", func() (*crpq.Result, error) { return p.Eval(opts) })
-	} else {
-		var swept *crpq.Swept
-		if swept, err = stage(x, "kernel", func() (*crpq.Swept, error) { return p.Sweep(opts) }); err == nil {
-			res, err = stage(x, "enumerate", swept.Join)
-		}
+	swept, err := stage(x, "kernel", func() (*crpq.Swept, error) { return p.Sweep(opts) })
+	if err != nil {
+		return nil, err
 	}
+	res, err := stage(x, "enumerate", swept.Join)
 	if err != nil {
 		return nil, err
 	}
@@ -478,11 +471,21 @@ func lrpqPaths(x *run, p *lrpq.Plan) (*Response, error) {
 	})))
 }
 
-// dlrpqPaths evaluates a dl-RPQ between the anchors; search and path
+// readDLRPQ reads a dl-RPQ to its plan (dlrpq.Plan: atom automaton with
+// its edge guards resolved against the graph).
+func readDLRPQ(x *run, text string) (*dlrpq.Plan, error) {
+	expr, err := reader(bounded(dlrpq.Parse))(x, text)
+	if err != nil {
+		return nil, err
+	}
+	return stage(x, "compile", func() (*dlrpq.Plan, error) { return dlrpq.NewPlan(x.gs.g, expr), nil })
+}
+
+// dlrpqPaths evaluates a dl-RPQ plan between the anchors; search and path
 // reconstruction interleave, under one "enumerate" stage.
-func dlrpqPaths(x *run, expr dlrpq.Expr) (*Response, error) {
+func dlrpqPaths(x *run, p *dlrpq.Plan) (*Response, error) {
 	return x.paths(pathResults(stage(x, "enumerate", func() ([]gpath.PathBinding, error) {
-		return dlrpq.EvalBetween(x.gs.g, expr, x.u, x.v, x.req.Mode,
+		return p.Between(x.u, x.v, x.req.Mode,
 			dlrpq.Options{MaxLen: x.maxLen, Limit: x.limit, Meter: x.m, Counters: &x.e.counters})
 	})))
 }

@@ -128,8 +128,9 @@ func TestQueryCtxTraceOtherKinds(t *testing.T) {
 // compile → kernel (the atom sweeps: all the states, the relations' rows) →
 // enumerate (join, projection, order: the output rows); warm, a plan-cache
 // hit, only the last two; after SetGraph it compiles again. Analyze shows
-// both stages as plan nodes. A query outside the fragment runs the
-// reference whole, under kernel.
+// both stages as plan nodes. A query with a tier atom outside the fragment
+// has the same two stages: its tier plan runs under kernel, the join under
+// enumerate.
 func TestCRPQStages(t *testing.T) {
 	g := gen.Random(30, 120, []string{"a", "b"}, 5)
 	e := New(g)
@@ -176,12 +177,16 @@ func TestCRPQStages(t *testing.T) {
 		t.Errorf("after SetGraph: spans %v, want a compile span", spanNames(again.Spans))
 	}
 
-	outside, err := e.QueryCtx(context.Background(), Request{Query: "q(x, z) :- shortest (a^z)+(x, y)"})
+	outside, err := e.QueryCtx(context.Background(), Request{Query: "q(x, z) :- shortest (a^z)+(x, y)", Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := spanNames(outside.Spans), []string{"parse", "compile", "kernel"}; !slices.Equal(got, want) {
-		t.Errorf("reference-evaluated CRPQ spans %v, want %v", got, want)
+	if got, want := spanNames(outside.Spans), []string{"parse", "compile", "kernel", "enumerate"}; !slices.Equal(got, want) {
+		t.Errorf("tier-atom CRPQ spans %v, want %v", got, want)
+	}
+	kernel, enumerate = outside.Spans[2], outside.Spans[3]
+	if out := int64(len(outside.Rows.Rows)); kernel.States != outside.StatesVisited || enumerate.Rows != out || out == 0 {
+		t.Errorf("tier-atom CRPQ: kernel %d states of %d, enumerate %d rows of %d", kernel.States, outside.StatesVisited, enumerate.Rows, out)
 	}
 }
 

@@ -37,3 +37,29 @@ func BenchmarkPlanSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlanTier is a whole evaluation — Plan.Eval, sweep and join — of a
+// query whose one atom is a tier atom, on gen.Random(150, 600): a list
+// variable in the head, and mode shortest. The plan is compiled once, as a
+// served plan is, so an evaluation runs the atom's lrpq.Plan between all
+// 22 500 endpoint pairs and then the join.
+func BenchmarkPlanTier(b *testing.B) {
+	g := gen.Random(150, 600, []string{"a", "b"}, 1)
+	for _, c := range []struct{ name, query string }{
+		{"list-var", "q(x, y, z) :- (a^z) b(x, y)"},
+		{"shortest", "q(x, y) :- shortest a b(x, y)"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := Compile(g, MustParse(c.query), kernels(g, nil))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Eval(Options{AtomMaxLen: 16, Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

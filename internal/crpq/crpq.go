@@ -322,7 +322,12 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (*Resu
 	return Eval(g, q, opts)
 }
 
-// Eval computes q(G) (set semantics). It validates the query first. Atom
+// Eval computes q(G) (set semantics): the reference evaluator, which tests,
+// the fuzzer and the benchmark's oracle compare the served Plan against. It
+// validates the query first, materializes every atom to a relation of
+// OutValue tuples — an atom inside the kernel fragment by a sweep of a
+// kernel of its own, any other by its tier's plan between every pair of
+// endpoints (tierRel) — and joins them pairwise on string keys. Atom
 // materialization (including its parallel per-source fan-out) checks
 // opts.Meter cooperatively, so a canceled context or an exhausted budget
 // stops every worker and surfaces pg.ErrCanceled / pg.ErrBudgetExceeded.
@@ -333,13 +338,36 @@ func Eval(g *graph.Graph, q *Query, opts Options) (*Result, error) {
 	// Evaluate each atom to a relation over (src-var?, dst-var?, list vars).
 	rels := make([]atomRelT, len(q.Atoms))
 	for i, a := range q.Atoms {
-		rel, err := evalAtom(g, a, opts)
+		var rel atomRelT
+		var err error
+		if expr := sweptExpr(a); expr != nil {
+			rel, err = sweptRel(g, a, expr, opts)
+		} else {
+			rel, err = tierRel(g, a, tierPlan(g, a, Kernels(g)), opts)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("atom %d (%s): %w", i, a, err)
 		}
 		rels[i] = rel
 	}
 	return joinProject(rels, q.Head, opts.Meter)
+}
+
+// Kernels is the kernel source Compile takes for a caller that keeps no
+// kernel cache: a product kernel with g compiled for every expression it is
+// asked for. Compile asks once per distinct expression of a query.
+func Kernels(g *graph.Graph) func(rpq.Expr) *pg.Kernel {
+	return func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() }
+}
+
+// EvalPlan computes q(G) the way it is served, on its Plan, for a caller
+// that keeps no plan: Compile with Kernels(g), then Plan.Eval.
+func EvalPlan(g *graph.Graph, q *Query, opts Options) (*Result, error) {
+	p, err := Compile(g, q, Kernels(g))
+	if err != nil {
+		return nil, err
+	}
+	return p.Eval(opts)
 }
 
 // joinProject folds the atom relations with hash joins on shared node
@@ -472,8 +500,59 @@ func joinRels(a, b atomRelT, m *pg.Meter) (atomRelT, error) {
 	return atomRelT{attrs: outAttrs, tuples: outTuples}, nil
 }
 
-// evalAtom computes the atom's relation over its variables.
-func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
+// sweptExpr returns the automaton expression of an atom inside the kernel
+// fragment — a plain RPQ, or an ℓ-RPQ without list variables, under mode
+// all: an atom that is reachability, whose distinct paths all yield the one
+// tuple — and nil for any other atom, a tier atom.
+func sweptExpr(a Atom) rpq.Expr {
+	switch {
+	case a.Mode != eval.All || a.DL != nil || len(a.vars()) > 0:
+		return nil
+	case a.L != nil:
+		return lrpq.Erase(a.L)
+	default:
+		return a.RPQ
+	}
+}
+
+// attrs returns the attributes of the atom's relation: its source variable,
+// its target variable unless the same or a constant, its list variables.
+func (a Atom) attrs() []string {
+	var attrs []string
+	if !a.Src.IsConst {
+		attrs = append(attrs, a.Src.Var)
+	}
+	if !a.Dst.IsConst && (a.Src.IsConst || a.Dst.Var != a.Src.Var) {
+		attrs = append(attrs, a.Dst.Var)
+	}
+	return append(attrs, a.vars()...)
+}
+
+// tuple returns the atom's tuple for the endpoints u, v and the lists mu
+// binds to listVars, the atom's list variables, in the order of attrs.
+func (a Atom) tuple(u, v int, listVars []string, mu gpath.Binding) []OutValue {
+	row := make([]OutValue, 0, 2+len(listVars))
+	if !a.Src.IsConst {
+		row = append(row, OutValue{Node: u})
+	}
+	if !a.Dst.IsConst && (a.Src.IsConst || a.Dst.Var != a.Src.Var) {
+		row = append(row, OutValue{Node: v})
+	}
+	for _, z := range listVars {
+		row = append(row, OutValue{IsList: true, List: mu.Get(z)})
+	}
+	return row
+}
+
+// sweptRel computes the relation of an atom inside the kernel fragment, expr
+// its automaton expression. Existence over a plain automaton is
+// reachability: the kernel's all-sources driver sweeps every source
+// candidate (one product, compiled for the atom) and hands back (source,
+// target) pairs, sources in candidate order and each source's targets
+// ascending. A target is a destination candidate if it is the constant, or,
+// for a variable, always: removing a node removes its edges, so a sweep from
+// a live source reaches live nodes only.
+func sweptRel(g *graph.Graph, a Atom, expr rpq.Expr, opts Options) (atomRelT, error) {
 	srcCandidates, err := termCandidates(g, a.Src)
 	if err != nil {
 		return atomRelT{}, err
@@ -484,74 +563,75 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 			return atomRelT{}, err
 		}
 	}
-	listVars := a.vars()
-
-	var attrs []string
-	if !a.Src.IsConst {
-		attrs = append(attrs, a.Src.Var)
-	}
-	if !a.Dst.IsConst && (a.Src.IsConst || a.Dst.Var != a.Src.Var) {
-		attrs = append(attrs, a.Dst.Var)
-	}
-	attrs = append(attrs, listVars...)
-
-	// Fast path: no list variables and mode all ⇒ only existence matters
-	// (distinct paths yield the same tuple).
-	existenceOnly := len(listVars) == 0 && a.Mode == eval.All
-	// Existence of ℓ-RPQ matches without variables is plain reachability.
-	rpqExpr := a.RPQ
-	if existenceOnly && a.L != nil {
-		rpqExpr = lrpq.Erase(a.L)
-	}
-
 	sameVar := !a.Src.IsConst && !a.Dst.IsConst && a.Src.Var == a.Dst.Var
-
-	addTuple := func(rows [][]OutValue, u, v int, mu gpath.Binding) [][]OutValue {
-		row := make([]OutValue, 0, len(attrs))
-		if !a.Src.IsConst {
-			row = append(row, OutValue{Node: u})
-		}
-		if !a.Dst.IsConst && (a.Src.IsConst || a.Dst.Var != a.Src.Var) {
-			row = append(row, OutValue{Node: v})
-		}
-		for _, z := range listVars {
-			row = append(row, OutValue{IsList: true, List: mu.Get(z)})
-		}
-		return append(rows, row)
-	}
-
-	if existenceOnly && rpqExpr != nil {
-		// Existence over a plain automaton is reachability: the kernel's
-		// all-sources driver sweeps every source candidate (one product,
-		// compiled once per atom) and hands back (source, target) pairs,
-		// sources in candidate order and each source's targets ascending.
-		// A target is a destination candidate if it is the constant, or,
-		// for a variable, always: removing a node removes its edges, so a
-		// sweep from a live source reaches live nodes only.
-		kern := eval.CompileProduct(g, rpqExpr).Kernel()
-		var tuples [][]OutValue
-		err := kern.SweepFrom(srcCandidates, pg.Workers(opts.Parallelism), opts.Meter, false,
-			func(part pg.Runs) error {
-				before := len(tuples)
-				for i, src := range part.Src {
-					for _, tgt := range part.Targets(i) {
-						if sameVar && src != tgt || dstConst >= 0 && int(tgt) != dstConst {
-							continue
-						}
-						tuples = addTuple(tuples, int(src), int(tgt), nil)
+	kern := eval.CompileProduct(g, expr).Kernel()
+	var tuples [][]OutValue
+	err = kern.SweepFrom(srcCandidates, pg.Workers(opts.Parallelism), opts.Meter, false,
+		func(part pg.Runs) error {
+			before := len(tuples)
+			for i, src := range part.Src {
+				for _, tgt := range part.Targets(i) {
+					if sameVar && src != tgt || dstConst >= 0 && int(tgt) != dstConst {
+						continue
 					}
+					tuples = append(tuples, a.tuple(int(src), int(tgt), nil, nil))
 				}
-				return opts.Meter.AddRows(int64(len(tuples) - before))
-			})
-		if err != nil {
-			return atomRelT{}, err
-		}
-		return atomRelT{attrs: attrs, tuples: tuples}, nil
+			}
+			return opts.Meter.AddRows(int64(len(tuples) - before))
+		})
+	if err != nil {
+		return atomRelT{}, err
 	}
+	return atomRelT{attrs: a.attrs(), tuples: tuples}, nil
+}
 
+// between evaluates an atom between two fixed endpoints under a path mode,
+// on its tier's plan (lrpq.Plan, dlrpq.Plan): m(σ_{u,v}(⟦R⟧_G)).
+type between func(u, v int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error)
+
+// tierPlan compiles a tier atom's expression once against g: a dl-RPQ to its
+// dlrpq.Plan, a plain RPQ or an ℓ-RPQ to its lrpq.Plan on the product
+// kernel of the erased expression, which kernel hands out.
+func tierPlan(g *graph.Graph, a Atom, kernel func(rpq.Expr) *pg.Kernel) between {
+	if a.DL != nil {
+		p := dlrpq.NewPlan(g, a.DL)
+		return func(u, v int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
+			return p.Between(u, v, mode, dlrpq.Options{MaxLen: opts.AtomMaxLen, Meter: opts.Meter})
+		}
+	}
+	e := a.L
+	if e == nil {
+		e = lrpq.FromRPQ(a.RPQ)
+	}
+	p := lrpq.NewPlan(kernel(lrpq.Erase(e)), e)
+	return func(u, v int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
+		return p.Between(u, v, mode, lrpq.Options{MaxLen: opts.AtomMaxLen, Meter: opts.Meter})
+	}
+}
+
+// tierRel computes the relation of a tier atom — list variables, a mode
+// other than all, or a dl-RPQ — on its plan: per source candidate, in
+// order, the plan between it and every destination candidate, each distinct
+// binding a tuple, so a relation's tuples come in (source, target) order.
+// The served Plan materializes its tier atoms through this loop too.
+func tierRel(g *graph.Graph, a Atom, plan between, opts Options) (atomRelT, error) {
+	srcCandidates, err := termCandidates(g, a.Src)
+	if err != nil {
+		return atomRelT{}, err
+	}
 	dstCandidates, err := termCandidates(g, a.Dst)
 	if err != nil {
 		return atomRelT{}, err
+	}
+	sameVar := !a.Src.IsConst && !a.Dst.IsConst && a.Src.Var == a.Dst.Var
+	listVars := a.vars()
+	// Without list variables under mode all only existence matters
+	// (distinct paths yield the same tuple): a dl-RPQ atom, whose mode-all
+	// result sets may be infinite, is decided by a shortest witness.
+	existenceOnly := len(listVars) == 0 && a.Mode == eval.All
+	mode := a.Mode
+	if existenceOnly {
+		mode = eval.Shortest
 	}
 	perSource := func(u int) ([][]OutValue, error) {
 		var rows [][]OutValue
@@ -559,19 +639,13 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 			if sameVar && u != v {
 				continue
 			}
-			mode := a.Mode
-			if existenceOnly {
-				// A shortest witness decides existence even for dl-RPQ
-				// atoms, whose mode-all result sets may be infinite.
-				mode = eval.Shortest
-			}
-			pbs, err := evalAtomBetweenMode(g, a, u, v, mode, opts)
+			pbs, err := plan(u, v, mode, opts)
 			if err != nil {
 				return nil, err
 			}
 			if existenceOnly {
 				if len(pbs) > 0 {
-					rows = addTuple(rows, u, v, nil)
+					rows = append(rows, a.tuple(u, v, nil, nil))
 				}
 				continue
 			}
@@ -582,7 +656,7 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 					continue
 				}
 				seen[k] = struct{}{}
-				rows = addTuple(rows, u, v, pb.Binding)
+				rows = append(rows, a.tuple(u, v, listVars, pb.Binding))
 			}
 		}
 		return rows, nil
@@ -593,9 +667,9 @@ func evalAtom(g *graph.Graph, a Atom, opts Options) (atomRelT, error) {
 		return atomRelT{}, err
 	}
 	if opts.GlobalModes && !existenceOnly && a.Mode == eval.Shortest {
-		tuples = globalShortestFilter(g, a, tuples, attrs, opts)
+		tuples = globalShortestFilter(g, a, plan, tuples, opts)
 	}
-	return atomRelT{attrs: attrs, tuples: tuples}, nil
+	return atomRelT{attrs: a.attrs(), tuples: tuples}, nil
 }
 
 // overSources runs fn once per source node through the runtime's parallel
@@ -622,31 +696,11 @@ func overSources(sources []int, parallelism int, m *pg.Meter, fn func(u int) ([]
 	return out, nil
 }
 
-// evalAtomBetween dispatches to the right evaluator with the atom's mode.
-func evalAtomBetween(g *graph.Graph, a Atom, u, v int, opts Options) ([]gpath.PathBinding, error) {
-	return evalAtomBetweenMode(g, a, u, v, a.Mode, opts)
-}
-
-func evalAtomBetweenMode(g *graph.Graph, a Atom, u, v int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	evalOpts := lrpq.Options{MaxLen: opts.AtomMaxLen, Meter: opts.Meter}
-	switch {
-	case a.RPQ != nil:
-		le := lrpq.FromRPQ(a.RPQ)
-		return lrpq.EvalBetween(g, le, u, v, mode, evalOpts)
-	case a.L != nil:
-		return lrpq.EvalBetween(g, a.L, u, v, mode, evalOpts)
-	case a.DL != nil:
-		return dlrpq.EvalBetween(g, a.DL, u, v, mode, dlrpq.Options{MaxLen: opts.AtomMaxLen, Meter: opts.Meter})
-	default:
-		return nil, fmt.Errorf("crpq: empty atom")
-	}
-}
-
 // globalShortestFilter implements the GlobalModes ablation for shortest: it
 // re-evaluates the atom keeping only tuples whose witnessing path length
 // equals the global minimum across all endpoint pairs. Because tuples do
 // not record path lengths, the filter recomputes per-pair minima.
-func globalShortestFilter(g *graph.Graph, a Atom, tuples [][]OutValue, attrs []string, opts Options) [][]OutValue {
+func globalShortestFilter(g *graph.Graph, a Atom, plan between, tuples [][]OutValue, opts Options) [][]OutValue {
 	// Find the per-pair shortest lengths and the global minimum.
 	type pair struct{ u, v int }
 	minLen := map[pair]int{}
@@ -655,7 +709,7 @@ func globalShortestFilter(g *graph.Graph, a Atom, tuples [][]OutValue, attrs []s
 	dsts, _ := termCandidates(g, a.Dst)
 	for _, u := range srcs {
 		for _, v := range dsts {
-			pbs, err := evalAtomBetween(g, a, u, v, opts)
+			pbs, err := plan(u, v, a.Mode, opts)
 			if err != nil || len(pbs) == 0 {
 				continue
 			}
@@ -671,7 +725,7 @@ func globalShortestFilter(g *graph.Graph, a Atom, tuples [][]OutValue, attrs []s
 	}
 	// Keep tuples whose endpoint pair achieves the global minimum.
 	uCol, vCol := -1, -1
-	for i, at := range attrs {
+	for i, at := range a.attrs() {
 		if !a.Src.IsConst && at == a.Src.Var && uCol == -1 {
 			uCol = i
 		} else if !a.Dst.IsConst && at == a.Dst.Var {

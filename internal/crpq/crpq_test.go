@@ -3,6 +3,7 @@ package crpq
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,13 +67,17 @@ func TestExample17(t *testing.T) {
 
 // TestGlobalModesAblation shows what would happen if shortest were applied
 // globally instead of per endpoint pair: only globally minimal paths
-// survive, so the Mike→Megan (length 2) row disappears.
+// survive, so the Mike→Megan (length 2) row disappears. The served plan,
+// whose tier atom runs the same filter, returns the reference's rows.
 func TestGlobalModesAblation(t *testing.T) {
 	g := gen.BankEdgeLabeled()
 	q := MustParse("q(x1, x2, z) :- owner(y1, x1), owner(y2, x2), shortest (Transfer^z)+(y1, y2)")
 	res, err := Eval(g, q, Options{GlobalModes: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, err := served(g, q, Options{GlobalModes: true}); err != nil || !reflect.DeepEqual(got, res) {
+		t.Errorf("served (err %v):\n%s\nreference:\n%s", err, inOrder(g, got), inOrder(g, res))
 	}
 	if !res.Contains(g, "Jay, Rebecca, list(t10)") {
 		t.Errorf("global shortest should keep length-1 rows:\n%s", res.Format(g))

@@ -1,11 +1,13 @@
 package crpq
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"graphquery/internal/graph"
+	"graphquery/internal/pg"
 )
 
 // fuzzGraph is the fixed graph FuzzParse evaluates on: twelve nodes n0…n11,
@@ -25,10 +27,11 @@ func fuzzGraph() *graph.Graph {
 }
 
 // FuzzParse: no input panics the CRPQ parser; what parses prints to a text
-// that parses back to the same query; and when the query lies in the kernel
-// fragment (Parse itself refuses automata too large to run: Validate), the
-// served evaluator returns exactly what the reference returns on fuzzGraph,
-// or fails with the same error.
+// that parses back to the same query; and the served evaluator returns
+// exactly what the reference returns on fuzzGraph — rows, row order, and the
+// states and rows charged — or fails with the same error (Parse itself
+// refuses automata too large to run: Validate). Both run under one budget,
+// which stops a query whose paths blow up in both the same way.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		// bench/'s cyclic-crpq texts and the two anchored reads of short-reads
@@ -49,6 +52,14 @@ func FuzzParse(f *testing.F) {
 		"q(y, y) :- (a|b){1,2}(x, y), !{a}(y, @n11)",
 		"q(x) :- trail (a|b)* (x, @n3)",
 		"q(z) :- () {[a][k < 5] ()}+ (x, y), a(y, x)",
+		// tier atoms: list-variable heads, modes, dl-atoms
+		"q(x, z) :- shortest (a^z)+(x, y), b(y, x)",
+		"q(z, y) :- (a^z) b(@n0, y)",
+		"q(x, z, w) :- shortest (a^z)(x, y), simple (b^w)+(y, x)",
+		"q(x, y) :- simple (a|b)+(x, y), a(y, @n2)",
+		"q(x) :- trail a b(x, x)",
+		"q(x, y) :- () [a] () [b] () (x, y), a(y, z)",
+		"q(x, z) :- shortest () [a^z] () (x, @n5)",
 	} {
 		f.Add(s)
 	}
@@ -66,17 +77,20 @@ func FuzzParse(f *testing.F) {
 		if back.String() != printed {
 			t.Fatalf("%q prints as %q, which parses to %q", text, printed, back)
 		}
-		if !onKernel(q) {
-			return
-		}
-		ref, refErr := Eval(g, q, Options{Parallelism: 1})
+		budget := pg.Budget{MaxStates: 1 << 20, MaxRows: 1 << 16}
+		rm := pg.NewMeter(context.Background(), budget, nil, nil)
+		ref, refErr := Eval(g, q, Options{AtomMaxLen: 3, Parallelism: 1, Meter: rm})
+		m := pg.NewMeter(context.Background(), budget, nil, nil)
 		var got *Result
 		plan, err := Compile(g, q, kernels(g, nil))
 		if err == nil {
-			got, err = plan.Eval(Options{Parallelism: 1})
+			got, err = plan.Eval(Options{AtomMaxLen: 3, Parallelism: 1, Meter: m})
 		}
 		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%q: served (%v, %v), reference (%v, %v)", text, got, err, ref, refErr)
+		}
+		if err == nil && (m.States() != rm.States() || m.Rows() != rm.Rows()) {
+			t.Fatalf("%q: served charged %d states, %d rows; the reference %d, %d", text, m.States(), m.Rows(), rm.States(), rm.Rows())
 		}
 	})
 }

@@ -3,10 +3,10 @@ package crpq
 import (
 	"fmt"
 	"slices"
+	"strings"
 
-	"graphquery/internal/eval"
+	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
-	"graphquery/internal/lrpq"
 	"graphquery/internal/pg"
 	"graphquery/internal/rpq"
 	"graphquery/internal/wcoj"
@@ -15,16 +15,22 @@ import (
 // Plan is a CRPQ compiled against one graph: the served evaluator. Eval
 // stays what it is — the string-keyed, pairwise-joined reference
 // that tests and the benchmark's oracle compare against — and a Plan
-// computes the same Result, row for row and in the same order, on
-// kernel-native data: each atom's relation is the integer pairs its kernel
-// sweep hands out, the conjuncts join attribute at a time (package wcoj),
-// and rows stay integers until the final Result is built.
+// computes the same Result, row for row and in the same order, on integer
+// relations: every atom becomes a relation of node pairs or a node set, the
+// conjuncts join attribute at a time (package wcoj), and rows stay integers
+// until the final Result is built.
 //
-// That covers the kernel fragment: every atom a plain RPQ, or an ℓ-RPQ
-// without list variables, under mode all — where an atom is reachability
-// and its relation a set of node pairs. A query outside it (list variables,
-// other path modes, dl-RPQ atoms) compiles to a Plan that runs the
-// reference; the query's shape decides, nothing else does.
+// An atom inside the kernel fragment — a plain RPQ, or an ℓ-RPQ without
+// list variables, under mode all — is reachability: its relation is the
+// pairs its kernel sweep hands out, and atoms over one expression share the
+// sweep. Every other atom (list variables, modes shortest, simple and
+// trail, dl-RPQs) is a tier atom: its lrpq.Plan or dlrpq.Plan is built once,
+// here, and an evaluation materializes it by the reference's own loop
+// (tierRel), between every pair of endpoints, so that its states, rows and
+// budget trips are the reference's. The join binds node variables only —
+// list variables never join, by condition (4) — and each full assignment
+// then takes the cross product of the list values that the tier atoms bound
+// at their endpoints.
 //
 // A Plan is immutable and serves concurrent evaluations; it binds its graph
 // (constants resolved, atoms on kernels over it), so it is valid for that
@@ -33,26 +39,32 @@ type Plan struct {
 	g *graph.Graph
 	q *Query
 
-	// The kernel fragment's compilation; atoms is nil outside it.
 	atoms  []planAtom
 	sweeps []planSweep
-	nvars  int
+	nvars  int   // node variables, numbered from 0
+	nlists int   // head list variables, numbered from nvars
 	head   []int // the variable number of each head column
-	// dedup is set when the head leaves a variable out: two assignments can
-	// then project to one row.
+	// dedup is set when the head leaves a node variable out: two assignments
+	// can then project to one row.
 	dedup bool
 }
 
 // planAtom is one conjunct with its ends resolved: a variable number, or
 // -1 and the constant's node.
 type planAtom struct {
-	sweep int // the planSweep whose pairs it reads
+	sweep int     // the planSweep whose pairs it reads; -1 for a tier atom
+	tier  between // a tier atom's plan
 	x, y  int
 	dst   int // the target to keep when y is -1
+	// lists are a tier atom's list variables in the head: each one's column
+	// in the atom's relation and its variable number.
+	lists []listCol
 }
 
+type listCol struct{ col, v int }
+
 // binary reports whether the atom joins two distinct variables, so that
-// every pair of its sweep is a tuple of it.
+// every pair of its relation is a tuple of it.
 func (a *planAtom) binary() bool { return a.x >= 0 && a.y >= 0 && a.x != a.y }
 
 // planSweep is one sweep an evaluation runs: a kernel swept from every node
@@ -66,20 +78,19 @@ type planSweep struct {
 }
 
 // Compile validates q and compiles it against g: variables numbered in
-// order of first appearance, constants resolved to nodes, head columns to
-// variable numbers, each distinct atom expression on its product kernel
-// with g, which kernel is asked for once per expression (a serving layer
-// hands out its cached one, whose counters receive the sweeps), and one
-// sweep per distinct (kernel, source). An unknown constant is reported
-// here, in the words the reference uses for it.
+// order of first appearance, then the head's list variables, constants
+// resolved to nodes, head columns to variable numbers, each distinct
+// expression on its product kernel with g, which kernel is asked for once per
+// expression (a serving layer hands out its cached one, whose counters
+// receive the work), one sweep per distinct (kernel, source) of the atoms
+// inside the kernel fragment, and a plan per tier atom — an lrpq.Plan on the
+// kernel of its erased expression, or a dlrpq.Plan. An unknown constant is
+// reported here, in the words the reference uses for it.
 func Compile(g *graph.Graph, q *Query, kernel func(rpq.Expr) *pg.Kernel) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{g: g, q: q}
-	if !onKernel(q) {
-		return p, nil
-	}
 	vars := map[string]int{}
 	number := func(t Term) int {
 		v, ok := vars[t.Var]
@@ -90,6 +101,15 @@ func Compile(g *graph.Graph, q *Query, kernel func(rpq.Expr) *pg.Kernel) (*Plan,
 		return v
 	}
 	kernels := map[string]*pg.Kernel{}
+	kernelOf := func(e rpq.Expr) *pg.Kernel {
+		text := e.String()
+		k := kernels[text]
+		if k == nil {
+			k = kernel(e)
+			kernels[text] = k
+		}
+		return k
+	}
 	type sweepKey struct {
 		kern *pg.Kernel
 		src  int // -1 for every node
@@ -97,7 +117,7 @@ func Compile(g *graph.Graph, q *Query, kernel func(rpq.Expr) *pg.Kernel) (*Plan,
 	sweeps := map[sweepKey]int{}
 	p.atoms = make([]planAtom, len(q.Atoms))
 	for i, a := range q.Atoms {
-		pa := planAtom{x: -1, y: -1}
+		pa := planAtom{sweep: -1, x: -1, y: -1}
 		key := sweepKey{src: -1}
 		if !a.Src.IsConst {
 			pa.x = number(a.Src)
@@ -113,15 +133,13 @@ func Compile(g *graph.Graph, q *Query, kernel func(rpq.Expr) *pg.Kernel) (*Plan,
 		} else {
 			pa.dst = n
 		}
-		expr := a.RPQ
+		expr := sweptExpr(a)
 		if expr == nil {
-			expr = lrpq.Erase(a.L)
+			pa.tier = tierPlan(g, a, kernelOf)
+			p.atoms[i] = pa
+			continue
 		}
-		text := expr.String()
-		if key.kern = kernels[text]; key.kern == nil {
-			key.kern = kernel(expr)
-			kernels[text] = key.kern
-		}
+		key.kern = kernelOf(expr)
 		var ok bool
 		if pa.sweep, ok = sweeps[key]; !ok {
 			pa.sweep = len(p.sweeps)
@@ -138,38 +156,35 @@ func Compile(g *graph.Graph, q *Query, kernel func(rpq.Expr) *pg.Kernel) (*Plan,
 		p.atoms[i] = pa
 	}
 	p.nvars = len(vars)
+	lists := map[string]int{}
 	p.head = make([]int, len(q.Head))
 	inHead := make([]bool, p.nvars)
 	for i, x := range q.Head {
-		p.head[i] = vars[x]
-		inHead[vars[x]] = true
+		v, isNode := vars[x]
+		if isNode {
+			inHead[v] = true
+		} else if v, isNode = lists[x]; !isNode {
+			v = p.nvars + len(lists)
+			lists[x] = v
+		}
+		p.head[i] = v
 	}
+	p.nlists = len(lists)
 	p.dedup = slices.Contains(inHead, false)
+	for i, a := range q.Atoms {
+		attrs := a.attrs()
+		for col := len(attrs) - len(a.vars()); col < len(attrs); col++ {
+			if v, ok := lists[attrs[col]]; ok {
+				p.atoms[i].lists = append(p.atoms[i].lists, listCol{col, v})
+			}
+		}
+	}
 	return p, nil
 }
 
-// onKernel reports whether q lies in the kernel fragment. (A head list
-// variable needs an atom that binds it, so a node-only head is implied.)
-func onKernel(q *Query) bool {
-	for _, a := range q.Atoms {
-		if a.DL != nil || a.Mode != eval.All || len(a.vars()) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// OnKernel reports whether the plan's query lies in the kernel fragment,
-// i.e. whether Eval runs Sweep and Join rather than the reference.
-func (p *Plan) OnKernel() bool { return p.atoms != nil }
-
-// Eval computes q(G) for the plan's query and graph: Sweep then Join inside
-// the kernel fragment, the package-level Eval outside it, both under
+// Eval computes q(G) for the plan's query and graph, Sweep then Join, under
 // opts.Meter; errors are the package-level Eval's.
 func (p *Plan) Eval(opts Options) (*Result, error) {
-	if !p.OnKernel() {
-		return Eval(p.g, p.q, opts)
-	}
 	s, err := p.Sweep(opts)
 	if err != nil {
 		return nil, err
@@ -184,16 +199,26 @@ type Swept struct {
 	m     *pg.Meter
 	join  wcoj.Query
 	empty bool // some atom matched nothing, so the query does not either
+
+	// What the tier atoms bound to head list variables: per such atom, its
+	// distinct values at each of its endpoint pairs, as IDs into lists.
+	bound []bound
+	lists []gpath.List
+	keys  []string // keys[id]: the reference's key of lists[id] after its 'L'
+	ids   map[string]int32
 }
 
-// Sweep is the first stage of an evaluation inside the kernel fragment:
-// every distinct (kernel, source) swept once under opts.Meter — from its
-// constant, or from every node — when the first atom that reads it comes up
-// in written order, its runs (pg.Runs) kept as integers in the order the
-// sweep delivers them, which is already (source, target) ascending: one
-// binary relation shared by every atom over two distinct variables, and per
-// other atom a sorted node set — what a constant target or a repeated
-// variable leaves of the pairs, or the targets of a constant source.
+// Sweep is the first stage of an evaluation: every atom materialized in
+// written order under opts.Meter. Inside the kernel fragment that is every
+// distinct (kernel, source) swept once — from its constant, or from every
+// node — when the first atom that reads it comes up, its runs (pg.Runs)
+// kept as integers in the order the sweep delivers them, which is already
+// (source, target) ascending: one binary relation shared by every atom over
+// two distinct variables, and per other atom a sorted node set — what a
+// constant target or a repeated variable leaves of the pairs, or the
+// targets of a constant source. A tier atom is materialized on its plan by
+// the reference's loop (tierRel) and its distinct endpoint pairs, which
+// come in the same order, become the same kind of relation or set.
 //
 // The meter is charged per atom, not per sweep: the atom that runs a sweep
 // is charged by it, states as they are visited and its tuples as they are
@@ -201,9 +226,10 @@ type Swept struct {
 // same states and its own tuples in one step — what the reference, which
 // sweeps per atom, charges — so a budget trips on the same atom with the
 // same text and a reply's states and rows do not depend on what was shared.
-// The kernel's runtime counters count the sweeps that ran (DESIGN §21).
-// Nothing proportional to the graph is allocated or walked for an atom
-// whose source is a constant.
+// A tier atom charges what its loop charges, which is the reference's by
+// construction. The kernel's runtime counters count the work that ran
+// (DESIGN §21). Nothing proportional to the graph is allocated or walked for
+// a swept atom whose source is a constant.
 func (p *Plan) Sweep(opts Options) (*Swept, error) {
 	m := opts.Meter
 	s := &Swept{p: p, m: m, join: wcoj.Query{NumVars: p.nvars}}
@@ -212,17 +238,26 @@ func (p *Plan) Sweep(opts Options) (*Swept, error) {
 	for i := range p.atoms {
 		a, out := &p.atoms[i], &outs[i]
 		var err error
-		if sw := ran[a.sweep]; sw == nil {
+		switch {
+		case a.tier != nil:
+			err = s.tier(i, out, opts)
+		case ran[a.sweep] == nil:
 			ran[a.sweep], err = p.run(a.sweep, i, outs, m, pg.Workers(opts.Parallelism))
-		} else if err = m.Tick(sw.states); err == nil {
-			err = m.AddRows(int64(out.kept))
+		default:
+			if err = m.Tick(ran[a.sweep].states); err == nil {
+				err = m.AddRows(int64(out.kept))
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("atom %d (%s): %w", i, p.q.Atoms[i], err)
 		}
 		switch {
 		case a.binary():
-			s.join.Atoms = append(s.join.Atoms, wcoj.Atom{Rel: ran[a.sweep].rel, X: a.x, Y: a.y})
+			rel := out.rel
+			if rel == nil {
+				rel = ran[a.sweep].rel
+			}
+			s.join.Atoms = append(s.join.Atoms, wcoj.Atom{Rel: rel, X: a.x, Y: a.y})
 		case a.x >= 0 || a.y >= 0:
 			s.join.Sets = append(s.join.Sets, wcoj.Set{Vals: out.vals, X: max(a.x, a.y)})
 		}
@@ -231,11 +266,112 @@ func (p *Plan) Sweep(opts Options) (*Swept, error) {
 	return s, nil
 }
 
-// atomOut is what one atom keeps of its sweep: the number of tuples, and
-// for an atom that is not binary the variable end of each.
+// bound is what one tier atom bound to head list variables: rows of its
+// two endpoint nodes (0 for a constant end) and the IDs of its head list
+// values, distinct, and the rows of each endpoint pair.
+type bound struct {
+	atom int
+	rows rowSet
+	at   map[[2]int32][2]int32 // endpoint pair → its rows [lo, hi)
+}
+
+// tier materializes tier atom i on its plan through the reference's loop
+// and keeps what the join reads of its tuples: their number, their distinct
+// endpoint pairs — a relation if the atom is binary, else the node set of
+// its variable end — and, if it binds head list variables, their values at
+// each pair. Distinct pairs are adjacent runs of tuples: tierRel delivers
+// them per source in order, each target's bindings together.
+func (s *Swept) tier(i int, out *atomOut, opts Options) error {
+	p := s.p
+	a := &p.atoms[i]
+	rel, err := tierRel(p.g, p.q.Atoms[i], a.tier, opts)
+	if err != nil {
+		return err
+	}
+	out.kept = len(rel.tuples)
+	var b *bound
+	if len(a.lists) > 0 {
+		s.bound = append(s.bound, bound{atom: i, rows: rowSet{width: 2 + len(a.lists), distinct: true},
+			at: map[[2]int32][2]int32{}})
+		b = &s.bound[len(s.bound)-1]
+	}
+	var runs pg.Runs
+	row := make([]int32, 2+len(a.lists))
+	prev := [2]int32{-1, -1}
+	lo := int32(0) // the pair's first row in b
+	for _, t := range rel.tuples {
+		var k [2]int32 // the nodes at the atom's variable ends
+		if a.x >= 0 {
+			k[0] = int32(t[0].Node)
+		}
+		switch {
+		case a.y == a.x:
+			k[1] = k[0]
+		case a.y >= 0 && a.x >= 0:
+			k[1] = int32(t[1].Node)
+		case a.y >= 0:
+			k[1] = int32(t[0].Node)
+		}
+		if k != prev {
+			switch {
+			case a.binary():
+				if len(runs.Src) == 0 || runs.Src[len(runs.Src)-1] != k[0] {
+					runs.Src = append(runs.Src, k[0])
+					runs.End = append(runs.End, 0)
+				}
+				runs.Tgt = append(runs.Tgt, k[1])
+				runs.End[len(runs.End)-1] = int32(len(runs.Tgt))
+			case a.x >= 0:
+				out.vals = append(out.vals, k[0])
+			case a.y >= 0:
+				out.vals = append(out.vals, k[1])
+			}
+			prev = k
+			if b != nil {
+				lo = int32(b.rows.n)
+			}
+		}
+		if b != nil {
+			row[0], row[1] = k[0], k[1]
+			for j, l := range a.lists {
+				row[2+j] = s.intern(t[l.col].List)
+			}
+			if b.rows.add(row) {
+				b.at[k] = [2]int32{lo, int32(b.rows.n)}
+			}
+		}
+	}
+	if a.binary() {
+		out.rel = wcoj.NewRel(p.g.NumNodes())
+		out.rel.Append(runs)
+		out.rel.Seal()
+	}
+	return nil
+}
+
+// intern returns the ID of list l in this evaluation's table.
+func (s *Swept) intern(l gpath.List) int32 {
+	key := l.Key()
+	id, ok := s.ids[key]
+	if !ok {
+		if s.ids == nil {
+			s.ids = map[string]int32{}
+		}
+		id = int32(len(s.lists))
+		s.ids[key] = id
+		s.lists = append(s.lists, l)
+		s.keys = append(s.keys, key+"|")
+	}
+	return id
+}
+
+// atomOut is what one atom keeps of its sweep or its tier plan: the number
+// of tuples, for an atom that is not binary the variable end of each, and
+// for a binary tier atom its own relation.
 type atomOut struct {
 	kept int
 	vals []int32
+	rel  *wcoj.Rel
 }
 
 // sweepOut is one sweep that has run: what it ticked on the meter, and the
@@ -301,7 +437,9 @@ func (p *Plan) run(k, first int, outs []atomOut, m *pg.Meter, workers int) (*swe
 // calling goroutine, every full assignment projected to the head as
 // integers — kept distinct where the head drops a variable — and charged
 // on the meter as one row, then the rows put in the reference's order and
-// turned into the Result. The join polls the meter as it goes, so a
+// turned into the Result. A head with list variables takes, per assignment
+// of the node variables, the cross product of the values the tier atoms
+// bound at its endpoints. The join polls the meter as it goes, so a
 // cancellation or deadline lands within one check interval.
 func (s *Swept) Join() (*Result, error) {
 	p := s.p
@@ -311,7 +449,7 @@ func (s *Swept) Join() (*Result, error) {
 	}
 	rows := rowSet{width: len(p.head), distinct: p.dedup}
 	row := make([]int32, len(p.head))
-	err := s.join.Enumerate(s.m, func(binding []int32) error {
+	emit := func(binding []int32) error {
 		for i, v := range p.head {
 			row[i] = binding[v]
 		}
@@ -319,8 +457,16 @@ func (s *Swept) Join() (*Result, error) {
 			return nil
 		}
 		return s.m.AddRows(1)
-	})
-	if err != nil {
+	}
+	if len(s.bound) > 0 {
+		full := make([]int32, p.nvars+p.nlists)
+		project := emit
+		emit = func(binding []int32) error {
+			copy(full, binding)
+			return s.cross(full, 0, project)
+		}
+	}
+	if err := s.join.Enumerate(s.m, emit); err != nil {
 		return nil, err
 	}
 	if rows.n == 0 {
@@ -330,6 +476,17 @@ func (s *Swept) Join() (*Result, error) {
 	keys := make([]uint64, len(rows.cells))
 	for i, c := range rows.cells {
 		keys[i] = orderKey(c)
+	}
+	if len(s.lists) > 0 {
+		rank := s.ranks()
+		for j, v := range p.head {
+			if v < p.nvars {
+				continue
+			}
+			for r := j; r < len(keys); r += w {
+				keys[r] = uint64(rank[rows.cells[r]])
+			}
+		}
 	}
 	perm := make([]int32, n)
 	for i := range perm {
@@ -343,10 +500,58 @@ func (s *Swept) Join() (*Result, error) {
 	for i, r := range perm {
 		out.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 		for j, c := range rows.row(int(r)) {
-			out.Rows[i][j].Node = int(c)
+			if p.head[j] < p.nvars {
+				out.Rows[i][j].Node = int(c)
+			} else {
+				out.Rows[i][j] = OutValue{IsList: true, List: s.lists[c]}
+			}
 		}
 	}
 	return out, nil
+}
+
+// cross extends a full assignment, node variables bound, by the head list
+// values of tier atoms i, i+1, … at their endpoints, one combination at a
+// time, and hands each to emit.
+func (s *Swept) cross(full []int32, i int, emit func([]int32) error) error {
+	if i == len(s.bound) {
+		return emit(full)
+	}
+	b := &s.bound[i]
+	a := &s.p.atoms[b.atom]
+	var k [2]int32
+	if a.x >= 0 {
+		k[0] = full[a.x]
+	}
+	if a.y >= 0 {
+		k[1] = full[a.y]
+	}
+	span := b.at[k]
+	for r := span[0]; r < span[1]; r++ {
+		for j, l := range a.lists {
+			full[l.v] = b.rows.row(int(r))[2+j]
+		}
+		if err := s.cross(full, i+1, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ranks returns each list ID's position in the reference's order of list
+// cells: by the key "L<key>|", so a key after the keys it is a proper
+// prefix of, '|' sorting after every byte a key holds.
+func (s *Swept) ranks() []int32 {
+	order := make([]int32, len(s.lists))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(s.keys[a], s.keys[b]) })
+	rank := make([]int32, len(order))
+	for r, id := range order {
+		rank[id] = int32(r)
+	}
+	return rank
 }
 
 // rowSet collects head rows as flat integers, width cells to a row. With

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphquery/internal/dlrpq"
 	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/graph"
@@ -43,13 +44,13 @@ const agreeMaxRows = 100_000
 
 // agree fails unless the served evaluator and the reference return the same
 // rows in the same order having charged their meters the same states and
-// rows — or the same error — at Parallelism 1 and 2.
+// rows — or the same error — at Parallelism 1, 2 and 8.
 func agree(t *testing.T, name string, g *graph.Graph, q *Query) {
 	t.Helper()
 	budget := pg.Budget{MaxRows: agreeMaxRows}
 	rm := pg.NewMeter(context.Background(), budget, nil, nil)
 	ref, refErr := Eval(g, q, Options{AtomMaxLen: 4, Parallelism: 1, Meter: rm})
-	for _, par := range []int{1, 2} {
+	for _, par := range []int{1, 2, 8} {
 		m := pg.NewMeter(context.Background(), budget, nil, nil)
 		got, err := served(g, q, Options{AtomMaxLen: 4, Parallelism: par, Meter: m})
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
@@ -77,7 +78,7 @@ func inOrder(g *graph.Graph, r *Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// randomQuery draws a node-only CRPQ over g: 1–4 atoms over at most four
+// randomQuery draws a CRPQ over g: 1–4 atoms over at most four node
 // variable names, so that self-loop atoms, variables repeated across atoms,
 // disconnected conjuncts, constants at either end or both, atoms with an
 // empty relation (label "none"), starred atoms whose relation holds (v, v),
@@ -92,6 +93,10 @@ func inOrder(g *graph.Graph, r *Result) string {
 // wildcard, some |N|² pairs): the reference joins pairwise, unmetered, and
 // materializes every intermediate result, so two dense atoms that share no
 // variable are |N|⁴ rows of it.
+//
+// About one atom in four is a tier atom (tierAtom): an ℓ-RPQ with a list
+// variable, in the head or out of it, a plain RPQ under mode shortest,
+// simple or trail, or a dl-RPQ.
 func randomQuery(rng *rand.Rand, g *graph.Graph) *Query {
 	sparse := []string{"a", "b", "a", "b", "a b", "(a|b)", "a?", "none"}
 	all := append([]string{"a*", "b+", "_"}, sparse...)
@@ -118,14 +123,18 @@ func randomQuery(rng *rand.Rand, g *graph.Graph) *Query {
 	var used []string
 	for i := 1 + rng.Intn(4); i > 0; i-- {
 		a := Atom{RPQ: rpq.MustParse(expr()), Src: term(), Dst: term()}
-		if rng.Intn(6) == 0 {
+		switch r := rng.Intn(12); {
+		case r < 2:
 			a.L, a.RPQ = lrpq.FromRPQ(a.RPQ), nil
+		case r < 5:
+			a = tierAtom(rng, g, a, len(q.Atoms))
 		}
 		for _, t := range []Term{a.Src, a.Dst} {
 			if !t.IsConst {
 				used = append(used, t.Var)
 			}
 		}
+		used = append(used, a.vars()...)
 		q.Atoms = append(q.Atoms, a)
 	}
 	for _, v := range used {
@@ -137,13 +146,58 @@ func randomQuery(rng *rand.Rand, g *graph.Graph) *Query {
 	return q
 }
 
+// tierAtom turns a, drawn inside the kernel fragment, into atom i outside
+// it: an ℓ-RPQ that binds one list variable or two under any mode, a plain
+// RPQ under mode shortest, simple or trail, or a dl-RPQ, which binds one or
+// none. Simple and trail take sparse expressions only, whose
+// paths stay few, and so does every ℓ-RPQ beyond 20 nodes: a starred one
+// binds its variables many ways, a dense relation for the reference to
+// join pairwise. The reference evaluates a tier atom between every pair of
+// endpoints, so beyond 20 nodes — beyond 8 for a dl-RPQ, whose search keys
+// its configurations as strings — an atom over two distinct variables gets
+// a constant source, and a dl-RPQ is not starred.
+func tierAtom(rng *rand.Rand, g *graph.Graph, a Atom, i int) Atom {
+	modes := []eval.Mode{eval.All, eval.Shortest, eval.Simple, eval.Trail}
+	vars := strings.NewReplacer("Z", fmt.Sprintf("l%d", i), "W", fmt.Sprintf("m%d", i))
+	switch rng.Intn(3) {
+	case 0:
+		texts := []string{"(a^Z)", "(a^Z) b", "(a^Z|b^W)", "a^Z (b^W)?", "(a^Z)+", "(a^Z|b^W)*"}
+		if rng.Intn(2) == 0 {
+			a.Mode = modes[rng.Intn(len(modes))]
+		} else {
+			a.Mode = modes[rng.Intn(2)]
+		}
+		text := texts[rng.Intn(len(texts))]
+		if a.Mode == eval.Simple || a.Mode == eval.Trail || g.NumNodes() > 20 {
+			text = texts[rng.Intn(4)]
+		}
+		a.RPQ, a.L = nil, lrpq.MustParse(vars.Replace(text))
+	case 1:
+		a.Mode = modes[1+rng.Intn(3)]
+		if a.Mode != eval.Shortest {
+			a.RPQ = rpq.MustParse([]string{"a", "b", "a b", "(a|b)", "a?", "none"}[rng.Intn(6)])
+		}
+	default:
+		texts := []string{"() [a] ()", "() [a^Z] () [b] ()", "() [a] () [_^Z] ()", "() {[b] ()}+"}
+		if g.NumNodes() > 20 {
+			texts = texts[:3]
+		}
+		a.Mode = modes[rng.Intn(2)]
+		a.RPQ, a.DL = nil, dlrpq.MustParse(vars.Replace(texts[rng.Intn(len(texts))]))
+	}
+	if big := g.NumNodes() > 20 || a.DL != nil && g.NumNodes() > 8; big && !a.Src.IsConst && !a.Dst.IsConst && a.Src.Var != a.Dst.Var {
+		a.Src = C(g.NodeID(rng.Intn(g.NumNodes())))
+	}
+	return a
+}
+
 // TestWCOJAgreesWithEval is the generated differential of the served
 // evaluator against the reference: seeded random graphs — small, with node
 // indexes ≥ 10, with node indexes ≥ 100 (so the reference's string order,
 // in which N12| sorts before N1|, is exercised), and one under a mutation
-// overlay with tombstoned nodes — times random node-only CRPQs, rows equal
-// and in the same order at Parallelism 1 and 2. The fixed cases it grew
-// from lead.
+// overlay with tombstoned nodes — times random CRPQs, tier atoms and
+// list-variable heads among them, rows equal and in the same order at
+// Parallelism 1, 2 and 8. The fixed cases it grew from lead.
 func TestWCOJAgreesWithEval(t *testing.T) {
 	fixed := []string{
 		"q(x, y, z) :- a(x, y), a(y, z), a(z, x)", // triangle
@@ -179,7 +233,7 @@ func TestWCOJAgreesWithEval(t *testing.T) {
 	}
 	graphs["overlay-120"] = overlay
 
-	drawn, shared := 0, 0
+	drawn, shared, tiered, listed := 0, 0, 0, 0
 	for name, g := range graphs {
 		for _, qs := range fixed {
 			agree(t, name, g, MustParse(qs))
@@ -192,14 +246,36 @@ func TestWCOJAgreesWithEval(t *testing.T) {
 			}
 			agree(t, name, g, q)
 			drawn++
-			if p, err := Compile(g, q, kernels(g, nil)); err == nil && len(p.sweeps) < len(p.atoms) {
+			p, err := Compile(g, q, kernels(g, nil))
+			if err != nil {
+				continue
+			}
+			if len(p.sweeps) < len(p.atoms)-tierAtoms(p) {
 				shared++
+			}
+			if tierAtoms(p) > 0 {
+				tiered++
+			}
+			if p.nlists > 0 {
+				listed++
 			}
 		}
 	}
-	if 4*shared < drawn {
-		t.Errorf("%d of the %d queries drawn share a sweep between atoms: the generator no longer covers sharing", shared, drawn)
+	if 4*shared < drawn || 4*tiered < drawn || 8*listed < drawn {
+		t.Errorf("of the %d queries drawn %d share a sweep between atoms, %d have a tier atom, %d a list variable in the head: "+
+			"the generator no longer covers them", drawn, shared, tiered, listed)
 	}
+}
+
+// tierAtoms counts the plan's tier atoms.
+func tierAtoms(p *Plan) int {
+	n := 0
+	for _, a := range p.atoms {
+		if a.tier != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPlanSharesSweeps: an evaluation sweeps each distinct (expression,
@@ -299,30 +375,79 @@ func TestWCOJConstants(t *testing.T) {
 	agree(t, "bank", g, bad)
 }
 
-// TestWCOJEligibility: a query outside the kernel fragment compiles to a
-// plan that runs the reference, and gives the reference's result.
+// TestWCOJEligibility: every query compiles onto the plan and agrees with
+// the reference. An atom outside the kernel fragment — list variables, a
+// path mode, a dl-RPQ — is a tier atom, with a plan of its own; the atoms
+// inside it are swept, an ℓ-RPQ without list variables included.
 func TestWCOJEligibility(t *testing.T) {
 	g := gen.BankEdgeLabeled()
-	outside := []string{
-		"q(z) :- (Transfer^z)+(x, y)",               // list variable
-		"q(x) :- shortest Transfer(x, y)",           // path mode
-		"q(x) :- () [Transfer] () (x, y)",           // dl-RPQ atom
-		"q(x) :- Transfer(x, y), trail owner(y, z)", // one atom is enough
-	}
-	for _, qs := range outside {
-		p, err := Compile(g, MustParse(qs), kernels(g, nil))
+	for _, tc := range []struct {
+		query string
+		tier  []bool // per atom
+	}{
+		{"q(z) :- (Transfer^z)+(x, y)", []bool{true}},                                 // list variable
+		{"q(x) :- shortest Transfer(x, y)", []bool{true}},                             // path mode
+		{"q(x) :- () [Transfer] () (x, y)", []bool{true}},                             // dl-RPQ atom
+		{"q(x) :- Transfer(x, y), trail owner(y, z)", []bool{false, true}},            // one atom of two
+		{"q(x, z) :- (Transfer^z) owner(x, y), isBlocked(x, w)", []bool{true, false}}, // a list-variable head
+		{"q(x1, x2, z) :- owner(y1, x1), owner(y2, x2), shortest (Transfer^z)+(y1, y2)", []bool{false, false, true}},
+	} {
+		q := MustParse(tc.query)
+		p, err := Compile(g, q, kernels(g, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.OnKernel() {
-			t.Errorf("%q: compiled onto the kernel", qs)
+		for i, a := range p.atoms {
+			if tier := a.tier != nil; tier != tc.tier[i] || tier != (a.sweep < 0) {
+				t.Errorf("%q: atom %d is a tier atom: %v (sweep %d), want %v", tc.query, i, tier, a.sweep, tc.tier[i])
+			}
 		}
-		agree(t, "bank", g, MustParse(qs))
+		agree(t, "bank", g, q)
 	}
 	inside := &Query{Head: []string{"x"}, Atoms: []Atom{{L: lrpq.MustParse("Transfer Transfer"), Src: V("x"), Dst: V("y")}}}
-	if p, err := Compile(g, inside, kernels(g, nil)); err != nil || !p.OnKernel() {
-		t.Errorf("ℓ-RPQ atom without list variables: on kernel %v, err %v", p.OnKernel(), err)
+	if p, err := Compile(g, inside, kernels(g, nil)); err != nil || p.atoms[0].tier != nil || len(p.sweeps) != 1 {
+		t.Errorf("ℓ-RPQ atom without list variables: err %v, want it swept", err)
 	}
+	agree(t, "bank", g, inside)
+}
+
+// TestTierAtomKernelPerCompile: a tier atom's plan is built at compile time
+// on the kernel handed for its erased expression — asked for once per
+// Compile, shared with a swept atom over the same expression, and never
+// again however many endpoint pairs an evaluation tries — and its searches
+// run on that kernel, whose counters receive them.
+func TestTierAtomKernelPerCompile(t *testing.T) {
+	g := gen.Random(30, 120, []string{"a", "b"}, 5)
+	q := MustParse("q(x, z, w) :- shortest (a^z)+(x, y), a+(y, x), simple (a^w) b(x, v), trail a b(v, x)")
+	var c pg.Counters // the kernel of "a b", which only tier atoms read
+	asked := map[string]int{}
+	kernel := func(e rpq.Expr) *pg.Kernel {
+		asked[e.String()]++
+		if e.String() == "a b" {
+			return kernels(g, &c)(e)
+		}
+		return kernels(g, nil)(e)
+	}
+	p, err := Compile(g, q, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"a+": 1, "a b": 1}; !reflect.DeepEqual(asked, want) {
+		t.Fatalf("kernels asked for %v, want %v", asked, want)
+	}
+	for _, par := range []int{1, 2} {
+		before := c.Snapshot().StatesExpanded
+		if _, err := p.Eval(Options{AtomMaxLen: 4, Parallelism: par}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Snapshot().StatesExpanded == before {
+			t.Errorf("parallelism %d: the tier atoms' searches did not run on the kernel they were handed", par)
+		}
+	}
+	if len(asked) != 2 || asked["a+"] != 1 || asked["a b"] != 1 {
+		t.Errorf("evaluation asked for kernels: %v", asked)
+	}
+	agree(t, "random-30", g, q)
 }
 
 // TestWCOJTriangleOnBank: the Example 13 q1 triangle, served.

@@ -296,17 +296,31 @@ func endpointOK(g *graph.Graph, cfg config, dst int) bool {
 	return g.EdgeTgt(cfg.obj.Index()) == dst
 }
 
-// EvalBetween computes m(σ_{u,v}(⟦R⟧_G)): the (p, µ) results whose path runs
-// from src to dst, under a path mode, with the mode applied after endpoint
-// selection (Section 3.1.5 via Section 3.2.2).
+// Plan is a dl-RPQ compiled against one graph: its atom automaton (the
+// register automaton's finite skeleton) and the automaton's edge-atom
+// guards resolved against the graph's labels. A Plan is immutable and serves
+// concurrent queries; a serving layer caches one per (graph revision, query
+// text), and EvalBetween builds one per call.
+type Plan struct {
+	g    *graph.Graph
+	mach *anfaMachine
+}
+
+// NewPlan compiles e against g.
+func NewPlan(g *graph.Graph, e Expr) *Plan {
+	return &Plan{g: g, mach: newANFAMachine(g, Compile(e))}
+}
+
+// Between computes m(σ_{u,v}(⟦R⟧_G)) on the plan: the (p, µ) results whose
+// path runs from src to dst, under a path mode, with the mode applied after
+// endpoint selection (Section 3.1.5 via Section 3.2.2).
 //
 // Idle derivation loops — zero-cost cycles through a repeated configuration
 // that only pump list variables (e.g. ((a^z))* re-collapsing on one node) —
 // are cut: each configuration is visited at most once between consecutive
 // edge consumptions. This keeps result sets finite without affecting which
 // paths are found.
-func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
-	a := Compile(e)
+func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
 	var flags searchFlags
 	switch mode {
 	case eval.All:
@@ -314,10 +328,10 @@ func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Opti
 			return nil, ErrUnbounded
 		}
 		if opts.MaxLen > 0 {
-			return search(g, a, src, dst, opts, 0)
+			return p.search(src, dst, opts, 0)
 		}
 	case eval.Shortest:
-		best, reachable, err := shortestDistance(g, a, src, dst, opts.Meter, opts.Counters)
+		best, reachable, err := p.shortestDistance(src, dst, opts.Meter, opts.Counters)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +339,7 @@ func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Opti
 			return nil, nil
 		}
 		opts.MaxLen = best
-		return search(g, a, src, dst, opts, flagExact)
+		return p.search(src, dst, opts, flagExact)
 	case eval.Simple:
 		flags = modeSimple
 	case eval.Trail:
@@ -334,9 +348,15 @@ func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Opti
 		return nil, fmt.Errorf("dlrpq: unknown mode %v", mode)
 	}
 	if opts.Limit <= 0 {
-		return search(g, a, src, dst, opts, flags)
+		return p.search(src, dst, opts, flags)
 	}
-	return deepen(g, a, src, dst, opts, flags)
+	return p.deepen(src, dst, opts, flags)
+}
+
+// EvalBetween is Plan.Between in one shot: it compiles e against g for the
+// call. Callers that repeat an expression over one graph keep the Plan.
+func EvalBetween(g *graph.Graph, e Expr, src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
+	return NewPlan(g, e).Between(src, dst, mode, opts)
 }
 
 // Eval enumerates ⟦R⟧_G unanchored (all endpoints), requiring MaxLen.
@@ -344,7 +364,7 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 	if opts.MaxLen <= 0 {
 		return nil, ErrUnbounded
 	}
-	return search(g, Compile(e), -1, -1, opts, 0)
+	return NewPlan(g, e).search(-1, -1, opts, 0)
 }
 
 type searchFlags int
@@ -355,8 +375,8 @@ const (
 	flagExact
 )
 
-func search(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
-	out, _, err := searchAnchor(g, a, src, dst, opts, flags)
+func (p *Plan) search(src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
+	out, _, err := p.searchAnchor(src, dst, opts, flags)
 	if err != nil {
 		return nil, err
 	}
@@ -368,10 +388,10 @@ func search(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFla
 // cut by the MaxLen bound (i.e. deeper results may exist). Budget checks
 // run through the runtime's Ticker — one step per configuration expansion
 // — and the meter is charged one row per emitted result.
-func searchAnchor(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, bool, error) {
+func (p *Plan) searchAnchor(src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, bool, error) {
+	g, mach, a := p.g, p.mach, p.mach.a
 	m := opts.Meter
 	tick := pg.NewTicker(m, opts.Counters)
-	mach := newANFAMachine(g, a)
 	seen := map[string]struct{}{}
 	var out []gpath.PathBinding
 
@@ -508,13 +528,13 @@ func cloneSet(s map[string]struct{}) map[string]struct{} {
 // len(p) of any result from src to dst. reachable is false when there is
 // none. This is the register-automaton product search of Section 6.4: the
 // configuration space is finite because ν ranges over the active domain.
-func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *pg.Meter, cnt *pg.Counters) (int, bool, error) {
+func (p *Plan) shortestDistance(src, dst int, m *pg.Meter, cnt *pg.Counters) (int, bool, error) {
+	g, mach, a := p.g, p.mach, p.mach.a
 	type qitem struct {
 		cfg  config
 		dist int
 	}
 	tick := pg.NewTicker(m, cnt)
-	mach := newANFAMachine(g, a)
 	dist := map[string]int{}
 	start := config{state: a.Start}
 	dist[start.key()] = 0
@@ -565,10 +585,10 @@ func shortestDistance(g *graph.Graph, a *ANFA, src, dst int, m *pg.Meter, cnt *p
 // its configurations and rows on the meter again: the repeated work is real
 // work. The search's configurations carry register values, so no state
 // count bounds a run that cannot be shortened: Deepen gets none.
-func deepen(g *graph.Graph, a *ANFA, src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
+func (p *Plan) deepen(src, dst int, opts Options, flags searchFlags) ([]gpath.PathBinding, error) {
 	return gpath.Deepen(opts.Limit, opts.MaxLen, 0, func(bound int) ([]gpath.PathBinding, bool, error) {
 		pass := opts
 		pass.MaxLen = bound
-		return searchAnchor(g, a, src, dst, pass, flags)
+		return p.searchAnchor(src, dst, pass, flags)
 	})
 }

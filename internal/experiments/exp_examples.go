@@ -84,7 +84,7 @@ func runE02(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	r1, err := crpq.Eval(g, q1, crpq.Options{})
+	r1, err := crpq.EvalPlan(g, q1, crpq.Options{})
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func runE02(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	r2, err := crpq.Eval(g, q2, crpq.Options{})
+	r2, err := crpq.EvalPlan(g, q2, crpq.Options{})
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func runE06(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := crpq.Eval(g, q, crpq.Options{})
+	res, err := crpq.EvalPlan(g, q, crpq.Options{})
 	if err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ func runE06(w io.Writer) error {
 		res.Contains(g, "Jay, Rebecca, list(t10)"), res.Contains(g, "Mike, Megan, list(t7, t4)"))
 
 	// Ablation: global shortest drops the length-2 row.
-	abl, err := crpq.Eval(g, q, crpq.Options{GlobalModes: true})
+	abl, err := crpq.EvalPlan(g, q, crpq.Options{GlobalModes: true})
 	if err != nil {
 		return err
 	}

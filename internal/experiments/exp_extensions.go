@@ -8,11 +8,9 @@ import (
 
 	"graphquery/internal/cardest"
 	"graphquery/internal/crpq"
-	"graphquery/internal/eval"
 	"graphquery/internal/gen"
 	"graphquery/internal/gql"
 	"graphquery/internal/graph"
-	"graphquery/internal/pg"
 	"graphquery/internal/regular"
 	"graphquery/internal/rpq"
 	"graphquery/internal/twoway"
@@ -148,7 +146,7 @@ func runE28(w io.Writer) error {
 		AddEdge("e4", "Transfer", "w", "v", nil).
 		AddEdge("e5", "Transfer", "w", "x", nil).
 		MustBuild()
-	flat, err := crpq.Eval(g, crpq.MustParse("q(x, y) :- Transfer(x, y), Transfer(y, x)"), crpq.Options{})
+	flat, err := crpq.EvalPlan(g, crpq.MustParse("q(x, y) :- Transfer(x, y), Transfer(y, x)"), crpq.Options{})
 	if err != nil {
 		return err
 	}
@@ -206,7 +204,7 @@ func runE30(w io.Writer) error {
 		}
 		pwTime := timeSince(startPW)
 		startW := timeNow()
-		plan, err := crpq.Compile(g, q, func(e rpq.Expr) *pg.Kernel { return eval.CompileProduct(g, e).Kernel() })
+		plan, err := crpq.Compile(g, q, crpq.Kernels(g))
 		if err != nil {
 			return err
 		}

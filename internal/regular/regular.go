@@ -69,11 +69,13 @@ func (p *Program) Validate() error {
 
 // Materialize evaluates the definitions bottom-up, returning a graph
 // augmented with one Name-labeled virtual edge per result pair of each
-// definition. Virtual edge IDs are "$Name#i".
+// definition. Virtual edge IDs are "$Name#i". Each definition is evaluated
+// on its CRPQ plan (crpq.Compile) over the graph the definitions before it
+// augmented, with one product kernel per distinct expression.
 func (p *Program) Materialize(g *graph.Graph, opts crpq.Options) (*graph.Graph, error) {
 	cur := g
 	for _, d := range p.Defs {
-		res, err := crpq.Eval(cur, d.Query, opts)
+		res, err := crpq.EvalPlan(cur, d.Query, opts)
 		if err != nil {
 			return nil, fmt.Errorf("regular: evaluating %q: %w", d.Name, err)
 		}
@@ -102,7 +104,7 @@ func (p *Program) Materialize(g *graph.Graph, opts crpq.Options) (*graph.Graph, 
 	return cur, nil
 }
 
-// Eval validates, materializes, and runs the final query.
+// Eval validates, materializes, and runs the final query on its plan.
 func Eval(g *graph.Graph, p *Program, opts crpq.Options) (*crpq.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -111,7 +113,7 @@ func Eval(g *graph.Graph, p *Program, opts crpq.Options) (*crpq.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return crpq.Eval(aug, p.Final, opts)
+	return crpq.EvalPlan(aug, p.Final, opts)
 }
 
 // Parse parses a multi-line program. Every non-empty, non-comment line is a

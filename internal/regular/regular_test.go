@@ -1,6 +1,7 @@
 package regular
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,5 +197,57 @@ func TestCommentsAndWhitespace(t *testing.T) {
 	`)
 	if len(p.Defs) != 1 || p.Defs[0].Name != "V" {
 		t.Errorf("defs = %+v", p.Defs)
+	}
+}
+
+// TestPlanAgreesWithReference: a program's definitions and its final query
+// run on the CRPQ plan; each answers, row for row and in order, what the
+// reference crpq.Eval answers on the graph the definitions before it
+// augmented — tier atoms (modes, list variables) among them, since a
+// virtual edge's ID is its row's position.
+func TestPlanAgreesWithReference(t *testing.T) {
+	for _, tc := range []struct {
+		g    *graph.Graph
+		text string
+	}{
+		{twoWayGraph(t), `
+			Vedge(x, y) :- Transfer(x, y), Transfer(y, x)
+			q(a, b) :- Vedge+(a, b)`},
+		{twoWayGraph(t), `
+			Vedge(x, y) :- Transfer(x, y), Transfer(y, x)
+			q(z, a) :- shortest (Vedge^z)+(@u, a)`},
+		{gen.BankEdgeLabeled(), `
+			Near(x, y) :- shortest Transfer Transfer?(x, y), owner(x, z)
+			Hop(x, y) :- simple Near Near(x, y)
+			q(x, z, w) :- (Near^z) Hop(x, y), trail (Transfer^w)(y, x)`},
+	} {
+		p := MustParse(tc.text)
+		opts := crpq.Options{AtomMaxLen: 4}
+		for i := range p.Defs {
+			prefix := &Program{Defs: p.Defs[:i], Final: p.Final}
+			cur, err := prefix.Materialize(tc.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := crpq.EvalPlan(cur, p.Defs[i].Query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref, err := crpq.Eval(cur, p.Defs[i].Query, opts); err != nil || !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: plan\n%s\nreference (err %v)\n%s", p.Defs[i].Name, got.Format(cur), err, ref.Format(cur))
+			}
+		}
+		aug, err := p.Materialize(tc.g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Eval(tc.g, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := crpq.Eval(aug, p.Final, opts)
+		if err != nil || !reflect.DeepEqual(got, ref) || len(got.Rows) == 0 {
+			t.Errorf("final query: plan\n%s\nreference (err %v)\n%s", got.Format(aug), err, ref.Format(aug))
+		}
 	}
 }

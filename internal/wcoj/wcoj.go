@@ -3,11 +3,13 @@
 // out ("over the last decade we have seen impressive progress on worst-case
 // optimal evaluation of conjunctive queries, with the celebrated AGM bound
 // […] for CRPQs we have seen little progress so far"), and the join behind
-// every served CRPQ inside the kernel fragment (crpq.Plan).
+// every served CRPQ (crpq.Plan), whatever its atoms' modes, list variables
+// or data tests.
 //
-// A relation is what the kernel's all-sources driver hands out: (source,
-// target) pairs sorted by source then target, kept as one flat slice of
-// targets with a run offset per node. Variables are bound one at a time
+// A relation is a set of (source, target) node pairs sorted by source then
+// target — what the kernel's all-sources driver hands out, and what an atom
+// evaluated by its language tier comes to once its path bindings are set
+// aside — kept as one flat slice of targets with a run offset per node. Variables are bound one at a time
 // (generic join / leapfrog): the candidates for a variable are the
 // intersection of the sorted runs of every atom whose other end is already
 // bound, so no intermediate relation is ever materialized. On cyclic joins
@@ -42,7 +44,8 @@ func (ix *index) keys() []int32 {
 }
 
 // Rel is a binary relation over the node indexes [0, n), built from the
-// batches of one all-sources sweep: Append per batch, then Seal. The
+// batches of one all-sources sweep, or from a tier atom's distinct pairs in
+// the same order: Append per batch, then Seal. The
 // source-major index is the sweep's own output order; the target-major one
 // is built, by counting sort, the first time a join enters the relation
 // from its target side. A Rel belongs to one evaluation — whose atoms over
