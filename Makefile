@@ -106,6 +106,8 @@ lint: vet
 		if [ -n "$$out" ]; then echo "a served or regular CRPQ sent to the reference crpq.Eval (compile it: crpq.Compile, Plan.Eval):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n -F '[][]int' $$(ls internal/graph/*.go | grep -v _test.go) || true)"; \
 		if [ -n "$$out" ]; then echo "a second per-node adjacency index in internal/graph (a node's edges are its CSR region or overlay row):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n -F 'gpath.FromEdges' $$(ls internal/lrpq/*.go | grep -v _test.go | grep -vxF internal/lrpq/plan.go) || true)"; \
+		if [ -n "$$out" ]; then echo "an ℓ-RPQ path built outside the walk (every mode emits through plan.go's walk):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -1,13 +1,15 @@
 // The four path modes between two anchors — lrpq.Plan.Between and
 // dlrpq.EvalBetween in modes all, shortest, simple and trail — against the
 // definition: every walk along graph.Out whose label word the expression's
-// automaton accepts, cut down by the mode. With a limit, the answer must be
-// the head of the unlimited one, in result order (length, then path key).
+// automaton accepts, cut down by the mode, with each binding its accepting
+// runs make (lrpq.BindingsOnPath). With a limit, the answer must be the head
+// of the unlimited one, in result order (length, path key, binding key).
 package crossval_test
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"graphquery/internal/automata"
@@ -17,7 +19,6 @@ import (
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
 	"graphquery/internal/lrpq"
-	"graphquery/internal/rpq"
 )
 
 // walkOracle is every walk from src to dst of at most maxLen edges along
@@ -116,36 +117,51 @@ var modeExprs = []struct{ rpq, dl string }{
 // oracle enumerates every walk up to it.
 const modeMaxLen = 4
 
-// formatWalks renders oracle paths the way formatPBs renders answers, with
-// the empty binding the differential's expressions give every path.
-func formatWalks(g *graph.Graph, ps []gpath.Path) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Format(g) + " " + gpath.Binding(nil).Format(g)
+// modeListExprs are ℓ-RPQs that bind list variables, held to the walk
+// oracle by lrpq alone: one variable, an ambiguous expression whose runs
+// bind one path many ways, two variables, and an ambiguous one whose runs
+// meet in one configuration.
+var modeListExprs = []string{"(a^z)+", "(a a^z | a^z a)*", "(a^x | b^y)* a", "(a^z | _^z)+"}
+
+// formatWalks renders oracle walks the way formatPBs renders answers: each
+// walk once per binding of e's accepting runs on it, in binding-key order.
+func formatWalks(g *graph.Graph, e lrpq.Expr, ps []gpath.Path) []string {
+	var out []string
+	for _, p := range ps {
+		mus := lrpq.BindingsOnPath(g, e, p)
+		sort.Slice(mus, func(i, j int) bool { return mus[i].Key() < mus[j].Key() })
+		for _, mu := range mus {
+			out = append(out, p.Format(g)+" "+mu.Format(g))
+		}
 	}
 	return out
 }
 
-// modeEvaluators are the two anchored path evaluators under test.
-func modeEvaluators(g *graph.Graph, rpqText, dlText string) map[string]func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {
-	plan := lrpqPlan(g, lrpq.MustParse(rpqText), nil)
-	dl := dlrpq.MustParse(dlText)
-	return map[string]func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error){
+// modeEvaluators are the anchored path evaluators under test: lrpq's plan
+// on the ℓ-RPQ text, and dlrpq on dlText unless it is empty.
+func modeEvaluators(g *graph.Graph, lText, dlText string) map[string]func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {
+	plan := lrpqPlan(g, lrpq.MustParse(lText), nil)
+	out := map[string]func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error){
 		"lrpq": func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {
 			return plan.Between(u, v, mode, lrpq.Options{MaxLen: maxLen, Limit: limit})
 		},
-		"dlrpq": func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {
-			return dlrpq.EvalBetween(g, dl, u, v, mode, dlrpq.Options{MaxLen: maxLen, Limit: limit})
-		},
 	}
+	if dlText != "" {
+		dl := dlrpq.MustParse(dlText)
+		out["dlrpq"] = func(u, v int, mode eval.Mode, maxLen, limit int) ([]gpath.PathBinding, error) {
+			return dlrpq.EvalBetween(g, dl, u, v, mode, dlrpq.Options{MaxLen: maxLen, Limit: limit})
+		}
+	}
+	return out
 }
 
-// checkModes compares both evaluators with the walk oracle on one pair, in
+// checkModes compares the evaluators with the walk oracle on one pair, in
 // every mode and at every limit.
-func checkModes(t *testing.T, g *graph.Graph, rpqText, dlText string, u, v int) {
+func checkModes(t *testing.T, g *graph.Graph, lText, dlText string, u, v int) {
 	t.Helper()
-	nfa := rpq.Compile(rpq.MustParse(rpqText))
-	for name, between := range modeEvaluators(g, rpqText, dlText) {
+	e := lrpq.MustParse(lText)
+	nfa := lrpq.Compile(e).Erased()
+	for name, between := range modeEvaluators(g, lText, dlText) {
 		for _, mode := range []eval.Mode{eval.All, eval.Shortest, eval.Simple, eval.Trail} {
 			maxLen := modeMaxLen
 			if mode == eval.Shortest {
@@ -153,7 +169,7 @@ func checkModes(t *testing.T, g *graph.Graph, rpqText, dlText string, u, v int) 
 			}
 			full, err := between(u, v, mode, maxLen, 0)
 			if err != nil {
-				t.Fatalf("%s %s %d→%d %v: %v", name, rpqText, u, v, mode, err)
+				t.Fatalf("%s %s %d→%d %v: %v", name, lText, u, v, mode, err)
 			}
 			var want []gpath.Path
 			if mode == eval.Shortest {
@@ -173,9 +189,9 @@ func checkModes(t *testing.T, g *graph.Graph, rpqText, dlText string, u, v int) 
 			} else {
 				want = walkOracle(g, nfa, u, v, maxLen, modeKeep(mode))
 			}
-			got, exp := formatPBs(g, full), formatWalks(g, want)
+			got, exp := formatPBs(g, full), formatWalks(g, e, want)
 			if fmt.Sprint(got) != fmt.Sprint(exp) {
-				t.Fatalf("%s %s %d→%d %v: answer differs from the definition\n got %v\nwant %v", name, rpqText, u, v, mode, got, exp)
+				t.Fatalf("%s %s %d→%d %v: answer differs from the definition\n got %v\nwant %v", name, lText, u, v, mode, got, exp)
 			}
 			for _, limit := range shortestLimits[1:] {
 				cut, err := between(u, v, mode, maxLen, limit)
@@ -183,7 +199,7 @@ func checkModes(t *testing.T, g *graph.Graph, rpqText, dlText string, u, v int) 
 					t.Fatal(err)
 				}
 				if k := min(limit, len(exp)); fmt.Sprint(formatPBs(g, cut)) != fmt.Sprint(exp[:k]) {
-					t.Fatalf("%s %s %d→%d %v limit %d: got %v, want the first %d of %v", name, rpqText, u, v, mode, limit, formatPBs(g, cut), k, exp)
+					t.Fatalf("%s %s %d→%d %v limit %d: got %v, want the first %d of %v", name, lText, u, v, mode, limit, formatPBs(g, cut), k, exp)
 				}
 				// Mode all bounded by the limit alone: the head of the
 				// unbounded answer, which the bounded one starts with once
@@ -195,7 +211,7 @@ func checkModes(t *testing.T, g *graph.Graph, rpqText, dlText string, u, v int) 
 						t.Fatal(err)
 					}
 					if fmt.Sprint(formatPBs(g, cut)) != fmt.Sprint(exp[:limit]) {
-						t.Fatalf("%s %s %d→%d all, limit %d alone: got %v, want %v", name, rpqText, u, v, limit, formatPBs(g, cut), exp[:limit])
+						t.Fatalf("%s %s %d→%d all, limit %d alone: got %v, want %v", name, lText, u, v, limit, formatPBs(g, cut), exp[:limit])
 					}
 				}
 			}
@@ -222,6 +238,28 @@ func TestModesMatchWalks(t *testing.T) {
 					continue
 				}
 				checkModes(t, g, x.rpq, x.dl, u, v)
+			}
+		}
+	}
+}
+
+// TestModesBindListVariables is the binding differential: every (p, µ) of
+// lrpq's four modes, at every limit, on the graphs of TestModesMatchWalks,
+// for expressions that bind list variables.
+func TestModesBindListVariables(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for seed := int64(1); seed <= 4; seed++ {
+		g := gen.Random(30, 120+10*int(seed), []string{"a", "b"}, seed)
+		if seed == 4 {
+			g = mutateForShortest(t, g)
+		}
+		for _, x := range modeListExprs {
+			for i := 0; i < 6; i++ {
+				u, v := rng.Intn(g.NumNodes()), rng.Intn(g.NumNodes())
+				if !g.NodeAlive(u) || !g.NodeAlive(v) {
+					continue
+				}
+				checkModes(t, g, x, "", u, v)
 			}
 		}
 	}

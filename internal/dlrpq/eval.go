@@ -3,8 +3,9 @@ package dlrpq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"graphquery/internal/automata"
 	"graphquery/internal/eval"
@@ -32,21 +33,20 @@ type Options struct {
 // assignment is a value assignment ν: DataVar → Values (partial).
 type assignment map[string]graph.Value
 
-func (v assignment) key() string {
-	if len(v) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(v))
+// appendKey appends ν's key to b: each variable in name order as
+// "name=kind:value;", the kind as its number.
+func (v assignment) appendKey(b []byte) []byte {
+	var arr [8]string // the names of a small ν stay off the heap
+	names := arr[:0]
 	for k := range v {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		val := v[k]
-		fmt.Fprintf(&b, "%s=%d:%s;", k, val.Kind(), val.String())
+	slices.Sort(names)
+	for _, k := range names {
+		b = strconv.AppendUint(append(append(b, k...), '='), uint64(v[k].Kind()), 10)
+		b = append(v[k].Append(append(b, ':')), ';')
 	}
-	return b.String()
+	return b
 }
 
 func (v assignment) with(x string, val graph.Value) assignment {
@@ -113,20 +113,19 @@ type config struct {
 	nu     assignment
 }
 
-func (c config) key() string {
-	var b strings.Builder
-	if c.hasObj {
-		if c.obj.IsEdge() {
-			fmt.Fprintf(&b, "E%d", c.obj.Index())
-		} else {
-			fmt.Fprintf(&b, "N%d", c.obj.Index())
-		}
-	} else {
-		b.WriteByte('-')
+// appendKey appends the configuration's key to b: its object ("E" or "N"
+// and the index, "-" for none), "#", the state, "#" and ν's key.
+func (c config) appendKey(b []byte) []byte {
+	switch {
+	case !c.hasObj:
+		b = append(b, '-')
+	case c.obj.IsEdge():
+		b = strconv.AppendInt(append(b, 'E'), int64(c.obj.Index()), 10)
+	default:
+		b = strconv.AppendInt(append(b, 'N'), int64(c.obj.Index()), 10)
 	}
-	fmt.Fprintf(&b, "#%d#", c.state)
-	b.WriteString(c.nu.key())
-	return b.String()
+	b = strconv.AppendInt(append(b, '#'), int64(c.state), 10)
+	return c.nu.appendKey(append(b, '#'))
 }
 
 // move is one application of an atom: the successor configuration, the
@@ -404,6 +403,7 @@ func (p *Plan) searchAnchor(src, dst int, opts Options, flags searchFlags) ([]gp
 	usedEdges := map[int]struct{}{}
 	truncated := false
 	var stopErr error
+	var key []byte // a configuration's key, built in place
 
 	emit := func() {
 		p, err := gpath.New(g, objs...)
@@ -464,12 +464,12 @@ func (p *Plan) searchAnchor(src, dst int, opts Options, flags searchFlags) ([]gp
 			if m.cost > 0 {
 				nextSince = map[string]struct{}{}
 			} else {
-				k := m.next.key()
-				if _, loop := sinceEdge[k]; loop {
+				key = m.next.appendKey(key[:0])
+				if _, loop := sinceEdge[string(key)]; loop {
 					continue // idle derivation loop
 				}
 				nextSince = cloneSet(sinceEdge)
-				nextSince[k] = struct{}{}
+				nextSince[string(key)] = struct{}{}
 			}
 
 			if m.appended {
@@ -506,7 +506,7 @@ func (p *Plan) searchAnchor(src, dst int, opts Options, flags searchFlags) ([]gp
 	}
 
 	start := config{state: a.Start}
-	dfs(start, 0, map[string]struct{}{start.key(): {}})
+	dfs(start, 0, map[string]struct{}{string(start.appendKey(nil)): {}})
 	if stopErr == nil {
 		stopErr = tick.Flush()
 	}
@@ -536,8 +536,9 @@ func (p *Plan) shortestDistance(src, dst int, m *pg.Meter, cnt *pg.Counters) (in
 	}
 	tick := pg.NewTicker(m, cnt)
 	dist := map[string]int{}
+	var key []byte // a configuration's key, built in place
 	start := config{state: a.Start}
-	dist[start.key()] = 0
+	dist[string(start.appendKey(nil))] = 0
 	deque := []qitem{{start, 0}}
 	best := -1
 	for len(deque) > 0 {
@@ -546,8 +547,8 @@ func (p *Plan) shortestDistance(src, dst int, m *pg.Meter, cnt *pg.Counters) (in
 		}
 		it := deque[0]
 		deque = deque[1:]
-		k := it.cfg.key()
-		if d, ok := dist[k]; ok && d < it.dist {
+		key = it.cfg.appendKey(key[:0])
+		if d, ok := dist[string(key)]; ok && d < it.dist {
 			continue // stale entry
 		}
 		if a.Accept[it.cfg.state] && endpointOK(g, it.cfg, dst) {
@@ -560,9 +561,9 @@ func (p *Plan) shortestDistance(src, dst int, m *pg.Meter, cnt *pg.Counters) (in
 		}
 		for _, m := range successors(g, mach, it.cfg, src) {
 			nd := it.dist + m.cost
-			nk := m.next.key()
-			if d, ok := dist[nk]; !ok || nd < d {
-				dist[nk] = nd
+			key = m.next.appendKey(key[:0])
+			if d, ok := dist[string(key)]; !ok || nd < d {
+				dist[string(key)] = nd
 				if m.cost == 0 {
 					deque = append([]qitem{{m.next, nd}}, deque...)
 				} else {

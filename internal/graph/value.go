@@ -117,6 +117,17 @@ func (v Value) String() string {
 	}
 }
 
+// Append appends v's String form to b.
+func (v Value) Append(b []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(b, int64(v.num), 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, math.Float64frombits(v.num), 'g', -1, 64)
+	}
+	return append(b, v.String()...)
+}
+
 // Compare orders two values. Values of different kinds are ordered by kind
 // (null < bool < numeric < string), except that ints and floats compare
 // numerically with each other. Within a kind the natural order applies.

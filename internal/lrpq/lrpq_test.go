@@ -306,6 +306,42 @@ func TestLimitOnlyFiniteAnswerEnds(t *testing.T) {
 	}
 }
 
+// TestWalkReadings pins what a walk charges in modes all and trail on the
+// 4-clique, from v0 to v1: one state per configuration carried to a path
+// prefix, one row per (p, µ) found. Under the unambiguous (a^z)+ the
+// configurations are the runs, and the readings are those of the per-run
+// search the walk replaced. (a^z | _^z)+ has the same answer, but two runs
+// reach each position of a path in the same state with the same assignment:
+// they are one configuration, so the walk reads 79 and 10 501 states where
+// the per-run search read 259 and 6 558 379.
+func TestWalkReadings(t *testing.T) {
+	g := gen.Clique(4, "a")
+	for _, c := range []struct {
+		expr         string
+		mode         eval.Mode
+		maxLen       int
+		states, rows int64
+	}{
+		{"(a^z)+", eval.All, 3, 40, 10},
+		{"(a^z)+", eval.Trail, 0, 5251, 1085},
+		{"(a^z | _^z)+", eval.All, 3, 79, 10},
+		{"(a^z | _^z)+", eval.Trail, 0, 10501, 1085},
+	} {
+		m := pg.NewMeter(context.Background(), pg.Budget{MaxStates: 1 << 40}, nil, nil)
+		got, err := EvalBetween(g, MustParse(c.expr), 0, 1, c.mode, Options{MaxLen: c.maxLen, Meter: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.States() != c.states || m.Rows() != c.rows {
+			t.Errorf("%s %v: %d states, %d rows; want %d, %d", c.expr, c.mode, m.States(), m.Rows(), c.states, c.rows)
+		}
+		want, _ := EvalBetween(g, MustParse("(a^z)+"), 0, 1, c.mode, Options{MaxLen: c.maxLen})
+		if !slices.EqualFunc(got, want, func(a, b gpath.PathBinding) bool { return a.Key() == b.Key() }) {
+			t.Errorf("%s %v: the answer differs from (a^z)+'s", c.expr, c.mode)
+		}
+	}
+}
+
 func TestEvalErrors(t *testing.T) {
 	g := gen.Cycle(3, "a")
 	if _, err := Eval(g, MustParse("a*"), Options{}); !errors.Is(err, ErrUnbounded) {

@@ -2,6 +2,7 @@ package lrpq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"graphquery/internal/eval"
@@ -57,6 +58,13 @@ func NewPlan(k *pg.Kernel, e Expr) *Plan {
 }
 
 // Between computes m(σ_{src,dst}(⟦R⟧_G)) on the plan; see EvalBetween.
+// Every mode is one walk over graph paths; mode shortest keeps it on the
+// shortest-path DAG of a Search. A limit in mode simple, in mode trail, or
+// in mode all bounded by the limit alone deepens the walk's length bound
+// (gpath.Deepen). Each pass is charged its states and rows on the meter
+// again: the repeated work is real work. A run through more product states
+// than the kernel has repeats one, which ends a deepening whose answer is
+// shorter than the limit.
 func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.PathBinding, error) {
 	switch mode {
 	case eval.Shortest:
@@ -73,11 +81,15 @@ func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.Path
 	default:
 		return nil, fmt.Errorf("lrpq: unknown mode %v", mode)
 	}
-	if opts.Limit > 0 && (mode != eval.All || opts.MaxLen <= 0) {
-		return deepen(p.kern, p.a, src, dst, mode, opts)
+	pass := func(bound int) ([]gpath.PathBinding, bool, error) {
+		w := &walk{p: p, src: src, dst: dst, mode: mode, maxLen: bound, m: opts.Meter}
+		return w.run()
 	}
-	// Nothing to cut, or mode all's own bound: one search holds the head.
-	out, _, err := search(p.g, p.a, src, dst, mode, opts, p.kern.Counters())
+	if opts.Limit > 0 && (mode != eval.All || opts.MaxLen <= 0) {
+		return gpath.Deepen(opts.Limit, opts.MaxLen, p.kern.NumProductStates(), pass)
+	}
+	// Nothing to cut, or mode all's own bound: one walk holds the head.
+	out, _, err := pass(opts.MaxLen)
 	if err != nil {
 		return nil, err
 	}
@@ -96,45 +108,45 @@ func (p *Plan) Search(src, dst int, m *pg.Meter) (*pg.Meet, error) {
 // result: every shortest path from meet.Src to meet.Dst matching the
 // expression, each with every binding its accepting runs produce, in result
 // order — path key, then binding key — stopping after limit results (0:
-// all of them). It walks the shortest-path DAG only, so every step extends
-// to an answer and the work follows the answers — their number, their
-// length, the degree of the nodes on them and the configurations the
+// all of them). The walk stays on the shortest-path DAG, so every step
+// extends to an answer and the work follows the answers — their number,
+// their length, the degree of the nodes on them and the configurations the
 // automaton carries along them — whatever the size of the graph.
-//
-// Path keys compare as strings, "E12." before "E2." and "E1." before
-// "E10.", so a walk that is to stop early has to leave each node by its
-// edges in that order: decimal-string order of the edge index, not numeric
-// order. The walk follows graph edges, not product edges: it carries along
-// the set of automaton configurations the edges so far allow — the state,
-// and which variable took which edge — so one path is visited once and all
-// its bindings come out together.
 func (p *Plan) Shortest(meet *pg.Meet, limit int, m *pg.Meter) ([]gpath.PathBinding, error) {
 	if meet.Len < 0 {
 		return nil, nil
 	}
-	w := &shortestWalk{p: p, meet: meet, limit: limit, m: m,
-		tick:   pg.NewTicker(m, p.kern.Counters()),
-		levels: make([]walkLevel, meet.Len+1)}
-	w.levels[0].seqs = []varStep{{parent: -1}}
-	w.levels[0].cfgs = []config{{state: int32(p.a.Start)}}
-	err := w.walk(meet.Src, 0)
-	if err == nil {
-		err = w.tick.Flush()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return w.out, nil
+	w := &walk{p: p, src: meet.Src, dst: meet.Dst, mode: eval.Shortest, meet: meet,
+		maxLen: meet.Len, limit: limit, m: m}
+	out, _, err := w.run()
+	return out, err
 }
 
-// shortestWalk is one depth-first walk over the graph paths of a
-// shortest-path DAG.
-type shortestWalk struct {
-	p     *Plan
-	meet  *pg.Meet
-	limit int
-	m     *pg.Meter
-	tick  pg.Ticker
+// walk is one depth-first walk over the graph paths from src that some run
+// of the automaton can take. It follows graph edges, not product edges: it
+// carries along the set of automaton configurations the edges so far allow
+// — the state, and which variable took which edge — so one path is visited
+// once and all its bindings come out together. The mode decides which
+// extensions it admits: in mode shortest a step to the DAG state one level
+// deeper, in mode all any step, in modes simple and trail a step to a node,
+// or along an edge, not yet on the path. A path is emitted where it ends at
+// dst (anywhere when dst < 0) with an accepting configuration.
+//
+// Path keys compare as strings, "E12." before "E2." and "E1." before
+// "E10.", so a walk that is to stop early has to leave each node by its
+// edges in that order: decimal-string order of the edge index, not numeric
+// order. Then one length's paths come out in result order, which is what
+// lets mode shortest stop at its limit.
+type walk struct {
+	p        *Plan
+	src, dst int
+	mode     eval.Mode
+	meet     *pg.Meet // mode shortest: the DAG every step stays on
+	maxLen   int      // the longest path walked; 0: no bound but the mode's
+	limit    int      // stop after this many rows; 0: never
+	m        *pg.Meter
+	tick     pg.Ticker
+	cut      bool // the bound stopped a branch with an edge and a transition left
 
 	edges  []int       // the path walked so far
 	levels []walkLevel // levels[d] belongs to the path's first d edges
@@ -170,33 +182,61 @@ type extension struct {
 	v      string
 }
 
-func (w *shortestWalk) done() bool { return w.limit > 0 && len(w.out) >= w.limit }
+// run walks from src and returns the rows found and whether the bound cut
+// a branch. Each configuration carried to a node is one expanded state on
+// the meter and on the kernel's counters, and each row is charged as it is
+// found: an expression that binds one path exponentially many ways is
+// stopped by the states budget like any other blow-up.
+func (w *walk) run() ([]gpath.PathBinding, bool, error) {
+	w.tick = pg.NewTicker(w.m, w.p.kern.Counters())
+	w.levels = make([]walkLevel, 1, w.maxLen+1)
+	w.levels[0].seqs = []varStep{{parent: -1}}
+	w.levels[0].cfgs = []config{{state: int32(w.p.a.Start)}}
+	err := w.visit(w.src, 0)
+	if err == nil {
+		err = w.tick.Flush()
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return w.out, w.cut, nil
+}
 
-// walk visits node as position d of the current path. Each configuration
-// carried there is one expanded state on the meter: an expression that
-// binds one path exponentially many ways is stopped by the states budget
-// like any other blow-up.
-func (w *shortestWalk) walk(node, d int) error {
+func (w *walk) done() bool { return w.limit > 0 && len(w.out) >= w.limit }
+
+// visit visits node as position d of the current path.
+func (w *walk) visit(node, d int) error {
 	lv := &w.levels[d]
 	for range lv.cfgs {
 		if err := w.tick.Step(); err != nil {
 			return err
 		}
 	}
-	if d == w.meet.Len {
-		return w.emit()
+	if w.dst < 0 || node == w.dst {
+		if err := w.emit(d); err != nil || w.done() {
+			return err
+		}
 	}
-	g, nq := w.p.g, w.p.a.NumStates
-	depths := w.meet.Depths()
+	g := w.p.g
+	if w.maxLen > 0 && d == w.maxLen {
+		for _, c := range lv.cfgs {
+			w.cut = w.cut || len(w.p.steps[c.state]) > 0 && len(g.Out(node)) > 0
+		}
+		return nil
+	}
+	if d+1 == len(w.levels) {
+		w.levels = append(w.levels, walkLevel{})
+		lv = &w.levels[d]
+	}
 	lv.cands = lv.cands[:0]
 	for _, ei := range g.Out(node) {
 		lab, tgt := g.EdgeLabelID(ei), g.EdgeTgt(ei)
+		if w.repeats(ei, tgt) {
+			continue
+		}
 		for _, c := range lv.cfgs {
 			for _, st := range w.p.steps[c.state] {
-				if !st.ok[lab] {
-					continue
-				}
-				if i := w.meet.Index(tgt*nq + st.to); i >= 0 && int(depths[i]) == d+1 {
+				if st.ok[lab] && w.tight(tgt, st.to, d+1) {
 					lv.cands = append(lv.cands, extension{ei, int32(st.to), c.seq, st.v})
 				}
 			}
@@ -207,9 +247,10 @@ func (w *shortestWalk) walk(node, d int) error {
 		sortExtensions(cands)
 	}
 	// One group of extensions per edge; within it equal assignments, then
-	// equal configurations, are adjacent and collapse.
-	next := &w.levels[d+1]
+	// equal configurations, are adjacent and collapse. The level below is
+	// looked up again after each visit, which may have grown the levels.
 	for i := 0; i < len(cands); {
+		next := &w.levels[d+1]
 		next.cfgs, next.seqs = next.cfgs[:0], next.seqs[:0]
 		j := i
 		for ; j < len(cands) && cands[j].edge == cands[i].edge; j++ {
@@ -223,7 +264,7 @@ func (w *shortestWalk) walk(node, d int) error {
 			}
 		}
 		w.edges = append(w.edges, cands[i].edge)
-		err := w.walk(g.EdgeTgt(cands[i].edge), d+1)
+		err := w.visit(g.EdgeTgt(cands[i].edge), d+1)
 		w.edges = w.edges[:len(w.edges)-1]
 		if err != nil || w.done() {
 			return err
@@ -233,23 +274,60 @@ func (w *shortestWalk) walk(node, d int) error {
 	return nil
 }
 
-// emit appends the current path with each of its bindings. Every
-// configuration at the last position is accepting — the DAG ends in
-// accepting states only — so the bindings are the level's assignments;
-// two assignments can still make the same binding when the path repeats an
-// edge, hence the comparison by key.
-func (w *shortestWalk) emit() error {
-	g := w.p.g
-	path := gpath.FromEdges(g, w.meet.Src, w.edges)
-	last := len(w.levels) - 1
-	vars := make([]string, last)
-	mus := make([]gpath.Binding, 0, len(w.levels[last].seqs))
-	for s := range w.levels[last].seqs {
-		for d, at := last, int32(s); d > 0; d-- {
-			vars[d-1] = w.levels[d].seqs[at].v
-			at = w.levels[d].seqs[at].parent
+// repeats reports whether the mode forbids extending the path along edge
+// ei to node tgt: mode simple visits no node twice, mode trail no edge.
+func (w *walk) repeats(ei, tgt int) bool {
+	switch w.mode {
+	case eval.Simple:
+		if tgt == w.src {
+			return true
+		}
+		for _, e := range w.edges {
+			if w.p.g.EdgeTgt(e) == tgt {
+				return true
+			}
+		}
+	case eval.Trail:
+		return slices.Contains(w.edges, ei)
+	}
+	return false
+}
+
+// tight reports whether a step to automaton state q at node tgt, as
+// position d of the path, stays on the walk's DAG: true without one.
+func (w *walk) tight(tgt, q, d int) bool {
+	if w.meet == nil {
+		return true
+	}
+	i := w.meet.Index(tgt*w.p.a.NumStates + q)
+	return i >= 0 && int(w.meet.Depths()[i]) == d
+}
+
+// emit appends the current path, d edges long, with each binding of its
+// accepting configurations; there is none when no configuration accepts.
+// Two assignments can make the same binding when the path repeats an edge,
+// hence the comparison by key. The configurations of a level are ordered by
+// assignment, so equal assignments are adjacent.
+func (w *walk) emit(d int) error {
+	g, lv := w.p.g, &w.levels[d]
+	var mus []gpath.Binding
+	var vars []string
+	last := int32(-1)
+	for _, c := range lv.cfgs {
+		if !w.p.a.Accept[c.state] || c.seq == last {
+			continue
+		}
+		if last = c.seq; vars == nil {
+			vars = make([]string, d)
+		}
+		for i, at := d, c.seq; i > 0; i-- {
+			vars[i-1] = w.levels[i].seqs[at].v
+			at = w.levels[i].seqs[at].parent
 		}
 		mus = append(mus, buildBinding(g, w.edges, vars))
+	}
+	if len(mus) == 0 {
+		return nil
 	}
 	if len(mus) > 1 {
 		keys := make(map[string]gpath.Binding, len(mus))
@@ -266,6 +344,7 @@ func (w *shortestWalk) emit() error {
 			mus = append(mus, keys[k])
 		}
 	}
+	path := gpath.FromEdges(g, w.src, w.edges)
 	for _, mu := range mus {
 		w.out = append(w.out, gpath.PathBinding{Path: path, Binding: mu})
 		if err := w.m.AddRows(1); err != nil {

@@ -38,10 +38,10 @@ import "sort"
 
 // Meet is the outcome of one Between search.
 type Meet struct {
-	// Src is the source anchor: the node every shortest path starts at.
-	Src int
-	// Len is the length of the shortest accepted paths from Src to the
-	// target anchor, −1 when there is none.
+	// Src and Dst are the anchors: every shortest path goes from Src to Dst.
+	Src, Dst int
+	// Len is the length of the shortest accepted paths from Src to Dst, −1
+	// when there is none.
 	Len int
 	// Fwd and Bwd are the levels the forward and the backward side had
 	// completed when they met (Fwd + Bwd = Len) or when one of them drained.
@@ -128,7 +128,7 @@ func (k *Kernel) Between(src, dst int, mt *Meter) (*Meet, error) {
 			err = b.expand(&b.fwd, &b.bwd)
 		}
 	}
-	m := &Meet{Src: src, Len: -1, Fwd: int(b.fwd.depth), Bwd: int(b.bwd.depth)}
+	m := &Meet{Src: src, Dst: dst, Len: -1, Fwd: int(b.fwd.depth), Bwd: int(b.bwd.depth)}
 	if err == nil && len(b.meet) > 0 {
 		m.Len = m.Fwd + m.Bwd
 		err = b.mark(m)

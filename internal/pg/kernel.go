@@ -179,42 +179,3 @@ func (k *Kernel) Succ(s State) []Step {
 	}
 	return out
 }
-
-// BFS runs breadth-first search over the product from (src, q₀) and
-// returns dist (−1 for unreached) and parent pointers (product id and
-// graph edge) — the witness-reconstruction hook behind Witness, shortest
-// enumeration, and distance queries. Expansion follows Succ order, so the
-// parent tree (and therefore which shortest witness is reconstructed) is
-// deterministic.
-func (k *Kernel) BFS(src int) (dist, parent, parentEdge []int) {
-	n := k.NumProductStates()
-	dist = make([]int, n)
-	parent = make([]int, n)
-	parentEdge = make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	var queue []int
-	for _, q := range k.starts {
-		id := src*k.nq + q
-		if dist[id] == 0 {
-			continue
-		}
-		dist[id] = 0
-		queue = append(queue, id)
-	}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, st := range k.Succ(k.Unid(cur)) {
-			ni := k.ID(st.To)
-			if dist[ni] == -1 {
-				dist[ni] = dist[cur] + 1
-				parent[ni] = cur
-				parentEdge[ni] = st.Edge
-				queue = append(queue, ni)
-			}
-		}
-	}
-	return dist, parent, parentEdge
-}

@@ -10,7 +10,8 @@ package relalg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"graphquery/internal/graph"
@@ -53,15 +54,18 @@ func (c Cell) Equal(d Cell) bool {
 	return c.Index == d.Index
 }
 
-// key renders a canonical deduplication key.
-func (c Cell) key() string {
+// appendKey appends the cell's canonical deduplication key to b: "N" or
+// "E" and the index, or "V", the value's kind as its number, ":" and the
+// value.
+func (c Cell) appendKey(b []byte) []byte {
 	switch c.Kind {
 	case CellNode:
-		return fmt.Sprintf("N%d", c.Index)
+		return strconv.AppendInt(append(b, 'N'), int64(c.Index), 10)
 	case CellEdge:
-		return fmt.Sprintf("E%d", c.Index)
+		return strconv.AppendInt(append(b, 'E'), int64(c.Index), 10)
 	default:
-		return fmt.Sprintf("V%d:%s", c.Value.Kind(), c.Value.String())
+		b = strconv.AppendUint(append(b, 'V'), uint64(c.Value.Kind()), 10)
+		return c.Value.Append(append(b, ':'))
 	}
 }
 
@@ -91,6 +95,7 @@ type Relation struct {
 	index  map[string]int // attribute -> column
 	tuples [][]Cell
 	seen   map[string]struct{}
+	key    []byte // a tuple's key, built in place
 }
 
 // NewRelation creates an empty relation with the given attributes.
@@ -134,13 +139,12 @@ func (r *Relation) Col(attr string) (int, bool) {
 	return i, ok
 }
 
-func tupleKey(t []Cell) string {
-	var b strings.Builder
+// appendTupleKey appends to b the key of t: each cell's, followed by a '|'.
+func appendTupleKey(b []byte, t []Cell) []byte {
 	for _, c := range t {
-		b.WriteString(c.key())
-		b.WriteByte('|')
+		b = append(c.appendKey(b), '|')
 	}
-	return b.String()
+	return b
 }
 
 // Add inserts a tuple (deduplicated). The arity must match.
@@ -148,11 +152,11 @@ func (r *Relation) Add(t ...Cell) error {
 	if len(t) != len(r.attrs) {
 		return fmt.Errorf("relalg: tuple arity %d does not match relation arity %d", len(t), len(r.attrs))
 	}
-	k := tupleKey(t)
-	if _, dup := r.seen[k]; dup {
+	r.key = appendTupleKey(r.key[:0], t)
+	if _, dup := r.seen[string(r.key)]; dup {
 		return nil
 	}
-	r.seen[k] = struct{}{}
+	r.seen[string(r.key)] = struct{}{}
 	r.tuples = append(r.tuples, append([]Cell(nil), t...))
 	return nil
 }
@@ -166,7 +170,7 @@ func (r *Relation) MustAdd(t ...Cell) {
 
 // Contains reports whether the tuple is present.
 func (r *Relation) Contains(t ...Cell) bool {
-	_, ok := r.seen[tupleKey(t)]
+	_, ok := r.seen[string(appendTupleKey(nil, t))]
 	return ok
 }
 
@@ -288,27 +292,24 @@ func (r *Relation) Join(s *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Hash join on the shared columns.
-	type key = string
-	buckets := make(map[key][]int)
-	mk := func(t []Cell, cols []int) string {
-		var b strings.Builder
-		for _, c := range cols {
-			b.WriteString(t[c].key())
-			b.WriteByte('|')
+	// Hash join on the shared columns. Each key is built once, into buf; a
+	// probe allocates nothing.
+	var buf []byte
+	mk := func(t []Cell, side int) {
+		buf = buf[:0]
+		for _, p := range shared {
+			buf = append(t[p[side]].appendKey(buf), '|')
 		}
-		return b.String()
 	}
-	rCols := make([]int, len(shared))
-	sCols := make([]int, len(shared))
-	for i, p := range shared {
-		rCols[i], sCols[i] = p[0], p[1]
-	}
+	buckets := make(map[string][]int)
 	for i, t := range s.tuples {
-		buckets[mk(t, sCols)] = append(buckets[mk(t, sCols)], i)
+		mk(t, 1)
+		k := string(buf)
+		buckets[k] = append(buckets[k], i)
 	}
 	for _, t := range r.tuples {
-		for _, si := range buckets[mk(t, rCols)] {
+		mk(t, 0)
+		for _, si := range buckets[string(buf)] {
 			st := s.tuples[si]
 			outT := make([]Cell, 0, len(outAttrs))
 			outT = append(outT, t...)
@@ -335,8 +336,21 @@ func (r *Relation) Product(s *Relation) (*Relation, error) {
 // Sorted returns the tuples in a canonical order (by key), for deterministic
 // output in tests and CLI rendering.
 func (r *Relation) Sorted() [][]Cell {
-	out := append([][]Cell(nil), r.tuples...)
-	sort.Slice(out, func(i, j int) bool { return tupleKey(out[i]) < tupleKey(out[j]) })
+	type keyed struct {
+		key string
+		t   []Cell
+	}
+	ks := make([]keyed, len(r.tuples))
+	var buf []byte
+	for i, t := range r.tuples {
+		buf = appendTupleKey(buf[:0], t)
+		ks[i] = keyed{string(buf), t}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([][]Cell, len(ks))
+	for i := range ks {
+		out[i] = ks[i].t
+	}
 	return out
 }
 

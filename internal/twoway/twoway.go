@@ -176,28 +176,36 @@ func PairsKernel(kern *pg.Kernel, m *pg.Meter, parallelism int) ([][2]int, error
 // Witness returns one shortest two-way walk (as the visited node sequence —
 // edges may be traversed in either direction, so the result is a node
 // itinerary rather than a gpath.Path). ok is false when no walk exists. The
-// walk is reconstructed from the kernel's BFS parent tree, so the choice
-// among equal-length witnesses is deterministic.
+// walk is read off the shortest-path DAG of the kernel's search between the
+// two nodes: from a start state, each step is the first Succ step into the
+// DAG's next level, so the choice among equal-length witnesses is
+// deterministic.
 func Witness(g *graph.Graph, e Expr, src, dst int) ([]int, bool) {
 	kern := Kernel(g, e, nil)
-	sem := kern.Semantics()
-	dist, parent, _ := kern.BFS(src)
-	best := -1
-	for q := 0; q < sem.NumStates(); q++ {
-		id := kern.ID(pg.State{Node: dst, State: q})
-		if sem.Accepting(q) && dist[id] >= 0 && (best == -1 || dist[id] < dist[best]) {
-			best = id
-		}
-	}
-	if best == -1 {
+	meet, err := kern.Between(src, dst, nil)
+	if err != nil || meet.Len < 0 {
 		return nil, false
 	}
-	var seq []int
-	for cur := best; cur != -1; cur = parent[cur] {
-		seq = append(seq, kern.Unid(cur).Node)
+	// onDAG reports whether s is the DAG state at depth d.
+	onDAG := func(s pg.State, d int) bool {
+		i := meet.Index(kern.ID(s))
+		return i >= 0 && int(meet.Depths()[i]) == d
 	}
-	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
-		seq[i], seq[j] = seq[j], seq[i]
+	var cur pg.State
+	for _, q := range kern.Semantics().Starts() {
+		if cur = (pg.State{Node: src, State: q}); onDAG(cur, 0) {
+			break
+		}
+	}
+	seq := []int{src}
+	for d := 1; d <= meet.Len; d++ {
+		for _, st := range kern.Succ(cur) {
+			if onDAG(st.To, d) {
+				cur = st.To
+				break
+			}
+		}
+		seq = append(seq, cur.Node)
 	}
 	return seq, true
 }
