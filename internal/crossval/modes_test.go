@@ -19,6 +19,7 @@ import (
 	"graphquery/internal/gpath"
 	"graphquery/internal/graph"
 	"graphquery/internal/lrpq"
+	"graphquery/internal/rpq"
 )
 
 // walkOracle is every walk from src to dst of at most maxLen edges along
@@ -120,8 +121,14 @@ const modeMaxLen = 4
 // modeListExprs are ℓ-RPQs that bind list variables, held to the walk
 // oracle by lrpq alone: one variable, an ambiguous expression whose runs
 // bind one path many ways, two variables, and an ambiguous one whose runs
-// meet in one configuration.
-var modeListExprs = []string{"(a^z)+", "(a a^z | a^z a)*", "(a^x | b^y)* a", "(a^z | _^z)+"}
+// meet in one configuration. Each comes with its erasure as a plain RPQ,
+// which the oracle's automaton is compiled from.
+var modeListExprs = []struct{ l, rpq string }{
+	{"(a^z)+", "a+"},
+	{"(a a^z | a^z a)*", "(a a | a a)*"},
+	{"(a^x | b^y)* a", "(a | b)* a"},
+	{"(a^z | _^z)+", "(a | _)+"},
+}
 
 // formatWalks renders oracle walks the way formatPBs renders answers: each
 // walk once per binding of e's accepting runs on it, in binding-key order.
@@ -156,11 +163,12 @@ func modeEvaluators(g *graph.Graph, lText, dlText string) map[string]func(u, v i
 }
 
 // checkModes compares the evaluators with the walk oracle on one pair, in
-// every mode and at every limit.
-func checkModes(t *testing.T, g *graph.Graph, lText, dlText string, u, v int) {
+// every mode and at every limit. The oracle walks the rpq automaton of
+// rpqText, lText's erasure, and takes each walk's bindings from lText.
+func checkModes(t *testing.T, g *graph.Graph, rpqText, lText, dlText string, u, v int) {
 	t.Helper()
 	e := lrpq.MustParse(lText)
-	nfa := lrpq.Compile(e).Erased()
+	nfa := rpq.Compile(rpq.MustParse(rpqText))
 	for name, between := range modeEvaluators(g, lText, dlText) {
 		for _, mode := range []eval.Mode{eval.All, eval.Shortest, eval.Simple, eval.Trail} {
 			maxLen := modeMaxLen
@@ -237,7 +245,7 @@ func TestModesMatchWalks(t *testing.T) {
 				if !g.NodeAlive(u) || !g.NodeAlive(v) {
 					continue
 				}
-				checkModes(t, g, x.rpq, x.dl, u, v)
+				checkModes(t, g, x.rpq, x.rpq, x.dl, u, v)
 			}
 		}
 	}
@@ -259,7 +267,7 @@ func TestModesBindListVariables(t *testing.T) {
 				if !g.NodeAlive(u) || !g.NodeAlive(v) {
 					continue
 				}
-				checkModes(t, g, x, "", u, v)
+				checkModes(t, g, x.rpq, x.l, "", u, v)
 			}
 		}
 	}
@@ -309,6 +317,6 @@ func TestModesLimitIsAPrefix(t *testing.T) {
 				t.Errorf("%s %s→%s %v limit 1: %v (err %v), want %s", name, c.from, c.to, c.mode, formatPBs(c.g, got), err, c.want)
 			}
 		}
-		checkModes(t, c.g, "a+", "() {[a] ()}+", u, v)
+		checkModes(t, c.g, "a+", "a+", "() {[a] ()}+", u, v)
 	}
 }

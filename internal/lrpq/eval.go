@@ -55,13 +55,13 @@ func Eval(g *graph.Graph, e Expr, opts Options) ([]gpath.PathBinding, error) {
 		return nil, ErrUnbounded
 	}
 	p := NewPlan(eval.CompileProduct(g, Erase(e)).Kernel(), e)
+	each := Options{MaxLen: opts.MaxLen, Meter: opts.Meter}
 	var out []gpath.PathBinding
 	for src := 0; src < g.NumNodes(); src++ {
 		if !g.NodeAlive(src) { // tombstoned under a mutation overlay
 			continue
 		}
-		w := &walk{p: p, src: src, dst: -1, mode: eval.All, maxLen: opts.MaxLen, m: opts.Meter}
-		res, _, err := w.run()
+		res, err := p.Between(src, -1, eval.All, each)
 		if err != nil {
 			return nil, err
 		}

@@ -373,7 +373,7 @@ func TestErasedAgreesWithEval(t *testing.T) {
 func TestErasedIsGlushkovOfErase(t *testing.T) {
 	for _, text := range []string{
 		"a*", "(Transfer^z)+", "(a a^z | a^z a)*", "(Transfer^z)* isBlocked",
-		"(a|b)*", "a b* a", "!{b}* b", "a{2,4}", "(a|a)* b?", "(a^x | b^y)* a",
+		"(a|b)*", "(a|b)+", "a b* a", "!{b}* b", "a{2,4}", "(a|a)* b?", "(a^x | b^y)* a",
 		"(a^z | a)* b^y", "_^z _", "(a* b*)*", "() | a", "'a b'^'0 z'", "!{a,b}^w{2,}",
 	} {
 		e := MustParse(text)

@@ -57,7 +57,8 @@ func NewPlan(k *pg.Kernel, e Expr) *Plan {
 	return p
 }
 
-// Between computes m(σ_{src,dst}(⟦R⟧_G)) on the plan; see EvalBetween.
+// Between computes m(σ_{src,dst}(⟦R⟧_G)) on the plan; see EvalBetween. A
+// dst < 0 in modes other than shortest lets a path end anywhere (Eval).
 // Every mode is one walk over graph paths; mode shortest keeps it on the
 // shortest-path DAG of a Search. A limit in mode simple, in mode trail, or
 // in mode all bounded by the limit alone deepens the walk's length bound
@@ -82,6 +83,9 @@ func (p *Plan) Between(src, dst int, mode eval.Mode, opts Options) ([]gpath.Path
 		return nil, fmt.Errorf("lrpq: unknown mode %v", mode)
 	}
 	pass := func(bound int) ([]gpath.PathBinding, bool, error) {
+		if bound <= 0 {
+			bound = -1
+		}
 		w := &walk{p: p, src: src, dst: dst, mode: mode, maxLen: bound, m: opts.Meter}
 		return w.run()
 	}
@@ -142,7 +146,7 @@ type walk struct {
 	src, dst int
 	mode     eval.Mode
 	meet     *pg.Meet // mode shortest: the DAG every step stays on
-	maxLen   int      // the longest path walked; 0: no bound but the mode's
+	maxLen   int      // the longest path walked; -1: no bound but the mode's
 	limit    int      // stop after this many rows; 0: never
 	m        *pg.Meter
 	tick     pg.Ticker
@@ -189,7 +193,7 @@ type extension struct {
 // stopped by the states budget like any other blow-up.
 func (w *walk) run() ([]gpath.PathBinding, bool, error) {
 	w.tick = pg.NewTicker(w.m, w.p.kern.Counters())
-	w.levels = make([]walkLevel, 1, w.maxLen+1)
+	w.levels = make([]walkLevel, 1, max(w.maxLen, 0)+1)
 	w.levels[0].seqs = []varStep{{parent: -1}}
 	w.levels[0].cfgs = []config{{state: int32(w.p.a.Start)}}
 	err := w.visit(w.src, 0)
@@ -212,15 +216,21 @@ func (w *walk) visit(node, d int) error {
 			return err
 		}
 	}
-	if w.dst < 0 || node == w.dst {
+	// Mode shortest's DAG reaches dst accepting at its last level only.
+	end := d == w.maxLen
+	if (end || w.meet == nil) && (w.dst < 0 || node == w.dst) {
 		if err := w.emit(d); err != nil || w.done() {
 			return err
 		}
 	}
 	g := w.p.g
-	if w.maxLen > 0 && d == w.maxLen {
-		for _, c := range lv.cfgs {
-			w.cut = w.cut || len(w.p.steps[c.state]) > 0 && len(g.Out(node)) > 0
+	if end {
+		// The DAG has no branch past its last level; elsewhere the bound
+		// cuts one that has an edge and a transition left.
+		if w.meet == nil && !w.cut && len(g.Out(node)) > 0 {
+			for _, c := range lv.cfgs {
+				w.cut = w.cut || len(w.p.steps[c.state]) > 0
+			}
 		}
 		return nil
 	}
@@ -236,7 +246,7 @@ func (w *walk) visit(node, d int) error {
 		}
 		for _, c := range lv.cfgs {
 			for _, st := range w.p.steps[c.state] {
-				if st.ok[lab] && w.tight(tgt, st.to, d+1) {
+				if st.ok[lab] && (w.meet == nil || w.tight(tgt, st.to, d+1)) {
 					lv.cands = append(lv.cands, extension{ei, int32(st.to), c.seq, st.v})
 				}
 			}
@@ -294,11 +304,8 @@ func (w *walk) repeats(ei, tgt int) bool {
 }
 
 // tight reports whether a step to automaton state q at node tgt, as
-// position d of the path, stays on the walk's DAG: true without one.
+// position d of the path, stays on mode shortest's DAG.
 func (w *walk) tight(tgt, q, d int) bool {
-	if w.meet == nil {
-		return true
-	}
 	i := w.meet.Index(tgt*w.p.a.NumStates + q)
 	return i >= 0 && int(w.meet.Depths()[i]) == d
 }

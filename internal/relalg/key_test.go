@@ -41,10 +41,10 @@ func TestTupleKeyBytes(t *testing.T) {
 		}
 		want.WriteString(fmtCellKey(c) + "|")
 	}
-	if got := string(appendTupleKey(nil, cells)); got != want.String() {
+	if got := tupleKey(cells); got != want.String() {
 		t.Errorf("tuple key %q, want %q", got, want.String())
 	}
-	if got := string(appendTupleKey(nil, []Cell{NodeCell(3), ValueCell(graph.Int(5)), ValueCell(graph.Str("x"))})); got != "N3|V2:5|V4:x|" {
+	if got := tupleKey([]Cell{NodeCell(3), ValueCell(graph.Int(5)), ValueCell(graph.Str("x"))}); got != "N3|V2:5|V4:x|" {
 		t.Errorf("tuple key %q", got)
 	}
 }
@@ -60,7 +60,7 @@ func TestKeyOrder(t *testing.T) {
 	r.MustAdd(NodeCell(2), ValueCell(graph.Int(2))) // a duplicate
 	var got []string
 	for _, tu := range r.Sorted() {
-		got = append(got, string(appendTupleKey(nil, tu)))
+		got = append(got, tupleKey(tu))
 	}
 	if want := "[N10|V2:10| N1|V2:1| N2|V2:2|]"; fmt.Sprint(got) != want {
 		t.Errorf("Sorted: %v, want %s", got, want)

@@ -10,7 +10,7 @@ package relalg
 
 import (
 	"fmt"
-	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -54,9 +54,8 @@ func (c Cell) Equal(d Cell) bool {
 	return c.Index == d.Index
 }
 
-// appendKey appends the cell's canonical deduplication key to b: "N" or
-// "E" and the index, or "V", the value's kind as its number, ":" and the
-// value.
+// appendKey appends the cell's canonical deduplication key to b: "N" or "E"
+// and the index, or "V", the value's kind number, ":" and the value.
 func (c Cell) appendKey(b []byte) []byte {
 	switch c.Kind {
 	case CellNode:
@@ -95,7 +94,6 @@ type Relation struct {
 	index  map[string]int // attribute -> column
 	tuples [][]Cell
 	seen   map[string]struct{}
-	key    []byte // a tuple's key, built in place
 }
 
 // NewRelation creates an empty relation with the given attributes.
@@ -139,12 +137,13 @@ func (r *Relation) Col(attr string) (int, bool) {
 	return i, ok
 }
 
-// appendTupleKey appends to b the key of t: each cell's, followed by a '|'.
-func appendTupleKey(b []byte, t []Cell) []byte {
+// tupleKey renders the key of t: each cell's, followed by a '|'.
+func tupleKey(t []Cell) string {
+	var b []byte
 	for _, c := range t {
 		b = append(c.appendKey(b), '|')
 	}
-	return b
+	return string(b)
 }
 
 // Add inserts a tuple (deduplicated). The arity must match.
@@ -152,11 +151,11 @@ func (r *Relation) Add(t ...Cell) error {
 	if len(t) != len(r.attrs) {
 		return fmt.Errorf("relalg: tuple arity %d does not match relation arity %d", len(t), len(r.attrs))
 	}
-	r.key = appendTupleKey(r.key[:0], t)
-	if _, dup := r.seen[string(r.key)]; dup {
+	k := tupleKey(t)
+	if _, dup := r.seen[k]; dup {
 		return nil
 	}
-	r.seen[string(r.key)] = struct{}{}
+	r.seen[k] = struct{}{}
 	r.tuples = append(r.tuples, append([]Cell(nil), t...))
 	return nil
 }
@@ -170,7 +169,7 @@ func (r *Relation) MustAdd(t ...Cell) {
 
 // Contains reports whether the tuple is present.
 func (r *Relation) Contains(t ...Cell) bool {
-	_, ok := r.seen[string(appendTupleKey(nil, t))]
+	_, ok := r.seen[tupleKey(t)]
 	return ok
 }
 
@@ -292,8 +291,7 @@ func (r *Relation) Join(s *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Hash join on the shared columns. Each key is built once, into buf; a
-	// probe allocates nothing.
+	// Hash join on the shared columns.
 	var buf []byte
 	mk := func(t []Cell, side int) {
 		buf = buf[:0]
@@ -336,21 +334,8 @@ func (r *Relation) Product(s *Relation) (*Relation, error) {
 // Sorted returns the tuples in a canonical order (by key), for deterministic
 // output in tests and CLI rendering.
 func (r *Relation) Sorted() [][]Cell {
-	type keyed struct {
-		key string
-		t   []Cell
-	}
-	ks := make([]keyed, len(r.tuples))
-	var buf []byte
-	for i, t := range r.tuples {
-		buf = appendTupleKey(buf[:0], t)
-		ks[i] = keyed{string(buf), t}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	out := make([][]Cell, len(ks))
-	for i := range ks {
-		out[i] = ks[i].t
-	}
+	out := append([][]Cell(nil), r.tuples...)
+	sort.Slice(out, func(i, j int) bool { return tupleKey(out[i]) < tupleKey(out[j]) })
 	return out
 }
 
