@@ -164,7 +164,9 @@ serve-smoke:
 #   make profile-served W=scalefree-20000 Q=scripts/label_pairs.jsonl
 #   (its label-pairs class alone: `b b b` and the cypher `-[:b]->-[:a]->`), or
 #   make profile-served W=path-700,grid-20x20 Q=scripts/big_results.jsonl
-#   (the five ops of bench/'s big-results, "stream": true for the NDJSON ones).
+#   (the five ops of bench/'s big-results, "stream": true for the NDJSON ones), or
+#   make profile-served W=scalefree-800 Q=scripts/cyclic_crpq.jsonl
+#   (the four CRPQs of bench/'s cyclic-crpq, the triangle twice as in its mix).
 # KEEP=dir keeps the profile and the daemon binary there (cpu.pprof,
 # gqserverd) for `go tool pprof -list`.
 profile-served:

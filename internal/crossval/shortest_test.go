@@ -2,10 +2,10 @@
 // pg.Kernel.Between and the DAG walk of lrpq.Plan.Shortest against two
 // oracles that share no code with them — the walk oracle of modes_test.go
 // (every walk whose label word the automaton accepts, cut to minimal
-// length) for expressions without variables, and mode all up to that
-// length, filtered to minimal length, for expressions with list variables;
-// a claim of no path at all is held to a single-source kernel sweep. Rows
-// and order must both agree, at every limit.
+// length), each walk with the bindings its runs make (lrpq.BindingsOnPath)
+// for expressions with list variables; a claim of no path at all is held to
+// a single-source kernel sweep. Rows and order must both agree, at every
+// limit.
 package crossval_test
 
 import (
@@ -45,25 +45,6 @@ func formatPBs(g *graph.Graph, pbs []gpath.PathBinding) []string {
 	return out
 }
 
-// shortestByDefinition is oracle (ii): every (p, µ) of length ≤ length under
-// mode all, cut down to those of minimal length. With length the claimed
-// shortest distance it returns the claimed answer or exposes a shorter one.
-func shortestByDefinition(t *testing.T, g *graph.Graph, e lrpq.Expr, u, v, length int) []gpath.PathBinding {
-	t.Helper()
-	// MaxLen 0 would mean unbounded; bound 1 still contains the empty path.
-	all, err := lrpq.EvalBetween(g, e, u, v, eval.All, lrpq.Options{MaxLen: max(length, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []gpath.PathBinding
-	for _, pb := range all { // sorted by length first
-		if pb.Path.Len() == all[0].Path.Len() {
-			out = append(out, pb)
-		}
-	}
-	return out
-}
-
 // reach is every node a sweep of kern from u reaches in an accepting state.
 func reach(kern *pg.Kernel, u int) []int {
 	vs, _ := kern.Sweep(u, kern.NewScratch(), nil, false) // nil meter: cannot fail
@@ -80,8 +61,8 @@ func checkShortest(t *testing.T, g *graph.Graph, text string, u, v int) {
 	if err != nil {
 		t.Fatalf("%s %d→%d: %v", text, u, v, err)
 	}
-	// Oracle (i) needs a bound: the claimed length. A shorter accepted walk
-	// shows up under it and wins the cut; a claim of no path at all is
+	// The walk oracle needs a bound: the claimed length. A shorter accepted
+	// walk shows up under it and wins the cut; a claim of no path at all is
 	// checked by a kernel sweep from the source.
 	nfa := rpq.Compile(lrpq.Erase(e))
 	var erased []gpath.Path
@@ -95,15 +76,7 @@ func checkShortest(t *testing.T, g *graph.Graph, text string, u, v int) {
 	} else if kern := eval.NewProduct(g, nfa).Kernel(); slices.Contains(reach(kern, u), v) {
 		t.Fatalf("%s %d→%d: no shortest path, but a sweep from %d reaches %d", text, u, v, u, v)
 	}
-	var want []gpath.PathBinding
-	if len(lrpq.Vars(e)) == 0 {
-		for _, p := range erased {
-			want = append(want, gpath.PathBinding{Path: p})
-		}
-	} else if len(erased) > 0 {
-		want = shortestByDefinition(t, g, e, u, v, erased[0].Len())
-	}
-	got, exp := formatPBs(g, full), formatPBs(g, want)
+	got, exp := formatPBs(g, full), formatWalks(g, e, erased)
 	if fmt.Sprint(got) != fmt.Sprint(exp) {
 		t.Fatalf("%s %d→%d: shortest differs from the oracle\n got %v\nwant %v", text, u, v, got, exp)
 	}

@@ -103,4 +103,52 @@ func TestBatchReuseAfterStop(t *testing.T) {
 			}
 		}
 	}
+
+	// Under a{4} the last state accepts and has no transition out, so the
+	// batch counts the nodes a level reaches in it instead of queueing them.
+	// The meter's first tick, after 256 of the window's 300 discoveries,
+	// lands in the level that reaches them, with some of them counted. The
+	// batch handed out again must report what a fresh one does — pairs and
+	// telemetry — from the sources whose nodes were pending (every node its
+	// last level reaches was counted by the stopped sweep) and from the
+	// stopped window.
+	sk := NewKernel(g, FromNFA(g, rpq.Compile(rpq.MustParse("a{4}"))), nil)
+	if sk.sink < 0 {
+		t.Fatal("a{4} has no sink: the fixture no longer tests the sink's reset")
+	}
+	stb := sk.tables.Load()
+	sweep := func(b *batch, srcs []int) (Runs, string) {
+		ss := &SweepStats{}
+		got, err := sk.sweepBatch(stb, srcs, 0, b, NewMeter(context.Background(), Budget{}, nil, ss))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, fmt.Sprintf("%+v", *ss.Snapshot())
+	}
+	for _, st := range []struct {
+		name  string
+		meter *Meter
+	}{
+		{"cancel", canceledIf(func() bool { return true })},
+		{"states budget", NewMeter(context.Background(), Budget{MaxStates: 200}, nil, nil)},
+	} {
+		b := &batch{}
+		if _, err := sk.sweepBatch(stb, windows[0], 0, b, st.meter); err == nil {
+			t.Fatalf("%s: the sweep under a{4} was not stopped", st.name)
+		}
+		if len(b.sinks) == 0 {
+			t.Fatalf("%s: the sweep under a{4} stopped with no sink node pending: the fixture no longer tests the reset", st.name)
+		}
+		var pending []int
+		for _, v := range b.sinks {
+			pending = append(pending, int(v)-4)
+		}
+		for _, srcs := range [][]int{pending, windows[0]} {
+			wantRuns, wantStats := sweep(&batch{}, srcs)
+			if got, stats := sweep(b, srcs); !reflect.DeepEqual(got, wantRuns) || stats != wantStats {
+				t.Fatalf("%s under a{4}, then %d sources on the same batch:\n got %d pairs, %s\nwant %d pairs, %s",
+					st.name, len(srcs), got.Len(), stats, wantRuns.Len(), wantStats)
+			}
+		}
+	}
 }

@@ -38,6 +38,10 @@ type Kernel struct {
 	// that such a sweep finds nothing; nil when one does, and no source is
 	// idle (sweepall.go).
 	idleStarts []int
+	// sink is the automaton's only accepting state when no transition
+	// leaves it and no sweep starts in it, else -1. A batch never queues
+	// (v, sink): its seen word is acc[v] (sweepall.go).
+	sink int
 	// cyclic says the automaton has a cycle reachable from a start state
 	// (hasCycle): only then can an all-sources call condense its product.
 	cyclic bool
@@ -85,9 +89,28 @@ func NewKernel(g *graph.Graph, sem Semantics, c *Counters) *Kernel {
 			k.idleStarts = append(k.idleStarts, q)
 		}
 	}
+	k.sink = k.findSink()
 	k.cyclic = k.hasCycle()
 	k.tables.Store(k.newTables(k.compile(false), nil))
 	return k
+}
+
+// findSink returns the automaton's accepting state if it is the only one,
+// has no transition out and is not a start state, else -1.
+func (k *Kernel) findSink() int {
+	sink := -1
+	for q, acc := range k.accept {
+		if acc {
+			if sink >= 0 {
+				return -1
+			}
+			sink = q
+		}
+	}
+	if sink < 0 || len(k.trans[sink]) > 0 || slices.Contains(k.starts, sink) {
+		return -1
+	}
+	return sink
 }
 
 // Graph returns the kernel's graph.

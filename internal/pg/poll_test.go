@@ -132,3 +132,46 @@ func TestStoppedSweepLeavesTheBuy(t *testing.T) {
 		t.Fatalf("%d slots still rent after the next sweep", n)
 	}
 }
+
+// TestBatchPollsWhereSinkStatesWere: the batch counts the states it reaches
+// in a kernel's sink instead of queueing them, and must poll the meter where
+// the scan met them, no more and no less. Under `a* b` x's 300 a edges make
+// the scan of (x, after a) tick the meter past a budget of 100. When its
+// level's frontier ends in a sink state — s's b edge comes after its a edge
+// — the poll that sink state's entry made trips the budget inside that
+// level; when it starts with one — p's b edge is scanned before q's a edge —
+// the level ends unpolled and the next level's first entry trips it.
+func TestBatchPollsWhereSinkStatesWere(t *testing.T) {
+	b := graph.NewBuilder()
+	for _, v := range []string{"s", "p", "q", "x", "y"} {
+		b.AddNode(graph.NodeID(v), "", nil)
+	}
+	edge := func(id, label, u, v string) {
+		b.AddEdge(graph.EdgeID(id), label, graph.NodeID(u), graph.NodeID(v), nil)
+	}
+	edge("sx", "a", "s", "x")
+	edge("sy", "b", "s", "y")
+	edge("py", "b", "p", "y")
+	edge("qx", "a", "q", "x")
+	for i := 0; i < 300; i++ {
+		z := fmt.Sprintf("z%d", i)
+		b.AddNode(graph.NodeID(z), "", nil)
+		edge("x"+z, "a", "x", z)
+	}
+	g := b.MustBuild()
+	k := NewKernel(g, FromNFA(g, rpq.Compile(rpq.MustParse("a* b"))), nil)
+	for _, tc := range []struct {
+		sources []string
+		levels  int // the level rows recorded before the budget trips
+	}{{[]string{"s"}, 1}, {[]string{"p", "q"}, 2}} {
+		var srcs []int
+		for _, u := range tc.sources {
+			srcs = append(srcs, g.MustNode(graph.NodeID(u)))
+		}
+		ss := &SweepStats{}
+		_, err := k.sweepBatch(k.tables.Load(), srcs, 0, &batch{}, NewMeter(context.Background(), Budget{MaxStates: 100}, nil, ss))
+		if snap := ss.Snapshot(); !errors.Is(err, ErrBudgetExceeded) || len(snap.Levels) != tc.levels || snap.States < 300 {
+			t.Fatalf("sources %v: err %v, %d states, levels %+v; want the budget to trip after %d levels", tc.sources, err, snap.States, snap.Levels, tc.levels)
+		}
+	}
+}

@@ -134,11 +134,27 @@ func BenchmarkKernelSweepClique(b *testing.B) {
 //     either touches a few hundred product states and stays on its compact
 //     map; the rows above it go onto the flat slabs within a level or two.
 //
+//   - crpq-a and crpq-aa are the atoms `a` and `a a` of cyclic-crpq's
+//     triangles on its catalog graph, scalefree-800: every node with an a
+//     edge moves, and the last state of either is the accepting sink.
+//
 // edges/op is adjacency entries examined per all-pairs evaluation — for a
 // cold condensed call batch 0's and the build's, plus the DAG edges each
 // later batch examined; for a warm one the DAG edges alone; batches/op is
-// the batches that had a source to sweep.
+// the batches that had a source to sweep; held/op, on the rows whose every
+// batch runs the level loop, is the product states those batches kept in
+// their map or slabs — what a batch pays for besides its acc word per node.
+// A state with no transition out that is the only accepting one is not kept
+// (its acc bit is its seen bit), so `b a`, `b b b`, `a` and `a a` hold only
+// the states before their last step.
 func BenchmarkSweepAll(b *testing.B) {
+	named := func(b *testing.B, name string) *graph.Graph {
+		g, err := gen.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
 	withZ := func(g *graph.Graph) *graph.Graph {
 		z := make([]graph.Mutation, 4)
 		for i := range z {
@@ -170,6 +186,8 @@ func BenchmarkSweepAll(b *testing.B) {
 		{"label-pairs", scaleFreeGraph(20000), "b b b", false},
 		{"label-pairs-ba", scaleFreeGraph(20000), "b a", false},
 		{"scalefree-20000", withZ(scaleFreeGraph(20000)), "a* z a", false},
+		{"crpq-a", named(b, "scalefree-800"), "a", false},
+		{"crpq-aa", named(b, "scalefree-800"), "a a", false},
 	} {
 		expr, err := rpq.Parse(row.query)
 		if err != nil {
@@ -178,6 +196,10 @@ func BenchmarkSweepAll(b *testing.B) {
 		var c pg.Counters
 		nfa := rpq.Compile(expr)
 		kern := pg.NewKernel(row.g, pg.FromNFA(row.g, nfa), &c)
+		held, levelLoop, err := pg.LevelHeld(pg.NewKernel(row.g, pg.FromNFA(row.g, nfa), nil))
+		if err != nil {
+			b.Fatal(err)
+		}
 		run := func(name string, all func(b *testing.B) (int, error)) {
 			b.Run(row.name+"/"+name, func(b *testing.B) {
 				want, err := all(b) // also buys the neighbor tables
@@ -196,6 +218,9 @@ func BenchmarkSweepAll(b *testing.B) {
 				b.ReportMetric(float64(after.EdgesScanned-before.EdgesScanned)/float64(b.N), "edges/op")
 				if name != "per-source" {
 					b.ReportMetric(float64(after.BatchesRun-before.BatchesRun)/float64(b.N), "batches/op")
+					if levelLoop {
+						b.ReportMetric(float64(held), "held/op")
+					}
 				}
 			})
 		}

@@ -60,6 +60,12 @@ type frontEntry struct {
 // level it moved at. A batch whose last level-loop sweep ended that way
 // starts on the slabs (open). acc stays a word per node.
 //
+// A kernel's sink (Kernel.sink) is never entered in either: acc[v] is the
+// seen word of (v, sink), so a step into it tests acc and accepts, and the
+// level being built only counts the sink nodes it reaches — sinks lists
+// them, marked once each in sinkMark — so that the frontier's width, and
+// every count read off it, are what queueing them would have made them.
+//
 // The price of the flat slabs is memory: 16 bytes per product state plus 8
 // per node, per worker, where Sweep's bitsets take 2 bits per state — 72 MB
 // for a 1M-node × 4-state product. maxBatchStates caps it. At the switch
@@ -87,6 +93,11 @@ type batch struct {
 	// hit has a bit per node, hitSum a bit per word of hit.
 	hit    []uint64
 	hitSum []uint64
+
+	sinkMark []uint64 // a bit per node reached in the sink in the level being built
+	sinks    []int32  // the nodes marked in sinkMark, in arrival order
+	sinkBits uint64   // the sources that reached them
+	sinkAt   int      // len(nextIDs) when the last of them arrived
 
 	touched []int32 // states with a nonzero seen word, in discovery order: the level loop's product states, the condensed loop's components
 	nextIDs []int32 // states with a nonzero next word: local numbers while compact, product states once flat
@@ -128,9 +139,9 @@ func putBatch(b *batch) { batchPool.Put(b) }
 
 // reset clears what the loop that last used the batch wrote — it may have
 // ended in an error or a panic, so clearing happens on entry, not on exit —
-// and records that loop now uses it. It sizes acc for nodes and, for the
-// condensed loop, seen and pend for states components; the level loop's
-// table is sized by open, its flat slabs by goFlat.
+// and records that loop now uses it. It sizes acc and sinkMark for nodes
+// and, for the condensed loop, seen and pend for states components; the
+// level loop's table is sized by open, its flat slabs by goFlat.
 func (b *batch) reset(loop loopKind, states, nodes int) {
 	switch b.loop {
 	case condensedLoop:
@@ -153,6 +164,7 @@ func (b *batch) reset(loop loopKind, states, nodes int) {
 	for _, v := range b.drainHits() {
 		b.acc[v] = 0
 	}
+	b.clearSinks()
 	b.touched, b.nextIDs, b.hits, b.front, b.found, b.ticked = b.touched[:0], b.nextIDs[:0], b.hits[:0], b.front[:0], 0, 0
 	b.lseen, b.lnext, b.loop, b.flatAt = b.lseen[:0], b.lnext[:0], loop, -1
 	if loop == condensedLoop {
@@ -161,6 +173,7 @@ func (b *batch) reset(loop loopKind, states, nodes int) {
 	if len(b.acc) < nodes {
 		words := (nodes + 63) / 64
 		b.acc, b.hit, b.hitSum = make([]uint64, nodes), make([]uint64, words), make([]uint64, (words+63)/64)
+		b.sinkMark = make([]uint64, words)
 	}
 }
 
@@ -292,6 +305,29 @@ func (b *batch) discover(id, v int, d uint64, accepting bool) {
 	}
 }
 
+// arrive records that the sources in d — none of which had reached it — now
+// reach (v, sink): they count one state each and gain v as a target, and v
+// joins the level's sink nodes unless it is already one. The list append
+// precedes the mark it names.
+func (b *batch) arrive(v int, d uint64) {
+	if b.sinkMark[v>>6]&(1<<uint(v&63)) == 0 {
+		b.sinks = append(b.sinks, int32(v))
+		b.sinkMark[v>>6] |= 1 << uint(v&63)
+		b.sinkAt = len(b.nextIDs)
+	}
+	b.sinkBits |= d
+	b.found += int64(mathbits.OnesCount64(d))
+	b.accept(v, d)
+}
+
+// clearSinks empties the level's sink nodes.
+func (b *batch) clearSinks() {
+	for _, v := range b.sinks {
+		b.sinkMark[v>>6] = 0
+	}
+	b.sinks, b.sinkBits = b.sinks[:0], 0
+}
+
 // accept gives the sources in d node v as a target. The bitmap is marked
 // before the slab is written, summary first, so it covers acc whatever
 // interrupts the sweep.
@@ -345,8 +381,11 @@ func (b *batch) charge(n int64, mt *Meter) error {
 }
 
 // promote turns the level just built into the current frontier and returns
-// the sources that have a state in it.
-func (b *batch) promote() (active uint64) {
+// the sources that have a state in it, and how wide it is: its queued states
+// and its sink states. trail says its last state, in the order the states
+// first arrived, is a sink state — one the level's scan meets after all the
+// queued ones.
+func (b *batch) promote() (active uint64, width int, trail bool) {
 	b.front = b.front[:0]
 	if b.flatAt >= 0 {
 		for _, id := range b.nextIDs {
@@ -363,8 +402,11 @@ func (b *batch) promote() (active uint64) {
 			b.front = append(b.front, frontEntry{b.touched[l], bits})
 		}
 	}
+	active |= b.sinkBits
+	width, trail = len(b.front)+len(b.sinks), len(b.sinks) > 0 && b.sinkAt == len(b.nextIDs)
+	b.clearSinks()
 	b.nextIDs = b.nextIDs[:0]
-	return active
+	return active, width, trail
 }
 
 // byteLanes[x] spreads the eight bits of x over the eight bytes of a word:
@@ -513,11 +555,11 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 	reported, levelStart := idleStates, idleStates
 	sc.rented = idle * tb.idleRent
 	for level := 0; stopErr == nil; level++ {
-		active := b.promote()
-		if len(b.front) == 0 {
+		active, width, trail := b.promote()
+		if width == 0 {
 			break
 		}
-		peak = max(peak, len(b.front))
+		peak = max(peak, width)
 		frontier := b.found - levelStart // what the previous level discovered
 		levelStart = b.found
 		levelEdges := sc.edges
@@ -528,6 +570,11 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 				i, stopErr = k.scanFlat(tb, b, i, mt, &sc)
 			}
 		}
+		if trail && stopErr == nil {
+			// A queued sink state would have polled once more after the
+			// level's last scan.
+			stopErr = b.poll(mt, &sc)
+		}
 		if stopErr != nil {
 			break
 		}
@@ -535,7 +582,7 @@ func (k *Kernel) sweepBatch(tb *sweepTables, srcs []int, idle int64, b *batch, m
 			sc.edges-levelEdges, int64(len(srcs))*int64(total)-(b.found-idleStates), false)
 		if b.found-reported >= CheckInterval {
 			reported = b.found
-			mt.SweepProgress(int64(len(b.nextIDs)), sc.edges-sc.edgesReported)
+			mt.SweepProgress(int64(len(b.nextIDs)+len(b.sinks)), sc.edges-sc.edgesReported)
 			sc.edgesReported = sc.edges
 		}
 	}
@@ -585,7 +632,7 @@ func (b *batch) poll(mt *Meter, sc *levelScan) error {
 // meter, or at the entry before which the map held more than half of the
 // product's total states — having moved the batch onto the flat slabs.
 func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt *Meter, sc *levelScan) (int, error) {
-	g, nq := k.g, k.nq
+	g, nq, acc := k.g, k.nq, b.acc
 	for ; i < len(b.front); i++ {
 		if 2*len(b.touched) > total {
 			b.goFlat(total, level)
@@ -599,7 +646,7 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 		ft := tb.ft[int(f.id)-v*nq]
 		for ti := range ft {
 			t := &ft[ti]
-			accepting := k.accept[t.state]
+			accepting, toSink := k.accept[t.state], t.state == k.sink
 			if t.ok != nil {
 				adj := g.Out(v)
 				if t.in {
@@ -614,7 +661,11 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 					if t.in {
 						w = g.EdgeSrc(ei)
 					}
-					if s, l := b.find(w*nq + t.state); l < 0 {
+					if toSink {
+						if d := f.bits &^ acc[w]; d != 0 {
+							b.arrive(w, d)
+						}
+					} else if s, l := b.find(w*nq + t.state); l < 0 {
 						b.enter(s, w*nq+t.state, w, f.bits, accepting)
 					} else if d := f.bits &^ b.lseen[l]; d != 0 {
 						b.gain(l, w, d, accepting)
@@ -627,7 +678,11 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 					tos := la.Neighbors(v)
 					sc.edges += int64(len(tos))
 					for _, w := range tos {
-						if s, l := b.find(int(w)*nq + t.state); l < 0 {
+						if toSink {
+							if d := f.bits &^ acc[w]; d != 0 {
+								b.arrive(int(w), d)
+							}
+						} else if s, l := b.find(int(w)*nq + t.state); l < 0 {
 							b.enter(s, int(w)*nq+t.state, int(w), f.bits, accepting)
 						} else if d := f.bits &^ b.lseen[l]; d != 0 {
 							b.gain(l, int(w), d, accepting)
@@ -646,7 +701,11 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 					if t.in {
 						w = g.EdgeSrc(ei)
 					}
-					if s, l := b.find(w*nq + t.state); l < 0 {
+					if toSink {
+						if d := f.bits &^ acc[w]; d != 0 {
+							b.arrive(w, d)
+						}
+					} else if s, l := b.find(w*nq + t.state); l < 0 {
 						b.enter(s, w*nq+t.state, w, f.bits, accepting)
 					} else if d := f.bits &^ b.lseen[l]; d != 0 {
 						b.gain(l, w, d, accepting)
@@ -661,7 +720,7 @@ func (k *Kernel) scanCompact(tb *sweepTables, b *batch, i, level, total int, mt 
 // scanFlat is scanCompact on the flat slabs, from entry i to the end of the
 // frontier or an error from the meter.
 func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *levelScan) (int, error) {
-	g, nq, seen := k.g, k.nq, b.seen
+	g, nq, seen, acc := k.g, k.nq, b.seen, b.acc
 	for ; i < len(b.front); i++ {
 		if err := b.poll(mt, sc); err != nil {
 			return i, err
@@ -671,7 +730,7 @@ func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *level
 		ft := tb.ft[int(f.id)-v*nq]
 		for ti := range ft {
 			t := &ft[ti]
-			accepting := k.accept[t.state]
+			accepting, toSink := k.accept[t.state], t.state == k.sink
 			if t.ok != nil {
 				adj := g.Out(v)
 				if t.in {
@@ -686,7 +745,11 @@ func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *level
 					if t.in {
 						w = g.EdgeSrc(ei)
 					}
-					if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
+					if toSink {
+						if d := f.bits &^ acc[w]; d != 0 {
+							b.arrive(w, d)
+						}
+					} else if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
 						b.discover(w*nq+t.state, w, d, accepting)
 					}
 				}
@@ -697,7 +760,11 @@ func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *level
 					tos := la.Neighbors(v)
 					sc.edges += int64(len(tos))
 					for _, w := range tos {
-						if d := f.bits &^ seen[int(w)*nq+t.state]; d != 0 {
+						if toSink {
+							if d := f.bits &^ acc[w]; d != 0 {
+								b.arrive(int(w), d)
+							}
+						} else if d := f.bits &^ seen[int(w)*nq+t.state]; d != 0 {
 							b.discover(int(w)*nq+t.state, int(w), d, accepting)
 						}
 					}
@@ -714,7 +781,11 @@ func (k *Kernel) scanFlat(tb *sweepTables, b *batch, i int, mt *Meter, sc *level
 					if t.in {
 						w = g.EdgeSrc(ei)
 					}
-					if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
+					if toSink {
+						if d := f.bits &^ acc[w]; d != 0 {
+							b.arrive(w, d)
+						}
+					} else if d := f.bits &^ seen[w*nq+t.state]; d != 0 {
 						b.discover(w*nq+t.state, w, d, accepting)
 					}
 				}
